@@ -22,8 +22,15 @@ package core
 // Membership follows the all-or-nothing residency property: a file appears
 // in the structures of exactly the tiers holding a replica of every block,
 // maintained from dfs.Listener FileTierChanged flips plus file
-// creation/deletion. Dynamic predicates (manager busy marks, failure
-// cooldowns) are filtered at selection time, not indexed.
+// creation/deletion.
+//
+// Ineligibility is structural too. A file the manager marks busy or puts in
+// a failure cooldown is parked: it stays a member of every heap that holds
+// it (keys keep following accesses, residency flips and deletes still
+// apply) but leaves heap order, and it re-enters with its current key when
+// the move completes cleanly or the cooldown expires. The heap top is
+// therefore always selectable, and selection cost does not depend on how
+// many moves failed.
 
 import (
 	"fmt"
@@ -72,7 +79,11 @@ func (a HeapKey) Less(b HeapKey) bool {
 // million-entry heap retains ids and keys, not pointers into the namespace.
 type heapEntry struct {
 	key HeapKey
-	pos int32 // index into items, or the next free slot when on the free list
+	// pos >= 0 is the index into items; pos < 0 marks a parked member whose
+	// index into parked is ^pos. A slot on the free list (reachable only
+	// through FileHeap.free, never through slots) keeps the next free slot
+	// here instead.
+	pos int32
 }
 
 // FileHeap is an indexed binary min-heap of files with O(log N)
@@ -85,14 +96,24 @@ type heapEntry struct {
 // handles (items/byID hold slots, not pointers): one table allocation
 // amortises over its capacity, and per-entry footprint stays at key +
 // handle instead of a heap object per file.
+//
+// A member is either in heap order or parked (see Park): parked members keep
+// their key, follow Update/Rekey/Remove and count toward Len, but no
+// selection sees them.
 type FileHeap struct {
 	slots   []int32 // file id → slot in store, -1 when not indexed
 	store   []heapEntry
 	free    int32   // head of the free-slot list (-1 when empty)
 	items   []int32 // heap order → slot
+	parked  []int32 // parked members → slot, unordered
 	stash   []int32 // reused scratch for pop-and-restore walks
 	less    func(a, b HeapKey) bool
 	resolve func(dfs.FileID) *dfs.File
+	// ctx binds the heap to a context's eligibility record (see
+	// CandidateIndex.NewHeap): new members the manager has on record enter
+	// parked, and every selection first releases expired cooldowns. Nil for
+	// a standalone heap.
+	ctx *Context
 }
 
 // NewFileHeap builds an empty heap with the given comparator (nil means
@@ -118,8 +139,8 @@ func TimeDescending(a, b HeapKey) bool {
 	return a.ID < b.ID
 }
 
-// Len returns the number of indexed files.
-func (h *FileHeap) Len() int { return len(h.items) }
+// Len returns the number of indexed files, parked ones included.
+func (h *FileHeap) Len() int { return len(h.items) + len(h.parked) }
 
 // slotOf returns the store slot of a file id, or -1. File ids are dense
 // (assigned sequentially by the file system), so the id index is a flat
@@ -135,6 +156,12 @@ func (h *FileHeap) slotOf(id dfs.FileID) int32 {
 // Has reports whether the file is indexed.
 func (h *FileHeap) Has(id dfs.FileID) bool { return h.slotOf(id) >= 0 }
 
+// IsParked reports whether the file is a parked member.
+func (h *FileHeap) IsParked(id dfs.FileID) bool {
+	s := h.slotOf(id)
+	return s >= 0 && h.store[s].pos < 0
+}
+
 // alloc takes a slot off the free list or extends the slot table.
 func (h *FileHeap) alloc() int32 {
 	if h.free >= 0 {
@@ -146,23 +173,30 @@ func (h *FileHeap) alloc() int32 {
 	return int32(len(h.store) - 1)
 }
 
-// Update inserts the file or re-keys it in place.
+// Update inserts the file or re-keys it in place. A parked member only has
+// its key replaced; a new member enters parked when the bound context has it
+// on record as busy or cooling down.
 func (h *FileHeap) Update(f *dfs.File, w float64, t time.Time) {
 	id := f.ID()
 	key := HeapKey{W: w, T: timeKey(t), ID: id}
 	if s := h.slotOf(id); s >= 0 {
 		h.store[s].key = key
-		h.fix(h.store[s].pos)
+		if pos := h.store[s].pos; pos >= 0 {
+			h.fix(pos)
+		}
 		return
 	}
 	s := h.alloc()
-	h.store[s] = heapEntry{key: key, pos: int32(len(h.items))}
+	h.store[s].key = key
 	for int64(len(h.slots)) <= int64(id) {
 		h.slots = append(h.slots, -1)
 	}
 	h.slots[id] = s
-	h.items = append(h.items, s)
-	h.up(h.store[s].pos)
+	if h.ctx != nil && h.ctx.parkedID(id) {
+		h.pushParked(s)
+	} else {
+		h.pushItem(s)
+	}
 }
 
 // Remove drops the file if present.
@@ -172,6 +206,40 @@ func (h *FileHeap) Remove(id dfs.FileID) {
 		return
 	}
 	h.slots[id] = -1
+	if h.store[s].pos < 0 {
+		h.dropParked(s)
+	} else {
+		h.dropItem(s)
+	}
+	h.store[s] = heapEntry{pos: h.free} // return the slot to the free list
+	h.free = s
+}
+
+// Park takes an indexed file out of heap order, keeping it a member. No-op
+// when the file is not indexed or already parked.
+func (h *FileHeap) Park(id dfs.FileID) {
+	if s := h.slotOf(id); s >= 0 && h.store[s].pos >= 0 {
+		h.dropItem(s)
+		h.pushParked(s)
+	}
+}
+
+// Unpark returns a parked file to heap order under its current key. No-op
+// when the file is not indexed or not parked.
+func (h *FileHeap) Unpark(id dfs.FileID) {
+	if s := h.slotOf(id); s >= 0 && h.store[s].pos < 0 {
+		h.dropParked(s)
+		h.pushItem(s)
+	}
+}
+
+func (h *FileHeap) pushItem(s int32) {
+	h.store[s].pos = int32(len(h.items))
+	h.items = append(h.items, s)
+	h.up(h.store[s].pos)
+}
+
+func (h *FileHeap) dropItem(s int32) {
 	last := int32(len(h.items) - 1)
 	pos := h.store[s].pos
 	h.items[pos] = h.items[last]
@@ -180,34 +248,49 @@ func (h *FileHeap) Remove(id dfs.FileID) {
 	if pos < last {
 		h.fix(pos)
 	}
-	h.store[s] = heapEntry{pos: h.free} // return the slot to the free list
-	h.free = s
 }
 
-// Rekey recomputes every entry's key with fn and re-heapifies in O(N); the
+func (h *FileHeap) pushParked(s int32) {
+	h.store[s].pos = ^int32(len(h.parked))
+	h.parked = append(h.parked, s)
+}
+
+func (h *FileHeap) dropParked(s int32) {
+	last := len(h.parked) - 1
+	i := ^h.store[s].pos
+	h.parked[i] = h.parked[last]
+	h.store[h.parked[i]].pos = ^i
+	h.parked = h.parked[:last]
+}
+
+// Rekey recomputes every member's key with fn and re-heapifies in O(N); the
 // lazy weight heaps use it when their evaluation horizon advances. Entries
 // whose id no longer resolves keep their stored key.
 func (h *FileHeap) Rekey(fn func(f *dfs.File) (float64, time.Time)) {
-	for _, s := range h.items {
-		e := &h.store[s]
-		f := h.resolve(e.key.ID)
-		if f == nil {
-			continue
+	for _, members := range [2][]int32{h.items, h.parked} {
+		for _, s := range members {
+			e := &h.store[s]
+			f := h.resolve(e.key.ID)
+			if f == nil {
+				continue
+			}
+			w, t := fn(f)
+			e.key = HeapKey{W: w, T: timeKey(t), ID: e.key.ID}
 		}
-		w, t := fn(f)
-		e.key = HeapKey{W: w, T: timeKey(t), ID: e.key.ID}
 	}
 	for i := int32(len(h.items))/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-// Each visits every indexed entry in unspecified order. Entries whose id
-// no longer resolves are skipped.
+// Each visits every member, parked ones included, in unspecified order.
+// Entries whose id no longer resolves are skipped.
 func (h *FileHeap) Each(fn func(f *dfs.File, key HeapKey)) {
-	for _, s := range h.items {
-		if f := h.resolve(h.store[s].key.ID); f != nil {
-			fn(f, h.store[s].key)
+	for _, members := range [2][]int32{h.items, h.parked} {
+		for _, s := range members {
+			if f := h.resolve(h.store[s].key.ID); f != nil {
+				fn(f, h.store[s].key)
+			}
 		}
 	}
 }
@@ -221,32 +304,38 @@ func (h *FileHeap) Key(id dfs.FileID) (HeapKey, bool) {
 	return h.store[s].key, true
 }
 
-// SelectMin returns the minimum-key file passing the eligibility filter,
-// or nil. Keys must be exact (not bounds). Ineligible prefixes are popped
-// and restored, so the cost is O((s+1) log N) where s is the number of
-// ineligible entries ahead of the winner.
-func (h *FileHeap) SelectMin(eligible func(*dfs.File) bool) *dfs.File {
+// settle releases the bound context's expired cooldowns, so the members in
+// heap order are exactly the selectable ones when a selection starts.
+func (h *FileHeap) settle() {
+	if h.ctx != nil {
+		h.ctx.releaseExpired()
+	}
+}
+
+// SelectMin returns the minimum-key file in heap order, or nil. Keys must be
+// exact (not bounds). The top is returned without a pop; only entries whose
+// id no longer resolves are stepped over.
+func (h *FileHeap) SelectMin() *dfs.File {
+	h.settle()
 	var best *dfs.File
 	h.stash = h.stash[:0]
 	for len(h.items) > 0 {
-		top := h.popTop()
-		h.stash = append(h.stash, top)
-		f := h.resolve(h.store[top].key.ID)
-		if f != nil && (eligible == nil || eligible(f)) {
-			best = f
+		if best = h.resolve(h.store[h.items[0]].key.ID); best != nil {
 			break
 		}
+		h.stash = append(h.stash, h.popTop())
 	}
 	h.restore()
 	return best
 }
 
-// SelectMinLazy returns the file minimizing (trueW(f), f.ID()) among
-// eligible entries, where stored weight keys are lower bounds of trueW
+// SelectMinLazy returns the file minimizing (trueW(f), f.ID()) among the
+// members in heap order, where stored weight keys are lower bounds of trueW
 // (entries' T components must be zero). It pops entries while their bound
 // could still beat the best exact weight seen, then restores them; with
 // tight bounds this inspects a tiny prefix of the heap.
-func (h *FileHeap) SelectMinLazy(eligible func(*dfs.File) bool, trueW func(*dfs.File) float64) *dfs.File {
+func (h *FileHeap) SelectMinLazy(trueW func(*dfs.File) float64) *dfs.File {
+	h.settle()
 	var best *dfs.File
 	var bestKey HeapKey
 	h.stash = h.stash[:0]
@@ -257,7 +346,7 @@ func (h *FileHeap) SelectMinLazy(eligible func(*dfs.File) bool, trueW func(*dfs.
 		top := h.popTop()
 		h.stash = append(h.stash, top)
 		f := h.resolve(h.store[top].key.ID)
-		if f == nil || (eligible != nil && !eligible(f)) {
+		if f == nil {
 			continue
 		}
 		tk := HeapKey{W: trueW(f), ID: f.ID()}
@@ -270,29 +359,31 @@ func (h *FileHeap) SelectMinLazy(eligible func(*dfs.File) bool, trueW func(*dfs.
 }
 
 // AscendWhile pops entries in ascending stored-key order while keep
-// returns true for the next key, invoking visit on each eligible popped
-// file, then restores every popped entry — the heap is left unchanged.
-// keep is consulted with the top entry's stored key before each pop, so a
-// caller whose keys are lower bounds can stop as soon as the bound proves
-// no remaining entry matters (the EXD upgrade admission walks the
-// memory-tier weight heap this way to sum a victim prefix without sorting
-// the tier). Cost is O((v+s) log N) for v visited and s skipped entries.
-func (h *FileHeap) AscendWhile(keep func(HeapKey) bool, eligible func(*dfs.File) bool, visit func(*dfs.File)) {
+// returns true for the next key, invoking visit on each popped file, then
+// restores every popped entry — the heap is left unchanged. keep is
+// consulted with the top entry's stored key before each pop, so a caller
+// whose keys are lower bounds can stop as soon as the bound proves no
+// remaining entry matters (the EXD upgrade admission walks the memory-tier
+// weight heap this way to sum a victim prefix without sorting the tier).
+// Cost is O(v log N) for v visited entries.
+func (h *FileHeap) AscendWhile(keep func(HeapKey) bool, visit func(*dfs.File)) {
+	h.settle()
 	h.stash = h.stash[:0]
 	for len(h.items) > 0 && keep(h.store[h.items[0]].key) {
 		top := h.popTop()
 		h.stash = append(h.stash, top)
-		f := h.resolve(h.store[top].key.ID)
-		if f != nil && (eligible == nil || eligible(f)) {
+		if f := h.resolve(h.store[top].key.ID); f != nil {
 			visit(f)
 		}
 	}
 	h.restore()
 }
 
-// TopK appends up to k eligible files to out in heap order and returns the
-// extended slice; the heap is left unchanged. Cost is O((k+s) log N).
-func (h *FileHeap) TopK(k int, eligible func(*dfs.File) bool, out []*dfs.File) []*dfs.File {
+// TopK appends up to k files to out in heap order (k <= 0 means all of
+// them) and returns the extended slice; the heap is left unchanged. Cost is
+// O(k log N).
+func (h *FileHeap) TopK(k int, out []*dfs.File) []*dfs.File {
+	h.settle()
 	if k <= 0 {
 		k = len(h.items)
 	}
@@ -301,8 +392,7 @@ func (h *FileHeap) TopK(k int, eligible func(*dfs.File) bool, out []*dfs.File) [
 	for len(h.items) > 0 && taken < k {
 		top := h.popTop()
 		h.stash = append(h.stash, top)
-		f := h.resolve(h.store[top].key.ID)
-		if f != nil && (eligible == nil || eligible(f)) {
+		if f := h.resolve(h.store[top].key.ID); f != nil {
 			out = append(out, f)
 			taken++
 		}
@@ -402,10 +492,37 @@ type CandidateIndex struct {
 	recency [3]*FileHeap // per tier: (lastTouch, id) ascending
 	freq    [3]*FileHeap // per tier: (count, lastTouch, id) ascending
 	mru     *FileHeap    // non-memory-resident files: lastTouch descending
+	heaps   []*FileHeap  // every heap from NewHeap: the ones above and the policy-owned ones
 	subs    []ResidencySubscriber
 }
 
 func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ctx: ctx} }
+
+// NewHeap builds an empty heap over the context's files that follows the
+// manager's eligibility record: the manager parks and un-parks files in it
+// together with the index's own structures, so its top is always selectable.
+// Policies that keep their own ordered candidate state (the LRFU/EXD weight
+// heaps) build it here.
+func (ix *CandidateIndex) NewHeap(less func(a, b HeapKey) bool) *FileHeap {
+	h := NewFileHeap(less, ix.ctx.FS.FileByID)
+	h.ctx = ix.ctx
+	ix.heaps = append(ix.heaps, h)
+	return h
+}
+
+// park takes the file out of selection order everywhere it is indexed.
+func (ix *CandidateIndex) park(id dfs.FileID) {
+	for _, h := range ix.heaps {
+		h.Park(id)
+	}
+}
+
+// unpark returns the file to selection order under its current keys.
+func (ix *CandidateIndex) unpark(id dfs.FileID) {
+	for _, h := range ix.heaps {
+		h.Unpark(id)
+	}
+}
 
 // RequireRecency enables the per-tier recency heaps (LRU selection and
 // LRU-ordered top-k collection).
@@ -414,7 +531,7 @@ func (ix *CandidateIndex) RequireRecency() {
 		return
 	}
 	for _, m := range storage.AllMedia {
-		ix.recency[m] = NewFileHeap(nil, ix.ctx.FS.FileByID)
+		ix.recency[m] = ix.NewHeap(nil)
 	}
 	ix.bootstrap(func(f *dfs.File, m storage.Media) {
 		ix.recency[m].Update(f, 0, ix.ctx.LastTouch(f))
@@ -427,7 +544,7 @@ func (ix *CandidateIndex) RequireFrequency() {
 		return
 	}
 	for _, m := range storage.AllMedia {
-		ix.freq[m] = NewFileHeap(nil, ix.ctx.FS.FileByID)
+		ix.freq[m] = ix.NewHeap(nil)
 	}
 	ix.bootstrap(func(f *dfs.File, m storage.Media) {
 		ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), ix.ctx.LastTouch(f))
@@ -440,7 +557,7 @@ func (ix *CandidateIndex) RequireUpgradeMRU() {
 	if ix.mru != nil {
 		return
 	}
-	ix.mru = NewFileHeap(TimeDescending, ix.ctx.FS.FileByID)
+	ix.mru = ix.NewHeap(TimeDescending)
 	ix.bootstrap(nil, func(f *dfs.File) {
 		if ix.upgradeIndexable(f) {
 			ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
@@ -484,7 +601,7 @@ func (ix *CandidateIndex) bootstrap(perTier func(*dfs.File, storage.Media), perF
 }
 
 // upgradeIndexable is the static part of the UpgradeCandidates predicate;
-// busy and cooldown are filtered at selection time.
+// busy and cooldown files are members too, parked.
 func (ix *CandidateIndex) upgradeIndexable(f *dfs.File) bool {
 	return !f.Deleted() && len(f.Blocks()) > 0 && !f.HasReplicaOn(storage.Memory)
 }
@@ -583,25 +700,25 @@ func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, residen
 // SelectLRU returns the least recently touched selectable file on the tier
 // (the indexed equivalent of the LRU policy's linear min-scan).
 func (ix *CandidateIndex) SelectLRU(tier storage.Media) *dfs.File {
-	return ix.recency[tier].SelectMin(ix.ctx.eligFn)
+	return ix.recency[tier].SelectMin()
 }
 
 // SelectLFU returns the least frequently used selectable file on the tier,
 // ties toward least recently touched.
 func (ix *CandidateIndex) SelectLFU(tier storage.Media) *dfs.File {
-	return ix.freq[tier].SelectMin(ix.ctx.eligFn)
+	return ix.freq[tier].SelectMin()
 }
 
 // LRUTopK appends up to k selectable files on the tier in least-recent
 // order to out.
 func (ix *CandidateIndex) LRUTopK(tier storage.Media, k int, out []*dfs.File) []*dfs.File {
-	return ix.recency[tier].TopK(k, ix.ctx.eligFn, out)
+	return ix.recency[tier].TopK(k, out)
 }
 
 // UpgradeTopK appends up to k selectable non-memory-resident files in
 // most-recent order to out.
 func (ix *CandidateIndex) UpgradeTopK(k int, out []*dfs.File) []*dfs.File {
-	return ix.mru.TopK(k, ix.ctx.eligFn, out)
+	return ix.mru.TopK(k, out)
 }
 
 // HasRecency/HasFrequency/HasUpgradeMRU report which structures are live.
@@ -614,7 +731,8 @@ func (ix *CandidateIndex) HasUpgradeMRU() bool { return ix.mru != nil }
 // complete, live, fully resident files with their current tracker keys,
 // and the MRU heap exactly the non-memory-resident candidates. The
 // scenario replayer runs it with the deep invariant checks so node churn
-// and re-replication cannot silently leak or strand indexed entries.
+// and re-replication cannot silently leak or strand indexed entries. It ends
+// with AuditParking.
 func (ix *CandidateIndex) Audit() error {
 	want := make(map[dfs.FileID]*dfs.File)
 	for _, m := range storage.AllMedia {
@@ -690,6 +808,29 @@ func (ix *CandidateIndex) Audit() error {
 		if err != nil {
 			return err
 		}
+	}
+	return ix.AuditParking()
+}
+
+// AuditParking validates that ineligibility is structural: in every heap
+// built by NewHeap (the index's own and the policy-owned ones) a member is
+// parked exactly when the manager has it on record as busy or cooling down,
+// and the manager's record itself is sound (every cooldown has a live expiry
+// entry, the scrape counts match the maps).
+func (ix *CandidateIndex) AuditParking() error {
+	for i, h := range ix.heaps {
+		var err error
+		h.Each(func(f *dfs.File, _ HeapKey) {
+			if parked := h.IsParked(f.ID()); err == nil && parked != ix.ctx.parkedID(f.ID()) {
+				err = fmt.Errorf("core: index heap %d has %q parked=%v, manager record says %v", i, f.Path(), parked, !parked)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if ix.ctx.mgr != nil {
+		return ix.ctx.mgr.auditRecord()
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ type Context struct {
 
 	mgr      *Manager // set when a Manager adopts the context
 	index    *CandidateIndex
-	eligFn   func(*dfs.File) bool
 	headroom func(storage.Media) int64 // extra free bytes beyond the FS's cluster
 }
 
@@ -40,7 +39,6 @@ func NewContext(fs *dfs.FileSystem, cfg Config) *Context {
 		Cfg:     cfg,
 	}
 	c.index = newCandidateIndex(c)
-	c.eligFn = c.Selectable
 	fs.AddListener(ctxListener{c})
 	return c
 }
@@ -50,11 +48,26 @@ func (c *Context) Index() *CandidateIndex { return c.index }
 
 // Selectable reports whether a policy may pick the file right now: not
 // busy with an in-flight operation and not in a failure cooldown. It is
-// the dynamic part of the eligibility predicate; static properties
-// (deleted, incomplete, tier residency) are maintained as index
-// membership.
+// the dynamic part of the eligibility predicate, answered from the
+// manager's record and the clock alone; static properties (deleted,
+// incomplete, tier residency) are maintained as index membership. The
+// indexes never ask it — they hold ineligible files parked — so the linear
+// oracles that do are an independent check of the parking.
 func (c *Context) Selectable(f *dfs.File) bool {
 	return c.mgr == nil || (!c.mgr.isBusy(f) && !c.mgr.inCooldown(f))
+}
+
+// parkedID reports whether the manager has the file on record as busy or
+// cooling down, which is exactly when the indexes hold it parked.
+func (c *Context) parkedID(id dfs.FileID) bool {
+	return c.mgr != nil && c.mgr.onRecord(id)
+}
+
+// releaseExpired un-parks the files whose failure cooldown has run out.
+func (c *Context) releaseExpired() {
+	if c.mgr != nil {
+		c.mgr.releaseExpired()
+	}
 }
 
 // ctxListener feeds file-system notifications into the context's tracker
@@ -131,10 +144,7 @@ func (c *Context) EligibleFilesInto(buf []*dfs.File, tier storage.Media) []*dfs.
 	// LiveFiles avoids the sorted namespace walk; HasReplicaOn is O(1) via
 	// the residency counters. Selection policies impose their own ordering.
 	for _, f := range c.FS.LiveFiles() {
-		if f.Deleted() || !c.FS.Complete(f) || c.IsBusy(f) {
-			continue
-		}
-		if c.mgr != nil && c.mgr.inCooldown(f) {
+		if f.Deleted() || !c.FS.Complete(f) || !c.Selectable(f) {
 			continue
 		}
 		if !f.HasReplicaOn(tier) {
@@ -170,10 +180,7 @@ func (c *Context) UpgradeCandidatesInto(buf []*dfs.File, k int) []*dfs.File {
 func (c *Context) UpgradeCandidatesLinear(buf []*dfs.File, k int) []*dfs.File {
 	start := len(buf)
 	for _, f := range c.FS.LiveFiles() {
-		if f.Deleted() || !c.FS.Complete(f) || c.IsBusy(f) || len(f.Blocks()) == 0 {
-			continue
-		}
-		if c.mgr != nil && c.mgr.inCooldown(f) {
+		if f.Deleted() || !c.FS.Complete(f) || !c.Selectable(f) || len(f.Blocks()) == 0 {
 			continue
 		}
 		if f.HasReplicaOn(storage.Memory) {

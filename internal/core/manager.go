@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"time"
 
 	"octostore/internal/dfs"
@@ -24,6 +27,43 @@ type Metrics struct {
 	DowngradeErrors     int64
 	UpgradeErrors       int64
 	Ticks               int64
+}
+
+// ErrMoveShed is what a Mover reports through MoveRequest.Done when it
+// refused the request at admission (queue full, over budget) instead of
+// attempting the move; the manager books the resulting cooldown under its
+// own reason.
+var ErrMoveShed = errors.New("core: mover shed the request at admission")
+
+// CooldownReason says why the manager put a file in a failure cooldown.
+type CooldownReason int
+
+const (
+	// CooldownShed: the mover refused the move at admission (ErrMoveShed).
+	CooldownShed CooldownReason = iota
+	// CooldownMoveFailed: the mover attempted the move and it failed.
+	CooldownMoveFailed
+	// CooldownDeleteFailed: dropping the file's replicas on a tier failed.
+	CooldownDeleteFailed
+)
+
+// CooldownReasons lists every reason, for per-reason metric registration.
+var CooldownReasons = []CooldownReason{CooldownShed, CooldownMoveFailed, CooldownDeleteFailed}
+
+// String is the reason's metric label.
+func (r CooldownReason) String() string {
+	return [...]string{"shed", "move_failed", "delete_failed"}[r]
+}
+
+// expiry is one entry of the manager's cooldown-expiry heap: the file's
+// cooldown runs out strictly after until (a timeKey).
+type expiry struct {
+	until int64
+	id    dfs.FileID
+}
+
+func (a expiry) before(b expiry) bool {
+	return a.until < b.until || (a.until == b.until && a.id < b.id)
 }
 
 // Mover executes the manager's data-movement requests. The Replication
@@ -50,9 +90,21 @@ type Manager struct {
 	mover   Mover
 	engine  *sim.Engine
 
+	// The eligibility record. A file is on record while it is busy (a move
+	// of it is queued or in flight) or has a failure cooldown, and exactly
+	// then the context's candidate indexes hold it parked. expiries is a
+	// min-heap with one entry per setCooldown call; an entry whose until no
+	// longer matches the cooldown map (a later cooldown superseded it, or the
+	// file was deleted) is skipped when it comes up.
 	busy           map[dfs.FileID]bool
-	cooldown       map[dfs.FileID]time.Time
+	cooldown       map[dfs.FileID]int64 // until, as a timeKey
+	expiries       []expiry
 	pendingRelease [3]int64
+
+	// Scrape-side mirrors of the record, readable from any goroutine.
+	busyCount     atomic.Int64
+	cooldownCount atomic.Int64
+	cooldowns     [3]atomic.Int64 // by CooldownReason, monotonic
 
 	ticker  *sim.Ticker
 	metrics Metrics
@@ -69,7 +121,7 @@ func NewManager(ctx *Context, down DowngradePolicy, up UpgradePolicy) *Manager {
 		monitor:  NewMonitor(ctx.FS, ctx.Cfg.MonitorConcurrency, ctx.Cfg.MoveLatency),
 		engine:   ctx.FS.Engine(),
 		busy:     make(map[dfs.FileID]bool),
-		cooldown: make(map[dfs.FileID]time.Time),
+		cooldown: make(map[dfs.FileID]int64),
 	}
 	m.mover = m.monitor
 	ctx.mgr = m
@@ -133,22 +185,155 @@ func (m *Manager) tick() {
 	m.monitor.CheckReplication()
 }
 
-func (m *Manager) isBusy(f *dfs.File) bool { return m.busy[f.ID()] }
-
-func (m *Manager) inCooldown(f *dfs.File) bool {
-	until, ok := m.cooldown[f.ID()]
-	if !ok {
-		return false
-	}
-	if m.ctx.Clock.Now().After(until) {
-		delete(m.cooldown, f.ID())
-		return false
-	}
-	return true
+// ParkedFiles returns how many files are currently busy and how many hold a
+// failure cooldown on record (a file can be both). Goroutine-safe.
+func (m *Manager) ParkedFiles() (busy, cooldown int64) {
+	return m.busyCount.Load(), m.cooldownCount.Load()
 }
 
-func (m *Manager) setCooldown(f *dfs.File) {
-	m.cooldown[f.ID()] = m.ctx.Clock.Now().Add(failureCooldown)
+// Cooldowns returns how many failure cooldowns were set for the reason since
+// construction. Goroutine-safe.
+func (m *Manager) Cooldowns(r CooldownReason) int64 { return m.cooldowns[r].Load() }
+
+func (m *Manager) isBusy(f *dfs.File) bool { return m.busy[f.ID()] }
+
+// inCooldown reports whether the file's failure cooldown is still running.
+func (m *Manager) inCooldown(f *dfs.File) bool {
+	until, ok := m.cooldown[f.ID()]
+	return ok && timeKey(m.ctx.Clock.Now()) <= until
+}
+
+// onRecord reports whether the file is busy or has a cooldown on record,
+// expired-but-unreleased ones included: the parked state of the indexes.
+func (m *Manager) onRecord(id dfs.FileID) bool {
+	if m.busy[id] {
+		return true
+	}
+	_, cooling := m.cooldown[id]
+	return cooling
+}
+
+// markBusy records a move of the file as queued or in flight.
+func (m *Manager) markBusy(f *dfs.File) {
+	m.busy[f.ID()] = true
+	m.busyCount.Add(1)
+	m.ctx.index.park(f.ID())
+}
+
+// moveDone closes the busy mark of a finished move: a failure turns into a
+// cooldown (the file stays parked), a clean completion returns the file to
+// selection order unless an earlier cooldown is still on record.
+func (m *Manager) moveDone(f *dfs.File, err error) {
+	id := f.ID()
+	if m.busy[id] { // FileDeleted may have dropped the mark already
+		delete(m.busy, id)
+		m.busyCount.Add(-1)
+	}
+	if err != nil {
+		reason := CooldownMoveFailed
+		if errors.Is(err, ErrMoveShed) {
+			reason = CooldownShed
+		}
+		m.setCooldown(f, reason)
+	}
+	if !m.onRecord(id) {
+		m.ctx.index.unpark(id)
+	}
+}
+
+// setCooldown keeps the file out of selection for failureCooldown. A deleted
+// file gets none: nothing would ever ask about it again.
+func (m *Manager) setCooldown(f *dfs.File, reason CooldownReason) {
+	if f.Deleted() {
+		return
+	}
+	id := f.ID()
+	until := timeKey(m.ctx.Clock.Now().Add(failureCooldown))
+	if _, cooling := m.cooldown[id]; !cooling {
+		m.cooldownCount.Add(1)
+	}
+	m.cooldown[id] = until
+	m.cooldowns[reason].Add(1)
+	m.pushExpiry(expiry{until, id})
+	m.ctx.index.park(id)
+}
+
+// releaseExpired drops every cooldown that has run out (strictly: now is
+// after its until) and returns the files to selection order. The candidate
+// heaps call it at the start of every selection.
+func (m *Manager) releaseExpired() {
+	if len(m.expiries) == 0 {
+		return
+	}
+	now := timeKey(m.ctx.Clock.Now())
+	for len(m.expiries) > 0 && m.expiries[0].until < now {
+		e := m.popExpiry()
+		if until, cooling := m.cooldown[e.id]; !cooling || until != e.until {
+			continue
+		}
+		delete(m.cooldown, e.id)
+		m.cooldownCount.Add(-1)
+		if !m.busy[e.id] {
+			m.ctx.index.unpark(e.id)
+		}
+	}
+}
+
+func (m *Manager) pushExpiry(e expiry) {
+	h := append(m.expiries, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	m.expiries = h
+}
+
+func (m *Manager) popExpiry() expiry {
+	h := m.expiries
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(h[i]) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	m.expiries = h
+	return top
+}
+
+// auditRecord checks the eligibility record against itself: every cooldown
+// has a live expiry entry and the scrape counts mirror the maps.
+func (m *Manager) auditRecord() error {
+	live := make(map[expiry]bool, len(m.expiries))
+	for _, e := range m.expiries {
+		live[e] = true
+	}
+	for id, until := range m.cooldown {
+		if !live[expiry{until, id}] {
+			return fmt.Errorf("core: cooldown of file %d has no expiry entry", id)
+		}
+	}
+	if b, c := m.ParkedFiles(); b != int64(len(m.busy)) || c != int64(len(m.cooldown)) {
+		return fmt.Errorf("core: parked counts (%d busy, %d cooldown) drifted from the record (%d, %d)",
+			b, c, len(m.busy), len(m.cooldown))
+	}
+	return nil
 }
 
 // --- dfs.Listener ---
@@ -180,8 +365,14 @@ func (m *Manager) FileAccessed(f *dfs.File) {
 
 // FileDeleted implements dfs.Listener.
 func (m *Manager) FileDeleted(f *dfs.File) {
-	delete(m.busy, f.ID())
-	delete(m.cooldown, f.ID())
+	if m.busy[f.ID()] {
+		delete(m.busy, f.ID())
+		m.busyCount.Add(-1)
+	}
+	if _, cooling := m.cooldown[f.ID()]; cooling {
+		delete(m.cooldown, f.ID()) // its expiry entry is reaped when it comes up
+		m.cooldownCount.Add(-1)
+	}
 	if m.down != nil {
 		m.down.OnFileDeleted(f)
 	}
@@ -231,7 +422,7 @@ func (m *Manager) runDowngrade(tier storage.Media, trigger string) {
 func (m *Manager) deleteReplicas(f *dfs.File, tier storage.Media) {
 	if err := m.ctx.FS.DeleteFileReplicas(f, tier); err != nil {
 		m.metrics.DowngradeErrors++
-		m.setCooldown(f)
+		m.setCooldown(f, CooldownDeleteFailed)
 		return
 	}
 	m.metrics.ReplicaDeletes++
@@ -239,7 +430,7 @@ func (m *Manager) deleteReplicas(f *dfs.File, tier storage.Media) {
 
 func (m *Manager) scheduleDowngrade(f *dfs.File, from, to storage.Media, trigger string) {
 	released := f.BytesOn(from)
-	m.busy[f.ID()] = true
+	m.markBusy(f)
 	m.pendingRelease[from] += released
 	m.mover.Enqueue(MoveRequest{
 		File:        f,
@@ -250,11 +441,10 @@ func (m *Manager) scheduleDowngrade(f *dfs.File, from, to storage.Media, trigger
 		AccessCount: m.ctx.AccessCount(f),
 		LastAccess:  m.ctx.LastTouch(f),
 		Done: func(err error) {
-			delete(m.busy, f.ID())
 			m.pendingRelease[from] -= released
+			m.moveDone(f, err)
 			if err != nil {
 				m.metrics.DowngradeErrors++
-				m.setCooldown(f)
 				return
 			}
 			m.metrics.DowngradesScheduled++
@@ -298,7 +488,7 @@ func (m *Manager) tryUpgrade(f *dfs.File, trigger string) {
 	if !ok || !to.Higher(from) {
 		return
 	}
-	m.busy[f.ID()] = true
+	m.markBusy(f)
 	m.mover.Enqueue(MoveRequest{
 		File:        f,
 		From:        from,
@@ -308,10 +498,9 @@ func (m *Manager) tryUpgrade(f *dfs.File, trigger string) {
 		AccessCount: m.ctx.AccessCount(f),
 		LastAccess:  m.ctx.LastTouch(f),
 		Done: func(err error) {
-			delete(m.busy, f.ID())
+			m.moveDone(f, err)
 			if err != nil {
 				m.metrics.UpgradeErrors++
-				m.setCooldown(f)
 				return
 			}
 			m.metrics.UpgradesScheduled++

@@ -62,7 +62,9 @@ const weightHorizonWindow = time.Hour
 // weightIndex maintains per-tier heaps of decayed-weight candidates for the
 // LRFU and EXD downgrade policies, replacing their per-selection full scans.
 // Membership follows tier residency via the context's candidate-index
-// subscription feed; keys are weight lower bounds evaluated at a sliding
+// subscription feed, and the heaps come from the index (NewHeap), so busy
+// and cooled-down files sit parked in them and the top is always
+// selectable; keys are weight lower bounds evaluated at a sliding
 // horizon (see weightHorizonWindow); exact weights are computed only for
 // the handful of entries whose bound could win a given selection.
 type weightIndex struct {
@@ -73,7 +75,6 @@ type weightIndex struct {
 
 	horizon   time.Time
 	selectNow time.Time
-	elig      func(*dfs.File) bool
 	trueFn    func(*dfs.File) float64
 }
 
@@ -82,9 +83,8 @@ type weightIndex struct {
 func newWeightIndex(ctx *core.Context, book *weightBook, decay func(float64, time.Duration) float64) *weightIndex {
 	wi := &weightIndex{ctx: ctx, book: book, decay: decay}
 	for _, m := range storage.AllMedia {
-		wi.tiers[m] = core.NewFileHeap(nil, ctx.FS.FileByID)
+		wi.tiers[m] = ctx.Index().NewHeap(nil)
 	}
-	wi.elig = ctx.Selectable
 	wi.trueFn = func(f *dfs.File) float64 { return wi.weightAt(f, wi.selectNow) }
 	ctx.Index().Subscribe(wi)
 	return wi
@@ -140,7 +140,7 @@ func (wi *weightIndex) refresh(f *dfs.File) {
 func (wi *weightIndex) selectMin(tier storage.Media) *dfs.File {
 	wi.ensureHorizon()
 	wi.selectNow = wi.ctx.Clock.Now()
-	return wi.tiers[tier].SelectMinLazy(wi.elig, wi.trueFn)
+	return wi.tiers[tier].SelectMinLazy(wi.trueFn)
 }
 
 // selectMinLinear is the retired full-scan selection, kept as the
@@ -176,7 +176,8 @@ func (wi *weightIndex) OnTrackedFileDeleted(f *dfs.File) {
 	}
 }
 
-// audit validates the index tiers against a residency recompute.
+// audit validates the index tiers against a residency recompute, and that
+// exactly the files on the manager's busy/cooldown record are parked.
 func (wi *weightIndex) audit() error {
 	for _, m := range storage.AllMedia {
 		want := 0
@@ -189,7 +190,7 @@ func (wi *weightIndex) audit() error {
 			return fmt.Errorf("policy: weight index tier %v holds %d files, want %d", m, got, want)
 		}
 	}
-	return nil
+	return wi.ctx.Index().AuditParking()
 }
 
 func newWeightBook() weightBook {

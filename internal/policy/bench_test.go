@@ -8,6 +8,9 @@ package policy
 // The indexed variants must stay O(1)/O(log N) per pick — roughly flat as
 // the live-file population grows — while the linear oracles scale with N.
 // TestIndexedSelectBeatsLinearAt100k asserts the ≥10x acceptance bound.
+// The ineligible=50% variants repeat the indexed pick with the half of the
+// tier that selection would return first held busy: parked files are outside
+// the heaps' order, so the cost must stay where it is with none.
 
 import (
 	"fmt"
@@ -30,6 +33,26 @@ type benchEnv struct {
 	ctx    *core.Context
 	files  []*dfs.File
 	policy downgradeBenchPolicy // set by benchPolicy envs
+
+	// The env's manager selects what des queues and hands it to mover, which
+	// never completes a move on its own: holdTop's way of making files busy.
+	mgr   *core.Manager
+	des   *Designator
+	mover *HeldMover
+}
+
+// holdTop makes the first count files that pick returns busy, one after the
+// other — what a run of shed or failed moves leaves behind — and returns the
+// function that completes those moves cleanly, restoring the env.
+func (env *benchEnv) holdTop(tb testing.TB, tier storage.Media, count int, pick func() *dfs.File) (release func()) {
+	for i := 0; i < count; i++ {
+		env.des.Queue[tier] = append(env.des.Queue[tier], pick())
+		env.mgr.TierDataAdded(tier) // runs the downgrade process on the queued file
+	}
+	if busy, _ := env.mgr.ParkedFiles(); busy != int64(count) {
+		tb.Fatalf("%d files busy, want %d", busy, count)
+	}
+	return func() { env.mover.Settle(len(env.mover.Held), nil) }
 }
 
 var benchEnvs = map[string]*benchEnv{}
@@ -61,8 +84,9 @@ func newBenchEnv(tb testing.TB, key string, n int, setup func(*benchEnv)) *bench
 	if setup != nil {
 		setup(env)
 	}
-	mgr := core.NewManager(ctx, nil, nil)
-	_ = mgr
+	env.des, env.mover = &Designator{}, &HeldMover{}
+	env.mgr = core.NewManager(ctx, env.des, nil)
+	env.mgr.SetMover(env.mover)
 	for i := 0; i < n; i++ {
 		var file *dfs.File
 		fs.Create(fmt.Sprintf("/bench/d%03d/f%06d", i/1000, i), 4*storage.MB, func(f *dfs.File, err error) {
@@ -114,15 +138,19 @@ var benchSizes = []int{1000, 10000, 100000}
 
 func benchmarkSelect(b *testing.B, policyName string) {
 	for _, n := range benchSizes {
-		p, _ := benchPolicy(b, policyName, n)
-		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
+		p, env := benchPolicy(b, policyName, n)
+		indexed := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if f := p.SelectFile(storage.HDD); f == nil {
 					b.Fatal("no file selected")
 				}
 			}
-		})
+		}
+		b.Run(fmt.Sprintf("indexed/n=%d", n), indexed)
+		release := env.holdTop(b, storage.HDD, n/2, func() *dfs.File { return p.SelectFile(storage.HDD) })
+		b.Run(fmt.Sprintf("indexed/ineligible=50%%/n=%d", n), indexed)
+		release()
 		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -158,7 +186,7 @@ func BenchmarkUpgradeCandidates(b *testing.B) {
 		})
 		ctx := env.ctx
 		var buf []*dfs.File
-		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
+		indexed := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf = ctx.UpgradeCandidatesInto(buf[:0], k)
@@ -166,7 +194,11 @@ func BenchmarkUpgradeCandidates(b *testing.B) {
 					b.Fatal("no candidates")
 				}
 			}
-		})
+		}
+		b.Run(fmt.Sprintf("indexed/n=%d", n), indexed)
+		release := env.holdTop(b, storage.HDD, n/2, func() *dfs.File { return ctx.UpgradeCandidatesInto(buf[:0], 1)[0] })
+		b.Run(fmt.Sprintf("indexed/ineligible=50%%/n=%d", n), indexed)
+		release()
 		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -297,10 +297,11 @@ const unbeatableWeight = 1e300
 // contain it. The boundary is the right cut — unlike a running max over
 // everything visited, it stops rising once coverage is reached and then
 // only falls as lighter victims displace heavier ones, so the walk visits
-// the prefix plus the thin bound-slack band above it, O((v+s) log N)
-// instead of O(N log N). The prefix is then sorted exactly like the
-// retired full scan — same comparator, same ascending summation order —
-// so the result is bit-identical to the linear oracle's.
+// the prefix plus the thin bound-slack band above it, O(v log N) instead
+// of O(N log N). Busy and cooled-down files are parked outside the heap's
+// order, so the walk never meets them. The prefix is then sorted exactly
+// like the retired full scan — same comparator, same ascending summation
+// order — so the result is bit-identical to the linear oracle's.
 func (p *EXDUp) victimWeightSum(need int64) float64 {
 	if need <= 0 {
 		// Nothing must be evicted; the oracle's covering prefix is empty.
@@ -314,7 +315,6 @@ func (p *EXDUp) victimWeightSum(need int64) float64 {
 	covered := false
 	p.wi.tiers[storage.Memory].AscendWhile(
 		func(k core.HeapKey) bool { return !covered || k.W <= pf.top().w },
-		p.wi.elig,
 		func(f *dfs.File) {
 			w := p.weightOf(f)
 			if covered {

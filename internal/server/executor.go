@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"math"
 	"sync/atomic"
 	"time"
@@ -17,8 +16,9 @@ import (
 // because the destination tier's queue was full (or a single request was
 // larger than the tier's whole burst allowance). Shedding is the correct
 // overload response for tier movement: the request is advisory — the policy
-// will re-select the file on a later trigger once the backlog drains.
-var ErrMovementShed = errors.New("server: movement executor shed request (tier queue full)")
+// will re-select the file on a later trigger once the backlog drains. It is
+// core.ErrMoveShed, so the manager books the cooldown under reason "shed".
+var ErrMovementShed = core.ErrMoveShed
 
 // ExecutorConfig tunes the async movement executor.
 type ExecutorConfig struct {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"octostore/internal/backend"
+	"octostore/internal/core"
 	"octostore/internal/obs"
 	"octostore/internal/storage"
 )
@@ -150,6 +151,24 @@ func (s *Server) registerObs() {
 					return float64(t.Op(op).Errors)
 				})
 			}
+		}
+	}
+
+	// Why files are out of selection, and how often which failure put them
+	// there: the manager mirrors its eligibility record into atomics.
+	if s.mgr != nil {
+		r.Gauge("octo_manager_parked_files", lbl("reason", "busy"), func() float64 {
+			busy, _ := s.mgr.ParkedFiles()
+			return float64(busy)
+		})
+		r.Gauge("octo_manager_parked_files", lbl("reason", "cooldown"), func() float64 {
+			_, cooling := s.mgr.ParkedFiles()
+			return float64(cooling)
+		})
+		for _, reason := range core.CooldownReasons {
+			reason := reason
+			r.CounterFunc("octo_manager_cooldowns_total", lbl("reason", reason.String()),
+				func() float64 { return float64(s.mgr.Cooldowns(reason)) })
 		}
 	}
 

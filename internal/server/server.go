@@ -272,7 +272,12 @@ func (s *Server) SLOStats() SLOStats {
 
 // Start indexes pre-existing files and launches the core loop (and, under
 // live pacing, the wall-clock pacer).
-func (s *Server) Start() {
+func (s *Server) Start() { s.startAt(time.Now(), s.engine.Now()) }
+
+// startAt is Start with the pacer's origin given: wall instant `wall` maps
+// to virtual instant `virt`. ShardedServer.Start hands every shard the same
+// pair, so all shards' clocks are one function of wall time.
+func (s *Server) startAt(wall, virt time.Time) {
 	if s.started {
 		return
 	}
@@ -286,8 +291,8 @@ func (s *Server) Start() {
 			s.indexFile(f)
 		}
 	}
-	s.wallStart = time.Now()
-	s.virtStart = s.engine.Now()
+	s.wallStart = wall
+	s.virtStart = virt
 	s.registerObs()
 	if s.slo != nil {
 		// Installed before the core loop launches (the engine still belongs

@@ -286,9 +286,10 @@ func (s *ShardedServer) registerObs() {
 // NumShards returns the shard count.
 func (s *ShardedServer) NumShards() int { return len(s.shards) }
 
-// Clock returns the wall-mapped virtual time of the first shard. Shards
-// start within microseconds of each other on the same timescale, so one
-// shard's clock serves as the stamping base for all of them.
+// Clock returns the wall-mapped virtual time. Start gives every shard the
+// same pacer origin, so any shard's clock is the stamping base for all of
+// them (and what Access/AccessAs stamp with on whichever shard they route
+// to).
 func (s *ShardedServer) Clock() time.Time { return s.shards[0].srv.Clock() }
 
 // Ledger exposes the global capacity ledger (all reads are atomic).
@@ -301,11 +302,23 @@ func (s *ShardedServer) Start() {
 		return
 	}
 	s.running = true
+	// One pacer origin for all shards: a per-shard time.Now() would skew the
+	// shards' clocks by their start offset × TimeScale, and the shared data
+	// plane books that skew as read queueing on whichever shard lags. The
+	// virtual origin is the furthest any shard's engine got before Start
+	// (they differ when shards were preloaded unevenly); a shard behind it
+	// catches up on its first stamped command.
+	wall, virt := time.Now(), s.shards[0].engine.Now()
+	for _, sh := range s.shards[1:] {
+		if now := sh.engine.Now(); now.After(virt) {
+			virt = now
+		}
+	}
 	for _, sh := range s.shards {
 		if sh.mgr != nil {
 			sh.mgr.Start()
 		}
-		sh.srv.Start()
+		sh.srv.startAt(wall, virt)
 		if s.cfg.Quota.ReconcileInterval > 0 && len(s.shards) > 1 {
 			sh := sh
 			sh.srv.Exec(func(*dfs.FileSystem) {
