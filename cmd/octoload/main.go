@@ -1,14 +1,15 @@
-// Command octoload is the closed-loop traffic driver for the concurrent
-// serving layer: it stands up a managed tiered DFS behind internal/server,
+// Command octoload is the traffic driver for the concurrent serving layer:
+// it stands up a managed tiered DFS behind internal/server,
 // stages a file population drawn from the internal/workload generators,
 // then hammers the service with N concurrent clients issuing a configurable
 // mix of zipf-skewed accesses, stats, creates, and deletes while the
 // movement executor shuffles replicas between tiers underneath.
 //
-// With -shards > 1 the service is the sharded simulation core: one engine,
-// manager, candidate index, and shard loop per namespace shard, with
-// per-shard capacity quotas reconciled against the global tier ledger
-// through the two-phase borrow protocol. With -scenario the driver attaches
+// The service is always server.ShardedServer: one engine, manager, candidate
+// index, and single-writer shard loop per namespace shard (-shards, default
+// 1), with per-shard capacity quotas reconciled against the global tier
+// ledger through the two-phase borrow protocol once there is more than one.
+// With -scenario the driver attaches
 // to a scenario catalog entry instead of building its own world: the
 // scenario supplies the cluster topology and file population, and its
 // perturbations (ballast floods, node churn, client surges) run against the
@@ -26,8 +27,8 @@
 // Examples:
 //
 //	octoload                                   # 8 clients, 5s, FB-shaped files
-//	octoload -shards 4                         # sharded core, 4 shard loops
-//	octoload -scenario node-churn -dur 8s      # compose load with churn
+//	octoload -shards 4                         # 4 shard loops
+//	octoload -scenario node-churn -dur 8s -timescale 900   # compose load with churn
 //	octoload -clients 32 -dur 10s -zipf 1.3
 //	octoload -down xgb -up xgb -timescale 300
 //	octoload -budget-mem 128 -move-queue 16    # stress shedding
@@ -54,13 +55,11 @@ import (
 	"octostore/internal/cluster"
 	"octostore/internal/core"
 	"octostore/internal/dfs"
-	"octostore/internal/metrics"
 	"octostore/internal/ml"
 	"octostore/internal/obs"
 	"octostore/internal/policy"
 	"octostore/internal/scenario"
 	"octostore/internal/server"
-	"octostore/internal/sim"
 	"octostore/internal/storage"
 	"octostore/internal/workload"
 )
@@ -446,9 +445,9 @@ type openBlock struct {
 }
 
 type timeSeriesBlock struct {
-	WindowSeconds float64         `json:"window_seconds"`
-	PeakOpsPerSec float64         `json:"peak_ops_per_sec"`
-	Points        []metrics.Point `json:"points"`
+	WindowSeconds float64           `json:"window_seconds"`
+	PeakOpsPerSec float64           `json:"peak_ops_per_sec"`
+	Points        []obs.SeriesPoint `json:"points"`
 }
 
 type sloReport struct {
@@ -537,7 +536,7 @@ func buildOpenSchedule(c config, paths []string) []openOp {
 // the whole schedule), c.clients workers execute them, and latency is
 // measured from the intended arrival so queueing delay under overload shows
 // up in the histograms instead of silently stretching the arrival process.
-func runOpen(c config, svc server.Service, tenantOf func(int) storage.TenantID, schedule []openOp, ops *atomic.Int64) (*openBlock, time.Duration) {
+func runOpen(c config, srv *server.ShardedServer, tenantOf func(int) storage.TenantID, schedule []openOp, ops *atomic.Int64) (*openBlock, time.Duration) {
 	work := make(chan openOp, len(schedule)+1)
 	var completed, drained, abandoned, late atomic.Int64
 	var backlogPeak int64 // dispatcher-only
@@ -545,7 +544,7 @@ func runOpen(c config, svc server.Service, tenantOf func(int) storage.TenantID, 
 	var accessHist, mutateHist, latenessHist server.Histogram
 
 	wallBase := time.Now()
-	virtBase := svc.Clock()
+	virtBase := srv.Clock()
 	deadline := wallBase.Add(c.dur)
 
 	var wg sync.WaitGroup
@@ -574,21 +573,13 @@ func runOpen(c config, svc server.Service, tenantOf func(int) storage.TenantID, 
 				tid := tenantOf(int(op.seq))
 				switch op.kind {
 				case opAccess:
-					if tid != storage.DefaultTenant {
-						svc.AccessAtAs(op.path, virt, tid)
-					} else {
-						svc.AccessAt(op.path, virt)
-					}
+					srv.Do(server.Op{Kind: server.OpAccess, Path: op.path, At: virt, Tenant: tid})
 				case opStat:
-					svc.Stat(op.path)
+					srv.Stat(op.path)
 				case opCreate:
-					if tid != storage.DefaultTenant {
-						<-svc.CreateAtAs(op.path, op.size, virt, tid)
-					} else {
-						<-svc.CreateAt(op.path, op.size, virt)
-					}
+					<-srv.Submit(server.Op{Kind: server.OpCreate, Path: op.path, Size: op.size, At: virt, Tenant: tid})
 				case opDelete:
-					<-svc.DeleteAt(op.path, virt) // busy/not-found are expected outcomes
+					<-srv.DeleteAt(op.path, virt) // busy/not-found are expected outcomes
 				}
 				d := time.Since(intended)
 				if op.kind == opAccess || op.kind == opStat {
@@ -651,8 +642,8 @@ func runOpen(c config, svc server.Service, tenantOf func(int) storage.TenantID, 
 // snapshots the cumulative op counter and the merged read histogram and
 // closes a window. The returned stop function halts sampling and hands back
 // the collector.
-func startSampler(window time.Duration, ops *atomic.Int64, readCounts func() [64]int64) func() *metrics.Collector {
-	coll := metrics.NewCollector(time.Now(), metrics.Snapshot{Read: readCounts()})
+func startSampler(window time.Duration, ops *atomic.Int64, readCounts func() [64]int64) func() *obs.Series {
+	coll := obs.NewSeries(time.Now(), obs.SeriesSample{Read: readCounts()})
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -664,39 +655,15 @@ func startSampler(window time.Duration, ops *atomic.Int64, readCounts func() [64
 			case <-stop:
 				return
 			case now := <-t.C:
-				coll.Sample(now, metrics.Snapshot{Ops: ops.Load(), Read: readCounts()})
+				coll.Sample(now, obs.SeriesSample{Ops: ops.Load(), Read: readCounts()})
 			}
 		}
 	}()
-	return func() *metrics.Collector {
+	return func() *obs.Series {
 		close(stop)
 		<-done
 		return coll
 	}
-}
-
-// system abstracts over the single-writer and sharded serving layers.
-// finish shuts the service down and returns the invariant violations: the
-// single-writer path verifies through the live core loop then closes, the
-// sharded path closes first so Verify sees fully quiescent shards (no
-// pacer, reconcile tick, or policy-tick borrow can move capacity between
-// per-shard snapshots).
-type system struct {
-	svc        server.Service
-	finish     func() []string
-	exec       func() server.ExecutorStats
-	stats      func() server.ServeStats
-	access     func() *server.Histogram
-	mutate     func() *server.Histogram
-	readTier   func(storage.Media) *server.Histogram
-	tenantRead func(storage.TenantID) *server.Histogram
-	slo        func() server.SLOStats
-	quota      func() server.QuotaStats
-	// shardStats and rebalance are non-nil only on the sharded path: the
-	// per-shard serving counters behind the imbalance ratio, and the
-	// rebalancer's migration counters.
-	shardStats func() []server.ServeStats
-	rebalance  func() server.RebalanceStats
 }
 
 func buildPolicies(c config, fs *dfs.FileSystem) (*core.Manager, error) {
@@ -731,94 +698,18 @@ func executorConfig(c config) server.ExecutorConfig {
 	}
 }
 
-// buildSingle wires the single-writer serving layer, optionally attaching
-// to a scenario catalog entry for topology and perturbations.
-func buildSingle(c config, clCfg cluster.Config, sc *scenario.Scenario) (*system, func()) {
-	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, clCfg)
-	if err != nil {
-		fatal(err)
-	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: dfs.ModeOctopus, Seed: c.seed, ClientRate: 2000e6})
-	if err != nil {
-		fatal(err)
-	}
-	if c.mkBackend != nil {
-		fs.SetBackend(c.mkBackend(0))
-	}
-	mgr, err := buildPolicies(c, fs)
-	if err != nil {
-		fatal(err)
-	}
-	mgr.Start()
-	srv := server.New(fs, mgr, server.Config{
-		TimeScale: c.timeScale,
-		Executor:  executorConfig(c),
-		Tenants:   c.tenantCfg,
-		Obs:       c.hub,
-	})
-	srv.Start()
-
-	// The perturbation installer: runs on the core loop once the preload
-	// finished, so scenario callbacks interleave with serving commands on
-	// the engine they expect to own.
-	attach := func() {}
-	if sc != nil {
-		attach = func() {
-			srv.Exec(func(fs *dfs.FileSystem) {
-				scenario.Attach(*sc, &scenario.Replay{
-					System:  scenario.System{Name: c.down + "/" + c.up, Mode: dfs.ModeOctopus, Down: c.down, Up: c.up},
-					Opts:    scenario.Options{Seed: c.seed, Fast: true, Workers: c.workers},
-					Engine:  fs.Engine(),
-					Cluster: fs.Cluster(),
-					FS:      fs,
-					Manager: mgr,
-				})
-			})
-		}
-	}
-	return &system{
-		svc: srv,
-		finish: func() []string {
-			var violations []string
-			srv.Exec(func(fs *dfs.FileSystem) {
-				if err := fs.CheckAccounting(); err != nil {
-					violations = append(violations, err.Error())
-				}
-				if err := fs.CheckInvariants(); err != nil {
-					violations = append(violations, err.Error())
-				}
-				if err := mgr.Context().Index().Audit(); err != nil {
-					violations = append(violations, err.Error())
-				}
-			})
-			if v := srv.Executor().Stats().CheckBudgets(); v != "" {
-				violations = append(violations, v)
-			}
-			srv.Close()
-			mgr.Stop()
-			return violations
-		},
-		exec:       srv.Executor().Stats,
-		stats:      srv.Stats,
-		access:     srv.AccessLatency,
-		mutate:     srv.MutateLatency,
-		readTier:   srv.ReadLatency,
-		tenantRead: srv.TenantReadLatency,
-		slo:        srv.SLOStats,
-		quota:      func() server.QuotaStats { return server.QuotaStats{} },
-	}, attach
-}
-
-// buildSharded wires the partitioned core: one engine/manager/shard loop
-// per namespace shard over quota-sliced cluster views.
-func buildSharded(c config, clCfg cluster.Config) *system {
+// buildServer wires the serving layer: one engine/manager/shard loop per
+// namespace shard over quota-sliced cluster views. It also returns each
+// shard's manager, which -scenario hands to the attached replay.
+func buildServer(c config, clCfg cluster.Config) (*server.ShardedServer, []*core.Manager) {
+	mgrs := make([]*core.Manager, c.shards)
 	srv, err := server.NewSharded(server.ShardedConfig{
 		Shards:  c.shards,
 		Cluster: clCfg,
 		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: c.seed, ClientRate: 2000e6},
-		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
-			return buildPolicies(c, fs)
+		Build: func(shard int, fs *dfs.FileSystem) (mgr *core.Manager, err error) {
+			mgrs[shard], err = buildPolicies(c, fs)
+			return mgrs[shard], err
 		},
 		Quota:     server.QuotaConfig{InitialFraction: c.quotaFrac},
 		Rebalance: server.RebalanceConfig{Enabled: c.rebalance},
@@ -834,23 +725,7 @@ func buildSharded(c config, clCfg cluster.Config) *system {
 		fatal(err)
 	}
 	srv.Start()
-	return &system{
-		svc: srv,
-		finish: func() []string {
-			srv.Close()
-			return srv.Verify()
-		},
-		exec:       srv.ExecutorStats,
-		stats:      srv.Stats,
-		access:     srv.AccessLatency,
-		mutate:     srv.MutateLatency,
-		readTier:   srv.ReadLatency,
-		tenantRead: srv.TenantReadLatency,
-		slo:        srv.SLOStats,
-		quota:      srv.QuotaStats,
-		shardStats: srv.ShardStats,
-		rebalance:  srv.RebalanceStats,
-	}
+	return srv, mgrs
 }
 
 func main() {
@@ -863,9 +738,9 @@ func main() {
 		"partial": true,
 	}
 
-	// Observability plane: one hub spans every shard's server (metrics carry
-	// a shard label). Built before the servers so registration happens inside
-	// server.Start; the trace sink is flushed by hub.Close on every exit path.
+	// Observability plane: one hub spans every shard (metrics carry a shard
+	// label). Built before the server so registration happens inside Start;
+	// the trace sink is flushed by hub.Close on every exit path.
 	var stopObs = func() {}
 	if c.obsListen != "" || c.tracePath != "" {
 		hcfg := obs.HubConfig{}
@@ -955,7 +830,7 @@ func main() {
 
 	// Physical backend: one Local per shard under a shared root (block ids
 	// are per-FileSystem, so shards must not share a directory tree). Opened
-	// before the servers so the build paths can attach them. The memory tier
+	// before the server so NewSharded can attach them. The memory tier
 	// lands on tmpfs when the platform has one, so its measured latencies
 	// are memory-speed rather than disk-speed.
 	var locals []*backend.Local
@@ -1005,17 +880,10 @@ func main() {
 			backendRoot, locals[0].TierDir(storage.Memory))
 	}
 
-	var sys *system
-	attach := func() {}
-	if c.shards > 1 {
-		sys = buildSharded(c, clCfg)
-	} else {
-		sys, attach = buildSingle(c, clCfg, sc)
-	}
-	svc := sys.svc
+	srv, mgrs := buildServer(c, clCfg)
 
 	// Each client carries one tenant identity for the whole run (round-robin
-	// across the table); untenanted runs keep the untagged fast path.
+	// across the table); untenanted runs are storage.DefaultTenant throughout.
 	tenantOf := func(cli int) storage.TenantID {
 		if len(c.tenantCfg) == 0 {
 			return storage.DefaultTenant
@@ -1027,7 +895,7 @@ func main() {
 	paths := make([]string, len(files))
 	var wg sync.WaitGroup
 	if c.arrival == "open" {
-		// Pipelined stamped preload: fire CreateAt and reap completions
+		// Pipelined stamped preload: submit creates and reap completions
 		// through a bounded FIFO instead of blocking per create. A blocking
 		// create pays one pacer tick of wall latency; at a million files
 		// that dominates the run, while the pipeline keeps the core loop fed
@@ -1055,15 +923,9 @@ func main() {
 		}()
 		for i := range files {
 			paths[i] = files[i].Path
-			at := svc.Clock()
-			tid := tenantOf(i)
-			var ch <-chan error
-			if tid != storage.DefaultTenant {
-				ch = svc.CreateAtAs(files[i].Path, files[i].Size, at, tid)
-			} else {
-				ch = svc.CreateAt(files[i].Path, files[i].Size, at)
-			}
-			pending <- pend{path: files[i].Path, ch: ch}
+			pending <- pend{path: files[i].Path, ch: srv.Submit(server.Op{
+				Kind: server.OpCreate, Path: files[i].Path, Size: files[i].Size, Tenant: tenantOf(i),
+			})}
 		}
 		close(pending)
 		<-reaped
@@ -1075,12 +937,7 @@ func main() {
 				tid := tenantOf(cli)
 				for i := cli; i < len(files); i += c.clients {
 					paths[i] = files[i].Path
-					var err error
-					if tid != storage.DefaultTenant {
-						err = svc.CreateAs(files[i].Path, files[i].Size, tid)
-					} else {
-						err = svc.Create(files[i].Path, files[i].Size)
-					}
+					_, err := srv.Do(server.Op{Kind: server.OpCreate, Path: files[i].Path, Size: files[i].Size, Tenant: tid})
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "octoload: preload %s: %v\n", files[i].Path, err)
 					}
@@ -1090,8 +947,22 @@ func main() {
 		wg.Wait()
 	}
 
-	// Scenario perturbations start with the load phase, after preload.
-	attach()
+	// Scenario perturbations start with the load phase, after preload. The
+	// installer runs on the shard loop (-scenario implies -shards 1), so
+	// scenario callbacks interleave with serving commands on the engine they
+	// expect to own.
+	if sc != nil {
+		srv.Exec(func(shard int, fs *dfs.FileSystem) {
+			scenario.Attach(*sc, &scenario.Replay{
+				System:  scenario.System{Name: c.down + "/" + c.up, Mode: dfs.ModeOctopus, Down: c.down, Up: c.up},
+				Opts:    scenario.Options{Seed: c.seed, Fast: true, Workers: c.workers},
+				Engine:  fs.Engine(),
+				Cluster: fs.Cluster(),
+				FS:      fs,
+				Manager: mgrs[shard],
+			})
+		})
+	}
 
 	// Load phase. The time-series sampler runs alongside either arrival
 	// process, windowing the cumulative op counter and the merged read
@@ -1100,14 +971,14 @@ func main() {
 	readCounts := func() [64]int64 {
 		var total [64]int64
 		for _, m := range storage.AllMedia {
-			cts := sys.readTier(m).Counts()
+			cts := srv.ReadLatency(m).Counts()
 			for i := range total {
 				total[i] += cts[i]
 			}
 		}
 		return total
 	}
-	var stopSampler func() *metrics.Collector
+	var stopSampler func() *obs.Series
 	if c.window > 0 {
 		stopSampler = startSampler(c.window, &ops, readCounts)
 	}
@@ -1115,7 +986,7 @@ func main() {
 	var elapsed time.Duration
 	var open *openBlock
 	if c.arrival == "open" {
-		open, elapsed = runOpen(c, svc, tenantOf, buildOpenSchedule(c, paths), &ops)
+		open, elapsed = runOpen(c, srv, tenantOf, buildOpenSchedule(c, paths), &ops)
 	} else {
 		stop := make(chan struct{})
 		var inflight atomic.Int64
@@ -1151,13 +1022,9 @@ func main() {
 						} else {
 							target = int(zipf.Uint64())
 						}
-						if tid != storage.DefaultTenant {
-							svc.AccessAs(paths[target], tid)
-						} else {
-							svc.Access(paths[target])
-						}
+						srv.Do(server.Op{Kind: server.OpAccess, Path: paths[target], Tenant: tid})
 					case r < c.readFrac+c.statFrac:
-						svc.Stat(paths[rng.Intn(len(paths))])
+						srv.Stat(paths[rng.Intn(len(paths))])
 					case rng.Float64() < 0.5 || len(own) == 0:
 						var path string
 						if c.hotdir > 0 && rng.Float64() < c.hotdir {
@@ -1169,19 +1036,14 @@ func main() {
 							path = fmt.Sprintf("/scratch/c%d/f%06d", cli, scratch)
 						}
 						scratch++
-						var err error
-						if tid != storage.DefaultTenant {
-							err = svc.CreateAs(path, (4+rng.Int63n(60))*storage.MB, tid)
-						} else {
-							err = svc.Create(path, (4+rng.Int63n(60))*storage.MB)
-						}
+						_, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: (4 + rng.Int63n(60)) * storage.MB, Tenant: tid})
 						if err == nil {
 							own = append(own, path)
 						}
 					default:
 						path := own[len(own)-1]
 						own = own[:len(own)-1]
-						svc.Delete(path) // busy under movement is an expected outcome
+						srv.Delete(path) // busy under movement is an expected outcome
 					}
 					inflight.Add(-1)
 					ops.Add(1)
@@ -1218,16 +1080,20 @@ func main() {
 		}
 	}
 
-	svc.Flush()
-	violations := sys.finish()
-	exStats := sys.exec()
-	// Snapshot the histograms once: in sharded mode each accessor merges
-	// every per-shard histogram into a fresh allocation.
-	accessHist, mutateHist := sys.access(), sys.mutate()
+	srv.Flush()
+	// Close before verifying so Verify sees fully quiescent shards (no pacer,
+	// reconcile tick, or policy-tick borrow can move capacity between
+	// per-shard snapshots).
+	srv.Close()
+	violations := srv.Verify()
+	exStats := srv.ExecutorStats()
+	// Snapshot the histograms once: each accessor merges every per-shard
+	// histogram into a fresh allocation.
+	accessHist, mutateHist := srv.AccessLatency(), srv.MutateLatency()
 	readAll := &server.Histogram{}
 	var readTiers []tierLatencyBlock
 	for _, m := range storage.AllMedia {
-		h := sys.readTier(m)
+		h := srv.ReadLatency(m)
 		readAll.AddFrom(h)
 		readTiers = append(readTiers, tierLatencyBlock{Tier: m.String(), latencyBlock: toLatencyBlock(h)})
 	}
@@ -1251,8 +1117,8 @@ func main() {
 		ReadTiers:      readTiers,
 		Open:           open,
 		TimeSeries:     ts,
-		Serve:          sys.stats(),
-		Quota:          sys.quota(),
+		Serve:          srv.Stats(),
+		Quota:          srv.QuotaStats(),
 		Violations:     violations,
 	}
 	if c.arrival == "open" {
@@ -1274,8 +1140,8 @@ func main() {
 		rep.Config["backend"] = c.backendN
 		rep.Config["backend_sync"] = c.backendSync
 	}
-	if sys.shardStats != nil {
-		perShard := sys.shardStats()
+	if c.shards > 1 {
+		perShard := srv.ShardStats()
 		var maxOps, total int64
 		for i, st := range perShard {
 			o := shardOps(st)
@@ -1292,7 +1158,7 @@ func main() {
 			rep.ImbalanceRatio = float64(maxOps) * float64(len(perShard)) / float64(total)
 		}
 		if c.rebalance {
-			rst := sys.rebalance()
+			rst := srv.RebalanceStats()
 			rep.Rebalance = &rst
 		}
 	}
@@ -1300,14 +1166,14 @@ func main() {
 		rep.Executor = append(rep.Executor, tierReport{Tier: m.String(), TierMoveStats: exStats.PerTier[m]})
 	}
 	for _, tc := range c.tenantCfg {
-		if h := sys.tenantRead(tc.ID); h != nil {
+		if h := srv.TenantReadLatency(tc.ID); h != nil {
 			rep.ReadTenants = append(rep.ReadTenants, tenantLatencyBlock{
 				Tenant: int(tc.ID), Weight: tc.Weight, latencyBlock: toLatencyBlock(h),
 			})
 		}
 	}
 	if c.readSLO > 0 {
-		st := sys.slo()
+		st := srv.SLOStats()
 		rep.SLO = &sloReport{Checks: st.Checks, Breaches: st.Breaches, Defers: exStats.Defers}
 	}
 	if plane != nil {
@@ -1388,12 +1254,7 @@ func main() {
 			fmt.Println("   ", v)
 		}
 		if c.hub != nil {
-			if c.shards == 1 {
-				// The sharded Verify already emitted these into the hub.
-				for _, v := range violations {
-					c.hub.EmitEvent(&obs.Event{What: "invariant-violation", Detail: v})
-				}
-			}
+			// Verify already emitted the violations into the hub.
 			if f, err := os.Create(flightDumpPath); err == nil {
 				c.hub.DumpFlight(f)
 				f.Close()
@@ -1456,7 +1317,7 @@ func main() {
 			fatal(err)
 		}
 		f.Close()
-		runtime.KeepAlive(sys)
+		runtime.KeepAlive(srv)
 		runtime.KeepAlive(paths)
 		fmt.Printf("  heap profile written to %s\n", c.memProfile)
 	}

@@ -12,14 +12,18 @@ import (
 // boundary.
 
 // AddMembershipHook registers fn to run after every node join or failure,
-// on the goroutine applying the change.
-func (fs *FileSystem) AddMembershipHook(fn func()) {
+// on the goroutine applying the change. delta is the per-tier device
+// capacity the change added to (join) or took out of (failure, negative)
+// this file system's cluster view, so external capacity accounting — the
+// sharded serving layer's tier ledger and quota baselines — settles in the
+// same step no matter who applied the churn.
+func (fs *FileSystem) AddMembershipHook(fn func(delta [3]int64)) {
 	fs.membershipHooks = append(fs.membershipHooks, fn)
 }
 
-func (fs *FileSystem) notifyMembership() {
+func (fs *FileSystem) notifyMembership(delta [3]int64) {
 	for _, fn := range fs.membershipHooks {
-		fn()
+		fn(delta)
 	}
 }
 
@@ -28,7 +32,11 @@ func (fs *FileSystem) notifyMembership() {
 // decision; no replica state changes.
 func (fs *FileSystem) AddNode(spec storage.NodeSpec, slots int) *cluster.Node {
 	n := fs.cluster.AddNode(spec, slots)
-	fs.notifyMembership()
+	var joined [3]int64
+	for _, m := range storage.AllMedia {
+		joined[m] = n.TierCapacity(m)
+	}
+	fs.notifyMembership(joined)
 	return n
 }
 
@@ -43,9 +51,8 @@ func (fs *FileSystem) AddNode(spec storage.NodeSpec, slots int) *cluster.Node {
 // never makes a block unreadable.
 //
 // It returns the per-tier device capacity that left the cluster with the
-// node, so callers maintaining external capacity accounting (the sharded
-// serving layer's tier ledger) can shrink their totals by exactly what this
-// view lost — including any quota previously grown onto the node's devices.
+// node — including any quota previously grown onto the node's devices; the
+// membership hooks receive the same amounts, negated.
 func (fs *FileSystem) FailNode(n *cluster.Node) (removed [3]int64) {
 	if n == nil || fs.removedNodes[n.ID()] {
 		return removed
@@ -93,7 +100,7 @@ func (fs *FileSystem) FailNode(n *cluster.Node) (removed [3]int64) {
 		}
 	}
 	fs.cluster.RemoveNode(n.ID())
-	fs.notifyMembership()
+	fs.notifyMembership([3]int64{-removed[0], -removed[1], -removed[2]})
 	return removed
 }
 

@@ -152,10 +152,12 @@ type FileSystem struct {
 	// storage.DefaultTenant: untagged.
 	activeTenant storage.TenantID
 	// membershipHooks run after every FailNode/AddNode, on the caller's
-	// goroutine (always the loop that owns the file system). The serving
-	// layer uses one to re-publish per-tier representative devices, which
-	// node loss can invalidate without firing a residency flip.
-	membershipHooks []func()
+	// goroutine (always the loop that owns the file system), with the
+	// per-tier capacity the change added or removed. The serving layer uses
+	// them to re-publish per-tier representative devices, which node loss
+	// can invalidate without firing a residency flip, and to settle its
+	// capacity ledger.
+	membershipHooks []func(delta [3]int64)
 
 	nextFileID  FileID
 	nextBlockID int64

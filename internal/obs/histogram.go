@@ -73,7 +73,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 
 // QuantileOf answers the q-quantile over an arbitrary bucket-count vector
 // in the Histogram.Counts layout — a live snapshot, or a windowed delta of
-// two snapshots. The time-series collector (internal/metrics) diffs
+// two snapshots. The time-series collector (Series) diffs
 // successive snapshots and quantiles each window through this.
 func QuantileOf(counts [64]int64, q float64) time.Duration {
 	var total int64

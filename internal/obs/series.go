@@ -1,35 +1,32 @@
-// Package metrics implements a batched time-series collector for load
-// drivers: a driver samples monotonic counter snapshots (total ops, read
-// latency histogram buckets) at a fixed wall-clock cadence, and the
-// collector turns successive snapshots into windowed points — ops/s and
-// read p50/p99 per window — so a run's report carries the throughput curve
-// over time instead of one end-of-run aggregate. Near saturation that is
-// the difference between seeing the knee and averaging it away.
+package obs
+
+import "time"
+
+// This file is the batched time-series collector for load drivers: a driver
+// samples monotonic counter snapshots (total ops, read latency histogram
+// buckets) at a fixed wall-clock cadence, and the series turns successive
+// snapshots into windowed points — ops/s and read p50/p99 per window — so a
+// run's report carries the throughput curve over time instead of one
+// end-of-run aggregate. Near saturation that is the difference between
+// seeing the knee and averaging it away.
 //
-// The collector is deliberately passive: it owns no goroutine and no clock.
+// The series is deliberately passive: it owns no goroutine and no clock.
 // The driver decides when to sample (typically a ticker) and feeds wall
 // times in; everything here is pure bookkeeping, so the same type serves
 // tests that feed synthetic timelines.
-package metrics
 
-import (
-	"time"
-
-	"octostore/internal/obs"
-)
-
-// Snapshot is one monotonic counter sample. Counters must be cumulative
+// SeriesSample is one monotonic counter sample. Counters must be cumulative
 // (never reset mid-run); the collector works on deltas between samples.
-type Snapshot struct {
+type SeriesSample struct {
 	// Ops is the cumulative operation count.
 	Ops int64
 	// Read is the cumulative read-latency histogram in the
-	// obs.Histogram.Counts bucket layout.
+	// Histogram.Counts bucket layout.
 	Read [64]int64
 }
 
-// Point is one completed window of the time series.
-type Point struct {
+// SeriesPoint is one completed window of the time series.
+type SeriesPoint struct {
 	// EndSeconds is the window's end, in seconds since the collector start.
 	EndSeconds float64 `json:"t_seconds"`
 	// Ops is the number of operations completed in the window.
@@ -43,24 +40,24 @@ type Point struct {
 	ReadP99us float64 `json:"read_p99_us"`
 }
 
-// Collector accumulates windowed points from counter snapshots.
-type Collector struct {
+// Series accumulates windowed points from counter snapshots.
+type Series struct {
 	start  time.Time
-	prev   Snapshot
+	prev   SeriesSample
 	prevAt time.Time
-	points []Point
+	points []SeriesPoint
 }
 
-// NewCollector starts a series at the given wall time with the given
+// NewSeries starts a series at the given wall time with the given
 // baseline snapshot (typically all zeros, or the counters as they stand
 // when the load phase begins).
-func NewCollector(now time.Time, base Snapshot) *Collector {
-	return &Collector{start: now, prev: base, prevAt: now}
+func NewSeries(now time.Time, base SeriesSample) *Series {
+	return &Series{start: now, prev: base, prevAt: now}
 }
 
 // Sample closes the window [prev, now) and appends its point. Samples with
 // no elapsed time are ignored.
-func (c *Collector) Sample(now time.Time, s Snapshot) {
+func (c *Series) Sample(now time.Time, s SeriesSample) {
 	dt := now.Sub(c.prevAt).Seconds()
 	if dt <= 0 {
 		return
@@ -70,23 +67,23 @@ func (c *Collector) Sample(now time.Time, s Snapshot) {
 		delta[i] = s.Read[i] - c.prev.Read[i]
 	}
 	ops := s.Ops - c.prev.Ops
-	c.points = append(c.points, Point{
+	c.points = append(c.points, SeriesPoint{
 		EndSeconds: now.Sub(c.start).Seconds(),
 		Ops:        ops,
 		OpsPerSec:  float64(ops) / dt,
-		ReadP50us:  float64(obs.QuantileOf(delta, 0.50).Nanoseconds()) / 1e3,
-		ReadP99us:  float64(obs.QuantileOf(delta, 0.99).Nanoseconds()) / 1e3,
+		ReadP50us:  float64(QuantileOf(delta, 0.50).Nanoseconds()) / 1e3,
+		ReadP99us:  float64(QuantileOf(delta, 0.99).Nanoseconds()) / 1e3,
 	})
 	c.prev, c.prevAt = s, now
 }
 
 // Points returns the completed windows in order.
-func (c *Collector) Points() []Point { return c.points }
+func (c *Series) Points() []SeriesPoint { return c.points }
 
 // PeakOpsPerSec returns the highest windowed throughput — the "peak
 // sustained ops/s" a benchmark gate can hold a baseline against (a full
 // window at that rate, not an instantaneous burst).
-func (c *Collector) PeakOpsPerSec() float64 {
+func (c *Series) PeakOpsPerSec() float64 {
 	var peak float64
 	for _, p := range c.points {
 		if p.OpsPerSec > peak {

@@ -1,16 +1,14 @@
-package metrics
+package obs
 
 import (
 	"math"
 	"testing"
 	"time"
-
-	"octostore/internal/obs"
 )
 
-// bucketFor places a duration in the obs.Histogram bucket layout.
+// bucketFor places a duration in the Histogram bucket layout.
 func bucketFor(d time.Duration) int {
-	h := &obs.Histogram{}
+	h := &Histogram{}
 	h.Observe(d)
 	counts := h.Counts()
 	for i, c := range counts {
@@ -23,10 +21,10 @@ func bucketFor(d time.Duration) int {
 
 func TestCollectorWindows(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	c := NewCollector(t0, Snapshot{})
+	c := NewSeries(t0, SeriesSample{})
 
 	// Window 1: 100 ops in 1s, all reads at ~1ms.
-	var s1 Snapshot
+	var s1 SeriesSample
 	s1.Ops = 100
 	s1.Read[bucketFor(time.Millisecond)] = 100
 	c.Sample(t0.Add(1*time.Second), s1)
@@ -56,11 +54,11 @@ func TestCollectorWindows(t *testing.T) {
 	// Window quantiles come from the delta, not the cumulative counts: the
 	// second window's p50 must reflect only its own 100 reads, and its p99
 	// must land in the slow bucket (1 of 100 at ~100ms).
-	wantFast := float64(obs.QuantileOf(deltaOf(time.Millisecond, 1), 0.5).Nanoseconds()) / 1e3
+	wantFast := float64(QuantileOf(deltaOf(time.Millisecond, 1), 0.5).Nanoseconds()) / 1e3
 	if pts[1].ReadP50us != wantFast {
 		t.Fatalf("window 2 p50 %v, want %v", pts[1].ReadP50us, wantFast)
 	}
-	wantSlow := float64(obs.QuantileOf(deltaOf(100*time.Millisecond, 1), 0.99).Nanoseconds()) / 1e3
+	wantSlow := float64(QuantileOf(deltaOf(100*time.Millisecond, 1), 0.99).Nanoseconds()) / 1e3
 	if pts[1].ReadP99us != wantSlow {
 		t.Fatalf("window 2 p99 %v, want %v (slow tail must surface)", pts[1].ReadP99us, wantSlow)
 	}
@@ -79,8 +77,8 @@ func deltaOf(d time.Duration, n int64) [64]int64 {
 
 func TestCollectorZeroWindow(t *testing.T) {
 	t0 := time.Unix(0, 0)
-	c := NewCollector(t0, Snapshot{})
-	c.Sample(t0, Snapshot{Ops: 5}) // zero elapsed: ignored
+	c := NewSeries(t0, SeriesSample{})
+	c.Sample(t0, SeriesSample{Ops: 5}) // zero elapsed: ignored
 	if len(c.Points()) != 0 {
 		t.Fatalf("zero-duration window produced a point")
 	}
@@ -89,12 +87,12 @@ func TestCollectorZeroWindow(t *testing.T) {
 	}
 	// An idle window (no ops, no reads) still yields a point: gaps in the
 	// curve are information.
-	c.Sample(t0.Add(time.Second), Snapshot{Ops: 5})
+	c.Sample(t0.Add(time.Second), SeriesSample{Ops: 5})
 	pts := c.Points()
 	if len(pts) != 1 || pts[0].Ops != 5 {
 		t.Fatalf("got %+v", pts)
 	}
-	c.Sample(t0.Add(2*time.Second), Snapshot{Ops: 5})
+	c.Sample(t0.Add(2*time.Second), SeriesSample{Ops: 5})
 	pts = c.Points()
 	if len(pts) != 2 || pts[1].Ops != 0 || pts[1].OpsPerSec != 0 || pts[1].ReadP99us != 0 {
 		t.Fatalf("idle window: %+v", pts)
@@ -102,7 +100,7 @@ func TestCollectorZeroWindow(t *testing.T) {
 }
 
 func TestCollectorEmpty(t *testing.T) {
-	c := NewCollector(time.Unix(1000, 0), Snapshot{})
+	c := NewSeries(time.Unix(1000, 0), SeriesSample{})
 	if pts := c.Points(); len(pts) != 0 {
 		t.Fatalf("fresh collector has points: %+v", pts)
 	}
@@ -113,12 +111,12 @@ func TestCollectorEmpty(t *testing.T) {
 
 func TestCollectorNonMonotonicSamples(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	c := NewCollector(t0, Snapshot{})
-	c.Sample(t0.Add(time.Second), Snapshot{Ops: 100})
+	c := NewSeries(t0, SeriesSample{})
+	c.Sample(t0.Add(time.Second), SeriesSample{Ops: 100})
 
 	// A sample whose wall time runs backwards (clock step, scheduler
 	// reordering) must be dropped, not produce a negative-duration window.
-	c.Sample(t0.Add(500*time.Millisecond), Snapshot{Ops: 150})
+	c.Sample(t0.Add(500*time.Millisecond), SeriesSample{Ops: 150})
 	pts := c.Points()
 	if len(pts) != 1 {
 		t.Fatalf("backwards sample produced a point: %+v", pts)
@@ -126,7 +124,7 @@ func TestCollectorNonMonotonicSamples(t *testing.T) {
 
 	// The series resumes cleanly from the last accepted sample: the next
 	// in-order window covers [1s, 2s) and its delta is against Ops=100.
-	c.Sample(t0.Add(2*time.Second), Snapshot{Ops: 180})
+	c.Sample(t0.Add(2*time.Second), SeriesSample{Ops: 180})
 	pts = c.Points()
 	if len(pts) != 2 || pts[1].Ops != 80 || math.Abs(pts[1].OpsPerSec-80) > 1e-9 {
 		t.Fatalf("post-recovery window: %+v", pts)
@@ -138,8 +136,8 @@ func TestCollectorNonMonotonicSamples(t *testing.T) {
 
 func TestCollectorPeakSinglePoint(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	c := NewCollector(t0, Snapshot{})
-	c.Sample(t0.Add(2*time.Second), Snapshot{Ops: 500})
+	c := NewSeries(t0, SeriesSample{})
+	c.Sample(t0.Add(2*time.Second), SeriesSample{Ops: 500})
 	if peak := c.PeakOpsPerSec(); math.Abs(peak-250) > 1e-9 {
 		t.Fatalf("single-point peak %v, want 250", peak)
 	}

@@ -82,29 +82,44 @@ func diffWorkerSpec() storage.NodeSpec {
 func buildSystem(t *testing.T, down, up string) (*sim.Engine, *dfs.FileSystem, *core.Manager) {
 	t.Helper()
 	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: diffWorkerSpec()})
+	cl, err := cluster.New(engine, diffCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: dfs.ModeOctopus, Seed: 7, ClientRate: 2000e6})
+	fs, err := dfs.New(cl, diffDFS())
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr, err := buildManager(fs, down, up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start()
+	return engine, fs, mgr
+}
+
+func diffCluster() cluster.Config {
+	return cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: diffWorkerSpec()}
+}
+
+func diffDFS() dfs.Config {
+	return dfs.Config{Mode: dfs.ModeOctopus, Seed: 7, ClientRate: 2000e6}
+}
+
+func buildManager(fs *dfs.FileSystem, down, up string) (*core.Manager, error) {
 	cfg := core.DefaultConfig()
 	cfg.MonitorConcurrency = 64
 	ctx := core.NewContext(fs, cfg)
 	lcfg := ml.DefaultLearnerConfig()
 	d, err := policy.NewDowngrade(down, ctx, lcfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	u, err := policy.NewUpgrade(up, ctx, lcfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	mgr := core.NewManager(ctx, d, u)
-	mgr.Start()
-	return engine, fs, mgr
+	return core.NewManager(ctx, d, u), nil
 }
 
 // runSequential is the oracle: the untouched single-threaded sim path.
@@ -138,24 +153,35 @@ func runSequential(t *testing.T, ops []diffOp, down, up string) *dfs.FileSystem 
 	return fs
 }
 
-// runServed replays the same ops through the serving layer in replay mode
-// (TimeScale 0): one client stamps each op with its virtual time and fences
-// with Flush, mirroring the oracle's per-op quiescence.
+// runServed replays the same ops through the serving layer — one shard, the
+// same topology, file system config and policy stack as the oracle — in
+// replay mode (TimeScale 0): one client stamps each op with its virtual time
+// and fences with Flush, mirroring the oracle's per-op quiescence.
 func runServed(t *testing.T, ops []diffOp, down, up string) *dfs.FileSystem {
 	t.Helper()
-	engine, fs, mgr := buildSystem(t, down, up)
 	huge := int64(1) << 60
 	unmetered := math.Inf(1)
-	srv := server.New(fs, mgr, server.Config{
-		Executor: server.ExecutorConfig{
-			WorkersPerTier:  64,
-			QueueDepth:      1 << 14,
-			BudgetBytes:     [3]int64{huge, huge, huge},
-			RateBytesPerSec: [3]float64{unmetered, unmetered, unmetered},
+	srv, err := server.NewSharded(server.ShardedConfig{
+		Shards:  1,
+		Cluster: diffCluster(),
+		DFS:     diffDFS(),
+		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
+			return buildManager(fs, down, up)
+		},
+		Inner: server.Config{
+			Executor: server.ExecutorConfig{
+				WorkersPerTier:  64,
+				QueueDepth:      1 << 14,
+				BudgetBytes:     [3]int64{huge, huge, huge},
+				RateBytesPerSec: [3]float64{unmetered, unmetered, unmetered},
+			},
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.Start()
-	base := engine.Now()
+	base := sim.Epoch
 	for _, o := range ops {
 		at := base.Add(o.at)
 		switch o.kind {
@@ -169,7 +195,8 @@ func runServed(t *testing.T, ops []diffOp, down, up string) *dfs.FileSystem {
 		srv.Flush()
 	}
 	srv.Close()
-	mgr.Stop()
+	var fs *dfs.FileSystem
+	srv.Exec(func(_ int, shardFS *dfs.FileSystem) { fs = shardFS })
 	return fs
 }
 

@@ -42,7 +42,7 @@ type ExecutorConfig struct {
 	// unmeter a tier (the bucket then never empties).
 	RateBytesPerSec [3]float64
 	// MoveLatency delays each admitted transfer's start, modelling the
-	// command path through worker heartbeats. server.New defaults it to
+	// command path through worker heartbeats. newShard defaults it to
 	// the manager's core.Config.MoveLatency so serving-path movement
 	// timing matches the sequential path; a bare executor falls back to
 	// the paper's 5 s.
@@ -101,6 +101,33 @@ type ExecutorStats struct {
 	// Defers counts how many times admission was pushed out by Defer (the
 	// SLO controller's shed-background-work lever).
 	Defers int64
+}
+
+// add accumulates another shard's snapshot. The virtual-time sample is the
+// maximum over shards; bucket capacities and refill rates are summed, so the
+// aggregate pairs the summed AdmittedBytes with the fleet-wide budget (and
+// CheckBudgets on it stays sound: each shard obeys burst_i + rate_i*t_i with
+// t_i <= the reported maximum).
+func (s *ExecutorStats) add(o ExecutorStats) {
+	if o.VirtualSeconds > s.VirtualSeconds {
+		s.VirtualSeconds = o.VirtualSeconds
+	}
+	s.Defers += o.Defers
+	for i := range s.PerTier {
+		a, b := &s.PerTier[i], o.PerTier[i]
+		a.Scheduled += b.Scheduled
+		a.Completed += b.Completed
+		a.Failed += b.Failed
+		a.Shed += b.Shed
+		a.AdmittedBytes += b.AdmittedBytes
+		// High-water marks do not sum (shards peak at different times);
+		// report the largest per-shard peak.
+		if b.MaxInFlightBytes > a.MaxInFlightBytes {
+			a.MaxInFlightBytes = b.MaxInFlightBytes
+		}
+		a.BudgetBytes += b.BudgetBytes
+		a.RateBytesPerSec += b.RateBytesPerSec
+	}
 }
 
 // Queued sums admitted requests across tiers.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"sync/atomic"
-	"time"
 
 	"octostore/internal/obs"
 )
@@ -13,16 +12,9 @@ import (
 // alias keeps the serving API (and every existing call site) unchanged.
 type Histogram = obs.Histogram
 
-// QuantileOf answers the q-quantile over an arbitrary bucket-count vector
-// in the Histogram.Counts layout — a live snapshot, or a windowed delta of
-// two snapshots. Forwarded from internal/obs for API stability.
-func QuantileOf(counts [64]int64, q float64) time.Duration {
-	return obs.QuantileOf(counts, q)
-}
-
-// ServeStats is the serving layer's atomic counter set; every field is
-// updated from client goroutines or the core loop without locks and may be
-// snapshotted at any time via Server.Stats.
+// serveCounters is one shard's atomic counter set; every field is updated
+// from client goroutines or the shard loop without locks and may be
+// snapshotted at any time (ShardedServer.Stats / ShardStats).
 type serveCounters struct {
 	accesses     atomic.Int64
 	accessMisses atomic.Int64 // path not found / not yet complete

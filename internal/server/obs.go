@@ -20,56 +20,56 @@ import (
 // sampleSpan starts a span for one in N operations. Returns (nil, zero)
 // when obs is disabled or the op is not sampled — the caller's stage stamps
 // are all guarded on the span pointer.
-func (s *Server) sampleSpan(op, path string, tenant storage.TenantID) (*obs.Span, time.Time) {
-	if !s.obs.SampleOp() {
+func (sh *shard) sampleSpan(op, path string, tenant storage.TenantID) (*obs.Span, time.Time) {
+	if !sh.obs.SampleOp() {
 		return nil, time.Time{}
 	}
-	sp := &obs.Span{Op: op, Path: path, Shard: s.cfg.ObsShard, Tenant: int(tenant)}
+	sp := &obs.Span{Op: op, Path: path, Shard: sh.idx, Tenant: int(tenant)}
 	return sp, time.Now()
 }
 
 // finishSpan stamps the total wall time and the op's virtual instant
 // (relative to the server's virtual start) and publishes the span. No-op on
 // a nil span.
-func (s *Server) finishSpan(sp *obs.Span, start time.Time, at time.Time, errMsg string) {
+func (sh *shard) finishSpan(sp *obs.Span, start time.Time, at time.Time, errMsg string) {
 	if sp == nil {
 		return
 	}
 	sp.TotalNS = time.Since(start).Nanoseconds()
 	if !at.IsZero() {
-		sp.VirtNS = at.Sub(s.virtStart).Nanoseconds()
+		sp.VirtNS = at.Sub(sh.virtStart).Nanoseconds()
 	}
 	sp.Err = errMsg
-	s.obs.EmitSpan(sp)
+	sh.obs.EmitSpan(sp)
 }
 
 // busyStart/busyEnd bracket core-loop work for the utilization gauge. With
 // obs disabled they are a nil check — the loop takes no clock readings.
-func (s *Server) busyStart() time.Time {
-	if s.obs == nil {
+func (sh *shard) busyStart() time.Time {
+	if sh.obs == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-func (s *Server) busyEnd(t0 time.Time) {
+func (sh *shard) busyEnd(t0 time.Time) {
 	if t0.IsZero() {
 		return
 	}
-	s.loopBusyNS.Add(time.Since(t0).Nanoseconds())
+	sh.loopBusyNS.Add(time.Since(t0).Nanoseconds())
 }
 
 // registerObs publishes the server's signals into the hub's registry:
 // serve counters, ring occupancy/drops, per-tier executor queues and
 // budgets, the latency histograms, and the core loop's utilization.
-func (s *Server) registerObs() {
-	if s.obs == nil {
+func (sh *shard) registerObs() {
+	if sh.obs == nil {
 		return
 	}
-	r := s.obs.Registry()
-	shard := strconv.Itoa(s.cfg.ObsShard)
+	r := sh.obs.Registry()
+	idx := strconv.Itoa(sh.idx)
 	lbl := func(kv ...string) obs.Labels {
-		l := obs.Labels{"shard": shard}
+		l := obs.Labels{"shard": idx}
 		for i := 0; i+1 < len(kv); i += 2 {
 			l[kv[i]] = kv[i+1]
 		}
@@ -79,19 +79,19 @@ func (s *Server) registerObs() {
 		r.CounterFunc(name, lbl(kv...), func() float64 { return float64(v.Load()) })
 	}
 
-	ctr("octo_accesses_total", &s.counters.accesses)
-	ctr("octo_access_misses_total", &s.counters.accessMisses)
-	ctr("octo_access_noreplica_total", &s.counters.noReplica)
-	ctr("octo_bytes_served_total", &s.counters.bytesServed)
-	ctr("octo_creates_total", &s.counters.creates)
-	ctr("octo_create_errors_total", &s.counters.createErrors)
-	ctr("octo_deletes_total", &s.counters.deletes)
-	ctr("octo_events_drained_total", &s.counters.drained)
-	ctr("octo_drain_batches_total", &s.counters.batches)
+	ctr("octo_accesses_total", &sh.counters.accesses)
+	ctr("octo_access_misses_total", &sh.counters.accessMisses)
+	ctr("octo_access_noreplica_total", &sh.counters.noReplica)
+	ctr("octo_bytes_served_total", &sh.counters.bytesServed)
+	ctr("octo_creates_total", &sh.counters.creates)
+	ctr("octo_create_errors_total", &sh.counters.createErrors)
+	ctr("octo_deletes_total", &sh.counters.deletes)
+	ctr("octo_events_drained_total", &sh.counters.drained)
+	ctr("octo_drain_batches_total", &sh.counters.batches)
 	for _, m := range storage.AllMedia {
 		m := m
 		r.CounterFunc("octo_served_total", lbl("tier", m.String()),
-			func() float64 { return float64(s.counters.servedByTier[m].Load()) })
+			func() float64 { return float64(sh.counters.servedByTier[m].Load()) })
 	}
 
 	// Ring occupancy from the producer/consumer cursors: enq counts claimed
@@ -99,55 +99,55 @@ func (s *Server) registerObs() {
 	// backlog (claimed-not-yet-published slots inflate it by at most the
 	// number of mid-push producers).
 	r.Gauge("octo_ring_occupancy", lbl(), func() float64 {
-		return float64(s.ring.enq.Load() - s.ring.deq.Load())
+		return float64(sh.ring.enq.Load() - sh.ring.deq.Load())
 	})
 	r.CounterFunc("octo_ring_dropped_total", lbl(), func() float64 {
-		return float64(s.ring.Dropped())
+		return float64(sh.ring.Dropped())
 	})
 
 	// Core-loop utilization: busy wall time over elapsed wall time since
 	// Start. The loop only accumulates busy time when obs is enabled.
-	start := s.wallStart
+	start := sh.wallStart
 	r.Gauge("octo_loop_utilization", lbl(), func() float64 {
 		elapsed := time.Since(start).Nanoseconds()
 		if elapsed <= 0 {
 			return 0
 		}
-		return float64(s.loopBusyNS.Load()) / float64(elapsed)
+		return float64(sh.loopBusyNS.Load()) / float64(elapsed)
 	})
 
-	r.Histogram("octo_access_latency_ns", lbl(), &s.accessHist)
-	r.Histogram("octo_mutate_latency_ns", lbl(), &s.mutateHist)
+	r.Histogram("octo_access_latency_ns", lbl(), &sh.accessHist)
+	r.Histogram("octo_mutate_latency_ns", lbl(), &sh.mutateHist)
 	for _, m := range storage.AllMedia {
-		r.Histogram("octo_read_latency_ns", lbl("tier", m.String()), &s.readLat[m])
+		r.Histogram("octo_read_latency_ns", lbl("tier", m.String()), &sh.readLat[m])
 	}
-	for id, slot := range s.tenantSlot {
+	for id, slot := range sh.tenantSlot {
 		r.Histogram("octo_tenant_read_latency_ns",
-			lbl("tenant", strconv.Itoa(int(id))), &s.tenantLat[slot])
+			lbl("tenant", strconv.Itoa(int(id))), &sh.tenantLat[slot])
 	}
-	if s.slo != nil {
-		ctr("octo_slo_checks_total", &s.slo.checks)
-		ctr("octo_slo_breaches_total", &s.slo.breaches)
+	if sh.slo != nil {
+		ctr("octo_slo_checks_total", &sh.slo.checks)
+		ctr("octo_slo_breaches_total", &sh.slo.breaches)
 	}
 
 	// Physical-backend op/error counters, one family cell per (tier, op):
 	// scrapes snapshot the backend's atomics through the same pull-based
 	// closure pattern as everything else.
-	if s.backend != nil {
+	if sh.backend != nil {
 		for _, m := range storage.AllMedia {
 			for _, op := range backend.Ops {
 				m, op := m, op
 				l := lbl("tier", m.String(), "op", op.String())
 				r.CounterFunc("octo_backend_ops_total", l, func() float64 {
-					t := s.backend.Stats().PerTier[m]
+					t := sh.backend.Stats().PerTier[m]
 					return float64(t.Op(op).Count)
 				})
 				r.CounterFunc("octo_backend_bytes_total", l, func() float64 {
-					t := s.backend.Stats().PerTier[m]
+					t := sh.backend.Stats().PerTier[m]
 					return float64(t.Op(op).Bytes)
 				})
 				r.CounterFunc("octo_backend_errors_total", l, func() float64 {
-					t := s.backend.Stats().PerTier[m]
+					t := sh.backend.Stats().PerTier[m]
 					return float64(t.Op(op).Errors)
 				})
 			}
@@ -156,23 +156,23 @@ func (s *Server) registerObs() {
 
 	// Why files are out of selection, and how often which failure put them
 	// there: the manager mirrors its eligibility record into atomics.
-	if s.mgr != nil {
+	if sh.mgr != nil {
 		r.Gauge("octo_manager_parked_files", lbl("reason", "busy"), func() float64 {
-			busy, _ := s.mgr.ParkedFiles()
+			busy, _ := sh.mgr.ParkedFiles()
 			return float64(busy)
 		})
 		r.Gauge("octo_manager_parked_files", lbl("reason", "cooldown"), func() float64 {
-			_, cooling := s.mgr.ParkedFiles()
+			_, cooling := sh.mgr.ParkedFiles()
 			return float64(cooling)
 		})
 		for _, reason := range core.CooldownReasons {
 			reason := reason
 			r.CounterFunc("octo_manager_cooldowns_total", lbl("reason", reason.String()),
-				func() float64 { return float64(s.mgr.Cooldowns(reason)) })
+				func() float64 { return float64(sh.mgr.Cooldowns(reason)) })
 		}
 	}
 
-	s.exec.registerObs(r, lbl)
+	sh.exec.registerObs(r, lbl)
 }
 
 // registerObs publishes the executor's per-tier queue depths, counters, and

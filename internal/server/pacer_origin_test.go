@@ -11,7 +11,7 @@ import (
 )
 
 // TestShardsShareOnePacerOrigin is the regression test for per-shard pacer
-// clocks. Each inner Server.Start used to take its own time.Now(), so the
+// clocks. Each shard's start used to take its own time.Now(), so the
 // shards' clocks differed by their start offset × TimeScale, and the shared
 // data plane booked that skew as read queueing for whichever shard lagged:
 // Access (stamped with the routed shard's clock) reported milliseconds of
@@ -41,11 +41,11 @@ func TestShardsShareOnePacerOrigin(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	first := srv.shards[0].srv
+	first := srv.shards[0]
 	for i, sh := range srv.shards[1:] {
-		if !sh.srv.wallStart.Equal(first.wallStart) || !sh.srv.virtStart.Equal(first.virtStart) {
+		if !sh.wallStart.Equal(first.wallStart) || !sh.virtStart.Equal(first.virtStart) {
 			t.Fatalf("shard %d pacer origin (%v, %v) differs from shard 0's (%v, %v)",
-				i+1, sh.srv.wallStart, sh.srv.virtStart, first.wallStart, first.virtStart)
+				i+1, sh.wallStart, sh.virtStart, first.wallStart, first.virtStart)
 		}
 	}
 

@@ -58,6 +58,13 @@ type QuotaStats struct {
 	ReturnedBytes  int64 // total quota reconciled back to the pool
 }
 
+func (s *QuotaStats) add(o QuotaStats) {
+	s.Borrows += o.Borrows
+	s.BorrowFailures += o.BorrowFailures
+	s.BorrowedBytes += o.BorrowedBytes
+	s.ReturnedBytes += o.ReturnedBytes
+}
+
 // shardQuota is one shard's side of the sharded accounting layer: it grows
 // the shard's cluster view out of the global ledger through the two-phase
 // reserve/commit protocol and periodically reconciles unused quota back.
@@ -178,16 +185,12 @@ func (q *shardQuota) EnsureSpreadFor(tenant storage.TenantID, tier storage.Media
 	return true
 }
 
-// EnsureCreate grows quota ahead of retrying a create that failed on
-// capacity: every replica of every block must find a device, so each of
-// `replication` distinct nodes needs room for one full copy of the file.
-// Placement falls back across tiers in every mode, so growing the lowest
-// tier (every mode's tier of last resort) is sufficient to admit the write.
-func (q *shardQuota) EnsureCreate(fs *dfs.FileSystem, size int64) bool {
-	return q.EnsureSpread(storage.HDD, size, fs.Replication())
-}
-
-// EnsureCreateFor is EnsureCreate charged to a tenant's borrow budget.
+// EnsureCreateFor grows quota ahead of retrying a create that failed on
+// capacity, charged to the tenant's borrow budget: every replica of every
+// block must find a device, so each of `replication` distinct nodes needs
+// room for one full copy of the file. Placement falls back across tiers in
+// every mode, so growing the lowest tier (every mode's tier of last resort)
+// is sufficient to admit the write.
 func (q *shardQuota) EnsureCreateFor(tenant storage.TenantID, fs *dfs.FileSystem, size int64) bool {
 	return q.EnsureSpreadFor(tenant, storage.HDD, size, fs.Replication())
 }
@@ -224,21 +227,25 @@ func (q *shardQuota) Reconcile() {
 	}
 }
 
-// clampBaseline lowers the reconciliation floor to the shard's current tier
-// capacities. Called after node loss: the departed node took its quota
-// (initial grant plus any borrowed growth) with it, and the floor must not
-// hold open capacity that no longer exists.
-func (q *shardQuota) clampBaseline() {
+// membershipChanged is the shard's dfs membership hook: delta is the
+// per-tier capacity a node join added to (or a node failure took out of)
+// this shard's cluster view. The ledger total follows, and so does the
+// reconciliation floor — a joined node's granted share raises it; after a
+// loss it is clamped to the shard's current tier capacities, because the
+// departed node took its quota (initial grant plus any borrowed growth)
+// with it and the floor must not hold open capacity that no longer exists.
+// Shard loop only.
+func (q *shardQuota) membershipChanged(delta [3]int64) {
 	for _, tier := range storage.AllMedia {
-		if _, capacity := q.cl.TierUsage(tier); q.baseline[tier] > capacity {
-			q.baseline[tier] = capacity
+		switch d := delta[tier]; {
+		case d > 0:
+			q.ledger.AddCapacity(tier, d, 0)
+			q.baseline[tier] += d
+		case d < 0:
+			q.ledger.ShrinkTotal(tier, -d)
+			if _, capacity := q.cl.TierUsage(tier); q.baseline[tier] > capacity {
+				q.baseline[tier] = capacity
+			}
 		}
-	}
-}
-
-// nodeJoined raises the baseline by the joining node's granted share.
-func (q *shardQuota) nodeJoined(granted [3]int64) {
-	for t := range q.baseline {
-		q.baseline[t] += granted[t]
 	}
 }

@@ -100,7 +100,7 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + c)))
 			for i := c; i < len(shared); i += clients {
 				size := (16 + rng.Int63n(48)) * storage.MB
-				if err := srv.CreateAs(shared[i], size, tenantOf(c)); err != nil {
+				if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: shared[i], Size: size, Tenant: tenantOf(c)}); err != nil {
 					errCh <- fmt.Errorf("preload %s: %w", shared[i], err)
 				}
 			}
@@ -155,7 +155,7 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 				case r < 0.78:
 					// Shared hot files are never deleted: any miss here is a
 					// hole in the double-read epoch.
-					if _, err := srv.AccessAs(shared[zipf.Uint64()], tenant); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: shared[zipf.Uint64()], Tenant: tenant}); err != nil {
 						t.Errorf("client %d access: %v", c, err)
 						return
 					}
@@ -173,7 +173,7 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 					} else {
 						path = fmt.Sprintf("/scratch/c%d/f%04d", c, i)
 					}
-					if err := srv.CreateAs(path, (4+rng.Int63n(28))*storage.MB, tenant); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: (4 + rng.Int63n(28)) * storage.MB, Tenant: tenant}); err != nil {
 						t.Errorf("client %d create %s: %v", c, path, err)
 						return
 					}

@@ -2,12 +2,14 @@ package server
 
 // In-package regression tests for the migration-epoch edge cases: deletes
 // during a double-read epoch (both the blocking and the stamped path), the
-// one-logical-file-one-counted-delete stats contract, cold-route fold-back
-// (route-table garbage collection), and the superseded-vs-moved counter
-// split. These drive the route table and the per-file move machinery
+// one-logical-op-one-count stats contract, a migration landing between the
+// two probes of a double read, a pipelined delete→create under a live
+// rebalancer, cold-route fold-back (route-table garbage collection), and
+// the superseded-vs-moved counter split. These drive the route table and the per-file move machinery
 // directly, so the epoch states are exact rather than raced into.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -53,6 +55,12 @@ func newEpochTestServer(t *testing.T, reb RebalanceConfig) *ShardedServer {
 	return srv
 }
 
+// holds reports whether one shard's namespace has the path.
+func holds(sh *shard, path string) bool {
+	_, ok := sh.ns.get(path)
+	return ok
+}
+
 // mustCreate fires a stamped create and fences until it commits.
 func mustCreate(t *testing.T, srv *ShardedServer, path string, size int64, at time.Time) {
 	t.Helper()
@@ -70,19 +78,19 @@ func attachCopyOn(t *testing.T, srv *ShardedServer, from, to int, path string) {
 	t.Helper()
 	var rec dfs.FileRecord
 	var serr error
-	srv.shards[from].srv.Exec(func(fs *dfs.FileSystem) { rec, serr = fs.SnapshotFile(path) })
+	srv.shards[from].inLoop(func(fs *dfs.FileSystem) { rec, serr = fs.SnapshotFile(path) })
 	if serr != nil {
 		t.Fatalf("snapshot %s on shard %d: %v", path, from, serr)
 	}
 	var aerr error
 	sh := srv.shards[to]
-	sh.srv.Exec(func(fs *dfs.FileSystem) {
+	sh.inLoop(func(fs *dfs.FileSystem) {
 		aerr = fs.AttachFile(rec)
 		if aerr != nil {
 			return
 		}
 		if f, gerr := fs.Namespace().GetFile(rec.Path); gerr == nil {
-			sh.srv.indexFile(f)
+			sh.indexFile(f)
 		}
 	})
 	if aerr != nil {
@@ -109,17 +117,35 @@ func TestDeleteAtDuringMigrationEpoch(t *testing.T) {
 	if !srv.Exists(path) {
 		t.Fatal("file not readable through the double-read fallback")
 	}
+	// One logical op, one count: a read or stat served by the fallback is
+	// not also a miss on the primary, and a stat is one stat.
+	if res, err := srv.AccessAt(path, base.Add(time.Minute)); err != nil || !res.Served {
+		t.Fatalf("AccessAt through the fallback: %+v, %v", res, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := srv.Stat(path); err != nil {
+			t.Fatalf("Stat through the fallback: %v", err)
+		}
+	}
+	if st := srv.Stats(); st.Accesses != 1 || st.AccessMisses != 0 || st.Stats != 2 {
+		t.Fatalf("fallback-served ops counted wrong: accesses %d (want 1), misses %d (want 0), stats %d (want 2)",
+			st.Accesses, st.AccessMisses, st.Stats)
+	}
 	if err := <-srv.DeleteAt(path, base.Add(time.Hour)); err != nil {
 		t.Fatalf("DeleteAt during migrating epoch: %v", err)
 	}
 	if srv.Exists(path) {
 		t.Fatal("file still readable after DeleteAt")
 	}
-	if srv.shards[owner].srv.Exists(path) {
+	if holds(srv.shards[owner], path) {
 		t.Fatal("fallback copy survived the delete")
 	}
-	if got := srv.Stats().Deletes; got != 1 {
-		t.Fatalf("Deletes = %d, want 1", got)
+	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 {
+		t.Fatalf("Deletes = %d, DeleteErrors = %d, want 1 and 0: the primary's miss is a probe, not a failed delete",
+			st.Deletes, st.DeleteErrors)
+	}
+	if got := srv.MutateLatency().Count(); got != 2 { // the create and the one delete
+		t.Fatalf("mutate histogram holds %d samples, want 2", got)
 	}
 
 	srv.routes.remove(dir)
@@ -147,7 +173,7 @@ func TestDeleteDuringEpochCountsOnce(t *testing.T) {
 	if err := srv.Delete(path); err != nil {
 		t.Fatalf("Delete during both-copies window: %v", err)
 	}
-	if srv.shards[dst].srv.Exists(path) || srv.shards[owner].srv.Exists(path) {
+	if holds(srv.shards[dst], path) || holds(srv.shards[owner], path) {
 		t.Fatal("a copy survived the delete")
 	}
 	if got := srv.Stats().Deletes; got != 1 {
@@ -155,6 +181,143 @@ func TestDeleteDuringEpochCountsOnce(t *testing.T) {
 	}
 
 	srv.routes.remove(dir)
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestDoubleReadSurvivesMigrationBetweenProbes is the regression for the
+// double-read epoch hole (the TestRebalanceSurvivesChurn flake): a reader
+// probes the primary and misses because the copy is not attached yet,
+// migrateFile then attaches on the destination AND detaches the source, and
+// the reader's fallback probe misses too — ErrNotFound for a file that
+// existed throughout. The hook lands the migration exactly between the two
+// probes; every op that resolves across the epoch must still find the file.
+func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	ops := []struct {
+		name string
+		run  func(path string) error
+	}{
+		{"access", func(p string) error { _, err := srv.AccessAt(p, base.Add(time.Minute)); return err }},
+		{"stat", func(p string) error { _, err := srv.Stat(p); return err }},
+		{"exists", func(p string) error {
+			if !srv.Exists(p) {
+				return dfs.ErrNotFound
+			}
+			return nil
+		}},
+		{"delete", func(p string) error { return <-srv.DeleteAt(p, base.Add(time.Hour)) }},
+	}
+	for i, op := range ops {
+		dir := fmt.Sprintf("/hot/race%d", i)
+		path := dir + "/f000"
+		mustCreate(t, srv, path, 32*storage.MB, base.Add(time.Duration(i+1)*time.Second))
+		owner := RouteShard(dir, srv.NumShards())
+		dst := (owner + 1) % srv.NumShards()
+		srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
+
+		migrated := false
+		srv.afterPrimaryMiss = func() {
+			if migrated {
+				return
+			}
+			migrated = true
+			if out := srv.reb.migrateFile(srv.shards[owner], srv.shards[dst], path); out != migrateMoved {
+				t.Errorf("%s: migrateFile = %v, want migrateMoved", op.name, out)
+			}
+		}
+		err := op.run(path)
+		srv.afterPrimaryMiss = nil
+		if !migrated {
+			t.Fatalf("%s: the primary probe did not miss; the race was not constructed", op.name)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v for a file that existed throughout the epoch", op.name, err)
+		}
+		srv.routes.remove(dir)
+	}
+	if st := srv.Stats(); st.AccessMisses != 0 || st.DeleteErrors != 0 {
+		t.Fatalf("re-probed ops counted as failures: misses %d, delete errors %d", st.AccessMisses, st.DeleteErrors)
+	}
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestStaleRouteIsResolvedAgainOnMiss covers the other half of the same
+// flake: the client resolved its route before the rebalancer opened an
+// epoch over the directory (static owner, no fallback), and the whole
+// migration of its file completed before the single probe ran. A miss under
+// a live rebalancer must re-resolve the route and look again.
+func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	dir := "/hot/stale"
+	path := dir + "/f000"
+	mustCreate(t, srv, path, 32*storage.MB, base.Add(time.Second))
+
+	clean, primary, fallback, err := srv.route(path)
+	if err != nil || fallback != nil {
+		t.Fatalf("static route: fallback %v, err %v", fallback, err)
+	}
+	owner := RouteShard(dir, srv.NumShards())
+	dst := (owner + 1) % srv.NumShards()
+	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
+	if out := srv.reb.migrateFile(srv.shards[owner], srv.shards[dst], path); out != migrateMoved {
+		t.Fatalf("migrateFile = %v, want migrateMoved", out)
+	}
+
+	if sh, h := srv.find(clean, primary, fallback); h == nil || sh != srv.shards[dst] {
+		t.Fatalf("find under the stale route: shard %v, handle %v; want the file on shard %d", sh, h, dst)
+	}
+	op := Op{Kind: OpDelete, Path: clean, At: base.Add(time.Hour)}
+	if err := <-srv.delete(op, primary, fallback); err != nil {
+		t.Fatalf("delete under the stale route: %v", err)
+	}
+	if srv.Exists(path) {
+		t.Fatal("file still readable after the delete")
+	}
+	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 {
+		t.Fatalf("Deletes = %d, DeleteErrors = %d, want 1 and 0", st.Deletes, st.DeleteErrors)
+	}
+	srv.routes.remove(dir)
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestPipelinedDeleteThenCreateKeepsOrder: with the rebalancer enabled a
+// delete may need follow-up probes, but its first attempt must be on the
+// shard loop before DeleteAt returns. Replay drivers pipeline
+// DeleteAt(p); CreateAt(p) and fence once with Flush — the create has to
+// order behind the delete, and Flush has to cover both.
+func TestPipelinedDeleteThenCreateKeepsOrder(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	for i := 0; i < 50; i++ {
+		path := fmt.Sprintf("/pipe/d%02d/f", i)
+		at := base.Add(time.Duration(i+1) * time.Minute)
+		mustCreate(t, srv, path, 8*storage.MB, at)
+
+		del := srv.DeleteAt(path, at.Add(time.Second))
+		cre := srv.CreateAt(path, 16*storage.MB, at.Add(2*time.Second))
+		srv.Flush()
+		if err := <-del; err != nil {
+			t.Fatalf("iteration %d: delete: %v", i, err)
+		}
+		if err := <-cre; err != nil {
+			t.Fatalf("iteration %d: create behind the delete: %v", i, err)
+		}
+		if info, err := srv.Stat(path); err != nil || info.Size != 16*storage.MB {
+			t.Fatalf("iteration %d: stat after delete→create: %+v, %v", i, info, err)
+		}
+	}
+	if st := srv.Stats(); st.Deletes != 50 || st.DeleteErrors != 0 || st.CreateErrors != 0 {
+		t.Fatalf("Deletes = %d, DeleteErrors = %d, CreateErrors = %d, want 50, 0, 0",
+			st.Deletes, st.DeleteErrors, st.CreateErrors)
+	}
 	if v := srv.Verify(); len(v) > 0 {
 		t.Fatalf("invariants: %v", v)
 	}
@@ -293,10 +456,10 @@ func TestMigrateFileSupersededNotCounted(t *testing.T) {
 	if sup := srv.reb.superseded.Load(); sup != 1 {
 		t.Fatalf("superseded = %d, want 1", sup)
 	}
-	if srv.shards[owner].srv.Exists(path) {
+	if holds(srv.shards[owner], path) {
 		t.Fatal("stale source copy survived the commit")
 	}
-	if !srv.shards[dst].srv.Exists(path) {
+	if !holds(srv.shards[dst], path) {
 		t.Fatal("destination copy vanished")
 	}
 	if v := srv.Verify(); len(v) > 0 {

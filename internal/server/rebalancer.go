@@ -99,8 +99,8 @@ type RebalanceStats struct {
 	BytesMoved int64   `json:"bytes_moved"`
 	Superseded int64   `json:"superseded"` // stale source copies dropped after a client recreate on dst (no bytes copied)
 	Rehomed    int64   `json:"rehomed"`    // cold committed routes folded back to static routing
-	Spread     float64 `json:"spread"` // last observed max/mean shard-load ratio
-	Routes     int     `json:"routes"` // current route-table entries
+	Spread     float64 `json:"spread"`     // last observed max/mean shard-load ratio
+	Routes     int     `json:"routes"`     // current route-table entries
 }
 
 // trackerCap bounds the per-dir counter map; dirs beyond the cap still count
@@ -216,8 +216,8 @@ func (r *rebalancer) start(timeScale float64) {
 }
 
 // halt stops the detection loop and waits for any in-flight round. Must run
-// BEFORE the shard loops close: a round mid-migration Execs on shard loops,
-// and Exec on a closed server never returns.
+// BEFORE the shard loops close: a round mid-migration runs on shard loops,
+// and inLoop on a stopped shard never returns.
 func (r *rebalancer) halt() {
 	close(r.stop)
 	r.wg.Wait()
@@ -232,7 +232,7 @@ func (r *rebalancer) exec(sh *shard, fn func(*dfs.FileSystem)) {
 		fn(sh.fs)
 		return
 	}
-	sh.srv.Exec(fn)
+	sh.inLoop(fn)
 }
 
 func (r *rebalancer) snapshot() RebalanceStats {
@@ -660,7 +660,7 @@ func (r *rebalancer) attachOn(sh *shard, rec dfs.FileRecord) error {
 			return
 		}
 		if f, gerr := fs.Namespace().GetFile(rec.Path); gerr == nil {
-			sh.srv.indexFile(f)
+			sh.indexFile(f)
 		}
 	})
 	return aerr

@@ -9,6 +9,7 @@ package server
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"octostore/internal/cluster"
 	"octostore/internal/dfs"
@@ -30,7 +31,7 @@ func TestChurnRefreshesHandleDevices(t *testing.T) {
 		Plane: storage.NewContendedPlane(storage.PlaneConfig{}),
 	})
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModePinnedHDD, Seed: 2, Replication: 2})
-	srv := New(fs, nil, Config{})
+	sh := newShard(0, fs, nil, Config{})
 
 	var f *dfs.File
 	fs.Create("/r/f0", 16*storage.MB, func(file *dfs.File, err error) {
@@ -40,10 +41,10 @@ func TestChurnRefreshesHandleDevices(t *testing.T) {
 		f = file
 	})
 	e.Run()
-	srv.Start()
-	defer srv.Close()
+	sh.startAt(time.Now(), e.Now())
+	defer sh.stop()
 
-	h, ok := srv.resolve("/r/f0")
+	h, ok := sh.ns.get("/r/f0")
 	if !ok {
 		t.Fatal("file not indexed")
 	}
@@ -52,7 +53,7 @@ func TestChurnRefreshesHandleDevices(t *testing.T) {
 		t.Fatalf("representative device %v not on block 0's node %s", got, victim.Name())
 	}
 
-	srv.Exec(func(fs *dfs.FileSystem) { fs.FailNode(victim) })
+	sh.inLoop(func(fs *dfs.FileSystem) { fs.FailNode(victim) })
 
 	if !f.HasReplicaOn(storage.HDD) {
 		t.Fatal("file lost HDD residency; the no-flip stale case was not constructed")

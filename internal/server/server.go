@@ -1,12 +1,10 @@
-// Package server is the concurrent serving layer over the tiered DFS: it
-// wraps a dfs.FileSystem (plus an optional core.Manager) as a thread-safe
-// service that any number of client goroutines drive simultaneously, while
-// the deterministic single-threaded simulation core underneath stays
-// untouched.
+// Package server is the concurrent serving layer over the tiered DFS: one
+// ShardedServer that any number of client goroutines drive simultaneously,
+// while the deterministic single-threaded simulation cores underneath stay
+// untouched. The namespace is partitioned into N shards (see sharded.go);
+// this file is one shard — a single-writer loop with a striped read path:
 //
-// The architecture is a single-writer core with a sharded read path:
-//
-//   - A dedicated core-loop goroutine owns the sim.Engine, the FileSystem,
+//   - A dedicated shard-loop goroutine owns the sim.Engine, the FileSystem,
 //     and the Manager. Structural operations (create, delete, node churn,
 //     quiesce) are commands applied there in arrival order, each clamped
 //     forward to its virtual timestamp.
@@ -16,7 +14,7 @@
 //     locks, so metadata traffic in independent directories never
 //     serializes.
 //   - Access events ride a bounded MPSC ring (eventRing): the client hot
-//     path is a shard lookup plus a lock-free push, and the core loop
+//     path is a stripe lookup plus a lock-free push, and the shard loop
 //     drains the ring in batches, feeding the tracker, the candidate
 //     index, and the upgrade hook off the client's critical path.
 //   - Replica movement runs on the MovementExecutor (per-tier pools,
@@ -28,13 +26,12 @@
 // time onto the virtual clock so device transfers, periodic policy ticks,
 // and movement all progress while clients hammer the service. With
 // TimeScale == 0 the server is replay-driven: callers stamp each operation
-// with an explicit virtual time (CreateAt/AccessAt/DeleteAt) and fence with
-// Flush, which is how the differential tests replay one trace through the
-// sequential simulator and through the server and compare final states.
+// with an explicit virtual time (Op.At) and fence with Flush, which is how
+// the differential tests replay one trace through the sequential simulator
+// and through the server and compare final states.
 package server
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +44,7 @@ import (
 	"octostore/internal/storage"
 )
 
-// Config tunes the serving layer.
+// Config tunes each shard's serving loop.
 type Config struct {
 	// Shards is the namespace stripe count (rounded up to a power of two,
 	// default 64).
@@ -84,9 +81,6 @@ type Config struct {
 	// executor. Nil (the default) disables every hook behind a single
 	// pointer check, leaving the differential suites bit-for-bit.
 	Obs *obs.Hub
-	// ObsShard labels this server's metrics and spans when several shards
-	// share one hub.
-	ObsShard int
 }
 
 func (c *Config) applyDefaults() {
@@ -105,6 +99,37 @@ func (c *Config) applyDefaults() {
 	if c.QuiesceMaxSteps <= 0 {
 		c.QuiesceMaxSteps = 5_000_000
 	}
+}
+
+// OpKind selects what an Op does.
+type OpKind uint8
+
+const (
+	// OpAccess records a client read and returns the tier that serves it.
+	OpAccess OpKind = iota
+	// OpCreate writes a new file of Op.Size bytes.
+	OpCreate
+	// OpDelete removes a file.
+	OpDelete
+)
+
+// Op is one client request: the single value the router and the shard loops
+// take. The zero At means "now on the server's clock" (Clock()), the zero
+// Tenant is storage.DefaultTenant (untagged traffic).
+type Op struct {
+	Kind OpKind
+	Path string
+	// Size is the file size of a create.
+	Size int64
+	// At is the virtual time the op happens at. Open-loop and replay drivers
+	// stamp it with the intended arrival so the policy layer sees the
+	// arrival process, not the dispatch process.
+	At time.Time
+	// Tenant tags the op end to end: plane charges (weighted-fair
+	// arbitration on a multi-tenant plane), the tenant's read-latency
+	// histogram, and — for creates — the ledger budget a capacity borrow is
+	// admitted against.
+	Tenant storage.TenantID
 }
 
 // AccessResult describes how an access was served.
@@ -127,38 +152,45 @@ type FileInfo struct {
 	Residency [3]bool
 }
 
-// command is one unit of core-loop work, applied at virtual time >= at.
+// command is one unit of shard-loop work, applied at virtual time >= at.
 type command struct {
 	at  time.Time
 	run func()
 }
 
-// Server is the concurrent front end. Construct with New, call Start, then
-// any number of goroutines may use the client API concurrently. Close
-// drains outstanding work and stops the core loop; afterwards the caller
-// may touch the FileSystem directly again.
-type Server struct {
+// shard is one namespace partition: a private simulation stack — engine,
+// file system, manager, access ring, movement executor — drained by its own
+// single-writer loop, plus the quota agent that grows the shard's capacity
+// slice out of the global ledger. ShardedServer routes client ops to shards;
+// nothing outside the loop goroutine touches fs, engine or mgr between
+// startAt and stop.
+type shard struct {
+	idx    int // position in ShardedServer.shards; labels metrics and spans
 	cfg    Config
 	fs     *dfs.FileSystem
 	engine *sim.Engine
 	mgr    *core.Manager // nil for unmanaged serving
+	// quota and reconcile are the shard's side of the sharded capacity
+	// accounting, set by NewSharded and Start.
+	quota     *shardQuota
+	reconcile *sim.Ticker
 
 	ns   *nsShards
 	ring *eventRing
 	exec *MovementExecutor
 	cmds chan command
-	// plane is the file system's data plane, cached at Start so the client
+	// plane is the file system's data plane, cached at start so the client
 	// read path charges tier-real service times without touching the
-	// core-loop-owned fs. Nil disables latency modeling (free reads).
+	// loop-owned fs. Nil disables latency modeling (free reads).
 	plane storage.DataPlane
-	// backend is the file system's physical backend, cached at Start like
+	// backend is the file system's physical backend, cached at start like
 	// the plane but only when it performs real I/O: the client read path
 	// then streams real bytes per access and the measured wall-clock
 	// latencies feed the read histograms. Nil (or an attached backend.Sim)
 	// keeps the access path untouched.
 	backend backend.Backend
 
-	// Core-loop-owned state.
+	// Loop-owned state.
 	byID            map[dfs.FileID]*handle
 	createsInFlight int
 	evBuf           []accessEvent
@@ -170,7 +202,7 @@ type Server struct {
 	readLat    [3]Histogram // tier-real virtual read latencies, by tier served
 
 	// tenantSlot maps configured tenant ids to tenantLat indices; both are
-	// immutable after New, so client goroutines read them lock-free.
+	// immutable after newShard, so client goroutines read them lock-free.
 	tenantSlot map[storage.TenantID]int
 	tenantLat  []Histogram
 	slo        *sloController // nil unless a tenant declares a ReadSLO
@@ -179,7 +211,7 @@ type Server struct {
 	wallStart time.Time
 	virtStart time.Time
 
-	// obs mirrors cfg.Obs (nil = disabled); loopBusyNS accumulates the core
+	// obs mirrors cfg.Obs (nil = disabled); loopBusyNS accumulates the
 	// loop's busy wall time for the utilization gauge, written only when obs
 	// is enabled so the disabled loop stays free of clock reads.
 	obs        *obs.Hub
@@ -190,11 +222,10 @@ type Server struct {
 	started   bool
 }
 
-// New wraps a file system (and optional manager) as a serving layer. The
-// caller must not touch fs, its engine, or mgr between Start and Close —
-// the core loop owns them. When mgr is non-nil its movement requests are
-// rerouted through the server's MovementExecutor.
-func New(fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *Server {
+// newShard wraps a file system (and optional manager) as shard idx's serving
+// loop. When mgr is non-nil its movement requests are rerouted through the
+// shard's MovementExecutor.
+func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard {
 	cfg.applyDefaults()
 	// Unless overridden, movement starts after the same command-path
 	// latency the manager's core config models, so the serving path's
@@ -202,7 +233,8 @@ func New(fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *Server {
 	if cfg.Executor.MoveLatency <= 0 && mgr != nil {
 		cfg.Executor.MoveLatency = mgr.Context().Cfg.MoveLatency
 	}
-	s := &Server{
+	sh := &shard{
+		idx:    idx,
 		cfg:    cfg,
 		fs:     fs,
 		engine: fs.Engine(),
@@ -214,186 +246,154 @@ func New(fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *Server {
 		byID:   make(map[dfs.FileID]*handle),
 	}
 	if len(cfg.Tenants) > 0 {
-		s.tenantSlot = make(map[storage.TenantID]int, len(cfg.Tenants))
-		s.tenantLat = make([]Histogram, len(cfg.Tenants))
+		sh.tenantSlot = make(map[storage.TenantID]int, len(cfg.Tenants))
+		sh.tenantLat = make([]Histogram, len(cfg.Tenants))
 		for i, t := range cfg.Tenants {
-			s.tenantSlot[t.ID] = i
+			sh.tenantSlot[t.ID] = i
 		}
-		s.slo = newSLOController(s, cfg.SLO, cfg.Tenants)
+		sh.slo = newSLOController(sh, cfg.SLO, cfg.Tenants)
 	}
-	s.obs = cfg.Obs
-	s.exec.setObs(cfg.Obs, cfg.ObsShard)
+	sh.obs = cfg.Obs
+	sh.exec.setObs(cfg.Obs, idx)
 	if mgr != nil {
-		mgr.SetMover(s.exec)
+		mgr.SetMover(sh.exec)
 	}
-	fs.AddListener(serverListener{s})
+	fs.AddListener(shardListener{sh})
 	// Node loss can remove a tier's representative replica without a
 	// residency flip (the file stays fully resident via other nodes), so
 	// membership changes re-publish every handle's per-tier device. The
-	// hook runs on whatever loop applies the churn — always the core loop
-	// while the server runs (Exec, scenario perturbations, shard fan-out).
-	fs.AddMembershipHook(s.refreshDevices)
-	return s
+	// hook runs on whatever goroutine applies the churn — always the shard
+	// loop while it runs (inLoop, scenario perturbations, the fan-out API).
+	fs.AddMembershipHook(func([3]int64) { sh.refreshDevices() })
+	return sh
 }
 
-// Executor exposes the movement executor (stats are goroutine-safe).
-func (s *Server) Executor() *MovementExecutor { return s.exec }
+// stats snapshots the serving counters.
+func (sh *shard) stats() ServeStats { return sh.counters.snapshot(sh.ring.Dropped()) }
 
-// Stats snapshots the serving counters.
-func (s *Server) Stats() ServeStats { return s.counters.snapshot(s.ring.Dropped()) }
-
-// AccessLatency returns the access-path latency histogram.
-func (s *Server) AccessLatency() *Histogram { return &s.accessHist }
-
-// MutateLatency returns the create/delete latency histogram.
-func (s *Server) MutateLatency() *Histogram { return &s.mutateHist }
-
-// ReadLatency returns the tier-real virtual read-latency histogram for one
-// tier: the data-plane service times (queue + base + transfer) of accesses
-// served from it. Empty without an attached plane.
-func (s *Server) ReadLatency(m storage.Media) *Histogram { return &s.readLat[m] }
-
-// TenantReadLatency returns the configured tenant's read-latency histogram
-// across all tiers, or nil for an unknown tenant.
-func (s *Server) TenantReadLatency(t storage.TenantID) *Histogram {
-	if slot, ok := s.tenantSlot[t]; ok {
-		return &s.tenantLat[slot]
-	}
-	return nil
-}
-
-// SLOStats snapshots the admission controller (zero without one).
-func (s *Server) SLOStats() SLOStats {
-	if s.slo == nil {
+// sloStats snapshots the admission controller (zero without one).
+func (sh *shard) sloStats() SLOStats {
+	if sh.slo == nil {
 		return SLOStats{}
 	}
-	return s.slo.stats()
+	return sh.slo.stats()
 }
 
-// Start indexes pre-existing files and launches the core loop (and, under
-// live pacing, the wall-clock pacer).
-func (s *Server) Start() { s.startAt(time.Now(), s.engine.Now()) }
-
-// startAt is Start with the pacer's origin given: wall instant `wall` maps
-// to virtual instant `virt`. ShardedServer.Start hands every shard the same
-// pair, so all shards' clocks are one function of wall time.
-func (s *Server) startAt(wall, virt time.Time) {
-	if s.started {
+// startAt indexes pre-existing files and launches the shard loop (and, under
+// live pacing, the wall-clock pacer) with the pacer's origin given: wall
+// instant `wall` maps to virtual instant `virt`. ShardedServer.Start hands
+// every shard the same pair, so all shards' clocks are one function of wall
+// time.
+func (sh *shard) startAt(wall, virt time.Time) {
+	if sh.started {
 		return
 	}
-	s.started = true
-	s.plane = s.fs.DataPlane()
-	if b := s.fs.Backend(); b != nil && b.Physical() {
-		s.backend = b
+	sh.started = true
+	sh.plane = sh.fs.DataPlane()
+	if b := sh.fs.Backend(); b != nil && b.Physical() {
+		sh.backend = b
 	}
-	for _, f := range s.fs.LiveFiles() {
-		if s.fs.Complete(f) {
-			s.indexFile(f)
+	for _, f := range sh.fs.LiveFiles() {
+		if sh.fs.Complete(f) {
+			sh.indexFile(f)
 		}
 	}
-	s.wallStart = wall
-	s.virtStart = virt
-	s.registerObs()
-	if s.slo != nil {
-		// Installed before the core loop launches (the engine still belongs
-		// to this goroutine here); ticks then run as engine events on the
-		// core loop.
-		s.sloTicker = s.engine.Every(s.slo.cfg.Interval, s.slo.tick)
+	sh.wallStart = wall
+	sh.virtStart = virt
+	sh.registerObs()
+	if sh.slo != nil {
+		// Installed before the loop launches (the engine still belongs to
+		// this goroutine here); ticks then run as engine events on the loop.
+		sh.sloTicker = sh.engine.Every(sh.slo.cfg.Interval, sh.slo.tick)
 	}
-	s.wg.Add(1)
-	go s.loop()
-	if s.cfg.TimeScale > 0 {
-		s.pacerStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.pace()
+	sh.wg.Add(1)
+	go sh.loop()
+	if sh.cfg.TimeScale > 0 {
+		sh.pacerStop = make(chan struct{})
+		sh.wg.Add(1)
+		go sh.pace()
 	}
 }
 
-// Close quiesces and shuts the server down. All client goroutines must have
+// stop quiesces and shuts the loop down. All client goroutines must have
 // stopped issuing operations first.
-func (s *Server) Close() {
-	if !s.started {
+func (sh *shard) stop() {
+	if !sh.started {
 		return
 	}
-	if s.pacerStop != nil {
-		close(s.pacerStop)
+	if sh.pacerStop != nil {
+		close(sh.pacerStop)
 	}
-	s.Flush()
-	s.cmds <- command{run: func() { s.closed = true }}
-	s.wg.Wait()
-	s.started = false
-	if s.sloTicker != nil {
-		// The core loop has stopped; the engine belongs to this goroutine
-		// again.
-		s.sloTicker.Stop()
-		s.sloTicker = nil
+	sh.flush()
+	sh.cmds <- command{run: func() { sh.closed = true }}
+	sh.wg.Wait()
+	sh.started = false
+	if sh.sloTicker != nil {
+		// The loop has stopped; the engine belongs to this goroutine again.
+		sh.sloTicker.Stop()
+		sh.sloTicker = nil
 	}
-	if s.mgr != nil {
-		s.mgr.SetMover(nil)
+	if sh.mgr != nil {
+		sh.mgr.SetMover(nil)
 	}
 }
 
-// Clock returns the current wall-mapped virtual time (zero in replay mode,
-// meaning "at the core loop's current virtual time"). Open-loop drivers use
-// it as the base for stamping intended arrival times onto submitted ops.
-func (s *Server) Clock() time.Time { return s.clock() }
-
 // clock maps wall time to the virtual timeline under live pacing; in replay
-// mode it returns the zero time, meaning "at the core loop's current
-// virtual time".
-func (s *Server) clock() time.Time {
-	if s.cfg.TimeScale <= 0 {
+// mode it returns the zero time, meaning "at the loop's current virtual
+// time".
+func (sh *shard) clock() time.Time {
+	if sh.cfg.TimeScale <= 0 {
 		return time.Time{}
 	}
-	return s.virtStart.Add(time.Duration(float64(time.Since(s.wallStart)) * s.cfg.TimeScale))
+	return sh.virtStart.Add(time.Duration(float64(time.Since(sh.wallStart)) * sh.cfg.TimeScale))
 }
 
 // pace periodically advances virtual time to the wall-mapped clock so
 // transfers complete and periodic policy ticks fire while clients drive
 // live load.
-func (s *Server) pace() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.PaceInterval)
+func (sh *shard) pace() {
+	defer sh.wg.Done()
+	t := time.NewTicker(sh.cfg.PaceInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.pacerStop:
+		case <-sh.pacerStop:
 			return
 		case <-t.C:
 			select {
-			case s.cmds <- command{at: s.clock(), run: func() {}}:
-			case <-s.pacerStop:
+			case sh.cmds <- command{at: sh.clock(), run: func() {}}:
+			case <-sh.pacerStop:
 				return
 			}
 		}
 	}
 }
 
-// loop is the core loop: the only goroutine that touches the engine, the
-// file system, and the manager while the server runs.
-func (s *Server) loop() {
-	defer s.wg.Done()
-	for !s.closed {
+// loop is the shard loop: the only goroutine that touches the engine, the
+// file system, and the manager while the shard runs.
+func (sh *shard) loop() {
+	defer sh.wg.Done()
+	for !sh.closed {
 		select {
-		case c := <-s.cmds:
-			t0 := s.busyStart()
-			s.drainRing()
-			s.applyCmd(c)
-			s.busyEnd(t0)
-		case <-s.ring.wake:
-			t0 := s.busyStart()
-			s.drainRing()
-			s.busyEnd(t0)
+		case c := <-sh.cmds:
+			t0 := sh.busyStart()
+			sh.drainRing()
+			sh.applyCmd(c)
+			sh.busyEnd(t0)
+		case <-sh.ring.wake:
+			t0 := sh.busyStart()
+			sh.drainRing()
+			sh.busyEnd(t0)
 		}
 	}
 	// Final drain so no published event is silently lost.
-	s.drainRing()
+	sh.drainRing()
 }
 
 // applyCmd advances virtual time to the command's stamp and runs it.
-func (s *Server) applyCmd(c command) {
-	if !c.at.IsZero() && c.at.After(s.engine.Now()) {
-		s.engine.RunUntil(c.at)
+func (sh *shard) applyCmd(c command) {
+	if !c.at.IsZero() && c.at.After(sh.engine.Now()) {
+		sh.engine.RunUntil(c.at)
 	}
 	if c.run != nil {
 		c.run()
@@ -403,33 +403,33 @@ func (s *Server) applyCmd(c command) {
 // drainRing applies published access events in batch: each event advances
 // virtual time to its stamp and replays through dfs.RecordAccess, which
 // feeds the tracker, the candidate index, and the manager's upgrade hook.
-func (s *Server) drainRing() {
-	s.evBuf = s.evBuf[:0]
+func (sh *shard) drainRing() {
+	sh.evBuf = sh.evBuf[:0]
 	for {
-		ev, ok := s.ring.pop()
+		ev, ok := sh.ring.pop()
 		if !ok {
 			break
 		}
-		s.evBuf = append(s.evBuf, ev)
+		sh.evBuf = append(sh.evBuf, ev)
 	}
-	if len(s.evBuf) == 0 {
+	if len(sh.evBuf) == 0 {
 		return
 	}
-	s.counters.batches.Add(1)
-	for _, ev := range s.evBuf {
-		if ev.at.After(s.engine.Now()) {
-			s.engine.RunUntil(ev.at)
+	sh.counters.batches.Add(1)
+	for _, ev := range sh.evBuf {
+		if ev.at.After(sh.engine.Now()) {
+			sh.engine.RunUntil(ev.at)
 		}
-		if f, ok := s.byID[ev.id]; ok && !f.file.Deleted() {
-			s.fs.RecordAccess(f.file)
-			s.counters.drained.Add(1)
+		if f, ok := sh.byID[ev.id]; ok && !f.file.Deleted() {
+			sh.fs.RecordAccess(f.file)
+			sh.counters.drained.Add(1)
 		}
 	}
 }
 
-// indexFile publishes a completed file to the striped namespace. Core loop
+// indexFile publishes a completed file to the striped namespace. Shard loop
 // only.
-func (s *Server) indexFile(f *dfs.File) {
+func (sh *shard) indexFile(f *dfs.File) {
 	h := &handle{id: f.ID(), path: f.Path(), size: f.Size(), file: f, blk0: -1}
 	if blocks := f.Blocks(); len(blocks) > 0 {
 		h.blk0, h.blk0Size = blocks[0].ID(), blocks[0].Size()
@@ -440,22 +440,22 @@ func (s *Server) indexFile(f *dfs.File) {
 			h.setResident(m, true)
 		}
 	}
-	s.byID[f.ID()] = h
-	s.ns.put(h)
+	sh.byID[f.ID()] = h
+	sh.ns.put(h)
 }
 
 // refreshDevices re-publishes every handle's per-tier representative
-// device; the membership hook runs it after node churn (see New). O(files),
-// and churn is rare. Core loop only.
-func (s *Server) refreshDevices() {
-	// Guard on the server's cached plane/backend (the ones AccessAt uses),
-	// not the fs's live ones: pre-Start churn may skip the walk (Start
-	// re-indexes every handle anyway), and swapping either after Start is
+// device; the membership hook runs it after node churn (see newShard).
+// O(files), and churn is rare. Shard loop only.
+func (sh *shard) refreshDevices() {
+	// Guard on the shard's cached plane/backend (the ones access uses), not
+	// the fs's live ones: pre-start churn may skip the walk (startAt
+	// re-indexes every handle anyway), and swapping either after start is
 	// unsupported.
-	if s.plane == nil && s.backend == nil {
+	if sh.plane == nil && sh.backend == nil {
 		return // pointers are only read for plane charging and real reads
 	}
-	for _, h := range s.byID {
+	for _, h := range sh.byID {
 		for _, m := range storage.AllMedia {
 			if h.file.HasReplicaOn(m) {
 				h.setDevice(m, tierDevice(h.file, m))
@@ -465,7 +465,7 @@ func (s *Server) refreshDevices() {
 }
 
 // tierDevice picks the file's representative device on a tier (the first
-// block's replica) for data-plane charging. Core loop only.
+// block's replica) for data-plane charging. Shard loop only.
 func tierDevice(f *dfs.File, m storage.Media) *storage.Device {
 	blocks := f.Blocks()
 	if len(blocks) == 0 {
@@ -477,23 +477,23 @@ func tierDevice(f *dfs.File, m storage.Media) *storage.Device {
 	return nil
 }
 
-// serverListener keeps the striped namespace coherent with the core:
+// shardListener keeps the striped namespace coherent with the core:
 // residency flips update handle masks, deletions unindex.
-type serverListener struct{ s *Server }
+type shardListener struct{ sh *shard }
 
 // FileCreated implements dfs.Listener; indexing happens in the create
 // command's completion (which runs right after this notification), so
 // nothing to do here.
-func (serverListener) FileCreated(*dfs.File) {}
+func (shardListener) FileCreated(*dfs.File) {}
 
 // FileAccessed implements dfs.Listener.
-func (serverListener) FileAccessed(*dfs.File) {}
+func (shardListener) FileAccessed(*dfs.File) {}
 
 // FileDeleted implements dfs.Listener.
-func (l serverListener) FileDeleted(f *dfs.File) {
-	if _, ok := l.s.byID[f.ID()]; ok {
-		delete(l.s.byID, f.ID())
-		l.s.ns.remove(f.Path())
+func (l shardListener) FileDeleted(f *dfs.File) {
+	if _, ok := l.sh.byID[f.ID()]; ok {
+		delete(l.sh.byID, f.ID())
+		l.sh.ns.remove(f.Path())
 	}
 }
 
@@ -501,8 +501,8 @@ func (l serverListener) FileDeleted(f *dfs.File) {
 // so client reads pick their serving tier lock-free. The representative
 // device is published before the residency bit turns on (and cleared after
 // it turns off), so a reader that observes the bit finds a device.
-func (l serverListener) FileTierChanged(f *dfs.File, media storage.Media, resident bool) {
-	if h, ok := l.s.byID[f.ID()]; ok {
+func (l shardListener) FileTierChanged(f *dfs.File, media storage.Media, resident bool) {
+	if h, ok := l.sh.byID[f.ID()]; ok {
 		if resident {
 			h.setDevice(media, tierDevice(f, media))
 			h.setResident(media, true)
@@ -514,163 +514,113 @@ func (l serverListener) FileTierChanged(f *dfs.File, media storage.Media, reside
 }
 
 // TierDataAdded implements dfs.Listener.
-func (serverListener) TierDataAdded(storage.Media) {}
+func (shardListener) TierDataAdded(storage.Media) {}
 
-// --- Client API ---
+// --- The op path: one implementation per kind. Paths arrive canonical
+// (ShardedServer.route cleaned them), the form the namespace indexes. ---
 
-// CreateAt submits a file creation stamped with the given virtual time and
-// returns a buffered channel that receives the final outcome once the write
-// pipeline commits (or fails). The zero time means "now".
-func (s *Server) CreateAt(path string, size int64, at time.Time) <-chan error {
-	return s.CreateAtAs(path, size, at, storage.DefaultTenant)
-}
-
-// CreateAtAs is CreateAt with a tenant identity: the write pipeline's plane
-// charges are tagged with the tenant (initial block writes happen
-// synchronously inside the create call, so scoping the file system's active
-// tenant around it suffices).
-func (s *Server) CreateAtAs(path string, size int64, at time.Time, tenant storage.TenantID) <-chan error {
+// create submits a file creation stamped with op.At and returns a buffered
+// channel that receives the final outcome once the write pipeline commits
+// (or fails). The write pipeline's plane charges are tagged with op.Tenant:
+// initial block writes happen synchronously inside the create call, so
+// scoping the file system's active tenant around it suffices.
+func (sh *shard) create(op Op) <-chan error {
 	res := make(chan error, 1)
-	sp, spStart := s.sampleSpan("create", path, tenant)
+	sp, spStart := sh.sampleSpan("create", op.Path, op.Tenant)
 	if sp != nil {
-		sp.Bytes = size
+		sp.Bytes = op.Size
 	}
 	start := time.Now()
-	s.cmds <- command{at: at, run: func() {
+	sh.cmds <- command{at: op.At, run: func() {
 		if sp != nil {
-			// Time from submission until the core loop picks the command up —
-			// the create's queueing delay behind other commands and drains.
+			// Time from submission until the loop picks the command up — the
+			// create's queueing delay behind other commands and drains.
 			sp.RingNS = time.Since(spStart).Nanoseconds()
 		}
-		s.createsInFlight++
-		s.fs.SetActiveTenant(tenant)
-		s.fs.Create(path, size, func(f *dfs.File, err error) {
-			s.createsInFlight--
+		sh.createsInFlight++
+		sh.fs.SetActiveTenant(op.Tenant)
+		sh.fs.Create(op.Path, op.Size, func(f *dfs.File, err error) {
+			sh.createsInFlight--
 			if err != nil {
-				s.counters.createErrors.Add(1)
+				sh.counters.createErrors.Add(1)
 			} else {
-				s.counters.creates.Add(1)
-				s.indexFile(f)
+				sh.counters.creates.Add(1)
+				sh.indexFile(f)
 			}
-			s.mutateHist.Observe(time.Since(start))
+			sh.mutateHist.Observe(time.Since(start))
 			if sp != nil {
 				msg := ""
 				if err != nil {
 					msg = err.Error()
 				}
-				s.finishSpan(sp, spStart, s.engine.Now(), msg)
+				sh.finishSpan(sp, spStart, sh.engine.Now(), msg)
 			}
 			res <- err
 		})
-		s.fs.SetActiveTenant(storage.DefaultTenant)
+		sh.fs.SetActiveTenant(storage.DefaultTenant)
 	}}
 	return res
 }
 
-// Create writes a file and blocks until the write pipeline completes.
-func (s *Server) Create(path string, size int64) error {
-	return <-s.CreateAt(path, size, s.clock())
+// delete submits a deletion stamped with op.At; done receives the outcome on
+// the shard loop. Nothing is counted here: whether a miss is the client's
+// outcome or one side of a migration epoch is the router's to know, so the
+// router books the one logical deletion (countDelete).
+func (sh *shard) delete(op Op, done func(error)) {
+	sh.cmds <- command{at: op.At, run: func() { done(sh.fs.Delete(op.Path)) }}
 }
 
-// CreateAs writes a file on behalf of a tenant, blocking for the outcome.
-func (s *Server) CreateAs(path string, size int64, tenant storage.TenantID) error {
-	return <-s.CreateAtAs(path, size, s.clock(), tenant)
-}
-
-// DeleteAt submits a deletion stamped with the given virtual time.
-func (s *Server) DeleteAt(path string, at time.Time) <-chan error {
-	res := make(chan error, 1)
-	clean, err := dfs.CleanPath(path)
+// countDelete books one client deletion's outcome and latency (safe off the
+// shard loop: atomic counters, lock-free histogram).
+func (sh *shard) countDelete(err error, start time.Time) {
 	if err != nil {
-		res <- err
-		return res
+		sh.counters.deleteErrors.Add(1)
+	} else {
+		sh.counters.deletes.Add(1)
 	}
-	start := time.Now()
-	s.cmds <- command{at: at, run: func() {
-		err := s.fs.Delete(clean)
-		if err != nil {
-			s.counters.deleteErrors.Add(1)
-		} else {
-			s.counters.deletes.Add(1)
-		}
-		s.mutateHist.Observe(time.Since(start))
-		res <- err
-	}}
-	return res
+	sh.mutateHist.Observe(time.Since(start))
 }
 
-// Delete removes a file, blocking for the outcome.
-func (s *Server) Delete(path string) error {
-	return <-s.DeleteAt(path, s.clock())
-}
-
-// detachAt removes a file at the stamped virtual time via the migration-
+// detach removes a file at the stamped virtual time via the migration-
 // teardown path: DetachFile releases the replicas and unindexes the handle
-// without counting a client deletion. The sharded delete path uses it to
-// clear the secondary copy during a migration epoch after the primary
-// delete already counted the client's one logical deletion.
-func (s *Server) detachAt(path string, at time.Time) <-chan error {
+// without counting a client deletion. The router uses it to clear the
+// fallback copy during a migration epoch after the primary delete already
+// counted the client's one logical deletion.
+func (sh *shard) detach(op Op) <-chan error {
 	res := make(chan error, 1)
-	s.cmds <- command{at: at, run: func() {
-		_, err := s.fs.DetachFile(path)
+	sh.cmds <- command{at: op.At, run: func() {
+		_, err := sh.fs.DetachFile(op.Path)
 		res <- err
 	}}
 	return res
 }
 
-// resolve looks a path up in the striped namespace. Paths are indexed in
-// canonical form, so a miss retries once through CleanPath — every
-// metadata entry point shares this, keeping non-canonical spellings
-// consistent across Access/Stat/Exists and the mutation paths (which
-// canonicalize inside dfs).
-func (s *Server) resolve(path string) (*handle, bool) {
-	h, ok := s.ns.get(path)
-	if !ok {
-		if clean, err := dfs.CleanPath(path); err == nil && clean != path {
-			h, ok = s.ns.get(clean)
-		}
-	}
-	return h, ok
-}
-
-// AccessAt records a client access at the given virtual time and returns
-// the tier that serves it, with the tier-real read latency when a data
-// plane is attached. This is the hot path: one striped-shard lookup, one
-// lock-free ring push, one atomic charge against the shared device
-// channel, zero core-loop involvement.
-func (s *Server) AccessAt(path string, at time.Time) (AccessResult, error) {
-	return s.AccessAtAs(path, at, storage.DefaultTenant)
-}
-
-// AccessAtAs is AccessAt with a tenant identity: the plane charge carries
-// the tenant (weighted-fair arbitration on a multi-tenant plane) and the
-// read latency lands in the tenant's histogram as well as the tier's.
-func (s *Server) AccessAtAs(path string, at time.Time, tenant storage.TenantID) (AccessResult, error) {
-	// Span capture costs one nil-check call when obs is off; the stage
-	// stamps below are all guarded on sp.
-	sp, spStart := s.sampleSpan("access", path, tenant)
-	h, ok := s.resolve(path)
-	if !ok {
-		s.counters.accessMisses.Add(1)
-		s.finishSpan(sp, spStart, at, "not found")
-		return AccessResult{}, fmt.Errorf("server: %w: %q", dfs.ErrNotFound, path)
-	}
+// access serves one client read of a resolved file at op.At and returns the
+// tier that serves it, with the tier-real read latency when a data plane is
+// attached. This is the hot path: one lock-free ring push, one atomic
+// charge against the shared device channel, zero shard-loop involvement.
+// The plane charge carries op.Tenant and the read latency lands in the
+// tenant's histogram as well as the tier's. Span capture costs one nil
+// check when obs is off; the stage stamps are all guarded on sp.
+func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) AccessResult {
+	at := op.At
 	if sp != nil {
+		sp.Shard = sh.idx // the epoch fallback may be serving, not the primary
 		sp.ResolveNS = time.Since(spStart).Nanoseconds()
 	}
-	s.counters.accesses.Add(1)
-	s.ring.push(accessEvent{id: h.id, at: at})
+	sh.counters.accesses.Add(1)
+	sh.ring.push(accessEvent{id: h.id, at: at})
 	if sp != nil {
 		sp.RingNS = time.Since(spStart).Nanoseconds()
 	}
 	tier, served := h.bestTier()
 	if !served {
-		s.counters.noReplica.Add(1)
-		s.finishSpan(sp, spStart, at, "no resident tier")
-		return AccessResult{}, nil
+		sh.counters.noReplica.Add(1)
+		sh.finishSpan(sp, spStart, at, "no resident tier")
+		return AccessResult{}
 	}
-	s.counters.servedByTier[tier].Add(1)
-	s.counters.bytesServed.Add(h.size)
+	sh.counters.servedByTier[tier].Add(1)
+	sh.counters.bytesServed.Add(h.size)
 	res := AccessResult{Tier: tier, Served: true}
 	if sp != nil {
 		sp.DecideNS = time.Since(spStart).Nanoseconds()
@@ -678,16 +628,16 @@ func (s *Server) AccessAtAs(path string, at time.Time, tenant storage.TenantID) 
 		sp.Bytes = h.size
 	}
 	// Charge the read's service time against the physical device channel.
-	// A zero stamp (replay-mode Access with no pacer) carries no usable
-	// virtual instant, so those reads stay unmodeled.
-	if s.plane != nil && !at.IsZero() {
+	// A zero stamp (replay mode with no pacer) carries no usable virtual
+	// instant, so those reads stay unmodeled.
+	if sh.plane != nil && !at.IsZero() {
 		if dev := h.device(tier); dev != nil {
-			g := s.plane.Serve(storage.IORequest{
+			g := sh.plane.Serve(storage.IORequest{
 				DeviceID: dev.ID(),
 				Media:    tier,
 				Dir:      storage.Read,
 				Class:    storage.ClassServe,
-				Tenant:   tenant,
+				Tenant:   op.Tenant,
 				Bytes:    h.size,
 				At:       at,
 			})
@@ -695,10 +645,10 @@ func (s *Server) AccessAtAs(path string, at time.Time, tenant storage.TenantID) 
 			// With a physical backend attached the histograms record the
 			// measured wall-clock read below instead of the virtual grant
 			// (the grant still books the channel for contention accounting).
-			if s.backend == nil {
-				s.readLat[tier].Observe(res.Latency)
-				if slot, ok := s.tenantSlot[tenant]; ok {
-					s.tenantLat[slot].Observe(res.Latency)
+			if sh.backend == nil {
+				sh.readLat[tier].Observe(res.Latency)
+				if slot, ok := sh.tenantSlot[op.Tenant]; ok {
+					sh.tenantLat[slot].Observe(res.Latency)
 				}
 			}
 			if sp != nil {
@@ -714,128 +664,87 @@ func (s *Server) AccessAtAs(path string, at time.Time, tenant storage.TenantID) 
 	// into the read histograms — the latencies are real, not modeled. A
 	// failed read (e.g. the replica moved between the residency load and
 	// the open) is counted in the backend's stats and served virtually.
-	if s.backend != nil && h.blk0 >= 0 {
+	if sh.backend != nil && h.blk0 >= 0 {
 		if dev := h.device(tier); dev != nil {
-			d, err := s.backend.Read(backend.Request{
-				Media: tier, Class: storage.ClassServe, Tenant: tenant,
+			d, err := sh.backend.Read(backend.Request{
+				Media: tier, Class: storage.ClassServe, Tenant: op.Tenant,
 				DeviceID: dev.ID(), BlockID: h.blk0, Bytes: h.blk0Size,
 			})
 			if err == nil {
 				res.Latency = d
-				s.readLat[tier].Observe(d)
-				if slot, ok := s.tenantSlot[tenant]; ok {
-					s.tenantLat[slot].Observe(d)
+				sh.readLat[tier].Observe(d)
+				if slot, ok := sh.tenantSlot[op.Tenant]; ok {
+					sh.tenantLat[slot].Observe(d)
 				}
 			}
 		}
 	}
-	s.finishSpan(sp, spStart, at, "")
-	return res, nil
+	sh.finishSpan(sp, spStart, at, "")
+	return res
 }
 
-// Access records an access now and returns the serving tier, observing the
-// access-path latency histogram.
-func (s *Server) Access(path string) (AccessResult, error) {
-	return s.AccessAs(path, storage.DefaultTenant)
-}
-
-// AccessAs records a tenant's access now and returns the serving tier.
-func (s *Server) AccessAs(path string, tenant storage.TenantID) (AccessResult, error) {
-	start := time.Now()
-	res, err := s.AccessAtAs(path, s.clock(), tenant)
-	s.accessHist.Observe(time.Since(start))
-	return res, err
-}
-
-// Stat returns the metadata snapshot of a served file (shard-only).
-func (s *Server) Stat(path string) (FileInfo, error) {
-	s.counters.stats.Add(1)
-	h, ok := s.resolve(path)
-	if !ok {
-		return FileInfo{}, fmt.Errorf("server: %w: %q", dfs.ErrNotFound, path)
-	}
-	return FileInfo{Path: h.path, Size: h.size, Residency: h.residency()}, nil
-}
-
-// Exists reports whether a served file exists (shard-only).
-func (s *Server) Exists(path string) bool {
-	_, ok := s.resolve(path)
-	return ok
-}
-
-// List returns the sorted file names directly under dir (shard-only).
-func (s *Server) List(dir string) []string {
-	s.counters.lists.Add(1)
-	if names := s.ns.list(dir); len(names) > 0 {
-		return names
-	}
-	if clean, err := dfs.CleanPath(dir); err == nil && clean != dir {
-		return s.ns.list(clean)
-	}
-	return nil
-}
-
-// Exec runs fn inside the core loop with exclusive access to the file
-// system — the escape hatch for perturbations (node churn) and final-state
-// inspection in tests and tools. It blocks until fn returns.
-func (s *Server) Exec(fn func(*dfs.FileSystem)) {
+// inLoop runs fn inside the shard loop with exclusive access to the file
+// system — how perturbations (node churn), quota borrows, migration halves
+// and final-state inspection reach loop-owned state. It blocks until fn
+// returns.
+func (sh *shard) inLoop(fn func(*dfs.FileSystem)) {
 	done := make(chan struct{})
-	s.cmds <- command{at: s.clock(), run: func() {
-		fn(s.fs)
+	sh.cmds <- command{at: sh.clock(), run: func() {
+		fn(sh.fs)
 		close(done)
 	}}
 	<-done
 }
 
-// Flush fences the serving layer: it blocks until every access event
-// published before the call is drained, all in-flight creates commit, and
-// the movement executor is idle, stepping the simulation forward as needed.
+// flush fences the shard: it blocks until every access event published
+// before the call is drained, all in-flight creates commit, and the
+// movement executor is idle, stepping the simulation forward as needed.
 // Under live load this is a best-effort barrier (new traffic may arrive
 // concurrently); with clients stopped it is a full quiescence point.
-func (s *Server) Flush() {
+func (sh *shard) flush() {
 	done := make(chan struct{})
-	s.cmds <- command{at: s.clock(), run: func() {
-		s.quiesce()
+	sh.cmds <- command{at: sh.clock(), run: func() {
+		sh.quiesce()
 		close(done)
 	}}
 	<-done
 }
 
-// quiesce drains outstanding asynchronous work inside the core loop. The
+// quiesce drains outstanding asynchronous work inside the shard loop. The
 // manager's periodic ticker keeps the event queue non-empty forever, so the
 // loop steps the engine only while real work (creates, movement) is
 // pending, exactly like the sequential harness's "step until the workload
 // completes" pattern.
-func (s *Server) quiesce() {
+func (sh *shard) quiesce() {
 	steps := 0
 	for {
-		s.drainRing()
+		sh.drainRing()
 		// Absorb queued commands without blocking: concurrent client ops
 		// and pacer ticks must not starve behind a flush.
 		for absorbed := true; absorbed; {
 			select {
-			case c := <-s.cmds:
-				s.applyCmd(c)
+			case c := <-sh.cmds:
+				sh.applyCmd(c)
 			default:
 				absorbed = false
 			}
 		}
-		if s.createsInFlight == 0 && s.exec.Idle() && s.ring.empty() && len(s.cmds) == 0 {
+		if sh.createsInFlight == 0 && sh.exec.Idle() && sh.ring.empty() && len(sh.cmds) == 0 {
 			return
 		}
-		if steps >= s.cfg.QuiesceMaxSteps {
+		if steps >= sh.cfg.QuiesceMaxSteps {
 			return // policy ping-pong protection; invariants hold regardless
 		}
-		if s.engine.Step() {
+		if sh.engine.Step() {
 			steps++
 			continue
 		}
 		// Outstanding work but no runnable event: wait for a command or a
 		// ring publication to make progress.
 		select {
-		case c := <-s.cmds:
-			s.applyCmd(c)
-		case <-s.ring.wake:
+		case c := <-sh.cmds:
+			sh.applyCmd(c)
+		case <-sh.ring.wake:
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"octostore/internal/ml"
 	"octostore/internal/policy"
 	"octostore/internal/server"
-	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
 
@@ -29,37 +28,40 @@ func servedWorkerSpec() storage.NodeSpec {
 	}
 }
 
-// buildServed wires a managed system plus serving layer for the live-load
-// tests: wall-paced virtual time, tight executor budgets so the budget
-// invariant is actually stressed.
-func buildServed(t *testing.T, workers int, ecfg server.ExecutorConfig) (*server.Server, *core.Manager, *dfs.FileSystem) {
+// buildServed wires a managed system behind a one-shard serving layer — the
+// degenerate shard count: one single-writer loop with the full capacity and
+// an empty pool — for the live-load tests: wall-paced virtual time, tight
+// executor budgets so the budget invariant is actually stressed.
+func buildServed(t *testing.T, workers int, ecfg server.ExecutorConfig) (*server.ShardedServer, *core.Manager) {
 	t.Helper()
-	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, cluster.Config{Workers: workers, SlotsPerNode: 4, Spec: servedWorkerSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: dfs.ModeOctopus, Seed: 11, ClientRate: 2000e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := core.NewContext(fs, core.DefaultConfig())
-	d, err := policy.NewDowngrade("lru", ctx, ml.DefaultLearnerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := policy.NewUpgrade("osa", ctx, ml.DefaultLearnerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := core.NewManager(ctx, d, u)
-	mgr.Start()
-	srv := server.New(fs, mgr, server.Config{
-		TimeScale:    240, // 4 virtual minutes per wall second: periodic ticks fire
-		PaceInterval: time.Millisecond,
-		Executor:     ecfg,
+	var mgr *core.Manager
+	srv, err := server.NewSharded(server.ShardedConfig{
+		Shards:  1,
+		Cluster: cluster.Config{Workers: workers, SlotsPerNode: 4, Spec: servedWorkerSpec()},
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: 11, ClientRate: 2000e6},
+		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
+			ctx := core.NewContext(fs, core.DefaultConfig())
+			d, err := policy.NewDowngrade("lru", ctx, ml.DefaultLearnerConfig())
+			if err != nil {
+				return nil, err
+			}
+			u, err := policy.NewUpgrade("osa", ctx, ml.DefaultLearnerConfig())
+			if err != nil {
+				return nil, err
+			}
+			mgr = core.NewManager(ctx, d, u)
+			return mgr, nil
+		},
+		Inner: server.Config{
+			TimeScale:    240, // 4 virtual minutes per wall second: periodic ticks fire
+			PaceInterval: time.Millisecond,
+			Executor:     ecfg,
+		},
 	})
-	return srv, mgr, fs
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, mgr
 }
 
 // TestConcurrentClientsWithChurn is the race-suite acceptance test:
@@ -82,7 +84,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 		// burst, is exercised under live pacing.
 		RateBytesPerSec: [3]float64{float64(64 * storage.MB), float64(128 * storage.MB), float64(256 * storage.MB)},
 	}
-	srv, mgr, fs := buildServed(t, 5, ecfg)
+	srv, mgr := buildServed(t, 5, ecfg)
 	srv.Start()
 
 	// Stage a shared hot set through the serving layer, concurrently.
@@ -122,24 +124,21 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 		case <-stopChurn:
 			return
 		}
-		srv.Exec(func(fs *dfs.FileSystem) {
-			nodes := fs.Cluster().Nodes()
-			victim := nodes[0]
-			for _, n := range nodes[1:] {
-				if n.ID() > victim.ID() {
-					victim = n
+		victim := -1
+		srv.Exec(func(_ int, fs *dfs.FileSystem) {
+			for _, n := range fs.Cluster().Nodes() {
+				if n.ID() > victim {
+					victim = n.ID()
 				}
 			}
-			fs.FailNode(victim)
 		})
+		srv.FailNode(victim)
 		select {
 		case <-time.After(150 * time.Millisecond):
 		case <-stopChurn:
 			return
 		}
-		srv.Exec(func(fs *dfs.FileSystem) {
-			fs.AddNode(servedWorkerSpec(), 4)
-		})
+		srv.AddNode(servedWorkerSpec(), 4)
 	}()
 
 	for c := 0; c < clients; c++ {
@@ -189,7 +188,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 
 	srv.Flush()
 	var invErr, acctErr, auditErr error
-	srv.Exec(func(fs *dfs.FileSystem) {
+	srv.Exec(func(_ int, fs *dfs.FileSystem) {
 		acctErr = fs.CheckAccounting()
 		invErr = fs.CheckInvariants()
 		auditErr = mgr.Context().Index().Audit()
@@ -208,7 +207,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 	if stats.Accesses == 0 || stats.Creates == 0 {
 		t.Fatalf("load did not exercise the server: %+v", stats)
 	}
-	ex := srv.Executor().Stats()
+	ex := srv.ExecutorStats()
 	if v := ex.CheckBudgets(); v != "" {
 		t.Fatalf("movement budget violated: %s (stats %+v)", v, ex)
 	}
@@ -216,17 +215,18 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 		t.Fatal("movement executor saw no requests; load did not stress tier movement")
 	}
 	srv.Close()
-	mgr.Stop()
-	if err := fs.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated after close: %v", err)
-	}
+	srv.Exec(func(_ int, fs *dfs.FileSystem) {
+		if err := fs.CheckInvariants(); err != nil {
+			t.Fatalf("invariants violated after close: %v", err)
+		}
+	})
 }
 
 // TestServedMetadataOps covers the shard-served metadata surface.
 func TestServedMetadataOps(t *testing.T) {
-	srv, mgr, _ := buildServed(t, 4, server.ExecutorConfig{})
+	srv, _ := buildServed(t, 4, server.ExecutorConfig{})
 	srv.Start()
-	defer func() { srv.Close(); mgr.Stop() }()
+	defer srv.Close()
 
 	if err := srv.Create("/a/b/one", 8*storage.MB); err != nil {
 		t.Fatal(err)
@@ -279,9 +279,9 @@ func TestServedMetadataOps(t *testing.T) {
 // accesses recorded through the serving hot path must land in the policy
 // context's per-file statistics after a flush.
 func TestAccessEventsFeedPolicies(t *testing.T) {
-	srv, mgr, _ := buildServed(t, 4, server.ExecutorConfig{})
+	srv, mgr := buildServed(t, 4, server.ExecutorConfig{})
 	srv.Start()
-	defer func() { srv.Close(); mgr.Stop() }()
+	defer srv.Close()
 
 	if err := srv.Create("/feed/f", 8*storage.MB); err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestAccessEventsFeedPolicies(t *testing.T) {
 	}
 	srv.Flush()
 	var count int64
-	srv.Exec(func(fs *dfs.FileSystem) {
+	srv.Exec(func(_ int, fs *dfs.FileSystem) {
 		f, err := fs.Open("/feed/f")
 		if err != nil {
 			t.Error(err)

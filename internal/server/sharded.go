@@ -19,10 +19,10 @@ import (
 // partitioned into N namespace shards, each owning a full private stack —
 // discrete-event engine, cluster view, dfs.FileSystem, core.Manager with
 // its CandidateIndex and tracker, access-event ring, and movement executor
-// — drained by its own dedicated shard loop (an inner Server). Mutations
-// and policy ticks in different shards never share a goroutine, a lock, or
-// an engine, so structural write throughput scales with cores instead of
-// serializing through one writer.
+// — drained by its own dedicated single-writer loop (shard, in server.go).
+// Mutations and policy ticks in different shards never share a goroutine, a
+// lock, or an engine, so structural write throughput scales with cores
+// instead of serializing through one writer.
 //
 // What cannot be partitioned is physical capacity and node membership:
 //
@@ -35,8 +35,10 @@ import (
 //     that need it while dfs.CheckAccounting holds inside every shard and
 //     the ledger's conservation equation holds globally at every step.
 //   - Node membership changes fan out: FailNode/AddNode apply to every
-//     shard's view (same node ids everywhere), and the capacity that
-//     left/joined is settled against the ledger totals.
+//     shard's view (same node ids everywhere). Each shard's membership
+//     hook settles the capacity that left or joined its own view against
+//     the ledger totals, on its own loop; the fan-out settles only the
+//     node's pooled remainder.
 //   - Device bandwidth lives behind the storage.DataPlane: every shard's
 //     view of one physical device shares that device's virtual-clock
 //     channel (keyed by the device ID, identical across views), so serve
@@ -45,10 +47,10 @@ import (
 //     rides in on Cluster.Plane, which every shard's view inherits.
 //
 // Paths route to shards by a hash of the parent directory — the same key
-// the inner server stripes its namespace by — so a directory listing stays
-// a single-shard operation and files in one directory share a shard.
-// shards=1 degenerates to exactly the single-writer serving layer (full
-// quota, empty pool, no protocol traffic).
+// each shard stripes its namespace by — so a directory listing stays a
+// single-shard operation and files in one directory share a shard.
+// shards=1 is the degenerate case, not a second type: one single-writer
+// loop with the full quota, an empty pool and no protocol traffic.
 
 // ShardBuilder wires the policy stack of one shard: given the shard's
 // private file system, it returns the shard's manager (nil for unmanaged
@@ -82,21 +84,11 @@ type ShardedConfig struct {
 	Rebalance RebalanceConfig
 }
 
-// shard is one partition: a private simulation stack plus its quota agent.
-type shard struct {
-	idx       int
-	engine    *sim.Engine
-	cluster   *cluster.Cluster
-	fs        *dfs.FileSystem
-	mgr       *core.Manager
-	srv       *Server
-	quota     *shardQuota
-	reconcile *sim.Ticker
-}
-
-// ShardedServer is the partitioned serving layer. Construct with
+// ShardedServer is the serving layer — the only one. Construct with
 // NewSharded, Start it, then any number of goroutines may use the client
-// API; shard routing is deterministic by parent directory.
+// API; shard routing is deterministic by parent directory. Close drains
+// outstanding work and stops the shard loops; afterwards the caller may
+// touch the file systems directly again (through Exec).
 type ShardedServer struct {
 	cfg    ShardedConfig
 	shards []*shard
@@ -116,9 +108,12 @@ type ShardedServer struct {
 	nodePooled map[int][3]int64
 	// running is true between Start and Close; outside that window Exec
 	// touches the shard file systems directly (the loops are stopped, so the
-	// caller's goroutine is the only one near them — same contract as the
-	// single-writer Server after Close).
+	// caller's goroutine is the only one near them).
 	running bool
+	// afterPrimaryMiss, when set, runs between a missed primary probe and
+	// the fallback probe of a migration epoch (see probe) — the seam the
+	// epoch regression tests use to land a migration exactly there.
+	afterPrimaryMiss func()
 }
 
 // splitSpec carves one shard's quota slice out of a node spec: each device
@@ -142,7 +137,7 @@ func splitSpec(spec storage.NodeSpec, shards int, frac float64) (shardSpec stora
 }
 
 // NewSharded builds the partitioned stack: per-shard engines, quota-sliced
-// cluster views, file systems, managers (via cfg.Build), and inner servers,
+// cluster views, file systems, managers (via cfg.Build), and shard loops,
 // plus the global capacity ledger.
 func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	if cfg.Shards <= 0 {
@@ -195,29 +190,26 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 			baseline[t] = nodeGrant[t] * workers
 		}
 		quota := newShardQuota(s.ledger, cl, cfg.Quota, baseline)
+		// Whoever applies node churn to this shard's view — the fan-out API
+		// or a scenario perturbation running inside the loop — the ledger
+		// total and the quota baseline follow in the same step.
+		fs.AddMembershipHook(quota.membershipChanged)
 		if mgr != nil {
 			// Policies see quota + borrowable pool when sizing decisions;
 			// watermarks stay quota-local (soft-quota contract).
 			mgr.Context().SetTierHeadroom(s.ledger.FreeBytes)
 		}
 		innerCfg := cfg.Inner
-		// Each inner server labels its metrics and spans with its shard index
-		// on the shared hub (innerCfg.Obs rides in on cfg.Inner).
-		innerCfg.ObsShard = i
 		// Movement destinations borrow quota right before each admitted
 		// move, on the shard loop, through the two-phase protocol.
 		innerCfg.Executor.PreMove = func(tier storage.Media, bytes int64) {
 			quota.EnsureSpread(tier, bytes, 1)
 		}
-		s.shards = append(s.shards, &shard{
-			idx:     i,
-			engine:  engine,
-			cluster: cl,
-			fs:      fs,
-			mgr:     mgr,
-			srv:     New(fs, mgr, innerCfg),
-			quota:   quota,
-		})
+		// Each shard labels its metrics and spans with its index on the
+		// shared hub (which rides in on cfg.Inner.Obs).
+		sh := newShard(i, fs, mgr, innerCfg)
+		sh.quota = quota
+		s.shards = append(s.shards, sh)
 	}
 	if cfg.Rebalance.Enabled && cfg.Shards > 1 {
 		s.reb = newRebalancer(s, cfg.Rebalance)
@@ -229,7 +221,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 // registerObs publishes the unpartitionable state — the global capacity
 // ledger's conservation terms and per-tenant borrow accounts, plus each
 // shard's quota-protocol traffic — into the hub's registry. Per-shard
-// serving metrics register inside each inner server's Start.
+// serving metrics register inside each shard's startAt.
 func (s *ShardedServer) registerObs() {
 	hub := s.cfg.Inner.Obs
 	if hub == nil {
@@ -286,11 +278,12 @@ func (s *ShardedServer) registerObs() {
 // NumShards returns the shard count.
 func (s *ShardedServer) NumShards() int { return len(s.shards) }
 
-// Clock returns the wall-mapped virtual time. Start gives every shard the
-// same pacer origin, so any shard's clock is the stamping base for all of
-// them (and what Access/AccessAs stamp with on whichever shard they route
-// to).
-func (s *ShardedServer) Clock() time.Time { return s.shards[0].srv.Clock() }
+// Clock returns the wall-mapped virtual time (zero in replay mode, meaning
+// "at the shard loop's current virtual time"): what an Op with a zero At is
+// stamped with, and the base open-loop drivers add intended arrival offsets
+// to. Start gives every shard the same pacer origin, so any shard's clock
+// is the clock of all of them.
+func (s *ShardedServer) Clock() time.Time { return s.shards[0].clock() }
 
 // Ledger exposes the global capacity ledger (all reads are atomic).
 func (s *ShardedServer) Ledger() *cluster.TierLedger { return s.ledger }
@@ -318,10 +311,10 @@ func (s *ShardedServer) Start() {
 		if sh.mgr != nil {
 			sh.mgr.Start()
 		}
-		sh.srv.startAt(wall, virt)
+		sh.startAt(wall, virt)
 		if s.cfg.Quota.ReconcileInterval > 0 && len(s.shards) > 1 {
 			sh := sh
-			sh.srv.Exec(func(*dfs.FileSystem) {
+			sh.inLoop(func(*dfs.FileSystem) {
 				sh.reconcile = sh.engine.Every(s.cfg.Quota.ReconcileInterval, sh.quota.Reconcile)
 			})
 		}
@@ -338,7 +331,7 @@ func (s *ShardedServer) Close() {
 		return
 	}
 	if s.reb != nil {
-		// Halt the rebalancer first: a round mid-migration Execs on the
+		// Halt the rebalancer first: a round mid-migration runs on the
 		// shard loops (so they must still be up), and rebalancer.exec reads
 		// s.running — the flip below must not race a live round into taking
 		// the direct-access path while the loops are still open.
@@ -346,7 +339,7 @@ func (s *ShardedServer) Close() {
 	}
 	s.running = false
 	for _, sh := range s.shards {
-		sh.srv.Close()
+		sh.stop()
 		if sh.reconcile != nil {
 			sh.reconcile.Stop() // loop stopped; direct access is safe now
 			sh.reconcile = nil
@@ -355,14 +348,6 @@ func (s *ShardedServer) Close() {
 			sh.mgr.Stop()
 		}
 	}
-}
-
-// canonicalPath returns the routing form of a client path. dfs.CleanPath
-// fast-paths already-canonical input without allocating, so routed ops pay
-// one scan here and the inner layers' re-cleaning of the now-canonical
-// string is free.
-func canonicalPath(path string) (string, error) {
-	return dfs.CleanPath(path)
 }
 
 // RouteShard reports which shard index a directory hashes to under static
@@ -410,260 +395,308 @@ func (s *ShardedServer) routeDir(dir string) (primary, fallback *shard) {
 	return s.shards[fnv32(dir)%uint32(len(s.shards))], nil
 }
 
-// shardOf routes a canonical path by its parent directory, the same key the
-// inner namespace stripes by. Writes go to the primary only: new files land
-// on the migration destination.
-func (s *ShardedServer) shardOf(path string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
+// route canonicalises a client path and resolves the shards that may hold
+// it: the primary (where writes go and reads look first) and, during a
+// migration epoch, the fallback. Routing is by the parent directory, the
+// same key each shard stripes its namespace by; it also feeds the
+// rebalancer's load tracker. dfs.CleanPath fast-paths already-canonical
+// input without allocating, so routed ops pay one scan here.
+func (s *ShardedServer) route(path string) (clean string, primary, fallback *shard, err error) {
+	if clean, err = dfs.CleanPath(path); err != nil {
+		return "", nil, nil, err
 	}
-	dir, _ := parentOf(path)
-	primary, _ := s.routeDir(dir)
-	return primary
-}
-
-// routeFor is shardOf for reads: it also returns the double-read fallback
-// and feeds the rebalancer's load tracker.
-func (s *ShardedServer) routeFor(path string) (primary, fallback *shard) {
 	if len(s.shards) == 1 {
-		return s.shards[0], nil
+		return clean, s.shards[0], nil, nil
 	}
-	dir, _ := parentOf(path)
+	dir, _ := parentOf(clean)
 	primary, fallback = s.routeDir(dir)
 	if s.reb != nil {
 		s.reb.tracker.note(dir, primary.idx)
 	}
-	return primary, fallback
+	return clean, primary, fallback, nil
 }
 
-// shardOfDir routes a directory path (for listings).
-func (s *ShardedServer) shardOfDir(dir string) *shard {
-	primary, _ := s.routeDir(dir)
-	return primary
+// probe is the one place the double-read epoch is written down. It runs try
+// on the primary; on dfs.ErrNotFound during an epoch it runs try on the
+// fallback; and on a second miss it runs try on the primary once more —
+// within an epoch files only move fallback → primary (both routeMigrating
+// and routeDraining), so a copy that left the fallback after the first
+// probe is on the primary by now, and a file that existed throughout is
+// never reported missing.
+//
+// The route itself can be stale too: the caller resolved it before the
+// rebalancer opened (or flipped) an epoch over clean's directory, and the
+// file moved before the probes ran. So a miss under a live rebalancer
+// re-resolves the route once and, if it changed, probes again under it.
+//
+// It returns the shard whose outcome stands (the primary when every probe
+// missed), the fallback of the route the probes last ran under, and the
+// outcome. Callers skip it under static routing (see static).
+func (s *ShardedServer) probe(clean string, primary, fallback *shard, try func(*shard) error) (sh, fb *shard, err error) {
+	for attempt := 0; ; attempt++ {
+		sh, err = primary, try(primary)
+		if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
+			if s.afterPrimaryMiss != nil {
+				s.afterPrimaryMiss()
+			}
+			if sh, err = fallback, try(fallback); errors.Is(err, dfs.ErrNotFound) {
+				sh, err = primary, try(primary)
+			}
+		}
+		if attempt > 0 || !errors.Is(err, dfs.ErrNotFound) {
+			return sh, fallback, err
+		}
+		dir, _ := parentOf(clean)
+		p, f := s.routeDir(dir)
+		if p == primary && f == fallback {
+			return sh, fallback, err
+		}
+		primary, fallback = p, f
+	}
+}
+
+// static reports whether a resolved route can neither be nor become part of
+// a migration epoch: no fallback now and no rebalancer to open one. Then
+// there is one shard to ask and nothing to race, and the op paths skip probe
+// (its closure on reads, its combiner goroutine on deletes).
+func (s *ShardedServer) static(fallback *shard) bool {
+	return fallback == nil && s.reb == nil
+}
+
+// find resolves a canonical path to its handle and the shard holding it
+// (stripe lookups only, no shard-loop involvement). A nil handle means no
+// side of the route has the file; the shard is then the primary, where the
+// miss is booked.
+func (s *ShardedServer) find(clean string, primary, fallback *shard) (*shard, *handle) {
+	if s.static(fallback) {
+		h, _ := primary.ns.get(clean)
+		return primary, h
+	}
+	var h *handle
+	sh, _, _ := s.probe(clean, primary, fallback, func(sh *shard) error {
+		var ok bool
+		if h, ok = sh.ns.get(clean); !ok {
+			return dfs.ErrNotFound
+		}
+		return nil
+	})
+	return sh, h
+}
+
+func notFound(path string) error {
+	return fmt.Errorf("server: %w: %q", dfs.ErrNotFound, path)
+}
+
+// failed returns an already-resolved outcome channel.
+func failed(err error) <-chan error {
+	res := make(chan error, 1)
+	res <- err
+	return res
 }
 
 // --- Client API ---
 
-// Create writes a file and blocks until its shard's write pipeline commits.
-// A capacity failure triggers one quota borrow (growing the shard's lowest
-// tier out of the global pool) and one retry, so a shard whose quota ran
-// dry admits the write as long as the physical tier has room.
-func (s *ShardedServer) Create(path string, size int64) error {
-	return s.CreateAs(path, size, storage.DefaultTenant)
-}
-
-// CreateAs is Create on behalf of a tenant: the write pipeline's plane
-// charges carry the tenant, and the capacity-failure borrow is admitted
-// against the tenant's ledger budget — a tenant at quota gets
-// dfs.ErrNoCapacity even while the pool has room.
-func (s *ShardedServer) CreateAs(path string, size int64, tenant storage.TenantID) error {
-	clean, err := canonicalPath(path)
+// Do runs one op and blocks for its outcome.
+//
+// An access records the read on the owning shard and returns the serving
+// tier; the hot path stays shard-local (route hash, stripe lookup, ring
+// push), and during a migration epoch the read double-reads so clients
+// never block on a move. With a zero At it is stamped with Clock() and
+// observes the access-path latency histogram.
+//
+// A create waits for the shard's write pipeline to commit. A capacity
+// failure triggers one quota borrow (growing the shard's lowest tier out of
+// the global pool, admitted against op.Tenant's ledger budget — a tenant at
+// quota gets dfs.ErrNoCapacity even while the pool has room) and one retry,
+// so a shard whose quota ran dry admits the write as long as the physical
+// tier has room. A delete waits for both sides of an epoch.
+func (s *ShardedServer) Do(op Op) (AccessResult, error) {
+	clean, primary, fallback, err := s.route(op.Path)
 	if err != nil {
-		return err
+		return AccessResult{}, err
 	}
-	sh, fallback := s.routeFor(clean)
-	// During a migration epoch an unmoved file still lives on the hash
-	// owner; creating "over" it on the destination must fail the same way a
-	// single shard would.
-	if fallback != nil && fallback.srv.Exists(clean) {
-		return fmt.Errorf("server: %w: %q", dfs.ErrExists, clean)
+	op.Path = clean
+	if op.Kind == OpAccess {
+		if !op.At.IsZero() {
+			return s.access(op, primary, fallback)
+		}
+		start := time.Now()
+		op.At = s.Clock()
+		res, err := s.access(op, primary, fallback)
+		primary.accessHist.Observe(time.Since(start))
+		return res, err
 	}
-	err = sh.srv.CreateAs(clean, size, tenant)
-	if err != nil && errors.Is(err, dfs.ErrNoCapacity) {
+	err = <-s.submit(op, primary, fallback)
+	if op.Kind == OpCreate && errors.Is(err, dfs.ErrNoCapacity) {
 		borrowed := false
-		sh.srv.Exec(func(fs *dfs.FileSystem) { borrowed = sh.quota.EnsureCreateFor(tenant, fs, size) })
+		primary.inLoop(func(fs *dfs.FileSystem) {
+			borrowed = primary.quota.EnsureCreateFor(op.Tenant, fs, op.Size)
+		})
 		if borrowed {
-			err = sh.srv.CreateAs(clean, size, tenant)
+			err = <-s.submit(op, primary, fallback)
 		}
 	}
-	return err
+	return AccessResult{}, err
 }
 
-// CreateAt submits a creation stamped with an explicit virtual time (replay
-// mode) to the owning shard. No borrow-retry: replay traces are expected to
-// fit the planned quota or to handle the error themselves.
-func (s *ShardedServer) CreateAt(path string, size int64, at time.Time) <-chan error {
-	clean, err := canonicalPath(path)
+// Submit enqueues a create or delete on its shard and returns a buffered
+// channel that receives the outcome — the non-blocking form replay and
+// open-loop drivers pipeline (in replay mode virtual time only advances
+// inside Flush, so receiving before fencing would deadlock). The op is on
+// its primary shard's loop when Submit returns, so ops submitted to one path
+// run in submission order and Flush fences them; only a delete's follow-up
+// on the far side of a migration epoch completes asynchronously. No
+// borrow-retry: stamped traffic is expected to fit the planned quota or to
+// handle dfs.ErrNoCapacity itself.
+func (s *ShardedServer) Submit(op Op) <-chan error {
+	clean, primary, fallback, err := s.route(op.Path)
 	if err != nil {
-		res := make(chan error, 1)
-		res <- err
-		return res
+		return failed(err)
 	}
-	sh, fallback := s.routeFor(clean)
-	if fallback != nil && fallback.srv.Exists(clean) {
-		res := make(chan error, 1)
-		res <- fmt.Errorf("server: %w: %q", dfs.ErrExists, clean)
-		return res
-	}
-	return sh.srv.CreateAt(clean, size, at)
+	op.Path = clean
+	return s.submit(op, primary, fallback)
 }
 
-// CreateAtAs is CreateAt with a tenant identity. Like CreateAt it skips the
-// borrow-retry: explicitly stamped traffic handles capacity errors itself.
-func (s *ShardedServer) CreateAtAs(path string, size int64, at time.Time, tenant storage.TenantID) <-chan error {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		res := make(chan error, 1)
-		res <- err
-		return res
+// submit is the routed half of Submit.
+func (s *ShardedServer) submit(op Op, primary, fallback *shard) <-chan error {
+	if op.At.IsZero() {
+		op.At = s.Clock()
 	}
-	sh, fallback := s.routeFor(clean)
-	if fallback != nil && fallback.srv.Exists(clean) {
-		res := make(chan error, 1)
-		res <- fmt.Errorf("server: %w: %q", dfs.ErrExists, clean)
-		return res
+	switch op.Kind {
+	case OpCreate:
+		// During an epoch an unmoved file still lives on the fallback;
+		// creating "over" it on the primary must fail the same way a single
+		// shard would. (A copy on the primary fails inside fs.Create.)
+		if fallback != nil {
+			if _, ok := fallback.ns.get(op.Path); ok {
+				return failed(fmt.Errorf("server: %w: %q", dfs.ErrExists, op.Path))
+			}
+		}
+		return primary.create(op)
+	case OpDelete:
+		return s.delete(op, primary, fallback)
 	}
-	return sh.srv.CreateAtAs(clean, size, at, tenant)
+	return failed(fmt.Errorf("server: op kind %d cannot be submitted", op.Kind))
 }
 
-// Delete removes a file, blocking for the outcome. During a migration epoch
-// the file can live on the primary, the fallback side, or (mid-copy)
-// briefly both, so the delete covers both sides: when the primary delete
-// succeeds any lingering fallback copy is dropped through the migration-
-// teardown path (no second client-deletion stats bump — one logical file,
-// one counted delete); when the primary never had the file the delete falls
-// through to the fallback, which then counts the one real deletion. That is
-// what makes a racing migration honor the delete instead of resurrecting
-// the file.
-func (s *ShardedServer) Delete(path string) error {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		return err
+// access is the router's half of an access: resolve across the epoch, book
+// a miss once, hand the resolved handle to the owning shard.
+func (s *ShardedServer) access(op Op, primary, fallback *shard) (AccessResult, error) {
+	sp, spStart := primary.sampleSpan("access", op.Path, op.Tenant)
+	sh, h := s.find(op.Path, primary, fallback)
+	if h == nil {
+		sh.counters.accessMisses.Add(1)
+		sh.finishSpan(sp, spStart, op.At, "not found")
+		return AccessResult{}, notFound(op.Path)
 	}
-	primary, fallback := s.routeFor(clean)
-	err = primary.srv.Delete(clean)
-	if fallback == nil {
-		return err
-	}
-	if err == nil {
-		<-fallback.srv.detachAt(clean, fallback.srv.clock())
-		return nil
-	}
-	if errors.Is(err, dfs.ErrNotFound) {
-		return fallback.srv.Delete(clean)
-	}
-	return err
+	return sh.access(h, op, sp, spStart), nil
 }
 
-// DeleteAt submits a deletion stamped with an explicit virtual time. It
-// honors a migration epoch exactly like Delete — primary first, then the
-// fallback side is cleared (or, when the primary never had the file,
-// deleted) before the result resolves. The two halves are sequenced by a
-// combiner goroutine rather than inside either core loop: a fallback op
-// enqueued on one shard loop must never block on another loop's result, or
-// two opposite-direction deletes could deadlock the loops on each other.
-func (s *ShardedServer) DeleteAt(path string, at time.Time) <-chan error {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		res := make(chan error, 1)
-		res <- err
-		return res
-	}
-	primary, fallback := s.routeFor(clean)
-	pres := primary.srv.DeleteAt(clean, at)
-	if fallback == nil {
-		return pres
-	}
+// delete is the router's half of a delete. During a migration epoch the
+// file can live on the primary, the fallback side, or (mid-copy) briefly
+// both, so the delete covers both sides: it probes for the copy that counts
+// the client's one logical deletion, and when that was the primary's, any
+// lingering fallback copy is dropped through the migration-teardown path.
+// That is what makes a racing migration honor the delete instead of
+// resurrecting the file. The one outcome is booked here, after the probes
+// (countDelete), never per shard asked.
+//
+// The primary's attempt is enqueued before delete returns, so whatever the
+// caller submits next (a pipelined re-create of the path, a Flush) orders
+// behind it on the shard loop. Only the epoch's follow-up steps are
+// sequenced by a combiner goroutine — not inside either shard loop: an op
+// enqueued on one loop must never block on another loop's result, or two
+// opposite-direction deletes could deadlock the loops on each other.
+func (s *ShardedServer) delete(op Op, primary, fallback *shard) <-chan error {
+	start := time.Now()
 	res := make(chan error, 1)
+	if s.static(fallback) {
+		primary.delete(op, func(err error) {
+			primary.countDelete(err, start)
+			res <- err
+		})
+		return res
+	}
+	ask := func(sh *shard) <-chan error {
+		out := make(chan error, 1)
+		sh.delete(op, func(err error) { out <- err })
+		return out
+	}
+	first := ask(primary)
 	go func() {
-		perr := <-pres
-		switch {
-		case perr == nil:
-			<-fallback.srv.detachAt(clean, at)
-			res <- nil
-		case errors.Is(perr, dfs.ErrNotFound):
-			res <- <-fallback.srv.DeleteAt(clean, at)
-		default:
-			res <- perr
+		sh, fb, err := s.probe(op.Path, primary, fallback, func(sh *shard) error {
+			if out := first; out != nil { // probe starts at the primary: the attempt already enqueued
+				first = nil
+				return <-out
+			}
+			return <-ask(sh)
+		})
+		sh.countDelete(err, start)
+		if err == nil && fb != nil && sh != fb {
+			<-fb.detach(op) // deleted on the primary: clear the fallback's copy
 		}
+		res <- err
 	}()
 	return res
 }
 
-// Access records a client access on the owning shard and returns the
-// serving tier. The hot path stays shard-local: route hash, stripe lookup,
-// ring push. During a migration epoch the read double-reads — destination
-// first, hash owner on a miss — so clients never block on a move.
+// Access records a client access now; see Do.
 func (s *ShardedServer) Access(path string) (AccessResult, error) {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		return AccessResult{}, err
-	}
-	primary, fallback := s.routeFor(clean)
-	res, err := primary.srv.Access(clean)
-	if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
-		return fallback.srv.Access(clean)
-	}
-	return res, err
+	return s.Do(Op{Kind: OpAccess, Path: path})
 }
 
-// AccessAt records an access at an explicit virtual time (replay mode).
+// AccessAt records an access at an explicit virtual time (replay and
+// open-loop drivers); it does not observe the access-path histogram.
 func (s *ShardedServer) AccessAt(path string, at time.Time) (AccessResult, error) {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		return AccessResult{}, err
-	}
-	primary, fallback := s.routeFor(clean)
-	res, err := primary.srv.AccessAt(clean, at)
-	if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
-		return fallback.srv.AccessAt(clean, at)
-	}
-	return res, err
+	return s.Do(Op{Kind: OpAccess, Path: path, At: at})
 }
 
-// AccessAs records a tenant's access on the owning shard.
-func (s *ShardedServer) AccessAs(path string, tenant storage.TenantID) (AccessResult, error) {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		return AccessResult{}, err
-	}
-	primary, fallback := s.routeFor(clean)
-	res, err := primary.srv.AccessAs(clean, tenant)
-	if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
-		return fallback.srv.AccessAs(clean, tenant)
-	}
-	return res, err
+// Create writes a file now and blocks until it commits; see Do.
+func (s *ShardedServer) Create(path string, size int64) error {
+	_, err := s.Do(Op{Kind: OpCreate, Path: path, Size: size})
+	return err
 }
 
-// AccessAtAs records a tenant's access at an explicit virtual time.
-func (s *ShardedServer) AccessAtAs(path string, at time.Time, tenant storage.TenantID) (AccessResult, error) {
-	clean, err := canonicalPath(path)
-	if err != nil {
-		return AccessResult{}, err
-	}
-	primary, fallback := s.routeFor(clean)
-	res, err := primary.srv.AccessAtAs(clean, at, tenant)
-	if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
-		return fallback.srv.AccessAtAs(clean, at, tenant)
-	}
-	return res, err
+// CreateAt submits a creation stamped with an explicit virtual time; see
+// Submit.
+func (s *ShardedServer) CreateAt(path string, size int64, at time.Time) <-chan error {
+	return s.Submit(Op{Kind: OpCreate, Path: path, Size: size, At: at})
 }
 
-// Stat returns the metadata snapshot of a served file.
+// Delete removes a file now, blocking for the outcome; see Do.
+func (s *ShardedServer) Delete(path string) error {
+	_, err := s.Do(Op{Kind: OpDelete, Path: path})
+	return err
+}
+
+// DeleteAt submits a deletion stamped with an explicit virtual time; see
+// Submit.
+func (s *ShardedServer) DeleteAt(path string, at time.Time) <-chan error {
+	return s.Submit(Op{Kind: OpDelete, Path: path, At: at})
+}
+
+// Stat returns the metadata snapshot of a served file (stripe-only).
 func (s *ShardedServer) Stat(path string) (FileInfo, error) {
-	clean, err := canonicalPath(path)
+	clean, primary, fallback, err := s.route(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	primary, fallback := s.routeFor(clean)
-	info, err := primary.srv.Stat(clean)
-	if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
-		return fallback.srv.Stat(clean)
+	sh, h := s.find(clean, primary, fallback)
+	sh.counters.stats.Add(1)
+	if h == nil {
+		return FileInfo{}, notFound(clean)
 	}
-	return info, err
+	return FileInfo{Path: h.path, Size: h.size, Residency: h.residency()}, nil
 }
 
-// Exists reports whether a served file exists.
+// Exists reports whether a served file exists (stripe-only).
 func (s *ShardedServer) Exists(path string) bool {
-	clean, err := canonicalPath(path)
+	clean, primary, fallback, err := s.route(path)
 	if err != nil {
 		return false
 	}
-	primary, fallback := s.routeFor(clean)
-	if primary.srv.Exists(clean) {
-		return true
-	}
-	return fallback != nil && fallback.srv.Exists(clean)
+	_, h := s.find(clean, primary, fallback)
+	return h != nil
 }
 
 // List returns the sorted file names directly under dir. Under static
@@ -672,16 +705,17 @@ func (s *ShardedServer) Exists(path string) bool {
 // so the two sorted listings merge (deduplicated — a name can briefly
 // appear on both sides around a recreate).
 func (s *ShardedServer) List(dir string) []string {
-	clean, err := canonicalPath(dir)
+	clean, err := dfs.CleanPath(dir)
 	if err != nil {
 		return nil
 	}
 	primary, fallback := s.routeDir(clean)
-	names := primary.srv.List(clean)
+	primary.counters.lists.Add(1)
+	names := primary.ns.list(clean)
 	if fallback == nil {
 		return names
 	}
-	other := fallback.srv.List(clean)
+	other := fallback.ns.list(clean)
 	if len(other) == 0 {
 		return names
 	}
@@ -712,7 +746,7 @@ func (s *ShardedServer) List(dir string) []string {
 // fence again to absorb the moves.
 func (s *ShardedServer) Flush() {
 	for _, sh := range s.shards {
-		sh.srv.Flush()
+		sh.flush()
 	}
 	if s.reb == nil || !s.running {
 		return
@@ -729,7 +763,7 @@ func (s *ShardedServer) Flush() {
 	}
 	s.reb.drain()
 	for _, sh := range s.shards {
-		sh.srv.Flush()
+		sh.flush()
 	}
 }
 
@@ -743,61 +777,44 @@ func (s *ShardedServer) Exec(fn func(shard int, fs *dfs.FileSystem)) {
 			continue
 		}
 		i := i
-		sh.srv.Exec(func(fs *dfs.FileSystem) { fn(i, fs) })
+		sh.inLoop(func(fs *dfs.FileSystem) { fn(i, fs) })
 	}
 }
 
 // --- Node membership (global state, fanned out) ---
 
-// FailNode removes the worker with the given id from every shard's view and
-// settles the departed capacity against the ledger totals: the quota that
-// lived on the node's devices leaves the shards' capacity terms, and the
-// node's pooled share is retired — debited from the free pool where it can
-// be, recorded as a deficit that future quota Returns pay down where it is
-// still out on loan — so dead-node capacity can never be borrowed back
+// FailNode removes the worker with the given id from every shard's view.
+// Each shard's membership hook takes the quota that lived on the node's
+// devices out of the ledger total on its own loop; what is settled here is
+// the node's pooled share, retired — debited from the free pool where it
+// can be, recorded as a deficit that future quota Returns pay down where it
+// is still out on loan — so dead-node capacity can never be borrowed back
 // into existence.
 func (s *ShardedServer) FailNode(id int) {
-	var removed [3]int64
-	for _, sh := range s.shards {
-		sh := sh
-		sh.srv.Exec(func(fs *dfs.FileSystem) {
-			if n := fs.Cluster().Node(id); n != nil {
-				r := fs.FailNode(n)
-				for t := range removed {
-					removed[t] += r[t]
-				}
-				sh.quota.clampBaseline()
-			}
-		})
-	}
+	s.Exec(func(_ int, fs *dfs.FileSystem) {
+		if n := fs.Cluster().Node(id); n != nil {
+			fs.FailNode(n)
+		}
+	})
 	pooled := s.nodePooled[id]
 	delete(s.nodePooled, id)
 	for _, m := range storage.AllMedia {
-		s.ledger.ShrinkTotal(m, removed[m])
 		s.ledger.Retire(m, pooled[m])
 	}
 }
 
 // AddNode joins a fresh worker to every shard's view, splitting its
-// capacity into per-shard grants plus a pooled remainder exactly like
-// construction did. Node ids stay aligned across shards because every
+// capacity into per-shard grants (which each shard's membership hook adds to
+// the ledger total and its quota baseline) plus a pooled remainder, exactly
+// like construction did. Node ids stay aligned across shards because every
 // membership change fans out to all of them.
 func (s *ShardedServer) AddNode(spec storage.NodeSpec, slots int) {
-	shardSpec, nodeTotal, nodeGrant, nodePooled := splitSpec(spec, len(s.shards), s.cfg.Quota.InitialFraction)
+	shardSpec, _, _, nodePooled := splitSpec(spec, len(s.shards), s.cfg.Quota.InitialFraction)
 	newID := -1
-	for _, sh := range s.shards {
-		sh := sh
-		sh.srv.Exec(func(fs *dfs.FileSystem) {
-			n := fs.AddNode(shardSpec, slots)
-			sh.quota.nodeJoined(nodeGrant)
-			newID = n.ID()
-		})
-	}
-	if newID >= 0 {
-		s.nodePooled[newID] = nodePooled
-	}
+	s.Exec(func(_ int, fs *dfs.FileSystem) { newID = fs.AddNode(shardSpec, slots).ID() })
+	s.nodePooled[newID] = nodePooled
 	for _, m := range storage.AllMedia {
-		s.ledger.AddCapacity(m, nodeTotal[m], nodePooled[m])
+		s.ledger.AddCapacity(m, nodePooled[m], nodePooled[m])
 	}
 }
 
@@ -877,7 +894,7 @@ func (s *ShardedServer) Verify() []string {
 		violations = append(violations, ledgerErr.Error())
 	}
 	for i, sh := range s.shards {
-		if v := sh.srv.Executor().Stats().CheckBudgets(); v != "" {
+		if v := sh.exec.Stats().CheckBudgets(); v != "" {
 			violations = append(violations, fmt.Sprintf("shard %d: %s", i, v))
 		}
 	}
@@ -890,13 +907,19 @@ func (s *ShardedServer) Verify() []string {
 	return violations
 }
 
+// fold merges one value per shard into a fresh accumulator — the one loop
+// behind every cross-shard statistic below.
+func fold[T any](s *ShardedServer, merge func(acc *T, sh *shard)) *T {
+	acc := new(T)
+	for _, sh := range s.shards {
+		merge(acc, sh)
+	}
+	return acc
+}
+
 // Stats sums the serving counters across shards.
 func (s *ShardedServer) Stats() ServeStats {
-	var out ServeStats
-	for _, sh := range s.shards {
-		out.add(sh.srv.Stats())
-	}
-	return out
+	return *fold(s, func(acc *ServeStats, sh *shard) { acc.add(sh.stats()) })
 }
 
 // ShardStats returns each shard's serving counters individually, in shard
@@ -904,7 +927,7 @@ func (s *ShardedServer) Stats() ServeStats {
 func (s *ShardedServer) ShardStats() []ServeStats {
 	out := make([]ServeStats, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = sh.srv.Stats()
+		out[i] = sh.stats()
 	}
 	return out
 }
@@ -926,136 +949,50 @@ func (s *ShardedServer) RebalanceTick() {
 	}
 }
 
-// ExecutorStats sums the movement-executor counters across shards; the
-// virtual-time sample is the maximum over shards. Bucket capacities and
-// refill rates are summed too, so the aggregate snapshot pairs the summed
-// AdmittedBytes with the fleet-wide budget (and CheckBudgets on it stays
-// sound: each shard obeys burst_i + rate_i*t_i with t_i <= the reported
-// maximum). Per-shard budget bounds are checked individually in Verify.
+// ExecutorStats sums the movement-executor counters across shards (see
+// ExecutorStats.add for how budgets and high-water marks combine).
+// Per-shard budget bounds are checked individually in Verify.
 func (s *ShardedServer) ExecutorStats() ExecutorStats {
-	var out ExecutorStats
-	for _, sh := range s.shards {
-		st := sh.srv.Executor().Stats()
-		if st.VirtualSeconds > out.VirtualSeconds {
-			out.VirtualSeconds = st.VirtualSeconds
-		}
-		out.Defers += st.Defers
-		for i := range out.PerTier {
-			a, b := &out.PerTier[i], st.PerTier[i]
-			a.Scheduled += b.Scheduled
-			a.Completed += b.Completed
-			a.Failed += b.Failed
-			a.Shed += b.Shed
-			a.AdmittedBytes += b.AdmittedBytes
-			// High-water marks do not sum (shards peak at different times);
-			// report the largest per-shard peak.
-			if b.MaxInFlightBytes > a.MaxInFlightBytes {
-				a.MaxInFlightBytes = b.MaxInFlightBytes
-			}
-			a.BudgetBytes += b.BudgetBytes
-			a.RateBytesPerSec += b.RateBytesPerSec
-		}
-	}
-	return out
+	return *fold(s, func(acc *ExecutorStats, sh *shard) { acc.add(sh.exec.Stats()) })
 }
 
 // QuotaStats sums the ledger-protocol traffic across shards.
 func (s *ShardedServer) QuotaStats() QuotaStats {
-	var out QuotaStats
-	for _, sh := range s.shards {
-		st := sh.quota.stats()
-		out.Borrows += st.Borrows
-		out.BorrowFailures += st.BorrowFailures
-		out.BorrowedBytes += st.BorrowedBytes
-		out.ReturnedBytes += st.ReturnedBytes
-	}
-	return out
-}
-
-// AccessLatency merges the per-shard access-path histograms.
-func (s *ShardedServer) AccessLatency() *Histogram {
-	out := &Histogram{}
-	for _, sh := range s.shards {
-		out.AddFrom(sh.srv.AccessLatency())
-	}
-	return out
-}
-
-// MutateLatency merges the per-shard create/delete histograms.
-func (s *ShardedServer) MutateLatency() *Histogram {
-	out := &Histogram{}
-	for _, sh := range s.shards {
-		out.AddFrom(sh.srv.MutateLatency())
-	}
-	return out
-}
-
-// ReadLatency merges the per-shard tier-real read-latency histograms for
-// one tier.
-func (s *ShardedServer) ReadLatency(m storage.Media) *Histogram {
-	out := &Histogram{}
-	for _, sh := range s.shards {
-		out.AddFrom(sh.srv.ReadLatency(m))
-	}
-	return out
-}
-
-// TenantReadLatency merges the per-shard read-latency histograms of one
-// configured tenant (nil for an unknown tenant).
-func (s *ShardedServer) TenantReadLatency(t storage.TenantID) *Histogram {
-	var out *Histogram
-	for _, sh := range s.shards {
-		h := sh.srv.TenantReadLatency(t)
-		if h == nil {
-			continue
-		}
-		if out == nil {
-			out = &Histogram{}
-		}
-		out.AddFrom(h)
-	}
-	return out
+	return *fold(s, func(acc *QuotaStats, sh *shard) { acc.add(sh.quota.stats()) })
 }
 
 // SLOStats sums the admission-controller counters across shards.
 func (s *ShardedServer) SLOStats() SLOStats {
-	var out SLOStats
-	for _, sh := range s.shards {
-		st := sh.srv.SLOStats()
-		out.add(st)
+	return *fold(s, func(acc *SLOStats, sh *shard) { acc.add(sh.sloStats()) })
+}
+
+// AccessLatency merges the per-shard access-path histograms.
+func (s *ShardedServer) AccessLatency() *Histogram {
+	return fold(s, func(acc *Histogram, sh *shard) { acc.AddFrom(&sh.accessHist) })
+}
+
+// MutateLatency merges the per-shard create/delete histograms.
+func (s *ShardedServer) MutateLatency() *Histogram {
+	return fold(s, func(acc *Histogram, sh *shard) { acc.AddFrom(&sh.mutateHist) })
+}
+
+// ReadLatency merges the per-shard tier-real virtual read-latency
+// histograms for one tier: the data-plane service times (queue + base +
+// transfer) of accesses served from it. Empty without an attached plane.
+func (s *ShardedServer) ReadLatency(m storage.Media) *Histogram {
+	return fold(s, func(acc *Histogram, sh *shard) { acc.AddFrom(&sh.readLat[m]) })
+}
+
+// TenantReadLatency merges the per-shard read-latency histograms of one
+// configured tenant across all tiers (nil for an unknown tenant).
+func (s *ShardedServer) TenantReadLatency(t storage.TenantID) *Histogram {
+	slot, ok := s.shards[0].tenantSlot[t] // every shard shares one tenant table
+	if !ok {
+		return nil
 	}
-	return out
+	return fold(s, func(acc *Histogram, sh *shard) { acc.AddFrom(&sh.tenantLat[slot]) })
 }
 
 // Plane returns the data plane shared by every shard's cluster view (nil
 // when none is attached).
 func (s *ShardedServer) Plane() storage.DataPlane { return s.cfg.Cluster.Plane }
-
-// Service is the client-facing surface shared by the single-writer Server
-// and the ShardedServer, so drivers like cmd/octoload switch between them
-// with a flag.
-type Service interface {
-	Create(path string, size int64) error
-	CreateAs(path string, size int64, tenant storage.TenantID) error
-	Delete(path string) error
-	Access(path string) (AccessResult, error)
-	AccessAs(path string, tenant storage.TenantID) (AccessResult, error)
-	Stat(path string) (FileInfo, error)
-	Exists(path string) bool
-	List(dir string) []string
-	Flush()
-	// Stamped variants and the wall-mapped virtual clock: open-loop drivers
-	// stamp each op with its intended arrival time so the policy layer sees
-	// the arrival process, not the dispatch process.
-	Clock() time.Time
-	CreateAt(path string, size int64, at time.Time) <-chan error
-	CreateAtAs(path string, size int64, at time.Time, tenant storage.TenantID) <-chan error
-	DeleteAt(path string, at time.Time) <-chan error
-	AccessAt(path string, at time.Time) (AccessResult, error)
-	AccessAtAs(path string, at time.Time, tenant storage.TenantID) (AccessResult, error)
-}
-
-var (
-	_ Service = (*Server)(nil)
-	_ Service = (*ShardedServer)(nil)
-)

@@ -15,7 +15,7 @@ import (
 //
 // The controller closes the feedback loop the paper's architecture implies
 // for shared clusters: the data plane exposes tier-real read latencies per
-// tenant (AccessAtAs observes them), and the only knob the serving layer
+// tenant (shard.access observes them), and the only knob the serving layer
 // owns that relieves device pressure without touching client traffic is
 // background movement admission (the executor's token buckets). Each
 // controller tick diffs the per-tenant histogram against the previous tick,
@@ -98,19 +98,19 @@ type sloWatch struct {
 
 // sloController runs as an engine ticker on the core loop.
 type sloController struct {
-	s        *Server
+	sh       *shard
 	cfg      SLOConfig
 	watch    []sloWatch
 	checks   atomic.Int64
 	breaches atomic.Int64
 }
 
-func newSLOController(s *Server, cfg SLOConfig, tenants []TenantConfig) *sloController {
+func newSLOController(sh *shard, cfg SLOConfig, tenants []TenantConfig) *sloController {
 	cfg.applyDefaults()
-	c := &sloController{s: s, cfg: cfg}
+	c := &sloController{sh: sh, cfg: cfg}
 	for _, t := range tenants {
 		if t.ReadSLO > 0 {
-			c.watch = append(c.watch, sloWatch{slot: s.tenantSlot[t.ID], target: t.ReadSLO})
+			c.watch = append(c.watch, sloWatch{slot: sh.tenantSlot[t.ID], target: t.ReadSLO})
 		}
 	}
 	if len(c.watch) == 0 {
@@ -125,7 +125,7 @@ func (c *sloController) tick() {
 	breach := false
 	for i := range c.watch {
 		w := &c.watch[i]
-		cur := c.s.tenantLat[w.slot].Counts()
+		cur := c.sh.tenantLat[w.slot].Counts()
 		var delta [64]int64
 		var n int64
 		for b := range cur {
@@ -143,7 +143,7 @@ func (c *sloController) tick() {
 		}
 	}
 	if breach {
-		c.s.exec.Defer(c.s.engine.Now().Add(c.cfg.DeferWindow))
+		c.sh.exec.Defer(c.sh.engine.Now().Add(c.cfg.DeferWindow))
 	}
 }
 

@@ -100,7 +100,7 @@ func TestShardedTenantTrafficSurvivesChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + c)))
 			for i := c; i < sharedFiles; i += clients {
 				size := (16 + rng.Int63n(112)) * storage.MB
-				if err := srv.CreateAs(shared[i], size, tenantOf(c)); err != nil {
+				if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: shared[i], Size: size, Tenant: tenantOf(c)}); err != nil {
 					errCh <- fmt.Errorf("preload %s: %w", shared[i], err)
 				}
 			}
@@ -153,7 +153,7 @@ func TestShardedTenantTrafficSurvivesChurn(t *testing.T) {
 			for i := 0; i < opsPerClient; i++ {
 				switch r := rng.Float64(); {
 				case r < 0.72:
-					if _, err := srv.AccessAs(shared[zipf.Uint64()], tenant); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: shared[zipf.Uint64()], Tenant: tenant}); err != nil {
 						t.Errorf("client %d access: %v", c, err)
 						return
 					}
@@ -164,7 +164,7 @@ func TestShardedTenantTrafficSurvivesChurn(t *testing.T) {
 					}
 				case r < 0.95 || len(own) == 0:
 					path := fmt.Sprintf("/scratch/c%d/f%04d", c, i)
-					if err := srv.CreateAs(path, (4+rng.Int63n(28))*storage.MB, tenant); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: (4 + rng.Int63n(28)) * storage.MB, Tenant: tenant}); err != nil {
 						t.Errorf("client %d create: %v", c, err)
 						return
 					}

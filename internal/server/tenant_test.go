@@ -9,7 +9,7 @@ package server_test
 // 2. Isolation: with a flooding tenant saturating the one HDD channel, the
 //    victim tenant's read p99 under weighted-fair scheduling must be
 //    strictly below its p99 under plain FIFO.
-// 3. Quota: a tenant's ledger borrow budget gates CreateAs once its shard
+// 3. Quota: a tenant's ledger borrow budget gates creates once its shard
 //    quota runs dry, while unmetered tenants keep the whole pool.
 // 4. SLO: a tenant breaching its read SLO makes the admission controller
 //    defer background movement, and the deferred queue still drains.
@@ -33,8 +33,8 @@ import (
 
 // runTenantedDiff replays the sharded differential trace through a contended
 // plane. When tenanted, the plane and the inner config carry a one-entry
-// tenant table and every operation is issued as tenant 0 through the *As
-// API; otherwise the identical trace runs untagged.
+// tenant table for tenant 0 — the identity untagged ops carry — so the
+// identical trace then lands in the tenant's accounts as well.
 func runTenantedDiff(t *testing.T, ops []diffOp, shards int, tenanted bool) *server.ShardedServer {
 	t.Helper()
 	huge := int64(1) << 60
@@ -87,11 +87,7 @@ func runTenantedDiff(t *testing.T, ops []diffOp, shards int, tenanted bool) *ser
 		case 0:
 			srv.CreateAt(o.path, o.size, at)
 		case 1:
-			if tenanted {
-				_, _ = srv.AccessAtAs(o.path, at, 0)
-			} else {
-				_, _ = srv.AccessAt(o.path, at)
-			}
+			_, _ = srv.AccessAt(o.path, at)
 		case 2:
 			srv.DeleteAt(o.path, at)
 		}
@@ -102,10 +98,10 @@ func runTenantedDiff(t *testing.T, ops []diffOp, shards int, tenanted bool) *ser
 }
 
 // TestTenantDifferentialBitForBit is the "tenant plumbing changes nothing"
-// guarantee: declaring a single tenant (and routing every op through the
-// tenant-tagged API) must leave residency, capacity accounting, executor
-// stats, and the read-latency histograms bit-identical to the untenanted
-// replay, at shards=1 and shards=4.
+// guarantee: declaring a single tenant (so every op lands in a tenant's
+// plane and histogram accounts) must leave residency, capacity accounting,
+// executor stats, and the read-latency histograms bit-identical to the
+// untenanted replay, at shards=1 and shards=4.
 func TestTenantDifferentialBitForBit(t *testing.T) {
 	ops := shardedDiffTrace()
 	for _, shards := range []int{1, 4} {
@@ -226,11 +222,11 @@ func tenantIsolationVictimP99(t *testing.T, qos bool) time.Duration {
 	for r := 0; r < 20; r++ {
 		at := base.Add(time.Minute + time.Duration(r)*5*time.Second)
 		for i := 0; i < files; i++ {
-			if _, err := srv.AccessAtAs(fmt.Sprintf("/mix/f%02d", i), at, flood); err != nil {
+			if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: fmt.Sprintf("/mix/f%02d", i), At: at, Tenant: flood}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := srv.AccessAtAs(fmt.Sprintf("/mix/f%02d", r%files), at, victim); err != nil {
+		if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: fmt.Sprintf("/mix/f%02d", r%files), At: at, Tenant: victim}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +316,7 @@ func TestTenantQuotaGatesCreate(t *testing.T) {
 	var failedAt = -1
 	var lastErr error
 	for i := 0; i < 24; i++ {
-		err := srv.CreateAs(fmt.Sprintf("/meter/f%02d", i), 64*storage.MB, metered)
+		_, err := srv.Do(server.Op{Kind: server.OpCreate, Path: fmt.Sprintf("/meter/f%02d", i), Size: 64 * storage.MB, Tenant: metered})
 		if err != nil {
 			failedAt, lastErr = i, err
 			break
@@ -337,7 +333,7 @@ func TestTenantQuotaGatesCreate(t *testing.T) {
 	}
 	// The pool still has capacity: the unmetered tenant keeps creating into
 	// the same (exhausted) shard by borrowing freely.
-	if err := srv.CreateAs("/meter/open", 64*storage.MB, open); err != nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: "/meter/open", Size: 64 * storage.MB, Tenant: open}); err != nil {
 		t.Fatalf("unmetered tenant blocked after a stranger's quota ran out: %v", err)
 	}
 	srv.Flush()
@@ -410,7 +406,7 @@ func TestSLOBreachDefersMovement(t *testing.T) {
 	// the breach must defer and the flush must still drain.
 	for i := 0; i < files; i++ {
 		at := base.Add(time.Minute + time.Duration(i)*time.Second)
-		if _, err := srv.AccessAtAs(fmt.Sprintf("/slo/f%02d", i), at, tenant); err != nil {
+		if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: fmt.Sprintf("/slo/f%02d", i), At: at, Tenant: tenant}); err != nil {
 			t.Fatal(err)
 		}
 	}
