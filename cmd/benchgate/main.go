@@ -1,584 +1,166 @@
-// Command benchgate turns benchmark artifacts into a regression gate: it
-// compares two `go test -json -bench` outputs (a baseline from the previous
-// CI run and the current run) and fails when any benchmark slowed down by
-// more than the threshold.
+// Command benchgate gates pairs of load reports (loadgen.Report, as written
+// by cmd/octoload) produced back to back by the same CI job: same machine,
+// same commit, one switch flipped. Only such A/B comparisons are sound — the
+// ratio is a property of the code, not of runner drift — so they are the only
+// rules here; parent-vs-change performance is bench/run.sh plus bench -compare.
 //
-//	benchgate -old BENCH_policy.baseline.json -new BENCH_policy.json -threshold 1.25
+//	benchgate -overhead-off BENCH_off.json -overhead-on BENCH_obs.json
+//	benchgate -skew-off BENCH_skew_off.json -skew-on BENCH_skew_on.json
 //
-// Multiple samples of the same benchmark are reduced with min (the least
-// noisy estimator for "how fast can this go"), and benchmarks under
-// -floor-ns are ignored — at CI's short benchtimes, nanosecond-scale
-// results are dominated by jitter, not code.
-//
-// It also gates the serving-layer load reports (cmd/octoload's
-// BENCH_serve.json): ops/s is a bigger-is-better metric, so the gate fails
-// when the current run's throughput drops below baseline/threshold.
-//
-//	benchgate -serve-old BENCH_serve.baseline.json -serve-new BENCH_serve.json -threshold 1.25
-//
-// A third gate bounds the observability tax: given two load reports from the
-// same configuration — one without and one with -obs-listen/-trace — it
-// fails when the instrumented run's ops/s falls more than -overhead-threshold
-// below the uninstrumented run's.
-//
-//	benchgate -overhead-off BENCH_off.json -overhead-on BENCH_obs.json -overhead-threshold 1.05
-//
-// A fourth gate keeps the dynamic shard rebalancer honest: given two load
-// reports from the same skewed configuration (octoload -hotdir/-shards) —
-// one with static routing and one with -rebalance — it fails unless the
-// rebalanced run sustains at least -skew-ratio times the static run's ops/s,
-// improves the per-shard imbalance ratio by at least -skew-imbalance, and
-// actually migrated (a run that "wins" without moving a subtree is vacuous).
-//
-//	benchgate -skew-off BENCH_skew_off.json -skew-on BENCH_skew_on.json -skew-ratio 1.3
-//
-// Any combination of gates may run in one invocation; each flag pair is
-// optional but at least one pair is required.
+// Both reports of a pair come from this commit's octoload, so a metric or
+// block missing from either is a failure, never something to wait out.
+// Exit status: 0 all rules hold, 1 some rule failed, 2 usage or unreadable
+// report.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"regexp"
-	"sort"
-	"strconv"
-	"strings"
+
+	"octostore/internal/loadgen"
 )
 
-// testEvent is the subset of the `go test -json` event stream we read.
-type testEvent struct {
-	Action  string `json:"Action"`
-	Package string `json:"Package"`
-	Output  string `json:"Output"`
+// rule is one A/B gate: the "on" report is the same configuration as "off"
+// with one switch flipped, and every metric must move by at least its factor.
+type rule struct {
+	name    string // flags are -<name>-off and -<name>-on
+	off, on string // what each side is, for the flag help
+	metrics []metric
+	// moved, when set, reports whether the on-run did the work the comparison
+	// is about; a win without it is vacuous.
+	moved func(on *loadgen.Report) (ok bool, detail string)
 }
 
-// benchLine matches e.g. "BenchmarkSelectFile/lru-8   20   59143 ns/op ...".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op`)
+// metric holds when improvement >= factor, where improvement is on/off for
+// higher-is-better metrics and off/on for lower-is-better ones. A factor
+// below 1 is a bounded tax; above 1, a required win.
+type metric struct {
+	name        string
+	get         func(*loadgen.Report) float64
+	lowerBetter bool
+	factor      float64
+}
 
-// customUnits are the b.ReportMetric units the gate also tracks, all
-// smaller-is-better. Each appears in the result map as "name:unit", so a
-// benchmark can regress on its custom metric (e.g. the namespace's
-// bytes/file footprint) without touching ns/op.
-var customUnits = map[string]bool{"bytes/file": true, "allocs/file": true}
+func opsPerSec(r *loadgen.Report) float64 { return r.OpsPerSec }
 
-// customMetric matches "<value> <unit>" pairs after the iteration count.
-var customMetric = regexp.MustCompile(`([0-9.]+) ([A-Za-z]+/[A-Za-z]+)`)
+var rules = []rule{
+	{
+		// The observability tax: the obs plane is a nil check when off and
+		// sampled spans plus pull-based closures when on, and may cost at
+		// most 5% throughput.
+		name: "overhead", off: "observability off", on: "-obs-listen/-trace on",
+		metrics: []metric{{name: "ops_per_sec", get: opsPerSec, factor: 1 / 1.05}},
+	},
+	{
+		// The rebalancer on an adversarially skewed load (octoload -hotdir):
+		// it must win 1.3x on throughput, flatten the per-shard imbalance
+		// 1.2x, and have actually migrated — a run that wins without moving
+		// a subtree is vacuous.
+		name: "skew", off: "static routing", on: "-rebalance",
+		metrics: []metric{
+			{name: "ops_per_sec", get: opsPerSec, factor: 1.3},
+			{name: "imbalance_ratio", get: func(r *loadgen.Report) float64 { return r.ImbalanceRatio }, lowerBetter: true, factor: 1.2},
+		},
+		moved: func(on *loadgen.Report) (bool, string) {
+			rb := on.Rebalance
+			if rb == nil {
+				return false, "report has no rebalance block (run without -rebalance?)"
+			}
+			return rb.Completed > 0 && rb.EpochFlips > 0 && rb.FilesMoved > 0,
+				fmt.Sprintf("%d migrations, %d epoch flips, %d files moved", rb.Completed, rb.EpochFlips, rb.FilesMoved)
+		},
+	},
+}
 
-// Top-level benchmarks (no sub-benchmark path) arrive split across two
-// output events — "BenchmarkFoo \t" then "       1\t 518873404 ns/op ..." —
-// while sub-benchmarks arrive as one line. benchNameOnly spots the bare
-// name event; resultOnly spots the measurement tail that follows it.
-var (
-	benchNameOnly = regexp.MustCompile(`^(Benchmark\S+)[ \t]*\n?$`)
-	resultOnly    = regexp.MustCompile(`^\s+\d+\t\s*[0-9.]+ ns/op`)
-)
+// gate applies the rule to a report pair, prints one line per check and
+// returns the number of failed checks.
+func (ru rule) gate(off, on *loadgen.Report, w io.Writer) (failed int) {
+	line := func(ok bool, check, format string, args ...any) {
+		verdict := "OK  "
+		if !ok {
+			verdict = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(w, "%s  %-28s %s\n", verdict, ru.name+":"+check, fmt.Sprintf(format, args...))
+	}
+	if n := len(off.Violations) + len(on.Violations); n > 0 {
+		line(false, "violations", "the runs recorded %d violations", n)
+	}
+	for _, m := range ru.metrics {
+		a, b := m.get(off), m.get(on)
+		if a <= 0 || b <= 0 {
+			line(false, m.name, "missing from a report (off %g, on %g)", a, b)
+			continue
+		}
+		improvement := b / a
+		if m.lowerBetter {
+			improvement = a / b
+		}
+		line(improvement >= m.factor, m.name, "%.6g (%s) vs %.6g (%s): %.2fx, need >= %.2fx", b, ru.on, a, ru.off, improvement, m.factor)
+	}
+	if ru.moved != nil {
+		ok, detail := ru.moved(on)
+		line(ok, "not_vacuous", "%s", detail)
+	}
+	return failed
+}
 
-// parse extracts benchmark -> min ns/op (plus whitelisted custom metrics,
-// keyed "name:unit") from a go test -json stream.
-func parse(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
+func load(path string) (*loadgen.Report, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	record := func(key string, v float64) {
-		if prev, ok := out[key]; !ok || v < prev {
-			out[key] = v
-		}
-	}
-	pending := make(map[string]string) // package -> bare name awaiting its result event
-	for sc.Scan() {
-		var ev testEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			continue // tolerate non-JSON noise in the stream
-		}
-		if ev.Action != "output" {
-			continue
-		}
-		line := ev.Output
-		if nm := benchNameOnly.FindStringSubmatch(line); nm != nil {
-			pending[ev.Package] = nm[1]
-			continue
-		}
-		if name := pending[ev.Package]; name != "" && resultOnly.MatchString(line) {
-			line = name + " " + line
-			delete(pending, ev.Package)
-		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		record(m[1], ns)
-		for _, cm := range customMetric.FindAllStringSubmatch(line, -1) {
-			if !customUnits[cm[2]] {
-				continue
-			}
-			if v, err := strconv.ParseFloat(cm[1], 64); err == nil {
-				record(m[1]+":"+cm[2], v)
-			}
-		}
-	}
-	return out, sc.Err()
-}
-
-// serveReport is the subset of cmd/octoload's BENCH_serve.json we gate.
-type serveReport struct {
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Read      struct {
-		Count int64   `json:"count"`
-		P99us float64 `json:"p99_us"`
-	} `json:"read"`
-	ReadTenants []tenantRead `json:"read_tenants"`
-	TimeSeries  *struct {
-		PeakOpsPerSec float64 `json:"peak_ops_per_sec"`
-	} `json:"timeseries"`
-	// ImbalanceRatio and Rebalance appear on sharded skew runs from PR 9 on;
-	// the skew gate SKIPs loudly when a report predates them.
-	ImbalanceRatio float64 `json:"imbalance_ratio"`
-	Rebalance      *struct {
-		Completed  int64 `json:"completed"`
-		EpochFlips int64 `json:"epoch_flips"`
-		FilesMoved int64 `json:"files_moved"`
-	} `json:"rebalance"`
-	Violations []string `json:"violations"`
-}
-
-type tenantRead struct {
-	Tenant int     `json:"tenant"`
-	Count  int64   `json:"count"`
-	P99us  float64 `json:"p99_us"`
-}
-
-// victimTenant picks the tenant the isolation gate protects: the lowest-id
-// entry of the report's per-tenant read blocks (octoload assigns it the
-// heaviest weight). Returns nil for untenanted reports.
-func victimTenant(rep serveReport) *tenantRead {
-	var victim *tenantRead
-	for i := range rep.ReadTenants {
-		t := &rep.ReadTenants[i]
-		if victim == nil || t.Tenant < victim.Tenant {
-			victim = t
-		}
-	}
-	return victim
-}
-
-// parseServe reads a load report's throughput.
-func parseServe(path string) (serveReport, error) {
-	var rep serveReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, err
+	rep := new(loadgen.Report)
+	if err := json.Unmarshal(data, rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
 }
 
-// gateServe compares serving throughput (bigger is better) and the
-// tier-real read p99 latency (smaller is better) against the baseline;
-// returns the number of regressions (0, 1, or 2).
-func gateServe(oldPath, newPath string, threshold, latThreshold float64) int {
-	base, err := parseServe(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: serve baseline:", err)
-		os.Exit(2)
+// run is main without the process exit, for tests.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	paths := make([][2]*string, len(rules))
+	for i, ru := range rules {
+		paths[i][0] = fs.String(ru.name+"-off", "", "load report: "+ru.off)
+		paths[i][1] = fs.String(ru.name+"-on", "", "load report: the same configuration with "+ru.on)
 	}
-	cur, err := parseServe(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: serve current:", err)
-		os.Exit(2)
+	if fs.Parse(args) != nil {
+		return 2
 	}
-	if cur.OpsPerSec <= 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: current serve report has no throughput")
-		os.Exit(2)
-	}
-	if base.OpsPerSec <= 0 {
-		// A zero baseline would make the floor vacuous and silently disarm
-		// the gate forever; skip loudly instead (the baseline refreshes from
-		// this run).
-		fmt.Printf("SKIP  %-60s baseline has no throughput; serve gate skipped\n", "serve:ops_per_sec")
-		return 0
-	}
-	if len(cur.Violations) > 0 {
-		// octoload already exits non-zero on violations; belt and braces.
-		fmt.Printf("SLOW  %-60s current run recorded %d invariant violations\n", "serve:ops_per_sec", len(cur.Violations))
-		return 1
-	}
-	regressions := 0
-	floor := base.OpsPerSec / threshold
-	if cur.OpsPerSec < floor {
-		fmt.Printf("SLOW  %-60s %12.0f ops/s vs baseline %.0f (%.2fx < 1/%.2fx gate)\n",
-			"serve:ops_per_sec", cur.OpsPerSec, base.OpsPerSec, cur.OpsPerSec/base.OpsPerSec, threshold)
-		regressions++
-	} else {
-		fmt.Printf("OK    %-60s %12.0f ops/s vs baseline %.0f (%.2fx)\n",
-			"serve:ops_per_sec", cur.OpsPerSec, base.OpsPerSec, cur.OpsPerSec/base.OpsPerSec)
-	}
-	// The read p99 is the data plane's virtual (tier-real) latency, not a
-	// wall-clock sample, so it is stable enough to gate. Baselines from
-	// before the data plane (or plane-less runs) carry no read block; skip
-	// loudly rather than silently disarm.
-	switch {
-	case base.Read.Count == 0 || base.Read.P99us <= 0:
-		fmt.Printf("SKIP  %-60s baseline has no read-latency block; latency gate skipped\n", "serve:read_p99")
-	case cur.Read.Count == 0 || cur.Read.P99us <= 0:
-		fmt.Printf("SLOW  %-60s baseline has read latencies but current run has none (data plane disabled?)\n", "serve:read_p99")
-		regressions++
-	case cur.Read.P99us > base.Read.P99us*latThreshold:
-		fmt.Printf("SLOW  %-60s %12.0f µs vs baseline %.0f (%.2fx > %.2fx gate)\n",
-			"serve:read_p99", cur.Read.P99us, base.Read.P99us, cur.Read.P99us/base.Read.P99us, latThreshold)
-		regressions++
-	default:
-		fmt.Printf("OK    %-60s %12.0f µs vs baseline %.0f (%.2fx)\n",
-			"serve:read_p99", cur.Read.P99us, base.Read.P99us, cur.Read.P99us/base.Read.P99us)
-	}
-	// Peak sustained ops/s comes from the report's over-time curve: the
-	// best full window, which catches a throughput knee that the whole-run
-	// average smears over. Reports from before the time-series collector
-	// (or runs without -window) carry no timeseries block; skip loudly
-	// rather than silently disarm.
-	switch {
-	case base.TimeSeries == nil || base.TimeSeries.PeakOpsPerSec <= 0:
-		if cur.TimeSeries != nil && cur.TimeSeries.PeakOpsPerSec > 0 {
-			fmt.Printf("SKIP  %-60s baseline has no timeseries block (predates the collector); peak gate arms next run\n", "serve:peak_ops_per_sec")
+	ran, failed := 0, 0
+	for i, ru := range rules {
+		offPath, onPath := *paths[i][0], *paths[i][1]
+		if offPath == "" && onPath == "" {
+			continue
 		}
-	case cur.TimeSeries == nil || cur.TimeSeries.PeakOpsPerSec <= 0:
-		fmt.Printf("SLOW  %-60s baseline has a timeseries block but current run has none (window disabled?)\n", "serve:peak_ops_per_sec")
-		regressions++
-	case cur.TimeSeries.PeakOpsPerSec < base.TimeSeries.PeakOpsPerSec/threshold:
-		fmt.Printf("SLOW  %-60s %12.0f ops/s vs baseline %.0f (%.2fx < 1/%.2fx gate)\n",
-			"serve:peak_ops_per_sec", cur.TimeSeries.PeakOpsPerSec, base.TimeSeries.PeakOpsPerSec,
-			cur.TimeSeries.PeakOpsPerSec/base.TimeSeries.PeakOpsPerSec, threshold)
-		regressions++
-	default:
-		fmt.Printf("OK    %-60s %12.0f ops/s vs baseline %.0f (%.2fx)\n",
-			"serve:peak_ops_per_sec", cur.TimeSeries.PeakOpsPerSec, base.TimeSeries.PeakOpsPerSec,
-			cur.TimeSeries.PeakOpsPerSec/base.TimeSeries.PeakOpsPerSec)
+		off, err := load(offPath)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchgate: -%s-off: %v\n", ru.name, err)
+			return 2
+		}
+		on, err := load(onPath)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchgate: -%s-on: %v\n", ru.name, err)
+			return 2
+		}
+		ran++
+		failed += ru.gate(off, on, stdout)
 	}
-	// The victim-tenant gate is the multi-tenant QoS regression floor: the
-	// heaviest-weight (lowest-id) tenant's read p99 must not drift up, or
-	// weighted-fair isolation is eroding even if aggregate p99 holds.
-	// Baselines from before the QoS layer (or untenanted runs) carry no
-	// read_tenants block; skip loudly rather than silently disarm — the
-	// baseline refreshes from this run and the gate arms itself next time.
-	curVictim := victimTenant(cur)
-	switch baseVictim := victimTenant(base); {
-	case baseVictim == nil && curVictim == nil:
-		// An untenanted report pair: nothing to gate, nothing to announce.
-	case baseVictim == nil || baseVictim.Count == 0 || baseVictim.P99us <= 0:
-		fmt.Printf("SKIP  %-60s baseline has no per-tenant read block (pre-QoS baseline?); victim gate skipped\n", "serve:victim_read_p99")
-	case curVictim == nil || curVictim.Count == 0 || curVictim.P99us <= 0:
-		fmt.Printf("SLOW  %-60s baseline has tenant read latencies but current run has none (tenants disabled?)\n", "serve:victim_read_p99")
-		regressions++
-	case curVictim.P99us > baseVictim.P99us*latThreshold:
-		fmt.Printf("SLOW  %-60s %12.0f µs vs baseline %.0f (tenant %d, %.2fx > %.2fx gate)\n",
-			"serve:victim_read_p99", curVictim.P99us, baseVictim.P99us, curVictim.Tenant, curVictim.P99us/baseVictim.P99us, latThreshold)
-		regressions++
-	default:
-		fmt.Printf("OK    %-60s %12.0f µs vs baseline %.0f (tenant %d, %.2fx)\n",
-			"serve:victim_read_p99", curVictim.P99us, baseVictim.P99us, curVictim.Tenant, curVictim.P99us/baseVictim.P99us)
-	}
-	return regressions
-}
-
-// gateOverhead compares two load reports from the same configuration — one
-// with observability off, one with the hub, tracer, and HTTP endpoint on —
-// and fails when instrumentation costs more throughput than the threshold
-// allows. The obs plane is designed to be a nil check when off and sampled
-// spans plus pull-based closures when on; this gate keeps that promise
-// honest. Both runs come from the same CI job, so the comparison is
-// same-machine, same-commit.
-func gateOverhead(offPath, onPath string, threshold float64) int {
-	off, err := parseServe(offPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: overhead-off:", err)
-		os.Exit(2)
-	}
-	on, err := parseServe(onPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: overhead-on:", err)
-		os.Exit(2)
-	}
-	if off.OpsPerSec <= 0 || on.OpsPerSec <= 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: overhead reports need nonzero ops_per_sec on both sides")
-		os.Exit(2)
-	}
-	if on.OpsPerSec < off.OpsPerSec/threshold {
-		fmt.Printf("SLOW  %-60s %12.0f ops/s instrumented vs %.0f plain (%.2fx < 1/%.2fx gate)\n",
-			"serve:obs_overhead", on.OpsPerSec, off.OpsPerSec, on.OpsPerSec/off.OpsPerSec, threshold)
+	switch {
+	case ran == 0:
+		fmt.Fprintln(stderr, "benchgate: need -overhead-off/-overhead-on and/or -skew-off/-skew-on")
+		return 2
+	case failed > 0:
+		fmt.Fprintf(stdout, "benchgate: %d check(s) failed\n", failed)
 		return 1
 	}
-	fmt.Printf("OK    %-60s %12.0f ops/s instrumented vs %.0f plain (%.2fx)\n",
-		"serve:obs_overhead", on.OpsPerSec, off.OpsPerSec, on.OpsPerSec/off.OpsPerSec)
+	fmt.Fprintln(stdout, "benchgate: all checks hold")
 	return 0
 }
 
-// gateSkew compares a skewed static-routing run against the same
-// configuration with the rebalancer on. Both runs come from the same CI job
-// (same machine, same commit), so the ratio is a property of the code, not
-// of baseline drift. Three checks: the rebalanced run must win on ops/s by
-// ratioFloor, must flatten the per-shard imbalance by imbFloor, and must
-// have actually completed migrations and epoch flips.
-func gateSkew(offPath, onPath string, ratioFloor, imbFloor float64) int {
-	off, err := parseServe(offPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: skew-off:", err)
-		os.Exit(2)
-	}
-	on, err := parseServe(onPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: skew-on:", err)
-		os.Exit(2)
-	}
-	if off.OpsPerSec <= 0 || on.OpsPerSec <= 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: skew reports need nonzero ops_per_sec on both sides")
-		os.Exit(2)
-	}
-	if off.ImbalanceRatio <= 0 || on.ImbalanceRatio <= 0 {
-		// Reports from before the per-shard counters (pre-rebalancing
-		// octoload) cannot arm this gate; skip loudly rather than silently
-		// disarm — a fresh pair from this commit's octoload always carries
-		// the imbalance block on -shards > 1 runs.
-		fmt.Printf("SKIP  %-60s report lacks imbalance_ratio (pre-rebalancing octoload?); skew gate skipped\n", "serve:skew_speedup")
-		return 0
-	}
-	regressions := 0
-	if on.OpsPerSec < off.OpsPerSec*ratioFloor {
-		fmt.Printf("SLOW  %-60s %12.0f ops/s rebalanced vs %.0f static (%.2fx < %.2fx gate)\n",
-			"serve:skew_speedup", on.OpsPerSec, off.OpsPerSec, on.OpsPerSec/off.OpsPerSec, ratioFloor)
-		regressions++
-	} else {
-		fmt.Printf("OK    %-60s %12.0f ops/s rebalanced vs %.0f static (%.2fx)\n",
-			"serve:skew_speedup", on.OpsPerSec, off.OpsPerSec, on.OpsPerSec/off.OpsPerSec)
-	}
-	if on.ImbalanceRatio*imbFloor > off.ImbalanceRatio {
-		fmt.Printf("SLOW  %-60s %12.2fx rebalanced vs %.2fx static (improved %.2fx < %.2fx gate)\n",
-			"serve:skew_imbalance", on.ImbalanceRatio, off.ImbalanceRatio, off.ImbalanceRatio/on.ImbalanceRatio, imbFloor)
-		regressions++
-	} else {
-		fmt.Printf("OK    %-60s %12.2fx rebalanced vs %.2fx static (improved %.2fx)\n",
-			"serve:skew_imbalance", on.ImbalanceRatio, off.ImbalanceRatio, off.ImbalanceRatio/on.ImbalanceRatio)
-	}
-	switch {
-	case on.Rebalance == nil:
-		fmt.Printf("SKIP  %-60s skew-on report lacks a rebalance block (pre-rebalancing octoload?); vacuity check skipped\n", "serve:skew_migrations")
-	case on.Rebalance.Completed == 0 || on.Rebalance.EpochFlips == 0 || on.Rebalance.FilesMoved == 0:
-		fmt.Printf("SLOW  %-60s rebalanced run moved nothing (completed %d, flips %d, files %d) — the comparison is vacuous\n",
-			"serve:skew_migrations", on.Rebalance.Completed, on.Rebalance.EpochFlips, on.Rebalance.FilesMoved)
-		regressions++
-	default:
-		fmt.Printf("OK    %-60s %12d migrations, %d epoch flips, %d files moved\n",
-			"serve:skew_migrations", on.Rebalance.Completed, on.Rebalance.EpochFlips, on.Rebalance.FilesMoved)
-	}
-	return regressions
-}
-
-// backendCalibration is the subset of cmd/octoload's BENCH_backend.json the
-// backend gate checks: enough to prove the smoke run moved real bytes.
-type backendCalibration struct {
-	Backend string `json:"backend"`
-	Tiers   []struct {
-		Tier  string `json:"tier"`
-		Write struct {
-			Count  int64   `json:"count"`
-			Bytes  int64   `json:"bytes"`
-			Errors int64   `json:"errors"`
-			MeanUS float64 `json:"mean_us"`
-		} `json:"write"`
-		Read struct {
-			Count  int64   `json:"count"`
-			MeanUS float64 `json:"mean_us"`
-		} `json:"read"`
-	} `json:"tiers"`
-}
-
-// gateBackend is a vacuity gate over the real-backend calibration report:
-// it fails when the smoke run claims success but the backend did no
-// physical work (no writes on some tier, zero bytes, zero wall time) —
-// the failure mode where the backend silently detached and the "real" run
-// measured the simulator. Reports without a real-backend block (sim runs,
-// pre-backend octoload) SKIP loudly.
-func gateBackend(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: backend report:", err)
-		os.Exit(2)
-	}
-	var cal backendCalibration
-	if err := json.Unmarshal(data, &cal); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: backend report:", err)
-		os.Exit(2)
-	}
-	if cal.Backend != "real" || len(cal.Tiers) == 0 {
-		fmt.Printf("SKIP  %-60s report has no real-backend block (sim run or pre-backend octoload?); backend gate skipped\n", "backend:real_io")
-		return 0
-	}
-	regressions := 0
-	var reads int64
-	for _, t := range cal.Tiers {
-		if t.Write.Count == 0 || t.Write.Bytes == 0 || t.Write.MeanUS <= 0 {
-			fmt.Printf("SLOW  %-60s tier %s wrote %d ops / %d bytes (real backend did no physical writes)\n",
-				"backend:real_io", t.Tier, t.Write.Count, t.Write.Bytes)
-			regressions++
-			continue
-		}
-		fmt.Printf("OK    %-60s tier %s: %d writes (%dMB, mean %.0fµs), %d reads, %d write errors\n",
-			"backend:real_io", t.Tier, t.Write.Count, t.Write.Bytes/1e6, t.Write.MeanUS, t.Read.Count, t.Write.Errors)
-		reads += t.Read.Count
-	}
-	if reads == 0 {
-		// Writes happened but not a single replica was read back: the serve
-		// path's physical reads are detached.
-		fmt.Printf("SLOW  %-60s no tier recorded a physical read (serve path detached from backend)\n", "backend:real_io")
-		regressions++
-	}
-	return regressions
-}
-
-func main() {
-	var (
-		oldPath      = flag.String("old", "", "baseline go test -json bench output")
-		newPath      = flag.String("new", "", "current go test -json bench output")
-		serveOld     = flag.String("serve-old", "", "baseline BENCH_serve.json load report")
-		serveNew     = flag.String("serve-new", "", "current BENCH_serve.json load report")
-		threshold    = flag.Float64("threshold", 1.25, "fail when new > old * threshold (ns/op) or new < old / threshold (ops/s)")
-		latThreshold = flag.Float64("lat-threshold", 1.5, "fail when the serve report's read p99 exceeds baseline * this (virtual tier-real latency)")
-		floorNS      = flag.Float64("floor-ns", 1000, "ignore benchmarks faster than this baseline (jitter floor)")
-		overheadOff  = flag.String("overhead-off", "", "load report from an obs-disabled run (overhead gate)")
-		overheadOn   = flag.String("overhead-on", "", "load report from the same configuration with -obs-listen/-trace on (overhead gate)")
-		overheadMax  = flag.Float64("overhead-threshold", 1.05, "fail when the instrumented run's ops/s < plain / this")
-		skewOff      = flag.String("skew-off", "", "load report from a skewed static-routing run (skew gate)")
-		skewOn       = flag.String("skew-on", "", "load report from the same skewed configuration with -rebalance (skew gate)")
-		skewRatio    = flag.Float64("skew-ratio", 1.3, "fail when the rebalanced run's ops/s < static * this")
-		skewImb      = flag.Float64("skew-imbalance", 1.2, "fail when the rebalanced run improves the per-shard imbalance ratio by less than this factor")
-		backendRep   = flag.String("backend-report", "", "BENCH_backend.json calibration report from a -backend real run (vacuity gate: the smoke must have moved real bytes)")
-	)
-	flag.Parse()
-	haveBench := *oldPath != "" && *newPath != ""
-	haveServe := *serveOld != "" && *serveNew != ""
-	haveOverhead := *overheadOff != "" && *overheadOn != ""
-	haveSkew := *skewOff != "" && *skewOn != ""
-	haveBackend := *backendRep != ""
-	if !haveBench && !haveServe && !haveOverhead && !haveSkew && !haveBackend {
-		fmt.Fprintln(os.Stderr, "benchgate: need -old/-new, -serve-old/-serve-new, -overhead-off/-overhead-on, -skew-off/-skew-on, and/or -backend-report")
-		os.Exit(2)
-	}
-	// Run every configured gate before deciding the exit status, so a serve
-	// regression does not hide simultaneous benchmark regressions (or vice
-	// versa) from the CI log.
-	serveRegressions := 0
-	if haveServe {
-		serveRegressions = gateServe(*serveOld, *serveNew, *threshold, *latThreshold)
-	}
-	if haveOverhead {
-		serveRegressions += gateOverhead(*overheadOff, *overheadOn, *overheadMax)
-	}
-	if haveSkew {
-		serveRegressions += gateSkew(*skewOff, *skewOn, *skewRatio, *skewImb)
-	}
-	if haveBackend {
-		serveRegressions += gateBackend(*backendRep)
-	}
-	if !haveBench {
-		if serveRegressions > 0 {
-			fmt.Printf("benchgate: %d serving metric(s) regressed\n", serveRegressions)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: no regressions")
-		return
-	}
-	oldNS, err := parse(*oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: baseline:", err)
-		os.Exit(2)
-	}
-	newNS, err := parse(*newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate: current:", err)
-		os.Exit(2)
-	}
-	if len(newNS) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results in", *newPath)
-		os.Exit(2)
-	}
-
-	names := make([]string, 0, len(newNS))
-	for name := range newNS {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// Benchmarks present in the baseline but absent from the current run
-	// must not vanish silently: a rename or pattern change that stops a
-	// benchmark from running is itself a gate escape.
-	var gone []string
-	for name := range oldNS {
-		if _, ok := newNS[name]; !ok {
-			gone = append(gone, name)
-		}
-	}
-	sort.Strings(gone)
-	for _, name := range gone {
-		fmt.Printf("GONE  %-60s baseline %.0f ns/op, missing from current run\n", name, oldNS[name])
-	}
-
-	regressions := 0
-	for _, name := range names {
-		cur := newNS[name]
-		base, ok := oldNS[name]
-		// Custom metrics ("name:unit", e.g. the footprint benchmark's
-		// bytes/file) are deterministic counts, not timings: the jitter
-		// floor does not apply, and a missing baseline means the baseline
-		// predates the metric — skip loudly, the gate arms itself once the
-		// baseline refreshes from this run.
-		custom := strings.Contains(name, ":")
-		unit := "ns/op"
-		if custom {
-			unit = name[strings.IndexByte(name, ':')+1:]
-		}
-		switch {
-		case !ok && custom:
-			fmt.Printf("SKIP  %-60s %12.2f %s (baseline predates this metric; gate arms next run)\n", name, cur, unit)
-		case !ok:
-			fmt.Printf("NEW   %-60s %12.0f ns/op (no baseline)\n", name, cur)
-		case !custom && base < *floorNS:
-			fmt.Printf("SKIP  %-60s %12.0f ns/op (baseline %.0f ns under jitter floor)\n", name, cur, base)
-		case cur > base*(*threshold):
-			fmt.Printf("SLOW  %-60s %12.2f %s vs baseline %.2f (%.2fx > %.2fx gate)\n",
-				name, cur, unit, base, cur/base, *threshold)
-			regressions++
-		default:
-			fmt.Printf("OK    %-60s %12.2f %s vs baseline %.2f (%.2fx)\n", name, cur, unit, base, cur/base)
-		}
-	}
-	if regressions > 0 || serveRegressions > 0 {
-		if regressions > 0 {
-			fmt.Printf("benchgate: %d benchmark(s) regressed beyond %.0f%%\n", regressions, (*threshold-1)*100)
-		}
-		if serveRegressions > 0 {
-			fmt.Printf("benchgate: %d serving metric(s) regressed\n", serveRegressions)
-		}
-		os.Exit(1)
-	}
-	if len(gone) > 0 {
-		// Disappearance is reported loudly but does not fail the gate: the
-		// baseline refreshes from this run, so an intentional removal
-		// clears itself, while the GONE lines make an accidental one
-		// visible in the job log.
-		fmt.Printf("benchgate: no regressions (%d baseline benchmark(s) disappeared; see GONE lines)\n", len(gone))
-		return
-	}
-	fmt.Println("benchgate: no regressions")
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
 	"octostore/internal/jobs"
@@ -77,20 +76,13 @@ func main() {
 	})
 	fs := dfs.MustNew(cl, dfs.Config{Mode: dfs.ModeOctopus, Seed: *seed, ClientRate: 2000e6})
 
-	ctx := core.NewContext(fs, core.DefaultConfig())
 	lcfg := ml.DefaultLearnerConfig()
 	lcfg.Seed = *seed
-	downP, err := policy.NewDowngrade(*down, ctx, lcfg)
+	mgr, err := policy.NewManager(fs, *down, *up, lcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "octofs:", err)
 		os.Exit(2)
 	}
-	upP, err := policy.NewUpgrade(*up, ctx, lcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "octofs:", err)
-		os.Exit(2)
-	}
-	mgr := core.NewManager(ctx, downP, upP)
 	mgr.Start()
 	defer mgr.Stop()
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/ml"
 	"octostore/internal/policy"
@@ -59,16 +58,10 @@ func run(managed bool) (writeTime, readTime time.Duration) {
 	}
 	fs := dfs.MustNew(cl, dfs.Config{Mode: mode, Seed: 3, ClientRate: 1000e6})
 	if managed {
-		ctx := core.NewContext(fs, core.DefaultConfig())
-		down, err := policy.NewDowngrade("xgb", ctx, ml.DefaultLearnerConfig())
+		mgr, err := policy.NewManager(fs, "xgb", "xgb", ml.DefaultLearnerConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
-		up, err := policy.NewUpgrade("xgb", ctx, ml.DefaultLearnerConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		mgr := core.NewManager(ctx, down, up)
 		mgr.Start()
 		defer mgr.Stop()
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
 	"octostore/internal/jobs"
@@ -91,16 +90,10 @@ func run(sys system, trace *workload.Trace) *jobs.RunStats {
 	})
 	fs := dfs.MustNew(cl, dfs.Config{Mode: sys.mode, Seed: 7, ClientRate: 1000e6})
 	if sys.down != "" || sys.up != "" {
-		ctx := core.NewContext(fs, core.DefaultConfig())
-		down, err := policy.NewDowngrade(sys.down, ctx, ml.DefaultLearnerConfig())
+		mgr, err := policy.NewManager(fs, sys.down, sys.up, ml.DefaultLearnerConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
-		up, err := policy.NewUpgrade(sys.up, ctx, ml.DefaultLearnerConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		mgr := core.NewManager(ctx, down, up)
 		mgr.Start()
 		defer mgr.Stop()
 	}

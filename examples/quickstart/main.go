@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/ml"
 	"octostore/internal/policy"
@@ -33,16 +32,10 @@ func main() {
 
 	// Octopus++: a replication manager with an LRU downgrade policy and the
 	// ML-driven XGB upgrade policy.
-	ctx := core.NewContext(fs, core.DefaultConfig())
-	down, err := policy.NewDowngrade("lru", ctx, ml.DefaultLearnerConfig())
+	mgr, err := policy.NewManager(fs, "lru", "xgb", ml.DefaultLearnerConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	up, err := policy.NewUpgrade("xgb", ctx, ml.DefaultLearnerConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr := core.NewManager(ctx, down, up)
 	mgr.Start()
 	defer mgr.Stop()
 

@@ -3,8 +3,14 @@ package experiments
 import (
 	"testing"
 
+	"octostore/internal/cluster"
+	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
+	"octostore/internal/jobs"
+	"octostore/internal/policy"
+	"octostore/internal/scenario"
+	"octostore/internal/sim"
 	"octostore/internal/workload"
 )
 
@@ -22,14 +28,30 @@ func TestDebugXGBEngagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := workload.Generate(p, o.Seed)
-	arts, err := runSystem(System{Name: "XGB", Mode: dfs.ModeOctopus, Down: "xgb", Up: "xgb"}, tr, o.clusterConfig(), o.Seed)
+	// Wired by hand (not runSystem) so the test keeps hold of the two XGB
+	// policies whose learners it reports on.
+	cl, err := cluster.New(sim.NewEngine(), o.clusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := arts.manager.Metrics()
+	fs, err := dfs.New(cl, dfs.Config{Mode: dfs.ModeOctopus, Seed: o.Seed, ClientRate: 2000e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.NewContext(fs, core.DefaultConfig())
+	downXGB := policy.NewXGBDown(ctx, scenario.LearnerConfig(o.Seed))
+	upXGB := policy.NewXGBUp(ctx, scenario.LearnerConfig(o.Seed))
+	mgr := core.NewManager(ctx, downXGB, upXGB)
+	mgr.Start()
+	stats, err := jobs.Run(fs, tr, jobs.Options{Seed: o.Seed}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Stop()
+	mm := mgr.Metrics()
 	t.Logf("manager: %+v", mm)
 	t.Logf("monitor: done=%d failed=%d repairs=%d",
-		arts.manager.Monitor().MovesDone(), arts.manager.Monitor().MovesFailed(), arts.manager.Monitor().Repairs())
+		mgr.Monitor().MovesDone(), mgr.Monitor().MovesFailed(), mgr.Monitor().Repairs())
 	for name, pl := range map[string]interface {
 		SamplesSeen() int64
 		Trainings() int64
@@ -37,29 +59,29 @@ func TestDebugXGBEngagement(t *testing.T) {
 		RollingError() float64
 		Ready() bool
 	}{
-		"down": arts.downXGB.Pipeline().Learner,
-		"up":   arts.upXGB.Pipeline().Learner,
+		"down": downXGB.Pipeline().Learner,
+		"up":   upXGB.Pipeline().Learner,
 	} {
 		trees := 0
 		switch name {
 		case "down":
-			if m := arts.downXGB.Pipeline().Learner.Model(); m != nil {
+			if m := downXGB.Pipeline().Learner.Model(); m != nil {
 				trees = m.NumTrees()
 			}
 		case "up":
-			if m := arts.upXGB.Pipeline().Learner.Model(); m != nil {
+			if m := upXGB.Pipeline().Learner.Model(); m != nil {
 				trees = m.NumTrees()
 			}
 		}
 		t.Logf("%s learner: samples=%d trainings=%d updates=%d err=%.3f trees=%d ready=%v",
 			name, pl.SamplesSeen(), pl.Trainings(), pl.Updates(), pl.RollingError(), trees, pl.Ready())
 	}
-	reads, memReads, blocks, memLoc, bytes, memBytes := arts.stats.Totals()
+	reads, memReads, blocks, memLoc, bytes, memBytes := stats.Totals()
 	t.Logf("HR access=%s BHR=%s | HR location=%s | reads=%d blocks=%d",
 		eval.Pct(eval.HitRatio(memReads, reads)),
 		eval.Pct(eval.ByteHitRatio(memBytes, bytes)),
 		eval.Pct(eval.Ratio(float64(memLoc), float64(blocks))), reads, blocks)
-	for i, f := range arts.fs.UnderReplicatedFiles() {
+	for i, f := range fs.UnderReplicatedFiles() {
 		if i >= 5 {
 			break
 		}

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
 	"octostore/internal/policy"
+	"octostore/internal/scenario"
 	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
@@ -103,19 +103,11 @@ func runDFSIO(sys System, o Options, cfg dfsioConfig) (writeMBs, readMBs []float
 	if err != nil {
 		return nil, nil, err
 	}
-	var mgr *core.Manager
-	if sys.Down != "" || sys.Up != "" {
-		ctx := core.NewContext(fs, core.DefaultConfig())
-		lcfg := learnerConfig(o.Seed)
-		down, derr := policy.NewDowngrade(sys.Down, ctx, lcfg)
-		if derr != nil {
-			return nil, nil, derr
+	if sys.Managed() {
+		mgr, err := policy.NewManager(fs, sys.Down, sys.Up, scenario.LearnerConfig(o.Seed))
+		if err != nil {
+			return nil, nil, err
 		}
-		up, uerr := policy.NewUpgrade(sys.Up, ctx, lcfg)
-		if uerr != nil {
-			return nil, nil, uerr
-		}
-		mgr = core.NewManager(ctx, down, up)
 		mgr.Start()
 		defer mgr.Stop()
 	}

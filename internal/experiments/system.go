@@ -7,20 +7,15 @@ import (
 	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/jobs"
-	"octostore/internal/ml"
 	"octostore/internal/policy"
+	"octostore/internal/scenario"
 	"octostore/internal/sim"
 	"octostore/internal/workload"
 )
 
 // System names one of the compared configurations: a dfs mode plus a
 // downgrade/upgrade policy pair ("" disables that side).
-type System struct {
-	Name string
-	Mode dfs.Mode
-	Down string
-	Up   string
-}
+type System = scenario.System
 
 // The configurations compared in the end-to-end evaluation (Section 7.2).
 func endToEndSystems() []System {
@@ -39,22 +34,7 @@ func endToEndSystems() []System {
 type runArtifacts struct {
 	fs      *dfs.FileSystem
 	manager *core.Manager
-	downXGB *policy.XGBDown
-	upXGB   *policy.XGBUp
 	stats   *jobs.RunStats
-}
-
-// learnerConfig tunes the XGB policies for simulation-scale runs: the
-// paper's tree shape, but a bounded ensemble so six-hour replays stay
-// cheap.
-func learnerConfig(seed int64) ml.LearnerConfig {
-	cfg := ml.DefaultLearnerConfig()
-	cfg.Seed = seed
-	cfg.Params.MaxTrees = 200
-	cfg.MinTrainSamples = 300
-	cfg.UpdateBatch = 200
-	cfg.UpdateRounds = 3
-	return cfg
 }
 
 // runSystem executes a trace on a freshly built system and returns the
@@ -70,25 +50,10 @@ func runSystem(sys System, tr *workload.Trace, ccfg cluster.Config, seed int64) 
 		return nil, err
 	}
 	art := &runArtifacts{fs: fs}
-	if sys.Down != "" || sys.Up != "" {
-		cfg := core.DefaultConfig()
-		ctx := core.NewContext(fs, cfg)
-		lcfg := learnerConfig(seed)
-		down, err := policy.NewDowngrade(sys.Down, ctx, lcfg)
-		if err != nil {
+	if sys.Managed() {
+		if art.manager, err = policy.NewManager(fs, sys.Down, sys.Up, scenario.LearnerConfig(seed)); err != nil {
 			return nil, err
 		}
-		up, err := policy.NewUpgrade(sys.Up, ctx, lcfg)
-		if err != nil {
-			return nil, err
-		}
-		if d, ok := down.(*policy.XGBDown); ok {
-			art.downXGB = d
-		}
-		if u, ok := up.(*policy.XGBUp); ok {
-			art.upXGB = u
-		}
-		art.manager = core.NewManager(ctx, down, up)
 		art.manager.Start()
 	}
 	stats, err := jobs.Run(fs, tr, jobs.Options{Seed: seed}, nil)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
 	"octostore/internal/jobs"
 	"octostore/internal/policy"
+	"octostore/internal/scenario"
 	"octostore/internal/sim"
 	"octostore/internal/workload"
 )
@@ -66,17 +66,10 @@ func runWithAffinity(tr *workload.Trace, o Options, affinity float64) (*jobs.Run
 	if err != nil {
 		return nil, err
 	}
-	ctx := core.NewContext(fs, core.DefaultConfig())
-	lcfg := learnerConfig(o.Seed)
-	down, err := policy.NewDowngrade("xgb", ctx, lcfg)
+	mgr, err := policy.NewManager(fs, "xgb", "xgb", scenario.LearnerConfig(o.Seed))
 	if err != nil {
 		return nil, err
 	}
-	up, err := policy.NewUpgrade("xgb", ctx, lcfg)
-	if err != nil {
-		return nil, err
-	}
-	mgr := core.NewManager(ctx, down, up)
 	mgr.Start()
 	defer mgr.Stop()
 	opts := jobs.DefaultOptions()

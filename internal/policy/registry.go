@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"octostore/internal/core"
+	"octostore/internal/dfs"
 	"octostore/internal/ml"
 )
 
@@ -55,4 +56,21 @@ func NewUpgrade(name string, ctx *core.Context, learnerCfg ml.LearnerConfig) (co
 		return NewXGBUp(ctx, learnerCfg), nil
 	}
 	return nil, fmt.Errorf("policy: unknown upgrade policy %q (want one of %v)", name, UpgradeNames)
+}
+
+// NewManager builds the managed system every harness runs: a policy context
+// over fs with core.DefaultConfig, the named downgrade/upgrade pair (see
+// NewDowngrade and NewUpgrade; an empty name disables that side), and the
+// replication manager listening on fs. The manager is returned unstarted.
+func NewManager(fs *dfs.FileSystem, down, up string, learnerCfg ml.LearnerConfig) (*core.Manager, error) {
+	ctx := core.NewContext(fs, core.DefaultConfig())
+	d, err := NewDowngrade(down, ctx, learnerCfg)
+	if err != nil {
+		return nil, err
+	}
+	u, err := NewUpgrade(up, ctx, learnerCfg)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewManager(ctx, d, u), nil
 }

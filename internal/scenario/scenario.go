@@ -158,9 +158,10 @@ type Result struct {
 // does not balloon the result.
 const maxRecordedViolations = 5
 
-// learnerConfig mirrors the experiment harness's simulation-scale XGB
-// tuning: the paper's tree shape with a bounded ensemble.
-func learnerConfig(seed int64) ml.LearnerConfig {
+// LearnerConfig tunes the XGB policies for simulation-scale runs (scenario
+// replays and the experiment harness alike): the paper's tree shape, but a
+// bounded ensemble so six-hour replays stay cheap.
+func LearnerConfig(seed int64) ml.LearnerConfig {
 	cfg := ml.DefaultLearnerConfig()
 	cfg.Seed = seed
 	cfg.Params.MaxTrees = 200
@@ -186,17 +187,9 @@ func Run(sc Scenario, sys System, o Options) (*Result, error) {
 	}
 	rp := &Replay{Scenario: sc, System: sys, Opts: o, Engine: engine, Cluster: cl, FS: fs}
 	if sys.Managed() {
-		ctx := core.NewContext(fs, core.DefaultConfig())
-		lcfg := learnerConfig(o.Seed)
-		down, err := policy.NewDowngrade(sys.Down, ctx, lcfg)
-		if err != nil {
+		if rp.Manager, err = policy.NewManager(fs, sys.Down, sys.Up, LearnerConfig(o.Seed)); err != nil {
 			return nil, err
 		}
-		up, err := policy.NewUpgrade(sys.Up, ctx, lcfg)
-		if err != nil {
-			return nil, err
-		}
-		rp.Manager = core.NewManager(ctx, down, up)
 		rp.Manager.Start()
 		defer rp.Manager.Stop()
 	}
