@@ -15,9 +15,8 @@ package core
 //   - one most-recently-used heap over files not resident in memory serves
 //     Context.UpgradeCandidates (the XGB upgrade policy's "k most recently
 //     used files", Section 6.1) without sorting the live-file set;
-//   - a subscription feed forwards per-tier residency flips to policies
-//     that keep their own ordered state (the LRFU/EXD lazy weight heaps in
-//     internal/policy).
+//   - the same per-tier residency flips drive the weight heaps of the
+//     context's derived statistics (DecayedWeight, serving LRFU and EXD).
 //
 // Membership follows the all-or-nothing residency property: a file appears
 // in the structures of exactly the tiers holding a replica of every block,
@@ -467,21 +466,6 @@ func (h *FileHeap) swap(i, j int32) {
 	h.store[h.items[j]].pos = j
 }
 
-// ResidencySubscriber receives per-tier membership events derived from the
-// file-system notifications; policies that keep their own ordered candidate
-// state (the LRFU/EXD weight heaps) implement it and register through
-// CandidateIndex.Subscribe.
-type ResidencySubscriber interface {
-	// OnTierResident fires when a complete file becomes fully resident on a
-	// tier (and once per resident tier when the file is first seen).
-	OnTierResident(f *dfs.File, tier storage.Media)
-	// OnTierEvicted fires when the file stops being fully resident on the
-	// tier.
-	OnTierEvicted(f *dfs.File, tier storage.Media)
-	// OnTrackedFileDeleted fires when the file leaves the namespace.
-	OnTrackedFileDeleted(f *dfs.File)
-}
-
 // CandidateIndex is the Context's incremental selection state. Structures
 // are built on demand — each policy declares what it needs at construction
 // (RequireRecency, RequireFrequency, RequireUpgradeMRU) and pays only for
@@ -492,8 +476,7 @@ type CandidateIndex struct {
 	recency [3]*FileHeap // per tier: (lastTouch, id) ascending
 	freq    [3]*FileHeap // per tier: (count, lastTouch, id) ascending
 	mru     *FileHeap    // non-memory-resident files: lastTouch descending
-	heaps   []*FileHeap  // every heap from NewHeap: the ones above and the policy-owned ones
-	subs    []ResidencySubscriber
+	heaps   []*FileHeap  // every heap from NewHeap: the ones above and the derived statistics'
 }
 
 func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ctx: ctx} }
@@ -501,8 +484,7 @@ func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ct
 // NewHeap builds an empty heap over the context's files that follows the
 // manager's eligibility record: the manager parks and un-parks files in it
 // together with the index's own structures, so its top is always selectable.
-// Policies that keep their own ordered candidate state (the LRFU/EXD weight
-// heaps) build it here.
+// The derived statistics build their weight heaps here.
 func (ix *CandidateIndex) NewHeap(less func(a, b HeapKey) bool) *FileHeap {
 	h := NewFileHeap(less, ix.ctx.FS.FileByID)
 	h.ctx = ix.ctx
@@ -565,22 +547,6 @@ func (ix *CandidateIndex) RequireUpgradeMRU() {
 	})
 }
 
-// Subscribe registers a residency subscriber and replays the current
-// membership to it, so late-constructed policies start consistent.
-func (ix *CandidateIndex) Subscribe(s ResidencySubscriber) {
-	ix.subs = append(ix.subs, s)
-	for _, f := range ix.ctx.FS.LiveFiles() {
-		if f.Deleted() || !ix.ctx.FS.Complete(f) {
-			continue
-		}
-		for _, m := range storage.AllMedia {
-			if f.HasReplicaOn(m) {
-				s.OnTierResident(f, m)
-			}
-		}
-	}
-}
-
 // bootstrap seeds newly enabled structures from the live-file index.
 func (ix *CandidateIndex) bootstrap(perTier func(*dfs.File, storage.Media), perFile func(*dfs.File)) {
 	for _, f := range ix.ctx.FS.LiveFiles() {
@@ -620,8 +586,8 @@ func (ix *CandidateIndex) fileCreated(f *dfs.File) {
 		if ix.freq[m] != nil {
 			ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), touch)
 		}
-		for _, s := range ix.subs {
-			s.OnTierResident(f, m)
+		for _, w := range ix.ctx.weights {
+			w.resident(f, m)
 		}
 	}
 	if ix.mru != nil && ix.upgradeIndexable(f) {
@@ -658,9 +624,6 @@ func (ix *CandidateIndex) fileDeleted(f *dfs.File) {
 	if ix.mru != nil {
 		ix.mru.Remove(id)
 	}
-	for _, s := range ix.subs {
-		s.OnTrackedFileDeleted(f)
-	}
 }
 
 func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, resident bool) {
@@ -672,8 +635,8 @@ func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, residen
 		if ix.freq[m] != nil {
 			ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), touch)
 		}
-		for _, s := range ix.subs {
-			s.OnTierResident(f, m)
+		for _, w := range ix.ctx.weights {
+			w.resident(f, m)
 		}
 	} else {
 		if ix.recency[m] != nil {
@@ -682,8 +645,8 @@ func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, residen
 		if ix.freq[m] != nil {
 			ix.freq[m].Remove(f.ID())
 		}
-		for _, s := range ix.subs {
-			s.OnTierEvicted(f, m)
+		for _, w := range ix.ctx.weights {
+			w.evicted(f, m)
 		}
 	}
 	if ix.mru != nil && m == storage.Memory {
@@ -709,27 +672,14 @@ func (ix *CandidateIndex) SelectLFU(tier storage.Media) *dfs.File {
 	return ix.freq[tier].SelectMin()
 }
 
-// LRUTopK appends up to k selectable files on the tier in least-recent
-// order to out.
-func (ix *CandidateIndex) LRUTopK(tier storage.Media, k int, out []*dfs.File) []*dfs.File {
-	return ix.recency[tier].TopK(k, out)
-}
-
-// UpgradeTopK appends up to k selectable non-memory-resident files in
-// most-recent order to out.
-func (ix *CandidateIndex) UpgradeTopK(k int, out []*dfs.File) []*dfs.File {
-	return ix.mru.TopK(k, out)
-}
-
-// HasRecency/HasFrequency/HasUpgradeMRU report which structures are live.
-func (ix *CandidateIndex) HasRecency() bool    { return ix.recency[0] != nil }
-func (ix *CandidateIndex) HasFrequency() bool  { return ix.freq[0] != nil }
-func (ix *CandidateIndex) HasUpgradeMRU() bool { return ix.mru != nil }
+// HasRecency reports whether the recency heaps are live.
+func (ix *CandidateIndex) HasRecency() bool { return ix.recency[0] != nil }
 
 // Audit validates every enabled structure against a from-scratch recompute
 // of membership and keys: each tier structure must contain exactly the
-// complete, live, fully resident files with their current tracker keys,
-// and the MRU heap exactly the non-memory-resident candidates. The
+// complete, live, fully resident files with their current tracker keys
+// (the derived statistics' weight heaps: exactly that many files), and the
+// MRU heap exactly the non-memory-resident candidates. The
 // scenario replayer runs it with the deep invariant checks so node churn
 // and re-replication cannot silently leak or strand indexed entries. It ends
 // with AuditParking.
@@ -779,6 +729,11 @@ func (ix *CandidateIndex) Audit() error {
 				return err
 			}
 		}
+		for _, w := range ix.ctx.weights {
+			if h := w.tiers[m]; h != nil && h.Len() != len(want) {
+				return fmt.Errorf("core: weight heap of tier %v holds %d files, want %d", m, h.Len(), len(want))
+			}
+		}
 	}
 	if ix.mru != nil {
 		for k := range want {
@@ -813,7 +768,7 @@ func (ix *CandidateIndex) Audit() error {
 }
 
 // AuditParking validates that ineligibility is structural: in every heap
-// built by NewHeap (the index's own and the policy-owned ones) a member is
+// built by NewHeap (the index's own and the derived statistics') a member is
 // parked exactly when the manager has it on record as busy or cooling down,
 // and the manager's record itself is sound (every cooldown has a live expiry
 // entry, the scrape counts match the maps).

@@ -242,7 +242,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 	ix.RequireRecency()
 	ix.RequireFrequency()
 	ix.RequireUpgradeMRU()
-	policyHeap := ix.NewHeap(nil) // stands in for a policy-owned weight heap
+	policyHeap := ix.NewHeap(nil) // stands in for a derived statistic's weight heap
 	m := NewManager(ev.ctx, nil, &osaStub{ctx: ev.ctx})
 	f := ev.create(t, "/f", 16*storage.MB)
 	other := ev.create(t, "/other", 16*storage.MB)
@@ -275,8 +275,8 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 	if got := ix.SelectLRU(storage.HDD); got != other {
 		t.Fatalf("SelectLRU with the older file busy = %v, want the other file", got)
 	}
-	if got := ix.UpgradeTopK(0, nil); len(got) != 1 || got[0] != other {
-		t.Fatalf("UpgradeTopK with one of two files busy = %v", got)
+	if got := ev.ctx.UpgradeCandidates(0); len(got) != 1 || got[0] != other {
+		t.Fatalf("UpgradeCandidates with one of two files busy = %v", got)
 	}
 	if got := policyHeap.SelectMin(); got != other {
 		t.Fatalf("policy heap top with the lighter file busy = %v, want the other file", got)

@@ -23,6 +23,7 @@ type Context struct {
 
 	mgr      *Manager // set when a Manager adopts the context
 	index    *CandidateIndex
+	weights  []*DecayedWeight          // derived statistics, one per Decay requested
 	headroom func(storage.Media) int64 // extra free bytes beyond the FS's cluster
 }
 
@@ -70,14 +71,18 @@ func (c *Context) releaseExpired() {
 	}
 }
 
-// ctxListener feeds file-system notifications into the context's tracker
-// and candidate index. It is registered in NewContext, before any Manager,
-// so statistics are already updated when policies observe the same event.
+// ctxListener feeds file-system notifications into the context's tracker,
+// candidate index and derived statistics. It is registered in NewContext,
+// before any Manager, so statistics are already updated when policies
+// observe the same event.
 type ctxListener struct{ ctx *Context }
 
 // FileCreated implements dfs.Listener.
 func (l ctxListener) FileCreated(f *dfs.File) {
 	l.ctx.Tracker.OnCreate(int64(f.ID()), f.Size(), f.Created())
+	for _, w := range l.ctx.weights {
+		w.created(f)
+	}
 	l.ctx.index.fileCreated(f)
 }
 
@@ -85,12 +90,18 @@ func (l ctxListener) FileCreated(f *dfs.File) {
 func (l ctxListener) FileAccessed(f *dfs.File) {
 	l.ctx.Tracker.OnAccess(int64(f.ID()), l.ctx.Clock.Now())
 	l.ctx.index.fileAccessed(f)
+	for _, w := range l.ctx.weights {
+		w.accessed(f)
+	}
 }
 
 // FileDeleted implements dfs.Listener.
 func (l ctxListener) FileDeleted(f *dfs.File) {
 	l.ctx.Tracker.OnDelete(int64(f.ID()))
 	l.ctx.index.fileDeleted(f)
+	for _, w := range l.ctx.weights {
+		w.deleted(f)
+	}
 }
 
 // FileTierChanged implements dfs.Listener.
@@ -158,8 +169,8 @@ func (c *Context) EligibleFilesInto(buf []*dfs.File, tier storage.Media) []*dfs.
 // UpgradeCandidates returns files not fully resident in memory, excluding
 // busy/cooldown files, sorted by most-recent touch first and truncated to
 // k (the XGB upgrade policy scores "the k most recently used files",
-// Section 6.1). With the upgrade MRU index enabled (RequireUpgradeMRU) the
-// collection is a bounded-heap top-k instead of a full sort.
+// Section 6.1): a bounded-heap top-k over the upgrade MRU index, which the
+// first call enables.
 func (c *Context) UpgradeCandidates(k int) []*dfs.File {
 	return c.UpgradeCandidatesInto(nil, k)
 }
@@ -167,16 +178,13 @@ func (c *Context) UpgradeCandidates(k int) []*dfs.File {
 // UpgradeCandidatesInto is UpgradeCandidates appending into a reusable
 // buffer.
 func (c *Context) UpgradeCandidatesInto(buf []*dfs.File, k int) []*dfs.File {
-	if c.index.HasUpgradeMRU() {
-		return c.index.UpgradeTopK(k, buf)
-	}
-	return c.UpgradeCandidatesLinear(buf, k)
+	c.index.RequireUpgradeMRU()
+	return c.index.mru.TopK(k, buf)
 }
 
 // UpgradeCandidatesLinear is the full-scan implementation of
-// UpgradeCandidates, kept as the fallback when no index is enabled and as
-// the oracle the differential equivalence tests compare the indexed path
-// against.
+// UpgradeCandidates, kept as the oracle the differential equivalence tests
+// compare the indexed path against.
 func (c *Context) UpgradeCandidatesLinear(buf []*dfs.File, k int) []*dfs.File {
 	start := len(buf)
 	for _, f := range c.FS.LiveFiles() {
@@ -204,22 +212,20 @@ func (c *Context) UpgradeCandidatesLinear(buf []*dfs.File, k int) []*dfs.File {
 
 // LRUFiles returns up to k eligible files on the tier ordered by least
 // recent touch first (the XGB downgrade policy scores "the k least
-// recently used files", Section 5.2). With the recency index enabled
-// (RequireRecency) the collection is a bounded-heap top-k.
+// recently used files", Section 5.2): a bounded-heap top-k over the recency
+// index, which the first call enables.
 func (c *Context) LRUFiles(tier storage.Media, k int) []*dfs.File {
 	return c.LRUFilesInto(nil, tier, k)
 }
 
 // LRUFilesInto is LRUFiles appending into a reusable buffer.
 func (c *Context) LRUFilesInto(buf []*dfs.File, tier storage.Media, k int) []*dfs.File {
-	if c.index.HasRecency() {
-		return c.index.LRUTopK(tier, k, buf)
-	}
-	return c.LRUFilesLinear(buf, tier, k)
+	c.index.RequireRecency()
+	return c.index.recency[tier].TopK(k, buf)
 }
 
 // LRUFilesLinear is the scan-and-sort implementation of LRUFiles, kept as
-// the no-index fallback and the differential-test oracle.
+// the differential-test oracle.
 func (c *Context) LRUFilesLinear(buf []*dfs.File, tier storage.Media, k int) []*dfs.File {
 	start := len(buf)
 	buf = c.EligibleFilesInto(buf, tier)
@@ -341,18 +347,8 @@ func (c *Context) DefaultUpgradeTier(f *dfs.File, from storage.Media) (storage.M
 	if from == storage.Memory {
 		return 0, false
 	}
-	size := fileBytesOneReplica(f)
-	if c.TierFreeBytes(storage.Memory) >= size {
+	if c.TierFreeBytes(storage.Memory) >= f.Size() {
 		return storage.Memory, true
 	}
 	return 0, false
-}
-
-// fileBytesOneReplica is the bytes of a single full replica of the file.
-func fileBytesOneReplica(f *dfs.File) int64 {
-	var total int64
-	for _, b := range f.Blocks() {
-		total += b.Size()
-	}
-	return total
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -424,5 +425,33 @@ func TestCooldownAfterFailedMove(t *testing.T) {
 	ev.engine.RunFor(2 * failureCooldown)
 	if m.inCooldown(f) {
 		t.Fatal("cooldown never expires")
+	}
+}
+
+// halving is a Decay for tests: a weight halves every life of idle time.
+type halving struct{ life time.Duration }
+
+func (h halving) Bump(stored float64, idle time.Duration) float64 { return 1 + h.Decayed(stored, idle) }
+func (h halving) Decayed(stored float64, idle time.Duration) float64 {
+	return stored * math.Exp2(-idle.Seconds()/h.life.Seconds())
+}
+
+// However many policies ask, the context keeps one statistic per formula and
+// parameter and one weight heap per tier for it.
+func TestDecayedWeightOnePerFormula(t *testing.T) {
+	ev := newEnv(t, dfs.ModeOctopus)
+	w := ev.ctx.DecayedWeight(halving{time.Hour})
+	w.RequireOrder()
+	again := ev.ctx.DecayedWeight(halving{time.Hour})
+	again.RequireOrder()
+	if again != w || len(ev.ctx.weights) != 1 || len(ev.ctx.index.heaps) != 3 {
+		t.Fatalf("two requests for one formula: same instance %v, %d statistics, %d heaps; want one statistic over 3 heaps",
+			again == w, len(ev.ctx.weights), len(ev.ctx.index.heaps))
+	}
+	other := ev.ctx.DecayedWeight(halving{time.Minute})
+	other.RequireOrder()
+	if other == w || len(ev.ctx.weights) != 2 || len(ev.ctx.index.heaps) != 6 {
+		t.Fatalf("another parameter: same instance %v, %d statistics, %d heaps; want 2 statistics over 6 heaps",
+			other == w, len(ev.ctx.weights), len(ev.ctx.index.heaps))
 	}
 }

@@ -1,0 +1,206 @@
+package core
+
+import (
+	"time"
+
+	"octostore/internal/dfs"
+	"octostore/internal/storage"
+)
+
+// Decay is a decayed-weight formula together with its parameter: a weight is
+// bumped on every access and fades with idle time in between (Formulas 1 and
+// 2 of Section 5.2). The value is the identity of the statistic it defines —
+// Context.DecayedWeight hands equal values the same instance — so its
+// dynamic type must be comparable. Decayed must be non-increasing in idle:
+// the weight heaps store it evaluated at a future horizon as a lower bound.
+type Decay interface {
+	// Bump is the stored weight after an access, given the previously stored
+	// weight and the idle time since it was stored.
+	Bump(stored float64, idle time.Duration) float64
+	// Decayed is the current value of a weight stored idle ago.
+	Decayed(stored float64, idle time.Duration) float64
+}
+
+// weightHorizonWindow is how far ahead of the clock the lazy weight heaps
+// evaluate their keys. A weight evaluated at a future horizon is a lower
+// bound of the weight at any earlier selection instant; a min-selection can
+// therefore stop popping the heap as soon as the best exact weight found
+// beats the next stored bound. When the clock passes the horizon the heaps
+// re-key in O(N), amortized to nothing over the window.
+const weightHorizonWindow = time.Hour
+
+// weightState is one file's entry in a DecayedWeight: the weight as of at.
+type weightState struct {
+	w  float64
+	at time.Time
+}
+
+// DecayedWeight is a per-file statistic the Context derives from its
+// notification feed for the policies that ask for it: every file's weight
+// under one Decay, set to 1 at creation, bumped once per access and dropped
+// at deletion, before the Manager runs a process on the same event. Several
+// policies may read one instance (an LRFU or EXD downgrade/upgrade pair
+// does).
+//
+// RequireOrder adds per-tier heaps of the weights for min-selection.
+// Membership follows tier residency, and the heaps come from the index
+// (NewHeap), so busy and cooled-down files sit parked in them and the top is
+// always selectable; keys are weight lower bounds evaluated at a sliding
+// horizon (see weightHorizonWindow); exact weights are computed only for the
+// handful of entries whose bound could win a given selection.
+type DecayedWeight struct {
+	ctx   *Context
+	decay Decay
+	state map[dfs.FileID]weightState
+	tiers [3]*FileHeap // nil until RequireOrder
+
+	horizon   time.Time
+	selectNow time.Time
+	trueFn    func(*dfs.File) float64
+}
+
+// DecayedWeight returns the context's statistic for the formula, building it
+// on first request. Files that already exist start unseen: weight 0 as of
+// their creation time.
+func (c *Context) DecayedWeight(d Decay) *DecayedWeight {
+	for _, w := range c.weights {
+		if w.decay == d {
+			return w
+		}
+	}
+	w := &DecayedWeight{ctx: c, decay: d, state: make(map[dfs.FileID]weightState)}
+	w.trueFn = func(f *dfs.File) float64 { return w.at(f, w.selectNow) }
+	c.weights = append(c.weights, w)
+	return w
+}
+
+// RequireOrder enables the per-tier weight heaps (SelectMin, AscendBounds),
+// seeding them from the current residency.
+func (w *DecayedWeight) RequireOrder() {
+	if w.tiers[0] != nil {
+		return
+	}
+	for _, m := range storage.AllMedia {
+		w.tiers[m] = w.ctx.index.NewHeap(nil)
+	}
+	w.ctx.index.bootstrap(w.resident, nil)
+}
+
+// lookup returns the stored weight and when it was stored; a file the
+// statistic has not seen has weight 0 as of its creation.
+func (w *DecayedWeight) lookup(f *dfs.File) weightState {
+	if s, ok := w.state[f.ID()]; ok {
+		return s
+	}
+	return weightState{at: f.Created()}
+}
+
+func (w *DecayedWeight) at(f *dfs.File, t time.Time) float64 {
+	s := w.lookup(f)
+	return w.decay.Decayed(s.w, t.Sub(s.at))
+}
+
+// Stored is the file's weight as of its last access, not decayed since.
+func (w *DecayedWeight) Stored(f *dfs.File) float64 { return w.state[f.ID()].w }
+
+// Now is the file's weight decayed to the current instant.
+func (w *DecayedWeight) Now(f *dfs.File) float64 { return w.at(f, w.ctx.Clock.Now()) }
+
+// --- event feed (driven by the Context's file-system listener) ---
+
+// created runs before the index announces the file's residency, so the
+// file enters the heaps under this weight.
+func (w *DecayedWeight) created(f *dfs.File) {
+	w.state[f.ID()] = weightState{w: 1, at: w.ctx.Clock.Now()}
+}
+
+func (w *DecayedWeight) accessed(f *dfs.File) {
+	now := w.ctx.Clock.Now()
+	s := w.lookup(f)
+	w.state[f.ID()] = weightState{w: w.decay.Bump(s.w, now.Sub(s.at)), at: now}
+	w.refresh(f)
+}
+
+func (w *DecayedWeight) deleted(f *dfs.File) {
+	delete(w.state, f.ID())
+	if w.tiers[0] != nil {
+		for _, h := range w.tiers {
+			h.Remove(f.ID())
+		}
+	}
+}
+
+// resident and evicted follow the candidate index's per-tier membership
+// events.
+func (w *DecayedWeight) resident(f *dfs.File, tier storage.Media) {
+	if w.tiers[0] != nil {
+		w.ensureHorizon()
+		w.tiers[tier].Update(f, w.at(f, w.horizon), time.Time{})
+	}
+}
+
+func (w *DecayedWeight) evicted(f *dfs.File, tier storage.Media) {
+	if w.tiers[0] != nil {
+		w.tiers[tier].Remove(f.ID())
+	}
+}
+
+// ensureHorizon advances the evaluation horizon (re-keying all entries)
+// when the clock has caught up with it.
+func (w *DecayedWeight) ensureHorizon() {
+	now := w.ctx.Clock.Now()
+	if now.Before(w.horizon) {
+		return
+	}
+	w.horizon = now.Add(weightHorizonWindow)
+	for _, h := range w.tiers {
+		h.Rekey(func(f *dfs.File) (float64, time.Time) {
+			return w.at(f, w.horizon), time.Time{}
+		})
+	}
+}
+
+// refresh re-keys the file wherever it is indexed, after its stored weight
+// changed.
+func (w *DecayedWeight) refresh(f *dfs.File) {
+	if w.tiers[0] == nil {
+		return
+	}
+	w.ensureHorizon()
+	for _, h := range w.tiers {
+		if h.Has(f.ID()) {
+			h.Update(f, w.at(f, w.horizon), time.Time{})
+		}
+	}
+}
+
+// SelectMin returns the selectable file with the lowest decayed weight on
+// the tier (ties toward the lowest file id), or nil.
+func (w *DecayedWeight) SelectMin(tier storage.Media) *dfs.File {
+	w.ensureHorizon()
+	w.selectNow = w.ctx.Clock.Now()
+	return w.tiers[tier].SelectMinLazy(w.trueFn)
+}
+
+// SelectMinLinear is the retired full-scan selection, kept as the
+// differential-test oracle and the benchmark baseline.
+func (w *DecayedWeight) SelectMinLinear(tier storage.Media) *dfs.File {
+	now := w.ctx.Clock.Now()
+	var best *dfs.File
+	bestW := 0.0
+	for _, f := range w.ctx.EligibleFiles(tier) {
+		fw := w.at(f, now)
+		if best == nil || fw < bestW || (fw == bestW && f.ID() < best.ID()) {
+			best, bestW = f, fw
+		}
+	}
+	return best
+}
+
+// AscendBounds walks the tier's weight heap in ascending order of the stored
+// lower bounds (see FileHeap.AscendWhile); visit reads exact weights with
+// Now.
+func (w *DecayedWeight) AscendBounds(tier storage.Media, keep func(HeapKey) bool, visit func(*dfs.File)) {
+	w.ensureHorizon()
+	w.tiers[tier].AscendWhile(keep, visit)
+}

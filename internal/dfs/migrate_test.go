@@ -146,3 +146,46 @@ func TestDetachRefusesFileMidCreate(t *testing.T) {
 		t.Fatalf("snapshot mid-create: %v, want ErrFileIncomplete", err)
 	}
 }
+
+// One replica of a file is f.Size() bytes: Create cuts the blocks so their
+// sizes sum to it, and a detach/attach round trip carries both across. The
+// policies, the context and the movement executor size moves by Size().
+func TestBlockSizesSumToFileSize(t *testing.T) {
+	eA, fsA := testFS(t, ModeOctopus)
+	_, fsB := testFS(t, ModeOctopus)
+	sizes := map[string]int64{
+		"/s/empty":   0,
+		"/s/partial": 5 * storage.MB,
+		"/s/exact":   32 * storage.MB, // two full 16 MB blocks
+		"/s/ragged":  40*storage.MB + 1,
+	}
+	check := func(fs *FileSystem, label string) {
+		for p, size := range sizes {
+			f, err := fs.Namespace().GetFile(p)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var sum int64
+			for _, b := range f.Blocks() {
+				sum += b.Size()
+			}
+			if sum != size || f.Size() != size {
+				t.Errorf("%s %s: blocks sum to %d, Size() = %d, want %d", label, p, sum, f.Size(), size)
+			}
+		}
+	}
+	for p, size := range sizes {
+		createFile(t, eA, fsA, p, size)
+	}
+	check(fsA, "created")
+	for p := range sizes {
+		rec, err := fsA.DetachFile(p)
+		if err != nil {
+			t.Fatalf("detach %s: %v", p, err)
+		}
+		if err := fsB.AttachFile(rec); err != nil {
+			t.Fatalf("attach %s: %v", p, err)
+		}
+	}
+	check(fsB, "attached")
+}

@@ -14,12 +14,10 @@ import (
 )
 
 // Designator is a core.DowngradePolicy that selects the queued files, in
-// order, whenever the manager runs the downgrade process on their tier, and
-// fans the file callbacks out to the policies under test (a manager feeds
-// only its own two).
+// order, whenever the manager runs the downgrade process on their tier.
 type Designator struct {
-	Fanout []core.FileCallbacks
-	Queue  [3][]*dfs.File
+	core.NopCallbacks
+	Queue [3][]*dfs.File
 }
 
 func (d *Designator) Name() string                        { return "designator" }
@@ -34,24 +32,6 @@ func (d *Designator) SelectFile(m storage.Media) *dfs.File {
 // SelectTargetTier names a tier only for the record: HeldMover never moves.
 func (d *Designator) SelectTargetTier(*dfs.File, storage.Media) (storage.Media, bool) {
 	return storage.SSD, false
-}
-
-func (d *Designator) OnFileCreated(f *dfs.File) {
-	for _, p := range d.Fanout {
-		p.OnFileCreated(f)
-	}
-}
-
-func (d *Designator) OnFileAccessed(f *dfs.File) {
-	for _, p := range d.Fanout {
-		p.OnFileAccessed(f)
-	}
-}
-
-func (d *Designator) OnFileDeleted(f *dfs.File) {
-	for _, p := range d.Fanout {
-		p.OnFileDeleted(f)
-	}
 }
 
 // HeldMover is a core.Mover that keeps every request pending, so a file

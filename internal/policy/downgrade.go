@@ -96,240 +96,104 @@ func (p *LFU) SelectFileLinear(tier storage.Media) *dfs.File {
 	return best
 }
 
-// LRFUDown downgrades the file with the lowest recency+frequency weight
-// (Formula 1). Candidates live in a per-tier lazy weight heap: keys are
-// weight lower bounds at a sliding horizon, so a selection inspects only
-// the entries whose bound could win instead of decaying every file.
-type LRFUDown struct {
+// WeightDown downgrades the file with the lowest decayed weight (Table 1):
+// LRFU under Formula 1, EXD (Big SQL) under Formula 2. The weights are the
+// context's statistic, updated there once per access; selection reads its
+// per-tier lazy weight heaps, inspecting only the entries whose stored bound
+// could win instead of decaying every file.
+type WeightDown struct {
 	core.NopCallbacks
 	thresholdStartStop
 	defaultTargetTier
-	ctx      *core.Context
-	halfLife time.Duration
-	book     weightBook
-	wi       *weightIndex
+	name string
+	w    *core.DecayedWeight
+}
+
+func newWeightDown(ctx *core.Context, name string, w *core.DecayedWeight) *WeightDown {
+	w.RequireOrder()
+	return &WeightDown{thresholdStartStop: thresholdStartStop{ctx}, defaultTargetTier: defaultTargetTier{ctx}, name: name, w: w}
 }
 
 // NewLRFUDown builds the LRFU downgrade policy with the given half-life H.
-func NewLRFUDown(ctx *core.Context, halfLife time.Duration) *LRFUDown {
-	if halfLife <= 0 {
-		halfLife = DefaultLRFUHalfLife
-	}
-	p := &LRFUDown{
-		thresholdStartStop: thresholdStartStop{ctx},
-		defaultTargetTier:  defaultTargetTier{ctx},
-		ctx:                ctx,
-		halfLife:           halfLife,
-		book:               newWeightBook(),
-	}
-	p.wi = newWeightIndex(ctx, &p.book, func(stored float64, since time.Duration) float64 {
-		return lrfuDecayed(stored, since, p.halfLife)
-	})
-	return p
-}
-
-// Name implements core.DowngradePolicy.
-func (p *LRFUDown) Name() string { return "LRFU" }
-
-// OnFileCreated initialises the weight to 1 (Section 5.2).
-func (p *LRFUDown) OnFileCreated(f *dfs.File) {
-	p.book.weights[f.ID()] = 1
-	p.book.touched[f.ID()] = p.ctx.Clock.Now()
-	p.wi.refresh(f)
-}
-
-// OnFileAccessed applies Formula 1.
-func (p *LRFUDown) OnFileAccessed(f *dfs.File) {
-	now := p.ctx.Clock.Now()
-	old := p.book.weights[f.ID()]
-	last, ok := p.book.touched[f.ID()]
-	if !ok {
-		last = f.Created()
-	}
-	p.book.weights[f.ID()] = lrfuWeight(old, now.Sub(last), p.halfLife)
-	p.book.touched[f.ID()] = now
-	p.wi.refresh(f)
-}
-
-// OnFileDeleted drops the weight entry.
-func (p *LRFUDown) OnFileDeleted(f *dfs.File) { p.book.forget(f.ID()) }
-
-// SelectFile picks the lowest decayed weight through the lazy heap.
-func (p *LRFUDown) SelectFile(tier storage.Media) *dfs.File {
-	return p.wi.selectMin(tier)
-}
-
-// SelectFileLinear is the retired full-scan selection, kept as the
-// differential-test oracle and benchmark baseline.
-func (p *LRFUDown) SelectFileLinear(tier storage.Media) *dfs.File {
-	return p.wi.selectMinLinear(tier)
-}
-
-// AuditIndex validates the weight index membership against the file
-// system; the churn tests call it after node failures and repairs.
-func (p *LRFUDown) AuditIndex() error { return p.wi.audit() }
-
-// LIFE reproduces PACMan's LIFE policy (Table 1): if files older than the
-// window exist, evict the least frequently used among them; otherwise evict
-// the largest recent file, which minimises average job completion time by
-// favouring small inputs. The time-windowed partition changes shape with
-// the clock, so selection stays a scan; the candidate buffer is reused
-// across invocations.
-type LIFE struct {
-	core.NopCallbacks
-	thresholdStartStop
-	defaultTargetTier
-	ctx    *core.Context
-	window time.Duration
-	buf    []*dfs.File
-}
-
-// NewLIFE builds the LIFE downgrade policy.
-func NewLIFE(ctx *core.Context, window time.Duration) *LIFE {
-	if window <= 0 {
-		window = DefaultLIFEWindow
-	}
-	return &LIFE{thresholdStartStop: thresholdStartStop{ctx}, defaultTargetTier: defaultTargetTier{ctx}, ctx: ctx, window: window}
-}
-
-// Name implements core.DowngradePolicy.
-func (p *LIFE) Name() string { return "LIFE" }
-
-// SelectFile implements the two-partition rule.
-func (p *LIFE) SelectFile(tier storage.Media) *dfs.File {
-	oldCut := p.ctx.Clock.Now().Add(-p.window)
-	var lfuOld *dfs.File
-	var largestNew *dfs.File
-	p.buf = p.ctx.EligibleFilesInto(p.buf[:0], tier)
-	for _, f := range p.buf {
-		if p.ctx.LastTouch(f).Before(oldCut) {
-			if lfuOld == nil || p.ctx.AccessCount(f) < p.ctx.AccessCount(lfuOld) {
-				lfuOld = f
-			}
-			continue
-		}
-		if largestNew == nil || f.Size() > largestNew.Size() {
-			largestNew = f
-		}
-	}
-	if lfuOld != nil {
-		return lfuOld
-	}
-	return largestNew
-}
-
-// LFUF reproduces PACMan's LFU-F policy (Table 1): LFU among old files,
-// else LFU among recent files, maximising cluster efficiency.
-type LFUF struct {
-	core.NopCallbacks
-	thresholdStartStop
-	defaultTargetTier
-	ctx    *core.Context
-	window time.Duration
-	buf    []*dfs.File
-}
-
-// NewLFUF builds the LFU-F downgrade policy.
-func NewLFUF(ctx *core.Context, window time.Duration) *LFUF {
-	if window <= 0 {
-		window = DefaultLIFEWindow
-	}
-	return &LFUF{thresholdStartStop: thresholdStartStop{ctx}, defaultTargetTier: defaultTargetTier{ctx}, ctx: ctx, window: window}
-}
-
-// Name implements core.DowngradePolicy.
-func (p *LFUF) Name() string { return "LFU-F" }
-
-// SelectFile implements the two-partition LFU rule.
-func (p *LFUF) SelectFile(tier storage.Media) *dfs.File {
-	oldCut := p.ctx.Clock.Now().Add(-p.window)
-	var lfuOld, lfuNew *dfs.File
-	p.buf = p.ctx.EligibleFilesInto(p.buf[:0], tier)
-	for _, f := range p.buf {
-		if p.ctx.LastTouch(f).Before(oldCut) {
-			if lfuOld == nil || p.ctx.AccessCount(f) < p.ctx.AccessCount(lfuOld) {
-				lfuOld = f
-			}
-		} else {
-			if lfuNew == nil || p.ctx.AccessCount(f) < p.ctx.AccessCount(lfuNew) {
-				lfuNew = f
-			}
-		}
-	}
-	if lfuOld != nil {
-		return lfuOld
-	}
-	return lfuNew
-}
-
-// EXDDown downgrades the file with the lowest exponentially decayed weight
-// (Formula 2, Big SQL), selected through the same lazy weight-heap
-// machinery as LRFU.
-type EXDDown struct {
-	core.NopCallbacks
-	thresholdStartStop
-	defaultTargetTier
-	ctx   *core.Context
-	alpha float64
-	book  weightBook
-	wi    *weightIndex
+func NewLRFUDown(ctx *core.Context, halfLife time.Duration) *WeightDown {
+	return newWeightDown(ctx, "LRFU", lrfuWeights(ctx, halfLife))
 }
 
 // NewEXDDown builds the EXD downgrade policy.
-func NewEXDDown(ctx *core.Context, alpha float64) *EXDDown {
-	if alpha <= 0 {
-		alpha = DefaultEXDAlpha
-	}
-	p := &EXDDown{
-		thresholdStartStop: thresholdStartStop{ctx},
-		defaultTargetTier:  defaultTargetTier{ctx},
-		ctx:                ctx,
-		alpha:              alpha,
-		book:               newWeightBook(),
-	}
-	p.wi = newWeightIndex(ctx, &p.book, func(stored float64, since time.Duration) float64 {
-		return exdDecayed(stored, since, p.alpha)
-	})
-	return p
+func NewEXDDown(ctx *core.Context, alpha float64) *WeightDown {
+	return newWeightDown(ctx, "EXD", exdWeights(ctx, alpha))
 }
 
 // Name implements core.DowngradePolicy.
-func (p *EXDDown) Name() string { return "EXD" }
-
-// OnFileCreated initialises the weight.
-func (p *EXDDown) OnFileCreated(f *dfs.File) {
-	p.book.weights[f.ID()] = 1
-	p.book.touched[f.ID()] = p.ctx.Clock.Now()
-	p.wi.refresh(f)
-}
-
-// OnFileAccessed applies Formula 2.
-func (p *EXDDown) OnFileAccessed(f *dfs.File) {
-	now := p.ctx.Clock.Now()
-	old := p.book.weights[f.ID()]
-	last, ok := p.book.touched[f.ID()]
-	if !ok {
-		last = f.Created()
-	}
-	p.book.weights[f.ID()] = exdWeight(old, now.Sub(last), p.alpha)
-	p.book.touched[f.ID()] = now
-	p.wi.refresh(f)
-}
-
-// OnFileDeleted drops the weight entry.
-func (p *EXDDown) OnFileDeleted(f *dfs.File) { p.book.forget(f.ID()) }
+func (p *WeightDown) Name() string { return p.name }
 
 // SelectFile picks the lowest decayed weight through the lazy heap.
-func (p *EXDDown) SelectFile(tier storage.Media) *dfs.File {
-	return p.wi.selectMin(tier)
-}
+func (p *WeightDown) SelectFile(tier storage.Media) *dfs.File { return p.w.SelectMin(tier) }
 
 // SelectFileLinear is the retired full-scan selection, kept as the
 // differential-test oracle and benchmark baseline.
-func (p *EXDDown) SelectFileLinear(tier storage.Media) *dfs.File {
-	return p.wi.selectMinLinear(tier)
+func (p *WeightDown) SelectFileLinear(tier storage.Media) *dfs.File {
+	return p.w.SelectMinLinear(tier)
 }
 
-// AuditIndex validates the weight index membership against the file
-// system.
-func (p *EXDDown) AuditIndex() error { return p.wi.audit() }
+// Windowed reproduces PACMan's two-partition policies (Table 1): if files
+// older than the window exist, evict the least frequently used among them;
+// otherwise pick among the recent files by the policy's own rule. LIFE takes
+// the largest recent file, which minimises average job completion time by
+// favouring small inputs; LFU-F the least frequently used, maximising
+// cluster efficiency. The time-windowed partition changes shape with the
+// clock, so selection stays a scan; the candidate buffer is reused across
+// invocations.
+type Windowed struct {
+	core.NopCallbacks
+	thresholdStartStop
+	defaultTargetTier
+	ctx    *core.Context
+	name   string
+	window time.Duration
+	// beats reports whether recent file f displaces the recent pick so far.
+	beats func(f, best *dfs.File) bool
+	buf   []*dfs.File
+}
+
+func newWindowed(ctx *core.Context, name string, window time.Duration, beats func(f, best *dfs.File) bool) *Windowed {
+	if window <= 0 {
+		window = DefaultLIFEWindow
+	}
+	return &Windowed{thresholdStartStop: thresholdStartStop{ctx}, defaultTargetTier: defaultTargetTier{ctx}, ctx: ctx, name: name, window: window, beats: beats}
+}
+
+// NewLIFE builds the LIFE downgrade policy.
+func NewLIFE(ctx *core.Context, window time.Duration) *Windowed {
+	return newWindowed(ctx, "LIFE", window, func(f, best *dfs.File) bool { return f.Size() > best.Size() })
+}
+
+// NewLFUF builds the LFU-F downgrade policy.
+func NewLFUF(ctx *core.Context, window time.Duration) *Windowed {
+	return newWindowed(ctx, "LFU-F", window, func(f, best *dfs.File) bool {
+		return ctx.AccessCount(f) < ctx.AccessCount(best)
+	})
+}
+
+// Name implements core.DowngradePolicy.
+func (p *Windowed) Name() string { return p.name }
+
+// SelectFile implements the two-partition rule.
+func (p *Windowed) SelectFile(tier storage.Media) *dfs.File {
+	oldCut := p.ctx.Clock.Now().Add(-p.window)
+	var lfuOld, recent *dfs.File
+	p.buf = p.ctx.EligibleFilesInto(p.buf[:0], tier)
+	for _, f := range p.buf {
+		if p.ctx.LastTouch(f).Before(oldCut) {
+			if lfuOld == nil || p.ctx.AccessCount(f) < p.ctx.AccessCount(lfuOld) {
+				lfuOld = f
+			}
+		} else if recent == nil || p.beats(f, recent) {
+			recent = f
+		}
+	}
+	if lfuOld != nil {
+		return lfuOld
+	}
+	return recent
+}

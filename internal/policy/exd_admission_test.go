@@ -130,7 +130,7 @@ func TestEXDAdmissionDifferential(t *testing.T) {
 	mgr.Monitor().CheckReplication()
 	e.Run()
 	nontrivial += compareSums(t, up, "post-churn")
-	if err := up.AuditIndex(); err != nil {
+	if err := ctx.Index().Audit(); err != nil {
 		t.Errorf("weight index audit after churn: %v", err)
 	}
 	if err := fs.CheckInvariants(); err != nil {

@@ -39,7 +39,6 @@ type ineligibleWorld struct {
 		SelectFileLinear(storage.Media) *dfs.File
 	}
 	exdUp      *policy.EXDUp
-	auditables []interface{ AuditIndex() error }
 	bufA, bufB []*dfs.File
 }
 
@@ -65,8 +64,6 @@ func newIneligibleWorld(t *testing.T) *ineligibleWorld {
 	w.exdUp = policy.NewEXDUp(ctx, policy.DefaultEXDAlpha)
 	ctx.Index().RequireUpgradeMRU()
 	w.downs = append(w.downs, lru, lfu, lrfu, exd)
-	w.auditables = append(w.auditables, lrfu, exd, w.exdUp)
-	w.des.Fanout = []core.FileCallbacks{lrfu, exd, w.exdUp}
 	w.mgr = core.NewManager(ctx, w.des, nil)
 	w.mgr.SetMover(w.mover)
 
@@ -137,13 +134,8 @@ func (w *ineligibleWorld) check(t *testing.T, label string) int {
 			nontrivial++
 		}
 	}
-	if err := w.ctx.Index().Audit(); err != nil {
+	if err := w.ctx.Index().Audit(); err != nil { // the weight heaps included
 		t.Errorf("%s: %v", label, err)
-	}
-	for _, a := range w.auditables {
-		if err := a.AuditIndex(); err != nil {
-			t.Errorf("%s: %v", label, err)
-		}
 	}
 	return nontrivial
 }

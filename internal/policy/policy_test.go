@@ -21,7 +21,7 @@ type env struct {
 }
 
 // newEnv builds a 3-node Octopus system with a registered manager (policies
-// can be nil; callbacks are wired manually by tests when needed).
+// can be nil; the XGB tests feed the model callbacks themselves).
 func newEnv(t *testing.T, mode dfs.Mode, down core.DowngradePolicy, up core.UpgradePolicy) *env {
 	t.Helper()
 	e := sim.NewEngine()
@@ -94,9 +94,9 @@ func TestLRFUWeightFormula(t *testing.T) {
 	// Paper example: H = 6h; a file re-accessed 6h after its last access
 	// has new weight 1 + W/2.
 	h := 6 * time.Hour
-	w := lrfuWeight(4.0, 6*time.Hour, h)
+	w := lrfuDecay(h).Bump(4.0, 6*time.Hour)
 	if math.Abs(w-3.0) > 1e-9 {
-		t.Fatalf("lrfuWeight = %v, want 3.0", w)
+		t.Fatalf("LRFU bump = %v, want 3.0", w)
 	}
 }
 
@@ -105,12 +105,9 @@ func TestLRFUDownPrefersColdFile(t *testing.T) {
 	p := NewLRFUDown(ev.ctx, time.Hour)
 	hot := ev.create(t, "/hot", 16*storage.MB)
 	cold := ev.create(t, "/cold", 16*storage.MB)
-	p.OnFileCreated(hot)
-	p.OnFileCreated(cold)
 	for i := 0; i < 5; i++ {
 		ev.engine.RunFor(5 * time.Minute)
 		ev.fs.RecordAccess(hot)
-		p.OnFileAccessed(hot)
 	}
 	ev.engine.RunFor(5 * time.Minute)
 	if got := p.SelectFile(storage.Memory); got != cold {
@@ -161,13 +158,13 @@ func TestLFUFPartitions(t *testing.T) {
 
 func TestEXDWeightFormula(t *testing.T) {
 	// With alpha = ln(2)/ms, weight halves every millisecond of idle time.
-	alpha := math.Ln2
-	w := exdWeight(2.0, time.Millisecond, alpha)
+	alpha := exdDecay(math.Ln2)
+	w := alpha.Bump(2.0, time.Millisecond)
 	if math.Abs(w-2.0) > 1e-9 { // 1 + 2*0.5
-		t.Fatalf("exdWeight = %v, want 2.0", w)
+		t.Fatalf("EXD bump = %v, want 2.0", w)
 	}
-	if got := exdDecayed(2.0, time.Millisecond, alpha); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("exdDecayed = %v, want 1.0", got)
+	if got := alpha.Decayed(2.0, time.Millisecond); math.Abs(got-1.0) > 1e-9 {
+		t.Fatalf("EXD decayed = %v, want 1.0", got)
 	}
 }
 
@@ -176,12 +173,9 @@ func TestEXDDownSelectsLowestWeight(t *testing.T) {
 	p := NewEXDDown(ev.ctx, DefaultEXDAlpha)
 	hot := ev.create(t, "/hot", 16*storage.MB)
 	cold := ev.create(t, "/cold", 16*storage.MB)
-	p.OnFileCreated(hot)
-	p.OnFileCreated(cold)
 	for i := 0; i < 4; i++ {
 		ev.engine.RunFor(time.Minute)
 		ev.fs.RecordAccess(hot)
-		p.OnFileAccessed(hot)
 	}
 	if got := p.SelectFile(storage.Memory); got != cold {
 		t.Fatalf("EXD selected %s, want /cold", got.Path())
@@ -232,11 +226,9 @@ func TestLRFUUpThreshold(t *testing.T) {
 	ev := newEnv(t, dfs.ModePinnedHDD, nil, nil)
 	p := NewLRFUUp(ev.ctx, time.Hour, 3.0)
 	f := ev.create(t, "/f", 16*storage.MB)
-	p.OnFileCreated(f)
 	// One access: weight ~ 1 + H*1/(d+H) < 3 => no upgrade.
 	ev.engine.RunFor(time.Minute)
 	ev.fs.RecordAccess(f)
-	p.OnFileAccessed(f)
 	if p.StartUpgrade(f) {
 		t.Fatal("LRFU admitted after a single access")
 	}
@@ -244,7 +236,6 @@ func TestLRFUUpThreshold(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ev.engine.RunFor(time.Second)
 		ev.fs.RecordAccess(f)
-		p.OnFileAccessed(f)
 	}
 	if !p.StartUpgrade(f) {
 		t.Fatal("LRFU refused a hot file")
@@ -255,7 +246,6 @@ func TestEXDUpAdmitsWhenSpaceAvailable(t *testing.T) {
 	ev := newEnv(t, dfs.ModePinnedHDD, nil, nil)
 	p := NewEXDUp(ev.ctx, DefaultEXDAlpha)
 	f := ev.create(t, "/f", 16*storage.MB)
-	p.OnFileCreated(f)
 	if !p.StartUpgrade(f) {
 		t.Fatal("EXD refused with free memory")
 	}
@@ -265,7 +255,6 @@ func TestEXDUpWeighsVictimsWhenFull(t *testing.T) {
 	ev := newEnv(t, dfs.ModePinnedHDD, nil, nil)
 	p := NewEXDUp(ev.ctx, DefaultEXDAlpha)
 	f := ev.create(t, "/f", 16*storage.MB)
-	p.OnFileCreated(f)
 	// Exhaust memory with reservations not belonging to any file: victims
 	// cannot free enough, so the admission must fail.
 	for _, n := range ev.fs.Cluster().Nodes() {
@@ -422,5 +411,66 @@ func TestPolicyNames(t *testing.T) {
 		if names[k] != v {
 			t.Fatalf("policy %q name = %q, want %q", k, names[k], v)
 		}
+	}
+}
+
+// A downgrade/upgrade pair of the weight family reads one statistic: both
+// sides hold the context's one instance for the formula (one weight per file,
+// one heap per tier; core's TestDecayedWeightOnePerFormula counts them), an
+// access applies the formula once, and only a different parameter gets a
+// statistic of its own.
+func TestWeightPairSharesOneStatistic(t *testing.T) {
+	const idle = 90 * time.Second
+	for _, c := range []struct {
+		name  string
+		decay core.Decay
+		held  func(core.DowngradePolicy, core.UpgradePolicy) [2]*core.DecayedWeight
+		other func(*core.Context) *core.DecayedWeight
+	}{
+		{"exd", exdDecay(DefaultEXDAlpha),
+			func(d core.DowngradePolicy, u core.UpgradePolicy) [2]*core.DecayedWeight {
+				return [2]*core.DecayedWeight{d.(*WeightDown).w, u.(*EXDUp).w}
+			},
+			func(ctx *core.Context) *core.DecayedWeight { return NewEXDUp(ctx, 2*DefaultEXDAlpha).w }},
+		{"lrfu", lrfuDecay(DefaultLRFUHalfLife),
+			func(d core.DowngradePolicy, u core.UpgradePolicy) [2]*core.DecayedWeight {
+				return [2]*core.DecayedWeight{d.(*WeightDown).w, u.(*LRFUUp).w}
+			},
+			func(ctx *core.Context) *core.DecayedWeight { return NewLRFUDown(ctx, 2*DefaultLRFUHalfLife).w }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ev := newEnv(t, dfs.ModePinnedHDD, nil, nil)
+			down, err := NewDowngrade(c.name, ev.ctx, ml.DefaultLearnerConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			up, err := NewUpgrade(c.name, ev.ctx, ml.DefaultLearnerConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.NewManager(ev.ctx, down, up)
+			w := ev.ctx.DecayedWeight(c.decay)
+			if held := c.held(down, up); held != [2]*core.DecayedWeight{w, w} {
+				t.Fatalf("the pair holds statistics %p and %p, want the context's one, %p", held[0], held[1], w)
+			}
+
+			f := ev.create(t, "/f", 16*storage.MB)
+			if got := w.Stored(f); got != 1 {
+				t.Fatalf("weight at creation = %v, want 1", got)
+			}
+			ev.engine.RunFor(idle)
+			ev.fs.RecordAccess(f)
+			once := c.decay.Bump(1, idle)
+			if got := w.Stored(f); got != once || once == c.decay.Bump(once, 0) {
+				t.Fatalf("weight after one access = %v, want one application of the formula, %v", got, once)
+			}
+
+			if c.other(ev.ctx) == w {
+				t.Fatal("a policy with another parameter reads the same statistic")
+			}
+			if err := ev.ctx.Index().Audit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -54,57 +54,33 @@ func (p *OSA) SelectTargetTier(f *dfs.File, from storage.Media) (storage.Media, 
 }
 
 // LRFUUp upgrades an accessed file when its Formula 1 weight exceeds a
-// threshold (Table 2).
+// threshold (Table 2). The weight is the context's statistic, shared with an
+// LRFU downgrade policy of the same half-life.
 type LRFUUp struct {
 	core.NopCallbacks
 	singleShot
 	ctx       *core.Context
-	halfLife  time.Duration
 	threshold float64
-	book      weightBook
+	w         *core.DecayedWeight
 }
 
 // NewLRFUUp builds the LRFU upgrade policy.
 func NewLRFUUp(ctx *core.Context, halfLife time.Duration, threshold float64) *LRFUUp {
-	if halfLife <= 0 {
-		halfLife = DefaultLRFUHalfLife
-	}
 	if threshold <= 0 {
 		threshold = DefaultLRFUUpgradeThreshold
 	}
-	return &LRFUUp{ctx: ctx, halfLife: halfLife, threshold: threshold, book: newWeightBook()}
+	return &LRFUUp{ctx: ctx, threshold: threshold, w: lrfuWeights(ctx, halfLife)}
 }
 
 // Name implements core.UpgradePolicy.
 func (p *LRFUUp) Name() string { return "LRFU" }
-
-// OnFileCreated initialises the weight to 1.
-func (p *LRFUUp) OnFileCreated(f *dfs.File) {
-	p.book.weights[f.ID()] = 1
-	p.book.touched[f.ID()] = p.ctx.Clock.Now()
-}
-
-// OnFileAccessed applies Formula 1 (the weight the admission test uses).
-func (p *LRFUUp) OnFileAccessed(f *dfs.File) {
-	now := p.ctx.Clock.Now()
-	old := p.book.weights[f.ID()]
-	last, ok := p.book.touched[f.ID()]
-	if !ok {
-		last = f.Created()
-	}
-	p.book.weights[f.ID()] = lrfuWeight(old, now.Sub(last), p.halfLife)
-	p.book.touched[f.ID()] = now
-}
-
-// OnFileDeleted drops the weight entry.
-func (p *LRFUUp) OnFileDeleted(f *dfs.File) { p.book.forget(f.ID()) }
 
 // StartUpgrade admits files whose weight passed the threshold.
 func (p *LRFUUp) StartUpgrade(accessed *dfs.File) bool {
 	if accessed == nil || accessed.HasReplicaOn(storage.Memory) {
 		return false
 	}
-	if p.book.weights[accessed.ID()] <= p.threshold {
+	if p.w.Stored(accessed) <= p.threshold {
 		return false
 	}
 	p.pending = accessed
@@ -119,15 +95,15 @@ func (p *LRFUUp) SelectTargetTier(f *dfs.File, from storage.Media) (storage.Medi
 // EXDUp reproduces Big SQL's admission rule (Table 2): upgrade when memory
 // has room; otherwise upgrade only when the file's Formula 2 weight exceeds
 // the summed weights of the files that would have to be downgraded to make
-// room. The victim sum is answered from the memory tier's lazy weight heap
-// (see victimWeightSum) instead of sorting the whole tier per admission.
+// room. The weights are the context's statistic, shared with an EXD
+// downgrade policy of the same alpha; the victim sum is answered from its
+// memory-tier lazy weight heap (see victimWeightSum) instead of sorting the
+// whole tier per admission.
 type EXDUp struct {
 	core.NopCallbacks
 	singleShot
-	ctx   *core.Context
-	alpha float64
-	book  weightBook
-	wi    *weightIndex
+	ctx *core.Context
+	w   *core.DecayedWeight
 
 	// Reused buffers for the victim-sum admission test.
 	eligBuf []*dfs.File
@@ -213,70 +189,29 @@ func (v *victimPrefix) trim(need int64) {
 
 // NewEXDUp builds the EXD upgrade policy.
 func NewEXDUp(ctx *core.Context, alpha float64) *EXDUp {
-	if alpha <= 0 {
-		alpha = DefaultEXDAlpha
-	}
-	p := &EXDUp{ctx: ctx, alpha: alpha, book: newWeightBook()}
-	p.wi = newWeightIndex(ctx, &p.book, func(stored float64, since time.Duration) float64 {
-		return exdDecayed(stored, since, p.alpha)
-	})
-	return p
+	w := exdWeights(ctx, alpha)
+	w.RequireOrder()
+	return &EXDUp{ctx: ctx, w: w}
 }
 
 // Name implements core.UpgradePolicy.
 func (p *EXDUp) Name() string { return "EXD" }
-
-// OnFileCreated initialises the weight.
-func (p *EXDUp) OnFileCreated(f *dfs.File) {
-	p.book.weights[f.ID()] = 1
-	p.book.touched[f.ID()] = p.ctx.Clock.Now()
-	p.wi.refresh(f)
-}
-
-// OnFileAccessed applies Formula 2.
-func (p *EXDUp) OnFileAccessed(f *dfs.File) {
-	now := p.ctx.Clock.Now()
-	old := p.book.weights[f.ID()]
-	last, ok := p.book.touched[f.ID()]
-	if !ok {
-		last = f.Created()
-	}
-	p.book.weights[f.ID()] = exdWeight(old, now.Sub(last), p.alpha)
-	p.book.touched[f.ID()] = now
-	p.wi.refresh(f)
-}
-
-// OnFileDeleted drops the weight entry.
-func (p *EXDUp) OnFileDeleted(f *dfs.File) { p.book.forget(f.ID()) }
-
-// AuditIndex validates the weight index membership against the file
-// system; the churn tests call it after node failures and repairs.
-func (p *EXDUp) AuditIndex() error { return p.wi.audit() }
 
 // StartUpgrade implements the space-or-outweigh admission test.
 func (p *EXDUp) StartUpgrade(accessed *dfs.File) bool {
 	if accessed == nil || accessed.HasReplicaOn(storage.Memory) {
 		return false
 	}
-	need := oneReplicaBytes(accessed)
+	need := accessed.Size()
 	if p.ctx.TierFreeBytes(storage.Memory) >= need {
 		p.pending = accessed
 		return true
 	}
-	if p.weightOf(accessed) > p.victimWeightSum(need) {
+	if p.w.Now(accessed) > p.victimWeightSum(need) {
 		p.pending = accessed
 		return true
 	}
 	return false
-}
-
-func (p *EXDUp) weightOf(f *dfs.File) float64 {
-	now := p.ctx.Clock.Now()
-	last, ok := p.book.touched[f.ID()]
-	if !ok {
-		last = f.Created()
-	}
-	return exdDecayed(p.book.weights[f.ID()], now.Sub(last), p.alpha)
 }
 
 // unbeatableWeight is reported when even evicting the whole memory tier
@@ -290,7 +225,7 @@ const unbeatableWeight = 1e300
 // (which cost O(n log n) per full-memory access).
 //
 // Stored heap keys are weight lower bounds evaluated at a sliding horizon
-// (see weightHorizonWindow), so the walk may stop as soon as the next
+// (see core.DecayedWeight), so the walk may stop as soon as the next
 // stored bound exceeds the prefix's boundary weight (the max-heap top):
 // every remaining file's exact weight is at least its bound, hence
 // strictly heavier than the boundary, and the greedy minimal prefix cannot
@@ -309,14 +244,13 @@ func (p *EXDUp) victimWeightSum(need int64) float64 {
 		// the prefix heap.)
 		return 0
 	}
-	p.wi.ensureHorizon()
 	p.prefix.reset()
 	pf := &p.prefix
 	covered := false
-	p.wi.tiers[storage.Memory].AscendWhile(
+	p.w.AscendBounds(storage.Memory,
 		func(k core.HeapKey) bool { return !covered || k.W <= pf.top().w },
 		func(f *dfs.File) {
-			w := p.weightOf(f)
+			w := p.w.Now(f)
 			if covered {
 				if top := pf.top(); w > top.w || (w == top.w && f.ID() > top.f.ID()) {
 					return // heavier than the boundary: cannot enter the prefix
@@ -345,7 +279,7 @@ func (p *EXDUp) victimWeightSumLinear(need int64) float64 {
 	p.eligBuf = p.ctx.EligibleFilesInto(p.eligBuf[:0], storage.Memory)
 	p.scored = p.scored[:0]
 	for _, f := range p.eligBuf {
-		p.scored = append(p.scored, scoredFile{f: f, w: p.weightOf(f)})
+		p.scored = append(p.scored, scoredFile{f: f, w: p.w.Now(f)})
 	}
 	return prefixSum(p.scored, need)
 }

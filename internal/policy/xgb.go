@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"time"
 
 	"octostore/internal/core"
 	"octostore/internal/dfs"
@@ -9,65 +10,77 @@ import (
 	"octostore/internal/storage"
 )
 
-// XGBDown is the paper's ML downgrade policy (Section 5.2): an
-// incrementally trained gradient-boosted model predicts, for the k least
-// recently used files on the tier, the probability of access within the
-// large class window (default 6 hours), and the file with the lowest
-// probability is downgraded. Until the model is ready the policy behaves
-// like LRU.
-type XGBDown struct {
-	thresholdStartStop
-	defaultTargetTier
+// xgbModel is what the two XGB policies share: an incrementally trained
+// gradient-boosted model over the context's per-file records, fed a
+// guaranteed-positive training point on every access and a periodic sample
+// of all files on every tick (Section 4.2).
+type xgbModel struct {
+	core.NopCallbacks
 	ctx      *core.Context
 	pipeline *ml.Pipeline
 	rng      *rand.Rand
-	cands    []*dfs.File // reused candidate buffer
+}
+
+// newXGBModel builds a model predicting access within the class window; the
+// seed offset keeps the two policies' sampling streams apart.
+func newXGBModel(ctx *core.Context, window time.Duration, learnerCfg ml.LearnerConfig, seedOffset int64) xgbModel {
+	spec := ml.DefaultFeatureSpec()
+	spec.K = ctx.Cfg.TrackerK
+	return xgbModel{
+		ctx:      ctx,
+		pipeline: ml.NewPipeline(spec, window, learnerCfg),
+		rng:      rand.New(rand.NewSource(learnerCfg.Seed + seedOffset)),
+	}
+}
+
+// Pipeline exposes the model pipeline for experiment instrumentation.
+func (p *xgbModel) Pipeline() *ml.Pipeline { return p.pipeline }
+
+// OnFileAccessed generates a guaranteed-positive training point for the
+// accessed file (Section 4.2: "right after a file is accessed, but only
+// for that file").
+func (p *xgbModel) OnFileAccessed(f *dfs.File) {
+	p.pipeline.Sample(p.ctx.Record(f), p.ctx.Clock.Now())
+}
+
+// Tick periodically samples a fraction of all files for training
+// (Section 4.2: "repeating the above three steps periodically for a sample
+// of the files"). The stride sampler costs O(fraction*N) per tick instead
+// of walking (and drawing an RNG value for) every live file.
+func (p *xgbModel) Tick() {
+	now := p.ctx.Clock.Now()
+	p.ctx.SampleLiveFiles(p.rng, p.ctx.Cfg.SampleFraction, func(f *dfs.File) {
+		p.pipeline.Sample(p.ctx.Record(f), now)
+	})
+}
+
+// XGBDown is the paper's ML downgrade policy (Section 5.2): the model
+// predicts, for the k least recently used files on the tier, the
+// probability of access within the large class window (default 6 hours),
+// and the file with the lowest probability is downgraded. Until the model is
+// ready the policy behaves like LRU.
+type XGBDown struct {
+	xgbModel
+	thresholdStartStop
+	defaultTargetTier
+	ctx   *core.Context
+	cands []*dfs.File // reused candidate buffer
 }
 
 // NewXGBDown builds the XGB downgrade policy with its own incremental
 // model (class window = Config.DowngradeWindow).
 func NewXGBDown(ctx *core.Context, learnerCfg ml.LearnerConfig) *XGBDown {
 	ctx.Index().RequireRecency()
-	spec := ml.DefaultFeatureSpec()
-	spec.K = ctx.Cfg.TrackerK
 	return &XGBDown{
+		xgbModel:           newXGBModel(ctx, ctx.Cfg.DowngradeWindow, learnerCfg, 101),
 		thresholdStartStop: thresholdStartStop{ctx},
 		defaultTargetTier:  defaultTargetTier{ctx},
 		ctx:                ctx,
-		pipeline:           ml.NewPipeline(spec, ctx.Cfg.DowngradeWindow, learnerCfg),
-		rng:                rand.New(rand.NewSource(learnerCfg.Seed + 101)),
 	}
 }
 
 // Name implements core.DowngradePolicy.
 func (p *XGBDown) Name() string { return "XGB" }
-
-// Pipeline exposes the model pipeline for experiment instrumentation.
-func (p *XGBDown) Pipeline() *ml.Pipeline { return p.pipeline }
-
-// OnFileCreated implements core.FileCallbacks.
-func (p *XGBDown) OnFileCreated(*dfs.File) {}
-
-// OnFileAccessed generates a guaranteed-positive training point for the
-// accessed file (Section 4.2: "right after a file is accessed, but only
-// for that file").
-func (p *XGBDown) OnFileAccessed(f *dfs.File) {
-	p.pipeline.Sample(p.ctx.Record(f), p.ctx.Clock.Now())
-}
-
-// OnFileDeleted implements core.FileCallbacks.
-func (p *XGBDown) OnFileDeleted(*dfs.File) {}
-
-// Tick periodically samples a fraction of all files for training
-// (Section 4.2: "repeating the above three steps periodically for a sample
-// of the files"). The stride sampler costs O(fraction*N) per tick instead
-// of walking (and drawing an RNG value for) every live file.
-func (p *XGBDown) Tick() {
-	now := p.ctx.Clock.Now()
-	p.ctx.SampleLiveFiles(p.rng, p.ctx.Cfg.SampleFraction, func(f *dfs.File) {
-		p.pipeline.Sample(p.ctx.Record(f), now)
-	})
-}
 
 // SelectFile scores the k least recently used files — collected from the
 // recency index as a bounded top-k, not a full sort — and picks the one
@@ -101,9 +114,7 @@ func (p *XGBDown) SelectFile(tier storage.Media) *dfs.File {
 // files and upgrade all that qualify, bounded by the upgrade batch limit
 // (Section 6.4).
 type XGBUp struct {
-	ctx      *core.Context
-	pipeline *ml.Pipeline
-	rng      *rand.Rand
+	xgbModel
 
 	queue          []*dfs.File
 	cands          []*dfs.File // reused proactive candidate buffer
@@ -114,40 +125,11 @@ type XGBUp struct {
 // (class window = Config.UpgradeWindow).
 func NewXGBUp(ctx *core.Context, learnerCfg ml.LearnerConfig) *XGBUp {
 	ctx.Index().RequireUpgradeMRU()
-	spec := ml.DefaultFeatureSpec()
-	spec.K = ctx.Cfg.TrackerK
-	return &XGBUp{
-		ctx:      ctx,
-		pipeline: ml.NewPipeline(spec, ctx.Cfg.UpgradeWindow, learnerCfg),
-		rng:      rand.New(rand.NewSource(learnerCfg.Seed + 211)),
-	}
+	return &XGBUp{xgbModel: newXGBModel(ctx, ctx.Cfg.UpgradeWindow, learnerCfg, 211)}
 }
 
 // Name implements core.UpgradePolicy.
 func (p *XGBUp) Name() string { return "XGB" }
-
-// Pipeline exposes the model pipeline for experiment instrumentation.
-func (p *XGBUp) Pipeline() *ml.Pipeline { return p.pipeline }
-
-// OnFileCreated implements core.FileCallbacks.
-func (p *XGBUp) OnFileCreated(*dfs.File) {}
-
-// OnFileAccessed feeds the upgrade model a positive sample.
-func (p *XGBUp) OnFileAccessed(f *dfs.File) {
-	p.pipeline.Sample(p.ctx.Record(f), p.ctx.Clock.Now())
-}
-
-// OnFileDeleted implements core.FileCallbacks.
-func (p *XGBUp) OnFileDeleted(*dfs.File) {}
-
-// Tick periodically samples files for training via the O(fraction*N)
-// stride sampler over the live index.
-func (p *XGBUp) Tick() {
-	now := p.ctx.Clock.Now()
-	p.ctx.SampleLiveFiles(p.rng, p.ctx.Cfg.SampleFraction, func(f *dfs.File) {
-		p.pipeline.Sample(p.ctx.Record(f), now)
-	})
-}
 
 // StartUpgrade implements core.UpgradePolicy. With an accessed file it
 // admits on the model's probability; on periodic invocations it builds a
@@ -190,7 +172,7 @@ func (p *XGBUp) SelectFile() *dfs.File {
 	}
 	f := p.queue[0]
 	p.queue = p.queue[1:]
-	p.scheduledBytes += oneReplicaBytes(f)
+	p.scheduledBytes += f.Size()
 	return f
 }
 

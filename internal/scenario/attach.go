@@ -10,8 +10,9 @@ package scenario
 // Attach installs every perturbation of the scenario onto an externally
 // built replay. The caller owns the Replay's fields (engine, cluster, file
 // system, optional manager) and must invoke Attach from whatever context
-// owns the engine — for the serving layer that is the core loop, via
-// Server.Exec — because perturbations schedule engine callbacks directly.
+// owns the engine — for the serving layer that is the shard loop, via
+// ShardedServer.Exec — because perturbations schedule engine callbacks
+// directly.
 func Attach(sc Scenario, rp *Replay) {
 	rp.Scenario = sc
 	for _, p := range sc.Perturb {

@@ -250,6 +250,7 @@ func TestDifferentialSequentialVsServed(t *testing.T) {
 	combos := []struct{ down, up string }{
 		{"lru", "osa"},
 		{"exd", "exd"},
+		{"lrfu", "lrfu"},
 	}
 	for _, c := range combos {
 		combo := c.down + "/" + c.up

@@ -47,11 +47,6 @@ type ExecutorConfig struct {
 	// timing matches the sequential path; a bare executor falls back to
 	// the paper's 5 s.
 	MoveLatency time.Duration
-	// PreMove, when set, runs right before each admitted move starts, on
-	// the loop that owns the executor. The sharded serving layer uses it to
-	// grow the shard's tier quota from the global ledger so the move's
-	// destination reservation can succeed.
-	PreMove func(tier storage.Media, bytes int64)
 }
 
 func (c *ExecutorConfig) applyDefaults() {
@@ -171,6 +166,11 @@ type MovementExecutor struct {
 	engine    *sim.Engine
 	cfg       ExecutorConfig
 	virtStart time.Time // virtual construction time, origin of VirtualSeconds
+	// preMove, when set, runs right before each admitted move starts, on the
+	// loop that owns the executor. The sharded serving layer uses it to grow
+	// the shard's tier quota from the global ledger so the move's
+	// destination reservation can succeed.
+	preMove func(tier storage.Media, bytes int64)
 
 	tiers [3]tierPool
 	// deferUntil, while in the future, holds every tier's admissions back —
@@ -235,7 +235,7 @@ func NewMovementExecutor(fs *dfs.FileSystem, cfg ExecutorConfig) *MovementExecut
 func (e *MovementExecutor) Config() ExecutorConfig { return e.cfg }
 
 // setObs attaches the observability hub (nil = disabled). Called by
-// server.New before any request flows.
+// newShard before any request flows.
 func (e *MovementExecutor) setObs(hub *obs.Hub, shard int) {
 	e.hub = hub
 	e.obsShard = shard
@@ -279,7 +279,8 @@ func (e *MovementExecutor) Enqueue(r core.MoveRequest) {
 		return
 	}
 	pool := &e.tiers[r.To]
-	size := moveBytes(r.File)
+	// MoveFileReplicas relocates one replica per block: the file's size.
+	size := r.File.Size()
 	if size > e.cfg.BudgetBytes[r.To] || len(pool.queue) >= e.cfg.QueueDepth {
 		pool.shed.Add(1)
 		e.emitMove(r, size, "shed", ErrMovementShed)
@@ -401,8 +402,8 @@ func (e *MovementExecutor) start(tier storage.Media, pm pendingMove) {
 	if pool.inFlightBytes > pool.maxInFlight.Load() {
 		pool.maxInFlight.Store(pool.inFlightBytes)
 	}
-	if e.cfg.PreMove != nil {
-		e.cfg.PreMove(tier, pm.size)
+	if e.preMove != nil {
+		e.preMove(tier, pm.size)
 	}
 	finish := func(err error) {
 		pool.active--
@@ -424,17 +425,6 @@ func (e *MovementExecutor) start(tier storage.Media, pm pendingMove) {
 			finish(err)
 		}
 	})
-}
-
-// moveBytes is the destination-tier footprint of moving a file: one replica
-// per block (MoveFileReplicas relocates exactly the `from`-tier replica of
-// each block).
-func moveBytes(f *dfs.File) int64 {
-	var total int64
-	for _, b := range f.Blocks() {
-		total += b.Size()
-	}
-	return total
 }
 
 // Idle reports whether no request is queued or in flight.

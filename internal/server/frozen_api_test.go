@@ -7,7 +7,10 @@ import (
 	"octostore/internal/cluster"
 	"octostore/internal/core"
 	"octostore/internal/dfs"
+	"octostore/internal/ml"
+	"octostore/internal/policy"
 	"octostore/internal/server"
+	"octostore/internal/storage"
 )
 
 // The repository's benchmark (bench/, BENCHMARK.json) is its own module, so
@@ -55,3 +58,33 @@ var (
 	_ = server.ExecutorStats{PerTier: [3]server.TierMoveStats{{Scheduled: 1, Completed: 1, Failed: 1, Shed: 1}}}
 	_ = server.QuotaStats{Borrows: 1, BorrowFailures: 1}
 )
+
+// The policy and core surface bench/ builds its systems from and decorates:
+// the four constructors, the XGB policies' model pipeline, and the policy
+// interfaces as embeddable fields of a wrapper that forwards Tick.
+var (
+	_ func(*core.Context) *policy.LRU                       = policy.NewLRU
+	_ func(*core.Context) *policy.OSA                       = policy.NewOSA
+	_ func(*core.Context, ml.LearnerConfig) *policy.XGBDown = policy.NewXGBDown
+	_ func(*core.Context, ml.LearnerConfig) *policy.XGBUp   = policy.NewXGBUp
+	_ func(*dfs.FileSystem, core.Config) *core.Context      = core.NewContext
+	_ func() core.Config                                    = core.DefaultConfig
+
+	_ func(*core.Context, core.DowngradePolicy, core.UpgradePolicy) *core.Manager = core.NewManager
+
+	_ core.DowngradePolicy = struct{ core.DowngradePolicy }{}
+	_ core.UpgradePolicy   = struct{ core.UpgradePolicy }{}
+	_ core.Ticker          = (*policy.XGBDown)(nil)
+	_ core.Ticker          = (*policy.XGBUp)(nil)
+
+	_ func() *core.CandidateIndex   = (*core.Context)(nil).Index
+	_ func() bool                   = (*core.CandidateIndex)(nil).HasRecency
+	_ func(storage.Media) *dfs.File = (*core.CandidateIndex)(nil).SelectLRU
+	_ func() error                  = (*core.CandidateIndex)(nil).Audit
+	_ func() core.Metrics           = (*core.Manager)(nil).Metrics
+	_                               = core.Metrics{DowngradesScheduled: 1, UpgradesScheduled: 1, ReplicaDeletes: 1, DowngradeErrors: 1, UpgradeErrors: 1, Ticks: 1}
+)
+
+func _(down *policy.XGBDown, up *policy.XGBUp) [2]*ml.Learner {
+	return [2]*ml.Learner{down.Pipeline().Learner, up.Pipeline().Learner}
+}

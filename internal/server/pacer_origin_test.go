@@ -33,7 +33,7 @@ func TestShardsShareOnePacerOrigin(t *testing.T) {
 			},
 		},
 		DFS:   dfs.Config{Mode: dfs.ModeOctopus, Seed: 3, Replication: 1, ClientRate: 2000e6},
-		Inner: Config{TimeScale: 60, PaceInterval: time.Millisecond},
+		Inner: Config{TimeScale: 60},
 	})
 	if err != nil {
 		t.Fatal(err)

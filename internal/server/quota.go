@@ -26,9 +26,6 @@ type QuotaConfig struct {
 	// each shard returns capacity beyond max(initial grant, used+slack) to
 	// the pool (default 30s; negative disables).
 	ReconcileInterval time.Duration
-	// ReturnSlack is the free headroom a shard keeps above its used bytes
-	// when returning quota (default 2×BorrowChunk).
-	ReturnSlack int64
 }
 
 func (c *QuotaConfig) applyDefaults(shards int) {
@@ -43,9 +40,6 @@ func (c *QuotaConfig) applyDefaults(shards int) {
 	}
 	if c.ReconcileInterval == 0 {
 		c.ReconcileInterval = 30 * time.Second
-	}
-	if c.ReturnSlack <= 0 {
-		c.ReturnSlack = 2 * c.BorrowChunk
 	}
 }
 
@@ -195,6 +189,10 @@ func (q *shardQuota) EnsureCreateFor(tenant storage.TenantID, fs *dfs.FileSystem
 	return q.EnsureSpreadFor(tenant, storage.HDD, size, fs.Replication())
 }
 
+// returnSlackChunks is the free headroom, in borrow chunks, a shard keeps
+// above its used bytes when returning quota.
+const returnSlackChunks = 2
+
 // Reconcile returns quota the shard no longer needs: for each tier, any
 // capacity beyond max(baseline, used+slack) is shrunk off the devices and
 // returned to the ledger's free pool, in whole borrow-chunks so the quota
@@ -202,7 +200,7 @@ func (q *shardQuota) EnsureCreateFor(tenant storage.TenantID, fs *dfs.FileSystem
 func (q *shardQuota) Reconcile() {
 	for _, tier := range storage.AllMedia {
 		used, capacity := q.cl.TierUsage(tier)
-		target := used + q.cfg.ReturnSlack
+		target := used + returnSlackChunks*q.cfg.BorrowChunk
 		if target < q.baseline[tier] {
 			target = q.baseline[tier]
 		}

@@ -62,9 +62,8 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 			ReconcileInterval: 20 * time.Second,
 		},
 		Inner: server.Config{
-			TimeScale:    240,
-			PaceInterval: time.Millisecond,
-			Tenants:      tenants,
+			TimeScale: 240,
+			Tenants:   tenants,
 			Executor: server.ExecutorConfig{
 				WorkersPerTier:  2,
 				QueueDepth:      32,

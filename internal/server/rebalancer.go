@@ -55,10 +55,6 @@ type RebalanceConfig struct {
 	MinOps int64
 	// MaxPrefixes bounds the route table (default 64).
 	MaxPrefixes int
-	// MaxSweeps bounds how many passes one migration round makes over the
-	// source shards before leaving the remainder to a later round
-	// (default 4).
-	MaxSweeps int
 	// RehomeColdTicks is how many consecutive detection rounds a committed
 	// subtree must log zero routed ops before its files fold back to static
 	// routing and the route entry is garbage-collected — without it the
@@ -67,6 +63,10 @@ type RebalanceConfig struct {
 	// disables fold-back).
 	RehomeColdTicks int
 }
+
+// maxSweeps bounds how many passes one migration round makes over the source
+// shards before leaving the remainder to a later round.
+const maxSweeps = 4
 
 func (c *RebalanceConfig) applyDefaults() {
 	if c.Interval <= 0 {
@@ -80,9 +80,6 @@ func (c *RebalanceConfig) applyDefaults() {
 	}
 	if c.MaxPrefixes <= 0 {
 		c.MaxPrefixes = 64
-	}
-	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = 4
 	}
 	if c.RehomeColdTicks == 0 {
 		c.RehomeColdTicks = 8
@@ -394,7 +391,7 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 	}
 	for _, e := range entries {
 		if e.state == routeDraining {
-			r.drainEntryHome(e.prefix, e.dst, r.cfg.MaxSweeps)
+			r.drainEntryHome(e.prefix, e.dst, maxSweeps)
 		}
 	}
 	if len(entries) < r.cfg.MaxPrefixes/2 {
@@ -428,7 +425,7 @@ func (r *rebalancer) rehomePrefix(prefix string, dst int) {
 		What:   "shard-migration",
 		Detail: fmt.Sprintf("rehome prefix=%s dst=%d", prefix, dst),
 	})
-	r.drainEntryHome(prefix, dst, r.cfg.MaxSweeps)
+	r.drainEntryHome(prefix, dst, maxSweeps)
 }
 
 // drainEntryHome makes up to `rounds` passes moving the old destination's
@@ -507,7 +504,7 @@ func (r *rebalancer) migratePrefix(prefix string, dst int, spread float64) {
 		What:   "shard-migration",
 		Detail: fmt.Sprintf("start prefix=%s dst=%d spread=%.2f", prefix, dst, spread),
 	})
-	r.sweepEntry(prefix, dst, r.cfg.MaxSweeps)
+	r.sweepEntry(prefix, dst, maxSweeps)
 }
 
 // sweepEntry makes up to `rounds` passes moving files under prefix from
@@ -676,9 +673,9 @@ func (r *rebalancer) drain() {
 	for _, e := range r.s.routes.entries() {
 		switch e.state {
 		case routeMigrating:
-			r.sweepEntry(e.prefix, e.dst, r.cfg.MaxSweeps)
+			r.sweepEntry(e.prefix, e.dst, maxSweeps)
 		case routeDraining:
-			r.drainEntryHome(e.prefix, e.dst, r.cfg.MaxSweeps)
+			r.drainEntryHome(e.prefix, e.dst, maxSweeps)
 		}
 	}
 }

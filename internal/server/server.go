@@ -49,24 +49,13 @@ type Config struct {
 	// Shards is the namespace stripe count (rounded up to a power of two,
 	// default 64).
 	Shards int
-	// RingCapacity is the access-event ring size (rounded up to a power of
-	// two, default 16384). When full, events are dropped and counted.
-	RingCapacity int
-	// CmdBuffer is the command channel depth (default 256).
-	CmdBuffer int
 	// TimeScale maps wall time to virtual time for live traffic: a scale of
 	// 60 advances the simulation one virtual minute per wall second. Zero
 	// disables the pacer; operations then carry explicit virtual
 	// timestamps (replay mode).
 	TimeScale float64
-	// PaceInterval is how often (wall clock) the pacer advances virtual
-	// time under live load (default 1ms).
-	PaceInterval time.Duration
 	// Executor tunes the async movement executor.
 	Executor ExecutorConfig
-	// QuiesceMaxSteps bounds how many engine events one Flush drains before
-	// giving up (policy ping-pong protection; default 5,000,000).
-	QuiesceMaxSteps int
 	// Tenants declares the multi-tenant workload: per-tenant read-latency
 	// histograms, and — for tenants with a ReadSLO — the latency-SLO
 	// admission controller. Empty keeps the server tenant-blind, and a
@@ -87,19 +76,21 @@ func (c *Config) applyDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 64
 	}
-	if c.RingCapacity <= 0 {
-		c.RingCapacity = 1 << 14
-	}
-	if c.CmdBuffer <= 0 {
-		c.CmdBuffer = 256
-	}
-	if c.PaceInterval <= 0 {
-		c.PaceInterval = time.Millisecond
-	}
-	if c.QuiesceMaxSteps <= 0 {
-		c.QuiesceMaxSteps = 5_000_000
-	}
 }
+
+const (
+	// ringCapacity is the access-event ring size (a power of two). When
+	// full, events are dropped and counted.
+	ringCapacity = 1 << 14
+	// cmdBuffer is the command channel depth.
+	cmdBuffer = 256
+	// paceInterval is how often (wall clock) the pacer advances virtual time
+	// under live load.
+	paceInterval = time.Millisecond
+	// quiesceMaxSteps bounds how many engine events one Flush drains before
+	// giving up (policy ping-pong protection).
+	quiesceMaxSteps = 5_000_000
+)
 
 // OpKind selects what an Op does.
 type OpKind uint8
@@ -240,9 +231,9 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard
 		engine: fs.Engine(),
 		mgr:    mgr,
 		ns:     newNSShards(cfg.Shards),
-		ring:   newEventRing(cfg.RingCapacity),
+		ring:   newEventRing(ringCapacity),
 		exec:   NewMovementExecutor(fs, cfg.Executor),
-		cmds:   make(chan command, cfg.CmdBuffer),
+		cmds:   make(chan command, cmdBuffer),
 		byID:   make(map[dfs.FileID]*handle),
 	}
 	if len(cfg.Tenants) > 0 {
@@ -353,7 +344,7 @@ func (sh *shard) clock() time.Time {
 // live load.
 func (sh *shard) pace() {
 	defer sh.wg.Done()
-	t := time.NewTicker(sh.cfg.PaceInterval)
+	t := time.NewTicker(paceInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -732,7 +723,7 @@ func (sh *shard) quiesce() {
 		if sh.createsInFlight == 0 && sh.exec.Idle() && sh.ring.empty() && len(sh.cmds) == 0 {
 			return
 		}
-		if steps >= sh.cfg.QuiesceMaxSteps {
+		if steps >= quiesceMaxSteps {
 			return // policy ping-pong protection; invariants hold regardless
 		}
 		if sh.engine.Step() {

@@ -53,9 +53,8 @@ func buildServed(t *testing.T, workers int, ecfg server.ExecutorConfig) (*server
 			return mgr, nil
 		},
 		Inner: server.Config{
-			TimeScale:    240, // 4 virtual minutes per wall second: periodic ticks fire
-			PaceInterval: time.Millisecond,
-			Executor:     ecfg,
+			TimeScale: 240, // 4 virtual minutes per wall second: periodic ticks fire
+			Executor:  ecfg,
 		},
 	})
 	if err != nil {

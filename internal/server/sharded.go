@@ -199,16 +199,15 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 			// watermarks stay quota-local (soft-quota contract).
 			mgr.Context().SetTierHeadroom(s.ledger.FreeBytes)
 		}
-		innerCfg := cfg.Inner
-		// Movement destinations borrow quota right before each admitted
-		// move, on the shard loop, through the two-phase protocol.
-		innerCfg.Executor.PreMove = func(tier storage.Media, bytes int64) {
-			quota.EnsureSpread(tier, bytes, 1)
-		}
 		// Each shard labels its metrics and spans with its index on the
 		// shared hub (which rides in on cfg.Inner.Obs).
-		sh := newShard(i, fs, mgr, innerCfg)
+		sh := newShard(i, fs, mgr, cfg.Inner)
 		sh.quota = quota
+		// Movement destinations borrow quota right before each admitted
+		// move, on the shard loop, through the two-phase protocol.
+		sh.exec.preMove = func(tier storage.Media, bytes int64) {
+			quota.EnsureSpread(tier, bytes, 1)
+		}
 		s.shards = append(s.shards, sh)
 	}
 	if cfg.Rebalance.Enabled && cfg.Shards > 1 {

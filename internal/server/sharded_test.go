@@ -46,8 +46,7 @@ func buildSharded(t *testing.T, shards, workers int) *server.ShardedServer {
 			ReconcileInterval: 20 * time.Second,
 		},
 		Inner: server.Config{
-			TimeScale:    240,
-			PaceInterval: time.Millisecond,
+			TimeScale: 240,
 			Executor: server.ExecutorConfig{
 				WorkersPerTier:  2,
 				QueueDepth:      32,

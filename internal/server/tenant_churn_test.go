@@ -65,9 +65,8 @@ func TestShardedTenantTrafficSurvivesChurn(t *testing.T) {
 			ReconcileInterval: 20 * time.Second,
 		},
 		Inner: server.Config{
-			TimeScale:    240,
-			PaceInterval: time.Millisecond,
-			Tenants:      tenants,
+			TimeScale: 240,
+			Tenants:   tenants,
 			SLO: server.SLOConfig{
 				Interval:    2 * time.Second,
 				MinSamples:  8,
