@@ -52,6 +52,10 @@ func (m *Matrix) AppendRow(row []float64) {
 	m.data = append(m.data, row...)
 }
 
+// Reset empties the matrix, keeping its storage for the rows appended next.
+// Row views handed out before the call are invalid after it.
+func (m *Matrix) Reset() { m.data = m.data[:0] }
+
 // Row returns the i-th feature vector as a read-only slice view.
 func (m *Matrix) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]

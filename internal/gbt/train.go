@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Train fits a new model on the given matrix and 0/1 (or regression)
@@ -15,9 +15,6 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 	}
 	if x.Rows() == 0 {
 		return nil, errors.New("gbt: empty training set")
-	}
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("gbt: %d rows but %d labels", x.Rows(), len(y))
 	}
 	m := &Model{params: p}
 	if p.Objective == LogisticBinary {
@@ -42,18 +39,14 @@ func (m *Model) Update(x *Matrix, y []float64, rounds int) error {
 	if x.Rows() == 0 {
 		return errors.New("gbt: empty update batch")
 	}
-	if x.Rows() != len(y) {
-		return fmt.Errorf("gbt: %d rows but %d labels", x.Rows(), len(y))
-	}
 	if err := m.boost(x, y, rounds); err != nil {
 		return err
 	}
-	if m.params.MaxTrees > 0 && len(m.trees) > m.params.MaxTrees {
+	if drop := m.NumTrees() - m.params.MaxTrees; m.params.MaxTrees > 0 && drop > 0 {
 		// Retire the oldest trees. This is an approximation (later trees
 		// were fit against their residuals) but gives the ensemble a
 		// bounded size and a forgetting horizon for workload shifts.
-		drop := len(m.trees) - m.params.MaxTrees
-		m.trees = append([]*Tree(nil), m.trees[drop:]...)
+		m.retire(drop)
 	}
 	return nil
 }
@@ -62,19 +55,21 @@ func (m *Model) Update(x *Matrix, y []float64, rounds int) error {
 // (x, y).
 func (m *Model) boost(x *Matrix, y []float64, rounds int) error {
 	n := x.Rows()
-	margins := make([]float64, n)
-	for i := 0; i < n; i++ {
-		margins[i] = m.PredictMargin(x.Row(i))
+	if n != len(y) {
+		return fmt.Errorf("gbt: %d rows but %d labels", n, len(y))
 	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
+	// One allocation for the three per-row vectors.
+	buf := make([]float64, 3*n)
+	margins, grad, hess := buf[:n], buf[n:2*n], buf[2*n:]
+	m.PredictMarginBatch(x, margins)
 	b := newBuilder(x, m.params)
 	for r := 0; r < rounds; r++ {
 		m.computeGradients(margins, y, grad, hess)
-		tree := b.build(grad, hess)
-		m.trees = append(m.trees, tree)
-		for i := 0; i < n; i++ {
-			margins[i] += tree.predict(x.Row(i))
+		root := int32(len(m.nodes))
+		m.nodes, m.gains = b.build(m.nodes, m.gains, grad, hess)
+		m.roots = append(m.roots, root)
+		for i := range margins {
+			margins[i] += walk(m.nodes, root, x.Row(i))
 		}
 	}
 	return nil
@@ -102,45 +97,85 @@ func (m *Model) computeGradients(margins, y, grad, hess []float64) {
 	}
 }
 
-// builder holds per-training-set state reused across rounds: for each
-// feature, the row indices with a present value sorted by that value, plus
-// the rows where the feature is missing.
+// builder holds per-training-set state reused across rounds. For every
+// feature it keeps one ordering of all rows — those with a present value
+// ascending by value (ties in row order), then those where it is missing in
+// row order — plus, as list number cols, the rows in row order. A tree node
+// owns the same span [lo, hi) of every list: splitting a node partitions
+// its span of each list stably, so the children's spans hold exactly their
+// rows in the parent's relative order, and the split search below a node
+// reads only that node's rows while summing gradients in the order a scan
+// of the whole batch would.
 type builder struct {
-	x       *Matrix
-	params  Params
-	sorted  [][]int32 // per feature: rows with present values, ascending
-	missing [][]int32 // per feature: rows with missing values
-	// scratch
-	inNode []bool
+	x      *Matrix
+	params Params
+	n      int
+	sorted []int32 // cols+1 lists of n rows each, as ordered at the root
+	lists  []int32 // the copy the tree being grown partitions
+	goLeft []bool  // per row: the side the split being applied sends it to
+	spill  []int32 // partition scratch for the rows going right
+
+	// the tree being grown
+	nodes      []fnode
+	gains      []float64
+	grad, hess []float64
+}
+
+// valueRow pairs a present feature value with its row for sorting.
+type valueRow struct {
+	v   float64
+	row int32
 }
 
 func newBuilder(x *Matrix, p Params) *builder {
-	cols := x.Cols()
+	cols, n := x.Cols(), x.Rows()
 	b := &builder{
-		x:       x,
-		params:  p,
-		sorted:  make([][]int32, cols),
-		missing: make([][]int32, cols),
-		inNode:  make([]bool, x.Rows()),
+		x:      x,
+		params: p,
+		n:      n,
+		sorted: make([]int32, 2*(cols+1)*n),
+		goLeft: make([]bool, n),
+		spill:  make([]int32, n),
 	}
+	b.sorted, b.lists = b.sorted[:(cols+1)*n], b.sorted[(cols+1)*n:]
+	present := make([]valueRow, 0, n)
 	for j := 0; j < cols; j++ {
-		var present, absent []int32
-		for i := 0; i < x.Rows(); i++ {
-			if IsMissing(x.At(i, j)) {
-				absent = append(absent, int32(i))
-			} else {
-				present = append(present, int32(i))
+		list := b.sorted[j*n : j*n : (j+1)*n]
+		present = present[:0]
+		for i := 0; i < n; i++ {
+			if v := x.At(i, j); !IsMissing(v) {
+				present = append(present, valueRow{v, int32(i)})
 			}
 		}
-		j := j
-		sort.SliceStable(present, func(a, c int) bool {
-			return b.x.At(int(present[a]), j) < b.x.At(int(present[c]), j)
+		// Rows were appended in ascending order, so ordering equal values
+		// by row is the stable sort by value.
+		slices.SortFunc(present, func(a, c valueRow) int {
+			switch {
+			case a.v < c.v:
+				return -1
+			case a.v > c.v:
+				return 1
+			}
+			return int(a.row - c.row)
 		})
-		b.sorted[j] = present
-		b.missing[j] = absent
+		for _, vr := range present {
+			list = append(list, vr.row)
+		}
+		for i := 0; i < n; i++ {
+			if IsMissing(x.At(i, j)) {
+				list = append(list, int32(i))
+			}
+		}
+	}
+	for i, rows := 0, b.sorted[cols*n:]; i < n; i++ {
+		rows[i] = int32(i)
 	}
 	return b
 }
+
+// list returns the node span [lo, hi) of feature j's ordering (j == cols:
+// the rows in row order).
+func (b *builder) list(j, lo, hi int) []int32 { return b.lists[j*b.n+lo : j*b.n+hi] }
 
 // split is a candidate split of one tree node.
 type split struct {
@@ -151,99 +186,83 @@ type split struct {
 	valid       bool
 }
 
-// build grows one tree for the given gradient/hessian vectors.
-func (b *builder) build(grad, hess []float64) *Tree {
-	t := &Tree{}
-	rows := make([]int32, b.x.Rows())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	b.grow(t, rows, grad, hess, 0)
-	return t
+// build grows one tree for the given gradient/hessian vectors at the end of
+// the forest and returns the extended slices.
+func (b *builder) build(nodes []fnode, gains, grad, hess []float64) ([]fnode, []float64) {
+	copy(b.lists, b.sorted)
+	b.nodes, b.gains, b.grad, b.hess = nodes, gains, grad, hess
+	b.grow(0, b.n, 0)
+	return b.nodes, b.gains
 }
 
-// grow recursively expands a node holding `rows`, returning its index in
-// the tree's flat node array.
-func (b *builder) grow(t *Tree, rows []int32, grad, hess []float64, depth int) int32 {
+// grow recursively expands the node owning span [lo, hi), returning its
+// index in the forest.
+func (b *builder) grow(lo, hi, depth int) int {
 	var gSum, hSum float64
-	for _, i := range rows {
-		gSum += grad[i]
-		hSum += hess[i]
+	for _, i := range b.list(b.x.Cols(), lo, hi) {
+		gSum += b.grad[i]
+		hSum += b.hess[i]
 	}
-	idx := int32(len(t.nodes))
+	idx := len(b.nodes)
 	leafWeight := -gSum / (hSum + b.params.Lambda) * b.params.LearningRate
-	t.nodes = append(t.nodes, node{IsLeaf: true, Leaf: leafWeight, Left: -1, Right: -1})
-	if depth >= b.params.MaxDepth || len(rows) < 2 {
+	b.nodes = append(b.nodes, fnode{value: leafWeight})
+	b.gains = append(b.gains, 0)
+	if depth >= b.params.MaxDepth || hi-lo < 2 {
 		return idx
 	}
-	best := b.findBestSplit(rows, grad, hess, gSum, hSum)
+	best := b.findBestSplit(lo, hi, gSum, hSum)
 	if !best.valid {
 		return idx
 	}
-	left, right := b.partition(rows, best)
-	if len(left) == 0 || len(right) == 0 {
+	mid := lo + b.partition(lo, hi, best)
+	if mid == lo || mid == hi {
 		return idx
 	}
-	leftIdx := b.grow(t, left, grad, hess, depth+1)
-	rightIdx := b.grow(t, right, grad, hess, depth+1)
-	t.nodes[idx] = node{
-		Feature:     best.feature,
-		Threshold:   best.threshold,
-		DefaultLeft: best.defaultLeft,
-		Left:        leftIdx,
-		Right:       rightIdx,
-		Gain:        best.gain,
-	}
+	b.grow(lo, mid, depth+1)
+	right := b.grow(mid, hi, depth+1)
+	b.nodes[idx] = splitNode(best.threshold, int32(best.feature), best.defaultLeft, int32(right-idx))
+	b.gains[idx] = best.gain
 	return idx
 }
 
 // findBestSplit runs the exact greedy algorithm with sparsity-aware default
-// directions: for every feature it scans the sorted present values once per
-// missing-direction choice and keeps the split with the highest gain.
-func (b *builder) findBestSplit(rows []int32, grad, hess []float64, gTotal, hTotal float64) split {
-	for _, i := range rows {
-		b.inNode[i] = true
-	}
-	defer func() {
-		for _, i := range rows {
-			b.inNode[i] = false
-		}
-	}()
-
+// directions: for every feature it scans the node's present values in
+// ascending order once, trying both missing-direction choices at every
+// boundary, and keeps the split with the highest gain.
+func (b *builder) findBestSplit(lo, hi int, gTotal, hTotal float64) split {
+	grad, hess := b.grad, b.hess
 	lambda := b.params.Lambda
 	parentScore := gTotal * gTotal / (hTotal + lambda)
 	var best split
 
 	for j := 0; j < b.x.Cols(); j++ {
-		// Gradient mass of this node's rows with a missing value for j.
+		list := b.list(j, lo, hi)
+		// The node's rows with a missing value for j end the list.
+		present := len(list)
+		for present > 0 && IsMissing(b.x.At(int(list[present-1]), j)) {
+			present--
+		}
 		var gMiss, hMiss float64
-		for _, i := range b.missing[j] {
-			if b.inNode[i] {
-				gMiss += grad[i]
-				hMiss += hess[i]
-			}
+		for _, i := range list[present:] {
+			gMiss += grad[i]
+			hMiss += hess[i]
 		}
 		// Walk present values in ascending order accumulating left sums.
 		var gLeft, hLeft float64
 		var prevVal float64
-		havePrev := false
-		for _, i := range b.sorted[j] {
-			if !b.inNode[i] {
-				continue
-			}
+		for k, i := range list[:present] {
 			v := b.x.At(int(i), j)
-			if havePrev && v > prevVal {
+			if k > 0 && v > prevVal {
 				threshold := (prevVal + v) / 2
 				b.tryThreshold(&best, j, threshold, gLeft, hLeft, gMiss, hMiss, gTotal, hTotal, parentScore)
 			}
 			gLeft += grad[i]
 			hLeft += hess[i]
 			prevVal = v
-			havePrev = true
 		}
 		// A final "everything present goes left, missing decides side"
 		// split is only meaningful when missing rows exist.
-		if havePrev && (gMiss != 0 || hMiss != 0) {
+		if present > 0 && (gMiss != 0 || hMiss != 0) {
 			b.tryThreshold(&best, j, math.Nextafter(prevVal, math.Inf(1)), gLeft, hLeft, gMiss, hMiss, gTotal, hTotal, parentScore)
 		}
 	}
@@ -282,22 +301,36 @@ func (b *builder) tryThreshold(best *split, feature int, threshold, gLeft, hLeft
 	}
 }
 
-// partition splits the node's rows by the chosen split.
-func (b *builder) partition(rows []int32, s split) (left, right []int32) {
-	for _, i := range rows {
+// partition applies the split to the node owning span [lo, hi): every list
+// is reordered so the rows going left come first, both halves in their
+// previous relative order. It returns how many rows went left.
+func (b *builder) partition(lo, hi int, s split) int {
+	cols := b.x.Cols()
+	left := 0
+	for _, i := range b.list(cols, lo, hi) {
 		v := b.x.At(int(i), s.feature)
-		switch {
-		case IsMissing(v):
-			if s.defaultLeft {
-				left = append(left, i)
-			} else {
-				right = append(right, i)
-			}
-		case v < s.threshold:
-			left = append(left, i)
-		default:
-			right = append(right, i)
+		l := v < s.threshold || (s.defaultLeft && IsMissing(v))
+		b.goLeft[i] = l
+		if l {
+			left++
 		}
 	}
-	return left, right
+	if left == 0 || left == hi-lo {
+		return left
+	}
+	for j := 0; j <= cols; j++ {
+		list := b.list(j, lo, hi)
+		l, r := 0, 0
+		for _, i := range list {
+			if b.goLeft[i] {
+				list[l] = i
+				l++
+			} else {
+				b.spill[r] = i
+				r++
+			}
+		}
+		copy(list[l:], b.spill[:r])
+	}
+	return left
 }

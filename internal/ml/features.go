@@ -68,6 +68,13 @@ func (s FeatureSpec) norm(d time.Duration) float64 {
 //	[4..K+2]   consecutive access deltas, most recent pair first
 func (s FeatureSpec) Vector(rec *FileRecord, ref time.Time) []float64 {
 	x := make([]float64, s.Width())
+	s.VectorInto(rec, ref, x)
+	return x
+}
+
+// VectorInto is Vector filling a caller-owned row of Width() values.
+func (s FeatureSpec) VectorInto(rec *FileRecord, ref time.Time, x []float64) {
+	x = x[:s.Width()]
 	for i := range x {
 		x[i] = gbt.Missing
 	}
@@ -83,7 +90,7 @@ func (s FeatureSpec) Vector(rec *FileRecord, ref time.Time) []float64 {
 	}
 	accesses := rec.AccessesBefore(ref, s.K)
 	if len(accesses) == 0 {
-		return x
+		return
 	}
 	x[2] = s.norm(ref.Sub(accesses[len(accesses)-1]))
 	if s.UseCreation {
@@ -94,7 +101,6 @@ func (s FeatureSpec) Vector(rec *FileRecord, ref time.Time) []float64 {
 		x[slot] = s.norm(accesses[i].Sub(accesses[i-1]))
 		slot++
 	}
-	return x
 }
 
 // Label returns the class value for a reference time and class window:

@@ -90,10 +90,12 @@ type Learner struct {
 	evalResults []bool // ring of recent eval correctness
 	evalNext    int
 	evalFilled  int
+	evalWrong   int // incorrect entries among the evalFilled in the ring
 
 	samplesSeen int64
 	trainings   int64
 	updates     int64
+	generation  uint64
 	trainTime   time.Duration
 }
 
@@ -121,6 +123,10 @@ func (l *Learner) Updates() int64 { return l.updates }
 // Model returns the current model (nil before the first training).
 func (l *Learner) Model() *gbt.Model { return l.model }
 
+// Generation counts the changes to the model: every Train and Update bumps
+// it, so a prediction is reusable exactly as long as it stands still.
+func (l *Learner) Generation() uint64 { return l.generation }
+
 // TrainTime returns cumulative wall-clock time spent in Train/Update, for
 // the Section 7.7 overhead report.
 func (l *Learner) TrainTime() time.Duration { return l.trainTime }
@@ -131,42 +137,66 @@ func (l *Learner) Add(x []float64, y float64) {
 	l.samplesSeen++
 	if l.model != nil && l.rng.Float64() < l.cfg.EvalFraction {
 		p := l.model.Predict(x)
-		correct := (p >= 0.5) == (y >= 0.5)
-		l.evalResults[l.evalNext] = correct
-		l.evalNext = (l.evalNext + 1) % len(l.evalResults)
-		if l.evalFilled < len(l.evalResults) {
-			l.evalFilled++
-		}
+		l.recordEval((p >= 0.5) == (y >= 0.5))
 	}
 	l.bufX.AppendRow(x)
 	l.bufY = append(l.bufY, y)
-	l.maybeTrain()
-}
-
-func (l *Learner) maybeTrain() {
-	start := time.Now()
-	defer func() { l.trainTime += time.Since(start) }()
 	if l.model == nil {
 		if l.bufX.Rows() >= l.cfg.MinTrainSamples {
-			m, err := gbt.Train(l.bufX, l.bufY, l.cfg.Params)
-			if err == nil {
-				l.model = m
-				l.trainings++
-				l.resetBuffer()
-			}
+			l.train()
 		}
-		return
-	}
-	if l.bufX.Rows() >= l.cfg.UpdateBatch {
-		if err := l.model.Update(l.bufX, l.bufY, l.cfg.UpdateRounds); err == nil {
-			l.updates++
-		}
+	} else if l.bufX.Rows() >= l.cfg.UpdateBatch {
+		// A batch the model rejects is dropped, not retried.
+		l.update()
 		l.resetBuffer()
 	}
 }
 
+// recordEval overwrites the oldest slot of the evaluation ring, keeping the
+// count of incorrect entries in step.
+func (l *Learner) recordEval(correct bool) {
+	if l.evalFilled < len(l.evalResults) {
+		l.evalFilled++
+	} else if !l.evalResults[l.evalNext] {
+		l.evalWrong--
+	}
+	if !correct {
+		l.evalWrong++
+	}
+	l.evalResults[l.evalNext] = correct
+	l.evalNext = (l.evalNext + 1) % len(l.evalResults)
+}
+
+// train fits the first model on the buffer; a rejected buffer stays
+// buffered.
+func (l *Learner) train() {
+	start := time.Now()
+	m, err := gbt.Train(l.bufX, l.bufY, l.cfg.Params)
+	l.trainTime += time.Since(start)
+	if err != nil {
+		return
+	}
+	l.model = m
+	l.trainings++
+	l.generation++
+	l.resetBuffer()
+}
+
+// update boosts the model on the buffer and reports whether it took it.
+func (l *Learner) update() bool {
+	start := time.Now()
+	err := l.model.Update(l.bufX, l.bufY, l.cfg.UpdateRounds)
+	l.trainTime += time.Since(start)
+	if err != nil {
+		return false
+	}
+	l.updates++
+	l.generation++
+	return true
+}
+
 func (l *Learner) resetBuffer() {
-	l.bufX = gbt.NewMatrix(l.width)
+	l.bufX.Reset()
 	l.bufY = l.bufY[:0]
 }
 
@@ -176,13 +206,7 @@ func (l *Learner) RollingError() float64 {
 	if l.evalFilled == 0 {
 		return 1.0
 	}
-	wrong := 0
-	for i := 0; i < l.evalFilled; i++ {
-		if !l.evalResults[i] {
-			wrong++
-		}
-	}
-	return float64(wrong) / float64(l.evalFilled)
+	return float64(l.evalWrong) / float64(l.evalFilled)
 }
 
 // Ready reports whether the model is trained and its rolling error has
@@ -215,15 +239,8 @@ func (l *Learner) ForceTrain() {
 		return
 	}
 	if l.model == nil {
-		if m, err := gbt.Train(l.bufX, l.bufY, l.cfg.Params); err == nil {
-			l.model = m
-			l.trainings++
-			l.resetBuffer()
-		}
-		return
-	}
-	if err := l.model.Update(l.bufX, l.bufY, l.cfg.UpdateRounds); err == nil {
-		l.updates++
+		l.train()
+	} else if l.update() {
 		l.resetBuffer()
 	}
 }

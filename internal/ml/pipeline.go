@@ -2,6 +2,8 @@ package ml
 
 import (
 	"time"
+
+	"octostore/internal/gbt"
 )
 
 // Pipeline binds a feature spec, a class window, and an incremental learner
@@ -13,6 +15,9 @@ type Pipeline struct {
 	Spec    FeatureSpec
 	Window  time.Duration
 	Learner *Learner
+
+	row   []float64   // the feature vector Sample and Score build in place
+	batch *gbt.Matrix // ScoreBatch's rows
 }
 
 // NewPipeline builds a pipeline with the given class window.
@@ -35,18 +40,42 @@ func (p *Pipeline) Sample(rec *FileRecord, now time.Time) bool {
 	if rec.Created.After(tr) {
 		return false
 	}
-	x := p.Spec.Vector(rec, tr)
-	y := Label(rec, tr, p.Window)
-	p.Learner.Add(x, y)
+	p.Learner.Add(p.vector(rec, tr), Label(rec, tr, p.Window))
 	return true
+}
+
+// vector builds the file's features at ref in the pipeline's scratch row;
+// the result is valid until the next call.
+func (p *Pipeline) vector(rec *FileRecord, ref time.Time) []float64 {
+	if len(p.row) != p.Spec.Width() {
+		p.row = make([]float64, p.Spec.Width())
+	}
+	p.Spec.VectorInto(rec, ref, p.row)
+	return p.row
 }
 
 // Score predicts the probability that the file will be accessed within the
 // class window starting now (reference time = now, Section 4.4). ok is
 // false while the learner is not ready to serve.
 func (p *Pipeline) Score(rec *FileRecord, now time.Time) (prob float64, ok bool) {
-	x := p.Spec.Vector(rec, now)
-	return p.Learner.Predict(x)
+	return p.Learner.Predict(p.vector(rec, now))
+}
+
+// ScoreBatch is Score for many files at one instant: the serving gate is
+// asked once and the feature rows go through the model as one matrix
+// (gbt.PredictBatch). probs[i] equals what Score(recs[i], now) returns.
+func (p *Pipeline) ScoreBatch(recs []*FileRecord, now time.Time) (probs []float64, ok bool) {
+	if !p.Learner.Ready() {
+		return nil, false
+	}
+	if p.batch == nil || p.batch.Cols() != p.Spec.Width() {
+		p.batch = gbt.NewMatrix(p.Spec.Width())
+	}
+	p.batch.Reset()
+	for _, rec := range recs {
+		p.batch.AppendRow(p.vector(rec, now))
+	}
+	return p.Learner.Model().PredictBatch(p.batch), true
 }
 
 // TrainingPoint materialises the (features, label) pair for a file at a

@@ -372,3 +372,47 @@ func BenchmarkRecordAccess(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkXGBDownBurst is one downgrade burst under a serving model: 50
+// selections at one virtual instant over 2 000 files, each selected file
+// going busy before the next selection, so consecutive selections see the
+// same 200 LRU candidates shifted by one. memo is SelectFile; uncached is
+// the oracle scoring all 200 candidates on every selection, which is what
+// SelectFile did before it remembered scores. The per-op figure includes
+// the manager marking the 50 files busy and releasing them.
+//
+//	go test -run XXX -bench BenchmarkXGBDownBurst ./internal/policy
+func BenchmarkXGBDownBurst(b *testing.B) {
+	const n, burst = 2000, 50
+	var p *XGBDown
+	env := newBenchEnv(b, "XGBDown/burst", n, func(env *benchEnv) {
+		env.policy = NewXGBDown(env.ctx, ml.DefaultLearnerConfig())
+	})
+	p = env.policy.(*XGBDown)
+	// Train on a hot set re-read every half hour and a periodic sample of
+	// everything else, until the gate has a full evaluation window.
+	learner := p.Pipeline().Learner
+	for step := 0; learner.Updates() < 40 || !learner.Ready(); step++ {
+		if step > 2000 {
+			b.Fatalf("model not serving after %d steps (samples=%d, rolling error %v)", step, learner.SamplesSeen(), learner.RollingError())
+		}
+		env.engine.RunFor(30 * time.Minute)
+		for _, f := range env.files[:100] {
+			env.fs.RecordAccess(f)
+			p.OnFileAccessed(f)
+		}
+		p.Tick()
+	}
+	for name, pick := range map[string]func(storage.Media) *dfs.File{"memo": p.SelectFile, "uncached": p.SelectFileLinear} {
+		pick := pick
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env.engine.RunFor(time.Second) // a new instant: the memo starts empty
+				release := env.holdTop(b, storage.HDD, burst, func() *dfs.File { return pick(storage.HDD) })
+				release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/select")
+		})
+	}
+}

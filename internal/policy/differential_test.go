@@ -42,6 +42,13 @@ type checkedDowngrade struct {
 	checkLists bool
 	bufA, bufB []*dfs.File
 	checks     int
+
+	// XGB only: selections made with the model serving, and the length of
+	// the current burst (selections at one virtual instant)
+	served     int
+	burst      int
+	burstAt    time.Time
+	burstTiers map[storage.Media]bool
 }
 
 func (c *checkedDowngrade) SelectFile(tier storage.Media) *dfs.File {
@@ -55,7 +62,35 @@ func (c *checkedDowngrade) SelectFile(tier storage.Media) *dfs.File {
 	if c.checkLists {
 		c.compareLists(tier)
 	}
+	if xgb, ok := c.DowngradePolicy.(*policy.XGBDown); ok {
+		c.checkMemo(xgb, tier)
+	}
 	return got
+}
+
+// checkMemo bounds the XGB score memo by the burst it serves: the first
+// selection of an instant on a tier scores at most CandidateK files and
+// every further one replaces the file just moved with one newcomer.
+func (c *checkedDowngrade) checkMemo(xgb *policy.XGBDown, tier storage.Media) {
+	if now := c.ctx.Clock.Now(); !now.Equal(c.burstAt) {
+		c.burst, c.burstAt, c.burstTiers = 0, now, map[storage.Media]bool{}
+	}
+	c.burst++
+	c.burstTiers[tier] = true
+	if xgb.Pipeline().Learner.Ready() {
+		c.served++
+	}
+	if limit := c.ctx.Cfg.CandidateK*len(c.burstTiers) + c.burst; xgb.MemoLen() > limit {
+		c.t.Errorf("XGB memo holds %d scores at selection %d of a burst, want at most %d", xgb.MemoLen(), c.burst, limit)
+	}
+}
+
+// Tick forwards the manager's periodic tick, which the embedded interface
+// does not carry, so a wrapped XGB policy keeps sampling files for training.
+func (c *checkedDowngrade) Tick() {
+	if t, ok := c.DowngradePolicy.(core.Ticker); ok {
+		t.Tick()
+	}
 }
 
 func (c *checkedDowngrade) compareLists(tier storage.Media) {
@@ -113,10 +148,16 @@ func replayCluster(e *sim.Engine) *cluster.Cluster {
 // job-phase start.
 func runDifferential(t *testing.T, name string, checkLists bool, perturb func(*sim.Engine, *dfs.FileSystem)) (*checkedDowngrade, *core.Context) {
 	t.Helper()
+	return runDifferentialWith(t, name, core.DefaultConfig(), checkLists, perturb)
+}
+
+// runDifferentialWith is runDifferential under a given core configuration.
+func runDifferentialWith(t *testing.T, name string, cfg core.Config, checkLists bool, perturb func(*sim.Engine, *dfs.FileSystem)) (*checkedDowngrade, *core.Context) {
+	t.Helper()
 	e := sim.NewEngine()
 	c := replayCluster(e)
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModeOctopus, Seed: 11, ClientRate: 2000e6})
-	ctx := core.NewContext(fs, core.DefaultConfig())
+	ctx := core.NewContext(fs, cfg)
 	lcfg := ml.DefaultLearnerConfig()
 	down, err := policy.NewDowngrade(name, ctx, lcfg)
 	if err != nil {
@@ -169,6 +210,54 @@ func TestDifferentialSelectFile(t *testing.T) {
 	}
 }
 
+// TestXGBDownMemoMatchesUncached replays the workload, once undisturbed and
+// once under node churn, under the XGB downgrade policy: at every selection
+// the memoised choice must be the one the uncached oracle makes by scoring
+// all candidates afresh, and the memo must stay within its burst. Most
+// selections must happen with the model serving, or the LRU fallback is all
+// that was compared.
+func TestXGBDownMemoMatchesUncached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload replays in non-short mode only")
+	}
+	for name, perturb := range map[string]func(*sim.Engine, *dfs.FileSystem){"steady": nil, "node-churn": nodeChurn} {
+		perturb := perturb
+		t.Run(name, func(t *testing.T) {
+			// The replay lasts an hour: a model of "accessed within six
+			// hours" would never see a labelled sample.
+			cfg := core.DefaultConfig()
+			cfg.DowngradeWindow = 10 * time.Minute
+			checked, _ := runDifferentialWith(t, "xgb", cfg, false, perturb)
+			if checked.checks < 50 || checked.served < checked.checks/2 {
+				t.Fatalf("%d selections compared, %d with the model serving; too few to trust the equivalence", checked.checks, checked.served)
+			}
+			t.Logf("%d selections compared, %d with the model serving", checked.checks, checked.served)
+		})
+	}
+}
+
+// nodeChurn fails the highest-numbered worker five minutes into the job
+// phase and joins a fresh one ten minutes later.
+func nodeChurn(e *sim.Engine, fs *dfs.FileSystem) {
+	e.Schedule(5*time.Minute, func() {
+		nodes := fs.Cluster().Nodes()
+		victim := nodes[0]
+		for _, n := range nodes[1:] {
+			if n.ID() > victim.ID() {
+				victim = n
+			}
+		}
+		fs.FailNode(victim)
+	})
+	e.Schedule(15*time.Minute, func() {
+		fs.AddNode(storage.NodeSpec{
+			{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
+			{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
+			{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
+		}, 4)
+	})
+}
+
 // TestIndexUnderNodeChurn fails a worker mid-replay and joins a fresh one,
 // then requires (a) the indexed selections to keep matching the oracle
 // throughout, and (b) every index — the context structures and its
@@ -179,27 +268,8 @@ func TestIndexUnderNodeChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload replays in non-short mode only")
 	}
-	perturb := func(e *sim.Engine, fs *dfs.FileSystem) {
-		e.Schedule(5*time.Minute, func() {
-			nodes := fs.Cluster().Nodes()
-			victim := nodes[0]
-			for _, n := range nodes[1:] {
-				if n.ID() > victim.ID() {
-					victim = n
-				}
-			}
-			fs.FailNode(victim)
-		})
-		e.Schedule(15*time.Minute, func() {
-			fs.AddNode(storage.NodeSpec{
-				{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-				{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-				{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-			}, 4)
-		})
-	}
 	// runDifferential ends with the index audit, the weight heaps included.
-	checked, _ := runDifferential(t, "lrfu", false, perturb)
+	checked, _ := runDifferential(t, "lrfu", false, nodeChurn)
 	if checked.checks < 50 {
 		t.Fatalf("only %d selection points exercised", checked.checks)
 	}

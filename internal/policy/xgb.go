@@ -59,12 +59,39 @@ func (p *xgbModel) Tick() {
 // probability of access within the large class window (default 6 hours),
 // and the file with the lowest probability is downgraded. Until the model is
 // ready the policy behaves like LRU.
+//
+// One downgrade process selects many times at one virtual instant, and each
+// selection sees the previous one's candidates minus the file just moved, so
+// the scores are remembered across the burst: a file's score is a function
+// of the instant, the model and the file's access history, and is reused
+// while none of the three has changed.
 type XGBDown struct {
 	xgbModel
 	thresholdStartStop
 	defaultTargetTier
-	ctx   *core.Context
-	cands []*dfs.File // reused candidate buffer
+
+	// reused per-selection buffers: the candidates, their scores, and the
+	// candidates (index and record) the memo had no valid score for
+	cands    []*dfs.File
+	probs    []float64
+	miss     []int
+	missRecs []*ml.FileRecord
+
+	// memo holds the scores computed at virtual time memoNow under learner
+	// generation memoGen. It is emptied when either moves, so it never
+	// outgrows one burst: CandidateK entries per tier selected from, plus
+	// one per further selection.
+	memo    map[dfs.FileID]memoScore
+	memoNow time.Time
+	memoGen uint64
+}
+
+// memoScore is a remembered prediction, valid while the file's record still
+// counts `accesses` accesses (an access at the memo's own instant changes
+// the features).
+type memoScore struct {
+	prob     float64
+	accesses int64
 }
 
 // NewXGBDown builds the XGB downgrade policy with its own incremental
@@ -75,7 +102,7 @@ func NewXGBDown(ctx *core.Context, learnerCfg ml.LearnerConfig) *XGBDown {
 		xgbModel:           newXGBModel(ctx, ctx.Cfg.DowngradeWindow, learnerCfg, 101),
 		thresholdStartStop: thresholdStartStop{ctx},
 		defaultTargetTier:  defaultTargetTier{ctx},
-		ctx:                ctx,
+		memo:               make(map[dfs.FileID]memoScore),
 	}
 }
 
@@ -84,20 +111,63 @@ func (p *XGBDown) Name() string { return "XGB" }
 
 // SelectFile scores the k least recently used files — collected from the
 // recency index as a bounded top-k, not a full sort — and picks the one
-// least likely to be accessed in the distant future.
+// least likely to be accessed in the distant future. Only candidates
+// without a valid remembered score are predicted, as one batch.
 func (p *XGBDown) SelectFile(tier storage.Media) *dfs.File {
-	p.cands = p.ctx.LRUFilesInto(p.cands[:0], tier, p.ctx.Cfg.CandidateK)
-	candidates := p.cands
+	ctx := p.xgbModel.ctx
+	p.cands = ctx.LRUFilesInto(p.cands[:0], tier, ctx.Cfg.CandidateK)
+	if len(p.cands) == 0 {
+		return nil
+	}
+	now := ctx.Clock.Now()
+	if gen := p.pipeline.Learner.Generation(); gen != p.memoGen || !now.Equal(p.memoNow) {
+		clear(p.memo)
+		p.memoNow, p.memoGen = now, gen
+	}
+	p.probs, p.miss, p.missRecs = p.probs[:0], p.miss[:0], p.missRecs[:0]
+	for i, f := range p.cands {
+		rec := ctx.Record(f)
+		m, ok := p.memo[f.ID()]
+		if !ok || m.accesses != rec.AccessCount() {
+			p.miss = append(p.miss, i)
+			p.missRecs = append(p.missRecs, rec)
+		}
+		p.probs = append(p.probs, m.prob)
+	}
+	scored, ok := p.pipeline.ScoreBatch(p.missRecs, now)
+	if !ok {
+		// Model not trained/gated yet: fall back to pure LRU order.
+		return p.cands[0]
+	}
+	for k, i := range p.miss {
+		p.probs[i] = scored[k]
+		p.memo[p.cands[i].ID()] = memoScore{scored[k], p.missRecs[k].AccessCount()}
+	}
+	var best *dfs.File
+	bestProb := 2.0
+	for i, prob := range p.probs {
+		if prob < bestProb {
+			best, bestProb = p.cands[i], prob
+		}
+	}
+	return best
+}
+
+// SelectFileLinear is the selection without the memo — every candidate
+// scored afresh, one prediction at a time — kept as the differential-test
+// oracle and benchmark baseline.
+func (p *XGBDown) SelectFileLinear(tier storage.Media) *dfs.File {
+	ctx := p.xgbModel.ctx
+	candidates := ctx.LRUFilesInto(nil, tier, ctx.Cfg.CandidateK)
 	if len(candidates) == 0 {
 		return nil
 	}
-	now := p.ctx.Clock.Now()
+	now := ctx.Clock.Now()
 	var best *dfs.File
 	bestProb := 2.0
 	for _, f := range candidates {
-		prob, ok := p.pipeline.Score(p.ctx.Record(f), now)
+		prob, ok := p.pipeline.Score(ctx.Record(f), now)
 		if !ok {
-			// Model not trained/gated yet: fall back to pure LRU order.
 			return candidates[0]
 		}
 		if prob < bestProb {
@@ -116,8 +186,10 @@ func (p *XGBDown) SelectFile(tier storage.Media) *dfs.File {
 type XGBUp struct {
 	xgbModel
 
-	queue          []*dfs.File
-	cands          []*dfs.File // reused proactive candidate buffer
+	queue          []*dfs.File // queue[head:] is still to be selected
+	head           int
+	cands          []*dfs.File      // reused proactive candidate buffer
+	recs           []*ml.FileRecord // and the candidates' records
 	scheduledBytes int64
 }
 
@@ -135,7 +207,7 @@ func (p *XGBUp) Name() string { return "XGB" }
 // admits on the model's probability; on periodic invocations it builds a
 // proactive batch of likely-soon-accessed files.
 func (p *XGBUp) StartUpgrade(accessed *dfs.File) bool {
-	p.queue = p.queue[:0]
+	p.queue, p.head = p.queue[:0], 0
 	p.scheduledBytes = 0
 	now := p.ctx.Clock.Now()
 	if accessed != nil {
@@ -150,14 +222,18 @@ func (p *XGBUp) StartUpgrade(accessed *dfs.File) bool {
 		return true
 	}
 	// Proactive path: score the most recently used non-memory files,
-	// collected from the upgrade MRU index as a bounded top-k.
+	// collected from the upgrade MRU index as a bounded top-k, as one batch.
 	p.cands = p.ctx.UpgradeCandidatesInto(p.cands[:0], p.ctx.Cfg.CandidateK)
+	p.recs = p.recs[:0]
 	for _, f := range p.cands {
-		prob, ok := p.pipeline.Score(p.ctx.Record(f), now)
-		if !ok {
-			return false // model not ready; nothing proactive to do
-		}
-		if prob > p.ctx.Cfg.UpgradeThreshold {
+		p.recs = append(p.recs, p.ctx.Record(f))
+	}
+	probs, ok := p.pipeline.ScoreBatch(p.recs, now)
+	if !ok {
+		return false // model not ready; nothing proactive to do
+	}
+	for i, f := range p.cands {
+		if probs[i] > p.ctx.Cfg.UpgradeThreshold {
 			p.queue = append(p.queue, f)
 		}
 	}
@@ -167,11 +243,11 @@ func (p *XGBUp) StartUpgrade(accessed *dfs.File) bool {
 // SelectFile pops the next queued candidate and accounts its bytes against
 // the batch limit.
 func (p *XGBUp) SelectFile() *dfs.File {
-	if len(p.queue) == 0 {
+	if p.head == len(p.queue) {
 		return nil
 	}
-	f := p.queue[0]
-	p.queue = p.queue[1:]
+	f := p.queue[p.head]
+	p.head++
 	p.scheduledBytes += f.Size()
 	return f
 }
@@ -184,5 +260,5 @@ func (p *XGBUp) SelectTargetTier(f *dfs.File, from storage.Media) (storage.Media
 // StopUpgrade stops when the queue is drained or the scheduled volume
 // exceeds the batch limit (Section 6.4).
 func (p *XGBUp) StopUpgrade() bool {
-	return len(p.queue) == 0 || p.scheduledBytes >= p.ctx.Cfg.UpgradeBatchLimit
+	return p.head == len(p.queue) || p.scheduledBytes >= p.ctx.Cfg.UpgradeBatchLimit
 }

@@ -7,6 +7,7 @@ import (
 	"octostore/internal/cluster"
 	"octostore/internal/core"
 	"octostore/internal/dfs"
+	"octostore/internal/gbt"
 	"octostore/internal/ml"
 	"octostore/internal/policy"
 	"octostore/internal/server"
@@ -88,3 +89,23 @@ var (
 func _(down *policy.XGBDown, up *policy.XGBUp) [2]*ml.Learner {
 	return [2]*ml.Learner{down.Pipeline().Learner, up.Pipeline().Learner}
 }
+
+// The learner surface: the configuration fields bench/tracexgb.go sets and
+// the counters it reads off the two pipelines' learners, and the gbt calls
+// bench/probes.go times (train, predict one row, update on a batch).
+var (
+	_ func() ml.LearnerConfig = ml.DefaultLearnerConfig
+	_                         = ml.LearnerConfig{Seed: 1, Params: gbt.Params{MaxTrees: 1}, MinTrainSamples: 1, UpdateBatch: 1, UpdateRounds: 1}
+	_ func() time.Duration    = (*ml.Learner)(nil).TrainTime
+	_ func() int64            = (*ml.Learner)(nil).Updates
+	_ func() int64            = (*ml.Learner)(nil).SamplesSeen
+
+	_ func(cols int) *gbt.Matrix                                   = gbt.NewMatrix
+	_ func(row []float64)                                          = (*gbt.Matrix)(nil).AppendRow
+	_ func(i int) []float64                                        = (*gbt.Matrix)(nil).Row
+	_ float64                                                      = gbt.Missing
+	_ func() gbt.Params                                            = gbt.PaperParams
+	_ func(*gbt.Matrix, []float64, gbt.Params) (*gbt.Model, error) = gbt.Train
+	_ func(x []float64) float64                                    = (*gbt.Model)(nil).Predict
+	_ func(x *gbt.Matrix, y []float64, rounds int) error           = (*gbt.Model)(nil).Update
+)
