@@ -228,7 +228,12 @@ func printReport(c loadgen.Config, rep *loadgen.Report) {
 	st := rep.Serve
 	fmt.Printf("  served     MEM %d  SSD %d  HDD %d  (miss %d, no-replica %d)\n",
 		st.ServedByTier[0], st.ServedByTier[1], st.ServedByTier[2], st.AccessMisses, st.NoReplica)
-	fmt.Printf("  ring       %d events in %d batches, %d dropped\n", st.EventsDrained, st.DrainBatches, st.EventsDropped)
+	coalesced := 0.0
+	if st.DrainEntries > 0 {
+		coalesced = float64(st.EventsDrained) / float64(st.DrainEntries)
+	}
+	fmt.Printf("  access     %d applied in %d drains over %d file-entries (×%.1f coalesced), %d discarded\n",
+		st.EventsDrained, st.DrainBatches, st.DrainEntries, coalesced, st.AccessesDiscarded)
 	for _, tr := range rep.Executor {
 		fmt.Printf("  moves %s  sched %d done %d fail %d shed %d  admitted %dMB (bucket %dMB @ %.0fMB/s)\n",
 			tr.Tier, tr.Scheduled, tr.Completed, tr.Failed, tr.Shed,

@@ -221,10 +221,10 @@ type flipWatcher struct {
 	onResident func(f *dfs.File, m storage.Media)
 }
 
-func (flipWatcher) FileCreated(*dfs.File)       {}
-func (flipWatcher) FileAccessed(*dfs.File)      {}
-func (flipWatcher) FileDeleted(*dfs.File)       {}
-func (flipWatcher) TierDataAdded(storage.Media) {}
+func (flipWatcher) FileCreated(*dfs.File)         {}
+func (flipWatcher) FileAccessed(*dfs.File, int64) {}
+func (flipWatcher) FileDeleted(*dfs.File)         {}
+func (flipWatcher) TierDataAdded(storage.Media)   {}
 func (w flipWatcher) FileTierChanged(f *dfs.File, m storage.Media, resident bool) {
 	if resident {
 		w.onResident(f, m)

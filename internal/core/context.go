@@ -87,11 +87,11 @@ func (l ctxListener) FileCreated(f *dfs.File) {
 }
 
 // FileAccessed implements dfs.Listener.
-func (l ctxListener) FileAccessed(f *dfs.File) {
-	l.ctx.Tracker.OnAccess(int64(f.ID()), l.ctx.Clock.Now())
+func (l ctxListener) FileAccessed(f *dfs.File, n int64) {
+	l.ctx.Tracker.OnAccessN(int64(f.ID()), l.ctx.Clock.Now(), n)
 	l.ctx.index.fileAccessed(f)
 	for _, w := range l.ctx.weights {
-		w.accessed(f)
+		w.accessed(f, n)
 	}
 }
 

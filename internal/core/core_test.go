@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -453,5 +455,113 @@ func TestDecayedWeightOnePerFormula(t *testing.T) {
 	if other == w || len(ev.ctx.weights) != 2 || len(ev.ctx.index.heaps) != 6 {
 		t.Fatalf("another parameter: same instance %v, %d statistics, %d heaps; want 2 statistics over 6 heaps",
 			other == w, len(ev.ctx.weights), len(ev.ctx.index.heaps))
+	}
+}
+
+// formula1 and formula2 are the two decays of Section 5.2 (LRFU's and EXD's)
+// as test doubles: internal/policy owns the real ones and cannot be imported
+// from here.
+type formula1 struct{ halfLife time.Duration }
+
+func (d formula1) Bump(w float64, idle time.Duration) float64 { return 1 + d.Decayed(w, idle) }
+func (d formula1) Decayed(w float64, idle time.Duration) float64 {
+	return d.halfLife.Seconds() * w / (idle.Seconds() + d.halfLife.Seconds())
+}
+
+type formula2 struct{ alpha float64 }
+
+func (d formula2) Bump(w float64, idle time.Duration) float64 { return 1 + d.Decayed(w, idle) }
+func (d formula2) Decayed(w float64, idle time.Duration) float64 {
+	return w * math.Exp(-d.alpha*float64(idle.Milliseconds()))
+}
+
+// One notification of n accesses leaves every statistic where n single
+// accesses at the same instant leave it: the tracker's count and last touch,
+// the recency (LRU), frequency (LFU) and upgrade-MRU heap keys, and the
+// LRFU- and EXD-style decayed weights with their heap keys. Counts and times
+// are equal exactly; weights to rounding, because n-1 additions of 1 are
+// booked as one addition of n-1 — and exactly while every n was 1, the path
+// every fenced replay takes.
+func TestRecordAccessNEqualsNRecordAccesses(t *testing.T) {
+	decays := []Decay{formula1{time.Hour}, formula2{1.16e-8}, halving{time.Hour}}
+	build := func() (*env, []*dfs.File) {
+		ev := newEnv(t, dfs.ModeOctopus)
+		ev.ctx.index.RequireRecency()
+		ev.ctx.index.RequireFrequency()
+		ev.ctx.index.RequireUpgradeMRU()
+		for _, d := range decays {
+			ev.ctx.DecayedWeight(d).RequireOrder()
+		}
+		var files []*dfs.File
+		for i := 0; i < 6; i++ {
+			files = append(files, ev.create(t, fmt.Sprintf("/n/f%d", i), 24*storage.MB))
+		}
+		return ev, files
+	}
+	single, singleFiles := build()
+	batched, batchedFiles := build()
+	closeTo := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), 1) }
+
+	rng := rand.New(rand.NewSource(7))
+	maxKeep := int64(single.ctx.Tracker.K()) + 20
+	exact := true // until the first n > 1
+	for round, n := range []int64{1, 1, 1, 2, 5, maxKeep, maxKeep + 7, 1, 1000, 3} {
+		exact = exact && n == 1
+		idle := time.Duration(rng.Intn(5000)+1) * time.Second
+		single.engine.RunFor(idle)
+		batched.engine.RunFor(idle)
+		i := rng.Intn(len(singleFiles))
+		for k := int64(0); k < n; k++ {
+			single.fs.RecordAccess(singleFiles[i])
+		}
+		batched.fs.RecordAccessN(batchedFiles[i], n)
+
+		for j := range singleFiles {
+			fs, fb := singleFiles[j], batchedFiles[j]
+			if a, b := single.ctx.AccessCount(fs), batched.ctx.AccessCount(fb); a != b {
+				t.Fatalf("round %d file %d: AccessCount %d vs %d", round, j, a, b)
+			}
+			if a, b := single.ctx.LastTouch(fs), batched.ctx.LastTouch(fb); !a.Equal(b) {
+				t.Fatalf("round %d file %d: LastTouch %v vs %v", round, j, a, b)
+			}
+			ws, wb := single.ctx.Record(fs).AccessesBefore(single.engine.Now(), 0), batched.ctx.Record(fb).AccessesBefore(batched.engine.Now(), 0)
+			if len(ws) != len(wb) {
+				t.Fatalf("round %d file %d: k-last window holds %d vs %d instants", round, j, len(ws), len(wb))
+			}
+			for k := range ws {
+				if !ws[k].Equal(wb[k]) {
+					t.Fatalf("round %d file %d: k-last window differs at %d: %v vs %v", round, j, k, ws[k], wb[k])
+				}
+			}
+			for d := range decays {
+				a, b := single.ctx.weights[d].Stored(fs), batched.ctx.weights[d].Stored(fb)
+				if exact && a != b || !closeTo(a, b) {
+					t.Fatalf("round %d file %d decay %d: Stored %v vs %v", round, j, d, a, b)
+				}
+			}
+		}
+		if len(single.ctx.index.heaps) != len(batched.ctx.index.heaps) {
+			t.Fatal("the two contexts built different heap sets")
+		}
+		for hi, hs := range single.ctx.index.heaps {
+			hb := batched.ctx.index.heaps[hi]
+			if hs.Len() != hb.Len() {
+				t.Fatalf("round %d heap %d: %d vs %d members", round, hi, hs.Len(), hb.Len())
+			}
+			hs.Each(func(f *dfs.File, ks HeapKey) {
+				kb, ok := hb.Key(f.ID())
+				if !ok || ks.T != kb.T || ks.ID != kb.ID || (exact && ks.W != kb.W) || !closeTo(ks.W, kb.W) {
+					t.Fatalf("round %d heap %d file %d: key %+v vs %+v", round, hi, f.ID(), ks, kb)
+				}
+			})
+		}
+		if a, b := single.fs.Stats().FileAccesses, batched.fs.Stats().FileAccesses; a != b {
+			t.Fatalf("round %d: Stats.FileAccesses %d vs %d", round, a, b)
+		}
+		for _, ev := range []*env{single, batched} {
+			if err := ev.ctx.index.Audit(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
 	}
 }

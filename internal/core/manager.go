@@ -352,8 +352,10 @@ func (m *Manager) FileCreated(f *dfs.File) {
 
 // FileAccessed implements dfs.Listener; it fires before the data is read
 // and triggers the upgrade process (Algorithm 2 "invoked every time a file
-// is accessed, before it is actually read").
-func (m *Manager) FileAccessed(f *dfs.File) {
+// is accessed, before it is actually read"). A notification that stands for
+// several accesses at one instant runs the callbacks and the process once;
+// the statistics (the context's listener) count all of them.
+func (m *Manager) FileAccessed(f *dfs.File, _ int64) {
 	if m.down != nil {
 		m.down.OnFileAccessed(f)
 	}

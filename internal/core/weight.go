@@ -15,7 +15,9 @@ import (
 // the weight heaps store it evaluated at a future horizon as a lower bound.
 type Decay interface {
 	// Bump is the stored weight after an access, given the previously stored
-	// weight and the idle time since it was stored.
+	// weight and the idle time since it was stored. Nothing fades in no time:
+	// Bump(w, 0) must be w + 1, which is what lets n accesses at one instant
+	// be booked as one Bump plus n-1.
 	Bump(stored float64, idle time.Duration) float64
 	// Decayed is the current value of a weight stored idle ago.
 	Decayed(stored float64, idle time.Duration) float64
@@ -37,10 +39,10 @@ type weightState struct {
 
 // DecayedWeight is a per-file statistic the Context derives from its
 // notification feed for the policies that ask for it: every file's weight
-// under one Decay, set to 1 at creation, bumped once per access and dropped
-// at deletion, before the Manager runs a process on the same event. Several
-// policies may read one instance (an LRFU or EXD downgrade/upgrade pair
-// does).
+// under one Decay, set to 1 at creation, bumped once per access (a
+// notification of n accesses is n bumps) and dropped at deletion, before the
+// Manager runs a process on the same event. Several policies may read one
+// instance (an LRFU or EXD downgrade/upgrade pair does).
 //
 // RequireOrder adds per-tier heaps of the weights for min-selection.
 // Membership follows tier residency, and the heaps come from the index
@@ -114,10 +116,12 @@ func (w *DecayedWeight) created(f *dfs.File) {
 	w.state[f.ID()] = weightState{w: 1, at: w.ctx.Clock.Now()}
 }
 
-func (w *DecayedWeight) accessed(f *dfs.File) {
+// accessed books n accesses at the current instant: the first decays the
+// stored weight over the idle time, the other n-1 find it fresh.
+func (w *DecayedWeight) accessed(f *dfs.File, n int64) {
 	now := w.ctx.Clock.Now()
 	s := w.lookup(f)
-	w.state[f.ID()] = weightState{w: w.decay.Bump(s.w, now.Sub(s.at)), at: now}
+	w.state[f.ID()] = weightState{w: w.decay.Bump(s.w, now.Sub(s.at)) + float64(n-1), at: now}
 	w.refresh(f)
 }
 

@@ -79,9 +79,12 @@ func (c *Config) applyDefaults() {
 type Listener interface {
 	// FileCreated fires when a file's initial write completes.
 	FileCreated(f *File)
-	// FileAccessed fires when a file access is recorded, before the data is
-	// read, so upgrade policies can act first.
-	FileAccessed(f *File)
+	// FileAccessed fires when accesses to a file are recorded, before the
+	// data is read, so upgrade policies can act first. n >= 1 is how many
+	// accesses the notification stands for, all at the current instant (the
+	// serving layer coalesces a file's accesses between two drains into one
+	// notification; every other caller reports one at a time).
+	FileAccessed(f *File, n int64)
 	// FileDeleted fires when a file is removed.
 	FileDeleted(f *File)
 	// FileTierChanged fires when a complete file's all-or-nothing residency
@@ -712,13 +715,18 @@ func (fs *FileSystem) cacheFile(f *File) {
 
 // RecordAccess notes that a client is about to read the file and notifies
 // listeners (the upgrade hook runs before the read, per Algorithm 2).
-func (fs *FileSystem) RecordAccess(f *File) {
-	if f.deleted {
+func (fs *FileSystem) RecordAccess(f *File) { fs.RecordAccessN(f, 1) }
+
+// RecordAccessN records n accesses to the file at the current instant with
+// one notification: statistics count all n, processes triggered by an access
+// (the upgrade hook, a positive training sample) run once.
+func (fs *FileSystem) RecordAccessN(f *File, n int64) {
+	if f.deleted || n <= 0 {
 		return
 	}
-	fs.stats.FileAccesses++
+	fs.stats.FileAccesses += n
 	for _, l := range fs.listeners {
-		l.FileAccessed(f)
+		l.FileAccessed(f, n)
 	}
 }
 

@@ -320,7 +320,7 @@ type recordingListener struct {
 }
 
 func (r *recordingListener) FileCreated(*File)                          { r.created++ }
-func (r *recordingListener) FileAccessed(*File)                         { r.accessed++ }
+func (r *recordingListener) FileAccessed(_ *File, n int64)              { r.accessed += int(n) }
 func (r *recordingListener) FileDeleted(*File)                          { r.deleted++ }
 func (r *recordingListener) FileTierChanged(*File, storage.Media, bool) { r.tierFlips++ }
 func (r *recordingListener) TierDataAdded(storage.Media)                { r.tierAdds++ }

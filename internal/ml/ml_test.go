@@ -479,3 +479,46 @@ func BenchmarkLearnerAddSample(b *testing.B) {
 		l.Add(x, y)
 	}
 }
+
+// OnAccessN(id, at, n) is n times OnAccess(id, at): the same lifetime count,
+// the same k-last window (which holds K + slack instants at most, so a
+// larger n adds no more than that), the same footprint.
+func TestOnAccessNEqualsNOnAccesses(t *testing.T) {
+	const k = 4
+	keep := int64(k + trackSlack)
+	for _, n := range []int64{1, 2, keep, keep + 7} {
+		single, batched := NewTracker(k), NewTracker(k)
+		for _, tr := range []*Tracker{single, batched} {
+			rec := tr.OnCreate(1, 100, t0)
+			for i := 1; i <= 3; i++ { // earlier history the new instants push out
+				rec.RecordAccess(t0.Add(time.Duration(i) * time.Minute))
+			}
+		}
+		at := t0.Add(time.Hour)
+		for i := int64(0); i < n; i++ {
+			single.OnAccess(1, at)
+		}
+		batched.OnAccessN(1, at, n)
+		batched.OnAccessN(2, at, n) // a file the tracker had not seen
+		for i := int64(0); i < n; i++ {
+			single.OnAccess(2, at)
+		}
+		for id := int64(1); id <= 2; id++ {
+			a, _ := single.Get(id)
+			b, _ := batched.Get(id)
+			if a.AccessCount() != b.AccessCount() || a.FootprintBytes() != b.FootprintBytes() {
+				t.Fatalf("n=%d file %d: count %d vs %d, footprint %d vs %d", n, id,
+					a.AccessCount(), b.AccessCount(), a.FootprintBytes(), b.FootprintBytes())
+			}
+			wa, wb := a.AccessesBefore(at, 0), b.AccessesBefore(at, 0)
+			if len(wa) != len(wb) || int64(len(wb)) > keep {
+				t.Fatalf("n=%d file %d: window %d vs %d instants (bound %d)", n, id, len(wa), len(wb), keep)
+			}
+			for i := range wa {
+				if !wa[i].Equal(wb[i]) {
+					t.Fatalf("n=%d file %d: window differs at %d: %v vs %v", n, id, i, wa[i], wb[i])
+				}
+			}
+		}
+	}
+}

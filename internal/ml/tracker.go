@@ -33,8 +33,22 @@ type FileRecord struct {
 
 // RecordAccess appends an access time (times must be non-decreasing, which
 // the simulation clock guarantees).
-func (r *FileRecord) RecordAccess(at time.Time) {
-	r.total++
+func (r *FileRecord) RecordAccess(at time.Time) { r.RecordAccessN(at, 1) }
+
+// RecordAccessN records n accesses at one instant, exactly as n calls of
+// RecordAccess(at) would: the lifetime count grows by n, and the window —
+// which holds maxKeep entries at most — gains min(n, maxKeep) of them.
+func (r *FileRecord) RecordAccessN(at time.Time, n int64) {
+	r.total += n
+	if n > int64(r.maxKeep) {
+		n = int64(r.maxKeep)
+	}
+	for ; n > 0; n-- {
+		r.push(at)
+	}
+}
+
+func (r *FileRecord) push(at time.Time) {
 	r.accesses = append(r.accesses, at)
 	if len(r.accesses) > r.maxKeep {
 		// Shift rather than re-slice so the backing array does not grow
@@ -123,12 +137,15 @@ func (t *Tracker) OnCreate(id, size int64, at time.Time) *FileRecord {
 
 // OnAccess records an access, creating the record if the file predates the
 // tracker.
-func (t *Tracker) OnAccess(id int64, at time.Time) *FileRecord {
+func (t *Tracker) OnAccess(id int64, at time.Time) *FileRecord { return t.OnAccessN(id, at, 1) }
+
+// OnAccessN records n accesses at one instant (see FileRecord.RecordAccessN).
+func (t *Tracker) OnAccessN(id int64, at time.Time, n int64) *FileRecord {
 	rec, ok := t.files[id]
 	if !ok {
 		rec = t.OnCreate(id, 0, at)
 	}
-	rec.RecordAccess(at)
+	rec.RecordAccessN(at, n)
 	return rec
 }
 

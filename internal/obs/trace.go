@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 )
 
-// Span is one sampled operation's life: shard route, ring enqueue, the
+// Span is one sampled operation's life: shard route, access publish, the
 // placement the read resolved to, the data-plane grant breakdown, and the
 // end-to-end wall time. Durations are nanoseconds; VirtNS is the engine's
 // virtual clock at completion.
@@ -22,7 +22,7 @@ type Span struct {
 
 	// Stage timings, wall-clock ns from op start.
 	ResolveNS int64 `json:"resolve_ns"`          // shard route + namespace stripe lookup
-	RingNS    int64 `json:"ring_ns,omitempty"`   // access-event ring publish
+	RingNS    int64 `json:"ring_ns,omitempty"`   // access publish
 	DecideNS  int64 `json:"decide_ns,omitempty"` // replica/tier decision
 
 	// Data-plane grant breakdown (virtual ns), zero without a plane.

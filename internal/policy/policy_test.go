@@ -474,3 +474,15 @@ func TestWeightPairSharesOneStatistic(t *testing.T) {
 		})
 	}
 }
+
+// core.Decay's contract for coalesced accesses: nothing fades in no time, so
+// an access right after another adds exactly 1 under both formulas.
+func TestDecayBumpAtZeroIdleAddsOne(t *testing.T) {
+	for _, d := range []core.Decay{lrfuDecay(DefaultLRFUHalfLife), lrfuDecay(6 * time.Hour), exdDecay(DefaultEXDAlpha), exdDecay(math.Ln2)} {
+		for _, w := range []float64{0, 1, 1.359026326445546, 41.75, 1e6 / 3} {
+			if got := d.Bump(w, 0); math.Abs(got-(w+1)) > 1e-12*(w+1) {
+				t.Errorf("%T(%v).Bump(%v, 0) = %v, want %v", d, d, w, got, w+1)
+			}
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 // operations replayed (a) through the sequential simulation path — direct
 // dfs + core.Manager calls with the inline Replication Monitor — and (b)
 // through the serving layer with a single client, explicit virtual
-// timestamps, the MPSC access ring, and the movement executor. Both paths
+// timestamps, the access drain, and the movement executor. Both paths
 // quiesce after every operation, and the configurations are matched so that
 // neither the monitor's global concurrency cap nor the executor's budgets
 // bind; the final tier residency of every file and the capacity accounting

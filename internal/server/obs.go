@@ -60,8 +60,8 @@ func (sh *shard) busyEnd(t0 time.Time) {
 }
 
 // registerObs publishes the server's signals into the hub's registry:
-// serve counters, ring occupancy/drops, per-tier executor queues and
-// budgets, the latency histograms, and the core loop's utilization.
+// serve counters, access drain and discard counts, per-tier executor queues
+// and budgets, the latency histograms, and the core loop's utilization.
 func (sh *shard) registerObs() {
 	if sh.obs == nil {
 		return
@@ -86,24 +86,19 @@ func (sh *shard) registerObs() {
 	ctr("octo_creates_total", &sh.counters.creates)
 	ctr("octo_create_errors_total", &sh.counters.createErrors)
 	ctr("octo_deletes_total", &sh.counters.deletes)
+	// drained / files_applied is the coalescing ratio: accesses per
+	// notification the policy layer received.
 	ctr("octo_events_drained_total", &sh.counters.drained)
+	ctr("octo_access_files_applied_total", &sh.counters.applied)
 	ctr("octo_drain_batches_total", &sh.counters.batches)
+	for reason, name := range discardReasons {
+		ctr("octo_accesses_discarded_total", &sh.counters.discarded[reason], "reason", name)
+	}
 	for _, m := range storage.AllMedia {
 		m := m
 		r.CounterFunc("octo_served_total", lbl("tier", m.String()),
 			func() float64 { return float64(sh.counters.servedByTier[m].Load()) })
 	}
-
-	// Ring occupancy from the producer/consumer cursors: enq counts claimed
-	// slots, deq consumed ones, so the difference bounds the published
-	// backlog (claimed-not-yet-published slots inflate it by at most the
-	// number of mid-push producers).
-	r.Gauge("octo_ring_occupancy", lbl(), func() float64 {
-		return float64(sh.ring.enq.Load() - sh.ring.deq.Load())
-	})
-	r.CounterFunc("octo_ring_dropped_total", lbl(), func() float64 {
-		return float64(sh.ring.Dropped())
-	})
 
 	// Core-loop utilization: busy wall time over elapsed wall time since
 	// Start. The loop only accumulates busy time when obs is enabled.

@@ -137,3 +137,70 @@ func TestParkingMetricsScrapedAfterShedding(t *testing.T) {
 		t.Errorf(`octo_manager_parked_files{reason="cooldown"} = %v (exposed %v), managers say %d (want > 0 right after the run)`, got, ok, cooling)
 	}
 }
+
+// TestAccessAccountingScraped: the drain's counters are exposed per shard —
+// accesses applied, the per-file notifications they were applied as, and the
+// discards by reason — and the ring's gauges are gone with the ring.
+func TestAccessAccountingScraped(t *testing.T) {
+	hub := obs.NewHub(obs.HubConfig{})
+	addr, stop, err := hub.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	defer stop()
+	srv, err := server.NewSharded(server.ShardedConfig{
+		Shards:  2,
+		Cluster: cluster.Config{Workers: 2, SlotsPerNode: 4, Spec: servedWorkerSpec()},
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: 9, ClientRate: 2000e6},
+		Inner:   server.Config{Obs: hub}, // replay mode
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+
+	at := sim.Epoch.Add(time.Second)
+	paths := []string{"/m/a/f", "/m/b/f", "/m/c/f"}
+	for _, p := range paths {
+		ch := srv.CreateAt(p, storage.MB, at)
+		srv.Flush()
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		for _, p := range paths {
+			if _, err := srv.AccessAt(p, at.Add(time.Duration(i)*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	srv.Flush()
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+
+	want := float64(rounds * len(paths))
+	if got := scrape(t, addr, "octo_accesses_total")[""]; got != want {
+		t.Errorf("octo_accesses_total = %v, want %v", got, want)
+	}
+	if got := scrape(t, addr, "octo_events_drained_total")[""]; got != want {
+		t.Errorf("octo_events_drained_total = %v, want %v", got, want)
+	}
+	if got := scrape(t, addr, "octo_access_files_applied_total")[""]; got < float64(len(paths)) || got > want {
+		t.Errorf("octo_access_files_applied_total = %v, want between %d and %v", got, len(paths), want)
+	}
+	discarded := scrape(t, addr, "octo_accesses_discarded_total")
+	for _, reason := range []string{"deleted", "migrated"} {
+		if got, ok := discarded[reason]; !ok || got != 0 {
+			t.Errorf("octo_accesses_discarded_total{reason=%q} = %v (exposed %v), want 0", reason, got, ok)
+		}
+	}
+	for _, gone := range []string{"octo_ring_occupancy", "octo_ring_dropped_total"} {
+		if got := scrape(t, addr, gone); len(got) != 0 {
+			t.Errorf("%s is still exposed: %v", gone, got)
+		}
+	}
+}

@@ -604,7 +604,7 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 		return migrateSkipped
 	}
 	var derr error
-	r.exec(src, func(fs *dfs.FileSystem) { _, derr = fs.DetachFile(path) })
+	r.exec(src, func(*dfs.FileSystem) { derr = src.migrateOut(path) })
 	if derr == nil {
 		if landed {
 			r.filesMoved.Add(1)

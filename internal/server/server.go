@@ -13,10 +13,17 @@
 //     tier decision run entirely on client goroutines under per-stripe read
 //     locks, so metadata traffic in independent directories never
 //     serializes.
-//   - Access events ride a bounded MPSC ring (eventRing): the client hot
-//     path is a stripe lookup plus a lock-free push, and the shard loop
-//     drains the ring in batches, feeding the tracker, the candidate
-//     index, and the upgrade hook off the client's critical path.
+//   - Accesses accumulate per file: every handle carries an atomic count of
+//     accesses not yet applied and the latest virtual instant any of them
+//     was stamped with. The client hot path is a stripe lookup plus two
+//     atomics on the handle; only the access that takes a handle's count
+//     from 0 to 1 touches shard-shared state, pushing the handle on the
+//     shard's lock-free dirty list and ringing the loop's doorbell. The
+//     shard loop takes the whole list, orders it by (stamp, file id), and
+//     per file runs the engine to the stamp and applies one
+//     dfs.RecordAccessN(file, n) — tracker, candidate index, upgrade hook —
+//     off the client's critical path. A drain costs O(distinct files
+//     touched); nothing is bounded, so no access is ever dropped.
 //   - Replica movement runs on the MovementExecutor (per-tier pools,
 //     bounded queues, per-tier in-flight byte budgets, shedding) installed
 //     as the Manager's Mover, so upgrades/downgrades overlap with serving
@@ -29,9 +36,20 @@
 // with an explicit virtual time (Op.At) and fence with Flush, which is how
 // the differential tests replay one trace through the sequential simulator
 // and through the server and compare final states.
+//
+// What the policy layer sees of accesses: fenced (a Flush between two
+// accesses of one file) it sees each access at its own stamp, which is what
+// keeps the differential suites bit-identical to the sequential simulator.
+// Under concurrent load it sees each file's accesses at drain granularity —
+// the exact count, at the latest stamp, with the intermediate stamps
+// collapsed onto it: the k-last window gets the instants a drain applied,
+// and processes an access triggers (the upgrade hook, XGB's positive sample)
+// run once per file per drain.
 package server
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,9 +97,6 @@ func (c *Config) applyDefaults() {
 }
 
 const (
-	// ringCapacity is the access-event ring size (a power of two). When
-	// full, events are dropped and counted.
-	ringCapacity = 1 << 14
 	// cmdBuffer is the command channel depth.
 	cmdBuffer = 256
 	// paceInterval is how often (wall clock) the pacer advances virtual time
@@ -150,7 +165,7 @@ type command struct {
 }
 
 // shard is one namespace partition: a private simulation stack — engine,
-// file system, manager, access ring, movement executor — drained by its own
+// file system, manager, dirty list, movement executor — drained by its own
 // single-writer loop, plus the quota agent that grows the shard's capacity
 // slice out of the global ledger. ShardedServer routes client ops to shards;
 // nothing outside the loop goroutine touches fs, engine or mgr between
@@ -167,9 +182,12 @@ type shard struct {
 	reconcile *sim.Ticker
 
 	ns   *nsShards
-	ring *eventRing
 	exec *MovementExecutor
 	cmds chan command
+	// wake is the loop's doorbell: a client try-sends after making a handle
+	// dirty, and the capacity of one collapses any number of rings into a
+	// single wakeup.
+	wake chan struct{}
 	// plane is the file system's data plane, cached at start so the client
 	// read path charges tier-real service times without touching the
 	// loop-owned fs. Nil disables latency modeling (free reads).
@@ -181,12 +199,20 @@ type shard struct {
 	// keeps the access path untouched.
 	backend backend.Backend
 
-	// Loop-owned state.
+	// Loop-owned state. accessBase is the file system's access count when
+	// the shard was built and directAccesses what other callers (scenario
+	// clients running inside the loop) have recorded on it since, not
+	// through a handle; Verify balances the two against the drain's count.
 	byID            map[dfs.FileID]*handle
 	createsInFlight int
-	evBuf           []accessEvent
+	batch           []pendingAccess
+	applying        bool
+	accessBase      int64
+	directAccesses  int64
 	closed          bool
 
+	// dirty holds the handles with accesses to apply (see handle.pending).
+	dirty      dirtyList
 	counters   serveCounters
 	accessHist Histogram
 	mutateHist Histogram
@@ -231,10 +257,12 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard
 		engine: fs.Engine(),
 		mgr:    mgr,
 		ns:     newNSShards(cfg.Shards),
-		ring:   newEventRing(ringCapacity),
 		exec:   NewMovementExecutor(fs, cfg.Executor),
 		cmds:   make(chan command, cmdBuffer),
+		wake:   make(chan struct{}, 1),
 		byID:   make(map[dfs.FileID]*handle),
+
+		accessBase: fs.Stats().FileAccesses,
 	}
 	if len(cfg.Tenants) > 0 {
 		sh.tenantSlot = make(map[storage.TenantID]int, len(cfg.Tenants))
@@ -260,7 +288,7 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard
 }
 
 // stats snapshots the serving counters.
-func (sh *shard) stats() ServeStats { return sh.counters.snapshot(sh.ring.Dropped()) }
+func (sh *shard) stats() ServeStats { return sh.counters.snapshot() }
 
 // sloStats snapshots the admission controller (zero without one).
 func (sh *shard) sloStats() SLOStats {
@@ -368,17 +396,17 @@ func (sh *shard) loop() {
 		select {
 		case c := <-sh.cmds:
 			t0 := sh.busyStart()
-			sh.drainRing()
+			sh.drainAccesses()
 			sh.applyCmd(c)
 			sh.busyEnd(t0)
-		case <-sh.ring.wake:
+		case <-sh.wake:
 			t0 := sh.busyStart()
-			sh.drainRing()
+			sh.drainAccesses()
 			sh.busyEnd(t0)
 		}
 	}
-	// Final drain so no published event is silently lost.
-	sh.drainRing()
+	// Final drain so no noted access is silently lost.
+	sh.drainAccesses()
 }
 
 // applyCmd advances virtual time to the command's stamp and runs it.
@@ -391,31 +419,50 @@ func (sh *shard) applyCmd(c command) {
 	}
 }
 
-// drainRing applies published access events in batch: each event advances
-// virtual time to its stamp and replays through dfs.RecordAccess, which
-// feeds the tracker, the candidate index, and the manager's upgrade hook.
-func (sh *shard) drainRing() {
-	sh.evBuf = sh.evBuf[:0]
-	for {
-		ev, ok := sh.ring.pop()
-		if !ok {
-			break
-		}
-		sh.evBuf = append(sh.evBuf, ev)
-	}
-	if len(sh.evBuf) == 0 {
+// drainAccesses applies every access noted since the last drain: it takes the
+// dirty list, zeroes each handle's count, and in (stamp, file id) order runs
+// the engine to the stamp and replays the file's n accesses as one
+// dfs.RecordAccessN, which feeds the tracker, the candidate index, and the
+// manager's upgrade hook. Accesses left on a handle whose file was deleted
+// or migrated away in the meantime are counted as discarded.
+func (sh *shard) drainAccesses() {
+	batch := sh.dirty.collect(sh.batch[:0])
+	if len(batch) == 0 {
 		return
 	}
-	sh.counters.batches.Add(1)
-	for _, ev := range sh.evBuf {
-		if ev.at.After(sh.engine.Now()) {
-			sh.engine.RunUntil(ev.at)
+	slices.SortFunc(batch, func(a, b pendingAccess) int {
+		if c := cmp.Compare(a.stamp, b.stamp); c != 0 {
+			return c
 		}
-		if f, ok := sh.byID[ev.id]; ok && !f.file.Deleted() {
-			sh.fs.RecordAccess(f.file)
-			sh.counters.drained.Add(1)
+		return cmp.Compare(a.h.id, b.h.id)
+	})
+	var drained, applied int64
+	for _, p := range batch {
+		if at := sim.AtNanos(p.stamp); at.After(sh.engine.Now()) {
+			sh.engine.RunUntil(at)
 		}
+		if p.h.file.Deleted() {
+			reason := discardDeleted
+			if p.h.migrated {
+				reason = discardMigrated
+			}
+			sh.counters.discarded[reason].Add(p.n)
+			continue
+		}
+		sh.applying = true
+		sh.fs.RecordAccessN(p.h.file, p.n)
+		sh.applying = false
+		drained += p.n
+		applied++
 	}
+	clear(batch) // the buffer outlives the drain; the handles in it need not
+	sh.batch = batch
+	// One Add per counter per drain: the clients' counters share this struct
+	// (see serveCounters), and a per-entry Add would keep pulling its cache
+	// line over to the loop.
+	sh.counters.batches.Add(1)
+	sh.counters.drained.Add(drained)
+	sh.counters.applied.Add(applied)
 }
 
 // indexFile publishes a completed file to the striped namespace. Shard loop
@@ -477,8 +524,14 @@ type shardListener struct{ sh *shard }
 // nothing to do here.
 func (shardListener) FileCreated(*dfs.File) {}
 
-// FileAccessed implements dfs.Listener.
-func (shardListener) FileAccessed(*dfs.File) {}
+// FileAccessed implements dfs.Listener: accesses recorded on the file system
+// by anyone but the drain (scenario clients running inside the loop) are
+// tallied so Verify can tell them from drained ones.
+func (l shardListener) FileAccessed(_ *dfs.File, n int64) {
+	if !l.sh.applying {
+		l.sh.directAccesses += n
+	}
+}
 
 // FileDeleted implements dfs.Listener.
 func (l shardListener) FileDeleted(f *dfs.File) {
@@ -586,10 +639,34 @@ func (sh *shard) detach(op Op) <-chan error {
 	return res
 }
 
+// publish hands one access of h to the next drain, and rings the loop's
+// doorbell if the handle was clean. Any goroutine.
+func (sh *shard) publish(h *handle, at time.Time) {
+	if sh.dirty.note(h, at) {
+		select {
+		case sh.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// migrateOut detaches a file whose copy has landed on another shard (the
+// commit half of rebalancer.migrateFile). Accesses still pending on its
+// handle are discarded as "migrated", not "deleted". Shard loop only.
+func (sh *shard) migrateOut(path string) error {
+	h, _ := sh.ns.get(path)
+	_, err := sh.fs.DetachFile(path)
+	if err == nil && h != nil {
+		h.migrated = true
+	}
+	return err
+}
+
 // access serves one client read of a resolved file at op.At and returns the
 // tier that serves it, with the tier-real read latency when a data plane is
-// attached. This is the hot path: one lock-free ring push, one atomic
-// charge against the shared device channel, zero shard-loop involvement.
+// attached. This is the hot path: the handle's access accumulator (the
+// shard's dirty list only when the handle was clean), one atomic charge
+// against the shared device channel, zero shard-loop involvement.
 // The plane charge carries op.Tenant and the read latency lands in the
 // tenant's histogram as well as the tier's. Span capture costs one nil
 // check when obs is off; the stage stamps are all guarded on sp.
@@ -600,7 +677,7 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 		sp.ResolveNS = time.Since(spStart).Nanoseconds()
 	}
 	sh.counters.accesses.Add(1)
-	sh.ring.push(accessEvent{id: h.id, at: at})
+	sh.publish(h, at)
 	if sp != nil {
 		sp.RingNS = time.Since(spStart).Nanoseconds()
 	}
@@ -687,9 +764,9 @@ func (sh *shard) inLoop(fn func(*dfs.FileSystem)) {
 	<-done
 }
 
-// flush fences the shard: it blocks until every access event published
-// before the call is drained, all in-flight creates commit, and the
-// movement executor is idle, stepping the simulation forward as needed.
+// flush fences the shard: it blocks until every access noted before the
+// call is applied, all in-flight creates commit, and the movement executor
+// is idle, stepping the simulation forward as needed.
 // Under live load this is a best-effort barrier (new traffic may arrive
 // concurrently); with clients stopped it is a full quiescence point.
 func (sh *shard) flush() {
@@ -709,7 +786,7 @@ func (sh *shard) flush() {
 func (sh *shard) quiesce() {
 	steps := 0
 	for {
-		sh.drainRing()
+		sh.drainAccesses()
 		// Absorb queued commands without blocking: concurrent client ops
 		// and pacer ticks must not starve behind a flush.
 		for absorbed := true; absorbed; {
@@ -720,7 +797,7 @@ func (sh *shard) quiesce() {
 				absorbed = false
 			}
 		}
-		if sh.createsInFlight == 0 && sh.exec.Idle() && sh.ring.empty() && len(sh.cmds) == 0 {
+		if sh.createsInFlight == 0 && sh.exec.Idle() && sh.dirty.empty() && len(sh.cmds) == 0 {
 			return
 		}
 		if steps >= quiesceMaxSteps {
@@ -731,11 +808,11 @@ func (sh *shard) quiesce() {
 			continue
 		}
 		// Outstanding work but no runnable event: wait for a command or a
-		// ring publication to make progress.
+		// newly dirty handle to make progress.
 		select {
 		case c := <-sh.cmds:
 			sh.applyCmd(c)
-		case <-sh.ring.wake:
+		case <-sh.wake:
 		}
 	}
 }

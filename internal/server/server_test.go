@@ -274,7 +274,7 @@ func TestServedMetadataOps(t *testing.T) {
 	}
 }
 
-// TestAccessEventsFeedPolicies asserts the ring actually feeds the tracker:
+// TestAccessEventsFeedPolicies asserts the drain actually feeds the tracker:
 // accesses recorded through the serving hot path must land in the policy
 // context's per-file statistics after a flush.
 func TestAccessEventsFeedPolicies(t *testing.T) {

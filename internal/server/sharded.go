@@ -18,8 +18,9 @@ import (
 // This file implements the sharded simulation core: the engine is
 // partitioned into N namespace shards, each owning a full private stack —
 // discrete-event engine, cluster view, dfs.FileSystem, core.Manager with
-// its CandidateIndex and tracker, access-event ring, and movement executor
-// — drained by its own dedicated single-writer loop (shard, in server.go).
+// its CandidateIndex and tracker, dirty list of accessed files, and movement
+// executor — drained by its own dedicated single-writer loop (shard, in
+// server.go).
 // Mutations and policy ticks in different shards never share a goroutine, a
 // lock, or an engine, so structural write throughput scales with cores
 // instead of serializing through one writer.
@@ -76,8 +77,8 @@ type ShardedConfig struct {
 	Backend func(shard int) backend.Backend
 	// Quota tunes the sharded capacity accounting.
 	Quota QuotaConfig
-	// Inner is the per-shard serving configuration (stripe count, ring,
-	// pacing, executor).
+	// Inner is the per-shard serving configuration (stripe count, pacing,
+	// executor).
 	Inner Config
 	// Rebalance tunes the dynamic shard rebalancer (default off: static
 	// parent-dir-hash routing with no tracking cost).
@@ -498,9 +499,9 @@ func failed(err error) <-chan error {
 // Do runs one op and blocks for its outcome.
 //
 // An access records the read on the owning shard and returns the serving
-// tier; the hot path stays shard-local (route hash, stripe lookup, ring
-// push), and during a migration epoch the read double-reads so clients
-// never block on a move. With a zero At it is stamped with Clock() and
+// tier; the hot path stays shard-local (route hash, stripe lookup, the
+// handle's access accumulator), and during a migration epoch the read
+// double-reads so clients never block on a move. With a zero At it is stamped with Clock() and
 // observes the access-path latency histogram.
 //
 // A create waits for the shard's write pipeline to commit. A capacity
@@ -738,7 +739,7 @@ func (s *ShardedServer) List(dir string) []string {
 	return append(merged, other[j:]...)
 }
 
-// Flush fences every shard: all published access events drained, in-flight
+// Flush fences every shard: all noted accesses applied, in-flight
 // creates committed, movement executors idle. Open migration epochs get a
 // straggler drain — files that were mid-create or in transition during the
 // live sweeps can move now that the system is quiescing — then the shards
@@ -851,10 +852,10 @@ func (s *ShardedServer) TierUsage(m storage.Media) (used, capacity int64) {
 }
 
 // Verify runs the full invariant suite — per-shard capacity accounting,
-// deep structural checks, candidate-index audits, and the global ledger
-// conservation equation — and returns every violation found. Call at a
-// quiescent point (after Flush with clients stopped, or after Close) for
-// exact results.
+// deep structural checks, candidate-index audits, the access accounting
+// identity, and the global ledger conservation equation — and returns every
+// violation found. Call at a quiescent point (after Flush with clients
+// stopped, or after Close) for exact results.
 func (s *ShardedServer) Verify() []string {
 	var violations []string
 	s.Exec(func(i int, fs *dfs.FileSystem) {
@@ -864,10 +865,23 @@ func (s *ShardedServer) Verify() []string {
 		if err := fs.CheckInvariants(); err != nil {
 			violations = append(violations, fmt.Sprintf("shard %d: %v", i, err))
 		}
-		if sh := s.shards[i]; sh.mgr != nil {
+		sh := s.shards[i]
+		if sh.mgr != nil {
 			if err := sh.mgr.Context().Index().Audit(); err != nil {
 				violations = append(violations, fmt.Sprintf("shard %d index: %v", i, err))
 			}
+		}
+		// Every access a client was served is either applied to the policy
+		// layer or on record as discarded, and what the loop counts as
+		// applied is what the file system counted.
+		st := sh.stats()
+		if st.Accesses != st.EventsDrained+st.AccessesDiscarded {
+			violations = append(violations, fmt.Sprintf("shard %d: %d accesses served, %d applied + %d discarded",
+				i, st.Accesses, st.EventsDrained, st.AccessesDiscarded))
+		}
+		if grown := fs.Stats().FileAccesses - sh.accessBase; grown != st.EventsDrained+sh.directAccesses {
+			violations = append(violations, fmt.Sprintf("shard %d: file system recorded %d accesses since start, the loop applied %d (+%d recorded in-loop)",
+				i, grown, st.EventsDrained, sh.directAccesses))
 		}
 	})
 	// The conservation equation sums per-shard capacities through

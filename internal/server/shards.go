@@ -4,8 +4,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"octostore/internal/dfs"
+	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
 
@@ -35,7 +37,79 @@ type handle struct {
 	// only read the device's immutable identity (ID, Media) — the mutable
 	// capacity/bandwidth state stays core-loop-owned.
 	dev [3]atomic.Pointer[storage.Device]
+
+	// The access accumulator: what clients have read since the shard loop
+	// last drained this file. pending counts the accesses; stamp is the
+	// latest virtual instant (sim.Nanos) any access of the file carried, 0
+	// while none was stamped — it only grows, so an unstamped access after a
+	// stamped one lands "now on the loop" like any stamp the engine has
+	// passed. The client that takes pending from 0 to 1 owns next until it
+	// has pushed the handle on the shard's dirty list; the loop reads next
+	// after taking the list and before it swaps pending back to 0, so a
+	// handle is on the list exactly while pending > 0, and never twice.
+	pending atomic.Int64
+	stamp   atomic.Int64
+	next    *handle
+	// migrated marks a handle whose file left for another shard (as opposed
+	// to deleted): the reason its leftover accesses are discarded under.
+	// Shard loop only.
+	migrated bool
 }
+
+// pendingAccess is one dirty handle's share of a drain: n accesses, the
+// latest of them stamped at virtual instant stamp.
+type pendingAccess struct {
+	h     *handle
+	n     int64
+	stamp int64
+}
+
+// dirtyList is a shard's set of handles with pending accesses: a push-only
+// Treiber stack the shard loop takes whole, so there is no pop to race and
+// no ABA. Only the 0 -> 1 transition of a handle's count pushes, so a hot
+// file's further accesses between two drains touch nothing shard-shared.
+type dirtyList struct{ head atomic.Pointer[handle] }
+
+// note adds one access of h at the stamped instant (zero: unstamped) and
+// reports whether that made the list non-idle work for the loop, i.e.
+// whether the caller should ring the doorbell. Any goroutine.
+func (l *dirtyList) note(h *handle, at time.Time) (pushed bool) {
+	if !at.IsZero() {
+		ns := sim.Nanos(at)
+		for {
+			cur := h.stamp.Load()
+			if ns <= cur || h.stamp.CompareAndSwap(cur, ns) {
+				break
+			}
+		}
+	}
+	if h.pending.Add(1) != 1 {
+		return false
+	}
+	for {
+		head := l.head.Load()
+		h.next = head
+		if l.head.CompareAndSwap(head, h) {
+			return true
+		}
+	}
+}
+
+// collect takes the whole list and moves every handle's count into batch.
+// Shard loop only.
+func (l *dirtyList) collect(batch []pendingAccess) []pendingAccess {
+	for h := l.head.Swap(nil); h != nil; {
+		// next belongs to whoever dirties the handle again once its count is
+		// zero, so read it first.
+		next := h.next
+		h.next = nil
+		batch = append(batch, pendingAccess{h: h, n: h.pending.Swap(0), stamp: h.stamp.Load()})
+		h = next
+	}
+	return batch
+}
+
+func (l *dirtyList) empty() bool { return l.head.Load() == nil }
 
 // setDevice publishes (or, with nil, clears) the tier's representative
 // device. Core loop only; publish the device before flipping residency on
