@@ -9,15 +9,16 @@ package core
 //
 //   - per-tier recency heaps ordered by (last touch, file id) serve the LRU
 //     downgrade policy and the XGB policy's "k least recently used files"
-//     candidate collection in O(log N) / O(k log N);
+//     candidate collection in O(1) / O(k log k);
 //   - per-tier frequency heaps ordered by (access count, last touch, id)
 //     serve the LFU downgrade policy;
 //   - one most-recently-used heap over files not resident in memory serves
 //     Context.UpgradeCandidates (the XGB upgrade policy's "k most recently
 //     used files", Section 6.1) without sorting the live-file set;
-//   - the same per-tier residency flips drive the weight heaps of the
-//     context's derived statistics (DecayedWeight, serving LRFU and EXD).
+//   - per-tier weight heaps keyed by lower bounds of the context's derived
+//     statistics (DecayedWeight, serving LRFU and EXD).
 //
+// The per-tier families are instances of one declared order (see tierOrder).
 // Membership follows the all-or-nothing residency property: a file appears
 // in the structures of exactly the tiers holding a replica of every block,
 // maintained from dfs.Listener FileTierChanged flips plus file
@@ -72,42 +73,32 @@ func (a HeapKey) Less(b HeapKey) bool {
 	return a.ID < b.ID
 }
 
-// heapEntry is one indexed file, stored by value in the heap's slot table.
-// Entries hold only the ordering key (which embeds the file id); the
-// *dfs.File is resolved on demand through the heap's resolver, so a
-// million-entry heap retains ids and keys, not pointers into the namespace.
-type heapEntry struct {
-	key HeapKey
-	// pos >= 0 is the index into items; pos < 0 marks a parked member whose
-	// index into parked is ^pos. A slot on the free list (reachable only
-	// through FileHeap.free, never through slots) keeps the next free slot
-	// here instead.
-	pos int32
-}
-
 // FileHeap is an indexed binary min-heap of files with O(log N)
-// insert/update/remove and allocation-free ordered selection (popped
-// entries are restored from a reused scratch buffer). The comparator is
-// fixed at construction, so the same structure serves ascending recency
-// (LRU), descending recency (upgrade MRU), frequency, and weight orders.
+// insert/update/remove and zero-allocation, read-only ordered selection. The
+// comparator is fixed at construction, so the same structure serves ascending
+// recency (LRU), descending recency (upgrade MRU), frequency, and weight
+// orders.
 //
-// Entries live by value in a slot table addressed through small int32
-// handles (items/byID hold slots, not pointers): one table allocation
-// amortises over its capacity, and per-entry footprint stays at key +
-// handle instead of a heap object per file.
+// The layout is flat: the keys themselves sit in heap order (a key embeds its
+// file id) and one int32 per file id says where a member's key is, so sifting
+// moves one key along one contiguous array. The *dfs.File is resolved on
+// demand through the heap's resolver: a million-entry heap retains ids and
+// keys, not pointers into the namespace.
 //
 // A member is either in heap order or parked (see Park): parked members keep
 // their key, follow Update/Rekey/Remove and count toward Len, but no
 // selection sees them.
 type FileHeap struct {
-	slots   []int32 // file id → slot in store, -1 when not indexed
-	store   []heapEntry
-	free    int32   // head of the free-slot list (-1 when empty)
-	items   []int32 // heap order → slot
-	parked  []int32 // parked members → slot, unordered
-	stash   []int32 // reused scratch for pop-and-restore walks
-	less    func(a, b HeapKey) bool
-	resolve func(dfs.FileID) *dfs.File
+	items  []HeapKey // heap order
+	parked []HeapKey // parked members, unordered
+	// pos is indexed by file id: 0 = not a member, p+1 = items[p],
+	// -(q+1) = parked[q]. File ids are dense (assigned sequentially by the
+	// file system), so a flat slice beats a map: four bytes per id, and no
+	// bucket arrays pinned at the namespace's high-water mark.
+	pos      []int32
+	frontier []int32 // reused scratch of ascend
+	less     func(a, b HeapKey) bool
+	resolve  func(dfs.FileID) *dfs.File
 	// ctx binds the heap to a context's eligibility record (see
 	// CandidateIndex.NewHeap): new members the manager has on record enter
 	// parked, and every selection first releases expired cooldowns. Nil for
@@ -126,7 +117,7 @@ func NewFileHeap(less func(a, b HeapKey) bool, resolve func(dfs.FileID) *dfs.Fil
 	if resolve == nil {
 		panic("core: NewFileHeap needs a file resolver")
 	}
-	return &FileHeap{free: -1, less: less, resolve: resolve}
+	return &FileHeap{less: less, resolve: resolve}
 }
 
 // TimeDescending orders by most recent time first (ties toward lower id);
@@ -141,36 +132,19 @@ func TimeDescending(a, b HeapKey) bool {
 // Len returns the number of indexed files, parked ones included.
 func (h *FileHeap) Len() int { return len(h.items) + len(h.parked) }
 
-// slotOf returns the store slot of a file id, or -1. File ids are dense
-// (assigned sequentially by the file system), so the id index is a flat
-// int32 slice rather than a map: four bytes per id instead of a map entry,
-// and no bucket arrays pinned at the namespace's high-water mark.
-func (h *FileHeap) slotOf(id dfs.FileID) int32 {
-	if id < 0 || int64(id) >= int64(len(h.slots)) {
-		return -1
+// place returns the file's pos word; ids the heap never saw are not members.
+func (h *FileHeap) place(id dfs.FileID) int32 {
+	if id < 0 || int64(id) >= int64(len(h.pos)) {
+		return 0
 	}
-	return h.slots[id]
+	return h.pos[id]
 }
 
 // Has reports whether the file is indexed.
-func (h *FileHeap) Has(id dfs.FileID) bool { return h.slotOf(id) >= 0 }
+func (h *FileHeap) Has(id dfs.FileID) bool { return h.place(id) != 0 }
 
 // IsParked reports whether the file is a parked member.
-func (h *FileHeap) IsParked(id dfs.FileID) bool {
-	s := h.slotOf(id)
-	return s >= 0 && h.store[s].pos < 0
-}
-
-// alloc takes a slot off the free list or extends the slot table.
-func (h *FileHeap) alloc() int32 {
-	if h.free >= 0 {
-		s := h.free
-		h.free = h.store[s].pos
-		return s
-	}
-	h.store = append(h.store, heapEntry{})
-	return int32(len(h.store) - 1)
-}
+func (h *FileHeap) IsParked(id dfs.FileID) bool { return h.place(id) < 0 }
 
 // Update inserts the file or re-keys it in place. A parked member only has
 // its key replaced; a new member enters parked when the bound context has it
@@ -178,103 +152,98 @@ func (h *FileHeap) alloc() int32 {
 func (h *FileHeap) Update(f *dfs.File, w float64, t time.Time) {
 	id := f.ID()
 	key := HeapKey{W: w, T: timeKey(t), ID: id}
-	if s := h.slotOf(id); s >= 0 {
-		h.store[s].key = key
-		if pos := h.store[s].pos; pos >= 0 {
-			h.fix(pos)
+	switch p := h.place(id); {
+	case p > 0:
+		h.items[p-1] = key
+		h.fix(p - 1)
+	case p < 0:
+		h.parked[-p-1] = key
+	default:
+		for int64(len(h.pos)) <= int64(id) {
+			h.pos = append(h.pos, 0)
 		}
-		return
-	}
-	s := h.alloc()
-	h.store[s].key = key
-	for int64(len(h.slots)) <= int64(id) {
-		h.slots = append(h.slots, -1)
-	}
-	h.slots[id] = s
-	if h.ctx != nil && h.ctx.parkedID(id) {
-		h.pushParked(s)
-	} else {
-		h.pushItem(s)
+		if h.ctx != nil && h.ctx.parkedID(id) {
+			h.pushParked(key)
+		} else {
+			h.pushItem(key)
+		}
 	}
 }
 
 // Remove drops the file if present.
 func (h *FileHeap) Remove(id dfs.FileID) {
-	s := h.slotOf(id)
-	if s < 0 {
+	switch p := h.place(id); {
+	case p > 0:
+		h.dropItem(p - 1)
+	case p < 0:
+		h.dropParked(-p - 1)
+	default:
 		return
 	}
-	h.slots[id] = -1
-	if h.store[s].pos < 0 {
-		h.dropParked(s)
-	} else {
-		h.dropItem(s)
-	}
-	h.store[s] = heapEntry{pos: h.free} // return the slot to the free list
-	h.free = s
+	h.pos[id] = 0
 }
 
 // Park takes an indexed file out of heap order, keeping it a member. No-op
 // when the file is not indexed or already parked.
 func (h *FileHeap) Park(id dfs.FileID) {
-	if s := h.slotOf(id); s >= 0 && h.store[s].pos >= 0 {
-		h.dropItem(s)
-		h.pushParked(s)
+	if p := h.place(id); p > 0 {
+		key := h.items[p-1]
+		h.dropItem(p - 1)
+		h.pushParked(key)
 	}
 }
 
 // Unpark returns a parked file to heap order under its current key. No-op
 // when the file is not indexed or not parked.
 func (h *FileHeap) Unpark(id dfs.FileID) {
-	if s := h.slotOf(id); s >= 0 && h.store[s].pos < 0 {
-		h.dropParked(s)
-		h.pushItem(s)
+	if p := h.place(id); p < 0 {
+		key := h.parked[-p-1]
+		h.dropParked(-p - 1)
+		h.pushItem(key)
 	}
 }
 
-func (h *FileHeap) pushItem(s int32) {
-	h.store[s].pos = int32(len(h.items))
-	h.items = append(h.items, s)
-	h.up(h.store[s].pos)
+func (h *FileHeap) pushItem(key HeapKey) {
+	h.items = append(h.items, key)
+	h.up(int32(len(h.items) - 1))
 }
 
-func (h *FileHeap) dropItem(s int32) {
+func (h *FileHeap) dropItem(i int32) {
 	last := int32(len(h.items) - 1)
-	pos := h.store[s].pos
-	h.items[pos] = h.items[last]
-	h.store[h.items[pos]].pos = pos
+	moved := h.items[last]
 	h.items = h.items[:last]
-	if pos < last {
-		h.fix(pos)
+	if i < last {
+		h.items[i] = moved
+		h.fix(i)
 	}
 }
 
-func (h *FileHeap) pushParked(s int32) {
-	h.store[s].pos = ^int32(len(h.parked))
-	h.parked = append(h.parked, s)
+func (h *FileHeap) pushParked(key HeapKey) {
+	h.parked = append(h.parked, key)
+	h.pos[key.ID] = -int32(len(h.parked))
 }
 
-func (h *FileHeap) dropParked(s int32) {
-	last := len(h.parked) - 1
-	i := ^h.store[s].pos
-	h.parked[i] = h.parked[last]
-	h.store[h.parked[i]].pos = ^i
+func (h *FileHeap) dropParked(q int32) {
+	last := int32(len(h.parked) - 1)
+	moved := h.parked[last]
 	h.parked = h.parked[:last]
+	if q < last {
+		h.parked[q] = moved
+		h.pos[moved.ID] = -(q + 1)
+	}
 }
 
 // Rekey recomputes every member's key with fn and re-heapifies in O(N); the
 // lazy weight heaps use it when their evaluation horizon advances. Entries
 // whose id no longer resolves keep their stored key.
 func (h *FileHeap) Rekey(fn func(f *dfs.File) (float64, time.Time)) {
-	for _, members := range [2][]int32{h.items, h.parked} {
-		for _, s := range members {
-			e := &h.store[s]
-			f := h.resolve(e.key.ID)
-			if f == nil {
-				continue
+	for _, members := range [2][]HeapKey{h.items, h.parked} {
+		for i := range members {
+			k := &members[i]
+			if f := h.resolve(k.ID); f != nil {
+				w, t := fn(f)
+				k.W, k.T = w, timeKey(t)
 			}
-			w, t := fn(f)
-			e.key = HeapKey{W: w, T: timeKey(t), ID: e.key.ID}
 		}
 	}
 	for i := int32(len(h.items))/2 - 1; i >= 0; i-- {
@@ -285,10 +254,10 @@ func (h *FileHeap) Rekey(fn func(f *dfs.File) (float64, time.Time)) {
 // Each visits every member, parked ones included, in unspecified order.
 // Entries whose id no longer resolves are skipped.
 func (h *FileHeap) Each(fn func(f *dfs.File, key HeapKey)) {
-	for _, members := range [2][]int32{h.items, h.parked} {
-		for _, s := range members {
-			if f := h.resolve(h.store[s].key.ID); f != nil {
-				fn(f, h.store[s].key)
+	for _, members := range [2][]HeapKey{h.items, h.parked} {
+		for _, k := range members {
+			if f := h.resolve(k.ID); f != nil {
+				fn(f, k)
 			}
 		}
 	}
@@ -296,187 +265,235 @@ func (h *FileHeap) Each(fn func(f *dfs.File, key HeapKey)) {
 
 // Key returns the stored key of a file.
 func (h *FileHeap) Key(id dfs.FileID) (HeapKey, bool) {
-	s := h.slotOf(id)
-	if s < 0 {
-		return HeapKey{}, false
+	switch p := h.place(id); {
+	case p > 0:
+		return h.items[p-1], true
+	case p < 0:
+		return h.parked[-p-1], true
 	}
-	return h.store[s].key, true
+	return HeapKey{}, false
 }
 
 // settle releases the bound context's expired cooldowns, so the members in
 // heap order are exactly the selectable ones when a selection starts.
 func (h *FileHeap) settle() {
-	if h.ctx != nil {
-		h.ctx.releaseExpired()
+	if h.ctx != nil && h.ctx.mgr != nil {
+		h.ctx.mgr.releaseExpired()
 	}
 }
 
+// ascend visits the keys in heap order, smallest first, until visit returns
+// false, and leaves the heap as it found it. It is a best-first walk over the
+// implicit tree: the next smallest key is always a child of one already
+// visited, so a small min-heap of candidate positions (the frontier, reused
+// across calls) yields v keys in O(v log v) whatever the size of the heap.
+// visit must not modify the heap.
+func (h *FileHeap) ascend(visit func(HeapKey) bool) {
+	n := int32(len(h.items))
+	if n == 0 {
+		return
+	}
+	before := func(a, b int32) bool { return h.less(h.items[a], h.items[b]) }
+	fr := append(h.frontier[:0], 0)
+	for len(fr) > 0 && visit(h.items[fr[0]]) {
+		// The visited position's left child (else the frontier's last entry)
+		// takes its place at the frontier's root and sinks...
+		left := 2*fr[0] + 1
+		if left < n {
+			fr[0] = left
+		} else {
+			fr[0] = fr[len(fr)-1]
+			fr = fr[:len(fr)-1]
+		}
+		for i, m := 0, len(fr); ; {
+			c := 2*i + 1
+			if c >= m {
+				break
+			}
+			if r := c + 1; r < m && before(fr[r], fr[c]) {
+				c = r
+			}
+			if !before(fr[c], fr[i]) {
+				break
+			}
+			fr[i], fr[c] = fr[c], fr[i]
+			i = c
+		}
+		// ...and its right child joins at the bottom and rises.
+		if right := left + 1; right < n {
+			fr = append(fr, right)
+			for i := len(fr) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !before(fr[i], fr[p]) {
+					break
+				}
+				fr[i], fr[p] = fr[p], fr[i]
+				i = p
+			}
+		}
+	}
+	h.frontier = fr[:0]
+}
+
 // SelectMin returns the minimum-key file in heap order, or nil. Keys must be
-// exact (not bounds). The top is returned without a pop; only entries whose
-// id no longer resolves are stepped over.
+// exact (not bounds). The common case is a peek at the top; only when its id
+// no longer resolves does the walk step over such entries.
 func (h *FileHeap) SelectMin() *dfs.File {
 	h.settle()
-	var best *dfs.File
-	h.stash = h.stash[:0]
-	for len(h.items) > 0 {
-		if best = h.resolve(h.store[h.items[0]].key.ID); best != nil {
-			break
-		}
-		h.stash = append(h.stash, h.popTop())
+	if len(h.items) == 0 {
+		return nil
 	}
-	h.restore()
+	best := h.resolve(h.items[0].ID)
+	if best == nil {
+		h.ascend(func(k HeapKey) bool {
+			best = h.resolve(k.ID)
+			return best == nil
+		})
+	}
 	return best
 }
 
 // SelectMinLazy returns the file minimizing (trueW(f), f.ID()) among the
 // members in heap order, where stored weight keys are lower bounds of trueW
-// (entries' T components must be zero). It pops entries while their bound
-// could still beat the best exact weight seen, then restores them; with
-// tight bounds this inspects a tiny prefix of the heap.
+// (entries' T components must be zero). It walks entries while their bound
+// could still beat the best exact weight seen; with tight bounds this
+// inspects a tiny prefix of the heap.
 func (h *FileHeap) SelectMinLazy(trueW func(*dfs.File) float64) *dfs.File {
 	h.settle()
 	var best *dfs.File
 	var bestKey HeapKey
-	h.stash = h.stash[:0]
-	for len(h.items) > 0 {
-		if best != nil && h.less(bestKey, h.store[h.items[0]].key) {
-			break
+	h.ascend(func(k HeapKey) bool {
+		if best != nil && h.less(bestKey, k) {
+			return false
 		}
-		top := h.popTop()
-		h.stash = append(h.stash, top)
-		f := h.resolve(h.store[top].key.ID)
-		if f == nil {
-			continue
+		if f := h.resolve(k.ID); f != nil {
+			tk := HeapKey{W: trueW(f), ID: k.ID}
+			if best == nil || h.less(tk, bestKey) {
+				best, bestKey = f, tk
+			}
 		}
-		tk := HeapKey{W: trueW(f), ID: f.ID()}
-		if best == nil || h.less(tk, bestKey) {
-			best, bestKey = f, tk
-		}
-	}
-	h.restore()
+		return true
+	})
 	return best
 }
 
-// AscendWhile pops entries in ascending stored-key order while keep
-// returns true for the next key, invoking visit on each popped file, then
-// restores every popped entry — the heap is left unchanged. keep is
-// consulted with the top entry's stored key before each pop, so a caller
-// whose keys are lower bounds can stop as soon as the bound proves no
-// remaining entry matters (the EXD upgrade admission walks the memory-tier
-// weight heap this way to sum a victim prefix without sorting the tier).
-// Cost is O(v log N) for v visited entries.
+// AscendWhile visits files in ascending stored-key order while keep returns
+// true for the next key. keep is consulted with each stored key before its
+// file is visited, so a caller whose keys are lower bounds can stop as soon
+// as the bound proves no remaining entry matters (the EXD upgrade admission
+// walks the memory-tier weight heap this way to sum a victim prefix without
+// sorting the tier). Cost is O(v log v) for v visited entries.
 func (h *FileHeap) AscendWhile(keep func(HeapKey) bool, visit func(*dfs.File)) {
 	h.settle()
-	h.stash = h.stash[:0]
-	for len(h.items) > 0 && keep(h.store[h.items[0]].key) {
-		top := h.popTop()
-		h.stash = append(h.stash, top)
-		if f := h.resolve(h.store[top].key.ID); f != nil {
+	h.ascend(func(k HeapKey) bool {
+		if !keep(k) {
+			return false
+		}
+		if f := h.resolve(k.ID); f != nil {
 			visit(f)
 		}
-	}
-	h.restore()
+		return true
+	})
 }
 
 // TopK appends up to k files to out in heap order (k <= 0 means all of
-// them) and returns the extended slice; the heap is left unchanged. Cost is
-// O(k log N).
+// them) and returns the extended slice. Cost is O(k log k).
 func (h *FileHeap) TopK(k int, out []*dfs.File) []*dfs.File {
 	h.settle()
 	if k <= 0 {
 		k = len(h.items)
 	}
 	taken := 0
-	h.stash = h.stash[:0]
-	for len(h.items) > 0 && taken < k {
-		top := h.popTop()
-		h.stash = append(h.stash, top)
-		if f := h.resolve(h.store[top].key.ID); f != nil {
+	h.ascend(func(key HeapKey) bool {
+		if f := h.resolve(key.ID); f != nil {
 			out = append(out, f)
 			taken++
 		}
-	}
-	h.restore()
+		return taken < k
+	})
 	return out
 }
 
-func (h *FileHeap) popTop() int32 {
-	top := h.items[0]
-	last := int32(len(h.items) - 1)
-	h.items[0] = h.items[last]
-	h.store[h.items[0]].pos = 0
-	h.items = h.items[:last]
-	if len(h.items) > 0 {
-		h.down(0)
-	}
-	return top
-}
-
-func (h *FileHeap) restore() {
-	for _, s := range h.stash {
-		h.store[s].pos = int32(len(h.items))
-		h.items = append(h.items, s)
-		h.up(h.store[s].pos)
-	}
-	h.stash = h.stash[:0]
-}
-
-func (h *FileHeap) fix(pos int32) {
-	if !h.up(pos) {
-		h.down(pos)
+func (h *FileHeap) fix(i int32) {
+	if !h.up(i) {
+		h.down(i)
 	}
 }
 
-func (h *FileHeap) up(pos int32) bool {
-	moved := false
-	for pos > 0 {
-		parent := (pos - 1) / 2
-		if !h.less(h.store[h.items[pos]].key, h.store[h.items[parent]].key) {
+// put stores key at heap position i and records the place.
+func (h *FileHeap) put(i int32, key HeapKey) {
+	h.items[i] = key
+	h.pos[key.ID] = i + 1
+}
+
+// up moves the key at position i toward the root, shifting the larger
+// parents down behind it, and reports whether it moved.
+func (h *FileHeap) up(i int32) bool {
+	key, from := h.items[i], i
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(key, h.items[parent]) {
 			break
 		}
-		h.swap(pos, parent)
-		pos = parent
-		moved = true
+		h.put(i, h.items[parent])
+		i = parent
 	}
-	return moved
+	h.put(i, key)
+	return i != from
 }
 
-func (h *FileHeap) down(pos int32) {
-	n := int32(len(h.items))
+// down moves the key at position i toward the leaves, shifting the smaller
+// children up behind it.
+func (h *FileHeap) down(i int32) {
+	key, n := h.items[i], int32(len(h.items))
 	for {
-		left := 2*pos + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		child := left
-		if right := left + 1; right < n && h.less(h.store[h.items[right]].key, h.store[h.items[left]].key) {
+		if right := child + 1; right < n && h.less(h.items[right], h.items[child]) {
 			child = right
 		}
-		if !h.less(h.store[h.items[child]].key, h.store[h.items[pos]].key) {
-			return
+		if !h.less(h.items[child], key) {
+			break
 		}
-		h.swap(pos, child)
-		pos = child
+		h.put(i, h.items[child])
+		i = child
 	}
+	h.put(i, key)
 }
 
-func (h *FileHeap) swap(i, j int32) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.store[h.items[i]].pos = i
-	h.store[h.items[j]].pos = j
+// tierOrder is one declared per-tier order: a heap per tier holding exactly
+// the tier's fully resident files (see the membership rule above), each under
+// key(f). The index's event feed keeps membership and keys; an order only
+// says what its key is. exact orders hold key(f) itself (SelectMin applies);
+// the others hold a lower bound (SelectMinLazy / AscendWhile apply), which
+// the audit cannot recompute, so it checks their membership only.
+type tierOrder struct {
+	tiers [3]*FileHeap
+	key   func(*dfs.File) (w float64, t time.Time)
+	exact bool
+}
+
+// set inserts or re-keys the file on one tier.
+func (o *tierOrder) set(f *dfs.File, m storage.Media) {
+	w, t := o.key(f)
+	o.tiers[m].Update(f, w, t)
 }
 
 // CandidateIndex is the Context's incremental selection state. Structures
 // are built on demand — each policy declares what it needs at construction
-// (RequireRecency, RequireFrequency, RequireUpgradeMRU) and pays only for
-// that — and bootstrap from the currently live files, so construction order
-// relative to file creation does not matter.
+// (RequireRecency, RequireFrequency, RequireUpgradeMRU,
+// DecayedWeight.RequireOrder) and pays only for that — and seed themselves
+// from the currently live files, so construction order relative to file
+// creation does not matter.
 type CandidateIndex struct {
 	ctx     *Context
-	recency [3]*FileHeap // per tier: (lastTouch, id) ascending
-	freq    [3]*FileHeap // per tier: (count, lastTouch, id) ascending
+	recency *tierOrder   // (lastTouch, id) ascending
+	freq    *tierOrder   // (count, lastTouch, id) ascending
+	orders  []*tierOrder // every declared order: the two above and the derived statistics'
 	mru     *FileHeap    // non-memory-resident files: lastTouch descending
-	heaps   []*FileHeap  // every heap from NewHeap: the ones above and the derived statistics'
+	heaps   []*FileHeap  // every heap from NewHeap: the orders', the MRU heap, any other
 }
 
 func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ctx: ctx} }
@@ -484,7 +501,6 @@ func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ct
 // NewHeap builds an empty heap over the context's files that follows the
 // manager's eligibility record: the manager parks and un-parks files in it
 // together with the index's own structures, so its top is always selectable.
-// The derived statistics build their weight heaps here.
 func (ix *CandidateIndex) NewHeap(less func(a, b HeapKey) bool) *FileHeap {
 	h := NewFileHeap(less, ix.ctx.FS.FileByID)
 	h.ctx = ix.ctx
@@ -506,31 +522,49 @@ func (ix *CandidateIndex) unpark(id dfs.FileID) {
 	}
 }
 
+// newOrder declares a per-tier order: it builds the three heaps, registers
+// the order with the event feed and seeds it from current residency.
+func (ix *CandidateIndex) newOrder(key func(*dfs.File) (float64, time.Time), exact bool) *tierOrder {
+	o := &tierOrder{key: key, exact: exact}
+	for _, m := range storage.AllMedia {
+		o.tiers[m] = ix.NewHeap(nil)
+	}
+	ix.orders = append(ix.orders, o)
+	for _, f := range ix.ctx.FS.LiveFiles() {
+		if ix.indexable(f) {
+			for _, m := range storage.AllMedia {
+				if f.HasReplicaOn(m) {
+					o.set(f, m)
+				}
+			}
+		}
+	}
+	return o
+}
+
+// recencyKey orders by last touch; it is also the MRU heap's key, read
+// through TimeDescending.
+func (ix *CandidateIndex) recencyKey(f *dfs.File) (float64, time.Time) {
+	return 0, ix.ctx.LastTouch(f)
+}
+
+func (ix *CandidateIndex) frequencyKey(f *dfs.File) (float64, time.Time) {
+	return float64(ix.ctx.AccessCount(f)), ix.ctx.LastTouch(f)
+}
+
 // RequireRecency enables the per-tier recency heaps (LRU selection and
 // LRU-ordered top-k collection).
 func (ix *CandidateIndex) RequireRecency() {
-	if ix.recency[0] != nil {
-		return
+	if ix.recency == nil {
+		ix.recency = ix.newOrder(ix.recencyKey, true)
 	}
-	for _, m := range storage.AllMedia {
-		ix.recency[m] = ix.NewHeap(nil)
-	}
-	ix.bootstrap(func(f *dfs.File, m storage.Media) {
-		ix.recency[m].Update(f, 0, ix.ctx.LastTouch(f))
-	}, nil)
 }
 
 // RequireFrequency enables the per-tier frequency heaps (LFU selection).
 func (ix *CandidateIndex) RequireFrequency() {
-	if ix.freq[0] != nil {
-		return
+	if ix.freq == nil {
+		ix.freq = ix.newOrder(ix.frequencyKey, true)
 	}
-	for _, m := range storage.AllMedia {
-		ix.freq[m] = ix.NewHeap(nil)
-	}
-	ix.bootstrap(func(f *dfs.File, m storage.Media) {
-		ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), ix.ctx.LastTouch(f))
-	}, nil)
 }
 
 // RequireUpgradeMRU enables the most-recently-used heap over files not
@@ -540,30 +574,16 @@ func (ix *CandidateIndex) RequireUpgradeMRU() {
 		return
 	}
 	ix.mru = ix.NewHeap(TimeDescending)
-	ix.bootstrap(nil, func(f *dfs.File) {
-		if ix.upgradeIndexable(f) {
+	for _, f := range ix.ctx.FS.LiveFiles() {
+		if ix.indexable(f) && ix.upgradeIndexable(f) {
 			ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
 		}
-	})
+	}
 }
 
-// bootstrap seeds newly enabled structures from the live-file index.
-func (ix *CandidateIndex) bootstrap(perTier func(*dfs.File, storage.Media), perFile func(*dfs.File)) {
-	for _, f := range ix.ctx.FS.LiveFiles() {
-		if f.Deleted() || !ix.ctx.FS.Complete(f) {
-			continue
-		}
-		if perFile != nil {
-			perFile(f)
-		}
-		if perTier != nil {
-			for _, m := range storage.AllMedia {
-				if f.HasReplicaOn(m) {
-					perTier(f, m)
-				}
-			}
-		}
-	}
+// indexable reports whether a live file may be a member of anything yet.
+func (ix *CandidateIndex) indexable(f *dfs.File) bool {
+	return !f.Deleted() && ix.ctx.FS.Complete(f)
 }
 
 // upgradeIndexable is the static part of the UpgradeCandidates predicate;
@@ -572,81 +592,54 @@ func (ix *CandidateIndex) upgradeIndexable(f *dfs.File) bool {
 	return !f.Deleted() && len(f.Blocks()) > 0 && !f.HasReplicaOn(storage.Memory)
 }
 
-// --- event feed (driven by the Context's file-system listener) ---
+// --- event feed (driven by the Context's file-system listener): one loop
+// over the declared orders, plus the MRU heap under its own membership rule ---
 
 func (ix *CandidateIndex) fileCreated(f *dfs.File) {
-	touch := ix.ctx.LastTouch(f)
 	for _, m := range storage.AllMedia {
-		if !f.HasReplicaOn(m) {
-			continue
-		}
-		if ix.recency[m] != nil {
-			ix.recency[m].Update(f, 0, touch)
-		}
-		if ix.freq[m] != nil {
-			ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), touch)
-		}
-		for _, w := range ix.ctx.weights {
-			w.resident(f, m)
+		if f.HasReplicaOn(m) {
+			for _, o := range ix.orders {
+				o.set(f, m)
+			}
 		}
 	}
 	if ix.mru != nil && ix.upgradeIndexable(f) {
-		ix.mru.Update(f, 0, touch)
+		ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
 	}
 }
 
 func (ix *CandidateIndex) fileAccessed(f *dfs.File) {
 	id := f.ID()
-	touch := ix.ctx.LastTouch(f)
-	for _, m := range storage.AllMedia {
-		if ix.recency[m] != nil && ix.recency[m].Has(id) {
-			ix.recency[m].Update(f, 0, touch)
-		}
-		if ix.freq[m] != nil && ix.freq[m].Has(id) {
-			ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), touch)
+	for _, o := range ix.orders {
+		w, t := o.key(f)
+		for _, h := range o.tiers {
+			if h.Has(id) {
+				h.Update(f, w, t)
+			}
 		}
 	}
 	if ix.mru != nil && ix.mru.Has(id) {
-		ix.mru.Update(f, 0, touch)
+		ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
 	}
 }
 
 func (ix *CandidateIndex) fileDeleted(f *dfs.File) {
-	id := f.ID()
-	for _, m := range storage.AllMedia {
-		if ix.recency[m] != nil {
-			ix.recency[m].Remove(id)
-		}
-		if ix.freq[m] != nil {
-			ix.freq[m].Remove(id)
+	for _, o := range ix.orders {
+		for _, h := range o.tiers {
+			h.Remove(f.ID())
 		}
 	}
 	if ix.mru != nil {
-		ix.mru.Remove(id)
+		ix.mru.Remove(f.ID())
 	}
 }
 
 func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, resident bool) {
-	if resident {
-		touch := ix.ctx.LastTouch(f)
-		if ix.recency[m] != nil {
-			ix.recency[m].Update(f, 0, touch)
-		}
-		if ix.freq[m] != nil {
-			ix.freq[m].Update(f, float64(ix.ctx.AccessCount(f)), touch)
-		}
-		for _, w := range ix.ctx.weights {
-			w.resident(f, m)
-		}
-	} else {
-		if ix.recency[m] != nil {
-			ix.recency[m].Remove(f.ID())
-		}
-		if ix.freq[m] != nil {
-			ix.freq[m].Remove(f.ID())
-		}
-		for _, w := range ix.ctx.weights {
-			w.evicted(f, m)
+	for _, o := range ix.orders {
+		if resident {
+			o.set(f, m)
+		} else {
+			o.tiers[m].Remove(f.ID())
 		}
 	}
 	if ix.mru != nil && m == storage.Memory {
@@ -663,115 +656,86 @@ func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, residen
 // SelectLRU returns the least recently touched selectable file on the tier
 // (the indexed equivalent of the LRU policy's linear min-scan).
 func (ix *CandidateIndex) SelectLRU(tier storage.Media) *dfs.File {
-	return ix.recency[tier].SelectMin()
+	return ix.recency.tiers[tier].SelectMin()
 }
 
 // SelectLFU returns the least frequently used selectable file on the tier,
 // ties toward least recently touched.
 func (ix *CandidateIndex) SelectLFU(tier storage.Media) *dfs.File {
-	return ix.freq[tier].SelectMin()
+	return ix.freq.tiers[tier].SelectMin()
 }
 
 // HasRecency reports whether the recency heaps are live.
-func (ix *CandidateIndex) HasRecency() bool { return ix.recency[0] != nil }
+func (ix *CandidateIndex) HasRecency() bool { return ix.recency != nil }
 
 // Audit validates every enabled structure against a from-scratch recompute
-// of membership and keys: each tier structure must contain exactly the
-// complete, live, fully resident files with their current tracker keys
-// (the derived statistics' weight heaps: exactly that many files), and the
-// MRU heap exactly the non-memory-resident candidates. The
-// scenario replayer runs it with the deep invariant checks so node churn
-// and re-replication cannot silently leak or strand indexed entries. It ends
-// with AuditParking.
+// of membership and keys: each tier heap of each declared order must hold
+// exactly the complete, live, fully resident files of its tier — by file
+// identity, not by count — and, for an exact order, each under its current
+// key; the MRU heap exactly the non-memory-resident candidates under their
+// last touch. The scenario replayer runs it with the deep invariant checks so
+// node churn and re-replication cannot silently leak or strand indexed
+// entries. It ends with AuditParking.
 func (ix *CandidateIndex) Audit() error {
-	want := make(map[dfs.FileID]*dfs.File)
-	for _, m := range storage.AllMedia {
-		for k := range want {
-			delete(want, k)
+	want := make(map[dfs.FileID]bool)
+	collect := func(member func(*dfs.File) bool) {
+		for id := range want {
+			delete(want, id)
 		}
 		for _, f := range ix.ctx.FS.LiveFiles() {
-			if !f.Deleted() && ix.ctx.FS.Complete(f) && f.HasReplicaOn(m) {
-				want[f.ID()] = f
+			if ix.indexable(f) && member(f) {
+				want[f.ID()] = true
 			}
 		}
-		for _, h := range []*FileHeap{ix.recency[m], ix.freq[m]} {
-			if h == nil {
-				continue
-			}
-			if h.Len() != len(want) {
-				return fmt.Errorf("core: index tier %v holds %d files, want %d", m, h.Len(), len(want))
-			}
-			var err error
-			h.Each(func(f *dfs.File, key HeapKey) {
-				if err != nil {
-					return
-				}
-				if _, ok := want[f.ID()]; !ok {
-					err = fmt.Errorf("core: index tier %v holds stray file %q", m, f.Path())
-					return
-				}
-				if key.T != timeKey(ix.ctx.LastTouch(f)) {
-					err = fmt.Errorf("core: index tier %v key time stale for %q", m, f.Path())
-				}
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if h := ix.freq[m]; h != nil {
-			var err error
-			h.Each(func(f *dfs.File, key HeapKey) {
-				if err == nil && key.W != float64(ix.ctx.AccessCount(f)) {
-					err = fmt.Errorf("core: index tier %v count stale for %q", m, f.Path())
-				}
-			})
-			if err != nil {
-				return err
-			}
-		}
-		for _, w := range ix.ctx.weights {
-			if h := w.tiers[m]; h != nil && h.Len() != len(want) {
-				return fmt.Errorf("core: weight heap of tier %v holds %d files, want %d", m, h.Len(), len(want))
+	}
+	for _, m := range storage.AllMedia {
+		collect(func(f *dfs.File) bool { return f.HasReplicaOn(m) })
+		for i, o := range ix.orders {
+			if err := auditHeap(o.tiers[m], want, o.key, o.exact); err != nil {
+				return fmt.Errorf("core: index order %d, tier %v: %w", i, m, err)
 			}
 		}
 	}
 	if ix.mru != nil {
-		for k := range want {
-			delete(want, k)
-		}
-		for _, f := range ix.ctx.FS.LiveFiles() {
-			if ix.ctx.FS.Complete(f) && ix.upgradeIndexable(f) {
-				want[f.ID()] = f
-			}
-		}
-		if ix.mru.Len() != len(want) {
-			return fmt.Errorf("core: upgrade MRU holds %d files, want %d", ix.mru.Len(), len(want))
-		}
-		var err error
-		ix.mru.Each(func(f *dfs.File, key HeapKey) {
-			if err != nil {
-				return
-			}
-			if _, ok := want[f.ID()]; !ok {
-				err = fmt.Errorf("core: upgrade MRU holds stray file %q", f.Path())
-				return
-			}
-			if key.T != timeKey(ix.ctx.LastTouch(f)) {
-				err = fmt.Errorf("core: upgrade MRU key time stale for %q", f.Path())
-			}
-		})
-		if err != nil {
-			return err
+		collect(ix.upgradeIndexable)
+		if err := auditHeap(ix.mru, want, ix.recencyKey, true); err != nil {
+			return fmt.Errorf("core: upgrade MRU: %w", err)
 		}
 	}
 	return ix.AuditParking()
 }
 
+// auditHeap checks that the heap's members are exactly the wanted files and,
+// for exact keys, that each is stored under key(f).
+func auditHeap(h *FileHeap, want map[dfs.FileID]bool, key func(*dfs.File) (float64, time.Time), exact bool) error {
+	if h.Len() != len(want) {
+		return fmt.Errorf("holds %d files, want %d", h.Len(), len(want))
+	}
+	var err error
+	seen := 0
+	h.Each(func(f *dfs.File, stored HeapKey) {
+		seen++
+		if err != nil {
+			return
+		}
+		if !want[f.ID()] {
+			err = fmt.Errorf("holds stray file %q", f.Path())
+		} else if exact {
+			if w, t := key(f); stored != (HeapKey{W: w, T: timeKey(t), ID: f.ID()}) {
+				err = fmt.Errorf("key stale for %q", f.Path())
+			}
+		}
+	})
+	if err == nil && seen != len(want) { // Each skips ids that no longer resolve
+		err = fmt.Errorf("holds %d files that no longer exist", len(want)-seen)
+	}
+	return err
+}
+
 // AuditParking validates that ineligibility is structural: in every heap
 // built by NewHeap (the index's own and the derived statistics') a member is
 // parked exactly when the manager has it on record as busy or cooling down,
-// and the manager's record itself is sound (every cooldown has a live expiry
-// entry, the scrape counts match the maps).
+// and the manager's scrape counts match its record.
 func (ix *CandidateIndex) AuditParking() error {
 	for i, h := range ix.heaps {
 		var err error

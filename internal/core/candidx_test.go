@@ -45,174 +45,269 @@ func (m *heapModel) files(keys []HeapKey) []*dfs.File {
 	return out
 }
 
-// TestFileHeapAgainstSortedOracle drives a standalone FileHeap with random
-// Update / Remove / Park / Unpark / Rekey sequences — re-keys and removals of
-// parked members included — and after every step compares membership, keys,
-// parked bits and every selection method against the sorted-slice oracle.
-func TestFileHeapAgainstSortedOracle(t *testing.T) {
+// heapOrders are the orderings the model test and the fuzz target cover.
+var heapOrders = []struct {
+	name string
+	less func(a, b HeapKey) bool
+	lazy bool // keys are (w, 0, id) lower bounds; SelectMinLazy is checked too
+}{
+	{"ascending", HeapKey.Less, false},
+	{"time-descending", TimeDescending, false},
+	{"lazy-weights", HeapKey.Less, true},
+}
+
+// draws is where a heap exercise takes its choices from: a seeded rng in the
+// model test, the input bytes in FuzzFileHeap.
+type draws interface{ Intn(n int) int }
+
+// byteDraws reads one choice per input byte, and zeros once it runs dry.
+type byteDraws struct{ data []byte }
+
+func (b *byteDraws) Intn(n int) int {
+	if len(b.data) == 0 {
+		return 0
+	}
+	v := int(b.data[0]) % n
+	b.data = b.data[1:]
+	return v
+}
+
+// heapExercise is a standalone FileHeap next to its sorted-slice oracle.
+type heapExercise struct {
+	order  int // into heapOrders
+	files  []*dfs.File
+	h      *FileHeap
+	m      *heapModel
+	slack  map[dfs.FileID]float64 // lazy order: exact weight = stored bound + slack
+	counts map[string]int
+	topK   []*dfs.File
+}
+
+func newHeapExercise(order int, files []*dfs.File, resolve func(dfs.FileID) *dfs.File, src draws) *heapExercise {
+	x := &heapExercise{
+		order: order,
+		files: files,
+		h:     NewFileHeap(heapOrders[order].less, resolve),
+		m: &heapModel{
+			less:   heapOrders[order].less,
+			key:    map[dfs.FileID]HeapKey{},
+			parked: map[dfs.FileID]bool{},
+			byID:   map[dfs.FileID]*dfs.File{},
+		},
+		slack:  map[dfs.FileID]float64{},
+		counts: map[string]int{},
+	}
+	for _, f := range files {
+		x.m.byID[f.ID()] = f
+		// slack >= 0: stored keys stay lower bounds whatever the ops do.
+		x.slack[f.ID()] = float64(src.Intn(4))
+	}
+	return x
+}
+
+func (x *heapExercise) trueW(f *dfs.File) float64 { return x.m.key[f.ID()].W + x.slack[f.ID()] }
+
+// step applies one drawn Update / Remove / Park / Unpark / Rekey — re-keys
+// and removals of parked members included — and then compares membership,
+// keys, parked bits and every selection method against the oracle, requiring
+// each selection to leave items, parked and pos as it found them.
+func (x *heapExercise) step(t testing.TB, step int, src draws) {
+	h, m, lazy := x.h, x.m, heapOrders[x.order].lazy
+	// Few distinct weights and times, so ties reach the id component.
+	randKey := func() (float64, time.Time) {
+		w := float64(src.Intn(6))
+		if lazy {
+			return w, time.Time{}
+		}
+		return w, sim.Epoch.Add(time.Duration(src.Intn(8)) * time.Second)
+	}
+	f := x.files[src.Intn(len(x.files))]
+	id := f.ID()
+	_, member := m.key[id]
+	switch op := src.Intn(10); {
+	case op < 4:
+		w, at := randKey()
+		h.Update(f, w, at)
+		m.key[id] = HeapKey{W: w, T: timeKey(at), ID: id}
+		if m.parked[id] {
+			x.counts["rekey-parked"]++
+		}
+	case op < 5:
+		h.Remove(id)
+		if m.parked[id] {
+			x.counts["remove-parked"]++
+		}
+		delete(m.key, id)
+		delete(m.parked, id)
+	case op < 7:
+		h.Park(id)
+		if member {
+			m.parked[id] = true
+		}
+	case op < 9:
+		h.Unpark(id)
+		if m.parked[id] {
+			x.counts["unpark"]++
+		}
+		delete(m.parked, id)
+	default:
+		fresh := map[dfs.FileID]HeapKey{}
+		h.Rekey(func(f *dfs.File) (float64, time.Time) {
+			w, at := randKey()
+			fresh[f.ID()] = HeapKey{W: w, T: timeKey(at), ID: f.ID()}
+			return w, at
+		})
+		if len(fresh) != len(m.key) {
+			t.Fatalf("step %d: Rekey visited %d members, model has %d", step, len(fresh), len(m.key))
+		}
+		m.key = fresh
+	}
+
+	// Membership, keys, parked bits.
+	if h.Len() != len(m.key) {
+		t.Fatalf("step %d: Len = %d, model %d", step, h.Len(), len(m.key))
+	}
+	seen := 0
+	h.Each(func(f *dfs.File, k HeapKey) {
+		seen++
+		if want, ok := m.key[f.ID()]; !ok || want != k {
+			t.Fatalf("step %d: Each yields %v for file %d, model %v (member %v)", step, k, f.ID(), want, ok)
+		}
+	})
+	if seen != len(m.key) {
+		t.Fatalf("step %d: Each visited %d, model %d", step, seen, len(m.key))
+	}
+	for _, f := range x.files {
+		_, member := m.key[f.ID()]
+		if h.Has(f.ID()) != member || h.IsParked(f.ID()) != m.parked[f.ID()] {
+			t.Fatalf("step %d: file %d Has=%v IsParked=%v, model member=%v parked=%v",
+				step, f.ID(), h.Has(f.ID()), h.IsParked(f.ID()), member, m.parked[f.ID()])
+		}
+		if k, ok := h.Key(f.ID()); ok != member || (ok && k != m.key[f.ID()]) {
+			t.Fatalf("step %d: Key(%d) = %v, %v; model %v", step, f.ID(), k, ok, m.key[f.ID()])
+		}
+	}
+	for i, k := range h.items {
+		if i > 0 && h.less(k, h.items[(i-1)/2]) {
+			t.Fatalf("step %d: items[%d] = %v sorts before its parent %v", step, i, k, h.items[(i-1)/2])
+		}
+	}
+
+	// Selections are read-only walks.
+	items, parked, pos := slices.Clone(h.items), slices.Clone(h.parked), slices.Clone(h.pos)
+	untouched := func(what string) {
+		if !slices.Equal(h.items, items) || !slices.Equal(h.parked, parked) || !slices.Equal(h.pos, pos) {
+			t.Fatalf("step %d: %s modified the heap", step, what)
+		}
+	}
+	want := m.files(m.ordered())
+	var top *dfs.File
+	if len(want) > 0 {
+		top = want[0]
+	}
+	if got := h.SelectMin(); got != top {
+		t.Fatalf("step %d: SelectMin = %v, oracle %v", step, got, top)
+	}
+	untouched("SelectMin")
+	k := src.Intn(len(x.files) + 2) // 0 means "all"
+	wantK := want
+	if k > 0 && k < len(want) {
+		wantK = want[:k]
+	}
+	if x.topK = h.TopK(k, x.topK[:0]); !slices.Equal(x.topK, wantK) {
+		t.Fatalf("step %d: TopK(%d) returned %d files, oracle %d", step, k, len(x.topK), len(wantK))
+	}
+	untouched("TopK")
+	cut := float64(src.Intn(7))
+	var wantAsc []*dfs.File
+	for _, key := range m.ordered() {
+		if key.W > cut {
+			break
+		}
+		wantAsc = append(wantAsc, m.byID[key.ID])
+	}
+	var gotAsc []*dfs.File
+	h.AscendWhile(func(k HeapKey) bool { return k.W <= cut }, func(f *dfs.File) { gotAsc = append(gotAsc, f) })
+	if heapOrders[x.order].name != "time-descending" && !slices.Equal(gotAsc, wantAsc) {
+		t.Fatalf("step %d: AscendWhile(W<=%v) visited %d files, oracle %d", step, cut, len(gotAsc), len(wantAsc))
+	}
+	untouched("AscendWhile")
+	if lazy {
+		var best *dfs.File
+		for _, f := range want {
+			if best == nil || x.trueW(f) < x.trueW(best) || (x.trueW(f) == x.trueW(best) && f.ID() < best.ID()) {
+				best = f
+			}
+		}
+		if got := h.SelectMinLazy(x.trueW); got != best {
+			t.Fatalf("step %d: SelectMinLazy = %v, oracle %v", step, got, best)
+		}
+		untouched("SelectMinLazy")
+	}
+}
+
+func heapExerciseFiles(t testing.TB) (*env, []*dfs.File) {
 	ev := newEnv(t, dfs.ModePinnedHDD)
 	var files []*dfs.File
 	for i := 0; i < 48; i++ {
 		files = append(files, ev.create(t, fmt.Sprintf("/prop/f%02d", i), storage.MB))
 	}
-	orders := []struct {
-		name string
-		less func(a, b HeapKey) bool
-		lazy bool // keys are (w, 0, id) lower bounds; SelectMinLazy is checked too
-	}{
-		{"ascending", HeapKey.Less, false},
-		{"time-descending", TimeDescending, false},
-		{"lazy-weights", HeapKey.Less, true},
-	}
-	for _, order := range orders {
+	return ev, files
+}
+
+// TestFileHeapAgainstSortedOracle drives a standalone FileHeap with random
+// op sequences under each ordering (see heapExercise.step), and requires the
+// selections the policies run per decision to allocate nothing.
+func TestFileHeapAgainstSortedOracle(t *testing.T) {
+	ev, files := heapExerciseFiles(t)
+	for order := range heapOrders {
 		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", order.name, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed=%d", heapOrders[order].name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				h := NewFileHeap(order.less, ev.fs.FileByID)
-				m := &heapModel{
-					less:   order.less,
-					key:    map[dfs.FileID]HeapKey{},
-					parked: map[dfs.FileID]bool{},
-					byID:   map[dfs.FileID]*dfs.File{},
-				}
-				for _, f := range files {
-					m.byID[f.ID()] = f
-				}
-				// slack[id] >= 0 makes the lazy run's exact weight: stored
-				// keys stay lower bounds whatever the op sequence does.
-				slack := map[dfs.FileID]float64{}
-				for _, f := range files {
-					slack[f.ID()] = float64(rng.Intn(4))
-				}
-				trueW := func(f *dfs.File) float64 { return m.key[f.ID()].W + slack[f.ID()] }
-				// Few distinct weights and times, so ties reach the id component.
-				randKey := func() (float64, time.Time) {
-					w := float64(rng.Intn(6))
-					if order.lazy {
-						return w, time.Time{}
-					}
-					return w, sim.Epoch.Add(time.Duration(rng.Intn(8)) * time.Second)
-				}
-				counts := map[string]int{}
+				x := newHeapExercise(order, files, ev.fs.FileByID, rng)
 				for step := 0; step < 3000; step++ {
-					f := files[rng.Intn(len(files))]
-					id := f.ID()
-					_, member := m.key[id]
-					switch op := rng.Intn(10); {
-					case op < 4:
-						w, at := randKey()
-						h.Update(f, w, at)
-						m.key[id] = HeapKey{W: w, T: timeKey(at), ID: id}
-						if m.parked[id] {
-							counts["rekey-parked"]++
-						}
-					case op < 5:
-						h.Remove(id)
-						if m.parked[id] {
-							counts["remove-parked"]++
-						}
-						delete(m.key, id)
-						delete(m.parked, id)
-					case op < 7:
-						h.Park(id)
-						if member {
-							m.parked[id] = true
-						}
-					case op < 9:
-						h.Unpark(id)
-						if m.parked[id] {
-							counts["unpark"]++
-						}
-						delete(m.parked, id)
-					default:
-						fresh := map[dfs.FileID]HeapKey{}
-						h.Rekey(func(f *dfs.File) (float64, time.Time) {
-							w, at := randKey()
-							fresh[f.ID()] = HeapKey{W: w, T: timeKey(at), ID: f.ID()}
-							return w, at
-						})
-						if len(fresh) != len(m.key) {
-							t.Fatalf("step %d: Rekey visited %d members, model has %d", step, len(fresh), len(m.key))
-						}
-						m.key = fresh
-					}
-
-					// Membership, keys, parked bits.
-					if h.Len() != len(m.key) {
-						t.Fatalf("step %d: Len = %d, model %d", step, h.Len(), len(m.key))
-					}
-					seen := 0
-					h.Each(func(f *dfs.File, k HeapKey) {
-						seen++
-						if want, ok := m.key[f.ID()]; !ok || want != k {
-							t.Fatalf("step %d: Each yields %v for file %d, model %v (member %v)", step, k, f.ID(), want, ok)
-						}
-					})
-					if seen != len(m.key) {
-						t.Fatalf("step %d: Each visited %d, model %d", step, seen, len(m.key))
-					}
-					for _, f := range files {
-						_, member := m.key[f.ID()]
-						if h.Has(f.ID()) != member || h.IsParked(f.ID()) != m.parked[f.ID()] {
-							t.Fatalf("step %d: file %d Has=%v IsParked=%v, model member=%v parked=%v",
-								step, f.ID(), h.Has(f.ID()), h.IsParked(f.ID()), member, m.parked[f.ID()])
-						}
-						if k, ok := h.Key(f.ID()); ok != member || (ok && k != m.key[f.ID()]) {
-							t.Fatalf("step %d: Key(%d) = %v, %v; model %v", step, f.ID(), k, ok, m.key[f.ID()])
-						}
-					}
-
-					// Selections: each runs a pop-and-restore walk, so the
-					// next step also proves the heap came back intact.
-					want := m.files(m.ordered())
-					var top *dfs.File
-					if len(want) > 0 {
-						top = want[0]
-					}
-					if got := h.SelectMin(); got != top {
-						t.Fatalf("step %d: SelectMin = %v, oracle %v", step, got, top)
-					}
-					k := rng.Intn(len(files) + 2) // 0 means "all"
-					wantK := want
-					if k > 0 && k < len(want) {
-						wantK = want[:k]
-					}
-					if got := h.TopK(k, nil); !slices.Equal(got, wantK) {
-						t.Fatalf("step %d: TopK(%d) returned %d files, oracle %d", step, k, len(got), len(wantK))
-					}
-					cut := float64(rng.Intn(7))
-					var wantAsc []*dfs.File
-					for _, key := range m.ordered() {
-						if key.W > cut {
-							break
-						}
-						wantAsc = append(wantAsc, m.byID[key.ID])
-					}
-					var gotAsc []*dfs.File
-					h.AscendWhile(func(k HeapKey) bool { return k.W <= cut }, func(f *dfs.File) { gotAsc = append(gotAsc, f) })
-					if order.name != "time-descending" && !slices.Equal(gotAsc, wantAsc) {
-						t.Fatalf("step %d: AscendWhile(W<=%v) visited %d files, oracle %d", step, cut, len(gotAsc), len(wantAsc))
-					}
-					if order.lazy {
-						var best *dfs.File
-						for _, f := range want {
-							if best == nil || trueW(f) < trueW(best) || (trueW(f) == trueW(best) && f.ID() < best.ID()) {
-								best = f
-							}
-						}
-						if got := h.SelectMinLazy(trueW); got != best {
-							t.Fatalf("step %d: SelectMinLazy = %v, oracle %v", step, got, best)
-						}
-					}
+					x.step(t, step, rng)
 				}
 				for _, what := range []string{"rekey-parked", "remove-parked", "unpark"} {
-					if counts[what] < 20 {
-						t.Errorf("only %d %s steps; the sequence is too tame to trust", counts[what], what)
+					if x.counts[what] < 20 {
+						t.Errorf("only %d %s steps; the sequence is too tame to trust", x.counts[what], what)
 					}
+				}
+				if len(x.h.items) < 8 {
+					t.Fatalf("only %d members in heap order; the allocation check would prove nothing", len(x.h.items))
+				}
+				if n := testing.AllocsPerRun(20, func() { x.h.SelectMin() }); n != 0 {
+					t.Errorf("SelectMin allocates %v times per call", n)
+				}
+				if n := testing.AllocsPerRun(20, func() { x.topK = x.h.TopK(0, x.topK[:0]) }); n != 0 {
+					t.Errorf("TopK into a reused buffer allocates %v times per call", n)
 				}
 			})
 		}
 	}
+}
+
+// FuzzFileHeap decodes its input into the same op sequence the model test
+// draws from an rng (one choice per byte) and holds the heap to the same
+// oracle after every op. The seed corpus is a prefix of the model test's
+// choices under each ordering; plain `go test` runs it.
+func FuzzFileHeap(f *testing.F) {
+	ev, files := heapExerciseFiles(f)
+	for order := range heapOrders {
+		rng := rand.New(rand.NewSource(1))
+		ops := make([]byte, 1024)
+		for i := range ops {
+			ops[i] = byte(rng.Intn(256))
+		}
+		f.Add(uint8(order), ops)
+	}
+	f.Fuzz(func(t *testing.T, order uint8, ops []byte) {
+		src := &byteDraws{data: ops}
+		x := newHeapExercise(int(order)%len(heapOrders), files, ev.fs.FileByID, src)
+		for step := 0; len(src.data) > 0; step++ {
+			x.step(t, step, src)
+		}
+	})
 }
 
 // flipWatcher runs a check the moment a file becomes resident on a tier,
@@ -258,7 +353,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 		if !m.isBusy(f) {
 			t.Error("destination flip fired after Done; the case is vacuous")
 		}
-		if !ix.recency[storage.Memory].IsParked(f.ID()) || !ix.freq[storage.Memory].IsParked(f.ID()) {
+		if !ix.recency.tiers[storage.Memory].IsParked(f.ID()) || !ix.freq.tiers[storage.Memory].IsParked(f.ID()) {
 			t.Error("busy file entered the destination tier's heaps unparked")
 		}
 		if err := ix.Audit(); err != nil {
@@ -267,7 +362,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 	}})
 
 	m.tryUpgrade(f, "test")
-	for _, h := range []*FileHeap{ix.recency[storage.HDD], ix.freq[storage.HDD], ix.mru, policyHeap} {
+	for _, h := range []*FileHeap{ix.recency.tiers[storage.HDD], ix.freq.tiers[storage.HDD], ix.mru, policyHeap} {
 		if !h.IsParked(f.ID()) {
 			t.Fatal("busy file still in heap order")
 		}
@@ -296,7 +391,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 			t.Fatalf("heap %d still holds the file parked after a clean move", i)
 		}
 	}
-	if !ix.recency[storage.Memory].Has(f.ID()) || ix.mru.Has(f.ID()) {
+	if !ix.recency.tiers[storage.Memory].Has(f.ID()) || ix.mru.Has(f.ID()) {
 		t.Fatal("index membership did not follow the move")
 	}
 	if err := ix.Audit(); err != nil {
@@ -305,8 +400,8 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 }
 
 // TestAuditCatchesParkingDrift breaks the parked ⇔ on-record invariant both
-// ways, and the cooldown ⇒ expiry-entry invariant, and requires the audit to
-// notice each.
+// ways and requires the audit to notice each. (There is no "cooldown without
+// a release entry" case: the cooldown record is the release heap.)
 func TestAuditCatchesParkingDrift(t *testing.T) {
 	ev := newEnv(t, dfs.ModeOctopus)
 	ix := ev.ctx.Index()
@@ -316,28 +411,21 @@ func TestAuditCatchesParkingDrift(t *testing.T) {
 	if err := ix.Audit(); err != nil {
 		t.Fatalf("clean audit: %v", err)
 	}
-	ix.recency[storage.Memory].Park(f.ID())
+	ix.recency.tiers[storage.Memory].Park(f.ID())
 	if ix.Audit() == nil {
 		t.Error("audit accepts a parked file that is neither busy nor cooling down")
 	}
-	ix.recency[storage.Memory].Unpark(f.ID())
+	ix.recency.tiers[storage.Memory].Unpark(f.ID())
 
 	m.setCooldown(f, CooldownMoveFailed)
 	if err := ix.Audit(); err != nil {
 		t.Fatalf("audit with a cooldown on record: %v", err)
 	}
-	ix.recency[storage.Memory].Unpark(f.ID())
+	ix.recency.tiers[storage.Memory].Unpark(f.ID())
 	if ix.Audit() == nil {
 		t.Error("audit accepts a cooled-down file in heap order")
 	}
-	ix.recency[storage.Memory].Park(f.ID())
-
-	saved := m.expiries
-	m.expiries = nil
-	if ix.Audit() == nil {
-		t.Error("audit accepts a cooldown without an expiry entry")
-	}
-	m.expiries = saved
+	ix.recency.tiers[storage.Memory].Park(f.ID())
 	if err := ix.Audit(); err != nil {
 		t.Fatalf("audit after repair: %v", err)
 	}
@@ -361,17 +449,29 @@ func (mv *failLater) Enqueue(r MoveRequest) {
 
 // TestCooldownRecordDrainsAfterChurn is the leak check: files are deleted
 // while their downgrades are still queued, so the mover's Done(err) fires
-// after Manager.FileDeleted — which used to re-create a cooldown entry for a
-// dead id that nothing ever asked about again. The run mixes that with
-// cooldowns of live files, some deleted while cooling down, some expiring
-// mid-run. After the churn plus failureCooldown of virtual time, the
-// cooldown map and the expiry heap must both be empty.
+// after Manager.FileDeleted and must not put a dead id on record. The run
+// mixes that with cooldowns of live files — some cooled twice before the
+// first cooldown runs out, some deleted while cooling down, some expiring
+// mid-run. The record holds one entry per cooling file throughout, every
+// entry resolves, a delete shrinks it at once, and after the churn plus
+// failureCooldown of virtual time it is empty.
 func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 	ev := newEnv(t, dfs.ModeOctopus)
 	ev.ctx.Index().RequireRecency()
 	m := NewManager(ev.ctx, &lruStub{ctx: ev.ctx}, nil)
 	m.SetMover(&failLater{engine: ev.engine})
-	doneAfterDelete := 0
+	checkRecord := func(when string) {
+		t.Helper()
+		for _, k := range m.cooling.items {
+			if f := ev.fs.FileByID(k.ID); f == nil || f.Deleted() {
+				t.Fatalf("%s: cooldown on record for dead file %d", when, k.ID)
+			}
+		}
+		if len(m.cooling.parked) != 0 {
+			t.Fatalf("%s: %d entries parked in the cooldown record", when, len(m.cooling.parked))
+		}
+	}
+	doneAfterDelete, recooled, deletedCooling := 0, 0, 0
 	for round := 0; round < 12; round++ {
 		var batch []*dfs.File
 		for i := 0; i < 6; i++ {
@@ -393,6 +493,23 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 		if err := ev.ctx.Index().Audit(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		checkRecord(fmt.Sprintf("round %d", round))
+		// Cool every cooling survivor a second time: the entry is superseded in
+		// place, under the later time.
+		for _, f := range batch {
+			before, cooling := m.cooling.Key(f.ID())
+			if !cooling {
+				continue
+			}
+			n := m.cooling.Len()
+			m.setCooldown(f, CooldownMoveFailed)
+			after, _ := m.cooling.Key(f.ID())
+			if m.cooling.Len() != n || after.T <= before.T {
+				t.Fatalf("round %d: re-cooling file %d: %d -> %d entries, until %d -> %d",
+					round, f.ID(), n, m.cooling.Len(), before.T, after.T)
+			}
+			recooled++
+		}
 		// Delete the survivors while they cool down; odd rounds keep one, so
 		// live cooldowns stay on record without memory ever filling up.
 		kept := round%2 == 0
@@ -404,27 +521,33 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 				kept = true
 				continue
 			}
+			n, cooling := m.cooling.Len(), m.cooling.Has(f.ID())
 			if err := ev.fs.Delete(f.Path()); err != nil {
 				t.Fatalf("delete of a cooled-down file: %v", err)
 			}
+			if cooling {
+				deletedCooling++
+				if m.cooling.Len() != n-1 || m.cooling.Has(f.ID()) {
+					t.Fatalf("round %d: deleting cooling file %d left %d of %d entries", round, f.ID(), m.cooling.Len(), n)
+				}
+			}
+		}
+		if _, c := m.ParkedFiles(); c != int64(m.cooling.Len()) {
+			t.Fatalf("round %d: cooldown gauge %d, record holds %d", round, c, m.cooling.Len())
 		}
 	}
 	if doneAfterDelete < 10 || m.Metrics().DowngradeErrors < int64(doneAfterDelete) {
 		t.Fatalf("churn too tame: %d deletes under a queued move, %d downgrade errors", doneAfterDelete, m.Metrics().DowngradeErrors)
 	}
-	if len(m.cooldown) == 0 || len(m.expiries) <= len(m.cooldown) {
-		t.Fatalf("%d cooldowns and %d expiry entries right after the churn; the drain below would prove nothing",
-			len(m.cooldown), len(m.expiries))
+	if m.cooling.Len() == 0 || recooled < 10 || deletedCooling < 10 {
+		t.Fatalf("%d cooldowns right after the churn, %d re-cooled, %d deleted while cooling; the drain below would prove nothing",
+			m.cooling.Len(), recooled, deletedCooling)
 	}
-	for id := range m.cooldown {
-		if ev.fs.FileByID(id) == nil {
-			t.Fatalf("cooldown on record for dead file %d", id)
-		}
-	}
+	checkRecord("after the churn")
 	ev.engine.RunFor(failureCooldown + time.Second)
 	ev.ctx.Index().SelectLRU(storage.Memory) // any selection releases what expired
-	if len(m.cooldown) != 0 || len(m.expiries) != 0 {
-		t.Fatalf("after failureCooldown: %d cooldowns and %d expiry entries still on record", len(m.cooldown), len(m.expiries))
+	if m.cooling.Len() != 0 {
+		t.Fatalf("after failureCooldown: %d cooldowns still on record", m.cooling.Len())
 	}
 	if busy, cooling := m.ParkedFiles(); busy != 0 || cooling != 0 {
 		t.Fatalf("parked gauges = %d busy, %d cooldown; want 0, 0", busy, cooling)
@@ -435,5 +558,33 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 	}
 	if err := ev.ctx.Index().Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditCatchesStrayInWeightHeap swaps one member of a derived statistic's
+// memory-tier weight heap for a file that lives only on HDD. The member count
+// still matches the tier, so only an audit by file identity notices.
+func TestAuditCatchesStrayInWeightHeap(t *testing.T) {
+	ev := newEnv(t, dfs.ModeOctopus)
+	w := ev.ctx.DecayedWeight(formula1{time.Hour}) // LRFU's decay
+	w.RequireOrder()
+	inMemory := ev.create(t, "/a", 16*storage.MB)
+	onHDD := ev.create(t, "/b", 16*storage.MB)
+	for _, tier := range []storage.Media{storage.Memory, storage.SSD} {
+		if err := ev.fs.DeleteFileReplicas(onHDD, tier); err != nil {
+			t.Fatalf("drop %v replicas: %v", tier, err)
+		}
+	}
+	if !inMemory.HasReplicaOn(storage.Memory) || onHDD.HasReplicaOn(storage.Memory) || !onHDD.HasReplicaOn(storage.HDD) {
+		t.Fatal("population is not the two-tier one the case needs")
+	}
+	if err := ev.ctx.Index().Audit(); err != nil {
+		t.Fatalf("clean audit: %v", err)
+	}
+	h := w.order.tiers[storage.Memory]
+	h.Remove(inMemory.ID())
+	h.Update(onHDD, 0, time.Time{})
+	if ev.ctx.Index().Audit() == nil {
+		t.Error("audit accepts a weight heap that lost a resident file and kept a stray one")
 	}
 }

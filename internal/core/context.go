@@ -64,13 +64,6 @@ func (c *Context) parkedID(id dfs.FileID) bool {
 	return c.mgr != nil && c.mgr.onRecord(id)
 }
 
-// releaseExpired un-parks the files whose failure cooldown has run out.
-func (c *Context) releaseExpired() {
-	if c.mgr != nil {
-		c.mgr.releaseExpired()
-	}
-}
-
 // ctxListener feeds file-system notifications into the context's tracker,
 // candidate index and derived statistics. It is registered in NewContext,
 // before any Manager, so statistics are already updated when policies
@@ -89,10 +82,10 @@ func (l ctxListener) FileCreated(f *dfs.File) {
 // FileAccessed implements dfs.Listener.
 func (l ctxListener) FileAccessed(f *dfs.File, n int64) {
 	l.ctx.Tracker.OnAccessN(int64(f.ID()), l.ctx.Clock.Now(), n)
-	l.ctx.index.fileAccessed(f)
 	for _, w := range l.ctx.weights {
 		w.accessed(f, n)
 	}
+	l.ctx.index.fileAccessed(f)
 }
 
 // FileDeleted implements dfs.Listener.
@@ -221,7 +214,7 @@ func (c *Context) LRUFiles(tier storage.Media, k int) []*dfs.File {
 // LRUFilesInto is LRUFiles appending into a reusable buffer.
 func (c *Context) LRUFilesInto(buf []*dfs.File, tier storage.Media, k int) []*dfs.File {
 	c.index.RequireRecency()
-	return c.index.recency[tier].TopK(k, buf)
+	return c.index.recency.tiers[tier].TopK(k, buf)
 }
 
 // LRUFilesLinear is the scan-and-sort implementation of LRUFiles, kept as

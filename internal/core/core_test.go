@@ -20,7 +20,7 @@ type env struct {
 	ctx    *Context
 }
 
-func newEnv(t *testing.T, mode dfs.Mode) *env {
+func newEnv(t testing.TB, mode dfs.Mode) *env {
 	t.Helper()
 	e := sim.NewEngine()
 	c := cluster.MustNew(e, cluster.Config{
@@ -32,7 +32,7 @@ func newEnv(t *testing.T, mode dfs.Mode) *env {
 	return &env{engine: e, fs: fs, ctx: NewContext(fs, cfg)}
 }
 
-func (ev *env) create(t *testing.T, path string, size int64) *dfs.File {
+func (ev *env) create(t testing.TB, path string, size int64) *dfs.File {
 	t.Helper()
 	var file *dfs.File
 	var ferr error

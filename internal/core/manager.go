@@ -55,17 +55,6 @@ func (r CooldownReason) String() string {
 	return [...]string{"shed", "move_failed", "delete_failed"}[r]
 }
 
-// expiry is one entry of the manager's cooldown-expiry heap: the file's
-// cooldown runs out strictly after until (a timeKey).
-type expiry struct {
-	until int64
-	id    dfs.FileID
-}
-
-func (a expiry) before(b expiry) bool {
-	return a.until < b.until || (a.until == b.until && a.id < b.id)
-}
-
 // Mover executes the manager's data-movement requests. The Replication
 // Monitor is the default implementation (inline, engine-scheduled, global
 // concurrency bound); the concurrent serving layer substitutes its async
@@ -92,13 +81,12 @@ type Manager struct {
 
 	// The eligibility record. A file is on record while it is busy (a move
 	// of it is queued or in flight) or has a failure cooldown, and exactly
-	// then the context's candidate indexes hold it parked. expiries is a
-	// min-heap with one entry per setCooldown call; an entry whose until no
-	// longer matches the cooldown map (a later cooldown superseded it, or the
-	// file was deleted) is skipped when it comes up.
+	// then the context's candidate indexes hold it parked. cooling holds one
+	// entry per cooling file under (0, until, id), the cooldown running out
+	// strictly after until; it is a standalone heap (nothing parks in it), so
+	// its top is the next cooldown to run out.
 	busy           map[dfs.FileID]bool
-	cooldown       map[dfs.FileID]int64 // until, as a timeKey
-	expiries       []expiry
+	cooling        *FileHeap
 	pendingRelease [3]int64
 
 	// Scrape-side mirrors of the record, readable from any goroutine.
@@ -115,13 +103,13 @@ type Manager struct {
 // (Sections 7.3 and 7.4 evaluate each side in isolation).
 func NewManager(ctx *Context, down DowngradePolicy, up UpgradePolicy) *Manager {
 	m := &Manager{
-		ctx:      ctx,
-		down:     down,
-		up:       up,
-		monitor:  NewMonitor(ctx.FS, ctx.Cfg.MonitorConcurrency, ctx.Cfg.MoveLatency),
-		engine:   ctx.FS.Engine(),
-		busy:     make(map[dfs.FileID]bool),
-		cooldown: make(map[dfs.FileID]int64),
+		ctx:     ctx,
+		down:    down,
+		up:      up,
+		monitor: NewMonitor(ctx.FS, ctx.Cfg.MonitorConcurrency, ctx.Cfg.MoveLatency),
+		engine:  ctx.FS.Engine(),
+		busy:    make(map[dfs.FileID]bool),
+		cooling: NewFileHeap(nil, ctx.FS.FileByID),
 	}
 	m.mover = m.monitor
 	ctx.mgr = m
@@ -199,18 +187,14 @@ func (m *Manager) isBusy(f *dfs.File) bool { return m.busy[f.ID()] }
 
 // inCooldown reports whether the file's failure cooldown is still running.
 func (m *Manager) inCooldown(f *dfs.File) bool {
-	until, ok := m.cooldown[f.ID()]
-	return ok && timeKey(m.ctx.Clock.Now()) <= until
+	k, cooling := m.cooling.Key(f.ID())
+	return cooling && timeKey(m.ctx.Clock.Now()) <= k.T
 }
 
 // onRecord reports whether the file is busy or has a cooldown on record,
 // expired-but-unreleased ones included: the parked state of the indexes.
 func (m *Manager) onRecord(id dfs.FileID) bool {
-	if m.busy[id] {
-		return true
-	}
-	_, cooling := m.cooldown[id]
-	return cooling
+	return m.busy[id] || m.cooling.Has(id)
 }
 
 // markBusy records a move of the file as queued or in flight.
@@ -247,91 +231,34 @@ func (m *Manager) setCooldown(f *dfs.File, reason CooldownReason) {
 	if f.Deleted() {
 		return
 	}
-	id := f.ID()
-	until := timeKey(m.ctx.Clock.Now().Add(failureCooldown))
-	if _, cooling := m.cooldown[id]; !cooling {
+	if !m.cooling.Has(f.ID()) {
 		m.cooldownCount.Add(1)
 	}
-	m.cooldown[id] = until
+	m.cooling.Update(f, 0, m.ctx.Clock.Now().Add(failureCooldown))
 	m.cooldowns[reason].Add(1)
-	m.pushExpiry(expiry{until, id})
-	m.ctx.index.park(id)
+	m.ctx.index.park(f.ID())
 }
 
 // releaseExpired drops every cooldown that has run out (strictly: now is
-// after its until) and returns the files to selection order. The candidate
-// heaps call it at the start of every selection.
+// after its until), in ascending (until, id) order, and returns the files to
+// selection order. The candidate heaps call it at the start of every
+// selection.
 func (m *Manager) releaseExpired() {
-	if len(m.expiries) == 0 {
-		return
-	}
-	now := timeKey(m.ctx.Clock.Now())
-	for len(m.expiries) > 0 && m.expiries[0].until < now {
-		e := m.popExpiry()
-		if until, cooling := m.cooldown[e.id]; !cooling || until != e.until {
-			continue
-		}
-		delete(m.cooldown, e.id)
+	for len(m.cooling.items) > 0 && m.cooling.items[0].T < timeKey(m.ctx.Clock.Now()) {
+		id := m.cooling.items[0].ID
+		m.cooling.Remove(id)
 		m.cooldownCount.Add(-1)
-		if !m.busy[e.id] {
-			m.ctx.index.unpark(e.id)
+		if !m.busy[id] {
+			m.ctx.index.unpark(id)
 		}
 	}
 }
 
-func (m *Manager) pushExpiry(e expiry) {
-	h := append(m.expiries, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	m.expiries = h
-}
-
-func (m *Manager) popExpiry() expiry {
-	h := m.expiries
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= last {
-			break
-		}
-		if r := child + 1; r < last && h[r].before(h[child]) {
-			child = r
-		}
-		if !h[child].before(h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	m.expiries = h
-	return top
-}
-
-// auditRecord checks the eligibility record against itself: every cooldown
-// has a live expiry entry and the scrape counts mirror the maps.
+// auditRecord checks that the scrape counts mirror the eligibility record.
 func (m *Manager) auditRecord() error {
-	live := make(map[expiry]bool, len(m.expiries))
-	for _, e := range m.expiries {
-		live[e] = true
-	}
-	for id, until := range m.cooldown {
-		if !live[expiry{until, id}] {
-			return fmt.Errorf("core: cooldown of file %d has no expiry entry", id)
-		}
-	}
-	if b, c := m.ParkedFiles(); b != int64(len(m.busy)) || c != int64(len(m.cooldown)) {
+	if b, c := m.ParkedFiles(); b != int64(len(m.busy)) || c != int64(m.cooling.Len()) {
 		return fmt.Errorf("core: parked counts (%d busy, %d cooldown) drifted from the record (%d, %d)",
-			b, c, len(m.busy), len(m.cooldown))
+			b, c, len(m.busy), m.cooling.Len())
 	}
 	return nil
 }
@@ -371,8 +298,8 @@ func (m *Manager) FileDeleted(f *dfs.File) {
 		delete(m.busy, f.ID())
 		m.busyCount.Add(-1)
 	}
-	if _, cooling := m.cooldown[f.ID()]; cooling {
-		delete(m.cooldown, f.ID()) // its expiry entry is reaped when it comes up
+	if m.cooling.Has(f.ID()) {
+		m.cooling.Remove(f.ID())
 		m.cooldownCount.Add(-1)
 	}
 	if m.down != nil {

@@ -12,7 +12,7 @@ import (
 // 2 of Section 5.2). The value is the identity of the statistic it defines —
 // Context.DecayedWeight hands equal values the same instance — so its
 // dynamic type must be comparable. Decayed must be non-increasing in idle:
-// the weight heaps store it evaluated at a future horizon as a lower bound.
+// the weight heaps keep it evaluated at a future horizon as a lower bound.
 type Decay interface {
 	// Bump is the stored weight after an access, given the previously stored
 	// weight and the idle time since it was stored. Nothing fades in no time:
@@ -44,17 +44,17 @@ type weightState struct {
 // Manager runs a process on the same event. Several policies may read one
 // instance (an LRFU or EXD downgrade/upgrade pair does).
 //
-// RequireOrder adds per-tier heaps of the weights for min-selection.
-// Membership follows tier residency, and the heaps come from the index
-// (NewHeap), so busy and cooled-down files sit parked in them and the top is
-// always selectable; keys are weight lower bounds evaluated at a sliding
-// horizon (see weightHorizonWindow); exact weights are computed only for the
-// handful of entries whose bound could win a given selection.
+// RequireOrder declares a per-tier order of the weights for min-selection
+// (see tierOrder): the index keeps its membership with tier residency and
+// holds busy and cooled-down files parked, so the top is always selectable;
+// keys are weight lower bounds evaluated at a sliding horizon (see
+// weightHorizonWindow); exact weights are computed only for the handful of
+// entries whose bound could win a given selection.
 type DecayedWeight struct {
 	ctx   *Context
 	decay Decay
 	state map[dfs.FileID]weightState
-	tiers [3]*FileHeap // nil until RequireOrder
+	order *tierOrder // nil until RequireOrder
 
 	horizon   time.Time
 	selectNow time.Time
@@ -76,16 +76,11 @@ func (c *Context) DecayedWeight(d Decay) *DecayedWeight {
 	return w
 }
 
-// RequireOrder enables the per-tier weight heaps (SelectMin, AscendBounds),
-// seeding them from the current residency.
+// RequireOrder enables the per-tier weight heaps (SelectMin, AscendBounds).
 func (w *DecayedWeight) RequireOrder() {
-	if w.tiers[0] != nil {
-		return
+	if w.order == nil {
+		w.order = w.ctx.index.newOrder(w.bound, false)
 	}
-	for _, m := range storage.AllMedia {
-		w.tiers[m] = w.ctx.index.NewHeap(nil)
-	}
-	w.ctx.index.bootstrap(w.resident, nil)
 }
 
 // lookup returns the stored weight and when it was stored; a file the
@@ -108,10 +103,9 @@ func (w *DecayedWeight) Stored(f *dfs.File) float64 { return w.state[f.ID()].w }
 // Now is the file's weight decayed to the current instant.
 func (w *DecayedWeight) Now(f *dfs.File) float64 { return w.at(f, w.ctx.Clock.Now()) }
 
-// --- event feed (driven by the Context's file-system listener) ---
+// The context's listener books an event here before the index re-keys the
+// file, so the order's key already sees the new weight.
 
-// created runs before the index announces the file's residency, so the
-// file enters the heaps under this weight.
 func (w *DecayedWeight) created(f *dfs.File) {
 	w.state[f.ID()] = weightState{w: 1, at: w.ctx.Clock.Now()}
 }
@@ -122,31 +116,15 @@ func (w *DecayedWeight) accessed(f *dfs.File, n int64) {
 	now := w.ctx.Clock.Now()
 	s := w.lookup(f)
 	w.state[f.ID()] = weightState{w: w.decay.Bump(s.w, now.Sub(s.at)) + float64(n-1), at: now}
-	w.refresh(f)
 }
 
-func (w *DecayedWeight) deleted(f *dfs.File) {
-	delete(w.state, f.ID())
-	if w.tiers[0] != nil {
-		for _, h := range w.tiers {
-			h.Remove(f.ID())
-		}
-	}
-}
+func (w *DecayedWeight) deleted(f *dfs.File) { delete(w.state, f.ID()) }
 
-// resident and evicted follow the candidate index's per-tier membership
-// events.
-func (w *DecayedWeight) resident(f *dfs.File, tier storage.Media) {
-	if w.tiers[0] != nil {
-		w.ensureHorizon()
-		w.tiers[tier].Update(f, w.at(f, w.horizon), time.Time{})
-	}
-}
-
-func (w *DecayedWeight) evicted(f *dfs.File, tier storage.Media) {
-	if w.tiers[0] != nil {
-		w.tiers[tier].Remove(f.ID())
-	}
+// bound is the order's key: the file's weight at the horizon, a lower bound
+// of its weight at any instant before.
+func (w *DecayedWeight) bound(f *dfs.File) (float64, time.Time) {
+	w.ensureHorizon()
+	return w.at(f, w.horizon), time.Time{}
 }
 
 // ensureHorizon advances the evaluation horizon (re-keying all entries)
@@ -157,23 +135,9 @@ func (w *DecayedWeight) ensureHorizon() {
 		return
 	}
 	w.horizon = now.Add(weightHorizonWindow)
-	for _, h := range w.tiers {
-		h.Rekey(func(f *dfs.File) (float64, time.Time) {
-			return w.at(f, w.horizon), time.Time{}
-		})
-	}
-}
-
-// refresh re-keys the file wherever it is indexed, after its stored weight
-// changed.
-func (w *DecayedWeight) refresh(f *dfs.File) {
-	if w.tiers[0] == nil {
-		return
-	}
-	w.ensureHorizon()
-	for _, h := range w.tiers {
-		if h.Has(f.ID()) {
-			h.Update(f, w.at(f, w.horizon), time.Time{})
+	if w.order != nil { // nil while newOrder seeds the still empty heaps
+		for _, h := range w.order.tiers {
+			h.Rekey(w.bound)
 		}
 	}
 }
@@ -183,7 +147,7 @@ func (w *DecayedWeight) refresh(f *dfs.File) {
 func (w *DecayedWeight) SelectMin(tier storage.Media) *dfs.File {
 	w.ensureHorizon()
 	w.selectNow = w.ctx.Clock.Now()
-	return w.tiers[tier].SelectMinLazy(w.trueFn)
+	return w.order.tiers[tier].SelectMinLazy(w.trueFn)
 }
 
 // SelectMinLinear is the retired full-scan selection, kept as the
@@ -206,5 +170,5 @@ func (w *DecayedWeight) SelectMinLinear(tier storage.Media) *dfs.File {
 // Now.
 func (w *DecayedWeight) AscendBounds(tier storage.Media, keep func(HeapKey) bool, visit func(*dfs.File)) {
 	w.ensureHorizon()
-	w.tiers[tier].AscendWhile(keep, visit)
+	w.order.tiers[tier].AscendWhile(keep, visit)
 }

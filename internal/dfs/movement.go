@@ -13,15 +13,69 @@ import (
 // Decisions are file-granular (the paper's "all-or-nothing" property); the
 // mechanics operate block by block.
 
-// blockMove is one planned replica relocation.
+// blockMove is one planned replica relocation or copy.
 type blockMove struct {
 	block  *Block
 	src    *Replica
 	dstDev *storage.Device
 	dstNod *cluster.Node
-	// dstGone is set when the destination node leaves the cluster while the
-	// transfer is in flight; the commit then keeps the replica at the source.
+	// dstGone is set when the destination node leaves the cluster while a
+	// relocation is in flight; the commit then keeps the replica at the source.
 	dstGone bool
+}
+
+// planTransfers is the synchronous half of a move or copy to tier `to`. For
+// every block source yields a replica for (nil skips the block) it picks and
+// reserves a destination device; then it performs the physical copies (read
+// the source replica, write the destination) while the whole plan can still
+// unwind: a real I/O failure — transient copy error, destination ENOSPC —
+// surfaces here as a synchronous error, which the movement executor counts
+// as a failed move and the policy retries on a later sweep. The virtual
+// transfer legs the callers start afterwards still model the time the copy
+// takes. Any error releases every reservation made and deletes every
+// destination block written, leaving the system unchanged. reserving and
+// copying name the two steps in the caller's error wraps.
+func (fs *FileSystem) planTransfers(f *File, to storage.Media, reserving, copying string, source func(*Block) (*Replica, error)) ([]*blockMove, error) {
+	var plan []*blockMove
+	rollback := func() {
+		for _, m := range plan {
+			m.dstDev.Release(m.block.size)
+		}
+	}
+	for _, b := range f.blocks {
+		src, err := source(b)
+		if err != nil {
+			rollback()
+			return nil, err
+		}
+		if src == nil {
+			continue
+		}
+		node, dev := fs.pickMoveTarget(b, src, to)
+		if dev == nil {
+			rollback()
+			return nil, fmt.Errorf("%w: %q block %d to %s", ErrNoCapacity, f.path, b.id, to)
+		}
+		if err := dev.Reserve(b.size); err != nil {
+			rollback()
+			return nil, fmt.Errorf("dfs: %s: %w", reserving, err)
+		}
+		plan = append(plan, &blockMove{block: b, src: src, dstDev: dev, dstNod: node})
+	}
+	for i, m := range plan {
+		err := fs.backendRead(m.src.device, storage.ClassMove, m.block.id, m.block.size)
+		if err == nil {
+			err = fs.backendWrite(m.dstDev, storage.ClassMove, m.block.id, m.block.size)
+		}
+		if err != nil {
+			rollback()
+			for _, done := range plan[:i] {
+				fs.backendDelete(done.dstDev, storage.ClassMove, done.block.id, done.block.size)
+			}
+			return nil, fmt.Errorf("dfs: %s: %w", copying, err)
+		}
+	}
+	return plan, nil
 }
 
 // MoveFileReplicas relocates, for every block of f, the replica on tier
@@ -40,47 +94,14 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 	if fs.isCreating(f.id) || fs.inTransition(f) {
 		return fmt.Errorf("%w: %q", ErrBusy, f.path)
 	}
-	var moves []*blockMove
-	rollback := func() {
-		for _, m := range moves {
-			m.dstDev.Release(m.block.size)
+	moves, err := fs.planTransfers(f, to, "reserving move target", "move copy", func(b *Block) (*Replica, error) {
+		if src := b.ReplicaOn(from); src != nil {
+			return src, nil
 		}
-	}
-	for _, b := range f.blocks {
-		src := b.ReplicaOn(from)
-		if src == nil {
-			rollback()
-			return fmt.Errorf("%w: %q block %d on %s", ErrNoReplica, f.path, b.id, from)
-		}
-		node, dev := fs.pickMoveTarget(b, src, to)
-		if dev == nil {
-			rollback()
-			return fmt.Errorf("%w: %q block %d to %s", ErrNoCapacity, f.path, b.id, to)
-		}
-		if err := dev.Reserve(b.size); err != nil {
-			rollback()
-			return fmt.Errorf("dfs: reserving move target: %w", err)
-		}
-		moves = append(moves, &blockMove{block: b, src: src, dstDev: dev, dstNod: node})
-	}
-	// Perform the physical copies up front (read the source replica, write
-	// the destination), while the whole plan can still unwind: a real I/O
-	// failure — transient copy error, destination ENOSPC — surfaces here as
-	// a synchronous error, which the movement executor counts as a failed
-	// move and the policy retries on a later sweep. The virtual transfer
-	// legs below still model the time the copy takes.
-	for i, m := range moves {
-		err := fs.backendRead(m.src.device, storage.ClassMove, m.block.id, m.block.size)
-		if err == nil {
-			err = fs.backendWrite(m.dstDev, storage.ClassMove, m.block.id, m.block.size)
-		}
-		if err != nil {
-			rollback()
-			for _, done := range moves[:i] {
-				fs.backendDelete(done.dstDev, storage.ClassMove, done.block.id, done.block.size)
-			}
-			return fmt.Errorf("dfs: move copy: %w", err)
-		}
+		return nil, fmt.Errorf("%w: %q block %d on %s", ErrNoReplica, f.path, b.id, from)
+	})
+	if err != nil {
+		return err
 	}
 	upgrade := to.Higher(from)
 	barrier := fs.finishAfter(len(moves), fs.engine.Now(), func() {
@@ -201,51 +222,17 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 	if fs.isCreating(f.id) || fs.inTransition(f) {
 		return fmt.Errorf("%w: %q", ErrBusy, f.path)
 	}
-	type copyPlan struct {
-		block  *Block
-		src    *Replica
-		dstDev *storage.Device
-		dstNod *cluster.Node
-	}
-	var plans []*copyPlan
-	rollback := func() {
-		for _, p := range plans {
-			p.dstDev.Release(p.block.size)
-		}
-	}
-	for _, b := range f.blocks {
+	plans, err := fs.planTransfers(f, to, "reserving copy target", "replica copy", func(b *Block) (*Replica, error) {
 		if b.ReplicaOn(to) != nil {
-			continue
+			return nil, nil
 		}
-		src := fs.pickReadReplica(b, nil)
-		if src == nil {
-			rollback()
-			return fmt.Errorf("%w: %q block %d has no source", ErrNoReplica, f.path, b.id)
+		if src := fs.pickReadReplica(b, nil); src != nil {
+			return src, nil
 		}
-		node, dev := fs.pickMoveTarget(b, src, to)
-		if dev == nil {
-			rollback()
-			return fmt.Errorf("%w: %q block %d to %s", ErrNoCapacity, f.path, b.id, to)
-		}
-		if err := dev.Reserve(b.size); err != nil {
-			rollback()
-			return fmt.Errorf("dfs: reserving copy target: %w", err)
-		}
-		plans = append(plans, &copyPlan{block: b, src: src, dstDev: dev, dstNod: node})
-	}
-	// Physical copy up front, same unwind contract as MoveFileReplicas.
-	for i, p := range plans {
-		err := fs.backendRead(p.src.device, storage.ClassMove, p.block.id, p.block.size)
-		if err == nil {
-			err = fs.backendWrite(p.dstDev, storage.ClassMove, p.block.id, p.block.size)
-		}
-		if err != nil {
-			rollback()
-			for _, done := range plans[:i] {
-				fs.backendDelete(done.dstDev, storage.ClassMove, done.block.id, done.block.size)
-			}
-			return fmt.Errorf("dfs: replica copy: %w", err)
-		}
+		return nil, fmt.Errorf("%w: %q block %d has no source", ErrNoReplica, f.path, b.id)
+	})
+	if err != nil {
+		return err
 	}
 	if len(plans) == 0 {
 		fs.engine.Schedule(0, func() {
