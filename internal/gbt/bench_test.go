@@ -68,15 +68,65 @@ func benchModel(tb testing.TB) (*Model, *Matrix, []float64) {
 
 var benchSink float64
 
-// BenchmarkPredictMargin is one prediction: 200 tree walks over the forest,
-// a different row each time.
+// deepModel is the offline experiments' and the benchmark probe's shape:
+// PaperParams at full depth on 5 000 rows, every tree wider than the index
+// takes, so each prediction walks all of them.
+func deepModel(tb testing.TB) (*Model, *Matrix) {
+	x, y := benchRows(rand.New(rand.NewSource(3)), 5000)
+	m, err := Train(x, y, PaperParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k, off := range m.index.off {
+		if off >= 0 {
+			tb.Fatalf("deep model: tree %d of %d nodes is indexed", k, len(m.treeNodes(k)))
+		}
+	}
+	return m, x
+}
+
+// mixedModel is deepModel after one update with 200 of its rows, which adds
+// three trees small enough to index behind the ten wide ones: the shape of
+// the benchmark probe's model from its second update on, and of the models
+// Figure 17 updates with an hour's samples at a time.
+func mixedModel(tb testing.TB) (*Model, *Matrix) {
+	m, x := deepModel(tb)
+	batch, y := NewMatrix(benchCols), make([]float64, benchBatch)
+	for i := range y {
+		batch.AppendRow(x.Row(i))
+		y[i] = float64(i % 2)
+	}
+	if err := m.Update(batch, y, 3); err != nil {
+		tb.Fatal(err)
+	}
+	if w := m.index.walked; w == 0 || w == m.NumTrees() {
+		tb.Fatalf("mixed model: %d of %d trees are walked", w, m.NumTrees())
+	}
+	return m, x
+}
+
+// BenchmarkPredictMargin is one prediction, a different row each time. trace
+// is the trace_xgb forest, 200 small trees scored through the index; deep is
+// ten wide trees, each walked; mixed is those ten with three indexed ones
+// behind them, where the wide trees are walked four at a time from inside
+// the scorer.
 func BenchmarkPredictMargin(b *testing.B) {
-	m, x, _ := benchModel(b)
-	b.ReportMetric(float64(len(m.nodes))/float64(m.NumTrees()), "nodes/tree")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += m.PredictMargin(x.Row(i % benchBatch))
+	trace, traceRows, _ := benchModel(b)
+	deep, deepRows := deepModel(b)
+	mixed, mixedRows := mixedModel(b)
+	for _, c := range []struct {
+		name string
+		m    *Model
+		x    *Matrix
+	}{{"trace", trace, traceRows}, {"deep", deep, deepRows}, {"mixed", mixed, mixedRows}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportMetric(float64(len(c.m.nodes))/float64(c.m.NumTrees()), "nodes/tree")
+			b.ReportAllocs()
+			rows := c.x.Rows()
+			for i := 0; i < b.N; i++ {
+				benchSink += c.m.PredictMargin(c.x.Row(i % rows))
+			}
+		})
 	}
 }
 
@@ -97,69 +147,29 @@ func BenchmarkPredictMarginLinear(b *testing.B) {
 }
 
 // BenchmarkPredictMarginBatch reports the cost per row of scoring a batch
-// (the k=200 candidates of a tick, an update's starting margins) and of a
-// batch of one. 200/rows4 is the inner loop PredictMarginBatch does not use,
-// kept here so the choice stays measurable.
+// (the k=200 candidates of a tick) and of a batch of one.
 func BenchmarkPredictMarginBatch(b *testing.B) {
 	m, x, _ := benchModel(b)
 	out := make([]float64, benchBatch)
 	one := NewMatrix(benchCols)
 	one.AppendRow(x.Row(0))
 	for _, c := range []struct {
-		name  string
-		x     *Matrix
-		batch func(*Matrix, []float64)
-	}{
-		{"1", one, m.PredictMarginBatch},
-		{"200", x, m.PredictMarginBatch},
-		{"200/rows4", x, m.predictMarginBatchRows4},
-	} {
+		name string
+		x    *Matrix
+	}{{"1", one}, {"200", x}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i += c.x.Rows() {
-				c.batch(c.x, out)
+				m.PredictMarginBatch(c.x, out)
 			}
 			benchSink += out[0]
 		})
 	}
 }
 
-// predictMarginBatchRows4 is the batch loop that descends each tree with
-// four rows in lockstep, where PredictMargin descends four trees with one
-// row. Same bits; measured on the 200-row batch it is no faster.
-func (m *Model) predictMarginBatchRows4(x *Matrix, out []float64) {
-	rows := x.Rows()
-	nodes := m.nodes
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		x0, x1, x2, x3 := x.Row(r), x.Row(r+1), x.Row(r+2), x.Row(r+3)
-		m0, m1, m2, m3 := m.baseMargin, m.baseMargin, m.baseMargin, m.baseMargin
-		for _, root := range m.roots {
-			i0, i1, i2, i3 := root, root, root, root
-			for {
-				n0, n1, n2, n3 := &nodes[i0], &nodes[i1], &nodes[i2], &nodes[i3]
-				if n0.next[goLeft]|n1.next[goLeft]|n2.next[goLeft]|n3.next[goLeft] == 0 {
-					m0 += n0.value
-					m1 += n1.value
-					m2 += n2.value
-					m3 += n3.value
-					break
-				}
-				i0 += n0.step(x0)
-				i1 += n1.step(x1)
-				i2 += n2.step(x2)
-				i3 += n3.step(x3)
-			}
-		}
-		out[r], out[r+1], out[r+2], out[r+3] = m0, m1, m2, m3
-	}
-	for ; r < rows; r++ {
-		out[r] = m.PredictMargin(x.Row(r))
-	}
-}
-
 // BenchmarkUpdate is one incremental update of a full ensemble: starting
-// margins of the batch, three trees built, the three oldest retired. It
+// margins of the batch, three trees built, the three oldest retired, the
+// index brought up to date. It
 // cycles through a pool of batches so the model keeps something to learn.
 func BenchmarkUpdate(b *testing.B) {
 	m, _, _ := benchModel(b)

@@ -98,9 +98,8 @@ func randomRow(rng *rand.Rand, row []float64) {
 	}
 }
 
-// checkForest requires PredictMargin, and PredictMarginBatch at batch sizes
-// on both sides of an interleave width of four, to return the oracle's bits
-// on random rows.
+// checkForest requires PredictMargin, and PredictMarginBatch at a few batch
+// sizes, to return the oracle's bits on random rows.
 func checkForest(t *testing.T, rng *rand.Rand, m *Model, trees []*Tree, cols int) {
 	t.Helper()
 	for _, rows := range []int{1, 3, 4, 5, 200} {
@@ -110,16 +109,15 @@ func checkForest(t *testing.T, rng *rand.Rand, m *Model, trees []*Tree, cols int
 			randomRow(rng, row)
 			x.AppendRow(row)
 		}
-		out, rows4 := make([]float64, rows), make([]float64, rows)
+		out := make([]float64, rows)
 		m.PredictMarginBatch(x, out)
-		m.predictMarginBatchRows4(x, rows4) // the benchmark's alternative loop
 		for i := 0; i < rows; i++ {
 			want := math.Float64bits(predictMarginLinear(m.baseMargin, trees, x.Row(i)))
 			if got := math.Float64bits(m.PredictMargin(x.Row(i))); got != want {
 				t.Fatalf("PredictMargin(%v) = %x, oracle %x", x.Row(i), got, want)
 			}
-			if got, got4 := math.Float64bits(out[i]), math.Float64bits(rows4[i]); got != want || got4 != want {
-				t.Fatalf("PredictMarginBatch row %d of %d (%v) = %x (rows4 %x), oracle %x", i, rows, x.Row(i), got, got4, want)
+			if got := math.Float64bits(out[i]); got != want {
+				t.Fatalf("PredictMarginBatch row %d of %d (%v) = %x, oracle %x", i, rows, x.Row(i), got, want)
 			}
 		}
 	}
@@ -224,12 +222,10 @@ func TestForestMatchesOracleOnTrainedModels(t *testing.T) {
 	checkForest(t, rng, &back, oracleTrees(fm), 3)
 }
 
-// TestUnmarshalRejectsMalformedTrees feeds UnmarshalJSON node graphs that
-// are not trees; each must be an error, not a hang or an out-of-range walk,
-// and must leave the receiver as it was.
-func TestUnmarshalRejectsMalformedTrees(t *testing.T) {
+// malformedTrees are node graphs that are not trees, as JSON.
+var malformedTrees = func() map[string]string {
 	leaf := `{"leaf":true,"w":1,"l":-1,"r":-1}`
-	for name, tree := range map[string]string{
+	return map[string]string{
 		"empty tree":         `[]`,
 		"child out of range": `[{"f":0,"t":1,"l":1,"r":7},` + leaf + `]`,
 		"negative child":     `[{"f":0,"t":1,"l":-1,"r":1},` + leaf + `]`,
@@ -237,15 +233,26 @@ func TestUnmarshalRejectsMalformedTrees(t *testing.T) {
 		"two-node cycle":     `[{"f":0,"t":1,"l":1,"r":2},{"f":0,"t":1,"l":0,"r":2},` + leaf + `]`,
 		"negative feature":   `[{"f":-1,"t":1,"l":1,"r":2},` + leaf + `,` + leaf + `]`,
 		"feature too large":  `[{"f":2147483648,"t":1,"l":1,"r":2},` + leaf + `,` + leaf + `]`,
-	} {
+	}
+}()
+
+// malformedModel wraps one tree's JSON in a model's.
+func malformedModel(tree string) string {
+	return `{"params":{},"base_margin":0,"trees":[` + tree + `]}`
+}
+
+// TestUnmarshalRejectsMalformedTrees feeds UnmarshalJSON node graphs that
+// are not trees; each must be an error, not a hang or an out-of-range walk,
+// and must leave the receiver as it was.
+func TestUnmarshalRejectsMalformedTrees(t *testing.T) {
+	for name, tree := range malformedTrees {
 		x, y := synthBinary(rand.New(rand.NewSource(3)), 200)
 		m, err := Train(x, y, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := m.Predict(x.Row(0))
-		blob := `{"params":{},"base_margin":0,"trees":[` + tree + `]}`
-		if err := json.Unmarshal([]byte(blob), m); err == nil || !strings.HasPrefix(err.Error(), "gbt: ") {
+		if err := json.Unmarshal([]byte(malformedModel(tree)), m); err == nil || !strings.HasPrefix(err.Error(), "gbt: ") {
 			t.Errorf("%s: UnmarshalJSON error = %v, want a gbt error", name, err)
 		}
 		if m.Predict(x.Row(0)) != before {
@@ -254,28 +261,69 @@ func TestUnmarshalRejectsMalformedTrees(t *testing.T) {
 	}
 }
 
+// storedBytes is what the model holds, slice by slice: the forest's nodes,
+// their gains and the root table, and the scoring index resident beside
+// them, whose merge scratch stays allocated between updates.
+func storedBytes(m *Model) int {
+	ix := &m.index
+	return len(m.nodes)*int(unsafe.Sizeof(m.nodes[0])) + len(m.gains)*int(unsafe.Sizeof(m.gains[0])) + len(m.roots)*int(unsafe.Sizeof(m.roots[0])) +
+		(len(ix.nodes)+cap(ix.fresh))*int(unsafe.Sizeof(qnode{})) + len(ix.spans)*int(unsafe.Sizeof(span{})) +
+		len(ix.leaves)*int(unsafe.Sizeof(float64(0))) + len(ix.off)*int(unsafe.Sizeof(int32(0)))
+}
+
 // TestApproxMemoryBytesIsTheStoredLayout pins the Section 7.7 model-size
-// figure to what the model holds: the forest's nodes, their gains and the
-// root table.
+// figure to what the model holds, at one 24-byte index entry per internal
+// node of an indexed tree, after training and after updates, whose merge
+// scratch stays with the model and is counted; the third update retires
+// every tree the index knew.
 func TestApproxMemoryBytesIsTheStoredLayout(t *testing.T) {
-	x, y := synthBinary(rand.New(rand.NewSource(23)), 500)
-	m, err := Train(x, y, PaperParams())
+	rng := rand.New(rand.NewSource(23))
+	x, y := synthBinary(rng, 500)
+	p := PaperParams()
+	p.MaxDepth, p.MaxTrees = 5, 12
+	m, err := Train(x, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unsafe.Sizeof(fnode{}) != 24 {
 		t.Errorf("forest node is %d bytes, want 24", unsafe.Sizeof(fnode{}))
 	}
-	want := len(m.nodes)*int(unsafe.Sizeof(m.nodes[0])) + len(m.gains)*int(unsafe.Sizeof(m.gains[0])) + len(m.roots)*int(unsafe.Sizeof(m.roots[0]))
-	if got := m.ApproxMemoryBytes(); got != want {
-		t.Fatalf("ApproxMemoryBytes = %d, stored layout is %d", got, want)
+	if unsafe.Sizeof(qnode{}) != 24 {
+		t.Errorf("index node is %d bytes, want 24", unsafe.Sizeof(qnode{}))
 	}
-	total := 0
-	for _, tree := range oracleTrees(m) {
-		total += tree.NumNodes()
+	check := func(when string, scratch bool) {
+		t.Helper()
+		ix := &m.index
+		if got, want := m.ApproxMemoryBytes(), storedBytes(m); got != want {
+			t.Fatalf("%s: ApproxMemoryBytes = %d, stored layout is %d", when, got, want)
+		}
+		total := 0
+		for _, tree := range oracleTrees(m) {
+			total += tree.NumNodes()
+		}
+		internal, leaves := 0, 0
+		for k, off := range ix.off {
+			if off >= 0 {
+				leaves += (len(m.treeNodes(k)) + 1) / 2
+				internal += len(m.treeNodes(k)) / 2
+			}
+		}
+		if internal == 0 || len(ix.nodes) != internal || len(ix.leaves) != leaves || len(ix.off) != m.NumTrees() || (cap(ix.fresh) > 0) != scratch {
+			t.Fatalf("%s: index holds %d nodes, %d leaves, %d trees, scratch for %d; the indexed trees hold %d internal nodes and %d leaves in %d trees",
+				when, len(ix.nodes), len(ix.leaves), len(ix.off), cap(ix.fresh), internal, leaves, m.NumTrees())
+		}
+		if total != len(m.nodes) || len(m.gains) != len(m.nodes) || len(m.roots) != m.NumTrees() {
+			t.Fatalf("%s: forest holds %d nodes, %d gains, %d roots; trees hold %d nodes in %d trees",
+				when, len(m.nodes), len(m.gains), len(m.roots), total, m.NumTrees())
+		}
 	}
-	if total != len(m.nodes) || len(m.gains) != len(m.nodes) || len(m.roots) != m.NumTrees() {
-		t.Fatalf("forest holds %d nodes, %d gains, %d roots; trees hold %d nodes in %d trees",
-			len(m.nodes), len(m.gains), len(m.roots), total, m.NumTrees())
+	// A build from scratch leaves no second copy behind.
+	check("after Train", false)
+	for _, rounds := range []int{2, 3, p.MaxTrees, 1} {
+		x, y = synthBinary(rng, 300)
+		if err := m.Update(x, y, rounds); err != nil {
+			t.Fatal(err)
+		}
+		check("after an Update", true)
 	}
 }

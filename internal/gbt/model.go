@@ -191,6 +191,7 @@ type Model struct {
 	nodes      []fnode
 	gains      []float64 // split gain per node (0 at leaves); read by FeatureImportance and JSON only
 	roots      []int32   // roots[k] is the index in nodes of tree k's root
+	index      scorer    // the same trees by feature; what PredictMargin reads
 }
 
 // Params returns the hyperparameters the model was built with.
@@ -227,6 +228,24 @@ func walk(nodes []fnode, i int32, x []float64) float64 {
 	}
 }
 
+// walk4 is walk for four trees at once. One walk is a chain of dependent
+// loads (node, feature value, next node), so the four are descended in
+// lockstep to keep four chains in flight; a walk that reaches its leaf early
+// stays there until the others have. On wide trees that takes half the time
+// of four walks (BenchmarkPredictMargin/deep).
+func walk4(nodes []fnode, i0, i1, i2, i3 int32, x []float64) (v0, v1, v2, v3 float64) {
+	for {
+		n0, n1, n2, n3 := &nodes[i0], &nodes[i1], &nodes[i2], &nodes[i3]
+		if n0.next[goLeft]|n1.next[goLeft]|n2.next[goLeft]|n3.next[goLeft] == 0 {
+			return n0.value, n1.value, n2.value, n3.value
+		}
+		i0 += n0.step(x)
+		i1 += n1.step(x)
+		i2 += n2.step(x)
+		i3 += n3.step(x)
+	}
+}
+
 // step returns the distance from the node to the child x goes to, 0 at a
 // leaf. A missing value is NaN and below nothing, so the two tests never
 // both hold.
@@ -243,43 +262,34 @@ func b2i(b bool) int {
 	return 0
 }
 
-// PredictMargin returns the raw additive score for a feature vector.
-//
-// One walk is a chain of dependent loads (node, feature value, next node), so
-// four trees are descended in lockstep to keep four chains in flight; a walk
-// that reaches its leaf early stays there until the others have. The leaves
-// are still added one tree after the other, in boosting order.
+// PredictMargin returns the raw additive score for a feature vector: the
+// base margin plus every tree's leaf, added one tree after the other in
+// boosting order. It only reads the model, so any number of goroutines may
+// predict on one model at once, and it allocates nothing up to 256 trees.
 func (m *Model) PredictMargin(x []float64) float64 {
+	if ix := &m.index; ix.walked < len(m.roots) && len(x) >= ix.width {
+		return ix.score(m, x)
+	}
+	// No tree is indexed (the offline experiments' deep models), or the row
+	// lacks a feature the index would read on a branch x may never take (a
+	// loaded model can name any): every tree is walked.
 	margin := m.baseMargin
 	nodes, roots := m.nodes, m.roots
-	k := 0
-	for ; k+4 <= len(roots); k += 4 {
-		i0, i1, i2, i3 := roots[k], roots[k+1], roots[k+2], roots[k+3]
-		for {
-			n0, n1, n2, n3 := &nodes[i0], &nodes[i1], &nodes[i2], &nodes[i3]
-			if n0.next[goLeft]|n1.next[goLeft]|n2.next[goLeft]|n3.next[goLeft] == 0 {
-				margin += n0.value
-				margin += n1.value
-				margin += n2.value
-				margin += n3.value
-				break
-			}
-			i0 += n0.step(x)
-			i1 += n1.step(x)
-			i2 += n2.step(x)
-			i3 += n3.step(x)
-		}
+	for ; len(roots) >= 4; roots = roots[4:] {
+		v0, v1, v2, v3 := walk4(nodes, roots[0], roots[1], roots[2], roots[3], x)
+		margin += v0
+		margin += v1
+		margin += v2
+		margin += v3
 	}
-	for ; k < len(roots); k++ {
-		margin += walk(nodes, roots[k], x)
+	for _, root := range roots {
+		margin += walk(nodes, root, x)
 	}
 	return margin
 }
 
 // PredictMarginBatch writes PredictMargin of every row of x into out, which
-// must hold x.Rows() values. It goes row by row: PredictMargin already
-// overlaps four walks, and descending four rows per tree instead measured no
-// faster (BenchmarkPredictMarginBatch).
+// must hold x.Rows() values.
 func (m *Model) PredictMarginBatch(x *Matrix, out []float64) {
 	out = out[:x.Rows()]
 	for i := range out {
@@ -287,8 +297,9 @@ func (m *Model) PredictMarginBatch(x *Matrix, out []float64) {
 	}
 }
 
-// link maps a margin to the model's output space.
-func (m *Model) link(margin float64) float64 {
+// Link maps a margin to the model's output space: Predict(x) is
+// Link(PredictMargin(x)).
+func (m *Model) Link(margin float64) float64 {
 	if m.params.Objective == LogisticBinary {
 		return sigmoid(margin)
 	}
@@ -297,16 +308,16 @@ func (m *Model) link(margin float64) float64 {
 
 // Predict returns the probability (LogisticBinary) or score (SquaredError)
 // for a feature vector.
-func (m *Model) Predict(x []float64) float64 { return m.link(m.PredictMargin(x)) }
+func (m *Model) Predict(x []float64) float64 { return m.Link(m.PredictMargin(x)) }
 
-// PredictBatch evaluates Predict for every row of a matrix.
-func (m *Model) PredictBatch(x *Matrix) []float64 {
-	out := make([]float64, x.Rows())
+// PredictBatch writes Predict of every row of x into out, which must hold
+// x.Rows() values.
+func (m *Model) PredictBatch(x *Matrix, out []float64) {
+	out = out[:x.Rows()]
 	m.PredictMarginBatch(x, out)
 	for i, margin := range out {
-		out[i] = m.link(margin)
+		out[i] = m.Link(margin)
 	}
-	return out
 }
 
 // FeatureImportance returns total split gain per feature, normalised to sum
@@ -329,14 +340,16 @@ func (m *Model) FeatureImportance(numFeatures int) []float64 {
 	return imp
 }
 
-// ApproxMemoryBytes returns the in-memory size of the stored ensemble
-// (Section 7.7 reports ~200 KB for the paper's models).
+// ApproxMemoryBytes returns the in-memory size of the stored ensemble, the
+// forest and the scoring index resident beside it (Section 7.7 reports
+// ~200 KB for the paper's models).
 func (m *Model) ApproxMemoryBytes() int {
 	return len(m.nodes)*int(unsafe.Sizeof(fnode{})+unsafe.Sizeof(float64(0))) +
-		len(m.roots)*int(unsafe.Sizeof(int32(0)))
+		len(m.roots)*int(unsafe.Sizeof(int32(0))) + m.index.memoryBytes()
 }
 
-// retire drops the `drop` oldest trees, sliding the rest down in place.
+// retire drops the `drop` oldest trees from the forest, sliding the rest down
+// in place. The index follows in Update.
 func (m *Model) retire(drop int) {
 	cut := m.roots[drop]
 	m.nodes = m.nodes[:copy(m.nodes, m.nodes[cut:])]
@@ -347,15 +360,20 @@ func (m *Model) retire(drop int) {
 	}
 }
 
+// treeNodes returns tree k's nodes, in preorder.
+func (m *Model) treeNodes(k int) []fnode {
+	if k+1 < len(m.roots) {
+		return m.nodes[m.roots[k]:m.roots[k+1]]
+	}
+	return m.nodes[m.roots[k]:]
+}
+
 // tree decodes tree k into its serialised form.
 func (m *Model) tree(k int) *Tree {
-	lo, hi := int(m.roots[k]), len(m.nodes)
-	if k+1 < len(m.roots) {
-		hi = int(m.roots[k+1])
-	}
-	nodes := make([]node, hi-lo)
+	lo, src := int(m.roots[k]), m.treeNodes(k)
+	nodes := make([]node, len(src))
 	for i := range nodes {
-		n := &m.nodes[lo+i]
+		n := &src[i]
 		if n.isLeaf() {
 			nodes[i] = node{IsLeaf: true, Leaf: n.value, Left: -1, Right: -1}
 			continue
@@ -442,6 +460,7 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			return err
 		}
 	}
+	loaded.index.advance(&loaded, 0)
 	*m = loaded
 	return nil
 }

@@ -22,9 +22,10 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 	} else {
 		m.baseMargin = p.BaseScore
 	}
-	if err := m.boost(x, y, p.Rounds); err != nil {
+	if err := m.boost(x, y, m.margins(x), p.Rounds); err != nil {
 		return nil, err
 	}
+	m.index.advance(m, 0)
 	return m, nil
 }
 
@@ -33,35 +34,51 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 // refined with data points as they become available, adapting to workload
 // change without a fixed training window (Section 4.2).
 func (m *Model) Update(x *Matrix, y []float64, rounds int) error {
+	return m.UpdateFrom(x, y, m.margins(x), rounds)
+}
+
+// margins returns the model's PredictMargin of every row of x.
+func (m *Model) margins(x *Matrix) []float64 {
+	out := make([]float64, x.Rows())
+	m.PredictMarginBatch(x, out)
+	return out
+}
+
+// UpdateFrom is Update for a caller that already holds the model's current
+// PredictMargin of every row of x, which spares the pass over the forest
+// that computes them. margins is overwritten.
+func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
 	if rounds <= 0 {
 		rounds = m.params.Rounds
 	}
 	if x.Rows() == 0 {
 		return errors.New("gbt: empty update batch")
 	}
-	if err := m.boost(x, y, rounds); err != nil {
+	if err := m.boost(x, y, margins, rounds); err != nil {
 		return err
 	}
-	if drop := m.NumTrees() - m.params.MaxTrees; m.params.MaxTrees > 0 && drop > 0 {
+	drop := 0
+	if m.params.MaxTrees > 0 && m.NumTrees() > m.params.MaxTrees {
 		// Retire the oldest trees. This is an approximation (later trees
 		// were fit against their residuals) but gives the ensemble a
 		// bounded size and a forgetting horizon for workload shifts.
+		drop = m.NumTrees() - m.params.MaxTrees
 		m.retire(drop)
 	}
+	m.index.advance(m, drop)
 	return nil
 }
 
 // boost adds `rounds` trees fit to the current ensemble's gradient on
-// (x, y).
-func (m *Model) boost(x *Matrix, y []float64, rounds int) error {
+// (x, y), to the forest only. margins holds the ensemble's margin of every
+// row and is updated as trees are added.
+func (m *Model) boost(x *Matrix, y, margins []float64, rounds int) error {
 	n := x.Rows()
-	if n != len(y) {
-		return fmt.Errorf("gbt: %d rows but %d labels", n, len(y))
+	if n != len(y) || n != len(margins) {
+		return fmt.Errorf("gbt: %d rows but %d labels and %d margins", n, len(y), len(margins))
 	}
-	// One allocation for the three per-row vectors.
-	buf := make([]float64, 3*n)
-	margins, grad, hess := buf[:n], buf[n:2*n], buf[2*n:]
-	m.PredictMarginBatch(x, margins)
+	buf := make([]float64, 2*n)
+	grad, hess := buf[:n], buf[n:]
 	b := newBuilder(x, m.params)
 	for r := 0; r < rounds; r++ {
 		m.computeGradients(margins, y, grad, hess)
@@ -114,6 +131,8 @@ type builder struct {
 	lists  []int32 // the copy the tree being grown partitions
 	goLeft []bool  // per row: the side the split being applied sends it to
 	spill  []int32 // partition scratch for the rows going right
+
+	searchAll bool // tests only: search for a split even where none can pass
 
 	// the tree being grown
 	nodes      []fnode
@@ -208,6 +227,14 @@ func (b *builder) grow(lo, hi, depth int) int {
 	b.nodes = append(b.nodes, fnode{value: leafWeight})
 	b.gains = append(b.gains, 0)
 	if depth >= b.params.MaxDepth || hi-lo < 2 {
+		return idx
+	}
+	// Every candidate split needs hl >= MinChildWeight and hSum-hl >=
+	// MinChildWeight. Below twice that, once hl passes, hSum/2 < hl, so the
+	// subtraction is exact (Sterbenz) and less than MinChildWeight (and
+	// negative should rounding put hl above hSum): no candidate can pass, and
+	// the search is skipped.
+	if hSum < 2*b.params.MinChildWeight && !b.searchAll {
 		return idx
 	}
 	best := b.findBestSplit(lo, hi, gSum, hSum)

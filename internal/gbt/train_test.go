@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -118,7 +119,9 @@ func TestPredictionsAreProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.PredictBatch(x) {
+	probs := make([]float64, x.Rows())
+	m.PredictBatch(x, probs)
+	for _, p := range probs {
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			t.Fatalf("prediction %v outside [0,1]", p)
 		}
@@ -442,5 +445,64 @@ func BenchmarkPredictSingle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Predict(row)
+	}
+}
+
+// TestUnsplittableNodesAreSkipped: a builder that returns a leaf without
+// searching wherever the hessian sum is below twice MinChildWeight grows,
+// bit for bit, the tree of a builder that searches every node. The 1 000
+// batches cover MinChildWeight 0 (the rule never fires), hessians at the
+// logistic floor, and hessian sums at and one ulp either side of the bound.
+func TestUnsplittableNodesAreSkipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	skippedRoots := 0
+	for trial := 0; trial < 1000; trial++ {
+		cols, rows := 1+rng.Intn(4), 2+rng.Intn(60)
+		x := NewMatrix(cols)
+		row := make([]float64, cols)
+		grad, hess := make([]float64, rows), make([]float64, rows)
+		var hSum float64
+		for i := range grad {
+			for j := range row {
+				row[j] = float64(rng.Intn(6))
+				if rng.Intn(4) == 0 {
+					row[j] = Missing
+				}
+			}
+			x.AppendRow(row)
+			grad[i] = rng.NormFloat64()
+			hess[i] = 0.25 * rng.Float64()
+			if trial%5 == 1 || hess[i] < 1e-16 {
+				hess[i] = 1e-16
+			}
+			hSum += hess[i] // the order grow sums in
+		}
+		p := DefaultParams()
+		p.MaxDepth = 1 + rng.Intn(6)
+		switch trial % 5 {
+		case 0:
+			p.MinChildWeight = 0
+		case 1:
+			p.MinChildWeight = 1e-16 * float64(rng.Intn(rows))
+		case 2:
+			p.MinChildWeight = []float64{math.Nextafter(hSum/2, 0), hSum / 2, math.Nextafter(hSum/2, 1)}[rng.Intn(3)]
+		default:
+			p.MinChildWeight = hSum * rng.Float64()
+		}
+		if hSum < 2*p.MinChildWeight {
+			skippedRoots++
+		}
+		skipping, searching := newBuilder(x, p), newBuilder(x, p)
+		searching.searchAll = true
+		nodes, gains := skipping.build(nil, nil, grad, hess)
+		wantNodes, wantGains := searching.build(nil, nil, grad, hess)
+		sameNode := func(a, b fnode) bool { return sameBits(a.value, b.value) && a.next == b.next && a.feature == b.feature }
+		if !slices.EqualFunc(nodes, wantNodes, sameNode) || !slices.EqualFunc(gains, wantGains, sameBits) {
+			t.Fatalf("trial %d (mcw %v, hessian sum %v): skipping builder grew %d nodes, searching builder %d:\n%v\n%v",
+				trial, p.MinChildWeight, hSum, len(nodes), len(wantNodes), nodes, wantNodes)
+		}
+	}
+	if skippedRoots < 100 || skippedRoots > 900 {
+		t.Fatalf("the rule fired at %d of 1000 roots; the batches should land on both sides of it", skippedRoots)
 	}
 }

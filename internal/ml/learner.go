@@ -86,6 +86,7 @@ type Learner struct {
 	model *gbt.Model
 	bufX  *gbt.Matrix
 	bufY  []float64
+	bufM  []float64 // the model's margin of every buffered row; empty while there is no model
 
 	evalResults []bool // ring of recent eval correctness
 	evalNext    int
@@ -135,9 +136,16 @@ func (l *Learner) TrainTime() time.Duration { return l.trainTime }
 // always buffer, train or update when the buffer fills.
 func (l *Learner) Add(x []float64, y float64) {
 	l.samplesSeen++
-	if l.model != nil && l.rng.Float64() < l.cfg.EvalFraction {
-		p := l.model.Predict(x)
-		l.recordEval((p >= 0.5) == (y >= 0.5))
+	if l.model != nil {
+		// The one forest pass this row gets: the hold-out evaluation reads
+		// the margin now, the update the row ends up in boosts from it. The
+		// buffer is emptied whenever the model changes, so the margin still
+		// holds then.
+		margin := l.model.PredictMargin(x)
+		if l.rng.Float64() < l.cfg.EvalFraction {
+			l.recordEval((l.model.Link(margin) >= 0.5) == (y >= 0.5))
+		}
+		l.bufM = append(l.bufM, margin)
 	}
 	l.bufX.AppendRow(x)
 	l.bufY = append(l.bufY, y)
@@ -185,7 +193,7 @@ func (l *Learner) train() {
 // update boosts the model on the buffer and reports whether it took it.
 func (l *Learner) update() bool {
 	start := time.Now()
-	err := l.model.Update(l.bufX, l.bufY, l.cfg.UpdateRounds)
+	err := l.model.UpdateFrom(l.bufX, l.bufY, l.bufM, l.cfg.UpdateRounds)
 	l.trainTime += time.Since(start)
 	if err != nil {
 		return false
@@ -198,6 +206,7 @@ func (l *Learner) update() bool {
 func (l *Learner) resetBuffer() {
 	l.bufX.Reset()
 	l.bufY = l.bufY[:0]
+	l.bufM = l.bufM[:0]
 }
 
 // RollingError returns the error rate over the recent evaluation window

@@ -1,10 +1,13 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"octostore/internal/gbt"
 )
 
 // rollingErrorLinear recounts the evaluation ring the way RollingError did
@@ -161,7 +164,129 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 			}
 		}
 	}
+	// The result is scored into the pipeline's own slice: a selection or a
+	// tick allocates nothing for it.
+	if allocs := testing.AllocsPerRun(10, func() { p.ScoreBatch(recs, now) }); allocs != 0 {
+		t.Fatalf("ScoreBatch makes %v allocations per call", allocs)
+	}
 	if probs, ok := p.ScoreBatch(nil, now); !ok || len(probs) != 0 {
 		t.Fatalf("empty batch = %v, ok=%v", probs, ok)
+	}
+}
+
+// TestUpdateBoostsFromTheMarginsAddComputed follows a 10k-sample stream
+// through a learner and checks the one forest pass per row two ways.
+// Whenever the model stands still, the margin kept for every buffered row is
+// bit for bit what PredictMarginBatch says of the buffer now: those are the
+// margins update hands over. And whenever the model moves, it moves to
+// exactly the model a shadow gets from gbt.Train / Model.Update — which
+// computes the starting margins itself — on the same rows. The stream
+// starts with a first train that is rejected and leaves its rows buffered,
+// and is interrupted by ForceTrain without and with a model.
+func TestUpdateBoostsFromTheMarginsAddComputed(t *testing.T) {
+	spec := DefaultFeatureSpec()
+	cfg := DefaultLearnerConfig()
+	cfg.MinTrainSamples = 120
+	cfg.UpdateBatch = 70
+	cfg.UpdateRounds = 3
+	cfg.Params.MaxTrees = 30
+	good := cfg.Params
+	cfg.Params.LearningRate = 2 // rejected by gbt.Train
+	l := NewLearner(spec.Width(), cfg)
+	rng := rand.New(rand.NewSource(21))
+
+	var shadow *gbt.Model
+	shadowX, shadowY := gbt.NewMatrix(spec.Width()), []float64(nil)
+	gen := l.Generation()
+	follow := func(when string) {
+		t.Helper()
+		rows := l.bufX.Rows()
+		if l.Generation() == gen {
+			if rows != shadowX.Rows() {
+				t.Fatalf("%s: %d rows buffered, %d fed since the model last moved", when, rows, shadowX.Rows())
+			}
+			if l.model == nil {
+				if len(l.bufM) != 0 {
+					t.Fatalf("%s: %d margins kept without a model", when, len(l.bufM))
+				}
+				return
+			}
+			want := make([]float64, rows)
+			l.model.PredictMarginBatch(l.bufX, want)
+			if len(l.bufM) != rows {
+				t.Fatalf("%s: %d margins for %d buffered rows", when, len(l.bufM), rows)
+			}
+			for i, m := range l.bufM {
+				if math.Float64bits(m) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: row %d carries margin %v, the model says %v", when, i, m, want[i])
+				}
+			}
+			return
+		}
+		gen = l.Generation()
+		if rows != 0 || len(l.bufM) != 0 {
+			t.Fatalf("%s: the model moved and left %d rows, %d margins buffered", when, rows, len(l.bufM))
+		}
+		var err error
+		if shadow == nil {
+			shadow, err = gbt.Train(shadowX, shadowY, good)
+		} else {
+			err = shadow.Update(shadowX, shadowY, cfg.UpdateRounds)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < shadowX.Rows(); i++ {
+			got, want := l.model.PredictMargin(shadowX.Row(i)), shadow.PredictMargin(shadowX.Row(i))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: learner's model gives row %d margin %v, the shadow %v", when, i, got, want)
+			}
+		}
+		if l.model.NumTrees() != shadow.NumTrees() {
+			t.Fatalf("%s: %d trees, shadow %d", when, l.model.NumTrees(), shadow.NumTrees())
+		}
+		shadowX.Reset()
+		shadowY = shadowY[:0]
+	}
+	add := func(when string) {
+		t.Helper()
+		x, y := synthSample(rng, spec)
+		if rng.Intn(6) == 0 {
+			y = 1 - y // noise, so every update finds something to fit
+		}
+		shadowX.AppendRow(x)
+		shadowY = append(shadowY, y)
+		l.Add(x, y)
+		follow(when)
+	}
+
+	for i := 0; i < cfg.MinTrainSamples+10; i++ {
+		add("rejected first train")
+	}
+	if l.model != nil || l.bufX.Rows() != cfg.MinTrainSamples+10 {
+		t.Fatalf("rejected train: model %v, %d rows buffered", l.model != nil, l.bufX.Rows())
+	}
+	l.cfg.Params = good
+	l.ForceTrain()
+	follow("ForceTrain without a model")
+	if l.Trainings() != 1 {
+		t.Fatalf("%d trainings after ForceTrain", l.Trainings())
+	}
+	for i := 0; i < 10000; i++ {
+		add(fmt.Sprint("sample ", i))
+		if i%997 == 500 {
+			if l.bufX.Rows() == 0 {
+				add("one row for ForceTrain")
+			}
+			before := l.Updates()
+			l.ForceTrain()
+			follow("ForceTrain with a model")
+			if l.Updates() != before+1 {
+				t.Fatalf("ForceTrain with %d rows buffered did not update", shadowX.Rows())
+			}
+		}
+	}
+	if l.Updates() < 10000/int64(cfg.UpdateBatch) {
+		t.Fatalf("only %d updates over the stream", l.Updates())
 	}
 }

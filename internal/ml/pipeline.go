@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"slices"
 	"time"
 
 	"octostore/internal/gbt"
@@ -18,6 +19,7 @@ type Pipeline struct {
 
 	row   []float64   // the feature vector Sample and Score build in place
 	batch *gbt.Matrix // ScoreBatch's rows
+	probs []float64   // and its result
 }
 
 // NewPipeline builds a pipeline with the given class window.
@@ -62,8 +64,9 @@ func (p *Pipeline) Score(rec *FileRecord, now time.Time) (prob float64, ok bool)
 }
 
 // ScoreBatch is Score for many files at one instant: the serving gate is
-// asked once and the feature rows go through the model as one matrix
-// (gbt.PredictBatch). probs[i] equals what Score(recs[i], now) returns.
+// asked once and the feature rows go through the model as one matrix.
+// probs[i] equals what Score(recs[i], now) returns; the slice is the
+// pipeline's and valid until the next call.
 func (p *Pipeline) ScoreBatch(recs []*FileRecord, now time.Time) (probs []float64, ok bool) {
 	if !p.Learner.Ready() {
 		return nil, false
@@ -75,7 +78,9 @@ func (p *Pipeline) ScoreBatch(recs []*FileRecord, now time.Time) (probs []float6
 	for _, rec := range recs {
 		p.batch.AppendRow(p.vector(rec, now))
 	}
-	return p.Learner.Model().PredictBatch(p.batch), true
+	p.probs = slices.Grow(p.probs[:0], len(recs))[:len(recs)]
+	p.Learner.Model().PredictBatch(p.batch, p.probs)
+	return p.probs, true
 }
 
 // TrainingPoint materialises the (features, label) pair for a file at a
