@@ -18,7 +18,7 @@
 //	octoload -scenario node-churn -dur 8s -timescale 900   # compose load with churn
 //	octoload -clients 32 -dur 10s -zipf 1.3
 //	octoload -down xgb -up xgb -timescale 300
-//	octoload -budget-mem 128 -move-queue 16    # stress shedding
+//	octoload -budget-mem 128 -move-queue 16    # stress executor backpressure
 //	octoload -shards 4 -tenants 2 -dataplane contended   # weighted-fair QoS
 //	octoload -tenants 2 -dataplane contended -read-slo 40ms  # SLO admission control
 //	octoload -arrival open -rate 5000 -shards 4 -hotdir 0.8  # open-loop arrivals, skewed
@@ -30,9 +30,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"octostore/internal/dfs"
 	"octostore/internal/loadgen"
 	"octostore/internal/obs"
 	"octostore/internal/storage"
@@ -41,6 +43,21 @@ import (
 // flightDumpPath is where the flight recorder lands when the run ends with
 // invariant violations (CI uploads it as an artifact).
 const flightDumpPath = "octoload-flight.jsonl"
+
+// failedBy renders a tier's failed and shed moves by reason, in the enum's
+// order: " (no_capacity 3, superseded 12)", or nothing when none failed.
+func failedBy(tr loadgen.TierReport) string {
+	var parts []string
+	for _, reason := range dfs.MoveReasons {
+		if n := tr.FailedBy[reason.String()]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s %d", reason, n))
+		}
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return " (" + strings.Join(parts, ", ") + ")"
+}
 
 func main() {
 	var c loadgen.Config
@@ -235,8 +252,8 @@ func printReport(c loadgen.Config, rep *loadgen.Report) {
 	fmt.Printf("  access     %d applied in %d drains over %d file-entries (×%.1f coalesced), %d discarded\n",
 		st.EventsDrained, st.DrainBatches, st.DrainEntries, coalesced, st.AccessesDiscarded)
 	for _, tr := range rep.Executor {
-		fmt.Printf("  moves %s  sched %d done %d fail %d shed %d  admitted %dMB (bucket %dMB @ %.0fMB/s)\n",
-			tr.Tier, tr.Scheduled, tr.Completed, tr.Failed, tr.Shed,
+		fmt.Printf("  moves %s  sched %d done %d fail %d shed %d%s  admitted %dMB (bucket %dMB @ %.0fMB/s)\n",
+			tr.Tier, tr.Scheduled, tr.Completed, tr.Failed, tr.Shed, failedBy(tr),
 			tr.AdmittedBytes/storage.MB, tr.BudgetBytes/storage.MB, tr.RateBytesPerSec/float64(storage.MB))
 	}
 	if q := rep.Quota; q.Borrows > 0 || q.ReturnedBytes > 0 {

@@ -28,9 +28,10 @@ package core
 // a failure cooldown is parked: it stays a member of every heap that holds
 // it (keys keep following accesses, residency flips and deletes still
 // apply) but leaves heap order, and it re-enters with its current key when
-// the move completes cleanly or the cooldown expires. The heap top is
-// therefore always selectable, and selection cost does not depend on how
-// many moves failed.
+// the move completes cleanly or the cooldown expires. A file that holds the
+// last copy of a block on a tier is parked the same way in that tier's heaps
+// alone, until its residency changes. The heap top is therefore always
+// selectable, and selection cost does not depend on how many moves failed.
 
 import (
 	"fmt"
@@ -102,8 +103,11 @@ type FileHeap struct {
 	// ctx binds the heap to a context's eligibility record (see
 	// CandidateIndex.NewHeap): new members the manager has on record enter
 	// parked, and every selection first releases expired cooldowns. Nil for
-	// a standalone heap.
-	ctx *Context
+	// a standalone heap. tier is the tier whose residents a bound heap orders
+	// (the per-tier part of the record applies to it), -1 for one that spans
+	// tiers.
+	ctx  *Context
+	tier storage.Media
 }
 
 // NewFileHeap builds an empty heap with the given comparator (nil means
@@ -162,7 +166,7 @@ func (h *FileHeap) Update(f *dfs.File, w float64, t time.Time) {
 		for int64(len(h.pos)) <= int64(id) {
 			h.pos = append(h.pos, 0)
 		}
-		if h.ctx != nil && h.ctx.parkedID(id) {
+		if h.ctx != nil && h.ctx.parked(id, h.tier) {
 			h.pushParked(key)
 		} else {
 			h.pushItem(key)
@@ -501,9 +505,10 @@ func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ct
 // NewHeap builds an empty heap over the context's files that follows the
 // manager's eligibility record: the manager parks and un-parks files in it
 // together with the index's own structures, so its top is always selectable.
-func (ix *CandidateIndex) NewHeap(less func(a, b HeapKey) bool) *FileHeap {
+// tier names the tier whose residents the heap orders, -1 when it spans tiers.
+func (ix *CandidateIndex) NewHeap(less func(a, b HeapKey) bool, tier storage.Media) *FileHeap {
 	h := NewFileHeap(less, ix.ctx.FS.FileByID)
-	h.ctx = ix.ctx
+	h.ctx, h.tier = ix.ctx, tier
 	ix.heaps = append(ix.heaps, h)
 	return h
 }
@@ -515,10 +520,23 @@ func (ix *CandidateIndex) park(id dfs.FileID) {
 	}
 }
 
-// unpark returns the file to selection order under its current keys.
+// parkOn takes the file out of the one tier's selection orders.
+func (ix *CandidateIndex) parkOn(id dfs.FileID, tier storage.Media) {
+	for _, h := range ix.heaps {
+		if h.tier == tier {
+			h.Park(id)
+		}
+	}
+}
+
+// unpark returns a file that is off the manager's busy and cooldown record to
+// selection order under its current keys, except on the tiers where it holds
+// a last copy.
 func (ix *CandidateIndex) unpark(id dfs.FileID) {
 	for _, h := range ix.heaps {
-		h.Unpark(id)
+		if h.tier < 0 || !ix.ctx.mgr.lastCopyOn(id, h.tier) {
+			h.Unpark(id)
+		}
 	}
 }
 
@@ -527,7 +545,7 @@ func (ix *CandidateIndex) unpark(id dfs.FileID) {
 func (ix *CandidateIndex) newOrder(key func(*dfs.File) (float64, time.Time), exact bool) *tierOrder {
 	o := &tierOrder{key: key, exact: exact}
 	for _, m := range storage.AllMedia {
-		o.tiers[m] = ix.NewHeap(nil)
+		o.tiers[m] = ix.NewHeap(nil, m)
 	}
 	ix.orders = append(ix.orders, o)
 	for _, f := range ix.ctx.FS.LiveFiles() {
@@ -573,7 +591,7 @@ func (ix *CandidateIndex) RequireUpgradeMRU() {
 	if ix.mru != nil {
 		return
 	}
-	ix.mru = ix.NewHeap(TimeDescending)
+	ix.mru = ix.NewHeap(TimeDescending, -1)
 	for _, f := range ix.ctx.FS.LiveFiles() {
 		if ix.indexable(f) && ix.upgradeIndexable(f) {
 			ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
@@ -735,12 +753,13 @@ func auditHeap(h *FileHeap, want map[dfs.FileID]bool, key func(*dfs.File) (float
 // AuditParking validates that ineligibility is structural: in every heap
 // built by NewHeap (the index's own and the derived statistics') a member is
 // parked exactly when the manager has it on record as busy or cooling down,
-// and the manager's scrape counts match its record.
+// or, in a tier's heap, as holding a last copy there; and the manager's scrape
+// counts match its record.
 func (ix *CandidateIndex) AuditParking() error {
 	for i, h := range ix.heaps {
 		var err error
 		h.Each(func(f *dfs.File, _ HeapKey) {
-			if parked := h.IsParked(f.ID()); err == nil && parked != ix.ctx.parkedID(f.ID()) {
+			if parked := h.IsParked(f.ID()); err == nil && parked != ix.ctx.parked(f.ID(), h.tier) {
 				err = fmt.Errorf("core: index heap %d has %q parked=%v, manager record says %v", i, f.Path(), parked, !parked)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"octostore/internal/cluster"
 	"octostore/internal/dfs"
 	"octostore/internal/sim"
 	"octostore/internal/storage"
@@ -337,7 +338,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 	ix.RequireRecency()
 	ix.RequireFrequency()
 	ix.RequireUpgradeMRU()
-	policyHeap := ix.NewHeap(nil) // stands in for a derived statistic's weight heap
+	policyHeap := ix.NewHeap(nil, -1) // stands in for a derived statistic's weight heap
 	m := NewManager(ev.ctx, nil, &osaStub{ctx: ev.ctx})
 	f := ev.create(t, "/f", 16*storage.MB)
 	other := ev.create(t, "/other", 16*storage.MB)
@@ -431,21 +432,15 @@ func TestAuditCatchesParkingDrift(t *testing.T) {
 	}
 }
 
-// failLater is a Mover that reports every request failed after the command
-// latency, every third one as shed at admission.
-type failLater struct {
-	engine *sim.Engine
-	n      int
-}
+// failLater is a Mover that always has room and reports every request failed
+// after the command latency.
+type failLater struct{ engine *sim.Engine }
 
 func (mv *failLater) Enqueue(r MoveRequest) {
-	mv.n++
-	err := errors.New("injected move failure")
-	if mv.n%3 == 0 {
-		err = ErrMoveShed
-	}
-	mv.engine.Schedule(5*time.Second, func() { r.Done(err) })
+	mv.engine.Schedule(5*time.Second, func() { r.Done(errors.New("injected move failure")) })
 }
+func (mv *failLater) Room(storage.Media) bool       { return true }
+func (mv *failLater) OnRoom(func(to storage.Media)) {}
 
 // TestCooldownRecordDrainsAfterChurn is the leak check: files are deleted
 // while their downgrades are still queued, so the mover's Done(err) fires
@@ -552,9 +547,9 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 	if busy, cooling := m.ParkedFiles(); busy != 0 || cooling != 0 {
 		t.Fatalf("parked gauges = %d busy, %d cooldown; want 0, 0", busy, cooling)
 	}
-	if m.Cooldowns(CooldownMoveFailed) == 0 || m.Cooldowns(CooldownShed) == 0 || m.Cooldowns(CooldownDeleteFailed) != 0 {
-		t.Fatalf("cooldowns by reason: move_failed=%d shed=%d delete_failed=%d",
-			m.Cooldowns(CooldownMoveFailed), m.Cooldowns(CooldownShed), m.Cooldowns(CooldownDeleteFailed))
+	if m.Cooldowns(CooldownMoveFailed) == 0 || m.Cooldowns(CooldownDeleteFailed) != 0 {
+		t.Fatalf("cooldowns by reason: move_failed=%d delete_failed=%d",
+			m.Cooldowns(CooldownMoveFailed), m.Cooldowns(CooldownDeleteFailed))
 	}
 	if err := ev.ctx.Index().Audit(); err != nil {
 		t.Fatal(err)
@@ -587,4 +582,120 @@ func TestAuditCatchesStrayInWeightHeap(t *testing.T) {
 	if ev.ctx.Index().Audit() == nil {
 		t.Error("audit accepts a weight heap that lost a resident file and kept a stray one")
 	}
+}
+
+// deleteAll is a downgrade policy that always runs on the bottom tier, never
+// stops, and wants every file's replicas there deleted; examined counts the
+// verdicts per file.
+type deleteAll struct {
+	NopCallbacks
+	ctx      *Context
+	examined map[dfs.FileID]int
+}
+
+func (p *deleteAll) Name() string                         { return "delete-all" }
+func (p *deleteAll) StartDowngrade(m storage.Media) bool  { return m == storage.HDD }
+func (p *deleteAll) StopDowngrade(storage.Media) bool     { return false }
+func (p *deleteAll) SelectFile(m storage.Media) *dfs.File { return p.ctx.Index().SelectLRU(m) }
+func (p *deleteAll) SelectTargetTier(f *dfs.File, _ storage.Media) (storage.Media, bool) {
+	p.examined[f.ID()]++
+	return 0, true
+}
+
+// TestLastCopyExaminedOncePerResidencyChange: a file whose only copy sits on
+// the bottom tier cannot be downgraded from it, and the manager must find that
+// out once — not once per selection, not once a minute. The refusal parks the
+// file in that tier's heaps only (it stays an upgrade candidate), no cooldown
+// is booked, and only a change of the file's residency makes it a candidate
+// there again. The audit holds throughout, a cooldown on top included.
+func TestLastCopyExaminedOncePerResidencyChange(t *testing.T) {
+	e := sim.NewEngine()
+	c := cluster.MustNew(e, cluster.Config{Workers: 3, SlotsPerNode: 2, Spec: storage.SmallWorkerSpec()})
+	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModePinnedHDD, Replication: 1, BlockSize: 16 * storage.MB, Seed: 3})
+	ev := &env{engine: e, fs: fs, ctx: NewContext(fs, DefaultConfig())}
+	ix := ev.ctx.Index()
+	ix.RequireRecency()
+	ix.RequireFrequency()
+	ix.RequireUpgradeMRU()
+	down := &deleteAll{ctx: ev.ctx, examined: map[dfs.FileID]int{}}
+	m := NewManager(ev.ctx, down, nil)
+	audit := func(when string) {
+		t.Helper()
+		if err := ix.Audit(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+
+	var files []*dfs.File
+	for i := 0; i < 5; i++ {
+		files = append(files, ev.create(t, pathN(i), 16*storage.MB)) // each create's TierDataAdded runs the loop
+	}
+	for i := 0; i < 4; i++ {
+		m.runDowngrade(storage.HDD, "test")
+	}
+	for _, f := range files {
+		if n := down.examined[f.ID()]; n != 1 {
+			t.Fatalf("%s examined %d times over %d passes, want once", f.Path(), n, 4+len(files))
+		}
+	}
+	if got := len(m.lastCopy); got != 5 || m.Metrics().DowngradeErrors != 5 {
+		t.Fatalf("%d files on record as last copies, %d downgrade errors; want 5, 5", got, m.Metrics().DowngradeErrors)
+	}
+	for _, r := range CooldownReasons {
+		if n := m.Cooldowns(r); n != 0 {
+			t.Fatalf("%d %v cooldowns booked for last copies", n, r)
+		}
+	}
+	if ix.SelectLRU(storage.HDD) != nil || len(ev.ctx.EligibleFiles(storage.HDD)) != 0 {
+		t.Fatal("a last copy is still a downgrade candidate on its tier")
+	}
+	if got := len(ev.ctx.UpgradeCandidates(0)); got != 5 {
+		t.Fatalf("%d upgrade candidates, want all 5: the refusal is about one tier", got)
+	}
+	audit("all five refused")
+
+	// A cooldown on top of the mark, run out: the file returns to the orders
+	// the mark does not cover, and only to those.
+	m.setCooldown(files[1], CooldownMoveFailed)
+	audit("cooldown over a last-copy mark")
+	e.RunFor(failureCooldown + time.Second)
+	ix.SelectLRU(storage.HDD) // any selection releases what expired
+	if !ix.recency.tiers[storage.HDD].IsParked(files[1].ID()) || ix.mru.IsParked(files[1].ID()) {
+		t.Fatal("an expired cooldown must leave the last copy parked on its tier and nowhere else")
+	}
+	audit("cooldown expired")
+
+	// Residency changes: up to memory and back down. Each flip lifts the mark;
+	// back on HDD the file is examined exactly once more.
+	move := func(from, to storage.Media) {
+		t.Helper()
+		if err := fs.MoveFileReplicas(files[0], from, to, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+	}
+	move(storage.HDD, storage.Memory)
+	if got := len(m.lastCopy); got != 4 {
+		t.Fatalf("%d files on record after one left the tier, want 4", got)
+	}
+	audit("one file upgraded")
+	move(storage.Memory, storage.HDD) // the commit's TierDataAdded(HDD) runs the loop
+	m.runDowngrade(storage.HDD, "test")
+	for i, f := range files {
+		if want := map[bool]int{true: 2, false: 1}[i == 0]; down.examined[f.ID()] != want {
+			t.Fatalf("%s examined %d times, want %d", f.Path(), down.examined[f.ID()], want)
+		}
+	}
+	if got := len(m.lastCopy); got != 5 {
+		t.Fatalf("%d files on record at the end, want 5", got)
+	}
+	audit("file back on the tier")
+
+	if err := fs.Delete(files[2].Path()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(m.lastCopy); got != 4 {
+		t.Fatalf("%d files on record after a delete, want 4", got)
+	}
+	audit("a marked file deleted")
 }

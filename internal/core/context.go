@@ -58,10 +58,11 @@ func (c *Context) Selectable(f *dfs.File) bool {
 	return c.mgr == nil || (!c.mgr.isBusy(f) && !c.mgr.inCooldown(f))
 }
 
-// parkedID reports whether the manager has the file on record as busy or
-// cooling down, which is exactly when the indexes hold it parked.
-func (c *Context) parkedID(id dfs.FileID) bool {
-	return c.mgr != nil && c.mgr.onRecord(id)
+// parked reports whether the manager has the file on record as busy or
+// cooling down, or as holding a last copy on the tier (-1: no one tier), which
+// is exactly when the indexes hold it parked in a heap over that tier.
+func (c *Context) parked(id dfs.FileID, tier storage.Media) bool {
+	return c.mgr != nil && (c.mgr.onRecord(id) || tier >= 0 && c.mgr.lastCopyOn(id, tier))
 }
 
 // ctxListener feeds file-system notifications into the context's tracker,
@@ -132,9 +133,9 @@ func (c *Context) IsBusy(f *dfs.File) bool {
 }
 
 // EligibleFiles returns the files that a downgrade from `tier` may choose
-// from: complete, not deleted, not busy, not in a failure cooldown, and
-// holding a replica of every block on the tier (the all-or-nothing
-// property).
+// from: complete, not deleted, not busy, not in a failure cooldown, not
+// holding a block's last copy there, and holding a replica of every block on
+// the tier (the all-or-nothing property).
 func (c *Context) EligibleFiles(tier storage.Media) []*dfs.File {
 	return c.EligibleFilesInto(nil, tier)
 }
@@ -151,7 +152,7 @@ func (c *Context) EligibleFilesInto(buf []*dfs.File, tier storage.Media) []*dfs.
 		if f.Deleted() || !c.FS.Complete(f) || !c.Selectable(f) {
 			continue
 		}
-		if !f.HasReplicaOn(tier) {
+		if !f.HasReplicaOn(tier) || c.mgr != nil && c.mgr.lastCopyOn(f.ID(), tier) {
 			continue
 		}
 		buf = append(buf, f)

@@ -11,10 +11,6 @@ import (
 	"octostore/internal/storage"
 )
 
-// maxProcessIterations bounds one invocation of the downgrade or upgrade
-// loop, protecting the simulation from a policy that never says stop.
-const maxProcessIterations = 10000
-
 // failureCooldown is how long a file is skipped after a failed move, so
 // selection loops do not spin on files that cannot currently be placed.
 const failureCooldown = time.Minute
@@ -29,41 +25,48 @@ type Metrics struct {
 	Ticks               int64
 }
 
-// ErrMoveShed is what a Mover reports through MoveRequest.Done when it
-// refused the request at admission (queue full, over budget) instead of
-// attempting the move; the manager books the resulting cooldown under its
-// own reason.
-var ErrMoveShed = errors.New("core: mover shed the request at admission")
-
 // CooldownReason says why the manager put a file in a failure cooldown.
 type CooldownReason int
 
 const (
-	// CooldownShed: the mover refused the move at admission (ErrMoveShed).
-	CooldownShed CooldownReason = iota
-	// CooldownMoveFailed: the mover attempted the move and it failed.
-	CooldownMoveFailed
-	// CooldownDeleteFailed: dropping the file's replicas on a tier failed.
+	// CooldownMoveFailed: the mover attempted (or refused outright) the move
+	// and reported an error.
+	CooldownMoveFailed CooldownReason = iota
+	// CooldownDeleteFailed: dropping the file's replicas on a tier failed for
+	// a reason that passes (the file is mid-transition); a last-copy refusal
+	// is not one, see pinLastCopy.
 	CooldownDeleteFailed
 )
 
 // CooldownReasons lists every reason, for per-reason metric registration.
-var CooldownReasons = []CooldownReason{CooldownShed, CooldownMoveFailed, CooldownDeleteFailed}
+var CooldownReasons = []CooldownReason{CooldownMoveFailed, CooldownDeleteFailed}
 
 // String is the reason's metric label.
 func (r CooldownReason) String() string {
-	return [...]string{"shed", "move_failed", "delete_failed"}[r]
+	return [...]string{"move_failed", "delete_failed"}[r]
 }
 
 // Mover executes the manager's data-movement requests. The Replication
 // Monitor is the default implementation (inline, engine-scheduled, global
 // concurrency bound); the concurrent serving layer substitutes its async
 // movement executor (per-tier pools with bounded queues and bandwidth
-// budgets) via SetMover. Enqueue must not block: implementations shed or
-// fail requests they cannot accept and report the outcome through
+// budgets) via SetMover.
+//
+// The seam is a two-way contract. Before it commits to a move the manager asks
+// Room for the destination tier and, told there is none, leaves the file a
+// candidate and parks the loop that selected it; the mover owes it one call of
+// the OnRoom callback once that destination can take a request again. The
+// callback must run as an event of its own, never from inside Enqueue or a
+// Done closure: it re-enters the selection loops. Enqueue must not block, and
+// reports every outcome, a refusal at the door included, through
 // MoveRequest.Done.
 type Mover interface {
 	Enqueue(MoveRequest)
+	// Room reports whether a request into tier `to` would be queued now.
+	Room(to storage.Media) bool
+	// OnRoom installs the callback announcing that a destination which
+	// refused Room has room again.
+	OnRoom(func(to storage.Media))
 }
 
 // Manager is the Replication Manager (Section 3.3): it listens to file
@@ -88,11 +91,22 @@ type Manager struct {
 	busy           map[dfs.FileID]bool
 	cooling        *FileHeap
 	pendingRelease [3]int64
+	// lastCopy is the per-tier part of the record: the tiers (a bit per
+	// storage.Media) whose replicas of the file a delete verdict was refused
+	// for, because some block has no other readable copy. On those tiers
+	// alone the file is parked, and it stays so until its residency changes —
+	// nothing else can give the block a second copy.
+	lastCopy map[dfs.FileID]uint8
+	// waiting[tier] is 1 + the destination tier whose room the tier's
+	// downgrade loop stopped for (0: it is not waiting). A waiting loop is a
+	// pass in progress: triggers leave it alone and roomAvailable continues
+	// it.
+	waiting [3]uint8
 
 	// Scrape-side mirrors of the record, readable from any goroutine.
 	busyCount     atomic.Int64
 	cooldownCount atomic.Int64
-	cooldowns     [3]atomic.Int64 // by CooldownReason, monotonic
+	cooldowns     [2]atomic.Int64 // by CooldownReason, monotonic
 
 	ticker  *sim.Ticker
 	metrics Metrics
@@ -103,15 +117,16 @@ type Manager struct {
 // (Sections 7.3 and 7.4 evaluate each side in isolation).
 func NewManager(ctx *Context, down DowngradePolicy, up UpgradePolicy) *Manager {
 	m := &Manager{
-		ctx:     ctx,
-		down:    down,
-		up:      up,
-		monitor: NewMonitor(ctx.FS, ctx.Cfg.MonitorConcurrency, ctx.Cfg.MoveLatency),
-		engine:  ctx.FS.Engine(),
-		busy:    make(map[dfs.FileID]bool),
-		cooling: NewFileHeap(nil, ctx.FS.FileByID),
+		ctx:      ctx,
+		down:     down,
+		up:       up,
+		monitor:  NewMonitor(ctx.FS, ctx.Cfg.MonitorConcurrency, ctx.Cfg.MoveLatency),
+		engine:   ctx.FS.Engine(),
+		busy:     make(map[dfs.FileID]bool),
+		cooling:  NewFileHeap(nil, ctx.FS.FileByID),
+		lastCopy: make(map[dfs.FileID]uint8),
 	}
-	m.mover = m.monitor
+	m.SetMover(nil)
 	ctx.mgr = m
 	ctx.FS.AddListener(m)
 	return m
@@ -126,13 +141,15 @@ func (m *Manager) Monitor() *Monitor { return m.monitor }
 
 // SetMover routes subsequent movement requests through mv instead of the
 // inline Replication Monitor; nil restores the monitor. In-flight requests
-// are unaffected.
+// are unaffected. Loops parked on the previous mover's room are forgotten:
+// the next trigger starts them afresh against the new one.
 func (m *Manager) SetMover(mv Mover) {
 	if mv == nil {
-		m.mover = m.monitor
-		return
+		mv = m.monitor
 	}
 	m.mover = mv
+	m.waiting = [3]uint8{}
+	mv.OnRoom(m.roomAvailable)
 }
 
 // Metrics returns a snapshot of the manager's counters.
@@ -197,6 +214,17 @@ func (m *Manager) onRecord(id dfs.FileID) bool {
 	return m.busy[id] || m.cooling.Has(id)
 }
 
+// lastCopyOn reports whether the file is parked on the tier as a last copy.
+func (m *Manager) lastCopyOn(id dfs.FileID, tier storage.Media) bool {
+	return m.lastCopy[id]&(1<<tier) != 0
+}
+
+// pinLastCopy parks the file on the one tier whose replicas it must keep.
+func (m *Manager) pinLastCopy(f *dfs.File, tier storage.Media) {
+	m.lastCopy[f.ID()] |= 1 << tier
+	m.ctx.index.parkOn(f.ID(), tier)
+}
+
 // markBusy records a move of the file as queued or in flight.
 func (m *Manager) markBusy(f *dfs.File) {
 	m.busy[f.ID()] = true
@@ -214,11 +242,7 @@ func (m *Manager) moveDone(f *dfs.File, err error) {
 		m.busyCount.Add(-1)
 	}
 	if err != nil {
-		reason := CooldownMoveFailed
-		if errors.Is(err, ErrMoveShed) {
-			reason = CooldownShed
-		}
-		m.setCooldown(f, reason)
+		m.setCooldown(f, CooldownMoveFailed)
 	}
 	if !m.onRecord(id) {
 		m.ctx.index.unpark(id)
@@ -302,6 +326,7 @@ func (m *Manager) FileDeleted(f *dfs.File) {
 		m.cooling.Remove(f.ID())
 		m.cooldownCount.Add(-1)
 	}
+	delete(m.lastCopy, f.ID())
 	if m.down != nil {
 		m.down.OnFileDeleted(f)
 	}
@@ -312,8 +337,19 @@ func (m *Manager) FileDeleted(f *dfs.File) {
 
 // FileTierChanged implements dfs.Listener. Residency flips feed the
 // context's candidate index (and, through it, subscribed policies); the
-// manager itself reacts to tier pressure via TierDataAdded.
-func (m *Manager) FileTierChanged(*dfs.File, storage.Media, bool) {}
+// manager reacts to tier pressure via TierDataAdded, and here only forgets the
+// file's last-copy marks: with its residency changed it may be examined as a
+// delete candidate again.
+func (m *Manager) FileTierChanged(f *dfs.File, _ storage.Media, _ bool) {
+	id := f.ID()
+	if m.lastCopy[id] == 0 {
+		return
+	}
+	delete(m.lastCopy, id)
+	if !m.onRecord(id) {
+		m.ctx.index.unpark(id)
+	}
+}
 
 // TierDataAdded implements dfs.Listener; data arriving on a tier is the
 // trigger for the downgrade process (Algorithm 1 "invoked every time some
@@ -324,22 +360,34 @@ func (m *Manager) TierDataAdded(tier storage.Media) {
 
 // --- Algorithm 1: downgrade process ---
 
+// runDowngrade starts the downgrade process for the tier, unless a pass is
+// already in progress there, waiting for the mover.
 func (m *Manager) runDowngrade(tier storage.Media, trigger string) {
-	if m.down == nil {
+	if m.down == nil || m.waiting[tier] != 0 || !m.down.StartDowngrade(tier) {
 		return
 	}
-	if !m.down.StartDowngrade(tier) {
-		return
-	}
-	for i := 0; i < maxProcessIterations; i++ {
+	m.downgradeLoop(tier, trigger)
+}
+
+// downgradeLoop is the body of Algorithm 1. Every iteration takes its
+// candidate out of the tier's selection order — deleted from the tier, or
+// parked as busy, as a last copy or in a cooldown — so a pass is bounded by
+// the tier's population. A mover without room for the target ends the pass
+// with the candidate untouched and the tier waiting.
+func (m *Manager) downgradeLoop(tier storage.Media, trigger string) {
+	for {
 		f := m.down.SelectFile(tier)
 		if f == nil {
 			return
 		}
 		to, del := m.down.SelectTargetTier(f, tier)
-		if del {
+		switch {
+		case del:
 			m.deleteReplicas(f, tier)
-		} else {
+		case !m.mover.Room(to):
+			m.waiting[tier] = 1 + uint8(to)
+			return
+		default:
 			m.scheduleDowngrade(f, tier, to, trigger)
 		}
 		if m.down.StopDowngrade(tier) {
@@ -348,13 +396,34 @@ func (m *Manager) runDowngrade(tier storage.Media, trigger string) {
 	}
 }
 
+// roomAvailable is the mover's announcement that tier `to` takes requests
+// again: the downgrade passes waiting for it continue where they stopped
+// (they had started, so only the stop rule is consulted). Upgrades are not
+// resumed; the next access or tick that wants one asks again.
+func (m *Manager) roomAvailable(to storage.Media) {
+	for _, tier := range storage.AllMedia {
+		if m.waiting[tier] != 1+uint8(to) {
+			continue
+		}
+		m.waiting[tier] = 0
+		if !m.down.StopDowngrade(tier) {
+			m.downgradeLoop(tier, "room")
+		}
+	}
+}
+
 func (m *Manager) deleteReplicas(f *dfs.File, tier storage.Media) {
-	if err := m.ctx.FS.DeleteFileReplicas(f, tier); err != nil {
+	switch err := m.ctx.FS.DeleteFileReplicas(f, tier); {
+	case err == nil:
+		m.metrics.ReplicaDeletes++
+		m.ctx.FS.LowerReplication(f)
+	case errors.Is(err, dfs.ErrLastCopy):
+		m.metrics.DowngradeErrors++
+		m.pinLastCopy(f, tier)
+	default:
 		m.metrics.DowngradeErrors++
 		m.setCooldown(f, CooldownDeleteFailed)
-		return
 	}
-	m.metrics.ReplicaDeletes++
 }
 
 func (m *Manager) scheduleDowngrade(f *dfs.File, from, to storage.Media, trigger string) {
@@ -383,6 +452,9 @@ func (m *Manager) scheduleDowngrade(f *dfs.File, from, to storage.Media, trigger
 
 // --- Algorithm 2: upgrade process ---
 
+// runUpgrade runs the upgrade loop; the policy's SelectFile draws from the
+// batch its StartUpgrade built, so the pass is bounded by that batch. A mover
+// without room for the target ends it.
 func (m *Manager) runUpgrade(accessed *dfs.File, trigger string) {
 	if m.up == nil {
 		return
@@ -393,29 +465,30 @@ func (m *Manager) runUpgrade(accessed *dfs.File, trigger string) {
 	if !m.up.StartUpgrade(accessed) {
 		return
 	}
-	for i := 0; i < maxProcessIterations; i++ {
+	for {
 		f := m.up.SelectFile()
-		if f == nil {
-			return
-		}
-		m.tryUpgrade(f, trigger)
-		if m.up.StopUpgrade() {
+		if f == nil || !m.tryUpgrade(f, trigger) || m.up.StopUpgrade() {
 			return
 		}
 	}
 }
 
-func (m *Manager) tryUpgrade(f *dfs.File, trigger string) {
+// tryUpgrade schedules the file's upgrade if it is eligible and has a target;
+// it reports false only when the mover has no room for that target.
+func (m *Manager) tryUpgrade(f *dfs.File, trigger string) bool {
 	if f.Deleted() || m.busy[f.ID()] || m.inCooldown(f) || !m.ctx.FS.Complete(f) {
-		return
+		return true
 	}
 	from, ok := f.HighestTier()
 	if !ok {
-		return
+		return true
 	}
 	to, ok := m.up.SelectTargetTier(f, from)
 	if !ok || !to.Higher(from) {
-		return
+		return true
+	}
+	if !m.mover.Room(to) {
+		return false
 	}
 	m.markBusy(f)
 	m.mover.Enqueue(MoveRequest{
@@ -435,4 +508,5 @@ func (m *Manager) tryUpgrade(f *dfs.File, trigger string) {
 			m.metrics.UpgradesScheduled++
 		},
 	})
+	return true
 }

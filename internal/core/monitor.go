@@ -85,6 +85,13 @@ func (mo *Monitor) Enqueue(r MoveRequest) {
 	mo.pump()
 }
 
+// Room implements Mover: the monitor's queue is unbounded, so it always has
+// room and never owes anyone a wake.
+func (mo *Monitor) Room(storage.Media) bool { return true }
+
+// OnRoom implements Mover.
+func (mo *Monitor) OnRoom(func(storage.Media)) {}
+
 // pump starts queued requests while concurrency slots are available.
 func (mo *Monitor) pump() {
 	for mo.active < mo.maxConcurrent && len(mo.queue) > 0 {

@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -46,13 +45,6 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
-
-// Transition errors.
-var (
-	ErrBusy      = errors.New("dfs: file has replicas in transition")
-	ErrNoReplica = errors.New("dfs: no replica on requested tier")
-	ErrLastCopy  = errors.New("dfs: refusing to delete the last readable replica")
-)
 
 // Config configures a FileSystem.
 type Config struct {

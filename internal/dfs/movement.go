@@ -1,8 +1,6 @@
 package dfs
 
 import (
-	"fmt"
-
 	"octostore/internal/cluster"
 	"octostore/internal/storage"
 )
@@ -33,9 +31,10 @@ type blockMove struct {
 // as a failed move and the policy retries on a later sweep. The virtual
 // transfer legs the callers start afterwards still model the time the copy
 // takes. Any error releases every reservation made and deletes every
-// destination block written, leaving the system unchanged. reserving and
-// copying name the two steps in the caller's error wraps.
-func (fs *FileSystem) planTransfers(f *File, to storage.Media, reserving, copying string, source func(*Block) (*Replica, error)) ([]*blockMove, error) {
+// destination block written, leaving the system unchanged. Every error is a
+// MoveError (the caller's provenance record names the file and the tiers);
+// what a device or the backend said stays reachable through errors.Is.
+func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Block) (*Replica, error)) ([]*blockMove, error) {
 	var plan []*blockMove
 	rollback := func() {
 		for _, m := range plan {
@@ -54,11 +53,11 @@ func (fs *FileSystem) planTransfers(f *File, to storage.Media, reserving, copyin
 		node, dev := fs.pickMoveTarget(b, src, to)
 		if dev == nil {
 			rollback()
-			return nil, fmt.Errorf("%w: %q block %d to %s", ErrNoCapacity, f.path, b.id, to)
+			return nil, ErrNoCapacity
 		}
 		if err := dev.Reserve(b.size); err != nil {
 			rollback()
-			return nil, fmt.Errorf("dfs: %s: %w", reserving, err)
+			return nil, &MoveError{Reason: ReasonBudget, msg: "dfs: reserving transfer target", cause: err}
 		}
 		plan = append(plan, &blockMove{block: b, src: src, dstDev: dev, dstNod: node})
 	}
@@ -72,7 +71,7 @@ func (fs *FileSystem) planTransfers(f *File, to storage.Media, reserving, copyin
 			for _, done := range plan[:i] {
 				fs.backendDelete(done.dstDev, storage.ClassMove, done.block.id, done.block.size)
 			}
-			return nil, fmt.Errorf("dfs: %s: %w", copying, err)
+			return nil, &MoveError{Reason: ReasonBackend, msg: "dfs: block copy", cause: err}
 		}
 	}
 	return plan, nil
@@ -81,35 +80,37 @@ func (fs *FileSystem) planTransfers(f *File, to storage.Media, reserving, copyin
 // MoveFileReplicas relocates, for every block of f, the replica on tier
 // `from` to tier `to`. The operation is planned synchronously (space is
 // reserved up front; an error leaves the system unchanged) and executed
-// asynchronously; done (optional) fires when the last block commits.
-// Moving up the hierarchy is an upgrade, moving down a downgrade
-// (Definitions 1 and 2).
+// asynchronously; done (optional) fires when the last block settles, with
+// ErrNodeGone when a node at either end of a transfer left the cluster
+// first and that block stayed where it was. Moving up the hierarchy is an
+// upgrade, moving down a downgrade (Definitions 1 and 2).
 func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done func(error)) error {
 	if f.deleted {
-		return fmt.Errorf("dfs: move on deleted file %q", f.path)
+		return ErrSuperseded
 	}
 	if from == to {
-		return fmt.Errorf("dfs: move from %s to itself", from)
+		return ErrSameTier
 	}
 	if fs.isCreating(f.id) || fs.inTransition(f) {
-		return fmt.Errorf("%w: %q", ErrBusy, f.path)
+		return ErrBusy
 	}
-	moves, err := fs.planTransfers(f, to, "reserving move target", "move copy", func(b *Block) (*Replica, error) {
+	moves, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
 		if src := b.ReplicaOn(from); src != nil {
 			return src, nil
 		}
-		return nil, fmt.Errorf("%w: %q block %d on %s", ErrNoReplica, f.path, b.id, from)
+		return nil, ErrNoReplica
 	})
 	if err != nil {
 		return err
 	}
 	upgrade := to.Higher(from)
+	var outcome error
 	barrier := fs.finishAfter(len(moves), fs.engine.Now(), func() {
 		for _, l := range fs.listeners {
 			l.TierDataAdded(to)
 		}
 		if done != nil {
-			done(nil)
+			done(outcome)
 		}
 	})
 	for _, m := range moves {
@@ -121,7 +122,12 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 		} else {
 			fs.stats.BytesDowngradedTo[to] += m.block.size
 		}
-		fs.transferBlock(m, barrier)
+		fs.transferBlock(m, func(committed bool) {
+			if !committed {
+				outcome = ErrNodeGone
+			}
+			barrier()
+		})
 	}
 	return nil
 }
@@ -133,7 +139,7 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 // has the channel booked, the leg's start is pushed out by the queueing
 // grant and the move commits later — cross-shard bandwidth contention that
 // per-view device pools cannot express.
-func (fs *FileSystem) transferBlock(m *blockMove, onDone func()) {
+func (fs *FileSystem) transferBlock(m *blockMove, onDone func(committed bool)) {
 	size := m.block.size
 	// The source read and destination write proceed concurrently; the
 	// stream is complete when the slower of the two finishes.
@@ -144,6 +150,7 @@ func (fs *FileSystem) transferBlock(m *blockMove, onDone func()) {
 			return
 		}
 		delete(fs.moves, m)
+		committed := false
 		switch {
 		case !m.block.hasReplica(m.src):
 			// The source replica vanished mid-transfer (its node left the
@@ -175,8 +182,9 @@ func (fs *FileSystem) transferBlock(m *blockMove, onDone func()) {
 			m.src.node = m.dstNod
 			m.src.state = ReplicaValid
 			m.block.noteReadable(m.src)
+			committed = true
 		}
-		onDone()
+		onDone(committed)
 	}
 	fs.startTransfer(m.src.device, storage.Read, storage.ClassMove, size, step)
 	fs.startTransfer(m.dstDev, storage.Write, storage.ClassMove, size, step)
@@ -217,19 +225,19 @@ func (fs *FileSystem) pickMoveTarget(b *Block, src *Replica, to storage.Media) (
 // new file replica" form of upgrade (Definition 2).
 func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(error)) error {
 	if f.deleted {
-		return fmt.Errorf("dfs: copy on deleted file %q", f.path)
+		return ErrSuperseded
 	}
 	if fs.isCreating(f.id) || fs.inTransition(f) {
-		return fmt.Errorf("%w: %q", ErrBusy, f.path)
+		return ErrBusy
 	}
-	plans, err := fs.planTransfers(f, to, "reserving copy target", "replica copy", func(b *Block) (*Replica, error) {
+	plans, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
 		if b.ReplicaOn(to) != nil {
 			return nil, nil
 		}
 		if src := fs.pickReadReplica(b, nil); src != nil {
 			return src, nil
 		}
-		return nil, fmt.Errorf("%w: %q block %d has no source", ErrNoReplica, f.path, b.id)
+		return nil, ErrNoReplica
 	})
 	if err != nil {
 		return err
@@ -283,19 +291,19 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 // "delete a file replica" form of downgrade must not lose data).
 func (fs *FileSystem) DeleteFileReplicas(f *File, from storage.Media) error {
 	if f.deleted {
-		return fmt.Errorf("dfs: delete replicas on deleted file %q", f.path)
+		return ErrSuperseded
 	}
 	if fs.isCreating(f.id) || fs.inTransition(f) {
-		return fmt.Errorf("%w: %q", ErrBusy, f.path)
+		return ErrBusy
 	}
 	victims := make([]*Replica, 0, len(f.blocks))
 	for _, b := range f.blocks {
 		r := b.ReplicaOn(from)
 		if r == nil {
-			return fmt.Errorf("%w: %q block %d on %s", ErrNoReplica, f.path, b.id, from)
+			return ErrNoReplica
 		}
 		if b.ReadableReplicas() <= 1 {
-			return fmt.Errorf("%w: %q block %d", ErrLastCopy, f.path, b.id)
+			return ErrLastCopy
 		}
 		victims = append(victims, r)
 	}
@@ -310,6 +318,16 @@ func (fs *FileSystem) DeleteFileReplicas(f *File, from storage.Media) error {
 		fs.stats.ReplicasDeleted++
 	}
 	return nil
+}
+
+// LowerReplication takes one copy off the file's replication target (never
+// below one). The Replication Manager calls it after a downgrade that deleted
+// a tier's replicas: the copy was given up on purpose, and with the old target
+// the monitor's repair would put it back and the two would take turns.
+func (fs *FileSystem) LowerReplication(f *File) {
+	if f.replication > 1 {
+		f.replication--
+	}
 }
 
 // UnderReplicatedFiles returns files having at least one block with fewer

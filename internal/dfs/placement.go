@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,10 +16,6 @@ import (
 type writeHorizons interface {
 	Horizon(deviceID string, dir storage.Direction) time.Time
 }
-
-// ErrNoCapacity is returned when a block cannot be placed because no
-// candidate device has room.
-var ErrNoCapacity = errors.New("dfs: no capacity for block placement")
 
 // Target is one chosen destination for a block replica.
 type Target struct {

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"octostore/internal/backend"
+	"octostore/internal/dfs"
 	"octostore/internal/obs"
 	"octostore/internal/server"
 	"octostore/internal/storage"
@@ -113,9 +114,13 @@ type PlaneTierReport struct {
 	storage.TierPlaneStats
 }
 
+// TierReport is one destination tier of the movement executor. FailedBy
+// breaks Failed + Shed down by reason (dfs.MoveReason labels); every reason is
+// present, zeros included.
 type TierReport struct {
 	Tier string `json:"tier"`
 	server.TierMoveStats
+	FailedBy map[string]int64 `json:"failed_by"`
 }
 
 func latencyBlock(h *server.Histogram) LatencyBlock {
@@ -175,7 +180,11 @@ func (r *run) assemble(rep *Report, plane *storage.ContendedPlane) {
 
 	exStats := srv.ExecutorStats()
 	for _, m := range storage.AllMedia {
-		rep.Executor = append(rep.Executor, TierReport{Tier: m.String(), TierMoveStats: exStats.PerTier[m]})
+		tr := TierReport{Tier: m.String(), TierMoveStats: exStats.PerTier[m], FailedBy: map[string]int64{}}
+		for _, reason := range dfs.MoveReasons {
+			tr.FailedBy[reason.String()] = tr.TierMoveStats.FailedBy[reason]
+		}
+		rep.Executor = append(rep.Executor, tr)
 	}
 	slo := srv.SLOStats()
 	rep.SLO = SLOBlock{Checks: slo.Checks, Breaches: slo.Breaches, Defers: exStats.Defers}

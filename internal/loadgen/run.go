@@ -72,11 +72,7 @@ func (r *run) do(rep *Report) error {
 
 	// Resolve the world: either the driver's own cluster and generated
 	// population, or a scenario catalog entry's.
-	clCfg := cluster.Config{Workers: c.Workers, SlotsPerNode: 4, Spec: storage.NodeSpec{
-		{Media: storage.Memory, Capacity: c.MemCapMB * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: c.SSDCapMB * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: c.HDDCapMB * storage.MB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}}
+	clCfg := c.cluster()
 	var files []workload.FileSpec
 	var sc *scenario.Scenario
 	scOpts := scenario.Options{Seed: c.Seed, Fast: true, Workers: c.Workers}
@@ -137,29 +133,10 @@ func (r *run) do(rep *Report) error {
 	// quota-sliced cluster views. -scenario hands shard 0's manager to the
 	// attached replay.
 	mgrs := make([]*core.Manager, c.Shards)
-	lcfg := ml.DefaultLearnerConfig()
-	lcfg.Seed = c.Seed
-	srv, err := server.NewSharded(server.ShardedConfig{
-		Shards:  c.Shards,
-		Cluster: clCfg,
-		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: c.Seed, ClientRate: 2000e6},
-		Build: func(shard int, fs *dfs.FileSystem) (mgr *core.Manager, err error) {
-			mgrs[shard], err = policy.NewManager(fs, c.Down, c.Up, lcfg)
-			return mgrs[shard], err
-		},
-		Rebalance: server.RebalanceConfig{Enabled: c.Rebalance},
-		Backend:   mkBackend,
-		Inner: server.Config{
-			TimeScale: c.TimeScale,
-			Executor: server.ExecutorConfig{
-				WorkersPerTier: moveWorkers,
-				QueueDepth:     c.MoveQueue,
-				BudgetBytes:    [3]int64{c.BudgetMB[0] * storage.MB, c.BudgetMB[1] * storage.MB, c.BudgetMB[2] * storage.MB},
-			},
-			Tenants: r.tenants,
-			Obs:     c.Obs,
-		},
-	})
+	scfg := c.sharded(clCfg, mgrs)
+	scfg.Backend = mkBackend
+	scfg.Inner.Tenants = r.tenants
+	srv, err := server.NewSharded(scfg)
 	if err != nil {
 		return err
 	}
@@ -242,6 +219,43 @@ func (r *run) do(rep *Report) error {
 		runtime.KeepAlive(r.pop)
 	}
 	return nil
+}
+
+// cluster is the driver's own world: -workers nodes of one memory, one SSD
+// and two HDD devices at the flag capacities.
+func (c *Config) cluster() cluster.Config {
+	return cluster.Config{Workers: c.Workers, SlotsPerNode: 4, Spec: storage.NodeSpec{
+		{Media: storage.Memory, Capacity: c.MemCapMB * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
+		{Media: storage.SSD, Capacity: c.SSDCapMB * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
+		{Media: storage.HDD, Capacity: c.HDDCapMB * storage.MB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
+	}}
+}
+
+// sharded is the serving stack every run stands up over clCfg: one engine,
+// manager (kept in mgrs) and shard loop per namespace shard over
+// quota-sliced cluster views, the flag policies, the flag executor.
+func (c *Config) sharded(clCfg cluster.Config, mgrs []*core.Manager) server.ShardedConfig {
+	lcfg := ml.DefaultLearnerConfig()
+	lcfg.Seed = c.Seed
+	return server.ShardedConfig{
+		Shards:  c.Shards,
+		Cluster: clCfg,
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: c.Seed, ClientRate: 2000e6},
+		Build: func(shard int, fs *dfs.FileSystem) (mgr *core.Manager, err error) {
+			mgrs[shard], err = policy.NewManager(fs, c.Down, c.Up, lcfg)
+			return mgrs[shard], err
+		},
+		Rebalance: server.RebalanceConfig{Enabled: c.Rebalance},
+		Inner: server.Config{
+			TimeScale: c.TimeScale,
+			Executor: server.ExecutorConfig{
+				WorkersPerTier: moveWorkers,
+				QueueDepth:     c.MoveQueue,
+				BudgetBytes:    [3]int64{c.BudgetMB[0] * storage.MB, c.BudgetMB[1] * storage.MB, c.BudgetMB[2] * storage.MB},
+			},
+			Obs: c.Obs,
+		},
+	}
 }
 
 // backendVacuity is the real backend's own check: a run that did no physical

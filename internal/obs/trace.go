@@ -39,8 +39,11 @@ type Span struct {
 
 // MoveRecord is one movement-provenance event: which file, which tiers,
 // which policy decided it and why, and what became of the request. Two
-// records share a file's journey: outcome "queued"/"shed" at admission,
-// then "completed"/"failed" when the transfer finishes.
+// records share a file's journey: outcome "queued" at admission ("shed" for
+// a request too large for the tier's whole budget, which ends there), then
+// "completed"/"failed" when the transfer finishes. Err is the failure's
+// reason label (dfs.MoveReason), not a message: the record already names the
+// file and the tiers.
 type MoveRecord struct {
 	Kind    string `json:"kind"` // always "move"
 	Shard   int    `json:"shard"`

@@ -34,12 +34,18 @@ func (d *Designator) SelectTargetTier(*dfs.File, storage.Media) (storage.Media, 
 	return storage.SSD, false
 }
 
-// HeldMover is a core.Mover that keeps every request pending, so a file
-// stays busy until the test says how its move ended.
+// HeldMover is a core.Mover that always has room and keeps every request
+// pending, so a file stays busy until the test says how its move ended.
 type HeldMover struct{ Held []core.MoveRequest }
 
 // Enqueue implements core.Mover.
 func (mv *HeldMover) Enqueue(r core.MoveRequest) { mv.Held = append(mv.Held, r) }
+
+// Room implements core.Mover.
+func (mv *HeldMover) Room(storage.Media) bool { return true }
+
+// OnRoom implements core.Mover.
+func (mv *HeldMover) OnRoom(func(storage.Media)) {}
 
 // Settle reports the oldest n held requests done with err.
 func (mv *HeldMover) Settle(n int, err error) {

@@ -202,13 +202,10 @@ func TestDifferentialWithIneligibleShare(t *testing.T) {
 			failure := errors.New("injected move failure")
 			batch := (total + 9) / 10
 			for step := 0; step < 22; step++ {
-				switch {
-				case step%5 == 4:
+				if step%5 == 4 {
 					w.mover.Settle(batch, nil)
-				case step%2 == 0:
+				} else {
 					w.mover.Settle(batch, failure)
-				default:
-					w.mover.Settle(batch, core.ErrMoveShed)
 				}
 				for i := 0; i < 12; i++ {
 					w.e.RunFor(time.Duration(300+rng.Intn(900)) * time.Millisecond)
@@ -223,8 +220,8 @@ func TestDifferentialWithIneligibleShare(t *testing.T) {
 			if busy != 0 || cooling != 0 {
 				t.Fatalf("after the last cooldown ran out: %d busy, %d cooling down on record", busy, cooling)
 			}
-			if w.mgr.Cooldowns(core.CooldownShed) == 0 || w.mgr.Cooldowns(core.CooldownMoveFailed) == 0 {
-				t.Fatal("a cooldown reason went unexercised")
+			if w.mgr.Cooldowns(core.CooldownMoveFailed) == 0 {
+				t.Fatal("no move failure was booked as a cooldown")
 			}
 			if got := w.ineligibleShare(storage.Memory) + w.ineligibleShare(storage.HDD); got != 0 {
 				t.Fatalf("ineligible share at the end = %v, want 0", got)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"sync/atomic"
 	"time"
@@ -12,21 +13,24 @@ import (
 	"octostore/internal/storage"
 )
 
-// ErrMovementShed reports that the movement executor refused a request
-// because the destination tier's queue was full (or a single request was
-// larger than the tier's whole burst allowance). Shedding is the correct
-// overload response for tier movement: the request is advisory — the policy
-// will re-select the file on a later trigger once the backlog drains. It is
-// core.ErrMoveShed, so the manager books the cooldown under reason "shed".
-var ErrMovementShed = core.ErrMoveShed
+// The executor's own refusals, in the movement vocabulary of dfs.MoveReason.
+var (
+	// ErrOversize refuses, at Enqueue, a request larger than the destination
+	// tier's whole burst budget: waiting for tokens would never admit it.
+	ErrOversize = dfs.NewMoveError(dfs.ReasonOversize, "server: move larger than the tier's burst budget")
+	// errBorrowRefused replaces a destination's "no capacity" when the move
+	// had asked the ledger for the room first and was turned down.
+	errBorrowRefused = dfs.NewMoveError(dfs.ReasonBorrowRefused, "server: no capacity and the ledger refused the borrow")
+)
 
 // ExecutorConfig tunes the async movement executor.
 type ExecutorConfig struct {
 	// WorkersPerTier bounds how many moves execute concurrently into each
 	// destination tier (default 2).
 	WorkersPerTier int
-	// QueueDepth bounds each destination tier's waiting queue; requests
-	// beyond it are shed (default 128).
+	// QueueDepth bounds each destination tier's waiting queue: at the bound
+	// Room reports none, and the manager's loop waits for the room wake
+	// instead of selecting further (default 128).
 	QueueDepth int
 	// BudgetBytes is each destination tier's token-bucket capacity — the
 	// largest burst of admissions the tier allows, and the hard ceiling on a
@@ -77,12 +81,14 @@ func (c *ExecutorConfig) applyDefaults() {
 type TierMoveStats struct {
 	Scheduled        int64   // admitted into the tier pool
 	Completed        int64   // committed moves
-	Failed           int64   // moves that errored (placement, capacity, churn)
-	Shed             int64   // rejected at admission (queue full / oversized)
+	Failed           int64   // moves that errored (placement, capacity, churn, deleted while queued)
+	Shed             int64   // refused at Enqueue: larger than the tier's whole budget
 	AdmittedBytes    int64   // bytes admitted through the token bucket
 	MaxInFlightBytes int64   // high-water mark of concurrently moving bytes
 	BudgetBytes      int64   // the configured bucket capacity, for reporting
 	RateBytesPerSec  float64 // the configured refill rate, for reporting
+	// FailedBy breaks Failed + Shed down by dfs.MoveReason.
+	FailedBy [len(dfs.MoveReasons)]int64 `json:"-"`
 }
 
 // ExecutorStats snapshots the executor's counters.
@@ -114,6 +120,9 @@ func (s *ExecutorStats) add(o ExecutorStats) {
 		a.Completed += b.Completed
 		a.Failed += b.Failed
 		a.Shed += b.Shed
+		for r := range a.FailedBy {
+			a.FailedBy[r] += b.FailedBy[r]
+		}
 		a.AdmittedBytes += b.AdmittedBytes
 		// High-water marks do not sum (shards peak at different times);
 		// report the largest per-shard peak.
@@ -158,6 +167,12 @@ func (s ExecutorStats) CheckBudgets() string {
 // transfers then overlap with serving — they execute as engine events while
 // the core loop keeps absorbing client commands and access batches.
 //
+// Backpressure, not shedding: a full queue answers Room with false, the
+// manager stops selecting for that destination, and the first slot to free up
+// afterwards schedules the room wake (an engine event of its own) that lets it
+// continue. A queued request whose file has been deleted is dropped when it
+// reaches the head, before it costs tokens, a worker or the command latency.
+//
 // All mutable pool state is owned by the core loop (Enqueue must only be
 // called from it — the Manager's callbacks already run there); the counters
 // are atomics so load drivers and tests read them from other goroutines.
@@ -169,8 +184,10 @@ type MovementExecutor struct {
 	// preMove, when set, runs right before each admitted move starts, on the
 	// loop that owns the executor. The sharded serving layer uses it to grow
 	// the shard's tier quota from the global ledger so the move's
-	// destination reservation can succeed.
-	preMove func(tier storage.Media, bytes int64)
+	// destination reservation can succeed; false says the ledger refused.
+	preMove func(tier storage.Media, bytes int64) bool
+	// onRoom is the manager's room callback (core.Mover.OnRoom).
+	onRoom func(to storage.Media)
 
 	tiers [3]tierPool
 	// deferUntil, while in the future, holds every tier's admissions back —
@@ -180,8 +197,9 @@ type MovementExecutor struct {
 	// guarantees the queue drains without further prodding.
 	deferUntil time.Time
 	defers     atomic.Int64
-	// busy counts admitted-but-unfinished requests across all tiers; the
-	// quiesce loop uses it to decide whether movement work is outstanding.
+	// busy counts admitted-but-unfinished requests across all tiers, plus the
+	// room wakes scheduled and not yet run; the quiesce loop uses it to
+	// decide whether movement work is outstanding.
 	busy atomic.Int64
 	// virtualNS is the last virtual-time sample (nanoseconds since virtStart),
 	// updated on the owning loop at refills and read by Stats from any
@@ -202,11 +220,14 @@ type tierPool struct {
 	tokens        float64   // current bucket level in bytes
 	lastRefill    time.Time // virtual time of the last refill
 	wake          *sim.Event
+	// refused: Room said no since the last room wake was scheduled, so the
+	// next slot to free up owes the manager one. roomWake: that wake is
+	// scheduled and has not run.
+	refused, roomWake bool
 
 	scheduled   atomic.Int64
 	completed   atomic.Int64
-	failed      atomic.Int64
-	shed        atomic.Int64
+	failedBy    [len(dfs.MoveReasons)]atomic.Int64 // every request that ended in an error
 	admitted    atomic.Int64
 	maxInFlight atomic.Int64
 	// depth mirrors len(queue) atomically so observability scrapes read the
@@ -264,28 +285,44 @@ func (e *MovementExecutor) emitMove(r core.MoveRequest, size int64, outcome stri
 		rec.LastAccessNS = r.LastAccess.Sub(e.virtStart).Nanoseconds()
 	}
 	if err != nil {
-		rec.Err = err.Error()
+		rec.Err = dfs.ReasonOf(err).String()
 	}
 	e.hub.EmitMove(rec)
 }
 
-// Enqueue implements core.Mover. Core loop only.
+// Room implements core.Mover: whether the destination tier's queue has a free
+// slot. A refusal is remembered, and the next slot to free up schedules the
+// room wake. Size plays no part: a request no wait could admit is refused by
+// Enqueue itself (ErrOversize), so Room cannot hold a loop back for one.
+func (e *MovementExecutor) Room(to storage.Media) bool {
+	pool := &e.tiers[to]
+	if len(pool.queue) < e.cfg.QueueDepth {
+		return true
+	}
+	pool.refused = true
+	return false
+}
+
+// OnRoom implements core.Mover.
+func (e *MovementExecutor) OnRoom(fn func(to storage.Media)) { e.onRoom = fn }
+
+// Enqueue implements core.Mover. Core loop only; the caller has seen Room for
+// the tier, so a queue already at QueueDepth here is a caller bug.
 func (e *MovementExecutor) Enqueue(r core.MoveRequest) {
 	if r.Done == nil {
 		r.Done = func(error) {}
 	}
-	if !r.To.Valid() {
-		r.Done(ErrMovementShed)
-		return
-	}
 	pool := &e.tiers[r.To]
 	// MoveFileReplicas relocates one replica per block: the file's size.
 	size := r.File.Size()
-	if size > e.cfg.BudgetBytes[r.To] || len(pool.queue) >= e.cfg.QueueDepth {
-		pool.shed.Add(1)
-		e.emitMove(r, size, "shed", ErrMovementShed)
-		r.Done(ErrMovementShed)
+	if size > e.cfg.BudgetBytes[r.To] {
+		pool.failedBy[dfs.ReasonOversize].Add(1)
+		e.emitMove(r, size, "shed", ErrOversize)
+		r.Done(ErrOversize)
 		return
+	}
+	if len(pool.queue) >= e.cfg.QueueDepth {
+		panic("server: MovementExecutor.Enqueue on a full queue; ask Room first")
 	}
 	pool.queue = append(pool.queue, pendingMove{req: r, size: size})
 	pool.depth.Store(int64(len(pool.queue)))
@@ -293,6 +330,35 @@ func (e *MovementExecutor) Enqueue(r core.MoveRequest) {
 	e.busy.Add(1)
 	e.emitMove(r, size, "queued", nil)
 	e.pump(r.To)
+}
+
+// dequeue takes the head request off the tier's queue. The freed slot pays
+// the room wake a refused Room is owed: one engine event, however many slots
+// free up before it runs, so the manager's loops are never re-entered from
+// inside Enqueue, pump or a Done closure.
+func (e *MovementExecutor) dequeue(tier storage.Media) pendingMove {
+	pool := &e.tiers[tier]
+	head := pool.queue[0]
+	pool.queue = pool.queue[1:]
+	pool.depth.Store(int64(len(pool.queue)))
+	if pool.refused && !pool.roomWake && e.onRoom != nil {
+		pool.refused, pool.roomWake = false, true
+		e.busy.Add(1)
+		e.engine.Schedule(0, func() {
+			pool.roomWake = false
+			e.busy.Add(-1)
+			e.onRoom(tier)
+		})
+	}
+	return head
+}
+
+// fail closes an admitted request that did not move.
+func (e *MovementExecutor) fail(tier storage.Media, pm pendingMove, err error) {
+	e.tiers[tier].failedBy[dfs.ReasonOf(err)].Add(1)
+	e.emitMove(pm.req, pm.size, "failed", err)
+	pm.req.Done(err)
+	e.busy.Add(-1)
 }
 
 // refill settles the tier's token bucket to the current virtual time and
@@ -320,30 +386,33 @@ func (e *MovementExecutor) refill(tier storage.Media) {
 // bucket covers the head request. The queue stays FIFO: a large move at the
 // head waits for tokens rather than being bypassed, so sustained small moves
 // cannot starve it. When tokens are the binding constraint, a wake event is
-// scheduled at the virtual time the bucket refills enough for the head.
+// scheduled at the virtual time the bucket refills enough for the head. A head
+// whose file is gone is dropped whatever the slots, tokens or deferral say.
 func (e *MovementExecutor) pump(tier storage.Media) {
 	pool := &e.tiers[tier]
 	e.refill(tier)
-	if now := e.engine.Now(); e.deferUntil.After(now) {
-		// SLO deferral: hold admissions but keep the queue; the wake at the
-		// deadline re-pumps, so quiesce can still drain by stepping the
-		// engine (movement work stays runnable, just postponed).
-		if len(pool.queue) > 0 {
-			e.wakeAt(tier, e.deferUntil.Sub(now))
-		}
-		return
-	}
-	for pool.active < e.cfg.WorkersPerTier && len(pool.queue) > 0 {
+	now := e.engine.Now()
+	for len(pool.queue) > 0 {
 		head := pool.queue[0]
-		if need := float64(head.size); pool.tokens < need {
-			e.wakeWhenRefilled(tier, need)
+		switch {
+		case head.req.File.Deleted():
+			e.fail(tier, e.dequeue(tier), dfs.ErrSuperseded)
+			continue
+		case e.deferUntil.After(now):
+			// SLO deferral: hold admissions but keep the queue; the wake at the
+			// deadline re-pumps, so quiesce can still drain by stepping the
+			// engine (movement work stays runnable, just postponed).
+			e.wakeAt(tier, e.deferUntil.Sub(now))
+			return
+		case pool.active >= e.cfg.WorkersPerTier:
+			return
+		case pool.tokens < float64(head.size):
+			e.wakeWhenRefilled(tier, float64(head.size))
 			return
 		}
 		pool.tokens -= float64(head.size)
 		pool.admitted.Add(head.size)
-		pool.queue = pool.queue[1:]
-		pool.depth.Store(int64(len(pool.queue)))
-		e.start(tier, head)
+		e.start(tier, e.dequeue(tier))
 	}
 }
 
@@ -402,21 +471,21 @@ func (e *MovementExecutor) start(tier storage.Media, pm pendingMove) {
 	if pool.inFlightBytes > pool.maxInFlight.Load() {
 		pool.maxInFlight.Store(pool.inFlightBytes)
 	}
-	if e.preMove != nil {
-		e.preMove(tier, pm.size)
-	}
+	borrowed := e.preMove == nil || e.preMove(tier, pm.size)
 	finish := func(err error) {
 		pool.active--
 		pool.inFlightBytes -= pm.size
 		if err != nil {
-			pool.failed.Add(1)
-			e.emitMove(pm.req, pm.size, "failed", err)
+			if !borrowed && errors.Is(err, dfs.ErrNoCapacity) {
+				err = errBorrowRefused
+			}
+			e.fail(tier, pm, err)
 		} else {
 			pool.completed.Add(1)
 			e.emitMove(pm.req, pm.size, "completed", nil)
+			pm.req.Done(nil)
+			e.busy.Add(-1)
 		}
-		pm.req.Done(err)
-		e.busy.Add(-1)
 		e.pump(tier)
 	}
 	e.engine.Schedule(e.cfg.MoveLatency, func() {
@@ -437,16 +506,22 @@ func (e *MovementExecutor) Stats() ExecutorStats {
 	out.Defers = e.defers.Load()
 	for i := range e.tiers {
 		p := &e.tiers[i]
-		out.PerTier[i] = TierMoveStats{
+		st := &out.PerTier[i]
+		*st = TierMoveStats{
 			Scheduled:        p.scheduled.Load(),
 			Completed:        p.completed.Load(),
-			Failed:           p.failed.Load(),
-			Shed:             p.shed.Load(),
 			AdmittedBytes:    p.admitted.Load(),
 			MaxInFlightBytes: p.maxInFlight.Load(),
 			BudgetBytes:      e.cfg.BudgetBytes[i],
 			RateBytesPerSec:  e.cfg.RateBytesPerSec[i],
 		}
+		for r := range p.failedBy {
+			st.FailedBy[r] = p.failedBy[r].Load()
+			st.Failed += st.FailedBy[r]
+		}
+		// An oversize request never got in: it is the one refusal left to Shed.
+		st.Shed = st.FailedBy[dfs.ReasonOversize]
+		st.Failed -= st.Shed
 	}
 	return out
 }

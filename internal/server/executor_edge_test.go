@@ -9,6 +9,8 @@ import (
 	"octostore/internal/cluster"
 	"octostore/internal/core"
 	"octostore/internal/dfs"
+	"octostore/internal/ml"
+	"octostore/internal/policy"
 	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
@@ -190,5 +192,71 @@ func TestExecutorCheckBudgetsConcurrent(t *testing.T) {
 	}
 	if v := ex.Stats().CheckBudgets(); v != "" {
 		t.Fatal(v)
+	}
+}
+
+// TestDeferredFullQueueStillDrainsOnFlush composes the three ways the
+// executor holds work back: an SLO deferral, a queue at its bound and the
+// downgrade loop waiting for room. Nothing may start before the deferral runs
+// out, and one Flush must still carry the waiting loop to its end — the
+// deferral's wake drains the queue, the drained slot wakes the loop.
+func TestDeferredFullQueueStillDrainsOnFlush(t *testing.T) {
+	var mgr *core.Manager
+	srv, err := NewSharded(ShardedConfig{
+		Shards: 1,
+		Cluster: cluster.Config{Workers: 2, SlotsPerNode: 4, Spec: storage.NodeSpec{
+			{Media: storage.Memory, Capacity: 128 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
+			{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
+			{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
+		}},
+		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 9, ClientRate: 2000e6},
+		Build: func(_ int, fs *dfs.FileSystem) (m *core.Manager, err error) {
+			mgr, err = policy.NewManager(fs, "lru", "osa", ml.DefaultLearnerConfig())
+			return mgr, err
+		},
+		Inner: Config{Executor: ExecutorConfig{WorkersPerTier: 1, QueueDepth: 2}}, // replay mode
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+	sh := srv.shards[0]
+
+	var deadline time.Time
+	sh.inLoop(func(*dfs.FileSystem) {
+		deadline = sh.engine.Now().Add(3 * time.Minute)
+		sh.exec.Defer(deadline)
+	})
+	at := sim.Epoch
+	for i := 0; i < 400; i++ {
+		at = at.Add(10 * time.Millisecond)
+		srv.CreateAt(fmt.Sprintf("/defer/d%02d/f%03d", i%8, i), storage.MB, at)
+	}
+	var early ExecutorStats
+	sh.inLoop(func(*dfs.FileSystem) {
+		sh.engine.RunUntil(deadline.Add(-time.Second))
+		early = sh.exec.Stats()
+	})
+	if st := early.PerTier[storage.SSD]; st.Scheduled != 2 || st.AdmittedBytes != 0 || st.Shed != 0 {
+		t.Fatalf("a second before the deferral ends: %+v; want the queue's two held, nothing started, nothing shed", st)
+	}
+
+	flushed := make(chan struct{})
+	go func() { srv.Flush(); close(flushed) }()
+	select {
+	case <-flushed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Flush did not return with a deferred, full queue and a waiting loop")
+	}
+	st := srv.ExecutorStats().PerTier[storage.SSD]
+	if st.Scheduled <= 2 || st.Completed+st.Failed != st.Scheduled || st.Shed != 0 {
+		t.Fatalf("after the Flush: %+v; want the loop resumed and every admitted move settled", st)
+	}
+	if mgr.Context().AboveHighWatermark(storage.Memory) {
+		t.Error("memory still over its watermark after the Flush")
+	}
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("violations: %v", v)
 	}
 }

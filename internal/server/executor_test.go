@@ -50,40 +50,115 @@ func diffWorkerSpecInternal() storage.NodeSpec {
 	}
 }
 
-func TestExecutorShedsWhenQueueFull(t *testing.T) {
+// TestExecutorRoomFollowsQueueDepth is the mover's half of the backpressure
+// contract: Room is true exactly while the destination queue is below
+// QueueDepth, nothing is shed at the bound, and a caller that stops on a
+// refusal is told once, by an engine event of its own, when a slot frees up —
+// from which it can enqueue again and see a consistent queue.
+func TestExecutorRoomFollowsQueueDepth(t *testing.T) {
 	engine, fs, files := executorFixture(t, 6, 64*storage.MB)
 	ex := NewMovementExecutor(fs, ExecutorConfig{WorkersPerTier: 1, QueueDepth: 2})
-	var outcomes []error
-	for _, f := range files {
-		f := f
-		ex.Enqueue(core.MoveRequest{File: f, From: storage.HDD, To: storage.SSD,
-			Done: func(err error) { outcomes = append(outcomes, err) }})
-	}
-	// Slots: 1 active + 2 queued admitted; the remaining 3 shed immediately.
-	sheds := 0
-	for _, err := range outcomes {
-		if errors.Is(err, ErrMovementShed) {
-			sheds++
-		} else if err != nil {
-			t.Fatalf("unexpected immediate outcome: %v", err)
+	done := 0
+	next := 0
+	feed := func() {
+		for next < len(files) && ex.Room(storage.SSD) {
+			f := files[next]
+			next++
+			ex.Enqueue(core.MoveRequest{File: f, From: storage.HDD, To: storage.SSD,
+				Done: func(err error) {
+					if err != nil {
+						t.Errorf("move of %s failed: %v", f.Path(), err)
+					}
+					done++
+				}})
 		}
 	}
-	if sheds != 3 {
-		t.Fatalf("immediate sheds = %d, want 3 (outcomes %v)", sheds, outcomes)
+	wakes, inWake := 0, false
+	ex.OnRoom(func(to storage.Media) {
+		if inWake {
+			t.Fatal("room wake re-entered from inside its own Enqueue")
+		}
+		if to != storage.SSD {
+			t.Fatalf("room wake for %v, want SSD", to)
+		}
+		inWake = true
+		wakes++
+		if !ex.Room(storage.SSD) {
+			t.Error("room wake fired with the queue still full")
+		}
+		before := len(ex.tiers[storage.SSD].queue)
+		feed()
+		if after := len(ex.tiers[storage.SSD].queue); after != ex.cfg.QueueDepth || after <= before && next < len(files) {
+			t.Errorf("queue %d -> %d after feeding from the wake, depth %d", before, after, ex.cfg.QueueDepth)
+		}
+		inWake = false
+	})
+	feed()
+	// One move went straight to the worker, two wait: the bound is reached.
+	if next != 3 || ex.Room(storage.SSD) {
+		t.Fatalf("fed %d requests before Room refused (room now %v), want 3", next, ex.Room(storage.SSD))
+	}
+	if wakes != 0 {
+		t.Fatal("room wake ran from inside Enqueue")
 	}
 	engine.Run()
 	if !ex.Idle() {
 		t.Fatal("executor not idle after drain")
 	}
 	st := ex.Stats().PerTier[storage.SSD]
-	if st.Completed != 3 || st.Shed != 3 || st.Failed != 0 {
-		t.Fatalf("stats = %+v, want 3 completed / 3 shed", st)
+	if done != 6 || st.Scheduled != 6 || st.Completed != 6 || st.Shed != 0 || st.Failed != 0 {
+		t.Fatalf("%d done, stats = %+v; want 6 scheduled and completed, nothing shed", done, st)
 	}
-	if len(outcomes) != 6 {
-		t.Fatalf("outcomes = %d, want 6", len(outcomes))
+	// Each of the three slots freed while a refusal stood paid one wake; once
+	// the feeder ran dry nobody was refused, so nobody was woken.
+	if wakes != 3 {
+		t.Fatalf("%d room wakes, want 3", wakes)
 	}
 	if err := fs.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExecutorDropsDeletedFileAtDequeue: a request whose file is deleted while
+// it waits never draws tokens, never occupies a worker, fails as superseded
+// the moment it reaches the head, and the slot it frees pays the room wake
+// exactly once.
+func TestExecutorDropsDeletedFileAtDequeue(t *testing.T) {
+	engine, fs, files := executorFixture(t, 3, 64*storage.MB)
+	ex := NewMovementExecutor(fs, ExecutorConfig{WorkersPerTier: 1, QueueDepth: 2})
+	outcome := make([]error, len(files))
+	for i, f := range files {
+		i := i
+		ex.Enqueue(core.MoveRequest{File: f, From: storage.HDD, To: storage.SSD,
+			Done: func(err error) { outcome[i] = err }})
+	}
+	wakes := 0
+	ex.OnRoom(func(storage.Media) { wakes++ })
+	if ex.Room(storage.SSD) {
+		t.Fatal("queue should be full: one active, two waiting")
+	}
+	if err := fs.Delete(files[1].Path()); err != nil {
+		t.Fatal(err)
+	}
+	pool := &ex.tiers[storage.SSD]
+	maxActive := 0
+	engine.SetEventHook(func() { maxActive = max(maxActive, pool.active) })
+	engine.Run()
+	if outcome[0] != nil || outcome[2] != nil {
+		t.Fatalf("live files' moves: %v, %v", outcome[0], outcome[2])
+	}
+	if !errors.Is(outcome[1], dfs.ErrSuperseded) || dfs.ReasonOf(outcome[1]) != dfs.ReasonSuperseded {
+		t.Fatalf("deleted file's move outcome = %v, want superseded", outcome[1])
+	}
+	st := ex.Stats().PerTier[storage.SSD]
+	if st.AdmittedBytes != 2*64*storage.MB {
+		t.Fatalf("admitted %d bytes; the deleted file's request drew tokens", st.AdmittedBytes)
+	}
+	if st.Completed != 2 || st.Failed != 1 || st.FailedBy[dfs.ReasonSuperseded] != 1 {
+		t.Fatalf("stats = %+v, want 2 completed, 1 failed as superseded", st)
+	}
+	if maxActive > 1 || wakes != 1 || !ex.Idle() {
+		t.Fatalf("max active %d, %d room wakes, idle %v; want 1, 1, true", maxActive, wakes, ex.Idle())
 	}
 }
 
@@ -155,10 +230,10 @@ func TestExecutorShedsOversizedRequest(t *testing.T) {
 	var got error
 	ex.Enqueue(core.MoveRequest{File: files[0], From: storage.HDD, To: storage.SSD,
 		Done: func(err error) { got = err }})
-	if !errors.Is(got, ErrMovementShed) {
-		t.Fatalf("oversized request outcome = %v, want ErrMovementShed", got)
+	if !errors.Is(got, ErrOversize) {
+		t.Fatalf("oversized request outcome = %v, want ErrOversize", got)
 	}
-	if st := ex.Stats().PerTier[storage.SSD]; st.Shed != 1 || st.Scheduled != 0 {
+	if st := ex.Stats().PerTier[storage.SSD]; st.Shed != 1 || st.Scheduled != 0 || st.FailedBy[dfs.ReasonOversize] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"octostore/internal/backend"
 	"octostore/internal/core"
+	"octostore/internal/dfs"
 	"octostore/internal/obs"
 	"octostore/internal/storage"
 )
@@ -182,10 +183,13 @@ func (e *MovementExecutor) registerObs(r *obs.Registry, lbl func(kv ...string) o
 			func() float64 { return float64(p.scheduled.Load()) })
 		r.CounterFunc("octo_exec_completed_total", lbl("tier", tier),
 			func() float64 { return float64(p.completed.Load()) })
-		r.CounterFunc("octo_exec_failed_total", lbl("tier", tier),
-			func() float64 { return float64(p.failed.Load()) })
-		r.CounterFunc("octo_exec_shed_total", lbl("tier", tier),
-			func() float64 { return float64(p.shed.Load()) })
+		// Failed and refused moves, by reason: the per-tier failed and shed
+		// totals are sums over these.
+		for _, reason := range dfs.MoveReasons {
+			n := &p.failedBy[reason]
+			r.CounterFunc("octo_moves_failed_total", lbl("tier", tier, "reason", reason.String()),
+				func() float64 { return float64(n.Load()) })
+		}
 		r.CounterFunc("octo_exec_admitted_bytes_total", lbl("tier", tier),
 			func() float64 { return float64(p.admitted.Load()) })
 	}

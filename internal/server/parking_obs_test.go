@@ -47,12 +47,14 @@ func scrape(t *testing.T, addr, family string) map[string]float64 {
 	return out
 }
 
-// TestParkingMetricsScrapedAfterShedding overflows a tight memory tier behind
-// a one-deep executor queue, so the downgrade loop sheds most of what it
-// selects, then scrapes /metrics: the per-reason cooldown counters and the
-// parked-file gauges must be exposed per shard and agree with the managers'
-// own counts and the executors' shed counters.
-func TestParkingMetricsScrapedAfterShedding(t *testing.T) {
+// TestBackpressureParksTheLoopNotTheFiles is the manager's half of the
+// backpressure contract. A tight memory tier overflows behind a two-deep
+// executor queue: the downgrade loop must stop at the queue bound with nothing
+// shed and no cooldown booked, exactly the admitted files parked and the next
+// candidate still on top of the heap, and a completion alone — no new data on
+// the tier — must set it going again. The scrape at the end checks that what
+// the loop did is on /metrics under the reasons that are left.
+func TestBackpressureParksTheLoopNotTheFiles(t *testing.T) {
 	hub := obs.NewHub(obs.HubConfig{})
 	addr, stop, err := hub.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -60,24 +62,23 @@ func TestParkingMetricsScrapedAfterShedding(t *testing.T) {
 	}
 	defer stop()
 
-	const shards = 2
-	mgrs := make([]*core.Manager, shards)
+	var mgr *core.Manager
 	srv, err := server.NewSharded(server.ShardedConfig{
-		Shards: shards,
+		Shards: 1,
 		Cluster: cluster.Config{Workers: 2, SlotsPerNode: 4, Spec: storage.NodeSpec{
 			{Media: storage.Memory, Capacity: 128 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
 			{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
 			{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
 		}},
 		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 9, ClientRate: 2000e6},
-		Build: func(i int, fs *dfs.FileSystem) (*core.Manager, error) {
+		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
 			ctx := core.NewContext(fs, core.DefaultConfig())
-			mgrs[i] = core.NewManager(ctx, policy.NewLRU(ctx), policy.NewOSA(ctx))
-			return mgrs[i], nil
+			mgr = core.NewManager(ctx, policy.NewLRU(ctx), policy.NewOSA(ctx))
+			return mgr, nil
 		},
 		Inner: server.Config{ // replay mode
 			Obs:      hub,
-			Executor: server.ExecutorConfig{WorkersPerTier: 1, QueueDepth: 1},
+			Executor: server.ExecutorConfig{WorkersPerTier: 1, QueueDepth: 2},
 		},
 	})
 	if err != nil {
@@ -86,11 +87,74 @@ func TestParkingMetricsScrapedAfterShedding(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
+	// 400 one-MB files inside four virtual seconds: memory (256 MB) crosses
+	// its watermark long before the first move's five-second command latency
+	// runs out, so when the last create is applied nothing has completed.
 	at := sim.Epoch
 	var created []<-chan error
 	for i := 0; i < 400; i++ {
-		at = at.Add(50 * time.Millisecond)
-		created = append(created, srv.CreateAt(fmt.Sprintf("/shed/d%02d/f%03d", i%8, i), storage.MB, at))
+		at = at.Add(10 * time.Millisecond)
+		created = append(created, srv.CreateAt(fmt.Sprintf("/park/d%02d/f%03d", i%8, i), storage.MB, at))
+	}
+	moves := func() (scheduled, settled, shed int64) {
+		for _, tier := range srv.ExecutorStats().PerTier {
+			scheduled += tier.Scheduled
+			settled += tier.Completed + tier.Failed
+			shed += tier.Shed
+		}
+		return
+	}
+	srv.Exec(func(_ int, fs *dfs.FileSystem) { // on the shard loop: t.Error only
+		scheduled, settled, shed := moves()
+		if scheduled != 3 || settled != 0 || shed != 0 {
+			t.Errorf("%d moves admitted, %d settled, %d shed; want the worker's one plus the queue's two, none settled or shed", scheduled, settled, shed)
+			return
+		}
+		for _, r := range core.CooldownReasons {
+			if n := mgr.Cooldowns(r); n != 0 {
+				t.Errorf("%d %s cooldowns booked by a full queue", n, r)
+			}
+		}
+		if busy, cooling := mgr.ParkedFiles(); busy != scheduled || cooling != 0 {
+			t.Errorf("parked: %d busy, %d cooling; want exactly the %d admitted files", busy, cooling, scheduled)
+		}
+		ctx := mgr.Context()
+		if !ctx.AboveHighWatermark(storage.Memory) {
+			t.Error("memory is not over its watermark; the loop had no reason to run")
+			return
+		}
+		top := ctx.Index().SelectLRU(storage.Memory)
+		if want := policy.NewLRU(ctx).SelectFileLinear(storage.Memory); top == nil || top != want || !ctx.Selectable(top) {
+			t.Errorf("heap top %v, linear scan says %v; the refused candidate must stay the next one", top, want)
+			return
+		}
+		if err := ctx.Index().Audit(); err != nil {
+			t.Error(err)
+		}
+
+		// Step to the first completion. Creates are all applied, so no data
+		// arrives on memory: only the executor's room wake can resume the loop.
+		added := 0
+		fs.AddListener(tierWatcher{onAdded: func(m storage.Media) {
+			if m == storage.Memory {
+				added++
+			}
+		}})
+		for settled == 0 && fs.Engine().Step() {
+			_, settled, _ = moves()
+		}
+		for i := 0; i < 4; i++ { // the wake is an event of its own, right behind
+			fs.Engine().Step()
+		}
+		if after, _, _ := moves(); after <= scheduled || added != 0 {
+			t.Errorf("after one completion: %d moves admitted (was %d), %d TierDataAdded(MEM); the loop did not resume on the room wake", after, scheduled, added)
+		}
+		if top.HasReplicaOn(storage.Memory) && ctx.Selectable(top) {
+			t.Errorf("the resumed loop passed over the candidate it had stopped at")
+		}
+	})
+	if t.Failed() {
+		return
 	}
 	srv.Flush()
 	for i, ch := range created {
@@ -99,44 +163,52 @@ func TestParkingMetricsScrapedAfterShedding(t *testing.T) {
 		}
 	}
 	if v := srv.Verify(); len(v) > 0 {
-		t.Fatalf("violations after the shedding run: %v", v)
+		t.Fatalf("violations: %v", v)
+	}
+	if mgr.Context().AboveHighWatermark(storage.Memory) {
+		t.Error("Flush returned with memory still over its watermark: the parked loop was not driven to the end")
 	}
 
-	var shed int64
-	for _, tier := range srv.ExecutorStats().PerTier {
-		shed += tier.Shed
+	stats := srv.ExecutorStats()
+	if _, _, shed := moves(); shed != 0 {
+		t.Errorf("%d moves shed", shed)
 	}
-	if shed == 0 {
-		t.Fatal("the run shed nothing; the scrape below would prove nothing")
-	}
-	var want [3]int64
-	var busy, cooling int64
-	srv.Exec(func(i int, _ *dfs.FileSystem) {
-		for _, r := range core.CooldownReasons {
-			want[r] += mgrs[i].Cooldowns(r)
-		}
-		b, c := mgrs[i].ParkedFiles()
-		busy, cooling = busy+b, cooling+c
-	})
-	if want[core.CooldownShed] != shed {
-		t.Fatalf("managers booked %d shed cooldowns, executors shed %d moves", want[core.CooldownShed], shed)
-	}
-
 	cooldowns := scrape(t, addr, "octo_manager_cooldowns_total")
+	if len(cooldowns) != len(core.CooldownReasons) {
+		t.Errorf("octo_manager_cooldowns_total exposes %v, want exactly the reasons %v", cooldowns, core.CooldownReasons)
+	}
 	for _, r := range core.CooldownReasons {
-		got, ok := cooldowns[r.String()]
-		if !ok || int64(got) != want[r] {
-			t.Errorf("octo_manager_cooldowns_total{reason=%q} = %v (exposed %v), managers say %d", r, got, ok, want[r])
+		if got, ok := cooldowns[r.String()]; !ok || int64(got) != mgr.Cooldowns(r) {
+			t.Errorf("octo_manager_cooldowns_total{reason=%q} = %v (exposed %v), manager says %d", r, got, ok, mgr.Cooldowns(r))
+		}
+	}
+	failed := scrape(t, addr, "octo_moves_failed_total")
+	for _, r := range dfs.MoveReasons {
+		var want int64
+		for _, tier := range stats.PerTier {
+			want += tier.FailedBy[r]
+		}
+		if got, ok := failed[r.String()]; !ok || int64(got) != want {
+			t.Errorf("octo_moves_failed_total{reason=%q} = %v (exposed %v), executor says %d", r, got, ok, want)
 		}
 	}
 	parked := scrape(t, addr, "octo_manager_parked_files")
-	if got, ok := parked["busy"]; !ok || int64(got) != busy {
-		t.Errorf(`octo_manager_parked_files{reason="busy"} = %v (exposed %v), managers say %d`, got, ok, busy)
-	}
-	if got, ok := parked["cooldown"]; !ok || int64(got) != cooling || cooling == 0 {
-		t.Errorf(`octo_manager_parked_files{reason="cooldown"} = %v (exposed %v), managers say %d (want > 0 right after the run)`, got, ok, cooling)
+	busy, cooling := mgr.ParkedFiles()
+	for reason, want := range map[string]int64{"busy": busy, "cooldown": cooling} {
+		if got, ok := parked[reason]; !ok || int64(got) != want {
+			t.Errorf("octo_manager_parked_files{reason=%q} = %v (exposed %v), manager says %d", reason, got, ok, want)
+		}
 	}
 }
+
+// tierWatcher is a dfs.Listener that hears only TierDataAdded.
+type tierWatcher struct{ onAdded func(storage.Media) }
+
+func (tierWatcher) FileCreated(*dfs.File)                          {}
+func (tierWatcher) FileAccessed(*dfs.File, int64)                  {}
+func (tierWatcher) FileDeleted(*dfs.File)                          {}
+func (tierWatcher) FileTierChanged(*dfs.File, storage.Media, bool) {}
+func (w tierWatcher) TierDataAdded(m storage.Media)                { w.onAdded(m) }
 
 // TestAccessAccountingScraped: the drain's counters are exposed per shard —
 // accesses applied, the per-file notifications they were applied as, and the

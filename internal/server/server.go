@@ -25,9 +25,10 @@
 //     off the client's critical path. A drain costs O(distinct files
 //     touched); nothing is bounded, so no access is ever dropped.
 //   - Replica movement runs on the MovementExecutor (per-tier pools,
-//     bounded queues, per-tier in-flight byte budgets, shedding) installed
-//     as the Manager's Mover, so upgrades/downgrades overlap with serving
-//     instead of competing with it.
+//     bounded queues whose fullness parks the Manager's selection loop,
+//     per-tier token-bucket byte budgets) installed as the Manager's Mover,
+//     so upgrades/downgrades overlap with serving instead of competing with
+//     it.
 //
 // Virtual time: under live load (Config.TimeScale > 0) a pacer maps wall
 // time onto the virtual clock so device transfers, periodic policy ticks,
@@ -102,9 +103,6 @@ const (
 	// paceInterval is how often (wall clock) the pacer advances virtual time
 	// under live load.
 	paceInterval = time.Millisecond
-	// quiesceMaxSteps bounds how many engine events one Flush drains before
-	// giving up (policy ping-pong protection).
-	quiesceMaxSteps = 5_000_000
 )
 
 // OpKind selects what an Op does.
@@ -782,9 +780,16 @@ func (sh *shard) flush() {
 // manager's periodic ticker keeps the event queue non-empty forever, so the
 // loop steps the engine only while real work (creates, movement) is
 // pending, exactly like the sequential harness's "step until the workload
-// completes" pattern.
+// completes" pattern. A downgrade pass waiting for executor room is pending
+// work too — the executor's backlog and its room wake count as busy — so the
+// fence returns with the pass finished, not parked. There is no step bound:
+// a pass takes each candidate out of selection order once, a full queue parks
+// the pass rather than its candidates, and a last copy is examined once per
+// residency change; the liveness tests in internal/loadgen hold the fence to
+// fewer engine steps than ops submitted at 20 000 and 200 000 files. What is
+// left to keep a fence going is a tier over its watermark whose every move
+// out keeps failing for longer than the one-minute failure cooldown.
 func (sh *shard) quiesce() {
-	steps := 0
 	for {
 		sh.drainAccesses()
 		// Absorb queued commands without blocking: concurrent client ops
@@ -800,11 +805,7 @@ func (sh *shard) quiesce() {
 		if sh.createsInFlight == 0 && sh.exec.Idle() && sh.dirty.empty() && len(sh.cmds) == 0 {
 			return
 		}
-		if steps >= quiesceMaxSteps {
-			return // policy ping-pong protection; invariants hold regardless
-		}
 		if sh.engine.Step() {
-			steps++
 			continue
 		}
 		// Outstanding work but no runnable event: wait for a command or a

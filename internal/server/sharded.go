@@ -206,8 +206,8 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 		sh.quota = quota
 		// Movement destinations borrow quota right before each admitted
 		// move, on the shard loop, through the two-phase protocol.
-		sh.exec.preMove = func(tier storage.Media, bytes int64) {
-			quota.EnsureSpread(tier, bytes, 1)
+		sh.exec.preMove = func(tier storage.Media, bytes int64) bool {
+			return quota.EnsureSpread(tier, bytes, 1)
 		}
 		s.shards = append(s.shards, sh)
 	}
