@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,9 +43,80 @@ func TestIDsAndGet(t *testing.T) {
 	}
 }
 
+// goldenPath is `octobench -exp all -fast` with every "-- id completed in
+// …" line cut to "-- id --" and the two wall-clock rows of overheads masked
+// by wallClockRow. Regenerate it after an intended output change with
+//
+//	go run ./cmd/octobench -exp all -fast | sed -E \
+//	  -e 's/^-- ([a-z0-9]+) completed in .* --$/-- \1 --/' \
+//	  -e 's/^(avg time per (training sample|prediction) +).*$/\1<wall-clock>/' \
+//	  > internal/experiments/testdata/fast_seed1.golden
+const goldenPath = "testdata/fast_seed1.golden"
+
+var (
+	wallClockRow  = regexp.MustCompile(`(?m)^(avg time per (?:training sample|prediction) +).*$`)
+	goldenSection = regexp.MustCompile(`(?m)^-- (\S+) --\n\n`)
+)
+
+// renderTables prints tables the way octobench does.
+func renderTables(tables []*eval.Table) string {
+	var sb strings.Builder
+	for _, tbl := range tables {
+		tbl.Fprint(&sb)
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// goldenSections splits the golden file into each experiment's output,
+// keyed by id.
+func goldenSections(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := string(raw)
+	sections := map[string]string{}
+	from := 0
+	for _, m := range goldenSection.FindAllStringSubmatchIndex(golden, -1) {
+		sections[golden[m[2]:m[3]]] = golden[from:m[1]]
+		from = m[1]
+	}
+	if from != len(golden) {
+		t.Fatalf("%s: trailing bytes after the last section", goldenPath)
+	}
+	return sections
+}
+
+// firstDiff names the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+	return "no line differs"
+}
+
+// TestAllExperimentsRunFast renders every experiment at fastOpts, checks
+// each table's shape and holds the rendering byte for byte to the golden
+// file: a refactor of the harness must not move one printed digit.
 func TestAllExperimentsRunFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in non-short mode only")
+	}
+	sections := goldenSections(t)
+	if len(sections) != len(IDs()) {
+		t.Errorf("golden file has %d sections, want %d", len(sections), len(IDs()))
 	}
 	for _, id := range IDs() {
 		id := id
@@ -70,6 +144,11 @@ func TestAllExperimentsRunFast(t *testing.T) {
 						t.Fatalf("table %s row width %d != header %d", tbl.ID, len(row), len(tbl.Header))
 					}
 				}
+			}
+			got := wallClockRow.ReplaceAllString(renderTables(tables), "${1}<wall-clock>") +
+				fmt.Sprintf("-- %s --\n\n", id)
+			if want := sections[id]; got != want {
+				t.Errorf("%s differs from %s at %s", id, goldenPath, firstDiff(got, want))
 			}
 		})
 	}
