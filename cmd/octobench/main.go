@@ -12,8 +12,10 @@
 //	octobench -exp fig6 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints one or more aligned text tables whose rows mirror
-// the series the paper plots; see EXPERIMENTS.md for the mapping and the
-// paper-vs-measured record.
+// the series the paper plots. The id → figure/table mapping is the registry
+// in internal/experiments, whose runners each name their Section 7
+// artefact; internal/experiments/testdata/fast_seed1.golden is the output
+// of `-exp all -fast`, held byte for byte by the package's tests.
 //
 // -parallel runs independent experiment cells (system × policy × workload
 // simulations) concurrently; every cell is deterministic and isolated, so
@@ -31,7 +33,6 @@ import (
 	"time"
 
 	"octostore/internal/experiments"
-	"octostore/internal/obs"
 	"octostore/internal/scenario"
 )
 
@@ -46,7 +47,6 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "concurrent experiment cells (0 = all cores); results are identical at any level")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile after the experiment runs to this file")
-		obsListen  = flag.String("obs-listen", "", "serve /metrics, /metrics.json, and /debug/pprof on this address while the experiments run (e.g. :9100; empty disables)")
 	)
 	flag.Parse()
 
@@ -77,21 +77,6 @@ func main() {
 		opts.Parallel = -1
 	case *parallel > 1:
 		opts.Parallel = *parallel
-	}
-
-	if *obsListen != "" {
-		// The experiment runners drive the simulation cores directly (no
-		// serving layer), so the hub's value here is live pprof plus whatever
-		// registry consumers future experiments attach; it mainly keeps the
-		// flag surface uniform with octoload.
-		hub := obs.NewHub(obs.HubConfig{})
-		bound, stop, err := hub.ListenAndServe(*obsListen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "octobench: obs-listen:", err)
-			os.Exit(1)
-		}
-		defer stop()
-		fmt.Printf("octobench: obs serving on http://%s/debug/pprof (and /metrics)\n", bound)
 	}
 
 	if *cpuProfile != "" {

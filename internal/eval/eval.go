@@ -176,16 +176,24 @@ func Quantile(values []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
+// Cell is one table entry: the text it prints and the number behind that
+// text. Pct and F2 build numeric cells; a text cell, Cell{Text: s}, is a
+// name or a preformatted string and carries no number.
+type Cell struct {
+	Text  string
+	Value float64
+}
+
 // Table is a printable experiment result.
 type Table struct {
 	ID     string
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) {
+// AddRow appends a row.
+func (t *Table) AddRow(cells ...Cell) {
 	t.Rows = append(t.Rows, cells)
 }
 
@@ -198,8 +206,8 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) && len(c.Text) > widths[i] {
+				widths[i] = len(c.Text)
 			}
 		}
 	}
@@ -220,12 +228,16 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 	printRow(t.Header)
 	for _, row := range t.Rows {
-		printRow(row)
+		text := make([]string, len(row))
+		for i, c := range row {
+			text[i] = c.Text
+		}
+		printRow(text)
 	}
 }
 
-// Pct formats a fraction as a percentage string.
-func Pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
+// Pct is a cell holding a fraction, printed as a percentage.
+func Pct(f float64) Cell { return Cell{Text: fmt.Sprintf("%.1f%%", 100*f), Value: f} }
 
-// F2 formats a float with two decimals.
-func F2(f float64) string { return fmt.Sprintf("%.2f", f) }
+// F2 is a cell holding a float, printed with two decimals.
+func F2(f float64) Cell { return Cell{Text: fmt.Sprintf("%.2f", f), Value: f} }

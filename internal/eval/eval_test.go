@@ -142,26 +142,31 @@ func TestQuantile(t *testing.T) {
 
 func TestTableFprint(t *testing.T) {
 	tbl := Table{ID: "figX", Title: "demo", Header: []string{"Bin", "Value"}}
-	tbl.AddRow("A", "1.0")
-	tbl.AddRow("LongBinName", "2.5")
+	tbl.AddRow(Cell{Text: "A"}, F2(1.0))
+	tbl.AddRow(Cell{Text: "LongBinName"}, Pct(0.025))
 	var sb strings.Builder
 	tbl.Fprint(&sb)
 	out := sb.String()
-	if !strings.Contains(out, "figX") || !strings.Contains(out, "LongBinName") {
-		t.Fatalf("output:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
+	want := "== figX: demo ==\n" +
+		"Bin          Value\n" +
+		"A            1.00\n" +
+		"LongBinName  2.5%\n"
+	if out != want {
+		t.Fatalf("output:\n%s\nwant:\n%s", out, want)
 	}
 }
 
+// TestFormatters: a numeric cell carries the value it was built from and
+// prints it at its format's precision.
 func TestFormatters(t *testing.T) {
-	if Pct(0.255) != "25.5%" {
-		t.Fatalf("Pct = %s", Pct(0.255))
+	if c := Pct(0.255); c.Text != "25.5%" || c.Value != 0.255 {
+		t.Fatalf("Pct = %+v", c)
 	}
-	if F2(1.234) != "1.23" {
-		t.Fatalf("F2 = %s", F2(1.234))
+	if c := F2(1.234); c.Text != "1.23" || c.Value != 1.234 {
+		t.Fatalf("F2 = %+v", c)
+	}
+	if c := F2(math.NaN()); c.Text != "NaN" || !math.IsNaN(c.Value) {
+		t.Fatalf("F2(NaN) = %+v", c)
 	}
 }
 

@@ -78,9 +78,9 @@ func TestDebugXGBEngagement(t *testing.T) {
 	}
 	reads, memReads, blocks, memLoc, bytes, memBytes := stats.Totals()
 	t.Logf("HR access=%s BHR=%s | HR location=%s | reads=%d blocks=%d",
-		eval.Pct(eval.HitRatio(memReads, reads)),
-		eval.Pct(eval.ByteHitRatio(memBytes, bytes)),
-		eval.Pct(eval.Ratio(float64(memLoc), float64(blocks))), reads, blocks)
+		eval.Pct(eval.HitRatio(memReads, reads)).Text,
+		eval.Pct(eval.ByteHitRatio(memBytes, bytes)).Text,
+		eval.Pct(eval.Ratio(float64(memLoc), float64(blocks))).Text, reads, blocks)
 	for i, f := range fs.UnderReplicatedFiles() {
 		if i >= 5 {
 			break

@@ -3,7 +3,6 @@ package experiments
 import (
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
-	"octostore/internal/workload"
 )
 
 // downgradeSystems is the Figure 10/11 comparison set: every Table 1
@@ -20,50 +19,22 @@ func downgradeSystems() []System {
 	return systems
 }
 
-var downgradeMemo = map[memoKey][]endToEndRun{}
-
-func downgradeCached(o Options) ([]endToEndRun, error) {
-	o.applyDefaults()
-	key := memoKey{workers: o.Workers, seed: o.Seed, fast: o.Fast, name: "fb-downgrade"}
-	if runs, ok := downgradeMemo[key]; ok {
-		return runs, nil
-	}
-	runs, err := runEndToEnd(o, "fb", downgradeSystems())
-	if err != nil {
-		return nil, err
-	}
-	downgradeMemo[key] = runs
-	return runs, nil
-}
-
 // Fig10DowngradeCompletion regenerates Figure 10: percent reduction in
 // completion time over HDFS for all downgrade policies in isolation (FB).
 func Fig10DowngradeCompletion(o Options) ([]*eval.Table, error) {
-	runs, err := downgradeCached(o)
+	runs, err := comparison(o, "downgrade")
 	if err != nil {
 		return nil, err
 	}
-	t := &eval.Table{
-		ID:     "fig10",
-		Title:  "Downgrade policies: percent reduction in completion time over HDFS (FB)",
-		Header: append([]string{"Policy"}, binHeaders()...),
-	}
-	base := runs[0].stats.MeanCompletionByBin()
-	for _, run := range runs[1:] {
-		mean := run.stats.MeanCompletionByBin()
-		row := []string{run.system.Name}
-		for b := workload.Bin(0); b < workload.NumBins; b++ {
-			row = append(row, eval.Pct(eval.Reduction(base[b].Seconds(), mean[b].Seconds())))
-		}
-		t.AddRow(row...)
-	}
-	return []*eval.Table{t}, nil
+	return []*eval.Table{reductionTable("fig10",
+		"Downgrade policies: percent reduction in completion time over HDFS (FB)",
+		"Policy", runs, completionSecs)}, nil
 }
 
 // Fig11DowngradeHitRatios regenerates Figure 11: memory-tier hit ratio and
 // byte hit ratio for the downgrade policies (FB).
 func Fig11DowngradeHitRatios(o Options) ([]*eval.Table, error) {
-	runs, err := downgradeCached(o)
+	runs, err := comparison(o, "downgrade")
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +45,7 @@ func Fig11DowngradeHitRatios(o Options) ([]*eval.Table, error) {
 	}
 	for _, run := range runs[1:] {
 		reads, memReads, _, _, bytes, memBytes := run.stats.Totals()
-		t.AddRow(run.system.Name,
+		t.AddRow(text(run.system.Name),
 			eval.Pct(eval.HitRatio(memReads, reads)),
 			eval.Pct(eval.ByteHitRatio(memBytes, bytes)))
 	}

@@ -10,68 +10,25 @@ import (
 // job completion time over HDFS, per bin, for each system, on both
 // workloads.
 func Fig6CompletionTime(o Options) ([]*eval.Table, error) {
-	var tables []*eval.Table
-	for _, wl := range []string{"fb", "cmu"} {
-		runs, err := endToEndCached(o, wl)
-		if err != nil {
-			return nil, err
-		}
-		t := &eval.Table{
-			ID:     "fig6-" + wl,
-			Title:  "Percent reduction in completion time over HDFS (" + wl + ")",
-			Header: append([]string{"System"}, binHeaders()...),
-		}
-		base := runs[0].stats.MeanCompletionByBin()
-		for _, run := range runs[1:] {
-			mean := run.stats.MeanCompletionByBin()
-			row := []string{run.system.Name}
-			for b := workload.Bin(0); b < workload.NumBins; b++ {
-				row = append(row, eval.Pct(eval.Reduction(base[b].Seconds(), mean[b].Seconds())))
-			}
-			t.AddRow(row...)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return eachWorkload(o, func(wl string, runs []endToEndRun) *eval.Table {
+		return reductionTable("fig6-"+wl, "Percent reduction in completion time over HDFS ("+wl+")",
+			"System", runs, completionSecs)
+	})
 }
 
 // Fig7Efficiency regenerates Figure 7: percent improvement in cluster
 // efficiency (reduction of consumed task-seconds) over HDFS per bin.
 func Fig7Efficiency(o Options) ([]*eval.Table, error) {
-	var tables []*eval.Table
-	for _, wl := range []string{"fb", "cmu"} {
-		runs, err := endToEndCached(o, wl)
-		if err != nil {
-			return nil, err
-		}
-		t := &eval.Table{
-			ID:     "fig7-" + wl,
-			Title:  "Percent improvement in cluster efficiency over HDFS (" + wl + ")",
-			Header: append([]string{"System"}, binHeaders()...),
-		}
-		base := runs[0].stats.TaskSecondsByBin()
-		for _, run := range runs[1:] {
-			ts := run.stats.TaskSecondsByBin()
-			row := []string{run.system.Name}
-			for b := workload.Bin(0); b < workload.NumBins; b++ {
-				row = append(row, eval.Pct(eval.Reduction(base[b], ts[b])))
-			}
-			t.AddRow(row...)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return eachWorkload(o, func(wl string, runs []endToEndRun) *eval.Table {
+		return reductionTable("fig7-"+wl, "Percent improvement in cluster efficiency over HDFS ("+wl+")",
+			"System", runs, taskSecs)
+	})
 }
 
 // Fig8TierAccess regenerates Figure 8: the distribution of block reads
 // across storage tiers per bin for every system.
 func Fig8TierAccess(o Options) ([]*eval.Table, error) {
-	var tables []*eval.Table
-	for _, wl := range []string{"fb", "cmu"} {
-		runs, err := endToEndCached(o, wl)
-		if err != nil {
-			return nil, err
-		}
+	return eachWorkload(o, func(wl string, runs []endToEndRun) *eval.Table {
 		t := &eval.Table{
 			ID:     "fig8-" + wl,
 			Title:  "Storage tier access distribution (" + wl + ")",
@@ -80,19 +37,18 @@ func Fig8TierAccess(o Options) ([]*eval.Table, error) {
 		for _, run := range runs {
 			reads := run.stats.ReadsByBinMedia()
 			for b := workload.Bin(0); b < workload.NumBins; b++ {
-				total := reads[b][0] + reads[b][1] + reads[b][2]
+				total := float64(reads[b][0] + reads[b][1] + reads[b][2])
 				if total == 0 {
 					continue
 				}
-				t.AddRow(run.system.Name, b.String(),
-					eval.Pct(float64(reads[b][storage.Memory])/float64(total)),
-					eval.Pct(float64(reads[b][storage.SSD])/float64(total)),
-					eval.Pct(float64(reads[b][storage.HDD])/float64(total)))
+				t.AddRow(text(run.system.Name), text(b),
+					eval.Pct(float64(reads[b][storage.Memory])/total),
+					eval.Pct(float64(reads[b][storage.SSD])/total),
+					eval.Pct(float64(reads[b][storage.HDD])/total))
 			}
 		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+		return t
+	})
 }
 
 // Fig9HitRatios regenerates Figure 9: hit ratio and byte hit ratio for the
@@ -100,7 +56,7 @@ func Fig8TierAccess(o Options) ([]*eval.Table, error) {
 // (accesses) and from whether a memory replica existed at read time
 // (locations), FB workload.
 func Fig9HitRatios(o Options) ([]*eval.Table, error) {
-	runs, err := endToEndCached(o, "fb")
+	runs, err := comparison(o, "fb")
 	if err != nil {
 		return nil, err
 	}
@@ -111,19 +67,11 @@ func Fig9HitRatios(o Options) ([]*eval.Table, error) {
 	}
 	for _, run := range runs[1:] { // skip the HDFS baseline: no memory tier use
 		reads, memReads, blocks, memLoc, bytes, memBytes := run.stats.Totals()
-		t.AddRow(run.system.Name,
+		t.AddRow(text(run.system.Name),
 			eval.Pct(eval.HitRatio(memReads, reads)),
 			eval.Pct(eval.ByteHitRatio(memBytes, bytes)),
 			eval.Pct(eval.Ratio(float64(memLoc), float64(blocks))),
 			eval.Pct(eval.ByteHitRatio(run.stats.LocationBytes(), bytes)))
 	}
 	return []*eval.Table{t}, nil
-}
-
-func binHeaders() []string {
-	out := make([]string, workload.NumBins)
-	for b := workload.Bin(0); b < workload.NumBins; b++ {
-		out[b] = "Bin " + b.String()
-	}
-	return out
 }

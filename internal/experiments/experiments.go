@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7). Each experiment is a function returning one or
-// more eval.Tables whose rows mirror the series plotted in the paper;
-// cmd/octobench prints them and bench_test.go wraps them as benchmarks.
+// more eval.Tables whose rows mirror the series plotted in the paper, and
+// whose numeric cells carry the numbers they print; cmd/octobench prints
+// them and testdata/fast_seed1.golden pins their Fast rendering. Every
+// system under test is wired by scenario.Build.
 package experiments
 
 import (
@@ -11,6 +13,7 @@ import (
 
 	"octostore/internal/cluster"
 	"octostore/internal/eval"
+	"octostore/internal/scenario"
 	"octostore/internal/storage"
 	"octostore/internal/workload"
 )
@@ -48,24 +51,19 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// clusterConfig builds the cluster config for the options.
-func (o Options) clusterConfig() cluster.Config {
-	if o.Fast {
-		return cluster.Config{Workers: 3, SlotsPerNode: 4, Spec: fastWorkerSpec()}
+// replayOptions is the options as scenario sees them. Fast pins the
+// shrunken topology, so Workers only carries at paper scale.
+func (o Options) replayOptions() scenario.Options {
+	so := scenario.Options{Seed: o.Seed, Fast: o.Fast}
+	if !o.Fast {
+		so.Workers = o.Workers
 	}
-	cfg := cluster.PaperConfig()
-	cfg.Workers = o.Workers
-	return cfg
+	return so
 }
 
-// fastWorkerSpec is a shrunken node for Fast runs: enough memory pressure
-// to exercise the policies at a fraction of the event count.
-func fastWorkerSpec() storage.NodeSpec {
-	return storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+// clusterConfig is the scenario default topology for the options.
+func (o Options) clusterConfig() cluster.Config {
+	return scenario.DefaultCluster(o.replayOptions())
 }
 
 // profile returns the workload profile for a name ("fb" or "cmu"), scaled
@@ -81,10 +79,7 @@ func (o Options) profile(name string) (workload.Profile, error) {
 		return p, fmt.Errorf("experiments: unknown workload %q", name)
 	}
 	if o.Fast {
-		p.NumJobs /= 5
-		p.Duration = 2 * time.Hour
-		// Cap job sizes at bin D so files fit the shrunken cluster.
-		p = workload.CapProfile(p, workload.BinD)
+		p = scenario.FastProfile(p)
 	}
 	return p, nil
 }
@@ -134,12 +129,16 @@ func Get(id string) (Runner, error) {
 	return r, nil
 }
 
-// durationMinutes formats a duration as decimal minutes.
-func durationMinutes(d time.Duration) string {
-	return fmt.Sprintf("%.1f", d.Minutes())
+// text is a cell that prints fmt.Sprint(a) and carries no number.
+func text(a any) eval.Cell { return eval.Cell{Text: fmt.Sprint(a)} }
+
+// num is a cell holding v, printed with format.
+func num(format string, v float64) eval.Cell {
+	return eval.Cell{Text: fmt.Sprintf(format, v), Value: v}
 }
 
-// gb formats bytes as decimal gigabytes.
-func gb(bytes int64) string {
-	return fmt.Sprintf("%.2f", float64(bytes)/float64(storage.GB))
-}
+// minutes is a duration in decimal minutes.
+func minutes(d time.Duration) eval.Cell { return num("%.1f", d.Minutes()) }
+
+// gb is a byte count in decimal gigabytes.
+func gb(bytes int64) eval.Cell { return num("%.2f", float64(bytes)/float64(storage.GB)) }

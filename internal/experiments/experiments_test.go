@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -15,16 +13,6 @@ import (
 )
 
 func fastOpts() Options { return Options{Fast: true, Seed: 1} }
-
-// parsePct converts "12.3%" to 0.123.
-func parsePct(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("parsePct(%q): %v", s, err)
-	}
-	return v / 100
-}
 
 func TestIDsAndGet(t *testing.T) {
 	ids := IDs()
@@ -156,8 +144,10 @@ func TestAllExperimentsRunFast(t *testing.T) {
 
 // TestParallelRunsAreDeterministic is the harness-parallelism acceptance
 // check: every experiment cell is an isolated deterministic simulation, so
-// the assembled tables must be byte-identical whether the cells ran
-// sequentially or fanned out across a worker pool.
+// the rendered tables must be byte-identical whether the cells ran
+// sequentially or fanned out across a worker pool. It compares text, not
+// cell values: a NaN cell is equal to itself on the page but not as a
+// float.
 func TestParallelRunsAreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replays in non-short mode only")
@@ -171,16 +161,9 @@ func TestParallelRunsAreDeterministic(t *testing.T) {
 		}
 		return tables
 	}
-	sequential := runTables(1)
-	parallel := runTables(4)
-	if len(sequential) != len(parallel) {
-		t.Fatalf("table count diverged: %d sequential vs %d parallel", len(sequential), len(parallel))
-	}
-	for i := range sequential {
-		if !reflect.DeepEqual(sequential[i], parallel[i]) {
-			t.Errorf("table %s diverged between sequential and parallel runs:\nsequential: %+v\nparallel:   %+v",
-				sequential[i].ID, sequential[i], parallel[i])
-		}
+	sequential, parallel := renderTables(runTables(1)), renderTables(runTables(4))
+	if sequential != parallel {
+		t.Errorf("scenario tables diverged between sequential and parallel runs at %s", firstDiff(parallel, sequential))
 	}
 }
 
@@ -205,10 +188,8 @@ func TestModelSweepsParallelDeterministic(t *testing.T) {
 			}
 			return tables
 		}
-		sequential := run(1)
-		parallel := run(4)
-		if !reflect.DeepEqual(sequential, parallel) {
-			t.Errorf("%s diverged between sequential and parallel runs", id)
+		if sequential, parallel := renderTables(run(1)), renderTables(run(4)); sequential != parallel {
+			t.Errorf("%s diverged between sequential and parallel runs at %s", id, firstDiff(parallel, sequential))
 		}
 	}
 }
@@ -227,13 +208,12 @@ func TestFig6XGBBeatsBaselineOnAverage(t *testing.T) {
 	// placement overall.
 	mean := func(rowName string) float64 {
 		for _, row := range fb.Rows {
-			if row[0] != rowName {
+			if row[0].Text != rowName {
 				continue
 			}
 			sum, n := 0.0, 0
 			for _, cell := range row[1:] {
-				v := parsePct(t, cell)
-				if v != 0 {
+				if v := cell.Value; v != 0 {
 					sum += v
 					n++
 				}
@@ -263,7 +243,7 @@ func TestTable3BinSharesSumToOne(t *testing.T) {
 	tbl := tables[0]
 	perWorkload := map[string]float64{}
 	for _, row := range tbl.Rows {
-		perWorkload[row[0]] += parsePct(t, row[3])
+		perWorkload[row[0].Text] += row[3].Value
 	}
 	for wl, sum := range perWorkload {
 		if sum < 0.99 || sum > 1.01 {

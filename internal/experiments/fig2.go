@@ -5,12 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"octostore/internal/cluster"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
-	"octostore/internal/policy"
 	"octostore/internal/scenario"
-	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
 
@@ -54,166 +51,123 @@ func Fig2DFSIO(o Options) ([]*eval.Table, error) {
 		{Name: "OctopusFS", Mode: dfs.ModeOctopus},
 		{Name: "Octopus++", Mode: dfs.ModeOctopus, Down: "xgb", Up: "xgb"},
 	}
-	writeTable := &eval.Table{
-		ID:     "fig2a",
-		Title:  "DFSIO average write throughput per node (MB/s) vs data written (GB)",
-		Header: []string{"Data (GB)", "HDFS", "HDFS+Cache", "OctopusFS", "Octopus++"},
+	header := []string{"Data (GB)", "HDFS", "HDFS+Cache", "OctopusFS", "Octopus++"}
+	tables := []*eval.Table{ // indexed like the phases of runDFSIO's series
+		{ID: "fig2a", Title: "DFSIO average write throughput per node (MB/s) vs data written (GB)", Header: header},
+		{ID: "fig2b", Title: "DFSIO average read throughput per node (MB/s) vs data read (GB)", Header: header},
 	}
-	readTable := &eval.Table{
-		ID:     "fig2b",
-		Title:  "DFSIO average read throughput per node (MB/s) vs data read (GB)",
-		Header: []string{"Data (GB)", "HDFS", "HDFS+Cache", "OctopusFS", "Octopus++"},
-	}
-	writeSeries := make([][]float64, len(systems))
-	readSeries := make([][]float64, len(systems))
+	series := make([][2][]float64, len(systems))
 	err := runCells(o.parallelism(), len(systems), func(i int) error {
-		w, r, err := runDFSIO(systems[i], o, cfg)
-		if err != nil {
-			return err
-		}
-		writeSeries[i], readSeries[i] = w, r
-		return nil
+		var err error
+		series[i], err = runDFSIO(systems[i], o, cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	bucketGB := float64(cfg.totalBytes) / float64(cfg.buckets) / float64(storage.GB)
 	for i := 0; i < cfg.buckets; i++ {
-		wRow := []string{fmt.Sprintf("%.1f", bucketGB*float64(i+1))}
-		rRow := []string{fmt.Sprintf("%.1f", bucketGB*float64(i+1))}
-		for s := range systems {
-			wRow = append(wRow, fmt.Sprintf("%.0f", writeSeries[s][i]))
-			rRow = append(rRow, fmt.Sprintf("%.0f", readSeries[s][i]))
+		for phase, t := range tables {
+			row := []eval.Cell{num("%.1f", bucketGB*float64(i+1))}
+			for s := range systems {
+				row = append(row, num("%.0f", series[s][phase][i]))
+			}
+			t.AddRow(row...)
 		}
-		writeTable.AddRow(wRow...)
-		readTable.AddRow(rRow...)
 	}
-	return []*eval.Table{writeTable, readTable}, nil
+	return tables, nil
 }
 
 // runDFSIO writes and then reads the benchmark dataset on one system,
-// returning per-bucket MB/s-per-node series for both phases.
-func runDFSIO(sys System, o Options, cfg dfsioConfig) (writeMBs, readMBs []float64, err error) {
-	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, o.clusterConfig())
+// returning per-bucket MB/s-per-node series for both phases, write first.
+func runDFSIO(sys System, o Options, cfg dfsioConfig) (series [2][]float64, err error) {
+	rp, err := scenario.Build(sys, o.clusterConfig(), o.Seed)
 	if err != nil {
-		return nil, nil, err
+		return series, err
 	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: sys.Mode, Seed: o.Seed, ClientRate: 2000e6})
-	if err != nil {
-		return nil, nil, err
+	if rp.Manager != nil {
+		defer rp.Manager.Stop()
 	}
-	if sys.Managed() {
-		mgr, err := policy.NewManager(fs, sys.Down, sys.Up, scenario.LearnerConfig(o.Seed))
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.Start()
-		defer mgr.Stop()
-	}
-
+	engine, fs, nodes := rp.Engine, rp.FS, rp.Cluster.Nodes()
 	nFiles := int(cfg.totalBytes / cfg.fileBytes)
 	paths := make([]string, nFiles)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/dfsio/f%03d", i)
 	}
-	workers := cfg.writersPerNode * cl.Size()
-	nodes := cl.Nodes()
+	workers := cfg.writersPerNode * len(nodes)
 
-	// Write phase: `workers` concurrent streams create files in order.
-	writeDone := make([]time.Time, nFiles)
-	next := 0
-	active := 0
-	var failure error
-	var launch func()
-	launch = func() {
-		for active < workers && next < nFiles {
-			idx := next
-			next++
-			active++
-			fs.Create(paths[idx], cfg.fileBytes, func(_ *dfs.File, cerr error) {
-				active--
-				writeDone[idx] = engine.Now()
-				if cerr != nil && failure == nil {
-					failure = cerr
-				}
-				launch()
-			})
+	// Both phases run the files in order on `workers` concurrent streams:
+	// launch hands every free stream the next file, and start must call
+	// finish once that file is done.
+	var (
+		next, active int
+		start        func(idx int)
+		done         []time.Time
+		failure      error
+	)
+	fail := func(err error) {
+		if err != nil && failure == nil {
+			failure = err
 		}
 	}
-	writeStart := engine.Now()
-	launch()
-	for (active > 0 || next < nFiles) && engine.Step() {
+	launch := func() {
+		for active < workers && next < nFiles {
+			next++
+			active++
+			start(next - 1)
+		}
 	}
-	if failure != nil {
-		return nil, nil, fmt.Errorf("dfsio write (%s): %w", sys.Name, failure)
+	finish := func(idx int) {
+		done[idx] = engine.Now()
+		active--
+		launch()
 	}
-	writeMBs = bucketThroughput(writeStart, writeDone, cfg, cl.Size())
+	phase := func(name string, s func(idx int)) ([]float64, error) {
+		start, next, active, done = s, 0, 0, make([]time.Time, nFiles)
+		begin := engine.Now()
+		launch()
+		for (active > 0 || next < nFiles) && engine.Step() {
+		}
+		if failure != nil {
+			return nil, fmt.Errorf("dfsio %s (%s): %w", name, sys.Name, failure)
+		}
+		return bucketThroughput(begin, done, cfg, len(nodes)), nil
+	}
 
+	if series[0], err = phase("write", func(idx int) {
+		fs.Create(paths[idx], cfg.fileBytes, func(_ *dfs.File, err error) {
+			fail(err)
+			finish(idx)
+		})
+	}); err != nil {
+		return series, err
+	}
 	// Read phase: the same streams read files in creation order, each
 	// stream pinned to a node (block reads prefer local replicas).
-	readDone := make([]time.Time, nFiles)
-	next, active = 0, 0
-	var readFile func(idx int, node int)
-	readFile = func(idx, node int) {
-		f, oerr := fs.Open(paths[idx])
-		if oerr != nil {
-			if failure == nil {
-				failure = oerr
-			}
-			readDone[idx] = engine.Now()
-			active--
-			launchRead(&next, &active, workers, nFiles, readFile)
+	series[1], err = phase("read", func(idx int) {
+		f, err := fs.Open(paths[idx])
+		if err != nil {
+			fail(err)
+			finish(idx)
 			return
 		}
 		fs.RecordAccess(f)
 		blocks := f.Blocks()
+		node := nodes[(idx%workers)%len(nodes)]
 		var step func(i int)
 		step = func(i int) {
 			if i >= len(blocks) {
-				readDone[idx] = engine.Now()
-				active--
-				launchRead(&next, &active, workers, nFiles, readFile)
+				finish(idx)
 				return
 			}
-			fs.ReadBlock(blocks[i], nodes[node%len(nodes)], func(_ dfs.ReadResult, rerr error) {
-				if rerr != nil && failure == nil {
-					failure = rerr
-				}
+			fs.ReadBlock(blocks[i], node, func(_ dfs.ReadResult, err error) {
+				fail(err)
 				step(i + 1)
 			})
 		}
 		step(0)
-	}
-	readStart := engine.Now()
-	launchReadInit(&next, &active, workers, nFiles, readFile)
-	for (active > 0 || next < nFiles) && engine.Step() {
-	}
-	if failure != nil {
-		return nil, nil, fmt.Errorf("dfsio read (%s): %w", sys.Name, failure)
-	}
-	readMBs = bucketThroughput(readStart, readDone, cfg, cl.Size())
-	return writeMBs, readMBs, nil
-}
-
-// launchReadInit starts the initial batch of read streams.
-func launchReadInit(next, active *int, workers, nFiles int, readFile func(int, int)) {
-	for *active < workers && *next < nFiles {
-		idx := *next
-		*next = idx + 1
-		*active = *active + 1
-		readFile(idx, idx%workers)
-	}
-}
-
-// launchRead starts the next file on a freed stream.
-func launchRead(next, active *int, workers, nFiles int, readFile func(int, int)) {
-	if *next < nFiles {
-		idx := *next
-		*next = idx + 1
-		*active = *active + 1
-		readFile(idx, idx%workers)
-	}
+	})
+	return series, err
 }
 
 // bucketThroughput converts per-file completion times into the cumulative

@@ -1,19 +1,6 @@
 package experiments
 
-import (
-	"strconv"
-	"testing"
-)
-
-// parseF parses a table cell as float.
-func parseF(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("parseF(%q): %v", s, err)
-	}
-	return v
-}
+import "testing"
 
 // TestFig2Shape checks the Figure 2 shape claims on the fast configuration:
 // tiered systems write and read faster than HDFS while memory lasts, and
@@ -31,22 +18,21 @@ func TestFig2Shape(t *testing.T) {
 
 	// Column order: Data, HDFS, HDFS+Cache, OctopusFS, Octopus++.
 	first := write.Rows[0]
-	if parseF(t, first[3]) <= parseF(t, first[1]) {
-		t.Errorf("OctopusFS write %s not faster than HDFS %s in first bucket", first[3], first[1])
+	if first[3].Value <= first[1].Value {
+		t.Errorf("OctopusFS write %v not faster than HDFS %v in first bucket", first[3].Value, first[1].Value)
 	}
 	firstRead := read.Rows[0]
-	if parseF(t, firstRead[3]) <= parseF(t, firstRead[1]) {
-		t.Errorf("OctopusFS read %s not faster than HDFS %s in first bucket", firstRead[3], firstRead[1])
+	if firstRead[3].Value <= firstRead[1].Value {
+		t.Errorf("OctopusFS read %v not faster than HDFS %v in first bucket", firstRead[3].Value, firstRead[1].Value)
 	}
-	if parseF(t, firstRead[2]) <= parseF(t, firstRead[1]) {
-		t.Errorf("HDFS+Cache read %s not faster than HDFS %s in first bucket", firstRead[2], firstRead[1])
+	if firstRead[2].Value <= firstRead[1].Value {
+		t.Errorf("HDFS+Cache read %v not faster than HDFS %v in first bucket", firstRead[2].Value, firstRead[1].Value)
 	}
 	// Cumulative averages must stay positive and finite everywhere.
 	for _, tbl := range tables {
 		for _, row := range tbl.Rows {
 			for _, cell := range row[1:] {
-				v := parseF(t, cell)
-				if v <= 0 || v > 1e5 {
+				if v := cell.Value; v <= 0 || v > 1e5 {
 					t.Fatalf("%s: implausible throughput %v MB/s", tbl.ID, v)
 				}
 			}

@@ -143,19 +143,34 @@ func toMatrix(samples []mlSample, width int) (*gbt.Matrix, []float64) {
 	return x, y
 }
 
-// trainAndScore fits the paper's model on the train split and scores the
-// test split.
-func trainAndScore(train, test []mlSample, width int) (scores, labels []float64, err error) {
-	xTrain, yTrain := toMatrix(train, width)
-	model, err := gbt.Train(xTrain, yTrain, gbt.PaperParams())
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, s := range test {
-		scores = append(scores, model.Predict(s.x))
+// score runs m over samples: its predictions and the samples' labels.
+func score(m *gbt.Model, samples []mlSample) (scores, labels []float64) {
+	for _, s := range samples {
+		scores = append(scores, m.Predict(s.x))
 		labels = append(labels, s.y)
 	}
-	return scores, labels, nil
+	return scores, labels
+}
+
+// trainAndScore is one offline model cell (Figures 14 and 15): sample tr
+// under spec with the given class window, split 4/6 train, 1/6 validation
+// (folded back into training after tuning), 1/6 test, fit the paper's
+// model and score the test split. It returns the sample count, the test
+// AUC and the accuracy at 0.5.
+func trainAndScore(tr *workload.Trace, spec ml.FeatureSpec, window time.Duration, o Options) (n int, auc, acc eval.Cell, err error) {
+	samples := collectSamples(tr, defaultSampleParams(spec, window, o))
+	train, val, test := splitSamples(samples, tr.Duration, 4.0/6, 1.0/6)
+	train = append(train, val...)
+	if len(train) == 0 || len(test) == 0 {
+		return 0, auc, acc, fmt.Errorf("empty split")
+	}
+	xTrain, yTrain := toMatrix(train, spec.Width())
+	model, err := gbt.Train(xTrain, yTrain, gbt.PaperParams())
+	if err != nil {
+		return 0, auc, acc, err
+	}
+	scores, labels := score(model, test)
+	return len(samples), eval.F2(eval.AUC(scores, labels)), eval.Pct(eval.Accuracy(scores, labels, 0.5)), nil
 }
 
 // modelWindows returns the (downgrade, upgrade) class windows used by the
@@ -184,7 +199,7 @@ func Fig14ROC(o Options) ([]*eval.Table, error) {
 	for _, wl := range []string{"fb", "cmu"} {
 		cells = append(cells, cell{wl, "downgrade", downW}, cell{wl, "upgrade", upW})
 	}
-	rows := make([][]string, len(cells))
+	rows := make([][]eval.Cell, len(cells))
 	err := runCells(o.parallelism(), len(cells), func(i int) error {
 		c := cells[i]
 		p, err := o.profile(c.wl)
@@ -192,34 +207,22 @@ func Fig14ROC(o Options) ([]*eval.Table, error) {
 			return err
 		}
 		tr := workload.Generate(p, o.Seed)
-		spec := ml.DefaultFeatureSpec()
-		samples := collectSamples(tr, defaultSampleParams(spec, c.window, o))
-		train, val, test := splitSamples(samples, tr.Duration, 4.0/6, 1.0/6)
-		train = append(train, val...) // validation folded into training after tuning
-		if len(train) == 0 || len(test) == 0 {
-			return fmt.Errorf("fig14: empty split (%s/%s)", c.wl, c.model)
-		}
-		scores, labels, err := trainAndScore(train, test, spec.Width())
+		n, auc, acc, err := trainAndScore(tr, ml.DefaultFeatureSpec(), c.window, o)
 		if err != nil {
-			return err
+			return fmt.Errorf("fig14 (%s/%s): %w", c.wl, c.model, err)
 		}
-		rows[i] = []string{tr.Name, c.model, fmt.Sprintf("%d", len(samples)),
-			eval.F2(eval.AUC(scores, labels)),
-			eval.Pct(eval.Accuracy(scores, labels, 0.5))}
+		rows[i] = []eval.Cell{text(tr.Name), text(c.model), text(n), auc, acc}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &eval.Table{
+	return []*eval.Table{{
 		ID:     "fig14",
 		Title:  "XGB model ROC evaluation (train 4/6, validate 1/6, test 1/6)",
 		Header: []string{"Workload", "Model", "Samples", "Test AUC", "Accuracy@0.5"},
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return []*eval.Table{t}, nil
+		Rows:   rows,
+	}}, nil
 }
 
 // Fig15FeatureAblation regenerates Figure 15: ROC/AUC of the FB downgrade
@@ -244,34 +247,24 @@ func Fig15FeatureAblation(o Options) ([]*eval.Table, error) {
 	}
 	// Each ablation variant re-collects and re-trains over the shared
 	// read-only trace: independent cells, fanned out.
-	rows := make([][]string, len(variants))
+	rows := make([][]eval.Cell, len(variants))
 	err = runCells(o.parallelism(), len(variants), func(i int) error {
-		v := variants[i]
-		samples := collectSamples(tr, defaultSampleParams(v.spec, downW, o))
-		train, val, test := splitSamples(samples, tr.Duration, 4.0/6, 1.0/6)
-		train = append(train, val...)
-		if len(train) == 0 || len(test) == 0 {
-			return fmt.Errorf("fig15: empty split for %q", v.name)
-		}
-		scores, labels, err := trainAndScore(train, test, v.spec.Width())
+		_, auc, acc, err := trainAndScore(tr, variants[i].spec, downW, o)
 		if err != nil {
-			return err
+			return fmt.Errorf("fig15 (%s): %w", variants[i].name, err)
 		}
-		rows[i] = []string{v.name, eval.F2(eval.AUC(scores, labels)), eval.Pct(eval.Accuracy(scores, labels, 0.5))}
+		rows[i] = []eval.Cell{text(variants[i].name), auc, acc}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &eval.Table{
+	return []*eval.Table{{
 		ID:     "fig15",
 		Title:  "Feature ablation for the FB downgrade model",
 		Header: []string{"Variant", "Test AUC", "Accuracy@0.5"},
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return []*eval.Table{t}, nil
+		Rows:   rows,
+	}}, nil
 }
 
 // Fig16LearningModes regenerates Figure 16: prediction accuracy over time
@@ -324,15 +317,6 @@ func Fig16LearningModes(o Options) ([]*eval.Table, error) {
 		return nil, fmt.Errorf("fig16: no samples in first segment")
 	}
 
-	measure := func(m *gbt.Model, bucket []mlSample) float64 {
-		var scores, labels []float64
-		for _, s := range bucket {
-			scores = append(scores, m.Predict(s.x))
-			labels = append(labels, s.y)
-		}
-		return eval.Accuracy(scores, labels, 0.5)
-	}
-
 	params := gbt.PaperParams()
 	params.MaxTrees = 300
 	// The three learning modes are independent model sweeps over the shared
@@ -355,7 +339,8 @@ func Fig16LearningModes(o Options) ([]*eval.Table, error) {
 			}
 			// Accuracy is measured on fresh samples before they are trained
 			// on.
-			acc[h] = measure(model, bucket)
+			scores, labels := score(model, bucket)
+			acc[h] = eval.Accuracy(scores, labels, 0.5)
 			xb, yb := toMatrix(bucket, spec.Width())
 			switch mode {
 			case 0: // incremental: update with this segment's samples
@@ -385,7 +370,7 @@ func Fig16LearningModes(o Options) ([]*eval.Table, error) {
 		if len(buckets[h]) == 0 {
 			continue
 		}
-		t.AddRow(fmt.Sprintf("%d", h+1),
+		t.AddRow(text(h+1),
 			eval.Pct(accs[0][h]), eval.Pct(accs[1][h]), eval.Pct(accs[2][h]))
 	}
 	return []*eval.Table{t}, nil
@@ -424,7 +409,7 @@ func Fig17WorkloadSwitch(o Options) ([]*eval.Table, error) {
 	// Each switching frequency is an independent generate-sample-train
 	// sweep; fan them out and assemble rows in the stable name order.
 	spec := ml.DefaultFeatureSpec()
-	rowsByName := make([][][]string, len(names))
+	rowsByName := make([][][]eval.Cell, len(names))
 	err := runCells(o.parallelism(), len(names), func(i int) error {
 		name := names[i]
 		cfg := totalSegments[name]
@@ -439,7 +424,7 @@ func Fig17WorkloadSwitch(o Options) ([]*eval.Table, error) {
 		params := gbt.PaperParams()
 		params.MaxTrees = 300
 		cursor := 0
-		var rows [][]string
+		var rows [][]eval.Cell
 		for w := 0; w < nWindows; w++ {
 			hi := cursor
 			limit := time.Duration(w+1) * window
@@ -452,13 +437,9 @@ func Fig17WorkloadSwitch(o Options) ([]*eval.Table, error) {
 				continue
 			}
 			if model != nil {
-				var scores, labels []float64
-				for _, s := range bucket {
-					scores = append(scores, model.Predict(s.x))
-					labels = append(labels, s.y)
-				}
-				rows = append(rows, []string{name,
-					fmt.Sprintf("%5.1fh", (time.Duration(w+1) * window).Hours()),
+				scores, labels := score(model, bucket)
+				rows = append(rows, []eval.Cell{text(name),
+					num("%5.1fh", (time.Duration(w+1) * window).Hours()),
 					eval.Pct(eval.Accuracy(scores, labels, 0.5))})
 			}
 			xb, yb := toMatrix(bucket, spec.Width())
@@ -482,9 +463,7 @@ func Fig17WorkloadSwitch(o Options) ([]*eval.Table, error) {
 		Header: []string{"Variation", "Window", "Accuracy"},
 	}
 	for _, rows := range rowsByName {
-		for _, row := range rows {
-			t.AddRow(row...)
-		}
+		t.Rows = append(t.Rows, rows...)
 	}
 	return []*eval.Table{t}, nil
 }
@@ -542,11 +521,11 @@ func OverheadsReport(o Options) ([]*eval.Table, error) {
 		Title:  "System overheads (Section 7.7)",
 		Header: []string{"Metric", "Value"},
 	}
-	t.AddRow("training samples", fmt.Sprintf("%d", len(samples)))
-	t.AddRow("avg time per training sample", fmt.Sprintf("%.3f ms", float64(addTotal.Microseconds())/float64(len(samples))/1000))
-	t.AddRow("avg time per prediction", fmt.Sprintf("%.1f ns", float64(predTotal.Nanoseconds())/predIters))
-	t.AddRow("model memory", fmt.Sprintf("%.1f KB", float64(model.ApproxMemoryBytes())/float64(storage.KB)))
-	t.AddRow("model trees", fmt.Sprintf("%d", model.NumTrees()))
-	t.AddRow("tracker bytes per file", fmt.Sprintf("%d B", perFile))
+	t.AddRow(text("training samples"), text(len(samples)))
+	t.AddRow(text("avg time per training sample"), num("%.3f ms", float64(addTotal.Microseconds())/float64(len(samples))/1000))
+	t.AddRow(text("avg time per prediction"), num("%.1f ns", float64(predTotal.Nanoseconds())/predIters))
+	t.AddRow(text("model memory"), num("%.1f KB", float64(model.ApproxMemoryBytes())/float64(storage.KB)))
+	t.AddRow(text("model trees"), text(model.NumTrees()))
+	t.AddRow(text("tracker bytes per file"), num("%.0f B", float64(perFile)))
 	return []*eval.Table{t}, nil
 }

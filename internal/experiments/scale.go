@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"octostore/internal/cluster"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
+	"octostore/internal/jobs"
 	"octostore/internal/workload"
 )
 
@@ -19,16 +18,10 @@ func Fig13Scalability(o Options) ([]*eval.Table, error) {
 	if o.Fast {
 		scales = []int{1, 2}
 	}
-	tCompletion := &eval.Table{
-		ID:     "fig13a",
-		Title:  "XGB vs HDFS: percent reduction in completion time by cluster size (FB)",
-		Header: append([]string{"Workers"}, binHeaders()...),
-	}
-	tEfficiency := &eval.Table{
-		ID:     "fig13b",
-		Title:  "XGB vs HDFS: percent improvement in cluster efficiency by cluster size (FB)",
-		Header: append([]string{"Workers"}, binHeaders()...),
-	}
+	tCompletion := binTable("fig13a",
+		"XGB vs HDFS: percent reduction in completion time by cluster size (FB)", "Workers")
+	tEfficiency := binTable("fig13b",
+		"XGB vs HDFS: percent improvement in cluster efficiency by cluster size (FB)", "Workers")
 	// Each (scale, system) execution is an isolated simulation; the two
 	// systems of a scale share that scale's pre-generated read-only trace.
 	// Fan the grid out and assemble rows in scale order.
@@ -54,32 +47,19 @@ func Fig13Scalability(o Options) ([]*eval.Table, error) {
 			cell{ccfg: ccfg, tr: tr, sys: System{Name: "HDFS", Mode: dfs.ModeHDFS}},
 			cell{ccfg: ccfg, tr: tr, sys: System{Name: "XGB", Mode: dfs.ModeOctopus, Down: "xgb", Up: "xgb"}})
 	}
-	arts := make([]*runArtifacts, len(cells))
+	stats := make([]*jobs.RunStats, len(cells))
 	err := runCells(o.parallelism(), len(cells), func(i int) error {
-		a, err := runSystem(cells[i].sys, cells[i].tr, cells[i].ccfg, o.Seed)
-		if err != nil {
-			return err
-		}
-		arts[i] = a
-		return nil
+		var err error
+		stats[i], err = runSystem(cells[i].sys, cells[i].tr, cells[i].ccfg, jobs.Options{Seed: o.Seed})
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < len(cells); i += 2 {
-		base, xgb := arts[i], arts[i+1]
-		baseMean := base.stats.MeanCompletionByBin()
-		xgbMean := xgb.stats.MeanCompletionByBin()
-		baseTask := base.stats.TaskSecondsByBin()
-		xgbTask := xgb.stats.TaskSecondsByBin()
-		rowC := []string{fmt.Sprintf("%d", cells[i].ccfg.Workers)}
-		rowE := []string{fmt.Sprintf("%d", cells[i].ccfg.Workers)}
-		for b := workload.Bin(0); b < workload.NumBins; b++ {
-			rowC = append(rowC, eval.Pct(eval.Reduction(baseMean[b].Seconds(), xgbMean[b].Seconds())))
-			rowE = append(rowE, eval.Pct(eval.Reduction(baseTask[b], xgbTask[b])))
-		}
-		tCompletion.AddRow(rowC...)
-		tEfficiency.AddRow(rowE...)
+		workers := cells[i].ccfg.Workers
+		tCompletion.AddRow(reductionRow(workers, stats[i], stats[i+1], completionSecs)...)
+		tEfficiency.AddRow(reductionRow(workers, stats[i], stats[i+1], taskSecs)...)
 	}
 	return []*eval.Table{tCompletion, tEfficiency}, nil
 }

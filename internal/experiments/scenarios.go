@@ -46,12 +46,7 @@ func Scenarios(o Options) ([]*eval.Table, error) {
 		Header: []string{"Scenario", "System", "Upgrades", "Downgrades", "Deletes",
 			"Repairs", "Events", "Checks", "Violations", "Lost blocks"},
 	}
-	opts := scenario.Options{Seed: o.Seed, Fast: o.Fast}
-	if !o.Fast {
-		// Fast mode pins the shrunken topology, exactly like
-		// Options.clusterConfig does for every other experiment.
-		opts.Workers = o.Workers
-	}
+	opts := o.replayOptions()
 	// Each (scenario, system) replay is an isolated deterministic
 	// simulation; fan the grid out and assemble rows in grid order so the
 	// tables are identical at any parallelism level.
@@ -84,22 +79,16 @@ func Scenarios(o Options) ([]*eval.Table, error) {
 			return nil, fmt.Errorf("scenarios: %s on %s violated invariants: %v",
 				sc.Name, sys.Name, res.Violations)
 		}
-		perf.AddRow(sc.Name, sys.Name,
-			fmt.Sprintf("%d", res.Jobs),
-			durationMinutes(res.MeanCompletion),
-			durationMinutes(res.P95Completion),
+		perf.AddRow(text(sc.Name), text(sys.Name), text(res.Jobs),
+			minutes(res.MeanCompletion),
+			minutes(res.P95Completion),
 			gb(res.BytesRead),
-			fmt.Sprintf("%.1f", res.ThroughputMBps),
+			num("%.1f", res.ThroughputMBps),
 			eval.Pct(res.MemHitRatio))
-		activity.AddRow(sc.Name, sys.Name,
-			fmt.Sprintf("%d", res.Upgrades),
-			fmt.Sprintf("%d", res.Downgrades),
-			fmt.Sprintf("%d", res.ReplicaDeletes),
-			fmt.Sprintf("%d", res.Repairs),
-			fmt.Sprintf("%d", res.Events),
-			fmt.Sprintf("%d", res.AccountingChecks+res.DeepChecks),
-			fmt.Sprintf("%d", len(res.Violations)),
-			fmt.Sprintf("%d", res.DataLossBlocks))
+		activity.AddRow(text(sc.Name), text(sys.Name),
+			text(res.Upgrades), text(res.Downgrades), text(res.ReplicaDeletes), text(res.Repairs),
+			text(res.Events), text(res.AccountingChecks+res.DeepChecks),
+			text(len(res.Violations)), text(res.DataLossBlocks))
 	}
 	return []*eval.Table{perf, activity}, nil
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"octostore/internal/cluster"
-	"octostore/internal/core"
 	"octostore/internal/dfs"
+	"octostore/internal/eval"
 	"octostore/internal/jobs"
-	"octostore/internal/policy"
 	"octostore/internal/scenario"
-	"octostore/internal/sim"
 	"octostore/internal/workload"
 )
 
@@ -29,98 +27,131 @@ func endToEndSystems() []System {
 	}
 }
 
-// runArtifacts exposes the live components of a finished run for metric
-// extraction.
-type runArtifacts struct {
-	fs      *dfs.FileSystem
-	manager *core.Manager
-	stats   *jobs.RunStats
-}
-
 // runSystem executes a trace on a freshly built system and returns the
 // collected statistics.
-func runSystem(sys System, tr *workload.Trace, ccfg cluster.Config, seed int64) (*runArtifacts, error) {
-	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, ccfg)
+func runSystem(sys System, tr *workload.Trace, ccfg cluster.Config, opts jobs.Options) (*jobs.RunStats, error) {
+	rp, err := scenario.Build(sys, ccfg, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: sys.Mode, Seed: seed, ClientRate: 2000e6})
-	if err != nil {
-		return nil, err
+	if rp.Manager != nil {
+		defer rp.Manager.Stop()
 	}
-	art := &runArtifacts{fs: fs}
-	if sys.Managed() {
-		if art.manager, err = policy.NewManager(fs, sys.Down, sys.Up, scenario.LearnerConfig(seed)); err != nil {
-			return nil, err
-		}
-		art.manager.Start()
-	}
-	stats, err := jobs.Run(fs, tr, jobs.Options{Seed: seed}, nil)
+	stats, err := jobs.Run(rp.FS, tr, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("system %s: %w", sys.Name, err)
 	}
-	if art.manager != nil {
-		art.manager.Stop()
-	}
-	art.stats = stats
-	return art, nil
+	return stats, nil
 }
 
 // endToEndRun is one (workload, system) execution.
 type endToEndRun struct {
 	system System
 	stats  *jobs.RunStats
-	arts   *runArtifacts
-}
-
-// runEndToEnd executes all end-to-end systems over a workload. Results are
-// memoised per (options, workload) because Figures 6-9 share the same runs.
-// Each system is an isolated deterministic simulation over the shared
-// read-only trace, so the cells fan out across Options.Parallel workers
-// with byte-identical results.
-func runEndToEnd(o Options, workloadName string, systems []System) ([]endToEndRun, error) {
-	o.applyDefaults()
-	p, err := o.profile(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	tr := workload.Generate(p, o.Seed)
-	runs := make([]endToEndRun, len(systems))
-	err = runCells(o.parallelism(), len(systems), func(i int) error {
-		arts, err := runSystem(systems[i], tr, o.clusterConfig(), o.Seed)
-		if err != nil {
-			return err
-		}
-		runs[i] = endToEndRun{system: systems[i], stats: arts.stats, arts: arts}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
 }
 
 type memoKey struct {
 	workers int
 	seed    int64
 	fast    bool
-	name    string
+	set     string
 }
 
-var endToEndMemo = map[memoKey][]endToEndRun{}
+var memo = map[memoKey][]endToEndRun{}
 
-// endToEndCached memoises the shared Figure 6-9 run set.
-func endToEndCached(o Options, workloadName string) ([]endToEndRun, error) {
+// comparison runs one named comparison set: "fb" and "cmu" are the
+// end-to-end systems on that workload (Figures 6-9, Table 3), "downgrade"
+// and "upgrade" the policy-isolation sets on FB (Figures 10-12, Table 4).
+// Runs are memoised per (options, set) because several figures share each
+// set. Each system is an isolated deterministic simulation over the shared
+// read-only trace, so the cells fan out across Options.Parallel workers
+// with byte-identical results.
+func comparison(o Options, set string) ([]endToEndRun, error) {
 	o.applyDefaults()
-	key := memoKey{workers: o.Workers, seed: o.Seed, fast: o.Fast, name: workloadName}
-	if runs, ok := endToEndMemo[key]; ok {
+	key := memoKey{workers: o.Workers, seed: o.Seed, fast: o.Fast, set: set}
+	if runs, ok := memo[key]; ok {
 		return runs, nil
 	}
-	runs, err := runEndToEnd(o, workloadName, endToEndSystems())
+	wl, systems := set, endToEndSystems()
+	switch set {
+	case "downgrade":
+		wl, systems = "fb", downgradeSystems()
+	case "upgrade":
+		wl, systems = "fb", upgradeSystems()
+	}
+	p, err := o.profile(wl)
 	if err != nil {
 		return nil, err
 	}
-	endToEndMemo[key] = runs
+	tr := workload.Generate(p, o.Seed)
+	runs := make([]endToEndRun, len(systems))
+	err = runCells(o.parallelism(), len(systems), func(i int) error {
+		stats, err := runSystem(systems[i], tr, o.clusterConfig(), jobs.Options{Seed: o.Seed})
+		runs[i] = endToEndRun{system: systems[i], stats: stats}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	memo[key] = runs
 	return runs, nil
+}
+
+// eachWorkload builds one table per workload from that workload's
+// end-to-end comparison set.
+func eachWorkload(o Options, table func(wl string, runs []endToEndRun) *eval.Table) ([]*eval.Table, error) {
+	var tables []*eval.Table
+	for _, wl := range []string{"fb", "cmu"} {
+		runs, err := comparison(o, wl)
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, table(wl, runs))
+	}
+	return tables, nil
+}
+
+// binMetric is a per-bin measure of a run that lower is better for.
+type binMetric func(*jobs.RunStats) [workload.NumBins]float64
+
+// completionSecs is the mean job completion time per bin, in seconds.
+func completionSecs(s *jobs.RunStats) (out [workload.NumBins]float64) {
+	for b, d := range s.MeanCompletionByBin() {
+		out[b] = d.Seconds()
+	}
+	return out
+}
+
+// taskSecs is the task-seconds consumed per bin: the inverse of cluster
+// efficiency.
+var taskSecs binMetric = (*jobs.RunStats).TaskSecondsByBin
+
+// binTable is an empty table with one column per job bin after label.
+func binTable(id, title, label string) *eval.Table {
+	t := &eval.Table{ID: id, Title: title, Header: []string{label}}
+	for b := workload.Bin(0); b < workload.NumBins; b++ {
+		t.Header = append(t.Header, "Bin "+b.String())
+	}
+	return t
+}
+
+// reductionRow is a per-bin "reduction over the baseline" row: label, then
+// for each bin the fraction by which run's metric is below base's.
+func reductionRow(label any, base, run *jobs.RunStats, metric binMetric) []eval.Cell {
+	b, r := metric(base), metric(run)
+	row := []eval.Cell{text(label)}
+	for i := range b {
+		row = append(row, eval.Pct(eval.Reduction(b[i], r[i])))
+	}
+	return row
+}
+
+// reductionTable tabulates a comparison set against its first system, the
+// baseline: one reductionRow per other system.
+func reductionTable(id, title, label string, runs []endToEndRun, metric binMetric) *eval.Table {
+	t := binTable(id, title, label)
+	for _, run := range runs[1:] {
+		t.AddRow(reductionRow(run.system.Name, runs[0].stats, run.stats, metric)...)
+	}
+	return t
 }

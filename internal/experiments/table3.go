@@ -22,14 +22,14 @@ func Table3JobBins(o Options) ([]*eval.Table, error) {
 	}
 	ranges := []string{"0-128MB", "128-512MB", "0.5-1GB", "1-2GB", "2-5GB", "5-10GB"}
 	for _, wl := range []string{"fb", "cmu"} {
-		runs, err := endToEndCached(o, wl)
+		runs, err := comparison(o, wl)
 		if err != nil {
 			return nil, err
 		}
-		base := runs[0] // HDFS baseline characterises the workload
-		jobCounts := base.stats.JobCountByBin()
-		taskSecs := base.stats.TaskSecondsByBin()
-		ioBytes := base.stats.BytesReadByBin()
+		base := runs[0].stats // HDFS baseline characterises the workload
+		jobCounts := base.JobCountByBin()
+		taskSecs := base.TaskSecondsByBin()
+		ioBytes := base.BytesReadByBin()
 		var totalJobs int
 		var totalTask, totalIO float64
 		for b := workload.Bin(0); b < workload.NumBins; b++ {
@@ -39,13 +39,13 @@ func Table3JobBins(o Options) ([]*eval.Table, error) {
 		}
 		for b := workload.Bin(0); b < workload.NumBins; b++ {
 			t.AddRow(
-				base.stats.Trace.Name,
-				b.String(),
-				ranges[b],
+				text(base.Trace.Name),
+				text(b),
+				text(ranges[b]),
 				eval.Pct(eval.Ratio(float64(jobCounts[b]), float64(totalJobs))),
 				eval.Pct(eval.Ratio(taskSecs[b], totalTask)),
 				eval.Pct(eval.Ratio(float64(ioBytes[b]), totalIO)),
-				durationMinutes(time.Duration(taskSecs[b]*float64(time.Second))),
+				minutes(time.Duration(taskSecs[b]*float64(time.Second))),
 			)
 		}
 	}
@@ -82,7 +82,7 @@ func Fig5CDFs(o Options) ([]*eval.Table, error) {
 		}
 		for _, q := range quantiles {
 			t.AddRow(
-				fmt.Sprintf("p%02.0f", q*100),
+				text(fmt.Sprintf("p%02.0f", q*100)),
 				eval.F2(eval.Quantile(jobMB, q)),
 				eval.F2(eval.Quantile(fileMB, q)),
 				eval.F2(eval.Quantile(freq, q)),

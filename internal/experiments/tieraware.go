@@ -1,15 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
-	"octostore/internal/cluster"
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
 	"octostore/internal/jobs"
-	"octostore/internal/policy"
-	"octostore/internal/scenario"
-	"octostore/internal/sim"
 	"octostore/internal/workload"
 )
 
@@ -32,8 +26,9 @@ func TierAwareScheduling(o Options) ([]*eval.Table, error) {
 		Title:  "Extension: scheduler tier-affinity headroom (Octopus++/XGB, FB)",
 		Header: []string{"TierAffinity", "HR(access)", "BHR(access)", "HR(location)", "Mean completion (s)"},
 	}
+	xgb := System{Name: "XGB", Mode: dfs.ModeOctopus, Down: "xgb", Up: "xgb"}
 	for _, affinity := range []float64{0.01, 0.30, 0.60, 1.00} {
-		stats, err := runWithAffinity(tr, o, affinity)
+		stats, err := runSystem(xgb, tr, o.clusterConfig(), jobs.Options{Seed: o.Seed, TierAffinity: affinity})
 		if err != nil {
 			return nil, err
 		}
@@ -46,34 +41,12 @@ func TierAwareScheduling(o Options) ([]*eval.Table, error) {
 			mean /= float64(len(stats.Jobs))
 		}
 		t.AddRow(
-			fmt.Sprintf("%.2f", affinity),
+			eval.F2(affinity),
 			eval.Pct(eval.HitRatio(memReads, reads)),
 			eval.Pct(eval.ByteHitRatio(memBytes, bytes)),
 			eval.Pct(eval.Ratio(float64(memLoc), float64(blocks))),
-			fmt.Sprintf("%.1f", mean),
+			num("%.1f", mean),
 		)
 	}
 	return []*eval.Table{t}, nil
-}
-
-func runWithAffinity(tr *workload.Trace, o Options, affinity float64) (*jobs.RunStats, error) {
-	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, o.clusterConfig())
-	if err != nil {
-		return nil, err
-	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: dfs.ModeOctopus, Seed: o.Seed, ClientRate: 2000e6})
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := policy.NewManager(fs, "xgb", "xgb", scenario.LearnerConfig(o.Seed))
-	if err != nil {
-		return nil, err
-	}
-	mgr.Start()
-	defer mgr.Stop()
-	opts := jobs.DefaultOptions()
-	opts.Seed = o.Seed
-	opts.TierAffinity = affinity
-	return jobs.Run(fs, tr, opts, nil)
 }

@@ -4,7 +4,6 @@ import (
 	"octostore/internal/dfs"
 	"octostore/internal/eval"
 	"octostore/internal/storage"
-	"octostore/internal/workload"
 )
 
 // upgradeSystems is the Figure 12 / Table 4 comparison set: initial
@@ -20,51 +19,23 @@ func upgradeSystems() []System {
 	return systems
 }
 
-var upgradeMemo = map[memoKey][]endToEndRun{}
-
-func upgradeCached(o Options) ([]endToEndRun, error) {
-	o.applyDefaults()
-	key := memoKey{workers: o.Workers, seed: o.Seed, fast: o.Fast, name: "fb-upgrade"}
-	if runs, ok := upgradeMemo[key]; ok {
-		return runs, nil
-	}
-	runs, err := runEndToEnd(o, "fb", upgradeSystems())
-	if err != nil {
-		return nil, err
-	}
-	upgradeMemo[key] = runs
-	return runs, nil
-}
-
 // Fig12UpgradeCompletion regenerates Figure 12: percent reduction in
 // completion time over HDFS for the upgrade policies in isolation (FB).
 func Fig12UpgradeCompletion(o Options) ([]*eval.Table, error) {
-	runs, err := upgradeCached(o)
+	runs, err := comparison(o, "upgrade")
 	if err != nil {
 		return nil, err
 	}
-	t := &eval.Table{
-		ID:     "fig12",
-		Title:  "Upgrade policies: percent reduction in completion time over HDFS (FB)",
-		Header: append([]string{"Policy"}, binHeaders()...),
-	}
-	base := runs[0].stats.MeanCompletionByBin()
-	for _, run := range runs[1:] {
-		mean := run.stats.MeanCompletionByBin()
-		row := []string{run.system.Name}
-		for b := workload.Bin(0); b < workload.NumBins; b++ {
-			row = append(row, eval.Pct(eval.Reduction(base[b].Seconds(), mean[b].Seconds())))
-		}
-		t.AddRow(row...)
-	}
-	return []*eval.Table{t}, nil
+	return []*eval.Table{reductionTable("fig12",
+		"Upgrade policies: percent reduction in completion time over HDFS (FB)",
+		"Policy", runs, completionSecs)}, nil
 }
 
 // Table4UpgradeStats regenerates Table 4: per upgrade policy, the GB read
 // from memory, the GB upgraded to memory, Byte Accuracy (read/upgraded)
 // and Byte Coverage (memory reads / all reads).
 func Table4UpgradeStats(o Options) ([]*eval.Table, error) {
-	runs, err := upgradeCached(o)
+	runs, err := comparison(o, "upgrade")
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +48,7 @@ func Table4UpgradeStats(o Options) ([]*eval.Table, error) {
 		_, _, _, _, bytes, memBytes := run.stats.Totals()
 		upgraded := run.stats.FSFinal.BytesUpgradedTo[storage.Memory] -
 			run.stats.FSBaseline.BytesUpgradedTo[storage.Memory]
-		t.AddRow(run.system.Name,
+		t.AddRow(text(run.system.Name),
 			gb(memBytes),
 			gb(upgraded),
 			eval.F2(eval.ByteAccuracy(memBytes, upgraded)),

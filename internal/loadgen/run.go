@@ -224,11 +224,8 @@ func (r *run) do(rep *Report) error {
 // cluster is the driver's own world: -workers nodes of one memory, one SSD
 // and two HDD devices at the flag capacities.
 func (c *Config) cluster() cluster.Config {
-	return cluster.Config{Workers: c.Workers, SlotsPerNode: 4, Spec: storage.NodeSpec{
-		{Media: storage.Memory, Capacity: c.MemCapMB * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: c.SSDCapMB * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: c.HDDCapMB * storage.MB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}}
+	return cluster.Config{Workers: c.Workers, SlotsPerNode: 4,
+		Spec: storage.PaperMediaSpec(c.MemCapMB*storage.MB, c.SSDCapMB*storage.MB, c.HDDCapMB*storage.MB, 2)}
 }
 
 // sharded is the serving stack every run stands up over clCfg: one engine,

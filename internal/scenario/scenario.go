@@ -101,8 +101,9 @@ type Perturbation interface {
 	Install(rp *Replay)
 }
 
-// Replay is one in-progress scenario execution; perturbations receive it to
-// reach the engine and the system under test.
+// Replay is one system under test as Build wires it. A scenario replay
+// also fills Scenario and Opts, and its perturbations receive the Replay to
+// reach the engine and the system.
 type Replay struct {
 	Scenario Scenario
 	System   System
@@ -171,28 +172,45 @@ func LearnerConfig(seed int64) ml.LearnerConfig {
 	return cfg
 }
 
+// Build wires sys on a fresh engine over ccfg: the cluster, a file system
+// in sys.Mode and, for a managed system, its policy pair under
+// LearnerConfig(seed), started. Scenario replays and every experiment of
+// the paper's evaluation stand their systems up here; the caller stops
+// rp.Manager when its run ends.
+func Build(sys System, ccfg cluster.Config, seed int64) (*Replay, error) {
+	engine := sim.NewEngine()
+	cl, err := cluster.New(engine, ccfg)
+	if err != nil {
+		return nil, err
+	}
+	fs, err := dfs.New(cl, dfs.Config{Mode: sys.Mode, Seed: seed, ClientRate: 2000e6})
+	if err != nil {
+		return nil, err
+	}
+	rp := &Replay{System: sys, Engine: engine, Cluster: cl, FS: fs}
+	if sys.Managed() {
+		if rp.Manager, err = policy.NewManager(fs, sys.Down, sys.Up, LearnerConfig(seed)); err != nil {
+			return nil, err
+		}
+		rp.Manager.Start()
+	}
+	return rp, nil
+}
+
 // Run replays the scenario against the system and returns the collected
 // result. The replay is deterministic: equal (scenario, system, options)
 // yield identical results.
 func Run(sc Scenario, sys System, o Options) (*Result, error) {
 	o.applyDefaults()
-	engine := sim.NewEngine()
-	cl, err := cluster.New(engine, sc.Cluster(o))
+	rp, err := Build(sys, sc.Cluster(o), o.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	fs, err := dfs.New(cl, dfs.Config{Mode: sys.Mode, Seed: o.Seed, ClientRate: 2000e6})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	rp := &Replay{Scenario: sc, System: sys, Opts: o, Engine: engine, Cluster: cl, FS: fs}
-	if sys.Managed() {
-		if rp.Manager, err = policy.NewManager(fs, sys.Down, sys.Up, LearnerConfig(o.Seed)); err != nil {
-			return nil, err
-		}
-		rp.Manager.Start()
+	rp.Scenario, rp.Opts = sc, o
+	if rp.Manager != nil {
 		defer rp.Manager.Stop()
 	}
+	engine, cl, fs := rp.Engine, rp.Cluster, rp.FS
 
 	res := &Result{Scenario: sc.Name, System: sys.Name}
 	record := func(err error) {
@@ -310,14 +328,10 @@ func Run(sc Scenario, sys System, o Options) (*Result, error) {
 // DefaultCluster returns the standard replay topology: the paper's testbed
 // at full scale, a 3-worker shrunken cluster in Fast mode.
 func DefaultCluster(o Options) cluster.Config {
-	if o.Fast {
-		cfg := cluster.Config{Workers: 3, SlotsPerNode: 4, Spec: fastWorkerSpec()}
-		if o.Workers > 0 {
-			cfg.Workers = o.Workers
-		}
-		return cfg
-	}
 	cfg := cluster.PaperConfig()
+	if o.Fast {
+		cfg = cluster.Config{Workers: 3, SlotsPerNode: 4, Spec: fastWorkerSpec()}
+	}
 	if o.Workers > 0 {
 		cfg.Workers = o.Workers
 	}
@@ -327,16 +341,12 @@ func DefaultCluster(o Options) cluster.Config {
 // fastWorkerSpec is a shrunken node that still produces memory-tier
 // pressure at a fraction of the event count.
 func fastWorkerSpec() storage.NodeSpec {
-	return storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	return storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2)
 }
 
-// FastProfile shrinks a workload profile the same way the experiment
-// harness does: a fifth of the jobs over two hours, with job sizes capped at
-// bin D so files fit the shrunken cluster.
+// FastProfile shrinks a workload profile for Fast runs, scenario replays
+// and experiments alike: a fifth of the jobs over two hours, with job sizes
+// capped at bin D so files fit the shrunken cluster.
 func FastProfile(p workload.Profile) workload.Profile {
 	p.NumJobs /= 5
 	p.Duration = 2 * time.Hour

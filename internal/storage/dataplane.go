@@ -140,15 +140,16 @@ type TierProfile struct {
 	WriteBW float64
 }
 
-// DefaultTierProfiles mirrors the bandwidths of the paper-testbed worker
-// spec with base latencies in the hardware's characteristic range, so that
-// for any realistic transfer size the tiers order memory < SSD < HDD.
+// DefaultTierProfiles takes the bandwidths of the paper media (paperBW)
+// with base latencies in the hardware's characteristic range, so that for
+// any realistic transfer size the tiers order memory < SSD < HDD.
 func DefaultTierProfiles() [3]TierProfile {
-	return [3]TierProfile{
-		Memory: {BaseLatency: 50 * time.Microsecond, ReadBW: 4000e6, WriteBW: 3000e6},
-		SSD:    {BaseLatency: 200 * time.Microsecond, ReadBW: 500e6, WriteBW: 400e6},
-		HDD:    {BaseLatency: 6 * time.Millisecond, ReadBW: 160e6, WriteBW: 140e6},
+	base := [3]time.Duration{Memory: 50 * time.Microsecond, SSD: 200 * time.Microsecond, HDD: 6 * time.Millisecond}
+	var out [3]TierProfile
+	for m, bw := range paperBW {
+		out[m] = TierProfile{BaseLatency: base[m], ReadBW: bw.read, WriteBW: bw.write}
 	}
+	return out
 }
 
 // PlaneConfig tunes a ContendedPlane.

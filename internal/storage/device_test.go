@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -245,6 +246,39 @@ func TestNodeSpecTotalCapacity(t *testing.T) {
 	}
 	if got := spec.TotalCapacity(HDD); got != 3*134*GB {
 		t.Fatalf("hdd capacity = %d", got)
+	}
+}
+
+// TestPaperMediaKeepsTheTestbedNumbers pins the constructors built on the
+// one paper-media bandwidth table to the literals they replaced.
+func TestPaperMediaKeepsTheTestbedNumbers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		got  NodeSpec
+		want NodeSpec
+	}{
+		{"PaperWorkerSpec", PaperWorkerSpec(), NodeSpec{
+			{Media: Memory, Capacity: 4 * GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
+			{Media: SSD, Capacity: 64 * GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
+			{Media: HDD, Capacity: 134 * GB, ReadBW: 160e6, WriteBW: 140e6, Count: 3},
+		}},
+		{"SmallWorkerSpec", SmallWorkerSpec(), NodeSpec{
+			{Media: Memory, Capacity: 64 * MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
+			{Media: SSD, Capacity: 256 * MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
+			{Media: HDD, Capacity: 1 * GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
+		}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %+v, want %+v", c.name, c.got, c.want)
+		}
+	}
+	want := [3]TierProfile{
+		Memory: {BaseLatency: 50 * time.Microsecond, ReadBW: 4000e6, WriteBW: 3000e6},
+		SSD:    {BaseLatency: 200 * time.Microsecond, ReadBW: 500e6, WriteBW: 400e6},
+		HDD:    {BaseLatency: 6 * time.Millisecond, ReadBW: 160e6, WriteBW: 140e6},
+	}
+	if got := DefaultTierProfiles(); got != want {
+		t.Errorf("DefaultTierProfiles = %+v, want %+v", got, want)
 	}
 }
 

@@ -113,25 +113,30 @@ func (s NodeSpec) TotalCapacity(media Media) int64 {
 	return total
 }
 
+// paperBW is the nominal read and write bandwidth (bytes/second) of the
+// paper media, per tier: the one table every worker spec and the data
+// plane's tier profiles are built from. The values keep the relative tier
+// speeds (mem ≫ SSD ≫ HDD) and the DFSIO throughput shape of Figure 2.
+var paperBW = [numMedia]struct{ read, write float64 }{
+	Memory: {4000e6, 3000e6},
+	SSD:    {500e6, 400e6},
+	HDD:    {160e6, 140e6},
+}
+
+// PaperMediaSpec is a worker of the paper media at the given per-device
+// capacities: one memory device, one SSD and hdds HDDs.
+func PaperMediaSpec(memCap, ssdCap, hddCap int64, hdds int) NodeSpec {
+	device := func(m Media, capacity int64, count int) DeviceSpec {
+		return DeviceSpec{Media: m, Capacity: capacity, ReadBW: paperBW[m].read, WriteBW: paperBW[m].write, Count: count}
+	}
+	return NodeSpec{device(Memory, memCap, 1), device(SSD, ssdCap, 1), device(HDD, hddCap, hdds)}
+}
+
 // PaperWorkerSpec reproduces the per-worker storage configuration of the
 // paper's testbed (Section 7): 4 GB of memory tier, 64 GB of SSD, and 400 GB
-// of HDD spread over three disks. Bandwidths are chosen so that the relative
-// tier speeds (mem ≫ SSD ≫ HDD) and the DFSIO throughput shape of Figure 2
-// are preserved.
-func PaperWorkerSpec() NodeSpec {
-	return NodeSpec{
-		{Media: Memory, Capacity: 4 * GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: SSD, Capacity: 64 * GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: HDD, Capacity: 134 * GB, ReadBW: 160e6, WriteBW: 140e6, Count: 3},
-	}
-}
+// of HDD spread over three disks.
+func PaperWorkerSpec() NodeSpec { return PaperMediaSpec(4*GB, 64*GB, 134*GB, 3) }
 
 // SmallWorkerSpec is a scaled-down configuration convenient for unit tests
 // and examples: 64 MB memory, 256 MB SSD, 1 GB HDD.
-func SmallWorkerSpec() NodeSpec {
-	return NodeSpec{
-		{Media: Memory, Capacity: 64 * MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: SSD, Capacity: 256 * MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: HDD, Capacity: 1 * GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-	}
-}
+func SmallWorkerSpec() NodeSpec { return PaperMediaSpec(64*MB, 256*MB, 1*GB, 1) }
