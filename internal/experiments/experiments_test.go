@@ -281,3 +281,54 @@ func TestCollectSamplesShape(t *testing.T) {
 		t.Fatalf("degenerate labels: %d positives of %d", pos, len(samples))
 	}
 }
+
+// TestOverheadsTrackerFootprintCoversEveryFile: the Section 7.7 per-file
+// tracker footprint books each job's access on that job's input file, so a
+// file n jobs read holds at least min(n, K) access slots on top of the
+// fixed record. Booking every access on one file reads as the bare record.
+func TestOverheadsTrackerFootprintCoversEveryFile(t *testing.T) {
+	o := fastOpts()
+	tables, err := OverheadsReport(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := -1.0
+	for _, row := range tables[0].Rows {
+		if row[0].Text == "tracker bytes per file" {
+			perFile = row[1].Value
+		}
+	}
+	// The fixed record and one access slot, measured on a fresh tracker.
+	k := ml.DefaultFeatureSpec().K
+	probe := ml.NewTracker(k)
+	rec := probe.OnCreate(0, 0, epoch())
+	fixed := rec.FootprintBytes()
+	probe.OnAccess(0, epoch())
+	slot := rec.FootprintBytes() - fixed
+
+	p, err := o.profile("fb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := workload.Generate(p, o.Seed)
+	reads := map[string]int{}
+	for _, f := range tr.Files {
+		reads[f.Path] = 0
+	}
+	for _, j := range tr.Jobs {
+		if n, ok := reads[j.InputPath]; ok {
+			reads[j.InputPath] = n + 1
+		}
+	}
+	slots := 0
+	for _, n := range reads {
+		if n > k {
+			n = k
+		}
+		slots += n
+	}
+	if min := fixed + slot*slots/len(tr.Files); perFile < float64(min) {
+		t.Fatalf("tracker bytes per file = %v, want at least %d (%d-byte record, %d-byte slots, %d slots over %d files)",
+			perFile, min, fixed, slot, slots, len(tr.Files))
+	}
+}

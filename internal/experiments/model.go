@@ -53,16 +53,14 @@ func collectSamples(tr *workload.Trace, p sampleParams) []mlSample {
 	type event struct {
 		at     time.Duration
 		kind   int // 0 create, 1 access, 2 periodic
-		file   string
 		size   int64
 		fileID int64
 	}
 	var events []event
-	ids := make(map[string]int64, len(tr.Files))
 	for i, f := range tr.Files {
-		ids[f.Path] = int64(i)
-		events = append(events, event{at: f.CreatedAt, kind: 0, file: f.Path, size: f.Size, fileID: int64(i)})
+		events = append(events, event{at: f.CreatedAt, kind: 0, size: f.Size, fileID: int64(i)})
 	}
+	ids := fileIDs(tr)
 	for _, j := range tr.Jobs {
 		if id, ok := ids[j.InputPath]; ok {
 			events = append(events, event{at: j.Arrival, kind: 1, fileID: id})
@@ -112,6 +110,16 @@ func collectSamples(tr *workload.Trace, p sampleParams) []mlSample {
 		}
 	}
 	return samples
+}
+
+// fileIDs numbers the trace's files by position, keyed by path so that a
+// job's InputPath finds the id its file was tracked under.
+func fileIDs(tr *workload.Trace) map[string]int64 {
+	ids := make(map[string]int64, len(tr.Files))
+	for i, f := range tr.Files {
+		ids[f.Path] = int64(i)
+	}
+	return ids
 }
 
 func epoch() time.Time { return time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC) }
@@ -511,8 +519,11 @@ func OverheadsReport(o Options) ([]*eval.Table, error) {
 	for i, f := range tr.Files {
 		tracker.OnCreate(int64(i), f.Size, epoch())
 	}
+	ids := fileIDs(tr)
 	for _, j := range tr.Jobs {
-		tracker.OnAccess(int64(0), epoch().Add(j.Arrival))
+		if id, ok := ids[j.InputPath]; ok {
+			tracker.OnAccess(id, epoch().Add(j.Arrival))
+		}
 	}
 	perFile := tracker.FootprintBytes() / tracker.Len()
 
