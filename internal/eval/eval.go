@@ -200,20 +200,25 @@ func (t *Table) AddRow(cells ...Cell) {
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
+	lines := [][]string{t.Header}
 	for _, row := range t.Rows {
+		line := make([]string, len(row))
 		for i, c := range row {
-			if i < len(widths) && len(c.Text) > widths[i] {
-				widths[i] = len(c.Text)
+			line[i] = c.Text
+		}
+		lines = append(lines, line)
+	}
+	widths := make([]int, len(t.Header))
+	for _, line := range lines {
+		for i, c := range line {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
 			}
 		}
 	}
-	printRow := func(cells []string) {
+	for _, line := range lines {
 		var sb strings.Builder
-		for i, c := range cells {
+		for i, c := range line {
 			if i > 0 {
 				sb.WriteString("  ")
 			}
@@ -225,14 +230,6 @@ func (t *Table) Fprint(w io.Writer) {
 			}
 		}
 		fmt.Fprintln(w, strings.TrimRight(sb.String(), " "))
-	}
-	printRow(t.Header)
-	for _, row := range t.Rows {
-		text := make([]string, len(row))
-		for i, c := range row {
-			text[i] = c.Text
-		}
-		printRow(text)
 	}
 }
 

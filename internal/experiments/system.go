@@ -124,7 +124,7 @@ func completionSecs(s *jobs.RunStats) (out [workload.NumBins]float64) {
 
 // taskSecs is the task-seconds consumed per bin: the inverse of cluster
 // efficiency.
-var taskSecs binMetric = (*jobs.RunStats).TaskSecondsByBin
+func taskSecs(s *jobs.RunStats) [workload.NumBins]float64 { return s.TaskSecondsByBin() }
 
 // binTable is an empty table with one column per job bin after label.
 func binTable(id, title, label string) *eval.Table {

@@ -173,12 +173,6 @@ func ConcurrentClients() Scenario {
 // way in (its replicas must be re-replicated) and a fresh empty worker joins
 // later (placement must discover and fill it).
 func NodeJoinLeave() Scenario {
-	spec := func(o Options) storage.NodeSpec {
-		if o.Fast {
-			return fastWorkerSpec()
-		}
-		return storage.PaperWorkerSpec()
-	}
 	return Scenario{
 		Name:        "node-churn",
 		Description: "one worker fails mid-workload and a fresh worker joins later",
@@ -199,15 +193,14 @@ func NodeJoinLeave() Scenario {
 			return workload.Generate(p, o.Seed)
 		},
 		Perturb: []Perturbation{
-			nodeChurnFast{spec: spec},
+			nodeChurnFast{},
 		},
 	}
 }
 
-// nodeChurnFast adapts NodeChurn to options-dependent node specs.
-type nodeChurnFast struct {
-	spec func(o Options) storage.NodeSpec
-}
+// nodeChurnFast adapts NodeChurn to the options: the joining worker has
+// the node spec of the replay's own topology.
+type nodeChurnFast struct{}
 
 func (n nodeChurnFast) Name() string { return "node-churn" }
 
@@ -215,7 +208,7 @@ func (n nodeChurnFast) Install(rp *Replay) {
 	NodeChurn{
 		Leave:    []time.Duration{40 * time.Minute},
 		Join:     []time.Duration{80 * time.Minute},
-		Spec:     n.spec(rp.Opts),
+		Spec:     DefaultCluster(rp.Opts).Spec,
 		Slots:    4,
 		MinNodes: 3,
 	}.Install(rp)

@@ -326,22 +326,18 @@ func Run(sc Scenario, sys System, o Options) (*Result, error) {
 }
 
 // DefaultCluster returns the standard replay topology: the paper's testbed
-// at full scale, a 3-worker shrunken cluster in Fast mode.
+// at full scale; in Fast mode 3 shrunken workers whose nodes still produce
+// memory-tier pressure at a fraction of the event count.
 func DefaultCluster(o Options) cluster.Config {
 	cfg := cluster.PaperConfig()
 	if o.Fast {
-		cfg = cluster.Config{Workers: 3, SlotsPerNode: 4, Spec: fastWorkerSpec()}
+		cfg = cluster.Config{Workers: 3, SlotsPerNode: 4,
+			Spec: storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2)}
 	}
 	if o.Workers > 0 {
 		cfg.Workers = o.Workers
 	}
 	return cfg
-}
-
-// fastWorkerSpec is a shrunken node that still produces memory-tier
-// pressure at a fraction of the event count.
-func fastWorkerSpec() storage.NodeSpec {
-	return storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2)
 }
 
 // FastProfile shrinks a workload profile for Fast runs, scenario replays
