@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"regexp"
 	"strings"
@@ -330,5 +331,33 @@ func TestOverheadsTrackerFootprintCoversEveryFile(t *testing.T) {
 	if min := fixed + slot*slots/len(tr.Files); perFile < float64(min) {
 		t.Fatalf("tracker bytes per file = %v, want at least %d (%d-byte record, %d-byte slots, %d slots over %d files)",
 			perFile, min, fixed, slot, slots, len(tr.Files))
+	}
+}
+
+// TestOverheadsClockCoversTheLastUpdate: the Section 7.7 training clock runs
+// until the learner is done with the samples. The stream ends on the Add that
+// starts an update, which then runs beside the caller; every moment of the
+// learner's training time lies between the first Add and the join, so all of
+// it must fit inside the clock.
+func TestOverheadsClockCoversTheLastUpdate(t *testing.T) {
+	spec := ml.DefaultFeatureSpec()
+	cfg := ml.DefaultLearnerConfig()
+	cfg.MinTrainSamples, cfg.UpdateBatch = 100, 3000
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]mlSample, cfg.MinTrainSamples+cfg.UpdateBatch)
+	for i := range samples {
+		x := make([]float64, spec.Width())
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		samples[i] = mlSample{x: x, y: float64(rng.Intn(2))}
+	}
+	learner := ml.NewLearner(spec.Width(), cfg)
+	elapsed := timeTraining(learner, samples)
+	if learner.Trainings() != 1 || learner.Updates() != 1 {
+		t.Fatalf("%d trainings and %d updates; the stream should end on the Add that starts the one update", learner.Trainings(), learner.Updates())
+	}
+	if train := learner.TrainTime(); elapsed < train {
+		t.Fatalf("the clock stopped at %v, before the learner's %v of training was done", elapsed, train)
 	}
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // The microbenchmarks run on the trace_xgb learner's shape: a bounded
-// ensemble of 200 small trees grown by incremental updates of 200 rows x 15
-// features, 3 rounds each, a third of the feature cells missing.
+// ensemble of 200 small trees grown under PaperParams by incremental updates
+// of 200 rows x 15 features, 3 rounds each, on rows of trace_xgb's sparsity
+// and label rate (sparseBatch).
 
 const (
 	benchCols  = 15
@@ -15,8 +16,9 @@ const (
 	benchTrees = 200
 )
 
-// benchRows draws rows whose label leans on three of the features.
-func benchRows(rng *rand.Rand, rows int) (*Matrix, []float64) {
+// denseRows draws rows with a third of the cells missing whose label leans on
+// three of the features: deep trees grow wide on them.
+func denseRows(rng *rand.Rand, rows int) (*Matrix, []float64) {
 	x := NewMatrix(benchCols)
 	y := make([]float64, rows)
 	row := make([]float64, benchCols)
@@ -46,15 +48,14 @@ func benchRows(rng *rand.Rand, rows int) (*Matrix, []float64) {
 func benchModel(tb testing.TB) (*Model, *Matrix, []float64) {
 	rng := rand.New(rand.NewSource(1))
 	p := PaperParams()
-	p.MaxDepth = 2 // trace_xgb's trees average about five nodes
 	p.MaxTrees = benchTrees
-	x, y := benchRows(rng, 300)
+	x, y := sparseBatch(rng, 300)
 	m, err := Train(x, y, p)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for u := 0; u < 70; u++ {
-		x, y = benchRows(rng, benchBatch)
+		x, y = sparseBatch(rng, benchBatch)
 		if err := m.Update(x, y, 3); err != nil {
 			tb.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func benchModel(tb testing.TB) (*Model, *Matrix, []float64) {
 	if m.NumTrees() != benchTrees {
 		tb.Fatalf("bench model has %d trees, want %d", m.NumTrees(), benchTrees)
 	}
-	x, y = benchRows(rng, benchBatch)
+	x, y = sparseBatch(rng, benchBatch)
 	return m, x, y
 }
 
@@ -72,7 +73,7 @@ var benchSink float64
 // PaperParams at full depth on 5 000 rows, every tree wider than the index
 // takes, so each prediction walks all of them.
 func deepModel(tb testing.TB) (*Model, *Matrix) {
-	x, y := benchRows(rand.New(rand.NewSource(3)), 5000)
+	x, y := denseRows(rand.New(rand.NewSource(3)), 5000)
 	m, err := Train(x, y, PaperParams())
 	if err != nil {
 		tb.Fatal(err)
@@ -169,15 +170,15 @@ func BenchmarkPredictMarginBatch(b *testing.B) {
 
 // BenchmarkUpdate is one incremental update of a full ensemble: starting
 // margins of the batch, three trees built, the three oldest retired, the
-// index brought up to date. It
-// cycles through a pool of batches so the model keeps something to learn.
+// index brought up to date. It cycles through a pool of batches so the model
+// keeps something to learn.
 func BenchmarkUpdate(b *testing.B) {
 	m, _, _ := benchModel(b)
 	rng := rand.New(rand.NewSource(2))
 	var xs [16]*Matrix
 	var ys [16][]float64
 	for k := range xs {
-		xs[k], ys[k] = benchRows(rng, benchBatch)
+		xs[k], ys[k] = sparseBatch(rng, benchBatch)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -13,6 +13,7 @@ package gbt
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Missing is the feature value that marks an absent measurement. Feature
@@ -51,6 +52,9 @@ func (m *Matrix) AppendRow(row []float64) {
 	}
 	m.data = append(m.data, row...)
 }
+
+// Grow makes room for rows more rows, so appending them does not reallocate.
+func (m *Matrix) Grow(rows int) { m.data = slices.Grow(m.data, rows*m.cols) }
 
 // Reset empties the matrix, keeping its storage for the rows appended next.
 // Row views handed out before the call are invalid after it.

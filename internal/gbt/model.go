@@ -192,6 +192,7 @@ type Model struct {
 	gains      []float64 // split gain per node (0 at leaves); read by FeatureImportance and JSON only
 	roots      []int32   // roots[k] is the index in nodes of tree k's root
 	index      scorer    // the same trees by feature; what PredictMargin reads
+	trainer    *builder  // the updates' builder, kept for its scratch
 }
 
 // Params returns the hyperparameters the model was built with.

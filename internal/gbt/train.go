@@ -22,7 +22,9 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 	} else {
 		m.baseMargin = p.BaseScore
 	}
-	if err := m.boost(x, y, m.margins(x), p.Rounds); err != nil {
+	// The builder is not kept: a model trained once on a large set would
+	// carry that set's scratch for good.
+	if err := m.boost(new(builder), x, y, m.margins(x), p.Rounds); err != nil {
 		return nil, err
 	}
 	m.index.advance(m, 0)
@@ -34,7 +36,10 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 // refined with data points as they become available, adapting to workload
 // change without a fixed training window (Section 4.2).
 func (m *Model) Update(x *Matrix, y []float64, rounds int) error {
-	return m.UpdateFrom(x, y, m.margins(x), rounds)
+	b := m.updater()
+	b.margins = resize(b.margins, x.Rows())
+	m.PredictMarginBatch(x, b.margins)
+	return m.UpdateFrom(x, y, b.margins, rounds)
 }
 
 // margins returns the model's PredictMargin of every row of x.
@@ -44,9 +49,19 @@ func (m *Model) margins(x *Matrix) []float64 {
 	return out
 }
 
+// updater returns the builder the model's updates share. It is scratch, not
+// part of the model: ApproxMemoryBytes and JSON leave it out.
+func (m *Model) updater() *builder {
+	if m.trainer == nil {
+		m.trainer = new(builder)
+	}
+	return m.trainer
+}
+
 // UpdateFrom is Update for a caller that already holds the model's current
 // PredictMargin of every row of x, which spares the pass over the forest
-// that computes them. margins is overwritten.
+// that computes them. margins is overwritten. Once the model has seen a few
+// batches of a size, an update allocates nothing.
 func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
 	if rounds <= 0 {
 		rounds = m.params.Rounds
@@ -54,7 +69,7 @@ func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
 	if x.Rows() == 0 {
 		return errors.New("gbt: empty update batch")
 	}
-	if err := m.boost(x, y, margins, rounds); err != nil {
+	if err := m.boost(m.updater(), x, y, margins, rounds); err != nil {
 		return err
 	}
 	drop := 0
@@ -70,16 +85,17 @@ func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
 }
 
 // boost adds `rounds` trees fit to the current ensemble's gradient on
-// (x, y), to the forest only. margins holds the ensemble's margin of every
-// row and is updated as trees are added.
-func (m *Model) boost(x *Matrix, y, margins []float64, rounds int) error {
+// (x, y), to the forest only, grown by b. margins holds the ensemble's margin
+// of every row and is updated as trees are added.
+func (m *Model) boost(b *builder, x *Matrix, y, margins []float64, rounds int) error {
 	n := x.Rows()
 	if n != len(y) || n != len(margins) {
 		return fmt.Errorf("gbt: %d rows but %d labels and %d margins", n, len(y), len(margins))
 	}
-	buf := make([]float64, 2*n)
-	grad, hess := buf[:n], buf[n:]
-	b := newBuilder(x, m.params)
+	b.reset(x, m.params)
+	defer b.release()
+	b.gradBuf = resize(b.gradBuf, 2*n)
+	grad, hess := b.gradBuf[:n], b.gradBuf[n:]
 	for r := 0; r < rounds; r++ {
 		m.computeGradients(margins, y, grad, hess)
 		root := int32(len(m.nodes))
@@ -114,23 +130,33 @@ func (m *Model) computeGradients(margins, y, grad, hess []float64) {
 	}
 }
 
-// builder holds per-training-set state reused across rounds. For every
-// feature it keeps one ordering of all rows — those with a present value
-// ascending by value (ties in row order), then those where it is missing in
-// row order — plus, as list number cols, the rows in row order. A tree node
-// owns the same span [lo, hi) of every list: splitting a node partitions
-// its span of each list stably, so the children's spans hold exactly their
-// rows in the parent's relative order, and the split search below a node
-// reads only that node's rows while summing gradients in the order a scan
-// of the whole batch would.
+// builder grows the trees of one boosting call. For every feature it keeps
+// one ordering of the rows where that feature is present, ascending by value
+// (ties in row order), and, as list number cols, every row in row order. A
+// tree node owns one span of each list: splitting a node partitions each of
+// its spans stably, so the children's spans hold exactly their rows in the
+// parent's relative order, and the split search below a node reads only that
+// node's rows while summing gradients in the order a scan of the whole batch
+// would. A row is in no list of a feature it lacks, so a node's rows missing
+// a feature are summed in one pass over its row-order span, and a feature
+// with no present value in the node is neither searched nor partitioned
+// there: on trace_xgb's batches that is most features of most nodes.
+//
+// A builder is reused from call to call; reset keeps its storage.
 type builder struct {
 	x      *Matrix
 	params Params
-	n      int
-	sorted []int32 // cols+1 lists of n rows each, as ordered at the root
+	start  []int   // list L is [start[L], start[L+1]) of sorted and of lists
+	sorted []int32 // the lists as ordered at the root
 	lists  []int32 // the copy the tree being grown partitions
+	spans  []int32 // per depth, the span [lo, hi) of every list of the node grown at that depth
 	goLeft []bool  // per row: the side the split being applied sends it to
 	spill  []int32 // partition scratch for the rows going right
+
+	gMiss, hMiss []float64  // per feature: the sums over the searched node's rows missing it
+	present      []valueRow // reset's sort scratch
+	gradBuf      []float64  // boost's gradients and hessians
+	margins      []float64  // Update's starting margins
 
 	searchAll bool // tests only: search for a split even where none can pass
 
@@ -146,21 +172,23 @@ type valueRow struct {
 	row int32
 }
 
+// resize returns s with length n, reusing its storage when it is large
+// enough; the contents are not kept.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 func newBuilder(x *Matrix, p Params) *builder {
+	b := new(builder)
+	b.reset(x, p)
+	return b
+}
+
+// reset prepares the builder for the rows of x.
+func (b *builder) reset(x *Matrix, p Params) {
 	cols, n := x.Cols(), x.Rows()
-	b := &builder{
-		x:      x,
-		params: p,
-		n:      n,
-		sorted: make([]int32, 2*(cols+1)*n),
-		goLeft: make([]bool, n),
-		spill:  make([]int32, n),
-	}
-	b.sorted, b.lists = b.sorted[:(cols+1)*n], b.sorted[(cols+1)*n:]
-	present := make([]valueRow, 0, n)
+	b.x, b.params = x, p
+	b.sorted, b.start = b.sorted[:0], append(b.start[:0], 0)
 	for j := 0; j < cols; j++ {
-		list := b.sorted[j*n : j*n : (j+1)*n]
-		present = present[:0]
+		present := b.present[:0]
 		for i := 0; i < n; i++ {
 			if v := x.At(i, j); !IsMissing(v) {
 				present = append(present, valueRow{v, int32(i)})
@@ -178,23 +206,39 @@ func newBuilder(x *Matrix, p Params) *builder {
 			return int(a.row - c.row)
 		})
 		for _, vr := range present {
-			list = append(list, vr.row)
+			b.sorted = append(b.sorted, vr.row)
 		}
-		for i := 0; i < n; i++ {
-			if IsMissing(x.At(i, j)) {
-				list = append(list, int32(i))
-			}
-		}
+		b.present = present
+		b.start = append(b.start, len(b.sorted))
 	}
-	for i, rows := 0, b.sorted[cols*n:]; i < n; i++ {
-		rows[i] = int32(i)
+	for i := 0; i < n; i++ {
+		b.sorted = append(b.sorted, int32(i))
 	}
-	return b
+	b.start = append(b.start, len(b.sorted))
+	b.lists = resize(b.lists, len(b.sorted))
+	// A split leaves rows on both sides, so no node lies deeper than n-1.
+	b.spans = resize(b.spans, (min(p.MaxDepth, n)+1)*2*(cols+1))
+	b.goLeft = resize(b.goLeft, n)
+	b.spill = resize(b.spill, n)
+	b.gMiss, b.hMiss = resize(b.gMiss, cols), resize(b.hMiss, cols)
 }
 
-// list returns the node span [lo, hi) of feature j's ordering (j == cols:
-// the rows in row order).
-func (b *builder) list(j, lo, hi int) []int32 { return b.lists[j*b.n+lo : j*b.n+hi] }
+// release drops the builder's references to the batch and the forest, so a
+// kept builder holds neither alive.
+func (b *builder) release() { b.x, b.nodes, b.gains = nil, nil, nil }
+
+// frame returns the spans of the node being grown at the given depth: list
+// L's is [frame[2L], frame[2L+1]), relative to the list's start.
+func (b *builder) frame(depth int) []int32 {
+	w := 2 * (b.x.Cols() + 1)
+	return b.spans[depth*w : (depth+1)*w]
+}
+
+// list returns list L's part of a node's frame.
+func (b *builder) list(frame []int32, l int) []int32 {
+	at := b.start[l]
+	return b.lists[at+int(frame[2*l]) : at+int(frame[2*l+1])]
+}
 
 // split is a candidate split of one tree node.
 type split struct {
@@ -209,16 +253,23 @@ type split struct {
 // the forest and returns the extended slices.
 func (b *builder) build(nodes []fnode, gains, grad, hess []float64) ([]fnode, []float64) {
 	copy(b.lists, b.sorted)
+	root := b.frame(0)
+	for l := 0; l+1 < len(b.start); l++ {
+		root[2*l], root[2*l+1] = 0, int32(b.start[l+1]-b.start[l])
+	}
 	b.nodes, b.gains, b.grad, b.hess = nodes, gains, grad, hess
-	b.grow(0, b.n, 0)
+	b.grow(0)
 	return b.nodes, b.gains
 }
 
-// grow recursively expands the node owning span [lo, hi), returning its
-// index in the forest.
-func (b *builder) grow(lo, hi, depth int) int {
+// grow recursively expands the node whose spans are frame(depth), returning
+// its index in the forest.
+func (b *builder) grow(depth int) int {
+	cols := b.x.Cols()
+	f := b.frame(depth)
+	rows := b.list(f, cols)
 	var gSum, hSum float64
-	for _, i := range b.list(b.x.Cols(), lo, hi) {
+	for _, i := range rows {
 		gSum += b.grad[i]
 		hSum += b.hess[i]
 	}
@@ -226,7 +277,7 @@ func (b *builder) grow(lo, hi, depth int) int {
 	leafWeight := -gSum / (hSum + b.params.Lambda) * b.params.LearningRate
 	b.nodes = append(b.nodes, fnode{value: leafWeight})
 	b.gains = append(b.gains, 0)
-	if depth >= b.params.MaxDepth || hi-lo < 2 {
+	if depth >= b.params.MaxDepth || len(rows) < 2 {
 		return idx
 	}
 	// Every candidate split needs hl >= MinChildWeight and hSum-hl >=
@@ -237,51 +288,61 @@ func (b *builder) grow(lo, hi, depth int) int {
 	if hSum < 2*b.params.MinChildWeight && !b.searchAll {
 		return idx
 	}
-	best := b.findBestSplit(lo, hi, gSum, hSum)
+	best := b.findBestSplit(f, gSum, hSum)
 	if !best.valid {
 		return idx
 	}
-	mid := lo + b.partition(lo, hi, best)
-	if mid == lo || mid == hi {
+	child := b.frame(depth + 1)
+	if left := b.partition(f, child, best); left == 0 || left == len(rows) {
 		return idx
 	}
-	b.grow(lo, mid, depth+1)
-	right := b.grow(mid, hi, depth+1)
+	b.grow(depth + 1)
+	// The left child's spans end where the right child's begin.
+	for l := 0; l < len(f); l += 2 {
+		child[l], child[l+1] = child[l+1], f[l+1]
+	}
+	right := b.grow(depth + 1)
 	b.nodes[idx] = splitNode(best.threshold, int32(best.feature), best.defaultLeft, int32(right-idx))
 	b.gains[idx] = best.gain
 	return idx
 }
 
 // findBestSplit runs the exact greedy algorithm with sparsity-aware default
-// directions: for every feature it scans the node's present values in
-// ascending order once, trying both missing-direction choices at every
-// boundary, and keeps the split with the highest gain.
-func (b *builder) findBestSplit(lo, hi int, gTotal, hTotal float64) split {
+// directions on the node whose spans are f: for every feature it scans the
+// node's present values in ascending order once, trying both
+// missing-direction choices at every boundary, and keeps the split with the
+// highest gain.
+func (b *builder) findBestSplit(f []int32, gTotal, hTotal float64) split {
 	grad, hess := b.grad, b.hess
 	lambda := b.params.Lambda
 	parentScore := gTotal * gTotal / (hTotal + lambda)
 	var best split
 
-	for j := 0; j < b.x.Cols(); j++ {
-		list := b.list(j, lo, hi)
-		// The node's rows with a missing value for j end the list.
-		present := len(list)
-		for present > 0 && IsMissing(b.x.At(int(list[present-1]), j)) {
-			present--
+	// The node's rows missing a feature, summed in row order, which is the
+	// order they would follow its present rows in a list of all rows.
+	gMiss, hMiss := b.gMiss, b.hMiss
+	clear(gMiss)
+	clear(hMiss)
+	for _, i := range b.list(f, b.x.Cols()) {
+		g, h := grad[i], hess[i]
+		for j, v := range b.x.Row(int(i)) {
+			if IsMissing(v) {
+				gMiss[j] += g
+				hMiss[j] += h
+			}
 		}
-		var gMiss, hMiss float64
-		for _, i := range list[present:] {
-			gMiss += grad[i]
-			hMiss += hess[i]
-		}
-		// Walk present values in ascending order accumulating left sums.
+	}
+	for j := range gMiss {
+		// Walk present values in ascending order accumulating left sums. A
+		// feature with none offers no threshold.
 		var gLeft, hLeft float64
 		var prevVal float64
-		for k, i := range list[:present] {
+		list := b.list(f, j)
+		for k, i := range list {
 			v := b.x.At(int(i), j)
 			if k > 0 && v > prevVal {
 				threshold := (prevVal + v) / 2
-				b.tryThreshold(&best, j, threshold, gLeft, hLeft, gMiss, hMiss, gTotal, hTotal, parentScore)
+				b.tryThreshold(&best, j, threshold, gLeft, hLeft, gMiss[j], hMiss[j], gTotal, hTotal, parentScore)
 			}
 			gLeft += grad[i]
 			hLeft += hess[i]
@@ -289,8 +350,8 @@ func (b *builder) findBestSplit(lo, hi int, gTotal, hTotal float64) split {
 		}
 		// A final "everything present goes left, missing decides side"
 		// split is only meaningful when missing rows exist.
-		if present > 0 && (gMiss != 0 || hMiss != 0) {
-			b.tryThreshold(&best, j, math.Nextafter(prevVal, math.Inf(1)), gLeft, hLeft, gMiss, hMiss, gTotal, hTotal, parentScore)
+		if len(list) > 0 && (gMiss[j] != 0 || hMiss[j] != 0) {
+			b.tryThreshold(&best, j, math.Nextafter(prevVal, math.Inf(1)), gLeft, hLeft, gMiss[j], hMiss[j], gTotal, hTotal, parentScore)
 		}
 	}
 	return best
@@ -328,13 +389,15 @@ func (b *builder) tryThreshold(best *split, feature int, threshold, gLeft, hLeft
 	}
 }
 
-// partition applies the split to the node owning span [lo, hi): every list
-// is reordered so the rows going left come first, both halves in their
-// previous relative order. It returns how many rows went left.
-func (b *builder) partition(lo, hi int, s split) int {
+// partition applies the split to the node whose spans are f: every list's
+// span is reordered so the rows going left come first, both halves in their
+// previous relative order, and child receives the left halves. It returns how
+// many rows went left; when that is none or all, nothing is reordered.
+func (b *builder) partition(f, child []int32, s split) int {
 	cols := b.x.Cols()
+	rows := b.list(f, cols)
 	left := 0
-	for _, i := range b.list(cols, lo, hi) {
+	for _, i := range rows {
 		v := b.x.At(int(i), s.feature)
 		l := v < s.threshold || (s.defaultLeft && IsMissing(v))
 		b.goLeft[i] = l
@@ -342,11 +405,11 @@ func (b *builder) partition(lo, hi int, s split) int {
 			left++
 		}
 	}
-	if left == 0 || left == hi-lo {
+	if left == 0 || left == len(rows) {
 		return left
 	}
 	for j := 0; j <= cols; j++ {
-		list := b.list(j, lo, hi)
+		list := b.list(f, j)
 		l, r := 0, 0
 		for _, i := range list {
 			if b.goLeft[i] {
@@ -358,6 +421,7 @@ func (b *builder) partition(lo, hi int, s split) int {
 			}
 		}
 		copy(list[l:], b.spill[:r])
+		child[2*j], child[2*j+1] = f[2*j], f[2*j]+int32(l)
 	}
 	return left
 }

@@ -506,3 +506,43 @@ func TestUnsplittableNodesAreSkipped(t *testing.T) {
 		t.Fatalf("the rule fired at %d of 1000 roots; the batches should land on both sides of it", skippedRoots)
 	}
 }
+
+// TestSteadyUpdateAllocatesNothing: once a bounded model has been through a
+// few rounds of batches of one size, an update allocates nothing, through
+// UpdateFrom (the learner's path, margins supplied) or Update. The builder
+// and its scratch stay with the model, and the forest and its index reuse the
+// room the retired trees leave.
+func TestSteadyUpdateAllocatesNothing(t *testing.T) {
+	m, _, _ := benchModel(t)
+	rng := rand.New(rand.NewSource(5))
+	var xs [8]*Matrix
+	var ys [8][]float64
+	for k := range xs {
+		xs[k], ys[k] = sparseBatch(rng, benchBatch)
+	}
+	margins := make([]float64, benchBatch)
+	next := 0
+	updateFrom := func() {
+		x, y := xs[next%len(xs)], ys[next%len(xs)]
+		next++
+		m.PredictMarginBatch(x, margins)
+		if err := m.UpdateFrom(x, y, margins, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func() {
+		if err := m.Update(xs[next%len(xs)], ys[next%len(xs)], 3); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 4*len(xs); i++ {
+		updateFrom()
+	}
+	if allocs := testing.AllocsPerRun(2*len(xs), updateFrom); allocs != 0 {
+		t.Errorf("UpdateFrom makes %v allocations per update", allocs)
+	}
+	if allocs := testing.AllocsPerRun(2*len(xs), update); allocs != 0 {
+		t.Errorf("Update makes %v allocations per update", allocs)
+	}
+}

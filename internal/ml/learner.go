@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"octostore/internal/gbt"
@@ -78,15 +79,26 @@ func (c *LearnerConfig) applyDefaults() {
 // before training on it ("the system will occasionally use some training
 // data points for evaluating the performance of M before using them for
 // training M").
+//
+// Training runs beside the caller. Add only buffers a sample; when the
+// buffer is full, one goroutine takes it over, scores its rows under the
+// model they arrived under and boosts the model from those margins, while
+// Add fills a new buffer. A held-out sample is scored when the evaluation
+// state is next read, under the same model. At most one update is in flight,
+// and every method that reads the model or the evaluation state — Ready,
+// Predict, Model, Generation, RollingError, Updates, Trainings, TrainTime,
+// ForceTrain — first waits for it, so each returns what it would had the
+// update run inside Add. A Learner is not safe for concurrent use.
 type Learner struct {
 	cfg   LearnerConfig
 	width int
 	rng   *rand.Rand
 
 	model *gbt.Model
-	bufX  *gbt.Matrix
-	bufY  []float64
-	bufM  []float64 // the model's margin of every buffered row; empty while there is no model
+	fill  *batch // the buffer Add appends to; a full one goes to the update
+
+	inFlight bool           // an update has been started and not yet joined
+	done     sync.WaitGroup // held by the update in flight
 
 	evalResults []bool // ring of recent eval correctness
 	evalNext    int
@@ -100,6 +112,34 @@ type Learner struct {
 	trainTime   time.Duration
 }
 
+// batch is one buffer of labelled rows. Every row arrived under the current
+// model (the buffer is emptied whenever the model changes), so a margin
+// computed for it at any time before the model next changes is the margin
+// the update boosts from.
+type batch struct {
+	x *gbt.Matrix
+	y []float64
+	m []float64 // m[i] is row i's margin once scored, 0 until then
+	// held lists the rows held out for evaluation, ascending; the first
+	// evaluated of them are scored and in the ring.
+	held      []int
+	evaluated int
+}
+
+// newBatch returns an empty buffer with room for rows samples.
+func newBatch(width, rows int) *batch {
+	b := &batch{x: gbt.NewMatrix(width), y: make([]float64, 0, rows), m: make([]float64, 0, rows)}
+	b.x.Grow(rows)
+	return b
+}
+
+func (b *batch) rows() int { return b.x.Rows() }
+
+func (b *batch) reset() {
+	b.x.Reset()
+	b.y, b.m, b.held, b.evaluated = b.y[:0], b.m[:0], b.held[:0], 0
+}
+
 // NewLearner builds a learner for feature vectors of the given width.
 func NewLearner(width int, cfg LearnerConfig) *Learner {
 	cfg.applyDefaults()
@@ -107,7 +147,7 @@ func NewLearner(width int, cfg LearnerConfig) *Learner {
 		cfg:         cfg,
 		width:       width,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		bufX:        gbt.NewMatrix(width),
+		fill:        newBatch(width, 0),
 		evalResults: make([]bool, cfg.EvalWindow),
 	}
 }
@@ -116,47 +156,68 @@ func NewLearner(width int, cfg LearnerConfig) *Learner {
 func (l *Learner) SamplesSeen() int64 { return l.samplesSeen }
 
 // Trainings returns the number of full Train calls performed.
-func (l *Learner) Trainings() int64 { return l.trainings }
+func (l *Learner) Trainings() int64 { l.join(); return l.trainings }
 
 // Updates returns the number of incremental Update calls performed.
-func (l *Learner) Updates() int64 { return l.updates }
+func (l *Learner) Updates() int64 { l.join(); return l.updates }
 
 // Model returns the current model (nil before the first training).
-func (l *Learner) Model() *gbt.Model { return l.model }
+func (l *Learner) Model() *gbt.Model { l.join(); return l.model }
 
 // Generation counts the changes to the model: every Train and Update bumps
 // it, so a prediction is reusable exactly as long as it stands still.
-func (l *Learner) Generation() uint64 { return l.generation }
+func (l *Learner) Generation() uint64 { l.join(); return l.generation }
 
 // TrainTime returns cumulative wall-clock time spent in Train/Update, for
-// the Section 7.7 overhead report.
-func (l *Learner) TrainTime() time.Duration { return l.trainTime }
+// the Section 7.7 overhead report. Scoring an update's rows is not counted.
+func (l *Learner) TrainTime() time.Duration { l.join(); return l.trainTime }
 
-// Add feeds one labelled sample into the pipeline: occasionally evaluate,
-// always buffer, train or update when the buffer fills.
+// Add feeds one labelled sample into the pipeline: occasionally hold it out
+// for evaluation, always buffer, train or start an update when the buffer
+// fills.
 func (l *Learner) Add(x []float64, y float64) {
 	l.samplesSeen++
-	if l.model != nil {
-		// The one forest pass this row gets: the hold-out evaluation reads
-		// the margin now, the update the row ends up in boosts from it. The
-		// buffer is emptied whenever the model changes, so the margin still
-		// holds then.
-		margin := l.model.PredictMargin(x)
-		if l.rng.Float64() < l.cfg.EvalFraction {
-			l.recordEval((l.model.Link(margin) >= 0.5) == (y >= 0.5))
-		}
-		l.bufM = append(l.bufM, margin)
+	b := l.fill
+	if l.model != nil && l.rng.Float64() < l.cfg.EvalFraction {
+		b.held = append(b.held, b.rows())
 	}
-	l.bufX.AppendRow(x)
-	l.bufY = append(l.bufY, y)
+	b.x.AppendRow(x)
+	b.y = append(b.y, y)
+	b.m = append(b.m, 0)
 	if l.model == nil {
-		if l.bufX.Rows() >= l.cfg.MinTrainSamples {
+		if b.rows() >= l.cfg.MinTrainSamples {
 			l.train()
 		}
-	} else if l.bufX.Rows() >= l.cfg.UpdateBatch {
-		// A batch the model rejects is dropped, not retried.
-		l.update()
-		l.resetBuffer()
+	} else if b.rows() >= l.cfg.UpdateBatch {
+		l.startUpdate()
+	}
+}
+
+// startUpdate hands the full buffer to a goroutine that scores and boosts
+// from it, and gives Add a new one. A batch the model rejects is dropped, not
+// retried.
+//
+// The buffer is not recycled. Reusing the one the last update dropped saves
+// an allocation per batch. But then a trace_xgb replay allocates a third as
+// much and collects a third as often, and its heap in use grows by an
+// eighth, mostly other objects' sparse spans.
+func (l *Learner) startUpdate() {
+	l.join()
+	b := l.fill
+	l.fill = newBatch(l.width, b.rows())
+	l.inFlight = true
+	l.done.Add(1)
+	go func() {
+		defer l.done.Done()
+		l.update(b)
+	}()
+}
+
+// join waits for the update in flight, if any.
+func (l *Learner) join() {
+	if l.inFlight {
+		l.done.Wait()
+		l.inFlight = false
 	}
 }
 
@@ -175,11 +236,35 @@ func (l *Learner) recordEval(correct bool) {
 	l.evalNext = (l.evalNext + 1) % len(l.evalResults)
 }
 
+// evaluate scores b's held-out rows not yet evaluated, in order, and records
+// each outcome.
+func (l *Learner) evaluate(b *batch) {
+	for _, i := range b.held[b.evaluated:] {
+		b.m[i] = l.model.PredictMargin(b.x.Row(i))
+		l.recordEval((l.model.Link(b.m[i]) >= 0.5) == (b.y[i] >= 0.5))
+	}
+	b.evaluated = len(b.held)
+}
+
+// score gives every row of b its margin: the held-out rows through evaluate,
+// the rest in one pass.
+func (l *Learner) score(b *batch) {
+	l.evaluate(b)
+	held := b.held
+	for i := range b.m {
+		if len(held) > 0 && held[0] == i {
+			held = held[1:]
+			continue
+		}
+		b.m[i] = l.model.PredictMargin(b.x.Row(i))
+	}
+}
+
 // train fits the first model on the buffer; a rejected buffer stays
 // buffered.
 func (l *Learner) train() {
 	start := time.Now()
-	m, err := gbt.Train(l.bufX, l.bufY, l.cfg.Params)
+	m, err := gbt.Train(l.fill.x, l.fill.y, l.cfg.Params)
 	l.trainTime += time.Since(start)
 	if err != nil {
 		return
@@ -187,13 +272,15 @@ func (l *Learner) train() {
 	l.model = m
 	l.trainings++
 	l.generation++
-	l.resetBuffer()
+	l.fill.reset()
 }
 
-// update boosts the model on the buffer and reports whether it took it.
-func (l *Learner) update() bool {
+// update scores b and boosts the model on it, and reports whether the model
+// took it.
+func (l *Learner) update(b *batch) bool {
+	l.score(b)
 	start := time.Now()
-	err := l.model.UpdateFrom(l.bufX, l.bufY, l.bufM, l.cfg.UpdateRounds)
+	err := l.model.UpdateFrom(b.x, b.y, b.m, l.cfg.UpdateRounds)
 	l.trainTime += time.Since(start)
 	if err != nil {
 		return false
@@ -203,15 +290,24 @@ func (l *Learner) update() bool {
 	return true
 }
 
-func (l *Learner) resetBuffer() {
-	l.bufX.Reset()
-	l.bufY = l.bufY[:0]
-	l.bufM = l.bufM[:0]
+// settle waits for the update in flight and scores the held-out rows since,
+// so the evaluation state is what it would be had every sample been
+// evaluated on arrival.
+func (l *Learner) settle() {
+	l.join()
+	if l.model != nil {
+		l.evaluate(l.fill)
+	}
 }
 
 // RollingError returns the error rate over the recent evaluation window
 // (1.0 when no evaluations have happened yet).
 func (l *Learner) RollingError() float64 {
+	l.settle()
+	return l.rollingError()
+}
+
+func (l *Learner) rollingError() float64 {
 	if l.evalFilled == 0 {
 		return 1.0
 	}
@@ -221,6 +317,7 @@ func (l *Learner) RollingError() float64 {
 // Ready reports whether the model is trained and its rolling error has
 // passed the serving gate.
 func (l *Learner) Ready() bool {
+	l.settle()
 	if l.model == nil {
 		return false
 	}
@@ -229,7 +326,7 @@ func (l *Learner) Ready() bool {
 		// the gate engages as evaluations accumulate.
 		return true
 	}
-	return l.RollingError() <= l.cfg.ErrorThreshold
+	return l.rollingError() <= l.cfg.ErrorThreshold
 }
 
 // Predict returns the model's probability for x and whether the learner is
@@ -244,12 +341,13 @@ func (l *Learner) Predict(x []float64) (float64, bool) {
 // ForceTrain trains immediately on whatever is buffered (used by offline
 // experiments); it is a no-op with an empty buffer.
 func (l *Learner) ForceTrain() {
-	if l.bufX.Rows() == 0 {
+	l.join()
+	if l.fill.rows() == 0 {
 		return
 	}
 	if l.model == nil {
 		l.train()
-	} else if l.update() {
-		l.resetBuffer()
+	} else if l.update(l.fill) {
+		l.fill.reset()
 	}
 }

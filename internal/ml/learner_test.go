@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -174,119 +176,289 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	}
 }
 
-// TestUpdateBoostsFromTheMarginsAddComputed follows a 10k-sample stream
-// through a learner and checks the one forest pass per row two ways.
-// Whenever the model stands still, the margin kept for every buffered row is
-// bit for bit what PredictMarginBatch says of the buffer now: those are the
-// margins update hands over. And whenever the model moves, it moves to
-// exactly the model a shadow gets from gbt.Train / Model.Update — which
-// computes the starting margins itself — on the same rows. The stream
-// starts with a first train that is rejected and leaves its rows buffered,
-// and is interrupted by ForceTrain without and with a model.
-func TestUpdateBoostsFromTheMarginsAddComputed(t *testing.T) {
-	spec := DefaultFeatureSpec()
+// syncLearner is the learner as it was while it trained inline: Add scores
+// every row under the current model on arrival, records a held-out row's
+// outcome at once, and boosts a full buffer before it returns. The learner's
+// public reads are held to it.
+type syncLearner struct {
+	cfg   LearnerConfig
+	rng   *rand.Rand
+	model *gbt.Model
+	bufX  *gbt.Matrix
+	bufY  []float64
+	bufM  []float64
+
+	evalResults                     []bool
+	evalNext, evalFilled, evalWrong int
+
+	trainings, updates int64
+	generation         uint64
+}
+
+func newSyncLearner(width int, cfg LearnerConfig) *syncLearner {
+	cfg.applyDefaults()
+	return &syncLearner{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), bufX: gbt.NewMatrix(width), evalResults: make([]bool, cfg.EvalWindow)}
+}
+
+func (l *syncLearner) Add(x []float64, y float64) {
+	if l.model != nil {
+		margin := l.model.PredictMargin(x)
+		if l.rng.Float64() < l.cfg.EvalFraction {
+			l.recordEval((l.model.Link(margin) >= 0.5) == (y >= 0.5))
+		}
+		l.bufM = append(l.bufM, margin)
+	}
+	l.bufX.AppendRow(x)
+	l.bufY = append(l.bufY, y)
+	if l.model == nil {
+		if l.bufX.Rows() >= l.cfg.MinTrainSamples {
+			l.train()
+		}
+	} else if l.bufX.Rows() >= l.cfg.UpdateBatch {
+		l.update()
+		l.resetBuffer()
+	}
+}
+
+func (l *syncLearner) recordEval(correct bool) {
+	if l.evalFilled < len(l.evalResults) {
+		l.evalFilled++
+	} else if !l.evalResults[l.evalNext] {
+		l.evalWrong--
+	}
+	if !correct {
+		l.evalWrong++
+	}
+	l.evalResults[l.evalNext] = correct
+	l.evalNext = (l.evalNext + 1) % len(l.evalResults)
+}
+
+func (l *syncLearner) train() {
+	m, err := gbt.Train(l.bufX, l.bufY, l.cfg.Params)
+	if err != nil {
+		return
+	}
+	l.model = m
+	l.trainings++
+	l.generation++
+	l.resetBuffer()
+}
+
+func (l *syncLearner) update() bool {
+	if err := l.model.UpdateFrom(l.bufX, l.bufY, l.bufM, l.cfg.UpdateRounds); err != nil {
+		return false
+	}
+	l.updates++
+	l.generation++
+	return true
+}
+
+func (l *syncLearner) resetBuffer() {
+	l.bufX.Reset()
+	l.bufY, l.bufM = l.bufY[:0], l.bufM[:0]
+}
+
+func (l *syncLearner) RollingError() float64 {
+	if l.evalFilled == 0 {
+		return 1.0
+	}
+	return float64(l.evalWrong) / float64(l.evalFilled)
+}
+
+func (l *syncLearner) Ready() bool {
+	if l.model == nil {
+		return false
+	}
+	if l.evalFilled < l.cfg.EvalWindow/4 {
+		return true
+	}
+	return l.RollingError() <= l.cfg.ErrorThreshold
+}
+
+func (l *syncLearner) ForceTrain() {
+	if l.bufX.Rows() == 0 {
+		return
+	}
+	if l.model == nil {
+		l.train()
+	} else if l.update() {
+		l.resetBuffer()
+	}
+}
+
+// differentialConfig is a learner that updates often and retires trees, fed
+// a stream whose first training is rejected (LearningRate 2 is invalid) and
+// left buffered; the returned params are the valid ones.
+func differentialConfig() (LearnerConfig, gbt.Params) {
 	cfg := DefaultLearnerConfig()
 	cfg.MinTrainSamples = 120
 	cfg.UpdateBatch = 70
 	cfg.UpdateRounds = 3
 	cfg.Params.MaxTrees = 30
 	good := cfg.Params
-	cfg.Params.LearningRate = 2 // rejected by gbt.Train
-	l := NewLearner(spec.Width(), cfg)
-	rng := rand.New(rand.NewSource(21))
+	cfg.Params.LearningRate = 2
+	return cfg, good
+}
 
-	var shadow *gbt.Model
-	shadowX, shadowY := gbt.NewMatrix(spec.Width()), []float64(nil)
-	gen := l.Generation()
-	follow := func(when string) {
+// noisySample is synthSample with every sixth label flipped, so every
+// update finds something to fit.
+func noisySample(rng *rand.Rand, spec FeatureSpec) ([]float64, float64) {
+	x, y := synthSample(rng, spec)
+	if rng.Intn(6) == 0 {
+		y = 1 - y
+	}
+	return x, y
+}
+
+// TestLearnerMatchesSynchronousReference feeds a learner and the synchronous
+// reference one stream of 10 000 samples, interrupted by ForceTrain without
+// and with a model, and after every Add requires the same answers from the
+// public reads — Ready, the bits of RollingError, Generation, Updates,
+// Trainings — and, at every generation, the same model byte for byte. Margins
+// computed late, by the update or at the read, must be the margins Add used
+// to compute on arrival.
+func TestLearnerMatchesSynchronousReference(t *testing.T) {
+	spec := DefaultFeatureSpec()
+	cfg, good := differentialConfig()
+	l, ref := NewLearner(spec.Width(), cfg), newSyncLearner(spec.Width(), cfg)
+	rng := rand.New(rand.NewSource(21))
+	var lastGen uint64
+	compare := func(when string) {
 		t.Helper()
-		rows := l.bufX.Rows()
-		if l.Generation() == gen {
-			if rows != shadowX.Rows() {
-				t.Fatalf("%s: %d rows buffered, %d fed since the model last moved", when, rows, shadowX.Rows())
-			}
-			if l.model == nil {
-				if len(l.bufM) != 0 {
-					t.Fatalf("%s: %d margins kept without a model", when, len(l.bufM))
-				}
-				return
-			}
-			want := make([]float64, rows)
-			l.model.PredictMarginBatch(l.bufX, want)
-			if len(l.bufM) != rows {
-				t.Fatalf("%s: %d margins for %d buffered rows", when, len(l.bufM), rows)
-			}
-			for i, m := range l.bufM {
-				if math.Float64bits(m) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: row %d carries margin %v, the model says %v", when, i, m, want[i])
-				}
-			}
+		if got, want := l.Ready(), ref.Ready(); got != want {
+			t.Fatalf("%s: Ready %v, reference %v", when, got, want)
+		}
+		if got, want := l.RollingError(), ref.RollingError(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: RollingError %v, reference %v", when, got, want)
+		}
+		if l.Updates() != ref.updates || l.Trainings() != ref.trainings {
+			t.Fatalf("%s: %d updates %d trainings, reference %d and %d", when, l.Updates(), l.Trainings(), ref.updates, ref.trainings)
+		}
+		gen := l.Generation()
+		if gen != ref.generation {
+			t.Fatalf("%s: generation %d, reference %d", when, gen, ref.generation)
+		}
+		if gen == lastGen {
 			return
 		}
-		gen = l.Generation()
-		if rows != 0 || len(l.bufM) != 0 {
-			t.Fatalf("%s: the model moved and left %d rows, %d margins buffered", when, rows, len(l.bufM))
-		}
-		var err error
-		if shadow == nil {
-			shadow, err = gbt.Train(shadowX, shadowY, good)
-		} else {
-			err = shadow.Update(shadowX, shadowY, cfg.UpdateRounds)
-		}
+		lastGen = gen
+		got, err := json.Marshal(l.Model())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < shadowX.Rows(); i++ {
-			got, want := l.model.PredictMargin(shadowX.Row(i)), shadow.PredictMargin(shadowX.Row(i))
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: learner's model gives row %d margin %v, the shadow %v", when, i, got, want)
-			}
+		want, err := json.Marshal(ref.model)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if l.model.NumTrees() != shadow.NumTrees() {
-			t.Fatalf("%s: %d trees, shadow %d", when, l.model.NumTrees(), shadow.NumTrees())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: generation %d's model differs from the reference's (%d vs %d bytes)", when, gen, len(got), len(want))
 		}
-		shadowX.Reset()
-		shadowY = shadowY[:0]
 	}
 	add := func(when string) {
 		t.Helper()
-		x, y := synthSample(rng, spec)
-		if rng.Intn(6) == 0 {
-			y = 1 - y // noise, so every update finds something to fit
-		}
-		shadowX.AppendRow(x)
-		shadowY = append(shadowY, y)
+		x, y := noisySample(rng, spec)
 		l.Add(x, y)
-		follow(when)
+		ref.Add(x, y)
+		compare(when)
 	}
 
 	for i := 0; i < cfg.MinTrainSamples+10; i++ {
 		add("rejected first train")
 	}
-	if l.model != nil || l.bufX.Rows() != cfg.MinTrainSamples+10 {
-		t.Fatalf("rejected train: model %v, %d rows buffered", l.model != nil, l.bufX.Rows())
+	if l.Model() != nil || l.Trainings() != 0 {
+		t.Fatal("a learning rate of 2 was accepted")
 	}
-	l.cfg.Params = good
+	l.cfg.Params, ref.cfg.Params = good, good
 	l.ForceTrain()
-	follow("ForceTrain without a model")
+	ref.ForceTrain()
+	compare("ForceTrain without a model")
 	if l.Trainings() != 1 {
 		t.Fatalf("%d trainings after ForceTrain", l.Trainings())
 	}
 	for i := 0; i < 10000; i++ {
 		add(fmt.Sprint("sample ", i))
 		if i%997 == 500 {
-			if l.bufX.Rows() == 0 {
+			if ref.bufX.Rows() == 0 {
 				add("one row for ForceTrain")
 			}
 			before := l.Updates()
 			l.ForceTrain()
-			follow("ForceTrain with a model")
+			ref.ForceTrain()
+			compare("ForceTrain with a model")
 			if l.Updates() != before+1 {
-				t.Fatalf("ForceTrain with %d rows buffered did not update", shadowX.Rows())
+				t.Fatal("ForceTrain with rows buffered did not update")
 			}
 		}
 	}
 	if l.Updates() < 10000/int64(cfg.UpdateBatch) {
 		t.Fatalf("only %d updates over the stream", l.Updates())
+	}
+}
+
+// TestLearnerReadsAcrossInFlightUpdates interleaves Add with the serving
+// reads at random, sparsely enough that hundreds of updates run while Add
+// goes on filling the other buffer, and holds every read to the synchronous
+// reference: Ready, Predict's bits and Pipeline.ScoreBatch's bits. Run under
+// -race it also checks that the update shares nothing with the caller
+// unguarded.
+func TestLearnerReadsAcrossInFlightUpdates(t *testing.T) {
+	spec := DefaultFeatureSpec()
+	cfg, good := differentialConfig()
+	cfg.Params = good
+	cfg.UpdateBatch = 40
+	p := NewPipeline(spec, 30*time.Minute, cfg)
+	ref := newSyncLearner(spec.Width(), cfg)
+	rng := rand.New(rand.NewSource(22))
+	tr := NewTracker(DefaultK)
+	var recs []*FileRecord
+	for id := int64(0); id < 25; id++ {
+		rec := tr.OnCreate(id, rng.Int63n(1<<32), t0)
+		for at, n := t0, rng.Intn(12); n > 0; n-- {
+			at = at.Add(time.Duration(1+rng.Intn(1800)) * time.Second)
+			rec.RecordAccess(at)
+		}
+		recs = append(recs, rec)
+	}
+	now := t0.Add(6 * time.Hour)
+	reads, overlapped := 0, 0
+	for i := 0; i < 16000; i++ {
+		x, y := noisySample(rng, spec)
+		p.Learner.Add(x, y)
+		ref.Add(x, y)
+		if p.Learner.inFlight {
+			overlapped++
+		}
+		if rng.Intn(60) != 0 {
+			continue
+		}
+		reads++
+		switch rng.Intn(3) {
+		case 0:
+			if got, want := p.Learner.Ready(), ref.Ready(); got != want {
+				t.Fatalf("sample %d: Ready %v, reference %v", i, got, want)
+			}
+		case 1:
+			probe, _ := noisySample(rng, spec)
+			got, ok := p.Learner.Predict(probe)
+			if ok != ref.Ready() || (ok && math.Float64bits(got) != math.Float64bits(ref.model.Predict(probe))) {
+				t.Fatalf("sample %d: Predict %v (served %v), reference %v", i, got, ok, ref.model.Predict(probe))
+			}
+		case 2:
+			probs, ok := p.ScoreBatch(recs, now)
+			if ok != ref.Ready() {
+				t.Fatalf("sample %d: ScoreBatch served %v, reference ready %v", i, ok, ref.Ready())
+			}
+			for k := range probs {
+				if want := ref.model.Predict(spec.Vector(recs[k], now)); math.Float64bits(probs[k]) != math.Float64bits(want) {
+					t.Fatalf("sample %d file %d: ScoreBatch %v, reference %v", i, k, probs[k], want)
+				}
+			}
+		}
+	}
+	if u := p.Learner.Updates(); u < 300 || overlapped < 1000 || reads < 100 {
+		t.Fatalf("%d updates, %d samples added beside an update in flight, %d reads; the stream should make hundreds of each", u, overlapped, reads)
+	}
+	if p.Learner.Generation() != ref.generation || math.Float64bits(p.Learner.RollingError()) != math.Float64bits(ref.RollingError()) {
+		t.Fatalf("end: generation %d error %v, reference %d and %v", p.Learner.Generation(), p.Learner.RollingError(), ref.generation, ref.RollingError())
 	}
 }

@@ -468,16 +468,28 @@ func BenchmarkFeatureVector(b *testing.B) {
 	}
 }
 
+// BenchmarkLearnerAddSample is the amortised cost of one training sample
+// under trace_xgb's learner configuration (updates of 200 samples, 3 rounds
+// each, a 200-tree bound), with the ensemble already at its bound: buffering
+// the sample and its share of the updates. The updates run beside Add, so the
+// clock stops only once the last one has been joined.
 func BenchmarkLearnerAddSample(b *testing.B) {
 	spec := DefaultFeatureSpec()
 	cfg := DefaultLearnerConfig()
+	cfg.Params.MaxTrees, cfg.MinTrainSamples, cfg.UpdateBatch, cfg.UpdateRounds = 200, 300, 200, 3
 	l := NewLearner(spec.Width(), cfg)
 	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x, y := synthSample(rng, spec)
+	for l.Updates() < 70 {
+		x, y := noisySample(rng, spec)
 		l.Add(x, y)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, y := noisySample(rng, spec)
+		l.Add(x, y)
+	}
+	l.Model()
 }
 
 // OnAccessN(id, at, n) is n times OnAccess(id, at): the same lifetime count,
