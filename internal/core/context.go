@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"octostore/internal/dfs"
@@ -132,17 +131,11 @@ func (c *Context) IsBusy(f *dfs.File) bool {
 	return c.mgr != nil && c.mgr.isBusy(f)
 }
 
-// EligibleFiles returns the files that a downgrade from `tier` may choose
-// from: complete, not deleted, not busy, not in a failure cooldown, not
-// holding a block's last copy there, and holding a replica of every block on
-// the tier (the all-or-nothing property).
-func (c *Context) EligibleFiles(tier storage.Media) []*dfs.File {
-	return c.EligibleFilesInto(nil, tier)
-}
-
-// EligibleFilesInto is EligibleFiles appending into a caller-provided
-// buffer (pass buf[:0] to reuse its capacity), so per-decision scans stop
-// allocating. Policies with an order-independent or windowed selection
+// EligibleFilesInto appends to buf (pass buf[:0] to reuse its capacity)
+// the files that a downgrade from `tier` may choose from: complete, not
+// deleted, not busy, not in a failure cooldown, not holding a block's last
+// copy there, and holding a replica of every block on the tier (the
+// all-or-nothing property). Policies with an order-independent or windowed selection
 // rule (LIFE, LFU-F, EXD admission) use it; the indexed policies avoid the
 // scan entirely.
 func (c *Context) EligibleFilesInto(buf []*dfs.File, tier storage.Media) []*dfs.File {
@@ -176,34 +169,6 @@ func (c *Context) UpgradeCandidatesInto(buf []*dfs.File, k int) []*dfs.File {
 	return c.index.mru.TopK(k, buf)
 }
 
-// UpgradeCandidatesLinear is the full-scan implementation of
-// UpgradeCandidates, kept as the oracle the differential equivalence tests
-// compare the indexed path against.
-func (c *Context) UpgradeCandidatesLinear(buf []*dfs.File, k int) []*dfs.File {
-	start := len(buf)
-	for _, f := range c.FS.LiveFiles() {
-		if f.Deleted() || !c.FS.Complete(f) || !c.Selectable(f) || len(f.Blocks()) == 0 {
-			continue
-		}
-		if f.HasReplicaOn(storage.Memory) {
-			continue
-		}
-		buf = append(buf, f)
-	}
-	out := buf[start:]
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := c.LastTouch(out[i]), c.LastTouch(out[j])
-		if !ti.Equal(tj) {
-			return ti.After(tj)
-		}
-		return out[i].ID() < out[j].ID()
-	})
-	if k > 0 && len(out) > k {
-		buf = buf[:start+k]
-	}
-	return buf
-}
-
 // LRUFiles returns up to k eligible files on the tier ordered by least
 // recent touch first (the XGB downgrade policy scores "the k least
 // recently used files", Section 5.2): a bounded-heap top-k over the recency
@@ -216,25 +181,6 @@ func (c *Context) LRUFiles(tier storage.Media, k int) []*dfs.File {
 func (c *Context) LRUFilesInto(buf []*dfs.File, tier storage.Media, k int) []*dfs.File {
 	c.index.RequireRecency()
 	return c.index.recency.tiers[tier].TopK(k, buf)
-}
-
-// LRUFilesLinear is the scan-and-sort implementation of LRUFiles, kept as
-// the differential-test oracle.
-func (c *Context) LRUFilesLinear(buf []*dfs.File, tier storage.Media, k int) []*dfs.File {
-	start := len(buf)
-	buf = c.EligibleFilesInto(buf, tier)
-	files := buf[start:]
-	sort.Slice(files, func(i, j int) bool {
-		ti, tj := c.LastTouch(files[i]), c.LastTouch(files[j])
-		if !ti.Equal(tj) {
-			return ti.Before(tj)
-		}
-		return files[i].ID() < files[j].ID()
-	})
-	if k > 0 && len(files) > k {
-		buf = buf[:start+k]
-	}
-	return buf
 }
 
 // SampleLiveFiles visits a deterministic stride sample of the live-file

@@ -150,21 +150,6 @@ func (w *DecayedWeight) SelectMin(tier storage.Media) *dfs.File {
 	return w.order.tiers[tier].SelectMinLazy(w.trueFn)
 }
 
-// SelectMinLinear is the retired full-scan selection, kept as the
-// differential-test oracle and the benchmark baseline.
-func (w *DecayedWeight) SelectMinLinear(tier storage.Media) *dfs.File {
-	now := w.ctx.Clock.Now()
-	var best *dfs.File
-	bestW := 0.0
-	for _, f := range w.ctx.EligibleFiles(tier) {
-		fw := w.at(f, now)
-		if best == nil || fw < bestW || (fw == bestW && f.ID() < best.ID()) {
-			best, bestW = f, fw
-		}
-	}
-	return best
-}
-
 // AscendBounds walks the tier's weight heap in ascending order of the stored
 // lower bounds (see FileHeap.AscendWhile); visit reads exact weights with
 // Now.

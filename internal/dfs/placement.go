@@ -83,7 +83,8 @@ type octopusPlacement struct {
 	cluster *cluster.Cluster
 	rng     *rand.Rand
 	weights PlacementWeights
-	scratch []Target // reused PlaceBlock result buffer
+	scratch []Target         // reused PlaceBlock result buffer
+	cands   []placeCandidate // reused PlaceBlock candidate buffer
 	// backlog, when a horizon-exposing plane is attached, feeds the write
 	// backlog each candidate device has already queued into the score, so
 	// new replicas steer away from saturated devices (the write-side twin
@@ -127,53 +128,77 @@ func mediaSpeed(m storage.Media) float64 {
 	}
 }
 
+// placeCandidate is one (node, media) pair able to take a replica, with
+// the parts of its score that do not change while one block is placed.
+type placeCandidate struct {
+	node    *cluster.Node
+	dev     *storage.Device
+	media   storage.Media
+	base    float64 // throughput + data-balance + load-balance terms
+	backlog float64 // the write-backlog penalty, 0 without a plane
+}
+
+// PlaceBlock scores every (node, media) pair once: the device each node
+// would pick, its utilization, load and write backlog are all fixed until
+// the block is written. Each replica round then only charges the
+// diversity term for the media already used, visiting the candidates in
+// the same order and subtracting in the same order as a per-round
+// rescoring would, so every score and tie-break is the same.
 func (p *octopusPlacement) PlaceBlock(size int64, replication int) ([]Target, error) {
 	nodes := p.cluster.Nodes()
-	var usedMedia [3]int // indexed by storage.Media
 	targets := p.scratch[:0]
 	start := p.rng.Intn(len(nodes))
 	var now time.Time
 	if p.backlog != nil {
 		now = p.cluster.Engine().Now()
 	}
-	for len(targets) < replication {
-		var best Target
-		bestScore := math.Inf(-1)
-		for i := 0; i < len(nodes); i++ {
-			n := nodes[(start+i)%len(nodes)]
-			if targetsHaveNode(targets, n.ID()) {
+	cands := p.cands[:0]
+	for i := 0; i < len(nodes); i++ {
+		n := nodes[(start+i)%len(nodes)]
+		for _, media := range storage.AllMedia {
+			d := n.PickDevice(media, size)
+			if d == nil {
 				continue
 			}
-			for _, media := range storage.AllMedia {
-				d := n.PickDevice(media, size)
-				if d == nil {
-					continue
-				}
-				score := p.weights.Throughput * mediaSpeed(media)
-				score += p.weights.DataBal * (1 - d.Utilization())
-				score += p.weights.LoadBal / float64(1+d.Load())
-				score -= p.weights.Diversity * float64(usedMedia[media])
-				if p.backlog != nil {
-					// Saturation-aware placement: devices whose write channel
-					// the plane has already booked out score down, bounded so
-					// a deep queue defers to the diversity/throughput terms
-					// rather than overriding them outright.
-					if wait := p.backlog.Horizon(d.ID(), storage.Write).Sub(now); wait > 0 {
-						ws := wait.Seconds()
-						score -= p.weights.Backlog * ws / (ws + 1)
-					}
-				}
-				if score > bestScore {
-					bestScore = score
-					best = Target{Node: n, Device: d}
+			c := placeCandidate{node: n, dev: d, media: media}
+			c.base = p.weights.Throughput * mediaSpeed(media)
+			c.base += p.weights.DataBal * (1 - d.Utilization())
+			c.base += p.weights.LoadBal / float64(1+d.Load())
+			if p.backlog != nil {
+				// Saturation-aware placement: devices whose write channel
+				// the plane has already booked out score down, bounded so
+				// a deep queue defers to the diversity/throughput terms
+				// rather than overriding them outright.
+				if wait := p.backlog.Horizon(d.ID(), storage.Write).Sub(now); wait > 0 {
+					ws := wait.Seconds()
+					c.backlog = p.weights.Backlog * ws / (ws + 1)
 				}
 			}
+			cands = append(cands, c)
 		}
-		if best.Device == nil {
+	}
+	p.cands = cands
+	var usedMedia [3]int // indexed by storage.Media
+	for len(targets) < replication {
+		best := -1
+		bestScore := math.Inf(-1)
+		for i := range cands {
+			c := &cands[i]
+			if targetsHaveNode(targets, c.node.ID()) {
+				continue
+			}
+			score := c.base - p.weights.Diversity*float64(usedMedia[c.media])
+			score -= c.backlog
+			if score > bestScore {
+				bestScore = score
+				best = i
+			}
+		}
+		if best < 0 {
 			break // out of eligible nodes or space
 		}
-		usedMedia[best.Device.Media()]++
-		targets = append(targets, best)
+		usedMedia[cands[best].media]++
+		targets = append(targets, Target{Node: cands[best].node, Device: cands[best].dev})
 	}
 	p.scratch = targets
 	if len(targets) == 0 {

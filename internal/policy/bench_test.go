@@ -223,7 +223,7 @@ func BenchmarkUpgradeCandidates(b *testing.B) {
 		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buf = ctx.UpgradeCandidatesLinear(buf[:0], k)
+				buf = UpgradeCandidatesLinear(ctx, buf[:0], k)
 				if len(buf) == 0 {
 					b.Fatal("no candidates")
 				}

@@ -96,12 +96,12 @@ func (c *checkedDowngrade) Tick() {
 func (c *checkedDowngrade) compareLists(tier storage.Media) {
 	const k = 200
 	c.bufA = c.ctx.LRUFilesInto(c.bufA[:0], tier, k)
-	c.bufB = c.ctx.LRUFilesLinear(c.bufB[:0], tier, k)
+	c.bufB = policy.LRUFilesLinear(c.ctx, c.bufB[:0], tier, k)
 	if !sameFiles(c.bufA, c.bufB) {
 		c.t.Errorf("LRUFiles(%v, %d) diverged: indexed %d files, linear %d files", tier, k, len(c.bufA), len(c.bufB))
 	}
 	c.bufA = c.ctx.UpgradeCandidatesInto(c.bufA[:0], k)
-	c.bufB = c.ctx.UpgradeCandidatesLinear(c.bufB[:0], k)
+	c.bufB = policy.UpgradeCandidatesLinear(c.ctx, c.bufB[:0], k)
 	if !sameFiles(c.bufA, c.bufB) {
 		c.t.Errorf("UpgradeCandidates(%d) diverged: indexed %d files, linear %d files", k, len(c.bufA), len(c.bufB))
 	}

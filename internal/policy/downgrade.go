@@ -32,21 +32,6 @@ func (p *LRU) SelectFile(tier storage.Media) *dfs.File {
 	return p.ctx.Index().SelectLRU(tier)
 }
 
-// SelectFileLinear is the retired full-scan selection (least recent touch,
-// ties toward the lowest file id), kept as the differential-test oracle
-// and benchmark baseline.
-func (p *LRU) SelectFileLinear(tier storage.Media) *dfs.File {
-	var best *dfs.File
-	var bestT time.Time
-	for _, f := range p.ctx.EligibleFiles(tier) {
-		t := p.ctx.LastTouch(f)
-		if best == nil || t.Before(bestT) || (t.Equal(bestT) && f.ID() < best.ID()) {
-			best, bestT = f, t
-		}
-	}
-	return best
-}
-
 // LFU downgrades the file used least often (Table 1); ties break toward
 // the least recently used, then the lowest file id. Selection reads the
 // per-tier frequency index.
@@ -69,31 +54,6 @@ func (p *LFU) Name() string { return "LFU" }
 // SelectFile implements core.DowngradePolicy.
 func (p *LFU) SelectFile(tier storage.Media) *dfs.File {
 	return p.ctx.Index().SelectLFU(tier)
-}
-
-// SelectFileLinear is the retired full-scan selection, kept as the
-// differential-test oracle and benchmark baseline.
-func (p *LFU) SelectFileLinear(tier storage.Media) *dfs.File {
-	var best *dfs.File
-	for _, f := range p.ctx.EligibleFiles(tier) {
-		if best == nil {
-			best = f
-			continue
-		}
-		cf, cb := p.ctx.AccessCount(f), p.ctx.AccessCount(best)
-		if cf > cb {
-			continue
-		}
-		if cf < cb {
-			best = f
-			continue
-		}
-		tf, tb := p.ctx.LastTouch(f), p.ctx.LastTouch(best)
-		if tf.Before(tb) || (tf.Equal(tb) && f.ID() < best.ID()) {
-			best = f
-		}
-	}
-	return best
 }
 
 // WeightDown downgrades the file with the lowest decayed weight (Table 1):
@@ -129,12 +89,6 @@ func (p *WeightDown) Name() string { return p.name }
 
 // SelectFile picks the lowest decayed weight through the lazy heap.
 func (p *WeightDown) SelectFile(tier storage.Media) *dfs.File { return p.w.SelectMin(tier) }
-
-// SelectFileLinear is the retired full-scan selection, kept as the
-// differential-test oracle and benchmark baseline.
-func (p *WeightDown) SelectFileLinear(tier storage.Media) *dfs.File {
-	return p.w.SelectMinLinear(tier)
-}
 
 // Windowed reproduces PACMan's two-partition policies (Table 1): if files
 // older than the window exist, evict the least frequently used among them;

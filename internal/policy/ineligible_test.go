@@ -111,7 +111,7 @@ func (w *ineligibleWorld) check(t *testing.T, label string) int {
 		}
 		for _, k := range []int{1, 50, 0} {
 			w.bufA = w.ctx.LRUFilesInto(w.bufA[:0], tier, k)
-			w.bufB = w.ctx.LRUFilesLinear(w.bufB[:0], tier, k)
+			w.bufB = policy.LRUFilesLinear(w.ctx, w.bufB[:0], tier, k)
 			if !sameFiles(w.bufA, w.bufB) {
 				t.Errorf("%s: LRUFiles(%v, %d): indexed %d files, linear %d", label, tier, k, len(w.bufA), len(w.bufB))
 			}
@@ -119,7 +119,7 @@ func (w *ineligibleWorld) check(t *testing.T, label string) int {
 	}
 	for _, k := range []int{1, 50, 0} {
 		w.bufA = w.ctx.UpgradeCandidatesInto(w.bufA[:0], k)
-		w.bufB = w.ctx.UpgradeCandidatesLinear(w.bufB[:0], k)
+		w.bufB = policy.UpgradeCandidatesLinear(w.ctx, w.bufB[:0], k)
 		if !sameFiles(w.bufA, w.bufB) {
 			t.Errorf("%s: UpgradeCandidates(%d): indexed %d files, linear %d", label, k, len(w.bufA), len(w.bufB))
 		}
@@ -167,7 +167,7 @@ func TestDifferentialWithIneligibleShare(t *testing.T) {
 			// drawn at random across the tier.
 			queued := map[*dfs.File]bool{} // a file resident on both tiers is queued once
 			for _, tier := range []storage.Media{storage.Memory, storage.HDD} {
-				members := w.ctx.LRUFilesLinear(nil, tier, 0)
+				members := policy.LRUFilesLinear(w.ctx, nil, tier, 0)
 				n := len(members) * pct / 100
 				picked := append([]*dfs.File(nil), members[:n/2]...)
 				rest := members[n/2:]

@@ -106,9 +106,8 @@ type EXDUp struct {
 	w   *core.DecayedWeight
 
 	// Reused buffers for the victim-sum admission test.
-	eligBuf []*dfs.File
-	scored  []scoredFile
-	prefix  victimPrefix
+	scored []scoredFile
+	prefix victimPrefix
 }
 
 // scoredFile pairs a candidate with its decayed weight (and, on the heap
@@ -272,18 +271,6 @@ func (p *EXDUp) victimWeightSum(need int64) float64 {
 	return prefixSum(p.scored, need)
 }
 
-// victimWeightSumLinear is the retired full-scan admission sum, kept as
-// the differential-test oracle and benchmark baseline: score every
-// eligible memory file, sort, and sum the covering prefix.
-func (p *EXDUp) victimWeightSumLinear(need int64) float64 {
-	p.eligBuf = p.ctx.EligibleFilesInto(p.eligBuf[:0], storage.Memory)
-	p.scored = p.scored[:0]
-	for _, f := range p.eligBuf {
-		p.scored = append(p.scored, scoredFile{f: f, w: p.w.Now(f)})
-	}
-	return prefixSum(p.scored, need)
-}
-
 // prefixSum sorts candidates ascending by (weight, id) and sums the
 // minimal prefix freeing `need` bytes; unbeatableWeight when even the
 // whole set cannot.
@@ -312,10 +299,6 @@ func prefixSum(candidates []scoredFile, need int64) float64 {
 // VictimWeightSum exposes the indexed admission sum to the differential
 // tests.
 func (p *EXDUp) VictimWeightSum(need int64) float64 { return p.victimWeightSum(need) }
-
-// VictimWeightSumLinear exposes the linear oracle to the differential
-// tests and benchmarks.
-func (p *EXDUp) VictimWeightSumLinear(need int64) float64 { return p.victimWeightSumLinear(need) }
 
 // SelectTargetTier implements core.UpgradePolicy. EXD may target memory
 // even when full: the admission test already decided the trade is worth it,

@@ -153,30 +153,6 @@ func (p *XGBDown) SelectFile(tier storage.Media) *dfs.File {
 	return best
 }
 
-// SelectFileLinear is the selection without the memo — every candidate
-// scored afresh, one prediction at a time — kept as the differential-test
-// oracle and benchmark baseline.
-func (p *XGBDown) SelectFileLinear(tier storage.Media) *dfs.File {
-	ctx := p.xgbModel.ctx
-	candidates := ctx.LRUFilesInto(nil, tier, ctx.Cfg.CandidateK)
-	if len(candidates) == 0 {
-		return nil
-	}
-	now := ctx.Clock.Now()
-	var best *dfs.File
-	bestProb := 2.0
-	for _, f := range candidates {
-		prob, ok := p.pipeline.Score(ctx.Record(f), now)
-		if !ok {
-			return candidates[0]
-		}
-		if prob < bestProb {
-			best, bestProb = f, prob
-		}
-	}
-	return best
-}
-
 // XGBUp is the paper's ML upgrade policy (Section 6.1): on access, upgrade
 // the file when its predicted probability of access within the small class
 // window (default 30 minutes) exceeds the discrimination threshold; on

@@ -219,7 +219,7 @@ type tierPool struct {
 	inFlightBytes int64
 	tokens        float64   // current bucket level in bytes
 	lastRefill    time.Time // virtual time of the last refill
-	wake          *sim.Event
+	wake          bool      // a re-pump is scheduled and has not run
 	// refused: Room said no since the last room wake was scheduled, so the
 	// next slot to free up owes the manager one. roomWake: that wake is
 	// scheduled and has not run.
@@ -452,14 +452,15 @@ func (e *MovementExecutor) wakeWhenRefilled(tier storage.Media, need float64) {
 // re-schedules as needed).
 func (e *MovementExecutor) wakeAt(tier storage.Media, delay time.Duration) {
 	pool := &e.tiers[tier]
-	if pool.wake != nil {
+	if pool.wake {
 		return
 	}
 	if delay < time.Nanosecond {
 		delay = time.Nanosecond
 	}
-	pool.wake = e.engine.Schedule(delay, func() {
-		pool.wake = nil
+	pool.wake = true
+	e.engine.Schedule(delay, func() {
+		pool.wake = false
 		e.pump(tier)
 	})
 }

@@ -19,6 +19,20 @@ import (
 	"octostore/internal/storage"
 )
 
+// lruByScan is LRU's selection by full scan: the tier's eligible file with
+// the least recent touch, ties toward the lowest file id.
+func lruByScan(ctx *core.Context, tier storage.Media) *dfs.File {
+	var best *dfs.File
+	var bestT time.Time
+	for _, f := range ctx.EligibleFilesInto(nil, tier) {
+		t := ctx.LastTouch(f)
+		if best == nil || t.Before(bestT) || (t.Equal(bestT) && f.ID() < best.ID()) {
+			best, bestT = f, t
+		}
+	}
+	return best
+}
+
 // scrape fetches /metrics and sums, per reason label, the samples of one
 // family across shards.
 func scrape(t *testing.T, addr, family string) map[string]float64 {
@@ -124,7 +138,7 @@ func TestBackpressureParksTheLoopNotTheFiles(t *testing.T) {
 			return
 		}
 		top := ctx.Index().SelectLRU(storage.Memory)
-		if want := policy.NewLRU(ctx).SelectFileLinear(storage.Memory); top == nil || top != want || !ctx.Selectable(top) {
+		if want := lruByScan(ctx, storage.Memory); top == nil || top != want || !ctx.Selectable(top) {
 			t.Errorf("heap top %v, linear scan says %v; the refused candidate must stay the next one", top, want)
 			return
 		}

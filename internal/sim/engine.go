@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -22,53 +21,88 @@ type Clock interface {
 	Now() time.Time
 }
 
-// Event is a scheduled callback. Events with equal timestamps fire in the
-// order they were scheduled (FIFO), which keeps runs deterministic.
+// Event is a re-armable handle for a component timer that must be moved or
+// withdrawn after it is set (a device's next completion, a Ticker's next
+// tick). ScheduleEvent arms it; arming it again or calling
+// Cancel withdraws whatever firing is still pending. The zero value is
+// ready to use, and a handle embedded in its owner costs no allocation per
+// arming. Callbacks that never need withdrawing go through Schedule.
 type Event struct {
-	at   time.Time
-	seq  uint64
-	fn   func()
-	dead bool
-	idx  int
+	gen uint64
 }
 
-// Cancel prevents a pending event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.dead = true
+// Cancel prevents the handle's pending firing, if any. Cancelling a handle
+// that already fired or was already cancelled is a no-op.
+func (e *Event) Cancel() { e.gen++ }
+
+// entry is one scheduled callback. Entries fire by (at, seq): virtual time,
+// then FIFO among equal times. An entry armed through a handle carries the
+// handle and the generation it was armed at, and is dropped unfired once
+// the handle moves on.
+type entry struct {
+	at  int64 // virtual nanoseconds since Epoch
+	seq uint64
+	fn  func()
+	ev  *Event
+	gen uint64
+}
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (a *entry) live() bool { return a.ev == nil || a.ev.gen == a.gen }
+
+// eventQueue is a 4-ary min-heap of entries by (at, seq). The wider fan-out
+// halves the depth of a binary heap, and entries are values, so a push
+// allocates only when the backing array grows.
+type eventQueue []entry
+
+func (q *eventQueue) push(x entry) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = x
+	*q = h
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Time { return e.at }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (q *eventQueue) pop() entry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{} // drop the callback so it can be collected
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
+			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	*q = h
+	return top
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -76,8 +110,9 @@ func (h *eventHeap) Pop() any {
 // is worth more than parallelism at this scale).
 type Engine struct {
 	now     time.Time
+	nowNs   int64 // now as nanoseconds since Epoch
 	seq     uint64
-	events  eventHeap
+	events  eventQueue
 	stopped bool
 	fired   uint64
 	onEvent func()
@@ -103,27 +138,47 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
-// as zero. It returns the Event so the caller may cancel it.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.ScheduleAt(e.now.Add(delay), fn)
+// as zero. The callback cannot be withdrawn; use ScheduleEvent for one that
+// may need to be.
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
+	e.push(e.after(delay), fn, nil)
 }
 
 // ScheduleAt runs fn at the given virtual time. Times in the past are
 // clamped to the current time.
-func (e *Engine) ScheduleAt(at time.Time, fn func()) *Event {
+func (e *Engine) ScheduleAt(at time.Time, fn func()) {
+	e.push(max(Nanos(at), e.nowNs), fn, nil)
+}
+
+// ScheduleEvent arms ev to run fn after delay of virtual time (a negative
+// delay is treated as zero), withdrawing any firing ev still has pending.
+func (e *Engine) ScheduleEvent(ev *Event, delay time.Duration, fn func()) {
+	ev.gen++
+	e.push(e.after(delay), fn, ev)
+}
+
+// after is the instant delay from now, clamped to [now, the last
+// representable instant].
+func (e *Engine) after(delay time.Duration) int64 {
+	if delay <= 0 {
+		return e.nowNs
+	}
+	if delay > time.Duration(math.MaxInt64-e.nowNs) {
+		return math.MaxInt64
+	}
+	return e.nowNs + int64(delay)
+}
+
+func (e *Engine) push(at int64, fn func(), ev *Event) {
 	if fn == nil {
-		panic("sim: ScheduleAt called with nil callback")
+		panic("sim: event scheduled with nil callback")
 	}
-	if at.Before(e.now) {
-		at = e.now
+	x := entry{at: at, seq: e.seq, fn: fn, ev: ev}
+	if ev != nil {
+		x.gen = ev.gen
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
+	e.events.push(x)
 }
 
 // Every schedules fn to run repeatedly with the given period, starting one
@@ -133,35 +188,35 @@ func (e *Engine) Every(period time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: Every called with non-positive period %v", period))
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
+	t.tick = t.fire
 	t.schedule()
 	return t
 }
 
 // Ticker re-schedules a callback at a fixed virtual period until stopped.
+// It re-arms one embedded handle, so ticking allocates nothing.
 type Ticker struct {
 	engine  *Engine
 	period  time.Duration
 	fn      func()
-	pending *Event
+	tick    func() // fire, bound once
+	next    Event
 	stopped bool
 }
 
-func (t *Ticker) schedule() {
-	t.pending = t.engine.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.schedule()
-		}
-	})
+func (t *Ticker) schedule() { t.engine.ScheduleEvent(&t.next, t.period, t.tick) }
+
+func (t *Ticker) fire() {
+	t.fn()
+	if !t.stopped {
+		t.schedule()
+	}
 }
 
 // Stop cancels future ticks. It is safe to call multiple times.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	t.pending.Cancel()
+	t.next.Cancel()
 }
 
 // SetEventHook installs fn to run after every fired event, regardless of
@@ -175,13 +230,16 @@ func (e *Engine) SetEventHook(fn func()) { e.onEvent = fn }
 // events remain.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.dead {
+		x := e.events.pop()
+		if !x.live() {
 			continue
 		}
-		e.now = ev.at
+		if x.at != e.nowNs {
+			e.nowNs = x.at
+			e.now = AtNanos(x.at)
+		}
 		e.fired++
-		ev.fn()
+		x.fn()
 		if e.onEvent != nil {
 			e.onEvent()
 		}
@@ -201,21 +259,12 @@ func (e *Engine) Run() {
 // the clock to exactly the deadline.
 func (e *Engine) RunUntil(deadline time.Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.events) == 0 {
-			break
-		}
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at.After(deadline) {
-			break
-		}
+	end := Nanos(deadline)
+	for !e.stopped && e.peekLive() && e.events[0].at <= end {
 		e.Step()
 	}
-	if e.now.Before(deadline) {
-		e.now = deadline
+	if e.nowNs < end {
+		e.now, e.nowNs = deadline, end
 	}
 }
 
@@ -225,15 +274,16 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-func (e *Engine) peek() *Event {
+// peekLive discards cancelled entries from the head of the queue and
+// reports whether a live one remains there.
+func (e *Engine) peekLive() bool {
 	for len(e.events) > 0 {
-		if e.events[0].dead {
-			heap.Pop(&e.events)
-			continue
+		if e.events[0].live() {
+			return true
 		}
-		return e.events[0]
+		e.events.pop()
 	}
-	return nil
+	return false
 }
 
 // Since returns the virtual duration elapsed since t.

@@ -49,20 +49,65 @@ func TestEqualTimestampsFIFO(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(time.Second, func() { fired = true })
+	var ev Event
+	e.ScheduleEvent(&ev, time.Second, func() { fired = true })
 	ev.Cancel()
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
+	if e.Fired() != 0 {
+		t.Fatalf("Fired = %d, want 0: a cancelled event is not counted", e.Fired())
+	}
 }
 
 func TestCancelIdempotent(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(time.Second, func() {})
+	var ev Event
+	e.ScheduleEvent(&ev, time.Second, func() {})
 	ev.Cancel()
 	ev.Cancel() // must not panic
 	e.Run()
+	ev.Cancel() // after the queue drained: still a no-op
+	if e.Fired() != 0 {
+		t.Fatalf("Fired = %d, want 0", e.Fired())
+	}
+}
+
+// Re-arming a handle whose earlier entry is still queued withdraws that
+// entry: only the latest arming fires, at its own time, and the stale entry
+// is discarded without being counted or running the event hook.
+func TestRearmWithdrawsQueuedEntry(t *testing.T) {
+	e := NewEngine()
+	hooks := 0
+	e.SetEventHook(func() { hooks++ })
+	var ev Event
+	var got []string
+	e.ScheduleEvent(&ev, time.Second, func() { got = append(got, "first") })
+	e.ScheduleEvent(&ev, 3*time.Second, func() { got = append(got, "second") })
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2 (the stale entry stays queued until popped)", e.Pending())
+	}
+	e.Run()
+	if len(got) != 1 || got[0] != "second" {
+		t.Fatalf("fired %v, want [second]", got)
+	}
+	if e.Now().Sub(Epoch) != 3*time.Second || e.Fired() != 1 || hooks != 1 {
+		t.Fatalf("now %v fired %d hooks %d, want 3s 1 1", e.Now().Sub(Epoch), e.Fired(), hooks)
+	}
+	// A handle re-armed from its own callback fires again.
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 3 {
+			e.ScheduleEvent(&ev, time.Second, tick)
+		}
+	}
+	e.ScheduleEvent(&ev, time.Second, tick)
+	e.Run()
+	if n != 3 {
+		t.Fatalf("self re-armed %d times, want 3", n)
+	}
 }
 
 func TestNegativeDelayClamped(t *testing.T) {

@@ -226,7 +226,8 @@ type pool struct {
 	bw          float64 // bytes/second
 	transfers   []*Transfer
 	lastSettle  time.Time
-	nextEvent   *sim.Event
+	next        sim.Event // the next completion, re-armed on every replan
+	complete    func()    // onCompletion, bound once
 	totalServed float64
 }
 
@@ -234,6 +235,7 @@ func (p *pool) init(engine *sim.Engine, bw float64) {
 	p.engine = engine
 	p.bw = bw
 	p.lastSettle = engine.Now()
+	p.complete = p.onCompletion
 }
 
 func (p *pool) active() int { return len(p.transfers) }
@@ -260,12 +262,9 @@ const remainderEpsilon = 1e-3 // bytes; tolerate float accumulation error
 // reschedule plans the completion event for the transfer closest to
 // finishing.
 func (p *pool) reschedule() {
-	if p.nextEvent != nil {
-		p.nextEvent.Cancel()
-		p.nextEvent = nil
-	}
 	n := len(p.transfers)
 	if n == 0 {
+		p.next.Cancel()
 		return
 	}
 	minRemaining := p.transfers[0].remaining
@@ -282,13 +281,12 @@ func (p *pool) reschedule() {
 	// zero-delay event that never advances the clock, so the remaining byte
 	// count never settles past the completion threshold.
 	delay := time.Duration(math.Ceil(minRemaining / share * float64(time.Second)))
-	p.nextEvent = p.engine.Schedule(delay, p.onCompletion)
+	p.engine.ScheduleEvent(&p.next, delay, p.complete)
 }
 
 // onCompletion settles progress and completes every transfer that has
 // drained, then replans.
 func (p *pool) onCompletion() {
-	p.nextEvent = nil
 	p.settle()
 	var finished []*Transfer
 	old := p.transfers
