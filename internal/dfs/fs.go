@@ -129,9 +129,7 @@ type FileSystem struct {
 	// steering prefers the least-backlogged device among same-tier remote
 	// replicas; nil plane and NopPlane lack the method, so replays without
 	// contention keep the pre-steering tie-break bit for bit.
-	backlog interface {
-		Horizon(deviceID string, dir storage.Direction) time.Time
-	}
+	backlog writeHorizons
 	// bkend, when non-nil, mirrors every block-replica state change onto a
 	// physical store (see internal/backend). The virtual clock keeps driving
 	// all control-plane timing either way: backend calls are synchronous,
@@ -195,30 +193,25 @@ func New(c *cluster.Cluster, cfg Config) (*FileSystem, error) {
 	fs := &FileSystem{
 		engine:       c.Engine(),
 		cluster:      c,
-		plane:        c.Plane(),
 		ns:           NewNamespace(),
 		cfg:          cfg,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		moves:        make(map[*blockMove]bool),
 		removedNodes: make(map[int]bool),
 	}
-	fs.backlog, _ = fs.plane.(interface {
-		Horizon(deviceID string, dir storage.Direction) time.Time
-	})
 	switch cfg.Mode {
-	case ModeHDFS, ModeHDFSCache:
-		fs.placement = &hddPlacement{cluster: c, rng: fs.rng}
+	case ModeHDFS, ModeHDFSCache, ModePinnedHDD:
+		fs.placement = &pinnedPlacement{cluster: c, rng: fs.rng, media: storage.HDD}
 	case ModeOctopus:
 		w := DefaultPlacementWeights()
 		if cfg.Weights != nil {
 			w = *cfg.Weights
 		}
-		fs.placement = &octopusPlacement{cluster: c, rng: fs.rng, weights: w, backlog: fs.backlog}
-	case ModePinnedHDD:
-		fs.placement = &pinnedPlacement{cluster: c, rng: fs.rng, media: storage.HDD}
+		fs.placement = &octopusPlacement{cluster: c, rng: fs.rng, weights: w}
 	default:
 		return nil, fmt.Errorf("dfs: unknown mode %v", cfg.Mode)
 	}
+	fs.SetDataPlane(c.Plane())
 	return fs, nil
 }
 
@@ -241,12 +234,11 @@ func (fs *FileSystem) DataPlane() storage.DataPlane { return fs.plane }
 // already in flight are unaffected. Tests use it to install per-instance
 // planes before a serving layer starts (the server caches the plane at
 // Start; swapping afterwards is unsupported); production wiring passes the
-// plane through cluster.Config instead.
+// plane through cluster.Config instead. The plane's horizon view, when it
+// has one, goes to read steering and to placement together.
 func (fs *FileSystem) SetDataPlane(p storage.DataPlane) {
 	fs.plane = p
-	fs.backlog, _ = p.(interface {
-		Horizon(deviceID string, dir storage.Direction) time.Time
-	})
+	fs.backlog, _ = p.(writeHorizons)
 	if op, ok := fs.placement.(*octopusPlacement); ok {
 		op.backlog = fs.backlog
 	}
@@ -509,41 +501,22 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 		fail(fmt.Errorf("dfs: negative file size %d", size))
 		return
 	}
-	f := fs.fileArena.alloc()
-	f.id = fs.nextFileID
-	f.fs = fs
-	f.path = clean
-	f.size = size
-	f.created = fs.engine.Now()
-	f.replication = int32(fs.cfg.Replication)
-	fs.nextFileID++
-	if err := fs.ns.insertFile(clean, f); err != nil {
+	nblocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
+	f, err := fs.newFile(clean, size, fs.engine.Now(), int32(fs.cfg.Replication), nblocks)
+	if err != nil {
 		fail(err)
 		return
 	}
-	fs.trackFile(f)
 	// Cut the file into blocks.
-	nblocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
-	f.initBlocks(nblocks)
 	for remaining := size; remaining > 0; remaining -= fs.cfg.BlockSize {
-		bs := remaining
-		if bs > fs.cfg.BlockSize {
-			bs = fs.cfg.BlockSize
-		}
-		b := fs.blockArena.alloc()
-		b.id = fs.nextBlockID
-		b.file = f
-		b.size = bs
-		b.initReplicas()
-		f.blocks = append(f.blocks, b)
-		fs.nextBlockID++
+		fs.newBlock(f, min(remaining, fs.cfg.BlockSize))
 	}
 	fs.setCreating(f.id)
 	finish := func(err error) {
 		fs.clearCreating(f.id)
 		if err != nil {
 			// Failed writes are unlinked, mirroring an aborted HDFS lease.
-			fs.releaseAllReplicas(f)
+			fs.releaseAllReplicas(f, storage.ClassServe)
 			if _, rmErr := fs.ns.removeFile(f.path); rmErr == nil {
 				f.deleted = true
 				fs.untrackFile(f)
@@ -576,6 +549,39 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 			return
 		}
 	}
+}
+
+// newFile allocates a file with the next id, links it into the namespace
+// and the live-file index, and sizes its block list for nblocks: the part of
+// a file's birth Create and AttachFile share.
+func (fs *FileSystem) newFile(path string, size int64, created time.Time, replication int32, nblocks int) (*File, error) {
+	f := fs.fileArena.alloc()
+	f.id = fs.nextFileID
+	f.fs = fs
+	f.path = path
+	f.size = size
+	f.created = created
+	f.replication = replication
+	fs.nextFileID++
+	if err := fs.ns.insertFile(path, f); err != nil {
+		return nil, err
+	}
+	fs.trackFile(f)
+	f.initBlocks(nblocks)
+	return f, nil
+}
+
+// newBlock appends a replica-less block of the given size, with the next
+// block id, to f.
+func (fs *FileSystem) newBlock(f *File, size int64) *Block {
+	b := fs.blockArena.alloc()
+	b.id = fs.nextBlockID
+	b.file = f
+	b.size = size
+	b.initReplicas()
+	f.blocks = append(f.blocks, b)
+	fs.nextBlockID++
+	return b
 }
 
 // writeBlock places and writes one block; onDone fires when the replication
@@ -802,7 +808,12 @@ func (fs *FileSystem) lessBacklogged(a, b *storage.Device) bool {
 }
 
 // Delete removes a file and releases all of its replicas.
-func (fs *FileSystem) Delete(path string) error {
+func (fs *FileSystem) Delete(path string) error { return fs.remove(path, storage.ClassServe) }
+
+// remove unlinks a complete file with no replica in transition and tears
+// down its replicas as I/O of the given class: ClassServe is a client
+// delete, counted in Stats; ClassMove is DetachFile (see there).
+func (fs *FileSystem) remove(path string, class storage.IOClass) error {
 	f, err := fs.ns.GetFile(path)
 	if err != nil {
 		return err
@@ -816,25 +827,35 @@ func (fs *FileSystem) Delete(path string) error {
 	if _, err := fs.ns.removeFile(path); err != nil {
 		return err
 	}
-	fs.releaseAllReplicas(f)
+	fs.releaseAllReplicas(f, class)
 	f.deleted = true
 	fs.untrackFile(f)
-	fs.stats.FilesDeleted++
+	if class == storage.ClassServe {
+		fs.stats.FilesDeleted++
+	}
 	for _, l := range fs.listeners {
 		l.FileDeleted(f)
 	}
 	return nil
 }
 
-func (fs *FileSystem) releaseAllReplicas(f *File) {
+// releaseAllReplicas tears down every replica of f. A ClassMove teardown
+// (DetachFile) first charges each block's outbound copy as a plane read and
+// leaves Stats.ReplicasDeleted alone.
+func (fs *FileSystem) releaseAllReplicas(f *File, class storage.IOClass) {
 	for _, b := range f.blocks {
+		if class == storage.ClassMove && len(b.replicas) > 0 {
+			fs.chargePlane(b.replicas[0].device, storage.Read, storage.ClassMove, b.size)
+		}
 		for _, r := range b.replicas {
 			if r.state != ReplicaDeleting {
 				r.state = ReplicaDeleting
 				r.device.Release(b.size)
-				fs.backendDelete(r.device, storage.ClassServe, b.id, b.size)
+				fs.backendDelete(r.device, class, b.id, b.size)
 				fs.liveBytes -= b.size
-				fs.stats.ReplicasDeleted++
+				if class == storage.ClassServe {
+					fs.stats.ReplicasDeleted++
+				}
 			}
 		}
 		b.replicas = nil

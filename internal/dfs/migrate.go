@@ -8,25 +8,26 @@ import (
 	"octostore/internal/storage"
 )
 
-// This file is the shard-migration primitive pair: DetachFile lifts a file
-// out of one FileSystem as a portable record (releasing its replicas and
-// capacity), AttachFile recreates it in another with the same per-block
-// tier layout. The serving layer's rebalancer uses the pair to move a
-// subtree between shard engines; each side runs on its own shard loop, so
-// both calls observe the usual single-writer discipline. Neither side
-// counts as a client create or delete in Stats — migration relocates
-// metadata, it does not change the logical namespace — but both fire the
-// regular listener notifications (FileDeleted / FileCreated) so candidate
-// indexes, trackers, and serving handles stay coherent on both engines.
+// This file is the shard-migration primitive set: SnapshotFile describes a
+// file as a portable record, DetachFile removes it from one FileSystem
+// (releasing its replicas and capacity) and AttachFile recreates the record
+// in another with the same per-block tier layout. The serving layer's
+// rebalancer uses them to move a subtree between shard engines; each side
+// runs on its own shard loop, so every call observes the usual single-writer
+// discipline. Neither side counts as a client create or delete in Stats —
+// migration relocates metadata, it does not change the logical namespace —
+// but both fire the regular listener notifications (FileDeleted /
+// FileCreated) so candidate indexes, trackers, and serving handles stay
+// coherent on both engines.
 
-// BlockLayout records where one block's replicas lived at detach time.
+// BlockLayout records where one block's replicas lived at snapshot time.
 type BlockLayout struct {
 	Size  int64
 	Media []storage.Media // one entry per replica
 	Cache []bool          // per replica: HDFS cache-replica flag
 }
 
-// FileRecord is a detached file's portable description: everything
+// FileRecord is a file's portable description (SnapshotFile): everything
 // AttachFile needs to rebuild the file with identical size, age, and
 // per-tier residency on another FileSystem.
 type FileRecord struct {
@@ -46,10 +47,10 @@ func (rec *FileRecord) Bytes() int64 {
 	return total
 }
 
-// tierNeeds reports, per tier, the bytes one replica chain occupies and the
+// TierNeeds reports, per tier, the bytes one replica chain occupies and the
 // widest per-block replica count — the (perNode, nodes) shape a quota grow
 // needs to guarantee the attach can place every replica.
-func (rec *FileRecord) tierNeeds() (chainBytes [3]int64, maxReplicas [3]int) {
+func (rec *FileRecord) TierNeeds() (chainBytes [3]int64, maxReplicas [3]int) {
 	for _, bl := range rec.Blocks {
 		var perBlock [3]int
 		for _, m := range bl.Media {
@@ -65,11 +66,6 @@ func (rec *FileRecord) tierNeeds() (chainBytes [3]int64, maxReplicas [3]int) {
 		}
 	}
 	return chainBytes, maxReplicas
-}
-
-// TierNeeds is the exported form of the capacity shape (see tierNeeds).
-func (rec *FileRecord) TierNeeds() (chainBytes [3]int64, maxReplicas [3]int) {
-	return rec.tierNeeds()
 }
 
 // SnapshotFile builds the portable record of a file's layout without
@@ -106,51 +102,15 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 	return rec, nil
 }
 
-// DetachFile removes a file from this file system and returns the portable
-// record of its layout. Replicas are released (device capacity freed,
-// liveBytes reduced) and FileDeleted fires so indexes drop the entry, but
-// unlike Delete the detach does not count in Stats.FilesDeleted — the file
-// is moving, not dying. Files mid-create or with replicas in transition
-// return ErrFileIncomplete / ErrBusy, like Delete; the caller retries on a
-// later sweep. The bytes leaving the shard are charged as ClassMove reads
-// against the source devices (one read per block), so migration draws real
-// bandwidth on a contended plane and nothing without one.
-func (fs *FileSystem) DetachFile(path string) (FileRecord, error) {
-	rec, err := fs.SnapshotFile(path)
-	if err != nil {
-		return FileRecord{}, err
-	}
-	f, err := fs.ns.GetFile(path)
-	if err != nil {
-		return FileRecord{}, err
-	}
-	if _, err := fs.ns.removeFile(path); err != nil {
-		return FileRecord{}, err
-	}
-	// Release replicas without counting client deletions: same teardown as
-	// releaseAllReplicas minus the ReplicasDeleted bump.
-	for _, b := range f.blocks {
-		if len(b.replicas) > 0 {
-			fs.chargePlane(b.replicas[0].device, storage.Read, storage.ClassMove, b.size)
-		}
-		for _, r := range b.replicas {
-			if r.state != ReplicaDeleting {
-				r.state = ReplicaDeleting
-				r.device.Release(b.size)
-				fs.backendDelete(r.device, storage.ClassMove, b.id, b.size)
-				fs.liveBytes -= b.size
-			}
-		}
-		b.replicas = nil
-	}
-	f.tierBlocks = [3]int32{}
-	f.deleted = true
-	fs.untrackFile(f)
-	for _, l := range fs.listeners {
-		l.FileDeleted(f)
-	}
-	return rec, nil
-}
+// DetachFile removes a file from this file system the way Delete does —
+// same lookup, same refusal of files mid-create (ErrFileIncomplete) or with
+// replicas in transition (ErrBusy), same replica teardown and FileDeleted —
+// but as a move rather than a death: the teardown is ClassMove I/O, each
+// block's bytes leaving the shard are charged as one ClassMove plane read
+// against its first replica's device (real bandwidth on a contended plane,
+// nothing without one), and Stats is left alone. A caller that needs the
+// layout takes SnapshotFile first.
+func (fs *FileSystem) DetachFile(path string) error { return fs.remove(path, storage.ClassMove) }
 
 // attachSlot is one planned replica placement.
 type attachSlot struct {
@@ -252,30 +212,15 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 			}
 		}
 	}
-	f := fs.fileArena.alloc()
-	f.id = fs.nextFileID
-	f.fs = fs
-	f.path = rec.Path
-	f.size = rec.Size
-	f.created = rec.Created
-	f.replication = rec.Replication
-	fs.nextFileID++
-	if err := fs.ns.insertFile(rec.Path, f); err != nil {
+	f, err := fs.newFile(rec.Path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
+	if err != nil {
 		return err
 	}
-	fs.trackFile(f)
-	f.initBlocks(len(rec.Blocks))
 	// Residency flips during the rebuild are suppressed exactly like the
 	// create path: FileCreated carries the full starting residency.
 	fs.setCreating(f.id)
 	for bi, bl := range rec.Blocks {
-		b := fs.blockArena.alloc()
-		b.id = fs.nextBlockID
-		b.file = f
-		b.size = bl.Size
-		b.initReplicas()
-		f.blocks = append(f.blocks, b)
-		fs.nextBlockID++
+		b := fs.newBlock(f, bl.Size)
 		for ri, slot := range plan[bi] {
 			if err := slot.dev.Reserve(bl.Size); err != nil {
 				// planAttach checked free space; single-threaded, so this is

@@ -10,9 +10,10 @@ import (
 	"octostore/internal/storage"
 )
 
-// writeHorizons is the data plane's per-device queue-horizon view (the
-// same shape as FileSystem.backlog). A contended plane exposes it; nil
-// plane and NopPlane do not, keeping plane-less placement bit for bit.
+// writeHorizons is the data plane's per-device queue-horizon view, read by
+// read steering (FileSystem.backlog) and write placement alike. A contended
+// plane exposes it; nil plane and NopPlane do not, keeping plane-less reads
+// and placement bit for bit.
 type writeHorizons interface {
 	Horizon(deviceID string, dir storage.Direction) time.Time
 }
@@ -26,8 +27,6 @@ type Target struct {
 // PlacementPolicy decides where the replicas of a new block are stored.
 // Implementations must return targets on distinct nodes (fault tolerance).
 type PlacementPolicy interface {
-	// Name identifies the policy in logs and experiment output.
-	Name() string
 	// PlaceBlock returns up to `replication` targets for a block of the
 	// given size. Fewer targets than requested may be returned when the
 	// cluster lacks space; zero targets is an error. The returned slice is
@@ -44,33 +43,6 @@ func targetsHaveNode(targets []Target, nodeID int) bool {
 		}
 	}
 	return false
-}
-
-// hddPlacement reproduces stock HDFS: every replica on an HDD, replicas on
-// distinct nodes, nodes chosen with a random rotor for balance.
-type hddPlacement struct {
-	cluster *cluster.Cluster
-	rng     *rand.Rand
-	scratch []Target // reused PlaceBlock result buffer
-}
-
-func (p *hddPlacement) Name() string { return "hdfs-3xHDD" }
-
-func (p *hddPlacement) PlaceBlock(size int64, replication int) ([]Target, error) {
-	nodes := p.cluster.Nodes()
-	start := p.rng.Intn(len(nodes))
-	targets := p.scratch[:0]
-	for i := 0; i < len(nodes) && len(targets) < replication; i++ {
-		n := nodes[(start+i)%len(nodes)]
-		if d := n.PickDevice(storage.HDD, size); d != nil {
-			targets = append(targets, Target{Node: n, Device: d})
-		}
-	}
-	p.scratch = targets
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("%w: %d bytes on HDD tier", ErrNoCapacity, size)
-	}
-	return targets, nil
 }
 
 // octopusPlacement reproduces the OctopusFS multi-objective block placement
@@ -113,8 +85,6 @@ type PlacementWeights struct {
 func DefaultPlacementWeights() PlacementWeights {
 	return PlacementWeights{Throughput: 1.0, DataBal: 0.6, LoadBal: 0.3, Diversity: 2.0, Backlog: 1.0}
 }
-
-func (p *octopusPlacement) Name() string { return "octopus-multiobjective" }
 
 // mediaSpeed normalises a media's write bandwidth into (0, 1].
 func mediaSpeed(m storage.Media) float64 {
@@ -207,17 +177,15 @@ func (p *octopusPlacement) PlaceBlock(size int64, replication int) ([]Target, er
 	return targets, nil
 }
 
-// pinnedPlacement places every replica on a fixed media; used by the
-// upgrade-policy isolation experiment (Section 7.4), which starts all
-// replicas on the HDD tier.
+// pinnedPlacement places every replica on a fixed media, on distinct nodes
+// chosen with a random rotor for balance. On HDD it is stock HDFS, and the
+// start layout of the upgrade-policy isolation experiment (Section 7.4).
 type pinnedPlacement struct {
 	cluster *cluster.Cluster
 	rng     *rand.Rand
 	media   storage.Media
 	scratch []Target // reused PlaceBlock result buffer
 }
-
-func (p *pinnedPlacement) Name() string { return "pinned-" + p.media.String() }
 
 func (p *pinnedPlacement) PlaceBlock(size int64, replication int) ([]Target, error) {
 	nodes := p.cluster.Nodes()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
-	"octostore/internal/dfs"
 	"octostore/internal/storage"
 )
 
@@ -103,20 +102,15 @@ func bestDevice(n *cluster.Node, media storage.Media) *storage.Device {
 	return best
 }
 
-// EnsureSpread grows the shard's quota so that, on each of up to `nodes`
+// EnsureSpreadFor grows the shard's quota so that, on each of up to `nodes`
 // distinct nodes, some device of the tier has at least perNode free bytes —
 // the shape a block-placement or replica-move plan needs. The total deficit
 // is claimed from the ledger in one reservation (rounded up to the borrow
-// chunk when the pool allows), applied to the devices, and committed; if the
-// pool cannot cover even the exact deficit, or the shard has no device of
-// the tier left, nothing changes and false is returned.
-func (q *shardQuota) EnsureSpread(tier storage.Media, perNode int64, nodes int) bool {
-	return q.EnsureSpreadFor(storage.DefaultTenant, tier, perNode, nodes)
-}
-
-// EnsureSpreadFor is EnsureSpread on behalf of a tenant: the ledger claim is
-// additionally admitted against the tenant's borrow budget, so a tenant at
-// quota cannot grow the shard even when the pool has capacity.
+// chunk when the pool allows), admitted against the tenant's borrow budget
+// (a tenant at quota cannot grow the shard even when the pool has room),
+// applied to the devices, and committed; if the claim fails even for the
+// exact deficit, or the shard has no device of the tier left, nothing
+// changes and false is returned.
 func (q *shardQuota) EnsureSpreadFor(tenant storage.TenantID, tier storage.Media, perNode int64, nodes int) bool {
 	if nodes <= 0 {
 		nodes = 1
@@ -177,16 +171,6 @@ func (q *shardQuota) EnsureSpreadFor(tenant storage.TenantID, tier storage.Media
 	q.borrows.Add(1)
 	q.borrowedBytes.Add(res.Bytes())
 	return true
-}
-
-// EnsureCreateFor grows quota ahead of retrying a create that failed on
-// capacity, charged to the tenant's borrow budget: every replica of every
-// block must find a device, so each of `replication` distinct nodes needs
-// room for one full copy of the file. Placement falls back across tiers in
-// every mode, so growing the lowest tier (every mode's tier of last resort)
-// is sufficient to admit the write.
-func (q *shardQuota) EnsureCreateFor(tenant storage.TenantID, fs *dfs.FileSystem, size int64) bool {
-	return q.EnsureSpreadFor(tenant, storage.HDD, size, fs.Replication())
 }
 
 // returnSlackChunks is the free headroom, in borrow chunks, a shard keeps

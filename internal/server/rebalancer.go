@@ -232,6 +232,11 @@ func (r *rebalancer) exec(sh *shard, fn func(*dfs.FileSystem)) {
 	sh.inLoop(fn)
 }
 
+// emit publishes one shard-migration event on the obs hub (no-op without one).
+func (r *rebalancer) emit(detail string) {
+	r.s.cfg.Inner.Obs.EmitEvent(&obs.Event{What: "shard-migration", Detail: detail})
+}
+
 func (r *rebalancer) snapshot() RebalanceStats {
 	return RebalanceStats{
 		Started:    r.started.Load(),
@@ -314,13 +319,16 @@ func (r *rebalancer) tick() {
 	if spread < r.cfg.HotRatio || max < r.cfg.MinOps {
 		return
 	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].ops > dirs[j].ops })
+	// Ties break by name: the map walk above has no order, and a replay must
+	// plan the same moves on every run.
+	sort.Slice(dirs, func(i, j int) bool {
+		if dirs[i].ops != dirs[j].ops {
+			return dirs[i].ops > dirs[j].ops
+		}
+		return dirs[i].dir < dirs[j].dir
+	})
 	loads := append([]int64(nil), ops...)
-	type plannedMove struct {
-		prefix string
-		dst    int
-	}
-	var plans []plannedMove
+	var plans []routeEntry
 	for _, d := range dirs {
 		if len(plans) >= maxMovesPerTick || len(entries)+len(plans) >= r.cfg.MaxPrefixes {
 			break
@@ -334,20 +342,7 @@ func (r *rebalancer) tick() {
 		// Never nest route entries: an override covering (or covered by) an
 		// existing or just-planned prefix would make ownership ambiguous
 		// mid-migration.
-		nested := false
-		for _, e := range entries {
-			if covers(e.prefix, d.dir) || covers(d.dir, e.prefix) {
-				nested = true
-				break
-			}
-		}
-		for _, p := range plans {
-			if covers(p.prefix, d.dir) || covers(d.dir, p.prefix) {
-				nested = true
-				break
-			}
-		}
-		if nested {
+		if nests(entries, d.dir) || nests(plans, d.dir) {
 			continue
 		}
 		// Coldest shard by planned load; reject moves that would merely swap
@@ -361,13 +356,26 @@ func (r *rebalancer) tick() {
 		if cold == hot || loads[hot]-d.ops < loads[cold]+d.ops {
 			continue
 		}
-		plans = append(plans, plannedMove{prefix: d.dir, dst: cold})
+		plans = append(plans, routeEntry{prefix: d.dir, dst: cold, state: routeMigrating})
 		loads[hot] -= d.ops
 		loads[cold] += d.ops
 	}
-	for _, p := range plans {
-		r.migratePrefix(p.prefix, p.dst, spread)
+	for _, e := range plans {
+		r.started.Add(1)
+		r.s.routes.upsert(e)
+		r.emit(fmt.Sprintf("start prefix=%s dst=%d spread=%.2f", e.prefix, e.dst, spread))
+		r.sweep(e)
 	}
+}
+
+// nests reports whether dir covers, or is covered by, any entry's prefix.
+func nests(entries []routeEntry, dir string) bool {
+	for _, e := range entries {
+		if covers(e.prefix, dir) || covers(dir, e.prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // rehomesPerTick bounds how many cold committed entries one detection round
@@ -391,7 +399,7 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 	}
 	for _, e := range entries {
 		if e.state == routeDraining {
-			r.drainEntryHome(e.prefix, e.dst, maxSweeps)
+			r.sweep(e)
 		}
 	}
 	if len(entries) < r.cfg.MaxPrefixes/2 {
@@ -408,159 +416,101 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 		}
 		r.coldTicks[e.prefix]++
 		if started < rehomesPerTick && r.coldTicks[e.prefix] >= r.cfg.RehomeColdTicks {
-			r.rehomePrefix(e.prefix, e.dst)
+			// Fold back: writes route by the per-dir hash again while reads
+			// keep a fallback to the old destination until its files are home.
+			delete(r.coldTicks, e.prefix)
+			e.state = routeDraining
+			r.s.routes.upsert(e)
+			r.emit(fmt.Sprintf("rehome prefix=%s dst=%d", e.prefix, e.dst))
+			r.sweep(e)
 			started++
 		}
 	}
 }
 
-// rehomePrefix folds a cold committed subtree back to static routing: the
-// entry flips to routeDraining — writes route by the per-dir hash again
-// while reads keep a fallback to the old destination — and the
-// destination's files under the prefix sweep back to their hash owners.
-func (r *rebalancer) rehomePrefix(prefix string, dst int) {
-	delete(r.coldTicks, prefix)
-	r.s.routes.upsert(routeEntry{prefix: prefix, dst: dst, state: routeDraining})
-	r.s.cfg.Inner.Obs.EmitEvent(&obs.Event{
-		What:   "shard-migration",
-		Detail: fmt.Sprintf("rehome prefix=%s dst=%d", prefix, dst),
-	})
-	r.drainEntryHome(prefix, dst, maxSweeps)
-}
-
-// drainEntryHome makes up to `rounds` passes moving the old destination's
-// files under a draining prefix back to the shard their parent dir hashes
-// to — sweepEntry in reverse, reusing the same per-file copy-then-detach
-// move (reads stay correct throughout: the per-dir hash owner is primary,
-// dst is the fallback). Files whose dir hashes to dst stay put. Once dst
-// stays clean for RehomeColdTicks consecutive rounds the entry is removed;
-// a stalled pass leaves it draining for a later round. Returns true when
-// the entry was removed.
-func (r *rebalancer) drainEntryHome(prefix string, dst int, rounds int) bool {
-	src := r.s.shards[dst]
+// sweep makes up to maxSweeps passes moving the files under an open entry
+// to where the entry sends them, each through migrateFile's copy-then-detach
+// (reads stay correct throughout: the epoch's double read covers both
+// copies). A migrating entry walks every shard but dst and moves each file
+// to dst; a draining entry walks dst alone and moves each file to the shard
+// its parent dir hashes to, leaving those that hash to dst in place.
+//
+// A migrating entry flips to committed on the first pass that leaves nothing
+// behind; a pass that moves nothing while files remain is booked as aborted
+// and ends the round. A draining entry is removed once RehomeColdTicks
+// consecutive sweeps (one per detection round) found nothing to move; a
+// draining pass that stalls also ends the round. Either way the open entry
+// keeps reads correct until a later round or the Flush drain finishes it.
+func (r *rebalancer) sweep(e routeEntry) {
+	draining := e.state == routeDraining
 	n := uint32(len(r.s.shards))
-	for pass := 0; pass < rounds; pass++ {
-		var paths []string
-		r.exec(src, func(fs *dfs.FileSystem) {
-			fs.Namespace().WalkUnder(prefix, func(f *dfs.File) {
-				paths = append(paths, f.Path())
-			})
-		})
-		var work, remaining, moved int64
-		for _, p := range paths {
-			dir, _ := parentOf(p)
-			owner := int(fnv32(dir) % n)
-			if owner == dst {
-				continue
-			}
-			work++
-			switch r.migrateFile(src, r.s.shards[owner], p) {
-			case migrateMoved:
-				moved++
-			case migrateSkipped:
-				remaining++
-			case migrateGone:
-			}
-		}
-		if work == 0 {
-			// Clean walk: dst holds nothing the static hash would not place
-			// there anyway. The entry is removed only after RehomeColdTicks
-			// consecutive clean rounds (one per detection tick): a create
-			// routed against a pre-draining snapshot can still land on dst,
-			// and the grace lets a later round sweep it home instead of the
-			// eager removal stranding it where static routing never looks.
-			r.drainClean[prefix]++
-			if r.drainClean[prefix] < max(r.cfg.RehomeColdTicks, 1) {
-				return false
-			}
-			delete(r.drainClean, prefix)
-			r.s.routes.remove(prefix)
-			r.rehomed.Add(1)
-			r.s.cfg.Inner.Obs.EmitEvent(&obs.Event{
-				What:   "shard-migration",
-				Detail: fmt.Sprintf("rehomed prefix=%s dst=%d", prefix, dst),
-			})
-			return true
-		}
-		r.drainClean[prefix] = 0
-		if remaining == 0 {
-			continue // everything seen this pass moved; re-walk for stragglers
-		}
-		if moved == 0 {
-			return false // stalled; the draining entry keeps reads correct
-		}
-	}
-	return false
-}
-
-// migratePrefix installs a migrating route for the subtree and sweeps every
-// source shard's files under it over to dst, flipping the entry to committed
-// once the sources are empty. Partial progress is fine: the entry stays
-// migrating and later rounds (or the Flush drain) finish the job.
-func (r *rebalancer) migratePrefix(prefix string, dst int, spread float64) {
-	r.started.Add(1)
-	r.s.routes.upsert(routeEntry{prefix: prefix, dst: dst, state: routeMigrating})
-	r.s.cfg.Inner.Obs.EmitEvent(&obs.Event{
-		What:   "shard-migration",
-		Detail: fmt.Sprintf("start prefix=%s dst=%d spread=%.2f", prefix, dst, spread),
-	})
-	r.sweepEntry(prefix, dst, maxSweeps)
-}
-
-// sweepEntry makes up to `rounds` passes moving files under prefix from
-// every shard except dst onto dst. Returns true when the entry flipped to
-// committed.
-func (r *rebalancer) sweepEntry(prefix string, dst int, rounds int) bool {
 	var movedTotal int64
-	for pass := 0; pass < rounds; pass++ {
-		var remaining, moved int64
-		for i, sh := range r.s.shards {
-			if i == dst {
-				continue
+	for pass := 0; pass < maxSweeps; pass++ {
+		var work, remaining, moved int64
+		for i, src := range r.s.shards {
+			if (i == e.dst) != draining {
+				continue // migrating walks every shard but dst, draining dst alone
 			}
 			// Collect under the shard loop, then migrate file by file so
 			// client ops interleave between moves.
 			var paths []string
-			r.exec(sh, func(fs *dfs.FileSystem) {
-				fs.Namespace().WalkUnder(prefix, func(f *dfs.File) {
+			r.exec(src, func(fs *dfs.FileSystem) {
+				fs.Namespace().WalkUnder(e.prefix, func(f *dfs.File) {
 					paths = append(paths, f.Path())
 				})
 			})
 			for _, p := range paths {
-				switch r.migrateFile(sh, r.s.shards[dst], p) {
+				to := e.dst
+				if draining {
+					dir, _ := parentOf(p)
+					if to = int(fnv32(dir) % n); to == e.dst {
+						continue // static routing places it on dst anyway
+					}
+				}
+				work++
+				switch r.migrateFile(src, r.s.shards[to], p) {
 				case migrateMoved:
 					moved++
 				case migrateSkipped:
 					remaining++
 				case migrateGone:
-					// recreated on dst or deleted mid-sweep: nothing left here
+					// recreated on the target or deleted mid-sweep: nothing left here
 				}
 			}
 		}
 		movedTotal += moved
-		if remaining == 0 {
-			r.s.routes.upsert(routeEntry{prefix: prefix, dst: dst, state: routeCommitted})
+		switch {
+		case draining && work == 0:
+			// Clean walk. The entry is removed only after RehomeColdTicks
+			// consecutive clean rounds: a create routed against a
+			// pre-draining snapshot can still land on dst, and the grace
+			// lets a later round sweep it home instead of the eager removal
+			// stranding it where static routing never looks.
+			r.drainClean[e.prefix]++
+			if r.drainClean[e.prefix] >= max(r.cfg.RehomeColdTicks, 1) {
+				delete(r.drainClean, e.prefix)
+				r.s.routes.remove(e.prefix)
+				r.rehomed.Add(1)
+				r.emit(fmt.Sprintf("rehomed prefix=%s dst=%d", e.prefix, e.dst))
+			}
+			return
+		case draining:
+			r.drainClean[e.prefix] = 0
+		case remaining == 0:
+			r.s.routes.upsert(routeEntry{prefix: e.prefix, dst: e.dst, state: routeCommitted})
 			r.flips.Add(1)
 			r.completed.Add(1)
-			r.s.cfg.Inner.Obs.EmitEvent(&obs.Event{
-				What:   "shard-migration",
-				Detail: fmt.Sprintf("commit prefix=%s dst=%d files=%d", prefix, dst, movedTotal),
-			})
-			return true
+			r.emit(fmt.Sprintf("commit prefix=%s dst=%d files=%d", e.prefix, e.dst, movedTotal))
+			return
 		}
-		if moved == 0 {
-			// Zero progress with files still stranded: give up this round.
-			// The migrating entry keeps reads correct via the fallback path;
-			// a later round retries.
-			r.aborted.Add(1)
-			r.s.cfg.Inner.Obs.EmitEvent(&obs.Event{
-				What:   "shard-migration",
-				Detail: fmt.Sprintf("stall prefix=%s dst=%d remaining=%d", prefix, dst, remaining),
-			})
-			return false
+		if remaining > 0 && moved == 0 {
+			if !draining {
+				r.aborted.Add(1)
+				r.emit(fmt.Sprintf("stall prefix=%s dst=%d remaining=%d", e.prefix, e.dst, remaining))
+			}
+			return
 		}
 	}
-	return false
 }
 
 type migrateOutcome int
@@ -573,9 +523,10 @@ const (
 
 // migrateFile moves one file with copy-then-detach ordering so the file is
 // visible to the double-read at every instant: snapshot the layout on the
-// source, attach a copy (with a quota borrow through the ledger's two-phase
-// protocol) on the destination, then detach the source copy as the commit.
-// Between attach and commit the file briefly exists on both shards; reads
+// source, attach a copy on the destination — borrowing the record's per-tier
+// shape from the global ledger through the two-phase protocol when the
+// shard's slice is short — and index it into the destination's serving
+// handles, then detach the source copy as the commit. Between attach and commit the file briefly exists on both shards; reads
 // hit the destination (primary) and deletes during the epoch delete on both
 // sides, so neither copy can serve stale truth. A commit that finds the
 // source copy already gone means a client deleted the file mid-move — the
@@ -590,17 +541,34 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 		}
 		return migrateSkipped // busy / mid-create: next sweep
 	}
-	aerr := r.attachOn(dst, rec)
+	var aerr error
+	r.exec(dst, func(fs *dfs.FileSystem) {
+		aerr = fs.AttachFile(rec)
+		if errors.Is(aerr, dfs.ErrNoCapacity) {
+			chain, maxRep := rec.TierNeeds()
+			granted := true
+			for _, m := range storage.AllMedia {
+				if maxRep[m] > 0 && !dst.quota.EnsureSpreadFor(storage.DefaultTenant, m, chain[m], maxRep[m]) {
+					granted = false
+				}
+			}
+			if granted {
+				aerr = fs.AttachFile(rec)
+			}
+		}
+		if aerr == nil {
+			if f, gerr := fs.Namespace().GetFile(rec.Path); gerr == nil {
+				dst.indexFile(f)
+			}
+		}
+	})
+	// ErrExists: a client recreated the path on the destination; the newer
+	// file wins and the stale source copy just needs to go (commit below).
+	// Anything else is capacity, even after borrowing: the source copy is
+	// untouched and keeps serving through the fallback path until a later
+	// sweep retries.
 	landed := aerr == nil
-	switch {
-	case landed:
-		// Copy landed; commit below.
-	case errors.Is(aerr, dfs.ErrExists):
-		// A client recreated the path on the destination; the newer file
-		// wins and the stale source copy just needs to go (commit below).
-	default:
-		// Capacity, even after borrowing: the source copy is untouched and
-		// keeps serving through the fallback path. Retry on a later sweep.
+	if !landed && !errors.Is(aerr, dfs.ErrExists) {
 		return migrateSkipped
 	}
 	var derr error
@@ -622,7 +590,7 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 		// Deleted mid-move. If we attached a copy a moment ago, take it back
 		// out (a racing client delete may already have).
 		if landed {
-			r.exec(dst, func(fs *dfs.FileSystem) { _, _ = fs.DetachFile(path) })
+			r.exec(dst, func(fs *dfs.FileSystem) { _ = fs.DetachFile(path) })
 		}
 		return migrateGone
 	}
@@ -632,50 +600,18 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 	return migrateSkipped
 }
 
-// attachOn recreates the record on sh's file system, borrowing quota from
-// the global ledger when the shard's slice is short, and indexes the file
-// into the shard's serving handles. The returned error is nil on success,
-// dfs.ErrExists when the path is already there, dfs.ErrNoCapacity when the
-// shard cannot take the file even after borrowing.
-func (r *rebalancer) attachOn(sh *shard, rec dfs.FileRecord) error {
-	var aerr error
-	r.exec(sh, func(fs *dfs.FileSystem) {
-		aerr = fs.AttachFile(rec)
-		if aerr != nil && errors.Is(aerr, dfs.ErrNoCapacity) {
-			chain, maxRep := rec.TierNeeds()
-			granted := true
-			for _, m := range storage.AllMedia {
-				if maxRep[m] > 0 && !sh.quota.EnsureSpread(m, chain[m], maxRep[m]) {
-					granted = false
-				}
-			}
-			if granted {
-				aerr = fs.AttachFile(rec)
-			}
-		}
-		if aerr != nil {
-			return
-		}
-		if f, gerr := fs.Namespace().GetFile(rec.Path); gerr == nil {
-			sh.indexFile(f)
-		}
-	})
-	return aerr
-}
-
 // drain finishes every open epoch — bounded re-sweeps of each migrating
-// entry until it flips, and of each draining entry until it is removed.
+// and each draining entry — and reports whether there was one to sweep.
 // Called from Flush so a fenced system has no half-moved subtrees (short of
 // files that genuinely cannot move, which keep their fallback reads).
-func (r *rebalancer) drain() {
+func (r *rebalancer) drain() (swept bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.s.routes.entries() {
-		switch e.state {
-		case routeMigrating:
-			r.sweepEntry(e.prefix, e.dst, maxSweeps)
-		case routeDraining:
-			r.drainEntryHome(e.prefix, e.dst, maxSweeps)
+		if e.state != routeCommitted {
+			r.sweep(e)
+			swept = true
 		}
 	}
+	return swept
 }

@@ -65,9 +65,6 @@ import (
 
 // Config tunes each shard's serving loop.
 type Config struct {
-	// Shards is the namespace stripe count (rounded up to a power of two,
-	// default 64).
-	Shards int
 	// TimeScale maps wall time to virtual time for live traffic: a scale of
 	// 60 advances the simulation one virtual minute per wall second. Zero
 	// disables the pacer; operations then carry explicit virtual
@@ -89,12 +86,6 @@ type Config struct {
 	// executor. Nil (the default) disables every hook behind a single
 	// pointer check, leaving the differential suites bit-for-bit.
 	Obs *obs.Hub
-}
-
-func (c *Config) applyDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = 64
-	}
 }
 
 const (
@@ -241,7 +232,6 @@ type shard struct {
 // loop. When mgr is non-nil its movement requests are rerouted through the
 // shard's MovementExecutor.
 func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard {
-	cfg.applyDefaults()
 	// Unless overridden, movement starts after the same command-path
 	// latency the manager's core config models, so the serving path's
 	// movement timing matches the sequential path's.
@@ -254,7 +244,7 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard
 		fs:     fs,
 		engine: fs.Engine(),
 		mgr:    mgr,
-		ns:     newNSShards(cfg.Shards),
+		ns:     newNSShards(nsStripes),
 		exec:   NewMovementExecutor(fs, cfg.Executor),
 		cmds:   make(chan command, cmdBuffer),
 		wake:   make(chan struct{}, 1),
@@ -630,10 +620,7 @@ func (sh *shard) countDelete(err error, start time.Time) {
 // counted the client's one logical deletion.
 func (sh *shard) detach(op Op) <-chan error {
 	res := make(chan error, 1)
-	sh.cmds <- command{at: op.At, run: func() {
-		_, err := sh.fs.DetachFile(op.Path)
-		res <- err
-	}}
+	sh.cmds <- command{at: op.At, run: func() { res <- sh.fs.DetachFile(op.Path) }}
 	return res
 }
 
@@ -653,7 +640,7 @@ func (sh *shard) publish(h *handle, at time.Time) {
 // handle are discarded as "migrated", not "deleted". Shard loop only.
 func (sh *shard) migrateOut(path string) error {
 	h, _ := sh.ns.get(path)
-	_, err := sh.fs.DetachFile(path)
+	err := sh.fs.DetachFile(path)
 	if err == nil && h != nil {
 		h.migrated = true
 	}

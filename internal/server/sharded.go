@@ -207,7 +207,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 		// Movement destinations borrow quota right before each admitted
 		// move, on the shard loop, through the two-phase protocol.
 		sh.exec.preMove = func(tier storage.Media, bytes int64) bool {
-			return quota.EnsureSpread(tier, bytes, 1)
+			return quota.EnsureSpreadFor(storage.DefaultTenant, tier, bytes, 1)
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -528,9 +528,13 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 	}
 	err = <-s.submit(op, primary, fallback)
 	if op.Kind == OpCreate && errors.Is(err, dfs.ErrNoCapacity) {
+		// Every replica of every block must find a device, so each of
+		// `replication` distinct nodes needs room for one full copy; placement
+		// falls back across tiers in every mode, so growing the lowest tier
+		// admits the write.
 		borrowed := false
 		primary.inLoop(func(fs *dfs.FileSystem) {
-			borrowed = primary.quota.EnsureCreateFor(op.Tenant, fs, op.Size)
+			borrowed = primary.quota.EnsureSpreadFor(op.Tenant, storage.HDD, op.Size, fs.Replication())
 		})
 		if borrowed {
 			err = <-s.submit(op, primary, fallback)
@@ -748,20 +752,9 @@ func (s *ShardedServer) Flush() {
 	for _, sh := range s.shards {
 		sh.flush()
 	}
-	if s.reb == nil || !s.running {
+	if s.reb == nil || !s.running || !s.reb.drain() {
 		return
 	}
-	open := false
-	for _, e := range s.routes.entries() {
-		if e.state == routeMigrating || e.state == routeDraining {
-			open = true
-			break
-		}
-	}
-	if !open {
-		return
-	}
-	s.reb.drain()
 	for _, sh := range s.shards {
 		sh.flush()
 	}

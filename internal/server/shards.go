@@ -180,6 +180,9 @@ type nsShard struct {
 	_        [32]byte // pad shards apart to keep lock words off shared lines
 }
 
+// nsStripes is each shard's namespace lock-stripe count.
+const nsStripes = 64
+
 // newNSShards builds a stripe set with n rounded up to a power of two.
 func newNSShards(n int) *nsShards {
 	size := 1

@@ -152,11 +152,11 @@ func DefaultTierProfiles() [3]TierProfile {
 	return out
 }
 
+// planeProfiles is every ContendedPlane's per-tier service-time model.
+var planeProfiles = DefaultTierProfiles()
+
 // PlaneConfig tunes a ContendedPlane.
 type PlaneConfig struct {
-	// Profiles is the per-tier service-time model (default
-	// DefaultTierProfiles).
-	Profiles [3]TierProfile
 	// MaxQueue clamps the backlog a single request can wait behind
 	// (default 2s of virtual time). Requests arriving at a fuller channel
 	// are granted MaxQueue and counted as saturated rather than pushing
@@ -173,15 +173,6 @@ type PlaneConfig struct {
 }
 
 func (c *PlaneConfig) applyDefaults() {
-	zero := TierProfile{}
-	for i := range c.Profiles {
-		if c.Profiles[i] == zero {
-			c.Profiles[i] = DefaultTierProfiles()[i]
-		}
-		if c.Profiles[i].ReadBW <= 0 || c.Profiles[i].WriteBW <= 0 {
-			panic(fmt.Sprintf("storage: plane profile %v needs positive bandwidths", Media(i)))
-		}
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 2 * time.Second
 	}
@@ -428,7 +419,7 @@ func (p *ContendedPlane) Serve(req IORequest) IOGrant {
 	if !req.Media.Valid() {
 		return IOGrant{}
 	}
-	prof := p.cfg.Profiles[req.Media]
+	prof := planeProfiles[req.Media]
 	bw := prof.ReadBW
 	if req.Dir == Write {
 		bw = prof.WriteBW
