@@ -11,11 +11,12 @@ import (
 )
 
 // Node is one worker machine: a set of storage devices grouped by media and
-// a number of task execution slots.
+// a number of task execution slots. devices is indexed by media: placement
+// and watermark checks look a tier up under every candidate.
 type Node struct {
 	id      int
 	name    string
-	devices map[storage.Media][]*storage.Device
+	devices [3][]*storage.Device
 	slots   int
 }
 
@@ -28,8 +29,12 @@ func (n *Node) Name() string { return n.name }
 // Slots returns the number of simultaneous task slots on the node.
 func (n *Node) Slots() int { return n.slots }
 
-// Devices returns the node's devices of the given media (possibly empty).
+// Devices returns the node's devices of the given media (possibly empty;
+// nil for an invalid media).
 func (n *Node) Devices(media storage.Media) []*storage.Device {
+	if !media.Valid() {
+		return nil
+	}
 	return n.devices[media]
 }
 
@@ -48,7 +53,7 @@ func (n *Node) AllDevices() []*storage.Device {
 // tie-broken by most free space. It returns nil when no device fits.
 func (n *Node) PickDevice(media storage.Media, bytes int64) *storage.Device {
 	var best *storage.Device
-	for _, d := range n.devices[media] {
+	for _, d := range n.Devices(media) {
 		if d.Free() < bytes {
 			continue
 		}
@@ -63,7 +68,7 @@ func (n *Node) PickDevice(media storage.Media, bytes int64) *storage.Device {
 // TierUsed returns the bytes reserved across the node's devices of a media.
 func (n *Node) TierUsed(media storage.Media) int64 {
 	var used int64
-	for _, d := range n.devices[media] {
+	for _, d := range n.Devices(media) {
 		used += d.Used()
 	}
 	return used
@@ -72,7 +77,7 @@ func (n *Node) TierUsed(media storage.Media) int64 {
 // TierCapacity returns the total capacity of the node's devices of a media.
 func (n *Node) TierCapacity(media storage.Media) int64 {
 	var c int64
-	for _, d := range n.devices[media] {
+	for _, d := range n.Devices(media) {
 		c += d.Capacity()
 	}
 	return c
@@ -120,6 +125,11 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	if len(cfg.Spec) == 0 {
 		return nil, fmt.Errorf("cluster: empty storage spec")
 	}
+	for _, ds := range cfg.Spec {
+		if !ds.Media.Valid() {
+			return nil, fmt.Errorf("cluster: invalid media %v in storage spec", ds.Media)
+		}
+	}
 	c := &Cluster{engine: engine, plane: cfg.Plane}
 	for i := 0; i < cfg.Workers; i++ {
 		c.AddNode(cfg.Spec, cfg.SlotsPerNode)
@@ -147,13 +157,13 @@ type planeUnregistrar interface {
 
 // AddNode joins a fresh worker with the given storage spec and task slots to
 // the cluster (node membership churn, e.g. scale-out mid-workload). Node ids
-// are never reused.
+// are never reused. It panics on a spec with an invalid media, which New
+// rejects.
 func (c *Cluster) AddNode(spec storage.NodeSpec, slots int) *Node {
 	n := &Node{
-		id:      c.nextID,
-		name:    fmt.Sprintf("worker-%d", c.nextID),
-		devices: make(map[storage.Media][]*storage.Device),
-		slots:   slots,
+		id:    c.nextID,
+		name:  fmt.Sprintf("worker-%d", c.nextID),
+		slots: slots,
 	}
 	c.nextID++
 	reg, _ := c.plane.(planeRegistrar)

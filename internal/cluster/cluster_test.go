@@ -22,6 +22,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(e, Config{Workers: 1, SlotsPerNode: 1}); err == nil {
 		t.Fatal("expected error for empty spec")
 	}
+	bad := storage.NodeSpec{{Media: storage.Media(3), Capacity: storage.GB, ReadBW: 1, WriteBW: 1, Count: 1}}
+	if _, err := New(e, Config{Workers: 1, SlotsPerNode: 1, Spec: bad}); err == nil {
+		t.Fatal("expected error for invalid media")
+	}
+}
+
+func TestInvalidMediaHasNoDevices(t *testing.T) {
+	n := MustNew(sim.NewEngine(), testConfig()).Node(0)
+	for _, m := range []storage.Media{-1, 3} {
+		if d := n.Devices(m); d != nil {
+			t.Fatalf("Devices(%d) = %v", m, d)
+		}
+		if d := n.PickDevice(m, 1); d != nil {
+			t.Fatalf("PickDevice(%d) = %v", m, d)
+		}
+		if n.TierUsed(m) != 0 || n.TierCapacity(m) != 0 {
+			t.Fatalf("tier totals of media %d not zero", m)
+		}
+	}
 }
 
 func TestClusterTopology(t *testing.T) {

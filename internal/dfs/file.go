@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
+	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
 
@@ -56,9 +57,9 @@ func (s ReplicaState) String() string {
 	}
 }
 
-// Replica is one stored copy of a block on a specific device. Replicas are
-// allocated from the FileSystem's arena (see arena.go): stable addresses,
-// no per-object malloc.
+// Replica is one stored copy of a block on a specific device. A block's
+// initial replicas are allocated with its file (see fileObj); replicas added
+// later (moves, cache fills) are allocated one by one.
 type Replica struct {
 	block   *Block
 	node    *cluster.Node
@@ -88,11 +89,11 @@ func (r *Replica) Readable() bool {
 }
 
 // Block is one fixed-size chunk of a file (the last block may be short).
-// Blocks are arena-allocated; the replicas slice is backed by the inline
-// replArr for the common replication≤3 case, so a standard 3-replica block
-// costs no separate replica-list allocation (a fourth replica — the
-// HDFS-cache mode's extra memory copy — spills to a heap-grown slice via
-// ordinary append).
+// Blocks are allocated with their file (see fileObj); the replicas slice is
+// backed by the inline replArr for the common replication≤3 case, so a
+// standard 3-replica block costs no separate replica-list allocation (a
+// fourth replica — the HDFS-cache mode's extra memory copy — spills to a
+// heap-grown slice via ordinary append).
 type Block struct {
 	id       int64
 	file     *File
@@ -100,10 +101,6 @@ type Block struct {
 	replicas []*Replica
 	replArr  [3]*Replica // inline backing for the replicas slice
 }
-
-// initReplicas points the replicas slice at the inline array. Must be
-// called once the Block has its final (arena) address.
-func (b *Block) initReplicas() { b.replicas = b.replArr[:0] }
 
 // ID returns the block id (unique within the FileSystem).
 func (b *Block) ID() int64 { return b.id }
@@ -194,17 +191,17 @@ func (b *Block) noteUnreadable(r *Replica, media storage.Media) {
 	}
 }
 
-// File is a stored file: an ordered list of blocks plus metadata. Files
-// are arena-allocated; the blocks slice is backed by the inline blkArr for
-// the dominant single-block case, so small files cost no block-list
-// allocation. The path string is interned with the namespace entry: the
-// entry's name is a substring of the same backing array.
+// File is a stored file: an ordered list of blocks plus metadata. The
+// blocks slice is backed by the inline blkArr for the dominant single-block
+// case, so small files cost no block-list allocation. The path string is
+// interned with the namespace entry: the entry's name is a substring of the
+// same backing array.
 type File struct {
 	id          FileID
 	fs          *FileSystem // owner; carries residency-flip notifications
 	path        string
 	size        int64
-	created     time.Time
+	created     int64 // virtual nanoseconds since sim.Epoch
 	blocks      []*Block
 	blkArr      [1]*Block // inline backing for single-block files
 	replication int32
@@ -216,14 +213,65 @@ type File struct {
 	tierBlocks [3]int32
 }
 
-// initBlocks sizes the blocks slice for n blocks, using the inline array
-// when n ≤ 1. Must be called once the File has its final (arena) address.
-func (f *File) initBlocks(n int) {
-	if n <= 1 {
+// fileObj is a single-block file's whole metadata in one allocation: the
+// File, its block and that block's initial replicas. At 104 + 72 + 3 × 32
+// bytes it lands in the 288-byte size class (TestFileObjSizeClass): no more
+// than the three cost packed tightly, and one object for the collector.
+// Nothing is ever recycled, so a pointer into a fileObj held across
+// simulated time (an in-flight move's replica, a dirty-list handle) can
+// never alias another file; it keeps this one file alive until it drops,
+// and the collector frees the rest with the file.
+type fileObj struct {
+	file     File
+	block    Block
+	replicas [3]Replica
+}
+
+// replicaSlots is the storage allocated with a file for its blocks' initial
+// replicas: block 0's live in the fileObj, every later block's in one shared
+// slice, per replicas to a block.
+type replicaSlots struct {
+	first, rest []Replica
+	per         int
+}
+
+// block returns block i's initial-replica storage.
+func (s replicaSlots) block(i int) []Replica {
+	if i == 0 {
+		return s.first
+	}
+	return s.rest[(i-1)*s.per : i*s.per]
+}
+
+// allocFile allocates a file with nblocks empty blocks and room for
+// replication initial replicas per block: one fileObj, plus one slice of
+// blocks and one of replicas for the blocks after the first. Blocks are
+// linked into f.blocks; ids, sizes and replicas are the caller's.
+func allocFile(nblocks, replication int) (*File, replicaSlots) {
+	if nblocks == 0 {
+		return new(File), replicaSlots{}
+	}
+	obj := new(fileObj)
+	f := &obj.file
+	slots := replicaSlots{first: obj.replicas[:min(replication, len(obj.replicas))], per: replication}
+	var rest []Block
+	if nblocks == 1 {
 		f.blocks = f.blkArr[:0]
 	} else {
-		f.blocks = make([]*Block, 0, n)
+		f.blocks = make([]*Block, 0, nblocks)
+		rest = make([]Block, nblocks-1)
+		slots.rest = make([]Replica, (nblocks-1)*replication)
 	}
+	for i := 0; i < nblocks; i++ {
+		b := &obj.block
+		if i > 0 {
+			b = &rest[i-1]
+		}
+		b.file = f
+		b.replicas = b.replArr[:0]
+		f.blocks = append(f.blocks, b)
+	}
+	return f, slots
 }
 
 // ID returns the file id.
@@ -236,7 +284,7 @@ func (f *File) Path() string { return f.path }
 func (f *File) Size() int64 { return f.size }
 
 // Created returns the virtual creation time.
-func (f *File) Created() time.Time { return f.created }
+func (f *File) Created() time.Time { return sim.AtNanos(f.created) }
 
 // Replication returns the target replica count per block.
 func (f *File) Replication() int { return int(f.replication) }

@@ -161,14 +161,6 @@ type FileSystem struct {
 	creatingBits []uint64
 	stats        Stats
 
-	// Arenas for the long-lived metadata objects (see arena.go). Objects
-	// are allocated for the FileSystem's lifetime and never recycled:
-	// in-flight moves and copy barriers hold replica pointers across
-	// simulated time, so slot reuse would alias live references.
-	fileArena    arena[File]
-	blockArena   arena[Block]
-	replicaArena arena[Replica]
-
 	// fileList/filePos index every live file so manager scans iterate a
 	// flat slice instead of walking (and sorting) the namespace tree.
 	// filePos is dense — indexed by FileID (ids are assigned sequentially),
@@ -502,14 +494,14 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 		return
 	}
 	nblocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
-	f, err := fs.newFile(clean, size, fs.engine.Now(), int32(fs.cfg.Replication), nblocks)
+	f, slots, err := fs.newFile(clean, size, fs.engine.Now(), int32(fs.cfg.Replication), nblocks)
 	if err != nil {
 		fail(err)
 		return
 	}
 	// Cut the file into blocks.
-	for remaining := size; remaining > 0; remaining -= fs.cfg.BlockSize {
-		fs.newBlock(f, min(remaining, fs.cfg.BlockSize))
+	for i, b := range f.blocks {
+		b.size = min(size-int64(i)*fs.cfg.BlockSize, fs.cfg.BlockSize)
 	}
 	fs.setCreating(f.id)
 	finish := func(err error) {
@@ -541,8 +533,8 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 		return
 	}
 	blockBarrier := fs.finishAfter(len(f.blocks), fs.engine.Now(), func() { finish(nil) })
-	for _, b := range f.blocks {
-		if err := fs.writeBlock(b, blockBarrier); err != nil {
+	for i, b := range f.blocks {
+		if err := fs.writeBlock(b, slots.block(i), blockBarrier); err != nil {
 			// Placement failed outright; abort the file. Blocks already in
 			// flight will complete harmlessly against the unlinked file.
 			finish(err)
@@ -551,42 +543,34 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 	}
 }
 
-// newFile allocates a file with the next id, links it into the namespace
-// and the live-file index, and sizes its block list for nblocks: the part of
-// a file's birth Create and AttachFile share.
-func (fs *FileSystem) newFile(path string, size int64, created time.Time, replication int32, nblocks int) (*File, error) {
-	f := fs.fileArena.alloc()
+// newFile allocates a file with the next id and nblocks blocks with the next
+// block ids (sizes are the caller's), links it into the namespace and the
+// live-file index, and returns the storage allocated with it for its blocks'
+// initial replicas: the part of a file's birth Create and AttachFile share.
+func (fs *FileSystem) newFile(path string, size int64, created time.Time, replication int32, nblocks int) (*File, replicaSlots, error) {
+	f, slots := allocFile(nblocks, int(replication))
 	f.id = fs.nextFileID
 	f.fs = fs
 	f.path = path
 	f.size = size
-	f.created = created
+	f.created = sim.Nanos(created)
 	f.replication = replication
 	fs.nextFileID++
 	if err := fs.ns.insertFile(path, f); err != nil {
-		return nil, err
+		return nil, replicaSlots{}, err
 	}
 	fs.trackFile(f)
-	f.initBlocks(nblocks)
-	return f, nil
+	for _, b := range f.blocks {
+		b.id = fs.nextBlockID
+		fs.nextBlockID++
+	}
+	return f, slots, nil
 }
 
-// newBlock appends a replica-less block of the given size, with the next
-// block id, to f.
-func (fs *FileSystem) newBlock(f *File, size int64) *Block {
-	b := fs.blockArena.alloc()
-	b.id = fs.nextBlockID
-	b.file = f
-	b.size = size
-	b.initReplicas()
-	f.blocks = append(f.blocks, b)
-	fs.nextBlockID++
-	return b
-}
-
-// writeBlock places and writes one block; onDone fires when the replication
-// pipeline completes.
-func (fs *FileSystem) writeBlock(b *Block, onDone func()) error {
+// writeBlock places and writes one block into its initial-replica storage
+// (a fresh slice when placement returns more targets than it holds); onDone
+// fires when the replication pipeline completes.
+func (fs *FileSystem) writeBlock(b *Block, slots []Replica, onDone func()) error {
 	targets, err := fs.placement.PlaceBlock(b.size, int(b.file.replication))
 	if err != nil {
 		return err
@@ -613,24 +597,27 @@ func (fs *FileSystem) writeBlock(b *Block, onDone func()) error {
 			return err
 		}
 	}
-	replicas := make([]*Replica, 0, len(targets))
-	for _, t := range targets {
-		r := fs.replicaArena.alloc()
+	if len(targets) > len(slots) {
+		slots = make([]Replica, len(targets))
+	}
+	replicas := slots[:len(targets)]
+	for i, t := range targets {
+		r := &replicas[i]
 		r.block, r.node, r.device, r.state = b, t.Node, t.Device, ReplicaCreating
-		replicas = append(replicas, r)
 		b.replicas = append(b.replicas, r)
 		fs.liveBytes += b.size
 	}
 	barrier := fs.finishAfter(len(targets), fs.clientFloor(b.size), func() {
-		for _, r := range replicas {
-			if r.state == ReplicaCreating {
+		for i := range replicas {
+			if r := &replicas[i]; r.state == ReplicaCreating {
 				r.state = ReplicaValid
 				b.noteReadable(r)
 			}
 		}
 		onDone()
 	})
-	for _, r := range replicas {
+	for i := range replicas {
+		r := &replicas[i]
 		media := r.Media()
 		fs.stats.BytesWritten[media] += b.size
 		fs.startTransfer(r.device, storage.Write, storage.ClassServe, b.size, barrier)
@@ -697,8 +684,7 @@ func (fs *FileSystem) cacheFile(f *File) {
 			continue
 		}
 		b := b
-		r := fs.replicaArena.alloc()
-		r.block, r.node, r.device, r.state, r.isCache = b, node, target, ReplicaCreating, true
+		r := &Replica{block: b, node: node, device: target, state: ReplicaCreating, isCache: true}
 		b.replicas = append(b.replicas, r)
 		fs.liveBytes += b.size
 		fs.stats.BytesUpgradedTo[storage.Memory] += b.size

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"octostore/internal/cluster"
 	"octostore/internal/sim"
@@ -392,6 +393,62 @@ func TestPinnedHDDMode(t *testing.T) {
 	for _, r := range f.Blocks()[0].Replicas() {
 		if r.Media() != storage.HDD {
 			t.Fatalf("pinned mode placed replica on %s", r.Media())
+		}
+	}
+}
+
+// A single-block file's File, Block and initial replicas are one object;
+// it must stay in the 288-byte size class the three cost when packed apart.
+func TestFileObjSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(fileObj{}); got > 288 {
+		t.Fatalf("fileObj is %d bytes, want at most 288", got)
+	}
+}
+
+// Multi-block files keep their later blocks and initial replicas in shared
+// slices, and a replication beyond the file's inline slots spills to fresh
+// storage: every replica must still be its own, and ids stay sequential.
+func TestFileAllocationLayouts(t *testing.T) {
+	for _, repl := range []int{2, 3, 4} {
+		e := sim.NewEngine()
+		c := cluster.MustNew(e, cluster.Config{Workers: 5, SlotsPerNode: 1, Spec: storage.NodeSpec{
+			{Media: storage.HDD, Capacity: storage.GB, ReadBW: 100e6, WriteBW: 100e6, Count: 1},
+		}})
+		fs := MustNew(c, Config{Mode: ModeHDFS, BlockSize: 4 * storage.MB, Replication: repl, Seed: 1})
+		for i, size := range []int64{0, 3 * storage.MB, 10 * storage.MB} {
+			f := createFile(t, e, fs, pathN("/f", i), size)
+			if want := int((size + 4*storage.MB - 1) / (4 * storage.MB)); len(f.Blocks()) != want {
+				t.Fatalf("repl %d size %d: %d blocks, want %d", repl, size, len(f.Blocks()), want)
+			}
+			var total int64
+			for _, b := range f.Blocks() {
+				total += b.Size()
+				if b.File() != f || len(b.Replicas()) != repl || b.ReadableReplicas() != repl {
+					t.Fatalf("repl %d size %d: block %d has %d/%d readable replicas", repl, size, b.ID(), b.ReadableReplicas(), len(b.Replicas()))
+				}
+			}
+			if total != size {
+				t.Fatalf("repl %d: blocks total %d bytes, want %d", repl, total, size)
+			}
+		}
+		seen := map[*Replica]bool{}
+		var nextBlock int64
+		for _, f := range fs.Files() {
+			for _, b := range f.Blocks() {
+				if b.ID() != nextBlock {
+					t.Fatalf("repl %d: block id %d, want %d", repl, b.ID(), nextBlock)
+				}
+				nextBlock++
+				for _, r := range b.Replicas() {
+					if seen[r] {
+						t.Fatalf("repl %d: replica shared between blocks", repl)
+					}
+					seen[r] = true
+				}
+			}
+		}
+		if err := fs.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

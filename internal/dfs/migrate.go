@@ -87,7 +87,7 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 	rec := FileRecord{
 		Path:        f.path,
 		Size:        f.size,
-		Created:     f.created,
+		Created:     f.Created(),
 		Replication: f.replication,
 		Blocks:      make([]BlockLayout, 0, len(f.blocks)),
 	}
@@ -212,7 +212,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 			}
 		}
 	}
-	f, err := fs.newFile(rec.Path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
+	f, slots, err := fs.newFile(rec.Path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
 	if err != nil {
 		return err
 	}
@@ -220,14 +220,21 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	// create path: FileCreated carries the full starting residency.
 	fs.setCreating(f.id)
 	for bi, bl := range rec.Blocks {
-		b := fs.newBlock(f, bl.Size)
+		b := f.blocks[bi]
+		b.size = bl.Size
+		initial := slots.block(bi)
 		for ri, slot := range plan[bi] {
 			if err := slot.dev.Reserve(bl.Size); err != nil {
 				// planAttach checked free space; single-threaded, so this is
 				// a genuine bug, same contract as writeBlock.
 				panic(fmt.Sprintf("dfs: attach reservation failed after planning: %v", err))
 			}
-			r := fs.replicaArena.alloc()
+			var r *Replica
+			if ri < len(initial) {
+				r = &initial[ri]
+			} else {
+				r = new(Replica)
+			}
 			r.block, r.node, r.device, r.state = b, slot.node, slot.dev, ReplicaValid
 			r.isCache = bl.Cache[ri]
 			b.replicas = append(b.replicas, r)

@@ -261,8 +261,7 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 	for _, p := range plans {
 		p := p
 		size := p.block.size
-		newReplica := fs.replicaArena.alloc()
-		newReplica.block, newReplica.node, newReplica.device, newReplica.state = p.block, p.dstNod, p.dstDev, ReplicaCreating
+		newReplica := &Replica{block: p.block, node: p.dstNod, device: p.dstDev, state: ReplicaCreating}
 		p.block.replicas = append(p.block.replicas, newReplica)
 		fs.liveBytes += size
 		fs.stats.BytesUpgradedTo[to] += size

@@ -24,8 +24,7 @@ var (
 // name is the last component of File.path (shared backing, no copy), and
 // there is no per-file tree node to allocate. Directories are rare
 // relative to files (one per few hundred files in typical layouts), so
-// their slices and names are noise at scale. Entries come from the
-// namespace's arena.
+// their slices and names are noise at scale.
 type entry struct {
 	name    string
 	parent  *entry
@@ -93,16 +92,13 @@ func (e *entry) removeFile(name string) {
 // Namespace is the FS Directory component of the Master: a conventional
 // hierarchical file organisation (Section 3.3).
 type Namespace struct {
-	root    *entry
-	files   int
-	entries arena[entry]
+	root  *entry
+	files int
 }
 
 // NewNamespace returns an empty namespace containing only "/".
 func NewNamespace() *Namespace {
-	ns := &Namespace{}
-	ns.root = ns.entries.alloc()
-	return ns
+	return &Namespace{root: &entry{}}
 }
 
 // FileCount returns the number of files (not directories) in the namespace.
@@ -245,9 +241,7 @@ func (ns *Namespace) MkdirAll(path string) error {
 		if cur.findFile(p) != nil {
 			return fmt.Errorf("%w: %q", ErrNotDirectory, path)
 		}
-		sub := ns.entries.alloc()
-		sub.name = p
-		sub.parent = cur
+		sub := &entry{name: p, parent: cur}
 		cur.insertDir(sub)
 		cur = sub
 	}
@@ -291,9 +285,7 @@ func (ns *Namespace) insertFile(path string, f *File) error {
 		} else if cur.findFile(comp) != nil {
 			return fmt.Errorf("%w: %q", ErrNotDirectory, path)
 		} else {
-			sub = ns.entries.alloc()
-			sub.name = comp
-			sub.parent = cur
+			sub = &entry{name: comp, parent: cur}
 			cur.insertDir(sub)
 			cur = sub
 		}

@@ -226,8 +226,9 @@ type pool struct {
 	bw          float64 // bytes/second
 	transfers   []*Transfer
 	lastSettle  time.Time
-	next        sim.Event // the next completion, re-armed on every replan
-	complete    func()    // onCompletion, bound once
+	next        sim.Event   // the next completion, re-armed on every replan
+	complete    func()      // onCompletion, bound once
+	finished    []*Transfer // onCompletion's scratch, nil while its callbacks run
 	totalServed float64
 }
 
@@ -288,7 +289,10 @@ func (p *pool) reschedule() {
 // drained, then replans.
 func (p *pool) onCompletion() {
 	p.settle()
-	var finished []*Transfer
+	// Take the scratch out of the pool while the done callbacks run, so a
+	// completion that runs inside one of them cannot overwrite it.
+	finished := p.finished[:0]
+	p.finished = nil
 	old := p.transfers
 	live := old[:0]
 	for _, t := range old {
@@ -312,7 +316,20 @@ func (p *pool) onCompletion() {
 			t.done()
 		}
 	}
+	// Keep a small scratch only: a burst of simultaneous completions (a
+	// bulk load) would otherwise pin its high-water mark for the pool's
+	// lifetime beside the transfers slice's own.
+	if cap(finished) <= maxFinishedScratch {
+		clear(finished) // completed transfers must not stay reachable
+		p.finished = finished
+	}
 }
+
+// maxFinishedScratch bounds the completion scratch a pool keeps between
+// events. Replay events finish one transfer, rarely up to four; a bulk load
+// of equal writes finishes thousands in one event, and keeping that
+// capacity would pin it for the pool's lifetime.
+const maxFinishedScratch = 16
 
 func (p *pool) start(d *Device, bytes int64, done func()) *Transfer {
 	p.settle()

@@ -166,6 +166,42 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 	}
 }
 
+// A done callback that runs the engine on makes the pool complete more
+// transfers inside its own completion; each callback must still fire
+// exactly once.
+func TestCompletionInsideCallback(t *testing.T) {
+	e := sim.NewEngine()
+	d := newTestDevice(e)
+	d.StartRead(100, nil) // a first completion of two leaves scratch behind
+	d.StartRead(100, nil)
+	e.Run()
+	calls := make([]int, 4)
+	d.StartRead(100, func() { calls[0]++; e.Run() })
+	d.StartRead(100, func() { calls[1]++ })
+	d.StartRead(300, func() { calls[2]++ })
+	d.StartRead(300, func() { calls[3]++ })
+	e.Run()
+	for i, n := range calls {
+		if n != 1 {
+			t.Fatalf("transfer %d completed %d times, want once (all: %v)", i, n, calls)
+		}
+	}
+}
+
+// One write through a pool: start, its completion event, the callback.
+// The Transfer is the only allocation; the completion reuses the pool's
+// scratch.
+func BenchmarkTransferCompletion(b *testing.B) {
+	e := sim.NewEngine()
+	d := NewDevice(e, "ssd-0", SSD, 1<<40, 1<<30, 1<<30)
+	done := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.StartWrite(4096, done)
+		e.Run()
+	}
+}
+
 func TestCancelTransfer(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
