@@ -94,7 +94,7 @@ func TestPickDevicePrefersLeastLoaded(t *testing.T) {
 	if first == nil {
 		t.Fatal("no device picked")
 	}
-	first.StartWrite(storage.MB, nil) // make it busy
+	first.Start(storage.Write, storage.MB, nil) // make it busy
 	second := n.PickDevice(storage.HDD, 1)
 	if second == first {
 		t.Fatal("picked the busy device")

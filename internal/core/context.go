@@ -135,9 +135,9 @@ func (c *Context) IsBusy(f *dfs.File) bool {
 // the files that a downgrade from `tier` may choose from: complete, not
 // deleted, not busy, not in a failure cooldown, not holding a block's last
 // copy there, and holding a replica of every block on the tier (the
-// all-or-nothing property). Policies with an order-independent or windowed selection
-// rule (LIFE, LFU-F, EXD admission) use it; the indexed policies avoid the
-// scan entirely.
+// all-or-nothing property). The windowed policies (LIFE, LFU-F) use it;
+// the indexed policies, EXD admission's walk of the weight heap included,
+// avoid the scan entirely.
 func (c *Context) EligibleFilesInto(buf []*dfs.File, tier storage.Media) []*dfs.File {
 	// LiveFiles avoids the sorted namespace walk; HasReplicaOn is O(1) via
 	// the residency counters. Selection policies impose their own ordering.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -314,6 +315,48 @@ func TestMonitorFailedMoveReported(t *testing.T) {
 	}
 	if mo.MovesFailed() != 1 {
 		t.Fatalf("movesFailed = %d", mo.MovesFailed())
+	}
+}
+
+// A move that starts but cannot commit — its destination node leaves the
+// cluster mid-transfer — is a failed move, not a done one.
+func TestMonitorBooksNodeLossAsFailure(t *testing.T) {
+	ev := newEnv(t, dfs.ModePinnedHDD)
+	mo := NewMonitor(ev.fs, 2, 0)
+	f := ev.create(t, "/f", 16*storage.MB)
+	// Memory is full on the node the move reads from, so the replica has to
+	// leave it for another node.
+	src := f.Blocks()[0].ReplicaOn(storage.HDD).Node()
+	for _, d := range src.Devices(storage.Memory) {
+		if err := d.Reserve(d.Free()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var gotErr error
+	mo.Enqueue(MoveRequest{File: f, From: storage.HDD, To: storage.Memory, Done: func(err error) { gotErr = err }})
+	var lost *cluster.Node
+	ev.engine.Schedule(time.Millisecond, func() {
+		for _, n := range ev.fs.Cluster().Nodes() {
+			if n != src && n.TierUsed(storage.Memory) > 0 {
+				lost = n
+			}
+		}
+		if lost != nil {
+			ev.fs.FailNode(lost)
+		}
+	})
+	ev.engine.Run()
+	if lost == nil {
+		t.Fatal("no move in flight to another node")
+	}
+	if !errors.Is(gotErr, dfs.ErrNodeGone) {
+		t.Fatalf("Done got %v, want ErrNodeGone", gotErr)
+	}
+	if mo.MovesDone() != 0 || mo.MovesFailed() != 1 {
+		t.Fatalf("movesDone=%d movesFailed=%d, want 0/1", mo.MovesDone(), mo.MovesFailed())
+	}
+	if !f.HasReplicaOn(storage.HDD) || f.HasReplicaOn(storage.Memory) {
+		t.Fatal("the replica did not stay at its source")
 	}
 }
 

@@ -41,10 +41,9 @@ type Monitor struct {
 	queue         []MoveRequest
 	active        int
 
-	movesStarted int64
-	movesDone    int64
-	movesFailed  int64
-	repairs      int64
+	movesDone   int64
+	movesFailed int64
+	repairs     int64
 }
 
 // NewMonitor builds a monitor over the file system. latency delays the
@@ -70,7 +69,8 @@ func (mo *Monitor) Active() int { return mo.active }
 // MovesDone returns the count of successfully committed moves.
 func (mo *Monitor) MovesDone() int64 { return mo.movesDone }
 
-// MovesFailed returns the count of failed move attempts.
+// MovesFailed returns the count of failed move attempts: refused at the
+// start, or finished without committing (a node left mid-transfer).
 func (mo *Monitor) MovesFailed() int64 { return mo.movesFailed }
 
 // Repairs returns how many re-replications the monitor has initiated.
@@ -103,19 +103,19 @@ func (mo *Monitor) pump() {
 
 func (mo *Monitor) start(r MoveRequest) {
 	mo.active++
-	mo.movesStarted++
 	mo.fs.Engine().Schedule(mo.latency, func() {
-		err := mo.fs.MoveFileReplicas(r.File, r.From, r.To, func(asyncErr error) {
+		finish := func(err error) {
 			mo.active--
-			mo.movesDone++
-			r.Done(asyncErr)
-			mo.pump()
-		})
-		if err != nil {
-			mo.active--
-			mo.movesFailed++
+			if err != nil {
+				mo.movesFailed++
+			} else {
+				mo.movesDone++
+			}
 			r.Done(err)
 			mo.pump()
+		}
+		if err := mo.fs.MoveFileReplicas(r.File, r.From, r.To, finish); err != nil {
+			finish(err)
 		}
 	})
 }

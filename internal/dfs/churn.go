@@ -65,7 +65,7 @@ func (fs *FileSystem) FailNode(n *cluster.Node) (removed [3]int64) {
 	// device leaves accounting now, so the pending reservation does too, and
 	// the commit keeps the replica at its source.
 	for m := range fs.moves {
-		if m.dstNod == n && !m.dstGone {
+		if m.dst.Node == n && !m.dstGone {
 			m.dstGone = true
 			fs.pendingMoveBytes -= m.block.size
 		}

@@ -88,6 +88,15 @@ func (r *Replica) Readable() bool {
 	return r.state == ReplicaValid || r.state == ReplicaMoving
 }
 
+// settle makes a replica whose write just finished readable. A replica torn
+// down meanwhile (its node left the cluster) stays as it is.
+func (r *Replica) settle() {
+	if r.state == ReplicaCreating {
+		r.state = ReplicaValid
+		r.block.noteReadable(r)
+	}
+}
+
 // Block is one fixed-size chunk of a file (the last block may be short).
 // Blocks are allocated with their file (see fileObj); the replicas slice is
 // backed by the inline replArr for the common replication≤3 case, so a

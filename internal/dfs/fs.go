@@ -53,8 +53,6 @@ type Config struct {
 	Replication int     // default 3
 	Seed        int64   // placement randomisation seed
 	ClientRate  float64 // per-stream client throughput cap in bytes/s; 0 disables
-	// Weights overrides the OctopusFS placement weights when non-nil.
-	Weights *PlacementWeights
 }
 
 func (c *Config) applyDefaults() {
@@ -195,11 +193,7 @@ func New(c *cluster.Cluster, cfg Config) (*FileSystem, error) {
 	case ModeHDFS, ModeHDFSCache, ModePinnedHDD:
 		fs.placement = &pinnedPlacement{cluster: c, rng: fs.rng, media: storage.HDD}
 	case ModeOctopus:
-		w := DefaultPlacementWeights()
-		if cfg.Weights != nil {
-			w = *cfg.Weights
-		}
-		fs.placement = &octopusPlacement{cluster: c, rng: fs.rng, weights: w}
+		fs.placement = &octopusPlacement{cluster: c, rng: fs.rng, weights: DefaultPlacementWeights()}
 	default:
 		return nil, fmt.Errorf("dfs: unknown mode %v", cfg.Mode)
 	}
@@ -575,52 +569,39 @@ func (fs *FileSystem) writeBlock(b *Block, slots []Replica, onDone func()) error
 	if err != nil {
 		return err
 	}
+	var buf [3]blockMove
+	plan := buf[:0]
 	for _, t := range targets {
 		if err := t.Device.Reserve(b.size); err != nil {
 			// PickDevice checked free space, so this indicates a race in
 			// single-threaded code — a genuine bug.
 			panic(fmt.Sprintf("dfs: reservation failed after placement: %v", err))
 		}
+		plan = append(plan, blockMove{block: b, dst: t})
 	}
 	// Materialize the physical bytes before committing replica records: a
 	// real backend failure (ENOSPC, injected fault) then unwinds to a plain
-	// placement error — reservations released, files written so far removed
-	// — and the create aborts through its existing failure path.
-	for i, t := range targets {
-		if err := fs.backendWrite(t.Device, storage.ClassServe, b.id, b.size); err != nil {
-			for _, u := range targets {
-				u.Device.Release(b.size)
-			}
-			for _, u := range targets[:i] {
-				fs.backendDelete(u.Device, storage.ClassServe, b.id, b.size)
-			}
-			return err
-		}
+	// placement error and the create aborts through its existing failure
+	// path.
+	if err := fs.materialize(plan, storage.ClassServe); err != nil {
+		return err
 	}
-	if len(targets) > len(slots) {
-		slots = make([]Replica, len(targets))
+	if len(plan) > len(slots) {
+		slots = make([]Replica, len(plan))
 	}
-	replicas := slots[:len(targets)]
-	for i, t := range targets {
-		r := &replicas[i]
-		r.block, r.node, r.device, r.state = b, t.Node, t.Device, ReplicaCreating
-		b.replicas = append(b.replicas, r)
-		fs.liveBytes += b.size
+	replicas := slots[:len(plan)]
+	for i := range plan {
+		fs.addReplica(&replicas[i], b, plan[i].dst)
 	}
-	barrier := fs.finishAfter(len(targets), fs.clientFloor(b.size), func() {
+	barrier := fs.finishAfter(len(plan), fs.clientFloor(b.size), func() {
 		for i := range replicas {
-			if r := &replicas[i]; r.state == ReplicaCreating {
-				r.state = ReplicaValid
-				b.noteReadable(r)
-			}
+			replicas[i].settle()
 		}
 		onDone()
 	})
-	for i := range replicas {
-		r := &replicas[i]
-		media := r.Media()
-		fs.stats.BytesWritten[media] += b.size
-		fs.startTransfer(r.device, storage.Write, storage.ClassServe, b.size, barrier)
+	for i := range plan {
+		fs.stats.BytesWritten[plan[i].dst.Device.Media()] += b.size
+		fs.stream(&plan[i], storage.ClassServe, barrier)
 	}
 	return nil
 }
@@ -658,42 +639,30 @@ func (fs *FileSystem) notifyTiers(f *File) {
 
 // cacheFile asynchronously adds one memory replica per block on a node that
 // already holds an HDD replica (HDFS centralized cache semantics). Blocks
-// that do not fit are silently skipped; cached replicas are never evicted.
+// that do not fit, or whose write fails, are silently skipped; cached
+// replicas are never evicted.
 func (fs *FileSystem) cacheFile(f *File) {
 	for _, b := range f.blocks {
-		var target *storage.Device
-		var node *cluster.Node
+		var m blockMove
 		for _, r := range b.replicas {
 			if r.Media() != storage.HDD {
 				continue
 			}
 			if d := r.node.PickDevice(storage.Memory, b.size); d != nil {
-				target, node = d, r.node
+				m = blockMove{block: b, dst: Target{Node: r.node, Device: d}}
 				break
 			}
 		}
-		if target == nil {
+		if m.dst.Device == nil || m.dst.Device.Reserve(b.size) != nil {
 			continue
 		}
-		if err := target.Reserve(b.size); err != nil {
+		if fs.materialize([]blockMove{m}, storage.ClassMove) != nil {
 			continue
 		}
-		if err := fs.backendWrite(target, storage.ClassMove, b.id, b.size); err != nil {
-			// Cache fills are best effort: skip the block, like a full tier.
-			target.Release(b.size)
-			continue
-		}
-		b := b
-		r := &Replica{block: b, node: node, device: target, state: ReplicaCreating, isCache: true}
-		b.replicas = append(b.replicas, r)
-		fs.liveBytes += b.size
+		r := fs.addReplica(nil, b, m.dst)
+		r.isCache = true
 		fs.stats.BytesUpgradedTo[storage.Memory] += b.size
-		fs.startTransfer(target, storage.Write, storage.ClassMove, b.size, func() {
-			if r.state == ReplicaCreating {
-				r.state = ReplicaValid
-				b.noteReadable(r)
-			}
-		})
+		fs.stream(&m, storage.ClassMove, r.settle)
 	}
 }
 

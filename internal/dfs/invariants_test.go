@@ -229,7 +229,8 @@ func TestPlacementDiversityAblation(t *testing.T) {
 		c := cluster.MustNew(e, cluster.Config{
 			Workers: 3, SlotsPerNode: 2, Spec: storage.SmallWorkerSpec(),
 		})
-		fs := MustNew(c, Config{Mode: ModeOctopus, BlockSize: 8 * storage.MB, Seed: 5, Weights: &weights})
+		fs := MustNew(c, Config{Mode: ModeOctopus, BlockSize: 8 * storage.MB, Seed: 5})
+		fs.placement = &octopusPlacement{cluster: c, rng: fs.rng, weights: weights}
 		var file *File
 		fs.Create("/f", 8*storage.MB, func(f *File, err error) {
 			if err != nil {

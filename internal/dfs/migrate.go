@@ -112,34 +112,28 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 // layout takes SnapshotFile first.
 func (fs *FileSystem) DetachFile(path string) error { return fs.remove(path, storage.ClassMove) }
 
-// attachSlot is one planned replica placement.
-type attachSlot struct {
-	node *cluster.Node
-	dev  *storage.Device
-}
-
 // planAttach chooses a device for every replica in the record, preferring
 // distinct nodes per block, without mutating anything. The rotation starts
 // at a position derived from the next file id — deterministic, and unlike a
 // placement-rng draw it leaves the file system's rng stream untouched, so
 // subsequent client creates place identically whether or not a migration
 // happened.
-func (fs *FileSystem) planAttach(rec FileRecord) ([][]attachSlot, error) {
+func (fs *FileSystem) planAttach(rec FileRecord) ([][]Target, error) {
 	nodes := fs.cluster.Nodes()
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("%w: no nodes", ErrNoCapacity)
 	}
 	planned := make(map[*storage.Device]int64)
-	plan := make([][]attachSlot, len(rec.Blocks))
+	plan := make([][]Target, len(rec.Blocks))
 	start := int(fs.nextFileID) % len(nodes)
 	for bi, bl := range rec.Blocks {
 		used := make(map[*cluster.Node]bool, len(bl.Media))
 		for _, m := range bl.Media {
-			var slot attachSlot
+			var slot Target
 			// First pass insists on a fresh node for the block; second pass
 			// accepts any node with room (mirrors placement's fallback when
 			// the cluster is narrower than the replication factor).
-			for pass := 0; pass < 2 && slot.dev == nil; pass++ {
+			for pass := 0; pass < 2 && slot.Device == nil; pass++ {
 				for off := 0; off < len(nodes); off++ {
 					n := nodes[(start+bi+off)%len(nodes)]
 					if pass == 0 && used[n] {
@@ -147,20 +141,20 @@ func (fs *FileSystem) planAttach(rec FileRecord) ([][]attachSlot, error) {
 					}
 					for _, d := range n.Devices(m) {
 						if d.Free()-planned[d] >= bl.Size {
-							slot = attachSlot{node: n, dev: d}
+							slot = Target{Node: n, Device: d}
 							break
 						}
 					}
-					if slot.dev != nil {
+					if slot.Device != nil {
 						break
 					}
 				}
 			}
-			if slot.dev == nil {
+			if slot.Device == nil {
 				return nil, fmt.Errorf("%w: %d bytes on %s tier for %q", ErrNoCapacity, bl.Size, m, rec.Path)
 			}
-			planned[slot.dev] += bl.Size
-			used[slot.node] = true
+			planned[slot.Device] += bl.Size
+			used[slot.Node] = true
 			plan[bi] = append(plan[bi], slot)
 		}
 	}
@@ -203,12 +197,12 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 		}
 		for bi, bl := range rec.Blocks {
 			id := fs.nextBlockID + int64(bi)
-			for _, slot := range plan[bi] {
-				if err := fs.backendWrite(slot.dev, storage.ClassMove, id, bl.Size); err != nil {
+			for _, dst := range plan[bi] {
+				if err := fs.backendWrite(dst.Device, storage.ClassMove, id, bl.Size); err != nil {
 					unwind()
 					return fmt.Errorf("dfs: attach copy: %w", err)
 				}
-				written = append(written, writtenFile{slot.dev, id, bl.Size})
+				written = append(written, writtenFile{dst.Device, id, bl.Size})
 			}
 		}
 	}
@@ -223,24 +217,20 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 		b := f.blocks[bi]
 		b.size = bl.Size
 		initial := slots.block(bi)
-		for ri, slot := range plan[bi] {
-			if err := slot.dev.Reserve(bl.Size); err != nil {
+		for ri, dst := range plan[bi] {
+			if err := dst.Device.Reserve(bl.Size); err != nil {
 				// planAttach checked free space; single-threaded, so this is
 				// a genuine bug, same contract as writeBlock.
 				panic(fmt.Sprintf("dfs: attach reservation failed after planning: %v", err))
 			}
-			var r *Replica
+			var slot *Replica
 			if ri < len(initial) {
-				r = &initial[ri]
-			} else {
-				r = new(Replica)
+				slot = &initial[ri]
 			}
-			r.block, r.node, r.device, r.state = b, slot.node, slot.dev, ReplicaValid
+			r := fs.addReplica(slot, b, dst)
 			r.isCache = bl.Cache[ri]
-			b.replicas = append(b.replicas, r)
-			fs.liveBytes += bl.Size
-			b.noteReadable(r)
-			fs.chargePlane(slot.dev, storage.Write, storage.ClassMove, bl.Size)
+			r.settle()
+			fs.chargePlane(dst.Device, storage.Write, storage.ClassMove, bl.Size)
 		}
 	}
 	fs.clearCreating(f.id)

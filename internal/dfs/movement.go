@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"octostore/internal/cluster"
 	"octostore/internal/storage"
 )
 
@@ -11,34 +10,101 @@ import (
 // Decisions are file-granular (the paper's "all-or-nothing" property); the
 // mechanics operate block by block.
 
-// blockMove is one planned replica relocation or copy.
+// blockMove is one planned replica write: a relocation or a copy between
+// tiers, a client write's replica, or a cache fill. Every path that creates
+// a replica reserves dst, then runs the plan through the same helpers:
+// materialize (the backend I/O, unwound as a whole on an error), stream
+// (the virtual transfer legs) and, for a new replica, addReplica and
+// settle.
 type blockMove struct {
-	block  *Block
-	src    *Replica
-	dstDev *storage.Device
-	dstNod *cluster.Node
+	block *Block
+	src   *Replica // nil for a client write or a cache fill
+	dst   Target
 	// dstGone is set when the destination node leaves the cluster while a
 	// relocation is in flight; the commit then keeps the replica at the source.
 	dstGone bool
 }
 
+// materialize does the physical I/O of every planned move, whose
+// destinations are already reserved: read the source replica (when there is
+// one), write the destination. A real I/O failure — transient error,
+// destination ENOSPC — releases every reservation of the plan and deletes
+// every destination block already written, leaving the system as it was
+// before the plan, and returns the backend's error. The virtual transfer
+// legs stream starts afterwards model the time the writes take.
+func (fs *FileSystem) materialize(plan []blockMove, class storage.IOClass) error {
+	if fs.bkend == nil {
+		return nil
+	}
+	for i, m := range plan {
+		var err error
+		if m.src != nil {
+			err = fs.backendRead(m.src.device, class, m.block.id, m.block.size)
+		}
+		if err == nil {
+			err = fs.backendWrite(m.dst.Device, class, m.block.id, m.block.size)
+		}
+		if err != nil {
+			for _, u := range plan {
+				u.dst.Device.Release(u.block.size)
+			}
+			for _, u := range plan[:i] {
+				fs.backendDelete(u.dst.Device, class, u.block.id, u.block.size)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// stream starts a planned move's virtual transfer through the data plane:
+// the source read leg (when there is a source) before the destination write
+// leg. The two proceed concurrently; done runs once both have finished.
+func (fs *FileSystem) stream(m *blockMove, class storage.IOClass, done func()) {
+	size := m.block.size
+	if m.src == nil {
+		fs.startTransfer(m.dst.Device, storage.Write, class, size, done)
+		return
+	}
+	pending := 2
+	step := func() {
+		pending--
+		if pending == 0 {
+			done()
+		}
+	}
+	fs.startTransfer(m.src.device, storage.Read, class, size, step)
+	fs.startTransfer(m.dst.Device, storage.Write, class, size, step)
+}
+
+// addReplica links a new replica on dst into b, still creating, and counts
+// its bytes as live. slot is storage allocated with the file for the
+// block's initial replicas; nil allocates the replica on its own.
+func (fs *FileSystem) addReplica(slot *Replica, b *Block, dst Target) *Replica {
+	r := slot
+	if r == nil {
+		r = new(Replica)
+	}
+	r.block, r.node, r.device, r.state = b, dst.Node, dst.Device, ReplicaCreating
+	b.replicas = append(b.replicas, r)
+	fs.liveBytes += b.size
+	return r
+}
+
 // planTransfers is the synchronous half of a move or copy to tier `to`. For
 // every block source yields a replica for (nil skips the block) it picks and
-// reserves a destination device; then it performs the physical copies (read
-// the source replica, write the destination) while the whole plan can still
-// unwind: a real I/O failure — transient copy error, destination ENOSPC —
-// surfaces here as a synchronous error, which the movement executor counts
-// as a failed move and the policy retries on a later sweep. The virtual
-// transfer legs the callers start afterwards still model the time the copy
-// takes. Any error releases every reservation made and deletes every
-// destination block written, leaving the system unchanged. Every error is a
-// MoveError (the caller's provenance record names the file and the tiers);
-// what a device or the backend said stays reachable through errors.Is.
-func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Block) (*Replica, error)) ([]*blockMove, error) {
-	var plan []*blockMove
+// reserves a destination device; then it materializes the plan while the
+// whole plan can still unwind: a backend failure surfaces here as a
+// synchronous error, which the movement executor counts as a failed move and
+// the policy retries on a later sweep. Any error leaves the system
+// unchanged. Every error is a MoveError (the caller's provenance record
+// names the file and the tiers); what a device or the backend said stays
+// reachable through errors.Is.
+func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Block) (*Replica, error)) ([]blockMove, error) {
+	plan := make([]blockMove, 0, len(f.blocks))
 	rollback := func() {
 		for _, m := range plan {
-			m.dstDev.Release(m.block.size)
+			m.dst.Device.Release(m.block.size)
 		}
 	}
 	for _, b := range f.blocks {
@@ -50,29 +116,19 @@ func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Bloc
 		if src == nil {
 			continue
 		}
-		node, dev := fs.pickMoveTarget(b, src, to)
-		if dev == nil {
+		dst := fs.pickMoveTarget(b, src, to)
+		if dst.Device == nil {
 			rollback()
 			return nil, ErrNoCapacity
 		}
-		if err := dev.Reserve(b.size); err != nil {
+		if err := dst.Device.Reserve(b.size); err != nil {
 			rollback()
 			return nil, &MoveError{Reason: ReasonBudget, msg: "dfs: reserving transfer target", cause: err}
 		}
-		plan = append(plan, &blockMove{block: b, src: src, dstDev: dev, dstNod: node})
+		plan = append(plan, blockMove{block: b, src: src, dst: dst})
 	}
-	for i, m := range plan {
-		err := fs.backendRead(m.src.device, storage.ClassMove, m.block.id, m.block.size)
-		if err == nil {
-			err = fs.backendWrite(m.dstDev, storage.ClassMove, m.block.id, m.block.size)
-		}
-		if err != nil {
-			rollback()
-			for _, done := range plan[:i] {
-				fs.backendDelete(done.dstDev, storage.ClassMove, done.block.id, done.block.size)
-			}
-			return nil, &MoveError{Reason: ReasonBackend, msg: "dfs: block copy", cause: err}
-		}
+	if err := fs.materialize(plan, storage.ClassMove); err != nil {
+		return nil, &MoveError{Reason: ReasonBackend, msg: "dfs: block copy", cause: err}
 	}
 	return plan, nil
 }
@@ -113,7 +169,8 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 			done(outcome)
 		}
 	})
-	for _, m := range moves {
+	for i := range moves {
+		m := &moves[i]
 		m.src.state = ReplicaMoving
 		fs.moves[m] = true
 		fs.pendingMoveBytes += m.block.size
@@ -122,8 +179,12 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 		} else {
 			fs.stats.BytesDowngradedTo[to] += m.block.size
 		}
-		fs.transferBlock(m, func(committed bool) {
-			if !committed {
+		// Both legs go through the data plane (ClassMove), so movement
+		// draws bandwidth from the shared physical-device channels: a
+		// channel another shard (or the serve path) has booked pushes the
+		// leg's start out, and the move commits later.
+		fs.stream(m, storage.ClassMove, func() {
+			if !fs.commitMove(m) {
 				outcome = ErrNodeGone
 			}
 			barrier()
@@ -132,90 +193,73 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 	return nil
 }
 
-// transferBlock streams one block from the source replica's device to the
-// destination and commits the replica record on completion. Both legs start
-// through the data plane (ClassMove), so movement draws bandwidth from the
-// shared physical-device channels: when another shard (or the serve path)
-// has the channel booked, the leg's start is pushed out by the queueing
-// grant and the move commits later — cross-shard bandwidth contention that
-// per-view device pools cannot express.
-func (fs *FileSystem) transferBlock(m *blockMove, onDone func(committed bool)) {
+// commitMove settles a relocation whose transfer finished and reports
+// whether the replica now lives on the destination.
+func (fs *FileSystem) commitMove(m *blockMove) bool {
+	delete(fs.moves, m)
 	size := m.block.size
-	// The source read and destination write proceed concurrently; the
-	// stream is complete when the slower of the two finishes.
-	pending := 2
-	step := func() {
-		pending--
-		if pending > 0 {
-			return
-		}
-		delete(fs.moves, m)
-		committed := false
-		switch {
-		case !m.block.hasReplica(m.src):
-			// The source replica vanished mid-transfer (its node left the
-			// cluster): there is nothing to commit. Free the destination
-			// reservation unless that node is gone too, and drop the
-			// destination bytes written at plan time either way (a failed
-			// node's devices leave accounting wholesale, but the physical
-			// file is not tracked by any replica record).
-			if !m.dstGone {
-				m.dstDev.Release(size)
-				fs.pendingMoveBytes -= size
-			}
-			fs.backendDelete(m.dstDev, storage.ClassMove, m.block.id, size)
-		case m.dstGone:
-			// The destination node vanished: the replica stays at the
-			// source; its reservation accounting was settled at removal.
-			// The destination bytes are orphaned — drop them.
-			m.src.state = ReplicaValid
-			fs.backendDelete(m.dstDev, storage.ClassMove, m.block.id, size)
-		default:
-			// Commit: the replica now lives on the destination device; the
-			// source bytes go (the destination copy was written at plan).
-			srcMedia := m.src.Media()
-			m.src.device.Release(size)
-			fs.backendDelete(m.src.device, storage.ClassMove, m.block.id, size)
+	switch {
+	case !m.block.hasReplica(m.src):
+		// The source replica vanished mid-transfer (its node left the
+		// cluster): there is nothing to commit. Free the destination
+		// reservation unless that node is gone too, and drop the
+		// destination bytes written at plan time either way (a failed
+		// node's devices leave accounting wholesale, but the physical
+		// file is not tracked by any replica record).
+		if !m.dstGone {
+			m.dst.Device.Release(size)
 			fs.pendingMoveBytes -= size
-			m.block.noteUnreadable(m.src, srcMedia)
-			m.src.device = m.dstDev
-			m.src.node = m.dstNod
-			m.src.state = ReplicaValid
-			m.block.noteReadable(m.src)
-			committed = true
 		}
-		onDone(committed)
+		fs.backendDelete(m.dst.Device, storage.ClassMove, m.block.id, size)
+		return false
+	case m.dstGone:
+		// The destination node vanished: the replica stays at the
+		// source; its reservation accounting was settled at removal.
+		// The destination bytes are orphaned — drop them.
+		m.src.state = ReplicaValid
+		fs.backendDelete(m.dst.Device, storage.ClassMove, m.block.id, size)
+		return false
 	}
-	fs.startTransfer(m.src.device, storage.Read, storage.ClassMove, size, step)
-	fs.startTransfer(m.dstDev, storage.Write, storage.ClassMove, size, step)
+	// The replica now lives on the destination device; the source bytes go
+	// (the destination copy was written at plan).
+	srcMedia := m.src.Media()
+	m.src.device.Release(size)
+	fs.backendDelete(m.src.device, storage.ClassMove, m.block.id, size)
+	fs.pendingMoveBytes -= size
+	m.block.noteUnreadable(m.src, srcMedia)
+	m.src.device = m.dst.Device
+	m.src.node = m.dst.Node
+	m.src.state = ReplicaValid
+	m.block.noteReadable(m.src)
+	return true
 }
 
 // pickMoveTarget chooses the device to receive a moved replica: the source
 // node first (a tier-local move keeps node-level fault tolerance intact),
-// then nodes not already holding the block, then any node with space.
-func (fs *FileSystem) pickMoveTarget(b *Block, src *Replica, to storage.Media) (*cluster.Node, *storage.Device) {
+// then nodes not already holding the block, then any node with space. A
+// zero Target means no node has room.
+func (fs *FileSystem) pickMoveTarget(b *Block, src *Replica, to storage.Media) Target {
 	if d := src.node.PickDevice(to, b.size); d != nil {
-		return src.node, d
+		return Target{Node: src.node, Device: d}
 	}
 	holders := make(map[int]bool, len(b.replicas))
 	for _, r := range b.replicas {
 		holders[r.node.ID()] = true
 	}
-	var fallbackNode *cluster.Node
-	var fallbackDev *storage.Device
+	var fallback Target
 	for _, n := range fs.cluster.Nodes() {
 		d := n.PickDevice(to, b.size)
 		if d == nil {
 			continue
 		}
 		if !holders[n.ID()] {
-			return n, d
+			return Target{Node: n, Device: d}
 		}
-		if fallbackDev == nil {
-			fallbackNode, fallbackDev = n, d
+		if fallback.Device == nil {
+			fallback = Target{Node: n, Device: d}
 		}
 	}
-	return fallbackNode, fallbackDev
+	return fallback
 }
 
 // CopyFileReplicas adds, for every block of f missing one, a new replica on
@@ -258,29 +302,15 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 			done(nil)
 		}
 	})
-	for _, p := range plans {
-		p := p
-		size := p.block.size
-		newReplica := &Replica{block: p.block, node: p.dstNod, device: p.dstDev, state: ReplicaCreating}
-		p.block.replicas = append(p.block.replicas, newReplica)
-		fs.liveBytes += size
-		fs.stats.BytesUpgradedTo[to] += size
-		pending := 2
-		step := func() {
-			pending--
-			if pending > 0 {
-				return
-			}
-			// The replica may have been torn down mid-copy (file delete is
-			// blocked by inTransition, but node loss is not).
-			if newReplica.state == ReplicaCreating {
-				newReplica.state = ReplicaValid
-				p.block.noteReadable(newReplica)
-			}
+	for i := range plans {
+		r := fs.addReplica(nil, plans[i].block, plans[i].dst)
+		fs.stats.BytesUpgradedTo[to] += plans[i].block.size
+		// The replica may be torn down mid-copy (file delete is blocked by
+		// inTransition, but node loss is not); settle leaves it so.
+		fs.stream(&plans[i], storage.ClassMove, func() {
+			r.settle()
 			barrier()
-		}
-		fs.startTransfer(p.src.device, storage.Read, storage.ClassMove, size, step)
-		fs.startTransfer(p.dstDev, storage.Write, storage.ClassMove, size, step)
+		})
 	}
 	return nil
 }

@@ -144,7 +144,7 @@ func TestMoveCommitsUnderNodeLossDst(t *testing.T) {
 	// Find the in-flight destination node and fail it before the commit.
 	var dst *cluster.Node
 	for m := range fs.moves {
-		dst = m.dstNod
+		dst = m.dst.Node
 	}
 	if dst == nil {
 		t.Fatal("no move in flight")

@@ -106,8 +106,8 @@ func TenantQoS() Scenario {
 				workload.Generate(cmu, o.Seed+101))
 		},
 		Perturb: []Perturbation{
-			TenantSurge{Tenant: 0, PathPrefix: "/tenant0", Offset: 10 * time.Minute, Duration: 60 * time.Minute, Clients: 12},
-			TenantSurge{Tenant: 1, PathPrefix: "/tenant1", Offset: 15 * time.Minute, Duration: 60 * time.Minute, Clients: 12},
+			ClientSurge{Tenant: 0, PathPrefix: "/tenant0", Offset: 10 * time.Minute, Duration: 60 * time.Minute, Clients: 12},
+			ClientSurge{Tenant: 1, PathPrefix: "/tenant1", Offset: 15 * time.Minute, Duration: 60 * time.Minute, Clients: 12},
 		},
 	}
 }
@@ -201,8 +201,6 @@ func NodeJoinLeave() Scenario {
 // nodeChurnFast adapts NodeChurn to the options: the joining worker has
 // the node spec of the replay's own topology.
 type nodeChurnFast struct{}
-
-func (n nodeChurnFast) Name() string { return "node-churn" }
 
 func (n nodeChurnFast) Install(rp *Replay) {
 	NodeChurn{

@@ -24,9 +24,6 @@ type CapacityCrunch struct {
 	Parallel   int
 }
 
-// Name implements Perturbation.
-func (c CapacityCrunch) Name() string { return "capacity-crunch" }
-
 // Install implements Perturbation.
 func (c CapacityCrunch) Install(rp *Replay) {
 	fileBytes := c.FileBytes
@@ -64,96 +61,33 @@ func (c CapacityCrunch) Install(rp *Replay) {
 
 // ClientSurge models a population of interactive clients hammering the
 // file system with reads alongside the batch workload: Clients closed-loop
-// virtual clients each repeatedly pick a random live file, record the
-// access (firing the upgrade hook, exactly like the serving layer's access
-// path), read one random block from a random node, and think for a random
-// interval. The surge runs from Offset for Duration. Everything is
-// engine-scheduled from a seeded RNG, so the "concurrency" is virtual-time
-// interleaving and the replay stays deterministic — the scenario-DSL mirror
-// of what cmd/octoload does with real goroutines against internal/server.
+// virtual clients each repeatedly pick a random live file under PathPrefix
+// (any live file when it is empty), record the access (firing the upgrade
+// hook, exactly like the serving layer's access path), read one random
+// block from a random node, and think for a random interval. Every access
+// is Tenant's: the file system's active tenant is scoped around it, so its
+// data-plane charges are tagged and a multi-tenant replay exercises
+// weighted-fair arbitration and the plane's per-tenant accounting. The
+// surge runs from Offset for Duration. Everything is engine-scheduled from
+// a seeded RNG, so the "concurrency" is virtual-time interleaving and the
+// replay stays deterministic — the scenario-DSL mirror of what
+// cmd/octoload does with real goroutines against internal/server.
 type ClientSurge struct {
-	Offset   time.Duration
-	Duration time.Duration
-	Clients  int
-	// ThinkMin/Max bound each client's pause between requests (defaults
-	// 1s/15s).
-	ThinkMin, ThinkMax time.Duration
-	// Seed offsets the per-client RNG streams (0 uses the replay seed).
-	Seed int64
-}
-
-// Name implements Perturbation.
-func (c ClientSurge) Name() string { return "client-surge" }
-
-// Install implements Perturbation.
-func (c ClientSurge) Install(rp *Replay) {
-	clients := c.Clients
-	if clients <= 0 {
-		clients = 16
-	}
-	thinkMin, thinkMax := c.ThinkMin, c.ThinkMax
-	if thinkMin <= 0 {
-		thinkMin = time.Second
-	}
-	if thinkMax <= thinkMin {
-		thinkMax = thinkMin + 14*time.Second
-	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = rp.Opts.Seed
-	}
-	rp.Engine.Schedule(c.Offset, func() {
-		end := rp.Engine.Now().Add(c.Duration)
-		for i := 0; i < clients; i++ {
-			rng := rand.New(rand.NewSource(seed + int64(i)*9176 + 311))
-			var loop func()
-			loop = func() {
-				if rp.Engine.Now().After(end) {
-					return
-				}
-				if files := rp.FS.LiveFiles(); len(files) > 0 {
-					f := files[rng.Intn(len(files))]
-					if !f.Deleted() && rp.FS.Complete(f) && len(f.Blocks()) > 0 {
-						// RecordAccess, not ServeRead: the ReadBlock below is
-						// this client's data-plane charge (startTransfer);
-						// charging a whole-file ServeRead too would book the
-						// device channel twice for one logical read.
-						rp.FS.RecordAccess(f)
-						b := f.Blocks()[rng.Intn(len(f.Blocks()))]
-						nodes := rp.Cluster.Nodes()
-						rp.FS.ReadBlock(b, nodes[rng.Intn(len(nodes))], nil)
-					}
-				}
-				think := thinkMin + time.Duration(rng.Int63n(int64(thinkMax-thinkMin)+1))
-				rp.Engine.Schedule(think, loop)
-			}
-			// Stagger client starts across the first think window.
-			rp.Engine.Schedule(time.Duration(rng.Int63n(int64(thinkMin))+1), loop)
-		}
-	})
-}
-
-// TenantSurge is ClientSurge with a tenant identity: each virtual client
-// reads only files under PathPrefix and tags its data-plane charges with
-// Tenant (the file system's active tenant is scoped around every access),
-// so a multi-tenant replay exercises weighted-fair arbitration and the
-// plane's per-tenant accounting. Defaults match ClientSurge.
-type TenantSurge struct {
 	Tenant     storage.TenantID
 	PathPrefix string
 	Offset     time.Duration
 	Duration   time.Duration
 	Clients    int
-	ThinkMin   time.Duration
-	ThinkMax   time.Duration
-	Seed       int64
+	// ThinkMin/Max bound each client's pause between requests (defaults
+	// 1s/15s).
+	ThinkMin, ThinkMax time.Duration
+	// Seed offsets the per-client RNG streams (0 uses the replay seed plus
+	// Tenant*7919).
+	Seed int64
 }
 
-// Name implements Perturbation.
-func (c TenantSurge) Name() string { return fmt.Sprintf("tenant-surge-%d", c.Tenant) }
-
 // Install implements Perturbation.
-func (c TenantSurge) Install(rp *Replay) {
+func (c ClientSurge) Install(rp *Replay) {
 	clients := c.Clients
 	if clients <= 0 {
 		clients = 16
@@ -173,23 +107,29 @@ func (c TenantSurge) Install(rp *Replay) {
 		end := rp.Engine.Now().Add(c.Duration)
 		for i := 0; i < clients; i++ {
 			rng := rand.New(rand.NewSource(seed + int64(i)*9176 + 311))
+			var under []*dfs.File // this client's PathPrefix filter, reused
 			var loop func()
 			loop = func() {
 				if rp.Engine.Now().After(end) {
 					return
 				}
-				var pick []*dfs.File
-				for _, f := range rp.FS.LiveFiles() {
-					if strings.HasPrefix(f.Path(), c.PathPrefix) {
-						pick = append(pick, f)
+				files := rp.FS.LiveFiles()
+				if c.PathPrefix != "" {
+					under = under[:0]
+					for _, f := range files {
+						if strings.HasPrefix(f.Path(), c.PathPrefix) {
+							under = append(under, f)
+						}
 					}
+					files = under
 				}
-				if len(pick) > 0 {
-					f := pick[rng.Intn(len(pick))]
+				if len(files) > 0 {
+					f := files[rng.Intn(len(files))]
 					if !f.Deleted() && rp.FS.Complete(f) && len(f.Blocks()) > 0 {
-						// Same RecordAccess+ReadBlock shape as ClientSurge; the
-						// active tenant scopes the ReadBlock's synchronous
-						// data-plane charge to this surge's tenant.
+						// RecordAccess, not ServeRead: the ReadBlock below is
+						// this client's data-plane charge (startTransfer);
+						// charging a whole-file ServeRead too would book the
+						// device channel twice for one logical read.
 						rp.FS.SetActiveTenant(c.Tenant)
 						rp.FS.RecordAccess(f)
 						b := f.Blocks()[rng.Intn(len(f.Blocks()))]
@@ -201,6 +141,7 @@ func (c TenantSurge) Install(rp *Replay) {
 				think := thinkMin + time.Duration(rng.Int63n(int64(thinkMax-thinkMin)+1))
 				rp.Engine.Schedule(think, loop)
 			}
+			// Stagger client starts across the first think window.
 			rp.Engine.Schedule(time.Duration(rng.Int63n(int64(thinkMin))+1), loop)
 		}
 	})
@@ -218,9 +159,6 @@ type NodeChurn struct {
 	Slots    int
 	MinNodes int
 }
-
-// Name implements Perturbation.
-func (n NodeChurn) Name() string { return "node-churn" }
 
 // Install implements Perturbation.
 func (n NodeChurn) Install(rp *Replay) {

@@ -97,7 +97,6 @@ type Scenario struct {
 // phase. Install is called once, at job-phase start, and must only schedule
 // engine callbacks (everything stays deterministic and single-threaded).
 type Perturbation interface {
-	Name() string
 	Install(rp *Replay)
 }
 

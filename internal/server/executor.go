@@ -500,10 +500,12 @@ func (e *MovementExecutor) start(tier storage.Media, pm pendingMove) {
 // Idle reports whether no request is queued or in flight.
 func (e *MovementExecutor) Idle() bool { return e.busy.Load() == 0 }
 
-// Stats snapshots the executor counters. Safe from any goroutine.
+// Stats snapshots the executor counters. Safe from any goroutine. The
+// virtual clock is read last: every admission counted was made after a
+// refill published a clock at least as late, so the snapshot never pairs
+// an admission with a clock older than it (CheckBudgets relies on that).
 func (e *MovementExecutor) Stats() ExecutorStats {
 	var out ExecutorStats
-	out.VirtualSeconds = time.Duration(e.virtualNS.Load()).Seconds()
 	out.Defers = e.defers.Load()
 	for i := range e.tiers {
 		p := &e.tiers[i]
@@ -524,5 +526,6 @@ func (e *MovementExecutor) Stats() ExecutorStats {
 		st.Shed = st.FailedBy[dfs.ReasonOversize]
 		st.Failed -= st.Shed
 	}
+	out.VirtualSeconds = time.Duration(e.virtualNS.Load()).Seconds()
 	return out
 }

@@ -670,8 +670,9 @@ func (p *ContendedPlane) Stats() PlaneStats {
 	return out
 }
 
-// Horizon reports the device channel's current busy-until virtual time;
-// tests and diagnostics use it, the serving path never does.
+// Horizon reports the device channel's current busy-until virtual time.
+// dfs read steering and octopus write placement read it (through dfs's
+// writeHorizons view) to prefer the device whose queue clears first.
 func (p *ContendedPlane) Horizon(deviceID string, dir Direction) time.Time {
 	return sim.AtNanos(p.channel(deviceID).horizon(dir).Load())
 }

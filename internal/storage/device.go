@@ -45,9 +45,6 @@ type Device struct {
 
 	read  pool
 	write pool
-
-	bytesRead    int64
-	bytesWritten int64
 }
 
 // NewDevice creates a device bound to the given engine.
@@ -87,13 +84,6 @@ func (d *Device) Utilization() float64 {
 	}
 	return float64(d.used) / float64(d.capacity)
 }
-
-// BytesRead returns the cumulative bytes delivered by completed or
-// in-progress read transfers.
-func (d *Device) BytesRead() int64 { return d.bytesRead }
-
-// BytesWritten returns the cumulative bytes accepted by write transfers.
-func (d *Device) BytesWritten() int64 { return d.bytesWritten }
 
 // Active returns the number of in-flight transfers in the given direction.
 func (d *Device) Active(dir Direction) int {
@@ -162,74 +152,30 @@ func (d *Device) pool(dir Direction) *pool {
 }
 
 // Start begins a transfer of the given size and direction; done (optional)
-// fires at the simulated completion time. The returned Transfer may be
-// cancelled. Zero-byte transfers complete via a zero-delay event so that
-// callbacks still run asynchronously with respect to the caller.
-func (d *Device) Start(dir Direction, bytes int64, done func()) *Transfer {
+// fires at the simulated completion time. Zero-byte transfers complete via
+// a zero-delay event so that callbacks still run asynchronously with respect
+// to the caller.
+func (d *Device) Start(dir Direction, bytes int64, done func()) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("storage: negative transfer %d", bytes))
 	}
-	if dir == Read {
-		d.bytesRead += bytes
-	} else {
-		d.bytesWritten += bytes
-	}
-	return d.pool(dir).start(d, bytes, done)
+	d.pool(dir).start(bytes, done)
 }
 
-// StartRead is shorthand for Start(Read, ...).
-func (d *Device) StartRead(bytes int64, done func()) *Transfer {
-	return d.Start(Read, bytes, done)
-}
-
-// StartWrite is shorthand for Start(Write, ...).
-func (d *Device) StartWrite(bytes int64, done func()) *Transfer {
-	return d.Start(Write, bytes, done)
-}
-
-// EstimateLatency predicts how long a transfer of the given size would take
-// if started now, assuming the current contention level stays constant. It
-// is used by placement policies; actual transfers may finish earlier or
-// later.
-func (d *Device) EstimateLatency(dir Direction, bytes int64) time.Duration {
-	p := d.pool(dir)
-	share := p.bw / float64(p.active()+1)
-	return time.Duration(float64(bytes) / share * float64(time.Second))
-}
-
-// Transfer is one in-flight I/O operation on a device.
-type Transfer struct {
-	device    *Device
-	pool      *pool
+// transfer is one in-flight I/O operation in a pool.
+type transfer struct {
 	remaining float64
 	done      func()
-	finished  bool
-	cancelled bool
-}
-
-// Done reports whether the transfer completed.
-func (t *Transfer) Done() bool { return t.finished }
-
-// Cancel aborts an in-flight transfer; its completion callback will not run.
-// Cancelling a finished transfer is a no-op.
-func (t *Transfer) Cancel() {
-	if t.finished || t.cancelled {
-		return
-	}
-	t.cancelled = true
-	t.pool.remove(t)
 }
 
 // pool is one direction's processor-sharing bandwidth server.
 type pool struct {
-	engine      *sim.Engine
-	bw          float64 // bytes/second
-	transfers   []*Transfer
-	lastSettle  time.Time
-	next        sim.Event   // the next completion, re-armed on every replan
-	complete    func()      // onCompletion, bound once
-	finished    []*Transfer // onCompletion's scratch, nil while its callbacks run
-	totalServed float64
+	engine     *sim.Engine
+	bw         float64 // bytes/second
+	transfers  []transfer
+	lastSettle time.Time
+	next       sim.Event // the next completion, re-armed on every replan
+	complete   func()    // onCompletion, bound once
 }
 
 func (p *pool) init(engine *sim.Engine, bw float64) {
@@ -252,9 +198,8 @@ func (p *pool) settle() {
 		return
 	}
 	share := p.bw / float64(n) * dt
-	for _, t := range p.transfers {
-		t.remaining -= share
-		p.totalServed += share
+	for i := range p.transfers {
+		p.transfers[i].remaining -= share
 	}
 }
 
@@ -286,68 +231,37 @@ func (p *pool) reschedule() {
 }
 
 // onCompletion settles progress and completes every transfer that has
-// drained, then replans.
+// drained, then replans. The finished callbacks are collected on the stack
+// (an event finishes one transfer, rarely a few), so a completion that runs
+// inside one of them has nothing of this one's to overwrite.
 func (p *pool) onCompletion() {
 	p.settle()
-	// Take the scratch out of the pool while the done callbacks run, so a
-	// completion that runs inside one of them cannot overwrite it.
-	finished := p.finished[:0]
-	p.finished = nil
+	var buf [4]func()
+	finished := buf[:0]
 	old := p.transfers
 	live := old[:0]
 	for _, t := range old {
 		if t.remaining <= remainderEpsilon {
-			t.finished = true
-			finished = append(finished, t)
+			finished = append(finished, t.done)
 		} else {
 			live = append(live, t)
 		}
 	}
-	// Clear the stale tail so finished transfers (and everything their done
-	// closures capture) become collectable; a burst can push the slice to a
-	// high-water mark that would otherwise pin every completed transfer.
-	for i := len(live); i < len(old); i++ {
-		old[i] = nil
-	}
+	// Clear the stale tail so finished transfers' done closures (and
+	// everything they capture) become collectable; a burst can push the
+	// slice to a high-water mark that would otherwise pin them.
+	clear(old[len(live):])
 	p.transfers = live
 	p.reschedule()
-	for _, t := range finished {
-		if t.done != nil {
-			t.done()
+	for _, done := range finished {
+		if done != nil {
+			done()
 		}
-	}
-	// Keep a small scratch only: a burst of simultaneous completions (a
-	// bulk load) would otherwise pin its high-water mark for the pool's
-	// lifetime beside the transfers slice's own.
-	if cap(finished) <= maxFinishedScratch {
-		clear(finished) // completed transfers must not stay reachable
-		p.finished = finished
 	}
 }
 
-// maxFinishedScratch bounds the completion scratch a pool keeps between
-// events. Replay events finish one transfer, rarely up to four; a bulk load
-// of equal writes finishes thousands in one event, and keeping that
-// capacity would pin it for the pool's lifetime.
-const maxFinishedScratch = 16
-
-func (p *pool) start(d *Device, bytes int64, done func()) *Transfer {
+func (p *pool) start(bytes int64, done func()) {
 	p.settle()
-	t := &Transfer{device: d, pool: p, remaining: float64(bytes), done: done}
-	p.transfers = append(p.transfers, t)
-	p.reschedule()
-	return t
-}
-
-func (p *pool) remove(t *Transfer) {
-	p.settle()
-	for i, other := range p.transfers {
-		if other == t {
-			n := len(p.transfers)
-			p.transfers = append(p.transfers[:i], p.transfers[i+1:]...)
-			p.transfers[:n][n-1] = nil // drop the stale duplicate slot
-			break
-		}
-	}
+	p.transfers = append(p.transfers, transfer{remaining: float64(bytes), done: done})
 	p.reschedule()
 }

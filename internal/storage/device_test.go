@@ -97,7 +97,7 @@ func TestSingleTransferLatency(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var doneAt time.Time
-	d.StartRead(200, func() { doneAt = e.Now() })
+	d.Start(Read, 200, func() { doneAt = e.Now() })
 	e.Run()
 	want := sim.Epoch.Add(2 * time.Second) // 200 bytes at 100 B/s
 	if !doneAt.Equal(want) {
@@ -109,8 +109,8 @@ func TestProcessorSharingTwoEqualTransfers(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var t1, t2 time.Time
-	d.StartRead(100, func() { t1 = e.Now() })
-	d.StartRead(100, func() { t2 = e.Now() })
+	d.Start(Read, 100, func() { t1 = e.Now() })
+	d.Start(Read, 100, func() { t2 = e.Now() })
 	e.Run()
 	// Both share 100 B/s, so each effectively gets 50 B/s: 2 s for 100 B.
 	want := sim.Epoch.Add(2 * time.Second)
@@ -123,9 +123,9 @@ func TestProcessorSharingStaggeredArrival(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var t1, t2 time.Time
-	d.StartRead(100, func() { t1 = e.Now() })
+	d.Start(Read, 100, func() { t1 = e.Now() })
 	e.Schedule(500*time.Millisecond, func() {
-		d.StartRead(100, func() { t2 = e.Now() })
+		d.Start(Read, 100, func() { t2 = e.Now() })
 	})
 	e.Run()
 	// T1: 50 B alone in 0.5 s, then shares; 50 B left at 50 B/s = 1 s more.
@@ -143,8 +143,8 @@ func TestReadsAndWritesDoNotContend(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var tr, tw time.Time
-	d.StartRead(100, func() { tr = e.Now() })
-	d.StartWrite(100, func() { tw = e.Now() })
+	d.Start(Read, 100, func() { tr = e.Now() })
+	d.Start(Write, 100, func() { tw = e.Now() })
 	e.Run()
 	want := sim.Epoch.Add(time.Second)
 	if !tr.Equal(want) || !tw.Equal(want) {
@@ -156,7 +156,7 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	done := false
-	d.StartWrite(0, func() { done = true })
+	d.Start(Write, 0, func() { done = true })
 	e.Run()
 	if !done {
 		t.Fatal("zero-byte transfer never completed")
@@ -172,14 +172,14 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 func TestCompletionInsideCallback(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
-	d.StartRead(100, nil) // a first completion of two leaves scratch behind
-	d.StartRead(100, nil)
+	d.Start(Read, 100, nil) // two transfers finish in one completion first
+	d.Start(Read, 100, nil)
 	e.Run()
 	calls := make([]int, 4)
-	d.StartRead(100, func() { calls[0]++; e.Run() })
-	d.StartRead(100, func() { calls[1]++ })
-	d.StartRead(300, func() { calls[2]++ })
-	d.StartRead(300, func() { calls[3]++ })
+	d.Start(Read, 100, func() { calls[0]++; e.Run() })
+	d.Start(Read, 100, func() { calls[1]++ })
+	d.Start(Read, 300, func() { calls[2]++ })
+	d.Start(Read, 300, func() { calls[3]++ })
 	e.Run()
 	for i, n := range calls {
 		if n != 1 {
@@ -189,83 +189,24 @@ func TestCompletionInsideCallback(t *testing.T) {
 }
 
 // One write through a pool: start, its completion event, the callback.
-// The Transfer is the only allocation; the completion reuses the pool's
-// scratch.
+// It must allocate nothing: the pool holds transfers by value and the
+// completion collects finished callbacks on the stack.
 func BenchmarkTransferCompletion(b *testing.B) {
 	e := sim.NewEngine()
 	d := NewDevice(e, "ssd-0", SSD, 1<<40, 1<<30, 1<<30)
 	done := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.StartWrite(4096, done)
+		d.Start(Write, 4096, done)
 		e.Run()
-	}
-}
-
-func TestCancelTransfer(t *testing.T) {
-	e := sim.NewEngine()
-	d := newTestDevice(e)
-	var cancelledFired bool
-	var otherAt time.Time
-	tr := d.StartRead(100, func() { cancelledFired = true })
-	d.StartRead(100, func() { otherAt = e.Now() })
-	e.Schedule(500*time.Millisecond, tr.Cancel)
-	e.Run()
-	if cancelledFired {
-		t.Fatal("cancelled transfer completed")
-	}
-	// Other transfer: 25 B in first 0.5 s (sharing), then alone at 100 B/s
-	// for remaining 75 B = 0.75 s. Total 1.25 s.
-	if got := otherAt.Sub(sim.Epoch); got != 1250*time.Millisecond {
-		t.Fatalf("other done at %v, want 1.25s", got)
-	}
-	if tr.Done() {
-		t.Fatal("cancelled transfer reports Done")
-	}
-}
-
-func TestCancelFinishedTransferNoop(t *testing.T) {
-	e := sim.NewEngine()
-	d := newTestDevice(e)
-	tr := d.StartRead(10, nil)
-	e.Run()
-	if !tr.Done() {
-		t.Fatal("transfer did not finish")
-	}
-	tr.Cancel() // must not panic or corrupt pool state
-	d.StartRead(10, nil)
-	e.Run()
-}
-
-func TestBytesCounters(t *testing.T) {
-	e := sim.NewEngine()
-	d := newTestDevice(e)
-	d.StartRead(300, nil)
-	d.StartWrite(200, nil)
-	e.Run()
-	if d.BytesRead() != 300 || d.BytesWritten() != 200 {
-		t.Fatalf("read=%d written=%d", d.BytesRead(), d.BytesWritten())
-	}
-}
-
-func TestEstimateLatency(t *testing.T) {
-	e := sim.NewEngine()
-	d := newTestDevice(e)
-	if got := d.EstimateLatency(Read, 100); got != time.Second {
-		t.Fatalf("idle estimate = %v, want 1s", got)
-	}
-	d.StartRead(1000, nil)
-	// With one active transfer the next would get a half share.
-	if got := d.EstimateLatency(Read, 100); got != 2*time.Second {
-		t.Fatalf("loaded estimate = %v, want 2s", got)
 	}
 }
 
 func TestActiveAndLoad(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
-	d.StartRead(1000, nil)
-	d.StartWrite(1000, nil)
+	d.Start(Read, 1000, nil)
+	d.Start(Write, 1000, nil)
 	if d.Active(Read) != 1 || d.Active(Write) != 1 || d.Load() != 2 {
 		t.Fatalf("active read=%d write=%d load=%d", d.Active(Read), d.Active(Write), d.Load())
 	}
@@ -336,7 +277,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 				at += time.Duration(gaps[i]) * time.Millisecond
 			}
 			e.Schedule(at, func() {
-				d.StartRead(size, func() { completed += size })
+				d.Start(Read, size, func() { completed += size })
 			})
 		}
 		e.Run()
@@ -357,7 +298,7 @@ func TestPropertyEqualSharing(t *testing.T) {
 		d := NewDevice(e, "d", SSD, 1<<40, 1000, 1000)
 		var finishes []time.Time
 		for i := 0; i < n; i++ {
-			d.StartRead(size, func() { finishes = append(finishes, e.Now()) })
+			d.Start(Read, size, func() { finishes = append(finishes, e.Now()) })
 		}
 		e.Run()
 		want := float64(n) * float64(size) / 1000.0
@@ -379,7 +320,7 @@ func BenchmarkDeviceTransferChurn(b *testing.B) {
 	d := NewDevice(e, "d", SSD, 1<<40, 500e6, 500e6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.StartRead(int64(128*MB), nil)
+		d.Start(Read, int64(128*MB), nil)
 		if i%32 == 31 {
 			e.Run()
 		}
