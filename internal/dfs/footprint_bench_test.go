@@ -46,11 +46,7 @@ func buildFootprintWorld(files int) *footprintWorld {
 // context with an empty namespace.
 func newFootprintWorld() *footprintWorld {
 	e := sim.NewEngine()
-	spec := storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 16 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 64 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 256 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	spec := storage.PaperMediaSpec(16*storage.GB, 64*storage.GB, 256*storage.GB, 2)
 	c := cluster.MustNew(e, cluster.Config{Workers: 4, SlotsPerNode: 8, Spec: spec})
 	fs := dfs.MustNew(c, dfs.Config{Mode: ModeForFootprint(), BlockSize: 8 * storage.MB, Seed: 1})
 	ctx := core.NewContext(fs, core.DefaultConfig())

@@ -104,11 +104,7 @@ func TestDeleteReplicasPartialTierRejected(t *testing.T) {
 	e := sim.NewEngine()
 	c := cluster.MustNew(e, cluster.Config{
 		Workers: 1, SlotsPerNode: 2,
-		Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 64 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 256 * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 1 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-		},
+		Spec: storage.PaperMediaSpec(64*storage.MB, 256*storage.MB, 1*storage.GB, 1),
 	})
 	fs := MustNew(c, Config{Mode: ModeHDFSCache, BlockSize: 40 * storage.MB, Replication: 1, Seed: 3})
 	f := createFile(t, e, fs, "/partial", 80*storage.MB) // two 40 MB blocks

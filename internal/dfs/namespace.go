@@ -12,7 +12,6 @@ var (
 	ErrNotFound       = errors.New("dfs: no such file or directory")
 	ErrExists         = errors.New("dfs: path already exists")
 	ErrNotDirectory   = errors.New("dfs: not a directory")
-	ErrNotEmpty       = errors.New("dfs: directory not empty")
 	ErrInvalidPath    = errors.New("dfs: invalid path")
 	ErrIsDirectory    = errors.New("dfs: is a directory")
 	ErrFileIncomplete = errors.New("dfs: file write not yet complete")
@@ -27,7 +26,6 @@ var (
 // their slices and names are noise at scale.
 type entry struct {
 	name    string
-	parent  *entry
 	subdirs []*entry // sorted by name
 	files   []*File  // sorted by fileBase
 }
@@ -71,14 +69,6 @@ func (e *entry) insertFile(f *File) {
 	e.files = append(e.files, nil)
 	copy(e.files[k+1:], e.files[k:])
 	e.files[k] = f
-}
-
-// removeDir unlinks the named child directory.
-func (e *entry) removeDir(name string) {
-	k := sort.Search(len(e.subdirs), func(i int) bool { return e.subdirs[i].name >= name })
-	if k < len(e.subdirs) && e.subdirs[k].name == name {
-		e.subdirs = append(e.subdirs[:k], e.subdirs[k+1:]...)
-	}
 }
 
 // removeFile unlinks the named file.
@@ -241,7 +231,7 @@ func (ns *Namespace) MkdirAll(path string) error {
 		if cur.findFile(p) != nil {
 			return fmt.Errorf("%w: %q", ErrNotDirectory, path)
 		}
-		sub := &entry{name: p, parent: cur}
+		sub := &entry{name: p}
 		cur.insertDir(sub)
 		cur = sub
 	}
@@ -285,7 +275,7 @@ func (ns *Namespace) insertFile(path string, f *File) error {
 		} else if cur.findFile(comp) != nil {
 			return fmt.Errorf("%w: %q", ErrNotDirectory, path)
 		} else {
-			sub = &entry{name: comp, parent: cur}
+			sub = &entry{name: comp}
 			cur.insertDir(sub)
 			cur = sub
 		}
@@ -332,25 +322,6 @@ func (ns *Namespace) removeFile(path string) (*File, error) {
 	return f, nil
 }
 
-// Rmdir removes an empty directory.
-func (ns *Namespace) Rmdir(path string) error {
-	e, f, err := ns.lookup(path)
-	if err != nil {
-		return err
-	}
-	if f != nil {
-		return fmt.Errorf("%w: %q", ErrNotDirectory, path)
-	}
-	if e == ns.root {
-		return fmt.Errorf("%w: cannot remove root", ErrInvalidPath)
-	}
-	if len(e.subdirs) > 0 || len(e.files) > 0 {
-		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
-	}
-	e.parent.removeDir(e.name)
-	return nil
-}
-
 // List returns the sorted child names of a directory.
 func (ns *Namespace) List(path string) ([]string, error) {
 	e, f, err := ns.lookup(path)
@@ -373,79 +344,6 @@ func (ns *Namespace) List(path string) ([]string, error) {
 		}
 	}
 	return names, nil
-}
-
-// dirPath reconstructs the absolute path of a directory entry.
-func (ns *Namespace) dirPath(e *entry) string {
-	if e == ns.root {
-		return ""
-	}
-	return ns.dirPath(e.parent) + "/" + e.name
-}
-
-// Rename moves a file or directory to a new path. The destination must not
-// exist; destination parents are created.
-func (ns *Namespace) Rename(from, to string) error {
-	e, f, err := ns.lookup(from)
-	if err != nil {
-		return err
-	}
-	if f == nil && e == ns.root {
-		return fmt.Errorf("%w: cannot rename root", ErrInvalidPath)
-	}
-	if ns.Exists(to) {
-		return fmt.Errorf("%w: %q", ErrExists, to)
-	}
-	toParts, err := splitPath(to)
-	if err != nil {
-		return err
-	}
-	if len(toParts) == 0 {
-		return fmt.Errorf("%w: cannot rename to root", ErrInvalidPath)
-	}
-	dir := "/" + strings.Join(toParts[:len(toParts)-1], "/")
-	if err := ns.MkdirAll(dir); err != nil {
-		return err
-	}
-	newParent, _, err := ns.lookup(dir)
-	if err != nil {
-		return err
-	}
-	name := toParts[len(toParts)-1]
-	if f != nil {
-		e.removeFile(fileBase(f))
-		f.path = ns.dirPath(newParent) + "/" + name
-		newParent.insertFile(f)
-		return nil
-	}
-	// Reject moving a directory underneath itself.
-	for p := newParent; p != nil; p = p.parent {
-		if p == e {
-			return fmt.Errorf("%w: cannot move %q inside itself", ErrInvalidPath, from)
-		}
-	}
-	e.parent.removeDir(e.name)
-	e.name = name
-	e.parent = newParent
-	newParent.insertDir(e)
-	ns.rewritePaths(e)
-	return nil
-}
-
-// rewritePaths updates the cached path strings of files under the moved
-// directory e. File names (the last path component) are unchanged by a
-// directory move, so each directory's sorted file order is preserved.
-func (ns *Namespace) rewritePaths(e *entry) {
-	var walk func(e *entry, full string)
-	walk = func(e *entry, full string) {
-		for _, f := range e.files {
-			f.path = full + "/" + fileBase(f)
-		}
-		for _, sub := range e.subdirs {
-			walk(sub, full+"/"+sub.name)
-		}
-	}
-	walk(e, ns.dirPath(e))
 }
 
 // Walk visits every file in the namespace in sorted path order.

@@ -69,90 +69,6 @@ func TestCleanPathCorners(t *testing.T) {
 	}
 }
 
-// TestRenameSubtreeRewritesAllDescendants renames a directory holding a
-// nested subtree and verifies every descendant file's cached path is
-// rewritten, the old paths are gone, and FileCount is preserved.
-func TestRenameSubtreeRewritesAllDescendants(t *testing.T) {
-	ns := NewNamespace()
-	files := map[string]*File{}
-	for _, p := range []string{
-		"/src/f0",
-		"/src/a/f1",
-		"/src/a/f2",
-		"/src/a/b/f3",
-		"/src/a/b/c/f4",
-		"/other/keep",
-	} {
-		f := &File{path: p}
-		files[p] = f
-		if err := ns.insertFile(p, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ns.FileCount() != 6 {
-		t.Fatalf("FileCount = %d, want 6", ns.FileCount())
-	}
-	if err := ns.Rename("/src", "/dst/deep/moved"); err != nil {
-		t.Fatal(err)
-	}
-	if ns.FileCount() != 6 {
-		t.Fatalf("FileCount after rename = %d, want 6 (rename must not create or drop files)", ns.FileCount())
-	}
-	moved := map[string]string{
-		"/src/f0":       "/dst/deep/moved/f0",
-		"/src/a/f1":     "/dst/deep/moved/a/f1",
-		"/src/a/f2":     "/dst/deep/moved/a/f2",
-		"/src/a/b/f3":   "/dst/deep/moved/a/b/f3",
-		"/src/a/b/c/f4": "/dst/deep/moved/a/b/c/f4",
-	}
-	for old, now := range moved {
-		if ns.Exists(old) {
-			t.Fatalf("old path %q still resolves", old)
-		}
-		got, err := ns.GetFile(now)
-		if err != nil {
-			t.Fatalf("GetFile(%q): %v", now, err)
-		}
-		if got != files[old] {
-			t.Fatalf("path %q resolves to the wrong file", now)
-		}
-		if got.Path() != now {
-			t.Fatalf("file moved from %q has cached path %q, want %q", old, got.Path(), now)
-		}
-	}
-	// The unrelated sibling is untouched.
-	if f, err := ns.GetFile("/other/keep"); err != nil || f.Path() != "/other/keep" {
-		t.Fatalf("unrelated file disturbed: %v, %v", f, err)
-	}
-	if ns.Exists("/src") {
-		t.Fatal("source directory still exists")
-	}
-	// Walk order agrees with the rewritten paths.
-	ns.Walk(func(f *File) {
-		if got, err := ns.GetFile(f.Path()); err != nil || got != f {
-			t.Fatalf("walked file %q does not round-trip: %v", f.Path(), err)
-		}
-	})
-}
-
-// TestRenameFileUpdatesCachedPath renames a single file across directories.
-func TestRenameFileUpdatesCachedPath(t *testing.T) {
-	ns := NewNamespace()
-	f := &File{path: "/a/old"}
-	if err := ns.insertFile("/a/old", f); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rename("/a/old", "/b/c/new"); err != nil {
-		t.Fatal(err)
-	}
-	if f.Path() != "/b/c/new" {
-		t.Fatalf("cached path = %q, want /b/c/new", f.Path())
-	}
-	if ns.FileCount() != 1 {
-		t.Fatalf("FileCount = %d, want 1", ns.FileCount())
-	}
-}
-
 func TestInsertAndGetFile(t *testing.T) {
 	ns := NewNamespace()
 	f := &File{path: "/data/input/f1"}
@@ -228,25 +144,6 @@ func TestRemoveFile(t *testing.T) {
 	}
 }
 
-func TestRmdir(t *testing.T) {
-	ns := NewNamespace()
-	if err := ns.MkdirAll("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rmdir("/a"); !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("non-empty rmdir error = %v", err)
-	}
-	if err := ns.Rmdir("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rmdir("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rmdir("/"); !errors.Is(err, ErrInvalidPath) {
-		t.Fatalf("rmdir root error = %v", err)
-	}
-}
-
 func TestList(t *testing.T) {
 	ns := NewNamespace()
 	for _, p := range []string{"/d/c", "/d/a", "/d/b"} {
@@ -266,64 +163,6 @@ func TestList(t *testing.T) {
 	}
 	if _, err := ns.List("/d/a"); !errors.Is(err, ErrNotDirectory) {
 		t.Fatalf("list file error = %v", err)
-	}
-}
-
-func TestRenameFile(t *testing.T) {
-	ns := NewNamespace()
-	f := &File{path: "/old/name"}
-	if err := ns.insertFile("/old/name", f); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rename("/old/name", "/new/dir/name2"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ns.GetFile("/new/dir/name2")
-	if err != nil || got != f {
-		t.Fatalf("after rename: %v, %v", got, err)
-	}
-	if f.path != "/new/dir/name2" {
-		t.Fatalf("file path not rewritten: %q", f.path)
-	}
-	if ns.Exists("/old/name") {
-		t.Fatal("old path still exists")
-	}
-}
-
-func TestRenameDirectoryRewritesChildPaths(t *testing.T) {
-	ns := NewNamespace()
-	f := &File{path: "/a/b/f"}
-	if err := ns.insertFile("/a/b/f", f); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rename("/a", "/z"); err != nil {
-		t.Fatal(err)
-	}
-	if f.path != "/z/b/f" {
-		t.Fatalf("child path = %q, want /z/b/f", f.path)
-	}
-}
-
-func TestRenameIntoSelfRejected(t *testing.T) {
-	ns := NewNamespace()
-	if err := ns.MkdirAll("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rename("/a", "/a/b/c"); !errors.Is(err, ErrInvalidPath) {
-		t.Fatalf("rename into self error = %v", err)
-	}
-}
-
-func TestRenameOntoExisting(t *testing.T) {
-	ns := NewNamespace()
-	if err := ns.insertFile("/a", &File{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.insertFile("/b", &File{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Rename("/a", "/b"); !errors.Is(err, ErrExists) {
-		t.Fatalf("rename onto existing error = %v", err)
 	}
 }
 

@@ -75,11 +75,7 @@ func TestMissingInputEventuallyFails(t *testing.T) {
 // contains producer-consumer chains) end to end on plain HDFS.
 func TestGeneratedTraceWithChainsRuns(t *testing.T) {
 	e := sim.NewEngine()
-	c := cluster.MustNew(e, cluster.Config{Workers: 3, SlotsPerNode: 4, Spec: storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 512 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-	}})
+	c := cluster.MustNew(e, cluster.Config{Workers: 3, SlotsPerNode: 4, Spec: storage.PaperMediaSpec(512*storage.MB, 4*storage.GB, 32*storage.GB, 1)})
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModeHDFS, BlockSize: 16 * storage.MB, Seed: 9})
 	p := workload.FB()
 	p.NumJobs = 80

@@ -204,11 +204,7 @@ func TestAggregations(t *testing.T) {
 // generated workload: placement, policy-driven movement, job execution.
 func TestEndToEndWithManager(t *testing.T) {
 	e := sim.NewEngine()
-	c := cluster.MustNew(e, cluster.Config{Workers: 3, SlotsPerNode: 2, Spec: storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 128 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 512 * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 4 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-	}})
+	c := cluster.MustNew(e, cluster.Config{Workers: 3, SlotsPerNode: 2, Spec: storage.PaperMediaSpec(128*storage.MB, 512*storage.MB, 4*storage.GB, 1)})
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModeOctopus, BlockSize: 16 * storage.MB, Seed: 21})
 	cfg := core.DefaultConfig()
 	cfg.PeriodicInterval = time.Minute

@@ -54,9 +54,9 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Counts snapshots the bucket counters; the SLO controller diffs snapshots
-// to answer quantiles over a window, and the differential tests compare
-// whole histograms bit-for-bit.
+// Counts snapshots the bucket counters; the time-series collector diffs
+// snapshots to answer quantiles over a window, and the differential tests
+// compare whole histograms bit-for-bit.
 func (h *Histogram) Counts() [64]int64 {
 	var out [64]int64
 	for i := range h.buckets {

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Span is one sampled operation's life: shard route, access publish, the
-// placement the read resolved to, the data-plane grant breakdown, and the
+// Span is one sampled operation's life: shard route, the placement the read
+// resolved to, the data-plane grant breakdown, the access publish, and the
 // end-to-end wall time. Durations are nanoseconds; VirtNS is the engine's
 // virtual clock at completion.
 type Span struct {
@@ -22,8 +22,11 @@ type Span struct {
 
 	// Stage timings, wall-clock ns from op start.
 	ResolveNS int64 `json:"resolve_ns"`          // shard route + namespace stripe lookup
-	RingNS    int64 `json:"ring_ns,omitempty"`   // access publish
 	DecideNS  int64 `json:"decide_ns,omitempty"` // replica/tier decision
+	// RingNS stamps the access publish, the read's last stage: it follows
+	// the decision, the grant and any physical read, so the loop is handed
+	// only accesses whose latency is on record.
+	RingNS int64 `json:"ring_ns,omitempty"`
 
 	// Data-plane grant breakdown (virtual ns), zero without a plane.
 	QueueNS    int64 `json:"queue_ns,omitempty"`

@@ -67,11 +67,7 @@ var benchEnvs = map[string]*benchEnv{}
 // benchCluster is sized so hundreds of thousands of small files fit on the
 // HDD tier without tripping placement.
 func benchCluster(e *sim.Engine) *cluster.Cluster {
-	spec := storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 64 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 256 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 2048 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	spec := storage.PaperMediaSpec(64*storage.GB, 256*storage.GB, 2048*storage.GB, 2)
 	return cluster.MustNew(e, cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: spec})
 }
 

@@ -135,11 +135,7 @@ func replayTrace(seed int64) *workload.Trace {
 }
 
 func replayCluster(e *sim.Engine) *cluster.Cluster {
-	spec := storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	spec := storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2)
 	return cluster.MustNew(e, cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: spec})
 }
 
@@ -250,11 +246,7 @@ func nodeChurn(e *sim.Engine, fs *dfs.FileSystem) {
 		fs.FailNode(victim)
 	})
 	e.Schedule(15*time.Minute, func() {
-		fs.AddNode(storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-		}, 4)
+		fs.AddNode(storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2), 4)
 	})
 }
 

@@ -23,11 +23,7 @@ import (
 func exdWorld(t *testing.T) (*sim.Engine, *dfs.FileSystem, *core.Context, *policy.EXDUp, *core.Manager, []*dfs.File) {
 	t.Helper()
 	e := sim.NewEngine()
-	spec := storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 512 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 8 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	spec := storage.PaperMediaSpec(512*storage.MB, 4*storage.GB, 8*storage.GB, 2)
 	c := cluster.MustNew(e, cluster.Config{Workers: 2, SlotsPerNode: 4, Spec: spec})
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModePinnedHDD, Seed: 3})
 	cfg := core.DefaultConfig()

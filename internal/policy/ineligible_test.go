@@ -45,11 +45,7 @@ type ineligibleWorld struct {
 func newIneligibleWorld(t *testing.T) *ineligibleWorld {
 	t.Helper()
 	e := sim.NewEngine()
-	spec := storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	spec := storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2)
 	c := cluster.MustNew(e, cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: spec})
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModePinnedHDD, BlockSize: 4 * storage.MB, Seed: 5})
 	cfg := core.DefaultConfig()

@@ -27,13 +27,9 @@ func newAccessTestServer(t testing.TB, shards int) (*ShardedServer, []*core.Mana
 	t.Helper()
 	mgrs := make([]*core.Manager, shards)
 	srv, err := NewSharded(ShardedConfig{
-		Shards: shards,
-		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 4 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 16 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-		}},
-		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 5, ClientRate: 2000e6},
+		Shards:  shards,
+		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.PaperMediaSpec(4*storage.GB, 16*storage.GB, 64*storage.GB, 2)},
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: 5, ClientRate: 2000e6},
 		Build: func(i int, fs *dfs.FileSystem) (*core.Manager, error) {
 			var err error
 			mgrs[i], err = policy.NewManager(fs, "lru", "osa", ml.DefaultLearnerConfig())

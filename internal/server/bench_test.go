@@ -50,7 +50,7 @@ func BenchmarkAccessPublish(b *testing.B) {
 		rng := rand.New(rand.NewSource(seed.Add(1)))
 		zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(handles)-1))
 		for i := 0; pb.Next(); i++ {
-			sh.publish(handles[zipf.Uint64()], base.Add(time.Duration(i)*time.Microsecond))
+			sh.publish(handles[zipf.Uint64()], base.Add(time.Duration(i)*time.Microsecond), nil, time.Time{})
 		}
 	})
 	b.StopTimer()
@@ -79,7 +79,7 @@ func BenchmarkDrain(b *testing.B) {
 				at = at.Add(time.Millisecond)
 				for _, h := range handles {
 					for k := 0; k < 4; k++ {
-						sh.publish(h, at.Add(time.Duration(k)*time.Microsecond))
+						sh.publish(h, at.Add(time.Duration(k)*time.Microsecond), nil, time.Time{})
 					}
 				}
 				b.StartTimer()

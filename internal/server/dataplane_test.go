@@ -100,11 +100,7 @@ func runContention(t *testing.T, shared bool) (moved [2]int64, end [2]time.Durat
 	clCfg := cluster.Config{
 		Workers:      1,
 		SlotsPerNode: 4,
-		Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 4 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-		},
+		Spec:         storage.PaperMediaSpec(4*storage.GB, 8*storage.GB, 64*storage.GB, 2),
 	}
 	if shared {
 		clCfg.Plane = storage.NewContendedPlane(planeCfg)

@@ -68,11 +68,7 @@ func diffTrace(t *testing.T) []diffOp {
 }
 
 func diffWorkerSpec() storage.NodeSpec {
-	return storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	return storage.PaperMediaSpec(1*storage.GB, 8*storage.GB, 64*storage.GB, 2)
 }
 
 // buildSystem constructs the matched system-under-test: the monitor's

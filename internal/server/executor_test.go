@@ -43,11 +43,7 @@ func executorFixture(t *testing.T, n int, size int64) (*sim.Engine, *dfs.FileSys
 }
 
 func diffWorkerSpecInternal() storage.NodeSpec {
-	return storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 2 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	return storage.PaperMediaSpec(2*storage.GB, 8*storage.GB, 64*storage.GB, 2)
 }
 
 // TestExecutorRoomFollowsQueueDepth is the mover's half of the backpressure

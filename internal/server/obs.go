@@ -29,13 +29,14 @@ func (sh *shard) sampleSpan(op, path string, tenant storage.TenantID) (*obs.Span
 	return sp, time.Now()
 }
 
-// finishSpan stamps the total wall time and the op's virtual instant
-// (relative to the server's virtual start) and publishes the span. No-op on
-// a nil span.
+// finishSpan stamps the shard that finished the op, the total wall time and
+// the op's virtual instant (relative to the server's virtual start) and
+// publishes the span. No-op on a nil span.
 func (sh *shard) finishSpan(sp *obs.Span, start time.Time, at time.Time, errMsg string) {
 	if sp == nil {
 		return
 	}
+	sp.Shard = sh.idx
 	sp.TotalNS = time.Since(start).Nanoseconds()
 	if !at.IsZero() {
 		sp.VirtNS = at.Sub(sh.virtStart).Nanoseconds()

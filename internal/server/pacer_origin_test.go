@@ -26,11 +26,7 @@ func TestShardsShareOnePacerOrigin(t *testing.T) {
 			// the same physical read channel.
 			Workers: 1, SlotsPerNode: 4,
 			Plane: storage.NewContendedPlane(storage.PlaneConfig{MaxQueue: time.Hour}),
-			Spec: storage.NodeSpec{
-				{Media: storage.Memory, Capacity: 4 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-				{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-				{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-			},
+			Spec:  storage.PaperMediaSpec(4*storage.GB, 8*storage.GB, 64*storage.GB, 2),
 		},
 		DFS:   dfs.Config{Mode: dfs.ModeOctopus, Seed: 3, Replication: 1, ClientRate: 2000e6},
 		Inner: Config{TimeScale: 60},

@@ -78,13 +78,9 @@ func TestBackpressureParksTheLoopNotTheFiles(t *testing.T) {
 
 	var mgr *core.Manager
 	srv, err := server.NewSharded(server.ShardedConfig{
-		Shards: 1,
-		Cluster: cluster.Config{Workers: 2, SlotsPerNode: 4, Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 128 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-		}},
-		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 9, ClientRate: 2000e6},
+		Shards:  1,
+		Cluster: cluster.Config{Workers: 2, SlotsPerNode: 4, Spec: storage.PaperMediaSpec(128*storage.MB, 4*storage.GB, 32*storage.GB, 2)},
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: 9, ClientRate: 2000e6},
 		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
 			ctx := core.NewContext(fs, core.DefaultConfig())
 			mgr = core.NewManager(ctx, policy.NewLRU(ctx), policy.NewOSA(ctx))

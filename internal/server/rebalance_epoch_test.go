@@ -1,14 +1,17 @@
 package server
 
 // In-package regression tests for the migration-epoch edge cases: deletes
-// during a double-read epoch (both the blocking and the stamped path), the
-// one-logical-op-one-count stats contract, a migration landing between the
-// two probes of a double read, a pipelined delete→create under a live
-// rebalancer, cold-route fold-back (route-table garbage collection), and
-// the superseded-vs-moved counter split. These drive the route table and the per-file move machinery
-// directly, so the epoch states are exact rather than raced into.
+// during an epoch (both the blocking and the stamped path), the
+// one-logical-op-one-count stats contract, reads racing a migration and a
+// migration landing between a delete's epoch probes, stale routes, a create
+// through a stale route, a pipelined delete→create under a live rebalancer,
+// cold-route fold-back (route-table garbage collection), and the
+// superseded-vs-moved counter split. These drive the route table and the
+// per-file move machinery directly, so the epoch states are exact rather
+// than raced into.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -25,13 +28,9 @@ func newEpochTestServer(t *testing.T, reb RebalanceConfig) *ShardedServer {
 	huge := int64(1) << 60
 	inf := math.Inf(1)
 	srv, err := NewSharded(ShardedConfig{
-		Shards: 4,
-		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-		}},
-		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 7, ClientRate: 2000e6},
+		Shards:  4,
+		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.PaperMediaSpec(1*storage.GB, 4*storage.GB, 32*storage.GB, 2)},
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: 7, ClientRate: 2000e6},
 		Quota: QuotaConfig{
 			InitialFraction:   0.25,
 			BorrowChunk:       16 * storage.MB,
@@ -55,9 +54,9 @@ func newEpochTestServer(t *testing.T, reb RebalanceConfig) *ShardedServer {
 	return srv
 }
 
-// holds reports whether one shard's namespace has the path.
-func holds(sh *shard, path string) bool {
-	_, ok := sh.ns.get(path)
+// holds reports whether one shard's file system has the path.
+func holds(sh *shard, path string) (ok bool) {
+	sh.inLoop(func(fs *dfs.FileSystem) { ok = fs.Namespace().Exists(path) })
 	return ok
 }
 
@@ -113,18 +112,18 @@ func TestDeleteAtDuringMigrationEpoch(t *testing.T) {
 	dst := (owner + 1) % srv.NumShards()
 	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
 
-	// Nothing has moved: the file is reachable only through the fallback.
+	// Nothing has moved: the file lives only on the fallback.
 	if !srv.Exists(path) {
-		t.Fatal("file not readable through the double-read fallback")
+		t.Fatal("file on the fallback not readable")
 	}
 	// One logical op, one count: a read or stat served by the fallback is
 	// not also a miss on the primary, and a stat is one stat.
 	if res, err := srv.AccessAt(path, base.Add(time.Minute)); err != nil || !res.Served {
-		t.Fatalf("AccessAt through the fallback: %+v, %v", res, err)
+		t.Fatalf("AccessAt of the fallback's file: %+v, %v", res, err)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := srv.Stat(path); err != nil {
-			t.Fatalf("Stat through the fallback: %v", err)
+			t.Fatalf("Stat of the fallback's file: %v", err)
 		}
 	}
 	if st := srv.Stats(); st.Accesses != 1 || st.AccessMisses != 0 || st.Stats != 2 {
@@ -187,16 +186,19 @@ func TestDeleteDuringEpochCountsOnce(t *testing.T) {
 }
 
 // TestDoubleReadSurvivesMigrationBetweenProbes is the regression for the
-// double-read epoch hole (the TestRebalanceSurvivesChurn flake): a reader
-// probes the primary and misses because the copy is not attached yet,
-// migrateFile then attaches on the destination AND detaches the source, and
-// the reader's fallback probe misses too — ErrNotFound for a file that
-// existed throughout. The hook lands the migration exactly between the two
-// probes; every op that resolves across the epoch must still find the file.
+// epoch hole behind the TestRebalanceSurvivesChurn flake: ErrNotFound for a
+// file that existed throughout a migration. Reads resolve their owner in the
+// one namespace, where a migration's copy replaces the source's entry before
+// the source copy goes, so a read must find the file before the move, while
+// both copies exist (served by the destination), and after the source copy
+// is gone. A delete still walks the epoch: sent to the primary, it misses
+// there (the file has not moved yet); the seam lands the whole migration
+// before the fallback attempt, which misses too, and the primary re-probe
+// must find the file.
 func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
 	base := sim.Epoch
-	ops := []struct {
+	reads := []struct {
 		name string
 		run  func(path string) error
 	}{
@@ -208,38 +210,80 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 			}
 			return nil
 		}},
-		{"delete", func(p string) error { return <-srv.DeleteAt(p, base.Add(time.Hour)) }},
 	}
-	for i, op := range ops {
-		dir := fmt.Sprintf("/hot/race%d", i)
-		path := dir + "/f000"
+	// epoch creates a file on its hash owner and opens a migrating epoch
+	// over its directory, returning the directory, the path, the owner and
+	// the destination.
+	epoch := func(i int) (dir, path string, owner, dst *shard) {
+		dir = fmt.Sprintf("/hot/race%d", i)
+		path = dir + "/f000"
 		mustCreate(t, srv, path, 32*storage.MB, base.Add(time.Duration(i+1)*time.Second))
-		owner := RouteShard(dir, srv.NumShards())
-		dst := (owner + 1) % srv.NumShards()
-		srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
-
-		migrated := false
-		srv.afterPrimaryMiss = func() {
-			if migrated {
-				return
+		owner = srv.shards[RouteShard(dir, srv.NumShards())]
+		dst = srv.shards[(owner.idx+1)%srv.NumShards()]
+		srv.routes.upsert(routeEntry{prefix: dir, dst: dst.idx, state: routeMigrating})
+		return dir, path, owner, dst
+	}
+	for i, op := range reads {
+		dir, path, owner, dst := epoch(i)
+		// read runs the op and asserts the namespace resolves the path to want.
+		read := func(stage string, want *shard) {
+			t.Helper()
+			if h, _ := srv.lookup(path); h == nil || h.sh != want {
+				t.Fatalf("%s %s: the namespace does not name shard %d", op.name, stage, want.idx)
 			}
-			migrated = true
-			if out := srv.reb.migrateFile(srv.shards[owner], srv.shards[dst], path); out != migrateMoved {
-				t.Errorf("%s: migrateFile = %v, want migrateMoved", op.name, out)
+			if err := op.run(path); err != nil {
+				t.Fatalf("%s %s: %v for a file that existed throughout the migration", op.name, stage, err)
 			}
 		}
-		err := op.run(path)
-		srv.afterPrimaryMiss = nil
-		if !migrated {
-			t.Fatalf("%s: the primary probe did not miss; the race was not constructed", op.name)
+		read("before the move", owner)
+		// migrateFile's first half: the copy lands on dst and is indexed
+		// there while the source copy still exists.
+		attachCopyOn(t, srv, owner.idx, dst.idx, path)
+		if !holds(owner, path) || !holds(dst, path) {
+			t.Fatalf("%s: the both-copies window was not constructed", op.name)
 		}
+		read("with both copies", dst)
+		// Its commit half: the source copy goes.
+		var err error
+		owner.inLoop(func(*dfs.FileSystem) { err = owner.migrateOut(path) })
 		if err != nil {
-			t.Fatalf("%s: %v for a file that existed throughout the epoch", op.name, err)
+			t.Fatalf("%s: migrateOut: %v", op.name, err)
 		}
+		if holds(owner, path) {
+			t.Fatalf("%s: the source copy survived migrateOut", op.name)
+		}
+		read("after the move", dst)
 		srv.routes.remove(dir)
 	}
-	if st := srv.Stats(); st.AccessMisses != 0 || st.DeleteErrors != 0 {
-		t.Fatalf("re-probed ops counted as failures: misses %d, delete errors %d", st.AccessMisses, st.DeleteErrors)
+
+	dir, path, owner, dst := epoch(len(reads))
+	migrated := false
+	srv.afterPrimaryMiss = func() {
+		if migrated {
+			return
+		}
+		migrated = true
+		if out := srv.reb.migrateFile(owner, dst, path); out != migrateMoved {
+			t.Errorf("delete: migrateFile = %v, want migrateMoved", out)
+		}
+	}
+	// The owner lookup ran before the path was indexed, so the delete's
+	// first attempt goes to the primary.
+	err := <-srv.delete(Op{Kind: OpDelete, Path: path, At: base.Add(time.Hour)}, dst, dst, owner)
+	srv.afterPrimaryMiss = nil
+	if !migrated {
+		t.Fatal("delete: the primary attempt did not miss; the race was not constructed")
+	}
+	if err != nil {
+		t.Fatalf("delete: %v for a file that existed throughout the epoch", err)
+	}
+	if srv.Exists(path) || holds(owner, path) || holds(dst, path) {
+		t.Fatal("delete: a copy survived")
+	}
+	srv.routes.remove(dir)
+	if st := srv.Stats(); st.AccessMisses != 0 || st.DeleteErrors != 0 || st.Deletes != 1 {
+		t.Fatalf("ops across the migration counted as failures: misses %d, delete errors %d, deletes %d (want 1)",
+			st.AccessMisses, st.DeleteErrors, st.Deletes)
 	}
 	if v := srv.Verify(); len(v) > 0 {
 		t.Fatalf("invariants: %v", v)
@@ -247,10 +291,12 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 }
 
 // TestStaleRouteIsResolvedAgainOnMiss covers the other half of the same
-// flake: the client resolved its route before the rebalancer opened an
-// epoch over the directory (static owner, no fallback), and the whole
-// migration of its file completed before the single probe ran. A miss under
-// a live rebalancer must re-resolve the route and look again.
+// flake: the client resolved its route, and its file's owner, before the
+// rebalancer opened an epoch over the directory (static owner, no fallback),
+// and the whole migration of its file completed before the op ran. Reads
+// look the owner up again and find the file where it landed; a delete sent
+// to the stale owner misses there, and must re-resolve the route and look
+// again.
 func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
 	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
 	base := sim.Epoch
@@ -269,18 +315,77 @@ func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
 		t.Fatalf("migrateFile = %v, want migrateMoved", out)
 	}
 
-	if sh, h := srv.find(clean, primary, fallback); h == nil || sh != srv.shards[dst] {
-		t.Fatalf("find under the stale route: shard %v, handle %v; want the file on shard %d", sh, h, dst)
+	if _, err := srv.AccessAt(path, base.Add(time.Minute)); err != nil {
+		t.Fatalf("access after the move: %v", err)
+	}
+	if h, _ := srv.lookup(clean); h == nil || h.sh != srv.shards[dst] {
+		t.Fatalf("lookup after the move: handle %v; want the file on shard %d", h, dst)
 	}
 	op := Op{Kind: OpDelete, Path: clean, At: base.Add(time.Hour)}
-	if err := <-srv.delete(op, primary, fallback); err != nil {
+	if err := <-srv.delete(op, primary, primary, fallback); err != nil {
 		t.Fatalf("delete under the stale route: %v", err)
 	}
 	if srv.Exists(path) {
 		t.Fatal("file still readable after the delete")
 	}
-	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 {
-		t.Fatalf("Deletes = %d, DeleteErrors = %d, want 1 and 0", st.Deletes, st.DeleteErrors)
+	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 || st.AccessMisses != 0 {
+		t.Fatalf("Deletes = %d, DeleteErrors = %d, AccessMisses = %d, want 1, 0 and 0",
+			st.Deletes, st.DeleteErrors, st.AccessMisses)
+	}
+	srv.routes.remove(dir)
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestCreateThroughStaleRouteIsReachable is the regression for the stranded
+// create: a create routed just before the rebalancer committed a new owner
+// for its directory lands on the old owner, where routing no longer looks.
+// The namespace names the shard that holds it, so reads and listings find
+// it, a second create of the path fails, and a delete removes it.
+func TestCreateThroughStaleRouteIsReachable(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	dir := "/hot/stranded"
+	path := dir + "/f000"
+
+	clean, primary, fallback, err := srv.route(path)
+	if err != nil || fallback != nil {
+		t.Fatalf("static route: fallback %v, err %v", fallback, err)
+	}
+	dst := (primary.idx + 1) % srv.NumShards()
+	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeCommitted})
+	created := srv.submit(Op{Kind: OpCreate, Path: clean, Size: 32 * storage.MB, At: base.Add(time.Second)}, primary, fallback)
+	srv.Flush()
+	if err := <-created; err != nil {
+		t.Fatalf("create through the stale route: %v", err)
+	}
+
+	if res, err := srv.AccessAt(path, base.Add(time.Minute)); err != nil || !res.Served {
+		t.Fatalf("AccessAt: %+v, %v", res, err)
+	}
+	if info, err := srv.Stat(path); err != nil || info.Size != 32*storage.MB {
+		t.Fatalf("Stat: %+v, %v", info, err)
+	}
+	if !srv.Exists(path) {
+		t.Fatal("Exists reports the file missing")
+	}
+	if got := srv.List(dir); len(got) != 1 || got[0] != "f000" {
+		t.Fatalf("List(%s) = %v, want [f000]", dir, got)
+	}
+	again := srv.CreateAt(path, 16*storage.MB, base.Add(2*time.Minute))
+	srv.Flush()
+	if err := <-again; !errors.Is(err, dfs.ErrExists) {
+		t.Fatalf("second create of the path: %v, want ErrExists", err)
+	}
+	if err := <-srv.DeleteAt(path, base.Add(time.Hour)); err != nil {
+		t.Fatalf("DeleteAt: %v", err)
+	}
+	if srv.Exists(path) || holds(primary, path) {
+		t.Fatal("file survived the delete")
+	}
+	if st := srv.Stats(); st.Deletes != 1 || st.AccessMisses != 0 {
+		t.Fatalf("Deletes = %d, AccessMisses = %d, want 1 and 0", st.Deletes, st.AccessMisses)
 	}
 	srv.routes.remove(dir)
 	if v := srv.Verify(); len(v) > 0 {

@@ -85,13 +85,9 @@ func runRehomeReplay(t *testing.T) *server.ShardedServer {
 	huge := int64(1) << 60
 	inf := math.Inf(1)
 	srv, err := server.NewSharded(server.ShardedConfig{
-		Shards: 4,
-		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-		}},
-		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 7, ClientRate: 2000e6},
+		Shards:  4,
+		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.PaperMediaSpec(1*storage.GB, 4*storage.GB, 32*storage.GB, 2)},
+		DFS:     dfs.Config{Mode: dfs.ModeOctopus, Seed: 7, ClientRate: 2000e6},
 		Quota: server.QuotaConfig{
 			InitialFraction:   0.25,
 			BorrowChunk:       16 * storage.MB,

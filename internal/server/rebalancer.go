@@ -22,19 +22,20 @@ import (
 // detach/attach pairs — each half running on its owning shard loop under the
 // usual single-writer discipline, with destination capacity grown through
 // the ledger's two-phase reserve/commit protocol — under a routeMigrating
-// table entry, so clients double-read (destination first, hash owner as
-// fallback) and never block on the move. Once every source shard sweeps
-// empty the entry flips to routeCommitted and the fallback read disappears.
+// table entry. Reads never block on the move (the namespace hands a path to
+// its copy the moment it lands); only a delete walks the epoch, destination
+// first, hash owner as fallback. Once every source shard sweeps empty the
+// entry flips to routeCommitted and the fallback disappears.
 //
 // The migrating state is self-stabilizing, never rolled back: files that a
 // sweep could not move (mid-create, replica in transition, destination
-// briefly out of capacity) stay readable through the fallback path and are
-// retried on later sweeps or the Flush-time straggler drain. The route
+// briefly out of capacity) stay readable where they are and are retried on
+// later sweeps or the Flush-time straggler drain. The route
 // only ever moves forward — migrating → committed — which keeps the epoch
 // protocol a one-way door and the failure model trivial. Committed entries
 // are not permanent, though: once a subtree goes cold the entry drains —
-// committed → draining → removed, the same forward-only double-read epoch
-// run in reverse — so the bounded route table recycles its slots instead of
+// committed → draining → removed, the same forward-only epoch run in
+// reverse — so the bounded route table recycles its slots instead of
 // saturating after MaxPrefixes lifetime migrations (see maintainRoutes).
 
 // RebalanceConfig tunes hot-shard detection and migration.
@@ -416,8 +417,8 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 		}
 		r.coldTicks[e.prefix]++
 		if started < rehomesPerTick && r.coldTicks[e.prefix] >= r.cfg.RehomeColdTicks {
-			// Fold back: writes route by the per-dir hash again while reads
-			// keep a fallback to the old destination until its files are home.
+			// Fold back: creates route by the per-dir hash again, deletes
+			// fall back to the old destination until its files are home.
 			delete(r.coldTicks, e.prefix)
 			e.state = routeDraining
 			r.s.routes.upsert(e)
@@ -430,8 +431,8 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 
 // sweep makes up to maxSweeps passes moving the files under an open entry
 // to where the entry sends them, each through migrateFile's copy-then-detach
-// (reads stay correct throughout: the epoch's double read covers both
-// copies). A migrating entry walks every shard but dst and moves each file
+// (reads stay correct throughout: the namespace names whichever copy is
+// live). A migrating entry walks every shard but dst and moves each file
 // to dst; a draining entry walks dst alone and moves each file to the shard
 // its parent dir hashes to, leaving those that hash to dst in place.
 //
@@ -522,13 +523,14 @@ const (
 )
 
 // migrateFile moves one file with copy-then-detach ordering so the file is
-// visible to the double-read at every instant: snapshot the layout on the
-// source, attach a copy on the destination — borrowing the record's per-tier
-// shape from the global ledger through the two-phase protocol when the
-// shard's slice is short — and index it into the destination's serving
-// handles, then detach the source copy as the commit. Between attach and commit the file briefly exists on both shards; reads
-// hit the destination (primary) and deletes during the epoch delete on both
-// sides, so neither copy can serve stale truth. A commit that finds the
+// in the namespace at every instant: snapshot the layout on the source,
+// attach a copy on the destination — borrowing the record's per-tier shape
+// from the global ledger through the two-phase protocol when the shard's
+// slice is short — and index it (the namespace entry moves to it), then
+// detach the source copy as the commit. Between attach and commit the file
+// briefly exists on both shards; reads hit the destination and deletes
+// during the epoch delete on both sides, so neither copy can serve stale
+// truth. A commit that finds the
 // source copy already gone means a client deleted the file mid-move — the
 // fresh destination copy is removed too, honoring the delete.
 func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
@@ -565,8 +567,7 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 	// ErrExists: a client recreated the path on the destination; the newer
 	// file wins and the stale source copy just needs to go (commit below).
 	// Anything else is capacity, even after borrowing: the source copy is
-	// untouched and keeps serving through the fallback path until a later
-	// sweep retries.
+	// untouched and keeps serving until a later sweep retries.
 	landed := aerr == nil
 	if !landed && !errors.Is(aerr, dfs.ErrExists) {
 		return migrateSkipped
@@ -603,7 +604,7 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 // drain finishes every open epoch — bounded re-sweeps of each migrating
 // and each draining entry — and reports whether there was one to sweep.
 // Called from Flush so a fenced system has no half-moved subtrees (short of
-// files that genuinely cannot move, which keep their fallback reads).
+// files that genuinely cannot move, which keep serving where they are).
 func (r *rebalancer) drain() (swept bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

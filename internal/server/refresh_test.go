@@ -19,11 +19,7 @@ import (
 
 func TestChurnRefreshesHandleDevices(t *testing.T) {
 	e := sim.NewEngine()
-	spec := storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 256 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 1 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 8 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-	}
+	spec := storage.PaperMediaSpec(256*storage.MB, 1*storage.GB, 8*storage.GB, 1)
 	// The refresh only matters (and only runs) with a plane attached:
 	// plane-less servers never read the device pointers.
 	c := cluster.MustNew(e, cluster.Config{
@@ -31,7 +27,7 @@ func TestChurnRefreshesHandleDevices(t *testing.T) {
 		Plane: storage.NewContendedPlane(storage.PlaneConfig{}),
 	})
 	fs := dfs.MustNew(c, dfs.Config{Mode: dfs.ModePinnedHDD, Seed: 2, Replication: 2})
-	sh := newShard(0, fs, nil, Config{})
+	sh := newShard(0, fs, nil, Config{}, newNSShards(nsStripes))
 
 	var f *dfs.File
 	fs.Create("/r/f0", 16*storage.MB, func(file *dfs.File, err error) {

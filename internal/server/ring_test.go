@@ -205,23 +205,29 @@ func TestNSShardsBasics(t *testing.T) {
 	if got, ok := s.get("/a/b/c"); !ok || got != h1 {
 		t.Fatal("get after put failed")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
 	if got := s.list("/a/b"); len(got) != 2 || got[0] != "c" || got[1] != "d" {
 		t.Fatalf("list = %v", got)
 	}
-	s.remove("/a/b/c")
+	s.remove(h1)
 	if _, ok := s.get("/a/b/c"); ok {
 		t.Fatal("get after remove succeeded")
 	}
 	if got := s.list("/a/b"); len(got) != 1 || got[0] != "d" {
 		t.Fatalf("list after remove = %v", got)
 	}
-	// Re-put of the same path must not double-count.
-	s.put(h2)
-	if s.Len() != 1 {
-		t.Fatalf("Len after re-put = %d, want 1", s.Len())
+	// A put for an indexed path replaces the entry (a migration's copy
+	// landing), and unindexing the replaced handle leaves the new one.
+	h3 := &handle{id: 3, path: "/a/b/d", size: 30}
+	s.put(h3)
+	if got, ok := s.get("/a/b/d"); !ok || got != h3 {
+		t.Fatal("put did not replace the entry")
+	}
+	s.remove(h2)
+	if got, ok := s.get("/a/b/d"); !ok || got != h3 {
+		t.Fatal("removing the replaced handle unindexed its successor")
+	}
+	if got := s.list("/a/b"); len(got) != 1 || got[0] != "d" {
+		t.Fatalf("list after replace = %v", got)
 	}
 }
 

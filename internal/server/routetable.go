@@ -18,17 +18,17 @@ import (
 type routeState int32
 
 const (
-	// routeMigrating: files are moving. Writes go to dst; reads try dst and
-	// fall back to the hash owner (double-read epoch), so clients never
-	// block on the move and never miss a file that has not moved yet.
+	// routeMigrating: files are moving. Creates go to dst; reads find each
+	// file where the namespace says it is, never blocking on the move; a
+	// delete walks dst, then the hash owner (the epoch's fallback).
 	routeMigrating routeState = iota
 	// routeCommitted: the flip happened; every source shard swept empty.
-	// dst is authoritative and the fallback read is gone.
+	// dst is authoritative and deletes have no fallback to walk.
 	routeCommitted
 	// routeDraining: a committed entry is being folded back to static
 	// routing (the subtree went cold and the table slot is wanted for
-	// future hotspots). Writes route by the per-dir hash again; reads fall
-	// back to dst until its copies drain home, then the entry is removed.
+	// future hotspots). Creates route by the per-dir hash again, deletes
+	// fall back to dst until its copies drain home, then it is removed.
 	routeDraining
 )
 

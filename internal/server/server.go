@@ -1,18 +1,20 @@
 // Package server is the concurrent serving layer over the tiered DFS: one
 // ShardedServer that any number of client goroutines drive simultaneously,
 // while the deterministic single-threaded simulation cores underneath stay
-// untouched. The namespace is partitioned into N shards (see sharded.go);
-// this file is one shard — a single-writer loop with a striped read path:
+// untouched. The file systems are partitioned into N shards (see
+// sharded.go); this file is one shard — a single-writer loop with a striped
+// read path over the one namespace:
 //
 //   - A dedicated shard-loop goroutine owns the sim.Engine, the FileSystem,
 //     and the Manager. Structural operations (create, delete, node churn,
 //     quiesce) are commands applied there in arrival order, each clamped
 //     forward to its virtual timestamp.
-//   - The namespace is mirrored into striped shards keyed by a hash of the
-//     parent directory (nsShards): resolve/stat/exists/list and the serving
-//     tier decision run entirely on client goroutines under per-stripe read
-//     locks, so metadata traffic in independent directories never
-//     serializes.
+//   - Every shard publishes its files into one server-wide namespace
+//     striped by a hash of the parent directory (nsShards), each entry
+//     naming the shard that holds the file. Reads and the serving tier
+//     decision run on client goroutines under per-stripe read locks and
+//     resolve the owner in one lookup, even mid-migration; only a delete
+//     still walks a migration epoch (see ShardedServer.delete).
 //   - Accesses accumulate per file: every handle carries an atomic count of
 //     accesses not yet applied and the latest virtual instant any of them
 //     was stamped with. The client hot path is a stripe lookup plus two
@@ -170,7 +172,7 @@ type shard struct {
 	quota     *shardQuota
 	reconcile *sim.Ticker
 
-	ns   *nsShards
+	ns   *nsShards // the server-wide namespace, shared by every shard
 	exec *MovementExecutor
 	cmds chan command
 	// wake is the loop's doorbell: a client try-sends after making a handle
@@ -229,9 +231,9 @@ type shard struct {
 }
 
 // newShard wraps a file system (and optional manager) as shard idx's serving
-// loop. When mgr is non-nil its movement requests are rerouted through the
-// shard's MovementExecutor.
-func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard {
+// loop, publishing its files into ns. When mgr is non-nil its movement
+// requests are rerouted through the shard's MovementExecutor.
+func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config, ns *nsShards) *shard {
 	// Unless overridden, movement starts after the same command-path
 	// latency the manager's core config models, so the serving path's
 	// movement timing matches the sequential path's.
@@ -244,7 +246,7 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config) *shard
 		fs:     fs,
 		engine: fs.Engine(),
 		mgr:    mgr,
-		ns:     newNSShards(nsStripes),
+		ns:     ns,
 		exec:   NewMovementExecutor(fs, cfg.Executor),
 		cmds:   make(chan command, cmdBuffer),
 		wake:   make(chan struct{}, 1),
@@ -453,10 +455,10 @@ func (sh *shard) drainAccesses() {
 	sh.counters.applied.Add(applied)
 }
 
-// indexFile publishes a completed file to the striped namespace. Shard loop
-// only.
+// indexFile publishes a completed file to the namespace as this shard's,
+// replacing any other shard's entry for the path. Shard loop only.
 func (sh *shard) indexFile(f *dfs.File) {
-	h := &handle{id: f.ID(), path: f.Path(), size: f.Size(), file: f, blk0: -1}
+	h := &handle{id: f.ID(), path: f.Path(), size: f.Size(), sh: sh, file: f, blk0: -1}
 	if blocks := f.Blocks(); len(blocks) > 0 {
 		h.blk0, h.blk0Size = blocks[0].ID(), blocks[0].Size()
 	}
@@ -503,8 +505,8 @@ func tierDevice(f *dfs.File, m storage.Media) *storage.Device {
 	return nil
 }
 
-// shardListener keeps the striped namespace coherent with the core:
-// residency flips update handle masks, deletions unindex.
+// shardListener keeps the namespace coherent with the core: residency flips
+// update handle masks, deletions unindex.
 type shardListener struct{ sh *shard }
 
 // FileCreated implements dfs.Listener; indexing happens in the create
@@ -523,9 +525,9 @@ func (l shardListener) FileAccessed(_ *dfs.File, n int64) {
 
 // FileDeleted implements dfs.Listener.
 func (l shardListener) FileDeleted(f *dfs.File) {
-	if _, ok := l.sh.byID[f.ID()]; ok {
+	if h, ok := l.sh.byID[f.ID()]; ok {
 		delete(l.sh.byID, f.ID())
-		l.sh.ns.remove(f.Path())
+		l.sh.ns.remove(h)
 	}
 }
 
@@ -614,7 +616,7 @@ func (sh *shard) countDelete(err error, start time.Time) {
 }
 
 // detach removes a file at the stamped virtual time via the migration-
-// teardown path: DetachFile releases the replicas and unindexes the handle
+// teardown path: DetachFile releases the replicas and drops the handle
 // without counting a client deletion. The router uses it to clear the
 // fallback copy during a migration epoch after the primary delete already
 // counted the client's one logical deletion.
@@ -624,14 +626,20 @@ func (sh *shard) detach(op Op) <-chan error {
 	return res
 }
 
-// publish hands one access of h to the next drain, and rings the loop's
-// doorbell if the handle was clean. Any goroutine.
-func (sh *shard) publish(h *handle, at time.Time) {
+// publish hands one access of h to the next drain, rings the loop's
+// doorbell if the handle was clean, and stamps the span's ring stage. Any
+// goroutine, after the access's latency is on record: the loop it hands the
+// access to runs the SLO ticker, which must never judge a window whose
+// samples have not landed.
+func (sh *shard) publish(h *handle, at time.Time, sp *obs.Span, spStart time.Time) {
 	if sh.dirty.note(h, at) {
 		select {
 		case sh.wake <- struct{}{}:
 		default:
 		}
+	}
+	if sp != nil {
+		sp.RingNS = time.Since(spStart).Nanoseconds()
 	}
 }
 
@@ -639,36 +647,34 @@ func (sh *shard) publish(h *handle, at time.Time) {
 // commit half of rebalancer.migrateFile). Accesses still pending on its
 // handle are discarded as "migrated", not "deleted". Shard loop only.
 func (sh *shard) migrateOut(path string) error {
-	h, _ := sh.ns.get(path)
-	err := sh.fs.DetachFile(path)
-	if err == nil && h != nil {
-		h.migrated = true
+	f, err := sh.fs.Namespace().GetFile(path)
+	if err == nil {
+		h := sh.byID[f.ID()]
+		if err = sh.fs.DetachFile(path); err == nil && h != nil {
+			h.migrated = true
+		}
 	}
 	return err
 }
 
 // access serves one client read of a resolved file at op.At and returns the
 // tier that serves it, with the tier-real read latency when a data plane is
-// attached. This is the hot path: the handle's access accumulator (the
-// shard's dirty list only when the handle was clean), one atomic charge
-// against the shared device channel, zero shard-loop involvement.
+// attached. This is the hot path: one atomic charge against the shared
+// device channel, then the handle's access accumulator (the shard's dirty
+// list only when the handle was clean), zero shard-loop involvement.
 // The plane charge carries op.Tenant and the read latency lands in the
 // tenant's histogram as well as the tier's. Span capture costs one nil
 // check when obs is off; the stage stamps are all guarded on sp.
 func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) AccessResult {
 	at := op.At
 	if sp != nil {
-		sp.Shard = sh.idx // the epoch fallback may be serving, not the primary
 		sp.ResolveNS = time.Since(spStart).Nanoseconds()
 	}
 	sh.counters.accesses.Add(1)
-	sh.publish(h, at)
-	if sp != nil {
-		sp.RingNS = time.Since(spStart).Nanoseconds()
-	}
 	tier, served := h.bestTier()
 	if !served {
 		sh.counters.noReplica.Add(1)
+		sh.publish(h, at, sp, spStart)
 		sh.finishSpan(sp, spStart, at, "no resident tier")
 		return AccessResult{}
 	}
@@ -682,7 +688,11 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 	}
 	// Charge the read's service time against the physical device channel.
 	// A zero stamp (replay mode with no pacer) carries no usable virtual
-	// instant, so those reads stay unmodeled.
+	// instant, so those reads stay unmodeled. With a physical backend
+	// attached the histograms record the measured wall-clock read below
+	// instead of the virtual grant (the grant still books the channel for
+	// contention accounting).
+	measured := false
 	if sh.plane != nil && !at.IsZero() {
 		if dev := h.device(tier); dev != nil {
 			g := sh.plane.Serve(storage.IORequest{
@@ -694,16 +704,7 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 				Bytes:    h.size,
 				At:       at,
 			})
-			res.Latency = g.Latency()
-			// With a physical backend attached the histograms record the
-			// measured wall-clock read below instead of the virtual grant
-			// (the grant still books the channel for contention accounting).
-			if sh.backend == nil {
-				sh.readLat[tier].Observe(res.Latency)
-				if slot, ok := sh.tenantSlot[op.Tenant]; ok {
-					sh.tenantLat[slot].Observe(res.Latency)
-				}
-			}
+			res.Latency, measured = g.Latency(), sh.backend == nil
 			if sp != nil {
 				sp.QueueNS = g.Queue.Nanoseconds()
 				sp.BaseNS = g.Base.Nanoseconds()
@@ -713,10 +714,10 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 		}
 	}
 	// Physical read: stream the representative block's real bytes from the
-	// serving tier on the client goroutine, and feed the measured wall time
-	// into the read histograms — the latencies are real, not modeled. A
-	// failed read (e.g. the replica moved between the residency load and
-	// the open) is counted in the backend's stats and served virtually.
+	// serving tier on the client goroutine, so the latencies recorded are
+	// real, not modeled. A failed read (e.g. the replica moved between the
+	// residency load and the open) is counted in the backend's stats and
+	// served virtually.
 	if sh.backend != nil && h.blk0 >= 0 {
 		if dev := h.device(tier); dev != nil {
 			d, err := sh.backend.Read(backend.Request{
@@ -724,14 +725,20 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 				DeviceID: dev.ID(), BlockID: h.blk0, Bytes: h.blk0Size,
 			})
 			if err == nil {
-				res.Latency = d
-				sh.readLat[tier].Observe(d)
-				if slot, ok := sh.tenantSlot[op.Tenant]; ok {
-					sh.tenantLat[slot].Observe(d)
-				}
+				res.Latency, measured = d, true
 			}
 		}
 	}
+	if measured {
+		sh.readLat[tier].Observe(res.Latency)
+		if slot, ok := sh.tenantSlot[op.Tenant]; ok {
+			sh.tenantLat[slot].Observe(res.Latency)
+			if sh.slo != nil {
+				sh.slo.observe(slot, at, res.Latency)
+			}
+		}
+	}
+	sh.publish(h, at, sp, spStart)
 	sh.finishSpan(sp, spStart, at, "")
 	return res
 }

@@ -21,11 +21,7 @@ import (
 // memory tier, so live accesses drive OSA upgrades and the high watermark
 // drives LRU downgrades — real traffic for the movement executor.
 func servedWorkerSpec() storage.NodeSpec {
-	return storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 192 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	return storage.PaperMediaSpec(192*storage.MB, 4*storage.GB, 32*storage.GB, 2)
 }
 
 // buildServed wires a managed system behind a one-shard serving layer — the

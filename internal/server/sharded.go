@@ -47,11 +47,11 @@ import (
 //     channel the same way capacity contends through the ledger. The plane
 //     rides in on Cluster.Plane, which every shard's view inherits.
 //
-// Paths route to shards by a hash of the parent directory — the same key
-// each shard stripes its namespace by — so a directory listing stays a
-// single-shard operation and files in one directory share a shard.
-// shards=1 is the degenerate case, not a second type: one single-writer
-// loop with the full quota, an empty pool and no protocol traffic.
+// Paths route to shards by a hash of the parent directory, so files in one
+// directory share a shard; one namespace (nsShards) names the shard holding
+// each file, whatever the route table says. shards=1 is the degenerate
+// case, not a second type: one single-writer loop with the full quota, an
+// empty pool and no protocol traffic.
 
 // ShardBuilder wires the policy stack of one shard: given the shard's
 // private file system, it returns the shard's manager (nil for unmanaged
@@ -93,6 +93,7 @@ type ShardedConfig struct {
 type ShardedServer struct {
 	cfg    ShardedConfig
 	shards []*shard
+	ns     *nsShards // every shard publishes its files here; reads resolve here
 	ledger *cluster.TierLedger
 	// routes is the rebalancer's COW prefix→shard override table, consulted
 	// on every routing decision before the static hash. Nil snapshot (the
@@ -111,9 +112,9 @@ type ShardedServer struct {
 	// touches the shard file systems directly (the loops are stopped, so the
 	// caller's goroutine is the only one near them).
 	running bool
-	// afterPrimaryMiss, when set, runs between a missed primary probe and
-	// the fallback probe of a migration epoch (see probe) — the seam the
-	// epoch regression tests use to land a migration exactly there.
+	// afterPrimaryMiss, when set, runs between a delete's missed primary
+	// attempt and its fallback attempt (see probe) — the seam the epoch
+	// regression tests use to land a migration exactly there.
 	afterPrimaryMiss func()
 }
 
@@ -147,7 +148,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 	cfg.Quota.applyDefaults(cfg.Shards)
 	shardSpec, nodeTotal, nodeGrant, nodePooled := splitSpec(cfg.Cluster.Spec, cfg.Shards, cfg.Quota.InitialFraction)
 
-	s := &ShardedServer{cfg: cfg, ledger: cluster.NewTierLedger(), nodePooled: make(map[int][3]int64)}
+	s := &ShardedServer{cfg: cfg, ns: newNSShards(nsStripes * cfg.Shards), ledger: cluster.NewTierLedger(), nodePooled: make(map[int][3]int64)}
 	workers := int64(cfg.Cluster.Workers)
 	for _, m := range storage.AllMedia {
 		s.ledger.AddCapacity(m, nodeTotal[m]*workers, nodePooled[m]*workers)
@@ -202,7 +203,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedServer, error) {
 		}
 		// Each shard labels its metrics and spans with its index on the
 		// shared hub (which rides in on cfg.Inner.Obs).
-		sh := newShard(i, fs, mgr, cfg.Inner)
+		sh := newShard(i, fs, mgr, cfg.Inner, s.ns)
 		sh.quota = quota
 		// Movement destinations borrow quota right before each admitted
 		// move, on the shard loop, through the two-phase protocol.
@@ -361,7 +362,7 @@ func RouteShard(dir string, shards int) int {
 }
 
 // routeDir resolves a directory to its primary shard plus the fallback
-// shard reads consult during a migration epoch. The route table overrides
+// shard a delete walks during a migration epoch. The route table overrides
 // the hash for whole subtrees: while an entry is migrating, the primary is
 // the destination and the fallback is the static hash owner (files not yet
 // moved still live there); once committed the fallback is gone. A draining
@@ -371,11 +372,8 @@ func RouteShard(dir string, shards int) int {
 // override — including always when the rebalancer is off — this is exactly
 // the static parent-dir hash.
 func (s *ShardedServer) routeDir(dir string) (primary, fallback *shard) {
-	if len(s.shards) == 1 {
-		return s.shards[0], nil
-	}
+	owner := s.shards[fnv32(dir)%uint32(len(s.shards))]
 	if e := s.routes.lookup(dir); e != nil {
-		owner := s.shards[fnv32(dir)%uint32(len(s.shards))]
 		switch e.state {
 		case routeMigrating:
 			primary = s.shards[e.dst]
@@ -392,49 +390,71 @@ func (s *ShardedServer) routeDir(dir string) (primary, fallback *shard) {
 		}
 		return primary, fallback
 	}
-	return s.shards[fnv32(dir)%uint32(len(s.shards))], nil
+	return owner, nil
 }
 
-// route canonicalises a client path and resolves the shards that may hold
-// it: the primary (where writes go and reads look first) and, during a
-// migration epoch, the fallback. Routing is by the parent directory, the
-// same key each shard stripes its namespace by; it also feeds the
+// route canonicalises the path of a create or delete and resolves its
+// shards: the primary (where creates go) and, during a migration epoch, the
+// fallback. Routing is by the parent directory; it also feeds the
 // rebalancer's load tracker. dfs.CleanPath fast-paths already-canonical
 // input without allocating, so routed ops pay one scan here.
 func (s *ShardedServer) route(path string) (clean string, primary, fallback *shard, err error) {
 	if clean, err = dfs.CleanPath(path); err != nil {
 		return "", nil, nil, err
 	}
+	primary, fallback = s.routePath(clean)
+	return clean, primary, fallback, nil
+}
+
+// routePath is route for a canonical path.
+func (s *ShardedServer) routePath(clean string) (primary, fallback *shard) {
 	if len(s.shards) == 1 {
-		return clean, s.shards[0], nil, nil
+		return s.shards[0], nil
 	}
 	dir, _ := parentOf(clean)
 	primary, fallback = s.routeDir(dir)
 	if s.reb != nil {
 		s.reb.tracker.note(dir, primary.idx)
 	}
-	return clean, primary, fallback, nil
+	return primary, fallback
 }
 
-// probe is the one place the double-read epoch is written down. It runs try
-// on the primary; on dfs.ErrNotFound during an epoch it runs try on the
-// fallback; and on a second miss it runs try on the primary once more —
-// within an epoch files only move fallback → primary (both routeMigrating
-// and routeDraining), so a copy that left the fallback after the first
-// probe is on the primary by now, and a file that existed throughout is
-// never reported missing.
+// lookup resolves a canonical path to its handle in the one namespace (nil
+// when no shard holds it). It routes only where it must: on a miss, for the
+// primary to book it on, and while the rebalancer runs, to note the op for
+// the load tracker under its primary, so rebalance decisions do not depend
+// on where the namespace found the file.
+func (s *ShardedServer) lookup(clean string) (h *handle, primary *shard) {
+	if h, _ = s.ns.get(clean); h == nil || s.reb != nil {
+		primary, _ = s.routePath(clean)
+	}
+	return h, primary
+}
+
+// probe walks a migration epoch for the one op that still needs it: a
+// delete, whose copy on owner (the namespace's owner, or the primary for a
+// path not yet indexed) can move before the delete runs there. first is
+// that attempt's outcome. On dfs.ErrNotFound probe asks the primary (unless
+// the owner's attempt was the primary's), then during an epoch the fallback, and on a second
+// miss the primary once more — within an epoch files only move fallback →
+// primary (both routeMigrating and routeDraining), so a copy that left the
+// fallback after the primary missed is on the primary by now, and a file
+// that existed throughout is never reported missing.
 //
 // The route itself can be stale too: the caller resolved it before the
 // rebalancer opened (or flipped) an epoch over clean's directory, and the
-// file moved before the probes ran. So a miss under a live rebalancer
-// re-resolves the route once and, if it changed, probes again under it.
+// file moved before the attempts ran. So a miss re-resolves the route once
+// and, if it changed, walks again under it.
 //
-// It returns the shard whose outcome stands (the primary when every probe
-// missed), the fallback of the route the probes last ran under, and the
-// outcome. Callers skip it under static routing (see static).
-func (s *ShardedServer) probe(clean string, primary, fallback *shard, try func(*shard) error) (sh, fb *shard, err error) {
-	for attempt := 0; ; attempt++ {
-		sh, err = primary, try(primary)
+// It returns the shard whose outcome stands (the last one asked when every
+// attempt missed), the fallback of the route the walk last ran under, and
+// the outcome.
+func (s *ShardedServer) probe(clean string, owner *shard, first error, primary, fallback *shard, try func(*shard) error) (sh, fb *shard, err error) {
+	sh, err = owner, first
+	for attempt := 0; errors.Is(err, dfs.ErrNotFound); attempt++ {
+		if attempt > 0 || sh != primary {
+			sh, err = primary, try(primary)
+		}
 		if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
 			if s.afterPrimaryMiss != nil {
 				s.afterPrimaryMiss()
@@ -444,43 +464,16 @@ func (s *ShardedServer) probe(clean string, primary, fallback *shard, try func(*
 			}
 		}
 		if attempt > 0 || !errors.Is(err, dfs.ErrNotFound) {
-			return sh, fallback, err
+			break
 		}
 		dir, _ := parentOf(clean)
 		p, f := s.routeDir(dir)
 		if p == primary && f == fallback {
-			return sh, fallback, err
+			break
 		}
 		primary, fallback = p, f
 	}
-}
-
-// static reports whether a resolved route can neither be nor become part of
-// a migration epoch: no fallback now and no rebalancer to open one. Then
-// there is one shard to ask and nothing to race, and the op paths skip probe
-// (its closure on reads, its combiner goroutine on deletes).
-func (s *ShardedServer) static(fallback *shard) bool {
-	return fallback == nil && s.reb == nil
-}
-
-// find resolves a canonical path to its handle and the shard holding it
-// (stripe lookups only, no shard-loop involvement). A nil handle means no
-// side of the route has the file; the shard is then the primary, where the
-// miss is booked.
-func (s *ShardedServer) find(clean string, primary, fallback *shard) (*shard, *handle) {
-	if s.static(fallback) {
-		h, _ := primary.ns.get(clean)
-		return primary, h
-	}
-	var h *handle
-	sh, _, _ := s.probe(clean, primary, fallback, func(sh *shard) error {
-		var ok bool
-		if h, ok = sh.ns.get(clean); !ok {
-			return dfs.ErrNotFound
-		}
-		return nil
-	})
-	return sh, h
+	return sh, fallback, err
 }
 
 func notFound(path string) error {
@@ -498,11 +491,11 @@ func failed(err error) <-chan error {
 
 // Do runs one op and blocks for its outcome.
 //
-// An access records the read on the owning shard and returns the serving
-// tier; the hot path stays shard-local (route hash, stripe lookup, the
-// handle's access accumulator), and during a migration epoch the read
-// double-reads so clients never block on a move. With a zero At it is stamped with Clock() and
-// observes the access-path latency histogram.
+// An access records the read on the shard holding the file and returns the
+// serving tier; the hot path is one namespace lookup (which names that
+// shard, even while the rebalancer moves the file) and the handle's access
+// accumulator, so clients never block on a move. With a zero At it is
+// stamped with Clock() and observes the access-path latency histogram.
 //
 // A create waits for the shard's write pipeline to commit. A capacity
 // failure triggers one quota borrow (growing the shard's lowest tier out of
@@ -511,21 +504,27 @@ func failed(err error) <-chan error {
 // so a shard whose quota ran dry admits the write as long as the physical
 // tier has room. A delete waits for both sides of an epoch.
 func (s *ShardedServer) Do(op Op) (AccessResult, error) {
+	if op.Kind == OpAccess {
+		clean, err := dfs.CleanPath(op.Path)
+		if err != nil {
+			return AccessResult{}, err
+		}
+		op.Path = clean
+		if !op.At.IsZero() {
+			res, _, err := s.access(op)
+			return res, err
+		}
+		start := time.Now()
+		op.At = s.Clock()
+		res, sh, err := s.access(op)
+		sh.accessHist.Observe(time.Since(start))
+		return res, err
+	}
 	clean, primary, fallback, err := s.route(op.Path)
 	if err != nil {
 		return AccessResult{}, err
 	}
 	op.Path = clean
-	if op.Kind == OpAccess {
-		if !op.At.IsZero() {
-			return s.access(op, primary, fallback)
-		}
-		start := time.Now()
-		op.At = s.Clock()
-		res, err := s.access(op, primary, fallback)
-		primary.accessHist.Observe(time.Since(start))
-		return res, err
-	}
 	err = <-s.submit(op, primary, fallback)
 	if op.Kind == OpCreate && errors.Is(err, dfs.ErrNoCapacity) {
 		// Every replica of every block must find a device, so each of
@@ -547,11 +546,11 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 // channel that receives the outcome — the non-blocking form replay and
 // open-loop drivers pipeline (in replay mode virtual time only advances
 // inside Flush, so receiving before fencing would deadlock). The op is on
-// its primary shard's loop when Submit returns, so ops submitted to one path
-// run in submission order and Flush fences them; only a delete's follow-up
-// on the far side of a migration epoch completes asynchronously. No
-// borrow-retry: stamped traffic is expected to fit the planned quota or to
-// handle dfs.ErrNoCapacity itself.
+// its shard's loop when Submit returns, so ops submitted to one path run in
+// submission order and Flush fences them; only a delete's follow-up on the
+// far side of a migration epoch completes asynchronously. No borrow-retry:
+// stamped traffic is expected to fit the planned quota or to handle
+// dfs.ErrNoCapacity itself.
 func (s *ShardedServer) Submit(op Op) <-chan error {
 	clean, primary, fallback, err := s.route(op.Path)
 	if err != nil {
@@ -561,62 +560,71 @@ func (s *ShardedServer) Submit(op Op) <-chan error {
 	return s.submit(op, primary, fallback)
 }
 
-// submit is the routed half of Submit.
+// submit is the routed half of Submit. It resolves the path's owner: the
+// shard the namespace names, or the primary when none holds it yet or when
+// no rebalancer can have moved it off its primary.
 func (s *ShardedServer) submit(op Op, primary, fallback *shard) <-chan error {
 	if op.At.IsZero() {
 		op.At = s.Clock()
 	}
+	owner := primary
+	if fallback != nil || s.reb != nil {
+		if h, ok := s.ns.get(op.Path); ok {
+			owner = h.sh
+		}
+	}
 	switch op.Kind {
 	case OpCreate:
-		// During an epoch an unmoved file still lives on the fallback;
-		// creating "over" it on the primary must fail the same way a single
-		// shard would. (A copy on the primary fails inside fs.Create.)
-		if fallback != nil {
-			if _, ok := fallback.ns.get(op.Path); ok {
-				return failed(fmt.Errorf("server: %w: %q", dfs.ErrExists, op.Path))
-			}
+		// A file another shard holds — unmoved during an epoch, or created
+		// through a route that went stale — exists all the same, and creating
+		// over it must fail the way a single shard would. (A file on the
+		// primary fails inside fs.Create.)
+		if owner != primary {
+			return failed(fmt.Errorf("server: %w: %q", dfs.ErrExists, op.Path))
 		}
 		return primary.create(op)
 	case OpDelete:
-		return s.delete(op, primary, fallback)
+		return s.delete(op, owner, primary, fallback)
 	}
 	return failed(fmt.Errorf("server: op kind %d cannot be submitted", op.Kind))
 }
 
-// access is the router's half of an access: resolve across the epoch, book
-// a miss once, hand the resolved handle to the owning shard.
-func (s *ShardedServer) access(op Op, primary, fallback *shard) (AccessResult, error) {
-	sp, spStart := primary.sampleSpan("access", op.Path, op.Tenant)
-	sh, h := s.find(op.Path, primary, fallback)
+// access is the router's half of an access: hand the file's handle to the
+// shard holding it, or book the miss on the primary, and return the shard
+// booked. Every shard shares the hub; finishSpan stamps the shard.
+func (s *ShardedServer) access(op Op) (AccessResult, *shard, error) {
+	sp, spStart := s.shards[0].sampleSpan("access", op.Path, op.Tenant)
+	h, primary := s.lookup(op.Path)
 	if h == nil {
-		sh.counters.accessMisses.Add(1)
-		sh.finishSpan(sp, spStart, op.At, "not found")
-		return AccessResult{}, notFound(op.Path)
+		primary.counters.accessMisses.Add(1)
+		primary.finishSpan(sp, spStart, op.At, "not found")
+		return AccessResult{}, primary, notFound(op.Path)
 	}
-	return sh.access(h, op, sp, spStart), nil
+	return h.sh.access(h, op, sp, spStart), h.sh, nil
 }
 
-// delete is the router's half of a delete. During a migration epoch the
-// file can live on the primary, the fallback side, or (mid-copy) briefly
-// both, so the delete covers both sides: it probes for the copy that counts
-// the client's one logical deletion, and when that was the primary's, any
-// lingering fallback copy is dropped through the migration-teardown path.
-// That is what makes a racing migration honor the delete instead of
-// resurrecting the file. The one outcome is booked here, after the probes
-// (countDelete), never per shard asked.
-//
-// The primary's attempt is enqueued before delete returns, so whatever the
+// delete is the router's half of a delete. Its first attempt, on the owner
+// submit resolved, is enqueued before delete returns, so whatever the
 // caller submits next (a pipelined re-create of the path, a Flush) orders
-// behind it on the shard loop. Only the epoch's follow-up steps are
-// sequenced by a combiner goroutine — not inside either shard loop: an op
-// enqueued on one loop must never block on another loop's result, or two
-// opposite-direction deletes could deadlock the loops on each other.
-func (s *ShardedServer) delete(op Op, primary, fallback *shard) <-chan error {
+// behind it on the shard loop. During a migration epoch the file can live
+// on the primary, the fallback side, or (mid-copy) briefly both, and can
+// move after the owner was resolved, so a miss walks the epoch (probe) for
+// the copy that counts the client's one logical deletion, and when that was
+// not the fallback's, any lingering fallback copy is dropped through the
+// migration-teardown path — a racing migration honors the delete instead of
+// resurrecting the file. The one outcome is booked after the walk
+// (countDelete), never per shard asked. The follow-up steps run on a
+// combiner goroutine, not inside either shard loop: an op enqueued on one
+// loop must never block on another loop's result, or two opposite-direction
+// deletes could deadlock the loops on each other.
+func (s *ShardedServer) delete(op Op, owner, primary, fallback *shard) <-chan error {
 	start := time.Now()
 	res := make(chan error, 1)
-	if s.static(fallback) {
-		primary.delete(op, func(err error) {
-			primary.countDelete(err, start)
+	if fallback == nil && s.reb == nil {
+		// No epoch now and no rebalancer to open one: one shard to ask and
+		// nothing to race.
+		owner.delete(op, func(err error) {
+			owner.countDelete(err, start)
 			res <- err
 		})
 		return res
@@ -626,18 +634,12 @@ func (s *ShardedServer) delete(op Op, primary, fallback *shard) <-chan error {
 		sh.delete(op, func(err error) { out <- err })
 		return out
 	}
-	first := ask(primary)
+	first := ask(owner)
 	go func() {
-		sh, fb, err := s.probe(op.Path, primary, fallback, func(sh *shard) error {
-			if out := first; out != nil { // probe starts at the primary: the attempt already enqueued
-				first = nil
-				return <-out
-			}
-			return <-ask(sh)
-		})
+		sh, fb, err := s.probe(op.Path, owner, <-first, primary, fallback, func(sh *shard) error { return <-ask(sh) })
 		sh.countDelete(err, start)
 		if err == nil && fb != nil && sh != fb {
-			<-fb.detach(op) // deleted on the primary: clear the fallback's copy
+			<-fb.detach(op) // deleted off the fallback: clear any copy left there
 		}
 		res <- err
 	}()
@@ -681,66 +683,40 @@ func (s *ShardedServer) DeleteAt(path string, at time.Time) <-chan error {
 
 // Stat returns the metadata snapshot of a served file (stripe-only).
 func (s *ShardedServer) Stat(path string) (FileInfo, error) {
-	clean, primary, fallback, err := s.route(path)
+	clean, err := dfs.CleanPath(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	sh, h := s.find(clean, primary, fallback)
-	sh.counters.stats.Add(1)
+	h, primary := s.lookup(clean)
 	if h == nil {
+		primary.counters.stats.Add(1)
 		return FileInfo{}, notFound(clean)
 	}
+	h.sh.counters.stats.Add(1)
 	return FileInfo{Path: h.path, Size: h.size, Residency: h.residency()}, nil
 }
 
 // Exists reports whether a served file exists (stripe-only).
 func (s *ShardedServer) Exists(path string) bool {
-	clean, primary, fallback, err := s.route(path)
+	clean, err := dfs.CleanPath(path)
 	if err != nil {
 		return false
 	}
-	_, h := s.find(clean, primary, fallback)
+	h, _ := s.lookup(clean)
 	return h != nil
 }
 
-// List returns the sorted file names directly under dir. Under static
-// routing every child of a directory routes to the same shard; during a
-// migration epoch the subtree is split between destination and hash owner,
-// so the two sorted listings merge (deduplicated — a name can briefly
-// appear on both sides around a recreate).
+// List returns the sorted file names directly under dir: one stripe read of
+// the namespace, whichever shards hold the files. The list is booked on the
+// shard the directory's children route to.
 func (s *ShardedServer) List(dir string) []string {
 	clean, err := dfs.CleanPath(dir)
 	if err != nil {
 		return nil
 	}
-	primary, fallback := s.routeDir(clean)
+	primary, _ := s.routeDir(clean)
 	primary.counters.lists.Add(1)
-	names := primary.ns.list(clean)
-	if fallback == nil {
-		return names
-	}
-	other := fallback.ns.list(clean)
-	if len(other) == 0 {
-		return names
-	}
-	merged := make([]string, 0, len(names)+len(other))
-	i, j := 0, 0
-	for i < len(names) && j < len(other) {
-		switch {
-		case names[i] == other[j]:
-			merged = append(merged, names[i])
-			i++
-			j++
-		case names[i] < other[j]:
-			merged = append(merged, names[i])
-			i++
-		default:
-			merged = append(merged, other[j])
-			j++
-		}
-	}
-	merged = append(merged, names[i:]...)
-	return append(merged, other[j:]...)
+	return s.ns.list(clean)
 }
 
 // Flush fences every shard: all noted accesses applied, in-flight

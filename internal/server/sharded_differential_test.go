@@ -29,11 +29,7 @@ import (
 // must drive the two-phase borrow protocol to fit its upgrades.
 
 func shardedDiffSpec() storage.NodeSpec {
-	return storage.NodeSpec{
-		{Media: storage.Memory, Capacity: 1 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-		{Media: storage.SSD, Capacity: 4 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-		{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 2},
-	}
+	return storage.PaperMediaSpec(1*storage.GB, 4*storage.GB, 32*storage.GB, 2)
 }
 
 func shardedDiffCluster() cluster.Config {

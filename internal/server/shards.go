@@ -2,6 +2,7 @@ package server
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,9 @@ type handle struct {
 	id   dfs.FileID
 	path string
 	size int64
+	// sh is the shard whose file system holds the file: reads act on it, and
+	// its loop applies the accesses.
+	sh   *shard
 	file *dfs.File // core-loop-owned
 	// blk0/blk0Size identify the file's first block (-1/0 for empty files):
 	// the representative replica the physical-backend read path streams.
@@ -157,17 +161,18 @@ func (h *handle) residency() [3]bool {
 	return out
 }
 
-// nsShards is the striped namespace service: a read-mostly path index
-// sharded by a hash of the file's parent directory, so metadata operations
-// from clients working in independent directories take independent locks
-// (and a directory listing stays a single-shard operation, because every
-// child of a directory hashes to the same stripe). Writes come only from
-// the core loop (create/delete commits); the client hot path takes shard
-// read locks only.
+// nsShards is the server-wide namespace: a read-mostly path index striped
+// by a hash of the file's parent directory, so metadata operations from
+// clients working in independent directories take independent locks (and a
+// directory listing stays a single-stripe operation, because every child of
+// a directory hashes to the same stripe). Each entry's handle names the
+// shard holding the file, so a path resolves to its owner in one lookup
+// whatever the route table says. Writes come only from the shard loops
+// (create/delete/migration commits); the client hot path takes stripe read
+// locks only.
 type nsShards struct {
 	shards []nsShard
 	mask   uint32
-	count  atomic.Int64
 }
 
 type nsShard struct {
@@ -175,12 +180,12 @@ type nsShard struct {
 	// files maps full (clean) path -> handle.
 	files map[string]*handle
 	// children maps a directory path -> the set of file names in it, for
-	// shard-local directory listings.
+	// directory listings.
 	children map[string]map[string]struct{}
 	_        [32]byte // pad shards apart to keep lock words off shared lines
 }
 
-// nsStripes is each shard's namespace lock-stripe count.
+// nsStripes is the namespace lock-stripe count per serving shard.
 const nsStripes = 64
 
 // newNSShards builds a stripe set with n rounded up to a power of two.
@@ -200,16 +205,10 @@ func newNSShards(n int) *nsShards {
 // parentOf splits a clean absolute path into its parent directory and leaf
 // name ("/a/b/c" -> "/a/b", "c"; "/c" -> "/", "c").
 func parentOf(path string) (dir, name string) {
-	last := 0
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			last = i
-		}
+	if last := strings.LastIndexByte(path, '/'); last > 0 {
+		return path[:last], path[last+1:]
 	}
-	if last == 0 {
-		return "/", path[1:]
-	}
-	return path[:last], path[last+1:]
+	return "/", path[1:]
 }
 
 // fnv32 is inline FNV-1a so shard selection does not allocate.
@@ -236,14 +235,12 @@ func (s *nsShards) get(path string) (*handle, bool) {
 	return h, ok
 }
 
-// put indexes a handle (core loop only).
+// put indexes a handle, replacing any entry for its path: a migration's
+// copy takes over from the source's the moment it lands. Shard loops only.
 func (s *nsShards) put(h *handle) {
 	dir, name := parentOf(h.path)
 	sh := s.shardFor(dir)
 	sh.mu.Lock()
-	if _, existed := sh.files[h.path]; !existed {
-		s.count.Add(1)
-	}
 	sh.files[h.path] = h
 	kids := sh.children[dir]
 	if kids == nil {
@@ -254,14 +251,14 @@ func (s *nsShards) put(h *handle) {
 	sh.mu.Unlock()
 }
 
-// remove unindexes a path (core loop only).
-func (s *nsShards) remove(path string) {
-	dir, name := parentOf(path)
+// remove unindexes h's path if the entry is still h — not when another
+// shard's copy has replaced it. Shard loops only.
+func (s *nsShards) remove(h *handle) {
+	dir, name := parentOf(h.path)
 	sh := s.shardFor(dir)
 	sh.mu.Lock()
-	if _, ok := sh.files[path]; ok {
-		delete(sh.files, path)
-		s.count.Add(-1)
+	if sh.files[h.path] == h {
+		delete(sh.files, h.path)
 		if kids := sh.children[dir]; kids != nil {
 			delete(kids, name)
 			if len(kids) == 0 {
@@ -285,6 +282,3 @@ func (s *nsShards) list(dir string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the number of indexed files.
-func (s *nsShards) Len() int64 { return s.count.Load() }

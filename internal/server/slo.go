@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 // for shared clusters: the data plane exposes tier-real read latencies per
 // tenant (shard.access observes them), and the only knob the serving layer
 // owns that relieves device pressure without touching client traffic is
-// background movement admission (the executor's token buckets). Each
-// controller tick diffs the per-tenant histogram against the previous tick,
-// computes the window's p99, and on a breach defers executor admissions for
-// a configurable window — movement stays queued, clients keep their
+// background movement admission (the executor's token buckets). Each read
+// latency lands in the controller window its access was stamped in; each
+// controller tick judges the p99 of every window that has closed on the
+// engine's clock and, on a breach, defers executor admissions for a
+// configurable window — movement stays queued, clients keep their
 // bandwidth.
 
 // TenantConfig declares one tenant to the serving layer.
@@ -88,60 +90,78 @@ func (s *SLOStats) add(o SLOStats) {
 	s.Breaches += o.Breaches
 }
 
-// sloWatch is one tenant's window state: the histogram snapshot at the last
-// tick, diffed each tick for the window's p99.
-type sloWatch struct {
-	slot   int
-	target time.Duration
-	prev   [64]int64
-}
-
-// sloController runs as an engine ticker on the core loop.
+// sloController runs as an engine ticker on the core loop; client goroutines
+// feed it through observe.
 type sloController struct {
 	sh       *shard
 	cfg      SLOConfig
-	watch    []sloWatch
+	targets  []time.Duration // read p99 target by tenant slot; zero: no SLO
+	mu       sync.Mutex
+	origin   time.Time                   // window w spans [origin+w·Interval, origin+(w+1)·Interval)
+	closed   int64                       // windows below this index have been judged
+	open     map[[2]int64]*obs.Histogram // (tenant slot, window) → read latencies
 	checks   atomic.Int64
 	breaches atomic.Int64
 }
 
 func newSLOController(sh *shard, cfg SLOConfig, tenants []TenantConfig) *sloController {
 	cfg.applyDefaults()
-	c := &sloController{sh: sh, cfg: cfg}
+	c := &sloController{sh: sh, cfg: cfg, targets: make([]time.Duration, len(tenants)),
+		origin: sh.engine.Now(), open: make(map[[2]int64]*obs.Histogram)}
+	watched := false
 	for _, t := range tenants {
 		if t.ReadSLO > 0 {
-			c.watch = append(c.watch, sloWatch{slot: sh.tenantSlot[t.ID], target: t.ReadSLO})
+			c.targets[sh.tenantSlot[t.ID]], watched = t.ReadSLO, true
 		}
 	}
-	if len(c.watch) == 0 {
+	if !watched {
 		return nil
 	}
 	return c
 }
 
-// tick judges each watched tenant's last window and defers movement when
+// observe records one read latency of the tenant in slot under the window
+// its access was stamped in. An unstamped read, or one whose window was
+// already judged, counts toward the oldest window still open. Any goroutine,
+// before the access is published to the loop that runs the ticks.
+func (c *sloController) observe(slot int, at time.Time, d time.Duration) {
+	if c.targets[slot] == 0 {
+		return
+	}
+	c.mu.Lock()
+	win := c.closed
+	if !at.IsZero() {
+		win = max(win, int64(at.Sub(c.origin)/c.cfg.Interval))
+	}
+	k := [2]int64{int64(slot), win}
+	if c.open[k] == nil {
+		c.open[k] = new(obs.Histogram)
+	}
+	c.open[k].Observe(d)
+	c.mu.Unlock()
+}
+
+// tick judges every window that has closed by now and defers movement when
 // any breached. Core loop only (engine ticker).
 func (c *sloController) tick() {
+	c.mu.Lock()
+	c.closed = max(c.closed, int64(c.sh.engine.Now().Sub(c.origin)/c.cfg.Interval))
 	breach := false
-	for i := range c.watch {
-		w := &c.watch[i]
-		cur := c.sh.tenantLat[w.slot].Counts()
-		var delta [64]int64
-		var n int64
-		for b := range cur {
-			delta[b] = cur[b] - w.prev[b]
-			n += delta[b]
+	for k, h := range c.open {
+		if k[1] >= c.closed {
+			continue
 		}
-		w.prev = cur
-		if n < c.cfg.MinSamples {
+		delete(c.open, k)
+		if h.Count() < c.cfg.MinSamples {
 			continue
 		}
 		c.checks.Add(1)
-		if obs.QuantileOf(delta, 0.99) > w.target {
+		if h.Quantile(0.99) > c.targets[k[0]] {
 			breach = true
 			c.breaches.Add(1)
 		}
 	}
+	c.mu.Unlock()
 	if breach {
 		c.sh.exec.Defer(c.sh.engine.Now().Add(c.cfg.DeferWindow))
 	}

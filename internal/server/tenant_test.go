@@ -189,12 +189,8 @@ func tenantIsolationVictimP99(t *testing.T, qos bool) time.Duration {
 	clCfg := cluster.Config{
 		Workers:      1,
 		SlotsPerNode: 4,
-		Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 64 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 256 * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 32 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-		},
-		Plane: storage.NewContendedPlane(planeCfg),
+		Spec:         storage.PaperMediaSpec(64*storage.MB, 256*storage.MB, 32*storage.GB, 1),
+		Plane:        storage.NewContendedPlane(planeCfg),
 	}
 	srv, err := server.NewSharded(server.ShardedConfig{
 		Shards:  1,
@@ -281,11 +277,7 @@ func TestTenantQuotaGatesCreate(t *testing.T) {
 		Cluster: cluster.Config{
 			Workers:      2,
 			SlotsPerNode: 4,
-			Spec: storage.NodeSpec{
-				{Media: storage.Memory, Capacity: 64 * storage.MB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-				{Media: storage.SSD, Capacity: 128 * storage.MB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-				{Media: storage.HDD, Capacity: 2 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-			},
+			Spec:         storage.PaperMediaSpec(64*storage.MB, 128*storage.MB, 2*storage.GB, 1),
 		},
 		DFS: dfs.Config{Mode: dfs.ModePinnedHDD, Seed: 13, Replication: 1, ClientRate: 2000e6},
 		Quota: server.QuotaConfig{
@@ -353,12 +345,8 @@ func TestSLOBreachDefersMovement(t *testing.T) {
 	clCfg := cluster.Config{
 		Workers:      1,
 		SlotsPerNode: 4,
-		Spec: storage.NodeSpec{
-			{Media: storage.Memory, Capacity: 4 * storage.GB, ReadBW: 4000e6, WriteBW: 3000e6, Count: 1},
-			{Media: storage.SSD, Capacity: 8 * storage.GB, ReadBW: 500e6, WriteBW: 400e6, Count: 1},
-			{Media: storage.HDD, Capacity: 64 * storage.GB, ReadBW: 160e6, WriteBW: 140e6, Count: 1},
-		},
-		Plane: storage.NewContendedPlane(storage.PlaneConfig{MaxQueue: time.Hour}),
+		Spec:         storage.PaperMediaSpec(4*storage.GB, 8*storage.GB, 64*storage.GB, 1),
+		Plane:        storage.NewContendedPlane(storage.PlaneConfig{MaxQueue: time.Hour}),
 	}
 	huge := int64(1) << 60
 	srv, err := server.NewSharded(server.ShardedConfig{
