@@ -80,26 +80,26 @@ func (a HeapKey) Less(b HeapKey) bool {
 // recency (LRU), descending recency (upgrade MRU), frequency, and weight
 // orders.
 //
-// The layout is flat: the keys themselves sit in heap order (a key embeds its
-// file id) and one int32 per file id says where a member's key is, so sifting
-// moves one key along one contiguous array. The *dfs.File is resolved on
-// demand through the heap's resolver: a million-entry heap retains ids and
-// keys, not pointers into the namespace.
+// The layout is flat: the entries themselves sit in heap order (a key whose
+// id word also names the file's slot) and one int32 per slot says where a
+// member's entry is, so sifting moves one entry along one contiguous
+// array. The *dfs.File is resolved on demand through the heap's resolver: a
+// million-entry heap retains ids and keys, not pointers into the namespace,
+// and its position table is as long as the most files ever live at once.
 //
 // A member is either in heap order or parked (see Park): parked members keep
 // their key, follow Update/Rekey/Remove and count toward Len, but no
 // selection sees them.
 type FileHeap struct {
-	items  []HeapKey // heap order
-	parked []HeapKey // parked members, unordered
-	// pos is indexed by file id: 0 = not a member, p+1 = items[p],
-	// -(q+1) = parked[q]. File ids are dense (assigned sequentially by the
-	// file system), so a flat slice beats a map: four bytes per id, and no
-	// bucket arrays pinned at the namespace's high-water mark.
+	items  []heapEntry // heap order
+	parked []heapEntry // parked members, unordered
+	// pos is indexed by slot (see dfs.File.Slot): 0 = not a member,
+	// p+1 = items[p], -(q+1) = parked[q]. A word names a member only when
+	// the entry it points at carries the asked-for id too.
 	pos      []int32
 	frontier []int32 // reused scratch of ascend
 	less     func(a, b HeapKey) bool
-	resolve  func(dfs.FileID) *dfs.File
+	resolve  func(slot int32, id dfs.FileID) *dfs.File
 	// ctx binds the heap to a context's eligibility record (see
 	// CandidateIndex.NewHeap): new members the manager has on record enter
 	// parked, and every selection first releases expired cooldowns. Nil for
@@ -110,11 +110,25 @@ type FileHeap struct {
 	tier storage.Media
 }
 
+// heapEntry is one member as the heap stores it: the key's weight and time
+// beside the file's dfs.Ref, which orders as the key's id does and names the
+// slot, so an entry costs no more than its HeapKey.
+type heapEntry struct {
+	w   float64
+	t   int64
+	ref dfs.Ref
+}
+
+func (e heapEntry) id() dfs.FileID { return e.ref.ID() }
+func (e heapEntry) slot() int32    { return e.ref.Slot() }
+func (e heapEntry) key() HeapKey   { return HeapKey{W: e.w, T: e.t, ID: e.ref.ID()} }
+
 // NewFileHeap builds an empty heap with the given comparator (nil means
-// the ascending HeapKey.Less order) and file resolver. The resolver maps
-// an indexed id back to its file when a selection or visit callback needs
-// one; ids that no longer resolve are treated as ineligible.
-func NewFileHeap(less func(a, b HeapKey) bool, resolve func(dfs.FileID) *dfs.File) *FileHeap {
+// the ascending HeapKey.Less order) and file resolver (dfs.FileSystem.FileAt).
+// The resolver maps an indexed slot and id back to its file when a selection
+// or visit callback needs one; entries that no longer resolve are treated as
+// ineligible.
+func NewFileHeap(less func(a, b HeapKey) bool, resolve func(slot int32, id dfs.FileID) *dfs.File) *FileHeap {
 	if less == nil {
 		less = HeapKey.Less
 	}
@@ -136,47 +150,53 @@ func TimeDescending(a, b HeapKey) bool {
 // Len returns the number of indexed files, parked ones included.
 func (h *FileHeap) Len() int { return len(h.items) + len(h.parked) }
 
-// place returns the file's pos word; ids the heap never saw are not members.
-func (h *FileHeap) place(id dfs.FileID) int32 {
-	if id < 0 || int64(id) >= int64(len(h.pos)) {
+// place returns the pos word of the file with the id in the slot; a slot the
+// heap never saw, or one whose entry belongs to another id, is no member.
+func (h *FileHeap) place(slot int32, id dfs.FileID) int32 {
+	if slot < 0 || int(slot) >= len(h.pos) {
 		return 0
 	}
-	return h.pos[id]
+	switch p := h.pos[slot]; {
+	case p > 0 && h.items[p-1].id() == id, p < 0 && h.parked[-p-1].id() == id:
+		return p
+	}
+	return 0
 }
 
 // Has reports whether the file is indexed.
-func (h *FileHeap) Has(id dfs.FileID) bool { return h.place(id) != 0 }
+func (h *FileHeap) Has(f *dfs.File) bool { return h.place(f.Slot(), f.ID()) != 0 }
 
 // IsParked reports whether the file is a parked member.
-func (h *FileHeap) IsParked(id dfs.FileID) bool { return h.place(id) < 0 }
+func (h *FileHeap) IsParked(f *dfs.File) bool { return h.place(f.Slot(), f.ID()) < 0 }
 
 // Update inserts the file or re-keys it in place. A parked member only has
 // its key replaced; a new member enters parked when the bound context has it
 // on record as busy or cooling down.
 func (h *FileHeap) Update(f *dfs.File, w float64, t time.Time) {
-	id := f.ID()
-	key := HeapKey{W: w, T: timeKey(t), ID: id}
-	switch p := h.place(id); {
+	e := heapEntry{w: w, t: timeKey(t), ref: f.Ref()}
+	switch p := h.place(f.Slot(), f.ID()); {
 	case p > 0:
-		h.items[p-1] = key
+		h.items[p-1] = e
 		h.fix(p - 1)
 	case p < 0:
-		h.parked[-p-1] = key
+		h.parked[-p-1] = e
 	default:
-		for int64(len(h.pos)) <= int64(id) {
+		for int(e.slot()) >= len(h.pos) {
 			h.pos = append(h.pos, 0)
 		}
-		if h.ctx != nil && h.ctx.parked(id, h.tier) {
-			h.pushParked(key)
+		if h.ctx != nil && h.ctx.parked(f, h.tier) {
+			h.pushParked(e)
 		} else {
-			h.pushItem(key)
+			h.pushItem(e)
 		}
 	}
 }
 
 // Remove drops the file if present.
-func (h *FileHeap) Remove(id dfs.FileID) {
-	switch p := h.place(id); {
+func (h *FileHeap) Remove(f *dfs.File) { h.remove(f.Slot(), f.ID()) }
+
+func (h *FileHeap) remove(slot int32, id dfs.FileID) {
+	switch p := h.place(slot, id); {
 	case p > 0:
 		h.dropItem(p - 1)
 	case p < 0:
@@ -184,31 +204,31 @@ func (h *FileHeap) Remove(id dfs.FileID) {
 	default:
 		return
 	}
-	h.pos[id] = 0
+	h.pos[slot] = 0
 }
 
 // Park takes an indexed file out of heap order, keeping it a member. No-op
 // when the file is not indexed or already parked.
-func (h *FileHeap) Park(id dfs.FileID) {
-	if p := h.place(id); p > 0 {
-		key := h.items[p-1]
+func (h *FileHeap) Park(f *dfs.File) {
+	if p := h.place(f.Slot(), f.ID()); p > 0 {
+		e := h.items[p-1]
 		h.dropItem(p - 1)
-		h.pushParked(key)
+		h.pushParked(e)
 	}
 }
 
 // Unpark returns a parked file to heap order under its current key. No-op
 // when the file is not indexed or not parked.
-func (h *FileHeap) Unpark(id dfs.FileID) {
-	if p := h.place(id); p < 0 {
-		key := h.parked[-p-1]
+func (h *FileHeap) Unpark(f *dfs.File) {
+	if p := h.place(f.Slot(), f.ID()); p < 0 {
+		e := h.parked[-p-1]
 		h.dropParked(-p - 1)
-		h.pushItem(key)
+		h.pushItem(e)
 	}
 }
 
-func (h *FileHeap) pushItem(key HeapKey) {
-	h.items = append(h.items, key)
+func (h *FileHeap) pushItem(e heapEntry) {
+	h.items = append(h.items, e)
 	h.up(int32(len(h.items) - 1))
 }
 
@@ -222,9 +242,9 @@ func (h *FileHeap) dropItem(i int32) {
 	}
 }
 
-func (h *FileHeap) pushParked(key HeapKey) {
-	h.parked = append(h.parked, key)
-	h.pos[key.ID] = -int32(len(h.parked))
+func (h *FileHeap) pushParked(e heapEntry) {
+	h.parked = append(h.parked, e)
+	h.pos[e.slot()] = -int32(len(h.parked))
 }
 
 func (h *FileHeap) dropParked(q int32) {
@@ -233,20 +253,20 @@ func (h *FileHeap) dropParked(q int32) {
 	h.parked = h.parked[:last]
 	if q < last {
 		h.parked[q] = moved
-		h.pos[moved.ID] = -(q + 1)
+		h.pos[moved.slot()] = -(q + 1)
 	}
 }
 
 // Rekey recomputes every member's key with fn and re-heapifies in O(N); the
 // lazy weight heaps use it when their evaluation horizon advances. Entries
-// whose id no longer resolves keep their stored key.
+// that no longer resolve keep their stored key.
 func (h *FileHeap) Rekey(fn func(f *dfs.File) (float64, time.Time)) {
-	for _, members := range [2][]HeapKey{h.items, h.parked} {
+	for _, members := range [2][]heapEntry{h.items, h.parked} {
 		for i := range members {
-			k := &members[i]
-			if f := h.resolve(k.ID); f != nil {
+			e := &members[i]
+			if f := h.resolve(e.slot(), e.id()); f != nil {
 				w, t := fn(f)
-				k.W, k.T = w, timeKey(t)
+				e.w, e.t = w, timeKey(t)
 			}
 		}
 	}
@@ -256,24 +276,24 @@ func (h *FileHeap) Rekey(fn func(f *dfs.File) (float64, time.Time)) {
 }
 
 // Each visits every member, parked ones included, in unspecified order.
-// Entries whose id no longer resolves are skipped.
+// Entries that no longer resolve are skipped.
 func (h *FileHeap) Each(fn func(f *dfs.File, key HeapKey)) {
-	for _, members := range [2][]HeapKey{h.items, h.parked} {
-		for _, k := range members {
-			if f := h.resolve(k.ID); f != nil {
-				fn(f, k)
+	for _, members := range [2][]heapEntry{h.items, h.parked} {
+		for _, e := range members {
+			if f := h.resolve(e.slot(), e.id()); f != nil {
+				fn(f, e.key())
 			}
 		}
 	}
 }
 
 // Key returns the stored key of a file.
-func (h *FileHeap) Key(id dfs.FileID) (HeapKey, bool) {
-	switch p := h.place(id); {
+func (h *FileHeap) Key(f *dfs.File) (HeapKey, bool) {
+	switch p := h.place(f.Slot(), f.ID()); {
 	case p > 0:
-		return h.items[p-1], true
+		return h.items[p-1].key(), true
 	case p < 0:
-		return h.parked[-p-1], true
+		return h.parked[-p-1].key(), true
 	}
 	return HeapKey{}, false
 }
@@ -292,12 +312,12 @@ func (h *FileHeap) settle() {
 // visited, so a small min-heap of candidate positions (the frontier, reused
 // across calls) yields v keys in O(v log v) whatever the size of the heap.
 // visit must not modify the heap.
-func (h *FileHeap) ascend(visit func(HeapKey) bool) {
+func (h *FileHeap) ascend(visit func(heapEntry) bool) {
 	n := int32(len(h.items))
 	if n == 0 {
 		return
 	}
-	before := func(a, b int32) bool { return h.less(h.items[a], h.items[b]) }
+	before := func(a, b int32) bool { return h.less(h.items[a].key(), h.items[b].key()) }
 	fr := append(h.frontier[:0], 0)
 	for len(fr) > 0 && visit(h.items[fr[0]]) {
 		// The visited position's left child (else the frontier's last entry)
@@ -347,10 +367,10 @@ func (h *FileHeap) SelectMin() *dfs.File {
 	if len(h.items) == 0 {
 		return nil
 	}
-	best := h.resolve(h.items[0].ID)
+	best := h.resolve(h.items[0].slot(), h.items[0].id())
 	if best == nil {
-		h.ascend(func(k HeapKey) bool {
-			best = h.resolve(k.ID)
+		h.ascend(func(e heapEntry) bool {
+			best = h.resolve(e.slot(), e.id())
 			return best == nil
 		})
 	}
@@ -366,12 +386,12 @@ func (h *FileHeap) SelectMinLazy(trueW func(*dfs.File) float64) *dfs.File {
 	h.settle()
 	var best *dfs.File
 	var bestKey HeapKey
-	h.ascend(func(k HeapKey) bool {
-		if best != nil && h.less(bestKey, k) {
+	h.ascend(func(e heapEntry) bool {
+		if best != nil && h.less(bestKey, e.key()) {
 			return false
 		}
-		if f := h.resolve(k.ID); f != nil {
-			tk := HeapKey{W: trueW(f), ID: k.ID}
+		if f := h.resolve(e.slot(), e.id()); f != nil {
+			tk := HeapKey{W: trueW(f), ID: e.id()}
 			if best == nil || h.less(tk, bestKey) {
 				best, bestKey = f, tk
 			}
@@ -389,11 +409,11 @@ func (h *FileHeap) SelectMinLazy(trueW func(*dfs.File) float64) *dfs.File {
 // sorting the tier). Cost is O(v log v) for v visited entries.
 func (h *FileHeap) AscendWhile(keep func(HeapKey) bool, visit func(*dfs.File)) {
 	h.settle()
-	h.ascend(func(k HeapKey) bool {
-		if !keep(k) {
+	h.ascend(func(e heapEntry) bool {
+		if !keep(e.key()) {
 			return false
 		}
-		if f := h.resolve(k.ID); f != nil {
+		if f := h.resolve(e.slot(), e.id()); f != nil {
 			visit(f)
 		}
 		return true
@@ -408,8 +428,8 @@ func (h *FileHeap) TopK(k int, out []*dfs.File) []*dfs.File {
 		k = len(h.items)
 	}
 	taken := 0
-	h.ascend(func(key HeapKey) bool {
-		if f := h.resolve(key.ID); f != nil {
+	h.ascend(func(e heapEntry) bool {
+		if f := h.resolve(e.slot(), e.id()); f != nil {
 			out = append(out, f)
 			taken++
 		}
@@ -424,47 +444,47 @@ func (h *FileHeap) fix(i int32) {
 	}
 }
 
-// put stores key at heap position i and records the place.
-func (h *FileHeap) put(i int32, key HeapKey) {
-	h.items[i] = key
-	h.pos[key.ID] = i + 1
+// put stores e at heap position i and records the place.
+func (h *FileHeap) put(i int32, e heapEntry) {
+	h.items[i] = e
+	h.pos[e.slot()] = i + 1
 }
 
-// up moves the key at position i toward the root, shifting the larger
+// up moves the entry at position i toward the root, shifting the larger
 // parents down behind it, and reports whether it moved.
 func (h *FileHeap) up(i int32) bool {
-	key, from := h.items[i], i
+	e, from := h.items[i], i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(key, h.items[parent]) {
+		if !h.less(e.key(), h.items[parent].key()) {
 			break
 		}
 		h.put(i, h.items[parent])
 		i = parent
 	}
-	h.put(i, key)
+	h.put(i, e)
 	return i != from
 }
 
-// down moves the key at position i toward the leaves, shifting the smaller
+// down moves the entry at position i toward the leaves, shifting the smaller
 // children up behind it.
 func (h *FileHeap) down(i int32) {
-	key, n := h.items[i], int32(len(h.items))
+	e, n := h.items[i], int32(len(h.items))
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if right := child + 1; right < n && h.less(h.items[right], h.items[child]) {
+		if right := child + 1; right < n && h.less(h.items[right].key(), h.items[child].key()) {
 			child = right
 		}
-		if !h.less(h.items[child], key) {
+		if !h.less(h.items[child].key(), e.key()) {
 			break
 		}
 		h.put(i, h.items[child])
 		i = child
 	}
-	h.put(i, key)
+	h.put(i, e)
 }
 
 // tierOrder is one declared per-tier order: a heap per tier holding exactly
@@ -507,24 +527,24 @@ func newCandidateIndex(ctx *Context) *CandidateIndex { return &CandidateIndex{ct
 // together with the index's own structures, so its top is always selectable.
 // tier names the tier whose residents the heap orders, -1 when it spans tiers.
 func (ix *CandidateIndex) NewHeap(less func(a, b HeapKey) bool, tier storage.Media) *FileHeap {
-	h := NewFileHeap(less, ix.ctx.FS.FileByID)
+	h := NewFileHeap(less, ix.ctx.FS.FileAt)
 	h.ctx, h.tier = ix.ctx, tier
 	ix.heaps = append(ix.heaps, h)
 	return h
 }
 
 // park takes the file out of selection order everywhere it is indexed.
-func (ix *CandidateIndex) park(id dfs.FileID) {
+func (ix *CandidateIndex) park(f *dfs.File) {
 	for _, h := range ix.heaps {
-		h.Park(id)
+		h.Park(f)
 	}
 }
 
 // parkOn takes the file out of the one tier's selection orders.
-func (ix *CandidateIndex) parkOn(id dfs.FileID, tier storage.Media) {
+func (ix *CandidateIndex) parkOn(f *dfs.File, tier storage.Media) {
 	for _, h := range ix.heaps {
 		if h.tier == tier {
-			h.Park(id)
+			h.Park(f)
 		}
 	}
 }
@@ -532,10 +552,10 @@ func (ix *CandidateIndex) parkOn(id dfs.FileID, tier storage.Media) {
 // unpark returns a file that is off the manager's busy and cooldown record to
 // selection order under its current keys, except on the tiers where it holds
 // a last copy.
-func (ix *CandidateIndex) unpark(id dfs.FileID) {
+func (ix *CandidateIndex) unpark(f *dfs.File) {
 	for _, h := range ix.heaps {
-		if h.tier < 0 || !ix.ctx.mgr.lastCopyOn(id, h.tier) {
-			h.Unpark(id)
+		if h.tier < 0 || !ix.ctx.mgr.lastCopyOn(f.ID(), h.tier) {
+			h.Unpark(f)
 		}
 	}
 }
@@ -627,16 +647,15 @@ func (ix *CandidateIndex) fileCreated(f *dfs.File) {
 }
 
 func (ix *CandidateIndex) fileAccessed(f *dfs.File) {
-	id := f.ID()
 	for _, o := range ix.orders {
 		w, t := o.key(f)
 		for _, h := range o.tiers {
-			if h.Has(id) {
+			if h.Has(f) {
 				h.Update(f, w, t)
 			}
 		}
 	}
-	if ix.mru != nil && ix.mru.Has(id) {
+	if ix.mru != nil && ix.mru.Has(f) {
 		ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
 	}
 }
@@ -644,11 +663,11 @@ func (ix *CandidateIndex) fileAccessed(f *dfs.File) {
 func (ix *CandidateIndex) fileDeleted(f *dfs.File) {
 	for _, o := range ix.orders {
 		for _, h := range o.tiers {
-			h.Remove(f.ID())
+			h.Remove(f)
 		}
 	}
 	if ix.mru != nil {
-		ix.mru.Remove(f.ID())
+		ix.mru.Remove(f)
 	}
 }
 
@@ -657,12 +676,12 @@ func (ix *CandidateIndex) residencyChanged(f *dfs.File, m storage.Media, residen
 		if resident {
 			o.set(f, m)
 		} else {
-			o.tiers[m].Remove(f.ID())
+			o.tiers[m].Remove(f)
 		}
 	}
 	if ix.mru != nil && m == storage.Memory {
 		if resident {
-			ix.mru.Remove(f.ID())
+			ix.mru.Remove(f)
 		} else if ix.upgradeIndexable(f) {
 			ix.mru.Update(f, 0, ix.ctx.LastTouch(f))
 		}
@@ -759,7 +778,7 @@ func (ix *CandidateIndex) AuditParking() error {
 	for i, h := range ix.heaps {
 		var err error
 		h.Each(func(f *dfs.File, _ HeapKey) {
-			if parked := h.IsParked(f.ID()); err == nil && parked != ix.ctx.parked(f.ID(), h.tier) {
+			if parked := h.IsParked(f); err == nil && parked != ix.ctx.parked(f, h.tier) {
 				err = fmt.Errorf("core: index heap %d has %q parked=%v, manager record says %v", i, f.Path(), parked, !parked)
 			}
 		})

@@ -73,22 +73,28 @@ func (b *byteDraws) Intn(n int) int {
 	return v
 }
 
-// heapExercise is a standalone FileHeap next to its sorted-slice oracle.
+// heapExercise is a standalone FileHeap next to its sorted-slice oracle. Its
+// file pool lives in a file system, so a recycle step can delete a file and
+// create another on the slot it freed.
 type heapExercise struct {
-	order  int // into heapOrders
-	files  []*dfs.File
-	h      *FileHeap
-	m      *heapModel
-	slack  map[dfs.FileID]float64 // lazy order: exact weight = stored bound + slack
-	counts map[string]int
-	topK   []*dfs.File
+	order   int // into heapOrders
+	ev      *env
+	files   []*dfs.File
+	retired []*dfs.File // files recycled out of the pool: members of nothing
+	h       *FileHeap
+	m       *heapModel
+	slack   map[dfs.FileID]float64 // lazy order: exact weight = stored bound + slack
+	counts  map[string]int
+	topK    []*dfs.File
 }
 
-func newHeapExercise(order int, files []*dfs.File, resolve func(dfs.FileID) *dfs.File, src draws) *heapExercise {
+func newHeapExercise(t testing.TB, order int, src draws) *heapExercise {
+	ev, files := heapExerciseFiles(t)
 	x := &heapExercise{
 		order: order,
+		ev:    ev,
 		files: files,
-		h:     NewFileHeap(heapOrders[order].less, resolve),
+		h:     NewFileHeap(heapOrders[order].less, ev.fs.FileAt),
 		m: &heapModel{
 			less:   heapOrders[order].less,
 			key:    map[dfs.FileID]HeapKey{},
@@ -108,10 +114,34 @@ func newHeapExercise(order int, files []*dfs.File, resolve func(dfs.FileID) *dfs
 
 func (x *heapExercise) trueW(f *dfs.File) float64 { return x.m.key[f.ID()].W + x.slack[f.ID()] }
 
-// step applies one drawn Update / Remove / Park / Unpark / Rekey — re-keys
-// and removals of parked members included — and then compares membership,
-// keys, parked bits and every selection method against the oracle, requiring
-// each selection to leave items, parked and pos as it found them.
+// recycle replaces pool file i the way the file system turns a slot over: the
+// index drops the file when it is deleted, and the next file created takes
+// its slot under a new id. Files recycled out stay on record as retired, so
+// every step checks that the heap answers nothing for them.
+func (x *heapExercise) recycle(t testing.TB, i int, src draws) {
+	old := x.files[i]
+	x.h.Remove(old)
+	delete(x.m.key, old.ID())
+	delete(x.m.parked, old.ID())
+	if err := x.ev.fs.Delete(old.Path()); err != nil {
+		t.Fatalf("recycle %s: %v", old.Path(), err)
+	}
+	f := x.ev.create(t, fmt.Sprintf("/prop/r%05d", len(x.retired)), storage.MB)
+	if f.Slot() != old.Slot() || f.ID() == old.ID() {
+		t.Fatalf("recycle: new file has slot %d id %d, the freed slot was %d under id %d", f.Slot(), f.ID(), old.Slot(), old.ID())
+	}
+	x.files[i] = f
+	x.retired = append(x.retired, old)
+	x.m.byID[f.ID()] = f
+	x.slack[f.ID()] = float64(src.Intn(4))
+	x.counts["recycle"]++
+}
+
+// step applies one drawn Update / Remove / Park / Unpark / Rekey / recycle —
+// re-keys and removals of parked members included — and then compares
+// membership, keys, parked bits and every selection method against the
+// oracle, requiring each selection to leave items, parked and pos as it found
+// them.
 func (x *heapExercise) step(t testing.TB, step int, src draws) {
 	h, m, lazy := x.h, x.m, heapOrders[x.order].lazy
 	// Few distinct weights and times, so ties reach the id component.
@@ -122,10 +152,11 @@ func (x *heapExercise) step(t testing.TB, step int, src draws) {
 		}
 		return w, sim.Epoch.Add(time.Duration(src.Intn(8)) * time.Second)
 	}
-	f := x.files[src.Intn(len(x.files))]
+	i := src.Intn(len(x.files))
+	f := x.files[i]
 	id := f.ID()
 	_, member := m.key[id]
-	switch op := src.Intn(10); {
+	switch op := src.Intn(11); {
 	case op < 4:
 		w, at := randKey()
 		h.Update(f, w, at)
@@ -134,24 +165,24 @@ func (x *heapExercise) step(t testing.TB, step int, src draws) {
 			x.counts["rekey-parked"]++
 		}
 	case op < 5:
-		h.Remove(id)
+		h.Remove(f)
 		if m.parked[id] {
 			x.counts["remove-parked"]++
 		}
 		delete(m.key, id)
 		delete(m.parked, id)
 	case op < 7:
-		h.Park(id)
+		h.Park(f)
 		if member {
 			m.parked[id] = true
 		}
 	case op < 9:
-		h.Unpark(id)
+		h.Unpark(f)
 		if m.parked[id] {
 			x.counts["unpark"]++
 		}
 		delete(m.parked, id)
-	default:
+	case op < 10:
 		fresh := map[dfs.FileID]HeapKey{}
 		h.Rekey(func(f *dfs.File) (float64, time.Time) {
 			w, at := randKey()
@@ -162,6 +193,8 @@ func (x *heapExercise) step(t testing.TB, step int, src draws) {
 			t.Fatalf("step %d: Rekey visited %d members, model has %d", step, len(fresh), len(m.key))
 		}
 		m.key = fresh
+	default:
+		x.recycle(t, i, src)
 	}
 
 	// Membership, keys, parked bits.
@@ -180,17 +213,22 @@ func (x *heapExercise) step(t testing.TB, step int, src draws) {
 	}
 	for _, f := range x.files {
 		_, member := m.key[f.ID()]
-		if h.Has(f.ID()) != member || h.IsParked(f.ID()) != m.parked[f.ID()] {
+		if h.Has(f) != member || h.IsParked(f) != m.parked[f.ID()] {
 			t.Fatalf("step %d: file %d Has=%v IsParked=%v, model member=%v parked=%v",
-				step, f.ID(), h.Has(f.ID()), h.IsParked(f.ID()), member, m.parked[f.ID()])
+				step, f.ID(), h.Has(f), h.IsParked(f), member, m.parked[f.ID()])
 		}
-		if k, ok := h.Key(f.ID()); ok != member || (ok && k != m.key[f.ID()]) {
+		if k, ok := h.Key(f); ok != member || (ok && k != m.key[f.ID()]) {
 			t.Fatalf("step %d: Key(%d) = %v, %v; model %v", step, f.ID(), k, ok, m.key[f.ID()])
 		}
 	}
-	for i, k := range h.items {
-		if i > 0 && h.less(k, h.items[(i-1)/2]) {
-			t.Fatalf("step %d: items[%d] = %v sorts before its parent %v", step, i, k, h.items[(i-1)/2])
+	for _, f := range x.retired {
+		if _, ok := h.Key(f); ok || h.Has(f) || h.IsParked(f) {
+			t.Fatalf("step %d: retired file %d (slot %d) is still a member", step, f.ID(), f.Slot())
+		}
+	}
+	for i, e := range h.items {
+		if i > 0 && h.less(e.key(), h.items[(i-1)/2].key()) {
+			t.Fatalf("step %d: items[%d] = %v sorts before its parent %v", step, i, e.key(), h.items[(i-1)/2].key())
 		}
 	}
 
@@ -260,16 +298,15 @@ func heapExerciseFiles(t testing.TB) (*env, []*dfs.File) {
 // op sequences under each ordering (see heapExercise.step), and requires the
 // selections the policies run per decision to allocate nothing.
 func TestFileHeapAgainstSortedOracle(t *testing.T) {
-	ev, files := heapExerciseFiles(t)
 	for order := range heapOrders {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", heapOrders[order].name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				x := newHeapExercise(order, files, ev.fs.FileByID, rng)
+				x := newHeapExercise(t, order, rng)
 				for step := 0; step < 3000; step++ {
 					x.step(t, step, rng)
 				}
-				for _, what := range []string{"rekey-parked", "remove-parked", "unpark"} {
+				for _, what := range []string{"rekey-parked", "remove-parked", "unpark", "recycle"} {
 					if x.counts[what] < 20 {
 						t.Errorf("only %d %s steps; the sequence is too tame to trust", x.counts[what], what)
 					}
@@ -290,10 +327,11 @@ func TestFileHeapAgainstSortedOracle(t *testing.T) {
 
 // FuzzFileHeap decodes its input into the same op sequence the model test
 // draws from an rng (one choice per byte) and holds the heap to the same
-// oracle after every op. The seed corpus is a prefix of the model test's
-// choices under each ordering; plain `go test` runs it.
+// oracle after every op, slot recycles included: the id-keyed oracle must
+// agree while the heap indexes by slots that change hands. The seed corpus is
+// a prefix of the model test's choices under each ordering; plain `go test`
+// runs it.
 func FuzzFileHeap(f *testing.F) {
-	ev, files := heapExerciseFiles(f)
 	for order := range heapOrders {
 		rng := rand.New(rand.NewSource(1))
 		ops := make([]byte, 1024)
@@ -304,7 +342,7 @@ func FuzzFileHeap(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, order uint8, ops []byte) {
 		src := &byteDraws{data: ops}
-		x := newHeapExercise(int(order)%len(heapOrders), files, ev.fs.FileByID, src)
+		x := newHeapExercise(t, int(order)%len(heapOrders), src)
 		for step := 0; len(src.data) > 0; step++ {
 			x.step(t, step, src)
 		}
@@ -354,7 +392,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 		if !m.isBusy(f) {
 			t.Error("destination flip fired after Done; the case is vacuous")
 		}
-		if !ix.recency.tiers[storage.Memory].IsParked(f.ID()) || !ix.freq.tiers[storage.Memory].IsParked(f.ID()) {
+		if !ix.recency.tiers[storage.Memory].IsParked(f) || !ix.freq.tiers[storage.Memory].IsParked(f) {
 			t.Error("busy file entered the destination tier's heaps unparked")
 		}
 		if err := ix.Audit(); err != nil {
@@ -364,7 +402,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 
 	m.tryUpgrade(f, "test")
 	for _, h := range []*FileHeap{ix.recency.tiers[storage.HDD], ix.freq.tiers[storage.HDD], ix.mru, policyHeap} {
-		if !h.IsParked(f.ID()) {
+		if !h.IsParked(f) {
 			t.Fatal("busy file still in heap order")
 		}
 	}
@@ -388,11 +426,11 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 		t.Fatalf("upgrade did not complete: %+v", m.Metrics())
 	}
 	for i, h := range ix.heaps {
-		if h.IsParked(f.ID()) {
+		if h.IsParked(f) {
 			t.Fatalf("heap %d still holds the file parked after a clean move", i)
 		}
 	}
-	if !ix.recency.tiers[storage.Memory].Has(f.ID()) || ix.mru.Has(f.ID()) {
+	if !ix.recency.tiers[storage.Memory].Has(f) || ix.mru.Has(f) {
 		t.Fatal("index membership did not follow the move")
 	}
 	if err := ix.Audit(); err != nil {
@@ -412,21 +450,21 @@ func TestAuditCatchesParkingDrift(t *testing.T) {
 	if err := ix.Audit(); err != nil {
 		t.Fatalf("clean audit: %v", err)
 	}
-	ix.recency.tiers[storage.Memory].Park(f.ID())
+	ix.recency.tiers[storage.Memory].Park(f)
 	if ix.Audit() == nil {
 		t.Error("audit accepts a parked file that is neither busy nor cooling down")
 	}
-	ix.recency.tiers[storage.Memory].Unpark(f.ID())
+	ix.recency.tiers[storage.Memory].Unpark(f)
 
 	m.setCooldown(f, CooldownMoveFailed)
 	if err := ix.Audit(); err != nil {
 		t.Fatalf("audit with a cooldown on record: %v", err)
 	}
-	ix.recency.tiers[storage.Memory].Unpark(f.ID())
+	ix.recency.tiers[storage.Memory].Unpark(f)
 	if ix.Audit() == nil {
 		t.Error("audit accepts a cooled-down file in heap order")
 	}
-	ix.recency.tiers[storage.Memory].Park(f.ID())
+	ix.recency.tiers[storage.Memory].Park(f)
 	if err := ix.Audit(); err != nil {
 		t.Fatalf("audit after repair: %v", err)
 	}
@@ -457,9 +495,9 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 	m.SetMover(&failLater{engine: ev.engine})
 	checkRecord := func(when string) {
 		t.Helper()
-		for _, k := range m.cooling.items {
-			if f := ev.fs.FileByID(k.ID); f == nil || f.Deleted() {
-				t.Fatalf("%s: cooldown on record for dead file %d", when, k.ID)
+		for _, e := range m.cooling.items {
+			if f := ev.fs.FileAt(e.slot(), e.id()); f == nil || f.Deleted() {
+				t.Fatalf("%s: cooldown on record for dead file %d", when, e.id())
 			}
 		}
 		if len(m.cooling.parked) != 0 {
@@ -492,13 +530,13 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 		// Cool every cooling survivor a second time: the entry is superseded in
 		// place, under the later time.
 		for _, f := range batch {
-			before, cooling := m.cooling.Key(f.ID())
+			before, cooling := m.cooling.Key(f)
 			if !cooling {
 				continue
 			}
 			n := m.cooling.Len()
 			m.setCooldown(f, CooldownMoveFailed)
-			after, _ := m.cooling.Key(f.ID())
+			after, _ := m.cooling.Key(f)
 			if m.cooling.Len() != n || after.T <= before.T {
 				t.Fatalf("round %d: re-cooling file %d: %d -> %d entries, until %d -> %d",
 					round, f.ID(), n, m.cooling.Len(), before.T, after.T)
@@ -516,13 +554,13 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 				kept = true
 				continue
 			}
-			n, cooling := m.cooling.Len(), m.cooling.Has(f.ID())
+			n, cooling := m.cooling.Len(), m.cooling.Has(f)
 			if err := ev.fs.Delete(f.Path()); err != nil {
 				t.Fatalf("delete of a cooled-down file: %v", err)
 			}
 			if cooling {
 				deletedCooling++
-				if m.cooling.Len() != n-1 || m.cooling.Has(f.ID()) {
+				if m.cooling.Len() != n-1 || m.cooling.Has(f) {
 					t.Fatalf("round %d: deleting cooling file %d left %d of %d entries", round, f.ID(), m.cooling.Len(), n)
 				}
 			}
@@ -577,7 +615,7 @@ func TestAuditCatchesStrayInWeightHeap(t *testing.T) {
 		t.Fatalf("clean audit: %v", err)
 	}
 	h := w.order.tiers[storage.Memory]
-	h.Remove(inMemory.ID())
+	h.Remove(inMemory)
 	h.Update(onHDD, 0, time.Time{})
 	if ev.ctx.Index().Audit() == nil {
 		t.Error("audit accepts a weight heap that lost a resident file and kept a stray one")
@@ -660,7 +698,7 @@ func TestLastCopyExaminedOncePerResidencyChange(t *testing.T) {
 	audit("cooldown over a last-copy mark")
 	e.RunFor(failureCooldown + time.Second)
 	ix.SelectLRU(storage.HDD) // any selection releases what expired
-	if !ix.recency.tiers[storage.HDD].IsParked(files[1].ID()) || ix.mru.IsParked(files[1].ID()) {
+	if !ix.recency.tiers[storage.HDD].IsParked(files[1]) || ix.mru.IsParked(files[1]) {
 		t.Fatal("an expired cooldown must leave the last copy parked on its tier and nowhere else")
 	}
 	audit("cooldown expired")

@@ -60,8 +60,8 @@ func (c *Context) Selectable(f *dfs.File) bool {
 // parked reports whether the manager has the file on record as busy or
 // cooling down, or as holding a last copy on the tier (-1: no one tier), which
 // is exactly when the indexes hold it parked in a heap over that tier.
-func (c *Context) parked(id dfs.FileID, tier storage.Media) bool {
-	return c.mgr != nil && (c.mgr.onRecord(id) || tier >= 0 && c.mgr.lastCopyOn(id, tier))
+func (c *Context) parked(f *dfs.File, tier storage.Media) bool {
+	return c.mgr != nil && (c.mgr.onRecord(f) || tier >= 0 && c.mgr.lastCopyOn(f.ID(), tier))
 }
 
 // ctxListener feeds file-system notifications into the context's tracker,
@@ -72,7 +72,7 @@ type ctxListener struct{ ctx *Context }
 
 // FileCreated implements dfs.Listener.
 func (l ctxListener) FileCreated(f *dfs.File) {
-	l.ctx.Tracker.OnCreate(int64(f.ID()), f.Size(), f.Created())
+	l.ctx.Tracker.OnCreate(f.Slot(), int64(f.ID()), f.Size(), f.Created())
 	for _, w := range l.ctx.weights {
 		w.created(f)
 	}
@@ -81,7 +81,7 @@ func (l ctxListener) FileCreated(f *dfs.File) {
 
 // FileAccessed implements dfs.Listener.
 func (l ctxListener) FileAccessed(f *dfs.File, n int64) {
-	l.ctx.Tracker.OnAccessN(int64(f.ID()), l.ctx.Clock.Now(), n)
+	l.ctx.Tracker.OnAccessN(f.Slot(), int64(f.ID()), l.ctx.Clock.Now(), n)
 	for _, w := range l.ctx.weights {
 		w.accessed(f, n)
 	}
@@ -90,7 +90,7 @@ func (l ctxListener) FileAccessed(f *dfs.File, n int64) {
 
 // FileDeleted implements dfs.Listener.
 func (l ctxListener) FileDeleted(f *dfs.File) {
-	l.ctx.Tracker.OnDelete(int64(f.ID()))
+	l.ctx.Tracker.OnDelete(f.Slot(), int64(f.ID()))
 	l.ctx.index.fileDeleted(f)
 	for _, w := range l.ctx.weights {
 		w.deleted(f)
@@ -107,10 +107,10 @@ func (ctxListener) TierDataAdded(storage.Media) {}
 
 // Record returns (creating on demand) the statistics record of a file.
 func (c *Context) Record(f *dfs.File) *ml.FileRecord {
-	if rec, ok := c.Tracker.Get(int64(f.ID())); ok {
+	if rec, ok := c.Tracker.Get(f.Slot(), int64(f.ID())); ok {
 		return rec
 	}
-	return c.Tracker.OnCreate(int64(f.ID()), f.Size(), f.Created())
+	return c.Tracker.OnCreate(f.Slot(), int64(f.ID()), f.Size(), f.Created())
 }
 
 // LastTouch returns the file's most recent access, or its creation time if

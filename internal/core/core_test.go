@@ -592,7 +592,7 @@ func TestRecordAccessNEqualsNRecordAccesses(t *testing.T) {
 				t.Fatalf("round %d heap %d: %d vs %d members", round, hi, hs.Len(), hb.Len())
 			}
 			hs.Each(func(f *dfs.File, ks HeapKey) {
-				kb, ok := hb.Key(f.ID())
+				kb, ok := hb.Key(f)
 				if !ok || ks.T != kb.T || ks.ID != kb.ID || (exact && ks.W != kb.W) || !closeTo(ks.W, kb.W) {
 					t.Fatalf("round %d heap %d file %d: key %+v vs %+v", round, hi, f.ID(), ks, kb)
 				}

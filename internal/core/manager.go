@@ -123,7 +123,7 @@ func NewManager(ctx *Context, down DowngradePolicy, up UpgradePolicy) *Manager {
 		monitor:  NewMonitor(ctx.FS, ctx.Cfg.MonitorConcurrency, ctx.Cfg.MoveLatency),
 		engine:   ctx.FS.Engine(),
 		busy:     make(map[dfs.FileID]bool),
-		cooling:  NewFileHeap(nil, ctx.FS.FileByID),
+		cooling:  NewFileHeap(nil, ctx.FS.FileAt),
 		lastCopy: make(map[dfs.FileID]uint8),
 	}
 	m.SetMover(nil)
@@ -204,14 +204,14 @@ func (m *Manager) isBusy(f *dfs.File) bool { return m.busy[f.ID()] }
 
 // inCooldown reports whether the file's failure cooldown is still running.
 func (m *Manager) inCooldown(f *dfs.File) bool {
-	k, cooling := m.cooling.Key(f.ID())
+	k, cooling := m.cooling.Key(f)
 	return cooling && timeKey(m.ctx.Clock.Now()) <= k.T
 }
 
 // onRecord reports whether the file is busy or has a cooldown on record,
 // expired-but-unreleased ones included: the parked state of the indexes.
-func (m *Manager) onRecord(id dfs.FileID) bool {
-	return m.busy[id] || m.cooling.Has(id)
+func (m *Manager) onRecord(f *dfs.File) bool {
+	return m.busy[f.ID()] || m.cooling.Has(f)
 }
 
 // lastCopyOn reports whether the file is parked on the tier as a last copy.
@@ -222,14 +222,14 @@ func (m *Manager) lastCopyOn(id dfs.FileID, tier storage.Media) bool {
 // pinLastCopy parks the file on the one tier whose replicas it must keep.
 func (m *Manager) pinLastCopy(f *dfs.File, tier storage.Media) {
 	m.lastCopy[f.ID()] |= 1 << tier
-	m.ctx.index.parkOn(f.ID(), tier)
+	m.ctx.index.parkOn(f, tier)
 }
 
 // markBusy records a move of the file as queued or in flight.
 func (m *Manager) markBusy(f *dfs.File) {
 	m.busy[f.ID()] = true
 	m.busyCount.Add(1)
-	m.ctx.index.park(f.ID())
+	m.ctx.index.park(f)
 }
 
 // moveDone closes the busy mark of a finished move: a failure turns into a
@@ -244,8 +244,8 @@ func (m *Manager) moveDone(f *dfs.File, err error) {
 	if err != nil {
 		m.setCooldown(f, CooldownMoveFailed)
 	}
-	if !m.onRecord(id) {
-		m.ctx.index.unpark(id)
+	if !m.onRecord(f) {
+		m.ctx.index.unpark(f)
 	}
 }
 
@@ -255,12 +255,12 @@ func (m *Manager) setCooldown(f *dfs.File, reason CooldownReason) {
 	if f.Deleted() {
 		return
 	}
-	if !m.cooling.Has(f.ID()) {
+	if !m.cooling.Has(f) {
 		m.cooldownCount.Add(1)
 	}
 	m.cooling.Update(f, 0, m.ctx.Clock.Now().Add(failureCooldown))
 	m.cooldowns[reason].Add(1)
-	m.ctx.index.park(f.ID())
+	m.ctx.index.park(f)
 }
 
 // releaseExpired drops every cooldown that has run out (strictly: now is
@@ -268,12 +268,12 @@ func (m *Manager) setCooldown(f *dfs.File, reason CooldownReason) {
 // selection order. The candidate heaps call it at the start of every
 // selection.
 func (m *Manager) releaseExpired() {
-	for len(m.cooling.items) > 0 && m.cooling.items[0].T < timeKey(m.ctx.Clock.Now()) {
-		id := m.cooling.items[0].ID
-		m.cooling.Remove(id)
+	for len(m.cooling.items) > 0 && m.cooling.items[0].t < timeKey(m.ctx.Clock.Now()) {
+		e := m.cooling.items[0]
+		m.cooling.remove(e.slot(), e.id())
 		m.cooldownCount.Add(-1)
-		if !m.busy[id] {
-			m.ctx.index.unpark(id)
+		if f := m.ctx.FS.FileAt(e.slot(), e.id()); f != nil && !m.busy[f.ID()] {
+			m.ctx.index.unpark(f)
 		}
 	}
 }
@@ -322,8 +322,8 @@ func (m *Manager) FileDeleted(f *dfs.File) {
 		delete(m.busy, f.ID())
 		m.busyCount.Add(-1)
 	}
-	if m.cooling.Has(f.ID()) {
-		m.cooling.Remove(f.ID())
+	if m.cooling.Has(f) {
+		m.cooling.Remove(f)
 		m.cooldownCount.Add(-1)
 	}
 	delete(m.lastCopy, f.ID())
@@ -346,8 +346,8 @@ func (m *Manager) FileTierChanged(f *dfs.File, _ storage.Media, _ bool) {
 		return
 	}
 	delete(m.lastCopy, id)
-	if !m.onRecord(id) {
-		m.ctx.index.unpark(id)
+	if !m.onRecord(f) {
+		m.ctx.index.unpark(f)
 	}
 }
 

@@ -31,10 +31,12 @@ type Decay interface {
 // re-key in O(N), amortized to nothing over the window.
 const weightHorizonWindow = time.Hour
 
-// weightState is one file's entry in a DecayedWeight: the weight as of at.
+// weightState is one file's entry in a DecayedWeight: the weight as of at,
+// and the id of the file it belongs to (-1 for a free slot).
 type weightState struct {
 	w  float64
 	at time.Time
+	id dfs.FileID
 }
 
 // DecayedWeight is a per-file statistic the Context derives from its
@@ -53,8 +55,8 @@ type weightState struct {
 type DecayedWeight struct {
 	ctx   *Context
 	decay Decay
-	state map[dfs.FileID]weightState
-	order *tierOrder // nil until RequireOrder
+	state []weightState // by slot (see dfs.File.Slot)
+	order *tierOrder    // nil until RequireOrder
 
 	horizon   time.Time
 	selectNow time.Time
@@ -70,7 +72,7 @@ func (c *Context) DecayedWeight(d Decay) *DecayedWeight {
 			return w
 		}
 	}
-	w := &DecayedWeight{ctx: c, decay: d, state: make(map[dfs.FileID]weightState)}
+	w := &DecayedWeight{ctx: c, decay: d}
 	w.trueFn = func(f *dfs.File) float64 { return w.at(f, w.selectNow) }
 	c.weights = append(c.weights, w)
 	return w
@@ -86,10 +88,18 @@ func (w *DecayedWeight) RequireOrder() {
 // lookup returns the stored weight and when it was stored; a file the
 // statistic has not seen has weight 0 as of its creation.
 func (w *DecayedWeight) lookup(f *dfs.File) weightState {
-	if s, ok := w.state[f.ID()]; ok {
-		return s
+	if slot := int(f.Slot()); slot < len(w.state) && w.state[slot].id == f.ID() {
+		return w.state[slot]
 	}
-	return weightState{at: f.Created()}
+	return weightState{at: f.Created(), id: f.ID()}
+}
+
+// store books the file's weight as of at.
+func (w *DecayedWeight) store(f *dfs.File, weight float64, at time.Time) {
+	for int(f.Slot()) >= len(w.state) {
+		w.state = append(w.state, weightState{id: -1})
+	}
+	w.state[f.Slot()] = weightState{w: weight, at: at, id: f.ID()}
 }
 
 func (w *DecayedWeight) at(f *dfs.File, t time.Time) float64 {
@@ -98,7 +108,7 @@ func (w *DecayedWeight) at(f *dfs.File, t time.Time) float64 {
 }
 
 // Stored is the file's weight as of its last access, not decayed since.
-func (w *DecayedWeight) Stored(f *dfs.File) float64 { return w.state[f.ID()].w }
+func (w *DecayedWeight) Stored(f *dfs.File) float64 { return w.lookup(f).w }
 
 // Now is the file's weight decayed to the current instant.
 func (w *DecayedWeight) Now(f *dfs.File) float64 { return w.at(f, w.ctx.Clock.Now()) }
@@ -107,7 +117,7 @@ func (w *DecayedWeight) Now(f *dfs.File) float64 { return w.at(f, w.ctx.Clock.No
 // file, so the order's key already sees the new weight.
 
 func (w *DecayedWeight) created(f *dfs.File) {
-	w.state[f.ID()] = weightState{w: 1, at: w.ctx.Clock.Now()}
+	w.store(f, 1, w.ctx.Clock.Now())
 }
 
 // accessed books n accesses at the current instant: the first decays the
@@ -115,10 +125,14 @@ func (w *DecayedWeight) created(f *dfs.File) {
 func (w *DecayedWeight) accessed(f *dfs.File, n int64) {
 	now := w.ctx.Clock.Now()
 	s := w.lookup(f)
-	w.state[f.ID()] = weightState{w: w.decay.Bump(s.w, now.Sub(s.at)) + float64(n-1), at: now}
+	w.store(f, w.decay.Bump(s.w, now.Sub(s.at))+float64(n-1), now)
 }
 
-func (w *DecayedWeight) deleted(f *dfs.File) { delete(w.state, f.ID()) }
+func (w *DecayedWeight) deleted(f *dfs.File) {
+	if slot := int(f.Slot()); slot < len(w.state) && w.state[slot].id == f.ID() {
+		w.state[slot] = weightState{id: -1}
+	}
+}
 
 // bound is the order's key: the file's weight at the horizon, a lower bound
 // of its weight at any instant before.

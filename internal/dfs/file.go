@@ -215,11 +215,15 @@ type File struct {
 	blkArr      [1]*Block // inline backing for single-block files
 	replication int32
 	deleted     bool
+	creating    bool // the initial write (or an attach's rebuild) is in flight
 	// tierBlocks[m] counts blocks having at least one readable replica on
 	// media m, maintained incrementally on every replica transition so the
 	// manager's per-tick file scans answer HasReplicaOn in O(1) instead of
 	// walking every replica of every block.
 	tierBlocks [3]int32
+	// slot is the file's dense live index (see FileSystem.FileAt): taken at
+	// birth, handed to a later file once this one is gone.
+	slot int32
 }
 
 // fileObj is a single-block file's whole metadata in one allocation: the
@@ -285,6 +289,34 @@ func allocFile(nblocks, replication int) (*File, replicaSlots) {
 
 // ID returns the file id.
 func (f *File) ID() FileID { return f.id }
+
+// Slot returns the file's dense live index: a small integer no other live
+// file of the same FileSystem holds, recycled after the file is gone. Tables
+// of per-live-file state index by it and keep the id beside each entry (see
+// FileSystem.FileAt), so they stay sized by the live files rather than by
+// every id ever assigned.
+func (f *File) Slot() int32 { return f.slot }
+
+// Ref returns the file's id and slot in one word (see Ref).
+func (f *File) Ref() Ref { return Ref(uint64(f.id)<<refSlotBits | uint64(f.slot)) }
+
+// Ref is a live file's id and slot packed into one word, id<<24 | slot: the
+// compact form for tables that order files by id and index them by slot.
+// Refs order exactly as their ids do. A FileSystem keeps slots below 1<<24
+// and ids below 1<<40, so every file has one (see newFile).
+type Ref uint64
+
+const (
+	refSlotBits = 24
+	maxSlots    = 1 << refSlotBits
+	maxFileID   = 1 << (64 - refSlotBits)
+)
+
+// ID returns the file id.
+func (r Ref) ID() FileID { return FileID(r >> refSlotBits) }
+
+// Slot returns the file's slot.
+func (r Ref) Slot() int32 { return int32(r & (maxSlots - 1)) }
 
 // Path returns the absolute path of the file.
 func (f *File) Path() string { return f.path }

@@ -159,19 +159,21 @@ func churnFootprint(tb testing.TB, live, cycles int) float64 {
 }
 
 // TestChurnFootprintBounded holds namespace memory to the live files: a
-// deleted file's metadata must be freed with it. What may remain per file
-// ever created is the id-indexed tables (file-list positions, the creating
-// bitset, each index heap's positions), a few bytes per table.
+// deleted file's metadata must be freed with it, and every per-file table
+// (file-list positions, tracker records, each index heap's positions) is
+// indexed by slots the next file reuses, so nothing grows with the files ever
+// created (about 0.6 B per create on a 2-core x86-64 container: collector
+// noise).
 func TestChurnFootprintBounded(t *testing.T) {
-	const maxPerCreate = 48 // bytes
+	const maxPerCreate = 4 // bytes
 	if got := churnFootprint(t, churnLive, churnCycles); got > maxPerCreate {
 		t.Fatalf("retained heap grew %.0f B per file created, want at most %d", got, maxPerCreate)
 	}
 }
 
 // BenchmarkChurnFootprint reports the retained heap bytes per file created
-// after the bounded-churn cycles (bytes/created): the residue of the
-// id-indexed tables. ns/op is the whole churn.
+// after the bounded-churn cycles (bytes/created): whatever grows with files
+// ever created rather than with the live ones. ns/op is the whole churn.
 func BenchmarkChurnFootprint(b *testing.B) {
 	var perCreate float64
 	for i := 0; i < b.N; i++ {

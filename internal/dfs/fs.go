@@ -152,20 +152,16 @@ type FileSystem struct {
 
 	nextFileID  FileID
 	nextBlockID int64
-	// creatingBits marks files whose initial write is still in flight, one
-	// bit per FileID. A bitset instead of a map: Go maps never release
-	// their bucket arrays, so a create burst would pin a high-water mark of
-	// empty buckets for the life of the namespace.
-	creatingBits []uint64
-	stats        Stats
+	stats       Stats
 
 	// fileList/filePos index every live file so manager scans iterate a
 	// flat slice instead of walking (and sorting) the namespace tree.
-	// filePos is dense — indexed by FileID (ids are assigned sequentially),
-	// -1 for ids that are not live — so the per-file index cost is four
-	// bytes instead of a map entry.
-	fileList []*File
-	filePos  []int32
+	// filePos is indexed by slot (see File.Slot), -1 for a free slot, and
+	// freeSlots lists the free ones: the table is as long as the most files
+	// ever live at once, not as the ids ever assigned.
+	fileList  []*File
+	filePos   []int32
+	freeSlots []int32
 
 	// liveBytes tracks the block bytes of all attached, non-deleting
 	// replicas; pendingMoveBytes tracks destination reservations of
@@ -361,69 +357,56 @@ func (fs *FileSystem) Files() []*File {
 // mutate it or hold it across file creations and deletions.
 func (fs *FileSystem) LiveFiles() []*File { return fs.fileList }
 
-// trackFile adds f to the live-file index.
+// trackFile adds f to the live-file index under a free slot.
 func (fs *FileSystem) trackFile(f *File) {
-	for int64(len(fs.filePos)) <= int64(f.id) {
+	if n := len(fs.freeSlots); n > 0 {
+		f.slot = fs.freeSlots[n-1]
+		fs.freeSlots = fs.freeSlots[:n-1]
+	} else {
+		f.slot = int32(len(fs.filePos))
 		fs.filePos = append(fs.filePos, -1)
 	}
-	fs.filePos[f.id] = int32(len(fs.fileList))
+	fs.filePos[f.slot] = int32(len(fs.fileList))
 	fs.fileList = append(fs.fileList, f)
 }
 
 // untrackFile removes f from the live-file index by swapping the tail in.
+// Its slot stays taken until releaseSlot, so listeners told of the removal
+// can still clear their entries under it.
 func (fs *FileSystem) untrackFile(f *File) {
-	pos := fs.posOf(f.id)
-	if pos < 0 {
-		return
-	}
-	last := len(fs.fileList) - 1
-	fs.fileList[pos] = fs.fileList[last]
-	fs.filePos[fs.fileList[pos].id] = int32(pos)
+	pos := fs.filePos[f.slot]
+	last := int32(len(fs.fileList) - 1)
+	moved := fs.fileList[last]
+	fs.fileList[pos] = moved
+	fs.filePos[moved.slot] = pos
 	fs.fileList[last] = nil
 	fs.fileList = fs.fileList[:last]
-	fs.filePos[f.id] = -1
+	fs.filePos[f.slot] = -1
 }
 
-// posOf returns f's index in fileList, or -1 when the id is not live.
-func (fs *FileSystem) posOf(id FileID) int {
-	if id < 0 || int64(id) >= int64(len(fs.filePos)) {
-		return -1
-	}
-	return int(fs.filePos[id])
-}
-
-// isCreating reports whether the file's initial write is still in flight.
-func (fs *FileSystem) isCreating(id FileID) bool {
-	w := int(id >> 6)
-	return w >= 0 && w < len(fs.creatingBits) && fs.creatingBits[w]&(1<<(uint64(id)&63)) != 0
-}
-
-func (fs *FileSystem) setCreating(id FileID) {
-	w := int(id >> 6)
-	for len(fs.creatingBits) <= w {
-		fs.creatingBits = append(fs.creatingBits, 0)
-	}
-	fs.creatingBits[w] |= 1 << (uint64(id) & 63)
-}
-
-func (fs *FileSystem) clearCreating(id FileID) {
-	if w := int(id >> 6); w < len(fs.creatingBits) {
-		fs.creatingBits[w] &^= 1 << (uint64(id) & 63)
-	}
-}
+// releaseSlot hands an untracked file's slot to the next file born.
+func (fs *FileSystem) releaseSlot(f *File) { fs.freeSlots = append(fs.freeSlots, f.slot) }
 
 // Complete reports whether the file's initial write has finished.
-func (fs *FileSystem) Complete(f *File) bool { return !fs.isCreating(f.id) }
+func (fs *FileSystem) Complete(f *File) bool { return !f.creating }
 
-// FileByID resolves a live file by id in O(1), or nil when the id is not
-// live. The candidate indexes store FileID keys and resolve through this
-// on selection, so index entries do not pin namespace objects.
-func (fs *FileSystem) FileByID(id FileID) *File {
-	pos := fs.posOf(id)
+// FileAt resolves a live file by its slot in O(1): the file holding the
+// slot when its id is id, nil otherwise (a free slot, or one a later file
+// took over). Tables of per-live-file state store the slot and the id of
+// each entry and resolve through this, so an entry never pins a namespace
+// object and a recycled slot never hands back its predecessor.
+func (fs *FileSystem) FileAt(slot int32, id FileID) *File {
+	if slot < 0 || int(slot) >= len(fs.filePos) {
+		return nil
+	}
+	pos := fs.filePos[slot]
 	if pos < 0 {
 		return nil
 	}
-	return fs.fileList[pos]
+	if f := fs.fileList[pos]; f.id == id {
+		return f
+	}
+	return nil
 }
 
 // Open resolves a path to its file.
@@ -432,7 +415,7 @@ func (fs *FileSystem) Open(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fs.isCreating(f.id) {
+	if f.creating {
 		return nil, fmt.Errorf("%w: %q", ErrFileIncomplete, path)
 	}
 	return f, nil
@@ -497,15 +480,16 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 	for i, b := range f.blocks {
 		b.size = min(size-int64(i)*fs.cfg.BlockSize, fs.cfg.BlockSize)
 	}
-	fs.setCreating(f.id)
+	f.creating = true
 	finish := func(err error) {
-		fs.clearCreating(f.id)
+		f.creating = false
 		if err != nil {
 			// Failed writes are unlinked, mirroring an aborted HDFS lease.
 			fs.releaseAllReplicas(f, storage.ClassServe)
 			if _, rmErr := fs.ns.removeFile(f.path); rmErr == nil {
 				f.deleted = true
 				fs.untrackFile(f)
+				fs.releaseSlot(f)
 			}
 			fail(err)
 			return
@@ -542,6 +526,9 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 // live-file index, and returns the storage allocated with it for its blocks'
 // initial replicas: the part of a file's birth Create and AttachFile share.
 func (fs *FileSystem) newFile(path string, size int64, created time.Time, replication int32, nblocks int) (*File, replicaSlots, error) {
+	if fs.nextFileID >= maxFileID || len(fs.freeSlots) == 0 && len(fs.filePos) >= maxSlots {
+		return nil, replicaSlots{}, fmt.Errorf("%w: %d files live, %d ids assigned (see Ref)", ErrNoCapacity, len(fs.fileList), fs.nextFileID)
+	}
 	f, slots := allocFile(nblocks, int(replication))
 	f.id = fs.nextFileID
 	f.fs = fs
@@ -611,7 +598,7 @@ func (fs *FileSystem) writeBlock(b *Block, slots []Replica, onDone func()) error
 // carries the full starting residency once the write commits, and aborted
 // writes tear down replicas that no listener ever saw.
 func (fs *FileSystem) notifyResidency(f *File, media storage.Media, resident bool) {
-	if f.deleted || fs.isCreating(f.id) {
+	if f.deleted || f.creating {
 		return
 	}
 	for _, l := range fs.listeners {
@@ -769,19 +756,17 @@ func (fs *FileSystem) Delete(path string) error { return fs.remove(path, storage
 // down its replicas as I/O of the given class: ClassServe is a client
 // delete, counted in Stats; ClassMove is DetachFile (see there).
 func (fs *FileSystem) remove(path string, class storage.IOClass) error {
-	f, err := fs.ns.GetFile(path)
+	dir, f, err := fs.ns.resolveFile(path)
 	if err != nil {
 		return err
 	}
-	if fs.isCreating(f.id) {
+	if f.creating {
 		return fmt.Errorf("%w: %q", ErrFileIncomplete, path)
 	}
 	if fs.inTransition(f) {
 		return fmt.Errorf("%w: %q", ErrBusy, path)
 	}
-	if _, err := fs.ns.removeFile(path); err != nil {
-		return err
-	}
+	fs.ns.unlink(dir, f)
 	fs.releaseAllReplicas(f, class)
 	f.deleted = true
 	fs.untrackFile(f)
@@ -791,6 +776,7 @@ func (fs *FileSystem) remove(path string, class storage.IOClass) error {
 	for _, l := range fs.listeners {
 		l.FileDeleted(f)
 	}
+	fs.releaseSlot(f)
 	return nil
 }
 

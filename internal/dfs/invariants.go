@@ -2,7 +2,6 @@ package dfs
 
 import (
 	"fmt"
-	mathbits "math/bits"
 
 	"octostore/internal/storage"
 )
@@ -48,7 +47,7 @@ func (fs *FileSystem) CheckAccounting() error {
 func (fs *FileSystem) TierResidency() map[string][3]bool {
 	out := make(map[string][3]bool, len(fs.fileList))
 	for _, f := range fs.fileList {
-		if fs.isCreating(f.id) {
+		if f.creating {
 			continue
 		}
 		var res [3]bool
@@ -94,10 +93,8 @@ func (fs *FileSystem) CheckInvariants() error {
 				nsErr = fmt.Errorf("dfs: path %q resolves to a different file", f.path)
 			}
 		}
-		if nsErr == nil {
-			if pos := fs.posOf(f.id); pos < 0 || fs.fileList[pos] != f {
-				nsErr = fmt.Errorf("dfs: file %q missing from the live-file index", f.path)
-			}
+		if nsErr == nil && fs.FileAt(f.slot, f.id) != f {
+			nsErr = fmt.Errorf("dfs: file %q missing from the live-file index", f.path)
 		}
 	})
 	if nsErr != nil {
@@ -160,15 +157,17 @@ func (fs *FileSystem) CheckInvariants() error {
 		return fmt.Errorf("dfs: live replica recount %d != tracked %d", liveBytes, fs.liveBytes)
 	}
 
-	// Every file still being created must exist in the namespace.
-	for w, word := range fs.creatingBits {
-		for word != 0 {
-			id := FileID(w<<6 + mathbits.TrailingZeros64(word))
-			word &= word - 1
-			if fs.posOf(id) < 0 {
-				return fmt.Errorf("dfs: creating file id %d not in live index", id)
-			}
+	// Every slot is either held by the live file it indexes or listed free,
+	// once.
+	listed := make([]bool, len(fs.filePos))
+	for _, slot := range fs.freeSlots {
+		if slot < 0 || int(slot) >= len(fs.filePos) || fs.filePos[slot] != -1 || listed[slot] {
+			return fmt.Errorf("dfs: free slot %d is held, out of range or listed twice", slot)
 		}
+		listed[slot] = true
+	}
+	if len(fs.freeSlots)+len(fs.fileList) != len(fs.filePos) {
+		return fmt.Errorf("dfs: %d live files and %d free slots, but %d slots", len(fs.fileList), len(fs.freeSlots), len(fs.filePos))
 	}
 	return nil
 }

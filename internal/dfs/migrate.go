@@ -78,7 +78,7 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 	if err != nil {
 		return FileRecord{}, err
 	}
-	if fs.isCreating(f.id) {
+	if f.creating {
 		return FileRecord{}, fmt.Errorf("%w: %q", ErrFileIncomplete, path)
 	}
 	if fs.inTransition(f) {
@@ -212,7 +212,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	}
 	// Residency flips during the rebuild are suppressed exactly like the
 	// create path: FileCreated carries the full starting residency.
-	fs.setCreating(f.id)
+	f.creating = true
 	for bi, bl := range rec.Blocks {
 		b := f.blocks[bi]
 		b.size = bl.Size
@@ -233,7 +233,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 			fs.chargePlane(dst.Device, storage.Write, storage.ClassMove, bl.Size)
 		}
 	}
-	fs.clearCreating(f.id)
+	f.creating = false
 	for _, l := range fs.listeners {
 		l.FileCreated(f)
 	}

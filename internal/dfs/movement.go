@@ -147,7 +147,7 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 	if from == to {
 		return ErrSameTier
 	}
-	if fs.isCreating(f.id) || fs.inTransition(f) {
+	if f.creating || fs.inTransition(f) {
 		return ErrBusy
 	}
 	moves, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
@@ -271,7 +271,7 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 	if f.deleted {
 		return ErrSuperseded
 	}
-	if fs.isCreating(f.id) || fs.inTransition(f) {
+	if f.creating || fs.inTransition(f) {
 		return ErrBusy
 	}
 	plans, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
@@ -322,7 +322,7 @@ func (fs *FileSystem) DeleteFileReplicas(f *File, from storage.Media) error {
 	if f.deleted {
 		return ErrSuperseded
 	}
-	if fs.isCreating(f.id) || fs.inTransition(f) {
+	if f.creating || fs.inTransition(f) {
 		return ErrBusy
 	}
 	victims := make([]*Replica, 0, len(f.blocks))
@@ -365,7 +365,7 @@ func (fs *FileSystem) LowerReplication(f *File) {
 func (fs *FileSystem) UnderReplicatedFiles() []*File {
 	var out []*File
 	for _, f := range fs.fileList {
-		if fs.isCreating(f.id) {
+		if f.creating {
 			continue
 		}
 		for _, b := range f.blocks {

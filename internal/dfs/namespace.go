@@ -285,14 +285,20 @@ func (ns *Namespace) insertFile(path string, f *File) error {
 
 // GetFile resolves a path to a file.
 func (ns *Namespace) GetFile(path string) (*File, error) {
-	_, f, err := ns.lookup(path)
+	_, f, err := ns.resolveFile(path)
+	return f, err
+}
+
+// resolveFile resolves a path to a file and the directory holding it.
+func (ns *Namespace) resolveFile(path string) (*entry, *File, error) {
+	dir, f, err := ns.lookup(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if f == nil {
-		return nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
+		return nil, nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
 	}
-	return f, nil
+	return dir, f, nil
 }
 
 // Exists reports whether a path resolves to a file or directory.
@@ -310,16 +316,18 @@ func (ns *Namespace) IsDir(path string) bool {
 // removeFile unlinks a file entry. The caller is responsible for replica
 // teardown.
 func (ns *Namespace) removeFile(path string) (*File, error) {
-	dir, f, err := ns.lookup(path)
+	dir, f, err := ns.resolveFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if f == nil {
-		return nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
-	}
+	ns.unlink(dir, f)
+	return f, nil
+}
+
+// unlink removes a resolved file from the directory holding it.
+func (ns *Namespace) unlink(dir *entry, f *File) {
 	dir.removeFile(fileBase(f))
 	ns.files--
-	return f, nil
 }
 
 // List returns the sorted child names of a directory.

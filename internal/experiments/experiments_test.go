@@ -302,9 +302,9 @@ func TestOverheadsTrackerFootprintCoversEveryFile(t *testing.T) {
 	// The fixed record and one access slot, measured on a fresh tracker.
 	k := ml.DefaultFeatureSpec().K
 	probe := ml.NewTracker(k)
-	rec := probe.OnCreate(0, 0, epoch())
+	rec := probe.OnCreate(0, 0, 0, epoch())
 	fixed := rec.FootprintBytes()
-	probe.OnAccess(0, epoch())
+	probe.OnAccess(0, 0, epoch())
 	slot := rec.FootprintBytes() - fixed
 
 	p, err := o.profile("fb")

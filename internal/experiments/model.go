@@ -92,9 +92,9 @@ func collectSamples(tr *workload.Trace, p sampleParams) []mlSample {
 	for _, ev := range events {
 		switch ev.kind {
 		case 0:
-			tracker.OnCreate(ev.fileID, ev.size, epoch().Add(ev.at))
+			tracker.OnCreate(int32(ev.fileID), ev.fileID, ev.size, epoch().Add(ev.at))
 		case 1:
-			rec := tracker.OnAccess(ev.fileID, epoch().Add(ev.at))
+			rec := tracker.OnAccess(int32(ev.fileID), ev.fileID, epoch().Add(ev.at))
 			sample(rec, ev.at)
 		case 2:
 			// Deterministic iteration: tracker.Each order is random, so
@@ -103,7 +103,7 @@ func collectSamples(tr *workload.Trace, p sampleParams) []mlSample {
 				if rng.Float64() >= p.fraction {
 					continue
 				}
-				if rec, ok := tracker.Get(id); ok {
+				if rec, ok := tracker.Get(int32(id), id); ok {
 					sample(rec, ev.at)
 				}
 			}
@@ -113,7 +113,8 @@ func collectSamples(tr *workload.Trace, p sampleParams) []mlSample {
 }
 
 // fileIDs numbers the trace's files by position, keyed by path so that a
-// job's InputPath finds the id its file was tracked under.
+// job's InputPath finds the id its file was tracked under. Every file of a
+// trace stays live, so the position is also the file's tracker slot.
 func fileIDs(tr *workload.Trace) map[string]int64 {
 	ids := make(map[string]int64, len(tr.Files))
 	for i, f := range tr.Files {
@@ -526,12 +527,12 @@ func OverheadsReport(o Options) ([]*eval.Table, error) {
 	// Tracker footprint.
 	tracker := ml.NewTracker(spec.K)
 	for i, f := range tr.Files {
-		tracker.OnCreate(int64(i), f.Size, epoch())
+		tracker.OnCreate(int32(i), int64(i), f.Size, epoch())
 	}
 	ids := fileIDs(tr)
 	for _, j := range tr.Jobs {
 		if id, ok := ids[j.InputPath]; ok {
-			tracker.OnAccess(id, epoch().Add(j.Arrival))
+			tracker.OnAccess(int32(id), id, epoch().Add(j.Arrival))
 		}
 	}
 	perFile := tracker.FootprintBytes() / tracker.Len()

@@ -128,7 +128,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var recs []*FileRecord
 	for id := int64(0); id < 37; id++ {
-		rec := tr.OnCreate(id, rng.Int63n(1<<32), t0.Add(time.Duration(rng.Intn(3600))*time.Second))
+		rec := tr.OnCreate(int32(id), id, rng.Int63n(1<<32), t0.Add(time.Duration(rng.Intn(3600))*time.Second))
 		at := rec.Created
 		for n := rng.Intn(20); n > 0; n-- {
 			at = at.Add(time.Duration(1+rng.Intn(1800)) * time.Second)
@@ -412,7 +412,7 @@ func TestLearnerReadsAcrossInFlightUpdates(t *testing.T) {
 	tr := NewTracker(DefaultK)
 	var recs []*FileRecord
 	for id := int64(0); id < 25; id++ {
-		rec := tr.OnCreate(id, rng.Int63n(1<<32), t0)
+		rec := tr.OnCreate(int32(id), id, rng.Int63n(1<<32), t0)
 		for at, n := t0, rng.Intn(12); n > 0; n-- {
 			at = at.Add(time.Duration(1+rng.Intn(1800)) * time.Second)
 			rec.RecordAccess(at)

@@ -23,15 +23,15 @@ func min(a, b int) int {
 
 func TestTrackerCreateAccessDelete(t *testing.T) {
 	tr := NewTracker(4)
-	rec := tr.OnCreate(1, 100, t0)
+	rec := tr.OnCreate(1, 1, 100, t0)
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	if _, ok := rec.LastAccess(); ok {
 		t.Fatal("fresh file claims an access")
 	}
-	tr.OnAccess(1, t0.Add(time.Minute))
-	got, ok := tr.Get(1)
+	tr.OnAccess(1, 1, t0.Add(time.Minute))
+	got, ok := tr.Get(1, 1)
 	if !ok || got.AccessCount() != 1 {
 		t.Fatalf("after access: %v %v", got, ok)
 	}
@@ -39,7 +39,7 @@ func TestTrackerCreateAccessDelete(t *testing.T) {
 	if !ok || !last.Equal(t0.Add(time.Minute)) {
 		t.Fatalf("LastAccess = %v, %v", last, ok)
 	}
-	tr.OnDelete(1)
+	tr.OnDelete(1, 1)
 	if tr.Len() != 0 {
 		t.Fatal("delete did not remove record")
 	}
@@ -47,7 +47,7 @@ func TestTrackerCreateAccessDelete(t *testing.T) {
 
 func TestTrackerAccessOnUnknownFile(t *testing.T) {
 	tr := NewTracker(4)
-	rec := tr.OnAccess(42, t0.Add(time.Hour))
+	rec := tr.OnAccess(42, 42, t0.Add(time.Hour))
 	if rec == nil || tr.Len() != 1 {
 		t.Fatal("implicit record not created")
 	}
@@ -55,7 +55,7 @@ func TestTrackerAccessOnUnknownFile(t *testing.T) {
 
 func TestRecordBoundedHistory(t *testing.T) {
 	tr := NewTracker(4)
-	rec := tr.OnCreate(1, 100, t0)
+	rec := tr.OnCreate(1, 1, 100, t0)
 	for i := 0; i < 100; i++ {
 		rec.RecordAccess(t0.Add(time.Duration(i+1) * time.Minute))
 	}
@@ -77,7 +77,7 @@ func TestRecordBoundedHistory(t *testing.T) {
 
 func TestAccessesBeforeFiltersFuture(t *testing.T) {
 	tr := NewTracker(12)
-	rec := tr.OnCreate(1, 100, t0)
+	rec := tr.OnCreate(1, 1, 100, t0)
 	for _, m := range []int{10, 20, 30, 40} {
 		rec.RecordAccess(t0.Add(time.Duration(m) * time.Minute))
 	}
@@ -92,7 +92,7 @@ func TestAccessesBeforeFiltersFuture(t *testing.T) {
 
 func TestAccessedIn(t *testing.T) {
 	tr := NewTracker(12)
-	rec := tr.OnCreate(1, 100, t0)
+	rec := tr.OnCreate(1, 1, 100, t0)
 	rec.RecordAccess(t0.Add(30 * time.Minute))
 	cases := []struct {
 		from, to time.Duration
@@ -112,7 +112,7 @@ func TestAccessedIn(t *testing.T) {
 
 func TestFootprintBounded(t *testing.T) {
 	tr := NewTracker(DefaultK)
-	rec := tr.OnCreate(1, storage.GB, t0)
+	rec := tr.OnCreate(1, 1, storage.GB, t0)
 	for i := 0; i < 1000; i++ {
 		rec.RecordAccess(t0.Add(time.Duration(i) * time.Second))
 	}
@@ -319,7 +319,7 @@ func TestLearnerRollingErrorGate(t *testing.T) {
 func TestPipelineSampleSkipsYoungFiles(t *testing.T) {
 	p := NewPipeline(DefaultFeatureSpec(), 30*time.Minute, DefaultLearnerConfig())
 	tr := NewTracker(DefaultK)
-	rec := tr.OnCreate(1, storage.MB, t0.Add(time.Hour))
+	rec := tr.OnCreate(1, 1, storage.MB, t0.Add(time.Hour))
 	if p.Sample(rec, t0.Add(time.Hour+10*time.Minute)) {
 		t.Fatal("sampled a file created after the reference time")
 	}
@@ -343,25 +343,25 @@ func TestPipelineLearnsReaccessPattern(t *testing.T) {
 	tr := NewTracker(DefaultK)
 	const nFiles = 40
 	for i := 0; i < nFiles; i++ {
-		tr.OnCreate(int64(i), storage.MB*int64(1+i), t0)
+		tr.OnCreate(int32(i), int64(i), storage.MB*int64(1+i), t0)
 	}
 	now := t0
 	for step := 0; step < 120; step++ {
 		now = now.Add(10 * time.Minute)
 		for i := 0; i < nFiles; i += 2 {
-			tr.OnAccess(int64(i), now)
+			tr.OnAccess(int32(i), int64(i), now)
 		}
 		// Periodic sampling pass.
 		for i := 0; i < nFiles; i++ {
-			rec, _ := tr.Get(int64(i))
+			rec, _ := tr.Get(int32(i), int64(i))
 			p.Sample(rec, now)
 		}
 	}
 	if !p.Learner.Ready() {
 		t.Fatalf("pipeline not ready; err=%v samples=%d", p.Learner.RollingError(), p.Learner.SamplesSeen())
 	}
-	hot, _ := tr.Get(0)
-	cold, _ := tr.Get(1)
+	hot, _ := tr.Get(0, 0)
+	cold, _ := tr.Get(1, 1)
 	pHot, ok1 := p.Score(hot, now)
 	pCold, ok2 := p.Score(cold, now)
 	if !ok1 || !ok2 {
@@ -404,7 +404,7 @@ func TestForceTrain(t *testing.T) {
 func TestPropertyFeatureRange(t *testing.T) {
 	spec := DefaultFeatureSpec()
 	f := func(sizeRaw uint32, gaps []uint16) bool {
-		rec := &FileRecord{ID: 1, Size: int64(sizeRaw), Created: t0, maxKeep: spec.K + trackSlack}
+		rec := &FileRecord{ID: 1, Size: int64(sizeRaw), Created: t0, maxKeep: int32(spec.K + trackSlack)}
 		now := t0
 		for _, g := range gaps {
 			now = now.Add(time.Duration(g) * time.Minute)
@@ -432,7 +432,7 @@ func TestPropertyDeltaCount(t *testing.T) {
 	spec := DefaultFeatureSpec()
 	f := func(nRaw uint8) bool {
 		n := int(nRaw % 20)
-		rec := &FileRecord{ID: 1, Size: 1, Created: t0, maxKeep: spec.K + trackSlack}
+		rec := &FileRecord{ID: 1, Size: 1, Created: t0, maxKeep: int32(spec.K + trackSlack)}
 		for i := 0; i < n; i++ {
 			rec.RecordAccess(t0.Add(time.Duration(i+1) * time.Minute))
 		}
@@ -457,7 +457,7 @@ func TestPropertyDeltaCount(t *testing.T) {
 
 func BenchmarkFeatureVector(b *testing.B) {
 	spec := DefaultFeatureSpec()
-	rec := &FileRecord{ID: 1, Size: storage.GB, Created: t0, maxKeep: spec.K + trackSlack}
+	rec := &FileRecord{ID: 1, Size: storage.GB, Created: t0, maxKeep: int32(spec.K + trackSlack)}
 	for i := 0; i < spec.K; i++ {
 		rec.RecordAccess(t0.Add(time.Duration(i+1) * time.Minute))
 	}
@@ -492,7 +492,7 @@ func BenchmarkLearnerAddSample(b *testing.B) {
 	l.Model()
 }
 
-// OnAccessN(id, at, n) is n times OnAccess(id, at): the same lifetime count,
+// OnAccessN(slot, id, at, n) is n times OnAccess(slot, id, at): the same lifetime count,
 // the same k-last window (which holds K + slack instants at most, so a
 // larger n adds no more than that), the same footprint.
 func TestOnAccessNEqualsNOnAccesses(t *testing.T) {
@@ -501,23 +501,23 @@ func TestOnAccessNEqualsNOnAccesses(t *testing.T) {
 	for _, n := range []int64{1, 2, keep, keep + 7} {
 		single, batched := NewTracker(k), NewTracker(k)
 		for _, tr := range []*Tracker{single, batched} {
-			rec := tr.OnCreate(1, 100, t0)
+			rec := tr.OnCreate(1, 1, 100, t0)
 			for i := 1; i <= 3; i++ { // earlier history the new instants push out
 				rec.RecordAccess(t0.Add(time.Duration(i) * time.Minute))
 			}
 		}
 		at := t0.Add(time.Hour)
 		for i := int64(0); i < n; i++ {
-			single.OnAccess(1, at)
+			single.OnAccess(1, 1, at)
 		}
-		batched.OnAccessN(1, at, n)
-		batched.OnAccessN(2, at, n) // a file the tracker had not seen
+		batched.OnAccessN(1, 1, at, n)
+		batched.OnAccessN(2, 2, at, n) // a file the tracker had not seen
 		for i := int64(0); i < n; i++ {
-			single.OnAccess(2, at)
+			single.OnAccess(2, 2, at)
 		}
 		for id := int64(1); id <= 2; id++ {
-			a, _ := single.Get(id)
-			b, _ := batched.Get(id)
+			a, _ := single.Get(int32(id), id)
+			b, _ := batched.Get(int32(id), id)
 			if a.AccessCount() != b.AccessCount() || a.FootprintBytes() != b.FootprintBytes() {
 				t.Fatalf("n=%d file %d: count %d vs %d, footprint %d vs %d", n, id,
 					a.AccessCount(), b.AccessCount(), a.FootprintBytes(), b.FootprintBytes())

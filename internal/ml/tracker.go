@@ -7,6 +7,7 @@
 package ml
 
 import (
+	"slices"
 	"time"
 )
 
@@ -23,12 +24,18 @@ const trackSlack = 20
 // size, creation time, and a bounded history of recent access times
 // (Section 4.1: "we maintain the last k access times for each file").
 type FileRecord struct {
-	ID       int64
-	Size     int64
-	Created  time.Time
-	accesses []time.Time // ascending; bounded to K+trackSlack
-	total    int64       // lifetime access count
-	maxKeep  int
+	ID      int64
+	Size    int64
+	Created time.Time
+	// accesses is the window of the most recent access times, at most
+	// maxKeep = K+trackSlack of them. It fills in ascending order; once
+	// full it is a ring whose oldest entry is at head, so an access
+	// overwrites one entry instead of shifting the window. A read that needs
+	// the window as one ascending slice rotates it back in place (ordered).
+	accesses []time.Time
+	total    int64 // lifetime access count
+	maxKeep  int32
+	head     int32
 }
 
 // RecordAccess appends an access time (times must be non-decreasing, which
@@ -48,14 +55,42 @@ func (r *FileRecord) RecordAccessN(at time.Time, n int64) {
 	}
 }
 
+// push writes one access: appended while the window fills, over the oldest
+// entry once it is full. The backing array never outgrows the window.
 func (r *FileRecord) push(at time.Time) {
-	r.accesses = append(r.accesses, at)
-	if len(r.accesses) > r.maxKeep {
-		// Shift rather than re-slice so the backing array does not grow
-		// without bound over a long run.
-		copy(r.accesses, r.accesses[len(r.accesses)-r.maxKeep:])
-		r.accesses = r.accesses[:r.maxKeep]
+	if n := len(r.accesses); n < int(r.maxKeep) {
+		if n == cap(r.accesses) && 2*n >= int(r.maxKeep) {
+			grown := make([]time.Time, n, r.maxKeep)
+			copy(grown, r.accesses)
+			r.accesses = grown
+		}
+		r.accesses = append(r.accesses, at)
+		return
 	}
+	r.accesses[r.head] = at
+	if r.head++; int(r.head) == len(r.accesses) {
+		r.head = 0
+	}
+}
+
+// at returns the i-th oldest access in the window.
+func (r *FileRecord) at(i int) time.Time {
+	if i += int(r.head); i >= len(r.accesses) {
+		i -= len(r.accesses)
+	}
+	return r.accesses[i]
+}
+
+// ordered rotates a wrapped window back into ascending order in place and
+// returns it.
+func (r *FileRecord) ordered() []time.Time {
+	if h := int(r.head); h != 0 {
+		slices.Reverse(r.accesses[:h])
+		slices.Reverse(r.accesses[h:])
+		slices.Reverse(r.accesses)
+		r.head = 0
+	}
+	return r.accesses
 }
 
 // AccessCount returns the lifetime number of recorded accesses.
@@ -67,29 +102,30 @@ func (r *FileRecord) LastAccess() (time.Time, bool) {
 	if len(r.accesses) == 0 {
 		return r.Created, false
 	}
-	return r.accesses[len(r.accesses)-1], true
+	return r.at(len(r.accesses) - 1), true
 }
 
 // AccessesBefore returns up to `limit` most recent tracked accesses at or
 // before ref, in ascending order. The returned slice aliases internal
 // storage; callers must not mutate it.
 func (r *FileRecord) AccessesBefore(ref time.Time, limit int) []time.Time {
-	end := len(r.accesses)
-	for end > 0 && r.accesses[end-1].After(ref) {
+	accesses := r.ordered()
+	end := len(accesses)
+	for end > 0 && accesses[end-1].After(ref) {
 		end--
 	}
 	start := 0
 	if limit > 0 && end-start > limit {
 		start = end - limit
 	}
-	return r.accesses[start:end]
+	return accesses[start:end]
 }
 
 // AccessedIn reports whether the file was accessed in the half-open
 // interval (from, to].
 func (r *FileRecord) AccessedIn(from, to time.Time) bool {
 	for i := len(r.accesses) - 1; i >= 0; i-- {
-		at := r.accesses[i]
+		at := r.at(i)
 		if !at.After(from) {
 			return false
 		}
@@ -103,14 +139,20 @@ func (r *FileRecord) AccessedIn(from, to time.Time) bool {
 // FootprintBytes estimates the tracker memory used for this file
 // (Section 7.7 reports a max of 956 bytes per file for k=12).
 func (r *FileRecord) FootprintBytes() int {
-	const fixed = 8 + 8 + 24 + 8 + 8 // id, size, created, total, maxKeep
+	const fixed = 8 + 8 + 24 + 8 + 8 // id, size, created, total, maxKeep and head
 	return fixed + cap(r.accesses)*24
 }
 
-// Tracker maintains FileRecords for the live files in the system.
+// Tracker maintains FileRecords for the live files in the system, in a table
+// indexed by the caller's slot: a small integer the caller hands out to at
+// most one live file at a time and recycles (dfs.File.Slot, or a trace's
+// file position). Each record keeps its file's id, and a lookup answers only
+// for the id it names, so a slot taken over by another file never hands back
+// its predecessor's record.
 type Tracker struct {
-	k     int
-	files map[int64]*FileRecord
+	k    int
+	recs []*FileRecord // by slot; nil for a free slot
+	live int
 }
 
 // NewTracker returns a tracker keeping k access times per file as feature
@@ -119,57 +161,76 @@ func NewTracker(k int) *Tracker {
 	if k <= 0 {
 		k = DefaultK
 	}
-	return &Tracker{k: k, files: make(map[int64]*FileRecord)}
+	return &Tracker{k: k}
 }
 
 // K returns the configured feature access count.
 func (t *Tracker) K() int { return t.k }
 
 // Len returns the number of tracked files.
-func (t *Tracker) Len() int { return len(t.files) }
+func (t *Tracker) Len() int { return t.live }
 
-// OnCreate registers a file.
-func (t *Tracker) OnCreate(id, size int64, at time.Time) *FileRecord {
-	rec := &FileRecord{ID: id, Size: size, Created: at, maxKeep: t.k + trackSlack}
-	t.files[id] = rec
+// OnCreate registers file id in slot, replacing whatever record the slot
+// held.
+func (t *Tracker) OnCreate(slot int32, id, size int64, at time.Time) *FileRecord {
+	rec := &FileRecord{ID: id, Size: size, Created: at, maxKeep: int32(t.k + trackSlack)}
+	for int(slot) >= len(t.recs) {
+		t.recs = append(t.recs, nil)
+	}
+	if t.recs[slot] == nil {
+		t.live++
+	}
+	t.recs[slot] = rec
 	return rec
 }
 
 // OnAccess records an access, creating the record if the file predates the
 // tracker.
-func (t *Tracker) OnAccess(id int64, at time.Time) *FileRecord { return t.OnAccessN(id, at, 1) }
+func (t *Tracker) OnAccess(slot int32, id int64, at time.Time) *FileRecord {
+	return t.OnAccessN(slot, id, at, 1)
+}
 
 // OnAccessN records n accesses at one instant (see FileRecord.RecordAccessN).
-func (t *Tracker) OnAccessN(id int64, at time.Time, n int64) *FileRecord {
-	rec, ok := t.files[id]
+func (t *Tracker) OnAccessN(slot int32, id int64, at time.Time, n int64) *FileRecord {
+	rec, ok := t.Get(slot, id)
 	if !ok {
-		rec = t.OnCreate(id, 0, at)
+		rec = t.OnCreate(slot, id, 0, at)
 	}
 	rec.RecordAccessN(at, n)
 	return rec
 }
 
 // OnDelete forgets a file.
-func (t *Tracker) OnDelete(id int64) { delete(t.files, id) }
-
-// Get returns the record for a file id.
-func (t *Tracker) Get(id int64) (*FileRecord, bool) {
-	rec, ok := t.files[id]
-	return rec, ok
+func (t *Tracker) OnDelete(slot int32, id int64) {
+	if _, ok := t.Get(slot, id); ok {
+		t.recs[slot] = nil
+		t.live--
+	}
 }
 
-// Each visits every record in unspecified order.
+// Get returns the record of file id in slot.
+func (t *Tracker) Get(slot int32, id int64) (*FileRecord, bool) {
+	if slot < 0 || int(slot) >= len(t.recs) {
+		return nil, false
+	}
+	if rec := t.recs[slot]; rec != nil && rec.ID == id {
+		return rec, true
+	}
+	return nil, false
+}
+
+// Each visits every record in slot order.
 func (t *Tracker) Each(fn func(*FileRecord)) {
-	for _, rec := range t.files {
-		fn(rec)
+	for _, rec := range t.recs {
+		if rec != nil {
+			fn(rec)
+		}
 	}
 }
 
 // FootprintBytes estimates the tracker's total metadata memory.
 func (t *Tracker) FootprintBytes() int {
 	total := 0
-	for _, rec := range t.files {
-		total += rec.FootprintBytes()
-	}
+	t.Each(func(rec *FileRecord) { total += rec.FootprintBytes() })
 	return total
 }

@@ -336,7 +336,7 @@ func TestXGBUpProactiveQueueAndBatchLimit(t *testing.T) {
 	for step := 0; step < 80; step++ {
 		e.RunFor(10 * time.Minute)
 		for _, f := range hot {
-			ctx.Tracker.OnAccess(int64(f.ID()), e.Now())
+			ctx.Tracker.OnAccess(f.Slot(), int64(f.ID()), e.Now())
 			p.OnFileAccessed(f)
 		}
 		p.Tick()

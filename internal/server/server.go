@@ -194,7 +194,9 @@ type shard struct {
 	// the shard was built and directAccesses what other callers (scenario
 	// clients running inside the loop) have recorded on it since, not
 	// through a handle; Verify balances the two against the drain's count.
-	byID            map[dfs.FileID]*handle
+	// handles holds the shard's indexed handles by slot (see dfs.File.Slot),
+	// nil for a slot with none; handleOf resolves one.
+	handles         []*handle
 	createsInFlight int
 	batch           []pendingAccess
 	applying        bool
@@ -250,7 +252,6 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config, ns *ns
 		exec:   NewMovementExecutor(fs, cfg.Executor),
 		cmds:   make(chan command, cmdBuffer),
 		wake:   make(chan struct{}, 1),
-		byID:   make(map[dfs.FileID]*handle),
 
 		accessBase: fs.Stats().FileAccesses,
 	}
@@ -468,8 +469,21 @@ func (sh *shard) indexFile(f *dfs.File) {
 			h.setResident(m, true)
 		}
 	}
-	sh.byID[f.ID()] = h
+	for int(f.Slot()) >= len(sh.handles) {
+		sh.handles = append(sh.handles, nil)
+	}
+	sh.handles[f.Slot()] = h
 	sh.ns.put(h)
+}
+
+// handleOf returns the handle indexed for f, or nil. Shard loop only.
+func (sh *shard) handleOf(f *dfs.File) *handle {
+	if slot := int(f.Slot()); slot < len(sh.handles) {
+		if h := sh.handles[slot]; h != nil && h.id == f.ID() {
+			return h
+		}
+	}
+	return nil
 }
 
 // refreshDevices re-publishes every handle's per-tier representative
@@ -483,7 +497,10 @@ func (sh *shard) refreshDevices() {
 	if sh.plane == nil && sh.backend == nil {
 		return // pointers are only read for plane charging and real reads
 	}
-	for _, h := range sh.byID {
+	for _, h := range sh.handles {
+		if h == nil {
+			continue
+		}
 		for _, m := range storage.AllMedia {
 			if h.file.HasReplicaOn(m) {
 				h.setDevice(m, tierDevice(h.file, m))
@@ -525,8 +542,8 @@ func (l shardListener) FileAccessed(_ *dfs.File, n int64) {
 
 // FileDeleted implements dfs.Listener.
 func (l shardListener) FileDeleted(f *dfs.File) {
-	if h, ok := l.sh.byID[f.ID()]; ok {
-		delete(l.sh.byID, f.ID())
+	if h := l.sh.handleOf(f); h != nil {
+		l.sh.handles[f.Slot()] = nil
 		l.sh.ns.remove(h)
 	}
 }
@@ -536,7 +553,7 @@ func (l shardListener) FileDeleted(f *dfs.File) {
 // device is published before the residency bit turns on (and cleared after
 // it turns off), so a reader that observes the bit finds a device.
 func (l shardListener) FileTierChanged(f *dfs.File, media storage.Media, resident bool) {
-	if h, ok := l.sh.byID[f.ID()]; ok {
+	if h := l.sh.handleOf(f); h != nil {
 		if resident {
 			h.setDevice(media, tierDevice(f, media))
 			h.setResident(media, true)
@@ -649,7 +666,7 @@ func (sh *shard) publish(h *handle, at time.Time, sp *obs.Span, spStart time.Tim
 func (sh *shard) migrateOut(path string) error {
 	f, err := sh.fs.Namespace().GetFile(path)
 	if err == nil {
-		h := sh.byID[f.ID()]
+		h := sh.handleOf(f)
 		if err = sh.fs.DetachFile(path); err == nil && h != nil {
 			h.migrated = true
 		}
