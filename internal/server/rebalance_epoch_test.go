@@ -2,18 +2,18 @@ package server
 
 // In-package regression tests for the migration-epoch edge cases: deletes
 // during an epoch (both the blocking and the stamped path), the
-// one-logical-op-one-count stats contract, reads racing a migration and a
-// migration landing between a delete's epoch probes, stale routes, a create
-// through a stale route, a pipelined delete→create under a live rebalancer,
-// cold-route fold-back (route-table garbage collection), and the
-// superseded-vs-moved counter split. These drive the route table and the
-// per-file move machinery directly, so the epoch states are exact rather
-// than raced into.
+// one-logical-op-one-count stats contract, reads and a delete racing a
+// migration, stale routes, a create through a stale route, a pipelined
+// delete→create under a live rebalancer, cold-route fold-back (route-table
+// garbage collection), the superseded-vs-moved counter split, and the stale
+// copies the sweep drops. These drive the route table and the per-file move
+// machinery directly, so the epoch states are exact rather than raced into.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,10 +155,11 @@ func TestDeleteAtDuringMigrationEpoch(t *testing.T) {
 
 // TestDeleteDuringEpochCountsOnce pins the stats contract when a file
 // briefly exists on both shards mid-migration: one logical file, one
-// counted client deletion (the fallback copy is dropped through the
+// counted client deletion. The delete removes the copy the namespace names;
+// the source copy it stopped naming is the sweep's to drop (through the
 // migration-teardown path, not a second stats-bumping delete).
 func TestDeleteDuringEpochCountsOnce(t *testing.T) {
-	srv := newEpochTestServer(t, RebalanceConfig{})
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
 	base := sim.Epoch
 	dir := "/hot/d01"
 	path := dir + "/f000"
@@ -172,11 +173,15 @@ func TestDeleteDuringEpochCountsOnce(t *testing.T) {
 	if err := srv.Delete(path); err != nil {
 		t.Fatalf("Delete during both-copies window: %v", err)
 	}
-	if holds(srv.shards[dst], path) || holds(srv.shards[owner], path) {
-		t.Fatal("a copy survived the delete")
+	if srv.Exists(path) {
+		t.Fatal("file still readable after the delete")
 	}
 	if got := srv.Stats().Deletes; got != 1 {
 		t.Fatalf("Deletes = %d, want exactly 1 for one logical file", got)
+	}
+	srv.Flush()
+	if holds(srv.shards[dst], path) || holds(srv.shards[owner], path) {
+		t.Fatal("a copy survived the delete and the drain")
 	}
 
 	srv.routes.remove(dir)
@@ -191,10 +196,9 @@ func TestDeleteDuringEpochCountsOnce(t *testing.T) {
 // one namespace, where a migration's copy replaces the source's entry before
 // the source copy goes, so a read must find the file before the move, while
 // both copies exist (served by the destination), and after the source copy
-// is gone. A delete still walks the epoch: sent to the primary, it misses
-// there (the file has not moved yet); the seam lands the whole migration
-// before the fallback attempt, which misses too, and the primary re-probe
-// must find the file.
+// is gone. A delete resolves the same way: handed the owner it resolved
+// before the file moved, it misses there and must find the file where the
+// namespace names it now.
 func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
 	base := sim.Epoch
@@ -245,7 +249,7 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 		read("with both copies", dst)
 		// Its commit half: the source copy goes.
 		var err error
-		owner.inLoop(func(*dfs.FileSystem) { err = owner.migrateOut(path) })
+		owner.inLoop(func(*dfs.FileSystem) { _, err = owner.migrateOut(path, false) })
 		if err != nil {
 			t.Fatalf("%s: migrateOut: %v", op.name, err)
 		}
@@ -257,23 +261,12 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 	}
 
 	dir, path, owner, dst := epoch(len(reads))
-	migrated := false
-	srv.afterPrimaryMiss = func() {
-		if migrated {
-			return
-		}
-		migrated = true
-		if out := srv.reb.migrateFile(owner, dst, path); out != migrateMoved {
-			t.Errorf("delete: migrateFile = %v, want migrateMoved", out)
-		}
+	if out := srv.reb.migrateFile(owner, dst, path); out != migrateMoved {
+		t.Fatalf("delete: migrateFile = %v, want migrateMoved", out)
 	}
-	// The owner lookup ran before the path was indexed, so the delete's
-	// first attempt goes to the primary.
-	err := <-srv.delete(Op{Kind: OpDelete, Path: path, At: base.Add(time.Hour)}, dst, dst, owner)
-	srv.afterPrimaryMiss = nil
-	if !migrated {
-		t.Fatal("delete: the primary attempt did not miss; the race was not constructed")
-	}
+	// The owner was resolved before the move, so the delete's first attempt
+	// goes to the shard the file left.
+	err := <-srv.delete(Op{Kind: OpDelete, Path: path, At: base.Add(time.Hour)}, owner)
 	if err != nil {
 		t.Fatalf("delete: %v for a file that existed throughout the epoch", err)
 	}
@@ -292,11 +285,10 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 
 // TestStaleRouteIsResolvedAgainOnMiss covers the other half of the same
 // flake: the client resolved its route, and its file's owner, before the
-// rebalancer opened an epoch over the directory (static owner, no fallback),
-// and the whole migration of its file completed before the op ran. Reads
+// rebalancer opened an epoch over the directory (static owner), and the
+// whole migration of its file completed before the op ran. Reads
 // look the owner up again and find the file where it landed; a delete sent
-// to the stale owner misses there, and must re-resolve the route and look
-// again.
+// to the stale owner misses there, and must look the owner up again.
 func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
 	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
 	base := sim.Epoch
@@ -304,9 +296,9 @@ func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
 	path := dir + "/f000"
 	mustCreate(t, srv, path, 32*storage.MB, base.Add(time.Second))
 
-	clean, primary, fallback, err := srv.route(path)
-	if err != nil || fallback != nil {
-		t.Fatalf("static route: fallback %v, err %v", fallback, err)
+	clean, primary, err := srv.route(path)
+	if err != nil {
+		t.Fatalf("static route: %v", err)
 	}
 	owner := RouteShard(dir, srv.NumShards())
 	dst := (owner + 1) % srv.NumShards()
@@ -322,7 +314,7 @@ func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
 		t.Fatalf("lookup after the move: handle %v; want the file on shard %d", h, dst)
 	}
 	op := Op{Kind: OpDelete, Path: clean, At: base.Add(time.Hour)}
-	if err := <-srv.delete(op, primary, primary, fallback); err != nil {
+	if err := <-srv.delete(op, primary); err != nil {
 		t.Fatalf("delete under the stale route: %v", err)
 	}
 	if srv.Exists(path) {
@@ -349,13 +341,13 @@ func TestCreateThroughStaleRouteIsReachable(t *testing.T) {
 	dir := "/hot/stranded"
 	path := dir + "/f000"
 
-	clean, primary, fallback, err := srv.route(path)
-	if err != nil || fallback != nil {
-		t.Fatalf("static route: fallback %v, err %v", fallback, err)
+	clean, primary, err := srv.route(path)
+	if err != nil {
+		t.Fatalf("static route: %v", err)
 	}
 	dst := (primary.idx + 1) % srv.NumShards()
 	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeCommitted})
-	created := srv.submit(Op{Kind: OpCreate, Path: clean, Size: 32 * storage.MB, At: base.Add(time.Second)}, primary, fallback)
+	created := srv.submit(Op{Kind: OpCreate, Path: clean, Size: 32 * storage.MB, At: base.Add(time.Second)}, primary)
 	srv.Flush()
 	if err := <-created; err != nil {
 		t.Fatalf("create through the stale route: %v", err)
@@ -566,6 +558,182 @@ func TestMigrateFileSupersededNotCounted(t *testing.T) {
 	}
 	if !holds(srv.shards[dst], path) {
 		t.Fatal("destination copy vanished")
+	}
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestDeletedFileStaysDeletedPastBusyStaleCopy is the regression for the
+// resurrection: a file deleted during the both-copies window, while the
+// source copy is busy under a tier move, must stay deleted once the move
+// finishes and a sweep meets the source copy. The delete removes the copy
+// the namespace names; the source copy it stopped naming is stale, and the
+// drain drops it instead of migrating it back.
+func TestDeletedFileStaysDeletedPastBusyStaleCopy(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	dir := "/hot/busy"
+	path := dir + "/f000"
+	mustCreate(t, srv, path, 48*storage.MB, base.Add(time.Second))
+
+	owner := RouteShard(dir, srv.NumShards())
+	dst := (owner + 1) % srv.NumShards()
+	attachCopyOn(t, srv, owner, dst, path)
+	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
+	var merr error
+	srv.shards[owner].inLoop(func(fs *dfs.FileSystem) {
+		f, err := fs.Namespace().GetFile(path)
+		if err != nil {
+			merr = err
+			return
+		}
+		from, to := storage.SSD, storage.HDD
+		if !f.HasReplicaOn(from) {
+			from, to = storage.HDD, storage.SSD
+		}
+		merr = fs.MoveFileReplicas(f, from, to, func(error) {})
+	})
+	if merr != nil {
+		t.Fatalf("putting the source copy in transition: %v", merr)
+	}
+
+	if err := srv.Delete(path); err != nil {
+		t.Fatalf("Delete during the both-copies window: %v", err)
+	}
+	srv.Flush()
+	if !holds(srv.shards[owner], path) {
+		t.Fatal("the busy source copy is gone already; the window was not constructed")
+	}
+	// Let the tier move finish everywhere, then let the drain meet the
+	// source copy with nothing holding it.
+	srv.Exec(func(_ int, fs *dfs.FileSystem) {
+		e := fs.Engine()
+		e.RunUntil(e.Now().Add(time.Hour))
+	})
+	srv.Flush()
+
+	if srv.Exists(path) {
+		t.Fatal("the deleted file is readable again")
+	}
+	for _, sh := range srv.shards {
+		if holds(sh, path) {
+			t.Fatalf("shard %d still holds the deleted file", sh.idx)
+		}
+	}
+	if got := srv.Stats().Deletes; got != 1 {
+		t.Fatalf("Deletes = %d, want 1", got)
+	}
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestMigrateFileKeepsTheNamedCopy: when the destination holds a copy the
+// namespace does not name and the source holds the one it does, the
+// migration drops the destination's stale copy and moves the named one —
+// the file stays readable, with exactly one copy left.
+func TestMigrateFileKeepsTheNamedCopy(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	dir := "/hot/named"
+	path := dir + "/f000"
+	mustCreate(t, srv, path, 32*storage.MB, base.Add(time.Second))
+
+	owner := RouteShard(dir, srv.NumShards())
+	dst := (owner + 1) % srv.NumShards()
+	attachCopyOn(t, srv, owner, dst, path)
+	src := srv.shards[owner]
+	src.inLoop(func(fs *dfs.FileSystem) {
+		if f, err := fs.Namespace().GetFile(path); err == nil {
+			src.indexFile(f)
+		}
+	})
+	if h, _ := srv.lookup(path); h == nil || h.sh != src {
+		t.Fatal("the namespace does not name the source copy; the state was not constructed")
+	}
+
+	if out := srv.reb.migrateFile(src, srv.shards[dst], path); out != migrateMoved {
+		t.Fatalf("migrateFile = %v, want migrateMoved", out)
+	}
+	if !srv.Exists(path) {
+		t.Fatal("the named copy was dropped: the file is not readable")
+	}
+	if holds(src, path) == holds(srv.shards[dst], path) {
+		t.Fatalf("copies left: source %v, destination %v; want exactly one", holds(src, path), holds(srv.shards[dst], path))
+	}
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// TestVerifyChecksNamespaceCoherence: Verify holds the namespace and the
+// shards to each other both ways. A copy the namespace stopped naming is a
+// violation outside an open route entry (under one it is the sweep's to
+// drop), and so is a handle naming a file its shard no longer holds.
+func TestVerifyChecksNamespaceCoherence(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	dir := "/hot/verify"
+	path := dir + "/f000"
+	mustCreate(t, srv, path, 32*storage.MB, sim.Epoch.Add(time.Second))
+	owner := srv.shards[RouteShard(dir, srv.NumShards())]
+	dst := srv.shards[(owner.idx+1)%srv.NumShards()]
+
+	attachCopyOn(t, srv, owner.idx, dst.idx, path)
+	if v := srv.Verify(); len(v) != 1 || !strings.Contains(v[0], "stale copy") {
+		t.Fatalf("Verify with a stale copy outside a migration: %v", v)
+	}
+	srv.routes.upsert(routeEntry{prefix: dir, dst: dst.idx, state: routeMigrating})
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("Verify with a stale copy under a migrating entry: %v", v)
+	}
+	srv.routes.remove(dir)
+	var err error
+	owner.inLoop(func(*dfs.FileSystem) { _, err = owner.migrateOut(path, true) })
+	if err != nil {
+		t.Fatalf("dropping the stale copy: %v", err)
+	}
+
+	h, _ := srv.lookup(path)
+	dst.inLoop(func(fs *dfs.FileSystem) { err = fs.DetachFile(path) })
+	if err != nil {
+		t.Fatalf("detach: %v", err)
+	}
+	srv.ns.put(h) // the namespace names the copy its shard just dropped
+	if v := srv.Verify(); len(v) != 1 || !strings.Contains(v[0], "does not hold") {
+		t.Fatalf("Verify with a dangling namespace entry: %v", v)
+	}
+	srv.ns.remove(h)
+}
+
+// TestDeleteThroughStaleOwnerRemovesTheNamedCopy: a delete resolved to the
+// source before a migration's copy was indexed runs there while both copies
+// exist. The source copy is not the file any more, so the attempt misses
+// and the delete removes the copy the namespace names instead of reporting
+// success with the file still readable.
+func TestDeleteThroughStaleOwnerRemovesTheNamedCopy(t *testing.T) {
+	srv := newEpochTestServer(t, RebalanceConfig{Enabled: true})
+	base := sim.Epoch
+	dir := "/hot/staleowner"
+	path := dir + "/f000"
+	mustCreate(t, srv, path, 32*storage.MB, base.Add(time.Second))
+	owner := srv.shards[RouteShard(dir, srv.NumShards())]
+	dst := srv.shards[(owner.idx+1)%srv.NumShards()]
+	attachCopyOn(t, srv, owner.idx, dst.idx, path)
+	srv.routes.upsert(routeEntry{prefix: dir, dst: dst.idx, state: routeMigrating})
+
+	if err := <-srv.delete(Op{Kind: OpDelete, Path: path, At: base.Add(time.Hour)}, owner); err != nil {
+		t.Fatalf("delete through the stale owner: %v", err)
+	}
+	if srv.Exists(path) || holds(dst, path) {
+		t.Fatal("the named copy survived the delete")
+	}
+	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 {
+		t.Fatalf("Deletes = %d, DeleteErrors = %d, want 1 and 0", st.Deletes, st.DeleteErrors)
+	}
+	srv.Flush()
+	if holds(owner, path) {
+		t.Fatal("the stale copy outlived the drain")
 	}
 	if v := srv.Verify(); len(v) > 0 {
 		t.Fatalf("invariants: %v", v)

@@ -22,10 +22,12 @@ import (
 // detach/attach pairs — each half running on its owning shard loop under the
 // usual single-writer discipline, with destination capacity grown through
 // the ledger's two-phase reserve/commit protocol — under a routeMigrating
-// table entry. Reads never block on the move (the namespace hands a path to
-// its copy the moment it lands); only a delete walks the epoch, destination
-// first, hash owner as fallback. Once every source shard sweeps empty the
-// entry flips to routeCommitted and the fallback disappears.
+// table entry. No op blocks on the move or walks it: reads and deletes
+// resolve in the one namespace, which hands a path to its copy the moment it
+// lands. A copy the namespace stopped naming — the source of a commit that
+// found it busy, or the leftover of a delete during the both-copies window —
+// is stale, and the next sweep drops it. Once every source shard sweeps
+// empty the entry flips to routeCommitted.
 //
 // The migrating state is self-stabilizing, never rolled back: files that a
 // sweep could not move (mid-create, replica in transition, destination
@@ -57,11 +59,11 @@ type RebalanceConfig struct {
 	// MaxPrefixes bounds the route table (default 64).
 	MaxPrefixes int
 	// RehomeColdTicks is how many consecutive detection rounds a committed
-	// subtree must log zero routed ops before its files fold back to static
-	// routing and the route entry is garbage-collected — without it the
-	// table fills after MaxPrefixes lifetime migrations and the rebalancer
-	// permanently stops reacting to new hotspots (default 8; negative
-	// disables fold-back).
+	// subtree must log zero routed ops before its files start folding back
+	// to static routing (the route entry goes once they are home) — without
+	// it the table fills after MaxPrefixes lifetime migrations and the
+	// rebalancer permanently stops reacting to new hotspots (default 8;
+	// negative disables fold-back).
 	RehomeColdTicks int
 }
 
@@ -95,7 +97,7 @@ type RebalanceStats struct {
 	EpochFlips int64   `json:"epoch_flips"`
 	FilesMoved int64   `json:"files_moved"`
 	BytesMoved int64   `json:"bytes_moved"`
-	Superseded int64   `json:"superseded"` // stale source copies dropped after a client recreate on dst (no bytes copied)
+	Superseded int64   `json:"superseded"` // stale source copies dropped, no bytes copied (see migrateFile)
 	Rehomed    int64   `json:"rehomed"`    // cold committed routes folded back to static routing
 	Spread     float64 `json:"spread"`     // last observed max/mean shard-load ratio
 	Routes     int     `json:"routes"`     // current route-table entries
@@ -165,11 +167,8 @@ type rebalancer struct {
 	spreadBits atomic.Uint64
 
 	// coldTicks counts, per committed route prefix, consecutive detection
-	// rounds with zero routed ops under the subtree; drainClean counts, per
-	// draining prefix, consecutive rounds whose fold-back walk found nothing
-	// left to move (the removal grace). Both guarded by mu.
-	coldTicks  map[string]int
-	drainClean map[string]int
+	// rounds with zero routed ops under the subtree. Guarded by mu.
+	coldTicks map[string]int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -178,12 +177,11 @@ type rebalancer struct {
 func newRebalancer(s *ShardedServer, cfg RebalanceConfig) *rebalancer {
 	cfg.applyDefaults()
 	return &rebalancer{
-		s:          s,
-		cfg:        cfg,
-		tracker:    newLoadTracker(len(s.shards)),
-		coldTicks:  make(map[string]int),
-		drainClean: make(map[string]int),
-		stop:       make(chan struct{}),
+		s:         s,
+		cfg:       cfg,
+		tracker:   newLoadTracker(len(s.shards)),
+		coldTicks: make(map[string]int),
+		stop:      make(chan struct{}),
 	}
 }
 
@@ -417,8 +415,9 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 		}
 		r.coldTicks[e.prefix]++
 		if started < rehomesPerTick && r.coldTicks[e.prefix] >= r.cfg.RehomeColdTicks {
-			// Fold back: creates route by the per-dir hash again, deletes
-			// fall back to the old destination until its files are home.
+			// Fold back: creates route by the per-dir hash again; the files
+			// on the old destination stay where the namespace names them
+			// until the sweeps move them home.
 			delete(r.coldTicks, e.prefix)
 			e.state = routeDraining
 			r.s.routes.upsert(e)
@@ -438,10 +437,12 @@ func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]in
 //
 // A migrating entry flips to committed on the first pass that leaves nothing
 // behind; a pass that moves nothing while files remain is booked as aborted
-// and ends the round. A draining entry is removed once RehomeColdTicks
-// consecutive sweeps (one per detection round) found nothing to move; a
-// draining pass that stalls also ends the round. Either way the open entry
-// keeps reads correct until a later round or the Flush drain finishes it.
+// and ends the round. A draining entry is removed on the first walk that
+// finds nothing to move (a create routed against a pre-draining snapshot
+// can still land on dst afterwards; the namespace names it there all the
+// same); a draining pass that stalls also ends the round. Either way the
+// open entry keeps ops correct until a later round or the Flush drain
+// finishes it.
 func (r *rebalancer) sweep(e routeEntry) {
 	draining := e.state == routeDraining
 	n := uint32(len(r.s.shards))
@@ -482,22 +483,11 @@ func (r *rebalancer) sweep(e routeEntry) {
 		movedTotal += moved
 		switch {
 		case draining && work == 0:
-			// Clean walk. The entry is removed only after RehomeColdTicks
-			// consecutive clean rounds: a create routed against a
-			// pre-draining snapshot can still land on dst, and the grace
-			// lets a later round sweep it home instead of the eager removal
-			// stranding it where static routing never looks.
-			r.drainClean[e.prefix]++
-			if r.drainClean[e.prefix] >= max(r.cfg.RehomeColdTicks, 1) {
-				delete(r.drainClean, e.prefix)
-				r.s.routes.remove(e.prefix)
-				r.rehomed.Add(1)
-				r.emit(fmt.Sprintf("rehomed prefix=%s dst=%d", e.prefix, e.dst))
-			}
+			r.s.routes.remove(e.prefix)
+			r.rehomed.Add(1)
+			r.emit(fmt.Sprintf("rehomed prefix=%s dst=%d", e.prefix, e.dst))
 			return
-		case draining:
-			r.drainClean[e.prefix] = 0
-		case remaining == 0:
+		case !draining && remaining == 0:
 			r.s.routes.upsert(routeEntry{prefix: e.prefix, dst: e.dst, state: routeCommitted})
 			r.flips.Add(1)
 			r.completed.Add(1)
@@ -528,23 +518,39 @@ const (
 // from the global ledger through the two-phase protocol when the shard's
 // slice is short — and index it (the namespace entry moves to it), then
 // detach the source copy as the commit. Between attach and commit the file
-// briefly exists on both shards; reads hit the destination and deletes
-// during the epoch delete on both sides, so neither copy can serve stale
-// truth. A commit that finds the
-// source copy already gone means a client deleted the file mid-move — the
-// fresh destination copy is removed too, honoring the delete.
+// briefly exists on both shards; reads and deletes resolve to the copy the
+// namespace names, the destination's. A commit that finds the source copy
+// already gone means a client deleted the file mid-move — the fresh
+// destination copy is removed too, honoring the delete.
+//
+// Only the copy the namespace names is ever moved or kept. A stale copy (see
+// shard.stale) is dropped wherever the sweep meets it: a stale source copy
+// before the snapshot, booked as superseded (no bytes copied), and a stale
+// destination copy before the attach, so it can neither come back as the
+// file nor push the named copy out.
 func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 	var rec dfs.FileRecord
+	var dropped bool
 	var serr error
-	r.exec(src, func(fs *dfs.FileSystem) { rec, serr = fs.SnapshotFile(path) })
-	if serr != nil {
-		if errors.Is(serr, dfs.ErrNotFound) {
-			return migrateGone // deleted between walk and snapshot
+	r.exec(src, func(fs *dfs.FileSystem) {
+		if dropped, serr = src.migrateOut(path, true); !dropped && serr == nil {
+			rec, serr = fs.SnapshotFile(path)
 		}
+	})
+	switch {
+	case dropped:
+		r.superseded.Add(1)
+		return migrateMoved
+	case errors.Is(serr, dfs.ErrNotFound):
+		return migrateGone // deleted between walk and snapshot
+	case serr != nil:
 		return migrateSkipped // busy / mid-create: next sweep
 	}
 	var aerr error
 	r.exec(dst, func(fs *dfs.FileSystem) {
+		if _, aerr = dst.migrateOut(path, true); aerr != nil && !errors.Is(aerr, dfs.ErrNotFound) {
+			return // a transfer holds the stale copy: next sweep
+		}
 		aerr = fs.AttachFile(rec)
 		if errors.Is(aerr, dfs.ErrNoCapacity) {
 			chain, maxRep := rec.TierNeeds()
@@ -564,41 +570,40 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 			}
 		}
 	})
-	// ErrExists: a client recreated the path on the destination; the newer
-	// file wins and the stale source copy just needs to go (commit below).
-	// Anything else is capacity, even after borrowing: the source copy is
-	// untouched and keeps serving until a later sweep retries.
+	// ErrExists: a client recreated the path on the destination between the
+	// two steps; the newer file wins. Anything else is capacity, even after
+	// borrowing: the source copy is untouched and keeps serving until a later
+	// sweep retries. The commit detaches the source copy — after ErrExists
+	// only once the namespace has stopped naming it.
 	landed := aerr == nil
 	if !landed && !errors.Is(aerr, dfs.ErrExists) {
 		return migrateSkipped
 	}
 	var derr error
-	r.exec(src, func(*dfs.FileSystem) { derr = src.migrateOut(path) })
-	if derr == nil {
-		if landed {
-			r.filesMoved.Add(1)
-			r.bytesMoved.Add(rec.Bytes())
-		} else {
-			// ErrExists: no bytes were copied — the stale source copy was
-			// merely dropped in favor of the client's recreate. Counting it
-			// as a move would inflate the moved-files/bytes counters the
-			// benchgate vacuity check reads.
-			r.superseded.Add(1)
-		}
-		return migrateMoved
-	}
-	if errors.Is(derr, dfs.ErrNotFound) {
+	r.exec(src, func(*dfs.FileSystem) { dropped, derr = src.migrateOut(path, !landed) })
+	switch {
+	case errors.Is(derr, dfs.ErrNotFound):
 		// Deleted mid-move. If we attached a copy a moment ago, take it back
 		// out (a racing client delete may already have).
 		if landed {
 			r.exec(dst, func(fs *dfs.FileSystem) { _ = fs.DetachFile(path) })
 		}
 		return migrateGone
+	case !dropped:
+		// The source copy went busy between snapshot and commit (a movement
+		// grabbed it), or the destination's copy is not yet the one the
+		// namespace names (mid-create). Both copies stay; the namespace
+		// serves the one it names, and the next sweep retries.
+		return migrateSkipped
+	case landed:
+		r.filesMoved.Add(1)
+		r.bytesMoved.Add(rec.Bytes())
+	default:
+		// No bytes were copied: counting the drop as a move would inflate
+		// the moved-files/bytes counters the benchgate vacuity check reads.
+		r.superseded.Add(1)
 	}
-	// The source copy went busy between snapshot and commit (a movement
-	// grabbed it). Both copies stay live — reads serve the destination —
-	// and the next sweep retries the commit.
-	return migrateSkipped
+	return migrateMoved
 }
 
 // drain finishes every open epoch — bounded re-sweeps of each migrating

@@ -18,17 +18,16 @@ import (
 type routeState int32
 
 const (
-	// routeMigrating: files are moving. Creates go to dst; reads find each
-	// file where the namespace says it is, never blocking on the move; a
-	// delete walks dst, then the hash owner (the epoch's fallback).
+	// routeMigrating: files are moving to dst, where creates now go. Every
+	// other op resolves in the namespace, which names each file's copy
+	// wherever the move has got to.
 	routeMigrating routeState = iota
 	// routeCommitted: the flip happened; every source shard swept empty.
-	// dst is authoritative and deletes have no fallback to walk.
 	routeCommitted
-	// routeDraining: a committed entry is being folded back to static
-	// routing (the subtree went cold and the table slot is wanted for
-	// future hotspots). Creates route by the per-dir hash again, deletes
-	// fall back to dst until its copies drain home, then it is removed.
+	// routeDraining: a committed entry folding back to static routing (the
+	// subtree went cold and the table slot is wanted for future hotspots).
+	// Creates route by the per-dir hash again; the entry is removed on the
+	// first sweep that finds nothing left on dst to move home.
 	routeDraining
 )
 

@@ -13,8 +13,8 @@
 //     striped by a hash of the parent directory (nsShards), each entry
 //     naming the shard that holds the file. Reads and the serving tier
 //     decision run on client goroutines under per-stripe read locks and
-//     resolve the owner in one lookup, even mid-migration; only a delete
-//     still walks a migration epoch (see ShardedServer.delete).
+//     resolve the owner in one lookup, even mid-migration; a delete
+//     resolves the same way (see ShardedServer.delete).
 //   - Accesses accumulate per file: every handle carries an atomic count of
 //     accesses not yet applied and the latest virtual instant any of them
 //     was stamped with. The client hot path is a stripe lookup plus two
@@ -614,11 +614,20 @@ func (sh *shard) create(op Op) <-chan error {
 }
 
 // delete submits a deletion stamped with op.At; done receives the outcome on
-// the shard loop. Nothing is counted here: whether a miss is the client's
-// outcome or one side of a migration epoch is the router's to know, so the
+// the shard loop. A stale copy (see stale) is not the file, so it misses
+// like an absent one. Nothing is counted here: whether a miss is the
+// client's outcome or a sign the file moved is the router's to know, so the
 // router books the one logical deletion (countDelete).
 func (sh *shard) delete(op Op, done func(error)) {
-	sh.cmds <- command{at: op.At, run: func() { done(sh.fs.Delete(op.Path)) }}
+	sh.cmds <- command{at: op.At, run: func() {
+		if h, _ := sh.ns.get(op.Path); h == nil || h.sh != sh {
+			if f, err := sh.fs.Namespace().GetFile(op.Path); err == nil && sh.stale(f) {
+				done(notFound(op.Path))
+				return
+			}
+		}
+		done(sh.fs.Delete(op.Path))
+	}}
 }
 
 // countDelete books one client deletion's outcome and latency (safe off the
@@ -630,17 +639,6 @@ func (sh *shard) countDelete(err error, start time.Time) {
 		sh.counters.deletes.Add(1)
 	}
 	sh.mutateHist.Observe(time.Since(start))
-}
-
-// detach removes a file at the stamped virtual time via the migration-
-// teardown path: DetachFile releases the replicas and drops the handle
-// without counting a client deletion. The router uses it to clear the
-// fallback copy during a migration epoch after the primary delete already
-// counted the client's one logical deletion.
-func (sh *shard) detach(op Op) <-chan error {
-	res := make(chan error, 1)
-	sh.cmds <- command{at: op.At, run: func() { res <- sh.fs.DetachFile(op.Path) }}
-	return res
 }
 
 // publish hands one access of h to the next drain, rings the loop's
@@ -660,18 +658,34 @@ func (sh *shard) publish(h *handle, at time.Time, sp *obs.Span, spStart time.Tim
 	}
 }
 
-// migrateOut detaches a file whose copy has landed on another shard (the
-// commit half of rebalancer.migrateFile). Accesses still pending on its
-// handle are discarded as "migrated", not "deleted". Shard loop only.
-func (sh *shard) migrateOut(path string) error {
-	f, err := sh.fs.Namespace().GetFile(path)
-	if err == nil {
-		h := sh.handleOf(f)
-		if err = sh.fs.DetachFile(path); err == nil && h != nil {
-			h.migrated = true
-		}
+// stale reports whether f is a copy the namespace has stopped naming: this
+// shard indexed it, and its path now resolves to another handle or to none
+// (see rebalancer.migrateFile). A file the shard never indexed (mid-create,
+// or created inside the loop by a scenario) is not stale. Shard loop only.
+func (sh *shard) stale(f *dfs.File) bool {
+	h := sh.handleOf(f)
+	if h == nil {
+		return false
 	}
-	return err
+	named, _ := sh.ns.get(f.Path())
+	return named != h
+}
+
+// migrateOut detaches path's copy for rebalancer.migrateFile — with
+// onlyStale, only if the copy is stale — and reports whether it did, with
+// the lookup's or the detach's error (dfs.ErrBusy: a transfer holds it).
+// No client deletion is counted, and accesses still pending on the handle
+// are discarded as "migrated", not "deleted". Shard loop only.
+func (sh *shard) migrateOut(path string, onlyStale bool) (dropped bool, err error) {
+	f, err := sh.fs.Namespace().GetFile(path)
+	if err != nil || onlyStale && !sh.stale(f) {
+		return false, err
+	}
+	h := sh.handleOf(f)
+	if err = sh.fs.DetachFile(path); err == nil && h != nil {
+		h.migrated = true
+	}
+	return err == nil, err
 }
 
 // access serves one client read of a resolved file at op.At and returns the

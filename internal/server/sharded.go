@@ -48,10 +48,12 @@ import (
 //     rides in on Cluster.Plane, which every shard's view inherits.
 //
 // Paths route to shards by a hash of the parent directory, so files in one
-// directory share a shard; one namespace (nsShards) names the shard holding
-// each file, whatever the route table says. shards=1 is the degenerate
-// case, not a second type: one single-writer loop with the full quota, an
-// empty pool and no protocol traffic.
+// directory share a shard. The route decides only where a create lands; one
+// namespace (nsShards) names the shard holding each file, whatever the route
+// table says, and every op on an existing file — read, stat, delete —
+// resolves there. shards=1 is the degenerate case, not a second type: one
+// single-writer loop with the full quota, an empty pool and no protocol
+// traffic.
 
 // ShardBuilder wires the policy stack of one shard: given the shard's
 // private file system, it returns the shard's manager (nil for unmanaged
@@ -112,10 +114,6 @@ type ShardedServer struct {
 	// touches the shard file systems directly (the loops are stopped, so the
 	// caller's goroutine is the only one near them).
 	running bool
-	// afterPrimaryMiss, when set, runs between a delete's missed primary
-	// attempt and its fallback attempt (see probe) — the seam the epoch
-	// regression tests use to land a migration exactly there.
-	afterPrimaryMiss func()
 }
 
 // splitSpec carves one shard's quota slice out of a node spec: each device
@@ -361,62 +359,43 @@ func RouteShard(dir string, shards int) int {
 	return int(fnv32(dir) % uint32(shards))
 }
 
-// routeDir resolves a directory to its primary shard plus the fallback
-// shard a delete walks during a migration epoch. The route table overrides
-// the hash for whole subtrees: while an entry is migrating, the primary is
-// the destination and the fallback is the static hash owner (files not yet
-// moved still live there); once committed the fallback is gone. A draining
-// entry is the reverse epoch — the subtree is folding back to static
-// routing, so the per-dir hash owner is primary again and the old
-// destination is the fallback until its copies drain home. Without an
-// override — including always when the rebalancer is off — this is exactly
-// the static parent-dir hash.
-func (s *ShardedServer) routeDir(dir string) (primary, fallback *shard) {
-	owner := s.shards[fnv32(dir)%uint32(len(s.shards))]
-	if e := s.routes.lookup(dir); e != nil {
-		switch e.state {
-		case routeMigrating:
-			primary = s.shards[e.dst]
-			if owner != primary {
-				fallback = owner
-			}
-		case routeDraining:
-			primary = owner
-			if old := s.shards[e.dst]; old != primary {
-				fallback = old
-			}
-		default: // routeCommitted
-			primary = s.shards[e.dst]
-		}
-		return primary, fallback
+// routeDir resolves a directory to the one shard its creates go to. The
+// route table overrides the hash for whole subtrees: a migrating or committed
+// entry sends the subtree to its destination, and a draining entry (a
+// subtree folding back to static routing) sends it to the per-dir hash owner
+// again. Without an override — including always when the rebalancer is off —
+// this is exactly the static parent-dir hash. Where a file already lives is
+// the namespace's to say, not the route's.
+func (s *ShardedServer) routeDir(dir string) *shard {
+	if e := s.routes.lookup(dir); e != nil && e.state != routeDraining {
+		return s.shards[e.dst]
 	}
-	return owner, nil
+	return s.shards[fnv32(dir)%uint32(len(s.shards))]
 }
 
 // route canonicalises the path of a create or delete and resolves its
-// shards: the primary (where creates go) and, during a migration epoch, the
-// fallback. Routing is by the parent directory; it also feeds the
-// rebalancer's load tracker. dfs.CleanPath fast-paths already-canonical
-// input without allocating, so routed ops pay one scan here.
-func (s *ShardedServer) route(path string) (clean string, primary, fallback *shard, err error) {
+// primary, the shard creates go to. Routing is by the parent directory; it
+// also feeds the rebalancer's load tracker. dfs.CleanPath fast-paths
+// already-canonical input without allocating, so routed ops pay one scan
+// here.
+func (s *ShardedServer) route(path string) (clean string, primary *shard, err error) {
 	if clean, err = dfs.CleanPath(path); err != nil {
-		return "", nil, nil, err
+		return "", nil, err
 	}
-	primary, fallback = s.routePath(clean)
-	return clean, primary, fallback, nil
+	return clean, s.routePath(clean), nil
 }
 
 // routePath is route for a canonical path.
-func (s *ShardedServer) routePath(clean string) (primary, fallback *shard) {
+func (s *ShardedServer) routePath(clean string) *shard {
 	if len(s.shards) == 1 {
-		return s.shards[0], nil
+		return s.shards[0]
 	}
 	dir, _ := parentOf(clean)
-	primary, fallback = s.routeDir(dir)
+	primary := s.routeDir(dir)
 	if s.reb != nil {
 		s.reb.tracker.note(dir, primary.idx)
 	}
-	return primary, fallback
+	return primary
 }
 
 // lookup resolves a canonical path to its handle in the one namespace (nil
@@ -426,54 +405,9 @@ func (s *ShardedServer) routePath(clean string) (primary, fallback *shard) {
 // on where the namespace found the file.
 func (s *ShardedServer) lookup(clean string) (h *handle, primary *shard) {
 	if h, _ = s.ns.get(clean); h == nil || s.reb != nil {
-		primary, _ = s.routePath(clean)
+		primary = s.routePath(clean)
 	}
 	return h, primary
-}
-
-// probe walks a migration epoch for the one op that still needs it: a
-// delete, whose copy on owner (the namespace's owner, or the primary for a
-// path not yet indexed) can move before the delete runs there. first is
-// that attempt's outcome. On dfs.ErrNotFound probe asks the primary (unless
-// the owner's attempt was the primary's), then during an epoch the fallback, and on a second
-// miss the primary once more — within an epoch files only move fallback →
-// primary (both routeMigrating and routeDraining), so a copy that left the
-// fallback after the primary missed is on the primary by now, and a file
-// that existed throughout is never reported missing.
-//
-// The route itself can be stale too: the caller resolved it before the
-// rebalancer opened (or flipped) an epoch over clean's directory, and the
-// file moved before the attempts ran. So a miss re-resolves the route once
-// and, if it changed, walks again under it.
-//
-// It returns the shard whose outcome stands (the last one asked when every
-// attempt missed), the fallback of the route the walk last ran under, and
-// the outcome.
-func (s *ShardedServer) probe(clean string, owner *shard, first error, primary, fallback *shard, try func(*shard) error) (sh, fb *shard, err error) {
-	sh, err = owner, first
-	for attempt := 0; errors.Is(err, dfs.ErrNotFound); attempt++ {
-		if attempt > 0 || sh != primary {
-			sh, err = primary, try(primary)
-		}
-		if fallback != nil && errors.Is(err, dfs.ErrNotFound) {
-			if s.afterPrimaryMiss != nil {
-				s.afterPrimaryMiss()
-			}
-			if sh, err = fallback, try(fallback); errors.Is(err, dfs.ErrNotFound) {
-				sh, err = primary, try(primary)
-			}
-		}
-		if attempt > 0 || !errors.Is(err, dfs.ErrNotFound) {
-			break
-		}
-		dir, _ := parentOf(clean)
-		p, f := s.routeDir(dir)
-		if p == primary && f == fallback {
-			break
-		}
-		primary, fallback = p, f
-	}
-	return sh, fallback, err
 }
 
 func notFound(path string) error {
@@ -502,7 +436,9 @@ func failed(err error) <-chan error {
 // the global pool, admitted against op.Tenant's ledger budget — a tenant at
 // quota gets dfs.ErrNoCapacity even while the pool has room) and one retry,
 // so a shard whose quota ran dry admits the write as long as the physical
-// tier has room. A delete waits for both sides of an epoch.
+// tier has room. A create or delete resolves its shard like a read: the one
+// the namespace names for the path, or the primary when none holds it (see
+// submit).
 func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 	if op.Kind == OpAccess {
 		clean, err := dfs.CleanPath(op.Path)
@@ -520,12 +456,12 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 		sh.accessHist.Observe(time.Since(start))
 		return res, err
 	}
-	clean, primary, fallback, err := s.route(op.Path)
+	clean, primary, err := s.route(op.Path)
 	if err != nil {
 		return AccessResult{}, err
 	}
 	op.Path = clean
-	err = <-s.submit(op, primary, fallback)
+	err = <-s.submit(op, primary)
 	if op.Kind == OpCreate && errors.Is(err, dfs.ErrNoCapacity) {
 		// Every replica of every block must find a device, so each of
 		// `replication` distinct nodes needs room for one full copy; placement
@@ -536,7 +472,7 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 			borrowed = primary.quota.EnsureSpreadFor(op.Tenant, storage.HDD, op.Size, fs.Replication())
 		})
 		if borrowed {
-			err = <-s.submit(op, primary, fallback)
+			err = <-s.submit(op, primary)
 		}
 	}
 	return AccessResult{}, err
@@ -548,34 +484,34 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 // inside Flush, so receiving before fencing would deadlock). The op is on
 // its shard's loop when Submit returns, so ops submitted to one path run in
 // submission order and Flush fences them; only a delete's follow-up on the
-// far side of a migration epoch completes asynchronously. No borrow-retry:
+// shard a moved file landed on completes asynchronously. No borrow-retry:
 // stamped traffic is expected to fit the planned quota or to handle
 // dfs.ErrNoCapacity itself.
 func (s *ShardedServer) Submit(op Op) <-chan error {
-	clean, primary, fallback, err := s.route(op.Path)
+	clean, primary, err := s.route(op.Path)
 	if err != nil {
 		return failed(err)
 	}
 	op.Path = clean
-	return s.submit(op, primary, fallback)
+	return s.submit(op, primary)
 }
 
 // submit is the routed half of Submit. It resolves the path's owner: the
 // shard the namespace names, or the primary when none holds it yet or when
-// no rebalancer can have moved it off its primary.
-func (s *ShardedServer) submit(op Op, primary, fallback *shard) <-chan error {
+// no file can live off its route (no rebalancer and an empty route table).
+func (s *ShardedServer) submit(op Op, primary *shard) <-chan error {
 	if op.At.IsZero() {
 		op.At = s.Clock()
 	}
 	owner := primary
-	if fallback != nil || s.reb != nil {
+	if s.reb != nil || s.routes.entries() != nil {
 		if h, ok := s.ns.get(op.Path); ok {
 			owner = h.sh
 		}
 	}
 	switch op.Kind {
 	case OpCreate:
-		// A file another shard holds — unmoved during an epoch, or created
+		// A file another shard holds — not yet moved under a route, or created
 		// through a route that went stale — exists all the same, and creating
 		// over it must fail the way a single shard would. (A file on the
 		// primary fails inside fs.Create.)
@@ -584,7 +520,7 @@ func (s *ShardedServer) submit(op Op, primary, fallback *shard) <-chan error {
 		}
 		return primary.create(op)
 	case OpDelete:
-		return s.delete(op, owner, primary, fallback)
+		return s.delete(op, owner)
 	}
 	return failed(fmt.Errorf("server: op kind %d cannot be submitted", op.Kind))
 }
@@ -605,45 +541,35 @@ func (s *ShardedServer) access(op Op) (AccessResult, *shard, error) {
 
 // delete is the router's half of a delete. Its first attempt, on the owner
 // submit resolved, is enqueued before delete returns, so whatever the
-// caller submits next (a pipelined re-create of the path, a Flush) orders
-// behind it on the shard loop. During a migration epoch the file can live
-// on the primary, the fallback side, or (mid-copy) briefly both, and can
-// move after the owner was resolved, so a miss walks the epoch (probe) for
-// the copy that counts the client's one logical deletion, and when that was
-// not the fallback's, any lingering fallback copy is dropped through the
-// migration-teardown path — a racing migration honors the delete instead of
-// resurrecting the file. The one outcome is booked after the walk
-// (countDelete), never per shard asked. The follow-up steps run on a
-// combiner goroutine, not inside either shard loop: an op enqueued on one
-// loop must never block on another loop's result, or two opposite-direction
-// deletes could deadlock the loops on each other.
-func (s *ShardedServer) delete(op Op, owner, primary, fallback *shard) <-chan error {
-	start := time.Now()
+// caller submits next (a pipelined re-create, a Flush) orders behind it on
+// the shard loop. If the file moved since, the attempt misses and the
+// namespace names another shard, which is asked next — each shard at most
+// once. The one outcome is booked once (countDelete). A follow-up is
+// enqueued from a fresh goroutine: an op on one loop must never block on
+// another loop, or two opposite-direction deletes could deadlock the loops.
+func (s *ShardedServer) delete(op Op, owner *shard) <-chan error {
 	res := make(chan error, 1)
-	if fallback == nil && s.reb == nil {
-		// No epoch now and no rebalancer to open one: one shard to ask and
-		// nothing to race.
-		owner.delete(op, func(err error) {
-			owner.countDelete(err, start)
-			res <- err
-		})
-		return res
-	}
-	ask := func(sh *shard) <-chan error {
-		out := make(chan error, 1)
-		sh.delete(op, func(err error) { out <- err })
-		return out
-	}
-	first := ask(owner)
-	go func() {
-		sh, fb, err := s.probe(op.Path, owner, <-first, primary, fallback, func(sh *shard) error { return <-ask(sh) })
-		sh.countDelete(err, start)
-		if err == nil && fb != nil && sh != fb {
-			<-fb.detach(op) // deleted off the fallback: clear any copy left there
-		}
-		res <- err
-	}()
+	s.deleteOn(owner, op, time.Now(), nil, res)
 	return res
+}
+
+// deleteOn asks sh for the delete; asked marks the shards asked before it.
+func (s *ShardedServer) deleteOn(sh *shard, op Op, start time.Time, asked []bool, res chan error) {
+	sh.delete(op, func(err error) {
+		if errors.Is(err, dfs.ErrNotFound) {
+			if h, _ := s.ns.get(op.Path); h != nil && h.sh != sh && (asked == nil || !asked[h.sh.idx]) {
+				next := asked
+				if next == nil {
+					next = make([]bool, len(s.shards))
+				}
+				next[sh.idx] = true
+				go s.deleteOn(h.sh, op, start, next, res)
+				return
+			}
+		}
+		sh.countDelete(err, start)
+		res <- err
+	})
 }
 
 // Access records a client access now; see Do.
@@ -714,16 +640,15 @@ func (s *ShardedServer) List(dir string) []string {
 	if err != nil {
 		return nil
 	}
-	primary, _ := s.routeDir(clean)
-	primary.counters.lists.Add(1)
+	s.routeDir(clean).counters.lists.Add(1)
 	return s.ns.list(clean)
 }
 
 // Flush fences every shard: all noted accesses applied, in-flight
 // creates committed, movement executors idle. Open migration epochs get a
-// straggler drain — files that were mid-create or in transition during the
-// live sweeps can move now that the system is quiescing — then the shards
-// fence again to absorb the moves.
+// straggler drain — files mid-create or in transition during the live
+// sweeps can move, and stale copies go, now that the system is quiescing —
+// then the shards fence again to absorb the moves.
 func (s *ShardedServer) Flush() {
 	for _, sh := range s.shards {
 		sh.flush()
@@ -822,9 +747,9 @@ func (s *ShardedServer) TierUsage(m storage.Media) (used, capacity int64) {
 
 // Verify runs the full invariant suite — per-shard capacity accounting,
 // deep structural checks, candidate-index audits, the access accounting
-// identity, and the global ledger conservation equation — and returns every
-// violation found. Call at a quiescent point (after Flush with clients
-// stopped, or after Close) for exact results.
+// identity, namespace coherence, and the global ledger conservation
+// equation — and returns every violation found. Call at a quiescent point
+// (after Flush with clients stopped, or after Close) for exact results.
 func (s *ShardedServer) Verify() []string {
 	var violations []string
 	s.Exec(func(i int, fs *dfs.FileSystem) {
@@ -835,6 +760,20 @@ func (s *ShardedServer) Verify() []string {
 			violations = append(violations, fmt.Sprintf("shard %d: %v", i, err))
 		}
 		sh := s.shards[i]
+		// The namespace and the shards agree both ways: every handle it
+		// names on this shard is live here, and outside open (migrating or
+		// draining) route entries the shard holds no copy it stopped naming.
+		s.ns.each(func(h *handle) {
+			if h.sh == sh && fs.FileAt(h.file.Slot(), h.id) == nil {
+				violations = append(violations, fmt.Sprintf("shard %d: namespace names %s, which the shard does not hold", i, h.path))
+			}
+		})
+		for _, f := range fs.LiveFiles() {
+			dir, _ := parentOf(f.Path())
+			if e := s.routes.lookup(dir); sh.stale(f) && (e == nil || e.state == routeCommitted) {
+				violations = append(violations, fmt.Sprintf("shard %d: stale copy of %s outside a migration", i, f.Path()))
+			}
+		}
 		if sh.mgr != nil {
 			if err := sh.mgr.Context().Index().Audit(); err != nil {
 				violations = append(violations, fmt.Sprintf("shard %d index: %v", i, err))

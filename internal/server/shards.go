@@ -269,6 +269,19 @@ func (s *nsShards) remove(h *handle) {
 	sh.mu.Unlock()
 }
 
+// each calls fn for every indexed handle, one stripe at a time under its
+// read lock.
+func (s *nsShards) each(fn func(*handle)) {
+	for i := range s.shards {
+		st := &s.shards[i]
+		st.mu.RLock()
+		for _, h := range st.files {
+			fn(h)
+		}
+		st.mu.RUnlock()
+	}
+}
+
 // list returns the sorted file names directly under dir.
 func (s *nsShards) list(dir string) []string {
 	sh := s.shardFor(dir)
