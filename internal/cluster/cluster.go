@@ -65,15 +65,6 @@ func (n *Node) PickDevice(media storage.Media, bytes int64) *storage.Device {
 	return best
 }
 
-// TierUsed returns the bytes reserved across the node's devices of a media.
-func (n *Node) TierUsed(media storage.Media) int64 {
-	var used int64
-	for _, d := range n.Devices(media) {
-		used += d.Used()
-	}
-	return used
-}
-
 // TierCapacity returns the total capacity of the node's devices of a media.
 func (n *Node) TierCapacity(media storage.Media) int64 {
 	var c int64
@@ -91,6 +82,10 @@ type Cluster struct {
 	nodes  []*Node
 	nextID int
 	plane  storage.DataPlane
+	// tiers is the running used and capacity bytes per media over the
+	// member devices: each device tracks its media's entry from AddNode
+	// until RemoveNode.
+	tiers [3]storage.Tally
 }
 
 // Config describes a cluster to build.
@@ -147,6 +142,12 @@ type planeRegistrar interface {
 	Register(deviceID string, media storage.Media)
 }
 
+// planeAttacher is implemented by planes that hold a device's channel on
+// the device itself; Attach registers the id as Register does.
+type planeAttacher interface {
+	Attach(d *storage.Device)
+}
+
 // planeUnregistrar is the reclamation side of planeRegistrar: each cluster
 // view drops its registration when a node leaves, and the plane frees the
 // device's channel once the last view lets go (registrations are
@@ -166,13 +167,18 @@ func (c *Cluster) AddNode(spec storage.NodeSpec, slots int) *Node {
 		slots: slots,
 	}
 	c.nextID++
+	att, _ := c.plane.(planeAttacher)
 	reg, _ := c.plane.(planeRegistrar)
 	for _, ds := range spec {
 		for j := 0; j < ds.Count; j++ {
 			id := fmt.Sprintf("%s/%s-%d", n.name, ds.Media, j)
 			d := storage.NewDevice(c.engine, id, ds.Media, ds.Capacity, ds.ReadBW, ds.WriteBW)
 			n.devices[ds.Media] = append(n.devices[ds.Media], d)
-			if reg != nil {
+			d.Track(&c.tiers[ds.Media])
+			switch {
+			case att != nil:
+				att.Attach(d)
+			case reg != nil:
 				reg.Register(id, ds.Media)
 			}
 		}
@@ -182,15 +188,18 @@ func (c *Cluster) AddNode(spec storage.NodeSpec, slots int) *Node {
 }
 
 // RemoveNode detaches the worker with the given id from the cluster,
-// returning it (nil when unknown). Its devices leave capacity accounting;
-// the caller is responsible for the replicas it held (dfs.FileSystem.FailNode
-// wraps this with replica teardown).
+// returning it (nil when unknown). Its devices leave capacity accounting:
+// they stop tracking the tier tallies, so the teardown of the replicas they
+// held leaves TierUsage alone. The caller is responsible for those replicas
+// (dfs.FileSystem.FailNode wraps this with replica teardown).
 func (c *Cluster) RemoveNode(id int) *Node {
 	for i, n := range c.nodes {
 		if n.id == id {
 			c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
-			if unreg, ok := c.plane.(planeUnregistrar); ok {
-				for _, d := range n.AllDevices() {
+			unreg, _ := c.plane.(planeUnregistrar)
+			for _, d := range n.AllDevices() {
+				d.Track(nil)
+				if unreg != nil {
 					unreg.Unregister(d.ID(), d.Media())
 				}
 			}
@@ -239,14 +248,14 @@ func (c *Cluster) TotalSlots() int {
 	return total
 }
 
-// TierUsage aggregates used and capacity bytes for a media across the
-// cluster.
+// TierUsage returns the used and capacity bytes of a media across the
+// cluster's devices, kept as a running tally.
 func (c *Cluster) TierUsage(media storage.Media) (used, capacity int64) {
-	for _, n := range c.nodes {
-		used += n.TierUsed(media)
-		capacity += n.TierCapacity(media)
+	if !media.Valid() {
+		return 0, 0
 	}
-	return used, capacity
+	t := &c.tiers[media]
+	return t.Used, t.Capacity
 }
 
 // TierUtilization returns used/capacity for the media, or 0 if the cluster

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
 	"octostore/internal/sim"
@@ -29,7 +30,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestInvalidMediaHasNoDevices(t *testing.T) {
-	n := MustNew(sim.NewEngine(), testConfig()).Node(0)
+	c := MustNew(sim.NewEngine(), testConfig())
+	n := c.Node(0)
 	for _, m := range []storage.Media{-1, 3} {
 		if d := n.Devices(m); d != nil {
 			t.Fatalf("Devices(%d) = %v", m, d)
@@ -37,7 +39,7 @@ func TestInvalidMediaHasNoDevices(t *testing.T) {
 		if d := n.PickDevice(m, 1); d != nil {
 			t.Fatalf("PickDevice(%d) = %v", m, d)
 		}
-		if n.TierUsed(m) != 0 || n.TierCapacity(m) != 0 {
+		if used, capacity := c.TierUsage(m); used != 0 || capacity != 0 || n.TierCapacity(m) != 0 {
 			t.Fatalf("tier totals of media %d not zero", m)
 		}
 	}
@@ -145,5 +147,76 @@ func TestTierUtilizationNoDevices(t *testing.T) {
 	c := MustNew(e, cfg)
 	if got := c.TierUtilization(storage.Memory); got != 0 {
 		t.Fatalf("utilization of absent tier = %v", got)
+	}
+}
+
+// tierWalk sums the member devices' used and capacity bytes of a media:
+// what TierUsage's running tally must always equal.
+func tierWalk(c *Cluster, m storage.Media) (used, capacity int64) {
+	for _, n := range c.Nodes() {
+		for _, d := range n.Devices(m) {
+			used += d.Used()
+			capacity += d.Capacity()
+		}
+	}
+	return used, capacity
+}
+
+// TestTierUsageTallyFollowsDevices drives random Reserve, Release, Grow and
+// ShrinkUpTo calls, node joins and node losses, and Releases on the devices
+// of removed nodes (replica teardown after node loss), and holds TierUsage
+// to the per-device walk after every step.
+func TestTierUsageTallyFollowsDevices(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := MustNew(sim.NewEngine(), testConfig())
+	var removed []*storage.Device
+	check := func(step int, what string) {
+		t.Helper()
+		for _, m := range storage.AllMedia {
+			gu, gc := c.TierUsage(m)
+			wu, wc := tierWalk(c, m)
+			if gu != wu || gc != wc {
+				t.Fatalf("step %d (%s): %s tally used %d capacity %d, walk %d / %d", step, what, m, gu, gc, wu, wc)
+			}
+		}
+	}
+	check(0, "new")
+	for step := 1; step <= 2000; step++ {
+		var devs []*storage.Device
+		for _, n := range c.Nodes() {
+			devs = append(devs, n.AllDevices()...)
+		}
+		var what string
+		switch op := rng.Intn(20); {
+		case op == 0:
+			c.AddNode(storage.SmallWorkerSpec(), 1)
+			what = "add node"
+		case op == 1 && c.Size() > 1:
+			n := c.Nodes()[rng.Intn(c.Size())]
+			removed = append(removed, n.AllDevices()...)
+			c.RemoveNode(n.ID())
+			what = "remove node"
+		case op == 2 && len(removed) > 0:
+			d := removed[rng.Intn(len(removed))]
+			d.Release(rng.Int63n(d.Used() + 1))
+			what = "release on a removed device"
+		default:
+			d := devs[rng.Intn(len(devs))]
+			switch rng.Intn(4) {
+			case 0:
+				_ = d.Reserve(rng.Int63n(64 * storage.MB))
+				what = "reserve"
+			case 1:
+				d.Release(rng.Int63n(d.Used() + 1))
+				what = "release"
+			case 2:
+				d.Grow(rng.Int63n(32 * storage.MB))
+				what = "grow"
+			default:
+				d.ShrinkUpTo(rng.Int63n(32 * storage.MB))
+				what = "shrink"
+			}
+		}
+		check(step, what)
 	}
 }

@@ -337,8 +337,10 @@ func TestMonitorBooksNodeLossAsFailure(t *testing.T) {
 	var lost *cluster.Node
 	ev.engine.Schedule(time.Millisecond, func() {
 		for _, n := range ev.fs.Cluster().Nodes() {
-			if n != src && n.TierUsed(storage.Memory) > 0 {
-				lost = n
+			for _, d := range n.Devices(storage.Memory) {
+				if n != src && d.Used() > 0 {
+					lost = n
+				}
 			}
 		}
 		if lost != nil {

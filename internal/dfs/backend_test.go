@@ -142,10 +142,19 @@ func TestLocalBackendMirrorsReplicaLifecycle(t *testing.T) {
 	}
 }
 
-// fakeHorizons is a scripted writeHorizons plane view for placement tests.
+// fakeHorizons is a scripted id-keyed horizon view for placement tests.
 type fakeHorizons map[string]time.Time
 
 func (f fakeHorizons) Horizon(id string, _ storage.Direction) time.Time { return f[id] }
+
+// testHorizon is the horizon a placement reads through an id-keyed view,
+// nil for no view.
+func testHorizon(h idHorizons) horizonFunc {
+	if h == nil {
+		return nil
+	}
+	return idHorizon(h)
+}
 
 func placementCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
@@ -160,10 +169,10 @@ func placementCluster(t *testing.T) *cluster.Cluster {
 // positive horizon.
 func TestPlacementBacklogZeroHorizonsBitForBit(t *testing.T) {
 	c := placementCluster(t)
-	place := func(backlog writeHorizons) []string {
+	place := func(backlog idHorizons) []string {
 		p := &octopusPlacement{
 			cluster: c, rng: rand.New(rand.NewSource(11)),
-			weights: DefaultPlacementWeights(), backlog: backlog,
+			weights: DefaultPlacementWeights(), horizon: testHorizon(backlog),
 		}
 		var out []string
 		for i := 0; i < 8; i++ {
@@ -190,10 +199,10 @@ func TestPlacementBacklogZeroHorizonsBitForBit(t *testing.T) {
 // placement.
 func TestPlacementBacklogSteersOffSaturatedTier(t *testing.T) {
 	c := placementCluster(t)
-	firstMedia := func(backlog writeHorizons) storage.Media {
+	firstMedia := func(backlog idHorizons) storage.Media {
 		p := &octopusPlacement{
 			cluster: c, rng: rand.New(rand.NewSource(5)),
-			weights: DefaultPlacementWeights(), backlog: backlog,
+			weights: DefaultPlacementWeights(), horizon: testHorizon(backlog),
 		}
 		targets, err := p.PlaceBlock(16*storage.MB, 3)
 		if err != nil {

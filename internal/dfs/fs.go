@@ -122,12 +122,12 @@ type FileSystem struct {
 	// cluster at construction; nil keeps the pre-data-plane semantics
 	// exactly (no extra events, no latency, no accounting).
 	plane storage.DataPlane
-	// backlog is the plane's per-device queue-horizon view, present only
+	// horizon is the plane's per-device queue-horizon view, present only
 	// when the attached plane exposes one (ContendedPlane does). Read
 	// steering prefers the least-backlogged device among same-tier remote
 	// replicas; nil plane and NopPlane lack the method, so replays without
 	// contention keep the pre-steering tie-break bit for bit.
-	backlog writeHorizons
+	horizon horizonFunc
 	// bkend, when non-nil, mirrors every block-replica state change onto a
 	// physical store (see internal/backend). The virtual clock keeps driving
 	// all control-plane timing either way: backend calls are synchronous,
@@ -220,9 +220,9 @@ func (fs *FileSystem) DataPlane() storage.DataPlane { return fs.plane }
 // has one, goes to read steering and to placement together.
 func (fs *FileSystem) SetDataPlane(p storage.DataPlane) {
 	fs.plane = p
-	fs.backlog, _ = p.(writeHorizons)
+	fs.horizon = planeHorizon(p)
 	if op, ok := fs.placement.(*octopusPlacement); ok {
-		op.backlog = fs.backlog
+		op.horizon = fs.horizon
 	}
 }
 
@@ -282,6 +282,7 @@ func (fs *FileSystem) chargePlane(dev *storage.Device, dir storage.Direction, cl
 	}
 	return fs.plane.Serve(storage.IORequest{
 		DeviceID: dev.ID(),
+		Device:   dev,
 		Media:    dev.Media(),
 		Dir:      dir,
 		Class:    class,
@@ -739,11 +740,11 @@ func (fs *FileSystem) pickReadReplica(b *Block, at *cluster.Node) *Replica {
 // has already built up. Equal horizons (and every plane-less run) fall back
 // to the in-flight transfer count, the pre-steering tie-break.
 func (fs *FileSystem) lessBacklogged(a, b *storage.Device) bool {
-	if fs.backlog != nil {
-		ah := fs.backlog.Horizon(a.ID(), storage.Read)
-		bh := fs.backlog.Horizon(b.ID(), storage.Read)
-		if !ah.Equal(bh) {
-			return ah.Before(bh)
+	if fs.horizon != nil {
+		ah := fs.horizon(a, storage.Read)
+		bh := fs.horizon(b, storage.Read)
+		if ah != bh {
+			return ah < bh
 		}
 	}
 	return a.Load() < b.Load()

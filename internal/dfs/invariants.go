@@ -63,14 +63,29 @@ func (fs *FileSystem) TierResidency() map[string][3]bool {
 // replicas — one side of the capacity-conservation equation.
 func (fs *FileSystem) LiveReplicaBytes() int64 { return fs.liveBytes }
 
-// CheckInvariants runs the deep consistency checks: CheckAccounting, a full
-// recount of live replica bytes, namespace/path coherence, replica backrefs
-// and state sanity, and validation of the incrementally maintained per-tier
-// residency counters against a recount. Cost is O(files × blocks ×
-// replicas); replays run it periodically and at quiescent points.
+// CheckInvariants runs the deep consistency checks: CheckAccounting, the
+// cluster's tier tallies against its devices, a full recount of live
+// replica bytes, namespace/path coherence, replica backrefs and state
+// sanity, and validation of the incrementally maintained per-tier residency
+// counters against a recount. Cost is O(files × blocks × replicas); replays
+// run it periodically and at quiescent points.
 func (fs *FileSystem) CheckInvariants() error {
 	if err := fs.CheckAccounting(); err != nil {
 		return err
+	}
+
+	// The cluster's running tier tallies equal a walk of its devices.
+	var used, capacity [3]int64
+	for _, n := range fs.cluster.Nodes() {
+		for _, d := range n.AllDevices() {
+			used[d.Media()] += d.Used()
+			capacity[d.Media()] += d.Capacity()
+		}
+	}
+	for _, m := range storage.AllMedia {
+		if u, c := fs.cluster.TierUsage(m); u != used[m] || c != capacity[m] {
+			return fmt.Errorf("dfs: %s tier tally reads used %d capacity %d, devices hold %d of %d", m, u, c, used[m], capacity[m])
+		}
 	}
 
 	// Namespace ↔ file-index coherence: every namespace file is tracked,

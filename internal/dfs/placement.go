@@ -7,15 +7,44 @@ import (
 	"time"
 
 	"octostore/internal/cluster"
+	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
 
-// writeHorizons is the data plane's per-device queue-horizon view, read by
-// read steering (FileSystem.backlog) and write placement alike. A contended
-// plane exposes it; nil plane and NopPlane do not, keeping plane-less reads
-// and placement bit for bit.
-type writeHorizons interface {
+// horizonFunc is the data plane's per-device queue-horizon view, read by
+// read steering (FileSystem.lessBacklogged) and write placement alike: a
+// device channel's busy-until time in virtual nanoseconds since sim.Epoch.
+type horizonFunc func(d *storage.Device, dir storage.Direction) int64
+
+// deviceHorizons is the device-keyed form ContendedPlane offers.
+type deviceHorizons interface {
+	DeviceHorizon(d *storage.Device, dir storage.Direction) int64
+}
+
+// idHorizons is the id-keyed form a plane that does not hold channels on
+// devices (a decorated plane) may offer instead.
+type idHorizons interface {
 	Horizon(deviceID string, dir storage.Direction) time.Time
+}
+
+// planeHorizon picks the plane's horizon view: its device form when it has
+// one, else an adapter over the id-keyed form. Nil plane and NopPlane have
+// neither, keeping plane-less reads and placement bit for bit.
+func planeHorizon(p storage.DataPlane) horizonFunc {
+	switch h := p.(type) {
+	case deviceHorizons:
+		return h.DeviceHorizon
+	case idHorizons:
+		return idHorizon(h)
+	}
+	return nil
+}
+
+// idHorizon adapts an id-keyed horizon view to a horizonFunc.
+func idHorizon(h idHorizons) horizonFunc {
+	return func(d *storage.Device, dir storage.Direction) int64 {
+		return sim.Nanos(h.Horizon(d.ID(), dir))
+	}
 }
 
 // Target is one chosen destination for a block replica.
@@ -35,16 +64,6 @@ type PlacementPolicy interface {
 	PlaceBlock(size int64, replication int) ([]Target, error)
 }
 
-// targetsHaveNode reports whether a node already received a replica.
-func targetsHaveNode(targets []Target, nodeID int) bool {
-	for _, t := range targets {
-		if t.Node.ID() == nodeID {
-			return true
-		}
-	}
-	return false
-}
-
 // octopusPlacement reproduces the OctopusFS multi-objective block placement
 // (Section 5.3 / [29]): each replica destination is scored on throughput,
 // data balancing, and load balancing, with fault tolerance enforced by the
@@ -55,13 +74,12 @@ type octopusPlacement struct {
 	cluster *cluster.Cluster
 	rng     *rand.Rand
 	weights PlacementWeights
-	scratch []Target         // reused PlaceBlock result buffer
-	cands   []placeCandidate // reused PlaceBlock candidate buffer
-	// backlog, when a horizon-exposing plane is attached, feeds the write
+	scratch []Target // reused PlaceBlock result buffer
+	// horizon, when a horizon-exposing plane is attached, feeds the write
 	// backlog each candidate device has already queued into the score, so
 	// new replicas steer away from saturated devices (the write-side twin
 	// of pickReadReplica's read steering). Nil skips the term entirely.
-	backlog writeHorizons
+	horizon horizonFunc
 }
 
 // PlacementWeights are the relative objective weights of the OctopusFS
@@ -104,25 +122,33 @@ type placeCandidate struct {
 	node    *cluster.Node
 	dev     *storage.Device
 	media   storage.Media
+	out     bool    // the node already holds one of the block's replicas
 	base    float64 // throughput + data-balance + load-balance terms
 	backlog float64 // the write-backlog penalty, 0 without a plane
 }
+
+// stackCandidates is how many candidates PlaceBlock scores without touching
+// the heap: up to 21 nodes of three tiers.
+const stackCandidates = 64
 
 // PlaceBlock scores every (node, media) pair once: the device each node
 // would pick, its utilization, load and write backlog are all fixed until
 // the block is written. Each replica round then only charges the
 // diversity term for the media already used, visiting the candidates in
 // the same order and subtracting in the same order as a per-round
-// rescoring would, so every score and tie-break is the same.
+// rescoring would, so every score and tie-break is the same. The backlog
+// term is computed in integer nanoseconds. Candidates live in a stack
+// array unless the cluster offers more than stackCandidates of them.
 func (p *octopusPlacement) PlaceBlock(size int64, replication int) ([]Target, error) {
 	nodes := p.cluster.Nodes()
 	targets := p.scratch[:0]
 	start := p.rng.Intn(len(nodes))
-	var now time.Time
-	if p.backlog != nil {
-		now = p.cluster.Engine().Now()
+	var nowNS int64
+	if p.horizon != nil {
+		nowNS = sim.Nanos(p.cluster.Engine().Now())
 	}
-	cands := p.cands[:0]
+	var buf [stackCandidates]placeCandidate
+	cands := buf[:0]
 	for i := 0; i < len(nodes); i++ {
 		n := nodes[(start+i)%len(nodes)]
 		for _, media := range storage.AllMedia {
@@ -134,30 +160,33 @@ func (p *octopusPlacement) PlaceBlock(size int64, replication int) ([]Target, er
 			c.base = p.weights.Throughput * mediaSpeed(media)
 			c.base += p.weights.DataBal * (1 - d.Utilization())
 			c.base += p.weights.LoadBal / float64(1+d.Load())
-			if p.backlog != nil {
+			if p.horizon != nil {
 				// Saturation-aware placement: devices whose write channel
 				// the plane has already booked out score down, bounded so
 				// a deep queue defers to the diversity/throughput terms
 				// rather than overriding them outright.
-				if wait := p.backlog.Horizon(d.ID(), storage.Write).Sub(now); wait > 0 {
-					ws := wait.Seconds()
+				if h := p.horizon(d, storage.Write); h > nowNS {
+					ws := time.Duration(h - nowNS).Seconds()
 					c.backlog = p.weights.Backlog * ws / (ws + 1)
 				}
 			}
 			cands = append(cands, c)
 		}
 	}
-	p.cands = cands
 	var usedMedia [3]int // indexed by storage.Media
 	for len(targets) < replication {
+		var penalty [3]float64
+		for m, used := range usedMedia {
+			penalty[m] = p.weights.Diversity * float64(used)
+		}
 		best := -1
 		bestScore := math.Inf(-1)
 		for i := range cands {
 			c := &cands[i]
-			if targetsHaveNode(targets, c.node.ID()) {
+			if c.out {
 				continue
 			}
-			score := c.base - p.weights.Diversity*float64(usedMedia[c.media])
+			score := c.base - penalty[c.media]
 			score -= c.backlog
 			if score > bestScore {
 				bestScore = score
@@ -167,8 +196,16 @@ func (p *octopusPlacement) PlaceBlock(size int64, replication int) ([]Target, er
 		if best < 0 {
 			break // out of eligible nodes or space
 		}
-		usedMedia[cands[best].media]++
-		targets = append(targets, Target{Node: cands[best].node, Device: cands[best].dev})
+		chosen := &cands[best]
+		usedMedia[chosen.media]++
+		targets = append(targets, Target{Node: chosen.node, Device: chosen.dev})
+		// A node's candidates are adjacent: rule them all out.
+		for i := best; i >= 0 && cands[i].node == chosen.node; i-- {
+			cands[i].out = true
+		}
+		for i := best + 1; i < len(cands) && cands[i].node == chosen.node; i++ {
+			cands[i].out = true
+		}
 	}
 	p.scratch = targets
 	if len(targets) == 0 {

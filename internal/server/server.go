@@ -728,6 +728,7 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 		if dev := h.device(tier); dev != nil {
 			g := sh.plane.Serve(storage.IORequest{
 				DeviceID: dev.ID(),
+				Device:   dev,
 				Media:    tier,
 				Dir:      storage.Read,
 				Class:    storage.ClassServe,

@@ -23,7 +23,9 @@ import (
 // observed a private, uncontended device). A DataPlane is shared by every
 // view: requests are keyed by the device's stable ID (identical across
 // views by construction), so the plane arbitrates the physical channel the
-// same way the cluster.TierLedger arbitrates physical capacity.
+// same way the cluster.TierLedger arbitrates physical capacity. A device
+// attached to the plane (Attach) carries its channel, and a request naming
+// it skips the id lookup.
 //
 // Timing is virtual-clock based and allocation-free: a device channel is a
 // pair of atomic busy-until horizons (read, write) expressed in nanoseconds
@@ -79,6 +81,9 @@ type IORequest struct {
 	// DeviceID is the stable physical identity (Device.ID()); every shard's
 	// view of one physical device carries the same ID.
 	DeviceID string
+	// Device, when set and attached to the serving plane (Attach), names
+	// the channel directly; otherwise the plane looks DeviceID up.
+	Device *Device
 	// Media is the device's tier, selecting the service-time profile.
 	Media Media
 	// Dir selects the read or write channel of the device.
@@ -341,15 +346,30 @@ func (p *ContendedPlane) Config() PlaneConfig { return p.cfg }
 func (p *ContendedPlane) MultiTenant() bool { return p.weights != nil }
 
 // Register pre-creates a device's channel so the serving hot path never
-// pays channel creation; clusters register their devices at attach time.
-// Registrations are refcounted: each cluster view of a physical device
-// registers the same id once, and the channel — with its accrued backlog —
-// is shared by every view.
+// pays channel creation; clusters whose plane cannot Attach register their
+// devices by id. Registrations are refcounted: each cluster view of a
+// physical device registers the same id once, and the channel — with its
+// accrued backlog — is shared by every view.
 func (p *ContendedPlane) Register(deviceID string, _ Media) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.refs[deviceID]++
 	p.insertLocked(deviceID)
+}
+
+// Attach registers d's id exactly as Register does and, the first time d is
+// attached to any plane, stores this plane's channel on the device, so
+// Serve and DeviceHorizon reach it without a lookup. A device keeps its
+// channel after Unregister drops the id: a charge that races node loss
+// books the old channel instead of re-creating one under the id.
+func (p *ContendedPlane) Attach(d *Device) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.refs[d.id]++
+	ch := p.insertLocked(d.id)
+	if d.plane == nil {
+		d.plane, d.ch = p, ch
+	}
 }
 
 // Unregister drops one view's registration of a device; the channel is
@@ -410,6 +430,15 @@ func (p *ContendedPlane) channel(id string) *planeChannel {
 	return p.insert(id)
 }
 
+// deviceChannel is the channel d holds when it was attached to this plane,
+// and otherwise the channel registered under id.
+func (p *ContendedPlane) deviceChannel(d *Device, id string) *planeChannel {
+	if d != nil && d.plane == p {
+		return d.ch
+	}
+	return p.channel(id)
+}
+
 // Serve implements DataPlane: virtual-clock queueing on the device's
 // directional channel with the queue clamped at MaxQueue. Single-tenant
 // planes arbitrate FIFO and are lock-free after the channel lookup;
@@ -427,7 +456,7 @@ func (p *ContendedPlane) Serve(req IORequest) IOGrant {
 	transfer := time.Duration(math.Ceil(float64(req.Bytes) / bw * float64(time.Second)))
 	service := prof.BaseLatency + transfer
 	now := sim.Nanos(req.At)
-	ch := p.channel(req.DeviceID)
+	ch := p.deviceChannel(req.Device, req.DeviceID)
 	h := ch.horizon(req.Dir)
 
 	var queue time.Duration
@@ -671,10 +700,16 @@ func (p *ContendedPlane) Stats() PlaneStats {
 }
 
 // Horizon reports the device channel's current busy-until virtual time.
-// dfs read steering and octopus write placement read it (through dfs's
-// writeHorizons view) to prefer the device whose queue clears first.
 func (p *ContendedPlane) Horizon(deviceID string, dir Direction) time.Time {
 	return sim.AtNanos(p.channel(deviceID).horizon(dir).Load())
+}
+
+// DeviceHorizon is Horizon for a device, in virtual nanoseconds since
+// sim.Epoch: an attached device's channel is read with no lookup. dfs read
+// steering and octopus write placement read it to prefer the device whose
+// queue clears first.
+func (p *ContendedPlane) DeviceHorizon(d *Device, dir Direction) int64 {
+	return p.deviceChannel(d, d.id).horizon(dir).Load()
 }
 
 // PlaneDeviceStats is a point-in-time snapshot of one device channel.

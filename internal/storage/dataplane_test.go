@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -130,5 +131,142 @@ func TestRegisterSharesBacklogAcrossViews(t *testing.T) {
 	g2 := p.Serve(planeReq("worker-0/MEM-0", Memory, Write, 256*MB, at))
 	if g2.Queue != g.Base+g.Transfer {
 		t.Fatalf("second view queued %v, want %v", g2.Queue, g.Base+g.Transfer)
+	}
+}
+
+// attachedReq is planeReq naming the device as well as its id, the way dfs
+// and the serving layer charge.
+func attachedReq(d *Device, dir Direction, bytes int64, at time.Time) IORequest {
+	r := planeReq(d.ID(), d.Media(), dir, bytes, at)
+	r.Device = d
+	return r
+}
+
+func testDevice(id string, m Media) *Device {
+	return NewDevice(sim.NewEngine(), id, m, GB, 100e6, 100e6)
+}
+
+// TestAttachedChannelSharedWithID: a request naming an attached device and
+// a request by its id book the same channel, and DeviceHorizon reads it.
+func TestAttachedChannelSharedWithID(t *testing.T) {
+	p := NewContendedPlane(PlaneConfig{MaxQueue: time.Hour})
+	d := testDevice("worker-0/SSD-0", SSD)
+	p.Attach(d)
+	at := sim.Epoch
+	g1 := p.Serve(attachedReq(d, Write, 64*MB, at))
+	g2 := p.Serve(planeReq(d.ID(), SSD, Write, 64*MB, at))
+	if g2.Queue != g1.Base+g1.Transfer {
+		t.Fatalf("request by id queued %v, want the attached request's service %v", g2.Queue, g1.Base+g1.Transfer)
+	}
+	g3 := p.Serve(attachedReq(d, Write, 64*MB, at))
+	if g3.Queue != g2.Queue+g2.Base+g2.Transfer {
+		t.Fatalf("attached request queued %v behind the id request, want %v", g3.Queue, g2.Queue+g2.Base+g2.Transfer)
+	}
+	if h := p.DeviceHorizon(d, Write); h != sim.Nanos(p.Horizon(d.ID(), Write)) {
+		t.Fatalf("DeviceHorizon %d, Horizon by id %d", h, sim.Nanos(p.Horizon(d.ID(), Write)))
+	}
+	if got := p.Stats().Devices; got != 1 {
+		t.Fatalf("devices %d, want 1", got)
+	}
+}
+
+// TestChannelOfAnotherPlaneIgnored: a device attached to plane A and
+// charged on plane B books B's channel for its id, never A's.
+func TestChannelOfAnotherPlaneIgnored(t *testing.T) {
+	a := NewContendedPlane(PlaneConfig{})
+	b := NewContendedPlane(PlaneConfig{})
+	d := testDevice("worker-0/HDD-0", HDD)
+	a.Attach(d)
+	at := sim.Epoch
+	b.Serve(attachedReq(d, Read, 64*MB, at))
+	if got := b.Stats().Devices; got != 1 {
+		t.Fatalf("plane B holds %d channels, want 1 under the id", got)
+	}
+	if !b.Horizon(d.ID(), Read).After(at) || b.DeviceHorizon(d, Read) != sim.Nanos(b.Horizon(d.ID(), Read)) {
+		t.Fatal("plane B did not book its own channel for the id")
+	}
+	if h := a.DeviceHorizon(d, Read); h != 0 {
+		t.Fatalf("plane A's channel advanced to %d by a charge on plane B", h)
+	}
+}
+
+// TestAttachedChannelRefcountedAcrossViews: two cluster views attach their
+// own device of one id; they share the channel, the first Unregister keeps
+// it and the second drops it.
+func TestAttachedChannelRefcountedAcrossViews(t *testing.T) {
+	p := NewContendedPlane(PlaneConfig{MaxQueue: time.Hour})
+	v1, v2 := testDevice("worker-3/MEM-0", Memory), testDevice("worker-3/MEM-0", Memory)
+	p.Attach(v1)
+	p.Attach(v2)
+	at := sim.Epoch
+	g1 := p.Serve(attachedReq(v1, Read, 256*MB, at))
+	if g2 := p.Serve(attachedReq(v2, Read, 256*MB, at)); g2.Queue != g1.Base+g1.Transfer {
+		t.Fatalf("second view queued %v, want %v", g2.Queue, g1.Base+g1.Transfer)
+	}
+	p.Unregister(v1.ID(), Memory)
+	if got := p.Stats().Devices; got != 1 {
+		t.Fatal("channel dropped while a view still holds a registration")
+	}
+	p.Unregister(v2.ID(), Memory)
+	if got := p.Stats().Devices; got != 0 {
+		t.Fatalf("devices %d after the last view unregistered, want 0", got)
+	}
+}
+
+// TestChannelChargedAfterUnregisterAddsNoEntry: a serve read that races
+// node loss charges a device every view has unregistered. It books the
+// channel the device holds and leaves the plane's id map empty.
+func TestChannelChargedAfterUnregisterAddsNoEntry(t *testing.T) {
+	p := NewContendedPlane(PlaneConfig{MaxQueue: time.Hour})
+	d := testDevice("worker-1/SSD-0", SSD)
+	p.Attach(d)
+	at := sim.Epoch
+	g1 := p.Serve(attachedReq(d, Read, 64*MB, at))
+	p.Unregister(d.ID(), SSD)
+	g2 := p.Serve(attachedReq(d, Read, 64*MB, at))
+	if g2.Queue != g1.Base+g1.Transfer {
+		t.Fatalf("late charge queued %v, want %v on the device's channel", g2.Queue, g1.Base+g1.Transfer)
+	}
+	p.DeviceHorizon(d, Write)
+	if got := p.Stats().Devices; got != 0 {
+		t.Fatalf("devices %d after charging an unregistered device, want 0", got)
+	}
+}
+
+// TestAttachedChannelConcurrentServe charges attached devices from client
+// goroutines while another goroutine attaches new devices, as serve reads
+// do while a shard loop joins a node; every request is booked once.
+func TestAttachedChannelConcurrentServe(t *testing.T) {
+	p := NewContendedPlane(PlaneConfig{MaxQueue: 24 * time.Hour})
+	d := testDevice("shared", Memory)
+	p.Attach(d)
+	const goroutines, each = 4, 200
+	const bytes = 8 * MB
+	at := sim.Epoch
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				p.Serve(attachedReq(d, Read, bytes, at))
+				p.DeviceHorizon(d, Read)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 50; j++ {
+			n := testDevice(fmt.Sprintf("join-%d", j), SSD)
+			p.Attach(n)
+			p.Serve(attachedReq(n, Write, bytes, at))
+		}
+	}()
+	wg.Wait()
+	one := p.Serve(planeReq("probe", Memory, Read, bytes, at))
+	total := time.Duration(goroutines*each) * (one.Base + one.Transfer)
+	if got := time.Duration(p.DeviceHorizon(d, Read)); got != total {
+		t.Fatalf("horizon advanced %v, want %v (every request booked exactly once)", got, total)
 	}
 }

@@ -42,9 +42,39 @@ type Device struct {
 
 	capacity int64
 	used     int64
+	// tally, when set, is the running total the device's used and capacity
+	// bytes count towards (Track).
+	tally *Tally
+
+	// plane and ch are the data-plane channel the device was first attached
+	// to (ContendedPlane.Attach). They are set before the device is shared
+	// and never change, so any goroutine may read them.
+	plane *ContendedPlane
+	ch    *planeChannel
 
 	read  pool
 	write pool
+}
+
+// Tally is a running sum of the used and capacity bytes of the devices that
+// track it; a cluster keeps one per media, so its tier usage is two loads.
+type Tally struct {
+	Used, Capacity int64
+}
+
+// Track points the device at t: t takes in the device's bytes now and
+// follows every later Reserve, Release, Grow and ShrinkUpTo. Track(nil)
+// takes the bytes back out of the device's tally and stops following it.
+func (d *Device) Track(t *Tally) {
+	if d.tally != nil {
+		d.tally.Used -= d.used
+		d.tally.Capacity -= d.capacity
+	}
+	d.tally = t
+	if t != nil {
+		t.Used += d.used
+		t.Capacity += d.capacity
+	}
 }
 
 // NewDevice creates a device bound to the given engine.
@@ -102,6 +132,9 @@ func (d *Device) Grow(bytes int64) {
 		panic(fmt.Sprintf("storage: negative capacity growth %d", bytes))
 	}
 	d.capacity += bytes
+	if d.tally != nil {
+		d.tally.Capacity += bytes
+	}
 }
 
 // ShrinkUpTo lowers the device's capacity by up to the given bytes, never
@@ -117,6 +150,9 @@ func (d *Device) ShrinkUpTo(bytes int64) int64 {
 		take = free
 	}
 	d.capacity -= take
+	if d.tally != nil {
+		d.tally.Capacity -= take
+	}
 	return take
 }
 
@@ -130,6 +166,9 @@ func (d *Device) Reserve(bytes int64) error {
 		return fmt.Errorf("%w: %s needs %d, free %d", ErrNoSpace, d.id, bytes, d.Free())
 	}
 	d.used += bytes
+	if d.tally != nil {
+		d.tally.Used += bytes
+	}
 	return nil
 }
 
@@ -141,6 +180,9 @@ func (d *Device) Release(bytes int64) {
 	d.used -= bytes
 	if d.used < 0 {
 		panic(fmt.Sprintf("storage: device %s released more than reserved", d.id))
+	}
+	if d.tally != nil {
+		d.tally.Used -= bytes
 	}
 }
 
