@@ -13,7 +13,7 @@ package core
 //   - per-tier frequency heaps ordered by (access count, last touch, id)
 //     serve the LFU downgrade policy;
 //   - one most-recently-used heap over files not resident in memory serves
-//     Context.UpgradeCandidates (the XGB upgrade policy's "k most recently
+//     Context.UpgradeCandidatesInto (the XGB upgrade policy's "k most recently
 //     used files", Section 6.1) without sorting the live-file set;
 //   - per-tier weight heaps keyed by lower bounds of the context's derived
 //     statistics (DecayedWeight, serving LRFU and EXD).
@@ -606,7 +606,7 @@ func (ix *CandidateIndex) RequireFrequency() {
 }
 
 // RequireUpgradeMRU enables the most-recently-used heap over files not
-// resident in memory (Context.UpgradeCandidates).
+// resident in memory (Context.UpgradeCandidatesInto).
 func (ix *CandidateIndex) RequireUpgradeMRU() {
 	if ix.mru != nil {
 		return

@@ -409,7 +409,7 @@ func TestBusyFileEntersDestinationHeapParked(t *testing.T) {
 	if got := ix.SelectLRU(storage.HDD); got != other {
 		t.Fatalf("SelectLRU with the older file busy = %v, want the other file", got)
 	}
-	if got := ev.ctx.UpgradeCandidates(0); len(got) != 1 || got[0] != other {
+	if got := ev.ctx.UpgradeCandidatesInto(nil, 0); len(got) != 1 || got[0] != other {
 		t.Fatalf("UpgradeCandidates with one of two files busy = %v", got)
 	}
 	if got := policyHeap.SelectMin(); got != other {
@@ -687,7 +687,7 @@ func TestLastCopyExaminedOncePerResidencyChange(t *testing.T) {
 	if ix.SelectLRU(storage.HDD) != nil || len(ev.ctx.EligibleFiles(storage.HDD)) != 0 {
 		t.Fatal("a last copy is still a downgrade candidate on its tier")
 	}
-	if got := len(ev.ctx.UpgradeCandidates(0)); got != 5 {
+	if got := len(ev.ctx.UpgradeCandidatesInto(nil, 0)); got != 5 {
 		t.Fatalf("%d upgrade candidates, want all 5: the refusal is about one tier", got)
 	}
 	audit("all five refused")

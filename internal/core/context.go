@@ -153,31 +153,20 @@ func (c *Context) EligibleFilesInto(buf []*dfs.File, tier storage.Media) []*dfs.
 	return buf
 }
 
-// UpgradeCandidates returns files not fully resident in memory, excluding
-// busy/cooldown files, sorted by most-recent touch first and truncated to
-// k (the XGB upgrade policy scores "the k most recently used files",
-// Section 6.1): a bounded-heap top-k over the upgrade MRU index, which the
-// first call enables.
-func (c *Context) UpgradeCandidates(k int) []*dfs.File {
-	return c.UpgradeCandidatesInto(nil, k)
-}
-
-// UpgradeCandidatesInto is UpgradeCandidates appending into a reusable
-// buffer.
+// UpgradeCandidatesInto appends to buf the files not fully resident in
+// memory, excluding busy/cooldown files, sorted by most-recent touch first
+// and truncated to k (the XGB upgrade policy scores "the k most recently
+// used files", Section 6.1): a bounded-heap top-k over the upgrade MRU
+// index, which the first call enables.
 func (c *Context) UpgradeCandidatesInto(buf []*dfs.File, k int) []*dfs.File {
 	c.index.RequireUpgradeMRU()
 	return c.index.mru.TopK(k, buf)
 }
 
-// LRUFiles returns up to k eligible files on the tier ordered by least
-// recent touch first (the XGB downgrade policy scores "the k least
+// LRUFilesInto appends to buf up to k eligible files on the tier ordered by
+// least recent touch first (the XGB downgrade policy scores "the k least
 // recently used files", Section 5.2): a bounded-heap top-k over the recency
 // index, which the first call enables.
-func (c *Context) LRUFiles(tier storage.Media, k int) []*dfs.File {
-	return c.LRUFilesInto(nil, tier, k)
-}
-
-// LRUFilesInto is LRUFiles appending into a reusable buffer.
 func (c *Context) LRUFilesInto(buf []*dfs.File, tier storage.Media, k int) []*dfs.File {
 	c.index.RequireRecency()
 	return c.index.recency.tiers[tier].TopK(k, buf)

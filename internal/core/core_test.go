@@ -62,7 +62,7 @@ func (p *lruStub) StopDowngrade(tier storage.Media) bool {
 }
 func (p *lruStub) SelectFile(tier storage.Media) *dfs.File {
 	p.selects++
-	files := p.ctx.LRUFiles(tier, 0)
+	files := p.ctx.LRUFilesInto(nil, tier, 0)
 	if len(files) == 0 {
 		return nil
 	}
@@ -163,11 +163,11 @@ func TestLRUFilesOrdering(t *testing.T) {
 	f2 := ev.create(t, "/f2", 16*storage.MB)
 	ev.engine.RunFor(time.Minute)
 	ev.fs.RecordAccess(f1) // f1 now most recently used
-	files := ev.ctx.LRUFiles(storage.Memory, 0)
+	files := ev.ctx.LRUFilesInto(nil, storage.Memory, 0)
 	if len(files) != 2 || files[0] != f2 || files[1] != f1 {
 		t.Fatalf("LRU order wrong")
 	}
-	if got := ev.ctx.LRUFiles(storage.Memory, 1); len(got) != 1 || got[0] != f2 {
+	if got := ev.ctx.LRUFilesInto(nil, storage.Memory, 1); len(got) != 1 || got[0] != f2 {
 		t.Fatal("k truncation wrong")
 	}
 }
@@ -176,13 +176,13 @@ func TestUpgradeCandidatesExcludeMemoryResident(t *testing.T) {
 	ev := newEnv(t, dfs.ModeOctopus)
 	NewManager(ev.ctx, nil, nil)
 	f := ev.create(t, "/f", 16*storage.MB)
-	if got := ev.ctx.UpgradeCandidates(10); len(got) != 0 {
+	if got := ev.ctx.UpgradeCandidatesInto(nil, 10); len(got) != 0 {
 		t.Fatalf("memory-resident file offered for upgrade: %v", got)
 	}
 	if err := ev.fs.DeleteFileReplicas(f, storage.Memory); err != nil {
 		t.Fatal(err)
 	}
-	got := ev.ctx.UpgradeCandidates(10)
+	got := ev.ctx.UpgradeCandidatesInto(nil, 10)
 	if len(got) != 1 || got[0] != f {
 		t.Fatalf("UpgradeCandidates = %v", got)
 	}

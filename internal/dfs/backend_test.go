@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -223,5 +224,41 @@ func TestPlacementBacklogSteersOffSaturatedTier(t *testing.T) {
 	}
 	if m := firstMedia(sat); m == storage.Memory {
 		t.Fatal("placement still leads with a saturated memory device")
+	}
+}
+
+// TestAttachUnderAFileLeavesNothing fails an attach after its replicas are
+// on disk: the path passes the up-front existence check, but a file sits
+// where the path needs a directory, so linking it fails. The attach must
+// release its reservations and delete the blocks it wrote.
+func TestAttachUnderAFileLeavesNothing(t *testing.T) {
+	eA, fsA := testFS(t, ModeOctopus)
+	eB, fsB := testFS(t, ModeOctopus)
+	l, err := backend.OpenLocal(backend.LocalConfig{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsB.SetBackend(l)
+	createFile(t, eA, fsA, "/src/f", 40*storage.MB)
+	createFile(t, eB, fsB, "/a/f", 16*storage.MB)
+	rec, err := fsA.SnapshotFile("/src/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Path = "/a/f/x"
+	if err := fsB.AttachFile(rec); !errors.Is(err, ErrNotDirectory) {
+		t.Fatalf("attach under a file: %v, want ErrNotDirectory", err)
+	}
+	used, err := l.DiskUsage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range storage.AllMedia {
+		if ledger, _ := fsB.Cluster().TierUsage(m); used[m] != ledger {
+			t.Fatalf("%s tier: disk=%d ledger=%d after the failed attach", m, used[m], ledger)
+		}
+	}
+	if err := fsB.CheckAccounting(); err != nil {
+		t.Fatal(err)
 	}
 }

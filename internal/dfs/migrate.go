@@ -172,42 +172,38 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	if fs.ns.Exists(rec.Path) {
 		return fmt.Errorf("%w: %q", ErrExists, rec.Path)
 	}
-	plan, err := fs.planAttach(rec)
+	targets, err := fs.planAttach(rec)
 	if err != nil {
 		return err
 	}
-	// Materialize the physical replicas before any metadata mutates. The
-	// mutation loop below assigns block ids sequentially from nextBlockID,
-	// so block bi's file is keyed by nextBlockID+bi; an error here unwinds
-	// to a plain attach failure — files removed, no ids consumed, nothing
-	// reserved — and the migration retries on a later sweep. (Migration
-	// ships no payload between shards: the destination regenerates the
-	// synthetic block bytes, the physical analogue of the copy-then-detach
-	// protocol's destination write.)
-	if fs.bkend != nil {
-		type writtenFile struct {
-			dev      *storage.Device
-			id, size int64
-		}
-		var written []writtenFile
-		unwind := func() {
-			for _, w := range written {
-				fs.backendDelete(w.dev, storage.ClassMove, w.id, w.size)
+	// Reserve and materialize the physical replicas before any metadata
+	// mutates, through the write path every replica takes. newFile assigns
+	// block ids sequentially from nextBlockID, so block bi is written as
+	// nextBlockID+bi; a backend error unwinds to a plain attach failure —
+	// reservations released, blocks deleted, no ids consumed — and the
+	// migration retries on a later sweep. (Migration ships no payload
+	// between shards: the destination regenerates the synthetic block
+	// bytes, the physical analogue of the copy-then-detach protocol's
+	// destination write.)
+	blocks := make([]Block, len(rec.Blocks))
+	var plan []blockMove
+	for bi, bl := range rec.Blocks {
+		blocks[bi] = Block{id: fs.nextBlockID + int64(bi), size: bl.Size}
+		for _, dst := range targets[bi] {
+			if err := dst.Device.Reserve(bl.Size); err != nil {
+				// planAttach checked free space; single-threaded, so this is
+				// a genuine bug, same contract as writeBlock.
+				panic(fmt.Sprintf("dfs: attach reservation failed after planning: %v", err))
 			}
+			plan = append(plan, blockMove{block: &blocks[bi], dst: dst})
 		}
-		for bi, bl := range rec.Blocks {
-			id := fs.nextBlockID + int64(bi)
-			for _, dst := range plan[bi] {
-				if err := fs.backendWrite(dst.Device, storage.ClassMove, id, bl.Size); err != nil {
-					unwind()
-					return fmt.Errorf("dfs: attach copy: %w", err)
-				}
-				written = append(written, writtenFile{dst.Device, id, bl.Size})
-			}
-		}
+	}
+	if err := fs.materialize(plan, storage.ClassMove); err != nil {
+		return fmt.Errorf("dfs: attach copy: %w", err)
 	}
 	f, slots, err := fs.newFile(rec.Path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
 	if err != nil {
+		fs.unwind(plan, len(plan), storage.ClassMove)
 		return err
 	}
 	// Residency flips during the rebuild are suppressed exactly like the
@@ -217,12 +213,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 		b := f.blocks[bi]
 		b.size = bl.Size
 		initial := slots.block(bi)
-		for ri, dst := range plan[bi] {
-			if err := dst.Device.Reserve(bl.Size); err != nil {
-				// planAttach checked free space; single-threaded, so this is
-				// a genuine bug, same contract as writeBlock.
-				panic(fmt.Sprintf("dfs: attach reservation failed after planning: %v", err))
-			}
+		for ri, dst := range targets[bi] {
 			var slot *Replica
 			if ri < len(initial) {
 				slot = &initial[ri]

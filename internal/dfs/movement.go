@@ -11,14 +11,14 @@ import (
 // mechanics operate block by block.
 
 // blockMove is one planned replica write: a relocation or a copy between
-// tiers, a client write's replica, or a cache fill. Every path that creates
-// a replica reserves dst, then runs the plan through the same helpers:
-// materialize (the backend I/O, unwound as a whole on an error), stream
-// (the virtual transfer legs) and, for a new replica, addReplica and
-// settle.
+// tiers, a client write's replica, a cache fill, or an attached file's
+// replica. Every path that creates a replica reserves dst, then runs the
+// plan through the same helpers: materialize (the backend I/O, unwound as a
+// whole on an error), stream (the virtual transfer legs) and, for a new
+// replica, addReplica and settle.
 type blockMove struct {
 	block *Block
-	src   *Replica // nil for a client write or a cache fill
+	src   *Replica // nil for a client write, a cache fill or an attach
 	dst   Target
 	// dstGone is set when the destination node leaves the cluster while a
 	// relocation is in flight; the commit then keeps the replica at the source.
@@ -45,16 +45,23 @@ func (fs *FileSystem) materialize(plan []blockMove, class storage.IOClass) error
 			err = fs.backendWrite(m.dst.Device, class, m.block.id, m.block.size)
 		}
 		if err != nil {
-			for _, u := range plan {
-				u.dst.Device.Release(u.block.size)
-			}
-			for _, u := range plan[:i] {
-				fs.backendDelete(u.dst.Device, class, u.block.id, u.block.size)
-			}
+			fs.unwind(plan, i, class)
 			return err
 		}
 	}
 	return nil
+}
+
+// unwind undoes a reserved plan whose first written moves materialized:
+// every reservation is released and every destination block written is
+// deleted.
+func (fs *FileSystem) unwind(plan []blockMove, written int, class storage.IOClass) {
+	for _, u := range plan {
+		u.dst.Device.Release(u.block.size)
+	}
+	for _, u := range plan[:written] {
+		fs.backendDelete(u.dst.Device, class, u.block.id, u.block.size)
+	}
 }
 
 // stream starts a planned move's virtual transfer through the data plane:

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -88,4 +89,62 @@ func BenchmarkDrain(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(distinct), "ns/file")
 		})
 	}
+}
+
+// footprintFiles is the population BenchmarkServeFootprint stages: enough
+// files that per-file costs dominate, spread over footprintDirs directories.
+const (
+	footprintFiles = 20_000
+	footprintDirs  = 64
+)
+
+// BenchmarkServeFootprint reports what the serving layer retains and
+// allocates per file on top of an empty started server: a 2-shard LRU/OSA
+// server in replay mode takes footprintFiles 4 KB creates through Submit
+// and one Flush. bytes/file is the retained heap the population adds
+// (namespace entries and handles, the shards' file systems and policy
+// state), allocs/create the allocations per create up to the Flush. ns/op
+// is the whole population:
+//
+//	go test -run XXX -bench BenchmarkServeFootprint -benchtime 3x ./internal/server
+func BenchmarkServeFootprint(b *testing.B) {
+	var bytesPerFile, allocsPerCreate float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, _ := newAccessTestServer(b, 2)
+		runtime.GC()
+		var empty runtime.MemStats
+		runtime.ReadMemStats(&empty)
+		b.StartTimer()
+
+		created := make([]<-chan error, footprintFiles)
+		for f := range created {
+			created[f] = srv.Submit(Op{
+				Kind: OpCreate,
+				Path: fmt.Sprintf("/fp/d%02d/f%06d", f%footprintDirs, f),
+				Size: 4 * storage.KB,
+				At:   sim.Epoch.Add(time.Duration(f+1) * 10 * time.Millisecond),
+			})
+		}
+		srv.Flush()
+
+		b.StopTimer()
+		var populated runtime.MemStats
+		runtime.ReadMemStats(&populated)
+		for _, ch := range created {
+			if err := <-ch; err != nil {
+				b.Fatal(err)
+			}
+		}
+		created = nil
+		runtime.GC()
+		var retained runtime.MemStats
+		runtime.ReadMemStats(&retained)
+		bytesPerFile = (float64(retained.HeapAlloc) - float64(empty.HeapAlloc)) / footprintFiles
+		allocsPerCreate = float64(populated.Mallocs-empty.Mallocs) / footprintFiles
+		srv.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(bytesPerFile, "bytes/file")
+	b.ReportMetric(allocsPerCreate, "allocs/create")
 }

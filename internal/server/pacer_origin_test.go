@@ -58,7 +58,7 @@ func TestShardsShareOnePacerOrigin(t *testing.T) {
 		}
 	}
 	for _, p := range paths {
-		if err := srv.Create(p, 64*storage.KB); err != nil {
+		if _, err := srv.Do(Op{Kind: OpCreate, Path: p, Size: 64 * storage.KB}); err != nil {
 			t.Fatalf("create %s: %v", p, err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestShardsShareOnePacerOrigin(t *testing.T) {
 			var res AccessResult
 			var err error
 			if round%2 == 0 {
-				res, err = srv.Access(p)
+				res, err = srv.Do(Op{Kind: OpAccess, Path: p})
 			} else {
 				res, err = srv.AccessAt(p, srv.Clock())
 			}

@@ -23,7 +23,7 @@ type QuotaConfig struct {
 	BorrowChunk int64
 	// ReconcileInterval is the virtual-time cadence of quota reconciliation:
 	// each shard returns capacity beyond max(initial grant, used+slack) to
-	// the pool (default 30s; negative disables).
+	// the pool (a zero or negative value takes the default, 30s).
 	ReconcileInterval time.Duration
 }
 
@@ -37,7 +37,7 @@ func (c *QuotaConfig) applyDefaults(shards int) {
 	if c.BorrowChunk <= 0 {
 		c.BorrowChunk = 64 * storage.MB
 	}
-	if c.ReconcileInterval == 0 {
+	if c.ReconcileInterval <= 0 {
 		c.ReconcileInterval = 30 * time.Second
 	}
 }

@@ -180,7 +180,7 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 				default:
 					path := own[len(own)-1]
 					own = own[:len(own)-1]
-					if err := srv.Delete(path); err != nil && !errors.Is(err, dfs.ErrBusy) {
+					if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: path}); err != nil && !errors.Is(err, dfs.ErrBusy) {
 						t.Errorf("client %d delete %s: %v", c, path, err)
 						return
 					}
@@ -197,8 +197,8 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 		t.Fatalf("invariants violated after rebalance churn: %v", violations)
 	}
 	for _, p := range shared {
-		if !srv.Exists(p) {
-			t.Fatalf("shared file %s lost", p)
+		if _, err := srv.Stat(p); err != nil {
+			t.Fatalf("shared file %s lost: %v", p, err)
 		}
 	}
 	st := srv.RebalanceStats()

@@ -112,12 +112,9 @@ func TestDeleteAtDuringMigrationEpoch(t *testing.T) {
 	dst := (owner + 1) % srv.NumShards()
 	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
 
-	// Nothing has moved: the file lives only on the fallback.
-	if !srv.Exists(path) {
-		t.Fatal("file on the fallback not readable")
-	}
-	// One logical op, one count: a read or stat served by the fallback is
-	// not also a miss on the primary, and a stat is one stat.
+	// Nothing has moved: the file lives only on the fallback. One logical
+	// op, one count: a read or stat served by the fallback is not also a
+	// miss on the primary, and a stat is one stat.
 	if res, err := srv.AccessAt(path, base.Add(time.Minute)); err != nil || !res.Served {
 		t.Fatalf("AccessAt of the fallback's file: %+v, %v", res, err)
 	}
@@ -133,7 +130,7 @@ func TestDeleteAtDuringMigrationEpoch(t *testing.T) {
 	if err := <-srv.DeleteAt(path, base.Add(time.Hour)); err != nil {
 		t.Fatalf("DeleteAt during migrating epoch: %v", err)
 	}
-	if srv.Exists(path) {
+	if _, err := srv.Stat(path); err == nil {
 		t.Fatal("file still readable after DeleteAt")
 	}
 	if holds(srv.shards[owner], path) {
@@ -170,10 +167,10 @@ func TestDeleteDuringEpochCountsOnce(t *testing.T) {
 	attachCopyOn(t, srv, owner, dst, path)
 	srv.routes.upsert(routeEntry{prefix: dir, dst: dst, state: routeMigrating})
 
-	if err := srv.Delete(path); err != nil {
+	if _, err := srv.Do(Op{Kind: OpDelete, Path: path}); err != nil {
 		t.Fatalf("Delete during both-copies window: %v", err)
 	}
-	if srv.Exists(path) {
+	if _, err := srv.Stat(path); err == nil {
 		t.Fatal("file still readable after the delete")
 	}
 	if got := srv.Stats().Deletes; got != 1 {
@@ -208,12 +205,6 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 	}{
 		{"access", func(p string) error { _, err := srv.AccessAt(p, base.Add(time.Minute)); return err }},
 		{"stat", func(p string) error { _, err := srv.Stat(p); return err }},
-		{"exists", func(p string) error {
-			if !srv.Exists(p) {
-				return dfs.ErrNotFound
-			}
-			return nil
-		}},
 	}
 	// epoch creates a file on its hash owner and opens a migrating epoch
 	// over its directory, returning the directory, the path, the owner and
@@ -270,7 +261,7 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delete: %v for a file that existed throughout the epoch", err)
 	}
-	if srv.Exists(path) || holds(owner, path) || holds(dst, path) {
+	if _, err := srv.Stat(path); err == nil || holds(owner, path) || holds(dst, path) {
 		t.Fatal("delete: a copy survived")
 	}
 	srv.routes.remove(dir)
@@ -317,7 +308,7 @@ func TestStaleRouteIsResolvedAgainOnMiss(t *testing.T) {
 	if err := <-srv.delete(op, primary); err != nil {
 		t.Fatalf("delete under the stale route: %v", err)
 	}
-	if srv.Exists(path) {
+	if _, err := srv.Stat(path); err == nil {
 		t.Fatal("file still readable after the delete")
 	}
 	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 || st.AccessMisses != 0 {
@@ -359,9 +350,6 @@ func TestCreateThroughStaleRouteIsReachable(t *testing.T) {
 	if info, err := srv.Stat(path); err != nil || info.Size != 32*storage.MB {
 		t.Fatalf("Stat: %+v, %v", info, err)
 	}
-	if !srv.Exists(path) {
-		t.Fatal("Exists reports the file missing")
-	}
 	if got := srv.List(dir); len(got) != 1 || got[0] != "f000" {
 		t.Fatalf("List(%s) = %v, want [f000]", dir, got)
 	}
@@ -373,7 +361,7 @@ func TestCreateThroughStaleRouteIsReachable(t *testing.T) {
 	if err := <-srv.DeleteAt(path, base.Add(time.Hour)); err != nil {
 		t.Fatalf("DeleteAt: %v", err)
 	}
-	if srv.Exists(path) || holds(primary, path) {
+	if _, err := srv.Stat(path); err == nil || holds(primary, path) {
 		t.Fatal("file survived the delete")
 	}
 	if st := srv.Stats(); st.Deletes != 1 || st.AccessMisses != 0 {
@@ -514,7 +502,7 @@ func TestRebalancerRehomesColdRoutes(t *testing.T) {
 
 	// Every file is still served through pure static routing.
 	for _, p := range append(append([]string{}, hotFiles...), coldFiles...) {
-		if !srv.Exists(p) {
+		if _, err := srv.Stat(p); err != nil {
 			t.Fatalf("%s lost across migrate + rehome", p)
 		}
 	}
@@ -598,7 +586,7 @@ func TestDeletedFileStaysDeletedPastBusyStaleCopy(t *testing.T) {
 		t.Fatalf("putting the source copy in transition: %v", merr)
 	}
 
-	if err := srv.Delete(path); err != nil {
+	if _, err := srv.Do(Op{Kind: OpDelete, Path: path}); err != nil {
 		t.Fatalf("Delete during the both-copies window: %v", err)
 	}
 	srv.Flush()
@@ -613,7 +601,7 @@ func TestDeletedFileStaysDeletedPastBusyStaleCopy(t *testing.T) {
 	})
 	srv.Flush()
 
-	if srv.Exists(path) {
+	if _, err := srv.Stat(path); err == nil {
 		t.Fatal("the deleted file is readable again")
 	}
 	for _, sh := range srv.shards {
@@ -656,7 +644,7 @@ func TestMigrateFileKeepsTheNamedCopy(t *testing.T) {
 	if out := srv.reb.migrateFile(src, srv.shards[dst], path); out != migrateMoved {
 		t.Fatalf("migrateFile = %v, want migrateMoved", out)
 	}
-	if !srv.Exists(path) {
+	if _, err := srv.Stat(path); err != nil {
 		t.Fatal("the named copy was dropped: the file is not readable")
 	}
 	if holds(src, path) == holds(srv.shards[dst], path) {
@@ -725,7 +713,7 @@ func TestDeleteThroughStaleOwnerRemovesTheNamedCopy(t *testing.T) {
 	if err := <-srv.delete(Op{Kind: OpDelete, Path: path, At: base.Add(time.Hour)}, owner); err != nil {
 		t.Fatalf("delete through the stale owner: %v", err)
 	}
-	if srv.Exists(path) || holds(dst, path) {
+	if _, err := srv.Stat(path); err == nil || holds(dst, path) {
 		t.Fatal("the named copy survived the delete")
 	}
 	if st := srv.Stats(); st.Deletes != 1 || st.DeleteErrors != 0 {

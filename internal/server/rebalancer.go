@@ -62,8 +62,8 @@ type RebalanceConfig struct {
 	// subtree must log zero routed ops before its files start folding back
 	// to static routing (the route entry goes once they are home) — without
 	// it the table fills after MaxPrefixes lifetime migrations and the
-	// rebalancer permanently stops reacting to new hotspots (default 8;
-	// negative disables fold-back).
+	// rebalancer permanently stops reacting to new hotspots (a zero or
+	// negative value takes the default, 8).
 	RehomeColdTicks int
 }
 
@@ -84,7 +84,7 @@ func (c *RebalanceConfig) applyDefaults() {
 	if c.MaxPrefixes <= 0 {
 		c.MaxPrefixes = 64
 	}
-	if c.RehomeColdTicks == 0 {
+	if c.RehomeColdTicks <= 0 {
 		c.RehomeColdTicks = 8
 	}
 }
@@ -393,9 +393,6 @@ const rehomesPerTick = 1
 // another epoch transition for live traffic to race. Runs under r.mu as
 // part of tick.
 func (r *rebalancer) maintainRoutes(entries []routeEntry, opsUnder map[string]int64) {
-	if r.cfg.RehomeColdTicks < 0 {
-		return
-	}
 	for _, e := range entries {
 		if e.state == routeDraining {
 			r.sweep(e)

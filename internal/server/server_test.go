@@ -96,7 +96,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + c)))
 			for i := c; i < sharedFiles; i += clients {
 				size := (16 + rng.Int63n(112)) * storage.MB
-				if err := srv.Create(shared[i], size); err != nil {
+				if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: shared[i], Size: size}); err != nil {
 					errCh <- fmt.Errorf("preload %s: %w", shared[i], err)
 				}
 			}
@@ -146,7 +146,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 			for i := 0; i < opsPerClient; i++ {
 				switch r := rng.Float64(); {
 				case r < 0.78:
-					if _, err := srv.Access(shared[zipf.Uint64()]); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: shared[zipf.Uint64()]}); err != nil {
 						t.Errorf("client %d access: %v", c, err)
 						return
 					}
@@ -159,7 +159,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 					srv.List("/hot/d03")
 				case r < 0.97 || len(own) == 0:
 					path := fmt.Sprintf("/scratch/c%d/f%04d", c, i)
-					if err := srv.Create(path, (4+rng.Int63n(28))*storage.MB); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: (4 + rng.Int63n(28)) * storage.MB}); err != nil {
 						t.Errorf("client %d create: %v", c, err)
 						return
 					}
@@ -169,7 +169,7 @@ func TestConcurrentClientsWithChurn(t *testing.T) {
 					own = own[:len(own)-1]
 					// Busy (replicas in transition) is an expected, retryable
 					// serving-layer outcome under concurrent movement.
-					if err := srv.Delete(path); err != nil && !errors.Is(err, dfs.ErrBusy) {
+					if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: path}); err != nil && !errors.Is(err, dfs.ErrBusy) {
 						t.Errorf("client %d delete: %v", c, err)
 						return
 					}
@@ -223,22 +223,22 @@ func TestServedMetadataOps(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	if err := srv.Create("/a/b/one", 8*storage.MB); err != nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: "/a/b/one", Size: 8 * storage.MB}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Create("/a/b/two", 8*storage.MB); err != nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: "/a/b/two", Size: 8 * storage.MB}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Create("/a/b/one", 8*storage.MB); !errors.Is(err, dfs.ErrExists) {
+	if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: "/a/b/one", Size: 8 * storage.MB}); !errors.Is(err, dfs.ErrExists) {
 		t.Fatalf("duplicate create: got %v, want ErrExists", err)
 	}
-	if !srv.Exists("/a/b/one") || srv.Exists("/a/b/three") {
-		t.Fatal("Exists answered wrong")
+	if _, err := srv.Stat("/a/b/three"); !errors.Is(err, dfs.ErrNotFound) {
+		t.Fatalf("Stat of a missing path: %v, want ErrNotFound", err)
 	}
 	// Non-canonical spellings must resolve consistently across the whole
 	// metadata surface.
-	if !srv.Exists("/a//b/./one") {
-		t.Fatal("Exists rejected a non-canonical spelling")
+	if _, err := srv.Stat("/a//b/./one"); err != nil {
+		t.Fatalf("Stat rejected a non-canonical spelling: %v", err)
 	}
 	if _, err := srv.Stat("/a//b/one"); err != nil {
 		t.Fatalf("Stat rejected a non-canonical spelling: %v", err)
@@ -253,17 +253,17 @@ func TestServedMetadataOps(t *testing.T) {
 	if got := srv.List("/a/b"); len(got) != 2 || got[0] != "one" || got[1] != "two" {
 		t.Fatalf("List: %v", got)
 	}
-	if res, err := srv.Access("/a/b/one"); err != nil || !res.Served {
+	if res, err := srv.Do(server.Op{Kind: server.OpAccess, Path: "/a/b/one"}); err != nil || !res.Served {
 		t.Fatalf("Access: %+v, %v", res, err)
 	}
-	if _, err := srv.Access("/a/b/missing"); err == nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: "/a/b/missing"}); err == nil {
 		t.Fatal("Access of missing path succeeded")
 	}
-	if err := srv.Delete("/a/b/two"); err != nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: "/a/b/two"}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Exists("/a/b/two") {
-		t.Fatal("deleted file still resolvable")
+	if _, err := srv.Stat("/a/b/two"); !errors.Is(err, dfs.ErrNotFound) {
+		t.Fatalf("deleted file still resolvable: %v", err)
 	}
 	if got := srv.List("/a/b"); len(got) != 1 {
 		t.Fatalf("List after delete: %v", got)
@@ -278,12 +278,12 @@ func TestAccessEventsFeedPolicies(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	if err := srv.Create("/feed/f", 8*storage.MB); err != nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: "/feed/f", Size: 8 * storage.MB}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		if _, err := srv.Access("/feed/f"); err != nil {
+		if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: "/feed/f"}); err != nil {
 			t.Fatal(err)
 		}
 	}

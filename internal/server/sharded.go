@@ -311,7 +311,7 @@ func (s *ShardedServer) Start() {
 			sh.mgr.Start()
 		}
 		sh.startAt(wall, virt)
-		if s.cfg.Quota.ReconcileInterval > 0 && len(s.shards) > 1 {
+		if len(s.shards) > 1 {
 			sh := sh
 			sh.inLoop(func(*dfs.FileSystem) {
 				sh.reconcile = sh.engine.Every(s.cfg.Quota.ReconcileInterval, sh.quota.Reconcile)
@@ -572,37 +572,22 @@ func (s *ShardedServer) deleteOn(sh *shard, op Op, start time.Time, asked []bool
 	})
 }
 
-// Access records a client access now; see Do.
-func (s *ShardedServer) Access(path string) (AccessResult, error) {
-	return s.Do(Op{Kind: OpAccess, Path: path})
-}
-
 // AccessAt records an access at an explicit virtual time (replay and
-// open-loop drivers); it does not observe the access-path histogram.
+// open-loop drivers); it does not observe the access-path histogram. It,
+// CreateAt and DeleteAt stay beside Op because the repository's benchmark
+// (bench/) calls them; frozen_api_test.go pins all three.
 func (s *ShardedServer) AccessAt(path string, at time.Time) (AccessResult, error) {
 	return s.Do(Op{Kind: OpAccess, Path: path, At: at})
 }
 
-// Create writes a file now and blocks until it commits; see Do.
-func (s *ShardedServer) Create(path string, size int64) error {
-	_, err := s.Do(Op{Kind: OpCreate, Path: path, Size: size})
-	return err
-}
-
 // CreateAt submits a creation stamped with an explicit virtual time; see
-// Submit.
+// Submit. Kept for bench/, like AccessAt.
 func (s *ShardedServer) CreateAt(path string, size int64, at time.Time) <-chan error {
 	return s.Submit(Op{Kind: OpCreate, Path: path, Size: size, At: at})
 }
 
-// Delete removes a file now, blocking for the outcome; see Do.
-func (s *ShardedServer) Delete(path string) error {
-	_, err := s.Do(Op{Kind: OpDelete, Path: path})
-	return err
-}
-
 // DeleteAt submits a deletion stamped with an explicit virtual time; see
-// Submit.
+// Submit. Kept for bench/, like AccessAt.
 func (s *ShardedServer) DeleteAt(path string, at time.Time) <-chan error {
 	return s.Submit(Op{Kind: OpDelete, Path: path, At: at})
 }
@@ -622,19 +607,10 @@ func (s *ShardedServer) Stat(path string) (FileInfo, error) {
 	return FileInfo{Path: h.path, Size: h.size, Residency: h.residency()}, nil
 }
 
-// Exists reports whether a served file exists (stripe-only).
-func (s *ShardedServer) Exists(path string) bool {
-	clean, err := dfs.CleanPath(path)
-	if err != nil {
-		return false
-	}
-	h, _ := s.lookup(clean)
-	return h != nil
-}
-
-// List returns the sorted file names directly under dir: one stripe read of
-// the namespace, whichever shards hold the files. The list is booked on the
-// shard the directory's children route to.
+// List returns the sorted file names directly under dir, whichever shards
+// hold the files: a scan of the one namespace stripe every child of dir
+// hashes to, under its read lock. The list is booked on the shard the
+// directory's children route to.
 func (s *ShardedServer) List(dir string) []string {
 	clean, err := dfs.CleanPath(dir)
 	if err != nil {

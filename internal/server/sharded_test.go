@@ -93,7 +93,7 @@ func TestShardedConcurrentClientsWithChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + c)))
 			for i := c; i < sharedFiles; i += clients {
 				size := (16 + rng.Int63n(112)) * storage.MB
-				if err := srv.Create(shared[i], size); err != nil {
+				if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: shared[i], Size: size}); err != nil {
 					errCh <- fmt.Errorf("preload %s: %w", shared[i], err)
 				}
 			}
@@ -147,7 +147,7 @@ func TestShardedConcurrentClientsWithChurn(t *testing.T) {
 			for i := 0; i < opsPerClient; i++ {
 				switch r := rng.Float64(); {
 				case r < 0.70:
-					if _, err := srv.Access(shared[zipf.Uint64()]); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: shared[zipf.Uint64()]}); err != nil {
 						t.Errorf("client %d access: %v", c, err)
 						return
 					}
@@ -160,7 +160,7 @@ func TestShardedConcurrentClientsWithChurn(t *testing.T) {
 					srv.List("/hot/d03")
 				case r < 0.95 || len(own) == 0:
 					path := fmt.Sprintf("/scratch/c%d/f%04d", c, i)
-					if err := srv.Create(path, (4+rng.Int63n(28))*storage.MB); err != nil {
+					if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: (4 + rng.Int63n(28)) * storage.MB}); err != nil {
 						t.Errorf("client %d create: %v", c, err)
 						return
 					}
@@ -168,7 +168,7 @@ func TestShardedConcurrentClientsWithChurn(t *testing.T) {
 				default:
 					path := own[len(own)-1]
 					own = own[:len(own)-1]
-					if err := srv.Delete(path); err != nil && !errors.Is(err, dfs.ErrBusy) {
+					if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: path}); err != nil && !errors.Is(err, dfs.ErrBusy) {
 						t.Errorf("client %d delete: %v", c, err)
 						return
 					}
@@ -211,18 +211,18 @@ func TestShardedMetadataRouting(t *testing.T) {
 	for di, dir := range dirs {
 		for f := 0; f < 3; f++ {
 			path := fmt.Sprintf("%s/file%d%d", dir, di, f)
-			if err := srv.Create(path, 8*storage.MB); err != nil {
+			if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: 8 * storage.MB}); err != nil {
 				t.Fatalf("create %s: %v", path, err)
 			}
 			total++
 		}
 	}
-	if err := srv.Create("/a/b/file00", 8*storage.MB); !errors.Is(err, dfs.ErrExists) {
+	if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: "/a/b/file00", Size: 8 * storage.MB}); !errors.Is(err, dfs.ErrExists) {
 		t.Fatalf("duplicate create: got %v, want ErrExists", err)
 	}
 	// Non-canonical spellings route through the cleaner to the right shard.
-	if !srv.Exists("/a//b/./file00") {
-		t.Fatal("Exists rejected a non-canonical spelling")
+	if _, err := srv.Stat("/a//b/./file00"); err != nil {
+		t.Fatalf("Stat rejected a non-canonical spelling: %v", err)
 	}
 	if _, err := srv.Stat("/d/e//f/file20"); err != nil {
 		t.Fatalf("Stat rejected a non-canonical spelling: %v", err)
@@ -230,17 +230,17 @@ func TestShardedMetadataRouting(t *testing.T) {
 	if got := srv.List("/a//b"); len(got) != 3 {
 		t.Fatalf("List of non-canonical dir: %v", got)
 	}
-	if res, err := srv.Access("/c/file10"); err != nil || !res.Served {
+	if res, err := srv.Do(server.Op{Kind: server.OpAccess, Path: "/c/file10"}); err != nil || !res.Served {
 		t.Fatalf("Access: %+v, %v", res, err)
 	}
-	if _, err := srv.Access("/c/missing"); err == nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpAccess, Path: "/c/missing"}); err == nil {
 		t.Fatal("Access of missing path succeeded")
 	}
-	if err := srv.Delete("/g/file30"); err != nil {
+	if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: "/g/file30"}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Exists("/g/file30") {
-		t.Fatal("deleted file still resolvable")
+	if _, err := srv.Stat("/g/file30"); !errors.Is(err, dfs.ErrNotFound) {
+		t.Fatalf("deleted file still resolvable: %v", err)
 	}
 	// The namespace must actually be partitioned: count files per shard.
 	perShard := make([]int, srv.NumShards())
@@ -318,7 +318,7 @@ func TestShardedReserveWithoutCommitNeverLeaks(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 12; i++ {
-		if err := srv.Create(fmt.Sprintf("/crash/d%d/f%02d", i%4, i), 16*storage.MB); err != nil {
+		if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: fmt.Sprintf("/crash/d%d/f%02d", i%4, i), Size: 16 * storage.MB}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -161,15 +161,15 @@ func (h *handle) residency() [3]bool {
 	return out
 }
 
-// nsShards is the server-wide namespace: a read-mostly path index striped
+// nsShards is the server-wide namespace: one read-mostly path index striped
 // by a hash of the file's parent directory, so metadata operations from
-// clients working in independent directories take independent locks (and a
-// directory listing stays a single-stripe operation, because every child of
-// a directory hashes to the same stripe). Each entry's handle names the
-// shard holding the file, so a path resolves to its owner in one lookup
-// whatever the route table says. Writes come only from the shard loops
-// (create/delete/migration commits); the client hot path takes stripe read
-// locks only.
+// clients working in independent directories take independent locks. Every
+// child of a directory hashes to the same stripe, so a directory listing is
+// a scan of that one stripe and the namespace keeps no per-directory state.
+// Each entry's handle names the shard holding the file, so a path resolves
+// to its owner in one lookup whatever the route table says. Writes come only
+// from the shard loops (create/delete/migration commits); the client hot
+// path takes stripe read locks only.
 type nsShards struct {
 	shards []nsShard
 	mask   uint32
@@ -177,12 +177,9 @@ type nsShards struct {
 
 type nsShard struct {
 	mu sync.RWMutex
-	// files maps full (clean) path -> handle.
+	// files maps full (clean) path -> handle: the namespace's only index.
 	files map[string]*handle
-	// children maps a directory path -> the set of file names in it, for
-	// directory listings.
-	children map[string]map[string]struct{}
-	_        [32]byte // pad shards apart to keep lock words off shared lines
+	_     [32]byte // pad shards apart to keep lock words off shared lines
 }
 
 // nsStripes is the namespace lock-stripe count per serving shard.
@@ -197,7 +194,6 @@ func newNSShards(n int) *nsShards {
 	s := &nsShards{shards: make([]nsShard, size), mask: uint32(size - 1)}
 	for i := range s.shards {
 		s.shards[i].files = make(map[string]*handle)
-		s.shards[i].children = make(map[string]map[string]struct{})
 	}
 	return s
 }
@@ -238,33 +234,21 @@ func (s *nsShards) get(path string) (*handle, bool) {
 // put indexes a handle, replacing any entry for its path: a migration's
 // copy takes over from the source's the moment it lands. Shard loops only.
 func (s *nsShards) put(h *handle) {
-	dir, name := parentOf(h.path)
+	dir, _ := parentOf(h.path)
 	sh := s.shardFor(dir)
 	sh.mu.Lock()
 	sh.files[h.path] = h
-	kids := sh.children[dir]
-	if kids == nil {
-		kids = make(map[string]struct{})
-		sh.children[dir] = kids
-	}
-	kids[name] = struct{}{}
 	sh.mu.Unlock()
 }
 
 // remove unindexes h's path if the entry is still h — not when another
 // shard's copy has replaced it. Shard loops only.
 func (s *nsShards) remove(h *handle) {
-	dir, name := parentOf(h.path)
+	dir, _ := parentOf(h.path)
 	sh := s.shardFor(dir)
 	sh.mu.Lock()
 	if sh.files[h.path] == h {
 		delete(sh.files, h.path)
-		if kids := sh.children[dir]; kids != nil {
-			delete(kids, name)
-			if len(kids) == 0 {
-				delete(sh.children, dir)
-			}
-		}
 	}
 	sh.mu.Unlock()
 }
@@ -282,14 +266,16 @@ func (s *nsShards) each(fn func(*handle)) {
 	}
 }
 
-// list returns the sorted file names directly under dir.
+// list returns the sorted file names directly under dir: a scan of the one
+// stripe every child of dir hashes to, keeping the paths whose parent is dir.
 func (s *nsShards) list(dir string) []string {
 	sh := s.shardFor(dir)
+	var out []string
 	sh.mu.RLock()
-	kids := sh.children[dir]
-	out := make([]string, 0, len(kids))
-	for name := range kids {
-		out = append(out, name)
+	for path := range sh.files {
+		if parent, name := parentOf(path); parent == dir {
+			out = append(out, name)
+		}
 	}
 	sh.mu.RUnlock()
 	sort.Strings(out)

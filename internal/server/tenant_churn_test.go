@@ -171,7 +171,7 @@ func TestShardedTenantTrafficSurvivesChurn(t *testing.T) {
 				default:
 					path := own[len(own)-1]
 					own = own[:len(own)-1]
-					if err := srv.Delete(path); err != nil && !errors.Is(err, dfs.ErrBusy) {
+					if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: path}); err != nil && !errors.Is(err, dfs.ErrBusy) {
 						t.Errorf("client %d delete: %v", c, err)
 						return
 					}
