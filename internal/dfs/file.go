@@ -14,6 +14,7 @@ package dfs
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"octostore/internal/cluster"
@@ -109,6 +110,10 @@ type Block struct {
 	size     int64
 	replicas []*Replica
 	replArr  [3]*Replica // inline backing for the replicas slice
+	// writing counts the client write's replica transfers still running,
+	// then 1 while the block waits out its client-rate floor (see
+	// replicaWritten).
+	writing int32
 }
 
 // ID returns the block id (unique within the FileSystem).
@@ -213,9 +218,12 @@ type File struct {
 	created     int64 // virtual nanoseconds since sim.Epoch
 	blocks      []*Block
 	blkArr      [1]*Block // inline backing for single-block files
-	replication int32
+	replication int16     // at most maxReplication
 	deleted     bool
 	creating    bool // the initial write (or an attach's rebuild) is in flight
+	// writing counts the blocks of the initial write not yet written (1 for
+	// an empty file until its creation event fires).
+	writing int32
 	// tierBlocks[m] counts blocks having at least one readable replica on
 	// media m, maintained incrementally on every replica transition so the
 	// manager's per-tick file scans answer HasReplicaOn in O(1) instead of
@@ -224,11 +232,13 @@ type File struct {
 	// slot is the file's dense live index (see FileSystem.FileAt): taken at
 	// birth, handed to a later file once this one is gone.
 	slot int32
+	// done is the creator's completion, held while the initial write runs.
+	done func(*File, error)
 }
 
 // fileObj is a single-block file's whole metadata in one allocation: the
-// File, its block and that block's initial replicas. At 104 + 72 + 3 × 32
-// bytes it lands in the 288-byte size class (TestFileObjSizeClass): no more
+// File, its block and that block's initial replicas. At 112 + 80 + 3 × 32
+// bytes it fills the 288-byte size class (TestFileObjSizeClass): no more
 // than the three cost packed tightly, and one object for the collector.
 // Nothing is ever recycled, so a pointer into a fileObj held across
 // simulated time (an in-flight move's replica, a dirty-list handle) can
@@ -310,6 +320,8 @@ const (
 	refSlotBits = 24
 	maxSlots    = 1 << refSlotBits
 	maxFileID   = 1 << (64 - refSlotBits)
+	// maxReplication is the widest replication target a File holds.
+	maxReplication = math.MaxInt16
 )
 
 // ID returns the file id.

@@ -176,6 +176,9 @@ type FileSystem struct {
 // New builds a file system over the cluster.
 func New(c *cluster.Cluster, cfg Config) (*FileSystem, error) {
 	cfg.applyDefaults()
+	if cfg.Replication > maxReplication {
+		return nil, fmt.Errorf("dfs: replication %d above %d", cfg.Replication, maxReplication)
+	}
 	fs := &FileSystem{
 		engine:       c.Engine(),
 		cluster:      c,
@@ -306,8 +309,9 @@ func (fs *FileSystem) ActiveTenant() storage.TenantID { return fs.activeTenant }
 // contention on the physical channel), after which the device's own
 // processor-sharing pool models the transfer as before. Without a plane the
 // transfer starts inline — no extra event, so event ordering is identical
-// to the pre-data-plane engine.
-func (fs *FileSystem) startTransfer(dev *storage.Device, dir storage.Direction, class storage.IOClass, bytes int64, done func()) {
+// to the pre-data-plane engine. A client write's replicas take the same
+// steps through writeReplica.
+func (fs *FileSystem) startTransfer(dev *storage.Device, dir storage.Direction, class storage.IOClass, bytes int64, done sim.Handler) {
 	if delay := fs.chargePlane(dev, dir, class, bytes); delay.Queue+delay.Base > 0 {
 		fs.engine.Schedule(delay.Queue+delay.Base, func() { dev.Start(dir, bytes, done) })
 		return
@@ -422,14 +426,14 @@ func (fs *FileSystem) Open(path string) (*File, error) {
 	return f, nil
 }
 
-// clientFloor returns the earliest completion time a stream of `bytes` may
-// have under the per-stream client rate cap.
-func (fs *FileSystem) clientFloor(bytes int64) time.Time {
+// clientFloor returns the earliest completion time a stream of `bytes`
+// begun at `from` may have under the per-stream client rate cap.
+func (fs *FileSystem) clientFloor(from time.Time, bytes int64) time.Time {
 	if fs.cfg.ClientRate <= 0 {
-		return fs.engine.Now()
+		return from
 	}
 	d := time.Duration(float64(bytes) / fs.cfg.ClientRate * float64(time.Second))
-	return fs.engine.Now().Add(d)
+	return from.Add(d)
 }
 
 // finishAfter invokes done once fire has been called n times and the floor
@@ -453,72 +457,91 @@ func (fs *FileSystem) finishAfter(n int, floor time.Time, done func()) func() {
 }
 
 // Create writes a new file of the given size. The write is asynchronous:
-// done (optional) fires with the file when all block pipelines complete.
-// The file becomes visible in the namespace immediately but cannot be
-// opened until the write completes, mirroring HDFS lease semantics.
+// done (optional) fires with the file when all block pipelines complete, or
+// with the error that refused or aborted the write. The file becomes visible
+// in the namespace immediately but cannot be opened until the write
+// completes, mirroring HDFS lease semantics.
 func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
-	fail := func(err error) {
-		if done != nil {
-			done(nil, err)
-		}
+	if _, err := fs.CreateFile(path, size, done); err != nil && done != nil {
+		done(nil, err)
 	}
+}
+
+// CreateFile is Create with the synchronous half's outcome returned: the
+// file whose write is now in flight, or the error that refused or aborted
+// the write (done is then never called). A create fails only synchronously
+// — a bad path or size, a taken path, no placement or a backend write error
+// — so done, once the file is returned, fires with a nil error.
+//
+// The write schedules no closures: its events carry the replica, block or
+// file they advance (replicaStart, replicaWritten, blockWritten,
+// fileWritten), each of which counts down to the next: a block is written
+// once its replicas' transfers and its client-rate floor have passed, the
+// file once its last block is.
+func (fs *FileSystem) CreateFile(path string, size int64, done func(*File, error)) (*File, error) {
 	clean, err := CleanPath(path)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	if size < 0 {
-		fail(fmt.Errorf("dfs: negative file size %d", size))
-		return
+		return nil, fmt.Errorf("dfs: negative file size %d", size)
 	}
 	nblocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
 	f, slots, err := fs.newFile(clean, size, fs.engine.Now(), int32(fs.cfg.Replication), nblocks)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	// Cut the file into blocks.
 	for i, b := range f.blocks {
 		b.size = min(size-int64(i)*fs.cfg.BlockSize, fs.cfg.BlockSize)
 	}
 	f.creating = true
-	finish := func(err error) {
-		f.creating = false
-		if err != nil {
-			// Failed writes are unlinked, mirroring an aborted HDFS lease.
-			fs.releaseAllReplicas(f, storage.ClassServe)
-			if _, rmErr := fs.ns.removeFile(f.path); rmErr == nil {
-				f.deleted = true
-				fs.untrackFile(f)
-				fs.releaseSlot(f)
-			}
-			fail(err)
-			return
-		}
-		fs.stats.FilesCreated++
-		for _, l := range fs.listeners {
-			l.FileCreated(f)
-		}
-		fs.notifyTiers(f)
-		if fs.cfg.Mode == ModeHDFSCache {
-			fs.cacheFile(f)
-		}
-		if done != nil {
-			done(f, nil)
-		}
-	}
+	f.done = done
 	if len(f.blocks) == 0 {
-		fs.engine.Schedule(0, func() { finish(nil) })
-		return
+		f.writing = 1
+		fs.engine.ScheduleHandler(0, (*fileWritten)(f))
+		return f, nil
 	}
-	blockBarrier := fs.finishAfter(len(f.blocks), fs.engine.Now(), func() { finish(nil) })
+	f.writing = int32(len(f.blocks))
 	for i, b := range f.blocks {
-		if err := fs.writeBlock(b, slots.block(i), blockBarrier); err != nil {
+		if err := fs.writeBlock(b, slots.block(i)); err != nil {
 			// Placement failed outright; abort the file. Blocks already in
-			// flight will complete harmlessly against the unlinked file.
-			finish(err)
-			return
+			// flight will complete harmlessly against the unlinked file: its
+			// writing count never reaches zero.
+			fs.abortCreate(f)
+			return nil, err
 		}
+	}
+	return f, nil
+}
+
+// abortCreate unlinks a file whose initial write failed, mirroring an
+// aborted HDFS lease.
+func (fs *FileSystem) abortCreate(f *File) {
+	f.creating = false
+	f.done = nil
+	fs.releaseAllReplicas(f, storage.ClassServe)
+	if _, err := fs.ns.removeFile(f.path); err == nil {
+		f.deleted = true
+		fs.untrackFile(f)
+		fs.releaseSlot(f)
+	}
+}
+
+// commitCreate completes a file whose every block is written.
+func (fs *FileSystem) commitCreate(f *File) {
+	f.creating = false
+	fs.stats.FilesCreated++
+	for _, l := range fs.listeners {
+		l.FileCreated(f)
+	}
+	fs.notifyTiers(f)
+	if fs.cfg.Mode == ModeHDFSCache {
+		fs.cacheFile(f)
+	}
+	if done := f.done; done != nil {
+		f.done = nil
+		done(f, nil)
 	}
 }
 
@@ -526,6 +549,7 @@ func (fs *FileSystem) Create(path string, size int64, done func(*File, error)) {
 // block ids (sizes are the caller's), links it into the namespace and the
 // live-file index, and returns the storage allocated with it for its blocks'
 // initial replicas: the part of a file's birth Create and AttachFile share.
+// A file that fails to link consumes no id.
 func (fs *FileSystem) newFile(path string, size int64, created time.Time, replication int32, nblocks int) (*File, replicaSlots, error) {
 	if fs.nextFileID >= maxFileID || len(fs.freeSlots) == 0 && len(fs.filePos) >= maxSlots {
 		return nil, replicaSlots{}, fmt.Errorf("%w: %d files live, %d ids assigned (see Ref)", ErrNoCapacity, len(fs.fileList), fs.nextFileID)
@@ -536,11 +560,11 @@ func (fs *FileSystem) newFile(path string, size int64, created time.Time, replic
 	f.path = path
 	f.size = size
 	f.created = sim.Nanos(created)
-	f.replication = replication
-	fs.nextFileID++
+	f.replication = int16(replication)
 	if err := fs.ns.insertFile(path, f); err != nil {
 		return nil, replicaSlots{}, err
 	}
+	fs.nextFileID++
 	fs.trackFile(f)
 	for _, b := range f.blocks {
 		b.id = fs.nextBlockID
@@ -549,10 +573,10 @@ func (fs *FileSystem) newFile(path string, size int64, created time.Time, replic
 	return f, slots, nil
 }
 
-// writeBlock places and writes one block into its initial-replica storage
-// (a fresh slice when placement returns more targets than it holds); onDone
-// fires when the replication pipeline completes.
-func (fs *FileSystem) writeBlock(b *Block, slots []Replica, onDone func()) error {
+// writeBlock places and writes one block of a client write into its
+// initial-replica storage (a fresh slice when placement returns more targets
+// than it holds). Its replicas' transfers count down the block's writing.
+func (fs *FileSystem) writeBlock(b *Block, slots []Replica) error {
 	targets, err := fs.placement.PlaceBlock(b.size, int(b.file.replication))
 	if err != nil {
 		return err
@@ -581,17 +605,78 @@ func (fs *FileSystem) writeBlock(b *Block, slots []Replica, onDone func()) error
 	for i := range plan {
 		fs.addReplica(&replicas[i], b, plan[i].dst)
 	}
-	barrier := fs.finishAfter(len(plan), fs.clientFloor(b.size), func() {
-		for i := range replicas {
-			replicas[i].settle()
-		}
-		onDone()
-	})
+	b.writing = int32(len(plan))
 	for i := range plan {
 		fs.stats.BytesWritten[plan[i].dst.Device.Media()] += b.size
-		fs.stream(&plan[i], storage.ClassServe, barrier)
+		fs.writeReplica(&replicas[i])
 	}
 	return nil
+}
+
+// writeReplica starts a client write's transfer onto a new replica, through
+// the data plane like startTransfer.
+func (fs *FileSystem) writeReplica(r *Replica) {
+	if delay := fs.chargePlane(r.device, storage.Write, storage.ClassServe, r.block.size); delay.Queue+delay.Base > 0 {
+		fs.engine.ScheduleHandler(delay.Queue+delay.Base, (*replicaStart)(r))
+		return
+	}
+	(*replicaStart)(r).Fire()
+}
+
+// replicaStart is a replica whose write the plane has granted: Fire starts
+// the transfer on the replica's device. A replica torn down meanwhile (its
+// node left) still runs its transfer, as every write the block counts must.
+type replicaStart Replica
+
+// Fire implements sim.Handler.
+func (s *replicaStart) Fire() {
+	r := (*Replica)(s)
+	r.device.Start(storage.Write, r.block.size, (*replicaWritten)(r))
+}
+
+// replicaWritten is a replica whose write transfer finished.
+type replicaWritten Replica
+
+// Fire implements sim.Handler: after the block's last transfer the block
+// waits out its client-rate floor, if that is still ahead, and settles.
+func (w *replicaWritten) Fire() {
+	b := w.block
+	if b.writing--; b.writing > 0 {
+		return
+	}
+	fs := b.file.fs
+	if floor := fs.clientFloor(b.file.Created(), b.size); fs.engine.Now().Before(floor) {
+		b.writing = 1
+		fs.engine.ScheduleHandlerAt(floor, (*blockWritten)(b))
+		return
+	}
+	(*blockWritten)(b).Fire()
+}
+
+// blockWritten is a block whose initial write is complete.
+type blockWritten Block
+
+// Fire implements sim.Handler: the block's replicas become readable (any
+// torn down meanwhile stay as they are) and the file counts the block.
+func (w *blockWritten) Fire() {
+	b := (*Block)(w)
+	b.writing = 0
+	for _, r := range b.replicas {
+		r.settle()
+	}
+	(*fileWritten)(b.file).Fire()
+}
+
+// fileWritten is a file one of whose blocks (or, empty, whose creation
+// event) is done.
+type fileWritten File
+
+// Fire implements sim.Handler: the last block commits the create.
+func (w *fileWritten) Fire() {
+	f := (*File)(w)
+	if f.writing--; f.writing == 0 {
+		f.fs.commitCreate(f)
+	}
 }
 
 // notifyResidency fires FileTierChanged for a residency flip on a complete,
@@ -703,8 +788,8 @@ func (fs *FileSystem) ReadBlock(b *Block, at *cluster.Node, done func(ReadResult
 	// backend's stats; the virtual read still completes — serving decisions
 	// must not depend on the backend).
 	_ = fs.backendRead(r.device, storage.ClassServe, b.id, b.size)
-	barrier := fs.finishAfter(1, fs.clientFloor(b.size), func() { finish(res, nil) })
-	fs.startTransfer(r.device, storage.Read, storage.ClassServe, b.size, barrier)
+	barrier := fs.finishAfter(1, fs.clientFloor(fs.engine.Now(), b.size), func() { finish(res, nil) })
+	fs.startTransfer(r.device, storage.Read, storage.ClassServe, b.size, sim.Func(barrier))
 }
 
 // pickReadReplica returns the replica that a task running on `at` would

@@ -166,6 +166,29 @@ func TestCreateDuplicatePathFails(t *testing.T) {
 	}
 }
 
+// A create that fails to link consumes no file id: ids stay dense in the
+// files that exist, as AttachFile's doc promises for a failed attach.
+func TestFailedCreateConsumesNoID(t *testing.T) {
+	e, fs := testFS(t, ModeHDFS)
+	if f := createFile(t, e, fs, "/a/f", storage.MB); f.ID() != 0 {
+		t.Fatalf("first file got id %d", f.ID())
+	}
+	for _, c := range []struct {
+		path string
+		want error
+	}{{"/a/f", ErrExists}, {"/a/f/x", ErrNotDirectory}} {
+		var err error
+		fs.Create(c.path, storage.MB, func(_ *File, e error) { err = e })
+		e.Run()
+		if !errors.Is(err, c.want) {
+			t.Fatalf("create %s: %v, want %v", c.path, err, c.want)
+		}
+	}
+	if f := createFile(t, e, fs, "/a/g", storage.MB); f.ID() != 1 {
+		t.Fatalf("the create after two failed ones got id %d, want 1", f.ID())
+	}
+}
+
 func TestOpenDuringCreateFails(t *testing.T) {
 	e, fs := testFS(t, ModeHDFS)
 	fs.Create("/f", 16*storage.MB, nil)

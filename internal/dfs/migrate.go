@@ -88,7 +88,7 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 		Path:        f.path,
 		Size:        f.size,
 		Created:     f.Created(),
-		Replication: f.replication,
+		Replication: int32(f.replication),
 		Blocks:      make([]BlockLayout, 0, len(f.blocks)),
 	}
 	for _, b := range f.blocks {

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
 
@@ -70,16 +71,16 @@ func (fs *FileSystem) unwind(plan []blockMove, written int, class storage.IOClas
 func (fs *FileSystem) stream(m *blockMove, class storage.IOClass, done func()) {
 	size := m.block.size
 	if m.src == nil {
-		fs.startTransfer(m.dst.Device, storage.Write, class, size, done)
+		fs.startTransfer(m.dst.Device, storage.Write, class, size, sim.Func(done))
 		return
 	}
 	pending := 2
-	step := func() {
+	step := sim.Func(func() {
 		pending--
 		if pending == 0 {
 			done()
 		}
-	}
+	})
 	fs.startTransfer(m.src.device, storage.Read, class, size, step)
 	fs.startTransfer(m.dst.Device, storage.Write, class, size, step)
 }

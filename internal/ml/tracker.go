@@ -149,11 +149,21 @@ func (r *FileRecord) FootprintBytes() int {
 // file position). Each record keeps its file's id, and a lookup answers only
 // for the id it names, so a slot taken over by another file never hands back
 // its predecessor's record.
+//
+// A slot's record outlives its file: OnDelete marks it free and the next
+// OnCreate in the slot reuses it, access-window array included, so a
+// churning population allocates no records. That is safe because nothing
+// holds a record across its file's delete: the policies look records up per
+// call (XGB's candidate record buffers are refilled before every read), and
+// the learner keeps feature rows, never records.
 type Tracker struct {
 	k    int
-	recs []*FileRecord // by slot; nil for a free slot
+	recs []*FileRecord // by slot; nil for a slot never used
 	live int
 }
+
+// freeID marks a record whose file is gone (file ids are never negative).
+const freeID = -1
 
 // NewTracker returns a tracker keeping k access times per file as feature
 // inputs (plus bounded slack for retrospective sampling).
@@ -171,16 +181,21 @@ func (t *Tracker) K() int { return t.k }
 func (t *Tracker) Len() int { return t.live }
 
 // OnCreate registers file id in slot, replacing whatever record the slot
-// held.
+// held (and reusing its storage).
 func (t *Tracker) OnCreate(slot int32, id, size int64, at time.Time) *FileRecord {
-	rec := &FileRecord{ID: id, Size: size, Created: at, maxKeep: int32(t.k + trackSlack)}
 	for int(slot) >= len(t.recs) {
 		t.recs = append(t.recs, nil)
 	}
-	if t.recs[slot] == nil {
+	rec := t.recs[slot]
+	switch {
+	case rec == nil:
+		rec = new(FileRecord)
+		t.recs[slot] = rec
+		t.live++
+	case rec.ID == freeID:
 		t.live++
 	}
-	t.recs[slot] = rec
+	*rec = FileRecord{ID: id, Size: size, Created: at, accesses: rec.accesses[:0], maxKeep: int32(t.k + trackSlack)}
 	return rec
 }
 
@@ -200,17 +215,17 @@ func (t *Tracker) OnAccessN(slot int32, id int64, at time.Time, n int64) *FileRe
 	return rec
 }
 
-// OnDelete forgets a file.
+// OnDelete forgets a file; its slot's record waits for the slot's next file.
 func (t *Tracker) OnDelete(slot int32, id int64) {
-	if _, ok := t.Get(slot, id); ok {
-		t.recs[slot] = nil
+	if rec, ok := t.Get(slot, id); ok {
+		rec.ID = freeID
 		t.live--
 	}
 }
 
 // Get returns the record of file id in slot.
 func (t *Tracker) Get(slot int32, id int64) (*FileRecord, bool) {
-	if slot < 0 || int(slot) >= len(t.recs) {
+	if slot < 0 || int(slot) >= len(t.recs) || id == freeID {
 		return nil, false
 	}
 	if rec := t.recs[slot]; rec != nil && rec.ID == id {
@@ -219,10 +234,10 @@ func (t *Tracker) Get(slot int32, id int64) (*FileRecord, bool) {
 	return nil, false
 }
 
-// Each visits every record in slot order.
+// Each visits every live file's record in slot order.
 func (t *Tracker) Each(fn func(*FileRecord)) {
 	for _, rec := range t.recs {
-		if rec != nil {
+		if rec != nil && rec.ID != freeID {
 			fn(rec)
 		}
 	}

@@ -8,6 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"octostore/internal/cluster"
+	"octostore/internal/core"
+	"octostore/internal/dfs"
+	"octostore/internal/ml"
+	"octostore/internal/policy"
 	"octostore/internal/sim"
 	"octostore/internal/storage"
 )
@@ -147,4 +152,72 @@ func BenchmarkServeFootprint(b *testing.B) {
 	}
 	b.ReportMetric(bytesPerFile, "bytes/file")
 	b.ReportMetric(allocsPerCreate, "allocs/create")
+}
+
+// cycleServer is the server the write path's allocation count is taken on:
+// two shards of LRU/OSA in replay mode over a contended data plane, so every
+// replica write waits out a plane grant, with a population of cycleFiles
+// already created. next returns one stamped create → Flush → delete → Flush
+// cycle of a fresh path each call.
+func cycleServer(tb testing.TB) (next func() error) {
+	tb.Helper()
+	srv, err := NewSharded(ShardedConfig{
+		Shards: 2,
+		Cluster: cluster.Config{Workers: 4, SlotsPerNode: 4, Spec: storage.PaperMediaSpec(4*storage.GB, 16*storage.GB, 64*storage.GB, 2),
+			Plane: storage.NewContendedPlane(storage.PlaneConfig{})},
+		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 5, ClientRate: 2000e6},
+		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
+			return policy.NewManager(fs, "lru", "osa", ml.DefaultLearnerConfig())
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv.Start()
+	tb.Cleanup(srv.Close)
+	const cycleFiles, cycleDirs = 1000, 16
+	paths := make([]string, 4*cycleFiles)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/cy/d%02d/f%06d", i%cycleDirs, i)
+	}
+	at := sim.Epoch
+	stamp := func() time.Time { at = at.Add(10 * time.Millisecond); return at }
+	for _, p := range paths[:cycleFiles] {
+		srv.CreateAt(p, storage.MB, stamp())
+	}
+	srv.Flush()
+	i := cycleFiles
+	return func() error {
+		p := paths[cycleFiles+i%(len(paths)-cycleFiles)]
+		i++
+		created := srv.CreateAt(p, storage.MB, stamp())
+		srv.Flush()
+		if err := <-created; err != nil {
+			return err
+		}
+		deleted := srv.DeleteAt(p, stamp())
+		srv.Flush()
+		return <-deleted
+	}
+}
+
+// BenchmarkCreateDeleteCycle times one stamped create → Flush → delete →
+// Flush cycle of a 1 MB file on cycleServer and reports its heap
+// allocations; TestCreateDeleteCycleAllocs pins the count:
+//
+//	go test -run XXX -bench BenchmarkCreateDeleteCycle -benchmem ./internal/server
+func BenchmarkCreateDeleteCycle(b *testing.B) {
+	cycle := cycleServer(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cycle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/cycle")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
 }

@@ -52,6 +52,7 @@ package server
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -149,11 +150,79 @@ type FileInfo struct {
 	Residency [3]bool
 }
 
-// command is one unit of shard-loop work, applied at virtual time >= at.
+// cmdKind selects what a command does once the loop has advanced to its
+// stamp.
+type cmdKind uint8
+
+const (
+	// cmdRun runs the command's func, if any: pacer ticks (none), inLoop
+	// and stop.
+	cmdRun cmdKind = iota
+	// cmdCreate creates a file (see shard.create).
+	cmdCreate
+	// cmdDelete deletes a file (see ShardedServer.delete).
+	cmdDelete
+	// cmdFlush quiesces the shard and counts a fence done (see flush).
+	cmdFlush
+)
+
+// command is one unit of shard-loop work, applied at virtual time >= at. It
+// travels by value, so submitting a create or delete allocates nothing beyond
+// what the op keeps: the create's handle and the outcome channel.
 type command struct {
-	at  time.Time
-	run func()
+	kind cmdKind
+	at   time.Time
+	// path, size and tenant are the create's or delete's op.
+	path   string
+	size   int64
+	tenant storage.TenantID
+	// h is a create's handle, which carries its outcome channel and submit
+	// time until the write commits or fails.
+	h  *handle
+	sp *obs.Span // a sampled create's span
+	// res, start and asked are a delete's outcome channel, submit time (see
+	// monoNow) and the shards already asked (see applyDelete).
+	res   chan error
+	start int64
+	asked shardSet
+	run   func()
 }
+
+// shardSet is a set of shard indices, the first 64 kept inline.
+type shardSet struct {
+	low  uint64
+	high []uint64 // bits for shards 64 and up, grown on first use
+}
+
+func (s *shardSet) add(i int) {
+	if i < 64 {
+		s.low |= 1 << i
+		return
+	}
+	w := i/64 - 1
+	for len(s.high) <= w {
+		s.high = append(s.high, 0)
+	}
+	s.high[w] |= 1 << (i % 64)
+}
+
+func (s *shardSet) has(i int) bool {
+	if i < 64 {
+		return s.low&(1<<i) != 0
+	}
+	w := i/64 - 1
+	return w < len(s.high) && s.high[w]&(1<<(i%64)) != 0
+}
+
+// monoBase anchors monoNow.
+var monoBase = time.Now()
+
+// monoNow is the wall clock in monotonic nanoseconds since monoBase: the
+// one-word submit time an op in flight keeps for its latency.
+func monoNow() int64 { return int64(time.Since(monoBase)) }
+
+// sinceMono is the wall time elapsed since a monoNow reading.
+func sinceMono(start int64) time.Duration { return time.Duration(monoNow() - start) }
 
 // shard is one namespace partition: a private simulation stack — engine,
 // file system, manager, dirty list, movement executor — drained by its own
@@ -175,6 +244,14 @@ type shard struct {
 	ns   *nsShards // the server-wide namespace, shared by every shard
 	exec *MovementExecutor
 	cmds chan command
+	// fencesAsked counts the flushes sent to the loop and fencesDone, under
+	// fenceMu, the ones it has completed; a flush whose ticket is n returns
+	// once n are done, as every fence sent after its ticket was taken covers
+	// it (see flush).
+	fencesAsked atomic.Uint64
+	fenceMu     sync.Mutex
+	fenceCond   sync.Cond
+	fencesDone  uint64
 	// wake is the loop's doorbell: a client try-sends after making a handle
 	// dirty, and the capacity of one collapses any number of rings into a
 	// single wakeup.
@@ -189,14 +266,23 @@ type shard struct {
 	// latencies feed the read histograms. Nil (or an attached backend.Sim)
 	// keeps the access path untouched.
 	backend backend.Backend
+	// blockSize is the file system's block size: a file's first block holds
+	// min(size, blockSize) bytes (every shard's file system, and so every
+	// migrated file, shares one dfs.Config).
+	blockSize int64
 
 	// Loop-owned state. accessBase is the file system's access count when
 	// the shard was built and directAccesses what other callers (scenario
 	// clients running inside the loop) have recorded on it since, not
 	// through a handle; Verify balances the two against the drain's count.
-	// handles holds the shard's indexed handles by slot (see dfs.File.Slot),
-	// nil for a slot with none; handleOf resolves one.
+	// handles holds the shard's handles by slot (see dfs.File.Slot), nil
+	// for a slot with none: an indexed file's (handleOf resolves one), or an
+	// in-flight create's, not yet indexed, which the create's completion
+	// finds here. created is that completion, bound once; createSpans holds
+	// sampled in-flight creates' spans.
 	handles         []*handle
+	created         func(*dfs.File, error)
+	createSpans     map[*handle]*obs.Span
 	createsInFlight int
 	batch           []pendingAccess
 	applying        bool
@@ -253,6 +339,7 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config, ns *ns
 		cmds:   make(chan command, cmdBuffer),
 		wake:   make(chan struct{}, 1),
 
+		blockSize:  fs.BlockSize(),
 		accessBase: fs.Stats().FileAccesses,
 	}
 	if len(cfg.Tenants) > 0 {
@@ -263,6 +350,8 @@ func newShard(idx int, fs *dfs.FileSystem, mgr *core.Manager, cfg Config, ns *ns
 		}
 		sh.slo = newSLOController(sh, cfg.SLO, cfg.Tenants)
 	}
+	sh.created = sh.commitCreate
+	sh.fenceCond.L = &sh.fenceMu
 	sh.obs = cfg.Obs
 	sh.exec.setObs(cfg.Obs, idx)
 	if mgr != nil {
@@ -371,7 +460,7 @@ func (sh *shard) pace() {
 			return
 		case <-t.C:
 			select {
-			case sh.cmds <- command{at: sh.clock(), run: func() {}}:
+			case sh.cmds <- command{at: sh.clock()}:
 			case <-sh.pacerStop:
 				return
 			}
@@ -388,7 +477,7 @@ func (sh *shard) loop() {
 		case c := <-sh.cmds:
 			t0 := sh.busyStart()
 			sh.drainAccesses()
-			sh.applyCmd(c)
+			sh.applyCmd(&c)
 			sh.busyEnd(t0)
 		case <-sh.wake:
 			t0 := sh.busyStart()
@@ -401,12 +490,25 @@ func (sh *shard) loop() {
 }
 
 // applyCmd advances virtual time to the command's stamp and runs it.
-func (sh *shard) applyCmd(c command) {
+func (sh *shard) applyCmd(c *command) {
 	if !c.at.IsZero() && c.at.After(sh.engine.Now()) {
 		sh.engine.RunUntil(c.at)
 	}
-	if c.run != nil {
-		c.run()
+	switch c.kind {
+	case cmdCreate:
+		sh.applyCreate(c)
+	case cmdDelete:
+		sh.applyDelete(c)
+	case cmdFlush:
+		sh.quiesce()
+		sh.fenceMu.Lock()
+		sh.fencesDone++
+		sh.fenceMu.Unlock()
+		sh.fenceCond.Broadcast()
+	default:
+		if c.run != nil {
+			c.run()
+		}
 	}
 }
 
@@ -457,11 +559,19 @@ func (sh *shard) drainAccesses() {
 }
 
 // indexFile publishes a completed file to the namespace as this shard's,
-// replacing any other shard's entry for the path. Shard loop only.
+// replacing any other shard's entry for the path: under the handle its
+// create left in its slot, or a new one. Shard loop only.
 func (sh *shard) indexFile(f *dfs.File) {
-	h := &handle{id: f.ID(), path: f.Path(), size: f.Size(), sh: sh, file: f, blk0: -1}
+	var h *handle
+	if slot := int(f.Slot()); slot < len(sh.handles) {
+		h = sh.handles[slot] // an in-flight create's, or nil
+	}
+	if h == nil {
+		h = &handle{sh: sh}
+	}
+	h.id, h.path, h.size, h.file, h.blk0 = f.ID(), f.Path(), f.Size(), f, -1
 	if blocks := f.Blocks(); len(blocks) > 0 {
-		h.blk0, h.blk0Size = blocks[0].ID(), blocks[0].Size()
+		h.blk0 = blocks[0].ID()
 	}
 	for _, m := range storage.AllMedia {
 		if f.HasReplicaOn(m) {
@@ -469,17 +579,22 @@ func (sh *shard) indexFile(f *dfs.File) {
 			h.setResident(m, true)
 		}
 	}
-	for int(f.Slot()) >= len(sh.handles) {
+	sh.setHandle(f.Slot(), h)
+	sh.ns.put(h)
+}
+
+// setHandle files h under slot. Shard loop only.
+func (sh *shard) setHandle(slot int32, h *handle) {
+	for int(slot) >= len(sh.handles) {
 		sh.handles = append(sh.handles, nil)
 	}
-	sh.handles[f.Slot()] = h
-	sh.ns.put(h)
+	sh.handles[slot] = h
 }
 
 // handleOf returns the handle indexed for f, or nil. Shard loop only.
 func (sh *shard) handleOf(f *dfs.File) *handle {
 	if slot := int(f.Slot()); slot < len(sh.handles) {
-		if h := sh.handles[slot]; h != nil && h.id == f.ID() {
+		if h := sh.handles[slot]; h != nil && h.file == f {
 			return h
 		}
 	}
@@ -498,8 +613,8 @@ func (sh *shard) refreshDevices() {
 		return // pointers are only read for plane charging and real reads
 	}
 	for _, h := range sh.handles {
-		if h == nil {
-			continue
+		if h == nil || h.file == nil {
+			continue // no slot, or a create in flight
 		}
 		for _, m := range storage.AllMedia {
 			if h.file.HasReplicaOn(m) {
@@ -572,73 +687,121 @@ func (shardListener) TierDataAdded(storage.Media) {}
 
 // create submits a file creation stamped with op.At and returns a buffered
 // channel that receives the final outcome once the write pipeline commits
-// (or fails). The write pipeline's plane charges are tagged with op.Tenant:
-// initial block writes happen synchronously inside the create call, so
-// scoping the file system's active tenant around it suffices.
+// (or fails). The file's handle is made here and carries the outcome channel
+// and the submit time through the write (see applyCreate).
 func (sh *shard) create(op Op) <-chan error {
-	res := make(chan error, 1)
-	sp, spStart := sh.sampleSpan("create", op.Path, op.Tenant)
+	out := make(chan error, 1)
+	h := &handle{sh: sh, outcome: out, start: monoNow()}
+	sp, _ := sh.sampleSpan("create", op.Path, op.Tenant)
 	if sp != nil {
 		sp.Bytes = op.Size
 	}
-	start := time.Now()
-	sh.cmds <- command{at: op.At, run: func() {
-		if sp != nil {
-			// Time from submission until the loop picks the command up — the
-			// create's queueing delay behind other commands and drains.
-			sp.RingNS = time.Since(spStart).Nanoseconds()
-		}
-		sh.createsInFlight++
-		sh.fs.SetActiveTenant(op.Tenant)
-		sh.fs.Create(op.Path, op.Size, func(f *dfs.File, err error) {
-			sh.createsInFlight--
-			if err != nil {
-				sh.counters.createErrors.Add(1)
-			} else {
-				sh.counters.creates.Add(1)
-				sh.indexFile(f)
-			}
-			sh.mutateHist.Observe(time.Since(start))
-			if sp != nil {
-				msg := ""
-				if err != nil {
-					msg = err.Error()
-				}
-				sh.finishSpan(sp, spStart, sh.engine.Now(), msg)
-			}
-			res <- err
-		})
-		sh.fs.SetActiveTenant(storage.DefaultTenant)
-	}}
-	return res
+	sh.cmds <- command{kind: cmdCreate, at: op.At, path: op.Path, size: op.Size, tenant: op.Tenant, h: h, sp: sp}
+	return out
 }
 
-// delete submits a deletion stamped with op.At; done receives the outcome on
-// the shard loop. A stale copy (see stale) is not the file, so it misses
-// like an absent one. Nothing is counted here: whether a miss is the
-// client's outcome or a sign the file moved is the router's to know, so the
-// router books the one logical deletion (countDelete).
-func (sh *shard) delete(op Op, done func(error)) {
-	sh.cmds <- command{at: op.At, run: func() {
-		if h, _ := sh.ns.get(op.Path); h == nil || h.sh != sh {
-			if f, err := sh.fs.Namespace().GetFile(op.Path); err == nil && sh.stale(f) {
-				done(notFound(op.Path))
-				return
-			}
+// applyCreate starts a create on the loop. The write pipeline's plane
+// charges are tagged with the op's tenant: initial block writes happen
+// synchronously inside the create call, so scoping the file system's active
+// tenant around it suffices. A create that fails, fails here; one in flight
+// leaves its handle under the file's slot for commitCreate. Shard loop only.
+func (sh *shard) applyCreate(c *command) {
+	if c.sp != nil {
+		// Time from submission until the loop picks the command up — the
+		// create's queueing delay behind other commands and drains.
+		c.sp.RingNS = sinceMono(c.h.start).Nanoseconds()
+	}
+	sh.fs.SetActiveTenant(c.tenant)
+	f, err := sh.fs.CreateFile(c.path, c.size, sh.created)
+	sh.fs.SetActiveTenant(storage.DefaultTenant)
+	if err != nil {
+		sh.counters.createErrors.Add(1)
+		sh.finishCreate(c.h, c.sp, err)
+		return
+	}
+	sh.createsInFlight++
+	sh.setHandle(f.Slot(), c.h)
+	if c.sp != nil {
+		if sh.createSpans == nil {
+			sh.createSpans = make(map[*handle]*obs.Span)
 		}
-		done(sh.fs.Delete(op.Path))
-	}}
+		sh.createSpans[c.h] = c.sp
+	}
 }
+
+// commitCreate is the completion of every create the shard starts (bound
+// once as created): the file is written, so its handle, found by the file's
+// slot, is indexed. Shard loop only.
+func (sh *shard) commitCreate(f *dfs.File, _ error) {
+	h := sh.handles[f.Slot()]
+	sh.createsInFlight--
+	sh.counters.creates.Add(1)
+	sh.indexFile(f)
+	sp := sh.createSpans[h]
+	if sp != nil {
+		delete(sh.createSpans, h)
+	}
+	sh.finishCreate(h, sp, nil)
+}
+
+// finishCreate books a create's outcome and latency and delivers it.
+func (sh *shard) finishCreate(h *handle, sp *obs.Span, err error) {
+	sh.mutateHist.Observe(sinceMono(h.start))
+	if sp != nil {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		sh.finishSpan(sp, monoBase.Add(time.Duration(h.start)), sh.engine.Now(), msg)
+	}
+	out := h.outcome
+	h.outcome = nil
+	out <- err
+}
+
+// applyDelete runs a delete on the loop (see ShardedServer.delete). A miss
+// whose path the namespace names on a shard not yet asked is handed there,
+// from a fresh goroutine: an op on one loop must never block on another
+// loop, or two opposite-direction deletes could deadlock the loops. The one
+// outcome is booked once, by the shard that answers (countDelete). Shard
+// loop only.
+func (sh *shard) applyDelete(c *command) {
+	err := sh.deleteFile(c.path)
+	if errors.Is(err, dfs.ErrNotFound) {
+		if h, _ := sh.ns.get(c.path); h != nil && h.sh != sh && !c.asked.has(h.sh.idx) {
+			next := *c
+			next.asked.add(sh.idx)
+			go h.sh.enqueue(next)
+			return
+		}
+	}
+	sh.countDelete(err, c.start)
+	c.res <- err
+}
+
+// deleteFile deletes path's copy on this shard. A stale copy (see stale) is
+// not the file, so it misses like an absent one. Shard loop only.
+func (sh *shard) deleteFile(path string) error {
+	if h, _ := sh.ns.get(path); h == nil || h.sh != sh {
+		if f, err := sh.fs.Namespace().GetFile(path); err == nil && sh.stale(f) {
+			return notFound(path)
+		}
+	}
+	return sh.fs.Delete(path)
+}
+
+// enqueue hands c to the shard's loop.
+func (sh *shard) enqueue(c command) { sh.cmds <- c }
 
 // countDelete books one client deletion's outcome and latency (safe off the
 // shard loop: atomic counters, lock-free histogram).
-func (sh *shard) countDelete(err error, start time.Time) {
+func (sh *shard) countDelete(err error, start int64) {
 	if err != nil {
 		sh.counters.deleteErrors.Add(1)
 	} else {
 		sh.counters.deletes.Add(1)
 	}
-	sh.mutateHist.Observe(time.Since(start))
+	sh.mutateHist.Observe(sinceMono(start))
 }
 
 // publish hands one access of h to the next drain, rings the loop's
@@ -754,7 +917,7 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 		if dev := h.device(tier); dev != nil {
 			d, err := sh.backend.Read(backend.Request{
 				Media: tier, Class: storage.ClassServe, Tenant: op.Tenant,
-				DeviceID: dev.ID(), BlockID: h.blk0, Bytes: h.blk0Size,
+				DeviceID: dev.ID(), BlockID: h.blk0, Bytes: min(h.size, sh.blockSize),
 			})
 			if err == nil {
 				res.Latency, measured = d, true
@@ -794,12 +957,13 @@ func (sh *shard) inLoop(fn func(*dfs.FileSystem)) {
 // Under live load this is a best-effort barrier (new traffic may arrive
 // concurrently); with clients stopped it is a full quiescence point.
 func (sh *shard) flush() {
-	done := make(chan struct{})
-	sh.cmds <- command{at: sh.clock(), run: func() {
-		sh.quiesce()
-		close(done)
-	}}
-	<-done
+	ticket := sh.fencesAsked.Add(1)
+	sh.cmds <- command{kind: cmdFlush, at: sh.clock()}
+	sh.fenceMu.Lock()
+	for sh.fencesDone < ticket {
+		sh.fenceCond.Wait()
+	}
+	sh.fenceMu.Unlock()
 }
 
 // quiesce drains outstanding asynchronous work inside the shard loop. The
@@ -823,7 +987,7 @@ func (sh *shard) quiesce() {
 		for absorbed := true; absorbed; {
 			select {
 			case c := <-sh.cmds:
-				sh.applyCmd(c)
+				sh.applyCmd(&c)
 			default:
 				absorbed = false
 			}
@@ -838,7 +1002,7 @@ func (sh *shard) quiesce() {
 		// newly dirty handle to make progress.
 		select {
 		case c := <-sh.cmds:
-			sh.applyCmd(c)
+			sh.applyCmd(&c)
 		case <-sh.wake:
 		}
 	}

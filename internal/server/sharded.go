@@ -544,32 +544,11 @@ func (s *ShardedServer) access(op Op) (AccessResult, *shard, error) {
 // caller submits next (a pipelined re-create, a Flush) orders behind it on
 // the shard loop. If the file moved since, the attempt misses and the
 // namespace names another shard, which is asked next — each shard at most
-// once. The one outcome is booked once (countDelete). A follow-up is
-// enqueued from a fresh goroutine: an op on one loop must never block on
-// another loop, or two opposite-direction deletes could deadlock the loops.
+// once (see shard.applyDelete).
 func (s *ShardedServer) delete(op Op, owner *shard) <-chan error {
 	res := make(chan error, 1)
-	s.deleteOn(owner, op, time.Now(), nil, res)
+	owner.enqueue(command{kind: cmdDelete, at: op.At, path: op.Path, res: res, start: monoNow()})
 	return res
-}
-
-// deleteOn asks sh for the delete; asked marks the shards asked before it.
-func (s *ShardedServer) deleteOn(sh *shard, op Op, start time.Time, asked []bool, res chan error) {
-	sh.delete(op, func(err error) {
-		if errors.Is(err, dfs.ErrNotFound) {
-			if h, _ := s.ns.get(op.Path); h != nil && h.sh != sh && (asked == nil || !asked[h.sh.idx]) {
-				next := asked
-				if next == nil {
-					next = make([]bool, len(s.shards))
-				}
-				next[sh.idx] = true
-				go s.deleteOn(h.sh, op, start, next, res)
-				return
-			}
-		}
-		sh.countDelete(err, start)
-		res <- err
-	})
 }
 
 // AccessAt records an access at an explicit virtual time (replay and

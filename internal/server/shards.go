@@ -23,18 +23,22 @@ type handle struct {
 	// sh is the shard whose file system holds the file: reads act on it, and
 	// its loop applies the accesses.
 	sh   *shard
-	file *dfs.File // core-loop-owned
-	// blk0/blk0Size identify the file's first block (-1/0 for empty files):
-	// the representative replica the physical-backend read path streams.
-	// Block identity is immutable for the handle's life (only the replica's
-	// device moves), so clients read these without synchronization.
-	blk0     int64
-	blk0Size int64
+	file *dfs.File // core-loop-owned; nil until the file is indexed
+	// blk0 identifies the file's first block (-1 for an empty file): the
+	// representative replica the physical-backend read path streams, whose
+	// size is min(size, the shard's block size). Block identity is
+	// immutable for the handle's life (only the replica's device moves), so
+	// clients read it without synchronization.
+	blk0 int64
 	// res is a bitmask of tiers holding a full all-or-nothing replica set
 	// (bit i = storage.Media(i)), published by the core loop on every
 	// residency flip so the client read path picks its serving tier without
 	// entering the core.
 	res atomic.Uint32
+	// migrated marks a handle whose file left for another shard (as opposed
+	// to deleted): the reason its leftover accesses are discarded under.
+	// Shard loop only.
+	migrated bool
 	// dev publishes, per tier, a representative device holding the file's
 	// replicas, so the client read path can charge the data plane's
 	// physical channel without entering the core. Client goroutines may
@@ -54,10 +58,12 @@ type handle struct {
 	pending atomic.Int64
 	stamp   atomic.Int64
 	next    *handle
-	// migrated marks a handle whose file left for another shard (as opposed
-	// to deleted): the reason its leftover accesses are discarded under.
-	// Shard loop only.
-	migrated bool
+	// outcome and start are the channel a create made the handle for
+	// delivers its outcome on, and its submit time (see monoNow), kept from
+	// submission until the write commits or fails (see shard.applyCreate).
+	// Shard loop only once submitted.
+	outcome chan error
+	start   int64
 }
 
 // pendingAccess is one dirty handle's share of a drain: n accesses, the

@@ -21,6 +21,17 @@ type Clock interface {
 	Now() time.Time
 }
 
+// Handler is an event callback carried as a value. A pointer its owner
+// already holds (a replica, a block) schedules without allocating, where a
+// closure over the same state would cost one allocation per event.
+type Handler interface{ Fire() }
+
+// Func adapts a plain callback to Handler.
+type Func func()
+
+// Fire implements Handler.
+func (f Func) Fire() { f() }
+
 // Event is a re-armable handle for a component timer that must be moved or
 // withdrawn after it is set (a device's next completion, a Ticker's next
 // tick). ScheduleEvent arms it; arming it again or calling
@@ -29,29 +40,35 @@ type Clock interface {
 // arming. Callbacks that never need withdrawing go through Schedule.
 type Event struct {
 	gen uint64
+	fn  func() // the pending arming's callback
 }
 
 // Cancel prevents the handle's pending firing, if any. Cancelling a handle
 // that already fired or was already cancelled is a no-op.
 func (e *Event) Cancel() { e.gen++ }
 
+// armed is a handle as the handler of the entry it armed.
+type armed Event
+
+// Fire implements Handler.
+func (a *armed) Fire() { a.fn() }
+
 // entry is one scheduled callback. Entries fire by (at, seq): virtual time,
 // then FIFO among equal times. An entry armed through a handle carries the
-// handle and the generation it was armed at, and is dropped unfired once
-// the handle moves on.
+// handle (as armed) and the generation it was armed at, never 0, and is
+// dropped unfired once the handle moves on.
 type entry struct {
 	at  int64 // virtual nanoseconds since Epoch
 	seq uint64
-	fn  func()
-	ev  *Event
-	gen uint64
+	h   Handler
+	gen uint64 // 0: not armed through a handle
 }
 
 func (a *entry) before(b *entry) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-func (a *entry) live() bool { return a.ev == nil || a.ev.gen == a.gen }
+func (a *entry) live() bool { return a.gen == 0 || a.h.(*armed).gen == a.gen }
 
 // eventQueue is a 4-ary min-heap of entries by (at, seq). The wider fan-out
 // halves the depth of a binary heap, and entries are values, so a push
@@ -78,7 +95,7 @@ func (q *eventQueue) pop() entry {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = entry{} // drop the callback so it can be collected
+	h[n] = entry{} // drop the handler so it can be collected
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -141,20 +158,42 @@ func (e *Engine) Pending() int { return len(e.events) }
 // as zero. The callback cannot be withdrawn; use ScheduleEvent for one that
 // may need to be.
 func (e *Engine) Schedule(delay time.Duration, fn func()) {
-	e.push(e.after(delay), fn, nil)
+	e.ScheduleHandler(delay, funcHandler(fn))
 }
 
 // ScheduleAt runs fn at the given virtual time. Times in the past are
 // clamped to the current time.
 func (e *Engine) ScheduleAt(at time.Time, fn func()) {
-	e.push(max(Nanos(at), e.nowNs), fn, nil)
+	e.ScheduleHandlerAt(at, funcHandler(fn))
+}
+
+// ScheduleHandler fires h after delay of virtual time, like Schedule.
+func (e *Engine) ScheduleHandler(delay time.Duration, h Handler) {
+	e.push(e.after(delay), h, 0)
+}
+
+// ScheduleHandlerAt fires h at the given virtual time, like ScheduleAt.
+func (e *Engine) ScheduleHandlerAt(at time.Time, h Handler) {
+	e.push(max(Nanos(at), e.nowNs), h, 0)
 }
 
 // ScheduleEvent arms ev to run fn after delay of virtual time (a negative
 // delay is treated as zero), withdrawing any firing ev still has pending.
 func (e *Engine) ScheduleEvent(ev *Event, delay time.Duration, fn func()) {
+	if fn == nil {
+		panic("sim: event scheduled with nil callback")
+	}
 	ev.gen++
-	e.push(e.after(delay), fn, ev)
+	ev.fn = fn
+	e.push(e.after(delay), (*armed)(ev), ev.gen)
+}
+
+// funcHandler adapts fn, keeping a nil fn nil so push can refuse it.
+func funcHandler(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
 }
 
 // after is the instant delay from now, clamped to [now, the last
@@ -169,14 +208,11 @@ func (e *Engine) after(delay time.Duration) int64 {
 	return e.nowNs + int64(delay)
 }
 
-func (e *Engine) push(at int64, fn func(), ev *Event) {
-	if fn == nil {
+func (e *Engine) push(at int64, h Handler, gen uint64) {
+	if h == nil {
 		panic("sim: event scheduled with nil callback")
 	}
-	x := entry{at: at, seq: e.seq, fn: fn, ev: ev}
-	if ev != nil {
-		x.gen = ev.gen
-	}
+	x := entry{at: at, seq: e.seq, h: h, gen: gen}
 	e.seq++
 	e.events.push(x)
 }
@@ -239,7 +275,7 @@ func (e *Engine) Step() bool {
 			e.now = AtNanos(x.at)
 		}
 		e.fired++
-		x.fn()
+		x.h.Fire()
 		if e.onEvent != nil {
 			e.onEvent()
 		}

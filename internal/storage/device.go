@@ -196,8 +196,9 @@ func (d *Device) pool(dir Direction) *pool {
 // Start begins a transfer of the given size and direction; done (optional)
 // fires at the simulated completion time. Zero-byte transfers complete via
 // a zero-delay event so that callbacks still run asynchronously with respect
-// to the caller.
-func (d *Device) Start(dir Direction, bytes int64, done func()) {
+// to the caller. A caller that owns the transfer's state passes a pointer to
+// it as done; sim.Func adapts a plain callback.
+func (d *Device) Start(dir Direction, bytes int64, done sim.Handler) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("storage: negative transfer %d", bytes))
 	}
@@ -207,7 +208,7 @@ func (d *Device) Start(dir Direction, bytes int64, done func()) {
 // transfer is one in-flight I/O operation in a pool.
 type transfer struct {
 	remaining float64
-	done      func()
+	done      sim.Handler
 }
 
 // pool is one direction's processor-sharing bandwidth server.
@@ -273,12 +274,12 @@ func (p *pool) reschedule() {
 }
 
 // onCompletion settles progress and completes every transfer that has
-// drained, then replans. The finished callbacks are collected on the stack
+// drained, then replans. The finished handlers are collected on the stack
 // (an event finishes one transfer, rarely a few), so a completion that runs
 // inside one of them has nothing of this one's to overwrite.
 func (p *pool) onCompletion() {
 	p.settle()
-	var buf [4]func()
+	var buf [4]sim.Handler
 	finished := buf[:0]
 	old := p.transfers
 	live := old[:0]
@@ -289,20 +290,20 @@ func (p *pool) onCompletion() {
 			live = append(live, t)
 		}
 	}
-	// Clear the stale tail so finished transfers' done closures (and
-	// everything they capture) become collectable; a burst can push the
+	// Clear the stale tail so finished transfers' handlers (and everything
+	// they reach) become collectable; a burst can push the
 	// slice to a high-water mark that would otherwise pin them.
 	clear(old[len(live):])
 	p.transfers = live
 	p.reschedule()
 	for _, done := range finished {
 		if done != nil {
-			done()
+			done.Fire()
 		}
 	}
 }
 
-func (p *pool) start(bytes int64, done func()) {
+func (p *pool) start(bytes int64, done sim.Handler) {
 	p.settle()
 	p.transfers = append(p.transfers, transfer{remaining: float64(bytes), done: done})
 	p.reschedule()

@@ -97,7 +97,7 @@ func TestSingleTransferLatency(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var doneAt time.Time
-	d.Start(Read, 200, func() { doneAt = e.Now() })
+	d.Start(Read, 200, sim.Func(func() { doneAt = e.Now() }))
 	e.Run()
 	want := sim.Epoch.Add(2 * time.Second) // 200 bytes at 100 B/s
 	if !doneAt.Equal(want) {
@@ -109,8 +109,8 @@ func TestProcessorSharingTwoEqualTransfers(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var t1, t2 time.Time
-	d.Start(Read, 100, func() { t1 = e.Now() })
-	d.Start(Read, 100, func() { t2 = e.Now() })
+	d.Start(Read, 100, sim.Func(func() { t1 = e.Now() }))
+	d.Start(Read, 100, sim.Func(func() { t2 = e.Now() }))
 	e.Run()
 	// Both share 100 B/s, so each effectively gets 50 B/s: 2 s for 100 B.
 	want := sim.Epoch.Add(2 * time.Second)
@@ -123,9 +123,9 @@ func TestProcessorSharingStaggeredArrival(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var t1, t2 time.Time
-	d.Start(Read, 100, func() { t1 = e.Now() })
+	d.Start(Read, 100, sim.Func(func() { t1 = e.Now() }))
 	e.Schedule(500*time.Millisecond, func() {
-		d.Start(Read, 100, func() { t2 = e.Now() })
+		d.Start(Read, 100, sim.Func(func() { t2 = e.Now() }))
 	})
 	e.Run()
 	// T1: 50 B alone in 0.5 s, then shares; 50 B left at 50 B/s = 1 s more.
@@ -143,8 +143,8 @@ func TestReadsAndWritesDoNotContend(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	var tr, tw time.Time
-	d.Start(Read, 100, func() { tr = e.Now() })
-	d.Start(Write, 100, func() { tw = e.Now() })
+	d.Start(Read, 100, sim.Func(func() { tr = e.Now() }))
+	d.Start(Write, 100, sim.Func(func() { tw = e.Now() }))
 	e.Run()
 	want := sim.Epoch.Add(time.Second)
 	if !tr.Equal(want) || !tw.Equal(want) {
@@ -156,7 +156,7 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)
 	done := false
-	d.Start(Write, 0, func() { done = true })
+	d.Start(Write, 0, sim.Func(func() { done = true }))
 	e.Run()
 	if !done {
 		t.Fatal("zero-byte transfer never completed")
@@ -176,10 +176,10 @@ func TestCompletionInsideCallback(t *testing.T) {
 	d.Start(Read, 100, nil)
 	e.Run()
 	calls := make([]int, 4)
-	d.Start(Read, 100, func() { calls[0]++; e.Run() })
-	d.Start(Read, 100, func() { calls[1]++ })
-	d.Start(Read, 300, func() { calls[2]++ })
-	d.Start(Read, 300, func() { calls[3]++ })
+	d.Start(Read, 100, sim.Func(func() { calls[0]++; e.Run() }))
+	d.Start(Read, 100, sim.Func(func() { calls[1]++ }))
+	d.Start(Read, 300, sim.Func(func() { calls[2]++ }))
+	d.Start(Read, 300, sim.Func(func() { calls[3]++ }))
 	e.Run()
 	for i, n := range calls {
 		if n != 1 {
@@ -197,7 +197,7 @@ func BenchmarkTransferCompletion(b *testing.B) {
 	done := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Start(Write, 4096, done)
+		d.Start(Write, 4096, sim.Func(done))
 		e.Run()
 	}
 }
@@ -277,7 +277,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 				at += time.Duration(gaps[i]) * time.Millisecond
 			}
 			e.Schedule(at, func() {
-				d.Start(Read, size, func() { completed += size })
+				d.Start(Read, size, sim.Func(func() { completed += size }))
 			})
 		}
 		e.Run()
@@ -298,7 +298,7 @@ func TestPropertyEqualSharing(t *testing.T) {
 		d := NewDevice(e, "d", SSD, 1<<40, 1000, 1000)
 		var finishes []time.Time
 		for i := 0; i < n; i++ {
-			d.Start(Read, size, func() { finishes = append(finishes, e.Now()) })
+			d.Start(Read, size, sim.Func(func() { finishes = append(finishes, e.Now()) }))
 		}
 		e.Run()
 		want := float64(n) * float64(size) / 1000.0
