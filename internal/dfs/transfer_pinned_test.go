@@ -239,6 +239,9 @@ func TestTransferPathPinnedOutcomes(t *testing.T) {
 			return storage.NewContendedPlane(storage.PlaneConfig{MaxQueue: time.Second})
 		}, 0x275d70d83adf6fa6},
 		{"hdfs-cache", ModeHDFSCache, func() storage.DataPlane { return nil }, 0xaff02cce5420ecf7},
+		{"hdfs-cache-contended", ModeHDFSCache, func() storage.DataPlane {
+			return storage.NewContendedPlane(storage.PlaneConfig{MaxQueue: time.Second})
+		}, 0xab2a1e48ceec04c8},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := transferScript(t, c.mode, c.plane())
