@@ -1,0 +1,118 @@
+package dfs
+
+import (
+	"runtime"
+	"testing"
+
+	"octostore/internal/cluster"
+	"octostore/internal/sim"
+	"octostore/internal/storage"
+)
+
+// moveCycleAllocs is what one move-up plus move-down cycle of a one-block
+// file allocates: each move's plan, which keeps a single block's move
+// inline. The legs' plane grants, delayed starts and completions and the
+// commit allocate nothing.
+const moveCycleAllocs = 2
+
+// readAllocs is what one ReadBlock allocates: its read record, which carries
+// the caller's done, the result and the client-rate floor.
+const readAllocs = 1
+
+// transferWorld is a one-block file written on a 3-worker file system whose
+// devices share a ContendedPlane, so every transfer leg starts after a plane
+// grant. moveCycle moves the file's replica from HDD to memory and back,
+// running the engine after each move; read reads its block from the first
+// node.
+func transferWorld(tb testing.TB) (moveCycle func() error, read func() error) {
+	tb.Helper()
+	e := sim.NewEngine()
+	c := cluster.MustNew(e, cluster.Config{
+		Workers: 3, SlotsPerNode: 2, Spec: storage.SmallWorkerSpec(),
+		Plane: storage.NewContendedPlane(storage.PlaneConfig{}),
+	})
+	fs := MustNew(c, Config{Mode: ModePinnedHDD, BlockSize: 16 * storage.MB, Seed: 7, ClientRate: 400e6})
+	var f *File
+	var err error
+	fs.Create("/alloc/f", 16*storage.MB, func(file *File, e error) { f, err = file, e })
+	e.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var opErr error
+	moved := func(err error) { opErr = err }
+	readDone := func(_ ReadResult, err error) { opErr = err }
+	node := c.Nodes()[0]
+	move := func(from, to storage.Media) error {
+		if err := fs.MoveFileReplicas(f, from, to, moved); err != nil {
+			return err
+		}
+		e.Run()
+		return opErr
+	}
+	moveCycle = func() error {
+		if err := move(storage.HDD, storage.Memory); err != nil {
+			return err
+		}
+		return move(storage.Memory, storage.HDD)
+	}
+	read = func() error {
+		fs.ReadBlock(f.Blocks()[0], node, readDone)
+		e.Run()
+		return opErr
+	}
+	return moveCycle, read
+}
+
+// TestTransferAllocs holds a one-block move cycle to moveCycleAllocs and a
+// block read to readAllocs, so a closure or a per-leg object that creeps
+// back onto the transfer path fails here.
+func TestTransferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	moveCycle, read := transferWorld(t)
+	for _, c := range []struct {
+		name string
+		op   func() error
+		want float64
+	}{
+		{"move up and down", moveCycle, moveCycleAllocs},
+		{"ReadBlock", read, readAllocs},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			if e := c.op(); e != nil && err == nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs > c.want {
+			t.Errorf("%s allocates %v objects, want at most %v", c.name, allocs, c.want)
+		}
+	}
+}
+
+// BenchmarkMoveCycle times one move-up plus move-down cycle of a one-block
+// file on transferWorld and reports its heap allocations and time per move;
+// TestTransferAllocs pins the count:
+//
+//	go test -run XXX -bench BenchmarkMoveCycle -benchtime 20000x ./internal/dfs
+func BenchmarkMoveCycle(b *testing.B) {
+	moveCycle, _ := transferWorld(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := moveCycle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	moves := float64(2 * b.N)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/moves, "allocs/move")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/moves, "ns/move")
+}

@@ -149,25 +149,6 @@ func (b *Block) ReadableReplicas() int {
 	return n
 }
 
-func (b *Block) removeReplica(r *Replica) {
-	for i, other := range b.replicas {
-		if other == r {
-			b.replicas = append(b.replicas[:i], b.replicas[i+1:]...)
-			return
-		}
-	}
-}
-
-// hasReplica reports whether r is still attached to the block.
-func (b *Block) hasReplica(r *Replica) bool {
-	for _, other := range b.replicas {
-		if other == r {
-			return true
-		}
-	}
-	return false
-}
-
 // noteReadable updates the owning file's per-tier residency counter after r
 // became readable: the counter gains the block when r is its first readable
 // replica on that media. Call it after the state (and, for moves, device)

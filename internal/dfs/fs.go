@@ -304,16 +304,17 @@ func (fs *FileSystem) SetActiveTenant(t storage.TenantID) { fs.activeTenant = t 
 // ActiveTenant returns the tenant currently charged for plane I/O.
 func (fs *FileSystem) ActiveTenant() storage.TenantID { return fs.activeTenant }
 
-// startTransfer begins a device transfer through the data plane: the start
-// is delayed by the plane's queueing + base-latency grant (cross-shard
-// contention on the physical channel), after which the device's own
-// processor-sharing pool models the transfer as before. Without a plane the
-// transfer starts inline — no extra event, so event ordering is identical
-// to the pre-data-plane engine. A client write's replicas take the same
-// steps through writeReplica.
-func (fs *FileSystem) startTransfer(dev *storage.Device, dir storage.Direction, class storage.IOClass, bytes int64, done sim.Handler) {
+// startTransfer begins every transfer leg through the data plane: the
+// start is delayed by the plane's queueing + base-latency grant (cross-shard
+// contention on the physical channel) — start fires then and must start the
+// same transfer — after which the device's own processor-sharing pool
+// models the transfer and fires done. Without a plane the transfer starts
+// inline, so event ordering is identical to the pre-data-plane engine.
+// start and done are the leg's own state: a replica, a planned block move
+// or a read record.
+func (fs *FileSystem) startTransfer(dev *storage.Device, dir storage.Direction, class storage.IOClass, bytes int64, start, done sim.Handler) {
 	if delay := fs.chargePlane(dev, dir, class, bytes); delay.Queue+delay.Base > 0 {
-		fs.engine.Schedule(delay.Queue+delay.Base, func() { dev.Start(dir, bytes, done) })
+		fs.engine.ScheduleHandler(delay.Queue+delay.Base, start)
 		return
 	}
 	dev.Start(dir, bytes, done)
@@ -434,26 +435,6 @@ func (fs *FileSystem) clientFloor(from time.Time, bytes int64) time.Time {
 	}
 	d := time.Duration(float64(bytes) / fs.cfg.ClientRate * float64(time.Second))
 	return from.Add(d)
-}
-
-// finishAfter invokes done once fire has been called n times and the floor
-// time has passed.
-func (fs *FileSystem) finishAfter(n int, floor time.Time, done func()) func() {
-	if n <= 0 {
-		n = 1
-	}
-	remaining := n
-	return func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		if now := fs.engine.Now(); now.Before(floor) {
-			fs.engine.ScheduleAt(floor, done)
-			return
-		}
-		done()
-	}
 }
 
 // Create writes a new file of the given size. The write is asynchronous:
@@ -601,26 +582,13 @@ func (fs *FileSystem) writeBlock(b *Block, slots []Replica) error {
 	if len(plan) > len(slots) {
 		slots = make([]Replica, len(plan))
 	}
-	replicas := slots[:len(plan)]
-	for i := range plan {
-		fs.addReplica(&replicas[i], b, plan[i].dst)
-	}
 	b.writing = int32(len(plan))
 	for i := range plan {
-		fs.stats.BytesWritten[plan[i].dst.Device.Media()] += b.size
-		fs.writeReplica(&replicas[i])
+		r := fs.addReplica(&slots[i], b, plan[i].dst)
+		fs.stats.BytesWritten[r.Media()] += b.size
+		fs.startTransfer(r.device, storage.Write, storage.ClassServe, b.size, (*replicaStart)(r), (*replicaWritten)(r))
 	}
 	return nil
-}
-
-// writeReplica starts a client write's transfer onto a new replica, through
-// the data plane like startTransfer.
-func (fs *FileSystem) writeReplica(r *Replica) {
-	if delay := fs.chargePlane(r.device, storage.Write, storage.ClassServe, r.block.size); delay.Queue+delay.Base > 0 {
-		fs.engine.ScheduleHandler(delay.Queue+delay.Base, (*replicaStart)(r))
-		return
-	}
-	(*replicaStart)(r).Fire()
 }
 
 // replicaStart is a replica whose write the plane has granted: Fire starts
@@ -713,29 +681,37 @@ func (fs *FileSystem) notifyTiers(f *File) {
 // cacheFile asynchronously adds one memory replica per block on a node that
 // already holds an HDD replica (HDFS centralized cache semantics). Blocks
 // that do not fit, or whose write fails, are silently skipped; cached
-// replicas are never evicted.
+// replicas are never evicted. A file's fills share one plan; each starts
+// once reserved and materialized, so the next block's device pick sees it.
 func (fs *FileSystem) cacheFile(f *File) {
-	for _, b := range f.blocks {
-		var m blockMove
+	var plan []blockMove
+	for i, b := range f.blocks {
+		var dst Target
 		for _, r := range b.replicas {
 			if r.Media() != storage.HDD {
 				continue
 			}
 			if d := r.node.PickDevice(storage.Memory, b.size); d != nil {
-				m = blockMove{block: b, dst: Target{Node: r.node, Device: d}}
+				dst = Target{Node: r.node, Device: d}
 				break
 			}
 		}
-		if m.dst.Device == nil || m.dst.Device.Reserve(b.size) != nil {
+		if dst.Device == nil || dst.Device.Reserve(b.size) != nil {
 			continue
 		}
-		if fs.materialize([]blockMove{m}, storage.ClassMove) != nil {
+		if plan == nil {
+			plan = make([]blockMove, 0, len(f.blocks)-i)
+		}
+		plan = append(plan, blockMove{block: b, dst: dst})
+		if fs.materialize(plan[len(plan)-1:], storage.ClassMove) != nil {
+			plan = plan[:len(plan)-1]
 			continue
 		}
-		r := fs.addReplica(nil, b, m.dst)
-		r.isCache = true
+		m := &plan[len(plan)-1]
+		m.added = fs.addReplica(nil, b, dst)
+		m.added.isCache = true
 		fs.stats.BytesUpgradedTo[storage.Memory] += b.size
-		fs.stream(&m, storage.ClassMove, r.settle)
+		fs.stream(m)
 	}
 }
 
@@ -764,17 +740,15 @@ type ReadResult struct {
 
 // ReadBlock reads one block from the best available replica: the highest
 // tier on the reading node, falling back to the highest tier anywhere
-// (remote read). done fires when the transfer completes.
+// (remote read). done fires once the transfer completes and the read's
+// client-rate floor has passed.
 func (fs *FileSystem) ReadBlock(b *Block, at *cluster.Node, done func(ReadResult, error)) {
-	finish := func(res ReadResult, err error) {
-		if done != nil {
-			done(res, err)
-		}
-	}
 	r := fs.pickReadReplica(b, at)
 	if r == nil {
 		fs.engine.Schedule(0, func() {
-			finish(ReadResult{}, fmt.Errorf("%w: block %d has no readable replica", ErrNoReplica, b.id))
+			if done != nil {
+				done(ReadResult{}, fmt.Errorf("%w: block %d has no readable replica", ErrNoReplica, b.id))
+			}
 		})
 		return
 	}
@@ -788,9 +762,36 @@ func (fs *FileSystem) ReadBlock(b *Block, at *cluster.Node, done func(ReadResult
 	// backend's stats; the virtual read still completes — serving decisions
 	// must not depend on the backend).
 	_ = fs.backendRead(r.device, storage.ClassServe, b.id, b.size)
-	barrier := fs.finishAfter(1, fs.clientFloor(fs.engine.Now(), b.size), func() { finish(res, nil) })
-	fs.startTransfer(r.device, storage.Read, storage.ClassServe, b.size, sim.Func(barrier))
+	rd := &blockRead{fs: fs, dev: r.device, size: b.size, floor: fs.clientFloor(fs.engine.Now(), b.size), res: res, done: done}
+	fs.startTransfer(rd.dev, storage.Read, storage.ClassServe, b.size, (*readStart)(rd), rd)
 }
+
+// blockRead is one block read in flight.
+type blockRead struct {
+	fs    *FileSystem
+	dev   *storage.Device
+	size  int64
+	floor time.Time
+	res   ReadResult
+	done  func(ReadResult, error)
+}
+
+// Fire implements sim.Handler: the read's transfer is done. A read whose
+// client-rate floor is still ahead fires again at the floor.
+func (rd *blockRead) Fire() {
+	if e := rd.fs.engine; e.Now().Before(rd.floor) {
+		e.ScheduleHandlerAt(rd.floor, rd)
+		return
+	}
+	if rd.done != nil {
+		rd.done(rd.res, nil)
+	}
+}
+
+// readStart is a block read whose transfer the plane has granted.
+type readStart blockRead
+
+func (s *readStart) Fire() { s.dev.Start(storage.Read, s.size, (*blockRead)(s)) }
 
 // pickReadReplica returns the replica that a task running on `at` would
 // read: local replicas first (highest tier), then remote (highest tier,

@@ -1,7 +1,8 @@
 package dfs
 
 import (
-	"octostore/internal/sim"
+	"slices"
+
 	"octostore/internal/storage"
 )
 
@@ -15,15 +16,31 @@ import (
 // tiers, a client write's replica, a cache fill, or an attached file's
 // replica. Every path that creates a replica reserves dst, then runs the
 // plan through the same helpers: materialize (the backend I/O, unwound as a
-// whole on an error), stream (the virtual transfer legs) and, for a new
-// replica, addReplica and settle.
+// whole on an error), startTransfer (the virtual transfer legs) and, for a
+// new replica, addReplica and settle. A relocation, a copy or a cache fill
+// is the handler of its own legs (see stream).
 type blockMove struct {
 	block *Block
 	src   *Replica // nil for a client write, a cache fill or an attach
 	dst   Target
+	added *Replica  // a copy's or cache fill's new replica; nil for a relocation
+	plan  *movePlan // nil for a cache fill, which no one waits for
+	legs  int8      // transfer legs still running
 	// dstGone is set when the destination node leaves the cluster while a
 	// relocation is in flight; the commit then keeps the replica at the source.
 	dstGone bool
+}
+
+// movePlan is a move or a copy of a file's blocks to tier `to`, and the
+// operation's one allocation: a single-block file's move stays inline.
+type movePlan struct {
+	fs      *FileSystem
+	moves   []blockMove
+	first   [1]blockMove
+	to      storage.Media
+	pending int   // blocks not yet landed
+	outcome error // ErrNodeGone once a relocation stayed at its source
+	done    func(error)
 }
 
 // materialize does the physical I/O of every planned move, whose
@@ -65,24 +82,80 @@ func (fs *FileSystem) unwind(plan []blockMove, written int, class storage.IOClas
 	}
 }
 
-// stream starts a planned move's virtual transfer through the data plane:
-// the source read leg (when there is a source) before the destination write
-// leg. The two proceed concurrently; done runs once both have finished.
-func (fs *FileSystem) stream(m *blockMove, class storage.IOClass, done func()) {
-	size := m.block.size
-	if m.src == nil {
-		fs.startTransfer(m.dst.Device, storage.Write, class, size, sim.Func(done))
+// stream starts a planned move's virtual transfer through the data plane as
+// ClassMove I/O, so movement draws bandwidth from the shared physical-device
+// channels: the source read leg (when there is a source) before the
+// destination write leg. The two proceed concurrently; the block lands once
+// both have finished (see moveLeg).
+func (fs *FileSystem) stream(m *blockMove) {
+	m.legs = 1
+	if m.src != nil {
+		m.legs = 2
+		fs.startTransfer(m.src.device, storage.Read, storage.ClassMove, m.block.size, (*readLegStart)(m), (*moveLeg)(m))
+	}
+	fs.startTransfer(m.dst.Device, storage.Write, storage.ClassMove, m.block.size, (*writeLegStart)(m), (*moveLeg)(m))
+}
+
+// readLegStart and writeLegStart are a planned move whose source read or
+// destination write the plane has granted: Fire starts the leg.
+type readLegStart blockMove
+type writeLegStart blockMove
+
+func (s *readLegStart) Fire()  { s.src.device.Start(storage.Read, s.block.size, (*moveLeg)(s)) }
+func (s *writeLegStart) Fire() { s.dst.Device.Start(storage.Write, s.block.size, (*moveLeg)(s)) }
+
+// moveLeg is a planned move one of whose transfer legs finished.
+type moveLeg blockMove
+
+// Fire implements sim.Handler: the block's last leg lands it. A new replica
+// settles (one torn down meanwhile stays as it is), a relocation commits,
+// and the last block of a plan tells the listeners that data reached the
+// tier and calls done with the plan's outcome.
+func (leg *moveLeg) Fire() {
+	m := (*blockMove)(leg)
+	if m.legs--; m.legs > 0 {
 		return
 	}
-	pending := 2
-	step := sim.Func(func() {
-		pending--
-		if pending == 0 {
-			done()
+	p := m.plan
+	switch {
+	case m.added != nil:
+		m.added.settle()
+	case !p.fs.commitMove(m):
+		p.outcome = ErrNodeGone
+	}
+	if p == nil {
+		return
+	}
+	if p.pending--; p.pending > 0 {
+		return
+	}
+	for _, l := range p.fs.listeners {
+		l.TierDataAdded(p.to)
+	}
+	if p.done != nil {
+		p.done(p.outcome)
+	}
+}
+
+// run starts every block of a planned move or copy, counting its bytes into
+// arrived[to]; done (optional) fires once the last has landed. A relocation
+// marks its source moving; a copy adds its new replica, which node loss may
+// tear down mid-copy (settle leaves it so).
+func (p *movePlan) run(relocate bool, arrived *[3]int64, done func(error)) {
+	fs := p.fs
+	p.done, p.pending = done, len(p.moves)
+	for i := range p.moves {
+		m := &p.moves[i]
+		if relocate {
+			m.src.state = ReplicaMoving
+			fs.moves[m] = true
+			fs.pendingMoveBytes += m.block.size
+		} else {
+			m.added = fs.addReplica(nil, m.block, m.dst)
 		}
-	})
-	fs.startTransfer(m.src.device, storage.Read, class, size, step)
-	fs.startTransfer(m.dst.Device, storage.Write, class, size, step)
+		arrived[p.to] += m.block.size
+		fs.stream(m)
+	}
 }
 
 // addReplica links a new replica on dst into b, still creating, and counts
@@ -99,26 +172,32 @@ func (fs *FileSystem) addReplica(slot *Replica, b *Block, dst Target) *Replica {
 	return r
 }
 
-// planTransfers is the synchronous half of a move or copy to tier `to`. For
-// every block source yields a replica for (nil skips the block) it picks and
-// reserves a destination device; then it materializes the plan while the
-// whole plan can still unwind: a backend failure surfaces here as a
-// synchronous error, which the movement executor counts as a failed move and
-// the policy retries on a later sweep. Any error leaves the system
-// unchanged. Every error is a MoveError (the caller's provenance record
-// names the file and the tiers); what a device or the backend said stays
-// reachable through errors.Is.
-func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Block) (*Replica, error)) ([]blockMove, error) {
-	plan := make([]blockMove, 0, len(f.blocks))
-	rollback := func() {
-		for _, m := range plan {
-			m.dst.Device.Release(m.block.size)
-		}
+// planTransfers is the synchronous half of a move or copy to tier `to`. It
+// refuses a deleted file (ErrSuperseded) and one still being written or with
+// replicas in transition (ErrBusy). For every block source yields a replica
+// for (nil skips the block) it picks and reserves a destination device;
+// then it materializes the plan while the whole plan can still unwind: a
+// backend failure surfaces here as a synchronous error, which the movement
+// executor counts as a failed move and the policy retries on a later sweep.
+// Any error leaves the system unchanged. Every error is a MoveError (the
+// caller's provenance record names the file and the tiers); what a device
+// or the backend said stays reachable through errors.Is.
+func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Block) (*Replica, error)) (*movePlan, error) {
+	if f.deleted {
+		return nil, ErrSuperseded
+	}
+	if f.creating || fs.inTransition(f) {
+		return nil, ErrBusy
+	}
+	p := &movePlan{fs: fs, to: to}
+	p.moves = p.first[:0]
+	if len(f.blocks) > len(p.first) {
+		p.moves = make([]blockMove, 0, len(f.blocks))
 	}
 	for _, b := range f.blocks {
 		src, err := source(b)
 		if err != nil {
-			rollback()
+			fs.unwind(p.moves, 0, storage.ClassMove)
 			return nil, err
 		}
 		if src == nil {
@@ -126,19 +205,19 @@ func (fs *FileSystem) planTransfers(f *File, to storage.Media, source func(*Bloc
 		}
 		dst := fs.pickMoveTarget(b, src, to)
 		if dst.Device == nil {
-			rollback()
+			fs.unwind(p.moves, 0, storage.ClassMove)
 			return nil, ErrNoCapacity
 		}
 		if err := dst.Device.Reserve(b.size); err != nil {
-			rollback()
+			fs.unwind(p.moves, 0, storage.ClassMove)
 			return nil, &MoveError{Reason: ReasonBudget, msg: "dfs: reserving transfer target", cause: err}
 		}
-		plan = append(plan, blockMove{block: b, src: src, dst: dst})
+		p.moves = append(p.moves, blockMove{block: b, src: src, dst: dst, plan: p})
 	}
-	if err := fs.materialize(plan, storage.ClassMove); err != nil {
+	if err := fs.materialize(p.moves, storage.ClassMove); err != nil {
 		return nil, &MoveError{Reason: ReasonBackend, msg: "dfs: block copy", cause: err}
 	}
-	return plan, nil
+	return p, nil
 }
 
 // MoveFileReplicas relocates, for every block of f, the replica on tier
@@ -155,10 +234,7 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 	if from == to {
 		return ErrSameTier
 	}
-	if f.creating || fs.inTransition(f) {
-		return ErrBusy
-	}
-	moves, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
+	p, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
 		if src := b.ReplicaOn(from); src != nil {
 			return src, nil
 		}
@@ -167,37 +243,11 @@ func (fs *FileSystem) MoveFileReplicas(f *File, from, to storage.Media, done fun
 	if err != nil {
 		return err
 	}
-	upgrade := to.Higher(from)
-	var outcome error
-	barrier := fs.finishAfter(len(moves), fs.engine.Now(), func() {
-		for _, l := range fs.listeners {
-			l.TierDataAdded(to)
-		}
-		if done != nil {
-			done(outcome)
-		}
-	})
-	for i := range moves {
-		m := &moves[i]
-		m.src.state = ReplicaMoving
-		fs.moves[m] = true
-		fs.pendingMoveBytes += m.block.size
-		if upgrade {
-			fs.stats.BytesUpgradedTo[to] += m.block.size
-		} else {
-			fs.stats.BytesDowngradedTo[to] += m.block.size
-		}
-		// Both legs go through the data plane (ClassMove), so movement
-		// draws bandwidth from the shared physical-device channels: a
-		// channel another shard (or the serve path) has booked pushes the
-		// leg's start out, and the move commits later.
-		fs.stream(m, storage.ClassMove, func() {
-			if !fs.commitMove(m) {
-				outcome = ErrNodeGone
-			}
-			barrier()
-		})
+	arrived := &fs.stats.BytesDowngradedTo
+	if to.Higher(from) {
+		arrived = &fs.stats.BytesUpgradedTo
 	}
+	p.run(true, arrived, done)
 	return nil
 }
 
@@ -207,7 +257,7 @@ func (fs *FileSystem) commitMove(m *blockMove) bool {
 	delete(fs.moves, m)
 	size := m.block.size
 	switch {
-	case !m.block.hasReplica(m.src):
+	case !slices.Contains(m.block.replicas, m.src):
 		// The source replica vanished mid-transfer (its node left the
 		// cluster): there is nothing to commit. Free the destination
 		// reservation unless that node is gone too, and drop the
@@ -250,17 +300,13 @@ func (fs *FileSystem) pickMoveTarget(b *Block, src *Replica, to storage.Media) T
 	if d := src.node.PickDevice(to, b.size); d != nil {
 		return Target{Node: src.node, Device: d}
 	}
-	holders := make(map[int]bool, len(b.replicas))
-	for _, r := range b.replicas {
-		holders[r.node.ID()] = true
-	}
 	var fallback Target
 	for _, n := range fs.cluster.Nodes() {
 		d := n.PickDevice(to, b.size)
 		if d == nil {
 			continue
 		}
-		if !holders[n.ID()] {
+		if !slices.ContainsFunc(b.replicas, func(r *Replica) bool { return r.node.ID() == n.ID() }) {
 			return Target{Node: n, Device: d}
 		}
 		if fallback.Device == nil {
@@ -276,13 +322,7 @@ func (fs *FileSystem) pickMoveTarget(b *Block, src *Replica, to storage.Media) T
 // done fires on the next event. Copying to a higher tier is the "create a
 // new file replica" form of upgrade (Definition 2).
 func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(error)) error {
-	if f.deleted {
-		return ErrSuperseded
-	}
-	if f.creating || fs.inTransition(f) {
-		return ErrBusy
-	}
-	plans, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
+	p, err := fs.planTransfers(f, to, func(b *Block) (*Replica, error) {
 		if b.ReplicaOn(to) != nil {
 			return nil, nil
 		}
@@ -294,7 +334,7 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 	if err != nil {
 		return err
 	}
-	if len(plans) == 0 {
+	if len(p.moves) == 0 {
 		fs.engine.Schedule(0, func() {
 			if done != nil {
 				done(nil)
@@ -302,24 +342,7 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 		})
 		return nil
 	}
-	barrier := fs.finishAfter(len(plans), fs.engine.Now(), func() {
-		for _, l := range fs.listeners {
-			l.TierDataAdded(to)
-		}
-		if done != nil {
-			done(nil)
-		}
-	})
-	for i := range plans {
-		r := fs.addReplica(nil, plans[i].block, plans[i].dst)
-		fs.stats.BytesUpgradedTo[to] += plans[i].block.size
-		// The replica may be torn down mid-copy (file delete is blocked by
-		// inTransition, but node loss is not); settle leaves it so.
-		fs.stream(&plans[i], storage.ClassMove, func() {
-			r.settle()
-			barrier()
-		})
-	}
+	p.run(false, &fs.stats.BytesUpgradedTo, done)
 	return nil
 }
 
@@ -351,7 +374,7 @@ func (fs *FileSystem) DeleteFileReplicas(f *File, from storage.Media) error {
 		fs.backendDelete(r.device, storage.ClassMove, r.block.id, r.block.size)
 		fs.liveBytes -= r.block.size
 		r.block.noteUnreadable(r, media)
-		r.block.removeReplica(r)
+		r.block.replicas = slices.DeleteFunc(r.block.replicas, func(o *Replica) bool { return o == r })
 		fs.stats.ReplicasDeleted++
 	}
 	return nil

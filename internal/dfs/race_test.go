@@ -1,0 +1,7 @@
+//go:build race
+
+package dfs
+
+// raceEnabled reports a -race build, whose instrumentation changes what
+// allocates.
+const raceEnabled = true
