@@ -19,6 +19,13 @@ const moveCycleAllocs = 2
 // the caller's done, the result and the client-rate floor.
 const readAllocs = 1
 
+// migrateAllocs is what one SnapshotFile + DetachFile + AttachFile round
+// trip of a one-block file allocates: the record's layout slice and its one
+// array each of replica media and cache flags, the attach's block and plan
+// slices, the attached file's fileObj, and the three objects of the
+// not-found error the attach's Namespace.Exists check builds and drops.
+const migrateAllocs = 9
+
 // transferWorld is a one-block file written on a 3-worker file system whose
 // devices share a ContendedPlane, so every transfer leg starts after a plane
 // grant. moveCycle moves the file's replica from HDD to memory and back,
@@ -92,6 +99,47 @@ func TestTransferAllocs(t *testing.T) {
 		if allocs > c.want {
 			t.Errorf("%s allocates %v objects, want at most %v", c.name, allocs, c.want)
 		}
+	}
+}
+
+// TestMigrateAllocs holds a one-block migration round trip between two
+// file systems sharing a ContendedPlane, the way two shards do, to
+// migrateAllocs.
+func TestMigrateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	plane := storage.NewContendedPlane(storage.PlaneConfig{})
+	world := func() (*sim.Engine, *FileSystem) {
+		e := sim.NewEngine()
+		c := cluster.MustNew(e, cluster.Config{
+			Workers: 3, SlotsPerNode: 2, Spec: storage.SmallWorkerSpec(), Plane: plane,
+		})
+		return e, MustNew(c, Config{Mode: ModeOctopus, BlockSize: 16 * storage.MB, Seed: 7})
+	}
+	e, from := world()
+	_, to := world()
+	const path = "/alloc/migrate"
+	createFile(t, e, from, path, 16*storage.MB)
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		rec, e := from.SnapshotFile(path)
+		if e == nil {
+			e = from.DetachFile(path)
+		}
+		if e == nil {
+			e = to.AttachFile(rec)
+		}
+		if e != nil && err == nil {
+			err = e
+		}
+		from, to = to, from
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > migrateAllocs {
+		t.Errorf("a migration round trip allocates %v objects, want at most %v", allocs, migrateAllocs)
 	}
 }
 

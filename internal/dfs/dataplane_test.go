@@ -70,7 +70,7 @@ func TestMovePaysSharedChannelBacklog(t *testing.T) {
 			for _, n := range fs.Cluster().Nodes() {
 				for _, d := range n.Devices(storage.Memory) {
 					plane.Serve(storage.IORequest{
-						DeviceID: d.ID(), Media: storage.Memory, Dir: storage.Write,
+						Device: d, Dir: storage.Write,
 						Class: storage.ClassMove, Bytes: int64(3000e6), At: e.Now(),
 					})
 				}

@@ -102,11 +102,6 @@ type Stats struct {
 	ReplicasDeleted   int64
 }
 
-// TotalBytesRead sums reads across media.
-func (s *Stats) TotalBytesRead() int64 {
-	return s.BytesRead[0] + s.BytesRead[1] + s.BytesRead[2]
-}
-
 // FileSystem is the Master-side state of the tiered DFS plus the client
 // API. It is single-threaded on top of the simulation engine.
 type FileSystem struct {
@@ -284,14 +279,12 @@ func (fs *FileSystem) chargePlane(dev *storage.Device, dir storage.Direction, cl
 		return storage.IOGrant{}
 	}
 	return fs.plane.Serve(storage.IORequest{
-		DeviceID: dev.ID(),
-		Device:   dev,
-		Media:    dev.Media(),
-		Dir:      dir,
-		Class:    class,
-		Tenant:   fs.activeTenant,
-		Bytes:    bytes,
-		At:       fs.engine.Now(),
+		Device: dev,
+		Dir:    dir,
+		Class:  class,
+		Tenant: fs.activeTenant,
+		Bytes:  bytes,
+		At:     fs.engine.Now(),
 	})
 }
 
@@ -325,9 +318,6 @@ func (fs *FileSystem) Cluster() *cluster.Cluster { return fs.cluster }
 
 // Namespace exposes the FS directory.
 func (fs *FileSystem) Namespace() *Namespace { return fs.ns }
-
-// Mode returns the configured mode.
-func (fs *FileSystem) Mode() Mode { return fs.cfg.Mode }
 
 // BlockSize returns the configured block size.
 func (fs *FileSystem) BlockSize() int64 { return fs.cfg.BlockSize }

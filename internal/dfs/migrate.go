@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"octostore/internal/cluster"
@@ -89,15 +90,22 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 		Size:        f.size,
 		Created:     f.Created(),
 		Replication: int32(f.replication),
-		Blocks:      make([]BlockLayout, 0, len(f.blocks)),
+		Blocks:      make([]BlockLayout, len(f.blocks)),
 	}
+	// Every block's Media and Cache are windows on one array each.
+	n := 0
 	for _, b := range f.blocks {
-		bl := BlockLayout{Size: b.size}
-		for _, r := range b.replicas {
-			bl.Media = append(bl.Media, r.Media())
-			bl.Cache = append(bl.Cache, r.isCache)
+		n += len(b.replicas)
+	}
+	media, cache := make([]storage.Media, n), make([]bool, n)
+	for i, b := range f.blocks {
+		k := len(b.replicas)
+		bl := BlockLayout{Size: b.size, Media: media[:k:k], Cache: cache[:k:k]}
+		for ri, r := range b.replicas {
+			bl.Media[ri], bl.Cache[ri] = r.Media(), r.isCache
 		}
-		rec.Blocks = append(rec.Blocks, bl)
+		rec.Blocks[i] = bl
+		media, cache = media[k:], cache[k:]
 	}
 	return rec, nil
 }
@@ -112,53 +120,27 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 // layout takes SnapshotFile first.
 func (fs *FileSystem) DetachFile(path string) error { return fs.remove(path, storage.ClassMove) }
 
-// planAttach chooses a device for every replica in the record, preferring
-// distinct nodes per block, without mutating anything. The rotation starts
-// at a position derived from the next file id — deterministic, and unlike a
-// placement-rng draw it leaves the file system's rng stream untouched, so
-// subsequent client creates place identically whether or not a migration
-// happened.
-func (fs *FileSystem) planAttach(rec FileRecord) ([][]Target, error) {
-	nodes := fs.cluster.Nodes()
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("%w: no nodes", ErrNoCapacity)
-	}
-	planned := make(map[*storage.Device]int64)
-	plan := make([][]Target, len(rec.Blocks))
-	start := int(fs.nextFileID) % len(nodes)
-	for bi, bl := range rec.Blocks {
-		used := make(map[*cluster.Node]bool, len(bl.Media))
-		for _, m := range bl.Media {
-			var slot Target
-			// First pass insists on a fresh node for the block; second pass
-			// accepts any node with room (mirrors placement's fallback when
-			// the cluster is narrower than the replication factor).
-			for pass := 0; pass < 2 && slot.Device == nil; pass++ {
-				for off := 0; off < len(nodes); off++ {
-					n := nodes[(start+bi+off)%len(nodes)]
-					if pass == 0 && used[n] {
-						continue
-					}
-					for _, d := range n.Devices(m) {
-						if d.Free()-planned[d] >= bl.Size {
-							slot = Target{Node: n, Device: d}
-							break
-						}
-					}
-					if slot.Device != nil {
-						break
-					}
+// attachTarget picks the device for one replica of an attached block: on
+// the nodes in rotation from position first, the first device of media m
+// with room. A first pass insists on a node holding none of the block's
+// replicas placed so far; a second accepts any node with room (mirrors
+// placement's fallback when the cluster is narrower than the replication
+// factor). A zero Target means no node has room.
+func attachTarget(nodes []*cluster.Node, first int, m storage.Media, size int64, placed []blockMove) Target {
+	for pass := 0; pass < 2; pass++ {
+		for off := range nodes {
+			n := nodes[(first+off)%len(nodes)]
+			if pass == 0 && slices.ContainsFunc(placed, func(p blockMove) bool { return p.dst.Node == n }) {
+				continue
+			}
+			for _, d := range n.Devices(m) {
+				if d.Free() >= size {
+					return Target{Node: n, Device: d}
 				}
 			}
-			if slot.Device == nil {
-				return nil, fmt.Errorf("%w: %d bytes on %s tier for %q", ErrNoCapacity, bl.Size, m, rec.Path)
-			}
-			planned[slot.Device] += bl.Size
-			used[slot.Node] = true
-			plan[bi] = append(plan[bi], slot)
 		}
 	}
-	return plan, nil
+	return Target{}
 }
 
 // AttachFile recreates a detached file on this file system: the recorded
@@ -168,13 +150,19 @@ func (fs *FileSystem) planAttach(rec FileRecord) ([][]Target, error) {
 // (ErrNoCapacity when a tier lacks room, ErrExists when the path is taken —
 // a client recreated it mid-migration). The arriving bytes are charged as
 // ClassMove writes against the chosen devices.
+//
+// Each replica is reserved as it is placed (attachTarget), preferring
+// distinct nodes per block. The node rotation starts at a position derived
+// from the next file id — deterministic, and unlike a placement-rng draw it
+// leaves the file system's rng stream untouched, so subsequent client
+// creates place identically whether or not a migration happened.
 func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	if fs.ns.Exists(rec.Path) {
 		return fmt.Errorf("%w: %q", ErrExists, rec.Path)
 	}
-	targets, err := fs.planAttach(rec)
-	if err != nil {
-		return err
+	nodes := fs.cluster.Nodes()
+	if len(nodes) == 0 {
+		return fmt.Errorf("%w: no nodes", ErrNoCapacity)
 	}
 	// Reserve and materialize the physical replicas before any metadata
 	// mutates, through the write path every replica takes. newFile assigns
@@ -185,15 +173,26 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	// between shards: the destination regenerates the synthetic block
 	// bytes, the physical analogue of the copy-then-detach protocol's
 	// destination write.)
+	replicas := 0
+	for _, bl := range rec.Blocks {
+		replicas += len(bl.Media)
+	}
 	blocks := make([]Block, len(rec.Blocks))
-	var plan []blockMove
+	plan := make([]blockMove, 0, replicas)
+	start := int(fs.nextFileID) % len(nodes)
 	for bi, bl := range rec.Blocks {
 		blocks[bi] = Block{id: fs.nextBlockID + int64(bi), size: bl.Size}
-		for _, dst := range targets[bi] {
+		first := len(plan)
+		for _, m := range bl.Media {
+			dst := attachTarget(nodes, start+bi, m, bl.Size, plan[first:])
+			if dst.Device == nil {
+				fs.unwind(plan, 0, storage.ClassMove)
+				return fmt.Errorf("%w: %d bytes on %s tier for %q", ErrNoCapacity, bl.Size, m, rec.Path)
+			}
 			if err := dst.Device.Reserve(bl.Size); err != nil {
-				// planAttach checked free space; single-threaded, so this is
-				// a genuine bug, same contract as writeBlock.
-				panic(fmt.Sprintf("dfs: attach reservation failed after planning: %v", err))
+				// attachTarget checked free space; single-threaded, so this
+				// is a genuine bug, same contract as writeBlock.
+				panic(fmt.Sprintf("dfs: attach reservation failed after placement: %v", err))
 			}
 			plan = append(plan, blockMove{block: &blocks[bi], dst: dst})
 		}
@@ -209,20 +208,22 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	// Residency flips during the rebuild are suppressed exactly like the
 	// create path: FileCreated carries the full starting residency.
 	f.creating = true
+	next := plan
 	for bi, bl := range rec.Blocks {
 		b := f.blocks[bi]
 		b.size = bl.Size
 		initial := slots.block(bi)
-		for ri, dst := range targets[bi] {
+		for ri, m := range next[:len(bl.Media)] {
 			var slot *Replica
 			if ri < len(initial) {
 				slot = &initial[ri]
 			}
-			r := fs.addReplica(slot, b, dst)
+			r := fs.addReplica(slot, b, m.dst)
 			r.isCache = bl.Cache[ri]
 			r.settle()
-			fs.chargePlane(dst.Device, storage.Write, storage.ClassMove, bl.Size)
+			fs.chargePlane(m.dst.Device, storage.Write, storage.ClassMove, bl.Size)
 		}
+		next = next[len(bl.Media):]
 	}
 	f.creating = false
 	for _, l := range fs.listeners {

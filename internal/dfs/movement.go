@@ -132,18 +132,21 @@ func (leg *moveLeg) Fire() {
 	for _, l := range p.fs.listeners {
 		l.TierDataAdded(p.to)
 	}
-	if p.done != nil {
-		p.done(p.outcome)
-	}
+	p.Fire()
 }
 
 // run starts every block of a planned move or copy, counting its bytes into
 // arrived[to]; done (optional) fires once the last has landed. A relocation
 // marks its source moving; a copy adds its new replica, which node loss may
-// tear down mid-copy (settle leaves it so).
+// tear down mid-copy (settle leaves it so). An empty plan moves no data: it
+// completes on the next event (Fire) without telling the listeners.
 func (p *movePlan) run(relocate bool, arrived *[3]int64, done func(error)) {
 	fs := p.fs
 	p.done, p.pending = done, len(p.moves)
+	if p.pending == 0 {
+		fs.engine.ScheduleHandler(0, p)
+		return
+	}
 	for i := range p.moves {
 		m := &p.moves[i]
 		if relocate {
@@ -155,6 +158,14 @@ func (p *movePlan) run(relocate bool, arrived *[3]int64, done func(error)) {
 		}
 		arrived[p.to] += m.block.size
 		fs.stream(m)
+	}
+}
+
+// Fire implements sim.Handler: the plan completes, calling done with its
+// outcome. The last landed block calls it; an empty plan schedules it.
+func (p *movePlan) Fire() {
+	if p.done != nil {
+		p.done(p.outcome)
 	}
 }
 
@@ -333,14 +344,6 @@ func (fs *FileSystem) CopyFileReplicas(f *File, to storage.Media, done func(erro
 	})
 	if err != nil {
 		return err
-	}
-	if len(p.moves) == 0 {
-		fs.engine.Schedule(0, func() {
-			if done != nil {
-				done(nil)
-			}
-		})
-		return nil
 	}
 	p.run(false, &fs.stats.BytesUpgradedTo, done)
 	return nil

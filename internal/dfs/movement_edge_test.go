@@ -184,3 +184,39 @@ func TestMoveCommitsUnderNodeLossSrc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptyMoveCompletes: a file with no blocks has nothing to move or copy;
+// either call still calls done exactly once, with nil, on the next event,
+// and tells no listener that data reached the tier.
+func TestEmptyMoveCompletes(t *testing.T) {
+	e, fs := testFS(t, ModeOctopus)
+	f := createFile(t, e, fs, "/empty", 0)
+	if n := len(f.Blocks()); n != 0 {
+		t.Fatalf("precondition: zero-size file has %d blocks", n)
+	}
+	rec := &recordingListener{}
+	fs.AddListener(rec)
+	for _, op := range []struct {
+		name string
+		run  func(done func(error)) error
+	}{
+		{"move", func(done func(error)) error { return fs.MoveFileReplicas(f, storage.Memory, storage.SSD, done) }},
+		{"copy", func(done func(error)) error { return fs.CopyFileReplicas(f, storage.SSD, done) }},
+	} {
+		calls := 0
+		var got error
+		if err := op.run(func(err error) { calls, got = calls+1, err }); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if calls != 0 {
+			t.Fatalf("%s: done called before the next event", op.name)
+		}
+		e.Run()
+		if calls != 1 || got != nil {
+			t.Fatalf("%s: done called %d times, last with %v; want once with nil", op.name, calls, got)
+		}
+	}
+	if rec.tierAdds != 0 {
+		t.Fatalf("TierDataAdded fired %d times for no data", rec.tierAdds)
+	}
+}

@@ -148,8 +148,7 @@ func randomPlacementFS(rng *rand.Rand, workers int, plane *storage.ContendedPlan
 // bookWrite charges a write on d the way dfs does.
 func bookWrite(plane *storage.ContendedPlane, d *storage.Device, bytes int64, at time.Time) {
 	plane.Serve(storage.IORequest{
-		DeviceID: d.ID(), Device: d, Media: d.Media(), Dir: storage.Write,
-		Bytes: bytes, At: at,
+		Device: d, Dir: storage.Write, Bytes: bytes, At: at,
 	})
 }
 

@@ -252,9 +252,6 @@ func NewMovementExecutor(fs *dfs.FileSystem, cfg ExecutorConfig) *MovementExecut
 	return e
 }
 
-// Config returns the resolved configuration.
-func (e *MovementExecutor) Config() ExecutorConfig { return e.cfg }
-
 // setObs attaches the observability hub (nil = disabled). Called by
 // newShard before any request flows.
 func (e *MovementExecutor) setObs(hub *obs.Hub, shard int) {

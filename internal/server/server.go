@@ -890,14 +890,12 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 	if sh.plane != nil && !at.IsZero() {
 		if dev := h.device(tier); dev != nil {
 			g := sh.plane.Serve(storage.IORequest{
-				DeviceID: dev.ID(),
-				Device:   dev,
-				Media:    tier,
-				Dir:      storage.Read,
-				Class:    storage.ClassServe,
-				Tenant:   op.Tenant,
-				Bytes:    h.size,
-				At:       at,
+				Device: dev,
+				Dir:    storage.Read,
+				Class:  storage.ClassServe,
+				Tenant: op.Tenant,
+				Bytes:  h.size,
+				At:     at,
 			})
 			res.Latency, measured = g.Latency(), sh.backend == nil
 			if sp != nil {

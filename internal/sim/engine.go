@@ -325,9 +325,6 @@ func (e *Engine) peekLive() bool {
 // Since returns the virtual duration elapsed since t.
 func (e *Engine) Since(t time.Time) time.Duration { return e.now.Sub(t) }
 
-// Seconds returns the virtual seconds elapsed since the epoch.
-func (e *Engine) Seconds() float64 { return e.now.Sub(Epoch).Seconds() }
-
 // ManualClock is a trivial Clock for unit tests that do not need an event
 // queue. The zero value starts at Epoch.
 type ManualClock struct {

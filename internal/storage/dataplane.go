@@ -24,13 +24,13 @@ import (
 // view: requests are keyed by the device's stable ID (identical across
 // views by construction), so the plane arbitrates the physical channel the
 // same way the cluster.TierLedger arbitrates physical capacity. A device
-// attached to the plane (Attach) carries its channel, and a request naming
-// it skips the id lookup.
+// attached to the plane (Attach) carries its channel, and a request for it
+// skips the id lookup.
 //
 // Timing is virtual-clock based and allocation-free: a device channel is a
 // pair of atomic busy-until horizons (read, write) expressed in nanoseconds
 // since sim.Epoch. A request issued at virtual time t with service time s
-// (per-tier base latency + bytes at nominal bandwidth) is granted
+// (its tier's base latency + bytes at the device's bandwidth) is granted
 // queue = max(0, busyUntil - t), and the horizon advances to
 // t + queue + s — FIFO single-server queueing against the virtual clock,
 // safe to call from any goroutine (shard loops with independent engines,
@@ -78,14 +78,11 @@ func (c IOClass) String() string {
 
 // IORequest describes one I/O issued against a physical device.
 type IORequest struct {
-	// DeviceID is the stable physical identity (Device.ID()); every shard's
-	// view of one physical device carries the same ID.
-	DeviceID string
-	// Device, when set and attached to the serving plane (Attach), names
-	// the channel directly; otherwise the plane looks DeviceID up.
+	// Device is the device the I/O touches; it is required. Its bandwidth
+	// and tier time the request, and its channel is the one it holds when
+	// attached to the serving plane (Attach), otherwise the one registered
+	// under its stable id (Device.ID(), the same in every shard's view).
 	Device *Device
-	// Media is the device's tier, selecting the service-time profile.
-	Media Media
 	// Dir selects the read or write channel of the device.
 	Dir Direction
 	// Class labels the traffic for accounting.
@@ -107,7 +104,7 @@ type IOGrant struct {
 	Queue time.Duration
 	// Base is the per-tier fixed access latency (seek/setup).
 	Base time.Duration
-	// Transfer is Bytes at the tier's nominal bandwidth.
+	// Transfer is Bytes at the device's bandwidth for the direction.
 	Transfer time.Duration
 	// Saturated reports that Queue was clamped at the plane's MaxQueue —
 	// the device backlog window is full and the latency is a floor, not an
@@ -135,30 +132,6 @@ type NopPlane struct{}
 
 // Serve implements DataPlane.
 func (NopPlane) Serve(IORequest) IOGrant { return IOGrant{} }
-
-// TierProfile is the service-time model of one storage tier.
-type TierProfile struct {
-	// BaseLatency is the fixed per-request access cost.
-	BaseLatency time.Duration
-	// ReadBW and WriteBW are the nominal channel bandwidths in bytes/second.
-	ReadBW  float64
-	WriteBW float64
-}
-
-// DefaultTierProfiles takes the bandwidths of the paper media (paperBW)
-// with base latencies in the hardware's characteristic range, so that for
-// any realistic transfer size the tiers order memory < SSD < HDD.
-func DefaultTierProfiles() [3]TierProfile {
-	base := [3]time.Duration{Memory: 50 * time.Microsecond, SSD: 200 * time.Microsecond, HDD: 6 * time.Millisecond}
-	var out [3]TierProfile
-	for m, bw := range paperBW {
-		out[m] = TierProfile{BaseLatency: base[m], ReadBW: bw.read, WriteBW: bw.write}
-	}
-	return out
-}
-
-// planeProfiles is every ContendedPlane's per-tier service-time model.
-var planeProfiles = DefaultTierProfiles()
 
 // PlaneConfig tunes a ContendedPlane.
 type PlaneConfig struct {
@@ -300,9 +273,10 @@ type PlaneStats struct {
 
 // ContendedPlane is the shared-bandwidth DataPlane: one channel pair per
 // physical device, created on first use (or pre-registered by the cluster),
-// with per-tier service profiles. All hot-path state is atomic: the channel
-// map is an immutable snapshot behind an atomic pointer (copy-on-write
-// under a mutex on the rare registration path), so Serve takes no lock.
+// a request timed by its device's bandwidth and its tier's base latency.
+// All hot-path state is atomic: the channel map is an immutable snapshot
+// behind an atomic pointer (copy-on-write under a mutex on the rare
+// registration path), so Serve takes no lock.
 type ContendedPlane struct {
 	cfg PlaneConfig
 
@@ -337,9 +311,6 @@ func NewContendedPlane(cfg PlaneConfig) *ContendedPlane {
 	p.chans.Store(&empty)
 	return p
 }
-
-// Config returns the resolved configuration.
-func (p *ContendedPlane) Config() PlaneConfig { return p.cfg }
 
 // MultiTenant reports whether the plane schedules weighted-fair across
 // configured tenants (≥2 tenants in the config).
@@ -431,12 +402,12 @@ func (p *ContendedPlane) channel(id string) *planeChannel {
 }
 
 // deviceChannel is the channel d holds when it was attached to this plane,
-// and otherwise the channel registered under id.
-func (p *ContendedPlane) deviceChannel(d *Device, id string) *planeChannel {
-	if d != nil && d.plane == p {
+// and otherwise the channel registered under its id.
+func (p *ContendedPlane) deviceChannel(d *Device) *planeChannel {
+	if d.plane == p {
 		return d.ch
 	}
-	return p.channel(id)
+	return p.channel(d.id)
 }
 
 // Serve implements DataPlane: virtual-clock queueing on the device's
@@ -445,18 +416,12 @@ func (p *ContendedPlane) deviceChannel(d *Device, id string) *planeChannel {
 // multi-tenant planes take the channel's fair-state mutex and schedule
 // weighted-fair across backlogged tenants. Safe from any goroutine.
 func (p *ContendedPlane) Serve(req IORequest) IOGrant {
-	if !req.Media.Valid() {
-		return IOGrant{}
-	}
-	prof := planeProfiles[req.Media]
-	bw := prof.ReadBW
-	if req.Dir == Write {
-		bw = prof.WriteBW
-	}
-	transfer := time.Duration(math.Ceil(float64(req.Bytes) / bw * float64(time.Second)))
-	service := prof.BaseLatency + transfer
+	d := req.Device
+	base := paperMedia[d.media].BaseLatency
+	transfer := time.Duration(math.Ceil(float64(req.Bytes) / d.bw[req.Dir] * float64(time.Second)))
+	service := base + transfer
 	now := sim.Nanos(req.At)
-	ch := p.deviceChannel(req.Device, req.DeviceID)
+	ch := p.deviceChannel(d)
 	h := ch.horizon(req.Dir)
 
 	var queue time.Duration
@@ -491,7 +456,7 @@ func (p *ContendedPlane) Serve(req IORequest) IOGrant {
 		}
 	}
 
-	t := &p.tiers[req.Media]
+	t := &p.tiers[d.media]
 	t.requests.Add(1)
 	t.bytes.Add(req.Bytes)
 	if queue > 0 {
@@ -511,7 +476,7 @@ func (p *ContendedPlane) Serve(req IORequest) IOGrant {
 	if saturated {
 		ch.saturated.Add(1)
 	}
-	return IOGrant{Queue: queue, Base: prof.BaseLatency, Transfer: transfer, Saturated: saturated}
+	return IOGrant{Queue: queue, Base: base, Transfer: transfer, Saturated: saturated}
 }
 
 // weight returns the tenant's configured fair share; unlisted tenants run
@@ -709,7 +674,7 @@ func (p *ContendedPlane) Horizon(deviceID string, dir Direction) time.Time {
 // steering and octopus write placement read it to prefer the device whose
 // queue clears first.
 func (p *ContendedPlane) DeviceHorizon(d *Device, dir Direction) int64 {
-	return p.deviceChannel(d, d.id).horizon(dir).Load()
+	return p.deviceChannel(d).horizon(dir).Load()
 }
 
 // PlaneDeviceStats is a point-in-time snapshot of one device channel.

@@ -16,8 +16,11 @@ func twoTenantPlane(maxQueue time.Duration) *ContendedPlane {
 	})
 }
 
+// tenantReq is planeReq tagged with a tenant.
 func tenantReq(dev string, m Media, dir Direction, tenant TenantID, bytes int64, at time.Time) IORequest {
-	return IORequest{DeviceID: dev, Media: m, Dir: dir, Class: ClassServe, Tenant: tenant, Bytes: bytes, At: at}
+	r := planeReq(dev, m, dir, bytes, at)
+	r.Tenant = tenant
+	return r
 }
 
 // TestSingleTenantConfigIsFIFO is the differential anchor of the fair

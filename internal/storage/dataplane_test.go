@@ -9,8 +9,10 @@ import (
 	"octostore/internal/sim"
 )
 
+// planeReq is a request for a fresh, unattached device of media m with id
+// dev: the plane books the channel registered under dev.
 func planeReq(dev string, m Media, dir Direction, bytes int64, at time.Time) IORequest {
-	return IORequest{DeviceID: dev, Media: m, Dir: dir, Class: ClassServe, Bytes: bytes, At: at}
+	return attachedReq(testDevice(dev, m), dir, bytes, at)
 }
 
 func TestNopPlaneZero(t *testing.T) {
@@ -134,16 +136,15 @@ func TestRegisterSharesBacklogAcrossViews(t *testing.T) {
 	}
 }
 
-// attachedReq is planeReq naming the device as well as its id, the way dfs
-// and the serving layer charge.
+// attachedReq is a request for d, the way dfs and the serving layer charge.
 func attachedReq(d *Device, dir Direction, bytes int64, at time.Time) IORequest {
-	r := planeReq(d.ID(), d.Media(), dir, bytes, at)
-	r.Device = d
-	return r
+	return IORequest{Device: d, Dir: dir, Class: ClassServe, Bytes: bytes, At: at}
 }
 
+// testDevice is a device of media m at the paper table's bandwidths.
 func testDevice(id string, m Media) *Device {
-	return NewDevice(sim.NewEngine(), id, m, GB, 100e6, 100e6)
+	prof := DefaultTierProfiles()[m]
+	return NewDevice(sim.NewEngine(), id, m, GB, prof.ReadBW, prof.WriteBW)
 }
 
 // TestAttachedChannelSharedWithID: a request naming an attached device and
@@ -264,9 +265,26 @@ func TestAttachedChannelConcurrentServe(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	one := p.Serve(planeReq("probe", Memory, Read, bytes, at))
+	// The probe has d's media and bandwidths, so its service time is d's.
+	probe := NewDevice(sim.NewEngine(), "probe", d.Media(), GB, d.bw[Read], d.bw[Write])
+	one := p.Serve(attachedReq(probe, Read, bytes, at))
 	total := time.Duration(goroutines*each) * (one.Base + one.Transfer)
 	if got := time.Duration(p.DeviceHorizon(d, Read)); got != total {
 		t.Fatalf("horizon advanced %v, want %v (every request booked exactly once)", got, total)
+	}
+}
+
+// One serve read granted on an attached device, the plane grant a client
+// read pays. It must allocate nothing: the device carries its channel and
+// its bandwidth, and the grant is a value.
+func BenchmarkPlaneServe(b *testing.B) {
+	p := NewContendedPlane(PlaneConfig{})
+	d := testDevice("worker-0/MEM-0", Memory)
+	p.Attach(d)
+	req := attachedReq(d, Read, 64*KB, sim.Epoch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		req.At = req.At.Add(100 * time.Microsecond)
+		p.Serve(req)
 	}
 }

@@ -48,9 +48,12 @@ type Device struct {
 
 	// plane and ch are the data-plane channel the device was first attached
 	// to (ContendedPlane.Attach). They are set before the device is shared
-	// and never change, so any goroutine may read them.
+	// and never change, so any goroutine may read them; bw, the read and
+	// write bandwidth indexed by Direction, is set at construction and
+	// never changes either (the pools' state is the shard loop's).
 	plane *ContendedPlane
 	ch    *planeChannel
+	bw    [2]float64
 
 	read  pool
 	write pool
@@ -79,13 +82,16 @@ func (d *Device) Track(t *Tally) {
 
 // NewDevice creates a device bound to the given engine.
 func NewDevice(engine *sim.Engine, id string, media Media, capacity int64, readBW, writeBW float64) *Device {
+	if !media.Valid() {
+		panic(fmt.Sprintf("storage: invalid media %v", media))
+	}
 	if capacity < 0 {
 		panic(fmt.Sprintf("storage: negative capacity %d", capacity))
 	}
 	if readBW <= 0 || writeBW <= 0 {
 		panic("storage: bandwidths must be positive")
 	}
-	d := &Device{id: id, media: media, capacity: capacity}
+	d := &Device{id: id, media: media, capacity: capacity, bw: [2]float64{Read: readBW, Write: writeBW}}
 	d.read.init(engine, readBW)
 	d.write.init(engine, writeBW)
 	return d

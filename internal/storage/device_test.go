@@ -93,6 +93,17 @@ func TestReleaseTooMuchPanics(t *testing.T) {
 	d.Release(1)
 }
 
+// TestNewDeviceRejectsInvalidMedia: a device's media selects its row of
+// the media table, so NewDevice refuses one outside it.
+func TestNewDeviceRejectsInvalidMedia(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewDevice(sim.NewEngine(), "bad", numMedia, GB, 1, 1)
+}
+
 func TestSingleTransferLatency(t *testing.T) {
 	e := sim.NewEngine()
 	d := newTestDevice(e)

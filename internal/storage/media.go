@@ -8,7 +8,10 @@
 // without touching real disks.
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Byte size units.
 const (
@@ -113,21 +116,36 @@ func (s NodeSpec) TotalCapacity(media Media) int64 {
 	return total
 }
 
-// paperBW is the nominal read and write bandwidth (bytes/second) of the
-// paper media, per tier: the one table every worker spec and the data
-// plane's tier profiles are built from. The values keep the relative tier
-// speeds (mem ≫ SSD ≫ HDD) and the DFSIO throughput shape of Figure 2.
-var paperBW = [numMedia]struct{ read, write float64 }{
-	Memory: {4000e6, 3000e6},
-	SSD:    {500e6, 400e6},
-	HDD:    {160e6, 140e6},
+// TierProfile is the service-time model of one storage tier.
+type TierProfile struct {
+	// BaseLatency is the fixed per-request access cost (seek/setup).
+	BaseLatency time.Duration
+	// ReadBW and WriteBW are the nominal channel bandwidths in bytes/second.
+	ReadBW  float64
+	WriteBW float64
 }
+
+// paperMedia is the one media table: per tier, the base latency and the
+// nominal read and write bandwidth of the paper media. Every worker spec is
+// built from it, and the data plane takes a request's base latency from the
+// row of its device's tier. The bandwidths keep the relative tier speeds
+// (mem ≫ SSD ≫ HDD) and the DFSIO throughput shape of Figure 2; the base
+// latencies sit in the hardware's characteristic range, so that for any
+// realistic transfer size the tiers order memory < SSD < HDD.
+var paperMedia = [numMedia]TierProfile{
+	Memory: {BaseLatency: 50 * time.Microsecond, ReadBW: 4000e6, WriteBW: 3000e6},
+	SSD:    {BaseLatency: 200 * time.Microsecond, ReadBW: 500e6, WriteBW: 400e6},
+	HDD:    {BaseLatency: 6 * time.Millisecond, ReadBW: 160e6, WriteBW: 140e6},
+}
+
+// DefaultTierProfiles returns the paper media table.
+func DefaultTierProfiles() [3]TierProfile { return paperMedia }
 
 // PaperMediaSpec is a worker of the paper media at the given per-device
 // capacities: one memory device, one SSD and hdds HDDs.
 func PaperMediaSpec(memCap, ssdCap, hddCap int64, hdds int) NodeSpec {
 	device := func(m Media, capacity int64, count int) DeviceSpec {
-		return DeviceSpec{Media: m, Capacity: capacity, ReadBW: paperBW[m].read, WriteBW: paperBW[m].write, Count: count}
+		return DeviceSpec{Media: m, Capacity: capacity, ReadBW: paperMedia[m].ReadBW, WriteBW: paperMedia[m].WriteBW, Count: count}
 	}
 	return NodeSpec{device(Memory, memCap, 1), device(SSD, ssdCap, 1), device(HDD, hddCap, hdds)}
 }
