@@ -15,7 +15,7 @@ import (
 // (Section 3.3: "the policies have access to file and node statistics
 // maintained by the system").
 type Context struct {
-	Clock   sim.Clock
+	Clock   *sim.Engine
 	FS      *dfs.FileSystem
 	Tracker *ml.Tracker
 	Cfg     Config

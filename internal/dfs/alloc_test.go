@@ -22,9 +22,9 @@ const readAllocs = 1
 // migrateAllocs is what one SnapshotFile + DetachFile + AttachFile round
 // trip of a one-block file allocates: the record's layout slice and its one
 // array each of replica media and cache flags, the attach's block and plan
-// slices, the attached file's fileObj, and the three objects of the
-// not-found error the attach's Namespace.Exists check builds and drops.
-const migrateAllocs = 9
+// slices and the attached file's fileObj. The path resolutions allocate
+// nothing: the attach's Namespace.Exists miss builds no error.
+const migrateAllocs = 6
 
 // transferWorld is a one-block file written on a 3-worker file system whose
 // devices share a ContendedPlane, so every transfer leg starts after a plane
@@ -140,6 +140,40 @@ func TestMigrateAllocs(t *testing.T) {
 	}
 	if allocs > migrateAllocs {
 		t.Errorf("a migration round trip allocates %v objects, want at most %v", allocs, migrateAllocs)
+	}
+}
+
+// TestNamespaceResolveAllocs holds resolution of canonical paths to zero
+// allocations, misses included: a walk builds no error, so Exists on a
+// missing path (the attach's check) costs no garbage, and neither does a
+// GetFile that finds its file.
+func TestNamespaceResolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ns := NewNamespace()
+	for _, p := range []string{"/data/d0/f0", "/data/d0/f1", "/data/d1/f0"} {
+		if err := ns.insertFile(p, &File{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func() bool
+	}{
+		{"Exists, missing last component", func() bool { return !ns.Exists("/data/d0/f9") }},
+		{"Exists, missing directory", func() bool { return !ns.Exists("/data/d9/f0") }},
+		{"Exists, through a file", func() bool { return !ns.Exists("/data/d0/f0/x") }},
+		{"GetFile, hit", func() bool { f, err := ns.GetFile("/data/d1/f0"); return f != nil && err == nil }},
+	} {
+		ok := true
+		allocs := testing.AllocsPerRun(200, func() { ok = ok && c.op() })
+		if !ok {
+			t.Fatalf("%s: wrong outcome", c.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s allocates %v objects, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -294,9 +294,6 @@ func (fs *FileSystem) chargePlane(dev *storage.Device, dir storage.Direction, cl
 // every other mutation.
 func (fs *FileSystem) SetActiveTenant(t storage.TenantID) { fs.activeTenant = t }
 
-// ActiveTenant returns the tenant currently charged for plane I/O.
-func (fs *FileSystem) ActiveTenant() storage.TenantID { return fs.activeTenant }
-
 // startTransfer begins every transfer leg through the data plane: the
 // start is delayed by the plane's queueing + base-latency grant (cross-shard
 // contention on the physical channel) — start fires then and must start the

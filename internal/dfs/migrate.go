@@ -148,8 +148,9 @@ func attachTarget(nodes []*cluster.Node, first int, m storage.Media, size int64,
 // FileCreated and TierDataAdded fired so the policy stack adopts it. The
 // call either succeeds completely or fails with no side effects
 // (ErrNoCapacity when a tier lacks room, ErrExists when the path is taken —
-// a client recreated it mid-migration). The arriving bytes are charged as
-// ClassMove writes against the chosen devices.
+// a client recreated it mid-migration — and ErrInvalidPath when the record's
+// path does not clean). The arriving bytes are charged as ClassMove writes
+// against the chosen devices.
 //
 // Each replica is reserved as it is placed (attachTarget), preferring
 // distinct nodes per block. The node rotation starts at a position derived
@@ -157,7 +158,11 @@ func attachTarget(nodes []*cluster.Node, first int, m storage.Media, size int64,
 // leaves the file system's rng stream untouched, so subsequent client
 // creates place identically whether or not a migration happened.
 func (fs *FileSystem) AttachFile(rec FileRecord) error {
-	if fs.ns.Exists(rec.Path) {
+	path, err := CleanPath(rec.Path)
+	if err != nil {
+		return err
+	}
+	if fs.ns.Exists(path) {
 		return fmt.Errorf("%w: %q", ErrExists, rec.Path)
 	}
 	nodes := fs.cluster.Nodes()
@@ -200,7 +205,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 	if err := fs.materialize(plan, storage.ClassMove); err != nil {
 		return fmt.Errorf("dfs: attach copy: %w", err)
 	}
-	f, slots, err := fs.newFile(rec.Path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
+	f, slots, err := fs.newFile(path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
 	if err != nil {
 		fs.unwind(plan, len(plan), storage.ClassMove)
 		return err

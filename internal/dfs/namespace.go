@@ -94,193 +94,126 @@ func NewNamespace() *Namespace {
 // FileCount returns the number of files (not directories) in the namespace.
 func (ns *Namespace) FileCount() int { return ns.files }
 
-// splitPath validates and splits an absolute path into components.
-func splitPath(path string) ([]string, error) {
-	if !strings.HasPrefix(path, "/") {
-		return nil, fmt.Errorf("%w: %q is not absolute", ErrInvalidPath, path)
-	}
-	var parts []string
-	for _, p := range strings.Split(path, "/") {
-		switch p {
-		case "", ".":
-			continue
-		case "..":
-			return nil, fmt.Errorf("%w: %q contains '..'", ErrInvalidPath, path)
-		default:
-			parts = append(parts, p)
-		}
-	}
-	return parts, nil
-}
-
-// IsCanonicalPath reports whether the path is already in canonical form:
+// isCanonical reports whether the path is already in canonical form:
 // absolute, no empty, "." or ".." components, and no trailing slash (root
-// excepted). Canonical paths pass through CleanPath unchanged, so callers
-// on hot paths use this as a zero-allocation fast check.
-func IsCanonicalPath(path string) bool {
-	if len(path) == 0 || path[0] != '/' {
-		return false
-	}
+// excepted). Canonical paths pass through CleanPath unchanged.
+func isCanonical(path string) bool {
 	if path == "/" {
 		return true
 	}
-	if path[len(path)-1] == '/' {
+	if !strings.HasPrefix(path, "/") {
 		return false
 	}
-	for i := 1; i < len(path); {
-		j := i
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		comp := path[i:j]
-		if comp == "" || comp == "." || comp == ".." {
+	for rest := path[1:]; ; {
+		name, tail, more := strings.Cut(rest, "/")
+		if name == "" || name == "." || name == ".." {
 			return false
 		}
-		i = j + 1
+		if !more {
+			return true
+		}
+		rest = tail
 	}
-	return true
 }
 
 // CleanPath normalises a path ("/a//b/./c" -> "/a/b/c"). It fails on
 // relative paths and paths containing "..". Already-canonical paths are
 // returned as-is without allocating.
 func CleanPath(path string) (string, error) {
-	if IsCanonicalPath(path) {
+	if isCanonical(path) {
 		return path, nil
 	}
-	parts, err := splitPath(path)
-	if err != nil {
-		return "", err
-	}
-	return "/" + strings.Join(parts, "/"), nil
-}
-
-// lookup resolves a path. For a directory it returns (dir, nil); for a
-// file it returns (containing directory, file). It is the hottest
-// namespace path (every Open/Exists/GetFile goes through it), so it scans
-// components in place instead of splitting the path: substring searches do
-// not allocate, making resolution zero-allocation for valid paths.
-func (ns *Namespace) lookup(path string) (*entry, *File, error) {
 	if !strings.HasPrefix(path, "/") {
-		return nil, nil, fmt.Errorf("%w: %q is not absolute", ErrInvalidPath, path)
+		return "", fmt.Errorf("%w: %q is not absolute", ErrInvalidPath, path)
 	}
-	cur := ns.root
-	for i := 1; i < len(path); {
-		for i < len(path) && path[i] == '/' {
-			i++
-		}
-		if i >= len(path) {
-			break
-		}
-		j := i
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		comp := path[i:j]
-		i = j
-		switch comp {
-		case ".":
-			continue
+	var b strings.Builder
+	for _, p := range strings.Split(path, "/") {
+		switch p {
+		case "", ".":
 		case "..":
-			return nil, nil, fmt.Errorf("%w: %q contains '..'", ErrInvalidPath, path)
+			return "", fmt.Errorf("%w: %q contains '..'", ErrInvalidPath, path)
+		default:
+			b.WriteByte('/')
+			b.WriteString(p)
 		}
-		if sub := cur.findDir(comp); sub != nil {
-			cur = sub
+	}
+	if b.Len() == 0 {
+		return "/", nil
+	}
+	return b.String(), nil
+}
+
+// stop is how a walk ended: on the whole path, or at the component it could
+// not pass. A walk builds no error; the methods that take a path turn a stop
+// into one, spelled with the caller's path, only when they fail.
+type stop uint8
+
+const (
+	found   stop = iota
+	missing      // a component does not exist
+	notDir       // a component before the last is a file
+)
+
+// err is the error a failed walk of path reports.
+func (s stop) err(path string) error {
+	if s == notDir {
+		return fmt.Errorf("%w: %q", ErrNotDirectory, path)
+	}
+	return fmt.Errorf("%w: %q", ErrNotFound, path)
+}
+
+// walk resolves a canonical path component by component, in place: it
+// allocates nothing unless it creates a directory. A path naming a directory
+// returns that directory; one naming a file returns the directory holding
+// it and the file; one whose last component is missing returns the
+// directory that would hold it. With create, a missing component before the
+// last becomes a new directory instead of stopping the walk.
+func (ns *Namespace) walk(path string, create bool) (*entry, *File, stop) {
+	dir := ns.root
+	for rest := path[1:]; rest != ""; {
+		name, tail, more := strings.Cut(rest, "/")
+		rest = tail
+		if sub := dir.findDir(name); sub != nil {
+			dir = sub
 			continue
 		}
-		if f := cur.findFile(comp); f != nil {
-			// A file resolves only as the final component; anything past
-			// it (other than slashes and ".") descends through a non-dir.
-			for i < len(path) {
-				for i < len(path) && path[i] == '/' {
-					i++
-				}
-				j = i
-				for j < len(path) && path[j] != '/' {
-					j++
-				}
-				switch path[i:j] {
-				case "", ".":
-					i = j
-					continue
-				case "..":
-					return nil, nil, fmt.Errorf("%w: %q contains '..'", ErrInvalidPath, path)
-				default:
-					return nil, nil, fmt.Errorf("%w: %q", ErrNotDirectory, path)
-				}
+		if f := dir.findFile(name); f != nil {
+			if more {
+				return nil, nil, notDir
 			}
-			return cur, f, nil
+			return dir, f, found
 		}
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, path)
+		if !more {
+			return dir, nil, missing
+		}
+		if !create {
+			return nil, nil, missing
+		}
+		sub := &entry{name: name}
+		dir.insertDir(sub)
+		dir = sub
 	}
-	return cur, nil, nil
+	return dir, nil, found
 }
 
-// MkdirAll creates the directory and any missing parents, like HDFS mkdirs.
-func (ns *Namespace) MkdirAll(path string) error {
-	parts, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	cur := ns.root
-	for _, p := range parts {
-		if sub := cur.findDir(p); sub != nil {
-			cur = sub
-			continue
-		}
-		if cur.findFile(p) != nil {
-			return fmt.Errorf("%w: %q", ErrNotDirectory, path)
-		}
-		sub := &entry{name: p}
-		cur.insertDir(sub)
-		cur = sub
-	}
-	return nil
-}
-
-// insertFile registers a file at path, creating parent directories. The
-// file's cached path is set to the canonical path, so its name (the last
-// component) shares the path string's backing — no separate name storage
-// per file. The whole insert is a single in-place walk: canonical paths
-// allocate nothing beyond directory growth.
+// insertFile links f at a canonical path, creating missing parent
+// directories, and sets f.path to it, so the file's name (the last
+// component) shares the path's backing: no separate name storage per file.
 func (ns *Namespace) insertFile(path string, f *File) error {
-	if !IsCanonicalPath(path) {
-		clean, err := CleanPath(path)
-		if err != nil {
-			return err
-		}
-		path = clean
-	}
 	if path == "/" {
 		return fmt.Errorf("%w: cannot create file at root", ErrInvalidPath)
 	}
-	f.path = path
-	cur := ns.root
-	for i := 1; ; {
-		j := i
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		comp := path[i:j]
-		if j >= len(path) { // final component: the file's name
-			if cur.findDir(comp) != nil || cur.findFile(comp) != nil {
-				return fmt.Errorf("%w: %q", ErrExists, path)
-			}
-			cur.insertFile(f)
-			ns.files++
-			return nil
-		}
-		if sub := cur.findDir(comp); sub != nil {
-			cur = sub
-		} else if cur.findFile(comp) != nil {
-			return fmt.Errorf("%w: %q", ErrNotDirectory, path)
-		} else {
-			sub = &entry{name: comp}
-			cur.insertDir(sub)
-			cur = sub
-		}
-		i = j + 1
+	dir, _, s := ns.walk(path, true)
+	switch s {
+	case found:
+		return fmt.Errorf("%w: %q", ErrExists, path)
+	case notDir:
+		return s.err(path)
 	}
+	f.path = path
+	dir.insertFile(f)
+	ns.files++
+	return nil
 }
 
 // GetFile resolves a path to a file.
@@ -291,9 +224,13 @@ func (ns *Namespace) GetFile(path string) (*File, error) {
 
 // resolveFile resolves a path to a file and the directory holding it.
 func (ns *Namespace) resolveFile(path string) (*entry, *File, error) {
-	dir, f, err := ns.lookup(path)
+	clean, err := CleanPath(path)
 	if err != nil {
 		return nil, nil, err
+	}
+	dir, f, s := ns.walk(clean, false)
+	if s != found {
+		return nil, nil, s.err(path)
 	}
 	if f == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
@@ -303,14 +240,12 @@ func (ns *Namespace) resolveFile(path string) (*entry, *File, error) {
 
 // Exists reports whether a path resolves to a file or directory.
 func (ns *Namespace) Exists(path string) bool {
-	_, _, err := ns.lookup(path)
-	return err == nil
-}
-
-// IsDir reports whether path exists and is a directory.
-func (ns *Namespace) IsDir(path string) bool {
-	_, f, err := ns.lookup(path)
-	return err == nil && f == nil
+	clean, err := CleanPath(path)
+	if err != nil {
+		return false
+	}
+	_, _, s := ns.walk(clean, false)
+	return s == found
 }
 
 // removeFile unlinks a file entry. The caller is responsible for replica
@@ -330,30 +265,6 @@ func (ns *Namespace) unlink(dir *entry, f *File) {
 	ns.files--
 }
 
-// List returns the sorted child names of a directory.
-func (ns *Namespace) List(path string) ([]string, error) {
-	e, f, err := ns.lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if f != nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotDirectory, path)
-	}
-	names := make([]string, 0, len(e.subdirs)+len(e.files))
-	di, fi := 0, 0
-	for di < len(e.subdirs) || fi < len(e.files) {
-		if fi >= len(e.files) ||
-			(di < len(e.subdirs) && e.subdirs[di].name < fileBase(e.files[fi])) {
-			names = append(names, e.subdirs[di].name)
-			di++
-		} else {
-			names = append(names, fileBase(e.files[fi]))
-			fi++
-		}
-	}
-	return names, nil
-}
-
 // Walk visits every file in the namespace in sorted path order.
 func (ns *Namespace) Walk(fn func(f *File)) {
 	walkEntry(ns.root, fn)
@@ -364,11 +275,13 @@ func (ns *Namespace) Walk(fn func(f *File)) {
 // an empty subtree — the shard rebalancer sweeps prefixes that may not have
 // materialized on every shard.
 func (ns *Namespace) WalkUnder(dir string, fn func(f *File)) {
-	e, f, err := ns.lookup(dir)
-	if err != nil || f != nil {
+	clean, err := CleanPath(dir)
+	if err != nil {
 		return
 	}
-	walkEntry(e, fn)
+	if e, f, s := ns.walk(clean, false); s == found && f == nil {
+		walkEntry(e, fn)
+	}
 }
 
 func walkEntry(e *entry, fn func(f *File)) {

@@ -35,14 +35,14 @@ func buildBenchNamespace(n int) (*Namespace, []string) {
 }
 
 // BenchmarkNamespaceLookup measures path resolution, the hottest namespace
-// operation (every Open/Exists goes through it). The in-place component
-// scan keeps it allocation-free.
+// operation (every Open, Delete and migration goes through it), as GetFile
+// on canonical paths. The in-place component walk keeps it allocation-free.
 func BenchmarkNamespaceLookup(b *testing.B) {
 	ns, paths := buildBenchNamespace(benchFileCount())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ns.lookup(paths[i%len(paths)]); err != nil {
+		if _, err := ns.GetFile(paths[i%len(paths)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -51,11 +52,11 @@ func TestCleanPathCorners(t *testing.T) {
 			t.Fatalf("CleanPath(%q) = %q, want rejection", bad, got)
 		}
 	}
-	// lookup must agree with CleanPath on rejection.
+	// Resolution must agree with CleanPath on rejection.
 	ns := NewNamespace()
 	for _, bad := range []string{"", "a", "/a/../b"} {
-		if _, _, err := ns.lookup(bad); err == nil {
-			t.Fatalf("lookup(%q) should fail", bad)
+		if _, err := ns.GetFile(bad); !errors.Is(err, ErrInvalidPath) {
+			t.Fatalf("GetFile(%q) = %v, want ErrInvalidPath", bad, err)
 		}
 	}
 	// ...and on normalisation: messy spellings of an existing path resolve.
@@ -82,8 +83,10 @@ func TestInsertAndGetFile(t *testing.T) {
 	if ns.FileCount() != 1 {
 		t.Fatalf("FileCount = %d", ns.FileCount())
 	}
-	if !ns.IsDir("/data") || !ns.IsDir("/data/input") {
-		t.Fatal("parents not auto-created as directories")
+	for _, dir := range []string{"/data", "/data/input"} {
+		if _, err := ns.GetFile(dir); !errors.Is(err, ErrIsDirectory) {
+			t.Fatalf("parent %s not auto-created as a directory: %v", dir, err)
+		}
 	}
 }
 
@@ -102,7 +105,7 @@ func TestGetFileErrors(t *testing.T) {
 	if _, err := ns.GetFile("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing file error = %v", err)
 	}
-	if err := ns.MkdirAll("/dir"); err != nil {
+	if err := ns.insertFile("/dir/f", &File{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ns.GetFile("/dir"); !errors.Is(err, ErrIsDirectory) {
@@ -144,25 +147,32 @@ func TestRemoveFile(t *testing.T) {
 	}
 }
 
-func TestList(t *testing.T) {
+// TestWalkUnder visits a directory's subtree in sorted order whatever the
+// path's spelling, and treats a file, a missing directory or an invalid
+// path as an empty subtree.
+func TestWalkUnder(t *testing.T) {
 	ns := NewNamespace()
-	for _, p := range []string{"/d/c", "/d/a", "/d/b"} {
+	for _, p := range []string{"/d/c", "/d/a", "/d/sub/x", "/d/b", "/e"} {
 		if err := ns.insertFile(p, &File{path: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	names, err := ns.List("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("List = %v, want %v", names, want)
+	for _, tc := range []struct {
+		dir  string
+		want []string
+	}{
+		{"/d", []string{"/d/a", "/d/b", "/d/c", "/d/sub/x"}},
+		{"//d/./", []string{"/d/a", "/d/b", "/d/c", "/d/sub/x"}},
+		{"/d/sub", []string{"/d/sub/x"}},
+		{"/d/a", nil},
+		{"/nope", nil},
+		{"/d/../e", nil},
+	} {
+		var got []string
+		ns.WalkUnder(tc.dir, func(f *File) { got = append(got, f.path) })
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("WalkUnder(%q) visited %v, want %v", tc.dir, got, tc.want)
 		}
-	}
-	if _, err := ns.List("/d/a"); !errors.Is(err, ErrNotDirectory) {
-		t.Fatalf("list file error = %v", err)
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 // All simulation state advances by processing events in timestamp order.
 // Components never sleep or consult the wall clock; instead they schedule
-// callbacks on an Engine and read the current virtual time from its Clock.
+// callbacks on an Engine and read the current virtual time from its Now.
 // This allows a six-hour cluster workload to be replayed in milliseconds and
 // makes every run exactly reproducible for a given seed.
 package sim
@@ -13,13 +13,6 @@ import (
 	"math"
 	"time"
 )
-
-// Clock exposes the current virtual time. Components that only need to read
-// time (policies, trackers, metrics) should depend on Clock, not Engine.
-type Clock interface {
-	// Now returns the current virtual time.
-	Now() time.Time
-}
 
 // Handler is an event callback carried as a value. A pointer its owner
 // already holds (a replica, a block) schedules without allocating, where a
@@ -144,7 +137,7 @@ func NewEngine() *Engine {
 	return &Engine{now: Epoch}
 }
 
-// Now implements Clock.
+// Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
 
 // Fired reports how many events have been processed so far.
@@ -324,37 +317,6 @@ func (e *Engine) peekLive() bool {
 
 // Since returns the virtual duration elapsed since t.
 func (e *Engine) Since(t time.Time) time.Duration { return e.now.Sub(t) }
-
-// ManualClock is a trivial Clock for unit tests that do not need an event
-// queue. The zero value starts at Epoch.
-type ManualClock struct {
-	t time.Time
-}
-
-// NewManualClock returns a ManualClock starting at Epoch.
-func NewManualClock() *ManualClock { return &ManualClock{t: Epoch} }
-
-// Now implements Clock.
-func (c *ManualClock) Now() time.Time {
-	if c.t.IsZero() {
-		c.t = Epoch
-	}
-	return c.t
-}
-
-// Advance moves the clock forward by d (backwards moves are ignored).
-func (c *ManualClock) Advance(d time.Duration) {
-	if d > 0 {
-		c.t = c.Now().Add(d)
-	}
-}
-
-// Set moves the clock to t if t is not before the current time.
-func (c *ManualClock) Set(t time.Time) {
-	if t.After(c.Now()) {
-		c.t = t
-	}
-}
 
 // InfiniteFuture is a timestamp far beyond any simulated horizon, used as a
 // sentinel for "no completion scheduled".

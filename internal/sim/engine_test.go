@@ -239,36 +239,6 @@ func TestFiredAndPendingCounters(t *testing.T) {
 	}
 }
 
-func TestManualClock(t *testing.T) {
-	c := NewManualClock()
-	if !c.Now().Equal(Epoch) {
-		t.Fatalf("manual clock start = %v", c.Now())
-	}
-	c.Advance(time.Hour)
-	if c.Now().Sub(Epoch) != time.Hour {
-		t.Fatalf("after advance: %v", c.Now().Sub(Epoch))
-	}
-	c.Advance(-time.Hour) // ignored
-	if c.Now().Sub(Epoch) != time.Hour {
-		t.Fatal("negative advance moved clock")
-	}
-	c.Set(Epoch) // ignored, in past
-	if c.Now().Sub(Epoch) != time.Hour {
-		t.Fatal("Set moved clock backwards")
-	}
-	c.Set(Epoch.Add(2 * time.Hour))
-	if c.Now().Sub(Epoch) != 2*time.Hour {
-		t.Fatal("Set failed to move clock forwards")
-	}
-}
-
-func TestZeroValueManualClock(t *testing.T) {
-	var c ManualClock
-	if !c.Now().Equal(Epoch) {
-		t.Fatalf("zero manual clock = %v", c.Now())
-	}
-}
-
 // Property: no matter the (non-negative) delays scheduled, events fire in
 // non-decreasing time order and the engine clock never moves backwards.
 func TestPropertyMonotonicTime(t *testing.T) {
