@@ -290,16 +290,9 @@ func (m *Manager) auditRecord() error {
 // --- dfs.Listener ---
 
 // FileCreated implements dfs.Listener. The context's own listener, which
-// registered first, has already recorded the file in the tracker and the
-// candidate index by the time the policies hear about it.
-func (m *Manager) FileCreated(f *dfs.File) {
-	if m.down != nil {
-		m.down.OnFileCreated(f)
-	}
-	if m.up != nil {
-		m.up.OnFileCreated(f)
-	}
-}
+// registered first, records the file in the tracker and the candidate index;
+// the manager has nothing to add.
+func (m *Manager) FileCreated(*dfs.File) {}
 
 // FileAccessed implements dfs.Listener; it fires before the data is read
 // and triggers the upgrade process (Algorithm 2 "invoked every time a file
@@ -327,12 +320,6 @@ func (m *Manager) FileDeleted(f *dfs.File) {
 		m.cooldownCount.Add(-1)
 	}
 	delete(m.lastCopy, f.ID())
-	if m.down != nil {
-		m.down.OnFileDeleted(f)
-	}
-	if m.up != nil {
-		m.up.OnFileDeleted(f)
-	}
 }
 
 // FileTierChanged implements dfs.Listener. Residency flips feed the

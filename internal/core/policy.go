@@ -48,13 +48,11 @@ type UpgradePolicy interface {
 	FileCallbacks
 }
 
-// FileCallbacks are the notification hooks every policy receives
-// (Section 3.3: "callback methods for receiving notifications after a file
-// creation, access, modification, or deletion").
+// FileCallbacks are the notification hooks every policy receives (Section
+// 3.3 lists callbacks for file creation, access, modification and deletion;
+// only the access hook has a user, XGB's guaranteed-positive sample).
 type FileCallbacks interface {
-	OnFileCreated(f *dfs.File)
 	OnFileAccessed(f *dfs.File)
-	OnFileDeleted(f *dfs.File)
 }
 
 // Ticker is an optional extension for policies needing periodic work (the
@@ -66,11 +64,5 @@ type Ticker interface {
 // NopCallbacks can be embedded by policies that ignore notifications.
 type NopCallbacks struct{}
 
-// OnFileCreated implements FileCallbacks.
-func (NopCallbacks) OnFileCreated(*dfs.File) {}
-
 // OnFileAccessed implements FileCallbacks.
 func (NopCallbacks) OnFileAccessed(*dfs.File) {}
-
-// OnFileDeleted implements FileCallbacks.
-func (NopCallbacks) OnFileDeleted(*dfs.File) {}

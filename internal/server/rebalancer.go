@@ -213,22 +213,10 @@ func (r *rebalancer) start(timeScale float64) {
 
 // halt stops the detection loop and waits for any in-flight round. Must run
 // BEFORE the shard loops close: a round mid-migration runs on shard loops,
-// and inLoop on a stopped shard never returns.
+// and inLoop on a shard whose loop closed under it never returns.
 func (r *rebalancer) halt() {
 	close(r.stop)
 	r.wg.Wait()
-}
-
-// exec runs fn with exclusive access to sh's file system: through the shard
-// loop while the system is live, directly when the loops are stopped (same
-// contract as ShardedServer.Exec — outside Start/Close the caller's
-// goroutine is the only one near the shards).
-func (r *rebalancer) exec(sh *shard, fn func(*dfs.FileSystem)) {
-	if !r.s.running {
-		fn(sh.fs)
-		return
-	}
-	sh.inLoop(fn)
 }
 
 // emit publishes one shard-migration event on the obs hub (no-op without one).
@@ -453,7 +441,7 @@ func (r *rebalancer) sweep(e routeEntry) {
 			// Collect under the shard loop, then migrate file by file so
 			// client ops interleave between moves.
 			var paths []string
-			r.exec(src, func(fs *dfs.FileSystem) {
+			src.inLoop(func(fs *dfs.FileSystem) {
 				fs.Namespace().WalkUnder(e.prefix, func(f *dfs.File) {
 					paths = append(paths, f.Path())
 				})
@@ -529,7 +517,7 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 	var rec dfs.FileRecord
 	var dropped bool
 	var serr error
-	r.exec(src, func(fs *dfs.FileSystem) {
+	src.inLoop(func(fs *dfs.FileSystem) {
 		if dropped, serr = src.migrateOut(path, true); !dropped && serr == nil {
 			rec, serr = fs.SnapshotFile(path)
 		}
@@ -544,7 +532,7 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 		return migrateSkipped // busy / mid-create: next sweep
 	}
 	var aerr error
-	r.exec(dst, func(fs *dfs.FileSystem) {
+	dst.inLoop(func(fs *dfs.FileSystem) {
 		if _, aerr = dst.migrateOut(path, true); aerr != nil && !errors.Is(aerr, dfs.ErrNotFound) {
 			return // a transfer holds the stale copy: next sweep
 		}
@@ -577,13 +565,13 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 		return migrateSkipped
 	}
 	var derr error
-	r.exec(src, func(*dfs.FileSystem) { dropped, derr = src.migrateOut(path, !landed) })
+	src.inLoop(func(*dfs.FileSystem) { dropped, derr = src.migrateOut(path, !landed) })
 	switch {
 	case errors.Is(derr, dfs.ErrNotFound):
 		// Deleted mid-move. If we attached a copy a moment ago, take it back
 		// out (a racing client delete may already have).
 		if landed {
-			r.exec(dst, func(fs *dfs.FileSystem) { _ = fs.DetachFile(path) })
+			dst.inLoop(func(fs *dfs.FileSystem) { _ = fs.DetachFile(path) })
 		}
 		return migrateGone
 	case !dropped:

@@ -32,9 +32,10 @@
 //     so upgrades/downgrades overlap with serving instead of competing with
 //     it.
 //
-// Virtual time: under live load (Config.TimeScale > 0) a pacer maps wall
-// time onto the virtual clock so device transfers, periodic policy ticks,
-// and movement all progress while clients hammer the service. With
+// Virtual time: under live load (Config.TimeScale > 0) each shard loop runs a
+// wall-clock ticker that advances its engine to the wall-mapped virtual clock,
+// so device transfers, periodic policy ticks, and movement all progress while
+// clients hammer the service; there is no second goroutine per shard. With
 // TimeScale == 0 the server is replay-driven: callers stamp each operation
 // with an explicit virtual time (Op.At) and fence with Flush, which is how
 // the differential tests replay one trace through the sequential simulator
@@ -70,8 +71,8 @@ import (
 type Config struct {
 	// TimeScale maps wall time to virtual time for live traffic: a scale of
 	// 60 advances the simulation one virtual minute per wall second. Zero
-	// disables the pacer; operations then carry explicit virtual
-	// timestamps (replay mode).
+	// disables the loop's pacing ticker; operations then carry explicit
+	// virtual timestamps (replay mode).
 	TimeScale float64
 	// Executor tunes the async movement executor.
 	Executor ExecutorConfig
@@ -94,8 +95,8 @@ type Config struct {
 const (
 	// cmdBuffer is the command channel depth.
 	cmdBuffer = 256
-	// paceInterval is how often (wall clock) the pacer advances virtual time
-	// under live load.
+	// paceInterval is how often (wall clock) a live shard loop's ticker
+	// advances virtual time to the wall-mapped clock.
 	paceInterval = time.Millisecond
 )
 
@@ -155,8 +156,7 @@ type FileInfo struct {
 type cmdKind uint8
 
 const (
-	// cmdRun runs the command's func, if any: pacer ticks (none), inLoop
-	// and stop.
+	// cmdRun runs the command's func: inLoop and stop.
 	cmdRun cmdKind = iota
 	// cmdCreate creates a file (see shard.create).
 	cmdCreate
@@ -313,9 +313,8 @@ type shard struct {
 	obs        *obs.Hub
 	loopBusyNS atomic.Int64
 
-	pacerStop chan struct{}
-	wg        sync.WaitGroup
-	started   bool
+	wg      sync.WaitGroup
+	started bool
 }
 
 // newShard wraps a file system (and optional manager) as shard idx's serving
@@ -378,11 +377,10 @@ func (sh *shard) sloStats() SLOStats {
 	return sh.slo.stats()
 }
 
-// startAt indexes pre-existing files and launches the shard loop (and, under
-// live pacing, the wall-clock pacer) with the pacer's origin given: wall
-// instant `wall` maps to virtual instant `virt`. ShardedServer.Start hands
-// every shard the same pair, so all shards' clocks are one function of wall
-// time.
+// startAt indexes pre-existing files and launches the shard loop with its
+// pacing origin given: wall instant `wall` maps to virtual instant `virt`.
+// ShardedServer.Start hands every shard the same pair, so all shards' clocks
+// are one function of wall time.
 func (sh *shard) startAt(wall, virt time.Time) {
 	if sh.started {
 		return
@@ -407,11 +405,6 @@ func (sh *shard) startAt(wall, virt time.Time) {
 	}
 	sh.wg.Add(1)
 	go sh.loop()
-	if sh.cfg.TimeScale > 0 {
-		sh.pacerStop = make(chan struct{})
-		sh.wg.Add(1)
-		go sh.pace()
-	}
 }
 
 // stop quiesces and shuts the loop down. All client goroutines must have
@@ -419,9 +412,6 @@ func (sh *shard) startAt(wall, virt time.Time) {
 func (sh *shard) stop() {
 	if !sh.started {
 		return
-	}
-	if sh.pacerStop != nil {
-		close(sh.pacerStop)
 	}
 	sh.flush()
 	sh.cmds <- command{run: func() { sh.closed = true }}
@@ -447,31 +437,19 @@ func (sh *shard) clock() time.Time {
 	return sh.virtStart.Add(time.Duration(float64(time.Since(sh.wallStart)) * sh.cfg.TimeScale))
 }
 
-// pace periodically advances virtual time to the wall-mapped clock so
-// transfers complete and periodic policy ticks fire while clients drive
-// live load.
-func (sh *shard) pace() {
-	defer sh.wg.Done()
-	t := time.NewTicker(paceInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-sh.pacerStop:
-			return
-		case <-t.C:
-			select {
-			case sh.cmds <- command{at: sh.clock()}:
-			case <-sh.pacerStop:
-				return
-			}
-		}
-	}
-}
-
 // loop is the shard loop: the only goroutine that touches the engine, the
-// file system, and the manager while the shard runs.
+// file system, and the manager while the shard runs. Under live pacing its
+// ticker advances virtual time to the wall-mapped clock so transfers
+// complete and periodic policy ticks fire between client commands; in
+// replay mode the tick channel is nil and only stamps move the clock.
 func (sh *shard) loop() {
 	defer sh.wg.Done()
+	var tick <-chan time.Time
+	if sh.cfg.TimeScale > 0 {
+		t := time.NewTicker(paceInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for !sh.closed {
 		select {
 		case c := <-sh.cmds:
@@ -483,17 +461,29 @@ func (sh *shard) loop() {
 			t0 := sh.busyStart()
 			sh.drainAccesses()
 			sh.busyEnd(t0)
+		case <-tick:
+			t0 := sh.busyStart()
+			sh.drainAccesses()
+			sh.advance(sh.clock())
+			sh.busyEnd(t0)
 		}
 	}
 	// Final drain so no noted access is silently lost.
 	sh.drainAccesses()
 }
 
+// advance runs the engine forward to at. The zero time (replay mode's "at
+// the loop's current virtual time") and instants already passed leave it
+// where it is.
+func (sh *shard) advance(at time.Time) {
+	if !at.IsZero() && at.After(sh.engine.Now()) {
+		sh.engine.RunUntil(at)
+	}
+}
+
 // applyCmd advances virtual time to the command's stamp and runs it.
 func (sh *shard) applyCmd(c *command) {
-	if !c.at.IsZero() && c.at.After(sh.engine.Now()) {
-		sh.engine.RunUntil(c.at)
-	}
+	sh.advance(c.at)
 	switch c.kind {
 	case cmdCreate:
 		sh.applyCreate(c)
@@ -506,9 +496,7 @@ func (sh *shard) applyCmd(c *command) {
 		sh.fenceMu.Unlock()
 		sh.fenceCond.Broadcast()
 	default:
-		if c.run != nil {
-			c.run()
-		}
+		c.run()
 	}
 }
 
@@ -531,9 +519,7 @@ func (sh *shard) drainAccesses() {
 	})
 	var drained, applied int64
 	for _, p := range batch {
-		if at := sim.AtNanos(p.stamp); at.After(sh.engine.Now()) {
-			sh.engine.RunUntil(at)
-		}
+		sh.advance(sim.AtNanos(p.stamp))
 		if p.h.file.Deleted() {
 			reason := discardDeleted
 			if p.h.migrated {
@@ -703,8 +689,15 @@ func (sh *shard) create(op Op) <-chan error {
 // applyCreate starts a create on the loop. The write pipeline's plane
 // charges are tagged with the op's tenant: initial block writes happen
 // synchronously inside the create call, so scoping the file system's active
-// tenant around it suffices. A create that fails, fails here; one in flight
-// leaves its handle under the file's slot for commitCreate. Shard loop only.
+// tenant around it suffices. A create that finds no capacity borrows once
+// and retries: each of `replication` distinct nodes needs room for one full
+// copy, and placement falls back across tiers in every mode, so growing the
+// lowest tier admits the write while the physical tier has room. The borrow
+// is admitted against the op's tenant's ledger budget: a tenant at quota
+// gets dfs.ErrNoCapacity even while the pool has room. The retry is clean,
+// as a create fails only synchronously and a failed one consumes no file id.
+// A create that fails, fails here; one in flight leaves its handle under the
+// file's slot for commitCreate. Shard loop only.
 func (sh *shard) applyCreate(c *command) {
 	if c.sp != nil {
 		// Time from submission until the loop picks the command up — the
@@ -713,6 +706,9 @@ func (sh *shard) applyCreate(c *command) {
 	}
 	sh.fs.SetActiveTenant(c.tenant)
 	f, err := sh.fs.CreateFile(c.path, c.size, sh.created)
+	if errors.Is(err, dfs.ErrNoCapacity) && sh.quota.EnsureSpreadFor(c.tenant, storage.HDD, c.size, sh.fs.Replication()) {
+		f, err = sh.fs.CreateFile(c.path, c.size, sh.created)
+	}
 	sh.fs.SetActiveTenant(storage.DefaultTenant)
 	if err != nil {
 		sh.counters.createErrors.Add(1)
@@ -881,7 +877,7 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 		sp.Bytes = h.size
 	}
 	// Charge the read's service time against the physical device channel.
-	// A zero stamp (replay mode with no pacer) carries no usable virtual
+	// A zero stamp (replay mode, no pacing) carries no usable virtual
 	// instant, so those reads stay unmodeled. With a physical backend
 	// attached the histograms record the measured wall-clock read below
 	// instead of the virtual grant (the grant still books the channel for
@@ -936,11 +932,16 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 	return res
 }
 
-// inLoop runs fn inside the shard loop with exclusive access to the file
-// system — how perturbations (node churn), quota borrows, migration halves
-// and final-state inspection reach loop-owned state. It blocks until fn
-// returns.
+// inLoop runs fn with exclusive access to the shard's file system — how
+// perturbations (node churn), migration halves and final-state inspection
+// reach loop-owned state. While the shard runs, fn runs inside its loop and
+// inLoop blocks until fn returns; before Start and after Close the caller's
+// goroutine is the only one near the shard, so fn runs directly.
 func (sh *shard) inLoop(fn func(*dfs.FileSystem)) {
+	if !sh.started {
+		fn(sh.fs)
+		return
+	}
 	done := make(chan struct{})
 	sh.cmds <- command{at: sh.clock(), run: func() {
 		fn(sh.fs)
@@ -981,7 +982,7 @@ func (sh *shard) quiesce() {
 	for {
 		sh.drainAccesses()
 		// Absorb queued commands without blocking: concurrent client ops
-		// and pacer ticks must not starve behind a flush.
+		// must not starve behind a flush.
 		for absorbed := true; absorbed; {
 			select {
 			case c := <-sh.cmds:

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -110,9 +109,7 @@ type ShardedServer struct {
 	// circulation. Mutated only from the churn API (single caller at a
 	// time, like all membership changes).
 	nodePooled map[int][3]int64
-	// running is true between Start and Close; outside that window Exec
-	// touches the shard file systems directly (the loops are stopped, so the
-	// caller's goroutine is the only one near them).
+	// running is true between Start and Close.
 	running bool
 }
 
@@ -280,21 +277,21 @@ func (s *ShardedServer) NumShards() int { return len(s.shards) }
 // Clock returns the wall-mapped virtual time (zero in replay mode, meaning
 // "at the shard loop's current virtual time"): what an Op with a zero At is
 // stamped with, and the base open-loop drivers add intended arrival offsets
-// to. Start gives every shard the same pacer origin, so any shard's clock
+// to. Start gives every shard the same pacing origin, so any shard's clock
 // is the clock of all of them.
 func (s *ShardedServer) Clock() time.Time { return s.shards[0].clock() }
 
 // Ledger exposes the global capacity ledger (all reads are atomic).
 func (s *ShardedServer) Ledger() *cluster.TierLedger { return s.ledger }
 
-// Start launches every shard: managers, shard loops, pacers, and the quota
-// reconciliation tickers.
+// Start launches every shard: managers, shard loops (which pace themselves
+// under live load), and the quota reconciliation tickers.
 func (s *ShardedServer) Start() {
 	if s.running {
 		return
 	}
 	s.running = true
-	// One pacer origin for all shards: a per-shard time.Now() would skew the
+	// One pacing origin for all shards: a per-shard time.Now() would skew the
 	// shards' clocks by their start offset × TimeScale, and the shared data
 	// plane books that skew as read queueing on whichever shard lags. The
 	// virtual origin is the furthest any shard's engine got before Start
@@ -331,9 +328,9 @@ func (s *ShardedServer) Close() {
 	}
 	if s.reb != nil {
 		// Halt the rebalancer first: a round mid-migration runs on the
-		// shard loops (so they must still be up), and rebalancer.exec reads
-		// s.running — the flip below must not race a live round into taking
-		// the direct-access path while the loops are still open.
+		// shard loops (so they must still be up), and inLoop reads each
+		// shard's started flag — stopping a shard must not race a live round
+		// into taking the direct-access path while its loop is still open.
 		s.reb.halt()
 	}
 	s.running = false
@@ -431,14 +428,10 @@ func failed(err error) <-chan error {
 // accumulator, so clients never block on a move. With a zero At it is
 // stamped with Clock() and observes the access-path latency histogram.
 //
-// A create waits for the shard's write pipeline to commit. A capacity
-// failure triggers one quota borrow (growing the shard's lowest tier out of
-// the global pool, admitted against op.Tenant's ledger budget — a tenant at
-// quota gets dfs.ErrNoCapacity even while the pool has room) and one retry,
-// so a shard whose quota ran dry admits the write as long as the physical
-// tier has room. A create or delete resolves its shard like a read: the one
-// the namespace names for the path, or the primary when none holds it (see
-// submit).
+// A create or delete is Submit's, waited for: a create until the shard's
+// write pipeline commits (see shard.applyCreate for its one quota borrow).
+// It resolves its shard like a read: the one the namespace names for the
+// path, or the primary when none holds it (see submit).
 func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 	if op.Kind == OpAccess {
 		clean, err := dfs.CleanPath(op.Path)
@@ -456,26 +449,7 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 		sh.accessHist.Observe(time.Since(start))
 		return res, err
 	}
-	clean, primary, err := s.route(op.Path)
-	if err != nil {
-		return AccessResult{}, err
-	}
-	op.Path = clean
-	err = <-s.submit(op, primary)
-	if op.Kind == OpCreate && errors.Is(err, dfs.ErrNoCapacity) {
-		// Every replica of every block must find a device, so each of
-		// `replication` distinct nodes needs room for one full copy; placement
-		// falls back across tiers in every mode, so growing the lowest tier
-		// admits the write.
-		borrowed := false
-		primary.inLoop(func(fs *dfs.FileSystem) {
-			borrowed = primary.quota.EnsureSpreadFor(op.Tenant, storage.HDD, op.Size, fs.Replication())
-		})
-		if borrowed {
-			err = <-s.submit(op, primary)
-		}
-	}
-	return AccessResult{}, err
+	return AccessResult{}, <-s.Submit(op)
 }
 
 // Submit enqueues a create or delete on its shard and returns a buffered
@@ -484,9 +458,7 @@ func (s *ShardedServer) Do(op Op) (AccessResult, error) {
 // inside Flush, so receiving before fencing would deadlock). The op is on
 // its shard's loop when Submit returns, so ops submitted to one path run in
 // submission order and Flush fences them; only a delete's follow-up on the
-// shard a moved file landed on completes asynchronously. No borrow-retry:
-// stamped traffic is expected to fit the planned quota or to handle
-// dfs.ErrNoCapacity itself.
+// shard a moved file landed on completes asynchronously.
 func (s *ShardedServer) Submit(op Op) <-chan error {
 	clean, primary, err := s.route(op.Path)
 	if err != nil {
@@ -621,10 +593,6 @@ func (s *ShardedServer) Flush() {
 // and final-state inspection.
 func (s *ShardedServer) Exec(fn func(shard int, fs *dfs.FileSystem)) {
 	for i, sh := range s.shards {
-		if !s.running {
-			fn(i, sh.fs)
-			continue
-		}
 		i := i
 		sh.inLoop(func(fs *dfs.FileSystem) { fn(i, fs) })
 	}
@@ -748,7 +716,7 @@ func (s *ShardedServer) Verify() []string {
 		}
 	})
 	// The conservation equation sums per-shard capacities through
-	// sequential per-shard fences. While shard loops are live (pacers,
+	// sequential per-shard fences. While shard loops are live (pacing,
 	// reconcile tickers, policy-tick borrows), capacity can legitimately
 	// move between the snapshot of one shard and the next, so a transient
 	// mismatch is re-snapshotted before being declared a divergence; a real

@@ -349,3 +349,39 @@ func TestShardedReserveWithoutCommitNeverLeaks(t *testing.T) {
 		t.Fatalf("conservation broken after abort: %v", violations)
 	}
 }
+
+// TestStampedCreateBorrowsLikeBlocking holds a stamped create to the
+// blocking one's capacity contract: a create that runs out of shard quota
+// borrows from the global pool on its shard loop and retries, whichever way
+// it was submitted. Sixteen 64 MB files in one directory need twice the
+// shard's initial 512 MB HDD grant.
+func TestStampedCreateBorrowsLikeBlocking(t *testing.T) {
+	srv, err := server.NewSharded(server.ShardedConfig{
+		Shards: 2,
+		Cluster: cluster.Config{
+			Workers:      2,
+			SlotsPerNode: 4,
+			Spec:         storage.PaperMediaSpec(64*storage.MB, 128*storage.MB, 2*storage.GB, 1),
+		},
+		DFS:   dfs.Config{Mode: dfs.ModePinnedHDD, Seed: 5, Replication: 1, ClientRate: 2000e6},
+		Quota: server.QuotaConfig{InitialFraction: 0.25, BorrowChunk: 64 * storage.MB},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+	for i := 0; i < 16; i++ {
+		res := srv.Submit(server.Op{Kind: server.OpCreate, Path: fmt.Sprintf("/stamped/f%02d", i), Size: 64 * storage.MB})
+		srv.Flush()
+		if err := <-res; err != nil {
+			t.Fatalf("create %d: %v (%d borrows)", i, err, srv.QuotaStats().Borrows)
+		}
+	}
+	if st := srv.QuotaStats(); st.Borrows == 0 {
+		t.Fatalf("sixteen creates past the shard's grant made no borrow: %+v", st)
+	}
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariant violations: %v", v)
+	}
+}

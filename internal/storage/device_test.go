@@ -37,21 +37,6 @@ func TestMediaOrdering(t *testing.T) {
 	}
 }
 
-func TestParseMedia(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Media
-	}{{"MEM", Memory}, {"memory", Memory}, {"SSD", SSD}, {"hdd", HDD}} {
-		got, err := ParseMedia(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseMedia(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseMedia("tape"); err == nil {
-		t.Fatal("ParseMedia(tape) should fail")
-	}
-}
-
 func TestMediaString(t *testing.T) {
 	if Memory.String() != "MEM" || SSD.String() != "SSD" || HDD.String() != "HDD" {
 		t.Fatal("unexpected media strings")

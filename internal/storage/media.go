@@ -78,19 +78,6 @@ func (m Media) Above() (Media, bool) {
 	return m - 1, true
 }
 
-// ParseMedia converts a string such as "MEM", "SSD" or "HDD" to a Media.
-func ParseMedia(s string) (Media, error) {
-	switch s {
-	case "MEM", "mem", "memory", "MEMORY":
-		return Memory, nil
-	case "SSD", "ssd":
-		return SSD, nil
-	case "HDD", "hdd", "disk", "DISK":
-		return HDD, nil
-	}
-	return 0, fmt.Errorf("storage: unknown media %q", s)
-}
-
 // DeviceSpec describes one or more identical devices of a given media to
 // attach to a node.
 type DeviceSpec struct {
