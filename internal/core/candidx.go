@@ -108,6 +108,11 @@ type FileHeap struct {
 	// tiers.
 	ctx  *Context
 	tier storage.Media
+	// reorders counts the changes that can put a file into heap order or move
+	// one within it: an insert into order (a new member or an unpark), an
+	// in-place re-key and a Rekey. While it stands still, the members in heap
+	// order are a subset of those at the last reading, in the same order.
+	reorders uint64
 }
 
 // heapEntry is one member as the heap stores it: the key's weight and time
@@ -169,6 +174,17 @@ func (h *FileHeap) Has(f *dfs.File) bool { return h.place(f.Slot(), f.ID()) != 0
 // IsParked reports whether the file is a parked member.
 func (h *FileHeap) IsParked(f *dfs.File) bool { return h.place(f.Slot(), f.ID()) < 0 }
 
+// InOrder reports whether the file is a member in heap order.
+func (h *FileHeap) InOrder(f *dfs.File) bool { return h.place(f.Slot(), f.ID()) > 0 }
+
+// Reorders returns the count of changes that can have put a file into heap
+// order or moved one within it (see the field), after releasing the bound
+// context's expired cooldowns, and how many members are in heap order.
+func (h *FileHeap) Reorders() (reorders uint64, ordered int) {
+	h.settle()
+	return h.reorders, len(h.items)
+}
+
 // Update inserts the file or re-keys it in place. A parked member only has
 // its key replaced; a new member enters parked when the bound context has it
 // on record as busy or cooling down.
@@ -178,6 +194,7 @@ func (h *FileHeap) Update(f *dfs.File, w float64, t time.Time) {
 	case p > 0:
 		h.items[p-1] = e
 		h.fix(p - 1)
+		h.reorders++
 	case p < 0:
 		h.parked[-p-1] = e
 	default:
@@ -230,6 +247,7 @@ func (h *FileHeap) Unpark(f *dfs.File) {
 func (h *FileHeap) pushItem(e heapEntry) {
 	h.items = append(h.items, e)
 	h.up(int32(len(h.items) - 1))
+	h.reorders++
 }
 
 func (h *FileHeap) dropItem(i int32) {
@@ -273,6 +291,7 @@ func (h *FileHeap) Rekey(fn func(f *dfs.File) (float64, time.Time)) {
 	for i := int32(len(h.items))/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
+	h.reorders++
 }
 
 // Each visits every member, parked ones included, in unspecified order.

@@ -172,6 +172,23 @@ func (c *Context) LRUFilesInto(buf []*dfs.File, tier storage.Media, k int) []*df
 	return c.index.recency.tiers[tier].TopK(k, buf)
 }
 
+// LRUReorders returns the tier's recency order's reorder count and how many
+// files are selectable in it (FileHeap.Reorders). While the count stands
+// still, the selectable files are a subset of those at the last reading, in
+// the same order, so a prefix LRUFilesInto returned then, less the files no
+// longer InLRUOrder, is the same prefix now.
+func (c *Context) LRUReorders(tier storage.Media) (reorders uint64, selectable int) {
+	c.index.RequireRecency()
+	return c.index.recency.tiers[tier].Reorders()
+}
+
+// InLRUOrder reports whether the file is selectable in the tier's recency
+// order.
+func (c *Context) InLRUOrder(f *dfs.File, tier storage.Media) bool {
+	c.index.RequireRecency()
+	return c.index.recency.tiers[tier].InOrder(f)
+}
+
 // SampleLiveFiles visits a deterministic stride sample of the live-file
 // index: roughly fraction*N files, each at most once, chosen by stepping
 // through the index with stride ~1/fraction from a random phase. The live

@@ -92,6 +92,12 @@ func deepModel(tb testing.TB) (*Model, *Matrix) {
 // Figure 17 updates with an hour's samples at a time.
 func mixedModel(tb testing.TB) (*Model, *Matrix) {
 	m, x := deepModel(tb)
+	mixOn(tb, m, x)
+	return m, x
+}
+
+// mixOn makes mixedModel of the deep model m, which was grown on x.
+func mixOn(tb testing.TB, m *Model, x *Matrix) {
 	batch, y := NewMatrix(benchCols), make([]float64, benchBatch)
 	for i := range y {
 		batch.AppendRow(x.Row(i))
@@ -103,7 +109,6 @@ func mixedModel(tb testing.TB) (*Model, *Matrix) {
 	if w := m.index.walked; w == 0 || w == m.NumTrees() {
 		tb.Fatalf("mixed model: %d of %d trees are walked", w, m.NumTrees())
 	}
-	return m, x
 }
 
 // BenchmarkPredictMargin is one prediction, a different row each time. trace

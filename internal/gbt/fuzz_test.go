@@ -22,7 +22,9 @@ func orPanic(predict func() float64) (v float64, panicked bool) {
 // must be a model whose PredictMargin, through the index built on loading,
 // returns on a fixed set of rows the bits Tree.predict sums over the trees as
 // they were written, and panics on a row exactly when that does: when the row
-// reaches a node whose feature it lacks. The seed corpus, which plain go test
+// reaches a node whose feature it lacks; and when no row panics,
+// PredictMarginBatch over the rows must give each of them the same bits. The
+// seed corpus, which plain go test
 // runs, is the malformed node graphs of TestUnmarshalRejectsMalformedTrees,
 // two models that load, one whose tree is too wide to index, and one that
 // names a feature beyond the rows on one branch.
@@ -62,12 +64,32 @@ func FuzzModelJSON(f *testing.F) {
 			t.Fatalf("%d trees written, %d loaded, %d in the index", len(written.Trees), m.NumTrees(), len(m.index.off))
 		}
 		trees := oracleOf(written.Trees)
+		margins, anyPanic := make([]float64, rows.Rows()), false
 		for i := 0; i < rows.Rows(); i++ {
 			row := rows.Row(i)
 			want, wantPanic := orPanic(func() float64 { return predictMarginLinear(written.BaseMargin, trees, row) })
 			got, gotPanic := orPanic(func() float64 { return m.PredictMargin(row) })
 			if gotPanic != wantPanic || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("row %v: PredictMargin %v (panic %v), the written trees give %v (panic %v)", row, got, gotPanic, want, wantPanic)
+			}
+			margins[i], anyPanic = got, anyPanic || gotPanic
+		}
+		if anyPanic {
+			return
+		}
+		// 24 rows are fewer than PredictMarginBatch hands to the batch
+		// kernel, so the kernel is run as well wherever it applies.
+		ways := map[string]func([]float64){"PredictMarginBatch": func(out []float64) { m.PredictMarginBatch(rows, out) }}
+		if m.index.walked < m.NumTrees() && rows.Cols() >= m.index.width {
+			ways["scoreBatch"] = func(out []float64) { m.index.scoreBatch(&m, rows, out) }
+		}
+		for name, score := range ways {
+			out := make([]float64, rows.Rows())
+			score(out)
+			for i := range out {
+				if math.Float64bits(out[i]) != math.Float64bits(margins[i]) {
+					t.Fatalf("row %v: %s %v, PredictMargin %v", rows.Row(i), name, out[i], margins[i])
+				}
 			}
 		}
 	})

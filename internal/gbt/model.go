@@ -290,9 +290,16 @@ func (m *Model) PredictMargin(x []float64) float64 {
 }
 
 // PredictMarginBatch writes PredictMargin of every row of x into out, which
-// must hold x.Rows() values.
+// must hold x.Rows() values. The bits are PredictMargin's; from
+// minBatchRows rows on, the index is read once per block of rows instead of
+// once per row (scorer.scoreBatch). Like PredictMargin it only reads the
+// model.
 func (m *Model) PredictMarginBatch(x *Matrix, out []float64) {
 	out = out[:x.Rows()]
+	if ix := &m.index; ix.walked < len(m.roots) && x.Cols() >= ix.width && len(out) >= minBatchRows {
+		ix.scoreBatch(m, x, out)
+		return
+	}
 	for i := range out {
 		out[i] = m.PredictMargin(x.Row(i))
 	}

@@ -228,6 +228,183 @@ func (s *scorer) walkWide(m *Model, x []float64, under []uint64) {
 	}
 }
 
+// A batch of rows is scored by feature as well, with the roles of the loops
+// swapped: per feature run, each row's false nodes are still a prefix, found by
+// binary search; the rows a node is false for become a bitset, which is OR-ed
+// into the set of rows that cannot exit at each leaf of the node's left
+// subtree. A row's exit leaf in a tree is then its first leaf from the left
+// whose set does not hold it. Trees are summed in boosting order, so every
+// row's margin is the same sequence of additions score makes.
+
+// batchRows is how many rows one pass of scoreBatch takes: four words per
+// leaf set, which keeps the sets of a 200-tree forest in cache.
+const batchRows = 256
+
+// batchWords is the words of a row bitset of one pass.
+const batchWords = batchRows / 64
+
+// minBatchRows is the smallest batch scoreBatch takes. A pass costs a few
+// visits of every node and leaf whatever its rows, which on the trace_xgb
+// forest scoring rows one at a time only amortises from about 32 rows on.
+const minBatchRows = 32
+
+// batchScratch is a scoreBatch call's working memory. It is not kept on the
+// model, so any number of goroutines may score on one model at once; a call
+// hands it on to the next (putScratch, getScratch), so the steady state
+// allocates nothing.
+type batchScratch struct {
+	vals [batchRows]float64 // the present values of a run's feature
+	rows [batchRows]int32   // and their rows
+	at   [batchRows]int32   // and how many nodes of the run each is false at
+	cuts []uint64           // per such count c, words wide: the rows false at exactly the run's first c nodes
+	stay []uint64           // per leaf, words wide: the rows that cannot exit there
+	end  []int32            // per indexed tree, one past its last leaf in leaves
+	acc  [batchRows]float64 // the pass's margins
+}
+
+// scoreBatch writes score of every row of x into out. x must hold width
+// columns and the forest at least one indexed tree.
+func (s *scorer) scoreBatch(m *Model, x *Matrix, out []float64) {
+	sc := getScratch()
+	sc.end = resize(sc.end, len(s.off))
+	next := int32(len(s.leaves))
+	for k := len(s.off) - 1; k >= 0; k-- {
+		if o := s.off[k]; o >= 0 {
+			sc.end[k], next = next, o
+		}
+	}
+	for r0 := 0; r0 < len(out); r0 += batchRows {
+		s.scorePass(m, x, r0, out[r0:min(r0+batchRows, len(out))], sc)
+	}
+	putScratch(sc)
+}
+
+// scorePass scores rows r0 onward of x, one per value of out, at most
+// batchRows of them.
+func (s *scorer) scorePass(m *Model, x *Matrix, r0 int, out []float64, sc *batchScratch) {
+	n := len(out)
+	words := (n + 63) / 64
+	sc.stay = resize(sc.stay, len(s.leaves)*words)
+	clear(sc.stay)
+	nodes := s.nodes
+	for _, sp := range s.spans {
+		run := nodes[:sp.n]
+		nodes = nodes[sp.n:]
+		// Walk the run down from the last node any row is false at: the rows
+		// false at node i are those false at more than i nodes, so each step
+		// adds the rows false at exactly i+1.
+		var rows [batchWords]uint64
+		for i := s.cutRun(x, r0, n, words, sp, run, sc) - 1; i >= 0; i-- {
+			for w, set := range sc.cuts[(i+1)*words:][:words] {
+				rows[w&(batchWords-1)] |= set
+			}
+			nd := &run[i]
+			base := int(s.off[nd.tree])
+			for mask := nd.mask; mask != 0; mask &= mask - 1 {
+				leaf := sc.stay[(base+bits.TrailingZeros64(mask))*words:][:words]
+				for w := range leaf {
+					leaf[w] |= rows[w&(batchWords-1)]
+				}
+			}
+		}
+	}
+	acc := &sc.acc
+	for i := range out {
+		acc[i] = m.baseMargin
+	}
+	var all [batchWords]uint64
+	for w := 0; w < words; w++ {
+		all[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		all[words-1] = 1<<(n%64) - 1
+	}
+	for k, o := range s.off {
+		if o >= 0 {
+			addExits(acc, all, sc.stay[int(o)*words:int(sc.end[k])*words], s.leaves[o:sc.end[k]], words)
+			continue
+		}
+		for i := range out {
+			acc[i] += walk(m.nodes, m.roots[k], x.Row(r0+i))
+		}
+	}
+	copy(out, acc[:n])
+}
+
+// addExits adds to every row of acc in left its exit leaf's weight in one
+// tree: the first of the tree's leaves, left to right, whose set in stay
+// (words wide each) does not hold the row. It is kept out of line, where the
+// scatter loop has the registers to itself.
+//
+//go:noinline
+func addExits(acc *[batchRows]float64, left [batchWords]uint64, stay []uint64, leaves []float64, words int) {
+	for j, weight := range leaves {
+		var more uint64
+		for w, set := range stay[j*words:][:words] {
+			w &= batchWords - 1
+			for exit, row := left[w]&^set, w*64; exit != 0; exit &= exit - 1 {
+				acc[(row+bits.TrailingZeros64(exit))&(batchRows-1)] += weight
+			}
+			left[w] &= set
+			more |= left[w]
+		}
+		if more == 0 {
+			return
+		}
+	}
+}
+
+// cutRun finds, for each of the n rows from r0 on, how many nodes of one
+// feature run it is false at, the length of its prefix of false nodes; sets
+// sc.cuts to the rows by that count, and returns the largest.
+func (s *scorer) cutRun(x *Matrix, r0, n, words int, sp span, run []qnode, sc *batchScratch) int {
+	feature := int(sp.key >> 1)
+	vals, rows := sc.vals[:0], sc.rows[:0]
+	var absent [batchWords]uint64
+	for r := 0; r < n; r++ {
+		if v := x.At(r0+r, feature); v == v {
+			vals, rows = append(vals, v), append(rows, int32(r))
+		} else {
+			absent[r/64] |= 1 << (r % 64)
+		}
+	}
+	// The first node each present value is below, by binary searches in
+	// lockstep: a step's trip count does not depend on the data, and the
+	// rows' searches do not depend on each other. A NaN threshold is below
+	// nothing.
+	at := sc.at[:len(vals)]
+	clear(at)
+	for l := int32(len(run)); l > 0; l /= 2 {
+		half, step := l/2, l-l/2
+		for i, c := range at {
+			at[i] = c + step*int32(b2i(!(vals[i] < run[c+half].thr)))
+		}
+	}
+	most := int32(0)
+	for _, c := range at {
+		most = max(most, c)
+	}
+	// A missing value is false at every node that defaults right, else none.
+	missing := sp.key&1 != 0 && len(vals) < n
+	if missing {
+		most = int32(len(run))
+	}
+	if most == 0 {
+		return 0
+	}
+	sc.cuts = resize(sc.cuts, int(most+1)*words)
+	clear(sc.cuts)
+	for i, r := range rows {
+		sc.cuts[int(at[i])*words+int(r/64)] |= 1 << (r % 64)
+	}
+	if missing {
+		for w, set := range absent[:words] {
+			sc.cuts[len(run)*words+w] |= set
+		}
+	}
+	return int(most)
+}
+
 // memoryBytes is the index's resident size, the merge scratch included.
 func (s *scorer) memoryBytes() int {
 	return (len(s.nodes)+cap(s.fresh))*int(unsafe.Sizeof(qnode{})) + len(s.spans)*int(unsafe.Sizeof(span{})) +

@@ -262,3 +262,121 @@ func TestPredictMarginConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// requireBatchBits scores x through PredictMarginBatch and, when the forest
+// has an indexed tree, through the batch kernel itself, which
+// PredictMarginBatch leaves to PredictMargin below minBatchRows, and requires
+// every row to get PredictMargin's bits.
+func requireBatchBits(t *testing.T, when string, m *Model, x *Matrix) {
+	t.Helper()
+	out := make([]float64, x.Rows())
+	ways := map[string]func(){"PredictMarginBatch": func() { m.PredictMarginBatch(x, out) }}
+	if m.index.walked < m.NumTrees() {
+		ways["scoreBatch"] = func() { m.index.scoreBatch(m, x, out) }
+	}
+	for name, score := range ways {
+		clear(out)
+		score()
+		for i := range out {
+			if want := m.PredictMargin(x.Row(i)); !sameBits(out[i], want) {
+				t.Fatalf("%s: %s row %d of %d (%v) = %v, PredictMargin %v", when, name, i, x.Rows(), x.Row(i), out[i], want)
+			}
+		}
+	}
+}
+
+// batchOf draws n rows from pool, every seventh with every feature missing.
+func batchOf(rng *rand.Rand, pool *Matrix, n int) *Matrix {
+	x := NewMatrix(pool.Cols())
+	missing := make([]float64, pool.Cols())
+	for j := range missing {
+		missing[j] = Missing
+	}
+	for i := 0; i < n; i++ {
+		if i%7 == 3 {
+			x.AppendRow(missing)
+		} else {
+			x.AppendRow(pool.Row(rng.Intn(pool.Rows())))
+		}
+	}
+	return x
+}
+
+// TestPredictMarginBatchMatchesPredictMargin: a batch gives every row the
+// bits PredictMargin does, on the trace_xgb forest, the deep one and the
+// mixed one, at batch sizes on both sides of a row word and of a pass, on rows
+// with every feature missing, and on the trace_xgb forest after each of 50
+// updates that retire its oldest trees.
+func TestPredictMarginBatchMatchesPredictMargin(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	trace, traceRows, _ := benchModel(t)
+	deep, deepRows := deepModel(t)
+	blob, err := json.Marshal(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, mixedRows := new(Model), deepRows
+	if err := json.Unmarshal(blob, mixed); err != nil {
+		t.Fatal(err)
+	}
+	mixOn(t, mixed, mixedRows)
+	sizes := []int{1, 63, 64, 65, 200, 300}
+	for _, c := range []struct {
+		name string
+		m    *Model
+		pool *Matrix
+	}{{"trace", trace, traceRows}, {"deep", deep, deepRows}, {"mixed", mixed, mixedRows}} {
+		for _, n := range sizes {
+			requireBatchBits(t, fmt.Sprintf("%s, %d rows", c.name, n), c.m, batchOf(rng, c.pool, n))
+		}
+	}
+	for u := 0; u < 50; u++ {
+		x, y := sparseBatch(rng, benchBatch)
+		if err := trace.Update(x, y, 3); err != nil {
+			t.Fatal(err)
+		}
+		if trace.NumTrees() != benchTrees {
+			t.Fatalf("update %d: %d trees, want the bound %d", u, trace.NumTrees(), benchTrees)
+		}
+		requireBatchBits(t, fmt.Sprintf("update %d, %d rows", u, sizes[u%len(sizes)]), trace, batchOf(rng, x, sizes[u%len(sizes)]))
+	}
+}
+
+// TestPredictMarginBatchAllocatesNothing: the batch kernel's scratch is
+// recycled, so a steady stream of batches allocates nothing.
+func TestPredictMarginBatchAllocatesNothing(t *testing.T) {
+	m, x, _ := benchModel(t)
+	out := make([]float64, x.Rows())
+	if allocs := testing.AllocsPerRun(50, func() { m.PredictMarginBatch(x, out) }); allocs != 0 {
+		t.Errorf("PredictMarginBatch of %d rows makes %v allocations", x.Rows(), allocs)
+	}
+}
+
+// TestPredictMarginBatchConcurrently has eight goroutines score batches on one
+// model; each gets the bits PredictMargin does, and the race detector checks
+// that the kernel's scratch is not shared.
+func TestPredictMarginBatchConcurrently(t *testing.T) {
+	m, x, _ := benchModel(t)
+	want := make([]float64, x.Rows())
+	for i := range want {
+		want[i] = m.PredictMargin(x.Row(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out := make([]float64, x.Rows())
+			for round := 0; round < 20; round++ {
+				m.PredictMarginBatch(x, out)
+				for i := range out {
+					if !sameBits(out[i], want[i]) {
+						t.Errorf("goroutine %d round %d row %d: %v, want %v", g, round, i, out[i], want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

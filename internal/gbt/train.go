@@ -358,11 +358,16 @@ func (b *builder) findBestSplit(f []int32, gTotal, hTotal float64) split {
 }
 
 // tryThreshold evaluates a candidate threshold with both missing-value
-// directions and updates best in place.
+// directions and updates best in place. With nothing missing the two give one
+// gain and the strict comparison keeps the first, so only that one is tried.
 func (b *builder) tryThreshold(best *split, feature int, threshold, gLeft, hLeft, gMiss, hMiss, gTotal, hTotal, parentScore float64) {
 	lambda := b.params.Lambda
 	minChild := b.params.MinChildWeight
-	for _, missLeft := range [2]bool{true, false} {
+	dirs := []bool{true, false}
+	if gMiss == 0 && hMiss == 0 {
+		dirs = dirs[:1]
+	}
+	for _, missLeft := range dirs {
 		gl, hl := gLeft, hLeft
 		if missLeft {
 			gl += gMiss

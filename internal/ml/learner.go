@@ -246,18 +246,12 @@ func (l *Learner) evaluate(b *batch) {
 	b.evaluated = len(b.held)
 }
 
-// score gives every row of b its margin: the held-out rows through evaluate,
-// the rest in one pass.
+// score gives every row of b its margin in one batch: the held-out rows are
+// recorded through evaluate first, and the batch gives them the same bits
+// again.
 func (l *Learner) score(b *batch) {
 	l.evaluate(b)
-	held := b.held
-	for i := range b.m {
-		if len(held) > 0 && held[0] == i {
-			held = held[1:]
-			continue
-		}
-		b.m[i] = l.model.PredictMargin(b.x.Row(i))
-	}
+	l.model.PredictMarginBatch(b.x, b.m)
 }
 
 // train fits the first model on the buffer; a rejected buffer stays

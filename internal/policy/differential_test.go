@@ -45,10 +45,9 @@ type checkedDowngrade struct {
 
 	// XGB only: selections made with the model serving, and the length of
 	// the current burst (selections at one virtual instant)
-	served     int
-	burst      int
-	burstAt    time.Time
-	burstTiers map[storage.Media]bool
+	served  int
+	burst   int
+	burstAt time.Time
 }
 
 func (c *checkedDowngrade) SelectFile(tier storage.Media) *dfs.File {
@@ -63,25 +62,29 @@ func (c *checkedDowngrade) SelectFile(tier storage.Media) *dfs.File {
 		c.compareLists(tier)
 	}
 	if xgb, ok := c.DowngradePolicy.(*policy.XGBDown); ok {
-		c.checkMemo(xgb, tier)
+		c.checkWindow(xgb)
 	}
 	return got
 }
 
-// checkMemo bounds the XGB score memo by the burst it serves: the first
-// selection of an instant on a tier scores at most CandidateK files and
-// every further one replaces the file just moved with one newcomer.
-func (c *checkedDowngrade) checkMemo(xgb *policy.XGBDown, tier storage.Media) {
+// checkWindow bounds the XGB burst window by the burst it serves: it holds
+// at most 2·CandidateK files, the first selection from it scores at most
+// CandidateK of them and every further one replaces the file just moved with
+// one newcomer.
+func (c *checkedDowngrade) checkWindow(xgb *policy.XGBDown) {
 	if now := c.ctx.Clock.Now(); !now.Equal(c.burstAt) {
-		c.burst, c.burstAt, c.burstTiers = 0, now, map[storage.Media]bool{}
+		c.burst, c.burstAt = 0, now
 	}
 	c.burst++
-	c.burstTiers[tier] = true
 	if xgb.Pipeline().Learner.Ready() {
 		c.served++
 	}
-	if limit := c.ctx.Cfg.CandidateK*len(c.burstTiers) + c.burst; xgb.MemoLen() > limit {
-		c.t.Errorf("XGB memo holds %d scores at selection %d of a burst, want at most %d", xgb.MemoLen(), c.burst, limit)
+	files, scored := xgb.WindowLen()
+	if limit := 2 * c.ctx.Cfg.CandidateK; files > limit {
+		c.t.Errorf("XGB window holds %d files at selection %d of a burst, want at most %d", files, c.burst, limit)
+	}
+	if limit := c.ctx.Cfg.CandidateK + c.burst; scored > limit {
+		c.t.Errorf("XGB window holds %d scores at selection %d of a burst, want at most %d", scored, c.burst, limit)
 	}
 }
 
@@ -208,8 +211,8 @@ func TestDifferentialSelectFile(t *testing.T) {
 
 // TestXGBDownMemoMatchesUncached replays the workload, once undisturbed and
 // once under node churn, under the XGB downgrade policy: at every selection
-// the memoised choice must be the one the uncached oracle makes by scoring
-// all candidates afresh, and the memo must stay within its burst. Most
+// the windowed choice must be the one the uncached oracle makes by scoring
+// all candidates afresh, and the window must stay within its burst. Most
 // selections must happen with the model serving, or the LRU fallback is all
 // that was compared.
 func TestXGBDownMemoMatchesUncached(t *testing.T) {

@@ -13,9 +13,16 @@ import (
 // hold the indexed paths to, and the baselines their benchmarks measure
 // against; none is reachable from a running system.
 
-// MemoLen exposes the size of XGBDown's per-burst score memo to the
-// external differential tests.
-func (p *XGBDown) MemoLen() int { return len(p.memo) }
+// WindowLen exposes the size of XGBDown's burst window, and how many of its
+// files hold a score, to the external differential tests.
+func (p *XGBDown) WindowLen() (files, scored int) {
+	for _, e := range p.win {
+		if e.accesses >= 0 {
+			scored++
+		}
+	}
+	return len(p.win), scored
+}
 
 // SelectFileLinear is LRU's full scan: least recent touch, ties toward the
 // lowest file id.
@@ -69,8 +76,8 @@ func (p *WeightDown) SelectFileLinear(tier storage.Media) *dfs.File {
 	return best
 }
 
-// SelectFileLinear is XGB's selection without the memo: every candidate
-// scored afresh, one prediction at a time.
+// SelectFileLinear is XGB's selection without the window: every candidate
+// collected and scored afresh, one prediction at a time.
 func (p *XGBDown) SelectFileLinear(tier storage.Media) *dfs.File {
 	ctx := p.xgbModel.ctx
 	candidates := ctx.LRUFilesInto(nil, tier, ctx.Cfg.CandidateK)

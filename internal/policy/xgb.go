@@ -62,34 +62,36 @@ func (p *xgbModel) Tick() {
 //
 // One downgrade process selects many times at one virtual instant, and each
 // selection sees the previous one's candidates minus the file just moved, so
-// the scores are remembered across the burst: a file's score is a function
-// of the instant, the model and the file's access history, and is reused
-// while none of the three has changed.
+// a burst works from one window: the 2k least recently used files, taken
+// from the recency index once, with each file's score beside it. A score is
+// a function of the instant, the model and the file's access history, and is
+// reused while none of the three has changed; a selection scores only the
+// window's newcomers to its first k selectable files.
 type XGBDown struct {
 	xgbModel
 	thresholdStartStop
 	defaultTargetTier
 
-	// reused per-selection buffers: the candidates, their scores, and the
-	// candidates (index and record) the memo had no valid score for
+	// The window: the 2k least recently used files of tier at instant now
+	// under learner generation gen, as the recency order stood at reorders.
+	win      []windowEntry
+	winTier  storage.Media
+	winNow   time.Time
+	winGen   uint64
+	reorders uint64
+
+	// reused per-selection buffers: the window fill, the window positions of
+	// the candidates, and those (position and record) to score
 	cands    []*dfs.File
-	probs    []float64
+	picks    []int
 	miss     []int
 	missRecs []*ml.FileRecord
-
-	// memo holds the scores computed at virtual time memoNow under learner
-	// generation memoGen. It is emptied when either moves, so it never
-	// outgrows one burst: CandidateK entries per tier selected from, plus
-	// one per further selection.
-	memo    map[dfs.FileID]memoScore
-	memoNow time.Time
-	memoGen uint64
 }
 
-// memoScore is a remembered prediction, valid while the file's record still
-// counts `accesses` accesses (an access at the memo's own instant changes
-// the features).
-type memoScore struct {
+// windowEntry is one file of the window and its score, valid while the
+// file's record still counts `accesses` accesses (-1: not scored yet).
+type windowEntry struct {
+	f        *dfs.File
 	prob     float64
 	accesses int64
 }
@@ -102,55 +104,86 @@ func NewXGBDown(ctx *core.Context, learnerCfg ml.LearnerConfig) *XGBDown {
 		xgbModel:           newXGBModel(ctx, ctx.Cfg.DowngradeWindow, learnerCfg, 101),
 		thresholdStartStop: thresholdStartStop{ctx},
 		defaultTargetTier:  defaultTargetTier{ctx},
-		memo:               make(map[dfs.FileID]memoScore),
 	}
 }
 
 // Name implements core.DowngradePolicy.
 func (p *XGBDown) Name() string { return "XGB" }
 
-// SelectFile scores the k least recently used files — collected from the
-// recency index as a bounded top-k, not a full sort — and picks the one
-// least likely to be accessed in the distant future. Only candidates
-// without a valid remembered score are predicted, as one batch.
+// SelectFile scores the k least recently used selectable files — the first k
+// of the window still in the recency order, which are the first k of the
+// order itself — and picks the one least likely to be accessed in the
+// distant future, ties toward the least recently used. Only candidates
+// without a valid score are predicted, as one batch.
 func (p *XGBDown) SelectFile(tier storage.Media) *dfs.File {
 	ctx := p.xgbModel.ctx
-	p.cands = ctx.LRUFilesInto(p.cands[:0], tier, ctx.Cfg.CandidateK)
-	if len(p.cands) == 0 {
+	now, gen := ctx.Clock.Now(), p.pipeline.Learner.Generation()
+	reorders, selectable := ctx.LRUReorders(tier)
+	if tier != p.winTier || !now.Equal(p.winNow) || gen != p.winGen || reorders != p.reorders || len(p.win) == 0 {
+		p.fill(tier, now, gen, reorders)
+	}
+	if !p.pick(tier) && selectable > len(p.picks) {
+		// The window ran short of a full candidate set the order still has.
+		p.fill(tier, now, gen, reorders)
+		p.pick(tier)
+	}
+	if len(p.picks) == 0 {
 		return nil
 	}
-	now := ctx.Clock.Now()
-	if gen := p.pipeline.Learner.Generation(); gen != p.memoGen || !now.Equal(p.memoNow) {
-		clear(p.memo)
-		p.memoNow, p.memoGen = now, gen
-	}
-	p.probs, p.miss, p.missRecs = p.probs[:0], p.miss[:0], p.missRecs[:0]
-	for i, f := range p.cands {
-		rec := ctx.Record(f)
-		m, ok := p.memo[f.ID()]
-		if !ok || m.accesses != rec.AccessCount() {
+	p.miss, p.missRecs = p.miss[:0], p.missRecs[:0]
+	for _, i := range p.picks {
+		rec := ctx.Record(p.win[i].f)
+		if p.win[i].accesses != rec.AccessCount() {
 			p.miss = append(p.miss, i)
 			p.missRecs = append(p.missRecs, rec)
 		}
-		p.probs = append(p.probs, m.prob)
 	}
+	// Asked even with nothing to score: it is the serving gate.
 	scored, ok := p.pipeline.ScoreBatch(p.missRecs, now)
 	if !ok {
 		// Model not trained/gated yet: fall back to pure LRU order.
-		return p.cands[0]
+		return p.win[p.picks[0]].f
 	}
 	for k, i := range p.miss {
-		p.probs[i] = scored[k]
-		p.memo[p.cands[i].ID()] = memoScore{scored[k], p.missRecs[k].AccessCount()}
+		p.win[i].prob, p.win[i].accesses = scored[k], p.missRecs[k].AccessCount()
 	}
 	var best *dfs.File
 	bestProb := 2.0
-	for i, prob := range p.probs {
-		if prob < bestProb {
-			best, bestProb = p.cands[i], prob
+	for _, i := range p.picks {
+		if e := &p.win[i]; e.prob < bestProb {
+			best, bestProb = e.f, e.prob
 		}
 	}
 	return best
+}
+
+// fill takes the window afresh: the 2k least recently used selectable files
+// of the tier, none scored.
+func (p *XGBDown) fill(tier storage.Media, now time.Time, gen, reorders uint64) {
+	ctx := p.xgbModel.ctx
+	p.cands = ctx.LRUFilesInto(p.cands[:0], tier, 2*ctx.Cfg.CandidateK)
+	p.win = p.win[:0]
+	for _, f := range p.cands {
+		p.win = append(p.win, windowEntry{f: f, accesses: -1})
+	}
+	p.winTier, p.winNow, p.winGen, p.reorders = tier, now, gen, reorders
+}
+
+// pick collects the window positions of the first k files still in the
+// tier's recency order, and reports whether it found k (all of them, when k
+// is not positive).
+func (p *XGBDown) pick(tier storage.Media) bool {
+	ctx := p.xgbModel.ctx
+	k := ctx.Cfg.CandidateK
+	p.picks = p.picks[:0]
+	for i := range p.win {
+		if ctx.InLRUOrder(p.win[i].f, tier) {
+			if p.picks = append(p.picks, i); len(p.picks) == k {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // XGBUp is the paper's ML upgrade policy (Section 6.1): on access, upgrade
