@@ -30,7 +30,7 @@ func write(t *testing.T, rep *loadgen.Report) string {
 }
 
 func TestRules(t *testing.T) {
-	moved := &server.RebalanceStats{Completed: 7, EpochFlips: 7, FilesMoved: 62}
+	moved := &server.RebalanceStats{Completed: 7, FilesMoved: 62}
 	violated := report(1000, 1, nil)
 	violated.Violations = []string{"ledger: leaked 1 byte"}
 	// A report written by an octoload that predates a block decodes with the

@@ -239,8 +239,8 @@ func printReport(c loadgen.Config, rep *loadgen.Report) {
 	}
 	fmt.Println()
 	if r := rep.Rebalance; r != nil {
-		fmt.Printf("  rebalance  %d started, %d completed, %d aborted, %d flips, %d files (%dMB) moved, %d routes, spread %.2fx\n",
-			r.Started, r.Completed, r.Aborted, r.EpochFlips, r.FilesMoved, r.BytesMoved/storage.MB, r.Routes, r.Spread)
+		fmt.Printf("  rebalance  %d started, %d completed, %d aborted, %d files (%dMB) moved, %d routes, spread %.2fx\n",
+			r.Started, r.Completed, r.Aborted, r.FilesMoved, r.BytesMoved/storage.MB, r.Routes, r.Spread)
 	}
 	st := rep.Serve
 	fmt.Printf("  served     MEM %d  SSD %d  HDD %d  (miss %d, no-replica %d)\n",

@@ -63,11 +63,6 @@ func TestNilSafety(t *testing.T) {
 	r.CounterFunc("c", nil, func() float64 { return 1 })
 	r.Histogram("h", nil, &Histogram{})
 	r.Collector(func(Emit) {})
-	c := r.Counter("owned", nil)
-	c.Add(5) // nil counter absorbs Add
-	if c.Value() != 0 {
-		t.Fatal("nil counter held a value")
-	}
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +111,6 @@ func TestRegistryPrometheusAndJSON(t *testing.T) {
 	r.Collector(func(emit Emit) {
 		emit("octo_device_grants_total", Labels{"device": "hdd-0"}, "counter", 3)
 	})
-	cnt := r.Counter("octo_owned_total", nil)
-	cnt.Add(2)
-	cnt.Add(3)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -131,7 +123,6 @@ func TestRegistryPrometheusAndJSON(t *testing.T) {
 		"# TYPE octo_ops_total counter",
 		"octo_ops_total 42",
 		`octo_device_grants_total{device="hdd-0"} 3`,
-		"octo_owned_total 5",
 		`octo_read_latency_ns_bucket{tier="MEM",le="+Inf"} 2`,
 		`octo_read_latency_ns_count{tier="MEM"} 2`,
 	} {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Labels names one metric instance, e.g. {"tier": "SSD", "shard": "0"}.
@@ -34,29 +33,6 @@ func (l Labels) render() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Counter is a registry-owned monotonic counter for subsystems that have no
-// atomic of their own to expose. Add is one atomic op.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter. Nil-safe: a counter obtained from a nil
-// registry is nil and Add is a no-op.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
 }
 
 // entry is one registered metric. Scrapes call the value/hist closure; the
@@ -95,19 +71,6 @@ func (r *Registry) Gauge(name string, labels Labels, fn func() float64) {
 // over the owner's atomic counter).
 func (r *Registry) CounterFunc(name string, labels Labels, fn func() float64) {
 	r.register(entry{base: name, labels: labels.render(), typ: "counter", value: fn})
-}
-
-// Counter registers and returns a registry-owned counter. Returns nil on a
-// nil registry, and nil counters absorb Add calls, so callers keep one
-// unconditional Add in their path.
-func (r *Registry) Counter(name string, labels Labels) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.register(entry{base: name, labels: labels.render(), typ: "counter",
-		value: func() float64 { return float64(c.Value()) }})
-	return c
 }
 
 // Histogram registers a log2-bucketed histogram, exported as Prometheus

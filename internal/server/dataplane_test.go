@@ -15,7 +15,11 @@ package server_test
 //    serialize what per-shard device views cannot see.
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,5 +200,141 @@ func TestSharedDeviceContentionSlowsBothShards(t *testing.T) {
 			t.Errorf("shard %d: shared-device movement throughput %.1f MB/s not strictly below isolated %.1f MB/s",
 				i, shTp/1e6, isoTp/1e6)
 		}
+	}
+}
+
+// TestPlaneReadsNameTheirServingTier holds the read path's contract under
+// movement: a handle's device pointer for a tier is its residency on that
+// tier, so a served read always books the plane on a device of the tier
+// that served it, and its latency includes at least that tier's base
+// latency. Clients read a hot set on a live server while the manager moves
+// files between tiers (run under -race, repeated, in CI); at quiescence
+// Verify holds every handle's pointers to the file system's residency.
+func TestPlaneReadsNameTheirServingTier(t *testing.T) {
+	const (
+		clients = 8
+		files   = 48
+	)
+	srv, err := server.NewSharded(server.ShardedConfig{
+		Shards: 2,
+		Cluster: cluster.Config{
+			Workers: 4, SlotsPerNode: 4,
+			Spec:  storage.PaperMediaSpec(192*storage.MB, 4*storage.GB, 32*storage.GB, 2),
+			Plane: storage.NewContendedPlane(storage.PlaneConfig{}),
+		},
+		DFS: dfs.Config{Mode: dfs.ModeOctopus, Seed: 13, ClientRate: 2000e6},
+		Build: func(_ int, fs *dfs.FileSystem) (*core.Manager, error) {
+			return policy.NewManager(fs, "lru", "osa", ml.DefaultLearnerConfig())
+		},
+		Inner: server.Config{TimeScale: 240},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/hot/d%02d/f%03d", i%12, i)
+		size := int64(16+(i*37)%112) * storage.MB
+		if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: paths[i], Size: size}); err != nil {
+			t.Fatalf("preload %s: %v", paths[i], err)
+		}
+	}
+
+	// Moves completed into memory (upgrades) and into SSD or HDD (downgrades,
+	// mostly out of memory).
+	moves := func() (up, down int64) {
+		st := srv.ExecutorStats().PerTier
+		return st[storage.Memory].Completed, st[storage.SSD].Completed + st[storage.HDD].Completed
+	}
+	base := storage.DefaultTierProfiles()
+	up0, down0 := moves()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// A writer keeps creating and deleting scratch files, so memory stays
+	// under pressure and the manager keeps moving files down as well as up.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var own []string
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			path := fmt.Sprintf("/scratch/d%d/f%05d", i%4, i)
+			if _, err := srv.Do(server.Op{Kind: server.OpCreate, Path: path, Size: int64(16+i%17) * storage.MB}); err != nil {
+				t.Errorf("writer create: %v", err)
+				return
+			}
+			if own = append(own, path); len(own) > 16 {
+				// Busy (replicas in transition) is an expected outcome under
+				// concurrent movement.
+				if _, err := srv.Do(server.Op{Kind: server.OpDelete, Path: own[0]}); err != nil && !errors.Is(err, dfs.ErrBusy) {
+					t.Errorf("writer delete: %v", err)
+					return
+				}
+				own = own[1:]
+			}
+		}
+	}()
+	var served [3]atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(500 + c)))
+			zipf := rand.NewZipf(rng, 1.1, 1, files-1)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := srv.Do(server.Op{Kind: server.OpAccess, Path: paths[zipf.Uint64()]})
+				if err != nil {
+					t.Errorf("client %d access: %v", c, err)
+					return
+				}
+				if !res.Served {
+					continue
+				}
+				served[res.Tier].Add(1)
+				if res.Latency < base[res.Tier].BaseLatency {
+					t.Errorf("client %d: read served from %v took %v, under the tier's base latency %v",
+						c, res.Tier, res.Latency, base[res.Tier].BaseLatency)
+					return
+				}
+			}
+		}(c)
+	}
+	// Read until the manager has moved files both ways under the clients,
+	// or give up.
+	moved := func() bool {
+		up, down := moves()
+		return up-up0 >= 4 && down-down0 >= 4
+	}
+	for deadline := time.Now().Add(5 * time.Second); !moved() && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if !moved() {
+		up, down := moves()
+		t.Fatalf("%d upgrades and %d downgrades completed under the readers; the contract went unexercised", up-up0, down-down0)
+	}
+	var tiers [3]int64
+	for m := range served {
+		tiers[m] = served[m].Load()
+	}
+	if tiers[storage.Memory] == 0 || tiers[storage.SSD]+tiers[storage.HDD] == 0 {
+		t.Fatalf("reads never spanned tiers: %v", tiers)
+	}
+	srv.Flush()
+	if v := srv.Verify(); len(v) > 0 {
+		t.Fatalf("invariants violated after reads under movement: %v", v)
 	}
 }

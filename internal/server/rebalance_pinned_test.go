@@ -45,7 +45,7 @@ func TestRebalancePinnedOutcomes(t *testing.T) {
 		defer off.Close()
 		defer on.Close()
 		want := server.RebalanceStats{
-			Started: 3, Completed: 3, EpochFlips: 3, FilesMoved: 21, BytesMoved: 1456472064,
+			Started: 3, Completed: 3, FilesMoved: 21, BytesMoved: 1456472064,
 			Spread: 1.2467532467532467, Routes: 3,
 		}
 		checkPinned(t, on, want, 0x9e35a2fd1f38a2b2)
@@ -57,7 +57,7 @@ func TestRebalancePinnedOutcomes(t *testing.T) {
 		srv := runRehomeReplay(t)
 		defer srv.Close()
 		want := server.RebalanceStats{
-			Started: 1, Completed: 1, EpochFlips: 1, FilesMoved: 16, BytesMoved: 805306368,
+			Started: 1, Completed: 1, FilesMoved: 16, BytesMoved: 805306368,
 			Rehomed: 1, Spread: 1,
 		}
 		checkPinned(t, srv, want, 0xe7430d16673046c6)

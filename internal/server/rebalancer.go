@@ -94,7 +94,6 @@ type RebalanceStats struct {
 	Started    int64   `json:"started"`
 	Completed  int64   `json:"completed"`
 	Aborted    int64   `json:"aborted"`
-	EpochFlips int64   `json:"epoch_flips"`
 	FilesMoved int64   `json:"files_moved"`
 	BytesMoved int64   `json:"bytes_moved"`
 	Superseded int64   `json:"superseded"` // stale source copies dropped, no bytes copied (see migrateFile)
@@ -159,7 +158,6 @@ type rebalancer struct {
 	started    atomic.Int64
 	completed  atomic.Int64
 	aborted    atomic.Int64
-	flips      atomic.Int64
 	filesMoved atomic.Int64
 	bytesMoved atomic.Int64
 	superseded atomic.Int64
@@ -229,7 +227,6 @@ func (r *rebalancer) snapshot() RebalanceStats {
 		Started:    r.started.Load(),
 		Completed:  r.completed.Load(),
 		Aborted:    r.aborted.Load(),
-		EpochFlips: r.flips.Load(),
 		FilesMoved: r.filesMoved.Load(),
 		BytesMoved: r.bytesMoved.Load(),
 		Superseded: r.superseded.Load(),
@@ -474,7 +471,6 @@ func (r *rebalancer) sweep(e routeEntry) {
 			return
 		case !draining && remaining == 0:
 			r.s.routes.upsert(routeEntry{prefix: e.prefix, dst: e.dst, state: routeCommitted})
-			r.flips.Add(1)
 			r.completed.Add(1)
 			r.emit(fmt.Sprintf("commit prefix=%s dst=%d files=%d", e.prefix, e.dst, movedTotal))
 			return

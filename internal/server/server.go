@@ -555,15 +555,12 @@ func (sh *shard) indexFile(f *dfs.File) {
 	if h == nil {
 		h = &handle{sh: sh}
 	}
-	h.id, h.path, h.size, h.file, h.blk0 = f.ID(), f.Path(), f.Size(), f, -1
+	h.id, h.path, h.size, h.file = f.ID(), f.Path(), f.Size(), f
 	if blocks := f.Blocks(); len(blocks) > 0 {
 		h.blk0 = blocks[0].ID()
 	}
 	for _, m := range storage.AllMedia {
-		if f.HasReplicaOn(m) {
-			h.setDevice(m, tierDevice(f, m))
-			h.setResident(m, true)
-		}
+		h.setDevice(m, tierDevice(f, m))
 	}
 	sh.setHandle(f.Slot(), h)
 	sh.ns.put(h)
@@ -591,40 +588,37 @@ func (sh *shard) handleOf(f *dfs.File) *handle {
 // device; the membership hook runs it after node churn (see newShard).
 // O(files), and churn is rare. Shard loop only.
 func (sh *shard) refreshDevices() {
-	// Guard on the shard's cached plane/backend (the ones access uses), not
-	// the fs's live ones: pre-start churn may skip the walk (startAt
-	// re-indexes every handle anyway), and swapping either after start is
-	// unsupported.
+	// Which tiers hold a device is residency, and FileTierChanged keeps it
+	// right through churn; only which device a pointer names can go stale,
+	// and only the data plane and the physical backend read that. Guard on
+	// the shard's cached plane/backend (the ones access uses), not the fs's
+	// live ones: pre-start churn may skip the walk (startAt re-indexes every
+	// handle anyway), and swapping either after start is unsupported.
 	if sh.plane == nil && sh.backend == nil {
-		return // pointers are only read for plane charging and real reads
+		return
 	}
 	for _, h := range sh.handles {
 		if h == nil || h.file == nil {
 			continue // no slot, or a create in flight
 		}
 		for _, m := range storage.AllMedia {
-			if h.file.HasReplicaOn(m) {
-				h.setDevice(m, tierDevice(h.file, m))
-			}
+			h.setDevice(m, tierDevice(h.file, m))
 		}
 	}
 }
 
 // tierDevice picks the file's representative device on a tier (the first
-// block's replica) for data-plane charging. Shard loop only.
+// block's replica), nil unless the tier holds a full replica set. Shard loop
+// only.
 func tierDevice(f *dfs.File, m storage.Media) *storage.Device {
-	blocks := f.Blocks()
-	if len(blocks) == 0 {
+	if !f.HasReplicaOn(m) {
 		return nil
 	}
-	if r := blocks[0].ReplicaOn(m); r != nil {
-		return r.Device()
-	}
-	return nil
+	return f.Blocks()[0].ReplicaOn(m).Device()
 }
 
 // shardListener keeps the namespace coherent with the core: residency flips
-// update handle masks, deletions unindex.
+// update handle devices, deletions unindex.
 type shardListener struct{ sh *shard }
 
 // FileCreated implements dfs.Listener; indexing happens in the create
@@ -650,18 +644,12 @@ func (l shardListener) FileDeleted(f *dfs.File) {
 }
 
 // FileTierChanged implements dfs.Listener: publish the flip to the handle
-// so client reads pick their serving tier lock-free. The representative
-// device is published before the residency bit turns on (and cleared after
-// it turns off), so a reader that observes the bit finds a device.
-func (l shardListener) FileTierChanged(f *dfs.File, media storage.Media, resident bool) {
+// so client reads pick their serving tier lock-free. dfs notifies after the
+// flip, so tierDevice already reads it: the tier's representative device on
+// a flip on, nil on a flip off.
+func (l shardListener) FileTierChanged(f *dfs.File, media storage.Media, _ bool) {
 	if h := l.sh.handleOf(f); h != nil {
-		if resident {
-			h.setDevice(media, tierDevice(f, media))
-			h.setResident(media, true)
-		} else {
-			h.setResident(media, false)
-			h.setDevice(media, nil)
-		}
+		h.setDevice(media, tierDevice(f, media))
 	}
 }
 
@@ -861,8 +849,8 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 		sp.ResolveNS = time.Since(spStart).Nanoseconds()
 	}
 	sh.counters.accesses.Add(1)
-	tier, served := h.bestTier()
-	if !served {
+	tier, dev := h.bestTier()
+	if dev == nil {
 		sh.counters.noReplica.Add(1)
 		sh.publish(h, at, sp, spStart)
 		sh.finishSpan(sp, spStart, at, "no resident tier")
@@ -884,38 +872,34 @@ func (sh *shard) access(h *handle, op Op, sp *obs.Span, spStart time.Time) Acces
 	// contention accounting).
 	measured := false
 	if sh.plane != nil && !at.IsZero() {
-		if dev := h.device(tier); dev != nil {
-			g := sh.plane.Serve(storage.IORequest{
-				Device: dev,
-				Dir:    storage.Read,
-				Class:  storage.ClassServe,
-				Tenant: op.Tenant,
-				Bytes:  h.size,
-				At:     at,
-			})
-			res.Latency, measured = g.Latency(), sh.backend == nil
-			if sp != nil {
-				sp.QueueNS = g.Queue.Nanoseconds()
-				sp.BaseNS = g.Base.Nanoseconds()
-				sp.TransferNS = g.Transfer.Nanoseconds()
-				sp.Saturated = g.Saturated
-			}
+		g := sh.plane.Serve(storage.IORequest{
+			Device: dev,
+			Dir:    storage.Read,
+			Class:  storage.ClassServe,
+			Tenant: op.Tenant,
+			Bytes:  h.size,
+			At:     at,
+		})
+		res.Latency, measured = g.Latency(), sh.backend == nil
+		if sp != nil {
+			sp.QueueNS = g.Queue.Nanoseconds()
+			sp.BaseNS = g.Base.Nanoseconds()
+			sp.TransferNS = g.Transfer.Nanoseconds()
+			sp.Saturated = g.Saturated
 		}
 	}
 	// Physical read: stream the representative block's real bytes from the
 	// serving tier on the client goroutine, so the latencies recorded are
 	// real, not modeled. A failed read (e.g. the replica moved between the
-	// residency load and the open) is counted in the backend's stats and
+	// device load and the open) is counted in the backend's stats and
 	// served virtually.
-	if sh.backend != nil && h.blk0 >= 0 {
-		if dev := h.device(tier); dev != nil {
-			d, err := sh.backend.Read(backend.Request{
-				Media: tier, Class: storage.ClassServe, Tenant: op.Tenant,
-				DeviceID: dev.ID(), BlockID: h.blk0, Bytes: min(h.size, sh.blockSize),
-			})
-			if err == nil {
-				res.Latency, measured = d, true
-			}
+	if sh.backend != nil {
+		d, err := sh.backend.Read(backend.Request{
+			Media: tier, Class: storage.ClassServe, Tenant: op.Tenant,
+			DeviceID: dev.ID(), BlockID: h.blk0, Bytes: min(h.size, sh.blockSize),
+		})
+		if err == nil {
+			res.Latency, measured = d, true
 		}
 	}
 	if measured {

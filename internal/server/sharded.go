@@ -261,7 +261,6 @@ func (s *ShardedServer) registerObs() {
 		r.CounterFunc("octo_rebalance_migrations_started_total", nil, func() float64 { return float64(reb.started.Load()) })
 		r.CounterFunc("octo_rebalance_migrations_completed_total", nil, func() float64 { return float64(reb.completed.Load()) })
 		r.CounterFunc("octo_rebalance_migrations_aborted_total", nil, func() float64 { return float64(reb.aborted.Load()) })
-		r.CounterFunc("octo_rebalance_epoch_flips_total", nil, func() float64 { return float64(reb.flips.Load()) })
 		r.CounterFunc("octo_rebalance_files_moved_total", nil, func() float64 { return float64(reb.filesMoved.Load()) })
 		r.CounterFunc("octo_rebalance_bytes_moved_total", nil, func() float64 { return float64(reb.bytesMoved.Load()) })
 		r.CounterFunc("octo_rebalance_files_superseded_total", nil, func() float64 { return float64(reb.superseded.Load()) })
@@ -691,6 +690,21 @@ func (s *ShardedServer) Verify() []string {
 				violations = append(violations, fmt.Sprintf("shard %d: namespace names %s, which the shard does not hold", i, h.path))
 			}
 		})
+		// Every indexed handle's device pointers are its file's residency:
+		// one on exactly the tiers holding a full replica set, each a device
+		// of its tier.
+		for _, h := range sh.handles {
+			if h == nil || h.file == nil {
+				continue // no slot, or a create in flight
+			}
+			for _, m := range storage.AllMedia {
+				if d, resident := h.device(m), h.file.HasReplicaOn(m); (d != nil) != resident {
+					violations = append(violations, fmt.Sprintf("shard %d: %s publishes a %v device: %v, resident: %v", i, h.path, m, d != nil, resident))
+				} else if d != nil && d.Media() != m {
+					violations = append(violations, fmt.Sprintf("shard %d: %s publishes %s as its %v device", i, h.path, d.ID(), m))
+				}
+			}
+		}
 		for _, f := range fs.LiveFiles() {
 			dir, _ := parentOf(f.Path())
 			if e := s.routes.lookup(dir); sh.stale(f) && (e == nil || e.state == routeCommitted) {

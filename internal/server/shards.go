@@ -13,8 +13,8 @@ import (
 )
 
 // handle is the client-visible view of one served file. Clients read only
-// the immutable identity fields and the atomically published residency
-// mask; the *dfs.File pointer is owned by the core loop and must never be
+// the immutable identity fields and the atomically published per-tier
+// devices; the *dfs.File pointer is owned by the core loop and must never be
 // dereferenced on a client goroutine.
 type handle struct {
 	id   dfs.FileID
@@ -24,25 +24,24 @@ type handle struct {
 	// its loop applies the accesses.
 	sh   *shard
 	file *dfs.File // core-loop-owned; nil until the file is indexed
-	// blk0 identifies the file's first block (-1 for an empty file): the
-	// representative replica the physical-backend read path streams, whose
-	// size is min(size, the shard's block size). Block identity is
-	// immutable for the handle's life (only the replica's device moves), so
-	// clients read it without synchronization.
+	// blk0 identifies the file's first block: the representative replica
+	// the physical-backend read path streams, whose size is min(size, the
+	// shard's block size). It is read only for a resident file, which always
+	// has a first block. Block identity is immutable for the handle's life
+	// (only the replica's device moves), so clients read it without
+	// synchronization.
 	blk0 int64
-	// res is a bitmask of tiers holding a full all-or-nothing replica set
-	// (bit i = storage.Media(i)), published by the core loop on every
-	// residency flip so the client read path picks its serving tier without
-	// entering the core.
-	res atomic.Uint32
 	// migrated marks a handle whose file left for another shard (as opposed
 	// to deleted): the reason its leftover accesses are discarded under.
 	// Shard loop only.
 	migrated bool
 	// dev publishes, per tier, a representative device holding the file's
-	// replicas, so the client read path can charge the data plane's
-	// physical channel without entering the core. Client goroutines may
-	// only read the device's immutable identity (ID, Media) — the mutable
+	// replicas. It is non-nil exactly while the tier holds a full
+	// all-or-nothing replica set, so it is the handle's residency too: the
+	// core loop stores it on every residency flip, and the client read path
+	// picks its serving tier and charges the data plane's physical channel
+	// from one load without entering the core. Client goroutines may only
+	// read the device's immutable identity (ID, Media) — the mutable
 	// capacity/bandwidth state stays core-loop-owned.
 	dev [3]atomic.Pointer[storage.Device]
 
@@ -121,48 +120,29 @@ func (l *dirtyList) collect(batch []pendingAccess) []pendingAccess {
 
 func (l *dirtyList) empty() bool { return l.head.Load() == nil }
 
-// setDevice publishes (or, with nil, clears) the tier's representative
-// device. Core loop only; publish the device before flipping residency on
-// so readers that see the bit always find a device.
+// setDevice publishes the tier's representative device on a residency
+// flip on, or clears it (nil) on a flip off. Core loop only.
 func (h *handle) setDevice(m storage.Media, d *storage.Device) { h.dev[m].Store(d) }
 
-// device returns the tier's representative device (nil during the brief
-// window around a residency flip).
+// device returns the tier's representative device, nil while the tier does
+// not hold the file.
 func (h *handle) device(m storage.Media) *storage.Device { return h.dev[m].Load() }
 
-// setResident publishes one tier's residency flip.
-func (h *handle) setResident(m storage.Media, resident bool) {
-	for {
-		old := h.res.Load()
-		var next uint32
-		if resident {
-			next = old | 1<<uint(m)
-		} else {
-			next = old &^ (1 << uint(m))
-		}
-		if old == next || h.res.CompareAndSwap(old, next) {
-			return
+// bestTier returns the highest (fastest) resident tier and its device, or a
+// nil device when no tier holds the file.
+func (h *handle) bestTier() (storage.Media, *storage.Device) {
+	for _, m := range storage.AllMedia {
+		if d := h.device(m); d != nil {
+			return m, d
 		}
 	}
+	return 0, nil
 }
 
-// bestTier returns the highest (fastest) tier with full residency.
-func (h *handle) bestTier() (storage.Media, bool) {
-	mask := h.res.Load()
+// residency reports which tiers hold the file.
+func (h *handle) residency() (out [3]bool) {
 	for _, m := range storage.AllMedia {
-		if mask&(1<<uint(m)) != 0 {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
-// residency decodes the published mask.
-func (h *handle) residency() [3]bool {
-	mask := h.res.Load()
-	var out [3]bool
-	for _, m := range storage.AllMedia {
-		out[m] = mask&(1<<uint(m)) != 0
+		out[m] = h.device(m) != nil
 	}
 	return out
 }

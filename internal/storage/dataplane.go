@@ -422,39 +422,20 @@ func (p *ContendedPlane) Serve(req IORequest) IOGrant {
 	service := base + transfer
 	now := sim.Nanos(req.At)
 	ch := p.deviceChannel(d)
-	h := ch.horizon(req.Dir)
 
-	var queue time.Duration
+	var queueNS int64
 	var saturated bool
 	if p.weights != nil {
-		queue, saturated = p.serveFair(ch, req, service.Nanoseconds(), now)
+		queueNS, saturated = p.serveFair(ch, req, service.Nanoseconds(), now)
 		tc := p.tenants[req.Tenant]
 		if tc == nil {
 			tc = &p.untagged
 		}
-		tc.add(req.Bytes, queue, saturated)
+		tc.add(req.Bytes, time.Duration(queueNS), saturated)
 	} else {
-		for {
-			busy := h.Load()
-			queueNS := busy - now
-			if queueNS < 0 {
-				queueNS = 0
-			}
-			if maxNS := p.cfg.MaxQueue.Nanoseconds(); queueNS > maxNS {
-				queueNS, saturated = maxNS, true
-			}
-			end := now + queueNS + service.Nanoseconds()
-			queue = time.Duration(queueNS)
-			if end <= busy {
-				// The channel is already booked beyond this request's clamped
-				// completion (saturation): never retreat the horizon.
-				break
-			}
-			if h.CompareAndSwap(busy, end) {
-				break
-			}
-		}
+		queueNS, _, saturated = bookFIFO(ch.horizon(req.Dir), now, service.Nanoseconds(), p.cfg.MaxQueue.Nanoseconds())
 	}
+	queue := time.Duration(queueNS)
 
 	t := &p.tiers[d.media]
 	t.requests.Add(1)
@@ -479,6 +460,25 @@ func (p *ContendedPlane) Serve(req IORequest) IOGrant {
 	return IOGrant{Queue: queue, Base: base, Transfer: transfer, Saturated: saturated}
 }
 
+// bookFIFO grants a request of serviceNS arriving at now its FIFO slot on
+// the directional horizon h: it queues behind the booked backlog, clamped at
+// maxNS (saturated), and moves the horizon to the grant's end unless the
+// channel is already booked past it, so the horizon never moves backwards.
+// Lock-free; the one FIFO grant both single- and multi-tenant planes book.
+func bookFIFO(h *atomic.Int64, now, serviceNS, maxNS int64) (queueNS, end int64, saturated bool) {
+	for {
+		busy := h.Load()
+		queueNS, saturated = max(busy-now, 0), false
+		if queueNS > maxNS {
+			queueNS, saturated = maxNS, true
+		}
+		end = now + queueNS + serviceNS
+		if end <= busy || h.CompareAndSwap(busy, end) {
+			return queueNS, end, saturated
+		}
+	}
+}
+
 // weight returns the tenant's configured fair share; unlisted tenants run
 // at weight 1.
 func (p *ContendedPlane) weight(t TenantID) float64 {
@@ -491,8 +491,8 @@ func (p *ContendedPlane) weight(t TenantID) float64 {
 // serveFair is the multi-tenant arbitration of one request: weighted-fair
 // virtual-time scheduling on the channel's per-tenant horizons.
 //
-// When no *other* tenant is backlogged on the direction, the request queues
-// FIFO against the device horizon with exactly the single-tenant math — the
+// When no *other* tenant is backlogged on the direction, the request books
+// the single-tenant FIFO grant (bookFIFO) on the device horizon — the
 // scheduler is work-conserving, and a lone active tenant gets the whole
 // channel. When others are backlogged, the request instead queues behind
 // the tenant's own horizon and its service is stretched by the inverse of
@@ -502,7 +502,7 @@ func (p *ContendedPlane) weight(t TenantID) float64 {
 // (saturated grants advance no horizon), and the device horizon books the
 // raw service so total granted work per device stays bounded by the wall
 // the single-tenant plane enforces.
-func (p *ContendedPlane) serveFair(ch *planeChannel, req IORequest, serviceNS, now int64) (time.Duration, bool) {
+func (p *ContendedPlane) serveFair(ch *planeChannel, req IORequest, serviceNS, now int64) (int64, bool) {
 	f := ch.fair
 	di := dirIndex(req.Dir)
 	h := ch.horizon(req.Dir)
@@ -521,25 +521,12 @@ func (p *ContendedPlane) serveFair(ch *planeChannel, req IORequest, serviceNS, n
 		}
 	}
 
-	var queueNS int64
-	var saturated bool
 	if !contended {
-		busy := h.Load()
-		queueNS = busy - now
-		if queueNS < 0 {
-			queueNS = 0
-		}
-		if queueNS > maxNS {
-			queueNS, saturated = maxNS, true
-		}
-		end := now + queueNS + serviceNS
-		if end > busy {
-			h.Store(end)
-		}
+		queueNS, end, saturated := bookFIFO(h, now, serviceNS, maxNS)
 		if end > horizons[req.Tenant] && !saturated {
 			horizons[req.Tenant] = end
 		}
-		return time.Duration(queueNS), saturated
+		return queueNS, saturated
 	}
 
 	start := horizons[req.Tenant]
@@ -547,7 +534,7 @@ func (p *ContendedPlane) serveFair(ch *planeChannel, req IORequest, serviceNS, n
 		start = now
 	}
 	stretched := int64(float64(serviceNS) * wsum / w)
-	queueNS = (start - now) + (stretched - serviceNS)
+	queueNS, saturated := (start-now)+(stretched-serviceNS), false
 	if queueNS > maxNS {
 		queueNS, saturated = maxNS, true
 	}
@@ -567,7 +554,7 @@ func (p *ContendedPlane) serveFair(ch *planeChannel, req IORequest, serviceNS, n
 		}
 		h.Store(base + serviceNS)
 	}
-	return time.Duration(queueNS), saturated
+	return queueNS, saturated
 }
 
 // TenantStats snapshots the per-tenant counters of a multi-tenant plane in
