@@ -114,6 +114,8 @@ type Block struct {
 	// then 1 while the block waits out its client-rate floor (see
 	// replicaWritten).
 	writing int32
+	// under marks a block FileSystem.underBlocks counts (see recount).
+	under bool
 }
 
 // ID returns the block id (unique within the FileSystem).
@@ -149,12 +151,47 @@ func (b *Block) ReadableReplicas() int {
 	return n
 }
 
+// underReplicated reports whether the block is one UnderReplicatedFiles
+// looks for: its file is complete, and it has some readable replica but
+// fewer than the file's replication target.
+func (b *Block) underReplicated() bool {
+	if b.file.creating {
+		return false
+	}
+	n := b.ReadableReplicas()
+	return n > 0 && n < int(b.file.replication)
+}
+
+// recount brings the block's mark, and with it the file system's count of
+// under-replicated blocks, up to date. Every change to a block's readable
+// replicas or to its file's creating flag or replication target calls it
+// (through recountFile for the file-wide ones); a file leaves the live set
+// only through releaseAllReplicas, which recounts its blocks at none.
+func (b *Block) recount() {
+	if under := b.underReplicated(); under != b.under {
+		b.under = under
+		if under {
+			b.file.fs.underBlocks++
+		} else {
+			b.file.fs.underBlocks--
+		}
+	}
+}
+
+// recountFile recounts every block of f.
+func recountFile(f *File) {
+	for _, b := range f.blocks {
+		b.recount()
+	}
+}
+
 // noteReadable updates the owning file's per-tier residency counter after r
 // became readable: the counter gains the block when r is its first readable
 // replica on that media. Call it after the state (and, for moves, device)
 // change has been applied. Crossing into full residency (every block on the
 // media) fires the FileTierChanged notification.
 func (b *Block) noteReadable(r *Replica) {
+	b.recount()
 	m := r.Media()
 	for _, other := range b.replicas {
 		if other != r && other.Readable() && other.Media() == m {
@@ -173,6 +210,7 @@ func (b *Block) noteReadable(r *Replica) {
 // passing the media it was readable on. Dropping out of full residency
 // fires the FileTierChanged notification.
 func (b *Block) noteUnreadable(r *Replica, media storage.Media) {
+	b.recount()
 	for _, other := range b.replicas {
 		if other != r && other.Readable() && other.Media() == media {
 			return

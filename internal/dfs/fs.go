@@ -158,6 +158,11 @@ type FileSystem struct {
 	filePos   []int32
 	freeSlots []int32
 
+	// underBlocks counts the blocks UnderReplicatedFiles looks for (see
+	// Block.recount), so the Replication Monitor's per-tick check costs
+	// nothing while there are none.
+	underBlocks int
+
 	// liveBytes tracks the block bytes of all attached, non-deleting
 	// replicas; pendingMoveBytes tracks destination reservations of
 	// in-flight tier moves. Together they let the invariant checker verify
@@ -499,6 +504,7 @@ func (fs *FileSystem) abortCreate(f *File) {
 // commitCreate completes a file whose every block is written.
 func (fs *FileSystem) commitCreate(f *File) {
 	f.creating = false
+	recountFile(f)
 	fs.stats.FilesCreated++
 	for _, l := range fs.listeners {
 		l.FileCreated(f)
@@ -874,6 +880,7 @@ func (fs *FileSystem) releaseAllReplicas(f *File, class storage.IOClass) {
 			}
 		}
 		b.replicas = nil
+		b.recount()
 	}
 	f.tierBlocks = [3]int32{}
 }

@@ -124,6 +124,7 @@ func (fs *FileSystem) CheckInvariants() error {
 
 	// Replica-level checks plus a recount of the incremental aggregates.
 	var liveBytes int64
+	under := 0
 	for _, f := range fs.fileList {
 		if f.deleted {
 			return fmt.Errorf("dfs: deleted file %q in live index", f.path)
@@ -149,6 +150,12 @@ func (fs *FileSystem) CheckInvariants() error {
 					liveBytes += b.size
 				}
 			}
+			if b.under != b.underReplicated() {
+				return fmt.Errorf("dfs: block %d of %q marked under-replicated %v, recount %v", b.id, f.path, b.under, !b.under)
+			}
+			if b.under {
+				under++
+			}
 		}
 		for _, media := range storage.AllMedia {
 			m := int(media)
@@ -170,6 +177,9 @@ func (fs *FileSystem) CheckInvariants() error {
 	}
 	if liveBytes != fs.liveBytes {
 		return fmt.Errorf("dfs: live replica recount %d != tracked %d", liveBytes, fs.liveBytes)
+	}
+	if under != fs.underBlocks {
+		return fmt.Errorf("dfs: %d under-replicated blocks, tracked %d", under, fs.underBlocks)
 	}
 
 	// Every slot is either held by the live file it indexes or listed free,

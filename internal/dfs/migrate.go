@@ -231,6 +231,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 		next = next[len(bl.Media):]
 	}
 	f.creating = false
+	recountFile(f)
 	for _, l := range fs.listeners {
 		l.FileCreated(f)
 	}

@@ -390,13 +390,18 @@ func (fs *FileSystem) DeleteFileReplicas(f *File, from storage.Media) error {
 func (fs *FileSystem) LowerReplication(f *File) {
 	if f.replication > 1 {
 		f.replication--
+		recountFile(f)
 	}
 }
 
 // UnderReplicatedFiles returns files having at least one block with fewer
 // readable replicas than the file's replication target; the Replication
-// Monitor uses this to re-replicate after failures or deletions.
+// Monitor uses this to re-replicate after failures or deletions. While no
+// block is under-replicated it returns nil without walking the files.
 func (fs *FileSystem) UnderReplicatedFiles() []*File {
+	if fs.underBlocks == 0 {
+		return nil
+	}
 	var out []*File
 	for _, f := range fs.fileList {
 		if f.creating {

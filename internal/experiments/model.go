@@ -479,14 +479,14 @@ func Fig17WorkloadSwitch(o Options) ([]*eval.Table, error) {
 
 // timeTraining feeds the samples to the learner and returns the wall time
 // until it is done with them. The learner boosts beside its caller, so the
-// last Add may return with an update in flight; the clock stops once that
-// update is joined.
+// last Add may return with an update in flight; the clock stops once Flush
+// has published it.
 func timeTraining(learner *ml.Learner, samples []mlSample) time.Duration {
 	start := time.Now()
 	for _, s := range samples {
 		learner.Add(s.x, s.y)
 	}
-	learner.Model()
+	learner.Flush()
 	return time.Since(start)
 }
 

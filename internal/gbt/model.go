@@ -192,7 +192,7 @@ type Model struct {
 	gains      []float64 // split gain per node (0 at leaves); read by FeatureImportance and JSON only
 	roots      []int32   // roots[k] is the index in nodes of tree k's root
 	index      scorer    // the same trees by feature; what PredictMargin reads
-	trainer    *builder  // the updates' builder, kept for its scratch
+	delta      *Delta    // Update's and UpdateFrom's trees and scratch, kept between updates
 }
 
 // Params returns the hyperparameters the model was built with.
@@ -357,7 +357,7 @@ func (m *Model) ApproxMemoryBytes() int {
 }
 
 // retire drops the `drop` oldest trees from the forest, sliding the rest down
-// in place. The index follows in Update.
+// in place. The index follows in Commit.
 func (m *Model) retire(drop int) {
 	cut := m.roots[drop]
 	m.nodes = m.nodes[:copy(m.nodes, m.nodes[cut:])]

@@ -36,7 +36,7 @@ type span struct {
 }
 
 // scorer is the by-feature index of a model's forest. It holds nothing the
-// forest does not; Model.Update keeps the two in step.
+// forest does not; Model.Commit keeps the two in step.
 type scorer struct {
 	nodes  []qnode   // by (key, threshold); equal ones in boosting order, then preorder
 	spans  []span    // the runs of nodes, one per key present

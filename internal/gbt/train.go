@@ -22,11 +22,13 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 	} else {
 		m.baseMargin = p.BaseScore
 	}
-	// The builder is not kept: a model trained once on a large set would
+	// The delta is not kept: a model trained once on a large set would
 	// carry that set's scratch for good.
-	if err := m.boost(new(builder), x, y, m.margins(x), p.Rounds); err != nil {
+	d := new(Delta)
+	if err := m.grow(d, x, y, m.margins(x), p.Rounds); err != nil {
 		return nil, err
 	}
+	m.appendTrees(d)
 	m.index.advance(m, 0)
 	return m, nil
 }
@@ -36,10 +38,10 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 // refined with data points as they become available, adapting to workload
 // change without a fixed training window (Section 4.2).
 func (m *Model) Update(x *Matrix, y []float64, rounds int) error {
-	b := m.updater()
-	b.margins = resize(b.margins, x.Rows())
-	m.PredictMarginBatch(x, b.margins)
-	return m.UpdateFrom(x, y, b.margins, rounds)
+	d := m.updates()
+	d.margins = resize(d.margins, x.Rows())
+	m.PredictMarginBatch(x, d.margins)
+	return m.UpdateFrom(x, y, d.margins, rounds)
 }
 
 // margins returns the model's PredictMargin of every row of x.
@@ -49,29 +51,71 @@ func (m *Model) margins(x *Matrix) []float64 {
 	return out
 }
 
-// updater returns the builder the model's updates share. It is scratch, not
-// part of the model: ApproxMemoryBytes and JSON leave it out.
-func (m *Model) updater() *builder {
-	if m.trainer == nil {
-		m.trainer = new(builder)
+// updates returns the delta the model's own updates share. It is scratch,
+// not part of the model: ApproxMemoryBytes and JSON leave it out.
+func (m *Model) updates() *Delta {
+	if m.delta == nil {
+		m.delta = new(Delta)
 	}
-	return m.trainer
+	return m.delta
 }
 
 // UpdateFrom is Update for a caller that already holds the model's current
 // PredictMargin of every row of x, which spares the pass over the forest
-// that computes them. margins is overwritten. Once the model has seen a few
-// batches of a size, an update allocates nothing.
+// that computes them: Grow into the model's own delta, then Commit. margins
+// is overwritten. Once the model has seen a few batches of a size, an update
+// allocates nothing.
 func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
+	d := m.updates()
+	if err := m.Grow(d, x, y, margins, rounds); err != nil {
+		return err
+	}
+	m.Commit(d)
+	return nil
+}
+
+// Delta is the trees one update adds to a model, held apart from it: Grow
+// fills it and only reads the model, so the model keeps serving predictions
+// while an update grows, and Commit appends it. A Delta keeps its storage and
+// the tree builder's scratch from one update to the next.
+type Delta struct {
+	b       builder
+	nodes   []fnode   // the trees back to back, children as relative distances
+	gains   []float64 // per node, as Model.gains
+	roots   []int32   // tree k's root in nodes
+	margins []float64 // Update's starting margins
+}
+
+// clear drops the trees, keeping their storage.
+func (d *Delta) clear() { d.nodes, d.gains, d.roots = d.nodes[:0], d.gains[:0], d.roots[:0] }
+
+// Grow boosts `rounds` trees (the model's Rounds when not positive) on
+// (x, y) from the model's current PredictMargin of every row, given in
+// margins, and leaves them in d in place of whatever it held. margins is
+// overwritten. Grow only reads the model: any number of goroutines may
+// predict on it meanwhile, but nothing may change it until d is committed
+// or dropped.
+func (m *Model) Grow(d *Delta, x *Matrix, y, margins []float64, rounds int) error {
+	d.clear()
 	if rounds <= 0 {
 		rounds = m.params.Rounds
 	}
 	if x.Rows() == 0 {
 		return errors.New("gbt: empty update batch")
 	}
-	if err := m.boost(m.updater(), x, y, margins, rounds); err != nil {
-		return err
+	return m.grow(d, x, y, margins, rounds)
+}
+
+// Commit appends the trees Grow left in d to the model, retires the oldest
+// past MaxTrees and brings the scoring index up to the forest. The model must
+// not have changed since Grow read it. d is left empty, so a second Commit
+// adds nothing.
+func (m *Model) Commit(d *Delta) {
+	if len(d.roots) == 0 {
+		return
 	}
+	m.appendTrees(d)
+	d.clear()
 	drop := 0
 	if m.params.MaxTrees > 0 && m.NumTrees() > m.params.MaxTrees {
 		// Retire the oldest trees. This is an approximation (later trees
@@ -81,28 +125,40 @@ func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
 		m.retire(drop)
 	}
 	m.index.advance(m, drop)
-	return nil
 }
 
-// boost adds `rounds` trees fit to the current ensemble's gradient on
-// (x, y), to the forest only, grown by b. margins holds the ensemble's margin
-// of every row and is updated as trees are added.
-func (m *Model) boost(b *builder, x *Matrix, y, margins []float64, rounds int) error {
+// appendTrees lays d's trees out at the end of the forest. Children are
+// relative, so the nodes go over as they are and only the roots move.
+func (m *Model) appendTrees(d *Delta) {
+	base := int32(len(m.nodes))
+	m.nodes = append(m.nodes, d.nodes...)
+	m.gains = append(m.gains, d.gains...)
+	for _, r := range d.roots {
+		m.roots = append(m.roots, base+r)
+	}
+}
+
+// grow adds `rounds` trees fit to the ensemble's gradient on (x, y) to d,
+// the ensemble being the model followed by the trees d already holds.
+// margins holds that ensemble's margin of every row and is updated as trees
+// are added.
+func (m *Model) grow(d *Delta, x *Matrix, y, margins []float64, rounds int) error {
 	n := x.Rows()
 	if n != len(y) || n != len(margins) {
 		return fmt.Errorf("gbt: %d rows but %d labels and %d margins", n, len(y), len(margins))
 	}
+	b := &d.b
 	b.reset(x, m.params)
 	defer b.release()
 	b.gradBuf = resize(b.gradBuf, 2*n)
 	grad, hess := b.gradBuf[:n], b.gradBuf[n:]
 	for r := 0; r < rounds; r++ {
 		m.computeGradients(margins, y, grad, hess)
-		root := int32(len(m.nodes))
-		m.nodes, m.gains = b.build(m.nodes, m.gains, grad, hess)
-		m.roots = append(m.roots, root)
+		root := int32(len(d.nodes))
+		d.nodes, d.gains = b.build(d.nodes, d.gains, grad, hess)
+		d.roots = append(d.roots, root)
 		for i := range margins {
-			margins[i] += walk(m.nodes, root, x.Row(i))
+			margins[i] += walk(d.nodes, root, x.Row(i))
 		}
 	}
 	return nil
@@ -155,8 +211,7 @@ type builder struct {
 
 	gMiss, hMiss []float64  // per feature: the sums over the searched node's rows missing it
 	present      []valueRow // reset's sort scratch
-	gradBuf      []float64  // boost's gradients and hessians
-	margins      []float64  // Update's starting margins
+	gradBuf      []float64  // grow's gradients and hessians
 
 	searchAll bool // tests only: search for a split even where none can pass
 

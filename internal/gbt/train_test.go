@@ -546,3 +546,58 @@ func TestSteadyUpdateAllocatesNothing(t *testing.T) {
 		t.Errorf("Update makes %v allocations per update", allocs)
 	}
 }
+
+// TestGrowOnlyReadsTheModel: Grow leaves the model it reads unchanged, to the
+// byte of its JSON and the bits of its predictions, and predicting on it
+// while a Grow runs beside is race-free; Commit then leaves the model that
+// UpdateFrom makes from the same batch, past retirement, and a second Commit
+// of the emptied delta adds nothing.
+func TestGrowOnlyReadsTheModel(t *testing.T) {
+	m, x, y := benchModel(t)
+	twin, _, _ := benchModel(t)
+	before, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, x.Rows())
+	m.PredictMarginBatch(x, want)
+	var d Delta
+	margins := slices.Clone(want)
+	done := make(chan error, 1)
+	go func() { done <- m.Grow(&d, x, y, margins, 3) }()
+	for i := 0; i < x.Rows(); i++ {
+		if got := m.PredictMargin(x.Row(i)); math.Float64bits(got) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d scored %v beside Grow, %v before", i, got, want[i])
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("Grow changed the model")
+	}
+	m.Commit(&d)
+	twinMargins := slices.Clone(want)
+	if err := twin.UpdateFrom(x, y, twinMargins, 3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := json.Marshal(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(ref) || m.NumTrees() != benchTrees {
+		t.Fatalf("Grow then Commit gave %d trees and %d bytes of JSON, UpdateFrom %d and %d", m.NumTrees(), len(got), twin.NumTrees(), len(ref))
+	}
+	m.Commit(&d)
+	if again, _ := json.Marshal(m); string(again) != string(got) {
+		t.Fatal("a second Commit of the same delta changed the model")
+	}
+}

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,15 +81,20 @@ func (c *LearnerConfig) applyDefaults() {
 // data points for evaluating the performance of M before using them for
 // training M").
 //
-// Training runs beside the caller. Add only buffers a sample; when the
-// buffer is full, one goroutine takes it over, scores its rows under the
-// model they arrived under and boosts the model from those margins, while
-// Add fills a new buffer. A held-out sample is scored when the evaluation
-// state is next read, under the same model. At most one update is in flight,
-// and every method that reads the model or the evaluation state — Ready,
-// Predict, Model, Generation, RollingError, Updates, Trainings, TrainTime,
-// ForceTrain — first waits for it, so each returns what it would had the
-// update run inside Add. A Learner is not safe for concurrent use.
+// Training runs behind the serving model. Add only buffers a sample; when
+// the buffer is full, Add publishes the training in flight, waiting for it if
+// it has not finished, and hands the full buffer to a goroutine, while Add
+// fills a new buffer and the caller keeps predicting. With no model yet the
+// goroutine trains the first one; otherwise it scores the buffer's rows
+// under the model just published, takes the held-out rows' outcomes from
+// those margins and grows the update's trees beside the model. Publishing
+// installs the first model, or commits the trees, enters the outcomes into
+// the evaluation ring in arrival order and counts the update. It happens only
+// in Add at a full buffer, in ForceTrain and in Flush, points fixed by the
+// sample stream, so the serving model is at most one batch behind and what a
+// caller sees never depends on how fast the goroutine ran. Every other method
+// reads what is published and never waits. A Learner is not safe for
+// concurrent use.
 type Learner struct {
 	cfg   LearnerConfig
 	width int
@@ -97,8 +103,11 @@ type Learner struct {
 	model *gbt.Model
 	fill  *batch // the buffer Add appends to; a full one goes to the update
 
-	inFlight bool           // an update has been started and not yet joined
-	done     sync.WaitGroup // held by the update in flight
+	inFlight *batch         // the batch of the training not yet published, nil if none
+	done     sync.WaitGroup // held by the training goroutine
+	delta    gbt.Delta      // the trees an update grows, until published
+
+	hold func() // tests only: the training goroutine runs it first
 
 	evalResults []bool // ring of recent eval correctness
 	evalNext    int
@@ -112,18 +121,18 @@ type Learner struct {
 	trainTime   time.Duration
 }
 
-// batch is one buffer of labelled rows. Every row arrived under the current
-// model (the buffer is emptied whenever the model changes), so a margin
-// computed for it at any time before the model next changes is the margin
-// the update boosts from.
+// batch is one buffer of labelled rows and, once its training has run, what
+// the training found.
 type batch struct {
-	x *gbt.Matrix
-	y []float64
-	m []float64 // m[i] is row i's margin once scored, 0 until then
-	// held lists the rows held out for evaluation, ascending; the first
-	// evaluated of them are scored and in the ring.
-	held      []int
-	evaluated int
+	x    *gbt.Matrix
+	y    []float64
+	held []int // the rows held out for evaluation, ascending
+
+	trained *gbt.Model    // with no model yet: the first one, nil if Train rejected the batch
+	m       []float64     // an update's margins of every row under the model it started from
+	right   []bool        // per held row: whether that model classified it right
+	grown   bool          // the model's Grow took the batch
+	took    time.Duration // how long Train or Grow ran
 }
 
 // newBatch returns an empty buffer with room for rows samples.
@@ -134,11 +143,6 @@ func newBatch(width, rows int) *batch {
 }
 
 func (b *batch) rows() int { return b.x.Rows() }
-
-func (b *batch) reset() {
-	b.x.Reset()
-	b.y, b.m, b.held, b.evaluated = b.y[:0], b.m[:0], b.held[:0], 0
-}
 
 // NewLearner builds a learner for feature vectors of the given width.
 func NewLearner(width int, cfg LearnerConfig) *Learner {
@@ -155,26 +159,29 @@ func NewLearner(width int, cfg LearnerConfig) *Learner {
 // SamplesSeen returns how many labelled samples have been added.
 func (l *Learner) SamplesSeen() int64 { return l.samplesSeen }
 
-// Trainings returns the number of full Train calls performed.
-func (l *Learner) Trainings() int64 { l.join(); return l.trainings }
+// Trainings returns the number of first models published (0 or 1).
+func (l *Learner) Trainings() int64 { return l.trainings }
 
-// Updates returns the number of incremental Update calls performed.
-func (l *Learner) Updates() int64 { l.join(); return l.updates }
+// Updates returns the number of incremental updates published.
+func (l *Learner) Updates() int64 { return l.updates }
 
-// Model returns the current model (nil before the first training).
-func (l *Learner) Model() *gbt.Model { l.join(); return l.model }
+// Model returns the serving model (nil before the first training). It may
+// be read beside an update in flight, but only the learner changes it.
+func (l *Learner) Model() *gbt.Model { return l.model }
 
-// Generation counts the changes to the model: every Train and Update bumps
-// it, so a prediction is reusable exactly as long as it stands still.
-func (l *Learner) Generation() uint64 { l.join(); return l.generation }
+// Generation counts the changes to the model: the first model and every
+// published update bump it, so a prediction is reusable exactly as long as
+// it stands still.
+func (l *Learner) Generation() uint64 { return l.generation }
 
-// TrainTime returns cumulative wall-clock time spent in Train/Update, for
-// the Section 7.7 overhead report. Scoring an update's rows is not counted.
-func (l *Learner) TrainTime() time.Duration { l.join(); return l.trainTime }
+// TrainTime returns cumulative wall-clock time spent in the published
+// trainings' Train, Grow and Commit, for the Section 7.7 overhead report.
+// Scoring an update's rows is not counted.
+func (l *Learner) TrainTime() time.Duration { return l.trainTime }
 
 // Add feeds one labelled sample into the pipeline: occasionally hold it out
-// for evaluation, always buffer, train or start an update when the buffer
-// fills.
+// for evaluation, always buffer, and when the buffer fills publish the
+// training in flight and start the next one.
 func (l *Learner) Add(x []float64, y float64) {
 	l.samplesSeen++
 	b := l.fill
@@ -183,43 +190,101 @@ func (l *Learner) Add(x []float64, y float64) {
 	}
 	b.x.AppendRow(x)
 	b.y = append(b.y, y)
-	b.m = append(b.m, 0)
-	if l.model == nil {
-		if b.rows() >= l.cfg.MinTrainSamples {
-			l.train()
-		}
-	} else if b.rows() >= l.cfg.UpdateBatch {
-		l.startUpdate()
+	if b.rows() < l.due() {
+		return
+	}
+	l.publish()
+	if l.model != nil || b.rows() >= l.cfg.MinTrainSamples {
+		l.start()
 	}
 }
 
-// startUpdate hands the full buffer to a goroutine that scores and boosts
-// from it, and gives Add a new one. A batch the model rejects is dropped, not
-// retried.
+// due is the row count at which the buffer is full: MinTrainSamples while
+// nothing has trained or is training, UpdateBatch after.
+func (l *Learner) due() int {
+	if l.model == nil && l.inFlight == nil {
+		return l.cfg.MinTrainSamples
+	}
+	return l.cfg.UpdateBatch
+}
+
+// start hands the buffer to a goroutine that trains from it, and gives Add a
+// new buffer.
 //
 // The buffer is not recycled. Reusing the one the last update dropped saves
 // an allocation per batch. But then a trace_xgb replay allocates a third as
 // much and collects a third as often, and its heap in use grows by an
 // eighth, mostly other objects' sparse spans.
-func (l *Learner) startUpdate() {
-	l.join()
+func (l *Learner) start() {
 	b := l.fill
 	l.fill = newBatch(l.width, b.rows())
-	l.inFlight = true
+	l.inFlight = b
 	l.done.Add(1)
-	go func() {
-		defer l.done.Done()
-		l.update(b)
-	}()
+	go l.train(l.model, b)
 }
 
-// join waits for the update in flight, if any.
-func (l *Learner) join() {
-	if l.inFlight {
-		l.done.Wait()
-		l.inFlight = false
+// train runs on the training goroutine: it trains the first model on b when
+// m, the serving model, is nil, and grows an update of m from b otherwise. It
+// only reads m, and writes only b and the learner's delta, which nothing else
+// touches until publish has waited for it.
+func (l *Learner) train(m *gbt.Model, b *batch) {
+	defer l.done.Done()
+	if l.hold != nil {
+		l.hold()
 	}
+	if m == nil {
+		start := time.Now()
+		b.trained, _ = gbt.Train(b.x, b.y, l.cfg.Params)
+		b.took = time.Since(start)
+		return
+	}
+	b.m = slices.Grow(b.m[:0], b.rows())[:b.rows()]
+	m.PredictMarginBatch(b.x, b.m)
+	for _, i := range b.held {
+		b.right = append(b.right, (m.Link(b.m[i]) >= 0.5) == (b.y[i] >= 0.5))
+	}
+	start := time.Now()
+	b.grown = m.Grow(&l.delta, b.x, b.y, b.m, l.cfg.UpdateRounds) == nil
+	b.took = time.Since(start)
 }
+
+// publish waits for the training in flight, if any, and makes it the
+// serving state: the first model, or the update's outcomes, entered into the
+// evaluation ring in arrival order, and its trees. A batch Train or Grow
+// rejected is dropped, not retried.
+func (l *Learner) publish() {
+	b := l.inFlight
+	if b == nil {
+		return
+	}
+	l.done.Wait()
+	l.inFlight = nil
+	l.trainTime += b.took
+	if l.model == nil {
+		if b.trained != nil {
+			l.model = b.trained
+			l.trainings++
+			l.generation++
+		}
+		return
+	}
+	for _, right := range b.right {
+		l.recordEval(right)
+	}
+	if !b.grown {
+		return
+	}
+	start := time.Now()
+	l.model.Commit(&l.delta)
+	l.trainTime += time.Since(start)
+	l.updates++
+	l.generation++
+}
+
+// Flush publishes the training in flight, waiting for it to finish, so every
+// full buffer added so far is in the model. It is for the end of a run and
+// for offline callers; the serving path never needs it.
+func (l *Learner) Flush() { l.publish() }
 
 // recordEval overwrites the oldest slot of the evaluation ring, keeping the
 // count of incorrect entries in step.
@@ -236,72 +301,9 @@ func (l *Learner) recordEval(correct bool) {
 	l.evalNext = (l.evalNext + 1) % len(l.evalResults)
 }
 
-// evaluate scores b's held-out rows not yet evaluated, in order, and records
-// each outcome.
-func (l *Learner) evaluate(b *batch) {
-	for _, i := range b.held[b.evaluated:] {
-		b.m[i] = l.model.PredictMargin(b.x.Row(i))
-		l.recordEval((l.model.Link(b.m[i]) >= 0.5) == (b.y[i] >= 0.5))
-	}
-	b.evaluated = len(b.held)
-}
-
-// score gives every row of b its margin in one batch: the held-out rows are
-// recorded through evaluate first, and the batch gives them the same bits
-// again.
-func (l *Learner) score(b *batch) {
-	l.evaluate(b)
-	l.model.PredictMarginBatch(b.x, b.m)
-}
-
-// train fits the first model on the buffer; a rejected buffer stays
-// buffered.
-func (l *Learner) train() {
-	start := time.Now()
-	m, err := gbt.Train(l.fill.x, l.fill.y, l.cfg.Params)
-	l.trainTime += time.Since(start)
-	if err != nil {
-		return
-	}
-	l.model = m
-	l.trainings++
-	l.generation++
-	l.fill.reset()
-}
-
-// update scores b and boosts the model on it, and reports whether the model
-// took it.
-func (l *Learner) update(b *batch) bool {
-	l.score(b)
-	start := time.Now()
-	err := l.model.UpdateFrom(b.x, b.y, b.m, l.cfg.UpdateRounds)
-	l.trainTime += time.Since(start)
-	if err != nil {
-		return false
-	}
-	l.updates++
-	l.generation++
-	return true
-}
-
-// settle waits for the update in flight and scores the held-out rows since,
-// so the evaluation state is what it would be had every sample been
-// evaluated on arrival.
-func (l *Learner) settle() {
-	l.join()
-	if l.model != nil {
-		l.evaluate(l.fill)
-	}
-}
-
 // RollingError returns the error rate over the recent evaluation window
 // (1.0 when no evaluations have happened yet).
 func (l *Learner) RollingError() float64 {
-	l.settle()
-	return l.rollingError()
-}
-
-func (l *Learner) rollingError() float64 {
 	if l.evalFilled == 0 {
 		return 1.0
 	}
@@ -311,7 +313,6 @@ func (l *Learner) rollingError() float64 {
 // Ready reports whether the model is trained and its rolling error has
 // passed the serving gate.
 func (l *Learner) Ready() bool {
-	l.settle()
 	if l.model == nil {
 		return false
 	}
@@ -320,7 +321,7 @@ func (l *Learner) Ready() bool {
 		// the gate engages as evaluations accumulate.
 		return true
 	}
-	return l.rollingError() <= l.cfg.ErrorThreshold
+	return l.RollingError() <= l.cfg.ErrorThreshold
 }
 
 // Predict returns the model's probability for x and whether the learner is
@@ -332,16 +333,13 @@ func (l *Learner) Predict(x []float64) (float64, bool) {
 	return l.model.Predict(x), true
 }
 
-// ForceTrain trains immediately on whatever is buffered (used by offline
-// experiments); it is a no-op with an empty buffer.
+// ForceTrain publishes the training in flight, then trains on whatever is
+// buffered and publishes that too (used by offline experiments); with an
+// empty buffer it only publishes.
 func (l *Learner) ForceTrain() {
-	l.join()
-	if l.fill.rows() == 0 {
-		return
-	}
-	if l.model == nil {
-		l.train()
-	} else if l.update(l.fill) {
-		l.fill.reset()
+	l.publish()
+	if l.fill.rows() > 0 {
+		l.start()
+		l.publish()
 	}
 }

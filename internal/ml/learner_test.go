@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -55,9 +56,9 @@ func TestRollingErrorMatchesRecount(t *testing.T) {
 }
 
 // TestGenerationCountsModelChanges: the generation moves exactly when the
-// model does — on Train, on every Update, on ForceTrain — and never on a
-// sample that only fills the buffer, so a prediction made under one
-// generation is good until the number changes.
+// model does — on Train, on every published update, on ForceTrain — and
+// never on a sample that only fills the buffer, so a prediction made under
+// one generation is good until the number changes.
 func TestGenerationCountsModelChanges(t *testing.T) {
 	spec := DefaultFeatureSpec()
 	cfg := DefaultLearnerConfig()
@@ -88,6 +89,7 @@ func TestGenerationCountsModelChanges(t *testing.T) {
 		t.Fatalf("only %d updates; the stream should have produced more", l.Updates())
 	}
 	l.Add(probe, 1)
+	l.Flush()
 	before := l.Generation()
 	l.ForceTrain()
 	if l.Generation() != before+1 {
@@ -96,7 +98,7 @@ func TestGenerationCountsModelChanges(t *testing.T) {
 }
 
 // TestTrainTimeCountsOnlyTraining: samples that only fill the buffer cost no
-// training time; the first Train does.
+// training time; the first Train does, once published.
 func TestTrainTimeCountsOnlyTraining(t *testing.T) {
 	spec := DefaultFeatureSpec()
 	cfg := DefaultLearnerConfig()
@@ -112,6 +114,7 @@ func TestTrainTimeCountsOnlyTraining(t *testing.T) {
 	}
 	x, y := synthSample(rng, spec)
 	l.Add(x, y)
+	l.Flush()
 	if l.Trainings() != 1 || l.TrainTime() <= 0 {
 		t.Fatalf("after the first training: trainings=%d train time=%v", l.Trainings(), l.TrainTime())
 	}
@@ -176,17 +179,19 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	}
 }
 
-// syncLearner is the learner as it was while it trained inline: Add scores
-// every row under the current model on arrival, records a held-out row's
-// outcome at once, and boosts a full buffer before it returns. The learner's
-// public reads are held to it.
-type syncLearner struct {
-	cfg   LearnerConfig
-	rng   *rand.Rand
-	model *gbt.Model
-	bufX  *gbt.Matrix
-	bufY  []float64
-	bufM  []float64
+// lagLearner is the learner's contract run inline. At a full buffer it first
+// publishes the batch before — trained into the first model, or scored row by
+// row under the model published then, its held-out outcomes recorded in
+// arrival order, and boosted through UpdateFrom — and then holds the full
+// buffer back as the next batch to publish. ForceTrain publishes the held
+// batch and then the buffer, Flush the held batch. The learner's public reads
+// are held to it.
+type lagLearner struct {
+	cfg     LearnerConfig
+	rng     *rand.Rand
+	model   *gbt.Model
+	buf     *lagBatch
+	pending *lagBatch // the full buffer not yet published, nil if none
 
 	evalResults                     []bool
 	evalNext, evalFilled, evalWrong int
@@ -195,32 +200,71 @@ type syncLearner struct {
 	generation         uint64
 }
 
-func newSyncLearner(width int, cfg LearnerConfig) *syncLearner {
+type lagBatch struct {
+	x    *gbt.Matrix
+	y    []float64
+	held []int
+}
+
+func newLagLearner(width int, cfg LearnerConfig) *lagLearner {
 	cfg.applyDefaults()
-	return &syncLearner{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), bufX: gbt.NewMatrix(width), evalResults: make([]bool, cfg.EvalWindow)}
+	return &lagLearner{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), buf: &lagBatch{x: gbt.NewMatrix(width)}, evalResults: make([]bool, cfg.EvalWindow)}
 }
 
-func (l *syncLearner) Add(x []float64, y float64) {
-	if l.model != nil {
-		margin := l.model.PredictMargin(x)
-		if l.rng.Float64() < l.cfg.EvalFraction {
-			l.recordEval((l.model.Link(margin) >= 0.5) == (y >= 0.5))
-		}
-		l.bufM = append(l.bufM, margin)
+func (l *lagLearner) Add(x []float64, y float64) {
+	b := l.buf
+	if l.model != nil && l.rng.Float64() < l.cfg.EvalFraction {
+		b.held = append(b.held, b.x.Rows())
 	}
-	l.bufX.AppendRow(x)
-	l.bufY = append(l.bufY, y)
+	b.x.AppendRow(x)
+	b.y = append(b.y, y)
+	due := l.cfg.UpdateBatch
+	if l.model == nil && l.pending == nil {
+		due = l.cfg.MinTrainSamples
+	}
+	if b.x.Rows() < due {
+		return
+	}
+	l.Flush()
+	if l.model != nil || b.x.Rows() >= l.cfg.MinTrainSamples {
+		l.hold()
+	}
+}
+
+// hold makes the buffer the pending batch and starts a new buffer.
+func (l *lagLearner) hold() {
+	l.pending = l.buf
+	l.buf = &lagBatch{x: gbt.NewMatrix(l.buf.x.Cols())}
+}
+
+func (l *lagLearner) Flush() {
+	b := l.pending
+	if b == nil {
+		return
+	}
+	l.pending = nil
 	if l.model == nil {
-		if l.bufX.Rows() >= l.cfg.MinTrainSamples {
-			l.train()
+		if m, err := gbt.Train(b.x, b.y, l.cfg.Params); err == nil {
+			l.model = m
+			l.trainings++
+			l.generation++
 		}
-	} else if l.bufX.Rows() >= l.cfg.UpdateBatch {
-		l.update()
-		l.resetBuffer()
+		return
+	}
+	margins := make([]float64, b.x.Rows())
+	for i := range margins {
+		margins[i] = l.model.PredictMargin(b.x.Row(i))
+	}
+	for _, i := range b.held {
+		l.recordEval((l.model.Link(margins[i]) >= 0.5) == (b.y[i] >= 0.5))
+	}
+	if err := l.model.UpdateFrom(b.x, b.y, margins, l.cfg.UpdateRounds); err == nil {
+		l.updates++
+		l.generation++
 	}
 }
 
-func (l *syncLearner) recordEval(correct bool) {
+func (l *lagLearner) recordEval(correct bool) {
 	if l.evalFilled < len(l.evalResults) {
 		l.evalFilled++
 	} else if !l.evalResults[l.evalNext] {
@@ -233,39 +277,14 @@ func (l *syncLearner) recordEval(correct bool) {
 	l.evalNext = (l.evalNext + 1) % len(l.evalResults)
 }
 
-func (l *syncLearner) train() {
-	m, err := gbt.Train(l.bufX, l.bufY, l.cfg.Params)
-	if err != nil {
-		return
-	}
-	l.model = m
-	l.trainings++
-	l.generation++
-	l.resetBuffer()
-}
-
-func (l *syncLearner) update() bool {
-	if err := l.model.UpdateFrom(l.bufX, l.bufY, l.bufM, l.cfg.UpdateRounds); err != nil {
-		return false
-	}
-	l.updates++
-	l.generation++
-	return true
-}
-
-func (l *syncLearner) resetBuffer() {
-	l.bufX.Reset()
-	l.bufY, l.bufM = l.bufY[:0], l.bufM[:0]
-}
-
-func (l *syncLearner) RollingError() float64 {
+func (l *lagLearner) RollingError() float64 {
 	if l.evalFilled == 0 {
 		return 1.0
 	}
 	return float64(l.evalWrong) / float64(l.evalFilled)
 }
 
-func (l *syncLearner) Ready() bool {
+func (l *lagLearner) Ready() bool {
 	if l.model == nil {
 		return false
 	}
@@ -275,20 +294,17 @@ func (l *syncLearner) Ready() bool {
 	return l.RollingError() <= l.cfg.ErrorThreshold
 }
 
-func (l *syncLearner) ForceTrain() {
-	if l.bufX.Rows() == 0 {
-		return
-	}
-	if l.model == nil {
-		l.train()
-	} else if l.update() {
-		l.resetBuffer()
+func (l *lagLearner) ForceTrain() {
+	l.Flush()
+	if l.buf.x.Rows() > 0 {
+		l.hold()
+		l.Flush()
 	}
 }
 
 // differentialConfig is a learner that updates often and retires trees, fed
-// a stream whose first training is rejected (LearningRate 2 is invalid) and
-// left buffered; the returned params are the valid ones.
+// a stream whose first training is rejected (LearningRate 2 is invalid); the
+// returned params are the valid ones.
 func differentialConfig() (LearnerConfig, gbt.Params) {
 	cfg := DefaultLearnerConfig()
 	cfg.MinTrainSamples = 120
@@ -310,17 +326,17 @@ func noisySample(rng *rand.Rand, spec FeatureSpec) ([]float64, float64) {
 	return x, y
 }
 
-// TestLearnerMatchesSynchronousReference feeds a learner and the synchronous
+// TestLearnerMatchesSynchronousReference feeds a learner and the inline lag-one
 // reference one stream of 10 000 samples, interrupted by ForceTrain without
-// and with a model, and after every Add requires the same answers from the
-// public reads — Ready, the bits of RollingError, Generation, Updates,
-// Trainings — and, at every generation, the same model byte for byte. Margins
-// computed late, by the update or at the read, must be the margins Add used
-// to compute on arrival.
+// and with a model and by Flush, and after every Add requires the same
+// answers from the public reads — Ready, the bits of RollingError,
+// Generation, Updates, Trainings — and, at every generation, the same model
+// byte for byte. The margins the update goroutine scores in one batch must be
+// the reference's, scored row by row when the batch is published.
 func TestLearnerMatchesSynchronousReference(t *testing.T) {
 	spec := DefaultFeatureSpec()
 	cfg, good := differentialConfig()
-	l, ref := NewLearner(spec.Width(), cfg), newSyncLearner(spec.Width(), cfg)
+	l, ref := NewLearner(spec.Width(), cfg), newLagLearner(spec.Width(), cfg)
 	rng := rand.New(rand.NewSource(21))
 	var lastGen uint64
 	compare := func(when string) {
@@ -365,6 +381,9 @@ func TestLearnerMatchesSynchronousReference(t *testing.T) {
 	for i := 0; i < cfg.MinTrainSamples+10; i++ {
 		add("rejected first train")
 	}
+	l.Flush()
+	ref.Flush()
+	compare("Flush of the rejected first train")
 	if l.Model() != nil || l.Trainings() != 0 {
 		t.Fatal("a learning rate of 2 was accepted")
 	}
@@ -378,15 +397,26 @@ func TestLearnerMatchesSynchronousReference(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		add(fmt.Sprint("sample ", i))
 		if i%997 == 500 {
-			if ref.bufX.Rows() == 0 {
+			if ref.buf.x.Rows() == 0 {
 				add("one row for ForceTrain")
 			}
-			before := l.Updates()
+			want := l.Updates() + 1
+			if l.inFlight != nil {
+				want++
+			}
 			l.ForceTrain()
 			ref.ForceTrain()
 			compare("ForceTrain with a model")
-			if l.Updates() != before+1 {
-				t.Fatal("ForceTrain with rows buffered did not update")
+			if l.Updates() != want {
+				t.Fatalf("ForceTrain with rows buffered made %d updates, want %d", l.Updates(), want)
+			}
+		}
+		if i%1499 == 700 {
+			l.Flush()
+			ref.Flush()
+			compare("Flush")
+			if l.inFlight != nil {
+				t.Fatal("an update is still in flight after Flush")
 			}
 		}
 	}
@@ -397,17 +427,17 @@ func TestLearnerMatchesSynchronousReference(t *testing.T) {
 
 // TestLearnerReadsAcrossInFlightUpdates interleaves Add with the serving
 // reads at random, sparsely enough that hundreds of updates run while Add
-// goes on filling the other buffer, and holds every read to the synchronous
+// goes on filling the other buffer, and holds every read to the lag-one
 // reference: Ready, Predict's bits and Pipeline.ScoreBatch's bits. Run under
-// -race it also checks that the update shares nothing with the caller
-// unguarded.
+// -race it also checks that the update, which reads the model the caller
+// predicts on, shares nothing with the caller unguarded.
 func TestLearnerReadsAcrossInFlightUpdates(t *testing.T) {
 	spec := DefaultFeatureSpec()
 	cfg, good := differentialConfig()
 	cfg.Params = good
 	cfg.UpdateBatch = 40
 	p := NewPipeline(spec, 30*time.Minute, cfg)
-	ref := newSyncLearner(spec.Width(), cfg)
+	ref := newLagLearner(spec.Width(), cfg)
 	rng := rand.New(rand.NewSource(22))
 	tr := NewTracker(DefaultK)
 	var recs []*FileRecord
@@ -425,7 +455,7 @@ func TestLearnerReadsAcrossInFlightUpdates(t *testing.T) {
 		x, y := noisySample(rng, spec)
 		p.Learner.Add(x, y)
 		ref.Add(x, y)
-		if p.Learner.inFlight {
+		if p.Learner.inFlight != nil {
 			overlapped++
 		}
 		if rng.Intn(60) != 0 {
@@ -460,5 +490,121 @@ func TestLearnerReadsAcrossInFlightUpdates(t *testing.T) {
 	}
 	if p.Learner.Generation() != ref.generation || math.Float64bits(p.Learner.RollingError()) != math.Float64bits(ref.RollingError()) {
 		t.Fatalf("end: generation %d error %v, reference %d and %v", p.Learner.Generation(), p.Learner.RollingError(), ref.generation, ref.RollingError())
+	}
+}
+
+// TestLearnerPublishesTheSameAtAnyGOMAXPROCS: a learner publishes only at
+// points its sample stream fixes, so one stream gives the same sequence of
+// generations, serving decisions and Predict bits whether the update
+// goroutine shares one processor with the caller or has one to itself.
+func TestLearnerPublishesTheSameAtAnyGOMAXPROCS(t *testing.T) {
+	spec := DefaultFeatureSpec()
+	cfg, good := differentialConfig()
+	cfg.Params = good
+	run := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		l := NewLearner(spec.Width(), cfg)
+		rng := rand.New(rand.NewSource(23))
+		probe, _ := noisySample(rng, spec)
+		var seen []uint64
+		for i := 0; i < 4000; i++ {
+			x, y := noisySample(rng, spec)
+			l.Add(x, y)
+			p, ok := l.Predict(probe)
+			seen = append(seen, l.Generation(), math.Float64bits(p), math.Float64bits(l.RollingError()))
+			if !ok {
+				seen = append(seen, 0)
+			}
+		}
+		l.Flush()
+		return append(seen, l.Generation(), uint64(l.Updates()))
+	}
+	one, four := run(1), run(4)
+	if len(one) != len(four) {
+		t.Fatalf("%d observations at GOMAXPROCS 1, %d at 4", len(one), len(four))
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("observation %d: %#x at GOMAXPROCS 1, %#x at 4", i, one[i], four[i])
+		}
+	}
+	if updates := one[len(one)-1]; updates < 4000/uint64(cfg.UpdateBatch)-2 {
+		t.Fatalf("only %d updates over the stream", updates)
+	}
+}
+
+// TestServingReadsDoNotWaitForTheUpdate holds an update on its goroutine
+// and requires every serving read — Ready, Predict, Pipeline.ScoreBatch and
+// the counters — and the Adds that do not fill the buffer to return while it
+// is held, answering from the published model. Flush then waits for it and
+// publishes it.
+func TestServingReadsDoNotWaitForTheUpdate(t *testing.T) {
+	spec := DefaultFeatureSpec()
+	cfg := DefaultLearnerConfig()
+	cfg.MinTrainSamples, cfg.UpdateBatch = 100, 50
+	p := NewPipeline(spec, 30*time.Minute, cfg)
+	l := p.Learner
+	rng := rand.New(rand.NewSource(24))
+	for l.Model() == nil {
+		x, y := noisySample(rng, spec)
+		l.Add(x, y)
+	}
+	l.Flush() // the hook is installed with no update running
+	started, release := holdUpdates(l)
+	defer release()
+	for l.fill.rows() < cfg.UpdateBatch-1 {
+		x, y := noisySample(rng, spec)
+		l.Add(x, y)
+	}
+	x, y := noisySample(rng, spec)
+	l.Add(x, y) // fills the buffer: the next update starts and is held
+	<-started
+	if l.inFlight == nil {
+		t.Fatal("no update in flight")
+	}
+	gen, updates := l.Generation(), l.Updates()
+	tr := NewTracker(DefaultK)
+	var recs []*FileRecord
+	for id := int64(0); id < 40; id++ {
+		recs = append(recs, tr.OnCreate(int32(id), id, 1<<20, t0))
+	}
+	probe, _ := noisySample(rng, spec)
+	want := l.Model().Predict(probe)
+	reads := make(chan error, 1)
+	go func() {
+		if !l.Ready() {
+			reads <- fmt.Errorf("not ready under the trained model")
+			return
+		}
+		if got, ok := l.Predict(probe); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			reads <- fmt.Errorf("Predict %v (served %v), published model %v", got, ok, want)
+			return
+		}
+		if probs, ok := p.ScoreBatch(recs, t0.Add(time.Hour)); !ok || len(probs) != len(recs) {
+			reads <- fmt.Errorf("ScoreBatch served %d probabilities, ok=%v", len(probs), ok)
+			return
+		}
+		for i := 0; i < cfg.UpdateBatch-1; i++ {
+			x, y := noisySample(rng, spec)
+			l.Add(x, y)
+		}
+		if l.Generation() != gen || l.Updates() != updates {
+			reads <- fmt.Errorf("generation %d and %d updates while the update is held, %d and %d before", l.Generation(), l.Updates(), gen, updates)
+			return
+		}
+		reads <- nil
+	}()
+	select {
+	case err := <-reads:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a serving read waited for the held update")
+	}
+	release()
+	l.Flush()
+	if l.inFlight != nil || l.Updates() != updates+1 || l.Generation() != gen+1 {
+		t.Fatalf("after Flush: in flight %v, %d updates, generation %d", l.inFlight != nil, l.Updates(), l.Generation())
 	}
 }

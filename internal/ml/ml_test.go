@@ -302,6 +302,7 @@ func TestLearnerRollingErrorGate(t *testing.T) {
 		x, y := synthSample(rng, spec)
 		l.Add(x, y)
 	}
+	l.Flush() // no further buffer fills to publish the first model
 	if l.Model() == nil {
 		t.Fatal("model not trained")
 	}
@@ -311,6 +312,9 @@ func TestLearnerRollingErrorGate(t *testing.T) {
 		x, y := synthSample(rng, spec)
 		l.Add(x, 1-y)
 	}
+	// Held-out outcomes enter the ring when their batch is published, scored
+	// under the model they arrived under.
+	l.ForceTrain()
 	if l.Ready() {
 		t.Fatalf("gate open despite rolling error %v", l.RollingError())
 	}
@@ -472,7 +476,7 @@ func BenchmarkFeatureVector(b *testing.B) {
 // under trace_xgb's learner configuration (updates of 200 samples, 3 rounds
 // each, a 200-tree bound), with the ensemble already at its bound: buffering
 // the sample and its share of the updates. The updates run beside Add, so the
-// clock stops only once the last one has been joined.
+// clock stops only once the last one has been published.
 func BenchmarkLearnerAddSample(b *testing.B) {
 	spec := DefaultFeatureSpec()
 	cfg := DefaultLearnerConfig()
@@ -489,7 +493,7 @@ func BenchmarkLearnerAddSample(b *testing.B) {
 		x, y := noisySample(rng, spec)
 		l.Add(x, y)
 	}
-	l.Model()
+	l.Flush()
 }
 
 // OnAccessN(slot, id, at, n) is n times OnAccess(slot, id, at): the same lifetime count,

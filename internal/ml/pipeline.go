@@ -66,19 +66,18 @@ func (p *Pipeline) Score(rec *FileRecord, now time.Time) (prob float64, ok bool)
 // ScoreBatch is Score for many files at one instant: the serving gate is
 // asked once and the feature rows go through the model as one matrix.
 // probs[i] equals what Score(recs[i], now) returns; the slice is the
-// pipeline's and valid until the next call. The rows are built before the
-// gate is asked: they read only the file records, so building them overlaps
-// the learner's update in flight, which the gate waits for.
+// pipeline's and valid until the next call. No row is built while the gate
+// is closed.
 func (p *Pipeline) ScoreBatch(recs []*FileRecord, now time.Time) (probs []float64, ok bool) {
+	if !p.Learner.Ready() {
+		return nil, false
+	}
 	if p.batch == nil || p.batch.Cols() != p.Spec.Width() {
 		p.batch = gbt.NewMatrix(p.Spec.Width())
 	}
 	p.batch.Reset()
 	for _, rec := range recs {
 		p.batch.AppendRow(p.vector(rec, now))
-	}
-	if !p.Learner.Ready() {
-		return nil, false
 	}
 	p.probs = slices.Grow(p.probs[:0], len(recs))[:len(recs)]
 	p.Learner.Model().PredictBatch(p.batch, p.probs)
