@@ -123,7 +123,7 @@ func (x *heapExercise) recycle(t testing.TB, i int, src draws) {
 	x.h.Remove(old)
 	delete(x.m.key, old.ID())
 	delete(x.m.parked, old.ID())
-	if err := x.ev.fs.Delete(old.Path()); err != nil {
+	if err := x.ev.fs.Delete(old); err != nil {
 		t.Fatalf("recycle %s: %v", old.Path(), err)
 	}
 	f := x.ev.create(t, fmt.Sprintf("/prop/r%05d", len(x.retired)), storage.MB)
@@ -516,7 +516,7 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 			}
 			m.scheduleDowngrade(f, storage.Memory, storage.SSD, "test")
 			if i%2 == 0 {
-				if err := ev.fs.Delete(f.Path()); err != nil {
+				if err := ev.fs.Delete(f); err != nil {
 					t.Fatalf("delete of a queued file: %v", err)
 				}
 				doneAfterDelete++
@@ -555,7 +555,7 @@ func TestCooldownRecordDrainsAfterChurn(t *testing.T) {
 				continue
 			}
 			n, cooling := m.cooling.Len(), m.cooling.Has(f)
-			if err := ev.fs.Delete(f.Path()); err != nil {
+			if err := ev.fs.Delete(f); err != nil {
 				t.Fatalf("delete of a cooled-down file: %v", err)
 			}
 			if cooling {
@@ -729,7 +729,7 @@ func TestLastCopyExaminedOncePerResidencyChange(t *testing.T) {
 	}
 	audit("file back on the tier")
 
-	if err := fs.Delete(files[2].Path()); err != nil {
+	if err := fs.Delete(files[2]); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(m.lastCopy); got != 4 {

@@ -263,7 +263,7 @@ func TestManagerTracksDeletes(t *testing.T) {
 	if ev.ctx.Tracker.Len() != 1 {
 		t.Fatalf("tracker len = %d", ev.ctx.Tracker.Len())
 	}
-	if err := ev.fs.Delete(f.Path()); err != nil {
+	if err := ev.fs.Delete(f); err != nil {
 		t.Fatal(err)
 	}
 	if ev.ctx.Tracker.Len() != 0 {

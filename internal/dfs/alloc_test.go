@@ -119,16 +119,15 @@ func TestMigrateAllocs(t *testing.T) {
 	}
 	e, from := world()
 	_, to := world()
-	const path = "/alloc/migrate"
-	createFile(t, e, from, path, 16*storage.MB)
+	f := createFile(t, e, from, "/alloc/migrate", 16*storage.MB)
 	var err error
 	allocs := testing.AllocsPerRun(200, func() {
-		rec, e := from.SnapshotFile(path)
+		rec, e := from.SnapshotFile(f)
 		if e == nil {
-			e = from.DetachFile(path)
+			e = from.DetachFile(f)
 		}
 		if e == nil {
-			e = to.AttachFile(rec)
+			f, e = to.AttachFile(rec)
 		}
 		if e != nil && err == nil {
 			err = e
@@ -146,7 +145,8 @@ func TestMigrateAllocs(t *testing.T) {
 // TestNamespaceResolveAllocs holds resolution of canonical paths to zero
 // allocations, misses included: a walk builds no error, so Exists on a
 // missing path (the attach's check) costs no garbage, and neither does a
-// GetFile that finds its file.
+// GetFile that finds its file or an unlink of a resolved file (relinked
+// into the slot it left, which the directory's slice still has room for).
 func TestNamespaceResolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -165,6 +165,14 @@ func TestNamespaceResolveAllocs(t *testing.T) {
 		{"Exists, missing directory", func() bool { return !ns.Exists("/data/d9/f0") }},
 		{"Exists, through a file", func() bool { return !ns.Exists("/data/d0/f0/x") }},
 		{"GetFile, hit", func() bool { f, err := ns.GetFile("/data/d1/f0"); return f != nil && err == nil }},
+		{"unlink, then relink", func() bool {
+			f, err := ns.GetFile("/data/d0/f0")
+			if err != nil {
+				return false
+			}
+			ns.unlink(f)
+			return !ns.Exists(f.path) && ns.insertFile(f.path, f) == nil
+		}},
 	} {
 		ok := true
 		allocs := testing.AllocsPerRun(200, func() { ok = ok && c.op() })

@@ -34,7 +34,7 @@ func backendScript(t *testing.T, e *sim.Engine, fs *FileSystem) []*File {
 		fs.ReadBlock(b, nil, func(ReadResult, error) {})
 	}
 	e.Run()
-	if err := fs.Delete(files[5].Path()); err != nil {
+	if err := fs.Delete(files[5]); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -126,7 +126,7 @@ func TestLocalBackendMirrorsReplicaLifecycle(t *testing.T) {
 		t.Fatal("read path never touched the physical backend")
 	}
 
-	if err := fs.Delete(f.Path()); err != nil {
+	if err := fs.Delete(f); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -239,14 +239,14 @@ func TestAttachUnderAFileLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsB.SetBackend(l)
-	createFile(t, eA, fsA, "/src/f", 40*storage.MB)
+	src := createFile(t, eA, fsA, "/src/f", 40*storage.MB)
 	createFile(t, eB, fsB, "/a/f", 16*storage.MB)
-	rec, err := fsA.SnapshotFile("/src/f")
+	rec, err := fsA.SnapshotFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec.Path = "/a/f/x"
-	if err := fsB.AttachFile(rec); !errors.Is(err, ErrNotDirectory) {
+	if _, err := fsB.AttachFile(rec); !errors.Is(err, ErrNotDirectory) {
 		t.Fatalf("attach under a file: %v, want ErrNotDirectory", err)
 	}
 	used, err := l.DiskUsage()

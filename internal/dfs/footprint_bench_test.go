@@ -145,7 +145,11 @@ func churnFootprint(tb testing.TB, live, cycles int) float64 {
 			tb.Fatal(err)
 		}
 		w.fs.RecordAccess(f)
-		if err := w.fs.Delete(path(i - live)); err != nil {
+		old, err := w.fs.Open(path(i - live))
+		if err == nil {
+			err = w.fs.Delete(old)
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}

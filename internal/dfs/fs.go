@@ -494,11 +494,10 @@ func (fs *FileSystem) abortCreate(f *File) {
 	f.creating = false
 	f.done = nil
 	fs.releaseAllReplicas(f, storage.ClassServe)
-	if _, err := fs.ns.removeFile(f.path); err == nil {
-		f.deleted = true
-		fs.untrackFile(f)
-		fs.releaseSlot(f)
-	}
+	fs.ns.unlink(f)
+	f.deleted = true
+	fs.untrackFile(f)
+	fs.releaseSlot(f)
 }
 
 // commitCreate completes a file whose every block is written.
@@ -829,24 +828,34 @@ func (fs *FileSystem) lessBacklogged(a, b *storage.Device) bool {
 	return a.Load() < b.Load()
 }
 
-// Delete removes a file and releases all of its replicas.
-func (fs *FileSystem) Delete(path string) error { return fs.remove(path, storage.ClassServe) }
+// Delete removes a file and releases all of its replicas. A file deleted
+// or of another file system is refused with ErrNotFound, one mid-create
+// with ErrFileIncomplete and one with a replica in transition with ErrBusy.
+func (fs *FileSystem) Delete(f *File) error { return fs.remove(f, storage.ClassServe) }
 
-// remove unlinks a complete file with no replica in transition and tears
-// down its replicas as I/O of the given class: ClassServe is a client
-// delete, counted in Stats; ClassMove is DetachFile (see there).
-func (fs *FileSystem) remove(path string, class storage.IOClass) error {
-	dir, f, err := fs.ns.resolveFile(path)
-	if err != nil {
+// settled reports why f cannot be snapshotted or removed as it stands:
+// ErrNotFound for a file deleted or of another file system,
+// ErrFileIncomplete mid-create, ErrBusy with a replica in transition.
+func (fs *FileSystem) settled(f *File) error {
+	switch {
+	case f.deleted || f.fs != fs:
+		return fmt.Errorf("%w: %q", ErrNotFound, f.path)
+	case f.creating:
+		return fmt.Errorf("%w: %q", ErrFileIncomplete, f.path)
+	case fs.inTransition(f):
+		return fmt.Errorf("%w: %q", ErrBusy, f.path)
+	}
+	return nil
+}
+
+// remove unlinks a settled file and tears down its replicas as I/O of the
+// given class: ClassServe is a client delete, counted in Stats; ClassMove is
+// DetachFile (see there).
+func (fs *FileSystem) remove(f *File, class storage.IOClass) error {
+	if err := fs.settled(f); err != nil {
 		return err
 	}
-	if f.creating {
-		return fmt.Errorf("%w: %q", ErrFileIncomplete, path)
-	}
-	if fs.inTransition(f) {
-		return fmt.Errorf("%w: %q", ErrBusy, path)
-	}
-	fs.ns.unlink(dir, f)
+	fs.ns.unlink(f)
 	fs.releaseAllReplicas(f, class)
 	f.deleted = true
 	fs.untrackFile(f)

@@ -305,12 +305,12 @@ func TestReadStatsAccumulate(t *testing.T) {
 
 func TestDeleteReleasesSpace(t *testing.T) {
 	e, fs := testFS(t, ModeHDFS)
-	createFile(t, e, fs, "/f", 16*storage.MB)
+	f := createFile(t, e, fs, "/f", 16*storage.MB)
 	used, _ := fs.Cluster().TierUsage(storage.HDD)
 	if used != 3*16*storage.MB {
 		t.Fatalf("used = %d before delete", used)
 	}
-	if err := fs.Delete("/f"); err != nil {
+	if err := fs.Delete(f); err != nil {
 		t.Fatal(err)
 	}
 	used, _ = fs.Cluster().TierUsage(storage.HDD)
@@ -328,7 +328,7 @@ func TestDeleteNotifiesListeners(t *testing.T) {
 	fs.AddListener(rec)
 	f := createFile(t, e, fs, "/f", 16*storage.MB)
 	fs.RecordAccess(f)
-	if err := fs.Delete("/f"); err != nil {
+	if err := fs.Delete(f); err != nil {
 		t.Fatal(err)
 	}
 	if rec.created != 1 || rec.accessed != 1 || rec.deleted != 1 {
@@ -353,7 +353,7 @@ func TestReadDeletedBlockErrors(t *testing.T) {
 	e, fs := testFS(t, ModeHDFS)
 	f := createFile(t, e, fs, "/f", 16*storage.MB)
 	b := f.Blocks()[0]
-	if err := fs.Delete("/f"); err != nil {
+	if err := fs.Delete(f); err != nil {
 		t.Fatal(err)
 	}
 	var gotErr error

@@ -63,7 +63,7 @@ func TestPropertyCapacityConservation(t *testing.T) {
 			case 1: // delete
 				if len(paths) > 0 {
 					i := rng.Intn(len(paths))
-					if err := fs.Delete(paths[i]); err == nil {
+					if f, err := fs.Open(paths[i]); err == nil && fs.Delete(f) == nil {
 						paths = append(paths[:i], paths[i+1:]...)
 					}
 				}
@@ -137,7 +137,7 @@ func TestPropertyInvariantsUnderChurnAndNodeLoss(t *testing.T) {
 			case 2: // delete
 				if len(paths) > 0 {
 					i := rng.Intn(len(paths))
-					if err := fs.Delete(paths[i]); err == nil {
+					if f, err := fs.Open(paths[i]); err == nil && fs.Delete(f) == nil {
 						paths = append(paths[:i], paths[i+1:]...)
 					}
 				}

@@ -70,20 +70,13 @@ func (rec *FileRecord) TierNeeds() (chainBytes [3]int64, maxReplicas [3]int) {
 }
 
 // SnapshotFile builds the portable record of a file's layout without
-// touching the file — the read half of a migration copy. Files mid-create
-// or with replicas in transition return ErrFileIncomplete / ErrBusy (the
-// layout is about to change under the snapshot); the caller retries on a
-// later sweep.
-func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
-	f, err := fs.ns.GetFile(path)
-	if err != nil {
+// touching the file — the read half of a migration copy. A file deleted or
+// of another file system returns ErrNotFound; one mid-create or with
+// replicas in transition ErrFileIncomplete / ErrBusy (the layout is about to
+// change under the snapshot), and the caller retries on a later sweep.
+func (fs *FileSystem) SnapshotFile(f *File) (FileRecord, error) {
+	if err := fs.settled(f); err != nil {
 		return FileRecord{}, err
-	}
-	if f.creating {
-		return FileRecord{}, fmt.Errorf("%w: %q", ErrFileIncomplete, path)
-	}
-	if fs.inTransition(f) {
-		return FileRecord{}, fmt.Errorf("%w: %q", ErrBusy, path)
 	}
 	rec := FileRecord{
 		Path:        f.path,
@@ -111,14 +104,14 @@ func (fs *FileSystem) SnapshotFile(path string) (FileRecord, error) {
 }
 
 // DetachFile removes a file from this file system the way Delete does —
-// same lookup, same refusal of files mid-create (ErrFileIncomplete) or with
-// replicas in transition (ErrBusy), same replica teardown and FileDeleted —
-// but as a move rather than a death: the teardown is ClassMove I/O, each
-// block's bytes leaving the shard are charged as one ClassMove plane read
-// against its first replica's device (real bandwidth on a contended plane,
-// nothing without one), and Stats is left alone. A caller that needs the
-// layout takes SnapshotFile first.
-func (fs *FileSystem) DetachFile(path string) error { return fs.remove(path, storage.ClassMove) }
+// same refusal of files deleted or foreign (ErrNotFound), mid-create
+// (ErrFileIncomplete) or with replicas in transition (ErrBusy), same
+// replica teardown and FileDeleted — but as a move rather than a death: the
+// teardown is ClassMove I/O, each block's bytes leaving the shard are
+// charged as one ClassMove plane read against its first replica's device
+// (real bandwidth on a contended plane, nothing without one), and Stats is
+// left alone. A caller that needs the layout takes SnapshotFile first.
+func (fs *FileSystem) DetachFile(f *File) error { return fs.remove(f, storage.ClassMove) }
 
 // attachTarget picks the device for one replica of an attached block: on
 // the nodes in rotation from position first, the first device of media m
@@ -143,10 +136,10 @@ func attachTarget(nodes []*cluster.Node, first int, m storage.Media, size int64,
 	return Target{}
 }
 
-// AttachFile recreates a detached file on this file system: the recorded
-// number of replicas per tier for every block, device capacity reserved,
-// FileCreated and TierDataAdded fired so the policy stack adopts it. The
-// call either succeeds completely or fails with no side effects
+// AttachFile recreates a detached file on this file system and returns it:
+// the recorded number of replicas per tier for every block, device capacity
+// reserved, FileCreated and TierDataAdded fired so the policy stack adopts
+// it. The call either succeeds completely or fails with no side effects
 // (ErrNoCapacity when a tier lacks room, ErrExists when the path is taken —
 // a client recreated it mid-migration — and ErrInvalidPath when the record's
 // path does not clean). The arriving bytes are charged as ClassMove writes
@@ -157,17 +150,17 @@ func attachTarget(nodes []*cluster.Node, first int, m storage.Media, size int64,
 // from the next file id — deterministic, and unlike a placement-rng draw it
 // leaves the file system's rng stream untouched, so subsequent client
 // creates place identically whether or not a migration happened.
-func (fs *FileSystem) AttachFile(rec FileRecord) error {
+func (fs *FileSystem) AttachFile(rec FileRecord) (*File, error) {
 	path, err := CleanPath(rec.Path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if fs.ns.Exists(path) {
-		return fmt.Errorf("%w: %q", ErrExists, rec.Path)
+		return nil, fmt.Errorf("%w: %q", ErrExists, rec.Path)
 	}
 	nodes := fs.cluster.Nodes()
 	if len(nodes) == 0 {
-		return fmt.Errorf("%w: no nodes", ErrNoCapacity)
+		return nil, fmt.Errorf("%w: no nodes", ErrNoCapacity)
 	}
 	// Reserve and materialize the physical replicas before any metadata
 	// mutates, through the write path every replica takes. newFile assigns
@@ -192,7 +185,7 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 			dst := attachTarget(nodes, start+bi, m, bl.Size, plan[first:])
 			if dst.Device == nil {
 				fs.unwind(plan, 0, storage.ClassMove)
-				return fmt.Errorf("%w: %d bytes on %s tier for %q", ErrNoCapacity, bl.Size, m, rec.Path)
+				return nil, fmt.Errorf("%w: %d bytes on %s tier for %q", ErrNoCapacity, bl.Size, m, rec.Path)
 			}
 			if err := dst.Device.Reserve(bl.Size); err != nil {
 				// attachTarget checked free space; single-threaded, so this
@@ -203,12 +196,12 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 		}
 	}
 	if err := fs.materialize(plan, storage.ClassMove); err != nil {
-		return fmt.Errorf("dfs: attach copy: %w", err)
+		return nil, fmt.Errorf("dfs: attach copy: %w", err)
 	}
 	f, slots, err := fs.newFile(path, rec.Size, rec.Created, rec.Replication, len(rec.Blocks))
 	if err != nil {
 		fs.unwind(plan, len(plan), storage.ClassMove)
-		return err
+		return nil, err
 	}
 	// Residency flips during the rebuild are suppressed exactly like the
 	// create path: FileCreated carries the full starting residency.
@@ -236,5 +229,5 @@ func (fs *FileSystem) AttachFile(rec FileRecord) error {
 		l.FileCreated(f)
 	}
 	fs.notifyTiers(f)
-	return nil
+	return f, nil
 }

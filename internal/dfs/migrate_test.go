@@ -16,24 +16,28 @@ func TestDetachAttachMovesFileBetweenSystems(t *testing.T) {
 	eA, fsA := testFS(t, ModeOctopus)
 	_, fsB := testFS(t, ModeOctopus)
 
-	createFile(t, eA, fsA, "/hot/d0/f0", 40*storage.MB)
-	createFile(t, eA, fsA, "/hot/d0/f1", 24*storage.MB)
+	f0 := createFile(t, eA, fsA, "/hot/d0/f0", 40*storage.MB)
+	f1 := createFile(t, eA, fsA, "/hot/d0/f1", 24*storage.MB)
 	wantRes := fsA.TierResidency()
 	wantLive := fsA.LiveReplicaBytes()
 	createdA, deletedA := fsA.Stats().FilesCreated, fsA.Stats().FilesDeleted
 
 	var moved int64
-	for _, p := range []string{"/hot/d0/f0", "/hot/d0/f1"} {
-		rec, err := fsA.SnapshotFile(p)
+	for _, f := range []*File{f0, f1} {
+		rec, err := fsA.SnapshotFile(f)
 		if err == nil {
-			err = fsA.DetachFile(p)
+			err = fsA.DetachFile(f)
 		}
 		if err != nil {
-			t.Fatalf("detach %s: %v", p, err)
+			t.Fatalf("detach %s: %v", f.Path(), err)
 		}
 		moved += rec.Bytes()
-		if err := fsB.AttachFile(rec); err != nil {
-			t.Fatalf("attach %s: %v", p, err)
+		got, err := fsB.AttachFile(rec)
+		if err != nil {
+			t.Fatalf("attach %s: %v", f.Path(), err)
+		}
+		if named, err := fsB.Namespace().GetFile(rec.Path); err != nil || named != got {
+			t.Fatalf("attach %s returned %p, the namespace holds %p (%v)", f.Path(), got, named, err)
 		}
 	}
 
@@ -78,9 +82,9 @@ func TestDetachAttachMovesFileBetweenSystems(t *testing.T) {
 
 func TestSnapshotLeavesFileUntouched(t *testing.T) {
 	e, fs := testFS(t, ModeHDFS)
-	createFile(t, e, fs, "/a/f", 16*storage.MB)
+	f := createFile(t, e, fs, "/a/f", 16*storage.MB)
 	live := fs.LiveReplicaBytes()
-	rec, err := fs.SnapshotFile("/a/f")
+	rec, err := fs.SnapshotFile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +105,18 @@ func TestSnapshotLeavesFileUntouched(t *testing.T) {
 func TestAttachFailsCleanly(t *testing.T) {
 	eA, fsA := testFS(t, ModeHDFS)
 	eB, fsB := testFS(t, ModeHDFS)
-	createFile(t, eA, fsA, "/a/f", 16*storage.MB)
+	f := createFile(t, eA, fsA, "/a/f", 16*storage.MB)
 	createFile(t, eB, fsB, "/a/f", 16*storage.MB)
 
-	rec, err := fsA.SnapshotFile("/a/f")
+	rec, err := fsA.SnapshotFile(f)
 	if err == nil {
-		err = fsA.DetachFile("/a/f")
+		err = fsA.DetachFile(f)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Path taken: a client recreated it on the destination mid-migration.
-	if err := fsB.AttachFile(rec); !errors.Is(err, ErrExists) {
+	if _, err := fsB.AttachFile(rec); !errors.Is(err, ErrExists) {
 		t.Fatalf("attach over existing path: %v, want ErrExists", err)
 	}
 	// No capacity: the record wants more than the whole cluster holds.
@@ -120,7 +124,7 @@ func TestAttachFailsCleanly(t *testing.T) {
 	huge.Path = "/a/huge"
 	huge.Blocks = []BlockLayout{{Size: 1 << 50, Media: []storage.Media{storage.HDD}, Cache: []bool{false}}}
 	live := fsB.LiveReplicaBytes()
-	if err := fsB.AttachFile(huge); !errors.Is(err, ErrNoCapacity) {
+	if _, err := fsB.AttachFile(huge); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("oversized attach: %v, want ErrNoCapacity", err)
 	}
 	if fsB.LiveReplicaBytes() != live {
@@ -133,7 +137,7 @@ func TestAttachFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The detached record is still good: re-attach on the source restores it.
-	if err := fsA.AttachFile(rec); err != nil {
+	if _, err := fsA.AttachFile(rec); err != nil {
 		t.Fatalf("re-attach on source: %v", err)
 	}
 	if err := fsA.CheckInvariants(); err != nil {
@@ -143,13 +147,72 @@ func TestAttachFailsCleanly(t *testing.T) {
 
 func TestDetachRefusesFileMidCreate(t *testing.T) {
 	_, fs := testFS(t, ModeHDFS)
-	fs.Create("/a/slow", 16*storage.MB, func(*File, error) {})
+	f, err := fs.CreateFile("/a/slow", 16*storage.MB, func(*File, error) {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The engine has not run: the write pipeline is still in flight.
-	if err := fs.DetachFile("/a/slow"); !errors.Is(err, ErrFileIncomplete) {
+	if err := fs.DetachFile(f); !errors.Is(err, ErrFileIncomplete) {
 		t.Fatalf("detach mid-create: %v, want ErrFileIncomplete", err)
 	}
-	if _, err := fs.SnapshotFile("/a/slow"); !errors.Is(err, ErrFileIncomplete) {
+	if _, err := fs.SnapshotFile(f); !errors.Is(err, ErrFileIncomplete) {
 		t.Fatalf("snapshot mid-create: %v, want ErrFileIncomplete", err)
+	}
+	if err := fs.Delete(f); !errors.Is(err, ErrFileIncomplete) {
+		t.Fatalf("delete mid-create: %v, want ErrFileIncomplete", err)
+	}
+}
+
+// TestFileOpsRefuseDeletedAndForeignFiles: Delete, DetachFile and
+// SnapshotFile take the file, so a caller can hand them one already deleted
+// or one of another file system — there at a path this one also holds. Each
+// refuses it with ErrNotFound and changes nothing on either side.
+func TestFileOpsRefuseDeletedAndForeignFiles(t *testing.T) {
+	e, fs := testFS(t, ModeOctopus)
+	eB, fsB := testFS(t, ModeOctopus)
+	gone := createFile(t, e, fs, "/a/gone", 16*storage.MB)
+	if err := fs.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	createFile(t, e, fs, "/a/kept", 16*storage.MB)
+	foreign := createFile(t, eB, fsB, "/a/kept", 16*storage.MB)
+	calls := &recordingListener{}
+	fs.AddListener(calls)
+	fsB.AddListener(calls)
+	type side struct {
+		files int
+		stats Stats
+		live  int64
+	}
+	state := func(fs *FileSystem) side { return side{fs.Namespace().FileCount(), *fs.Stats(), fs.LiveReplicaBytes()} }
+	before, beforeB := state(fs), state(fsB)
+	for _, f := range []*File{gone, foreign} {
+		for name, op := range map[string]func() error{
+			"Delete":     func() error { return fs.Delete(f) },
+			"DetachFile": func() error { return fs.DetachFile(f) },
+			"SnapshotFile": func() error {
+				_, err := fs.SnapshotFile(f)
+				return err
+			},
+		} {
+			if err := op(); !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s of %s (deleted %v): %v, want ErrNotFound", name, f.Path(), f.Deleted(), err)
+			}
+		}
+	}
+	if after, afterB := state(fs), state(fsB); after != before || afterB != beforeB {
+		t.Fatalf("refused ops changed state: %+v -> %+v, other side %+v -> %+v", before, after, beforeB, afterB)
+	}
+	if *calls != (recordingListener{}) {
+		t.Fatalf("refused ops notified listeners: %+v", *calls)
+	}
+	for _, fs := range []*FileSystem{fs, fsB} {
+		if _, err := fs.Open("/a/kept"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -180,20 +243,21 @@ func TestBlockSizesSumToFileSize(t *testing.T) {
 			}
 		}
 	}
+	var files []*File
 	for p, size := range sizes {
-		createFile(t, eA, fsA, p, size)
+		files = append(files, createFile(t, eA, fsA, p, size))
 	}
 	check(fsA, "created")
-	for p := range sizes {
-		rec, err := fsA.SnapshotFile(p)
+	for _, f := range files {
+		rec, err := fsA.SnapshotFile(f)
 		if err == nil {
-			err = fsA.DetachFile(p)
+			err = fsA.DetachFile(f)
 		}
 		if err != nil {
-			t.Fatalf("detach %s: %v", p, err)
+			t.Fatalf("detach %s: %v", f.Path(), err)
 		}
-		if err := fsB.AttachFile(rec); err != nil {
-			t.Fatalf("attach %s: %v", p, err)
+		if _, err := fsB.AttachFile(rec); err != nil {
+			t.Fatalf("attach %s: %v", f.Path(), err)
 		}
 	}
 	check(fsB, "attached")

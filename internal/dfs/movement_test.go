@@ -250,7 +250,7 @@ func TestMoveAdvancesSimulatedTime(t *testing.T) {
 func TestMoveDeletedFileRejected(t *testing.T) {
 	e, fs := testFS(t, ModeOctopus)
 	f := createFile(t, e, fs, "/f", 16*storage.MB)
-	if err := fs.Delete("/f"); err != nil {
+	if err := fs.Delete(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.MoveFileReplicas(f, storage.Memory, storage.SSD, nil); err == nil {

@@ -3,6 +3,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -18,16 +19,18 @@ var (
 )
 
 // entry is one directory in the namespace tree. Files are not entries:
-// a directory holds its files directly as a name-sorted *File slice, so a
+// a directory holds its files directly as a path-sorted *File slice, so a
 // file's entire namespace footprint is one pointer in its parent — its
 // name is the last component of File.path (shared backing, no copy), and
-// there is no per-file tree node to allocate. Directories are rare
-// relative to files (one per few hundred files in typical layouts), so
-// their slices and names are noise at scale.
+// there is no per-file tree node to allocate. Every file of a directory
+// shares the directory's path as its prefix, so path order is name order
+// and a lookup compares the prefix of the path it resolves, never cutting a
+// name out. Directories are rare relative to files (one per few hundred
+// files in typical layouts), so their slices and names are noise at scale.
 type entry struct {
 	name    string
 	subdirs []*entry // sorted by name
-	files   []*File  // sorted by fileBase
+	files   []*File  // sorted by path
 }
 
 // fileBase returns the file's name: the last component of its path.
@@ -44,10 +47,14 @@ func (e *entry) findDir(name string) *entry {
 	return nil
 }
 
-// findFile returns the contained file with the given name, or nil.
-func (e *entry) findFile(name string) *File {
-	k := sort.Search(len(e.files), func(i int) bool { return fileBase(e.files[i]) >= name })
-	if k < len(e.files) && fileBase(e.files[k]) == name {
+// searchFile returns where a file with the given path sits, or would.
+func (e *entry) searchFile(path string) int {
+	return sort.Search(len(e.files), func(i int) bool { return e.files[i].path >= path })
+}
+
+// findFile returns the contained file with the given path, or nil.
+func (e *entry) findFile(path string) *File {
+	if k := e.searchFile(path); k < len(e.files) && e.files[k].path == path {
 		return e.files[k]
 	}
 	return nil
@@ -56,26 +63,19 @@ func (e *entry) findFile(name string) *File {
 // insertDir links a child directory, keeping subdirs sorted.
 func (e *entry) insertDir(sub *entry) {
 	k := sort.Search(len(e.subdirs), func(i int) bool { return e.subdirs[i].name >= sub.name })
-	e.subdirs = append(e.subdirs, nil)
-	copy(e.subdirs[k+1:], e.subdirs[k:])
-	e.subdirs[k] = sub
+	e.subdirs = slices.Insert(e.subdirs, k, sub)
 }
 
-// insertFile links a file, keeping files sorted. The file's path must
-// already end in its name.
+// insertFile links a file, keeping files sorted.
 func (e *entry) insertFile(f *File) {
-	name := fileBase(f)
-	k := sort.Search(len(e.files), func(i int) bool { return fileBase(e.files[i]) >= name })
-	e.files = append(e.files, nil)
-	copy(e.files[k+1:], e.files[k:])
-	e.files[k] = f
+	e.files = slices.Insert(e.files, e.searchFile(f.path), f)
 }
 
-// removeFile unlinks the named file.
-func (e *entry) removeFile(name string) {
-	k := sort.Search(len(e.files), func(i int) bool { return fileBase(e.files[i]) >= name })
-	if k < len(e.files) && fileBase(e.files[k]) == name {
-		e.files = append(e.files[:k], e.files[k+1:]...)
+// removeFile unlinks f. slices.Delete clears the vacated tail slot, so the
+// backing array does not pin a removed file.
+func (e *entry) removeFile(f *File) {
+	if k := e.searchFile(f.path); k < len(e.files) && e.files[k] == f {
+		e.files = slices.Delete(e.files, k, k+1)
 	}
 }
 
@@ -172,12 +172,13 @@ func (ns *Namespace) walk(path string, create bool) (*entry, *File, stop) {
 	dir := ns.root
 	for rest := path[1:]; rest != ""; {
 		name, tail, more := strings.Cut(rest, "/")
+		prefix := path[:len(path)-len(rest)+len(name)] // the path up to name
 		rest = tail
 		if sub := dir.findDir(name); sub != nil {
 			dir = sub
 			continue
 		}
-		if f := dir.findFile(name); f != nil {
+		if f := dir.findFile(prefix); f != nil {
 			if more {
 				return nil, nil, notDir
 			}
@@ -218,24 +219,18 @@ func (ns *Namespace) insertFile(path string, f *File) error {
 
 // GetFile resolves a path to a file.
 func (ns *Namespace) GetFile(path string) (*File, error) {
-	_, f, err := ns.resolveFile(path)
-	return f, err
-}
-
-// resolveFile resolves a path to a file and the directory holding it.
-func (ns *Namespace) resolveFile(path string) (*entry, *File, error) {
 	clean, err := CleanPath(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	dir, f, s := ns.walk(clean, false)
+	_, f, s := ns.walk(clean, false)
 	if s != found {
-		return nil, nil, s.err(path)
+		return nil, s.err(path)
 	}
 	if f == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
+		return nil, fmt.Errorf("%w: %q", ErrIsDirectory, path)
 	}
-	return dir, f, nil
+	return f, nil
 }
 
 // Exists reports whether a path resolves to a file or directory.
@@ -248,20 +243,11 @@ func (ns *Namespace) Exists(path string) bool {
 	return s == found
 }
 
-// removeFile unlinks a file entry. The caller is responsible for replica
-// teardown.
-func (ns *Namespace) removeFile(path string) (*File, error) {
-	dir, f, err := ns.resolveFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ns.unlink(dir, f)
-	return f, nil
-}
-
-// unlink removes a resolved file from the directory holding it.
-func (ns *Namespace) unlink(dir *entry, f *File) {
-	dir.removeFile(fileBase(f))
+// unlink removes a linked file from the directory holding it, walking its
+// path. The caller is responsible for replica teardown.
+func (ns *Namespace) unlink(f *File) {
+	dir, _, _ := ns.walk(f.path, false)
+	dir.removeFile(f)
 	ns.files--
 }
 

@@ -35,8 +35,8 @@ func buildBenchNamespace(n int) (*Namespace, []string) {
 }
 
 // BenchmarkNamespaceLookup measures path resolution, the hottest namespace
-// operation (every Open, Delete and migration goes through it), as GetFile
-// on canonical paths. The in-place component walk keeps it allocation-free.
+// operation (every Open, create and unlink walks a path), as GetFile on
+// canonical paths. The in-place component walk keeps it allocation-free.
 func BenchmarkNamespaceLookup(b *testing.B) {
 	ns, paths := buildBenchNamespace(benchFileCount())
 	b.ReportAllocs()

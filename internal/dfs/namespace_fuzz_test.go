@@ -74,7 +74,8 @@ func (o *nsOracle) fileAbove(path string) bool {
 	return false
 }
 
-// resolve is what GetFile and removeFile give for a path.
+// resolve is what GetFile gives for a path, and so what a remove (GetFile,
+// then unlink of the file it found) finds.
 func (o *nsOracle) resolve(p fuzzPath) (*File, error) {
 	switch {
 	case !p.valid:
@@ -137,7 +138,8 @@ func sameErr(got, want error) bool {
 // runNamespaceOps decodes three bytes per operation — kind and depth, then
 // the path's names and spelling — and runs each against a Namespace and
 // the oracle: insert (cleaned at the door, as CreateFile and AttachFile
-// do), removeFile, GetFile, Exists and WalkUnder. Every spelling must also
+// do), remove (GetFile, then unlink of the file it found), GetFile, Exists
+// and WalkUnder. Every spelling must also
 // clean to its canonical path or be rejected as invalid.
 func runNamespaceOps(t *testing.T, data []byte) {
 	ns := NewNamespace()
@@ -168,13 +170,12 @@ func runNamespaceOps(t *testing.T, data []byte) {
 		case 1, 2:
 			want, wantErr := o.resolve(p)
 			var got *File
-			if kind == 1 {
-				got, err = ns.removeFile(p.spelled)
-				if wantErr == nil {
-					delete(o.files, p.canonical)
-				}
-			} else {
-				got, err = ns.GetFile(p.spelled)
+			got, err = ns.GetFile(p.spelled)
+			if kind == 1 && err == nil {
+				ns.unlink(got)
+			}
+			if kind == 1 && wantErr == nil {
+				delete(o.files, p.canonical)
 			}
 			if got != want || !sameErr(err, wantErr) {
 				t.Fatalf("op %d: kind %d on %q: %v, %v; want %v, %v", op, kind, p.spelled, got, err, want, wantErr)
@@ -234,5 +235,16 @@ func FuzzNamespace(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(data)
 		f.Add(data)
 	}
+	// A directory's last-sorted file removed, then one inserted that sorts
+	// before it into the slot the removal vacated.
+	f.Add(namespaceSeed(
+		[4]byte{0, 2, 0 | 0<<2, 0}, // insert /a/a
+		[4]byte{0, 2, 0 | 1<<2, 0}, // insert /a/b
+		[4]byte{1, 2, 0 | 1<<2, 0}, // remove /a/b
+		[4]byte{0, 2, 0 | 2<<2, 0}, // insert /a/a-b
+		[4]byte{2, 2, 0 | 1<<2, 0}, // GetFile /a/b: gone
+		[4]byte{2, 2, 0 | 2<<2, 0}, // GetFile /a/a-b
+		[4]byte{4, 1, 0, 0},        // WalkUnder /a
+	))
 	f.Fuzz(runNamespaceOps)
 }

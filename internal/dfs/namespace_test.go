@@ -132,10 +132,11 @@ func TestRemoveFile(t *testing.T) {
 	if err := ns.insertFile("/x/y", f); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ns.removeFile("/x/y")
+	got, err := ns.GetFile("/x/y")
 	if err != nil || got != f {
-		t.Fatalf("removeFile = %v, %v", got, err)
+		t.Fatalf("GetFile = %v, %v", got, err)
 	}
+	ns.unlink(got)
 	if ns.Exists("/x/y") {
 		t.Fatal("file still exists after remove")
 	}
@@ -144,6 +145,27 @@ func TestRemoveFile(t *testing.T) {
 	}
 	if ns.FileCount() != 0 {
 		t.Fatalf("FileCount = %d", ns.FileCount())
+	}
+}
+
+// TestUnlinkLeavesNoPointerBehind: unlinking a directory's last-sorted
+// file clears the slot it vacated, so the directory's backing array does
+// not keep the removed file alive.
+func TestUnlinkLeavesNoPointerBehind(t *testing.T) {
+	ns := NewNamespace()
+	first, last := &File{}, &File{}
+	for p, f := range map[string]*File{"/d/a": first, "/d/b": last} {
+		if err := ns.insertFile(p, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ns.unlink(last)
+	dir, _, _ := ns.walk("/d", false)
+	if all := dir.files[:cap(dir.files)]; slices.Contains(all, last) {
+		t.Fatalf("the directory's backing array still holds the unlinked file: %v", all)
+	}
+	if got, err := ns.GetFile("/d/a"); got != first || err != nil {
+		t.Fatalf("GetFile(/d/a) = %v, %v after unlinking /d/b", got, err)
 	}
 }
 

@@ -186,13 +186,14 @@ func transferScript(t *testing.T, mode Mode, plane storage.DataPlane) string {
 		if i%3 != 1 {
 			continue
 		}
-		rec, err := fs.SnapshotFile(f.Path())
+		rec, err := fs.SnapshotFile(f)
 		if err != nil {
 			note("snapshot %s: %v", f.Path(), err)
 			continue
 		}
-		note("detach %s: %v", rec.Path, fs.DetachFile(rec.Path))
-		note("attach %s: %v", rec.Path, fs.AttachFile(rec))
+		note("detach %s: %v", rec.Path, fs.DetachFile(f))
+		_, err = fs.AttachFile(rec)
+		note("attach %s: %v", rec.Path, err)
 	}
 	e.Run()
 	if err := fs.CheckInvariants(); err != nil {

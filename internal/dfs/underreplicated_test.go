@@ -143,7 +143,7 @@ func TestUnderReplicationCountFollowsFailureAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a second replica deletion")
-	if err := fs.Delete("/d/f5"); err != nil {
+	if err := fs.Delete(g); err != nil {
 		t.Fatal(err)
 	}
 	check("after deleting the file")

@@ -161,7 +161,7 @@ func TestXGBDownMemoIsOneBurst(t *testing.T) {
 		}
 	}
 	for _, f := range files[:4] {
-		if err := ev.fs.Delete(f.Path()); err != nil {
+		if err := ev.fs.Delete(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestXGBDownWindowRunsShort(t *testing.T) {
 	at := ev.ctx.Clock.Now()
 	for left := len(files); left > 0; left-- {
 		checkMemo(t, ev, p, fmt.Sprintf("%d files left", left))
-		if err := ev.fs.Delete(p.SelectFile(storage.Memory).Path()); err != nil {
+		if err := ev.fs.Delete(p.SelectFile(storage.Memory)); err != nil {
 			t.Fatal(err)
 		}
 		if !ev.ctx.Clock.Now().Equal(at) {

@@ -140,7 +140,9 @@ func runSequential(t *testing.T, ops []diffOp, down, up string) *dfs.FileSystem 
 				fs.RecordAccess(f)
 			}
 		case 2:
-			_ = fs.Delete(o.path)
+			if f, err := fs.Open(o.path); err == nil {
+				_ = fs.Delete(f)
+			}
 		}
 		quiesce()
 	}

@@ -133,7 +133,7 @@ func TestExecutorDropsDeletedFileAtDequeue(t *testing.T) {
 	if ex.Room(storage.SSD) {
 		t.Fatal("queue should be full: one active, two waiting")
 	}
-	if err := fs.Delete(files[1].Path()); err != nil {
+	if err := fs.Delete(files[1]); err != nil {
 		t.Fatal(err)
 	}
 	pool := &ex.tiers[storage.SSD]

@@ -77,18 +77,20 @@ func attachCopyOn(t *testing.T, srv *ShardedServer, from, to int, path string) {
 	t.Helper()
 	var rec dfs.FileRecord
 	var serr error
-	srv.shards[from].inLoop(func(fs *dfs.FileSystem) { rec, serr = fs.SnapshotFile(path) })
+	srv.shards[from].inLoop(func(fs *dfs.FileSystem) {
+		var f *dfs.File
+		if f, serr = fs.Namespace().GetFile(path); serr == nil {
+			rec, serr = fs.SnapshotFile(f)
+		}
+	})
 	if serr != nil {
 		t.Fatalf("snapshot %s on shard %d: %v", path, from, serr)
 	}
 	var aerr error
 	sh := srv.shards[to]
 	sh.inLoop(func(fs *dfs.FileSystem) {
-		aerr = fs.AttachFile(rec)
-		if aerr != nil {
-			return
-		}
-		if f, gerr := fs.Namespace().GetFile(rec.Path); gerr == nil {
+		var f *dfs.File
+		if f, aerr = fs.AttachFile(rec); aerr == nil {
 			sh.indexFile(f)
 		}
 	})
@@ -240,7 +242,7 @@ func TestDoubleReadSurvivesMigrationBetweenProbes(t *testing.T) {
 		read("with both copies", dst)
 		// Its commit half: the source copy goes.
 		var err error
-		owner.inLoop(func(*dfs.FileSystem) { _, err = owner.migrateOut(path, false) })
+		owner.inLoop(func(*dfs.FileSystem) { _, _, err = owner.migrateOut(path, false) })
 		if err != nil {
 			t.Fatalf("%s: migrateOut: %v", op.name, err)
 		}
@@ -677,13 +679,13 @@ func TestVerifyChecksNamespaceCoherence(t *testing.T) {
 	}
 	srv.routes.remove(dir)
 	var err error
-	owner.inLoop(func(*dfs.FileSystem) { _, err = owner.migrateOut(path, true) })
+	owner.inLoop(func(*dfs.FileSystem) { _, _, err = owner.migrateOut(path, true) })
 	if err != nil {
 		t.Fatalf("dropping the stale copy: %v", err)
 	}
 
 	h, _ := srv.lookup(path)
-	dst.inLoop(func(fs *dfs.FileSystem) { err = fs.DetachFile(path) })
+	dst.inLoop(func(fs *dfs.FileSystem) { err = fs.DetachFile(h.file) })
 	if err != nil {
 		t.Fatalf("detach: %v", err)
 	}

@@ -514,8 +514,9 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 	var dropped bool
 	var serr error
 	src.inLoop(func(fs *dfs.FileSystem) {
-		if dropped, serr = src.migrateOut(path, true); !dropped && serr == nil {
-			rec, serr = fs.SnapshotFile(path)
+		var f *dfs.File
+		if f, dropped, serr = src.migrateOut(path, true); !dropped && serr == nil {
+			rec, serr = fs.SnapshotFile(f)
 		}
 	})
 	switch {
@@ -527,12 +528,13 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 	case serr != nil:
 		return migrateSkipped // busy / mid-create: next sweep
 	}
+	var attached *dfs.File
 	var aerr error
 	dst.inLoop(func(fs *dfs.FileSystem) {
-		if _, aerr = dst.migrateOut(path, true); aerr != nil && !errors.Is(aerr, dfs.ErrNotFound) {
+		if _, _, aerr = dst.migrateOut(path, true); aerr != nil && !errors.Is(aerr, dfs.ErrNotFound) {
 			return // a transfer holds the stale copy: next sweep
 		}
-		aerr = fs.AttachFile(rec)
+		attached, aerr = fs.AttachFile(rec)
 		if errors.Is(aerr, dfs.ErrNoCapacity) {
 			chain, maxRep := rec.TierNeeds()
 			granted := true
@@ -542,13 +544,11 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 				}
 			}
 			if granted {
-				aerr = fs.AttachFile(rec)
+				attached, aerr = fs.AttachFile(rec)
 			}
 		}
 		if aerr == nil {
-			if f, gerr := fs.Namespace().GetFile(rec.Path); gerr == nil {
-				dst.indexFile(f)
-			}
+			dst.indexFile(attached)
 		}
 	})
 	// ErrExists: a client recreated the path on the destination between the
@@ -561,13 +561,14 @@ func (r *rebalancer) migrateFile(src, dst *shard, path string) migrateOutcome {
 		return migrateSkipped
 	}
 	var derr error
-	src.inLoop(func(*dfs.FileSystem) { dropped, derr = src.migrateOut(path, !landed) })
+	src.inLoop(func(*dfs.FileSystem) { _, dropped, derr = src.migrateOut(path, !landed) })
 	switch {
 	case errors.Is(derr, dfs.ErrNotFound):
-		// Deleted mid-move. If we attached a copy a moment ago, take it back
-		// out (a racing client delete may already have).
+		// Deleted mid-move. If we attached a copy a moment ago, take that
+		// copy back out (a racing client delete may already have, and a
+		// client may have created a new file at the path since).
 		if landed {
-			dst.inLoop(func(fs *dfs.FileSystem) { _ = fs.DetachFile(path) })
+			dst.inLoop(func(fs *dfs.FileSystem) { _ = fs.DetachFile(attached) })
 		}
 		return migrateGone
 	case !dropped:

@@ -743,35 +743,35 @@ func (sh *shard) finishCreate(h *handle, sp *obs.Span, err error) {
 	out <- err
 }
 
-// applyDelete runs a delete on the loop (see ShardedServer.delete). A miss
-// whose path the namespace names on a shard not yet asked is handed there,
-// from a fresh goroutine: an op on one loop must never block on another
-// loop, or two opposite-direction deletes could deadlock the loops. The one
-// outcome is booked once, by the shard that answers (countDelete). Shard
-// loop only.
+// applyDelete runs a delete on the loop (see ShardedServer.delete). The
+// path is resolved once: to the file of the handle the namespace names when
+// that is this shard's, otherwise on the shard's own tree, where a copy this
+// shard indexed is stale (see stale) — not the file, so it misses like an
+// absent one. A miss whose path the namespace names on a shard not yet asked
+// is handed there, from a fresh goroutine: an op on one loop must never
+// block on another loop, or two opposite-direction deletes could deadlock
+// the loops. The one outcome is booked once, by the shard that answers
+// (countDelete). Shard loop only.
 func (sh *shard) applyDelete(c *command) {
-	err := sh.deleteFile(c.path)
-	if errors.Is(err, dfs.ErrNotFound) {
-		if h, _ := sh.ns.get(c.path); h != nil && h.sh != sh && !c.asked.has(h.sh.idx) {
-			next := *c
-			next.asked.add(sh.idx)
-			go h.sh.enqueue(next)
-			return
-		}
+	h, _ := sh.ns.get(c.path)
+	var err error
+	if h != nil && h.sh == sh {
+		err = sh.fs.Delete(h.file)
+	} else if f, gerr := sh.fs.Namespace().GetFile(c.path); gerr != nil {
+		err = gerr
+	} else if sh.handleOf(f) != nil {
+		err = notFound(c.path)
+	} else {
+		err = sh.fs.Delete(f)
+	}
+	if errors.Is(err, dfs.ErrNotFound) && h != nil && h.sh != sh && !c.asked.has(h.sh.idx) {
+		next := *c
+		next.asked.add(sh.idx)
+		go h.sh.enqueue(next)
+		return
 	}
 	sh.countDelete(err, c.start)
 	c.res <- err
-}
-
-// deleteFile deletes path's copy on this shard. A stale copy (see stale) is
-// not the file, so it misses like an absent one. Shard loop only.
-func (sh *shard) deleteFile(path string) error {
-	if h, _ := sh.ns.get(path); h == nil || h.sh != sh {
-		if f, err := sh.fs.Namespace().GetFile(path); err == nil && sh.stale(f) {
-			return notFound(path)
-		}
-	}
-	return sh.fs.Delete(path)
 }
 
 // enqueue hands c to the shard's loop.
@@ -818,21 +818,21 @@ func (sh *shard) stale(f *dfs.File) bool {
 	return named != h
 }
 
-// migrateOut detaches path's copy for rebalancer.migrateFile — with
-// onlyStale, only if the copy is stale — and reports whether it did, with
-// the lookup's or the detach's error (dfs.ErrBusy: a transfer holds it).
-// No client deletion is counted, and accesses still pending on the handle
-// are discarded as "migrated", not "deleted". Shard loop only.
-func (sh *shard) migrateOut(path string, onlyStale bool) (dropped bool, err error) {
-	f, err := sh.fs.Namespace().GetFile(path)
-	if err != nil || onlyStale && !sh.stale(f) {
-		return false, err
+// migrateOut looks up path's copy for rebalancer.migrateFile and detaches
+// it — with onlyStale, only if the copy is stale — and reports the copy it
+// looked up, whether it detached it, and the lookup's or the detach's error
+// (dfs.ErrBusy: a transfer holds it). No client deletion is counted, and
+// accesses still pending on the handle are discarded as "migrated", not
+// "deleted". Shard loop only.
+func (sh *shard) migrateOut(path string, onlyStale bool) (f *dfs.File, dropped bool, err error) {
+	if f, err = sh.fs.Namespace().GetFile(path); err != nil || onlyStale && !sh.stale(f) {
+		return f, false, err
 	}
 	h := sh.handleOf(f)
-	if err = sh.fs.DetachFile(path); err == nil && h != nil {
+	if err = sh.fs.DetachFile(f); err == nil && h != nil {
 		h.migrated = true
 	}
-	return err == nil, err
+	return f, err == nil, err
 }
 
 // access serves one client read of a resolved file at op.At and returns the

@@ -108,7 +108,9 @@ func shardedOracle(t *testing.T, ops []diffOp) *dfs.FileSystem {
 				fs.RecordAccess(f)
 			}
 		case 2:
-			_ = fs.Delete(o.path)
+			if f, err := fs.Open(o.path); err == nil {
+				_ = fs.Delete(f)
+			}
 		}
 		quiesce()
 	}
