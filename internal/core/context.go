@@ -31,11 +31,10 @@ type Context struct {
 // statistics and the incremental candidate indexes from notifications, so
 // they stay current whether or not a Manager is attached.
 func NewContext(fs *dfs.FileSystem, cfg Config) *Context {
-	cfg.applyDefaults()
 	c := &Context{
 		Clock:   fs.Engine(),
 		FS:      fs,
-		Tracker: ml.NewTracker(cfg.TrackerK),
+		Tracker: ml.NewTracker(ml.DefaultK),
 		Cfg:     cfg,
 	}
 	c.index = newCandidateIndex(c)

@@ -23,7 +23,7 @@ import (
 )
 
 // Config carries the framework parameters (Section 5.1, 5.4, 6.1, 6.4).
-// Zero fields are replaced by paper defaults.
+// Callers start from DefaultConfig and change what they need.
 type Config struct {
 	// HighWatermark starts the downgrade process for a tier when its used
 	// capacity exceeds this fraction (paper: 90%).
@@ -40,21 +40,12 @@ type Config struct {
 	// PeriodicInterval is how often the manager wakes up for proactive
 	// upgrade checks and model sampling.
 	PeriodicInterval time.Duration
-	// SampleFraction is the fraction of tracked files sampled for training
-	// on each periodic tick.
-	SampleFraction float64
 	// DowngradeWindow is the class window of the downgrade model ("which
 	// files have become cold"). The paper's example value is 6 hours for
 	// production-length traces; the default here is scaled down so that
 	// sliding the reference time one window into the past still yields
 	// training data within a six-hour replay.
 	DowngradeWindow time.Duration
-	// UpgradeWindow is the class window of the upgrade model ("which files
-	// will be accessed soon"; paper example: 30 minutes).
-	UpgradeWindow time.Duration
-	// UpgradeThreshold is the discrimination threshold of the upgrade
-	// model (paper: 0.5).
-	UpgradeThreshold float64
 	// MonitorConcurrency bounds simultaneous background file movements.
 	MonitorConcurrency int
 	// MoveLatency models the command path of a movement request (manager →
@@ -63,8 +54,6 @@ type Config struct {
 	// triggered it (Section 6: the move is piggybacked on the subsequent
 	// read or performed asynchronously).
 	MoveLatency time.Duration
-	// TrackerK is the per-file access-history length (paper: 12).
-	TrackerK int
 }
 
 // DefaultConfig returns the paper's parameter values.
@@ -75,52 +64,8 @@ func DefaultConfig() Config {
 		UpgradeBatchLimit:  1 * storage.GB,
 		CandidateK:         200,
 		PeriodicInterval:   time.Minute,
-		SampleFraction:     0.10,
 		DowngradeWindow:    90 * time.Minute,
-		UpgradeWindow:      30 * time.Minute,
-		UpgradeThreshold:   0.5,
 		MonitorConcurrency: 4,
 		MoveLatency:        5 * time.Second,
-		TrackerK:           12,
-	}
-}
-
-func (c *Config) applyDefaults() {
-	d := DefaultConfig()
-	if c.HighWatermark <= 0 {
-		c.HighWatermark = d.HighWatermark
-	}
-	if c.LowWatermark <= 0 {
-		c.LowWatermark = d.LowWatermark
-	}
-	if c.UpgradeBatchLimit <= 0 {
-		c.UpgradeBatchLimit = d.UpgradeBatchLimit
-	}
-	if c.CandidateK <= 0 {
-		c.CandidateK = d.CandidateK
-	}
-	if c.PeriodicInterval <= 0 {
-		c.PeriodicInterval = d.PeriodicInterval
-	}
-	if c.SampleFraction <= 0 {
-		c.SampleFraction = d.SampleFraction
-	}
-	if c.DowngradeWindow <= 0 {
-		c.DowngradeWindow = d.DowngradeWindow
-	}
-	if c.UpgradeWindow <= 0 {
-		c.UpgradeWindow = d.UpgradeWindow
-	}
-	if c.UpgradeThreshold <= 0 {
-		c.UpgradeThreshold = d.UpgradeThreshold
-	}
-	if c.MonitorConcurrency <= 0 {
-		c.MonitorConcurrency = d.MonitorConcurrency
-	}
-	if c.MoveLatency <= 0 {
-		c.MoveLatency = d.MoveLatency
-	}
-	if c.TrackerK <= 0 {
-		c.TrackerK = d.TrackerK
 	}
 }

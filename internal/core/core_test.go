@@ -101,24 +101,6 @@ func (p *osaStub) SelectTargetTier(f *dfs.File, from storage.Media) (storage.Med
 }
 func (p *osaStub) StopUpgrade() bool { return p.pending == nil }
 
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.applyDefaults()
-	d := DefaultConfig()
-	if c != d {
-		t.Fatalf("applyDefaults() = %+v, want %+v", c, d)
-	}
-	// Non-zero fields are preserved.
-	c2 := Config{HighWatermark: 0.5}
-	c2.applyDefaults()
-	if c2.HighWatermark != 0.5 {
-		t.Fatal("explicit field overwritten")
-	}
-	if c2.LowWatermark != d.LowWatermark {
-		t.Fatal("zero field not defaulted")
-	}
-}
-
 func TestContextRecordAndTouch(t *testing.T) {
 	ev := newEnv(t, dfs.ModeOctopus)
 	NewManager(ev.ctx, nil, nil)

@@ -227,10 +227,10 @@ func TestPlacementBacklogSteersOffSaturatedTier(t *testing.T) {
 	}
 }
 
-// TestAttachUnderAFileLeavesNothing fails an attach after its replicas are
-// on disk: the path passes the up-front existence check, but a file sits
-// where the path needs a directory, so linking it fails. The attach must
-// release its reservations and delete the blocks it wrote.
+// TestAttachUnderAFileLeavesNothing attaches a file where a file sits in
+// place of a directory on its path. The attach must fail before it reserves
+// or writes anything: the backend sees no block write, and disk and ledger
+// agree afterwards.
 func TestAttachUnderAFileLeavesNothing(t *testing.T) {
 	eA, fsA := testFS(t, ModeOctopus)
 	eB, fsB := testFS(t, ModeOctopus)
@@ -245,9 +245,16 @@ func TestAttachUnderAFileLeavesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := l.Stats()
 	rec.Path = "/a/f/x"
 	if _, err := fsB.AttachFile(rec); !errors.Is(err, ErrNotDirectory) {
 		t.Fatalf("attach under a file: %v, want ErrNotDirectory", err)
+	}
+	after := l.Stats()
+	for _, m := range storage.AllMedia {
+		if w, w0 := after.PerTier[m].Write.Count, before.PerTier[m].Write.Count; w != w0 {
+			t.Fatalf("%s tier: the failed attach wrote %d blocks", m, w-w0)
+		}
 	}
 	used, err := l.DiskUsage()
 	if err != nil {

@@ -141,7 +141,8 @@ func attachTarget(nodes []*cluster.Node, first int, m storage.Media, size int64,
 // reserved, FileCreated and TierDataAdded fired so the policy stack adopts
 // it. The call either succeeds completely or fails with no side effects
 // (ErrNoCapacity when a tier lacks room, ErrExists when the path is taken —
-// a client recreated it mid-migration — and ErrInvalidPath when the record's
+// a client recreated it mid-migration — ErrNotDirectory when a file sits
+// where the path needs a directory, and ErrInvalidPath when the record's
 // path does not clean). The arriving bytes are charged as ClassMove writes
 // against the chosen devices.
 //
@@ -155,8 +156,13 @@ func (fs *FileSystem) AttachFile(rec FileRecord) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fs.ns.Exists(path) {
+	// One walk refuses a taken path and a path under a file before anything
+	// is reserved or written; newFile's link then only creates directories.
+	switch _, _, s := fs.ns.walk(path, false); s {
+	case found:
 		return nil, fmt.Errorf("%w: %q", ErrExists, rec.Path)
+	case notDir:
+		return nil, s.err(rec.Path)
 	}
 	nodes := fs.cluster.Nodes()
 	if len(nodes) == 0 {

@@ -192,11 +192,8 @@ type Model struct {
 	gains      []float64 // split gain per node (0 at leaves); read by FeatureImportance and JSON only
 	roots      []int32   // roots[k] is the index in nodes of tree k's root
 	index      scorer    // the same trees by feature; what PredictMargin reads
-	delta      *Delta    // Update's and UpdateFrom's trees and scratch, kept between updates
+	delta      *Delta    // Update's trees and scratch, kept between updates
 }
-
-// Params returns the hyperparameters the model was built with.
-func (m *Model) Params() Params { return m.params }
 
 // NumTrees returns the current ensemble size.
 func (m *Model) NumTrees() int { return len(m.roots) }

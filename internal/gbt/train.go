@@ -37,11 +37,18 @@ func Train(x *Matrix, y []float64, p Params) (*Model, error) {
 // a new batch, implementing the paper's incremental learning: the model is
 // refined with data points as they become available, adapting to workload
 // change without a fixed training window (Section 4.2).
+//
+// Update grows into the model's own delta and commits it. Once the model has
+// seen a few batches of a size, an update allocates nothing.
 func (m *Model) Update(x *Matrix, y []float64, rounds int) error {
 	d := m.updates()
 	d.margins = resize(d.margins, x.Rows())
 	m.PredictMarginBatch(x, d.margins)
-	return m.UpdateFrom(x, y, d.margins, rounds)
+	if err := m.Grow(d, x, y, d.margins, rounds); err != nil {
+		return err
+	}
+	m.Commit(d)
+	return nil
 }
 
 // margins returns the model's PredictMargin of every row of x.
@@ -58,20 +65,6 @@ func (m *Model) updates() *Delta {
 		m.delta = new(Delta)
 	}
 	return m.delta
-}
-
-// UpdateFrom is Update for a caller that already holds the model's current
-// PredictMargin of every row of x, which spares the pass over the forest
-// that computes them: Grow into the model's own delta, then Commit. margins
-// is overwritten. Once the model has seen a few batches of a size, an update
-// allocates nothing.
-func (m *Model) UpdateFrom(x *Matrix, y, margins []float64, rounds int) error {
-	d := m.updates()
-	if err := m.Grow(d, x, y, margins, rounds); err != nil {
-		return err
-	}
-	m.Commit(d)
-	return nil
 }
 
 // Delta is the trees one update adds to a model, held apart from it: Grow

@@ -509,9 +509,9 @@ func TestUnsplittableNodesAreSkipped(t *testing.T) {
 
 // TestSteadyUpdateAllocatesNothing: once a bounded model has been through a
 // few rounds of batches of one size, an update allocates nothing, through
-// UpdateFrom (the learner's path, margins supplied) or Update. The builder
-// and its scratch stay with the model, and the forest and its index reuse the
-// room the retired trees leave.
+// Grow into a caller-owned Delta then Commit (the learner's path, margins
+// supplied) or Update. The builder and its scratch stay with the delta, and
+// the forest and its index reuse the room the retired trees leave.
 func TestSteadyUpdateAllocatesNothing(t *testing.T) {
 	m, _, _ := benchModel(t)
 	rng := rand.New(rand.NewSource(5))
@@ -520,15 +520,17 @@ func TestSteadyUpdateAllocatesNothing(t *testing.T) {
 	for k := range xs {
 		xs[k], ys[k] = sparseBatch(rng, benchBatch)
 	}
+	var d Delta
 	margins := make([]float64, benchBatch)
 	next := 0
-	updateFrom := func() {
+	growCommit := func() {
 		x, y := xs[next%len(xs)], ys[next%len(xs)]
 		next++
 		m.PredictMarginBatch(x, margins)
-		if err := m.UpdateFrom(x, y, margins, 3); err != nil {
+		if err := m.Grow(&d, x, y, margins, 3); err != nil {
 			t.Fatal(err)
 		}
+		m.Commit(&d)
 	}
 	update := func() {
 		if err := m.Update(xs[next%len(xs)], ys[next%len(xs)], 3); err != nil {
@@ -537,10 +539,13 @@ func TestSteadyUpdateAllocatesNothing(t *testing.T) {
 		next++
 	}
 	for i := 0; i < 4*len(xs); i++ {
-		updateFrom()
+		growCommit()
 	}
-	if allocs := testing.AllocsPerRun(2*len(xs), updateFrom); allocs != 0 {
-		t.Errorf("UpdateFrom makes %v allocations per update", allocs)
+	if allocs := testing.AllocsPerRun(2*len(xs), growCommit); allocs != 0 {
+		t.Errorf("Grow then Commit makes %v allocations per update", allocs)
+	}
+	for i := 0; i < 4*len(xs); i++ {
+		update()
 	}
 	if allocs := testing.AllocsPerRun(2*len(xs), update); allocs != 0 {
 		t.Errorf("Update makes %v allocations per update", allocs)
@@ -550,8 +555,8 @@ func TestSteadyUpdateAllocatesNothing(t *testing.T) {
 // TestGrowOnlyReadsTheModel: Grow leaves the model it reads unchanged, to the
 // byte of its JSON and the bits of its predictions, and predicting on it
 // while a Grow runs beside is race-free; Commit then leaves the model that
-// UpdateFrom makes from the same batch, past retirement, and a second Commit
-// of the emptied delta adds nothing.
+// Update makes from the same batch, past retirement, and a second Commit of
+// the emptied delta adds nothing.
 func TestGrowOnlyReadsTheModel(t *testing.T) {
 	m, x, y := benchModel(t)
 	twin, _, _ := benchModel(t)
@@ -581,8 +586,7 @@ func TestGrowOnlyReadsTheModel(t *testing.T) {
 		t.Fatal("Grow changed the model")
 	}
 	m.Commit(&d)
-	twinMargins := slices.Clone(want)
-	if err := twin.UpdateFrom(x, y, twinMargins, 3); err != nil {
+	if err := twin.Update(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
 	got, err := json.Marshal(m)
@@ -594,7 +598,7 @@ func TestGrowOnlyReadsTheModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(ref) || m.NumTrees() != benchTrees {
-		t.Fatalf("Grow then Commit gave %d trees and %d bytes of JSON, UpdateFrom %d and %d", m.NumTrees(), len(got), twin.NumTrees(), len(ref))
+		t.Fatalf("Grow then Commit gave %d trees and %d bytes of JSON, Update %d and %d", m.NumTrees(), len(got), twin.NumTrees(), len(ref))
 	}
 	m.Commit(&d)
 	if again, _ := json.Marshal(m); string(again) != string(got) {

@@ -21,21 +21,25 @@ import (
 	"octostore/internal/workload"
 )
 
-// Options tunes the runner.
-type Options struct {
-	// TaskOverhead is per-task setup cost (container launch, JVM reuse...).
-	TaskOverhead time.Duration
-	// JobOverhead is per-job scheduling/startup latency before tasks run.
-	JobOverhead time.Duration
-	// PreloadParallel is how many input files are created concurrently
+// The runner's fixed costs and scheduling odds.
+const (
+	// taskOverhead is per-task setup cost (container launch, JVM reuse...).
+	taskOverhead = 1 * time.Second
+	// jobOverhead is per-job scheduling/startup latency before tasks run.
+	jobOverhead = 3 * time.Second
+	// preloadParallel is how many input files are created concurrently
 	// while staging the trace's data (SWIM-style pre-generation).
-	PreloadParallel int
-	// LocalityBias is the probability that a task lands on a node holding
+	preloadParallel = 16
+	// localityBias is the probability that a task lands on a node holding
 	// one of its block's replicas. Big-data schedulers are data-local but
 	// tier-blind (Section 7.2: "current schedulers do not account for the
 	// presence of multiple storage tiers"), and in multi-tenant clusters
-	// locality is only achieved part of the time — this knob models both.
-	LocalityBias float64
+	// locality is only achieved part of the time — this constant models both.
+	localityBias = 0.55
+)
+
+// Options tunes the runner.
+type Options struct {
 	// TierAffinity is the probability that, when locality is achieved, the
 	// chosen replica holder is the one with the fastest local replica.
 	// Delay scheduling and per-node load correlate slot choice with the
@@ -50,31 +54,14 @@ type Options struct {
 // DefaultOptions returns runner defaults.
 func DefaultOptions() Options {
 	return Options{
-		TaskOverhead:    1 * time.Second,
-		JobOverhead:     3 * time.Second,
-		PreloadParallel: 16,
-		LocalityBias:    0.55,
-		TierAffinity:    0.60,
-		Seed:            1,
+		TierAffinity: 0.60,
+		Seed:         1,
 	}
 }
 
 func (o *Options) applyDefaults() {
-	d := DefaultOptions()
-	if o.TaskOverhead <= 0 {
-		o.TaskOverhead = d.TaskOverhead
-	}
-	if o.JobOverhead <= 0 {
-		o.JobOverhead = d.JobOverhead
-	}
-	if o.PreloadParallel <= 0 {
-		o.PreloadParallel = d.PreloadParallel
-	}
-	if o.LocalityBias <= 0 {
-		o.LocalityBias = d.LocalityBias
-	}
 	if o.TierAffinity <= 0 {
-		o.TierAffinity = d.TierAffinity
+		o.TierAffinity = DefaultOptions().TierAffinity
 	}
 }
 
@@ -289,7 +276,7 @@ func (r *runner) preload() error {
 	var startNext func()
 	active := 0
 	startNext = func() {
-		for active < r.opts.PreloadParallel && next < len(order) {
+		for active < preloadParallel && next < len(order) {
 			f := r.stats.Trace.Files[order[next]]
 			next++
 			active++
@@ -351,8 +338,8 @@ func (r *runner) start(spec workload.Job, arrival time.Time, file *dfs.File) {
 	js := &r.stats.Jobs[len(r.stats.Jobs)-1]
 	jr := &jobRun{spec: spec, file: file, stats: js, left: len(file.Blocks())}
 	r.fs.RecordAccess(file)
-	r.engine.Schedule(r.opts.JobOverhead, func() {
-		js.TaskSeconds += r.opts.JobOverhead.Seconds()
+	r.engine.Schedule(jobOverhead, func() {
+		js.TaskSeconds += jobOverhead.Seconds()
 		if jr.left == 0 {
 			r.finishJob(jr)
 			return
@@ -384,7 +371,7 @@ func (r *runner) trySchedule() {
 	}
 }
 
-// pickNode chooses the node a task runs on. With probability LocalityBias
+// pickNode chooses the node a task runs on. With probability localityBias
 // the task is placed on a free node holding one of its block's replicas —
 // chosen by slot availability, NOT by tier, because Hadoop/Spark schedulers
 // are data-local but tier-blind (Section 7.2). Otherwise (or when no
@@ -429,7 +416,7 @@ func (r *runner) pickNode(b *dfs.Block) *cluster.Node {
 			bestTier, bestTierLocal = localTier, n
 		}
 	}
-	if bestLocal != nil && r.rng.Float64() < r.opts.LocalityBias {
+	if bestLocal != nil && r.rng.Float64() < localityBias {
 		if bestTierLocal != nil && r.rng.Float64() < r.opts.TierAffinity {
 			return bestTierLocal
 		}
@@ -456,7 +443,7 @@ func (r *runner) runTask(t *task, node *cluster.Node) {
 		}
 		r.trySchedule()
 	}
-	r.engine.Schedule(r.opts.TaskOverhead, func() {
+	r.engine.Schedule(taskOverhead, func() {
 		r.fs.ReadBlock(t.block, node, func(res dfs.ReadResult, err error) {
 			if err != nil {
 				r.failures = append(r.failures, fmt.Errorf("job %d block %d: %w", t.job.spec.ID, t.block.ID(), err))

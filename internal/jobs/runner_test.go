@@ -163,7 +163,7 @@ func TestSlotContentionSerialisesTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minTime := 4 * (opts.TaskOverhead + 10*time.Second)
+	minTime := 4 * (taskOverhead + 10*time.Second)
 	if got := stats.Jobs[0].CompletionTime(); got < minTime {
 		t.Fatalf("completion %v < serial minimum %v", got, minTime)
 	}

@@ -9,7 +9,8 @@ import (
 	"octostore/internal/gbt"
 )
 
-// LearnerConfig configures an incremental learner.
+// LearnerConfig configures an incremental learner. Callers start from
+// DefaultLearnerConfig and change what they need.
 type LearnerConfig struct {
 	// Params are the boosting hyperparameters (PaperParams by default).
 	Params gbt.Params
@@ -46,31 +47,6 @@ func DefaultLearnerConfig() LearnerConfig {
 		EvalFraction:    0.2,
 		EvalWindow:      200,
 		Seed:            1,
-	}
-}
-
-func (c *LearnerConfig) applyDefaults() {
-	d := DefaultLearnerConfig()
-	if c.Params.Rounds == 0 {
-		c.Params = d.Params
-	}
-	if c.MinTrainSamples <= 0 {
-		c.MinTrainSamples = d.MinTrainSamples
-	}
-	if c.UpdateBatch <= 0 {
-		c.UpdateBatch = d.UpdateBatch
-	}
-	if c.UpdateRounds <= 0 {
-		c.UpdateRounds = d.UpdateRounds
-	}
-	if c.ErrorThreshold <= 0 {
-		c.ErrorThreshold = d.ErrorThreshold
-	}
-	if c.EvalFraction <= 0 {
-		c.EvalFraction = d.EvalFraction
-	}
-	if c.EvalWindow <= 0 {
-		c.EvalWindow = d.EvalWindow
 	}
 }
 
@@ -146,7 +122,6 @@ func (b *batch) rows() int { return b.x.Rows() }
 
 // NewLearner builds a learner for feature vectors of the given width.
 func NewLearner(width int, cfg LearnerConfig) *Learner {
-	cfg.applyDefaults()
 	return &Learner{
 		cfg:         cfg,
 		width:       width,

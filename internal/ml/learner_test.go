@@ -182,7 +182,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 // lagLearner is the learner's contract run inline. At a full buffer it first
 // publishes the batch before — trained into the first model, or scored row by
 // row under the model published then, its held-out outcomes recorded in
-// arrival order, and boosted through UpdateFrom — and then holds the full
+// arrival order, and boosted through Grow and Commit — and then holds the full
 // buffer back as the next batch to publish. ForceTrain publishes the held
 // batch and then the buffer, Flush the held batch. The learner's public reads
 // are held to it.
@@ -207,7 +207,6 @@ type lagBatch struct {
 }
 
 func newLagLearner(width int, cfg LearnerConfig) *lagLearner {
-	cfg.applyDefaults()
 	return &lagLearner{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), buf: &lagBatch{x: gbt.NewMatrix(width)}, evalResults: make([]bool, cfg.EvalWindow)}
 }
 
@@ -258,7 +257,9 @@ func (l *lagLearner) Flush() {
 	for _, i := range b.held {
 		l.recordEval((l.model.Link(margins[i]) >= 0.5) == (b.y[i] >= 0.5))
 	}
-	if err := l.model.UpdateFrom(b.x, b.y, margins, l.cfg.UpdateRounds); err == nil {
+	var d gbt.Delta
+	if err := l.model.Grow(&d, b.x, b.y, margins, l.cfg.UpdateRounds); err == nil {
+		l.model.Commit(&d)
 		l.updates++
 		l.generation++
 	}

@@ -19,9 +19,6 @@ type FlightRecorder struct {
 
 // NewFlightRecorder allocates a recorder retaining the last size records.
 func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = 4096
-	}
 	return &FlightRecorder{ring: make([]any, size)}
 }
 

@@ -145,12 +145,13 @@ type Hub struct {
 	ops    atomic.Uint64
 }
 
+// flightSize is a hub's flight-recorder capacity in records.
+const flightSize = 4096
+
 // HubConfig tunes a hub.
 type HubConfig struct {
 	// SampleEvery traces one op in N (default 64; 1 traces everything).
 	SampleEvery int
-	// FlightSize is the flight-recorder capacity in records (default 4096).
-	FlightSize int
 	// Trace, when non-nil, receives every sampled span, movement record,
 	// and event as JSONL.
 	Trace io.Writer
@@ -161,12 +162,9 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 64
 	}
-	if cfg.FlightSize <= 0 {
-		cfg.FlightSize = 4096
-	}
 	h := &Hub{
 		reg:    NewRegistry(),
-		flight: NewFlightRecorder(cfg.FlightSize),
+		flight: NewFlightRecorder(flightSize),
 		every:  uint64(cfg.SampleEvery),
 	}
 	if cfg.Trace != nil {

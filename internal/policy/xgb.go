@@ -10,6 +10,19 @@ import (
 	"octostore/internal/storage"
 )
 
+// The paper's fixed parameters of the XGB policies.
+const (
+	// sampleFraction is the fraction of tracked files sampled for training
+	// on each periodic tick.
+	sampleFraction = 0.10
+	// upgradeWindow is the class window of the upgrade model ("which files
+	// will be accessed soon"; paper example: 30 minutes).
+	upgradeWindow = 30 * time.Minute
+	// upgradeThreshold is the discrimination threshold of the upgrade
+	// model (paper: 0.5).
+	upgradeThreshold = 0.5
+)
+
 // xgbModel is what the two XGB policies share: an incrementally trained
 // gradient-boosted model over the context's per-file records, fed a
 // guaranteed-positive training point on every access and a periodic sample
@@ -24,11 +37,9 @@ type xgbModel struct {
 // newXGBModel builds a model predicting access within the class window; the
 // seed offset keeps the two policies' sampling streams apart.
 func newXGBModel(ctx *core.Context, window time.Duration, learnerCfg ml.LearnerConfig, seedOffset int64) xgbModel {
-	spec := ml.DefaultFeatureSpec()
-	spec.K = ctx.Cfg.TrackerK
 	return xgbModel{
 		ctx:      ctx,
-		pipeline: ml.NewPipeline(spec, window, learnerCfg),
+		pipeline: ml.NewPipeline(ml.DefaultFeatureSpec(), window, learnerCfg),
 		rng:      rand.New(rand.NewSource(learnerCfg.Seed + seedOffset)),
 	}
 }
@@ -49,7 +60,7 @@ func (p *xgbModel) OnFileAccessed(f *dfs.File) {
 // of walking (and drawing an RNG value for) every live file.
 func (p *xgbModel) Tick() {
 	now := p.ctx.Clock.Now()
-	p.ctx.SampleLiveFiles(p.rng, p.ctx.Cfg.SampleFraction, func(f *dfs.File) {
+	p.ctx.SampleLiveFiles(p.rng, sampleFraction, func(f *dfs.File) {
 		p.pipeline.Sample(p.ctx.Record(f), now)
 	})
 }
@@ -203,10 +214,10 @@ type XGBUp struct {
 }
 
 // NewXGBUp builds the XGB upgrade policy with its own incremental model
-// (class window = Config.UpgradeWindow).
+// (class window = upgradeWindow).
 func NewXGBUp(ctx *core.Context, learnerCfg ml.LearnerConfig) *XGBUp {
 	ctx.Index().RequireUpgradeMRU()
-	return &XGBUp{xgbModel: newXGBModel(ctx, ctx.Cfg.UpgradeWindow, learnerCfg, 211)}
+	return &XGBUp{xgbModel: newXGBModel(ctx, upgradeWindow, learnerCfg, 211)}
 }
 
 // Name implements core.UpgradePolicy.
@@ -224,7 +235,7 @@ func (p *XGBUp) StartUpgrade(accessed *dfs.File) bool {
 			return false
 		}
 		prob, ok := p.pipeline.Score(p.ctx.Record(accessed), now)
-		if !ok || prob <= p.ctx.Cfg.UpgradeThreshold {
+		if !ok || prob <= upgradeThreshold {
 			return false
 		}
 		p.queue = append(p.queue, accessed)
@@ -242,7 +253,7 @@ func (p *XGBUp) StartUpgrade(accessed *dfs.File) bool {
 		return false // model not ready; nothing proactive to do
 	}
 	for i, f := range p.cands {
-		if probs[i] > p.ctx.Cfg.UpgradeThreshold {
+		if probs[i] > upgradeThreshold {
 			p.queue = append(p.queue, f)
 		}
 	}

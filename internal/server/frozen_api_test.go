@@ -8,10 +8,12 @@ import (
 	"octostore/internal/core"
 	"octostore/internal/dfs"
 	"octostore/internal/gbt"
+	"octostore/internal/jobs"
 	"octostore/internal/ml"
 	"octostore/internal/policy"
 	"octostore/internal/server"
 	"octostore/internal/storage"
+	"octostore/internal/workload"
 )
 
 // The repository's benchmark (bench/, BENCHMARK.json) is its own module, so
@@ -108,4 +110,14 @@ var (
 	_ func(*gbt.Matrix, []float64, gbt.Params) (*gbt.Model, error) = gbt.Train
 	_ func(x []float64) float64                                    = (*gbt.Model)(nil).Predict
 	_ func(x *gbt.Matrix, y []float64, rounds int) error           = (*gbt.Model)(nil).Update
+)
+
+// The paper path bench/tracexgb.go replays: the job runner, the options it
+// passes, and the run statistics it reduces to its metrics.
+var (
+	_ func(*dfs.FileSystem, *workload.Trace, jobs.Options, func()) (*jobs.RunStats, error) = jobs.Run
+	_                                                                                      = jobs.Options{Seed: 1}
+	_ func() (reads, memReads, blocks, memLocBlocks, bytes, memBytes int64)                = (*jobs.RunStats)(nil).Totals
+	_                                                                                      = jobs.RunStats{Jobs: []jobs.JobStats{}, FSBaseline: dfs.Stats{FileAccesses: 1}, FSFinal: dfs.Stats{FileAccesses: 1, FilesCreated: 1}}
+	_ func() time.Duration                                                                 = (*jobs.JobStats)(nil).CompletionTime
 )
